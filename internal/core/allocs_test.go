@@ -1,0 +1,53 @@
+package core_test
+
+import (
+	"testing"
+
+	"satbelim/internal/core"
+	"satbelim/internal/pipeline"
+	"satbelim/internal/workloads"
+)
+
+// TestAnalyzeAllocs gates the analysis's allocation count in tier-1, so a
+// regression fails here and not only in the benchmark: javac at inline
+// limit 100 (the largest method bodies) and jess at limit 0 with summaries
+// (the most analyzer runs). Every reused buffer belongs to one analyzer,
+// so the count is a function of the program alone: two measurements must
+// agree exactly. The ceilings sit about 15 % above the measured figures
+// (javac 1 307, jess 1 916); the map-based copy-on-write state needed
+// 2 167 and 2 894, give or take one between measurements.
+func TestAnalyzeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		limit    int
+		opts     core.Options
+		ceiling  float64
+	}{
+		{"javac", 100, core.Options{Mode: core.ModeFieldArray}, 1500},
+		{"jess", 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 2200},
+	} {
+		w, err := workloads.Get(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{InlineLimit: tc.limit, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure := func() float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := core.AnalyzeProgram(b.Program, tc.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		first, second := measure(), measure()
+		t.Logf("%s@%d: %.0f allocs per AnalyzeProgram", tc.workload, tc.limit, first)
+		if first != second {
+			t.Errorf("%s@%d: allocation count does not repeat: %.0f then %.0f", tc.workload, tc.limit, first, second)
+		}
+		if first > tc.ceiling {
+			t.Errorf("%s@%d: %.0f allocs per AnalyzeProgram, ceiling %.0f", tc.workload, tc.limit, first, tc.ceiling)
+		}
+	}
+}

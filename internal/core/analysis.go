@@ -191,8 +191,22 @@ type analyzer struct {
 	refs  *refTable
 	namer intval.Namer
 
-	entry []*state
-	seen  []bool
+	// slots is the index space of this analysis's states; fieldAt caches
+	// the interned field operand of each field instruction.
+	slots   *slotTable
+	fieldAt []fieldID
+
+	// entry holds each block's entry state (nil until first reached).
+	// Every entry owns its buffers: the fixed point simulates blocks in
+	// scratch, merges joins into spare and swaps spare with the entry it
+	// replaces, so a visit allocates only when a block is first reached or
+	// a buffer must grow. targets and args are simulate's successor list
+	// and invoke-argument buffers, likewise reused.
+	entry   []*state
+	scratch *state
+	spare   *state
+	targets []int
+	args    []Value
 
 	// siteLenConst names the unknown allocation length of each newarray
 	// site (lazily minted, stable across the fixed point).
@@ -303,19 +317,13 @@ func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Meth
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	a := &analyzer{
-		prog: p, m: m, g: g, opts: opts,
-		refs:         buildRefTable(p, m, opts, false),
-		entry:        make([]*state, len(g.Blocks)),
-		seen:         make([]bool, len(g.Blocks)),
-		maxVisits:    opts.MaxBlockVisits,
-		maxStateSize: opts.MaxStateSize,
+	a := newAnalyzer(p, m, g, opts, false)
+	a.maxStateSize = opts.MaxStateSize
+	if opts.MaxBlockVisits > 0 {
+		a.maxVisits = opts.MaxBlockVisits
 	}
 	if opts.Interprocedural {
 		a.summaries = opts.Summaries
-	}
-	if a.maxVisits <= 0 {
-		a.maxVisits = 200*len(g.Blocks) + 2000
 	}
 	if opts.Deadline > 0 {
 		a.deadline = time.Now().Add(opts.Deadline)
@@ -328,8 +336,6 @@ func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Meth
 	}
 	rep.AbstractRefs = a.refs.count()
 
-	a.entry[0] = a.initialState()
-	a.seen[0] = true
 	if reason := a.fixpoint(); reason != DegradeNone {
 		rep.Converged = false
 		rep.Degraded = reason
@@ -370,9 +376,33 @@ func countSites(p *bytecode.Program, m *bytecode.Method, rep *MethodReport) {
 	}
 }
 
+// newAnalyzer sets up the engine for one method: its reference universe,
+// slot table, per-instruction field ids, reusable buffers and the default
+// visit budget.
+func newAnalyzer(p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options, forSummary bool) *analyzer {
+	a := &analyzer{
+		prog: p, m: m, g: g, opts: opts,
+		refs:       buildRefTable(p, m, opts, forSummary),
+		fieldAt:    make([]fieldID, len(m.Code)),
+		entry:      make([]*state, len(g.Blocks)),
+		forSummary: forSummary,
+		maxVisits:  200*len(g.Blocks) + 2000,
+	}
+	a.slots = newSlotTable(a.refs)
+	for pc := range m.Code {
+		switch in := &m.Code[pc]; in.Op {
+		case bytecode.OpGetField, bytecode.OpPutField, bytecode.OpGetStatic, bytecode.OpPutStatic:
+			a.fieldAt[pc] = a.slots.fieldOf(in.Field)
+		}
+	}
+	a.scratch = &state{tab: a.slots}
+	a.spare = &state{tab: a.slots}
+	return a
+}
+
 // initialState builds the method-entry state of §2.3 / §3.4.
 func (a *analyzer) initialState() *state {
-	s := newState(a.m.NumSlots)
+	s := newState(a.slots, a.m.NumSlots)
 	s.nl = SingletonRef(GlobalRefID)
 	for i := range s.locals {
 		s.locals[i] = Bottom
@@ -391,7 +421,7 @@ func (a *analyzer) initialState() *state {
 			}
 			if at.Kind == bytecode.KindArray {
 				// Len(R_arg(i)) = fresh constant unknown (§3.4).
-				s.length[r] = intval.OfConstU(a.namer.FreshConst())
+				s.setLength(r, intval.OfConstU(a.namer.FreshConst()))
 			}
 		} else {
 			// Integer inputs become constant unknowns (§3.4).
@@ -479,6 +509,7 @@ const deadlineCheckInterval = 32
 // non-DegradeNone return means a budget was exhausted and the method must
 // degrade to the conservative result.
 func (a *analyzer) fixpoint() DegradeReason {
+	a.entry[0] = a.initialState()
 	work := newRPOWorklist(a.g.RPOIndex())
 	work.push(0)
 	for {
@@ -502,16 +533,17 @@ func (a *analyzer) fixpoint() DegradeReason {
 				return DegradeDeadline
 			}
 		}
-		out, targets := a.simulate(a.entry[id].clone(), a.g.Blocks[id], nil)
-		if a.maxStateSize > 0 && stateFootprint(out) > a.maxStateSize {
+		out := a.scratch
+		out.copyFrom(a.entry[id])
+		targets := a.simulate(out, a.g.Blocks[id], nil)
+		if a.maxStateSize > 0 && out.footprint() > a.maxStateSize {
 			return DegradeStateSize
 		}
 		a.everNL = a.everNL.Union(out.nl)
 		for _, tgt := range targets {
 			var changed bool
-			switch {
-			case !a.seen[tgt]:
-				a.seen[tgt] = true
+			switch cur := a.entry[tgt]; {
+			case cur == nil:
 				a.entry[tgt] = out.clone()
 				changed = true
 			case len(a.g.Blocks[tgt].Preds) == 1:
@@ -521,11 +553,11 @@ func (a *analyzer) fixpoint() DegradeReason {
 				// (merging i=0 from the first pass with i=v from the
 				// head's fixed point). Joins happen only at real join
 				// points.
-				ns := out.clone()
-				changed = !statesEqual(a.entry[tgt], ns)
-				a.entry[tgt] = ns
+				changed = !statesEqual(cur, out)
+				cur.copyFrom(out)
 			default:
-				a.entry[tgt], changed = mergeStates(a.entry[tgt], out, &a.namer, a.opts.NoStrideInference)
+				changed = mergeStates(a.spare, cur, out, &a.namer, a.opts.NoStrideInference)
+				a.entry[tgt], a.spare = a.spare, cur
 			}
 			if changed {
 				work.push(tgt)
@@ -560,27 +592,57 @@ func (a *analyzer) judge(rep *MethodReport) {
 	// rearrangement tracker: swaps routinely straddle the conditional
 	// guard and its then-block, and straight-line flow preserves the
 	// value identities the detector relies on.
+	//
+	// outs[id] is block id's out state while conts[id] single-predecessor
+	// successors have yet to continue from it; the last of them takes the
+	// state over instead of copying it, and a state nobody continues from
+	// goes back to free. The fixed point's two buffers start the list.
 	outs := make([]*state, len(a.g.Blocks))
+	conts := make([]int, len(a.g.Blocks))
+	free := []*state{a.scratch, a.spare}
+	copyOf := func(src *state) *state {
+		st := &state{tab: a.slots}
+		if n := len(free); n > 0 {
+			st, free = free[n-1], free[:n-1]
+		}
+		st.copyFrom(src)
+		return st
+	}
 	trackers := make([]*rearrangeTracker, len(a.g.Blocks))
 	for _, id := range a.g.ReversePostorder() {
-		if !a.seen[id] {
+		if a.entry[id] == nil {
 			continue
+		}
+		b := a.g.Blocks[id]
+		for _, succ := range b.Succs {
+			if len(a.g.Blocks[succ].Preds) == 1 {
+				conts[id]++
+			}
 		}
 		var st *state
 		a.rt = nil
-		if preds := a.g.Blocks[id].Preds; len(preds) == 1 && outs[preds[0]] != nil {
-			st = outs[preds[0]].clone()
-			if a.opts.Rearrange && trackers[preds[0]] != nil {
-				a.rt = trackers[preds[0]].fork()
+		if len(b.Preds) == 1 && outs[b.Preds[0]] != nil {
+			p := b.Preds[0]
+			if a.opts.Rearrange && trackers[p] != nil {
+				a.rt = trackers[p].fork()
+			}
+			if conts[p]--; conts[p] == 0 {
+				st, outs[p] = outs[p], nil
+			} else {
+				st = copyOf(outs[p])
 			}
 		} else {
-			st = a.entry[id].clone()
+			st = copyOf(a.entry[id])
 		}
 		if a.opts.Rearrange && a.rt == nil {
 			a.rt = newRearrangeTracker()
 		}
-		out, _ := a.simulate(st, a.g.Blocks[id], judgeFn)
-		outs[id] = out
+		a.simulate(st, b, judgeFn)
+		if conts[id] > 0 {
+			outs[id] = st
+		} else {
+			free = append(free, st)
+		}
 		if a.rt != nil {
 			a.rt.detectSwaps(judgeFn)
 			trackers[id] = a.rt
@@ -616,12 +678,6 @@ func (a *analyzer) judge(rep *MethodReport) {
 	}
 	rep.SummaryCalls = a.statSummaryCalls
 	rep.FreshReturns = a.statFreshReturns
-}
-
-// stateFootprint measures an abstract state's retained map entries — the
-// quantity MaxStateSize bounds.
-func stateFootprint(s *state) int {
-	return len(s.sigma) + len(s.length) + len(s.nr)
 }
 
 // judgeKind distinguishes the three elision judgments.
@@ -681,15 +737,25 @@ func (a *analyzer) sigmaDefault(r RefID, wantInt bool) Value {
 
 // fieldValue is lookup(σ, r, NL, f) honoring the summary-mode contents
 // abstraction for absent entries.
-func (a *analyzer) fieldValue(s *state, r RefID, field string, wantInt bool) Value {
+func (a *analyzer) fieldValue(s *state, r RefID, f fieldID, wantInt bool) Value {
 	if a.forSummary && !s.nl.Has(r) {
 		if _, ok := a.contentRef(r); ok {
-			if _, has := s.sigma[sigKey{ref: r, field: field}]; !has {
+			if _, has := s.sigmaGet(r, f); !has {
 				return a.sigmaDefault(r, wantInt)
 			}
 		}
 	}
-	return s.lookup(r, field, wantInt)
+	return s.lookup(r, f, wantInt)
+}
+
+// weakStore is the weak update σ(r, f) ⊔= val, an absent entry standing
+// for the field's default.
+func (a *analyzer) weakStore(s *state, r RefID, f fieldID, val Value, wantInt bool) {
+	old, ok := s.sigmaGet(r, f)
+	if !ok {
+		old = a.sigmaDefault(r, wantInt)
+	}
+	s.sigmaSet(r, f, weakMergeValue(old, val))
 }
 
 // markDirtyField records, in summary mode, a reference-field write
@@ -748,17 +814,13 @@ func (a *analyzer) markIntMutatedIf(cond bool, targets RefSet) {
 // analysis relies on. Thread-locality of the referents survives — that
 // is the point of the summary.
 func (a *analyzer) invalidateField(s *state, targets RefSet, field string) {
+	f := a.slots.fieldNamed(field)
 	targets.ForEach(func(r RefID) {
 		if s.nl.Has(r) {
 			return // lookups on escaped references are already ⊤
 		}
-		k := sigKey{ref: r, field: field}
-		old, ok := s.sigma[k]
-		if !ok {
-			old = a.sigmaDefault(r, false)
-		}
-		s.mutableSigma()[k] = weakMergeValue(old, RefValue(SingletonRef(GlobalRefID)))
-		if field == elemsField {
+		a.weakStore(s, r, f, RefValue(SingletonRef(GlobalRefID)), false)
+		if f == elemsFieldID {
 			s.delNR(r)
 		}
 	})
@@ -819,15 +881,21 @@ func (a *analyzer) recordSummaryReturn(s *state, hasValue bool) {
 		}
 	}
 	a.summaryReach = a.summaryReach.Union(s.reachFrom(set))
-	for k, v := range s.sigma {
-		info := a.refs.info(k.ref)
-		if info.kind != refArg || !v.IsRefs() {
+	for arg := 0; arg < a.m.NumArgs(); arg++ {
+		r, ok := a.refs.argRef[arg]
+		if !ok {
 			continue
 		}
-		if a.argStored == nil {
-			a.argStored = map[int]RefSet{}
+		for _, i := range a.slots.refSlots[r] {
+			v := s.sigmaAt(int(i))
+			if !v.IsRefs() {
+				continue
+			}
+			if a.argStored == nil {
+				a.argStored = map[int]RefSet{}
+			}
+			a.argStored[arg] = a.argStored[arg].Union(s.reachFrom(v.Refs()))
 		}
-		a.argStored[info.arg] = a.argStored[info.arg].Union(s.reachFrom(v.Refs()))
 	}
 }
 
@@ -869,12 +937,13 @@ func (a *analyzer) checkReturnFresh(s *state, refs RefSet) {
 		}
 	})
 	if ok {
-		for k, v := range s.sigma {
-			if refs.Has(k.ref) && v.kind == vRefs && !v.refs.IsEmpty() {
-				ok = false
-				break
+		refs.ForEach(func(r RefID) {
+			for _, i := range a.slots.refSlots[r] {
+				if v := s.sigmaAt(int(i)); v.kind == vRefs && !v.refs.IsEmpty() {
+					ok = false
+				}
 			}
-		}
+		})
 	}
 	if !ok {
 		a.retNotFresh = true
@@ -907,9 +976,10 @@ func (a *analyzer) trackArrays() bool { return a.opts.Mode == ModeFieldArray }
 
 // simulate interprets one block from the given state. judgeFn, when
 // non-nil, receives the elision judgment for each barrier site traversed.
-// It returns the out state and successor block ids.
-func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind judgeKind)) (*state, []int) {
-	var targets []int
+// It transforms s into the block's out state in place and returns the
+// successor block ids (valid until the next call).
+func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind judgeKind)) []int {
+	a.targets = a.targets[:0]
 	for pc := b.Start; pc < b.End; pc++ {
 		in := &a.m.Code[pc]
 		switch in.Op {
@@ -940,7 +1010,7 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			}
 			s.push(v)
 		case bytecode.OpStore:
-			s.mutableLocals()[in.A] = s.pop()
+			s.locals[in.A] = s.pop()
 			if a.rt != nil {
 				a.rt.killSlot(int(in.A))
 			}
@@ -974,20 +1044,18 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			s.push(TopInt())
 
 		case bytecode.OpGoto:
-			return s, []int{a.g.BlockOf(int(in.A))}
-		case bytecode.OpIfTrue, bytecode.OpIfFalse:
+			a.targets = append(a.targets, a.g.BlockOf(int(in.A)))
+			return a.targets
+		case bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfNull, bytecode.OpIfNonNull:
 			s.pop()
-			targets = append(targets, a.g.BlockOf(int(in.A)))
-		case bytecode.OpIfNull, bytecode.OpIfNonNull:
-			s.pop()
-			targets = append(targets, a.g.BlockOf(int(in.A)))
+			a.targets = append(a.targets, a.g.BlockOf(int(in.A)))
 
 		case bytecode.OpGetStatic:
 			ft := a.prog.FieldType(in.Field)
 			if ft.IsRef() {
 				v := RefValue(SingletonRef(GlobalRefID))
 				if a.rt != nil {
-					v.vn = a.rt.loadStaticRef(in.Field.String())
+					v.vn = a.rt.loadStaticRef(a.slots.name(a.fieldAt[pc]))
 				}
 				s.push(v)
 			} else {
@@ -998,16 +1066,16 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			// Values stored into statics escape (AllNonTL).
 			s.escapeValue(val)
 			if a.opts.NullOrSame {
-				s.dropSrcsForField(in.Field.String())
+				s.dropSrcsForField(a.slots.name(a.fieldAt[pc]))
 			}
 			if a.rt != nil {
-				a.rt.killStatic(in.Field.String())
+				a.rt.killStatic(a.slots.name(a.fieldAt[pc]))
 			}
 
 		case bytecode.OpGetField:
 			obj := s.pop()
 			ft := a.prog.FieldType(in.Field)
-			field := in.Field.String()
+			field := a.fieldAt[pc]
 			wantInt := !ft.IsRef()
 			var out Value
 			first := true
@@ -1031,7 +1099,7 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			// trivially "null or the current content of (r, f)".
 			if a.opts.NullOrSame && !wantInt {
 				if r, one := obj.Refs().Single(); one {
-					out = out.withSrcs(singletonSrc(srcKey{ref: r, field: field}))
+					out = out.withSrcs(singletonSrc(srcKey{ref: r, field: a.slots.name(field)}))
 				}
 			}
 			s.push(out)
@@ -1040,13 +1108,13 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			val := s.pop()
 			obj := s.pop()
 			ft := a.prog.FieldType(in.Field)
-			field := in.Field.String()
+			field := a.fieldAt[pc]
 			if judgeFn != nil && ft.IsRef() {
 				a.judgeFieldStore(s, pc, obj.Refs(), field, val, judgeFn)
 			}
 			if a.forSummary {
 				if ft.IsRef() {
-					a.markDirtyField(obj.Refs(), field)
+					a.markDirtyField(obj.Refs(), a.slots.name(field))
 				} else {
 					a.markIntMutated(obj.Refs())
 				}
@@ -1054,19 +1122,14 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			// Strong update for a singleton unique reference, weak
 			// otherwise (§2.4).
 			if r, one := obj.Refs().Single(); one && a.refs.unique(r) {
-				s.mutableSigma()[sigKey{ref: r, field: field}] = val
+				s.sigmaSet(r, field, val)
 			} else {
 				obj.Refs().ForEach(func(r RefID) {
-					k := sigKey{ref: r, field: field}
-					old, ok := s.sigma[k]
-					if !ok {
-						old = a.sigmaDefault(r, !ft.IsRef())
-					}
-					s.mutableSigma()[k] = weakMergeValue(old, val)
+					a.weakStore(s, r, field, val, !ft.IsRef())
 				})
 			}
 			if a.opts.NullOrSame {
-				s.dropSrcsForField(field)
+				s.dropSrcsForField(a.slots.name(field))
 			}
 			s.escapeCond(obj.Refs(), val)
 
@@ -1116,10 +1179,10 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 						// is all the in-window judgments rely on.
 						n = intval.OfConstU(a.siteLen(pc))
 					}
-					s.mutableLength()[ra] = n
+					s.setLength(ra, n)
 					if in.Type.IsRef() {
 						// NR(R_A) = [0 .. n-1] (§3.3).
-						s.mutableNR()[ra] = intval.Full(intval.Const(0), n.Sub(intval.Const(1)))
+						s.setNR(ra, intval.Full(intval.Const(0), n.Sub(intval.Const(1))))
 					}
 				}
 			}
@@ -1130,10 +1193,7 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			out := intval.Top
 			first := true
 			arr.Refs().ForEach(func(r RefID) {
-				l, ok := s.length[r]
-				if !ok {
-					l = intval.Top
-				}
+				l := s.lengthOf(r)
 				if first {
 					out = l
 					first = false
@@ -1149,7 +1209,7 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			var out Value
 			first := true
 			arr.Refs().ForEach(func(r RefID) {
-				v := a.fieldValue(s, r, elemsField, false)
+				v := a.fieldValue(s, r, elemsFieldID, false)
 				if first {
 					out = v
 					first = false
@@ -1179,20 +1239,10 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 				a.markDirtyField(arr.Refs(), elemsField)
 			}
 			arr.Refs().ForEach(func(r RefID) {
-				k := sigKey{ref: r, field: elemsField}
-				old, ok := s.sigma[k]
-				if !ok {
-					old = a.sigmaDefault(r, false)
-				}
-				s.mutableSigma()[k] = weakMergeValue(old, val)
+				a.weakStore(s, r, elemsFieldID, val, false)
 				if a.trackArrays() {
-					if rng, ok := s.nr[r]; ok {
-						nr := rng.Contract(ind)
-						if nr.IsEmpty() {
-							s.delNR(r)
-						} else {
-							s.mutableNR()[r] = nr
-						}
+					if rng := s.nrOf(r); !rng.IsEmpty() {
+						s.setNR(r, rng.Contract(ind))
 					}
 				}
 			})
@@ -1212,11 +1262,10 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 
 		case bytecode.OpInvoke:
 			callee := a.prog.Method(in.Method)
-			n := callee.NumArgs()
-			args := make([]Value, n)
-			for i := n - 1; i >= 0; i-- {
-				args[i] = s.pop()
-			}
+			n := len(s.stack) - callee.NumArgs()
+			a.args = append(a.args[:0], s.stack[n:]...)
+			s.stack = s.stack[:n]
+			args := a.args
 			// Passed references escape: nAllNonTL (§2.4) — unless an
 			// interprocedural summary proves the callee neither
 			// publishes nor mutates the argument.
@@ -1281,16 +1330,16 @@ func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind ju
 			if a.forSummary && in.Op != bytecode.OpTrap {
 				a.recordSummaryReturn(s, in.Op == bytecode.OpReturnValue)
 			}
-			return s, targets
+			return a.targets
 		}
 	}
-	targets = append(targets, a.g.BlockOf(b.End))
-	return s, targets
+	a.targets = append(a.targets, a.g.BlockOf(b.End))
+	return a.targets
 }
 
 // judgeFieldStore evaluates the putfield elision judgments (§2.4 pre-null
 // and §4.3 null-or-same) in the pre-instruction state.
-func (a *analyzer) judgeFieldStore(s *state, pc int, obj RefSet, field string, val Value, judgeFn func(int, judgeKind)) {
+func (a *analyzer) judgeFieldStore(s *state, pc int, obj RefSet, field fieldID, val Value, judgeFn func(int, judgeKind)) {
 	preNull := true
 	obj.ForEach(func(r RefID) {
 		if a.isNonLocal(s, r) || !s.fieldIsNull(r, field) {
@@ -1313,7 +1362,7 @@ func (a *analyzer) judgeFieldStore(s *state, pc int, obj RefSet, field string, v
 		if s.fieldIsNull(r, field) {
 			return // overwrites null for this target
 		}
-		if val.srcs.has(srcKey{ref: r, field: field}) {
+		if val.srcs.has(srcKey{ref: r, field: a.slots.name(field)}) {
 			return // rewrites the value already present
 		}
 		nos = false
@@ -1335,8 +1384,7 @@ func (a *analyzer) judgeArrayStore(s *state, pc int, arr RefSet, ind intval.IntV
 			ok = false
 			return
 		}
-		rng, has := s.nr[r]
-		if !has || !rng.Covers(ind) {
+		if !s.nrOf(r).Covers(ind) {
 			ok = false
 		}
 	})

@@ -58,14 +58,35 @@ const (
 
 // refInfo describes one abstract reference.
 type refInfo struct {
-	kind     refKind
-	arg      int    // argument index for refArg
-	site     int    // allocation pc for refAllocA/refAllocB
-	isArray  bool   // allocation of an array
-	elemRef  bool   // array whose elements are references
-	class    string // class name for object allocations
-	unique   bool   // denotes exactly one runtime reference (strong update)
-	nameHint string
+	kind    refKind
+	arg     int    // argument index for refArg/refArgContent
+	site    int    // allocation or call pc for refAlloc*/refCall*
+	isArray bool   // allocation of an array
+	elemRef bool   // array whose elements are references
+	class   string // class name for object allocations
+	unique  bool   // denotes exactly one runtime reference (strong update)
+}
+
+// String renders the reference's debug name ("Arg0", "R12/A", "RC7/B", …).
+// Names are formatted on demand: diagnostics are their only reader, while
+// reference tables are built for every method of every build.
+func (i *refInfo) String() string {
+	switch i.kind {
+	case refArg:
+		return fmt.Sprintf("Arg%d", i.arg)
+	case refArgContent:
+		return fmt.Sprintf("Arg%d*", i.arg)
+	case refAllocA:
+		return fmt.Sprintf("R%d/A", i.site)
+	case refAllocB:
+		return fmt.Sprintf("R%d/B", i.site)
+	case refCallA:
+		return fmt.Sprintf("RC%d/A", i.site)
+	case refCallB:
+		return fmt.Sprintf("RC%d/B", i.site)
+	default:
+		return "Global"
+	}
 }
 
 // refTable holds the fixed universe of abstract references for one method.
@@ -106,7 +127,7 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 		callB:      map[int]RefID{},
 		argContent: map[int]RefID{},
 	}
-	t.infos = append(t.infos, refInfo{kind: refGlobal, nameHint: "Global"})
+	t.infos = append(t.infos, refInfo{kind: refGlobal})
 	for i := 0; i < m.NumArgs(); i++ {
 		at := m.ArgType(i)
 		if !at.IsRef() {
@@ -118,18 +139,14 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 		uniq := m.Ctor && i == 0
 		t.infos = append(t.infos, refInfo{
 			kind: refArg, arg: i, unique: uniq,
-			isArray:  at.Kind == bytecode.KindArray,
-			elemRef:  at.IsRefArray(),
-			class:    at.Class,
-			nameHint: fmt.Sprintf("Arg%d", i),
+			isArray: at.Kind == bytecode.KindArray,
+			elemRef: at.IsRefArray(),
+			class:   at.Class,
 		})
 		t.argRef[i] = id
 		if forSummary && !uniq {
 			c := RefID(len(t.infos))
-			t.infos = append(t.infos, refInfo{
-				kind: refArgContent, arg: i,
-				nameHint: fmt.Sprintf("Arg%d*", i),
-			})
+			t.infos = append(t.infos, refInfo{kind: refArgContent, arg: i})
 			t.argContent[i] = c
 		}
 	}
@@ -140,7 +157,7 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 			a := RefID(len(t.infos))
 			t.infos = append(t.infos, refInfo{
 				kind: refAllocA, site: pc, class: in.Type.Class,
-				unique: !singleSummary, nameHint: fmt.Sprintf("R%d/A", pc),
+				unique: !singleSummary,
 			})
 			t.allocA[pc] = a
 			if singleSummary {
@@ -149,7 +166,6 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 				b := RefID(len(t.infos))
 				t.infos = append(t.infos, refInfo{
 					kind: refAllocB, site: pc, class: in.Type.Class,
-					nameHint: fmt.Sprintf("R%d/B", pc),
 				})
 				t.allocB[pc] = b
 			}
@@ -158,7 +174,7 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 			t.infos = append(t.infos, refInfo{
 				kind: refAllocA, site: pc, isArray: true,
 				elemRef: in.Type.IsRef(),
-				unique:  !singleSummary, nameHint: fmt.Sprintf("R%d/A", pc),
+				unique:  !singleSummary,
 			})
 			t.allocA[pc] = a
 			if singleSummary {
@@ -167,8 +183,7 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 				b := RefID(len(t.infos))
 				t.infos = append(t.infos, refInfo{
 					kind: refAllocB, site: pc, isArray: true,
-					elemRef:  in.Type.IsRef(),
-					nameHint: fmt.Sprintf("R%d/B", pc),
+					elemRef: in.Type.IsRef(),
 				})
 				t.allocB[pc] = b
 			}
@@ -186,7 +201,7 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 				kind: refCallA, site: pc, class: ret.Class,
 				isArray: ret.Kind == bytecode.KindArray,
 				elemRef: ret.IsRefArray(),
-				unique:  !singleSummary, nameHint: fmt.Sprintf("RC%d/A", pc),
+				unique:  !singleSummary,
 			})
 			t.callA[pc] = a
 			if singleSummary {
@@ -195,9 +210,8 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 				b := RefID(len(t.infos))
 				t.infos = append(t.infos, refInfo{
 					kind: refCallB, site: pc, class: ret.Class,
-					isArray:  ret.Kind == bytecode.KindArray,
-					elemRef:  ret.IsRefArray(),
-					nameHint: fmt.Sprintf("RC%d/B", pc),
+					isArray: ret.Kind == bytecode.KindArray,
+					elemRef: ret.IsRefArray(),
 				})
 				t.callB[pc] = b
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +140,14 @@ func TestBuildRefTableNamesEverything(t *testing.T) {
 	}
 	if _, ok := tab.argRef[2]; !ok {
 		t.Error("array param ref missing")
+	}
+	// Debug names are formatted from kind and site / argument index.
+	var names []string
+	for r := range tab.infos {
+		names = append(names, tab.info(RefID(r)).String())
+	}
+	if got, want := strings.Join(names, " "), "Global Arg0 Arg2 R0/A R0/B R3/A R3/B"; got != want {
+		t.Errorf("ref names = %q, want %q", got, want)
 	}
 	for pc, a := range tab.allocA {
 		if tab.allocB[pc] == a {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
 )
 
@@ -13,147 +15,254 @@ import (
 // f_elems").
 const elemsField = "$elems"
 
-// sigKey addresses the abstract store σ: one (reference, field) pair.
-type sigKey struct {
+// fieldID names a field interned in one method's slotTable.
+type fieldID int32
+
+// elemsFieldID is elemsField's id in every slotTable.
+const elemsFieldID fieldID = 0
+
+// slotKey is one (reference, field) pair of the abstract store σ.
+type slotKey struct {
 	ref   RefID
-	field string
+	field fieldID
+}
+
+// slotTable is the index space of one method analysis's abstract states:
+// it interns the field names the analysis meets and numbers the
+// (reference, field) pairs σ comes to hold, in the order the (deterministic)
+// fixed point first writes them. States store σ as a flat slice indexed by
+// slot, so slot order is the one iteration order of every copy, comparison
+// and merge. The table only grows; a state's σ may be shorter than the
+// table, the missing tail being absent entries.
+type slotTable struct {
+	byRef  map[bytecode.FieldRef]fieldID
+	byName map[string]fieldID
+	names  []string
+
+	keys []slotKey
+	// refSlots lists each reference's slots, so per-reference operations
+	// (clearing, renaming, reachability) never scan the whole store.
+	refSlots [][]int32
+
+	// arrIdx maps an array-typed reference to its index in the Len and NR
+	// slices (-1 for everything else: only arrays carry those facts).
+	arrIdx    []int32
+	numArrays int
+
+	// work is reachFrom's worklist buffer.
+	work []RefID
+}
+
+func newSlotTable(refs *refTable) *slotTable {
+	t := &slotTable{
+		byRef:    map[bytecode.FieldRef]fieldID{},
+		byName:   map[string]fieldID{elemsField: elemsFieldID},
+		names:    []string{elemsField},
+		refSlots: make([][]int32, refs.count()),
+		arrIdx:   make([]int32, refs.count()),
+	}
+	for r := range refs.infos {
+		t.arrIdx[r] = -1
+		if refs.infos[r].isArray {
+			t.arrIdx[r] = int32(t.numArrays)
+			t.numArrays++
+		}
+	}
+	return t
+}
+
+// fieldNamed interns a qualified field name ("Class.field" or elemsField).
+func (t *slotTable) fieldNamed(name string) fieldID {
+	f, ok := t.byName[name]
+	if !ok {
+		f = fieldID(len(t.names))
+		t.names = append(t.names, name)
+		t.byName[name] = f
+	}
+	return f
+}
+
+// fieldOf interns an instruction's field operand; the qualified name is
+// built only the first time the table sees the field.
+func (t *slotTable) fieldOf(ref bytecode.FieldRef) fieldID {
+	f, ok := t.byRef[ref]
+	if !ok {
+		f = t.fieldNamed(ref.String())
+		t.byRef[ref] = f
+	}
+	return f
+}
+
+func (t *slotTable) name(f fieldID) string { return t.names[f] }
+
+// find returns the slot of (r, f), or -1 when σ never held the pair.
+func (t *slotTable) find(r RefID, f fieldID) int {
+	for _, i := range t.refSlots[r] {
+		if t.keys[i].field == f {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// slot returns the slot of (r, f), numbering the pair on first use.
+func (t *slotTable) slot(r RefID, f fieldID) int {
+	if i := t.find(r, f); i >= 0 {
+		return i
+	}
+	i := len(t.keys)
+	t.keys = append(t.keys, slotKey{ref: r, field: f})
+	t.refSlots[r] = append(t.refSlots[r], int32(i))
+	return i
 }
 
 // state is the paper's program state tuple extended for arrays:
 // ⟨ρ, σ, NL, stk, Len, NR⟩.
 //
-// The container components are copy-on-write: clone shares ρ, σ, Len and
-// NR between the original and the copy, and the first mutation of a shared
-// container (through the mutable* accessors) makes a private copy. The
-// fixed point clones the entry state of a block on every visit but most
-// visits touch only a few containers, so sharing removes the bulk of the
-// per-edge cloning cost. Values, RefSets, IntVals and srcSets stored
-// inside the containers are immutable, so container-level copies suffice.
+// Every container is a flat slice owned by exactly one state: σ is indexed
+// by slotTable slot, Len and NR by slotTable.arrIdx. An entry carries its
+// own "absent" marker — ⊥ in σ (the field still holds its allocation
+// default), ⊤ in Len and the empty range in NR (no information) — so
+// copying is a memmove and comparison and merge are linear loops in index
+// order. The Values, RefSets, IntVals and srcSets stored inside are
+// immutable and may be shared between states.
 type state struct {
+	tab    *slotTable
 	locals []Value
 	stack  []Value
 	nl     RefSet
-	sigma  map[sigKey]Value
-	length map[RefID]intval.IntVal
-	nr     map[RefID]intval.Range
+	sigma  []Value
+	length []intval.IntVal
+	nr     []intval.Range
 	// intTainted marks references whose integer fields a summarized
 	// callee may have rewritten: integer lookups on them answer ⊤.
 	intTainted RefSet
-
-	// own* record which containers this state owns exclusively. A state
-	// built by newState owns everything; clone leaves both sides owning
-	// nothing (writes then copy first). The stack is never shared: push
-	// reuses backing-array capacity, which would alias a sharer's tail.
-	ownLocals bool
-	ownSigma  bool
-	ownLength bool
-	ownNR     bool
 }
 
-func newState(numLocals int) *state {
-	return &state{
-		locals:    make([]Value, numLocals),
-		sigma:     map[sigKey]Value{},
-		length:    map[RefID]intval.IntVal{},
-		nr:        map[RefID]intval.Range{},
-		ownLocals: true, ownSigma: true, ownLength: true, ownNR: true,
+func newState(tab *slotTable, numLocals int) *state {
+	s := &state{
+		tab:    tab,
+		locals: make([]Value, numLocals),
+		length: make([]intval.IntVal, tab.numArrays),
+		nr:     make([]intval.Range, tab.numArrays),
 	}
+	for i := range s.length {
+		s.length[i] = intval.Top
+	}
+	return s
 }
 
-// clone returns a copy sharing every container except the stack; the
-// original gives up ownership so that whichever side writes first copies.
+// copyFrom makes s a copy of src, reusing s's buffers where they are
+// large enough. The two states share no mutable memory afterwards.
+func (s *state) copyFrom(src *state) {
+	s.locals = append(s.locals[:0], src.locals...)
+	s.stack = append(s.stack[:0], src.stack...)
+	s.sigma = append(s.sigma[:0], src.sigma...)
+	s.length = append(s.length[:0], src.length...)
+	s.nr = append(s.nr[:0], src.nr...)
+	s.nl, s.intTainted = src.nl, src.intTainted
+}
+
+// clone returns a copy of s in exactly-sized buffers of its own.
 func (s *state) clone() *state {
-	s.ownLocals, s.ownSigma, s.ownLength, s.ownNR = false, false, false, false
-	return &state{
-		locals:     s.locals,
-		stack:      append([]Value(nil), s.stack...),
-		nl:         s.nl,
-		intTainted: s.intTainted,
-		sigma:      s.sigma,
-		length:     s.length,
-		nr:         s.nr,
-	}
+	c := &state{tab: s.tab}
+	c.copyFrom(s)
+	return c
 }
 
-// mutableLocals returns the locals slice, privately copied if shared.
-// Safe only for indexed writes (never append).
-func (s *state) mutableLocals() []Value {
-	if !s.ownLocals {
-		s.locals = append([]Value(nil), s.locals...)
-		s.ownLocals = true
+// sigmaAt returns σ's entry in slot i (⊥ when absent).
+func (s *state) sigmaAt(i int) Value {
+	if i < len(s.sigma) {
+		return s.sigma[i]
 	}
-	return s.locals
+	return Bottom
 }
 
-// mutableSigma returns the σ map, privately copied if shared.
-func (s *state) mutableSigma() map[sigKey]Value {
-	if !s.ownSigma {
-		m := make(map[sigKey]Value, len(s.sigma))
-		for k, v := range s.sigma {
-			m[k] = v
-		}
-		s.sigma = m
-		s.ownSigma = true
+// sigmaGet returns σ(r, f) and whether the entry is present.
+func (s *state) sigmaGet(r RefID, f fieldID) (Value, bool) {
+	if i := s.tab.find(r, f); i >= 0 {
+		v := s.sigmaAt(i)
+		return v, v.kind != vBottom
 	}
-	return s.sigma
+	return Bottom, false
 }
 
-// mutableLength returns the Len map, privately copied if shared.
-func (s *state) mutableLength() map[RefID]intval.IntVal {
-	if !s.ownLength {
-		m := make(map[RefID]intval.IntVal, len(s.length))
-		for k, v := range s.length {
-			m[k] = v
-		}
-		s.length = m
-		s.ownLength = true
+// sigmaSet writes σ(r, f) = v.
+func (s *state) sigmaSet(r RefID, f fieldID, v Value) {
+	i := s.tab.slot(r, f)
+	for len(s.sigma) <= i {
+		s.sigma = append(s.sigma, Bottom)
 	}
-	return s.length
+	s.sigma[i] = v
 }
 
-// mutableNR returns the NR map, privately copied if shared.
-func (s *state) mutableNR() map[RefID]intval.Range {
-	if !s.ownNR {
-		m := make(map[RefID]intval.Range, len(s.nr))
-		for k, v := range s.nr {
-			m[k] = v
-		}
-		s.nr = m
-		s.ownNR = true
-	}
-	return s.nr
-}
-
-// clearSigmaRef removes every σ entry keyed by r, copying a shared map
-// only when an entry actually exists.
+// clearSigmaRef removes every σ entry keyed by r.
 func (s *state) clearSigmaRef(r RefID) {
-	var stale []sigKey
-	for k := range s.sigma {
-		if k.ref == r {
-			stale = append(stale, k)
+	for _, i := range s.tab.refSlots[r] {
+		if int(i) < len(s.sigma) {
+			s.sigma[i] = Bottom
 		}
 	}
-	if len(stale) == 0 {
-		return
-	}
-	sigma := s.mutableSigma()
-	for _, k := range stale {
-		delete(sigma, k)
-	}
 }
 
-// delLength removes Len(r), copying a shared map only when present.
+// lengthOf returns Len(r), ⊤ when unknown.
+func (s *state) lengthOf(r RefID) intval.IntVal {
+	if i := s.tab.arrIdx[r]; i >= 0 {
+		return s.length[i]
+	}
+	return intval.Top
+}
+
+// setLength writes Len(r); ⊤ forgets it. Only array references carry a
+// length.
+func (s *state) setLength(r RefID, l intval.IntVal) { s.length[s.tab.arrIdx[r]] = l }
+
+// delLength forgets Len(r).
 func (s *state) delLength(r RefID) {
-	if _, ok := s.length[r]; ok {
-		delete(s.mutableLength(), r)
+	if i := s.tab.arrIdx[r]; i >= 0 {
+		s.length[i] = intval.Top
 	}
 }
 
-// delNR removes NR(r), copying a shared map only when present.
-func (s *state) delNR(r RefID) {
-	if _, ok := s.nr[r]; ok {
-		delete(s.mutableNR(), r)
+// nrOf returns NR(r), the empty range when no index is known null.
+func (s *state) nrOf(r RefID) intval.Range {
+	if i := s.tab.arrIdx[r]; i >= 0 {
+		return s.nr[i]
 	}
+	return intval.Empty()
+}
+
+// setNR writes NR(r); the empty range forgets it. Only array references
+// carry a null range.
+func (s *state) setNR(r RefID, rng intval.Range) { s.nr[s.tab.arrIdx[r]] = rng }
+
+// delNR forgets NR(r).
+func (s *state) delNR(r RefID) {
+	if i := s.tab.arrIdx[r]; i >= 0 {
+		s.nr[i] = intval.Empty()
+	}
+}
+
+// footprint counts the state's present σ, Len and NR entries — the
+// quantity MaxStateSize bounds.
+func (s *state) footprint() int {
+	n := 0
+	for i := range s.sigma {
+		if s.sigma[i].kind != vBottom {
+			n++
+		}
+	}
+	for i := range s.length {
+		if !s.length[i].IsTop() {
+			n++
+		}
+	}
+	for i := range s.nr {
+		if !s.nr[i].IsEmpty() {
+			n++
+		}
+	}
+	return n
 }
 
 func (s *state) push(v Value) { s.stack = append(s.stack, v) }
@@ -168,7 +277,7 @@ func (s *state) pop() Value {
 // references yield {GlobalRef}; otherwise the σ entry, defaulting to null
 // for reference fields (the allocator zeroed them) and 0 for integer
 // fields. wantInt selects the integer default.
-func (s *state) lookup(r RefID, field string, wantInt bool) Value {
+func (s *state) lookup(r RefID, f fieldID, wantInt bool) Value {
 	if s.nl.Has(r) {
 		if wantInt {
 			return TopInt()
@@ -178,7 +287,7 @@ func (s *state) lookup(r RefID, field string, wantInt bool) Value {
 	if wantInt && s.intTainted.Has(r) {
 		return TopInt()
 	}
-	if v, ok := s.sigma[sigKey{ref: r, field: field}]; ok {
+	if v, ok := s.sigmaGet(r, f); ok {
 		return v
 	}
 	if wantInt {
@@ -187,14 +296,14 @@ func (s *state) lookup(r RefID, field string, wantInt bool) Value {
 	return NullValue()
 }
 
-// fieldIsNull reports whether σ guarantees (r, field) is null: r is
+// fieldIsNull reports whether σ guarantees (r, f) is null: r is
 // thread-local and its entry is the empty reference set (or absent, i.e.
 // still zeroed).
-func (s *state) fieldIsNull(r RefID, field string) bool {
+func (s *state) fieldIsNull(r RefID, f fieldID) bool {
 	if s.nl.Has(r) {
 		return false
 	}
-	v, ok := s.sigma[sigKey{ref: r, field: field}]
+	v, ok := s.sigmaGet(r, f)
 	if !ok {
 		return true
 	}
@@ -205,13 +314,14 @@ func (s *state) fieldIsNull(r RefID, field string) bool {
 // via σ (the closure used by AllNonTL).
 func (s *state) reachFrom(rs RefSet) RefSet {
 	out := rs
-	work := make([]RefID, 0, 8)
+	work := s.tab.work[:0]
 	rs.ForEach(func(r RefID) { work = append(work, r) })
 	for len(work) > 0 {
 		r := work[len(work)-1]
 		work = work[:len(work)-1]
-		for k, v := range s.sigma {
-			if k.ref != r || v.kind != vRefs {
+		for _, i := range s.tab.refSlots[r] {
+			v := s.sigmaAt(int(i))
+			if v.kind != vRefs {
 				continue
 			}
 			v.refs.ForEach(func(t RefID) {
@@ -222,6 +332,7 @@ func (s *state) reachFrom(rs RefSet) RefSet {
 			})
 		}
 	}
+	s.tab.work = work
 	return out
 }
 
@@ -256,30 +367,13 @@ func (s *state) escapeCond(targets RefSet, val Value) {
 }
 
 // mapSrcs rewrites the null-or-same guarantee set of every tracked value
-// through f, copying shared containers only when a set actually changes.
+// through f.
 func (s *state) mapSrcs(f func(*srcSet) *srcSet) {
-	for i, v := range s.locals {
-		if v.srcs == nil {
-			continue
-		}
-		if ns := f(v.srcs); ns != v.srcs {
-			s.mutableLocals()[i] = v.withSrcs(ns)
-		}
-	}
-	for i, v := range s.stack {
-		if v.srcs == nil {
-			continue
-		}
-		if ns := f(v.srcs); ns != v.srcs {
-			s.stack[i] = v.withSrcs(ns)
-		}
-	}
-	for k, v := range s.sigma {
-		if v.srcs == nil {
-			continue
-		}
-		if ns := f(v.srcs); ns != v.srcs {
-			s.mutableSigma()[k] = v.withSrcs(ns)
+	for _, vs := range [][]Value{s.locals, s.stack, s.sigma} {
+		for i := range vs {
+			if vs[i].srcs != nil {
+				vs[i].srcs = f(vs[i].srcs)
+			}
 		}
 	}
 }
@@ -338,14 +432,8 @@ func (s *state) renameAlloc(a, b RefID) {
 	if a == b {
 		return // single-summary ablation: nothing to rename
 	}
-	for i, v := range s.locals {
-		if nv := substValue(v, a, b); !nv.Equal(v) {
-			s.mutableLocals()[i] = nv
-		}
-	}
-	for i := range s.stack {
-		s.stack[i] = substValue(s.stack[i], a, b)
-	}
+	substAll(s.locals, a, b)
+	substAll(s.stack, a, b)
 	if s.nl.Has(a) {
 		s.nl = s.nl.Without(a).With(b)
 	}
@@ -354,87 +442,72 @@ func (s *state) renameAlloc(a, b RefID) {
 	}
 	// transfer(σ, R_A → R_B): entries under A merge weakly into B (B is a
 	// summary), and values mentioning A are renamed.
-	var moves []sigKey
-	for k := range s.sigma {
-		if k.ref == a {
-			moves = append(moves, k)
+	for _, i := range s.tab.refSlots[a] {
+		v := s.sigmaAt(int(i))
+		if v.kind == vBottom {
+			continue
 		}
-	}
-	if len(moves) > 0 {
-		sigma := s.mutableSigma()
-		sort.Slice(moves, func(i, j int) bool { return srcKeyLess(srcKey(moves[i]), srcKey(moves[j])) })
-		for _, k := range moves {
-			v := sigma[k]
-			delete(sigma, k)
-			nk := sigKey{ref: b, field: k.field}
-			v = substValue(v, a, b)
-			if old, ok := sigma[nk]; ok {
-				sigma[nk] = weakMergeValue(old, v)
-			} else {
-				// B had no entry: its default is null/zero, so the weak
-				// merge is with that default.
-				var def Value
-				if v.kind == vInt {
-					def = IntValue(intval.Const(0))
-				} else {
-					def = NullValue()
-				}
-				sigma[nk] = weakMergeValue(def, v)
-			}
+		s.sigma[i] = Bottom
+		f := s.tab.keys[i].field
+		v = substValue(v, a, b)
+		old, ok := s.sigmaGet(b, f)
+		if !ok {
+			// B had no entry: its default is null/zero, so the weak merge
+			// is with that default.
+			old = defaultFor(v)
 		}
+		s.sigmaSet(b, f, weakMergeValue(old, v))
 	}
-	for k, v := range s.sigma {
-		if nv := substValue(v, a, b); !nv.Equal(v) {
-			s.mutableSigma()[k] = nv
-		}
-	}
+	substAll(s.sigma, a, b)
 	// Len and NR move to the summary with weak semantics.
-	if l, ok := s.length[a]; ok {
-		length := s.mutableLength()
-		delete(length, a)
-		if lb, ok := length[b]; ok {
-			if m := intval.Merge(l, lb, nil); !m.IsTop() {
-				length[b] = m
-			} else {
-				delete(length, b)
-			}
-		} else {
-			length[b] = l
+	if l := s.lengthOf(a); !l.IsTop() {
+		s.delLength(a)
+		if lb := s.lengthOf(b); !lb.IsTop() {
+			l = intval.Merge(l, lb, nil)
 		}
+		s.setLength(b, l)
 	}
-	if r, ok := s.nr[a]; ok {
-		nr := s.mutableNR()
-		delete(nr, a)
-		if rb, ok := nr[b]; ok {
-			if m := intval.MergeRanges(r, rb, nil); !m.IsEmpty() {
-				nr[b] = m
-			} else {
-				delete(nr, b)
-			}
-		} else if !r.IsEmpty() {
-			nr[b] = r
+	if r := s.nrOf(a); !r.IsEmpty() {
+		s.delNR(a)
+		if rb := s.nrOf(b); !rb.IsEmpty() {
+			r = intval.MergeRanges(r, rb, nil)
+		}
+		s.setNR(b, r)
+	}
+}
+
+// substAll renames from to to in every value of vs that mentions it.
+func substAll(vs []Value, from, to RefID) {
+	for i := range vs {
+		if vs[i].refs.Has(from) {
+			vs[i] = substValue(vs[i], from, to)
 		}
 	}
 }
 
-// mergeStates merges incoming into cur, returning the merged state and
-// whether it differs from cur. All integer components share one stride
-// context (the essence of §3.5). namer supplies fresh variable unknowns;
-// noStride disables their invention (ablation).
-func mergeStates(cur, incoming *state, namer *intval.Namer, noStride bool) (*state, bool) {
+// resized returns vs with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resized[T any](vs []T, n int) []T { return slices.Grow(vs[:0], n)[:n] }
+
+// mergeStates overwrites out with the merge of incoming into cur and
+// reports whether the result differs from cur. out must be neither of the
+// inputs. All integer components share one stride context (the essence of
+// §3.5), visited in a fixed order — stack, locals, σ by slot, Len, NR — so
+// which component first names a stride is a property of the method, not
+// of the run. namer supplies fresh variable unknowns; noStride disables
+// their invention (ablation).
+func mergeStates(out, cur, incoming *state, namer *intval.Namer, noStride bool) bool {
 	ctx := intval.NewMergeCtx(namer)
 	ctx.Disabled = noStride
-
-	out := newState(len(cur.locals))
 	changed := false
 
 	if len(cur.stack) != len(incoming.stack) {
 		// Verified bytecode guarantees agreement; degrade to an empty
 		// stack (convergent: changed only the first time).
-		out.stack = nil
+		out.stack = out.stack[:0]
 		changed = len(cur.stack) != 0
 	} else {
-		out.stack = make([]Value, len(cur.stack))
+		out.stack = resized(out.stack, len(cur.stack))
 		for i := range cur.stack {
 			out.stack[i] = mergeValue(cur.stack[i], incoming.stack[i], ctx)
 			if !out.stack[i].Equal(cur.stack[i]) {
@@ -442,6 +515,7 @@ func mergeStates(cur, incoming *state, namer *intval.Namer, noStride bool) (*sta
 			}
 		}
 	}
+	out.locals = resized(out.locals, len(cur.locals))
 	for i := range cur.locals {
 		out.locals[i] = mergeValue(cur.locals[i], incoming.locals[i], ctx)
 		if !out.locals[i].Equal(cur.locals[i]) {
@@ -458,65 +532,46 @@ func mergeStates(cur, incoming *state, namer *intval.Namer, noStride bool) (*sta
 		changed = true
 	}
 
-	// σ: union of keys; an absent entry denotes the allocation default
+	// σ: union of entries; an absent entry denotes the allocation default
 	// (null / 0), which is what lookup assumes.
-	for k, v := range cur.sigma {
-		if w, ok := incoming.sigma[k]; ok {
-			m := mergeValue(v, w, ctx)
-			out.sigma[k] = m
-			if !m.Equal(v) {
-				changed = true
-			}
-		} else {
-			m := mergeValue(v, defaultFor(v), ctx)
-			out.sigma[k] = m
-			if !m.Equal(v) {
-				changed = true
-			}
-		}
-	}
-	for k, w := range incoming.sigma {
-		if _, ok := cur.sigma[k]; ok {
+	out.sigma = resized(out.sigma, max(len(cur.sigma), len(incoming.sigma)))
+	for i := range out.sigma {
+		v, w := cur.sigmaAt(i), incoming.sigmaAt(i)
+		switch {
+		case v.kind == vBottom && w.kind == vBottom:
+			out.sigma[i] = Bottom
 			continue
+		case w.kind == vBottom:
+			w = defaultFor(v)
+		case v.kind == vBottom:
+			// cur implicitly held the default; the entry changes cur only
+			// if the merge differs from that default.
+			v = defaultFor(w)
 		}
-		m := mergeValue(defaultFor(w), w, ctx)
-		out.sigma[k] = m
-		// cur lacked the entry, i.e. implicitly held the default; the
-		// entry changes cur only if it differs from that default.
-		if !m.Equal(defaultFor(w)) {
+		m := mergeValue(v, w, ctx)
+		out.sigma[i] = m
+		if !m.Equal(v) {
 			changed = true
 		}
 	}
 
-	// Len and NR: intersection of keys (an absent entry is "no
+	// Len and NR: intersection of entries (an absent entry is "no
 	// information", which absorbs).
-	for r, l := range cur.length {
-		if l2, ok := incoming.length[r]; ok {
-			m := intval.Merge(l, l2, ctx)
-			if !m.IsTop() {
-				out.length[r] = m
-			}
-			if !m.Equal(l) {
-				changed = true
-			}
-		} else {
+	out.length = resized(out.length, len(cur.length))
+	for i, l := range cur.length {
+		out.length[i] = intval.Merge(l, incoming.length[i], ctx)
+		if !out.length[i].Equal(l) {
 			changed = true
 		}
 	}
-	for r, rng := range cur.nr {
-		if rng2, ok := incoming.nr[r]; ok {
-			m := intval.MergeRanges(rng, rng2, ctx)
-			if !m.IsEmpty() {
-				out.nr[r] = m
-			}
-			if !m.Equal(rng) {
-				changed = true
-			}
-		} else {
+	out.nr = resized(out.nr, len(cur.nr))
+	for i, rng := range cur.nr {
+		out.nr[i] = intval.MergeRanges(rng, incoming.nr[i], ctx)
+		if !out.nr[i].Equal(rng) {
 			changed = true
 		}
 	}
-	return out, changed
+	return changed
 }
 
 // statesEqual reports structural equality of two states, treating absent
@@ -542,32 +597,27 @@ func statesEqual(a, b *state) bool {
 	if !a.intTainted.Equal(b.intTainted) {
 		return false
 	}
-	for k, v := range a.sigma {
-		w, ok := b.sigma[k]
-		if !ok {
+	for i := range max(len(a.sigma), len(b.sigma)) {
+		v, w := a.sigmaAt(i), b.sigmaAt(i)
+		switch {
+		case v.kind == vBottom && w.kind == vBottom:
+			continue
+		case w.kind == vBottom:
 			w = defaultFor(v)
+		case v.kind == vBottom:
+			v = defaultFor(w)
 		}
 		if !v.Equal(w) {
 			return false
 		}
 	}
-	for k, w := range b.sigma {
-		if _, ok := a.sigma[k]; !ok && !w.Equal(defaultFor(w)) {
+	for i := range a.length {
+		if !a.length[i].Equal(b.length[i]) {
 			return false
 		}
 	}
-	if len(a.length) != len(b.length) || len(a.nr) != len(b.nr) {
-		return false
-	}
-	for k, v := range a.length {
-		w, ok := b.length[k]
-		if !ok || !v.Equal(w) {
-			return false
-		}
-	}
-	for k, v := range a.nr {
-		w, ok := b.nr[k]
-		if !ok || !v.Equal(w) {
+	for i := range a.nr {
+		if !a.nr[i].Equal(b.nr[i]) {
 			return false
 		}
 	}
@@ -586,19 +636,22 @@ func defaultFor(v Value) Value {
 func (s *state) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "locals=%v stack=%v nl=%s\n", s.locals, s.stack, s.nl)
-	var keys []sigKey
-	for k := range s.sigma {
-		keys = append(keys, k)
+	for i, v := range s.sigma {
+		if v.kind != vBottom {
+			k := s.tab.keys[i]
+			fmt.Fprintf(&b, "  σ(r%d,%s)=%v\n", k.ref, s.tab.name(k.field), v)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return srcKeyLess(srcKey(keys[i]), srcKey(keys[j])) })
-	for _, k := range keys {
-		fmt.Fprintf(&b, "  σ(r%d,%s)=%v\n", k.ref, k.field, s.sigma[k])
-	}
-	for r, l := range s.length {
-		fmt.Fprintf(&b, "  Len(r%d)=%s\n", r, l)
-	}
-	for r, rng := range s.nr {
-		fmt.Fprintf(&b, "  NR(r%d)=%s\n", r, rng)
+	for r, i := range s.tab.arrIdx {
+		if i < 0 {
+			continue
+		}
+		if !s.length[i].IsTop() {
+			fmt.Fprintf(&b, "  Len(r%d)=%s\n", r, s.length[i])
+		}
+		if !s.nr[i].IsEmpty() {
+			fmt.Fprintf(&b, "  NR(r%d)=%s\n", r, s.nr[i])
+		}
 	}
 	return b.String()
 }

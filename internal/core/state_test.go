@@ -41,44 +41,78 @@ func TestValueMergeBasics(t *testing.T) {
 	}
 }
 
+// Fields of the test slot table (see testTable).
+const (
+	fF fieldID = iota + 1 // T.f
+	fG                    // T.g
+	fK                    // T.k
+	fA                    // T.a
+)
+
+// testTable returns a slot table over ten references, every one an array
+// so that Len and NR are addressable, with the test fields interned.
+func testTable() *slotTable {
+	refs := &refTable{infos: make([]refInfo, 10)}
+	for i := range refs.infos {
+		refs.infos[i].isArray = true
+	}
+	tab := newSlotTable(refs)
+	for _, name := range []string{"T.f", "T.g", "T.k", "T.a"} {
+		tab.fieldNamed(name)
+	}
+	return tab
+}
+
+// present reports whether σ holds an entry — even an explicit default —
+// for (r, f).
+func present(s *state, r RefID, f fieldID) bool {
+	_, ok := s.sigmaGet(r, f)
+	return ok
+}
+
 func TestStateLookupDefaults(t *testing.T) {
-	s := newState(0)
+	s := newState(testTable(), 0)
 	s.nl = SingletonRef(GlobalRefID)
 
 	// Unknown field of a thread-local ref defaults to null / zero.
-	if v := s.lookup(5, "T.f", false); !v.Refs().IsEmpty() {
+	if v := s.lookup(5, fF, false); !v.Refs().IsEmpty() {
 		t.Errorf("ref default should be null, got %v", v)
 	}
-	if v := s.lookup(5, "T.k", true); !v.Int().Equal(intval.Const(0)) {
+	if v := s.lookup(5, fK, true); !v.Int().Equal(intval.Const(0)) {
 		t.Errorf("int default should be 0, got %v", v)
 	}
 	// NL refs answer GlobalRef / ⊤.
-	if v := s.lookup(GlobalRefID, "T.f", false); !v.Refs().Equal(SingletonRef(GlobalRefID)) {
+	if v := s.lookup(GlobalRefID, fF, false); !v.Refs().Equal(SingletonRef(GlobalRefID)) {
 		t.Errorf("NL lookup = %v", v)
 	}
-	if v := s.lookup(GlobalRefID, "T.k", true); !v.Int().IsTop() {
+	if v := s.lookup(GlobalRefID, fK, true); !v.Int().IsTop() {
 		t.Errorf("NL int lookup = %v", v)
 	}
 	// fieldIsNull mirrors those rules.
-	if !s.fieldIsNull(5, "T.f") {
+	if !s.fieldIsNull(5, fF) {
 		t.Error("unwritten field of local ref is null")
 	}
-	if s.fieldIsNull(GlobalRefID, "T.f") {
+	if s.fieldIsNull(GlobalRefID, fF) {
 		t.Error("NL fields are never known null")
 	}
-	s.sigma[sigKey{ref: 5, field: "T.f"}] = RefValue(SingletonRef(7))
-	if s.fieldIsNull(5, "T.f") {
+	s.sigmaSet(5, fF, RefValue(SingletonRef(7)))
+	if s.fieldIsNull(5, fF) {
 		t.Error("written field is not null")
+	}
+	// Reads never number a slot: only the one written pair exists, and
+	// absent entries — read or not — are not part of the footprint.
+	if len(s.tab.keys) != 1 || s.footprint() != 1 {
+		t.Errorf("slots = %d, footprint = %d, want 1 and 1", len(s.tab.keys), s.footprint())
 	}
 }
 
 func TestEscapeTransitiveClosure(t *testing.T) {
-	s := newState(0)
+	s := newState(testTable(), 0)
 	s.nl = SingletonRef(GlobalRefID)
 	// 1 -> 2 -> 3 via σ; 4 unrelated.
-	s.sigma[sigKey{ref: 1, field: "T.a"}] = RefValue(SingletonRef(2))
-	s.sigma[sigKey{ref: 2, field: elemsField}] = RefValue(SingletonRef(3))
-	s.sigma[sigKey{ref: 4, field: "T.a"}] = RefValue(SingletonRef(4))
+	s.sigmaSet(1, fA, RefValue(SingletonRef(2)))
+	s.sigmaSet(2, elemsFieldID, RefValue(SingletonRef(3)))
+	s.sigmaSet(4, fA, RefValue(SingletonRef(4)))
 
 	s.escape(SingletonRef(1))
 	for _, r := range []RefID{1, 2, 3} {
@@ -92,7 +126,7 @@ func TestEscapeTransitiveClosure(t *testing.T) {
 }
 
 func TestEscapeCond(t *testing.T) {
-	s := newState(0)
+	s := newState(testTable(), 0)
 	s.nl = SingletonRef(GlobalRefID)
 	val := RefValue(SingletonRef(9))
 	// Store into a thread-local target: no escape.
@@ -108,14 +142,14 @@ func TestEscapeCond(t *testing.T) {
 }
 
 func TestRenameAllocMovesEverything(t *testing.T) {
-	s := newState(2)
+	s := newState(testTable(), 2)
 	s.nl = SingletonRef(GlobalRefID).With(2) // A-ref 2 escaped
 	s.locals[0] = RefValue(SingletonRef(2))
 	s.stack = append(s.stack, RefValue(SingletonRef(2).With(7)))
-	s.sigma[sigKey{ref: 2, field: "T.f"}] = RefValue(SingletonRef(2))
-	s.sigma[sigKey{ref: 7, field: "T.g"}] = RefValue(SingletonRef(2))
-	s.length[2] = intval.Const(4)
-	s.nr[2] = intval.Low(intval.Const(1))
+	s.sigmaSet(2, fF, RefValue(SingletonRef(2)))
+	s.sigmaSet(7, fG, RefValue(SingletonRef(2)))
+	s.setLength(2, intval.Const(4))
+	s.setNR(2, intval.Low(intval.Const(1)))
 
 	s.renameAlloc(2, 3) // A=2 -> B=3
 
@@ -128,108 +162,202 @@ func TestRenameAllocMovesEverything(t *testing.T) {
 	if s.nl.Has(2) || !s.nl.Has(3) {
 		t.Error("NL not renamed")
 	}
-	if _, ok := s.sigma[sigKey{ref: 2, field: "T.f"}]; ok {
+	if present(s, 2, fF) {
 		t.Error("σ key not transferred")
 	}
-	if v := s.sigma[sigKey{ref: 3, field: "T.f"}]; !v.Refs().Has(3) {
+	if v, _ := s.sigmaGet(3, fF); !v.Refs().Has(3) {
 		t.Errorf("σ transfer should rename values too, got %v", v)
 	}
-	if v := s.sigma[sigKey{ref: 7, field: "T.g"}]; v.Refs().Has(2) || !v.Refs().Has(3) {
+	if v, _ := s.sigmaGet(7, fG); v.Refs().Has(2) || !v.Refs().Has(3) {
 		t.Error("other entries' values not renamed")
 	}
-	if _, ok := s.length[2]; ok {
+	if !s.lengthOf(2).IsTop() {
 		t.Error("Len not moved")
 	}
-	if l := s.length[3]; !l.Equal(intval.Const(4)) {
+	if l := s.lengthOf(3); !l.Equal(intval.Const(4)) {
 		t.Errorf("Len(B) = %v", l)
 	}
-	if _, ok := s.nr[2]; ok {
+	if !s.nrOf(2).IsEmpty() {
 		t.Error("NR not moved")
+	}
+	if r := s.nrOf(3); !r.Equal(intval.Low(intval.Const(1))) {
+		t.Errorf("NR(B) = %v", r)
 	}
 }
 
 func TestRenameAllocWeakMergeIntoSummary(t *testing.T) {
-	s := newState(0)
-	s.sigma[sigKey{ref: 2, field: "T.f"}] = RefValue(SingletonRef(9))
-	s.sigma[sigKey{ref: 3, field: "T.f"}] = RefValue(SingletonRef(8))
+	s := newState(testTable(), 0)
+	s.sigmaSet(2, fF, RefValue(SingletonRef(9)))
+	s.sigmaSet(3, fF, RefValue(SingletonRef(8)))
+	s.setLength(2, intval.Const(4))
+	s.setLength(3, intval.Const(5))
 	s.renameAlloc(2, 3)
-	got := s.sigma[sigKey{ref: 3, field: "T.f"}]
+	got, _ := s.sigmaGet(3, fF)
 	if !got.Refs().Has(8) || !got.Refs().Has(9) {
 		t.Errorf("summary merge should union: %v", got)
+	}
+	// Differing lengths have no common description outside a control-flow
+	// merge: the summary forgets its length.
+	if l := s.lengthOf(3); !l.IsTop() {
+		t.Errorf("Len(B) = %v, want forgotten", l)
 	}
 	// Transferring into an absent summary entry must merge with the
 	// allocation default (null), not overwrite it away: the resulting
 	// entry keeps the A value.
-	s2 := newState(0)
-	s2.sigma[sigKey{ref: 2, field: "T.f"}] = RefValue(SingletonRef(9))
+	s2 := newState(testTable(), 0)
+	s2.sigmaSet(2, fF, RefValue(SingletonRef(9)))
 	s2.renameAlloc(2, 3)
-	if got := s2.sigma[sigKey{ref: 3, field: "T.f"}]; !got.Refs().Has(9) {
+	if got, _ := s2.sigmaGet(3, fF); !got.Refs().Has(9) {
 		t.Errorf("transfer into empty summary: %v", got)
+	}
+	if present(s2, 2, fF) || s2.footprint() != 1 {
+		t.Errorf("the A entry should have moved, footprint = %d", s2.footprint())
 	}
 }
 
 func TestMergeStatesSigmaDefaults(t *testing.T) {
 	var n intval.Namer
-	a := newState(1)
-	b := newState(1)
+	tab := testTable()
+	a := newState(tab, 1)
+	b := newState(tab, 1)
 	a.locals[0] = NullValue()
 	b.locals[0] = NullValue()
 	// a has a non-null entry; b implicitly holds the null default.
-	a.sigma[sigKey{ref: 2, field: "T.f"}] = RefValue(SingletonRef(5))
-	merged, changed := mergeStates(a, b, &n, false)
+	a.sigmaSet(2, fF, RefValue(SingletonRef(5)))
+	merged := &state{tab: tab}
 	// b's implicit default is null; union with {5} leaves a unchanged.
-	if changed {
+	if mergeStates(merged, a, b, &n, false) {
 		t.Error("union with the implicit null default should not report change")
 	}
-	got := merged.sigma[sigKey{ref: 2, field: "T.f"}]
-	if !got.Refs().Has(5) {
+	if got, _ := merged.sigmaGet(2, fF); !got.Refs().Has(5) {
 		t.Errorf("merged σ = %v", got)
 	}
 
 	// The reverse direction: a lacks the entry, b carries a non-default
 	// value — the merge must report a change.
-	c := newState(1)
+	c := newState(tab, 1)
 	c.locals[0] = NullValue()
-	d := newState(1)
+	d := newState(tab, 1)
 	d.locals[0] = NullValue()
-	d.sigma[sigKey{ref: 2, field: "T.f"}] = RefValue(SingletonRef(5))
-	merged2, changed2 := mergeStates(c, d, &n, false)
-	if !changed2 {
+	d.sigmaSet(2, fF, RefValue(SingletonRef(5)))
+	if !mergeStates(merged, c, d, &n, false) {
 		t.Error("a new non-default entry must report change")
 	}
-	if got := merged2.sigma[sigKey{ref: 2, field: "T.f"}]; !got.Refs().Has(5) {
+	if got, _ := merged.sigmaGet(2, fF); !got.Refs().Has(5) {
 		t.Errorf("merged σ = %v", got)
+	}
+
+	// An explicit default on one side stays an entry of the merge (it
+	// counts toward MaxStateSize) without reporting a change.
+	d.sigmaSet(2, fF, NullValue())
+	if mergeStates(merged, c, d, &n, false) {
+		t.Error("an explicit default is no change against the implicit one")
+	}
+	if !present(merged, 2, fF) || merged.footprint() != 1 {
+		t.Errorf("explicit default dropped from the merge, footprint = %d", merged.footprint())
 	}
 }
 
 func TestMergeStatesLenNRIntersection(t *testing.T) {
 	var n intval.Namer
-	a := newState(0)
-	b := newState(0)
-	a.length[2] = intval.Const(4)
-	a.nr[2] = intval.Low(intval.Const(0))
+	tab := testTable()
+	a := newState(tab, 0)
+	b := newState(tab, 0)
+	a.setLength(2, intval.Const(4))
+	a.setNR(2, intval.Low(intval.Const(0)))
 	// b lacks both: merged must drop them (no information on one path).
-	merged, _ := mergeStates(a, b, &n, false)
-	if _, ok := merged.length[2]; ok {
+	merged := &state{tab: tab}
+	if !mergeStates(merged, a, b, &n, false) {
+		t.Error("losing Len/NR facts is a change")
+	}
+	if !merged.lengthOf(2).IsTop() {
 		t.Error("Len should intersect keys")
 	}
-	if _, ok := merged.nr[2]; ok {
+	if !merged.nrOf(2).IsEmpty() {
 		t.Error("NR should intersect keys")
+	}
+	// Facts only the incoming side has never arrive, and are no change.
+	if mergeStates(merged, b, a, &n, false) || merged.footprint() != 0 {
+		t.Error("incoming-only Len/NR facts must be ignored")
 	}
 }
 
 func TestStatesEqualTreatsDefaultsAsAbsent(t *testing.T) {
-	a := newState(1)
-	b := newState(1)
+	tab := testTable()
+	a := newState(tab, 1)
+	b := newState(tab, 1)
 	a.locals[0] = NullValue()
 	b.locals[0] = NullValue()
-	a.sigma[sigKey{ref: 2, field: "T.f"}] = NullValue() // explicit default
+	a.sigmaSet(2, fF, NullValue()) // explicit default
 	if !statesEqual(a, b) || !statesEqual(b, a) {
 		t.Error("explicit null entry equals absent entry")
 	}
-	a.sigma[sigKey{ref: 2, field: "T.f"}] = RefValue(SingletonRef(1))
+	a.sigmaSet(2, fF, RefValue(SingletonRef(1)))
 	if statesEqual(a, b) || statesEqual(b, a) {
 		t.Error("non-default entry must break equality")
+	}
+	// b's σ is shorter than a's (it never wrote slot 0); a Len fact on one
+	// side only breaks equality too.
+	a.sigmaSet(2, fF, NullValue())
+	a.setLength(4, intval.Const(1))
+	if statesEqual(a, b) || statesEqual(b, a) {
+		t.Error("Len known on one side only must break equality")
+	}
+}
+
+// TestStateCopiesShareNoBuffers is the bug class the copy-on-write flags
+// used to guard: after copyFrom (and clone), writes to either state — also
+// ones that reuse spare capacity or number new slots — never show in the
+// other.
+func TestStateCopiesShareNoBuffers(t *testing.T) {
+	tab := testTable()
+	entry := newState(tab, 2)
+	entry.locals[0] = RefValue(SingletonRef(1))
+	entry.stack = append(entry.stack, IntValue(intval.Const(7)))
+	entry.sigmaSet(1, fF, RefValue(SingletonRef(2)))
+	entry.setLength(1, intval.Const(3))
+	entry.setNR(1, intval.Low(intval.Const(0)))
+	want := entry.clone()
+
+	mutate := func(s *state) {
+		s.locals[0] = NullValue()
+		s.locals[1] = IntValue(intval.Const(1))
+		s.pop()
+		s.push(NullValue())
+		s.push(NullValue())
+		s.sigmaSet(1, fF, RefValue(SingletonRef(9)))
+		s.sigmaSet(5, fG, RefValue(SingletonRef(1))) // a slot entry never had
+		s.renameAlloc(1, 6)
+		s.escape(SingletonRef(6))
+		s.delLength(6)
+		s.setNR(2, intval.Low(intval.Const(4)))
+	}
+
+	scratch := &state{tab: tab}
+	scratch.copyFrom(entry)
+	if !statesEqual(scratch, entry) {
+		t.Fatal("copyFrom is not a copy")
+	}
+	mutate(scratch)
+	if !statesEqual(entry, want) {
+		t.Errorf("mutating the scratch copy changed the stored entry:\n%v", entry)
+	}
+
+	// The other direction, through recycled buffers: scratch now has
+	// capacity to spare, so copyFrom reuses its arrays.
+	scratch.copyFrom(entry)
+	mutate(entry)
+	if !statesEqual(scratch, want) {
+		t.Errorf("mutating the entry changed its scratch copy:\n%v", scratch)
+	}
+
+	// A merge result is as private as a copy.
+	var n intval.Namer
+	merged := &state{tab: tab}
+	mergeStates(merged, scratch, want, &n, false)
+	mutate(merged)
+	if !statesEqual(scratch, want) {
+		t.Error("mutating a merge result changed its input")
 	}
 }
 

@@ -370,17 +370,8 @@ func summarizeMethod(p *bytecode.Program, m *bytecode.Method, opts Options, sums
 		// keep the worst case.
 		return worstSummary(m), nil //nolint:nilerr // conservative fallback
 	}
-	a := &analyzer{
-		prog: p, m: m, opts: opts, g: g,
-		refs:       buildRefTable(p, m, opts, true),
-		entry:      make([]*state, len(g.Blocks)),
-		seen:       make([]bool, len(g.Blocks)),
-		summaries:  sums,
-		forSummary: true,
-		maxVisits:  200*len(g.Blocks) + 2000,
-	}
-	a.entry[0] = a.initialState()
-	a.seen[0] = true
+	a := newAnalyzer(p, m, g, opts, true)
+	a.summaries = sums
 	if a.fixpoint() != DegradeNone {
 		return worstSummary(m), nil
 	}

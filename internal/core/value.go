@@ -138,17 +138,18 @@ func (s *srcSet) equal(t *srcSet) bool {
 // a symbolic integer, or ⊥.
 type Value struct {
 	kind vkind
-	refs RefSet
-	iv   intval.IntVal
-	srcs *srcSet
-
 	// Block-local judge-pass annotations for the §4.3 rearrangement
 	// detector (never part of the fixed point; dropped at merges):
 	// vn is a value number pinning runtime identity of reference values
-	// within a block; eprov records that the value was loaded from an
-	// element of a specific array.
+	// within a block (it shares kind's word: states are arrays of Values);
+	// eprov records that the value was loaded from an element of a
+	// specific array.
 	vn    int32
 	eprov *elemProv
+
+	refs RefSet
+	iv   intval.IntVal
+	srcs *srcSet
 }
 
 // elemProv says a value was read from arr[idx] (array pinned by value

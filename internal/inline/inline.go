@@ -14,6 +14,7 @@
 package inline
 
 import (
+	"slices"
 	"sort"
 
 	"satbelim/internal/bytecode"
@@ -166,28 +167,27 @@ type inliner struct {
 	callerCap int
 	res       *Result
 	recursive map[bytecode.MethodRef]bool
+	// splice is expand's buffer for the sequence replacing one invoke,
+	// reused across sites.
+	splice []bytecode.Instr
 }
 
-// inlineInto expands eligible call sites within m, in place.
+// inlineInto expands eligible call sites within m, in place. The scan
+// resumes at each splice instead of restarting: a site rejected once stays
+// rejected, because every check either ignores the caller's code or
+// compares its size — which only grows — against a bound, and callee
+// bodies are final by the bottom-up order.
 func (ix *inliner) inlineInto(m *bytecode.Method) {
-	for {
-		site := ix.findSite(m)
-		if site < 0 {
-			return
-		}
+	for site := ix.findSite(m, 0); site >= 0; site = ix.findSite(m, site) {
 		ix.expand(m, site)
 		ix.res.Expanded++
 	}
 }
 
-// findSite returns the pc of the next expandable call site, or -1. Sites
-// rejected once stay rejected (they are counted in Skipped and marked via
-// a side table keyed by identity — since expansion rebuilds the code
-// slice, we simply re-scan and re-apply the same deterministic checks; a
-// site rejected for size reasons can never become eligible because callee
-// bodies are final by the bottom-up order).
-func (ix *inliner) findSite(m *bytecode.Method) int {
-	for pc := range m.Code {
+// findSite returns the pc of the first expandable call site at or after
+// from, or -1.
+func (ix *inliner) findSite(m *bytecode.Method, from int) int {
+	for pc := from; pc < len(m.Code); pc++ {
 		in := &m.Code[pc]
 		if in.Op != bytecode.OpInvoke {
 			continue
@@ -196,7 +196,7 @@ func (ix *inliner) findSite(m *bytecode.Method) int {
 		if callee == nil {
 			continue
 		}
-		if callee.QualifiedName() == m.QualifiedName() {
+		if callee.Ref() == m.Ref() {
 			continue // direct recursion
 		}
 		if callee.Size() > ix.limit {
@@ -260,9 +260,11 @@ func (ix *inliner) callsBackInto(callee, target *bytecode.Method) bool {
 	return walk(callee)
 }
 
-// expand splices the callee's body in place of the invoke at site.
+// expand splices the callee's body in place of the invoke at site, within
+// m's own code slice.
 func (ix *inliner) expand(m *bytecode.Method, site int) {
 	callee := ix.prog.Method(m.Code[site].Method)
+	line := m.Code[site].Line
 
 	// Allocate caller slots for every callee slot.
 	base := len(m.SlotTypes)
@@ -272,53 +274,34 @@ func (ix *inliner) expand(m *bytecode.Method, site int) {
 	// The spliced sequence: stores of the stacked arguments into the
 	// callee's parameter slots (top of stack is the last argument), then
 	// the remapped body.
-	var splice []bytecode.Instr
+	splice := ix.splice[:0]
 	nargs := callee.NumArgs()
 	for i := nargs - 1; i >= 0; i-- {
-		splice = append(splice, bytecode.Instr{Op: bytecode.OpStore, A: int64(base + i), Line: m.Code[site].Line})
+		splice = append(splice, bytecode.Instr{Op: bytecode.OpStore, A: int64(base + i), Line: line})
 	}
-	bodyStart := len(splice)
+	// Callee pcs become caller pcs by adding bodyAt.
+	bodyAt := int64(site + len(splice))
 	for pc := range callee.Code {
 		in := callee.Code[pc] // copy
 		switch {
 		case in.Op == bytecode.OpLoad || in.Op == bytecode.OpStore:
 			in.A += int64(base)
 		case in.IsBranch():
-			in.A += int64(bodyStart) // patched again below with the splice offset
+			in.A += bodyAt
 		case in.Op == bytecode.OpReturn || in.Op == bytecode.OpReturnValue:
 			// Jump past the body; any return value stays on the stack.
-			in = bytecode.Instr{Op: bytecode.OpGoto, A: int64(len(callee.Code) + bodyStart), Line: in.Line}
+			in = bytecode.Instr{Op: bytecode.OpGoto, A: int64(len(callee.Code)) + bodyAt, Line: in.Line}
 		}
 		splice = append(splice, in)
 	}
+	ix.splice = splice
 
-	// Rebuild the caller's code with the splice in place of the invoke,
-	// remapping caller branch targets across the insertion.
-	newCode := make([]bytecode.Instr, 0, len(m.Code)+len(splice)-1)
-	newCode = append(newCode, m.Code[:site]...)
-	spliceAt := len(newCode)
-	for _, in := range splice {
-		if in.IsBranch() {
-			in.A += int64(spliceAt)
-		}
-		newCode = append(newCode, in)
-	}
-	newCode = append(newCode, m.Code[site+1:]...)
-
+	// Caller branch targets beyond the invoke move with the insertion.
 	delta := int64(len(splice) - 1)
-	mapPC := func(old int64) int64 {
-		if old > int64(site) {
-			return old + delta
-		}
-		return old
-	}
-	for pc := range newCode {
-		if pc >= spliceAt && pc < spliceAt+len(splice) {
-			continue // callee-internal branches already absolute
-		}
-		if newCode[pc].IsBranch() {
-			newCode[pc].A = mapPC(newCode[pc].A)
+	for pc := range m.Code {
+		if in := &m.Code[pc]; in.IsBranch() && in.A > int64(site) {
+			in.A += delta
 		}
 	}
-	m.Code = newCode
+	m.Code = slices.Replace(m.Code, site, site+1, splice...)
 }

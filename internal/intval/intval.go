@@ -34,11 +34,12 @@ type Term struct {
 }
 
 // IntVal is a symbolic integer value. The zero IntVal is the constant 0.
-// IntVals are immutable; operations return new values.
+// IntVals are immutable; operations return new values. The two sub-word
+// fields sit together: abstract states hold IntVals by the thousand.
 type IntVal struct {
 	top bool
-	a   int64  // variable-unknown coefficient
 	v   VarU   // valid when a != 0
+	a   int64  // variable-unknown coefficient
 	ts  []Term // constant-unknown terms, sorted by C, all K != 0
 	b   int64
 }
@@ -293,7 +294,8 @@ func (n *Namer) FreshConst() ConstU {
 // the two merged states. All integer components of a single state merge
 // must share one MergeCtx — that sharing is what lets the analysis
 // discover that, e.g., a loop index and an uninitialized-range bound vary
-// together.
+// together. The maps are nil until a merge first records a stride or a
+// binding: most state merges meet no differing integers at all.
 type MergeCtx struct {
 	N        *Namer
 	U        map[int64]VarU
@@ -304,8 +306,14 @@ type MergeCtx struct {
 }
 
 // NewMergeCtx returns an empty context drawing fresh names from n.
-func NewMergeCtx(n *Namer) *MergeCtx {
-	return &MergeCtx{N: n, U: map[int64]VarU{}, Mu1: map[VarU]IntVal{}, Mu2: map[VarU]IntVal{}}
+func NewMergeCtx(n *Namer) *MergeCtx { return &MergeCtx{N: n} }
+
+// bind records in *mu (Mu1 or Mu2) that v stands for s in that state.
+func bind(mu *map[VarU]IntVal, v VarU, s IntVal) {
+	if *mu == nil {
+		*mu = map[VarU]IntVal{}
+	}
+	(*mu)[v] = s
 }
 
 // Merge merges one integer state component, following Figure 1 of the
@@ -320,7 +328,7 @@ func Merge(i1, i2 IntVal, ctx *MergeCtx) IntVal {
 	if ctx == nil || ctx.Disabled {
 		return Top
 	}
-	mu1, mu2 := ctx.Mu1, ctx.Mu2
+	mu1, mu2 := &ctx.Mu1, &ctx.Mu2
 	if !i1.HasVar() {
 		i1, i2 = i2, i1
 		mu1, mu2 = mu2, mu1
@@ -330,28 +338,31 @@ func Merge(i1, i2 IntVal, ctx *MergeCtx) IntVal {
 		// Neither side has a variable term and they differ by the
 		// constant stride d: reuse or invent the stride's variable.
 		if v, ok := ctx.U[d]; ok {
-			off := i1.Sub(mu1[v])
+			off := i1.Sub((*mu1)[v])
 			if off.HasVar() {
 				return Top
 			}
 			return OfVar(v).Add(off)
 		}
 		v := ctx.N.FreshVar()
+		if ctx.U == nil {
+			ctx.U = map[int64]VarU{}
+		}
 		ctx.U[d] = v
-		mu1[v] = i1
-		mu2[v] = i2
+		bind(mu1, v, i1)
+		bind(mu2, v, i2)
 		return OfVar(v)
 	}
 	if i1.HasVar() {
 		_, v1 := i1.VarTerm()
-		if s, ok := mu2[v1]; ok {
+		if s, ok := (*mu2)[v1]; ok {
 			if i1.SubstVar(v1, s).Equal(i2) {
 				return i1
 			}
 			return Top
 		}
 		if s, ok := match(i1, i2); ok {
-			mu2[v1] = s
+			bind(mu2, v1, s)
 			return i1
 		}
 		return Top
