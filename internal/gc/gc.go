@@ -69,10 +69,44 @@ type CycleStats struct {
 	Retraces int
 }
 
+// tracer is the marking core both collectors share: the gray stack and
+// the loops that shade and scan. Objects are scanned where they lie —
+// heap.Mark per edge, no callback, no Value copy.
+type tracer struct {
+	h    *heap.Heap
+	gray []heap.Ref
+
+	// MarkedCount counts objects marked this cycle.
+	MarkedCount int
+}
+
+// shade greys an object if white.
+func (t *tracer) shade(r heap.Ref) {
+	if t.h.Mark(r) {
+		t.MarkedCount++
+		t.gray = append(t.gray, r)
+	}
+}
+
+// scan shades every outgoing reference of the object.
+func (t *tracer) scan(o *heap.Object) {
+	for i := range o.Fields {
+		if v := &o.Fields[i]; v.IsRef {
+			t.shade(v.R)
+		}
+	}
+	if o.ElemRef {
+		for i := range o.Elems {
+			if v := &o.Elems[i]; v.IsRef {
+				t.shade(v.R)
+			}
+		}
+	}
+}
+
 // SATBMarker is the snapshot-at-the-beginning concurrent marker.
 type SATBMarker struct {
-	h      *heap.Heap
-	gray   []heap.Ref
+	tracer
 	buf    []heap.Ref // SATB log buffer (drained by Step)
 	active bool
 	// retrace lists arrays whose rearrangement overlapped the scan; they
@@ -83,9 +117,8 @@ type SATBMarker struct {
 	// for the invariant check (tests only).
 	snapshot map[heap.Ref]bool
 
-	// MarkedCount counts objects marked this cycle; StepsDone counts
-	// marking work units; FinalPauseWork is the last Finish's scan count.
-	MarkedCount    int
+	// StepsDone counts marking work units; FinalPauseWork is the last
+	// Finish's scan count.
 	StepsDone      int
 	FinalPauseWork int
 	LogEntries     int
@@ -96,10 +129,11 @@ type SATBMarker struct {
 }
 
 // NewSATB returns a marker over the heap.
-func NewSATB(h *heap.Heap) *SATBMarker { return &SATBMarker{h: h} }
+func NewSATB(h *heap.Heap) *SATBMarker { return &SATBMarker{tracer: tracer{h: h}} }
 
 // Start begins a marking cycle: the roots are greyed (the initial pause)
-// and the heap is flagged so allocations become implicitly marked.
+// and the heap is flagged so allocations become implicitly marked. The
+// heap's new epoch clears every mark and trace state.
 func (m *SATBMarker) Start(roots []heap.Ref, recordSnapshot bool) {
 	m.active = true
 	m.gray = m.gray[:0]
@@ -110,8 +144,8 @@ func (m *SATBMarker) Start(roots []heap.Ref, recordSnapshot bool) {
 	m.LogEntries = 0
 	m.ShadeEntries = 0
 	m.RetraceCount = 0
+	m.h.BeginCycle()
 	m.h.MarkingActive = true
-	m.h.ForEach(func(_ heap.Ref, o *heap.Object) { o.TraceState = heap.TraceUntraced })
 	for _, r := range roots {
 		m.shade(r)
 	}
@@ -119,20 +153,6 @@ func (m *SATBMarker) Start(roots []heap.Ref, recordSnapshot bool) {
 	if recordSnapshot {
 		m.snapshot = reachable(m.h, roots)
 	}
-}
-
-// shade greys an object if white.
-func (m *SATBMarker) shade(r heap.Ref) {
-	if r == heap.Null {
-		return
-	}
-	o := m.h.Get(r)
-	if o == nil || o.Marked {
-		return
-	}
-	o.Marked = true
-	m.MarkedCount++
-	m.gray = append(m.gray, r)
 }
 
 // MarkingActive reports whether a cycle is in progress.
@@ -184,14 +204,14 @@ func (m *SATBMarker) Step(n int) bool {
 		}
 		r := m.gray[len(m.gray)-1]
 		m.gray = m.gray[:len(m.gray)-1]
-		o := m.h.Get(r)
-		if o != nil {
-			// Publish the array scan window to the rearrangement
-			// protocol: a flagged store observing TraceTracing or
-			// TraceTraced requests a retrace.
-			o.TraceState = heap.TraceTracing
-			o.RefsOf(m.shade)
-			o.TraceState = heap.TraceTraced
+		if o := m.h.Get(r); o != nil {
+			// Publish the scan to the rearrangement protocol: a flagged
+			// store that finds the array not TraceUntraced requests a
+			// retrace. A scan is atomic to the mutator here (Step runs
+			// between quanta), so nothing could observe TraceTracing and
+			// only the end state is written.
+			m.scan(o)
+			m.h.SetTraceState(r, heap.TraceTraced)
 		}
 		m.StepsDone++
 	}
@@ -199,13 +219,7 @@ func (m *SATBMarker) Step(n int) bool {
 }
 
 // TraceStateOf reports the scan progress on an object.
-func (m *SATBMarker) TraceStateOf(r heap.Ref) heap.TraceState {
-	o := m.h.Get(r)
-	if o == nil {
-		return heap.TraceUntraced
-	}
-	return o.TraceState
-}
+func (m *SATBMarker) TraceStateOf(r heap.Ref) heap.TraceState { return m.h.TraceStateOf(r) }
 
 // Retrace schedules an array for a final-pause rescan.
 func (m *SATBMarker) Retrace(r heap.Ref) {
@@ -230,11 +244,10 @@ func (m *SATBMarker) Finish(roots []heap.Ref) int {
 	// retrace list, processed "perhaps with mutators stopped, to prevent
 	// livelock" — here the mutator is stopped by construction).
 	for _, r := range m.retrace {
-		o := m.h.Get(r)
-		if o == nil || !o.Marked {
+		if !m.h.Marked(r) {
 			continue // unreachable arrays need no retrace
 		}
-		o.RefsOf(m.shade)
+		m.scan(m.h.Get(r))
 		m.RetraceCount++
 		work++
 	}
@@ -258,11 +271,10 @@ func (m *SATBMarker) CheckSnapshotInvariant() error {
 		return fmt.Errorf("gc: no snapshot recorded")
 	}
 	for r := range m.snapshot {
-		o := m.h.Get(r)
-		if o == nil {
+		if m.h.Get(r) == nil {
 			return fmt.Errorf("gc: snapshot object %d vanished during marking", r)
 		}
-		if !o.Marked && !o.AllocDuringMark {
+		if !m.h.Marked(r) && !m.h.AllocDuringMark(r) {
 			return fmt.Errorf("gc: SATB invariant violated: snapshot-reachable object %d not marked", r)
 		}
 	}
@@ -295,12 +307,12 @@ func Reachable(h *heap.Heap, roots []heap.Ref) map[heap.Ref]bool { return reacha
 
 // IncMarker is the mostly-parallel incremental-update baseline.
 type IncMarker struct {
-	h      *heap.Heap
-	gray   []heap.Ref
-	dirty  map[heap.Ref]bool
+	tracer
+	// dirty lists the objects modified this cycle, in the order the card
+	// barrier first saw them; the heap's dirty flag keeps it duplicate-free.
+	dirty  []heap.Ref
 	active bool
 
-	MarkedCount    int
 	StepsDone      int
 	FinalPauseWork int
 	CardsSeen      int
@@ -308,9 +320,7 @@ type IncMarker struct {
 }
 
 // NewInc returns an incremental-update marker.
-func NewInc(h *heap.Heap) *IncMarker {
-	return &IncMarker{h: h, dirty: map[heap.Ref]bool{}}
-}
+func NewInc(h *heap.Heap) *IncMarker { return &IncMarker{tracer: tracer{h: h}} }
 
 // Stats reports this cycle's work counts.
 func (m *IncMarker) Stats() CycleStats {
@@ -323,28 +333,16 @@ func (m *IncMarker) Stats() CycleStats {
 func (m *IncMarker) Start(roots []heap.Ref, recordSnapshot bool) {
 	m.active = true
 	m.gray = m.gray[:0]
-	m.dirty = map[heap.Ref]bool{}
+	m.dirty = m.dirty[:0]
 	m.MarkedCount = 0
 	m.StepsDone = 0
 	m.CardsSeen = 0
 	m.ShadeEntries = 0
+	m.h.BeginCycle()
 	m.h.MarkingActive = true
 	for _, r := range roots {
 		m.shade(r)
 	}
-}
-
-func (m *IncMarker) shade(r heap.Ref) {
-	if r == heap.Null {
-		return
-	}
-	o := m.h.Get(r)
-	if o == nil || o.Marked {
-		return
-	}
-	o.Marked = true
-	m.MarkedCount++
-	m.gray = append(m.gray, r)
 }
 
 // MarkingActive reports whether a cycle is in progress.
@@ -372,11 +370,9 @@ func (m *IncMarker) Retrace(r heap.Ref) { m.DirtyCard(r) }
 
 // DirtyCard records a modified object for rescanning.
 func (m *IncMarker) DirtyCard(r heap.Ref) {
-	if m.active && r != heap.Null {
-		if !m.dirty[r] {
-			m.dirty[r] = true
-			m.CardsSeen++
-		}
+	if m.active && m.h.MarkDirty(r) {
+		m.dirty = append(m.dirty, r)
+		m.CardsSeen++
 	}
 }
 
@@ -389,7 +385,7 @@ func (m *IncMarker) Step(n int) bool {
 		r := m.gray[len(m.gray)-1]
 		m.gray = m.gray[:len(m.gray)-1]
 		if o := m.h.Get(r); o != nil {
-			o.RefsOf(m.shade)
+			m.scan(o)
 		}
 		m.StepsDone++
 	}
@@ -408,13 +404,13 @@ func (m *IncMarker) Finish(roots []heap.Ref) int {
 			m.shade(r)
 		}
 		work += len(roots)
-		for r := range m.dirty {
-			if o := m.h.Get(r); o != nil && o.Marked {
-				o.RefsOf(m.shade)
+		for _, r := range m.dirty {
+			if m.h.Marked(r) {
+				m.scan(m.h.Get(r))
 				work++
 			}
 		}
-		m.dirty = map[heap.Ref]bool{}
+		m.dirty = m.dirty[:0]
 		for !m.Step(64) {
 		}
 		work += m.MarkedCount - before

@@ -73,7 +73,7 @@ func TestSATBLogPreservesUnlinkedSubgraph(t *testing.T) {
 	if err := m.CheckSnapshotInvariant(); err != nil {
 		t.Fatalf("snapshot invariant: %v", err)
 	}
-	if !h.Get(b).Marked {
+	if !h.Marked(b) {
 		t.Error("logged pre-value must be marked")
 	}
 }
@@ -128,7 +128,7 @@ func TestIncrementalUpdateRescansDirty(t *testing.T) {
 	h.SetField(a, nextField, heap.RefVal(c))
 	m.DirtyCard(a)
 	m.Finish([]heap.Ref{a})
-	if !h.Get(c).Marked {
+	if !h.Marked(c) {
 		t.Error("incremental update must mark via dirty rescan")
 	}
 }
@@ -201,5 +201,45 @@ func TestSATBStepBudgetIsIncremental(t *testing.T) {
 	}
 	if m.MarkedCount != 50 {
 		t.Errorf("marked = %d", m.MarkedCount)
+	}
+}
+
+// TestIncrementalDirtyOrderIsPinned: the final pause rescans the dirty set
+// in the order the card barrier first saw the objects, so its counts are
+// the same on every run. The order decides FinalPauseWork: a dirty object
+// costs a rescan only if it is marked by the time it is visited. Here a
+// chain root -> o[n-1] -> ... -> o[0] is built while marking and dirtied
+// from the root down, so each rescan marks the next object visited and all
+// n count. Visited from o[1] up only the root would (n+3 in total), and the
+// map this list replaced gave anything in between.
+func TestIncrementalDirtyOrderIsPinned(t *testing.T) {
+	const n = 64
+	for rep := 0; rep < 20; rep++ {
+		h := newHeap()
+		root, _ := h.AllocObject("T")
+		m := NewInc(h)
+		m.Start([]heap.Ref{root}, false)
+		for !m.Step(8) {
+		} // root scanned, marking "done"
+		o := make([]heap.Ref, n)
+		for i := range o {
+			o[i], _ = h.AllocObject("T")
+		}
+		h.SetField(root, nextField, heap.RefVal(o[n-1]))
+		m.DirtyCard(root)
+		for i := n - 1; i > 0; i-- {
+			h.SetField(o[i], nextField, heap.RefVal(o[i-1]))
+			m.DirtyCard(o[i])
+			m.DirtyCard(o[i]) // a card is seen once
+		}
+		m.DirtyCard(heap.Null)
+		work := m.Finish([]heap.Ref{root})
+		if m.CardsSeen != n || m.MarkedCount != n+1 {
+			t.Fatalf("rep %d: CardsSeen = %d, MarkedCount = %d, want %d and %d", rep, m.CardsSeen, m.MarkedCount, n, n+1)
+		}
+		// Round one: 1 root, n rescans, n newly marked. Round two: 1 root.
+		if want := 2*n + 2; work != want || m.FinalPauseWork != want {
+			t.Fatalf("rep %d: FinalPauseWork = %d (Finish returned %d), want %d", rep, m.FinalPauseWork, work, want)
+		}
 	}
 }

@@ -34,21 +34,15 @@ func RefVal(r Ref) Value { return Value{IsRef: true, R: r} }
 func NullVal() Value { return Value{IsRef: true} }
 
 // Object is one heap object: a class instance (Fields) or an array
-// (Elems). Mark state belongs to the collector.
+// (Elems). Objects live by value inside the heap's chunks, so a *Object
+// from Get stays valid for the object's lifetime. Collector state (mark,
+// allocated-during-mark, dirty, §4.3 trace state) is not here: it lives in
+// the chunk's stamped state words, see Heap.
 type Object struct {
-	Class   string // empty for arrays
 	Fields  []Value
 	Elems   []Value
 	ElemRef bool // array of references
-
-	// Marked is the collector's mark bit for the current cycle.
-	Marked bool
-	// AllocDuringMark notes allocation while marking was active; such
-	// objects are implicitly marked in SATB collections.
-	AllocDuringMark bool
-	// TraceState is the §4.3 rearrangement protocol's per-array scan
-	// state for the current cycle.
-	TraceState TraceState
+	array   bool
 }
 
 // TraceState is the collector's per-array tracing progress, published so
@@ -67,7 +61,7 @@ const (
 )
 
 // IsArray reports whether the object is an array.
-func (o *Object) IsArray() bool { return o.Elems != nil || o.Class == "" }
+func (o *Object) IsArray() bool { return o.array }
 
 // Layout resolves field names to slot indices per class.
 type Layout struct {
@@ -120,25 +114,89 @@ func (l *Layout) NumFields(class string) (int, bool) {
 	return n, ok
 }
 
-// Heap is the object store. Declared statics live in a dense slice in
-// declaration order (staticSlots): the slice is sized once at
-// construction and never reallocates, so a slot's address is stable for
-// the heap's lifetime and StaticSlot can hand out direct pointers for
-// translation-time resolution. Statics written outside the declared
-// layout (possible only for unverified programs) overflow into a map.
+// Heap is the object store.
+//
+// Objects live by value in fixed-size chunks: a Ref is a 1-based slot
+// number, chunks are never moved and growth only appends a chunk pointer,
+// so Get is two index operations and a *Object stays valid while other
+// objects are allocated. Refs are never reused. Field and element storage
+// is carved from small shared blocks of Values; Sweep zeroes dead objects
+// so the Go collector reclaims a block once nothing is carved from it, and
+// a full chunk with no survivor is replaced by the shared deadChunk.
+//
+// Collector state is one stamped word per slot, beside the objects in the
+// chunk: epoch<<5 | flags. A word from an older epoch reads as all-clear,
+// so BeginCycle resets every object's mark, allocated-during-mark, dirty
+// and trace state by bumping the epoch, with no pass over the heap. A dead
+// slot (swept or never allocated) holds deadState, whose epoch is never
+// issued and which Mark's single compare reads as "already marked".
+//
+// Declared statics live in a dense slice in declaration order
+// (staticSlots): the slice is sized once at construction and never
+// reallocates, so a slot's address is stable for the heap's lifetime and
+// StaticSlot can hand out direct pointers for translation-time resolution.
+// Statics written outside the declared layout (possible only for
+// unverified programs) overflow into a map.
 type Heap struct {
 	layout      *Layout
-	objects     []*Object
+	chunks      []*chunk
+	block       []Value // rest of the block carve hands storage out of
+	stamp       uint32  // current epoch, shifted: the all-clear state word
 	staticSlots []Value
 	staticIdx   map[bytecode.FieldRef]int
 	staticExtra map[bytecode.FieldRef]Value
 
-	// Allocated counts allocations over the heap's lifetime.
+	// Allocated counts allocations over the heap's lifetime. Refs are not
+	// reused, so it is also the highest Ref handed out.
 	Allocated int64
 	// MarkingActive is set by the collector while a concurrent mark is
 	// in progress; SATB alloc-black behaviour keys off it.
 	MarkingActive bool
 }
+
+const (
+	// chunkSize is small because the daemon's typical program allocates
+	// about 15 objects: slack has to stay proportional to that.
+	chunkShift = 5
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+
+	// blockValues is the size of a shared storage block; a request above
+	// carveMax gets its own allocation instead of stranding a block's tail.
+	blockValues = 128
+	carveMax    = blockValues / 4
+)
+
+// State-word flags, below the epoch. markBit is the highest so that
+// "marked this cycle" is one compare against stamp|markBit.
+const (
+	traceMask uint32 = 3 // a TraceState
+	dirtyBit  uint32 = 1 << 2
+	allocBit  uint32 = 1 << 3
+	markBit   uint32 = 1 << 4
+	epochUnit uint32 = 1 << 5
+
+	deadState = ^uint32(0)
+	// maxStamp is the last epoch issued; the one above it is deadState's.
+	maxStamp = deadState&^(epochUnit-1) - epochUnit
+)
+
+type chunk struct {
+	state [chunkSize]uint32
+	objs  [chunkSize]Object
+}
+
+func newChunk() *chunk {
+	c := new(chunk)
+	for j := range c.state {
+		c.state[j] = deadState
+	}
+	return c
+}
+
+// deadChunk stands in for every released chunk. All its slots are dead, so
+// nothing ever writes to it and heaps can share it.
+var deadChunk = newChunk()
 
 // New creates an empty heap over the program's layout.
 func New(layout *Layout) *Heap {
@@ -148,6 +206,7 @@ func New(layout *Layout) *Heap {
 	}
 	return &Heap{
 		layout:      layout,
+		stamp:       epochUnit,
 		staticSlots: make([]Value, len(layout.statics)),
 		staticIdx:   idx,
 	}
@@ -156,32 +215,140 @@ func New(layout *Layout) *Heap {
 // Layout exposes the field layout.
 func (h *Heap) Layout() *Layout { return h.layout }
 
-// NumObjects returns the number of objects ever allocated and not swept.
-func (h *Heap) NumObjects() int {
-	n := 0
-	for _, o := range h.objects {
-		if o != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// Get returns the object for a non-null reference.
+// Get returns the object for a reference, or nil when the reference is
+// null, was never handed out, or names a swept object.
 func (h *Heap) Get(r Ref) *Object {
-	if r == Null || int(r) > len(h.objects) {
+	i := uint64(r - 1) // null and negative refs wrap past Allocated
+	if i >= uint64(h.Allocated) {
 		return nil
 	}
-	return h.objects[r-1]
+	c := h.chunks[i>>chunkShift]
+	if c.state[i&chunkMask] == deadState {
+		return nil
+	}
+	return &c.objs[i&chunkMask]
 }
 
-func (h *Heap) add(o *Object) Ref {
-	h.objects = append(h.objects, o)
-	h.Allocated++
-	if h.MarkingActive {
-		o.AllocDuringMark = true
+// state returns the reference's state word, or a dead one for a reference
+// that was never handed out.
+func (h *Heap) state(r Ref) *uint32 {
+	i := uint64(r - 1)
+	if i >= uint64(h.Allocated) {
+		return &deadChunk.state[0]
 	}
-	return Ref(len(h.objects))
+	return &h.chunks[i>>chunkShift].state[i&chunkMask]
+}
+
+// flags returns a live object's flags for the current epoch.
+func (h *Heap) flags(s uint32) uint32 {
+	if f := s - h.stamp; f < epochUnit {
+		return f
+	}
+	return 0 // stale or dead
+}
+
+// BeginCycle starts a collector cycle: every object reads as unmarked,
+// not allocated during marking, clean and untraced.
+func (h *Heap) BeginCycle() {
+	if h.stamp == maxStamp {
+		// Epochs wrapped: the one reset pass, every 2^27 cycles.
+		for _, c := range h.chunks {
+			if c == deadChunk {
+				continue
+			}
+			for j, s := range c.state {
+				if s != deadState {
+					c.state[j] = 0
+				}
+			}
+		}
+		h.stamp = 0
+	}
+	h.stamp += epochUnit
+}
+
+// Mark marks the object for this cycle and reports whether it was
+// unmarked before: false for a marked object and for a null, dangling or
+// swept reference.
+func (h *Heap) Mark(r Ref) bool {
+	// Not through state(): its cost would push the markers' shade over
+	// the inlining budget and out of their scan loop.
+	i := uint64(r - 1)
+	if i >= uint64(h.Allocated) {
+		return false
+	}
+	p := &h.chunks[i>>chunkShift].state[i&chunkMask]
+	s := *p
+	if s >= h.stamp|markBit { // marked this cycle, or dead
+		return false
+	}
+	if s < h.stamp {
+		s = h.stamp
+	}
+	*p = s | markBit
+	return true
+}
+
+// Marked reports whether the object was marked this cycle.
+func (h *Heap) Marked(r Ref) bool { return h.flags(*h.state(r))&markBit != 0 }
+
+// AllocDuringMark reports whether the object was allocated while
+// MarkingActive in this cycle; such objects are implicitly marked in SATB
+// collections.
+func (h *Heap) AllocDuringMark(r Ref) bool { return h.flags(*h.state(r))&allocBit != 0 }
+
+// MarkDirty records the object as modified this cycle (the incremental
+// collector's card) and reports whether it was clean before.
+func (h *Heap) MarkDirty(r Ref) bool {
+	p := h.state(r)
+	if *p == deadState {
+		return false
+	}
+	f := h.flags(*p)
+	*p = h.stamp | f | dirtyBit
+	return f&dirtyBit == 0
+}
+
+// TraceStateOf returns the collector's scan progress on the object in
+// this cycle (§4.3's header bits).
+func (h *Heap) TraceStateOf(r Ref) TraceState {
+	return TraceState(h.flags(*h.state(r)) & traceMask)
+}
+
+// SetTraceState publishes the collector's scan progress on the object.
+func (h *Heap) SetTraceState(r Ref, ts TraceState) {
+	p := h.state(r)
+	if *p != deadState {
+		*p = h.stamp | h.flags(*p)&^traceMask | uint32(ts)
+	}
+}
+
+// carve returns n zeroed Values, from the current block when they fit.
+func (h *Heap) carve(n int) []Value {
+	if n > carveMax {
+		return make([]Value, n)
+	}
+	if n > len(h.block) {
+		h.block = make([]Value, blockValues)
+	}
+	vs := h.block[:n:n]
+	h.block = h.block[n:]
+	return vs
+}
+
+func (h *Heap) add(o Object) Ref {
+	j := h.Allocated & chunkMask
+	if j == 0 {
+		h.chunks = append(h.chunks, newChunk())
+	}
+	c := h.chunks[len(h.chunks)-1]
+	c.objs[j] = o
+	c.state[j] = 0
+	if h.MarkingActive {
+		c.state[j] = h.stamp | allocBit
+	}
+	h.Allocated++
+	return Ref(h.Allocated)
 }
 
 // AllocObject allocates a class instance with null/zero fields.
@@ -190,21 +357,21 @@ func (h *Heap) AllocObject(class string) (Ref, error) {
 	if !ok {
 		return Null, fmt.Errorf("heap: unknown class %s", class)
 	}
-	fields := make([]Value, n)
-	// Reference fields must read back as null references, not zero ints;
-	// the distinction matters to barrier pre-value checks. The layout
-	// does not record types per slot, so initialize lazily: a zero Value
-	// reads as int 0 and as Null when interpreted as a reference. The VM
-	// always interprets by the declared type, so the shared zero works
-	// for both.
-	return h.add(&Object{Class: class, Fields: fields}), nil
+	return h.AllocObjectN(class, n), nil
 }
 
 // AllocObjectN allocates a class instance whose field count was resolved
 // ahead of time (the decode-time fast path; equivalent to AllocObject for
-// a known class).
+// a known class). The class is not recorded: nothing reads an instance's
+// class at run time.
+//
+// Reference fields must read back as null references, not zero ints; the
+// distinction matters to barrier pre-value checks. The layout does not
+// record types per slot: a zero Value reads as int 0 and as Null when
+// interpreted as a reference, and the VM always interprets by the declared
+// type, so the shared zero works for both.
 func (h *Heap) AllocObjectN(class string, nFields int) Ref {
-	return h.add(&Object{Class: class, Fields: make([]Value, nFields)})
+	return h.add(Object{Fields: h.carve(nFields)})
 }
 
 // AllocArray allocates an array with zeroed/nulled elements.
@@ -212,13 +379,13 @@ func (h *Heap) AllocArray(elemRef bool, n int64) (Ref, error) {
 	if n < 0 {
 		return Null, fmt.Errorf("heap: negative array size %d", n)
 	}
-	elems := make([]Value, n)
+	elems := h.carve(int(n))
 	if elemRef {
 		for i := range elems {
 			elems[i].IsRef = true
 		}
 	}
-	return h.add(&Object{Elems: elems, ElemRef: elemRef}), nil
+	return h.add(Object{Elems: elems, ElemRef: elemRef, array: true}), nil
 }
 
 // GetField reads an instance field.
@@ -319,16 +486,15 @@ func (h *Heap) StaticSlot(ref bytecode.FieldRef) *Value {
 	return nil
 }
 
-// StaticRoots returns the current reference values of all statics, in
-// declaration order. The order must be deterministic: the concurrent
-// marker paces its work in fixed-size steps, so a run-to-run shuffle of
-// the root queue would shift mark completion across scheduler quanta and
-// make barrier logging counts unreproducible.
-func (h *Heap) StaticRoots() []Ref {
-	var roots []Ref
+// AppendStaticRoots appends the current reference values of all statics to
+// dst, in declaration order, and returns it. The order must be
+// deterministic: the concurrent marker paces its work in fixed-size steps,
+// so a run-to-run shuffle of the root queue would shift mark completion
+// across scheduler quanta and make barrier logging counts unreproducible.
+func (h *Heap) AppendStaticRoots(dst []Ref) []Ref {
 	for _, v := range h.staticSlots {
 		if v.IsRef && v.R != Null {
-			roots = append(roots, v.R)
+			dst = append(dst, v.R)
 		}
 	}
 	if len(h.staticExtra) > 0 {
@@ -347,13 +513,15 @@ func (h *Heap) StaticRoots() []Ref {
 			return extras[i].Name < extras[j].Name
 		})
 		for _, ref := range extras {
-			roots = append(roots, h.staticExtra[ref].R)
+			dst = append(dst, h.staticExtra[ref].R)
 		}
 	}
-	return roots
+	return dst
 }
 
-// RefsOf calls f with every outgoing reference of the object.
+// RefsOf calls f with every outgoing reference of the object. The markers
+// scan Fields and Elems in place instead; this is for the cold walks (the
+// oracle's escape closure, the test-only snapshot).
 func (o *Object) RefsOf(f func(Ref)) {
 	for _, v := range o.Fields {
 		if v.IsRef && v.R != Null {
@@ -369,42 +537,31 @@ func (o *Object) RefsOf(f func(Ref)) {
 	}
 }
 
-// ForEach visits every live object.
-func (h *Heap) ForEach(f func(Ref, *Object)) {
-	for i, o := range h.objects {
-		if o != nil {
-			f(Ref(i+1), o)
-		}
-	}
-}
-
-// Sweep frees unmarked objects (those allocated during marking survive),
-// clears mark state, and returns the number freed.
+// Sweep frees the objects neither marked nor allocated during marking in
+// this cycle, ends the cycle's epoch so that the survivors read as
+// unmarked again, and returns the number freed.
 func (h *Heap) Sweep() int {
 	freed := 0
-	for i, o := range h.objects {
-		if o == nil {
+	for ci, c := range h.chunks {
+		if c == deadChunk {
 			continue
 		}
-		if !o.Marked && !o.AllocDuringMark {
-			h.objects[i] = nil
-			freed++
-			continue
+		live := 0
+		for j, s := range c.state {
+			switch {
+			case s == deadState:
+			case h.flags(s)&(markBit|allocBit) != 0:
+				live++
+			default:
+				c.objs[j] = Object{}
+				c.state[j] = deadState
+				freed++
+			}
 		}
-		o.Marked = false
-		o.AllocDuringMark = false
-		o.TraceState = TraceUntraced
+		if live == 0 && int64(ci+1)<<chunkShift <= h.Allocated {
+			h.chunks[ci] = deadChunk
+		}
 	}
+	h.BeginCycle()
 	return freed
-}
-
-// ClearMarks resets mark state without sweeping.
-func (h *Heap) ClearMarks() {
-	for _, o := range h.objects {
-		if o != nil {
-			o.Marked = false
-			o.AllocDuringMark = false
-			o.TraceState = TraceUntraced
-		}
-	}
 }

@@ -100,9 +100,13 @@ func TestStatics(t *testing.T) {
 	if old.R != Null {
 		t.Error("first static store pre-value should be null")
 	}
-	roots := h.StaticRoots()
-	if len(roots) != 1 || roots[0] != r {
+	buf := make([]Ref, 0, 4)
+	roots := h.AppendStaticRoots(append(buf, 99))
+	if len(roots) != 2 || roots[0] != 99 || roots[1] != r {
 		t.Errorf("roots = %v", roots)
+	}
+	if &roots[0] != &buf[:1][0] {
+		t.Error("AppendStaticRoots must fill the caller's buffer when it has room")
 	}
 }
 
@@ -110,7 +114,13 @@ func TestSweep(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	a, _ := h.AllocObject("T")
 	b, _ := h.AllocObject("T")
-	h.Get(a).Marked = true
+	h.BeginCycle()
+	if !h.Mark(a) || h.Mark(a) {
+		t.Error("Mark must report true once, on the white-to-marked transition")
+	}
+	if !h.Marked(a) || h.Marked(b) {
+		t.Error("Marked must report exactly the marked object")
+	}
 	freed := h.Sweep()
 	if freed != 1 {
 		t.Errorf("freed = %d, want 1", freed)
@@ -121,21 +131,208 @@ func TestSweep(t *testing.T) {
 	if h.Get(b) != nil {
 		t.Error("unmarked object must be freed")
 	}
-	if h.Get(a).Marked {
+	if h.Marked(a) {
 		t.Error("sweep must clear marks")
+	}
+	if h.Mark(b) || h.Marked(b) || h.MarkDirty(b) {
+		t.Error("a swept object cannot be marked or dirtied")
+	}
+	h.SetTraceState(b, TraceTraced)
+	if h.TraceStateOf(b) != TraceUntraced {
+		t.Error("a swept object has no trace state")
 	}
 }
 
 func TestAllocDuringMarkSurvivesSweep(t *testing.T) {
 	h := New(NewLayout(testProgram()))
+	h.BeginCycle()
 	h.MarkingActive = true
 	r, _ := h.AllocObject("T")
 	h.MarkingActive = false
-	if !h.Get(r).AllocDuringMark {
+	if !h.AllocDuringMark(r) {
 		t.Fatal("alloc-during-mark flag not set")
+	}
+	if !h.Mark(r) || !h.AllocDuringMark(r) {
+		t.Error("marking an object allocated during marking keeps the flag")
 	}
 	if h.Sweep() != 0 {
 		t.Error("object allocated during marking must survive the sweep")
+	}
+	if h.AllocDuringMark(r) {
+		t.Error("sweep must clear the alloc-during-mark flag")
+	}
+	h.BeginCycle()
+	if h.Sweep() != 1 {
+		t.Error("the flag is per cycle: the next cycle's sweep frees the object")
+	}
+}
+
+func TestGetDanglingRefs(t *testing.T) {
+	h := New(NewLayout(testProgram()))
+	r, _ := h.AllocObject("T")
+	for _, bad := range []Ref{Null, -1, -1 << 62, r + 1, 1 << 40} {
+		if h.Get(bad) != nil {
+			t.Errorf("Get(%d) must be nil", bad)
+		}
+		if h.Mark(bad) || h.Marked(bad) || h.MarkDirty(bad) || h.AllocDuringMark(bad) {
+			t.Errorf("ref %d must carry no collector state", bad)
+		}
+		h.SetTraceState(bad, TraceTraced)
+		if h.TraceStateOf(bad) != TraceUntraced {
+			t.Errorf("ref %d must read as untraced", bad)
+		}
+	}
+	if h.Get(r) == nil {
+		t.Error("the live object must still resolve")
+	}
+}
+
+// TestEpochResetsCollectorState: everything cycle N recorded about an
+// object is invisible in cycle N+1, and BeginCycle did not visit the heap
+// to make it so (the state words still hold cycle N's stamps).
+func TestEpochResetsCollectorState(t *testing.T) {
+	h := New(NewLayout(testProgram()))
+	r, _ := h.AllocObject("T")
+	h.BeginCycle()
+	h.Mark(r)
+	h.MarkDirty(r)
+	h.SetTraceState(r, TraceTraced)
+	if !h.Marked(r) || h.MarkDirty(r) || h.TraceStateOf(r) != TraceTraced {
+		t.Fatal("state set in a cycle must be visible in it")
+	}
+	word := *h.state(r)
+	h.BeginCycle()
+	if *h.state(r) != word {
+		t.Error("BeginCycle must not rewrite state words")
+	}
+	if h.Marked(r) || h.TraceStateOf(r) != TraceUntraced {
+		t.Error("cycle N's mark and trace state must be invisible in cycle N+1")
+	}
+	if !h.MarkDirty(r) || !h.Mark(r) {
+		t.Error("a stale word must take new flags as a clear one does")
+	}
+	if h.TraceStateOf(r) != TraceUntraced {
+		t.Error("setting a flag on a stale word must not revive its old trace state")
+	}
+}
+
+func TestEpochWrapAround(t *testing.T) {
+	h := New(NewLayout(testProgram()))
+	live, _ := h.AllocObject("T")
+	dead, _ := h.AllocObject("T")
+	old, _ := h.AllocObject("T")
+	h.Mark(live)
+	h.Mark(old)
+	h.Sweep()
+	// old carries a mark stamped with the second epoch. After the wrap
+	// the epoch counter comes by that value again, and the mark must not
+	// come back with it.
+	h.Mark(old)
+	h.stamp = maxStamp - epochUnit
+	h.BeginCycle()
+	if h.stamp != maxStamp {
+		t.Fatalf("stamp = %#x, want the last epoch %#x", h.stamp, maxStamp)
+	}
+	if !h.Mark(live) || !h.Marked(live) || h.Marked(old) || h.Mark(dead) || h.Marked(dead) {
+		t.Error("marks must work in the last epoch")
+	}
+	h.BeginCycle() // wraps
+	h.BeginCycle()
+	if h.stamp != 2*epochUnit {
+		t.Fatalf("stamp after wrap = %#x, want the second epoch again", h.stamp)
+	}
+	if h.Marked(live) || h.Marked(old) {
+		t.Error("no mark from before the wrap may be visible after it")
+	}
+	if h.Get(dead) != nil || h.Mark(dead) || h.Marked(dead) {
+		t.Error("the dead stay dead across the wrap")
+	}
+	if !h.Mark(live) || !h.Marked(live) {
+		t.Error("marks must work after the wrap")
+	}
+	if freed := h.Sweep(); freed != 1 || h.Get(old) != nil || h.Get(live) == nil {
+		t.Errorf("sweep after the wrap freed %d, want 1 (old)", freed)
+	}
+}
+
+func TestObjectPointersAreStable(t *testing.T) {
+	h := New(NewLayout(testProgram()))
+	r, _ := h.AllocObject("T")
+	arr, _ := h.AllocArray(true, 3)
+	o, a := h.Get(r), h.Get(arr)
+	for i := 0; i < 10_000; i++ {
+		if i%7 == 0 {
+			h.AllocArray(i%2 == 0, int64(i%(2*carveMax)))
+		} else {
+			h.AllocObject("T")
+		}
+	}
+	if h.Get(r) != o || h.Get(arr) != a {
+		t.Fatal("Get must keep returning the same *Object")
+	}
+	o.Fields[0] = RefVal(arr)
+	a.Elems[2] = RefVal(r)
+	if v, _ := h.GetField(r, bytecode.FieldRef{Class: "T", Name: "next"}); v.R != arr {
+		t.Error("a write through the old pointer must be visible through the heap")
+	}
+	if v, _ := h.GetElem(arr, 2); v.R != r {
+		t.Error("a write through the old array pointer must be visible through the heap")
+	}
+	// Carved storage is private: no neighbour saw those writes.
+	for q := Ref(1); q <= Ref(h.Allocated); q++ {
+		if q == r || q == arr {
+			continue
+		}
+		for _, v := range append(h.Get(q).Fields, h.Get(q).Elems...) {
+			if v.R != Null || v.I != 0 {
+				t.Fatalf("object %d shares storage with another", q)
+			}
+		}
+	}
+	if fs := h.Get(r).Fields; cap(fs) != len(fs) {
+		t.Error("carved storage must be capped, or append would write into a neighbour")
+	}
+}
+
+func TestSweepReleasesDeadChunks(t *testing.T) {
+	h := New(NewLayout(testProgram()))
+	var refs []Ref
+	for i := 0; i < 3*chunkSize+1; i++ {
+		r, _ := h.AllocObject("T")
+		refs = append(refs, r)
+	}
+	h.BeginCycle()
+	h.Mark(refs[0])           // one survivor in chunk 0
+	h.Mark(refs[3*chunkSize]) // and the one object of the tail chunk
+	if freed := h.Sweep(); freed != 3*chunkSize-1 {
+		t.Errorf("freed = %d, want %d", freed, 3*chunkSize-1)
+	}
+	if h.chunks[0] == deadChunk || h.chunks[3] == deadChunk {
+		t.Error("a chunk with a survivor must stay")
+	}
+	if h.chunks[1] != deadChunk || h.chunks[2] != deadChunk {
+		t.Error("a full chunk with no survivor must be released")
+	}
+	for _, r := range refs[1 : 3*chunkSize] {
+		if h.Get(r) != nil || h.Mark(r) {
+			t.Fatalf("ref %d into swept storage must be dead", r)
+		}
+	}
+	// The tail chunk is still being allocated into: it stays even when
+	// everything in it dies, and the next allocation lands in it.
+	h.BeginCycle()
+	h.Sweep()
+	if h.chunks[0] != deadChunk || h.chunks[3] == deadChunk {
+		t.Error("chunk 0 is now all dead and full; the tail chunk is not full")
+	}
+	r, _ := h.AllocObject("T")
+	if r != Ref(3*chunkSize+2) || h.Get(r) == nil || h.Get(refs[3*chunkSize]) != nil {
+		t.Error("allocation must continue in the tail chunk with a fresh ref")
+	}
+	for j, s := range deadChunk.state {
+		if s != deadState || deadChunk.objs[j].Fields != nil {
+			t.Fatal("the shared dead chunk was written to")
+		}
 	}
 }
 

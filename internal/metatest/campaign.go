@@ -53,10 +53,10 @@ type Failure struct {
 
 // Result summarizes a campaign.
 type Result struct {
-	SeedsRun        int        `json:"seedsRun"`
-	Checks          int        `json:"checks"`
-	Failures        []*Failure `json:"failures,omitempty"`
-	BudgetExhausted bool       `json:"budgetExhausted,omitempty"`
+	SeedsRun        int           `json:"seedsRun"`
+	Checks          int           `json:"checks"`
+	Failures        []*Failure    `json:"failures,omitempty"`
+	BudgetExhausted bool          `json:"budgetExhausted,omitempty"`
 	Elapsed         time.Duration `json:"elapsedNs"`
 }
 

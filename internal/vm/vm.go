@@ -245,6 +245,7 @@ type VM struct {
 	steps          int64
 	maxSteps       int64
 	allocSinceGC   int64
+	rootBuf        []heap.Ref // reused by roots()
 	cycles         int
 	finalPauseWork int
 	swept          int
@@ -552,9 +553,10 @@ func newFrame(m *bytecode.Method) *frame {
 // roots collects the current GC roots: every reference in every thread's
 // frames, plus static fields. Both engines contribute in the same order
 // (threads, frames bottom-up, locals by slot, then stack bottom-up) so
-// the deterministic marker sees an identical work queue.
+// the deterministic marker sees an identical work queue. The slice is the
+// VM's one root buffer, valid until the next call; markers do not keep it.
 func (v *VM) roots() []heap.Ref {
-	var out []heap.Ref
+	out := v.rootBuf[:0]
 	for _, t := range v.threads {
 		for _, f := range t.frames {
 			for _, val := range f.locals {
@@ -583,7 +585,8 @@ func (v *VM) roots() []heap.Ref {
 			}
 		}
 	}
-	return append(out, v.heap.StaticRoots()...)
+	v.rootBuf = v.heap.AppendStaticRoots(out)
+	return v.rootBuf
 }
 
 // startCycle begins a marking cycle.
