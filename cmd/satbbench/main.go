@@ -2,16 +2,16 @@
 // built-in workload suite: Table 1 (dynamic eliminations), Table 2 (jbb
 // end-to-end barrier cost), Figure 2 (inline-limit sweep), Figure 3
 // (compiled code size), the §4.3 null-or-same measurements, the
-// compile-side performance snapshot (per-stage times + fixed-point block
-// visits), the soundness-oracle sweep (-oracle: every workload run
-// with runtime validation of each elided store), and the cross-flavor
+// soundness-oracle sweep (-oracle: every workload run with runtime
+// validation of each elided store), and the cross-flavor
 // barrier matrix (-barriers: every workload under every barrier flavor —
 // conditional, always-log, yuasa, dijkstra, hybrid, card — comparing
 // per-flavor elimination rates and end-to-end barrier cost).
 //
 // With -json FILE every computed section is additionally written as a
-// versioned report.Document (e.g. BENCH_satb.json), so the perf
-// trajectory can be compared across revisions. The file is written
+// versioned report.Document (e.g. BENCH_satb.json), so results can be
+// compared across revisions. Timings and allocation counts are not among
+// them: bench/ measures those (bash bench/run.sh). The file is written
 // atomically (temp file + rename), so a crashed or interrupted run never
 // leaves a truncated document behind.
 //
@@ -54,13 +54,9 @@ func main() {
 	nos := flag.Bool("nullorsame", false, "§4.3 null-or-same measurements")
 	rearr := flag.Bool("rearrange", false, "§4.3 array-rearrangement measurements")
 	barriers := flag.Bool("barriers", false, "cross-flavor barrier matrix (yuasa/dijkstra/hybrid/... elimination and cost per workload)")
-	interp := flag.Bool("interprocedural", false, "escape-summary recovery at inline limit 0")
-	interpAlias := flag.Bool("interproc", false, "alias for -interprocedural")
-	perf := flag.Bool("perf", false, "compile-side performance snapshot (stage times, block visits)")
-	vmperf := flag.Bool("vmperf", false, "VM execution-engine performance (compiled vs fused vs switch: instr/s, ns/instr, allocs/op, tier counters)")
+	interp := flag.Bool("interproc", false, "escape-summary recovery at inline limit 0")
 	oracle := flag.Bool("oracle", false, "soundness oracle: validate every elided store at runtime")
-	inlineLimit := flag.Int("inline", report.DefaultInlineLimit, "inline limit for Table 1/2, Figure 3, perf, oracle")
-	workers := flag.Int("workers", 0, "per-method analysis fan-out (0 = GOMAXPROCS)")
+	inlineLimit := flag.Int("inline", report.DefaultInlineLimit, "inline limit for Table 1/2, Figure 3, oracle")
 	deadline := flag.Duration("deadline", 0, "per-method analysis wall-clock budget (0 = unlimited); over-budget methods keep all barriers")
 	strict := flag.Bool("strict", false, "exit nonzero if any method degraded or the oracle found a violation (implies -oracle)")
 	jsonPath := flag.String("json", "", "also write results as JSON to this file (e.g. BENCH_satb.json)")
@@ -71,14 +67,11 @@ func main() {
 	if *strict {
 		*oracle = true
 	}
-	if *interpAlias {
-		*interp = true
-	}
 	if *all {
-		*t1, *t2, *f2, *f3, *nos, *rearr, *barriers, *interp, *perf, *vmperf, *oracle = true, true, true, true, true, true, true, true, true, true, true
+		*t1, *t2, *f2, *f3, *nos, *rearr, *barriers, *interp, *oracle = true, true, true, true, true, true, true, true, true
 	}
-	if !*t1 && !*t2 && !*f2 && !*f3 && !*nos && !*rearr && !*barriers && !*interp && !*perf && !*vmperf && !*oracle {
-		fmt.Fprintln(os.Stderr, "usage: satbbench [-all] [-table1] [-table2] [-fig2] [-fig3] [-nullorsame] [-rearrange] [-barriers] [-interprocedural] [-perf] [-vmperf] [-oracle] [-strict] [-deadline D] [-json FILE] [-trace FILE] [-metrics FILE]")
+	if !*t1 && !*t2 && !*f2 && !*f3 && !*nos && !*rearr && !*barriers && !*interp && !*oracle {
+		fmt.Fprintln(os.Stderr, "usage: satbbench [-all] [-table1] [-table2] [-fig2] [-fig3] [-nullorsame] [-rearrange] [-barriers] [-interproc] [-oracle] [-strict] [-deadline D] [-json FILE] [-trace FILE] [-metrics FILE]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -88,16 +81,7 @@ func main() {
 
 	out := report.NewDocument("satbbench")
 	out.InlineLimit = *inlineLimit
-	out.Workers = *workers
 
-	if *perf {
-		rows, err := report.Perf(*inlineLimit, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		out.Perf = rows
-		fmt.Println(report.FormatPerf(rows))
-	}
 	if *t1 {
 		rows, err := report.Table1(*inlineLimit)
 		if err != nil {
@@ -161,16 +145,6 @@ func main() {
 		}
 		out.Interprocedural = rows
 		fmt.Println(report.FormatInterprocedural(rows))
-	}
-	if *vmperf {
-		rows, err := report.VMPerf(*inlineLimit)
-		if err != nil {
-			fatal(err)
-		}
-		out.VMPerf = rows
-		out.VMPerfGeomeanSpeedup = report.VMPerfGeomeanSpeedup(rows)
-		out.VMPerfGeomeanCompiledOverFused = report.VMPerfGeomeanCompiledOverFused(rows)
-		fmt.Println(report.FormatVMPerf(rows))
 	}
 	var oracleFailed bool
 	if *oracle {

@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cs := pipeline.Stats()
+	cs := pipeline.DefaultCache.Stats()
 	fmt.Printf("recompile cache hit: %v (%d hits / %d misses)\n",
 		again.CacheHit, cs.Hits, cs.Misses)
 }

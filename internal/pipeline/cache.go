@@ -214,17 +214,6 @@ func (c *Cache) Clear() {
 	c.faultDrop.Store(0)
 }
 
-// Stats returns a snapshot of the DefaultCache counters.
-//
-// Deprecated: compatibility wrapper — use DefaultCache.Stats (or the
-// Stats of the Cache you injected via Options.Cache).
-func Stats() CacheStats { return DefaultCache.Stats() }
-
-// ClearCache empties the DefaultCache and resets its counters.
-//
-// Deprecated: compatibility wrapper — use DefaultCache.Clear.
-func ClearCache() { DefaultCache.Clear() }
-
 // cacheInstance resolves the cache these Options address.
 func (o Options) cacheInstance() *Cache {
 	if o.Cache != nil {

@@ -31,8 +31,8 @@ class A {
 `
 
 func TestBuildCacheHitAndIsolation(t *testing.T) {
-	ClearCache()
-	defer ClearCache()
+	DefaultCache.Clear()
+	defer DefaultCache.Clear()
 	opts := Options{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeFieldArray}}
 
 	b1, err := Compile("cachetest", cacheTestSrc, opts)
@@ -62,7 +62,7 @@ func TestBuildCacheHitAndIsolation(t *testing.T) {
 		t.Error("caller mutation of a hit leaked into the cache")
 	}
 
-	s := Stats()
+	s := DefaultCache.Stats()
 	if s.Hits != 2 || s.Misses != 1 || s.Entries != 1 {
 		t.Errorf("stats = %+v, want 2 hits / 1 miss / 1 entry", s)
 	}
@@ -82,8 +82,8 @@ func TestBuildCacheHitAndIsolation(t *testing.T) {
 }
 
 func TestBuildCacheKeySensitivity(t *testing.T) {
-	ClearCache()
-	defer ClearCache()
+	DefaultCache.Clear()
+	defer DefaultCache.Clear()
 	base := Options{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeFieldArray}}
 	if _, err := Compile("keytest", cacheTestSrc, base); err != nil {
 		t.Fatal(err)
@@ -115,8 +115,8 @@ func TestBuildCacheKeySensitivity(t *testing.T) {
 }
 
 func TestBuildCacheBypass(t *testing.T) {
-	ClearCache()
-	defer ClearCache()
+	DefaultCache.Clear()
+	defer DefaultCache.Clear()
 	opts := Options{InlineLimit: 50, NoCache: true}
 	for i := 0; i < 2; i++ {
 		b, err := Compile("nocache", cacheTestSrc, opts)
@@ -127,7 +127,7 @@ func TestBuildCacheBypass(t *testing.T) {
 			t.Fatal("NoCache build must never hit")
 		}
 	}
-	if s := Stats(); s.Entries != 0 || s.Hits != 0 {
+	if s := DefaultCache.Stats(); s.Entries != 0 || s.Hits != 0 {
 		t.Errorf("NoCache builds must not touch the cache: %+v", s)
 	}
 

@@ -30,7 +30,6 @@ type Document struct {
 	Workers     int `json:"workers,omitempty"`
 
 	// Experiment sections (satbbench).
-	Perf       []PerfRow       `json:"perf,omitempty"`
 	Table1     []Table1Row     `json:"table1,omitempty"`
 	Table2     []Table2Row     `json:"table2,omitempty"`
 	Figure2    []Fig2Point     `json:"figure2,omitempty"`
@@ -42,13 +41,6 @@ type Document struct {
 	Barriers        []BarrierRow   `json:"barriers,omitempty"`
 	Interprocedural []InterprocRow `json:"interprocedural,omitempty"`
 	Oracle          []OracleRow    `json:"oracle,omitempty"`
-	VMPerf          []VMPerfRow    `json:"vmperf,omitempty"`
-	// VMPerfGeomeanSpeedup is the geometric-mean fused-over-switch VM
-	// speedup across workloads (present with the vmperf section).
-	VMPerfGeomeanSpeedup float64 `json:"vmperf_geomean_speedup,omitempty"`
-	// VMPerfGeomeanCompiledOverFused is the geometric-mean compiled-tier
-	// speedup over the fused engine (present with the vmperf section).
-	VMPerfGeomeanCompiledOverFused float64 `json:"vmperf_geomean_compiled_over_fused,omitempty"`
 
 	// Run is one VM execution's summary (satbvm).
 	Run *RunSummary `json:"run,omitempty"`

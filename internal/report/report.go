@@ -457,79 +457,6 @@ func FormatRearrangement(rows []RearrangeRow) string {
 	return b.String()
 }
 
-// PerfRow is one workload's compile-side performance snapshot: per-stage
-// times, analysis iteration counts, and the elimination it bought. The
-// ns fields are what the cross-PR BENCH_*.json trajectory tracks.
-type PerfRow struct {
-	Workload      string  `json:"workload"`
-	Workers       int     `json:"workers"`
-	CompileNs     int64   `json:"compile_ns"`
-	FrontendNs    int64   `json:"frontend_ns"`
-	InlineNs      int64   `json:"inline_ns"`
-	VerifyNs      int64   `json:"verify_ns"`
-	AnalysisNs    int64   `json:"analysis_ns"`
-	BlockVisits   int     `json:"block_visits"`
-	Methods       int     `json:"methods"`
-	BytecodeBytes int     `json:"bytecode_bytes"`
-	ElimPct       float64 `json:"elim_pct"`
-}
-
-// Perf compiles every workload in mode A and reports per-stage compile
-// times, fixed-point block visits, and dynamic elimination. workers <= 0
-// means GOMAXPROCS (the pipeline default).
-func Perf(inlineLimit, workers int) ([]PerfRow, error) {
-	var rows []PerfRow
-	for _, w := range workloads.All() {
-		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-			InlineLimit: inlineLimit,
-			Analysis:    withBudget(core.Options{Mode: core.ModeFieldArray}),
-			Workers:     workers,
-			Runtime:     vm.Config{Barrier: satb.ModeConditional},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("perf %s: %w", w.Name, err)
-		}
-		res, err := b.Exec()
-		if err != nil {
-			return nil, err
-		}
-		s := res.Counters.Summarize()
-		if len(s.UnsoundSites) > 0 {
-			return nil, fmt.Errorf("perf %s: unsound elisions %v", w.Name, s.UnsoundSites)
-		}
-		rows = append(rows, PerfRow{
-			Workload:      w.Name,
-			Workers:       workers,
-			CompileNs:     b.CompileTime().Nanoseconds(),
-			FrontendNs:    b.FrontendTime.Nanoseconds(),
-			InlineNs:      b.InlineTime.Nanoseconds(),
-			VerifyNs:      b.VerifyTime.Nanoseconds(),
-			AnalysisNs:    b.AnalysisTime.Nanoseconds(),
-			BlockVisits:   b.Report.BlockVisits(),
-			Methods:       len(b.Report.Methods),
-			BytecodeBytes: b.BytecodeBytes,
-			ElimPct:       pct(s.ElidedExecs, s.TotalExecs),
-		})
-	}
-	return rows, nil
-}
-
-// FormatPerf renders the compile-performance rows.
-func FormatPerf(rows []PerfRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Compile performance (mode A)\n")
-	fmt.Fprintf(&b, "%-7s %10s %10s %10s %8s %8s\n",
-		"bench", "compile", "analysis", "visits", "methods", "% elim")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %10v %10v %10d %8d %8.1f\n",
-			r.Workload,
-			time.Duration(r.CompileNs).Round(time.Microsecond),
-			time.Duration(r.AnalysisNs).Round(time.Microsecond),
-			r.BlockVisits, r.Methods, r.ElimPct)
-	}
-	return b.String()
-}
-
 func pct(n, d uint64) float64 {
 	if d == 0 {
 		return 0

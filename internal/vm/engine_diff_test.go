@@ -343,8 +343,12 @@ func TestEngineDifferentialForcedDeopt(t *testing.T) {
 		fused := runEngine(t, bd, cfg, vm.EngineFused)
 		for _, after := range []int64{1, 5, 50, 500} {
 			ccfg := cfg
-			ccfg.TierForceDeoptAfter = after
-			comp := runEngine(t, bd, ccfg, vm.EngineCompiled)
+			ccfg.Engine = vm.EngineCompiled
+			ccfg.TierThreshold = diffTierThreshold
+			comp, err := vm.NewWithHooks(bd.Program, ccfg, vm.TestHooks{TierForceDeoptAfter: after}).Run()
+			if err != nil {
+				t.Fatalf("forced deopt after %d: %v", after, err)
+			}
 			t.Run(wname, func(t *testing.T) {
 				assertIdentical(t, comp, fused, "compiled", "fused")
 				if comp.TierSegExecs != after {

@@ -1,0 +1,16 @@
+package vm
+
+import "satbelim/internal/bytecode"
+
+// TestHooks are the construction-time test switches (see hooks), spelled
+// with exported names so the external test package can set them too.
+type TestHooks struct {
+	TierForceDeoptAfter int64
+	ForceRawElide       bool
+}
+
+// NewWithHooks is New with test hooks set. It exists only in test builds:
+// no production caller can construct a VM with them.
+func NewWithHooks(p *bytecode.Program, cfg Config, h TestHooks) *VM {
+	return newVM(p, cfg, hooks{tierForceDeoptAfter: h.TierForceDeoptAfter, forceRawElide: h.ForceRawElide})
+}

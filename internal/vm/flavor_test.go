@@ -1,7 +1,7 @@
 package vm
 
 // Per-flavor soundness tests: the oracle must reject analysis verdicts
-// that leak past a flavor's soundness predicate (Config.ForceRawElide
+// that leak past a flavor's soundness predicate (the ForceRawElide test hook
 // bypasses the projection to prove that), and the projection itself must
 // make every flavor run clean on the same analyzed program.
 
@@ -65,11 +65,10 @@ func analyzedFlavorProgram(t *testing.T) *bytecode.Program {
 // hole the verdict cannot excuse.
 func TestFlavorOracleCatchesCrossFlavorElision(t *testing.T) {
 	p := analyzedFlavorProgram(t)
-	_, err := New(p, Config{
+	_, err := NewWithHooks(p, Config{
 		Barrier:       satb.ModeDijkstra,
 		CheckElisions: true,
-		ForceRawElide: true,
-	}).Run()
+	}, TestHooks{ForceRawElide: true}).Run()
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {
 		t.Fatalf("err = %v, want *SoundnessViolation", err)
@@ -85,11 +84,10 @@ func TestFlavorOracleCatchesCrossFlavorElision(t *testing.T) {
 // trip the oracle.
 func TestFlavorOracleCatchesHybridNullOrSame(t *testing.T) {
 	p := analyzedFlavorProgram(t)
-	_, err := New(p, Config{
+	_, err := NewWithHooks(p, Config{
 		Barrier:       satb.ModeHybrid,
 		CheckElisions: true,
-		ForceRawElide: true,
-	}).Run()
+	}, TestHooks{ForceRawElide: true}).Run()
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {
 		t.Fatalf("err = %v, want *SoundnessViolation", err)

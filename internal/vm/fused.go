@@ -78,10 +78,12 @@ func (v *VM) refStoreBarrier(t *fthread, f *fframe, pc int, kind satb.SiteKind, 
 	return nil
 }
 
-// runFused executes the program on the pre-decoded engine. The loop shape
-// is the switch engine's: round-robin over live threads, one quantum
-// each, collector tick after every quantum.
-func (v *VM) runFused() (*Result, error) {
+// runDecoded executes the program on a decoded engine: quantum is that
+// engine's per-quantum body (runFusedQuantum or runTieredQuantum), the only
+// thing the two differ in. The loop shape is the switch engine's:
+// round-robin over live threads, one quantum each, collector tick after
+// every quantum.
+func (v *VM) runDecoded(quantum func(*fthread) error) (*Result, error) {
 	v.fthreads = []*fthread{{frames: []*fframe{v.dprog.main.acquire()}, span: threadSpan(0)}}
 	if v.cfg.ForceMarkingAlways && v.marker != nil {
 		v.startCycle()
@@ -104,7 +106,7 @@ func (v *VM) runFused() (*Result, error) {
 			if err := v.cancelled(); err != nil {
 				return nil, err
 			}
-			if err := v.runFusedQuantum(t); err != nil {
+			if err := quantum(t); err != nil {
 				return nil, err
 			}
 			v.gcTick()
@@ -236,14 +238,11 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	case dGetFieldRef, dGetFieldInt:
 		obj := f.pop()
 		fr := &f.m.fields[in.a]
-		if obj.R == heap.Null {
-			return v.ferrf(f, "null pointer dereference reading %s", fr.ref)
+		p := v.fieldSlot(obj.R, fr.idx)
+		if p == nil {
+			return v.accessErr(f, f.pc, 0, readField, obj.R, 0, fr)
 		}
-		o := v.heap.Get(obj.R)
-		if o == nil {
-			return v.ferrf(f, "heap: null dereference reading %s", fr.ref)
-		}
-		val := o.Fields[fr.idx]
+		val := *p
 		if in.op == dGetFieldRef {
 			val.IsRef = true
 		}
@@ -252,15 +251,12 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		val := f.pop()
 		obj := f.pop()
 		fr := &f.m.fields[in.a]
-		if obj.R == heap.Null {
-			return v.ferrf(f, "null pointer dereference writing %s", fr.ref)
+		p := v.fieldSlot(obj.R, fr.idx)
+		if p == nil {
+			return v.accessErr(f, f.pc, 0, writeField, obj.R, 0, fr)
 		}
-		o := v.heap.Get(obj.R)
-		if o == nil {
-			return v.ferrf(f, "heap: null dereference writing %s", fr.ref)
-		}
-		old := o.Fields[fr.idx]
-		o.Fields[fr.idx] = val
+		old := *p
+		*p = val
 		if in.op == dPutFieldRef {
 			if err := v.refStoreBarrier(t, f, int(f.pc), satb.FieldSite, in.b, old.R, val.R, obj.R); err != nil {
 				return err
@@ -308,29 +304,20 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		f.push(heap.RefVal(r))
 	case dArrayLength:
 		arr := f.pop()
-		if arr.R == heap.Null {
-			return v.ferrf(f, "null pointer dereference in arraylength")
+		n := v.arrayLen(arr.R)
+		if n < 0 {
+			return v.accessErr(f, f.pc, 0, lengthOf, arr.R, 0, nil)
 		}
-		o := v.heap.Get(arr.R)
-		if o == nil {
-			return v.ferrf(f, "heap: null array dereference")
-		}
-		f.push(heap.IntVal(int64(len(o.Elems))))
+		f.push(heap.IntVal(n))
 
 	case dAALoad, dIALoad:
 		idx := f.pop().I
 		arr := f.pop()
-		if arr.R == heap.Null {
-			return v.ferrf(f, "null pointer dereference in array load")
+		p := v.elemSlot(arr.R, idx)
+		if p == nil {
+			return v.accessErr(f, f.pc, 0, loadElem, arr.R, idx, nil)
 		}
-		o := v.heap.Get(arr.R)
-		if o == nil {
-			return v.ferrf(f, "heap: null array dereference")
-		}
-		if idx < 0 || idx >= int64(len(o.Elems)) {
-			return v.ferrf(f, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-		}
-		val := o.Elems[idx]
+		val := *p
 		if in.op == dAALoad {
 			val.IsRef = true
 		}
@@ -339,18 +326,12 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		val := f.pop()
 		idx := f.pop().I
 		arr := f.pop()
-		if arr.R == heap.Null {
-			return v.ferrf(f, "null pointer dereference in array store")
+		p := v.elemSlot(arr.R, idx)
+		if p == nil {
+			return v.accessErr(f, f.pc, 0, storeElem, arr.R, idx, nil)
 		}
-		o := v.heap.Get(arr.R)
-		if o == nil {
-			return v.ferrf(f, "heap: null array dereference")
-		}
-		if idx < 0 || idx >= int64(len(o.Elems)) {
-			return v.ferrf(f, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-		}
-		old := o.Elems[idx]
-		o.Elems[idx] = val
+		old := *p
+		*p = val
 		if in.op == dAAStore {
 			if err := v.refStoreBarrier(t, f, int(f.pc), satb.ArraySite, in.b, old.R, val.R, arr.R); err != nil {
 				return err
@@ -443,16 +424,11 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 	case fLGetFieldRef, fLGetFieldInt:
 		obj := f.locals[fi.a]
 		fr := &f.m.fields[fi.b]
-		if obj.R == heap.Null {
-			f.pc++
-			return v.ferrf(f, "null pointer dereference reading %s", fr.ref)
+		p := v.fieldSlot(obj.R, fr.idx)
+		if p == nil {
+			return v.accessErr(f, f.pc+1, 0, readField, obj.R, 0, fr)
 		}
-		o := v.heap.Get(obj.R)
-		if o == nil {
-			f.pc++
-			return v.ferrf(f, "heap: null dereference reading %s", fr.ref)
-		}
-		val := o.Fields[fr.idx]
+		val := *p
 		if fi.op == fLGetFieldRef {
 			val.IsRef = true
 		}
@@ -462,17 +438,12 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		obj := f.locals[fi.a]
 		val := f.locals[fi.b]
 		fr := &f.m.fields[fi.c]
-		if obj.R == heap.Null {
-			f.pc += 2
-			return v.ferrf(f, "null pointer dereference writing %s", fr.ref)
+		p := v.fieldSlot(obj.R, fr.idx)
+		if p == nil {
+			return v.accessErr(f, f.pc+2, 0, writeField, obj.R, 0, fr)
 		}
-		o := v.heap.Get(obj.R)
-		if o == nil {
-			f.pc += 2
-			return v.ferrf(f, "heap: null dereference writing %s", fr.ref)
-		}
-		old := o.Fields[fr.idx]
-		o.Fields[fr.idx] = val
+		old := *p
+		*p = val
 		if fi.op == fLLPutFieldRef {
 			if err := v.refStoreBarrier(t, f, int(f.pc)+2, satb.FieldSite, fi.site, old.R, val.R, obj.R); err != nil {
 				return err
@@ -483,20 +454,11 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 	case fLLAALoad, fLLIALoad:
 		arr := f.locals[fi.a]
 		idx := f.locals[fi.b].I
-		if arr.R == heap.Null {
-			f.pc += 2
-			return v.ferrf(f, "null pointer dereference in array load")
+		p := v.elemSlot(arr.R, idx)
+		if p == nil {
+			return v.accessErr(f, f.pc+2, 0, loadElem, arr.R, idx, nil)
 		}
-		o := v.heap.Get(arr.R)
-		if o == nil {
-			f.pc += 2
-			return v.ferrf(f, "heap: null array dereference")
-		}
-		if idx < 0 || idx >= int64(len(o.Elems)) {
-			f.pc += 2
-			return v.ferrf(f, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-		}
-		val := o.Elems[idx]
+		val := *p
 		if fi.op == fLLAALoad {
 			val.IsRef = true
 		}
@@ -506,21 +468,12 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		arr := f.locals[fi.a]
 		idx := f.locals[fi.b].I
 		val := f.locals[fi.c]
-		if arr.R == heap.Null {
-			f.pc += 3
-			return v.ferrf(f, "null pointer dereference in array store")
+		p := v.elemSlot(arr.R, idx)
+		if p == nil {
+			return v.accessErr(f, f.pc+3, 0, storeElem, arr.R, idx, nil)
 		}
-		o := v.heap.Get(arr.R)
-		if o == nil {
-			f.pc += 3
-			return v.ferrf(f, "heap: null array dereference")
-		}
-		if idx < 0 || idx >= int64(len(o.Elems)) {
-			f.pc += 3
-			return v.ferrf(f, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-		}
-		old := o.Elems[idx]
-		o.Elems[idx] = val
+		old := *p
+		*p = val
 		if fi.op == fLLLAAStore {
 			if err := v.refStoreBarrier(t, f, int(f.pc)+3, satb.ArraySite, fi.site, old.R, val.R, arr.R); err != nil {
 				return err

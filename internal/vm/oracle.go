@@ -130,8 +130,8 @@ func (o *oracle) checkStore(method string, pc, line, tid int, site satb.SiteKind
 	if elide != satb.ElideNone && !o.spec.Sound(elide) {
 		// Engines project every verdict through the flavor's soundness
 		// predicate before executing with it; reaching here means a
-		// cross-flavor elision leaked through (or Config.ForceRawElide
-		// bypassed projection in a test).
+		// cross-flavor elision leaked through (or the forceRawElide test
+		// hook bypassed projection).
 		o.checks++
 		return violation(fmt.Sprintf("%s elision is unsound under the %s barrier flavor",
 			elideName(elide), o.spec.Name))

@@ -44,12 +44,14 @@ import (
 //
 //   - Scheduler-quantum and step-budget checks run only at segment
 //     boundaries (loop back-edges, branches, calls — the places the
-//     ROADMAP names), but a segment executes ONLY when all of its base
-//     instructions fit in both the remaining quantum and the remaining
-//     instruction budget. Anything that would straddle a boundary deopts
-//     to fused dispatch for the tail, which rotates threads and exhausts
-//     budgets at exactly the same instruction as the reference engines.
-//     Thread interleaving — and therefore GC timing, barrier logging, and
+//     ROADMAP names). A segment whose base instructions all fit in both
+//     the remaining quantum and the remaining instruction budget runs
+//     whole; one that would straddle the boundary runs compiled up to the
+//     furthest resumable entry point that still fits (runSegPart over
+//     cseg.entries), and only the sub-expression tail past it goes to
+//     fused dispatch, which rotates threads and exhausts budgets at
+//     exactly the same instruction as the reference engines. Thread
+//     interleaving — and therefore GC timing, barrier logging, and
 //     RunContext cancellation points — is reproduced bit for bit.
 //   - Step accounting is exact on every path. Each compiled op knows the
 //     base-instruction prefix that precedes it (cseg.wbefore); on an
@@ -62,9 +64,9 @@ import (
 //     RuntimeError diagnostics are identical.
 //   - Conditions the tier cannot handle fall back mid-run with identical
 //     semantics: the oracle disables tier-up entirely (tierEnabled), a
-//     forced deopt (Config.TierForceDeoptAfter) permanently re-enters
-//     fused dispatch, and a pc that is not a segment leader (resuming a
-//     quantum mid-segment) simply interprets until the next leader.
+//     forced deopt (the tierForceDeoptAfter test hook) permanently
+//     re-enters fused dispatch, and a pc that is no entry point (a quantum
+//     resuming inside a composed expression) interprets until the next one.
 
 // DefaultTierThreshold is the exec count (method entries + loop
 // back-edges) at which a method tiers up when Config.TierThreshold is 0.
@@ -137,13 +139,6 @@ type cmethod struct {
 	eW    []int32
 }
 
-// setEntry records a resumable entry point at pc.
-func (cm *cmethod) setEntry(pc, si, opIdx, wbase int32) {
-	cm.eSeg[pc] = si
-	cm.eOp[pc] = opIdx
-	cm.eW[pc] = wbase
-}
-
 // cerr builds a runtime error at pc, recording how many base
 // instructions the failing compiled op (or terminator) had entered —
 // the opEntered charge protocol shared by cop, cval, and cterm.
@@ -151,44 +146,6 @@ func (v *VM) cerr(f *fframe, pc, entered int32, format string, args ...any) erro
 	f.pc = pc
 	v.opEntered = entered
 	return v.ferrf(f, format, args...)
-}
-
-// runTiered executes the program under the tiered engine. The loop shape
-// is the fused engine's: round-robin over live threads, one quantum each,
-// collector tick after every quantum — only the per-quantum body differs.
-func (v *VM) runTiered() (*Result, error) {
-	v.fthreads = []*fthread{{frames: []*fframe{v.dprog.main.acquire()}, span: threadSpan(0)}}
-	if v.cfg.ForceMarkingAlways && v.marker != nil {
-		v.startCycle()
-	}
-
-	for {
-		live := 0
-		for _, t := range v.fthreads {
-			if !t.done {
-				live++
-			}
-		}
-		if live == 0 {
-			break
-		}
-		for _, t := range v.fthreads {
-			if t.done {
-				continue
-			}
-			if err := v.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := v.runTieredQuantum(t); err != nil {
-				return nil, err
-			}
-			v.gcTick()
-		}
-	}
-	if v.marker != nil && v.marker.MarkingActive() {
-		v.finishCycle()
-	}
-	return v.result(), nil
 }
 
 // runTieredQuantum executes up to Quantum base instructions on one
@@ -217,7 +174,7 @@ func (v *VM) runTieredQuantum(t *fthread) error {
 			if si := cm.eSeg[f.pc]; si >= 0 {
 				k, wbase := cm.eOp[f.pc], cm.eW[f.pc]
 				ran := false
-				deoptAfter := v.cfg.TierForceDeoptAfter
+				deoptAfter := v.hooks.tierForceDeoptAfter
 				// Steps still runnable before the quantum or the
 				// instruction budget rotates us out, whichever is nearer.
 				avail := q - i
@@ -401,7 +358,7 @@ func (v *VM) tierUp(dm *dmethod) {
 }
 
 // forceDeopt abandons all compiled methods for the rest of the run
-// (Config.TierForceDeoptAfter): execution permanently re-enters fused
+// (the tierForceDeoptAfter test hook): execution permanently re-enters fused
 // dispatch, the tier's deopt target, with identical semantics.
 func (v *VM) forceDeopt() {
 	v.tierOff = true
@@ -436,17 +393,49 @@ type thunk struct {
 // operand stack symbolically.
 type segBuilder struct {
 	v    *VM
+	cm   *cmethod
+	si   int32
+	seg  *cseg
 	ops  []cop
 	wb   []int32
 	wAcc int32
 	sym  []thunk
 }
 
+// entry records pc as a resumable entry point, provided nothing is deferred
+// there: the next op to run is the one about to be appended, with sb.wAcc
+// base instructions already covered. Duplicate re-records at the same state
+// collapse.
+func (sb *segBuilder) entry(pc int) {
+	if len(sb.sym) > 0 {
+		return
+	}
+	op, w := int32(len(sb.ops)), sb.wAcc
+	if n := len(sb.seg.entries); n > 0 && sb.seg.entries[n-1].op == op && sb.seg.entries[n-1].w == w {
+		return
+	}
+	sb.cm.eSeg[pc], sb.cm.eOp[pc], sb.cm.eW[pc] = sb.si, op, w
+	sb.seg.entries = append(sb.seg.entries, segEntry{op: op, w: w, pc: int32(pc)})
+}
+
 // charge attributes base instructions to the running prefix without
 // emitting an op (constants, nops, dead pure code — all infallible, so
 // counting them eagerly matches the reference engine, which would have
-// executed them before any later failure point).
-func (sb *segBuilder) charge(w int32) { sb.wAcc += w }
+// executed them before any later failure point). That holds only while
+// nothing deferred can fail: a fallible thunk still on the symbolic stack
+// precedes these instructions in program order but runs later, and its
+// failure must not count them. The weight then rides on the top thunk —
+// composers charge it to whatever they evaluate after that thunk, while the
+// thunk's own failure path captured its weight before and excludes it.
+func (sb *segBuilder) charge(w int32) {
+	for i := range sb.sym {
+		if sb.sym[i].canFail {
+			sb.sym[len(sb.sym)-1].w += w
+			return
+		}
+	}
+	sb.wAcc += w
+}
 
 // appendOp appends a compiled op covering w base instructions.
 func (sb *segBuilder) appendOp(op cop, w int32) {
@@ -473,17 +462,16 @@ func (sb *segBuilder) flush() {
 	if simple {
 		// Locals and constants push with no nested evaluation and no
 		// error paths (the common shape under a call's argument pushes).
-		srcs := append([]thunk(nil), ths...)
 		var w int32
-		for i := range srcs {
-			w += srcs[i].w
+		for i := range ths {
+			w += ths[i].w
 		}
 		sb.appendOp(func(t *fthread, f *fframe) error {
-			for i := range srcs {
-				if srcs[i].isLocal {
-					f.push(f.locals[srcs[i].local])
+			for i := range ths {
+				if ths[i].isLocal {
+					f.push(f.locals[ths[i].local])
 				} else {
-					f.push(srcs[i].cv)
+					f.push(ths[i].cv)
 				}
 			}
 			return nil
@@ -538,10 +526,10 @@ func (sb *segBuilder) emit(op cop, w int32) {
 func (sb *segBuilder) push(th thunk) { sb.sym = append(sb.sym, th) }
 
 // take removes the top k thunks for composition into a consumer. It
-// refuses (materializing everything, so the caller must fall back to a
-// stack-consuming op) when fewer than k thunks are deferred or when a
-// deeper non-const thunk would be reordered past the consumer's side
-// effect.
+// refuses (materializing everything, so the operands are on the real
+// stack) when fewer than k thunks are deferred or when a deeper non-const
+// thunk would be reordered past the consumer's side effect. The returned
+// slice is the symbolic stack's own storage, valid until the next push.
 func (sb *segBuilder) take(k int) ([]thunk, bool) {
 	if len(sb.sym) >= k {
 		ok := true
@@ -552,7 +540,7 @@ func (sb *segBuilder) take(k int) ([]thunk, bool) {
 			}
 		}
 		if ok {
-			ths := append([]thunk(nil), sb.sym[len(sb.sym)-k:]...)
+			ths := sb.sym[len(sb.sym)-k:]
 			sb.sym = sb.sym[:len(sb.sym)-k]
 			return ths, true
 		}
@@ -655,18 +643,7 @@ func (cm *cmethod) segIdxAt(pc int) int32 {
 func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []segBlock, head, end, termPC int) {
 	code := dm.code
 	seg.pc = int32(head)
-	sb := &segBuilder{v: v}
-	// entry records a resumable entry point at pc: the next op to run is
-	// the one about to be appended, with sb.wAcc base instructions
-	// already covered. Duplicate re-records at the same state collapse.
-	entry := func(pc int) {
-		op, w := int32(len(sb.ops)), sb.wAcc
-		if n := len(seg.entries); n > 0 && seg.entries[n-1].op == op && seg.entries[n-1].w == w {
-			return
-		}
-		cm.setEntry(int32(pc), si, op, w)
-		seg.entries = append(seg.entries, segEntry{op: op, w: w, pc: int32(pc)})
-	}
+	sb := &segBuilder{v: v, cm: cm, si: si, seg: seg}
 
 	// Superblock growth: a block ending in an unconditional goto or a
 	// plain fallthrough keeps translating at its successor (tail
@@ -695,24 +672,20 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 					if termPC >= 0 && pc+int(fi.n)-1 == termPC {
 						done = true
 						sb.flush()
-						entry(pc)
+						sb.entry(pc)
 						seg.term = v.compileFusedBranch(cm, fi, pc)
 						termW = int32(fi.n)
 						break
 					}
 				} else if pc+int(fi.n) <= opsEnd {
-					if len(sb.sym) == 0 {
-						entry(pc)
-					}
+					sb.entry(pc)
 					if v.addFused(sb, dm, fi, pc) {
 						pc += int(fi.n)
 						continue
 					}
 				}
 			}
-			if len(sb.sym) == 0 {
-				entry(pc)
-			}
+			sb.entry(pc)
 			v.addPlain(sb, dm, pc)
 			pc++
 		}
@@ -725,9 +698,7 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 					// The goto disappears into an eager charge (it is
 					// infallible and has no effect beyond control flow);
 					// deferred thunks stay deferred across it.
-					if len(sb.sym) == 0 {
-						entry(termPC)
-					}
+					sb.entry(termPC)
 					sb.charge(1)
 					visited[tgt] = true
 					nb := blocks[cm.segOf[tgt]]
@@ -735,14 +706,7 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 					continue
 				}
 			}
-			if term, w, ok := v.composedTerm(sb, dm, cm, termPC); ok {
-				seg.term, termW = term, w
-			} else {
-				sb.flush()
-				entry(termPC)
-				seg.term = v.compileTerm(dm, cm, termPC)
-				termW = 1
-			}
+			seg.term, termW = v.compileTerm(sb, dm, cm, termPC)
 		} else {
 			if int(sb.wAcc) < mergeCap && end < len(code) && !visited[end] {
 				// Fallthrough merge: no instruction executes at the
@@ -781,8 +745,12 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 // rearrangement barriers route through the shared satb.BarrierSiteSpec
 // so cost, logging, shading, and card accounting stay bit-identical to
 // the other engines. Site statistics stay lazily resolved so
-// never-executed sites leave no trace, exactly like the fused engine.
-func (v *VM) compileBarrier(dm *dmethod, siteIdx int32) func(pre, newR, target heap.Ref) {
+// never-executed sites leave no trace, exactly like the fused engine. A
+// store of a non-reference has no site and no barrier: nil.
+func (v *VM) compileBarrier(dm *dmethod, isRef bool, siteIdx int32) func(pre, newR, target heap.Ref) {
+	if !isRef {
+		return nil
+	}
 	rec := &dm.sites[siteIdx]
 	counters := v.counters
 	spec := v.spec
@@ -871,14 +839,11 @@ func (v *VM) getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk 
 		return thunk{
 			ev: func(t *fthread, f *fframe) (heap.Value, error) {
 				objv := f.locals[a]
-				if objv.R == heap.Null {
-					return objv, v.cerr(f, pc, w, "null pointer dereference reading %s", fr.ref)
+				p := v.fieldSlot(objv.R, fr.idx)
+				if p == nil {
+					return objv, v.accessErr(f, pc, w, readField, objv.R, 0, fr)
 				}
-				o := v.heap.Get(objv.R)
-				if o == nil {
-					return objv, v.cerr(f, pc, w, "heap: null dereference reading %s", fr.ref)
-				}
-				val := o.Fields[fr.idx]
+				val := *p
 				if isRef {
 					val.IsRef = true
 				}
@@ -893,14 +858,11 @@ func (v *VM) getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk 
 			if err != nil {
 				return objv, err
 			}
-			if objv.R == heap.Null {
-				return objv, v.cerr(f, pc, w, "null pointer dereference reading %s", fr.ref)
+			p := v.fieldSlot(objv.R, fr.idx)
+			if p == nil {
+				return objv, v.accessErr(f, pc, w, readField, objv.R, 0, fr)
 			}
-			o := v.heap.Get(objv.R)
-			if o == nil {
-				return objv, v.cerr(f, pc, w, "heap: null dereference reading %s", fr.ref)
-			}
-			val := o.Fields[fr.idx]
+			val := *p
 			if isRef {
 				val.IsRef = true
 			}
@@ -915,25 +877,19 @@ func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 	aw := arr.w
 	if arr.isLocal && (idx.isLocal || idx.isConst) {
 		ai := arr.local
-		ii, ic, idxLocal := idx.local, idx.cv, idx.isLocal
+		ii, ic, idxLocal := idx.local, idx.cv.I, idx.isLocal
 		return thunk{
 			ev: func(t *fthread, f *fframe) (heap.Value, error) {
 				arrv := f.locals[ai]
-				idxv := ic
+				i := ic
 				if idxLocal {
-					idxv = f.locals[ii]
+					i = f.locals[ii].I
 				}
-				if arrv.R == heap.Null {
-					return arrv, v.cerr(f, pc, w, "null pointer dereference in array load")
+				p := v.elemSlot(arrv.R, i)
+				if p == nil {
+					return arrv, v.accessErr(f, pc, w, loadElem, arrv.R, i, nil)
 				}
-				o := v.heap.Get(arrv.R)
-				if o == nil {
-					return arrv, v.cerr(f, pc, w, "heap: null array dereference")
-				}
-				if idxv.I < 0 || idxv.I >= int64(len(o.Elems)) {
-					return arrv, v.cerr(f, pc, w, "heap: index %d out of bounds [0,%d)", idxv.I, len(o.Elems))
-				}
-				val := o.Elems[idxv.I]
+				val := *p
 				if isRef {
 					val.IsRef = true
 				}
@@ -953,17 +909,11 @@ func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 				v.opEntered += aw
 				return idxv, err
 			}
-			if arrv.R == heap.Null {
-				return arrv, v.cerr(f, pc, w, "null pointer dereference in array load")
+			p := v.elemSlot(arrv.R, idxv.I)
+			if p == nil {
+				return arrv, v.accessErr(f, pc, w, loadElem, arrv.R, idxv.I, nil)
 			}
-			o := v.heap.Get(arrv.R)
-			if o == nil {
-				return arrv, v.cerr(f, pc, w, "heap: null array dereference")
-			}
-			if idxv.I < 0 || idxv.I >= int64(len(o.Elems)) {
-				return arrv, v.cerr(f, pc, w, "heap: index %d out of bounds [0,%d)", idxv.I, len(o.Elems))
-			}
-			val := o.Elems[idxv.I]
+			val := *p
 			if isRef {
 				val.IsRef = true
 			}
@@ -981,14 +931,11 @@ func (v *VM) arrayLengthThunk(arr thunk, pc int32) thunk {
 			if err != nil {
 				return arrv, err
 			}
-			if arrv.R == heap.Null {
-				return arrv, v.cerr(f, pc, w, "null pointer dereference in arraylength")
+			n := v.arrayLen(arrv.R)
+			if n < 0 {
+				return arrv, v.accessErr(f, pc, w, lengthOf, arrv.R, 0, nil)
 			}
-			o := v.heap.Get(arrv.R)
-			if o == nil {
-				return arrv, v.cerr(f, pc, w, "heap: null array dereference")
-			}
-			return heap.IntVal(int64(len(o.Elems))), nil
+			return heap.IntVal(n), nil
 		},
 		w: w, canFail: true,
 	}
@@ -1186,24 +1133,61 @@ func unaryThunk(op dop, x thunk) thunk {
 	}
 }
 
-// popThunk reads an operand from the real stack at run time (used by the
-// stack-consuming fallbacks when nothing is deferred).
-func popThunk() thunk {
-	return thunk{ev: func(t *fthread, f *fframe) (heap.Value, error) { return f.pop(), nil }, pure: true}
-}
-
 // ---------------------------------------------------------------------
 // Consumers
 // ---------------------------------------------------------------------
 
-// operand pops one deferred thunk or falls back to a runtime stack pop.
-// Single-operand consumers can always compose; take() handles the
-// multi-operand ordering constraints.
-func (sb *segBuilder) operand() thunk {
-	if ths, ok := sb.take(1); ok {
-		return ths[0]
+// stackOperands[k] are a consumer's k operands when they sit on the real
+// operand stack: operand i of k is f.stack[f.sp-k+i]. The reference
+// interpreter pops them last-first, a composer evaluates first-last, so all
+// but the last are reads in place and the last also releases the k slots.
+// They are weight-0 (charged when pushed) and infallible, but impure: like
+// any impure thunk they must be evaluated exactly once and in order, which
+// every composer already guarantees for side effects. Built once — handing
+// them out allocates nothing at translation time.
+var stackOperands = [...][]thunk{
+	1: {stackPop(1)},
+	2: {stackPeek(2), stackPop(2)},
+	3: {stackPeek(3), stackPeek(2), stackPop(3)},
+}
+
+func stackPeek(depth int32) thunk {
+	return thunk{ev: func(t *fthread, f *fframe) (heap.Value, error) { return f.stack[f.sp-depth], nil }}
+}
+
+func stackPop(k int32) thunk {
+	return thunk{ev: func(t *fthread, f *fframe) (heap.Value, error) {
+		f.sp -= k
+		return f.stack[f.sp+k-1], nil
+	}}
+}
+
+// operands removes a consumer's k operands, in evaluation order: the top k
+// deferred thunks when take allows composing them, otherwise — take has
+// then materialized everything — the top k slots of the real stack.
+func (sb *segBuilder) operands(k int) []thunk {
+	if ths, ok := sb.take(k); ok {
+		return ths
 	}
-	return popThunk()
+	return stackOperands[k]
+}
+
+// operand is operands for a single-operand consumer.
+func (sb *segBuilder) operand() thunk { return sb.operands(1)[0] }
+
+// termOperand is operand for the terminator at pc. A deferred operand is
+// composed into the terminator, so pc is no entry point (the operand's
+// producers are part of the terminator); deeper constants are materialized
+// for the successor. An operand on the real stack leaves the terminator
+// resumable at pc like any other instruction boundary.
+func (sb *segBuilder) termOperand(pc int) thunk {
+	if ths, ok := sb.take(1); ok {
+		th := ths[0]
+		sb.flush()
+		return th
+	}
+	sb.entry(pc)
+	return stackOperands[1][0]
 }
 
 func (v *VM) storeOp(a int32, val thunk) cop {
@@ -1256,15 +1240,12 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 			if valLocal {
 				valv = f.locals[vi]
 			}
-			if objv.R == heap.Null {
-				return v.cerr(f, pc, w, "null pointer dereference writing %s", fr.ref)
+			p := v.fieldSlot(objv.R, fr.idx)
+			if p == nil {
+				return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 			}
-			o := v.heap.Get(objv.R)
-			if o == nil {
-				return v.cerr(f, pc, w, "heap: null dereference writing %s", fr.ref)
-			}
-			old := o.Fields[fr.idx]
-			o.Fields[fr.idx] = valv
+			old := *p
+			*p = valv
 			if barrier != nil {
 				barrier(old.R, valv.R, objv.R)
 			}
@@ -1281,15 +1262,12 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 				return err
 			}
 			objv := f.locals[oi]
-			if objv.R == heap.Null {
-				return v.cerr(f, pc, w, "null pointer dereference writing %s", fr.ref)
+			p := v.fieldSlot(objv.R, fr.idx)
+			if p == nil {
+				return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 			}
-			o := v.heap.Get(objv.R)
-			if o == nil {
-				return v.cerr(f, pc, w, "heap: null dereference writing %s", fr.ref)
-			}
-			old := o.Fields[fr.idx]
-			o.Fields[fr.idx] = valv
+			old := *p
+			*p = valv
 			if barrier != nil {
 				barrier(old.R, valv.R, objv.R)
 			}
@@ -1306,15 +1284,12 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 			v.opEntered += ow
 			return err
 		}
-		if objv.R == heap.Null {
-			return v.cerr(f, pc, w, "null pointer dereference writing %s", fr.ref)
+		p := v.fieldSlot(objv.R, fr.idx)
+		if p == nil {
+			return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 		}
-		o := v.heap.Get(objv.R)
-		if o == nil {
-			return v.cerr(f, pc, w, "heap: null dereference writing %s", fr.ref)
-		}
-		old := o.Fields[fr.idx]
-		o.Fields[fr.idx] = valv
+		old := *p
+		*p = valv
 		if barrier != nil {
 			barrier(old.R, valv.R, objv.R)
 		}
@@ -1388,18 +1363,12 @@ func (v *VM) arrayStoreOp(arr, idx, val thunk, barrier func(pre, newR, target he
 			v.opEntered += aw + iw
 			return err
 		}
-		if arrv.R == heap.Null {
-			return v.cerr(f, pc, w, "null pointer dereference in array store")
+		p := v.elemSlot(arrv.R, idxv.I)
+		if p == nil {
+			return v.accessErr(f, pc, w, storeElem, arrv.R, idxv.I, nil)
 		}
-		o := v.heap.Get(arrv.R)
-		if o == nil {
-			return v.cerr(f, pc, w, "heap: null array dereference")
-		}
-		if idxv.I < 0 || idxv.I >= int64(len(o.Elems)) {
-			return v.cerr(f, pc, w, "heap: index %d out of bounds [0,%d)", idxv.I, len(o.Elems))
-		}
-		old := o.Elems[idxv.I]
-		o.Elems[idxv.I] = valv
+		old := *p
+		*p = valv
 		if barrier != nil {
 			barrier(old.R, valv.R, arrv.R)
 		}
@@ -1433,18 +1402,8 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	case dGetFieldRef, dGetFieldInt:
 		sb.push(v.getFieldThunk(sb.operand(), &dm.fields[in.a], in.op == dGetFieldRef, pcc))
 	case dAALoad, dIALoad:
-		if ths, ok := sb.take(2); ok {
-			sb.push(v.aaloadThunk(ths[0], ths[1], in.op == dAALoad, pcc))
-		} else {
-			idx := popThunk()
-			arr := popThunk()
-			// Runtime pops run in pop order (idx first), so the thunk
-			// evaluation order inside aaloadThunk must see arr first:
-			// wrap to pop both up front.
-			sb.push(v.stackAALoadThunk(in.op == dAALoad, pcc))
-			_ = idx
-			_ = arr
-		}
+		ths := sb.operands(2)
+		sb.push(v.aaloadThunk(ths[0], ths[1], in.op == dAALoad, pcc))
 	case dArrayLength:
 		sb.push(v.arrayLengthThunk(sb.operand(), pcc))
 	case dNewInstance:
@@ -1453,23 +1412,17 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 		sb.push(v.newArrayThunk(sb.operand(), in.op == dNewArrayRef, pcc))
 	case dAdd, dSub, dMul, dDiv, dRem, dAnd, dOr,
 		dCmpEQ, dCmpNE, dCmpLT, dCmpLE, dCmpGT, dCmpGE:
-		if ths, ok := sb.take(2); ok {
-			sb.push(v.arithThunk(in.op, ths[0], ths[1], pcc))
-		} else {
-			sb.push(v.stackArithThunk(in.op, pcc))
-		}
+		ths := sb.operands(2)
+		sb.push(v.arithThunk(in.op, ths[0], ths[1], pcc))
 	case dRefEQ, dRefNE:
-		if ths, ok := sb.take(2); ok {
-			sb.push(v.refCmpThunk(in.op == dRefEQ, ths[0], ths[1]))
-		} else {
-			sb.push(v.stackRefCmpThunk(in.op == dRefEQ))
-		}
+		ths := sb.operands(2)
+		sb.push(v.refCmpThunk(in.op == dRefEQ, ths[0], ths[1]))
 	case dNeg, dNot:
 		sb.push(unaryThunk(in.op, sb.operand()))
 
 	case dDup:
 		if n := len(sb.sym); n > 0 && sb.sym[n-1].isConst {
-			sb.push(sb.sym[n-1])
+			sb.push(constThunk(sb.sym[n-1].cv))
 			sb.charge(1)
 		} else {
 			sb.flush()
@@ -1500,35 +1453,17 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	case dPrint:
 		val := sb.operand()
 		sb.emit(v.printOp(val), val.w+1)
-	case dPutFieldRef:
-		barrier := v.compileBarrier(dm, in.b)
-		if ths, ok := sb.take(2); ok {
-			sb.emit(v.putFieldOp(ths[0], ths[1], &dm.fields[in.a], barrier, pcc), ths[0].w+ths[1].w+1)
-		} else {
-			sb.emit(v.stackPutFieldOp(&dm.fields[in.a], barrier, pcc), 1)
-		}
-	case dPutFieldInt:
-		if ths, ok := sb.take(2); ok {
-			sb.emit(v.putFieldOp(ths[0], ths[1], &dm.fields[in.a], nil, pcc), ths[0].w+ths[1].w+1)
-		} else {
-			sb.emit(v.stackPutFieldOp(&dm.fields[in.a], nil, pcc), 1)
-		}
+	case dPutFieldRef, dPutFieldInt:
+		barrier := v.compileBarrier(dm, in.op == dPutFieldRef, in.b)
+		ths := sb.operands(2)
+		sb.emit(v.putFieldOp(ths[0], ths[1], &dm.fields[in.a], barrier, pcc), ths[0].w+ths[1].w+1)
 	case dPutStaticRef, dPutStaticInt:
 		val := sb.operand()
 		sb.emit(v.putStaticOp(dm, in, val), val.w+1)
-	case dAAStore:
-		barrier := v.compileBarrier(dm, in.b)
-		if ths, ok := sb.take(3); ok {
-			sb.emit(v.arrayStoreOp(ths[0], ths[1], ths[2], barrier, pcc), ths[0].w+ths[1].w+ths[2].w+1)
-		} else {
-			sb.emit(v.stackArrayStoreOp(barrier, pcc), 1)
-		}
-	case dIAStore:
-		if ths, ok := sb.take(3); ok {
-			sb.emit(v.arrayStoreOp(ths[0], ths[1], ths[2], nil, pcc), ths[0].w+ths[1].w+ths[2].w+1)
-		} else {
-			sb.emit(v.stackArrayStoreOp(nil, pcc), 1)
-		}
+	case dAAStore, dIAStore:
+		barrier := v.compileBarrier(dm, in.op == dAAStore, in.b)
+		ths := sb.operands(3)
+		sb.emit(v.arrayStoreOp(ths[0], ths[1], ths[2], barrier, pcc), ths[0].w+ths[1].w+ths[2].w+1)
 
 	default:
 		// Terminator ops never reach addPlain (compileSeg routes them to
@@ -1540,172 +1475,28 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	}
 }
 
-// Stack-consuming fallbacks: operands come off the real operand stack at
-// run time, in pop order, exactly like the reference interpreter.
-
-func (v *VM) stackArithThunk(op dop, pc int32) thunk {
-	canFail := op == dDiv || op == dRem
-	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
-			y, x := f.pop().I, f.pop().I
-			switch op {
-			case dAdd:
-				return heap.IntVal(x + y), nil
-			case dSub:
-				return heap.IntVal(x - y), nil
-			case dMul:
-				return heap.IntVal(x * y), nil
-			case dAnd:
-				return heap.IntVal(x & y), nil
-			case dOr:
-				return heap.IntVal(x | y), nil
-			case dDiv, dRem:
-				if y == 0 {
-					return heap.Value{}, v.cerr(f, pc, 1, "division by zero")
-				}
-				if op == dDiv {
-					return heap.IntVal(x / y), nil
-				}
-				return heap.IntVal(x % y), nil
-			default:
-				return heap.IntVal(b2i(intCmp(op, x, y))), nil
-			}
-		},
-		w: 1, canFail: canFail,
-	}
-}
-
-func (v *VM) stackRefCmpThunk(eq bool) thunk {
-	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
-			y, x := f.pop().R, f.pop().R
-			return heap.IntVal(b2i((x == y) == eq)), nil
-		},
-		w: 1, pure: true,
-	}
-}
-
-func (v *VM) stackAALoadThunk(isRef bool, pc int32) thunk {
-	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
-			idx := f.pop().I
-			arr := f.pop()
-			if arr.R == heap.Null {
-				return arr, v.cerr(f, pc, 1, "null pointer dereference in array load")
-			}
-			o := v.heap.Get(arr.R)
-			if o == nil {
-				return arr, v.cerr(f, pc, 1, "heap: null array dereference")
-			}
-			if idx < 0 || idx >= int64(len(o.Elems)) {
-				return arr, v.cerr(f, pc, 1, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-			}
-			val := o.Elems[idx]
-			if isRef {
-				val.IsRef = true
-			}
-			return val, nil
-		},
-		w: 1, canFail: true,
-	}
-}
-
-func (v *VM) stackPutFieldOp(fr *fieldRec, barrier func(pre, newR, target heap.Ref), pc int32) cop {
-	return func(t *fthread, f *fframe) error {
-		val := f.pop()
-		obj := f.pop()
-		if obj.R == heap.Null {
-			return v.cerr(f, pc, 1, "null pointer dereference writing %s", fr.ref)
-		}
-		o := v.heap.Get(obj.R)
-		if o == nil {
-			return v.cerr(f, pc, 1, "heap: null dereference writing %s", fr.ref)
-		}
-		old := o.Fields[fr.idx]
-		o.Fields[fr.idx] = val
-		if barrier != nil {
-			barrier(old.R, val.R, obj.R)
-		}
-		return nil
-	}
-}
-
-func (v *VM) stackArrayStoreOp(barrier func(pre, newR, target heap.Ref), pc int32) cop {
-	return func(t *fthread, f *fframe) error {
-		val := f.pop()
-		idx := f.pop().I
-		arr := f.pop()
-		if arr.R == heap.Null {
-			return v.cerr(f, pc, 1, "null pointer dereference in array store")
-		}
-		o := v.heap.Get(arr.R)
-		if o == nil {
-			return v.cerr(f, pc, 1, "heap: null array dereference")
-		}
-		if idx < 0 || idx >= int64(len(o.Elems)) {
-			return v.cerr(f, pc, 1, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-		}
-		old := o.Elems[idx]
-		o.Elems[idx] = val
-		if barrier != nil {
-			barrier(old.R, val.R, arr.R)
-		}
-		return nil
-	}
+// localOperand is a local-load operand handed straight to a composer's
+// leaf shape, which reads f.locals itself: unlike loadThunk it carries no
+// ev closure, so it must never reach the symbolic stack.
+func localOperand(a int32) thunk {
+	return thunk{w: 1, pure: true, isLocal: true, local: a}
 }
 
 // addFused translates one non-branch fused superinstruction, preserving
 // execFused's error pcs and all-steps-credited-up-front accounting (fused
-// patterns only fail at their final component). Returns false for forms
-// the caller should fall back to plain per-instruction translation on.
+// patterns only fail at their final component). The field/array access
+// families are the local-operand leaf shapes of the plain composers, whose
+// error pc is the family's final component and whose weight is its span.
+// Returns false for forms the caller should fall back to plain
+// per-instruction translation on.
 func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 	pcc := int32(pc)
 	n := int32(fi.n)
 	switch fi.op {
 	case fLGetFieldRef, fLGetFieldInt:
-		a, fr, isRef := fi.a, &dm.fields[fi.b], fi.op == fLGetFieldRef
-		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				obj := f.locals[a]
-				if obj.R == heap.Null {
-					return obj, v.cerr(f, pcc+1, n, "null pointer dereference reading %s", fr.ref)
-				}
-				o := v.heap.Get(obj.R)
-				if o == nil {
-					return obj, v.cerr(f, pcc+1, n, "heap: null dereference reading %s", fr.ref)
-				}
-				val := o.Fields[fr.idx]
-				if isRef {
-					val.IsRef = true
-				}
-				return val, nil
-			},
-			w: n, canFail: true,
-		})
+		sb.push(v.getFieldThunk(localOperand(fi.a), &dm.fields[fi.b], fi.op == fLGetFieldRef, pcc+1))
 	case fLLAALoad, fLLIALoad:
-		a, b, isRef := fi.a, fi.b, fi.op == fLLAALoad
-		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				arr := f.locals[a]
-				idx := f.locals[b].I
-				if arr.R == heap.Null {
-					return arr, v.cerr(f, pcc+2, n, "null pointer dereference in array load")
-				}
-				o := v.heap.Get(arr.R)
-				if o == nil {
-					return arr, v.cerr(f, pcc+2, n, "heap: null array dereference")
-				}
-				if idx < 0 || idx >= int64(len(o.Elems)) {
-					return arr, v.cerr(f, pcc+2, n, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-				}
-				val := o.Elems[idx]
-				if isRef {
-					val.IsRef = true
-				}
-				return val, nil
-			},
-			w: n, canFail: true,
-		})
+		sb.push(v.aaloadThunk(localOperand(fi.a), localOperand(fi.b), fi.op == fLLAALoad, pcc+2))
 	case fLLArith:
 		a, b, aop := fi.a, fi.b, dop(fi.c)
 		sb.push(thunk{
@@ -1736,50 +1527,21 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 			return nil
 		}, n)
 	case fLLPutFieldRef, fLLPutFieldInt:
-		a, b, fr := fi.a, fi.b, &dm.fields[fi.c]
-		var barrier func(pre, newR, target heap.Ref)
-		if fi.op == fLLPutFieldRef {
-			barrier = v.compileBarrier(dm, fi.site)
-		}
-		sb.emit(func(t *fthread, f *fframe) error {
-			obj := f.locals[a]
-			val := f.locals[b]
-			if obj.R == heap.Null {
-				return v.cerr(f, pcc+2, n, "null pointer dereference writing %s", fr.ref)
-			}
-			o := v.heap.Get(obj.R)
-			if o == nil {
-				return v.cerr(f, pcc+2, n, "heap: null dereference writing %s", fr.ref)
-			}
-			old := o.Fields[fr.idx]
-			o.Fields[fr.idx] = val
-			if barrier != nil {
-				barrier(old.R, val.R, obj.R)
-			}
-			return nil
-		}, n)
+		barrier := v.compileBarrier(dm, fi.op == fLLPutFieldRef, fi.site)
+		sb.emit(v.putFieldOp(localOperand(fi.a), localOperand(fi.b), &dm.fields[fi.c], barrier, pcc+2), n)
 	case fLLLAAStore, fLLLIAStore:
 		a, b, c := fi.a, fi.b, fi.c
-		var barrier func(pre, newR, target heap.Ref)
-		if fi.op == fLLLAAStore {
-			barrier = v.compileBarrier(dm, fi.site)
-		}
+		barrier := v.compileBarrier(dm, fi.op == fLLLAAStore, fi.site)
 		sb.emit(func(t *fthread, f *fframe) error {
 			arr := f.locals[a]
 			idx := f.locals[b].I
 			val := f.locals[c]
-			if arr.R == heap.Null {
-				return v.cerr(f, pcc+3, n, "null pointer dereference in array store")
+			p := v.elemSlot(arr.R, idx)
+			if p == nil {
+				return v.accessErr(f, pcc+3, n, storeElem, arr.R, idx, nil)
 			}
-			o := v.heap.Get(arr.R)
-			if o == nil {
-				return v.cerr(f, pcc+3, n, "heap: null array dereference")
-			}
-			if idx < 0 || idx >= int64(len(o.Elems)) {
-				return v.cerr(f, pcc+3, n, "heap: index %d out of bounds [0,%d)", idx, len(o.Elems))
-			}
-			old := o.Elems[idx]
-			o.Elems[idx] = val
+			old := *p
+			*p = val
 			if barrier != nil {
 				barrier(old.R, val.R, arr.R)
 			}
@@ -1827,183 +1589,96 @@ func (v *VM) compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
 	}
 }
 
-// composedTerm tries to build the terminator at pc with a single
-// infallible deferred condition/operand composed into it (a fallible
-// thunk would make the terminator fail before its final base
-// instruction, breaking the charge-whole-weight-then-run accounting).
-// Returns false when the terminator must take the flush + stack-operand
-// path instead.
-func (v *VM) composedTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cterm, int32, bool) {
-	in := &dm.code[pc]
-	pcc := int32(pc)
-	if in.op == dInvoke {
-		// A call whose arguments are all still deferred writes them into
-		// the callee frame directly — the push-then-pop round trip
-		// through the caller's operand stack disappears. Argument order
-		// and error charging follow the flush protocol (left to right,
-		// prefix weights added on a later argument's failure).
-		cr := &dm.callees[in.a]
-		n := int(cr.m.numArgs)
-		if len(sb.sym) > n {
-			// Deeper deferred thunks belong to whatever consumes this
-			// call's result (an outer call's earlier operands, usually):
-			// materialize only those and keep the top n composed.
-			deeper := sb.sym[:len(sb.sym)-n]
-			args := append([]thunk(nil), sb.sym[len(sb.sym)-n:]...)
-			sb.sym = deeper
-			sb.flush()
-			sb.sym = args
-		}
-		k := len(sb.sym)
-		if n > 0 && n <= 8 && k > 0 && k <= n {
-			// The top k args are deferred thunks; the bottom n-k (already
-			// materialized, e.g. a nested call's return value) come off
-			// the real stack. Stack operands were charged when pushed, so
-			// the terminator's weight covers only the deferred ones.
-			ths := append([]thunk(nil), sb.sym...)
-			sb.sym = nil
-			stackN := int32(n - k)
-			offs := make([]int32, k)
-			var w int32
-			for i := range ths {
-				offs[i] = w
-				w += ths[i].w
+// compileInvoke builds the call at pc. Arguments still deferred are
+// evaluated straight into the callee frame — the push-then-pop round trip
+// through the caller's operand stack disappears — and the ones beneath
+// them, already materialized (a nested call's return value, say), are
+// copied off the real stack; with nothing deferred that is all of them and
+// the call is a resumable entry point. Argument order and error charging
+// follow the flush protocol (left to right, prefix weights added on a later
+// argument's failure; fallible arguments charge themselves through
+// opEntered). Stack operands were charged when pushed, so the terminator's
+// weight covers only the deferred ones.
+func (v *VM) compileInvoke(sb *segBuilder, dm *dmethod, pc int32) (cterm, int32) {
+	cr := &dm.callees[dm.code[pc].a]
+	n := int(cr.m.numArgs)
+	ths := sb.sym
+	if len(ths) > n {
+		// Deeper deferred thunks belong to whatever consumes this
+		// call's result (an outer call's earlier operands, usually):
+		// materialize only those and keep the top n composed.
+		sb.sym, ths = ths[:len(ths)-n], ths[len(ths)-n:]
+		sb.flush()
+	}
+	sb.sym = nil
+	if len(ths) == 0 {
+		sb.entry(int(pc))
+	}
+	stackN := int32(n - len(ths))
+	offs := make([]int32, len(ths))
+	var w int32
+	for i := range ths {
+		offs[i] = w
+		w += ths[i].w
+	}
+	w++
+	return func(t *fthread, f *fframe) (int32, error) {
+		callee := cr.m
+		// Calls made from compiled code still heat their callee, so a
+		// method whose only callers are compiled can itself tier up.
+		v.tierBump(callee)
+		nf := callee.acquire()
+		for i := range ths {
+			av, err := ths[i].ev(t, f)
+			if err != nil {
+				callee.release(nf)
+				v.opEntered += offs[i]
+				return termToDriver, err
 			}
-			w++
-			threshold := v.tierThreshold
-			isStatic := cr.m.static
-			return func(t *fthread, f *fframe) (int32, error) {
-				var buf [8]heap.Value
-				for i := range ths {
-					av, err := ths[i].ev(t, f)
-					if err != nil {
-						v.opEntered += offs[i]
-						return termToDriver, err
-					}
-					buf[int(stackN)+i] = av
-				}
-				if stackN > 0 {
-					f.sp -= stackN
-					copy(buf[:stackN], f.stack[f.sp:f.sp+stackN])
-				}
-				callee := cr.m
-				if callee.tier == nil && !callee.tierFailed {
-					callee.hotness++
-					if callee.hotness >= threshold {
-						v.tierUp(callee)
-					}
-				}
-				if !isStatic && buf[0].R == heap.Null {
-					return termToDriver, v.cerr(f, pcc, w, "null receiver calling %s", cr.ref)
-				}
-				nf := callee.acquire()
-				copy(nf.locals[:n], buf[:n])
-				f.pc = pcc + 1
-				t.frames = append(t.frames, nf)
-				return termSwitchFrame, nil
-			}, w, true
+			nf.locals[int(stackN)+i] = av
 		}
-		return nil, 0, false
-	}
-	if len(sb.sym) == 1 {
-		th := sb.sym[0]
-		w := th.w + 1
-		switch in.op {
-		case dIfTrue, dIfFalse, dIfNull, dIfNonNull:
-			op := in.op
-			target := in.a
-			tsi := cm.segIdxAt(int(in.a))
-			fsi := cm.segIdxAt(pc + 1)
-			sb.sym = nil
-			return func(t *fthread, f *fframe) (int32, error) {
-				cond, err := th.ev(t, f)
-				if err != nil {
-					return termToDriver, err
-				}
-				var taken bool
-				switch op {
-				case dIfTrue:
-					taken = cond.I != 0
-				case dIfFalse:
-					taken = cond.I == 0
-				case dIfNull:
-					taken = cond.R == heap.Null
-				default:
-					taken = cond.R != heap.Null
-				}
-				if taken {
-					f.pc = target
-					return tsi, nil
-				}
-				f.pc = pcc + 1
-				return fsi, nil
-			}, w, true
-		case dReturnValue:
-			sb.sym = nil
-			return func(t *fthread, f *fframe) (int32, error) {
-				rv, err := th.ev(t, f)
-				if err != nil {
-					return termToDriver, err
-				}
-				t.frames = t.frames[:len(t.frames)-1]
-				f.m.release(f)
-				if len(t.frames) > 0 {
-					t.frames[len(t.frames)-1].push(rv)
-				}
-				return termSwitchFrame, nil
-			}, w, true
-		case dSpawn:
-			cr := &dm.callees[in.a]
-			nsi := cm.segIdxAt(pc + 1)
-			sb.sym = nil
-			return func(t *fthread, f *fframe) (int32, error) {
-				recv, err := th.ev(t, f)
-				if err != nil {
-					return termToDriver, err
-				}
-				if recv.R == heap.Null {
-					return termToDriver, v.cerr(f, pcc, w, "null receiver in spawn")
-				}
-				nf := cr.m.acquire()
-				nf.locals[0] = recv
-				v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
-				f.pc = pcc + 1
-				return nsi, nil
-			}, w, true
+		f.sp -= stackN
+		copy(nf.locals[:stackN], f.stack[f.sp:f.sp+stackN])
+		if !callee.static && nf.locals[0].R == heap.Null {
+			callee.release(nf)
+			return termToDriver, v.cerr(f, pc, w, "null receiver calling %s", cr.ref)
 		}
-	}
-	return nil, 0, false
+		f.pc = pc + 1
+		t.frames = append(t.frames, nf)
+		return termSwitchFrame, nil
+	}, w
 }
 
-// compileTerm translates the explicit terminator instruction at pc with
-// its operands on the real operand stack.
-func (v *VM) compileTerm(dm *dmethod, cm *cmethod, pc int) cterm {
+// compileTerm translates the explicit terminator instruction at pc and
+// returns it with its weight. A branch, return-value or spawn takes its one
+// operand through termOperand, deferred or on the real stack alike; a
+// deferred operand may be fallible — it charges itself through opEntered
+// and the segment runner adds the prefix before the terminator.
+func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cterm, int32) {
 	in := &dm.code[pc]
 	pcc := int32(pc)
 	switch in.op {
-	case dGoto:
-		target := in.a
-		tsi := cm.segIdxAt(int(in.a))
-		return func(t *fthread, f *fframe) (int32, error) {
-			f.pc = target
-			return tsi, nil
-		}
 	case dIfTrue, dIfFalse, dIfNull, dIfNonNull:
+		th := sb.termOperand(pc)
 		op := in.op
 		target := in.a
 		tsi := cm.segIdxAt(int(in.a))
 		fsi := cm.segIdxAt(pc + 1)
 		return func(t *fthread, f *fframe) (int32, error) {
+			cond, err := th.ev(t, f)
+			if err != nil {
+				return termToDriver, err
+			}
 			var taken bool
 			switch op {
 			case dIfTrue:
-				taken = f.pop().I != 0
+				taken = cond.I != 0
 			case dIfFalse:
-				taken = f.pop().I == 0
+				taken = cond.I == 0
 			case dIfNull:
-				taken = f.pop().R == heap.Null
+				taken = cond.R == heap.Null
 			default:
-				taken = f.pop().R != heap.Null
+				taken = cond.R != heap.Null
 			}
 			if taken {
 				f.pc = target
@@ -2011,66 +1686,67 @@ func (v *VM) compileTerm(dm *dmethod, cm *cmethod, pc int) cterm {
 			}
 			f.pc = pcc + 1
 			return fsi, nil
-		}
-	case dInvoke:
-		cr := &dm.callees[in.a]
-		threshold := v.tierThreshold
-		return func(t *fthread, f *fframe) (int32, error) {
-			callee := cr.m
-			// Calls made from compiled code still heat their callee, so a
-			// method whose only callers are compiled can itself tier up.
-			if callee.tier == nil && !callee.tierFailed {
-				callee.hotness++
-				if callee.hotness >= threshold {
-					v.tierUp(callee)
-				}
-			}
-			nf := callee.acquire()
-			n := int32(callee.numArgs)
-			base := f.sp - n
-			copy(nf.locals[:n], f.stack[base:f.sp])
-			f.sp = base
-			if !callee.static && nf.locals[0].R == heap.Null {
-				callee.release(nf)
-				return termToDriver, v.cerr(f, pcc, 1, "null receiver calling %s", cr.ref)
-			}
-			f.pc = pcc + 1
-			t.frames = append(t.frames, nf)
-			return termSwitchFrame, nil
-		}
-	case dSpawn:
-		cr := &dm.callees[in.a]
-		nsi := cm.segIdxAt(pc + 1)
-		return func(t *fthread, f *fframe) (int32, error) {
-			recv := f.pop()
-			if recv.R == heap.Null {
-				return termToDriver, v.cerr(f, pcc, 1, "null receiver in spawn")
-			}
-			nf := cr.m.acquire()
-			nf.locals[0] = recv
-			v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
-			f.pc = pcc + 1
-			return nsi, nil
-		}
-	case dReturn:
-		return func(t *fthread, f *fframe) (int32, error) {
-			t.frames = t.frames[:len(t.frames)-1]
-			f.m.release(f)
-			return termSwitchFrame, nil
-		}
+		}, th.w + 1
 	case dReturnValue:
+		th := sb.termOperand(pc)
 		return func(t *fthread, f *fframe) (int32, error) {
-			rv := f.pop()
+			rv, err := th.ev(t, f)
+			if err != nil {
+				return termToDriver, err
+			}
 			t.frames = t.frames[:len(t.frames)-1]
 			f.m.release(f)
 			if len(t.frames) > 0 {
 				t.frames[len(t.frames)-1].push(rv)
 			}
 			return termSwitchFrame, nil
+		}, th.w + 1
+	case dSpawn:
+		th := sb.termOperand(pc)
+		w := th.w + 1
+		cr := &dm.callees[in.a]
+		nsi := cm.segIdxAt(pc + 1)
+		return func(t *fthread, f *fframe) (int32, error) {
+			recv, err := th.ev(t, f)
+			if err != nil {
+				return termToDriver, err
+			}
+			if recv.R == heap.Null {
+				return termToDriver, v.cerr(f, pcc, w, "null receiver in spawn")
+			}
+			nf := cr.m.acquire()
+			nf.locals[0] = recv
+			v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
+			f.pc = pcc + 1
+			return nsi, nil
+		}, w
+	case dInvoke:
+		return v.compileInvoke(sb, dm, pcc)
+	}
+
+	// The rest take nothing deferred: everything is materialized and the
+	// terminator is a resumable entry point.
+	sb.flush()
+	sb.entry(pc)
+	var term cterm
+	switch in.op {
+	case dGoto:
+		target := in.a
+		tsi := cm.segIdxAt(int(in.a))
+		term = func(t *fthread, f *fframe) (int32, error) {
+			f.pc = target
+			return tsi, nil
+		}
+	case dReturn:
+		term = func(t *fthread, f *fframe) (int32, error) {
+			t.frames = t.frames[:len(t.frames)-1]
+			f.m.release(f)
+			return termSwitchFrame, nil
 		}
 	default: // dTrap
-		return func(t *fthread, f *fframe) (int32, error) {
+		term = func(t *fthread, f *fframe) (int32, error) {
 			return termToDriver, v.cerr(f, pcc, 1, "missing return value")
 		}
 	}
+	return term, 1
 }

@@ -158,10 +158,12 @@ func TestTierForcedDeoptMidLoop(t *testing.T) {
 		t.Fatalf("need a long compiled run to deopt mid-way, got %d segment execs", full.TierSegExecs)
 	}
 	after := full.TierSegExecs / 2
-	deopt := runTier(t, bd, vm.Config{
-		Barrier: satb.ModeAlwaysLog, Engine: vm.EngineCompiled,
-		TierThreshold: 8, TierForceDeoptAfter: after,
-	})
+	deopt, err := vm.NewWithHooks(bd.Program, vm.Config{
+		Barrier: satb.ModeAlwaysLog, Engine: vm.EngineCompiled, TierThreshold: 8,
+	}, vm.TestHooks{TierForceDeoptAfter: after}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if deopt.TierUps == 0 {
 		t.Fatal("deopt run never tiered up")
 	}

@@ -55,8 +55,9 @@ const (
 	// raw writes with no barrier-test residue. Scheduler-quantum and
 	// step-budget checks happen only at segment boundaries (loop
 	// back-edges, branches, calls); a segment that does not fit the
-	// remaining quantum or budget deopts to fused dispatch for the tail,
-	// so thread interleaving and results stay bit-identical to the other
+	// remaining quantum or budget runs compiled up to the furthest entry
+	// point that does and leaves only the tail to fused dispatch, so
+	// thread interleaving and results stay bit-identical to the other
 	// engines. The runtime elision oracle disables tier-up entirely
 	// (oracle runs execute on fused dispatch with identical semantics).
 	EngineCompiled
@@ -137,18 +138,24 @@ type Config struct {
 	// translates a method to closure-threaded compiled code (0 = default
 	// 64). Ignored by the other engines.
 	TierThreshold int64
-	// TierForceDeoptAfter, when > 0, abandons ALL compiled methods after
+}
+
+// hooks are construction-time switches for tests only, kept off Config so
+// that nothing that builds a Config — pipeline.Options.Runtime, the CLIs,
+// the daemon — can reach them. New passes none; export_test.go exposes a
+// constructor that sets them.
+type hooks struct {
+	// tierForceDeoptAfter, when > 0, abandons ALL compiled methods after
 	// that many compiled-segment executions and permanently re-enters
-	// fused dispatch (simulating tier invalidation). A deliberately
-	// non-production knob for deopt testing and chaos runs; results stay
+	// fused dispatch (simulating tier invalidation). Results stay
 	// bit-identical because fused dispatch is the tier's deopt target.
-	TierForceDeoptAfter int64
-	// ForceRawElide bypasses the barrier flavor's soundness projection
-	// and applies every analysis verdict as-is — deliberately unsound
-	// under flavors whose spec rejects a verdict. A testing-only knob:
-	// the per-flavor oracle violation tests use it to prove the oracle
-	// catches cross-flavor elisions.
-	ForceRawElide bool
+	tierForceDeoptAfter int64
+	// forceRawElide bypasses the barrier flavor's soundness projection and
+	// applies every analysis verdict as-is — deliberately unsound under
+	// flavors whose spec rejects a verdict. The per-flavor oracle violation
+	// tests use it to prove the oracle catches cross-flavor elisions. It is
+	// read while New decodes the program, hence construction-time.
+	forceRawElide bool
 }
 
 // Result summarizes a run.
@@ -221,6 +228,7 @@ type thread struct {
 type VM struct {
 	prog     *bytecode.Program
 	cfg      Config
+	hooks    hooks
 	heap     *heap.Heap
 	counters *satb.Counters
 	marker   gc.Marker
@@ -280,7 +288,9 @@ type VM struct {
 }
 
 // New prepares a VM for the program.
-func New(p *bytecode.Program, cfg Config) *VM {
+func New(p *bytecode.Program, cfg Config) *VM { return newVM(p, cfg, hooks{}) }
+
+func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 64
 	}
@@ -296,6 +306,7 @@ func New(p *bytecode.Program, cfg Config) *VM {
 	v := &VM{
 		prog:          p,
 		cfg:           cfg,
+		hooks:         h,
 		heap:          heap.New(heap.NewLayout(p)),
 		counters:      satb.NewCounters(),
 		maxSteps:      cfg.MaxSteps,
@@ -332,7 +343,7 @@ func New(p *bytecode.Program, cfg Config) *VM {
 // the decoded fast paths.
 func (v *VM) projectElide(in *bytecode.Instr) satb.ElideKind {
 	k := elideKind(in)
-	if v.cfg.ForceRawElide {
+	if v.hooks.forceRawElide {
 		return k
 	}
 	return v.spec.Project(k)
@@ -369,7 +380,7 @@ func (v *VM) logger() satb.Logger {
 // observed at scheduler-quantum boundaries — the same points where the
 // collector steps and threads rotate — so the abort latency is bounded by
 // one quantum (default 64 instructions) per live thread and the hot
-// per-instruction loops stay untouched. Both engines check at identical
+// per-instruction loops stay untouched. All engines check at identical
 // points and return identical error text, preserving engine parity.
 func (v *VM) RunContext(ctx context.Context) (*Result, error) {
 	if ctx != nil && ctx.Done() != nil {
@@ -395,9 +406,9 @@ func (v *VM) Run() (*Result, error) {
 func (v *VM) run() (*Result, error) {
 	if v.dprog != nil {
 		if v.tierEnabled() {
-			return v.runTiered()
+			return v.runDecoded(v.runTieredQuantum)
 		}
-		return v.runFused()
+		return v.runDecoded(v.runFusedQuantum)
 	}
 	return v.runSwitch()
 }
@@ -524,7 +535,7 @@ func (v *VM) runSwitch() (*Result, error) {
 	return v.result(), nil
 }
 
-// result assembles the Result shared by both engines.
+// result assembles the Result shared by all three engines.
 func (v *VM) result() *Result {
 	res := &Result{
 		Output:         v.output,
@@ -970,10 +981,8 @@ func (v *VM) step(t *thread) error {
 		}
 		v.threads = append(v.threads, &thread{id: len(v.threads), frames: []*frame{nf}, span: threadSpan(len(v.threads))})
 	case bytecode.OpReturn:
+		// The caller's pc was already advanced at the invoke.
 		t.frames = t.frames[:len(t.frames)-1]
-		if len(t.frames) > 0 {
-			// Caller's pc was already advanced at the invoke.
-		}
 		return nil
 	case bytecode.OpReturnValue:
 		rv := pop()
