@@ -116,35 +116,40 @@ func oracleConfig() vm.Config {
 	}
 }
 
-// checkEngineInvariance: the fused and switch engines must be
-// bit-identical — output, step count, barrier counters, and cost model.
+// checkEngineInvariance: the fused engine and the compiled tier must be
+// bit-identical to the switch interpreter — output, step count, barrier
+// counters, and cost model. The tier runs at threshold 2 so generated
+// programs, which are short, actually execute compiled segments.
 func checkEngineInvariance(src string, analysis core.Options) error {
 	b, err := compile(src, 100, analysis)
 	if err != nil {
 		return err
 	}
-	var results []*vm.Result
-	for _, engine := range []vm.Engine{vm.EngineFused, vm.EngineSwitch} {
+	var ref *vm.Result
+	for _, engine := range []vm.Engine{vm.EngineSwitch, vm.EngineFused, vm.EngineCompiled} {
 		res, err := b.Run(vm.Config{
-			Engine:   engine,
-			Barrier:  satb.ModeConditional,
-			MaxSteps: maxSteps,
+			Engine:        engine,
+			Barrier:       satb.ModeConditional,
+			MaxSteps:      maxSteps,
+			TierThreshold: 2,
 		})
 		if err != nil {
 			return &Violation{Prop: "engine-invariance", Msg: fmt.Sprintf("engine %v: %v", engine, err)}
 		}
-		results = append(results, res)
-	}
-	f, s := results[0], results[1]
-	if !reflect.DeepEqual(f.Output, s.Output) {
-		return &Violation{Prop: "engine-invariance",
-			Msg: fmt.Sprintf("output differs: fused %v vs switch %v", f.Output, s.Output)}
-	}
-	if f.Steps != s.Steps || f.Counters.Logged != s.Counters.Logged ||
-		f.Counters.Cost != s.Counters.Cost || f.TotalCost() != s.TotalCost() {
-		return &Violation{Prop: "engine-invariance",
-			Msg: fmt.Sprintf("accounting differs: steps %d/%d logged %d/%d cost %d/%d",
-				f.Steps, s.Steps, f.Counters.Logged, s.Counters.Logged, f.TotalCost(), s.TotalCost())}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Output, ref.Output) {
+			return &Violation{Prop: "engine-invariance",
+				Msg: fmt.Sprintf("output differs: %v %v vs switch %v", engine, res.Output, ref.Output)}
+		}
+		if res.Steps != ref.Steps || res.Counters.Logged != ref.Counters.Logged ||
+			res.Counters.Cost != ref.Counters.Cost || res.TotalCost() != ref.TotalCost() {
+			return &Violation{Prop: "engine-invariance",
+				Msg: fmt.Sprintf("accounting differs (%v/switch): steps %d/%d logged %d/%d cost %d/%d",
+					engine, res.Steps, ref.Steps, res.Counters.Logged, ref.Counters.Logged, res.TotalCost(), ref.TotalCost())}
+		}
 	}
 	return nil
 }

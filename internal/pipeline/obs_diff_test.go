@@ -97,6 +97,18 @@ func TestTracingIsObservationOnly(t *testing.T) {
 			if len(c.Counters()) == 0 {
 				t.Error("enabled collector recorded no counters")
 			}
+			// The decoded engines report how many quantum boundaries their
+			// scheduler did not visit. jbb is single-threaded, so turns and
+			// skipped boundaries add up to every boundary of the run (plus
+			// one empty turn if the thread ended exactly on one).
+			if cfg.rt.Engine != vm.EngineSwitch {
+				cs := c.Counters()
+				turns, skipped := cs["vm.sched.turns"], cs["vm.sched.boundaries_skipped"]
+				all := (on.Steps + 63) / 64
+				if skipped == 0 || turns+skipped < all || turns+skipped > all+1 {
+					t.Errorf("vm.sched: %d turns + %d skipped boundaries, want %d boundaries in all and some skipped", turns, skipped, all)
+				}
+			}
 		})
 	}
 }

@@ -87,3 +87,46 @@ class A {
 		t.Errorf("RunContext(Background) diverged from Run: %+v vs %+v", r1, r2)
 	}
 }
+
+// TestRunContextCancelWithinOneHorizon: with one thread and no collector the
+// decoded engines visit no quantum boundary, yet a cancel that lands mid-run
+// is still observed within one horizon cap of base instructions — the turn
+// length pinned here — because every turn ends at the cap and the scheduler
+// polls before the next. The switch interpreter polls every quantum, as ever.
+func TestRunContextCancelWithinOneHorizon(t *testing.T) {
+	const wantCap = 1 << 16
+	if horizonSteps != wantCap {
+		t.Fatalf("horizonSteps = %d, want %d: the cancellation latency bound moved", horizonSteps, wantCap)
+	}
+	p := compileSrc(t, `
+class A {
+    static void main() {
+        int s = 0;
+        for (int i = 0; i < 15000000; i = i + 1) { s = s + i % 3; }
+        print(s);
+    }
+}`, 100)
+	for _, tc := range []struct {
+		engine Engine
+		poll   int64 // steps between cancellation polls
+	}{{EngineFused, wantCap}, {EngineCompiled, wantCap}, {EngineSwitch, 64}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		v := New(p, Config{Engine: tc.engine})
+		timer := time.AfterFunc(2*time.Millisecond, cancel)
+		_, err := v.RunContext(ctx)
+		timer.Stop()
+		cancel()
+		if err == nil {
+			t.Logf("%v: the run finished before the cancel landed", tc.engine)
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: error %v does not wrap context.Canceled", tc.engine, err)
+		}
+		// The abort comes at the first poll after the cancel, and polls are
+		// exactly tc.poll steps apart from step 0.
+		if v.steps%tc.poll != 0 {
+			t.Errorf("%v: cancelled at step %d, want a multiple of %d", tc.engine, v.steps, tc.poll)
+		}
+	}
+}

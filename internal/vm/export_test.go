@@ -14,3 +14,7 @@ type TestHooks struct {
 func NewWithHooks(p *bytecode.Program, cfg Config, h TestHooks) *VM {
 	return newVM(p, cfg, hooks{tierForceDeoptAfter: h.TierForceDeoptAfter, forceRawElide: h.ForceRawElide})
 }
+
+// StepsExecuted is the base-instruction count so far — after a failed run,
+// the step the failure surfaced at (a failed Run returns no Result).
+func (v *VM) StepsExecuted() int64 { return v.steps }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 
 	"satbelim/internal/heap"
@@ -10,11 +11,11 @@ import (
 
 // This file is the execution half of the pre-decoded engine. It mirrors
 // the reference switch interpreter instruction for instruction — same
-// step accounting, same scheduler-quantum boundaries, same error strings
-// and error pcs, same barrier/oracle call order — so results are
-// bit-identical. The wins are structural: operands resolved at decode
-// time, pooled frames, an explicit stack pointer instead of slice
-// reslicing, and superinstructions that collapse the hottest 2–4
+// step accounting, same thread rotation and collector steps at the same
+// instructions, same error strings and error pcs, same barrier/oracle call
+// order — so results are bit-identical. The wins are structural: operands
+// resolved at decode time, pooled frames, an explicit stack pointer instead
+// of slice reslicing, and superinstructions that collapse the hottest 2–4
 // instruction sequences into one dispatch.
 
 // fframe is a pooled activation record. stack is used with an explicit
@@ -78,17 +79,71 @@ func (v *VM) refStoreBarrier(t *fthread, f *fframe, pc int, kind satb.SiteKind, 
 	return nil
 }
 
+// horizonSteps caps a coalesced turn: with nothing to observe at any quantum
+// boundary a thread still returns to the scheduler — and RunContext's
+// cancellation is still polled — about every 2^16 base instructions, a
+// fraction of a millisecond.
+const horizonSteps = 1 << 16
+
+// horizon is the number of base instructions the next turn may run before
+// the first quantum boundary at which anything observable can happen; live
+// is the number of threads not yet done. It is a multiple of the quantum q,
+// and exactly q whenever every boundary matters:
+//
+//   - a second live thread is waiting for its rotation;
+//   - a marker is marking, or ForceMarkingAlways restarts one at every tick;
+//   - the allocation trigger is within reach. A base instruction allocates at
+//     most one object, so with room allocations left before the trigger no
+//     boundary before step room can start a cycle, and the turn may run
+//     room/q whole quanta.
+//
+// At every boundary the turn skips, gcTick would have done nothing and no
+// other thread would have run, so results are bit-identical to visiting it.
+func (v *VM) horizon(live int) int {
+	q := v.cfg.Quantum
+	if live > 1 {
+		return q
+	}
+	room := int64(horizonSteps)
+	if v.marker != nil {
+		if v.cfg.ForceMarkingAlways || v.marker.MarkingActive() {
+			return q
+		}
+		if trig := v.cfg.TriggerEveryAllocs; trig > 0 {
+			room = min(room, trig-v.allocSinceGC)
+		}
+	}
+	return max(q, int(room)/q*q)
+}
+
+// errSpawned is not a failure: stepFused returns it after a spawn has
+// executed in full, telling the turn body to cut its bound back with
+// spawnClamp. It rides on the error result so that the instructions that do
+// not spawn — all but a handful per run — pay nothing for the signal.
+var errSpawned = errors.New("vm: thread spawned")
+
+// spawnClamp is the bound of a turn in which a spawn has just executed as
+// its done-th base instruction: the end of the quantum in progress, counted
+// from the turn's start, so the new thread's first quantum starts at exactly
+// the step it would without coalescing.
+func (v *VM) spawnClamp(done int) int {
+	q := v.cfg.Quantum
+	return (done + q - 1) / q * q
+}
+
 // runDecoded executes the program on a decoded engine: quantum is that
-// engine's per-quantum body (runFusedQuantum or runTieredQuantum), the only
-// thing the two differ in. The loop shape is the switch engine's:
-// round-robin over live threads, one quantum each, collector tick after
-// every quantum.
-func (v *VM) runDecoded(quantum func(*fthread) error) (*Result, error) {
+// engine's per-turn body (runFusedQuantum or runTieredQuantum), the only
+// thing the two differ in. The loop shape is the switch engine's —
+// round-robin over live threads, collector tick after every turn — except
+// that a turn covers horizon() base instructions instead of one quantum, so
+// quantum boundaries nothing can observe are not visited.
+func (v *VM) runDecoded(quantum func(t *fthread, limit int) error) (*Result, error) {
 	v.fthreads = []*fthread{{frames: []*fframe{v.dprog.main.acquire()}, span: threadSpan(0)}}
 	if v.cfg.ForceMarkingAlways && v.marker != nil {
 		v.startCycle()
 	}
 
+	q := int64(v.cfg.Quantum)
 	for {
 		live := 0
 		for _, t := range v.fthreads {
@@ -106,8 +161,17 @@ func (v *VM) runDecoded(quantum func(*fthread) error) (*Result, error) {
 			if err := v.cancelled(); err != nil {
 				return nil, err
 			}
-			if err := quantum(t); err != nil {
+			limit, before, nthreads := v.horizon(live), v.steps, len(v.fthreads)
+			if err := quantum(t, limit); err != nil {
 				return nil, err
+			}
+			v.schedTurns++
+			if ran := v.steps - before; ran > q {
+				v.schedSkipped += (ran - 1) / q
+			}
+			live += len(v.fthreads) - nthreads
+			if t.done {
+				live--
 			}
 			v.gcTick()
 		}
@@ -118,15 +182,14 @@ func (v *VM) runDecoded(quantum func(*fthread) error) (*Result, error) {
 	return v.result(), nil
 }
 
-// runFusedQuantum executes up to Quantum base instructions on one thread.
-// A superinstruction covering n base instructions executes only when all
-// n fit in both the remaining quantum and the remaining instruction
-// budget; otherwise the plain per-pc instructions run, so thread rotation
-// and budget exhaustion happen at exactly the same instruction as in the
-// reference engine.
-func (v *VM) runFusedQuantum(t *fthread) error {
-	q := v.cfg.Quantum
-	for i := 0; i < q; {
+// runFusedQuantum executes up to limit base instructions on one thread
+// (limit is a multiple of Quantum, see horizon). A superinstruction covering
+// n base instructions executes only when all n fit in both the remaining
+// quantum and the remaining instruction budget; otherwise the plain per-pc
+// instructions run, so thread rotation and budget exhaustion happen at
+// exactly the same instruction as in the reference engine.
+func (v *VM) runFusedQuantum(t *fthread, limit int) error {
+	for i := 0; i < limit; {
 		if len(t.frames) == 0 {
 			t.done = true
 			t.span.End()
@@ -143,7 +206,7 @@ func (v *VM) runFusedQuantum(t *fthread) error {
 		if in.fuse >= 0 {
 			fi := &f.m.fused[in.fuse]
 			n := int(fi.n)
-			if i+n <= q && v.steps+int64(n) <= v.maxSteps {
+			if i+n <= limit && v.steps+int64(n) <= v.maxSteps {
 				if err := v.execFused(t, f, fi); err != nil {
 					return err
 				}
@@ -152,7 +215,10 @@ func (v *VM) runFusedQuantum(t *fthread) error {
 			}
 		}
 		if err := v.stepFused(t, f, in); err != nil {
-			return err
+			if err != errSpawned {
+				return err
+			}
+			limit = v.spawnClamp(i + 1)
 		}
 		i++
 	}
@@ -366,6 +432,8 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 			v.oracle.escape(recv.R)
 		}
 		v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
+		f.pc++
+		return errSpawned
 	case dReturn:
 		t.frames = t.frames[:len(t.frames)-1]
 		f.m.release(f)

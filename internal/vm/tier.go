@@ -42,17 +42,23 @@ import (
 //
 // Parity with the other engines is structural, not hoped for:
 //
-//   - Scheduler-quantum and step-budget checks run only at segment
-//     boundaries (loop back-edges, branches, calls — the places the
-//     ROADMAP names). A segment whose base instructions all fit in both
-//     the remaining quantum and the remaining instruction budget runs
-//     whole; one that would straddle the boundary runs compiled up to the
+//   - A turn runs up to the scheduler's horizon (VM.horizon): the next
+//     quantum boundary at which a second thread, the marker or the
+//     allocation trigger could observe anything. Boundaries before it are
+//     not visited, and results are bit-identical to visiting them; with
+//     two live threads or an active marker the horizon is one quantum.
+//     Horizon and step-budget checks run only at segment boundaries (loop
+//     back-edges, branches, calls). A segment whose base instructions all
+//     fit in both the remaining turn and the remaining instruction budget
+//     runs whole; one that would straddle the end runs compiled up to the
 //     furthest resumable entry point that still fits (runSegPart over
 //     cseg.entries), and only the sub-expression tail past it goes to
 //     fused dispatch, which rotates threads and exhausts budgets at
-//     exactly the same instruction as the reference engines. Thread
-//     interleaving — and therefore GC timing, barrier logging, and
-//     RunContext cancellation points — is reproduced bit for bit.
+//     exactly the same instruction as the reference engines. A spawn
+//     returns to the driver, which cuts the turn back to the quantum in
+//     progress, so the new thread first runs at the step it would without
+//     coalescing. Thread interleaving — and therefore GC timing and
+//     barrier logging — is reproduced bit for bit.
 //   - Step accounting is exact on every path. Each compiled op knows the
 //     base-instruction prefix that precedes it (cseg.wbefore); on an
 //     error the failing op reports how many base instructions it entered
@@ -93,6 +99,11 @@ type cterm func(t *fthread, f *fframe) (int32, error)
 
 // termToDriver tells the segment loop to return to the quantum driver.
 const termToDriver = int32(-1)
+
+// termSpawned tells the segment loop to return to the quantum driver after
+// a spawn: the new thread makes every later quantum boundary observable, so
+// the driver cuts the turn back (spawnClamp) before another segment runs.
+const termSpawned = int32(-3)
 
 // termSwitchFrame tells the segment loop that control moved to a
 // different frame (call or return): the chain re-resolves the new top
@@ -139,6 +150,15 @@ type cmethod struct {
 	eW    []int32
 }
 
+// entryAt resolves pc to its entry point: the segment (negative when pc is
+// none), the op index to resume at and the base-instruction weight already
+// covered. The three belong together — a loop head is tail-duplicated into
+// its back-edge segment, so even a method's first pc or a call's return
+// point may name a mid-segment entry.
+func (cm *cmethod) entryAt(pc int32) (si, op, w int32) {
+	return cm.eSeg[pc], cm.eOp[pc], cm.eW[pc]
+}
+
 // cerr builds a runtime error at pc, recording how many base
 // instructions the failing compiled op (or terminator) had entered —
 // the opEntered charge protocol shared by cop, cval, and cterm.
@@ -148,15 +168,14 @@ func (v *VM) cerr(f *fframe, pc, entered int32, format string, args ...any) erro
 	return v.ferrf(f, format, args...)
 }
 
-// runTieredQuantum executes up to Quantum base instructions on one
-// thread. Compiled segments execute only when they fit the remaining
-// quantum and instruction budget in full; everything else — cold methods,
-// mid-segment resume points, quantum tails, budget tails, forced deopt —
-// runs on the fused per-instruction path, which is the reference
-// behaviour instruction for instruction.
-func (v *VM) runTieredQuantum(t *fthread) error {
-	q := v.cfg.Quantum
-	for i := 0; i < q; {
+// runTieredQuantum executes up to limit base instructions on one thread
+// (limit is a multiple of Quantum, see horizon). Compiled segments execute
+// only when they fit the remaining turn and instruction budget in full;
+// everything else — cold methods, mid-segment resume points, turn tails,
+// budget tails, forced deopt — runs on the fused per-instruction path,
+// which is the reference behaviour instruction for instruction.
+func (v *VM) runTieredQuantum(t *fthread, limit int) error {
+	for i := 0; i < limit; {
 		if len(t.frames) == 0 {
 			t.done = true
 			t.span.End()
@@ -171,13 +190,12 @@ func (v *VM) runTieredQuantum(t *fthread) error {
 		}
 
 		if cm := f.m.tier; cm != nil && !v.tierOff {
-			if si := cm.eSeg[f.pc]; si >= 0 {
-				k, wbase := cm.eOp[f.pc], cm.eW[f.pc]
+			if si, k, wbase := cm.entryAt(f.pc); si >= 0 {
 				ran := false
 				deoptAfter := v.hooks.tierForceDeoptAfter
-				// Steps still runnable before the quantum or the
-				// instruction budget rotates us out, whichever is nearer.
-				avail := q - i
+				// Steps still runnable before the turn or the instruction
+				// budget ends, whichever is nearer.
+				avail := limit - i
 				if bs := v.maxSteps - v.steps; bs < int64(avail) {
 					avail = int(bs)
 				}
@@ -255,8 +273,11 @@ func (v *VM) runTieredQuantum(t *fthread) error {
 							break
 						}
 						cm = f.m.tier
-						si = cm.eSeg[f.pc]
+						si, k, wbase = cm.entryAt(f.pc)
 					}
+				}
+				if si == termSpawned {
+					limit = v.spawnClamp(i)
 				}
 				if ran {
 					continue
@@ -275,7 +296,7 @@ func (v *VM) runTieredQuantum(t *fthread) error {
 		if in.fuse >= 0 {
 			fi := &f.m.fused[in.fuse]
 			n := int(fi.n)
-			if i+n <= q && v.steps+int64(n) <= v.maxSteps {
+			if i+n <= limit && v.steps+int64(n) <= v.maxSteps {
 				if err := v.execFused(t, f, fi); err != nil {
 					return err
 				}
@@ -284,7 +305,10 @@ func (v *VM) runTieredQuantum(t *fthread) error {
 			}
 		}
 		if err := v.stepFused(t, f, in); err != nil {
-			return err
+			if err != errSpawned {
+				return err
+			}
+			limit = v.spawnClamp(i + 1)
 		}
 		i++
 	}
@@ -1705,7 +1729,6 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 		th := sb.termOperand(pc)
 		w := th.w + 1
 		cr := &dm.callees[in.a]
-		nsi := cm.segIdxAt(pc + 1)
 		return func(t *fthread, f *fframe) (int32, error) {
 			recv, err := th.ev(t, f)
 			if err != nil {
@@ -1718,7 +1741,7 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 			nf.locals[0] = recv
 			v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
 			f.pc = pcc + 1
-			return nsi, nil
+			return termSpawned, nil
 		}, w
 	case dInvoke:
 		return v.compileInvoke(sb, dm, pcc)

@@ -206,3 +206,72 @@ func TestTierConfigSurface(t *testing.T) {
 		t.Error("default threshold never tiered up on the hot loop")
 	}
 }
+
+// TestTierChainEntersLoopHeadAtItsEntry pins the segment chain's frame
+// switch. A loop's back-edge segment tail-duplicates the loop head, so the
+// entry tables at the head's pc name a mid-segment entry (segment, op index,
+// covered weight). A call whose callee starts with a loop, or a return that
+// lands directly on one, must take all three from the tables — entering that
+// segment at op 0 runs the loop body before the loop condition.
+func TestTierChainEntersLoopHeadAtItsEntry(t *testing.T) {
+	cases := []struct {
+		name, src string
+		output    []int64
+		steps     int64
+	}{
+		{
+			name: "callee-entry",
+			src: `
+class G { static int n; static int acc; }
+class Main {
+    static void drain() { while (G.n > 0) { G.n = G.n - 1; G.acc = G.acc + 1; } }
+    static void main() {
+        int r = 0;
+        while (r < 300) { G.n = r % 3; drain(); r = r + 1; }
+        print(G.acc); print(G.n);
+    }
+}`,
+			output: []int64{300, 0},
+			steps:  9611,
+		},
+		{
+			name: "return-point",
+			src: `
+class G { static int n; static int acc; }
+class Main {
+    static void fill(int k) { G.n = k; }
+    static void main() {
+        int r = 0;
+        while (r < 300) {
+            fill(r % 3);
+            while (G.n > 0) { G.n = G.n - 1; G.acc = G.acc + 1; }
+            r = r + 1;
+        }
+        print(G.acc); print(G.n);
+    }
+}`,
+			output: []int64{300, 0},
+			steps:  9911,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bd, err := pipeline.Compile(tc.name, tc.src, pipeline.Options{InlineLimit: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw := runTier(t, bd, vm.Config{Engine: vm.EngineSwitch})
+			if !reflect.DeepEqual(sw.Output, tc.output) || sw.Steps != tc.steps {
+				t.Fatalf("switch: output %v in %d steps, want %v in %d", sw.Output, sw.Steps, tc.output, tc.steps)
+			}
+			for _, threshold := range []int64{0, 2} {
+				comp := runTier(t, bd, vm.Config{Engine: vm.EngineCompiled, TierThreshold: threshold})
+				if comp.TierSegExecs == 0 {
+					t.Errorf("threshold %d: no compiled segment ran", threshold)
+				}
+				assertSameRun(t, comp, sw, "compiled", "switch")
+			}
+			assertSameRun(t, runTier(t, bd, vm.Config{Engine: vm.EngineFused}), sw, "fused", "switch")
+		})
+	}
+}

@@ -111,8 +111,14 @@ type Config struct {
 	TriggerEveryAllocs int64
 	// MarkStepBudget is the marking work granted per scheduler quantum.
 	MarkStepBudget int
-	// Quantum is the number of instructions one thread runs before the
-	// scheduler rotates (and the marker steps).
+	// Quantum is the scheduler's granularity: threads rotate, the marker
+	// steps, the allocation trigger is tested and cancellation is polled
+	// only at multiples of Quantum instructions counted from the start of
+	// a thread's turn. The switch interpreter visits every such boundary.
+	// The decoded engines do not visit a boundary with no second live
+	// thread, no marker that is marking or could be triggered there, and
+	// — up to a fixed cap of about 2^16 instructions — no cancellation
+	// poll; results are bit-identical to visiting them.
 	Quantum int
 	// MaxSteps bounds total executed instructions (0 = default bound).
 	MaxSteps int64
@@ -265,6 +271,13 @@ type VM struct {
 	fusedExecs int64
 	cycleSpan  obs.Span
 
+	// schedTurns counts the turns the decoded engines' scheduler granted;
+	// schedSkipped counts the quantum boundaries inside those turns that
+	// were not visited because nothing could observe them (see horizon).
+	// Published to the observability registry only.
+	schedTurns   int64
+	schedSkipped int64
+
 	// Compiled-tier state (EngineCompiled only). tierThreshold is the
 	// resolved hot counter; tierOff is set by a forced deopt and
 	// permanently pins execution to fused dispatch; the counters feed
@@ -282,7 +295,7 @@ type VM struct {
 
 	// ctx/cancel carry RunContext's cancellation; cancel is nil for the
 	// plain Run path, so the scheduler loop pays one nil check per
-	// quantum and nothing more.
+	// turn and nothing more.
 	ctx    context.Context
 	cancel <-chan struct{}
 }
@@ -378,10 +391,11 @@ func (v *VM) logger() satb.Logger {
 // RunContext executes main to completion (all threads), aborting with an
 // error when ctx is cancelled or its deadline passes. Cancellation is
 // observed at scheduler-quantum boundaries — the same points where the
-// collector steps and threads rotate — so the abort latency is bounded by
-// one quantum (default 64 instructions) per live thread and the hot
-// per-instruction loops stay untouched. All engines check at identical
-// points and return identical error text, preserving engine parity.
+// collector steps and threads rotate — so the hot per-instruction loops stay
+// untouched. The switch interpreter polls at every boundary; the decoded
+// engines poll at the boundaries they visit, at most horizonSteps (2^16)
+// instructions apart, a fraction of a millisecond. All engines return
+// identical error text.
 func (v *VM) RunContext(ctx context.Context) (*Result, error) {
 	if ctx != nil && ctx.Done() != nil {
 		v.ctx = ctx
@@ -449,6 +463,8 @@ func (v *VM) publishObs(ok bool) {
 			recycles += m.recycled
 		}
 		obs.Count("vm.frame_pool.recycles", recycles)
+		obs.Count("vm.sched.turns", v.schedTurns)
+		obs.Count("vm.sched.boundaries_skipped", v.schedSkipped)
 	}
 	if v.oracle != nil {
 		obs.Count("vm.oracle.checks", v.oracle.checks)
