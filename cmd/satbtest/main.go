@@ -71,13 +71,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	analysis := core.Options{
-		Mode:                     am,
-		NullOrSame:               *nullOrSame,
-		Interprocedural:          *interproc || *injectTrustAll,
-		UnsoundSkipBDemotion:     *injectSkipB,
-		UnsoundTrustAllSummaries: *injectTrustAll,
-	}
+	analysis := core.InjectFaults(core.Options{
+		Mode:            am,
+		NullOrSame:      *nullOrSame,
+		Interprocedural: *interproc || *injectTrustAll,
+	}, *injectSkipB, *injectTrustAll)
 	var propNames []string
 	if *props != "" {
 		propNames = strings.Split(*props, ",")

@@ -56,7 +56,7 @@ func main() {
 			in := &m.Code[pc]
 			if in.Op == bytecode.OpAAStore {
 				verdict := "barrier kept"
-				if in.Elide {
+				if in.Verdict == bytecode.VerdictPreNull {
 					verdict = "barrier ELIDED"
 				}
 				fmt.Printf("  expand pc %d aastore: %s\n", pc, verdict)

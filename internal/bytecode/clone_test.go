@@ -12,9 +12,9 @@ func TestMethodCloneIsDeep(t *testing.T) {
 
 	cp := m.Clone()
 	cp.Code[0].A = 99
-	cp.Code[0].Elide = true
+	cp.Code[0].Verdict = VerdictPreNull
 	cp.SlotTypes[0] = Bool
-	if m.Code[0].A == 99 || m.Code[0].Elide {
+	if m.Code[0].A == 99 || m.Code[0].Verdict != VerdictNone {
 		t.Error("clone must not share instruction storage")
 	}
 	if m.SlotTypes[0] != Int {
@@ -29,10 +29,10 @@ func TestProgramCloneIsolatesMethods(t *testing.T) {
 		t.Error("main ref must be preserved")
 	}
 	cm := cp.Method(p.Main)
-	cm.Code[0].Elide = true
+	cm.Code[0].Verdict = VerdictPreNull
 	cm.Code = append(cm.Code, Instr{Op: OpNop})
 	om := p.Method(p.Main)
-	if om.Code[0].Elide {
+	if om.Code[0].Verdict != VerdictNone {
 		t.Error("clone must not share method code")
 	}
 	if len(om.Code) == len(cm.Code) {
@@ -56,11 +56,11 @@ func TestOpStringUnknown(t *testing.T) {
 }
 
 func TestInstrStringRearrangeAnnotation(t *testing.T) {
-	in := Instr{Op: OpAAStore, ElideRearrange: true}
+	in := Instr{Op: OpAAStore, Verdict: VerdictRearrange}
 	if got := in.String(); got != "aastore  ; no-barrier(rearrange)" {
 		t.Errorf("String = %q", got)
 	}
-	in2 := Instr{Op: OpAAStore, ElideNullOrSame: true}
+	in2 := Instr{Op: OpAAStore, Verdict: VerdictNullOrSame}
 	if got := in2.String(); got != "aastore  ; no-barrier(null-or-same)" {
 		t.Errorf("String = %q", got)
 	}

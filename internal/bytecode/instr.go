@@ -139,6 +139,28 @@ type MethodRef struct {
 
 func (m MethodRef) String() string { return m.Class + "." + m.Name }
 
+// Verdict is what the analysis proved about one reference-store site,
+// ordered by strength: a site that earns several verdicts keeps the
+// greatest, so "strongest wins" is a comparison.
+type Verdict uint8
+
+const (
+	// VerdictNone: nothing proven; the barrier is kept.
+	VerdictNone Verdict = iota
+	// VerdictRearrange: half of an array-element swap; the logging barrier
+	// is replaced by the optimistic trace-state check (§4.3).
+	VerdictRearrange
+	// VerdictNullOrSame: proven to overwrite null or rewrite the value
+	// already present (§4.3).
+	VerdictNullOrSame
+	// VerdictPreNull: proven to overwrite null (§2/§3).
+	VerdictPreNull
+)
+
+var verdictNames = [...]string{"none", "rearrange", "null-or-same", "pre-null"}
+
+func (v Verdict) String() string { return verdictNames[v] }
+
 // Instr is one bytecode instruction. Operand fields are used according to
 // the opcode; unused fields are zero.
 type Instr struct {
@@ -148,22 +170,11 @@ type Instr struct {
 	Method MethodRef // OpInvoke/OpSpawn
 	Type   *Type     // OpNewInstance (class), OpNewArray (element type)
 
-	// Elide is set by the barrier-elision analysis on OpPutField and
-	// OpAAStore sites proven pre-null: the VM then skips the SATB
-	// barrier for this site.
-	Elide bool
-
-	// ElideNullOrSame is set by the null-or-same extension (§4.3): the
-	// store either overwrites null or rewrites the value already
-	// present, so no SATB log entry is needed either way.
-	ElideNullOrSame bool
-
-	// ElideRearrange is set by the array-rearrangement extension (§4.3):
-	// the store is half of a swap that permutes an array's elements, so
-	// instead of logging, the mutator checks the array's tracing state
-	// and requests a retrace when the collector's scan may have
-	// overlapped the rearrangement.
-	ElideRearrange bool
+	// Verdict is the barrier-elision analysis's finding for an OpPutField
+	// or OpAAStore site (VerdictNone on every other instruction). The
+	// analysis writes it; the VM projects it through the barrier flavor's
+	// soundness predicate and skips or replaces the barrier accordingly.
+	Verdict Verdict
 
 	// Line is the source line for diagnostics (0 when synthesized).
 	Line int
@@ -256,13 +267,12 @@ func (in *Instr) String() string {
 	case OpInvoke, OpSpawn:
 		s = fmt.Sprintf("%s %s", s, in.Method)
 	}
-	switch {
-	case in.Elide:
+	switch in.Verdict {
+	case VerdictNone:
+	case VerdictPreNull:
 		s += "  ; no-barrier"
-	case in.ElideNullOrSame:
-		s += "  ; no-barrier(null-or-same)"
-	case in.ElideRearrange:
-		s += "  ; no-barrier(rearrange)"
+	default:
+		s += "  ; no-barrier(" + in.Verdict.String() + ")"
 	}
 	return s
 }

@@ -88,7 +88,7 @@ func TestInstrPredicatesAndSize(t *testing.T) {
 }
 
 func TestInstrString(t *testing.T) {
-	in := Instr{Op: OpPutField, Field: FieldRef{Class: "T", Name: "f"}, Elide: true}
+	in := Instr{Op: OpPutField, Field: FieldRef{Class: "T", Name: "f"}, Verdict: VerdictPreNull}
 	got := in.String()
 	want := "putfield T.f  ; no-barrier"
 	if got != want {

@@ -14,7 +14,7 @@ import (
 // (the most analyzer runs). Every reused buffer belongs to one analyzer,
 // so the count is a function of the program alone: two measurements must
 // agree exactly. The ceilings sit about 15 % above the measured figures
-// (javac 1 307, jess 1 916); the map-based copy-on-write state needed
+// (javac 1 299, jess 1 916); the map-based copy-on-write state needed
 // 2 167 and 2 894, give or take one between measurements.
 func TestAnalyzeAllocs(t *testing.T) {
 	for _, tc := range []struct {

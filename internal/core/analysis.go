@@ -9,6 +9,7 @@ import (
 	"satbelim/internal/bytecode"
 	"satbelim/internal/cfg"
 	"satbelim/internal/intval"
+	"satbelim/internal/satb"
 )
 
 // Mode selects which analyses run (the B/F/A configurations of §4.4).
@@ -71,24 +72,6 @@ type Options struct {
 	// collapsing differing integers to ⊤.
 	NoStrideInference bool
 
-	// UnsoundSkipBDemotion is a DELIBERATELY UNSOUND fault-injection
-	// knob for the metamorphic harness's self-test (satbtest must catch
-	// it): allocation sites skip the R_id/A → R_id/B demotion, so
-	// objects from earlier executions of a site keep the unique A name
-	// and inherit the fresh allocation's "all fields null, thread-local"
-	// facts. Never enable it outside harness validation — unlike the
-	// ablations above it breaks the analysis's soundness argument.
-	UnsoundSkipBDemotion bool
-	// UnsoundTrustAllSummaries is a second DELIBERATELY UNSOUND
-	// fault-injection knob for the harness self-test: cyclic callgraph
-	// components stop after their first summary pass instead of
-	// iterating the compromise re-run to a fixed point, so a method
-	// summarized before its cycle-mate keeps trusting the mate's stale
-	// optimistic facts (e.g. mutual recursion where the later-summarized
-	// arm publishes an argument). Never enable it outside harness
-	// validation.
-	UnsoundTrustAllSummaries bool
-
 	// Interprocedural enables escape summaries (see summaries.go): a
 	// call escapes only the arguments its callee may publish or reach,
 	// invalidates just the callee-written fields of the rest, and treats
@@ -120,6 +103,36 @@ type Options struct {
 	// MaxStateSize bounds the abstract-state footprint (σ + Len + NR
 	// entries) of any block's out state (0 = none).
 	MaxStateSize int
+
+	// faults is set only by InjectFaults. It is part of the value (and so
+	// of every cache key derived from it) but of no configuration surface.
+	faults faults
+}
+
+// faults are DELIBERATELY UNSOUND defects the metamorphic harness injects
+// to prove it would catch them; unlike the ablations they break the
+// analysis's soundness argument.
+type faults struct {
+	// skipBDemotion: allocation sites skip the R_id/A → R_id/B demotion,
+	// so objects from earlier executions of a site keep the unique A name
+	// and inherit the fresh allocation's "all fields null, thread-local"
+	// facts.
+	skipBDemotion bool
+	// trustAllSummaries: cyclic callgraph components stop after their
+	// first summary pass instead of iterating the compromise re-run to a
+	// fixed point, so a method summarized before its cycle-mate keeps
+	// trusting the mate's stale optimistic facts (e.g. mutual recursion
+	// where the later-summarized arm publishes an argument).
+	trustAllSummaries bool
+}
+
+// InjectFaults returns o with the named soundness bugs switched on. It is
+// the only way to set them and exists for harness self-validation
+// (cmd/satbtest, internal/metatest): no flag parser, JSON decoder or struct
+// literal outside this package can reach them.
+func InjectFaults(o Options, skipBDemotion, trustAllSummaries bool) Options {
+	o.faults = faults{skipBDemotion: skipBDemotion, trustAllSummaries: trustAllSummaries}
+	return o
 }
 
 // DegradeReason labels why a method's analysis bailed out to the
@@ -182,85 +195,20 @@ type MethodReport struct {
 	DegradeDetail string
 }
 
-// analyzer is the per-method analysis engine.
+// analyzer is the per-method fixed-point engine: the transfer functions'
+// context plus the entry states they are iterated over and the budgets
+// that stop the iteration.
 type analyzer struct {
-	prog  *bytecode.Program
-	m     *bytecode.Method
-	g     *cfg.Graph
-	opts  Options
-	refs  *refTable
-	namer intval.Namer
-
-	// slots is the index space of this analysis's states; fieldAt caches
-	// the interned field operand of each field instruction.
-	slots   *slotTable
-	fieldAt []fieldID
+	transfer
 
 	// entry holds each block's entry state (nil until first reached).
 	// Every entry owns its buffers: the fixed point simulates blocks in
 	// scratch, merges joins into spare and swaps spare with the entry it
 	// replaces, so a visit allocates only when a block is first reached or
-	// a buffer must grow. targets and args are simulate's successor list
-	// and invoke-argument buffers, likewise reused.
+	// a buffer must grow.
 	entry   []*state
 	scratch *state
 	spare   *state
-	targets []int
-	args    []Value
-
-	// siteLenConst names the unknown allocation length of each newarray
-	// site (lazily minted, stable across the fixed point).
-	siteLenConst map[int]intval.ConstU
-
-	// rt is the block-local rearrangement detector, active only during
-	// the judgment pass when Options.Rearrange is set.
-	rt *rearrangeTracker
-
-	// summaries, when non-nil, refines invoke escape effects.
-	summaries Summaries
-	// forSummary switches the analysis into summary mode: arguments
-	// start thread-local, returns escape their value, and mutations of
-	// arguments are recorded.
-	forSummary bool
-	// dirtyArgFields collects, per argument reference, the reference
-	// fields the method may write (summary mode): the complement of the
-	// summary's ArgPreNullFields. intMutatedArgs collects arguments
-	// whose integer fields/elements it may write.
-	dirtyArgFields map[RefID]map[string]bool
-	intMutatedArgs RefSet
-	// contentMutated collects contents references (refArgContent) the
-	// method may write through: mutating an object merely reachable from
-	// an argument compromises the argument, since the caller has no
-	// finer name for the affected object.
-	contentMutated RefSet
-	// summaryReach collects references reachable from returned values or
-	// escaped objects at return points (summary mode): such arguments
-	// are compromised for the caller. argStored collects, per argument
-	// index, everything reachable from references the method stored into
-	// that argument's fields: an argument stored into a DIFFERENT
-	// argument's fields is compromised (the caller gains an untracked
-	// path to it), while stores into an argument's own fields are
-	// covered by the targeted dirty-field invalidation.
-	summaryReach RefSet
-	argStored    map[int]RefSet
-	// argRefs is the set of argument and contents references (summary
-	// mode), cached for the per-return freshness check.
-	argRefs RefSet
-	// retNotFresh records that some return statement's value failed the
-	// strict freshness conditions (see checkReturnFresh); it clears the
-	// summary's ReturnsFresh claim.
-	retNotFresh bool
-
-	// statSummaryCalls counts call sites judged with a summary in hand;
-	// statFreshReturns counts those whose fresh return was modeled as an
-	// allocation. Both are counted during the judgment pass only (each
-	// reachable block exactly once), so they are deterministic.
-	statSummaryCalls int
-	statFreshReturns int
-
-	// everNL accumulates every reference that enters NL in any state,
-	// for the flow-insensitive-escape ablation.
-	everNL RefSet
 
 	visits    int
 	maxVisits int
@@ -273,45 +221,49 @@ type analyzer struct {
 	cancel <-chan struct{}
 }
 
-// AnalyzeMethod runs the analysis on one method, setting the Elide /
-// ElideNullOrSame flags on its instructions and returning a report.
-// ModeNone clears all flags and returns immediately.
+// AnalyzeMethodCtx runs the analysis on one method: it writes each store
+// site's Verdict into the method's instructions and returns the report
+// counted off them. ModeNone proves nothing, so every site keeps its
+// barrier.
 //
 // The analysis never takes a method (or the pipeline above it) down: a
 // panic anywhere inside is recovered and converted into the conservative
-// degraded result — all flags cleared, every barrier kept — with the
-// recovered value and stack in the report. The same holds for methods
-// exceeding the Options budgets (visit count, deadline, state size).
-func AnalyzeMethod(p *bytecode.Program, m *bytecode.Method, opts Options) (*MethodReport, error) {
-	return AnalyzeMethodCtx(context.Background(), p, m, opts)
+// degraded result — every barrier kept — with the recovered value and
+// stack in the report. The same holds for methods exceeding the Options
+// budgets (visit count, deadline, state size). Cancellation of ctx is
+// observed at block-visit boundaries (the fixed point's only loop) and
+// degrades the method the same way with reason DegradeCancelled —
+// analysis is never torn down mid-judgment, so a cancelled request can
+// still ship a correct, conservative program. A context deadline earlier
+// than Options.Deadline tightens it.
+func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options) (*MethodReport, error) {
+	rep := &MethodReport{Method: m, BytecodeBytes: m.Size()}
+	verdicts, err := analyze(ctx, p, m, opts, rep)
+	if err != nil {
+		return nil, err
+	}
+	rep.Converged = rep.Degraded == DegradeNone
+	publish(p, m, verdicts, rep)
+	return rep, nil
 }
 
-// AnalyzeMethodCtx is AnalyzeMethod under a caller context: cancellation
-// is observed at block-visit boundaries (the fixed point's only loop) and
-// degrades the method soundly to the all-barriers result with reason
-// DegradeCancelled — analysis is never torn down mid-judgment, so a
-// cancelled request can still ship a correct, conservative program. A
-// context deadline earlier than Options.Deadline tightens it.
-func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options) (rep *MethodReport, err error) {
+// analyze decides the method's verdicts (nil: none proven) and fills the
+// engine's part of the report; a degraded method returns nil verdicts with
+// the reason in rep.
+func analyze(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rep = degradedReport(p, m, DegradePanic,
-				fmt.Sprintf("%v\n%s", r, debug.Stack()))
-			err = nil
+			*rep = MethodReport{Method: m, BytecodeBytes: rep.BytecodeBytes, Degraded: DegradePanic,
+				DegradeDetail: fmt.Sprintf("%v\n%s", r, debug.Stack())}
+			verdicts, err = nil, nil
 		}
 	}()
 	if cerr := ctx.Err(); cerr != nil {
-		return degradedReport(p, m, DegradeCancelled, cerr.Error()), nil
+		rep.Degraded, rep.DegradeDetail = DegradeCancelled, cerr.Error()
+		return nil, nil
 	}
-	rep = &MethodReport{Method: m, Converged: true, BytecodeBytes: m.Size()}
-	for pc := range m.Code {
-		m.Code[pc].Elide = false
-		m.Code[pc].ElideNullOrSame = false
-		m.Code[pc].ElideRearrange = false
-	}
-	countSites(p, m, rep)
 	if opts.Mode == ModeNone {
-		return rep, nil
+		return nil, nil
 	}
 	g, err := cfg.Build(m)
 	if err != nil {
@@ -331,64 +283,67 @@ func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Meth
 	if d, ok := ctx.Deadline(); ok && (a.deadline.IsZero() || d.Before(a.deadline)) {
 		a.deadline = d
 	}
-	if ctx.Done() != nil {
-		a.cancel = ctx.Done()
-	}
+	a.cancel = ctx.Done()
 	rep.AbstractRefs = a.refs.count()
 
-	if reason := a.fixpoint(); reason != DegradeNone {
-		rep.Converged = false
-		rep.Degraded = reason
-		rep.BlockVisits = a.visits
-		return rep, nil
-	}
+	rep.Degraded = a.fixpoint()
 	rep.BlockVisits = a.visits
-	a.judge(rep)
-	return rep, nil
-}
-
-// degradedReport is the conservative bail-out result: every elision flag
-// cleared (all barriers kept), sites counted, and the reason recorded.
-func degradedReport(p *bytecode.Program, m *bytecode.Method, reason DegradeReason, detail string) *MethodReport {
-	for pc := range m.Code {
-		m.Code[pc].Elide = false
-		m.Code[pc].ElideNullOrSame = false
-		m.Code[pc].ElideRearrange = false
+	if rep.Degraded != DegradeNone {
+		return nil, nil
 	}
-	rep := &MethodReport{Method: m, BytecodeBytes: m.Size(), Degraded: reason, DegradeDetail: detail}
-	countSites(p, m, rep)
-	return rep
+	j := a.judge()
+	rep.SummaryCalls, rep.FreshReturns = j.summaryCalls, j.freshReturns
+	return j.verdicts, nil
 }
 
-// countSites counts the barrier sites (reference-storing putfield and
-// aastore instructions).
-func countSites(p *bytecode.Program, m *bytecode.Method, rep *MethodReport) {
+// publish is the one writer of Instr.Verdict and the one counter of sites
+// and elisions: it stores the method's verdicts (nil: keep every barrier)
+// and counts the report's static columns off the stored result.
+func publish(p *bytecode.Program, m *bytecode.Method, verdicts []bytecode.Verdict, rep *MethodReport) {
 	for pc := range m.Code {
 		in := &m.Code[pc]
-		switch in.Op {
-		case bytecode.OpPutField:
-			if ft := p.FieldType(in.Field); ft.IsRef() {
-				rep.FieldSites++
-			}
-		case bytecode.OpAAStore:
-			rep.ArraySites++
+		in.Verdict = bytecode.VerdictNone
+		kind, ok := satb.SiteOf(p, in)
+		if !ok {
+			continue
+		}
+		if verdicts != nil {
+			in.Verdict = verdicts[pc]
+		}
+		sites, elided := &rep.FieldSites, &rep.FieldElided
+		if kind == satb.ArraySite {
+			sites, elided = &rep.ArraySites, &rep.ArrayElided
+		}
+		*sites++
+		switch in.Verdict {
+		case bytecode.VerdictPreNull:
+			*elided++
+		case bytecode.VerdictNullOrSame:
+			rep.NullOrSame++
+		case bytecode.VerdictRearrange:
+			rep.Rearranged++
 		}
 	}
 }
 
 // newAnalyzer sets up the engine for one method: its reference universe,
 // slot table, per-instruction field ids, reusable buffers and the default
-// visit budget.
-func newAnalyzer(p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options, forSummary bool) *analyzer {
+// visit budget. summaryMode selects the summary-mode abstraction of
+// arguments (see summaryRecorder).
+func newAnalyzer(p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options, summaryMode bool) *analyzer {
 	a := &analyzer{
-		prog: p, m: m, g: g, opts: opts,
-		refs:       buildRefTable(p, m, opts, forSummary),
-		fieldAt:    make([]fieldID, len(m.Code)),
-		entry:      make([]*state, len(g.Blocks)),
-		forSummary: forSummary,
-		maxVisits:  200*len(g.Blocks) + 2000,
+		transfer: transfer{
+			prog: p, m: m, g: g, opts: opts,
+			refs:    buildRefTable(p, m, opts, summaryMode),
+			fieldAt: make([]fieldID, len(m.Code)),
+		},
+		entry:     make([]*state, len(g.Blocks)),
+		maxVisits: 200*len(g.Blocks) + 2000,
 	}
 	a.slots = newSlotTable(a.refs)
+	if summaryMode {
+		a.rec = newSummaryRecorder(a.refs, a.slots)
+	}
 	for pc := range m.Code {
 		switch in := &m.Code[pc]; in.Op {
 		case bytecode.OpGetField, bytecode.OpPutField, bytecode.OpGetStatic, bytecode.OpPutStatic:
@@ -413,7 +368,7 @@ func (a *analyzer) initialState() *state {
 		if at.IsRef() {
 			r := a.refs.argRef[i]
 			s.locals[slot] = RefValue(SingletonRef(r))
-			if !(a.m.Ctor && i == 0) && !a.forSummary {
+			if !(a.m.Ctor && i == 0) && a.rec == nil {
 				// Non-constructor reference arguments are non-thread-
 				// local from the start. In summary mode they start
 				// local so their genuine escapes can be observed.
@@ -430,15 +385,6 @@ func (a *analyzer) initialState() *state {
 		slot++
 	}
 	a.everNL = s.nl
-	if a.forSummary {
-		a.argRefs = EmptyRefSet
-		for _, r := range a.refs.argRef {
-			a.argRefs = a.argRefs.With(r)
-		}
-		for _, r := range a.refs.argContent {
-			a.argRefs = a.argRefs.With(r)
-		}
-	}
 	return s
 }
 
@@ -567,38 +513,26 @@ func (a *analyzer) fixpoint() DegradeReason {
 }
 
 // judge performs the final pass: with fixed-point entry states, it
-// re-simulates every reachable block, and the judgment hook marks sites
-// ("the last such judgment (at the fixed point of the analysis) is
-// correct", §2.4).
-func (a *analyzer) judge(rep *MethodReport) {
-	fieldElided := map[int]bool{}
-	arrayElided := map[int]bool{}
-	nosElided := map[int]bool{}
-	rearranged := map[int]bool{}
-	judgeFn := func(pc int, kind judgeKind) {
-		switch kind {
-		case judgeField:
-			fieldElided[pc] = true
-		case judgeArray:
-			arrayElided[pc] = true
-		case judgeNullOrSame:
-			nosElided[pc] = true
-		case judgeRearrange:
-			rearranged[pc] = true
-		}
-	}
+// re-simulates every reachable block, and the transfer functions record
+// what each store site earned ("the last such judgment (at the fixed point
+// of the analysis) is correct", §2.4).
+func (a *analyzer) judge() judgment {
+	j := judgment{verdicts: make([]bytecode.Verdict, len(a.m.Code))}
 	// Visit blocks in reverse postorder so that a single-predecessor
 	// block can continue its predecessor's judge-pass state and
 	// rearrangement tracker: swaps routinely straddle the conditional
 	// guard and its then-block, and straight-line flow preserves the
 	// value identities the detector relies on.
 	//
-	// outs[id] is block id's out state while conts[id] single-predecessor
-	// successors have yet to continue from it; the last of them takes the
-	// state over instead of copying it, and a state nobody continues from
-	// goes back to free. The fixed point's two buffers start the list.
-	outs := make([]*state, len(a.g.Blocks))
-	conts := make([]int, len(a.g.Blocks))
+	// outs[id].st is block id's out state while outs[id].conts
+	// single-predecessor successors have yet to continue from it; the last
+	// of them takes the state over instead of copying it, and a state
+	// nobody continues from goes back to free. The fixed point's two
+	// buffers start the list.
+	outs := make([]struct {
+		st    *state
+		conts int
+	}, len(a.g.Blocks))
 	free := []*state{a.scratch, a.spare}
 	copyOf := func(src *state) *state {
 		st := &state{tab: a.slots}
@@ -608,7 +542,10 @@ func (a *analyzer) judge(rep *MethodReport) {
 		st.copyFrom(src)
 		return st
 	}
-	trackers := make([]*rearrangeTracker, len(a.g.Blocks))
+	var trackers []*rearrangeTracker
+	if a.opts.Rearrange {
+		trackers = make([]*rearrangeTracker, len(a.g.Blocks))
+	}
 	for _, id := range a.g.ReversePostorder() {
 		if a.entry[id] == nil {
 			continue
@@ -616,20 +553,20 @@ func (a *analyzer) judge(rep *MethodReport) {
 		b := a.g.Blocks[id]
 		for _, succ := range b.Succs {
 			if len(a.g.Blocks[succ].Preds) == 1 {
-				conts[id]++
+				outs[id].conts++
 			}
 		}
 		var st *state
 		a.rt = nil
-		if len(b.Preds) == 1 && outs[b.Preds[0]] != nil {
-			p := b.Preds[0]
-			if a.opts.Rearrange && trackers[p] != nil {
-				a.rt = trackers[p].fork()
+		if len(b.Preds) == 1 && outs[b.Preds[0]].st != nil {
+			p := &outs[b.Preds[0]]
+			if a.opts.Rearrange && trackers[b.Preds[0]] != nil {
+				a.rt = trackers[b.Preds[0]].fork()
 			}
-			if conts[p]--; conts[p] == 0 {
-				st, outs[p] = outs[p], nil
+			if p.conts--; p.conts == 0 {
+				st, p.st = p.st, nil
 			} else {
-				st = copyOf(outs[p])
+				st = copyOf(p.st)
 			}
 		} else {
 			st = copyOf(a.entry[id])
@@ -637,758 +574,17 @@ func (a *analyzer) judge(rep *MethodReport) {
 		if a.opts.Rearrange && a.rt == nil {
 			a.rt = newRearrangeTracker()
 		}
-		a.simulate(st, b, judgeFn)
-		if conts[id] > 0 {
-			outs[id] = st
+		a.simulate(st, b, &j)
+		if outs[id].conts > 0 {
+			outs[id].st = st
 		} else {
 			free = append(free, st)
 		}
 		if a.rt != nil {
-			a.rt.detectSwaps(judgeFn)
+			a.rt.detectSwaps(&j)
 			trackers[id] = a.rt
 			a.rt = nil
 		}
 	}
-	for pc := range fieldElided {
-		a.m.Code[pc].Elide = true
-		rep.FieldElided++
-	}
-	if a.opts.Mode == ModeFieldArray {
-		for pc := range arrayElided {
-			a.m.Code[pc].Elide = true
-			rep.ArrayElided++
-		}
-	}
-	if a.opts.NullOrSame {
-		for pc := range nosElided {
-			if !a.m.Code[pc].Elide {
-				a.m.Code[pc].ElideNullOrSame = true
-				rep.NullOrSame++
-			}
-		}
-	}
-	if a.opts.Rearrange {
-		for pc := range rearranged {
-			in := &a.m.Code[pc]
-			if !in.Elide && !in.ElideNullOrSame {
-				in.ElideRearrange = true
-				rep.Rearranged++
-			}
-		}
-	}
-	rep.SummaryCalls = a.statSummaryCalls
-	rep.FreshReturns = a.statFreshReturns
-}
-
-// judgeKind distinguishes the three elision judgments.
-type judgeKind int
-
-const (
-	judgeField judgeKind = iota
-	judgeArray
-	judgeNullOrSame
-	judgeRearrange
-)
-
-// buildGraph wraps cfg.Build for use by the summary computation.
-func buildGraph(m *bytecode.Method) (*cfg.Graph, error) { return cfg.Build(m) }
-
-// contentRef resolves the contents reference a summary-mode read of an
-// untracked field of r yields: the argument's contents reference for a
-// non-unique argument, r itself for contents (deep reads stay contents),
-// nothing otherwise. A constructor's unique receiver keeps the plain
-// allocation defaults — its fields genuinely start null.
-func (a *analyzer) contentRef(r RefID) (RefID, bool) {
-	info := a.refs.info(r)
-	switch info.kind {
-	case refArg:
-		if info.unique {
-			return 0, false
-		}
-		cr, ok := a.refs.argContent[info.arg]
-		return cr, ok
-	case refArgContent:
-		return r, true
-	}
-	return 0, false
-}
-
-// sigmaDefault is the value an absent σ entry denotes for a field of r:
-// the allocation default (null / 0) — except in summary mode for
-// non-unique arguments and contents references, whose untracked fields
-// hold unknown caller-provided values (the contents reference for
-// reference fields, ⊤ for integers). Without the contents abstraction a
-// callee could read arg.f, publish it, and the summary would never learn
-// that the argument's reachable objects escaped.
-func (a *analyzer) sigmaDefault(r RefID, wantInt bool) Value {
-	if a.forSummary {
-		if cr, ok := a.contentRef(r); ok {
-			if wantInt {
-				return TopInt()
-			}
-			return RefValue(SingletonRef(cr))
-		}
-	}
-	if wantInt {
-		return IntValue(intval.Const(0))
-	}
-	return NullValue()
-}
-
-// fieldValue is lookup(σ, r, NL, f) honoring the summary-mode contents
-// abstraction for absent entries.
-func (a *analyzer) fieldValue(s *state, r RefID, f fieldID, wantInt bool) Value {
-	if a.forSummary && !s.nl.Has(r) {
-		if _, ok := a.contentRef(r); ok {
-			if _, has := s.sigmaGet(r, f); !has {
-				return a.sigmaDefault(r, wantInt)
-			}
-		}
-	}
-	return s.lookup(r, f, wantInt)
-}
-
-// weakStore is the weak update σ(r, f) ⊔= val, an absent entry standing
-// for the field's default.
-func (a *analyzer) weakStore(s *state, r RefID, f fieldID, val Value, wantInt bool) {
-	old, ok := s.sigmaGet(r, f)
-	if !ok {
-		old = a.sigmaDefault(r, wantInt)
-	}
-	s.sigmaSet(r, f, weakMergeValue(old, val))
-}
-
-// markDirtyField records, in summary mode, a reference-field write
-// against its targets: a direct write to an argument dirties that field
-// of the argument (the caller invalidates just that σ fact), while a
-// write through the argument's contents compromises the whole argument —
-// the caller has no finer name for the written object.
-func (a *analyzer) markDirtyField(targets RefSet, field string) {
-	if !a.forSummary {
-		return
-	}
-	targets.ForEach(func(r RefID) {
-		switch a.refs.info(r).kind {
-		case refArg:
-			m := a.dirtyArgFields[r]
-			if m == nil {
-				if a.dirtyArgFields == nil {
-					a.dirtyArgFields = map[RefID]map[string]bool{}
-				}
-				m = map[string]bool{}
-				a.dirtyArgFields[r] = m
-			}
-			m[field] = true
-		case refArgContent:
-			a.contentMutated = a.contentMutated.With(r)
-		}
-	})
-}
-
-// markIntMutated records integer-field/element writes: against an
-// argument it taints only the caller's integer facts, but a write
-// through contents compromises the argument (the caller's integer facts
-// about reachable objects have no per-object taint channel).
-func (a *analyzer) markIntMutated(targets RefSet) {
-	targets.ForEach(func(r RefID) {
-		switch a.refs.info(r).kind {
-		case refArg:
-			a.intMutatedArgs = a.intMutatedArgs.With(r)
-		case refArgContent:
-			a.contentMutated = a.contentMutated.With(r)
-		}
-	})
-}
-
-// markIntMutatedIf conditionally records scalar mutation.
-func (a *analyzer) markIntMutatedIf(cond bool, targets RefSet) {
-	if cond {
-		a.markIntMutated(targets)
-	}
-}
-
-// invalidateField drops the caller's σ facts about one callee-written
-// reference field of the passed argument's referents: the entry joins
-// with {GlobalRef} ("possibly rewritten with something unknown"), and a
-// dirtied $elems additionally kills the null-range facts the array
-// analysis relies on. Thread-locality of the referents survives — that
-// is the point of the summary.
-func (a *analyzer) invalidateField(s *state, targets RefSet, field string) {
-	f := a.slots.fieldNamed(field)
-	targets.ForEach(func(r RefID) {
-		if s.nl.Has(r) {
-			return // lookups on escaped references are already ⊤
-		}
-		a.weakStore(s, r, f, RefValue(SingletonRef(GlobalRefID)), false)
-		if f == elemsFieldID {
-			s.delNR(r)
-		}
-	})
-}
-
-// pushCallResult models the call's return value. A reference return
-// whose callee summary proves ReturnsFresh is modeled like an allocation
-// site: the call-site A name is renamed into its B summary, reset to
-// thread-local with null reference fields, and pushed — except its
-// integer fields are tainted, since the callee may have initialized
-// them. Anything else returns the unknown {GlobalRef} / ⊤.
-func (a *analyzer) pushCallResult(s *state, pc int, callee *bytecode.Method, sum *MethodSummary, judging bool) {
-	if callee.Return == bytecode.Void {
-		return
-	}
-	if !callee.Return.IsRef() {
-		s.push(TopInt())
-		return
-	}
-	if sum != nil && sum.ReturnsFresh {
-		if ra, ok := a.refs.callA[pc]; ok {
-			if judging {
-				a.statFreshReturns++
-			}
-			rb := a.refs.callB[pc]
-			if !a.opts.UnsoundSkipBDemotion {
-				s.renameAlloc(ra, rb)
-			}
-			s.intTainted = s.intTainted.With(ra)
-			if !a.opts.SingleRefPerSite {
-				// Mirror OpNewInstance: fresh A name with the σ defaults
-				// (all reference fields null per the freshness proof).
-				s.clearSigmaRef(ra)
-				s.nl = s.nl.Without(ra)
-				s.delLength(ra)
-				s.delNR(ra)
-			}
-			s.push(RefValue(SingletonRef(ra)))
-			return
-		}
-	}
-	s.push(RefValue(SingletonRef(GlobalRefID)))
-}
-
-// recordSummaryReturn accumulates, at a return point, every reference a
-// caller (or another thread) could reach afterwards: escaped references
-// and the returned value feed summaryReach (compromising), while
-// references stored into an argument's fields feed that argument's
-// argStored set — they compromise only the OTHER arguments found there.
-// It also applies the strict freshness test to the returned value.
-func (a *analyzer) recordSummaryReturn(s *state, hasValue bool) {
-	set := s.nl
-	if hasValue {
-		top := s.stack[len(s.stack)-1]
-		if top.IsRefs() {
-			set = set.Union(top.Refs())
-			a.checkReturnFresh(s, top.Refs())
-		}
-	}
-	a.summaryReach = a.summaryReach.Union(s.reachFrom(set))
-	for arg := 0; arg < a.m.NumArgs(); arg++ {
-		r, ok := a.refs.argRef[arg]
-		if !ok {
-			continue
-		}
-		for _, i := range a.slots.refSlots[r] {
-			v := s.sigmaAt(int(i))
-			if !v.IsRefs() {
-				continue
-			}
-			if a.argStored == nil {
-				a.argStored = map[int]RefSet{}
-			}
-			a.argStored[arg] = a.argStored[arg].Union(s.reachFrom(v.Refs()))
-		}
-	}
-}
-
-// storedInOtherArg reports whether reference r (an argument or its
-// contents, belonging to argument i) was stored into some other
-// argument's fields — an untracked caller-visible alias.
-func (a *analyzer) storedInOtherArg(i int, r RefID) bool {
-	for j, set := range a.argStored {
-		if j != i && set.Has(r) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkReturnFresh tests the strict ReturnsFresh conditions on one
-// return statement's value, clearing the claim when any fails: every
-// possible returned object must be an allocation of this method (or a
-// callee's fresh return), never escaped, unreachable from any argument
-// or its contents, and have every reference field still null — the
-// caller will model the call site exactly like an allocation site, so
-// any non-null field or caller-visible alias would mint unsound pre-null
-// facts. Returning a definite null is trivially fresh.
-func (a *analyzer) checkReturnFresh(s *state, refs RefSet) {
-	if a.retNotFresh || refs.IsEmpty() {
-		return
-	}
-	argReach := s.reachFrom(a.argRefs)
-	ok := true
-	refs.ForEach(func(r RefID) {
-		switch a.refs.info(r).kind {
-		case refAllocA, refAllocB, refCallA, refCallB:
-		default:
-			ok = false
-			return
-		}
-		if s.nl.Has(r) || argReach.Has(r) {
-			ok = false
-		}
-	})
-	if ok {
-		refs.ForEach(func(r RefID) {
-			for _, i := range a.slots.refSlots[r] {
-				if v := s.sigmaAt(int(i)); v.kind == vRefs && !v.refs.IsEmpty() {
-					ok = false
-				}
-			}
-		})
-	}
-	if !ok {
-		a.retNotFresh = true
-	}
-}
-
-// siteLen returns the stable length symbol for a newarray site.
-func (a *analyzer) siteLen(pc int) intval.ConstU {
-	if a.siteLenConst == nil {
-		a.siteLenConst = map[int]intval.ConstU{}
-	}
-	c, ok := a.siteLenConst[pc]
-	if !ok {
-		c = a.namer.FreshConst()
-		a.siteLenConst[pc] = c
-	}
-	return c
-}
-
-// isNonLocal consults NL, or everNL under the flow-insensitive ablation.
-func (a *analyzer) isNonLocal(s *state, r RefID) bool {
-	if a.opts.FlowInsensitiveEscape {
-		return a.everNL.Has(r)
-	}
-	return s.nl.Has(r)
-}
-
-// trackArrays reports whether Len/NR bookkeeping is active.
-func (a *analyzer) trackArrays() bool { return a.opts.Mode == ModeFieldArray }
-
-// simulate interprets one block from the given state. judgeFn, when
-// non-nil, receives the elision judgment for each barrier site traversed.
-// It transforms s into the block's out state in place and returns the
-// successor block ids (valid until the next call).
-func (a *analyzer) simulate(s *state, b *cfg.Block, judgeFn func(pc int, kind judgeKind)) []int {
-	a.targets = a.targets[:0]
-	for pc := b.Start; pc < b.End; pc++ {
-		in := &a.m.Code[pc]
-		switch in.Op {
-		case bytecode.OpNop:
-		case bytecode.OpConst, bytecode.OpConstBool:
-			s.push(IntValue(intval.Const(in.A)))
-		case bytecode.OpConstNull:
-			s.push(NullValue())
-		case bytecode.OpLoad:
-			v := s.locals[in.A]
-			if v.IsBottom() {
-				// Read of a never-written slot (possible only in
-				// unverified code): conservative default by slot type.
-				if a.m.SlotTypes[in.A].IsRef() {
-					v = RefValue(SingletonRef(GlobalRefID))
-				} else {
-					v = TopInt()
-				}
-			}
-			if a.rt != nil {
-				if v.kind == vInt && v.iv.IsTop() {
-					// Freshen the unknown local to a stable per-slot
-					// symbol so index expressions stay comparable.
-					v = IntValue(a.rt.loadSlotInt(int(in.A), &a.namer))
-				} else if v.kind == vRefs {
-					v.vn = a.rt.loadSlotRef(int(in.A))
-				}
-			}
-			s.push(v)
-		case bytecode.OpStore:
-			s.locals[in.A] = s.pop()
-			if a.rt != nil {
-				a.rt.killSlot(int(in.A))
-			}
-		case bytecode.OpDup:
-			s.push(s.stack[len(s.stack)-1])
-		case bytecode.OpPop:
-			s.pop()
-		case bytecode.OpAdd:
-			y, x := s.pop(), s.pop()
-			s.push(IntValue(x.Int().Add(y.Int())))
-		case bytecode.OpSub:
-			y, x := s.pop(), s.pop()
-			s.push(IntValue(x.Int().Sub(y.Int())))
-		case bytecode.OpMul:
-			y, x := s.pop(), s.pop()
-			s.push(IntValue(x.Int().Mul(y.Int())))
-		case bytecode.OpNeg:
-			s.push(IntValue(s.pop().Int().Neg()))
-		case bytecode.OpDiv, bytecode.OpRem:
-			s.pop()
-			s.pop()
-			s.push(TopInt())
-		case bytecode.OpAnd, bytecode.OpOr,
-			bytecode.OpCmpEQ, bytecode.OpCmpNE, bytecode.OpCmpLT, bytecode.OpCmpLE,
-			bytecode.OpCmpGT, bytecode.OpCmpGE, bytecode.OpRefEQ, bytecode.OpRefNE:
-			s.pop()
-			s.pop()
-			s.push(TopInt())
-		case bytecode.OpNot:
-			s.pop()
-			s.push(TopInt())
-
-		case bytecode.OpGoto:
-			a.targets = append(a.targets, a.g.BlockOf(int(in.A)))
-			return a.targets
-		case bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfNull, bytecode.OpIfNonNull:
-			s.pop()
-			a.targets = append(a.targets, a.g.BlockOf(int(in.A)))
-
-		case bytecode.OpGetStatic:
-			ft := a.prog.FieldType(in.Field)
-			if ft.IsRef() {
-				v := RefValue(SingletonRef(GlobalRefID))
-				if a.rt != nil {
-					v.vn = a.rt.loadStaticRef(a.slots.name(a.fieldAt[pc]))
-				}
-				s.push(v)
-			} else {
-				s.push(TopInt())
-			}
-		case bytecode.OpPutStatic:
-			val := s.pop()
-			// Values stored into statics escape (AllNonTL).
-			s.escapeValue(val)
-			if a.opts.NullOrSame {
-				s.dropSrcsForField(a.slots.name(a.fieldAt[pc]))
-			}
-			if a.rt != nil {
-				a.rt.killStatic(a.slots.name(a.fieldAt[pc]))
-			}
-
-		case bytecode.OpGetField:
-			obj := s.pop()
-			ft := a.prog.FieldType(in.Field)
-			field := a.fieldAt[pc]
-			wantInt := !ft.IsRef()
-			var out Value
-			first := true
-			obj.Refs().ForEach(func(r RefID) {
-				v := a.fieldValue(s, r, field, wantInt)
-				if first {
-					out = v
-					first = false
-				} else {
-					out = weakMergeValue(out, v)
-				}
-			})
-			if first { // obj definitely null: unreachable past the NPE
-				if wantInt {
-					out = TopInt()
-				} else {
-					out = NullValue()
-				}
-			}
-			// Null-or-same provenance: a value loaded from (r, f) is
-			// trivially "null or the current content of (r, f)".
-			if a.opts.NullOrSame && !wantInt {
-				if r, one := obj.Refs().Single(); one {
-					out = out.withSrcs(singletonSrc(srcKey{ref: r, field: a.slots.name(field)}))
-				}
-			}
-			s.push(out)
-
-		case bytecode.OpPutField:
-			val := s.pop()
-			obj := s.pop()
-			ft := a.prog.FieldType(in.Field)
-			field := a.fieldAt[pc]
-			if judgeFn != nil && ft.IsRef() {
-				a.judgeFieldStore(s, pc, obj.Refs(), field, val, judgeFn)
-			}
-			if a.forSummary {
-				if ft.IsRef() {
-					a.markDirtyField(obj.Refs(), a.slots.name(field))
-				} else {
-					a.markIntMutated(obj.Refs())
-				}
-			}
-			// Strong update for a singleton unique reference, weak
-			// otherwise (§2.4).
-			if r, one := obj.Refs().Single(); one && a.refs.unique(r) {
-				s.sigmaSet(r, field, val)
-			} else {
-				obj.Refs().ForEach(func(r RefID) {
-					a.weakStore(s, r, field, val, !ft.IsRef())
-				})
-			}
-			if a.opts.NullOrSame {
-				s.dropSrcsForField(a.slots.name(field))
-			}
-			s.escapeCond(obj.Refs(), val)
-
-		case bytecode.OpNewInstance:
-			ra := a.refs.allocA[pc]
-			rb := a.refs.allocB[pc]
-			if !a.opts.UnsoundSkipBDemotion {
-				s.renameAlloc(ra, rb)
-			}
-			if a.opts.SingleRefPerSite {
-				// Weak semantics: the site's fields merge with null
-				// (no-op for absent entries) rather than resetting.
-				s.push(RefValue(SingletonRef(ra)))
-				break
-			}
-			// Fresh A name: the allocator zeroed the fields, which is
-			// exactly the σ default, so clearing any stale entries
-			// suffices.
-			s.clearSigmaRef(ra)
-			s.nl = s.nl.Without(ra)
-			s.intTainted = s.intTainted.Without(ra)
-			s.push(RefValue(SingletonRef(ra)))
-
-		case bytecode.OpNewArray:
-			n := s.pop().Int()
-			ra := a.refs.allocA[pc]
-			rb := a.refs.allocB[pc]
-			if !a.opts.UnsoundSkipBDemotion {
-				s.renameAlloc(ra, rb)
-			}
-			// The summary B inherits no length/range facts: its members'
-			// lengths differ across the site's executions.
-			s.delLength(rb)
-			s.delNR(rb)
-			if !a.opts.SingleRefPerSite {
-				s.clearSigmaRef(ra)
-				s.nl = s.nl.Without(ra)
-				s.intTainted = s.intTainted.Without(ra)
-				s.delLength(ra)
-				s.delNR(ra)
-				if a.trackArrays() {
-					if n.IsTop() {
-						// Unknown allocation length: name it with the
-						// site's length symbol. Within one window (until
-						// the next allocation here renames R_A) the most
-						// recent array's length is a fixed value, which
-						// is all the in-window judgments rely on.
-						n = intval.OfConstU(a.siteLen(pc))
-					}
-					s.setLength(ra, n)
-					if in.Type.IsRef() {
-						// NR(R_A) = [0 .. n-1] (§3.3).
-						s.setNR(ra, intval.Full(intval.Const(0), n.Sub(intval.Const(1))))
-					}
-				}
-			}
-			s.push(RefValue(SingletonRef(ra)))
-
-		case bytecode.OpArrayLength:
-			arr := s.pop()
-			out := intval.Top
-			first := true
-			arr.Refs().ForEach(func(r RefID) {
-				l := s.lengthOf(r)
-				if first {
-					out = l
-					first = false
-				} else {
-					out = intval.Merge(out, l, nil)
-				}
-			})
-			s.push(IntValue(out))
-
-		case bytecode.OpAALoad:
-			ind := s.pop().Int()
-			arr := s.pop()
-			var out Value
-			first := true
-			arr.Refs().ForEach(func(r RefID) {
-				v := a.fieldValue(s, r, elemsFieldID, false)
-				if first {
-					out = v
-					first = false
-				} else {
-					out = weakMergeValue(out, v)
-				}
-			})
-			if first {
-				out = NullValue()
-			}
-			if a.rt != nil {
-				out.eprov = &elemProv{arrVN: arr.vn, arr: arr.Refs(), idx: ind, seq: a.rt.tick()}
-			}
-			s.push(out)
-
-		case bytecode.OpAAStore:
-			val := s.pop()
-			ind := s.pop().Int()
-			arr := s.pop()
-			if judgeFn != nil {
-				a.judgeArrayStore(s, pc, arr.Refs(), ind, judgeFn)
-			}
-			if a.rt != nil {
-				a.rt.recordStore(pc, arr.vn, arr.Refs(), ind, val.eprov)
-			}
-			if a.forSummary {
-				a.markDirtyField(arr.Refs(), elemsField)
-			}
-			arr.Refs().ForEach(func(r RefID) {
-				a.weakStore(s, r, elemsFieldID, val, false)
-				if a.trackArrays() {
-					if rng := s.nrOf(r); !rng.IsEmpty() {
-						s.setNR(r, rng.Contract(ind))
-					}
-				}
-			})
-			s.escapeCond(arr.Refs(), val)
-
-		case bytecode.OpIALoad:
-			s.pop()
-			s.pop()
-			s.push(TopInt())
-		case bytecode.OpIAStore:
-			s.pop()
-			s.pop()
-			arr := s.pop()
-			if a.forSummary {
-				a.markIntMutated(arr.Refs())
-			}
-
-		case bytecode.OpInvoke:
-			callee := a.prog.Method(in.Method)
-			n := len(s.stack) - callee.NumArgs()
-			a.args = append(a.args[:0], s.stack[n:]...)
-			s.stack = s.stack[:n]
-			args := a.args
-			// Passed references escape: nAllNonTL (§2.4) — unless an
-			// interprocedural summary proves the callee neither
-			// publishes nor mutates the argument.
-			var sum *MethodSummary
-			if a.summaries != nil {
-				sum = a.summaries[in.Method]
-			}
-			if judgeFn != nil && sum != nil {
-				a.statSummaryCalls++
-			}
-			for i, v := range args {
-				if sum != nil && i < len(sum.ArgCompromised) && !sum.ArgCompromised[i] {
-					if v.IsRefs() {
-						// The argument stays thread-local; if the callee
-						// may write its scalar fields, the caller forgets
-						// its integer facts about it, and the caller's σ
-						// facts die for exactly the reference fields the
-						// callee may write (the non-pre-null ones).
-						if sum.ArgIntMutated[i] {
-							s.intTainted = s.intTainted.Union(v.Refs())
-						}
-						dirty := dirtyRefFields(a.prog, callee, sum, i)
-						for _, f := range dirty {
-							a.invalidateField(s, v.Refs(), f)
-						}
-						if a.forSummary {
-							// Propagate mutation effects transitively in
-							// summary mode.
-							a.markIntMutatedIf(sum.ArgIntMutated[i], v.Refs())
-							for _, f := range dirty {
-								a.markDirtyField(v.Refs(), f)
-							}
-						}
-					}
-					continue
-				}
-				s.escapeValue(v)
-			}
-			if a.opts.NullOrSame {
-				// The callee may write any field of any escaped object.
-				s.dropAllSrcs()
-			}
-			if a.rt != nil {
-				a.rt.clobber()
-			}
-			a.pushCallResult(s, pc, callee, sum, judgeFn != nil)
-
-		case bytecode.OpSpawn:
-			recv := s.pop()
-			s.escapeValue(recv)
-			if a.opts.NullOrSame {
-				s.dropAllSrcs()
-			}
-			if a.rt != nil {
-				a.rt.clobber()
-			}
-
-		case bytecode.OpPrint:
-			s.pop()
-
-		case bytecode.OpReturn, bytecode.OpReturnValue, bytecode.OpTrap:
-			if a.forSummary && in.Op != bytecode.OpTrap {
-				a.recordSummaryReturn(s, in.Op == bytecode.OpReturnValue)
-			}
-			return a.targets
-		}
-	}
-	a.targets = append(a.targets, a.g.BlockOf(b.End))
-	return a.targets
-}
-
-// judgeFieldStore evaluates the putfield elision judgments (§2.4 pre-null
-// and §4.3 null-or-same) in the pre-instruction state.
-func (a *analyzer) judgeFieldStore(s *state, pc int, obj RefSet, field fieldID, val Value, judgeFn func(int, judgeKind)) {
-	preNull := true
-	obj.ForEach(func(r RefID) {
-		if a.isNonLocal(s, r) || !s.fieldIsNull(r, field) {
-			preNull = false
-		}
-	})
-	if preNull {
-		judgeFn(pc, judgeField)
-		return
-	}
-	if !a.opts.NullOrSame {
-		return
-	}
-	nos := true
-	obj.ForEach(func(r RefID) {
-		if a.isNonLocal(s, r) {
-			nos = false
-			return
-		}
-		if s.fieldIsNull(r, field) {
-			return // overwrites null for this target
-		}
-		if val.srcs.has(srcKey{ref: r, field: a.slots.name(field)}) {
-			return // rewrites the value already present
-		}
-		nos = false
-	})
-	if nos {
-		judgeFn(pc, judgeNullOrSame)
-	}
-}
-
-// judgeArrayStore evaluates the aastore elision judgment: every possible
-// array is thread-local and the index lies in its known-null range.
-func (a *analyzer) judgeArrayStore(s *state, pc int, arr RefSet, ind intval.IntVal, judgeFn func(int, judgeKind)) {
-	if !a.trackArrays() {
-		return
-	}
-	ok := true
-	arr.ForEach(func(r RefID) {
-		if a.isNonLocal(s, r) {
-			ok = false
-			return
-		}
-		if !s.nrOf(r).Covers(ind) {
-			ok = false
-		}
-	})
-	if ok {
-		judgeFn(pc, judgeArray)
-	}
+	return j
 }

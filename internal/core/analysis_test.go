@@ -41,12 +41,13 @@ func analyzeSrc(t *testing.T, src string, inlineLimit int, opts Options) (*bytec
 func elisions(m *bytecode.Method) (fields, arrays, nos []int) {
 	for pc := range m.Code {
 		in := &m.Code[pc]
+		preNull := in.Verdict == bytecode.VerdictPreNull
 		switch {
-		case in.Elide && in.Op == bytecode.OpPutField:
+		case preNull && in.Op == bytecode.OpPutField:
 			fields = append(fields, pc)
-		case in.Elide && in.Op == bytecode.OpAAStore:
+		case preNull && in.Op == bytecode.OpAAStore:
 			arrays = append(arrays, pc)
-		case in.ElideNullOrSame:
+		case in.Verdict == bytecode.VerdictNullOrSame:
 			nos = append(nos, pc)
 		}
 	}

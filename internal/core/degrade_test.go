@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -29,7 +30,7 @@ func noElisions(t *testing.T, p *bytecode.Program) {
 	for _, m := range p.Methods() {
 		for pc := range m.Code {
 			in := &m.Code[pc]
-			if in.Elide || in.ElideNullOrSame || in.ElideRearrange {
+			if in.Verdict != bytecode.VerdictNone {
 				t.Errorf("%s pc %d: elision flag survived degradation", m.QualifiedName(), pc)
 			}
 		}
@@ -109,7 +110,7 @@ func TestPanicDegradesConservatively(t *testing.T) {
 	cls.Methods = append(cls.Methods, m)
 	p.AddClass(cls)
 
-	rep, err := AnalyzeMethod(p, m, Options{Mode: ModeFieldArray})
+	rep, err := AnalyzeMethodCtx(context.Background(), p, m, Options{Mode: ModeFieldArray})
 	if err != nil {
 		t.Fatalf("panic should degrade, not error: %v", err)
 	}
@@ -138,7 +139,7 @@ func TestGenerousBudgetsChangeNothing(t *testing.T) {
 	for i := range m1 {
 		for pc := range m1[i].Code {
 			x, y := &m1[i].Code[pc], &m2[i].Code[pc]
-			if x.Elide != y.Elide || x.ElideNullOrSame != y.ElideNullOrSame {
+			if x.Verdict != y.Verdict {
 				t.Errorf("%s pc %d: elision bits differ", m1[i].QualifiedName(), pc)
 			}
 		}

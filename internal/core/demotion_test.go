@@ -5,7 +5,7 @@ package core_test
 // must lose the unique A name, so stores through a loop-carried alias get
 // weak-update semantics and keep their barriers. The renameAlloc unit
 // tests in state_test.go cover the σ-transfer mechanics; these tests pin
-// the observable analysis decisions and prove the UnsoundSkipBDemotion
+// the observable analysis decisions and prove the skip-B-demotion
 // fault-injection knob really reopens the hole the demotion closes.
 
 import (
@@ -90,15 +90,12 @@ func TestLoopAllocDemotionLimitsElision(t *testing.T) {
 // campaign's self-test injects.
 func TestUnsoundSkipBDemotionReopensHole(t *testing.T) {
 	sound := compileDemotion(t, core.Options{Mode: core.ModeFieldArray})
-	b := compileDemotion(t, core.Options{
-		Mode:                 core.ModeFieldArray,
-		UnsoundSkipBDemotion: true,
-	})
+	b := compileDemotion(t, core.InjectFaults(core.Options{Mode: core.ModeFieldArray}, true, false))
 	same := true
 	soundMethods := sound.Program.Methods()
 	for mi, m := range b.Program.Methods() {
 		for pc, in := range m.Code {
-			if in.Elide != soundMethods[mi].Code[pc].Elide {
+			if in.Verdict != soundMethods[mi].Code[pc].Verdict {
 				same = false
 			}
 		}

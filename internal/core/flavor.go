@@ -24,21 +24,6 @@ type FlavorVerdicts struct {
 	Discarded int `json:"discarded"`
 }
 
-// staticVerdict mirrors the VM's flag-to-verdict mapping for a compiled
-// instruction.
-func staticVerdict(in *bytecode.Instr) satb.ElideKind {
-	switch {
-	case in.Elide:
-		return satb.ElidePreNull
-	case in.ElideNullOrSame:
-		return satb.ElideNullOrSame
-	case in.ElideRearrange:
-		return satb.ElideRearrange
-	default:
-		return satb.ElideNone
-	}
-}
-
 // FlavorSiteVerdicts filters a compiled program's static elision
 // verdicts through one flavor's soundness predicate.
 func FlavorSiteVerdicts(p *bytecode.Program, spec *satb.BarrierSpec) FlavorVerdicts {
@@ -46,15 +31,14 @@ func FlavorSiteVerdicts(p *bytecode.Program, spec *satb.BarrierSpec) FlavorVerdi
 	for _, m := range p.Methods() {
 		for i := range m.Code {
 			in := &m.Code[i]
-			if in.Op != bytecode.OpPutField && in.Op != bytecode.OpAAStore {
+			if in.Verdict == satb.ElideNone {
 				continue
 			}
-			k := staticVerdict(in)
-			if k == satb.ElideNone {
+			if _, ok := satb.SiteOf(p, in); !ok {
 				continue
 			}
 			fv.Verdicts++
-			if spec.Sound(k) {
+			if spec.Sound(in.Verdict) {
 				fv.Kept++
 			} else {
 				fv.Discarded++

@@ -11,13 +11,14 @@ import (
 // verdict of each kind plus an unelided store.
 func flavorProgram() *bytecode.Program {
 	p := bytecode.NewProgram()
-	cls := &bytecode.Class{Name: "T"}
+	cls := &bytecode.Class{Name: "T", Fields: []*bytecode.Field{{Name: "f", Type: bytecode.ClassType("T")}}}
+	f := bytecode.FieldRef{Class: "T", Name: "f"}
 	m := &bytecode.Method{Class: "T", Name: "main", Static: true}
 	m.Code = []bytecode.Instr{
-		{Op: bytecode.OpPutField, Elide: true},
-		{Op: bytecode.OpAAStore, ElideNullOrSame: true},
-		{Op: bytecode.OpAAStore, ElideRearrange: true},
-		{Op: bytecode.OpPutField},
+		{Op: bytecode.OpPutField, Field: f, Verdict: bytecode.VerdictPreNull},
+		{Op: bytecode.OpAAStore, Verdict: bytecode.VerdictNullOrSame},
+		{Op: bytecode.OpAAStore, Verdict: bytecode.VerdictRearrange},
+		{Op: bytecode.OpPutField, Field: f},
 		{Op: bytecode.OpReturn},
 	}
 	cls.Methods = append(cls.Methods, m)

@@ -117,7 +117,7 @@ class A { static void main() {
 				plainByName[m.QualifiedName()] = m.Code
 			}
 			elided := func(in bytecode.Instr) bool {
-				return in.Elide || in.ElideNullOrSame || in.ElideRearrange
+				return in.Verdict != bytecode.VerdictNone
 			}
 			for _, m := range prog.Methods() {
 				plain := plainByName[m.QualifiedName()]

@@ -75,7 +75,7 @@ class M {
 }
 `
 	p, _ := analyzeI(t, src)
-	sums, err := ComputeSummaries(p, optsI())
+	sums, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ class M {
 }
 `
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
-	sums, err := ComputeSummaries(p, optsI())
+	sums, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ class M {
 }
 `
 	p, _ := analyzeI(t, src)
-	sums, err := ComputeSummaries(p, optsI())
+	sums, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ class M {
 }
 `
 	p, _ := analyzeI(t, src)
-	sums, err := ComputeSummaries(p, optsI())
+	sums, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ class M {
 }
 `
 	p, _ := analyzeI(t, src)
-	sums, err := ComputeSummaries(p, optsI())
+	sums, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ class M {
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
 	opts := optsI()
 	opts.MaxSummaryRoundsPerSCC = 1
-	sums, err := ComputeSummaries(p, opts)
+	sums, err := ComputeSummariesParallel(p, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ class M {
 	}
 	// Default budget converges and is strictly more precise: ra
 	// publishes transitively, but ArgIntMutated stays false.
-	full, err := ComputeSummaries(p, optsI())
+	full, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,16 +324,15 @@ class M {
 }
 `
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
-	sound, err := ComputeSummaries(p, optsI())
+	sound, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sound[bytecode.MethodRef{Class: "M", Name: "ra"}].ArgCompromised[0] {
 		t.Fatal("sound fixed point must compromise ra's argument transitively")
 	}
-	unsound := optsI()
-	unsound.UnsoundTrustAllSummaries = true
-	trusted, err := ComputeSummaries(p, unsound)
+	unsound := InjectFaults(optsI(), false, true)
+	trusted, err := ComputeSummariesParallel(p, unsound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

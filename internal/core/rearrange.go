@@ -1,6 +1,7 @@
 package core
 
 import (
+	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
 )
 
@@ -169,9 +170,9 @@ func symEq(a, b intval.IntVal) bool {
 	return !a.IsTop() && !b.IsTop() && a.Equal(b)
 }
 
-// detectSwaps pairs the block's store events and reports both pcs of each
-// swap through judgeFn.
-func (rt *rearrangeTracker) detectSwaps(judgeFn func(pc int, kind judgeKind)) {
+// detectSwaps pairs the block's store events and records both pcs of each
+// swap in out.
+func (rt *rearrangeTracker) detectSwaps(out *judgment) {
 	evs := rt.events
 	for i := 0; i < len(evs); i++ {
 		for j := i + 1; j < len(evs); j++ {
@@ -203,8 +204,8 @@ func (rt *rearrangeTracker) detectSwaps(judgeFn func(pc int, kind judgeKind)) {
 			if rt.interfered(lo, e2.seq, i, j) {
 				continue
 			}
-			judgeFn(e1.pc, judgeRearrange)
-			judgeFn(e2.pc, judgeRearrange)
+			out.earn(e1.pc, bytecode.VerdictRearrange)
+			out.earn(e2.pc, bytecode.VerdictRearrange)
 		}
 	}
 }

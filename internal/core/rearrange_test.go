@@ -8,11 +8,11 @@ import (
 
 func optsR() Options { return Options{Mode: ModeFieldArray, Rearrange: true} }
 
-// rearranged lists pcs flagged ElideRearrange.
+// rearranged lists pcs whose verdict is rearrange.
 func rearranged(m *bytecode.Method) []int {
 	var out []int
 	for pc := range m.Code {
-		if m.Code[pc].ElideRearrange {
+		if m.Code[pc].Verdict == bytecode.VerdictRearrange {
 			out = append(out, pc)
 		}
 	}
@@ -207,9 +207,36 @@ class U {
 }
 
 func TestPreNullTakesPrecedenceOverRearrange(t *testing.T) {
-	// A swap on a freshly allocated local array: the stores are also
-	// provable pre-null? They are not (elements were just written), but
-	// an in-order init loop is; ensure flags don't double up.
+	// A site keeps the strongest verdict it earns, whatever the order the
+	// judgments arrive in: every permutation of every subset of the
+	// verdicts ends at the subset's maximum in the enum's order.
+	all := []bytecode.Verdict{bytecode.VerdictNone, bytecode.VerdictRearrange,
+		bytecode.VerdictNullOrSame, bytecode.VerdictPreNull}
+	for i := 1; i < len(all); i++ {
+		if all[i-1] >= all[i] {
+			t.Fatalf("verdict order: %v is not weaker than %v", all[i-1], all[i])
+		}
+	}
+	var permute func(earned, rest []bytecode.Verdict)
+	permute = func(earned, rest []bytecode.Verdict) {
+		j := &judgment{verdicts: make([]bytecode.Verdict, 1)}
+		want := bytecode.VerdictNone
+		for _, v := range earned {
+			j.earn(0, v)
+			want = max(want, v)
+		}
+		if got := j.verdicts[0]; got != want {
+			t.Errorf("earned %v in that order: site ends %v, want %v", earned, got, want)
+		}
+		for i, v := range rest {
+			next := append(append([]bytecode.Verdict(nil), rest[:i]...), rest[i+1:]...)
+			permute(append(earned[:len(earned):len(earned)], v), next)
+		}
+	}
+	permute(nil, all)
+
+	// End to end: an in-order init loop's store is pre-null even with the
+	// swap detector watching the same array.
 	src := `
 class T { int v; }
 class U {
@@ -223,9 +250,8 @@ class U {
 	p, _ := analyzeSrc(t, src, 100, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "build"})
 	for pc := range m.Code {
-		in := &m.Code[pc]
-		if in.Elide && in.ElideRearrange {
-			t.Errorf("pc %d double-flagged", pc)
+		if in := &m.Code[pc]; in.Op == bytecode.OpAAStore && in.Verdict != bytecode.VerdictPreNull {
+			t.Errorf("pc %d: init-loop store is %v, want pre-null", pc, in.Verdict)
 		}
 	}
 }

@@ -115,9 +115,9 @@ type refTable struct {
 // Options.SingleRefPerSite (the two-refs-per-site ablation) the A and B
 // names coincide and nothing is unique. Under Options.Interprocedural,
 // invoke sites whose callee returns a reference additionally get an A/B
-// pair for the returned object; in summary mode (forSummary) each
+// pair for the returned object; in summary mode (summaryMode) each
 // non-unique reference argument gets a contents reference.
-func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSummary bool) *refTable {
+func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, summaryMode bool) *refTable {
 	singleSummary := opts.SingleRefPerSite
 	t := &refTable{
 		allocA:     map[int]RefID{},
@@ -144,7 +144,7 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, forSum
 			class:   at.Class,
 		})
 		t.argRef[i] = id
-		if forSummary && !uniq {
+		if summaryMode && !uniq {
 			c := RefID(len(t.infos))
 			t.infos = append(t.infos, refInfo{kind: refArgContent, arg: i})
 			t.argContent[i] = c

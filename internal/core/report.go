@@ -11,42 +11,37 @@ import (
 	"time"
 
 	"satbelim/internal/bytecode"
+	"satbelim/internal/num"
 	"satbelim/internal/obs"
 )
 
 // ProgramReport aggregates per-method analysis reports.
 type ProgramReport struct {
 	Methods []*MethodReport
-	// AnalysisTime is the wall-clock time spent in AnalyzeMethod across
+	// AnalysisTime is the wall-clock time spent analyzing methods across
 	// the program (the paper's §4.4 compile-time metric).
 	AnalysisTime time.Duration
 }
 
-// AnalyzeProgram analyzes every method of the program in place, setting
-// barrier-elision flags on instructions. Methods are fanned across
-// GOMAXPROCS goroutines; use AnalyzeProgramParallel to pick the width.
+// AnalyzeProgram is AnalyzeProgramCtx without a caller context, fanned
+// across GOMAXPROCS goroutines.
 func AnalyzeProgram(p *bytecode.Program, opts Options) (*ProgramReport, error) {
-	return AnalyzeProgramParallel(p, opts, 0)
+	return AnalyzeProgramCtx(context.Background(), p, opts, 0)
 }
 
-// AnalyzeProgramParallel is AnalyzeProgram with an explicit worker count
-// (<= 0 means GOMAXPROCS). The analysis is intra-procedural after
-// inlining, so methods are independent: each worker claims methods off a
-// shared counter, and reports land in p.Methods() order regardless of
-// completion order — the report and the Elide bits set on instructions
-// are bit-identical to a sequential run. Interprocedural summaries, when
-// requested, are computed up front over the condensed callgraph
-// (bottom-up SCC order, independent components in parallel; see
-// callgraph.go) and are read-only during the fan-out.
-func AnalyzeProgramParallel(p *bytecode.Program, opts Options, workers int) (*ProgramReport, error) {
-	return AnalyzeProgramCtx(context.Background(), p, opts, workers)
-}
-
-// AnalyzeProgramCtx is AnalyzeProgramParallel under a caller context:
-// each method's analysis observes cancellation at block-visit boundaries
-// and degrades soundly (DegradeCancelled) rather than erroring, so a
-// cancelled compile still yields a correct all-barriers program whose
-// report says exactly which methods were cut short.
+// AnalyzeProgramCtx analyzes every method of the program in place, writing
+// each store site's Verdict (workers <= 0 means GOMAXPROCS). The analysis
+// is intra-procedural after inlining, so methods are independent: each
+// worker claims methods off a shared counter, and reports land in
+// p.Methods() order regardless of completion order — the report and the
+// verdicts are bit-identical to a sequential run. Interprocedural
+// summaries, when requested, are computed up front over the condensed
+// callgraph (bottom-up SCC order, independent components in parallel; see
+// callgraph.go) and are read-only during the fan-out. Each method's
+// analysis observes cancellation of ctx at block-visit boundaries and
+// degrades soundly (DegradeCancelled) rather than erroring, so a cancelled
+// compile still yields a correct all-barriers program whose report says
+// exactly which methods were cut short.
 func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, workers int) (*ProgramReport, error) {
 	rep := &ProgramReport{}
 	start := time.Now()
@@ -111,7 +106,7 @@ func analysisLane(worker int) string {
 	return fmt.Sprintf("analysis/w%d", worker)
 }
 
-// analyzeMethodTraced wraps AnalyzeMethod with a per-method span on the
+// analyzeMethodTraced wraps AnalyzeMethodCtx with a per-method span on the
 // worker's lane, carrying the fixpoint stats (block visits, convergence,
 // degradation events) the §4.4 measurements care about. Tracing observes
 // only: results are bit-identical with and without it.
@@ -127,7 +122,7 @@ func analyzeMethodTraced(ctx context.Context, p *bytecode.Program, m *bytecode.M
 	}
 	sp.EndArgs(
 		obs.KV{K: "block_visits", V: int64(rep.BlockVisits)},
-		obs.KV{K: "converged", V: b2i(rep.Converged)},
+		obs.KV{K: "converged", V: num.B2I(rep.Converged)},
 		obs.KV{K: "degraded", S: string(rep.Degraded)},
 	)
 	obs.Count("analysis.methods", 1)
@@ -136,13 +131,6 @@ func analyzeMethodTraced(ctx context.Context, p *bytecode.Program, m *bytecode.M
 		obs.Count("analysis.degraded", 1)
 	}
 	return rep, err
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // BlockVisits sums the fixed-point block visits across methods — the

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"satbelim/internal/bytecode"
+	"satbelim/internal/cfg"
 )
 
 // Interprocedural escape summaries — the future-work direction the paper
@@ -79,25 +80,27 @@ type MethodSummary struct {
 // optimisticSummary is the least element of the summary lattice: nothing
 // compromised, every reference field pre-null, the return fresh.
 func optimisticSummary(p *bytecode.Program, m *bytecode.Method) *MethodSummary {
-	s := &MethodSummary{
-		ArgCompromised:   make([]bool, m.NumArgs()),
-		ArgIntMutated:    make([]bool, m.NumArgs()),
-		ArgPreNullFields: make([]map[string]bool, m.NumArgs()),
-		ReturnsFresh:     m.Return.IsRef(),
-	}
+	s := blankSummary(m)
 	for i := 0; i < m.NumArgs(); i++ {
 		s.ArgPreNullFields[i] = refFieldSet(p, m.ArgType(i))
 	}
 	return s
 }
 
-// worstSummary compromises everything.
-func worstSummary(m *bytecode.Method) *MethodSummary {
-	s := &MethodSummary{
+// blankSummary sizes a summary for m with nothing compromised, no pre-null
+// field recorded yet and a reference return presumed fresh.
+func blankSummary(m *bytecode.Method) *MethodSummary {
+	return &MethodSummary{
 		ArgCompromised:   make([]bool, m.NumArgs()),
 		ArgIntMutated:    make([]bool, m.NumArgs()),
 		ArgPreNullFields: make([]map[string]bool, m.NumArgs()),
+		ReturnsFresh:     m.Return.IsRef(),
 	}
+}
+
+// worstSummary compromises everything.
+func worstSummary(m *bytecode.Method) *MethodSummary {
+	s := blankSummary(m)
 	s.degradeToWorst()
 	return s
 }
@@ -221,17 +224,13 @@ type Summaries map[bytecode.MethodRef]*MethodSummary
 // cacheable.
 const maxSummaryRounds = 40
 
-// ComputeSummaries derives escape summaries for every method,
-// sequentially. opts is the analysis configuration the summaries will be
-// used with (ablations apply to the summary computation too).
-func ComputeSummaries(p *bytecode.Program, opts Options) (Summaries, error) {
-	return ComputeSummariesParallel(p, opts, 1)
-}
-
 // ComputeSummariesParallel derives escape summaries for every method,
 // scheduling callgraph SCCs bottom-up in reverse topological order and
 // fanning independent components across workers (<= 1 means sequential).
-// Results are bit-identical for any worker count.
+// opts is the analysis configuration the summaries will be used with
+// (ablations apply to the summary computation too). Results are
+// bit-identical for any worker count. A method that cannot be summarized
+// gets the worst summary, so the error is always nil.
 func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (Summaries, error) {
 	cond := Condense(BuildCallGraph(p))
 	sums := make(Summaries, len(cond.Graph.Methods))
@@ -242,9 +241,7 @@ func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (S
 	}
 	if workers <= 1 || len(cond.SCCs) <= 1 {
 		for ci := range cond.SCCs {
-			if err := processSCC(p, opts, cond, ci, sums); err != nil {
-				return nil, err
-			}
+			processSCC(p, opts, cond, ci, sums)
 		}
 		return sums, nil
 	}
@@ -258,7 +255,6 @@ func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (S
 		ready     []int
 		pending   = make([]int, len(cond.SCCs))
 		remaining = len(cond.SCCs)
-		firstErr  error
 	)
 	for ci := range cond.SCCs {
 		pending[ci] = len(cond.Deps[ci])
@@ -276,10 +272,10 @@ func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (S
 			defer wg.Done()
 			for {
 				mu.Lock()
-				for len(ready) == 0 && remaining > 0 && firstErr == nil {
+				for len(ready) == 0 && remaining > 0 {
 					cv.Wait()
 				}
-				if remaining == 0 || firstErr != nil {
+				if remaining == 0 {
 					mu.Unlock()
 					return
 				}
@@ -287,12 +283,9 @@ func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (S
 				ready = ready[:len(ready)-1]
 				mu.Unlock()
 
-				err := processSCC(p, opts, cond, ci, sums)
+				processSCC(p, opts, cond, ci, sums)
 
 				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
 				remaining--
 				for _, d := range cond.Dependents[ci] {
 					pending[d]--
@@ -306,25 +299,18 @@ func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (S
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	return sums, nil
 }
 
 // processSCC finalizes the summaries of one component. Acyclic
 // components need exactly one pass (their callees are already final);
 // cyclic ones iterate members in program order until nothing worsens.
-func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, sums Summaries) error {
+func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, sums Summaries) {
 	scc := &cond.SCCs[ci]
 	if !scc.Cyclic {
 		m := cond.Graph.Methods[scc.Members[0]]
-		ns, err := summarizeMethod(p, m, opts, sums)
-		if err != nil {
-			return err
-		}
-		sums[m.Ref()].worsen(ns)
-		return nil
+		sums[m.Ref()].worsen(summarizeMethod(p, m, opts, sums))
+		return
 	}
 	rounds := opts.MaxSummaryRoundsPerSCC
 	if rounds <= 0 {
@@ -334,23 +320,15 @@ func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, s
 		changed := false
 		for _, v := range scc.Members {
 			m := cond.Graph.Methods[v]
-			ns, err := summarizeMethod(p, m, opts, sums)
-			if err != nil {
-				return err
-			}
-			if sums[m.Ref()].worsen(ns) {
+			if sums[m.Ref()].worsen(summarizeMethod(p, m, opts, sums)) {
 				changed = true
 			}
 		}
-		if !changed {
-			return nil
-		}
-		if opts.UnsoundTrustAllSummaries {
-			// DELIBERATELY UNSOUND (harness self-test): skip the
-			// compromise re-run, leaving members summarized earlier in
-			// the round trusting their cycle-mates' stale optimistic
-			// facts.
-			return nil
+		if !changed || opts.faults.trustAllSummaries {
+			// The injected fault skips the compromise re-run, leaving
+			// members summarized earlier in the round trusting their
+			// cycle-mates' stale optimistic facts.
+			return
 		}
 	}
 	// Round budget exceeded: degrade this component — and only this
@@ -358,50 +336,237 @@ func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, s
 	for _, v := range scc.Members {
 		sums[cond.Graph.Methods[v].Ref()].degradeToWorst()
 	}
-	return nil
 }
 
 // summarizeMethod runs the analysis in summary mode and reads off each
 // argument's fate and the return value's freshness.
-func summarizeMethod(p *bytecode.Program, m *bytecode.Method, opts Options, sums Summaries) (*MethodSummary, error) {
-	g, err := buildGraph(m)
+func summarizeMethod(p *bytecode.Program, m *bytecode.Method, opts Options, sums Summaries) *MethodSummary {
+	g, err := cfg.Build(m)
 	if err != nil {
 		// Structurally odd methods (none are produced by our codegen)
 		// keep the worst case.
-		return worstSummary(m), nil //nolint:nilerr // conservative fallback
+		return worstSummary(m)
 	}
 	a := newAnalyzer(p, m, g, opts, true)
 	a.summaries = sums
 	if a.fixpoint() != DegradeNone {
-		return worstSummary(m), nil
+		return worstSummary(m)
 	}
-	out := &MethodSummary{
-		ArgCompromised:   make([]bool, m.NumArgs()),
-		ArgIntMutated:    make([]bool, m.NumArgs()),
-		ArgPreNullFields: make([]map[string]bool, m.NumArgs()),
-		ReturnsFresh:     m.Return.IsRef() && !a.retNotFresh,
-	}
+	rec := a.rec
+	out := blankSummary(m)
+	out.ReturnsFresh = out.ReturnsFresh && !rec.retNotFresh
 	for i := 0; i < m.NumArgs(); i++ {
 		r, ok := a.refs.argRef[i]
 		if !ok {
 			continue // non-reference arguments are never compromised
 		}
-		comp := a.everNL.Has(r) || a.summaryReach.Has(r) || a.storedInOtherArg(i, r)
+		comp := a.everNL.Has(r) || rec.reach.Has(r) || rec.storedInOtherArg(i, r)
 		if cr, ok := a.refs.argContent[i]; ok {
 			// Anything reached through the argument that was published,
 			// returned, stored into another argument, or mutated takes
 			// the whole argument with it: the caller has no finer name
 			// for the affected objects.
-			comp = comp || a.everNL.Has(cr) || a.summaryReach.Has(cr) ||
-				a.storedInOtherArg(i, cr) || a.contentMutated.Has(cr)
+			comp = comp || a.everNL.Has(cr) || rec.reach.Has(cr) ||
+				rec.storedInOtherArg(i, cr) || rec.contentMutated.Has(cr)
 		}
 		out.ArgCompromised[i] = comp
-		out.ArgIntMutated[i] = a.intMutatedArgs.Has(r)
+		out.ArgIntMutated[i] = rec.intMutatedArgs.Has(r)
 		pre := refFieldSet(p, m.ArgType(i))
-		for f := range a.dirtyArgFields[r] {
+		for f := range rec.dirtyArgFields[r] {
 			delete(pre, f)
 		}
 		out.ArgPreNullFields[i] = pre
 	}
-	return out, nil
+	return out
+}
+
+// summaryRecorder is what a summary-mode fixed point learns about the
+// method beyond its abstract states: the transfer functions report every
+// argument mutation and every return point to it, and summarizeMethod reads
+// each argument's fate off it afterwards. An analyzer has one exactly when
+// it runs in summary mode — arguments start thread-local, untracked
+// argument fields read as the contents reference — and nil otherwise.
+type summaryRecorder struct {
+	refs  *refTable
+	slots *slotTable
+
+	// dirtyArgFields collects, per argument reference, the reference
+	// fields the method may write: the complement of the summary's
+	// ArgPreNullFields. intMutatedArgs collects arguments whose integer
+	// fields/elements it may write.
+	dirtyArgFields map[RefID]map[string]bool
+	intMutatedArgs RefSet
+	// contentMutated collects contents references (refArgContent) the
+	// method may write through: mutating an object merely reachable from
+	// an argument compromises the argument, since the caller has no
+	// finer name for the affected object.
+	contentMutated RefSet
+	// reach collects references reachable from returned values or escaped
+	// objects at return points: such arguments are compromised for the
+	// caller. argStored collects, per argument index, everything reachable
+	// from references the method stored into that argument's fields: an
+	// argument stored into a DIFFERENT argument's fields is compromised
+	// (the caller gains an untracked path to it), while stores into an
+	// argument's own fields are covered by the targeted dirty-field
+	// invalidation.
+	reach     RefSet
+	argStored map[int]RefSet
+	// argRefs is the set of argument and contents references, cached for
+	// the per-return freshness check.
+	argRefs RefSet
+	// retNotFresh records that some return statement's value failed the
+	// strict freshness conditions (see checkReturnFresh); it clears the
+	// summary's ReturnsFresh claim.
+	retNotFresh bool
+}
+
+func newSummaryRecorder(refs *refTable, slots *slotTable) *summaryRecorder {
+	rec := &summaryRecorder{refs: refs, slots: slots}
+	for _, r := range refs.argRef {
+		rec.argRefs = rec.argRefs.With(r)
+	}
+	for _, r := range refs.argContent {
+		rec.argRefs = rec.argRefs.With(r)
+	}
+	return rec
+}
+
+// contentRef resolves the contents reference a summary-mode read of an
+// untracked field of r yields: the argument's contents reference for a
+// non-unique argument, r itself for contents (deep reads stay contents),
+// nothing otherwise. A constructor's unique receiver keeps the plain
+// allocation defaults — its fields genuinely start null.
+func (rec *summaryRecorder) contentRef(r RefID) (RefID, bool) {
+	info := rec.refs.info(r)
+	switch info.kind {
+	case refArg:
+		if info.unique {
+			return 0, false
+		}
+		cr, ok := rec.refs.argContent[info.arg]
+		return cr, ok
+	case refArgContent:
+		return r, true
+	}
+	return 0, false
+}
+
+// markDirtyField records, in summary mode, a reference-field write
+// against its targets: a direct write to an argument dirties that field
+// of the argument (the caller invalidates just that σ fact), while a
+// write through the argument's contents compromises the whole argument —
+// the caller has no finer name for the written object.
+func (rec *summaryRecorder) markDirtyField(targets RefSet, field string) {
+	targets.ForEach(func(r RefID) {
+		switch rec.refs.info(r).kind {
+		case refArg:
+			m := rec.dirtyArgFields[r]
+			if m == nil {
+				if rec.dirtyArgFields == nil {
+					rec.dirtyArgFields = map[RefID]map[string]bool{}
+				}
+				m = map[string]bool{}
+				rec.dirtyArgFields[r] = m
+			}
+			m[field] = true
+		case refArgContent:
+			rec.contentMutated = rec.contentMutated.With(r)
+		}
+	})
+}
+
+// markIntMutated records integer-field/element writes: against an
+// argument it taints only the caller's integer facts, but a write
+// through contents compromises the argument (the caller's integer facts
+// about reachable objects have no per-object taint channel).
+func (rec *summaryRecorder) markIntMutated(targets RefSet) {
+	targets.ForEach(func(r RefID) {
+		switch rec.refs.info(r).kind {
+		case refArg:
+			rec.intMutatedArgs = rec.intMutatedArgs.With(r)
+		case refArgContent:
+			rec.contentMutated = rec.contentMutated.With(r)
+		}
+	})
+}
+
+// recordReturn accumulates, at a return point, every reference a
+// caller (or another thread) could reach afterwards: escaped references
+// and the returned value feed reach (compromising), while
+// references stored into an argument's fields feed that argument's
+// argStored set — they compromise only the OTHER arguments found there.
+// It also applies the strict freshness test to the returned value.
+func (rec *summaryRecorder) recordReturn(s *state, hasValue bool) {
+	set := s.nl
+	if hasValue {
+		top := s.stack[len(s.stack)-1]
+		if top.IsRefs() {
+			set = set.Union(top.Refs())
+			rec.checkReturnFresh(s, top.Refs())
+		}
+	}
+	rec.reach = rec.reach.Union(s.reachFrom(set))
+	for arg, r := range rec.refs.argRef {
+		for _, i := range rec.slots.refSlots[r] {
+			v := s.sigmaAt(int(i))
+			if !v.IsRefs() {
+				continue
+			}
+			if rec.argStored == nil {
+				rec.argStored = map[int]RefSet{}
+			}
+			rec.argStored[arg] = rec.argStored[arg].Union(s.reachFrom(v.Refs()))
+		}
+	}
+}
+
+// storedInOtherArg reports whether reference r (an argument or its
+// contents, belonging to argument i) was stored into some other
+// argument's fields — an untracked caller-visible alias.
+func (rec *summaryRecorder) storedInOtherArg(i int, r RefID) bool {
+	for j, set := range rec.argStored {
+		if j != i && set.Has(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkReturnFresh tests the strict ReturnsFresh conditions on one
+// return statement's value, clearing the claim when any fails: every
+// possible returned object must be an allocation of this method (or a
+// callee's fresh return), never escaped, unreachable from any argument
+// or its contents, and have every reference field still null — the
+// caller will model the call site exactly like an allocation site, so
+// any non-null field or caller-visible alias would mint unsound pre-null
+// facts. Returning a definite null is trivially fresh.
+func (rec *summaryRecorder) checkReturnFresh(s *state, refs RefSet) {
+	if rec.retNotFresh || refs.IsEmpty() {
+		return
+	}
+	argReach := s.reachFrom(rec.argRefs)
+	ok := true
+	refs.ForEach(func(r RefID) {
+		switch rec.refs.info(r).kind {
+		case refAllocA, refAllocB, refCallA, refCallB:
+		default:
+			ok = false
+			return
+		}
+		if s.nl.Has(r) || argReach.Has(r) {
+			ok = false
+		}
+	})
+	if ok {
+		refs.ForEach(func(r RefID) {
+			for _, i := range rec.slots.refSlots[r] {
+				if v := s.sigmaAt(int(i)); v.kind == vRefs && !v.refs.IsEmpty() {
+					ok = false
+				}
+			}
+		})
+	}
+	if !ok {
+		rec.retNotFresh = true
+	}
 }

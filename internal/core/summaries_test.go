@@ -242,7 +242,7 @@ class M {
 }
 `
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
-	sums, err := ComputeSummaries(p, Options{Mode: ModeFieldArray})
+	sums, err := ComputeSummariesParallel(p, Options{Mode: ModeFieldArray}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ type Options struct {
 	Gen progen.Config
 	// Analysis is the analysis configuration every property compiles
 	// under — the campaign's fault-injection point (the self-test runs
-	// with core.Options.UnsoundSkipBDemotion set and must see failures).
+	// under core.InjectFaults and must see failures).
 	Analysis core.Options
 	// Props filters the property library by name; empty means all.
 	Props []string

@@ -42,11 +42,8 @@ func TestCampaignCleanOnSoundAnalysis(t *testing.T) {
 // campaign, and the auto-shrunk repro must be ≤ 25 lines.
 func TestCampaignCatchesInjectedDemotionBug(t *testing.T) {
 	res, err := RunCampaign(Options{
-		Seeds: 40,
-		Analysis: core.Options{
-			Mode:                 core.ModeFieldArray,
-			UnsoundSkipBDemotion: true,
-		},
+		Seeds:       40,
+		Analysis:    core.InjectFaults(core.Options{Mode: core.ModeFieldArray}, true, false),
 		MaxFailures: 1, // first counterexample suffices
 	})
 	if err != nil {
@@ -62,10 +59,8 @@ func TestCampaignCatchesInjectedDemotionBug(t *testing.T) {
 		t.Errorf("repro is %d lines, want ≤ 25:\n%s", f.ReproLines, f.Repro)
 	}
 	// The repro must itself still be a counterexample.
-	vs, err := CheckSource(f.Repro, core.Options{
-		Mode:                 core.ModeFieldArray,
-		UnsoundSkipBDemotion: true,
-	}, []string{f.Property})
+	vs, err := CheckSource(f.Repro, core.InjectFaults(core.Options{Mode: core.ModeFieldArray}, true, false),
+		[]string{f.Property})
 	if err != nil {
 		t.Fatalf("repro replay: %v", err)
 	}
@@ -79,11 +74,7 @@ func TestCampaignCatchesInjectedDemotionBug(t *testing.T) {
 // summary after its first optimistic round (skipping the compromise
 // re-run) must be caught by the campaign with a small shrunk repro.
 func TestCampaignCatchesInjectedTrustAllBug(t *testing.T) {
-	unsound := core.Options{
-		Mode:                     core.ModeFieldArray,
-		Interprocedural:          true,
-		UnsoundTrustAllSummaries: true,
-	}
+	unsound := core.InjectFaults(core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, false, true)
 	res, err := RunCampaign(Options{
 		Seeds:       40,
 		Analysis:    unsound,

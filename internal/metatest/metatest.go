@@ -309,7 +309,7 @@ func totals(b *pipeline.Build) elisionTotals {
 // summaries-on and summaries-off builds must be observationally
 // identical under every barrier flavor, and the extra elisions the
 // summaries unlock must survive the runtime oracle. An unsound summary
-// (e.g. the UnsoundTrustAllSummaries self-test knob) shows up either as
+// (e.g. core.InjectFaults' trust-all-summaries bug) shows up either as
 // an oracle violation on the summaries-on build or as an execution
 // divergence.
 func checkSummarySoundness(src string, analysis core.Options) error {
@@ -317,7 +317,6 @@ func checkSummarySoundness(src string, analysis core.Options) error {
 	on.Interprocedural = true
 	off := analysis
 	off.Interprocedural = false
-	off.UnsoundTrustAllSummaries = false
 	bOn, err := compile(src, 0, on)
 	if err != nil {
 		return err

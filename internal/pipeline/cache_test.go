@@ -94,6 +94,10 @@ func TestBuildCacheKeySensitivity(t *testing.T) {
 		{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeField}},                        // analysis mode
 		{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeFieldArray, NullOrSame: true}}, // extension flag
 		{InlineLimit: 50, Analysis: base.Analysis, Workers: 1},                                 // worker count
+		// An injected-fault build is never served for — or as — the sound
+		// build of the same source: the fault is part of the key.
+		{InlineLimit: 50, Analysis: core.InjectFaults(base.Analysis, true, false)},
+		{InlineLimit: 50, Analysis: core.InjectFaults(base.Analysis, false, true)},
 	}
 	for i, o := range variants {
 		b, err := Compile("keytest", cacheTestSrc, o)
@@ -103,6 +107,9 @@ func TestBuildCacheKeySensitivity(t *testing.T) {
 		if b.CacheHit {
 			t.Errorf("variant %d must miss (different options)", i)
 		}
+	}
+	if b, err := Compile("keytest", cacheTestSrc, base); err != nil || !b.CacheHit {
+		t.Errorf("base options must still hit their own entry (hit=%v, err=%v)", b != nil && b.CacheHit, err)
 	}
 	// Different source content must miss even under the same name.
 	b, err := Compile("keytest", cacheTestSrc+"\n// changed", base)

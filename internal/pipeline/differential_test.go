@@ -54,7 +54,7 @@ func TestDifferentialInlineWorkerOracle(t *testing.T) {
 			for i := range m1 {
 				for pc := range m1[i].Code {
 					x, y := &m1[i].Code[pc], &m8[i].Code[pc]
-					if x.Elide != y.Elide || x.ElideNullOrSame != y.ElideNullOrSame || x.ElideRearrange != y.ElideRearrange {
+					if x.Verdict != y.Verdict {
 						t.Errorf("seed %d limit %d %s pc %d: elision bits differ across worker counts",
 							si, limit, m1[i].QualifiedName(), pc)
 					}

@@ -78,7 +78,7 @@ func elidedSites(p *bytecode.Program) map[[2]interface{}]bool {
 	out := map[[2]interface{}]bool{}
 	for _, m := range p.Methods() {
 		for pc, in := range m.Code {
-			if in.Elide || in.ElideNullOrSame || in.ElideRearrange {
+			if in.Verdict != bytecode.VerdictNone {
 				out[[2]interface{}{m.QualifiedName(), pc}] = true
 			}
 		}
@@ -241,7 +241,7 @@ func TestCacheKeyCoversSummaryOptions(t *testing.T) {
 	base := Options{InlineLimit: 0, Analysis: core.Options{Mode: core.ModeFieldArray}}
 	variants := []Options{
 		{InlineLimit: 0, Analysis: core.Options{Mode: core.ModeFieldArray, Interprocedural: true}},
-		{InlineLimit: 0, Analysis: core.Options{Mode: core.ModeFieldArray, Interprocedural: true, UnsoundTrustAllSummaries: true}},
+		{InlineLimit: 0, Analysis: core.InjectFaults(core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, false, true)},
 		{InlineLimit: 0, Analysis: core.Options{Mode: core.ModeFieldArray, Interprocedural: true, MaxSummaryRoundsPerSCC: 1}},
 	}
 	src := "class Main { static void main() { print(1); } }"

@@ -19,6 +19,7 @@ import (
 	"satbelim/internal/inline"
 	"satbelim/internal/minijava"
 	"satbelim/internal/obs"
+	"satbelim/internal/satb"
 	"satbelim/internal/verifier"
 	"satbelim/internal/vm"
 )
@@ -106,19 +107,12 @@ func (b *Build) CompiledCodeSize() int {
 		size += m.Size() * CodeExpansionFactor
 		for pc := range m.Code {
 			in := &m.Code[pc]
-			switch in.Op {
-			case bytecode.OpPutField:
-				if b.Program.FieldType(in.Field).IsRef() && !in.Elide && !in.ElideNullOrSame {
-					size += BarrierInlineBytes
-				}
-			case bytecode.OpAAStore:
-				if !in.Elide && !in.ElideNullOrSame {
-					size += BarrierInlineBytes
-				}
-			case bytecode.OpPutStatic:
-				if b.Program.FieldType(in.Field).IsRef() {
-					size += BarrierInlineBytes
-				}
+			// A rearranged store trades the logging sequence for the
+			// trace-state check, so only the stronger verdicts save bytes.
+			_, site := satb.SiteOf(b.Program, in)
+			if site && in.Verdict < bytecode.VerdictNullOrSame ||
+				in.Op == bytecode.OpPutStatic && b.Program.FieldType(in.Field).IsRef() {
+				size += BarrierInlineBytes
 			}
 		}
 	}
@@ -263,10 +257,10 @@ func verifyParallel(p *bytecode.Program, workers int) error {
 	return nil
 }
 
-// Run executes the built program on the VM under an explicit config.
-//
-// Deprecated: compatibility accessor — set Options.Runtime and call Exec
-// so the configuration lives on the one Options surface.
+// Run executes the built program on the VM under an explicit config: the
+// form for running one build under several runtime configurations, as the
+// engine and flavor differentials do. Exec is for a caller that fixed the
+// runtime when it compiled (Options.Runtime), as the CLIs and reports do.
 func (b *Build) Run(cfg vm.Config) (*vm.Result, error) {
 	return vm.New(b.Program, cfg).Run()
 }

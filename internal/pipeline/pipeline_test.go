@@ -138,11 +138,9 @@ func TestParallelAnalysisDeterministic(t *testing.T) {
 				}
 				for pc := range m1[i].Code {
 					x, y := &m1[i].Code[pc], &m8[i].Code[pc]
-					if x.Elide != y.Elide || x.ElideNullOrSame != y.ElideNullOrSame || x.ElideRearrange != y.ElideRearrange {
-						t.Errorf("%s pc %d: elision bits differ: (%v,%v,%v) vs (%v,%v,%v)",
-							m1[i].QualifiedName(), pc,
-							x.Elide, x.ElideNullOrSame, x.ElideRearrange,
-							y.Elide, y.ElideNullOrSame, y.ElideRearrange)
+					if x.Verdict != y.Verdict {
+						t.Errorf("%s pc %d: verdicts differ: %v vs %v",
+							m1[i].QualifiedName(), pc, x.Verdict, y.Verdict)
 					}
 				}
 			}
@@ -211,7 +209,7 @@ func TestDegradationDeterministic(t *testing.T) {
 			for i := range m1 {
 				for pc := range m1[i].Code {
 					x, y := &m1[i].Code[pc], &m8[i].Code[pc]
-					if x.Elide != y.Elide || x.ElideNullOrSame != y.ElideNullOrSame || x.ElideRearrange != y.ElideRearrange {
+					if x.Verdict != y.Verdict {
 						t.Errorf("%s pc %d: elision bits differ under degradation", m1[i].QualifiedName(), pc)
 					}
 				}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/core"
 	"satbelim/internal/progen"
 	"satbelim/internal/workloads"
@@ -17,8 +18,8 @@ func analysisPrint(b *Build) string {
 	for _, mr := range b.Report.Methods {
 		fmt.Fprintf(&sb, "%s visits=%d degraded=%q", mr.Method.QualifiedName(), mr.BlockVisits, mr.Degraded)
 		for pc := range mr.Method.Code {
-			if in := &mr.Method.Code[pc]; in.Elide || in.ElideNullOrSame || in.ElideRearrange {
-				fmt.Fprintf(&sb, " %d:%t/%t/%t", pc, in.Elide, in.ElideNullOrSame, in.ElideRearrange)
+			if in := &mr.Method.Code[pc]; in.Verdict != bytecode.VerdictNone {
+				fmt.Fprintf(&sb, " %d:%v", pc, in.Verdict)
 			}
 		}
 		sb.WriteByte('\n')

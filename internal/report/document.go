@@ -27,7 +27,6 @@ type Document struct {
 	Tool          string `json:"tool"`
 
 	InlineLimit int `json:"inline_limit,omitempty"`
-	Workers     int `json:"workers,omitempty"`
 
 	// Experiment sections (satbbench).
 	Table1     []Table1Row     `json:"table1,omitempty"`

@@ -21,7 +21,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func sampleDocument() *Document {
 	doc := NewDocument("satbbench")
 	doc.InlineLimit = 100
-	doc.Workers = 4
 	doc.Table1 = []Table1Row{{
 		Name: "jbb", Total: 1000, ElimPct: 52.5, PotPct: 60.0,
 		FieldShare: 70.0, ArrayShare: 30.0, FieldElim: 55.0, ArrayElim: 45.0,

@@ -65,7 +65,7 @@ func TestSoundnessMatrix(t *testing.T) {
 				r.preNull, r.nullOrSame, r.rearrange)
 		}
 		// Project keeps sound verdicts and demotes unsound ones to None.
-		for k := ElideNone; k <= ElideRearrange; k++ {
+		for k := ElideNone; k <= ElidePreNull; k++ {
 			want := k
 			if !sp.Sound(k) {
 				want = ElideNone

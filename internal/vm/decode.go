@@ -231,7 +231,7 @@ type dprogram struct {
 // runtime errors. project maps each store's analysis verdict to the
 // verdict used at runtime (the barrier flavor's soundness projection) —
 // it runs once per site here, keeping flavor logic off the dispatch path.
-func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(*bytecode.Instr) satb.ElideKind) (*dprogram, error) {
+func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(satb.ElideKind) satb.ElideKind) (*dprogram, error) {
 	mm := p.Method(p.Main)
 	if mm == nil {
 		return nil, fmt.Errorf("vm: no main method %s", p.Main)
@@ -266,7 +266,7 @@ func i32(v int64) (int32, error) {
 }
 
 // decodeMethod fills in dm.code and the operand tables.
-func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dmethod, project func(*bytecode.Instr) satb.ElideKind) error {
+func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dmethod, project func(satb.ElideKind) satb.ElideKind) error {
 	m := dm.src
 	dm.code = make([]dinstr, len(m.Code))
 	for pc := range m.Code {
@@ -274,6 +274,7 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 		di := &dm.code[pc]
 		di.fuse = -1
 		di.line = int32(in.Line)
+		siteKind, isSite := satb.SiteOf(p, in)
 		switch in.Op {
 		case bytecode.OpNop:
 			di.op = dNop
@@ -353,7 +354,11 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 			if err != nil {
 				return fmt.Errorf("vm: decode %s pc %d: %v", dm.name, pc, err)
 			}
-			isRef := p.FieldType(in.Field).IsRef()
+			// A putfield stores a reference exactly when it is a site.
+			isRef := isSite
+			if in.Op == bytecode.OpGetField {
+				isRef = p.FieldType(in.Field).IsRef()
+			}
 			di.a = int32(len(dm.fields))
 			dm.fields = append(dm.fields, fieldRec{ref: in.Field, idx: int32(idx), isRef: isRef})
 			switch {
@@ -363,7 +368,6 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 				di.op = dGetFieldInt
 			case isRef:
 				di.op = dPutFieldRef
-				di.b = dm.addSite(pc, satb.FieldSite, project(in))
 			default:
 				di.op = dPutFieldInt
 			}
@@ -412,7 +416,6 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 			di.op = dIALoad
 		case bytecode.OpAAStore:
 			di.op = dAAStore
-			di.b = dm.addSite(pc, satb.ArraySite, project(in))
 		case bytecode.OpIAStore:
 			di.op = dIAStore
 		case bytecode.OpInvoke, bytecode.OpSpawn:
@@ -437,19 +440,17 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 		default:
 			return fmt.Errorf("vm: decode %s pc %d: unknown opcode %v", dm.name, pc, in.Op)
 		}
+		if isSite {
+			di.b = int32(len(dm.sites))
+			dm.sites = append(dm.sites, siteRec{
+				key:   satb.SiteKey{Method: dm.name, PC: pc},
+				kind:  siteKind,
+				elide: project(in.Verdict),
+			})
+		}
 	}
 	fuseMethod(dm)
 	return nil
-}
-
-// addSite records a barriered store site.
-func (dm *dmethod) addSite(pc int, kind satb.SiteKind, elide satb.ElideKind) int32 {
-	dm.sites = append(dm.sites, siteRec{
-		key:   satb.SiteKey{Method: dm.name, PC: pc},
-		kind:  kind,
-		elide: elide,
-	})
-	return int32(len(dm.sites) - 1)
 }
 
 // isArith reports the fusible arithmetic ops (div/rem are excluded: their

@@ -6,14 +6,54 @@ import (
 	"testing"
 
 	"satbelim/internal/bytecode"
+	"satbelim/internal/core"
 	"satbelim/internal/heap"
+	"satbelim/internal/satb"
+	"satbelim/internal/workloads"
 )
+
+// rawVerdict is the identity projection: decode with the analysis's
+// verdicts as published.
+func rawVerdict(k satb.ElideKind) satb.ElideKind { return k }
+
+// TestDecodedSitesMatchSiteCounts: the VM's site tables and the analysis
+// report's site columns are both read off satb.SiteOf, so on every method
+// of every workload they count the same sites, and each decoded site is a
+// store the predicate accepts, of that kind, carrying the verdict published
+// at its pc.
+func TestDecodedSitesMatchSiteCounts(t *testing.T) {
+	for _, w := range workloads.All() {
+		p := compileSrc(t, w.Source, 100)
+		rep, err := core.AnalyzeProgram(p, core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := decodeProgram(p, heap.NewLayout(p), rawVerdict)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", w.Name, err)
+		}
+		for _, mr := range rep.Methods {
+			sites := d.methods[mr.Method].sites
+			if len(sites) != mr.FieldSites+mr.ArraySites {
+				t.Errorf("%s %s: %d decoded sites, report counts %d field + %d array",
+					w.Name, mr.Method.QualifiedName(), len(sites), mr.FieldSites, mr.ArraySites)
+			}
+			for _, s := range sites {
+				in := &mr.Method.Code[s.key.PC]
+				if kind, ok := satb.SiteOf(p, in); !ok || kind != s.kind || in.Verdict != s.elide {
+					t.Errorf("%s %s pc %d (%s): decoded as %v site with verdict %v; predicate says %v/%v, code says %v",
+						w.Name, s.key.Method, s.key.PC, in, s.kind, s.elide, kind, ok, in.Verdict)
+				}
+			}
+		}
+	}
+}
 
 // fusedOpsByHead decodes a program and returns the superinstruction kind
 // at each fused head pc of the main method.
 func fusedOpsByHead(t *testing.T, p *bytecode.Program) map[int]dop {
 	t.Helper()
-	d, err := decodeProgram(p, heap.NewLayout(p), elideKind)
+	d, err := decodeProgram(p, heap.NewLayout(p), rawVerdict)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

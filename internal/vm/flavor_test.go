@@ -48,8 +48,8 @@ func analyzedFlavorProgram(t *testing.T) *bytecode.Program {
 	var prenull, nos bool
 	for _, m := range p.Methods() {
 		for i := range m.Code {
-			prenull = prenull || m.Code[i].Elide
-			nos = nos || m.Code[i].ElideNullOrSame
+			prenull = prenull || m.Code[i].Verdict == bytecode.VerdictPreNull
+			nos = nos || m.Code[i].Verdict == bytecode.VerdictNullOrSame
 		}
 	}
 	if !prenull || !nos {

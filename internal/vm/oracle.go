@@ -30,21 +30,8 @@ type SoundnessViolation struct {
 func (e *SoundnessViolation) Error() string {
 	return fmt.Sprintf("soundness violation at %s pc %d (line %d): elided %s store (%v): %s "+
 		"[pre=%d new=%d target=%d alloc=%s]",
-		e.Method, e.PC, e.Line, e.Site, elideName(e.Elide), e.Reason,
+		e.Method, e.PC, e.Line, e.Site, e.Elide, e.Reason,
 		e.Pre, e.New, e.Target, e.AllocSite)
-}
-
-func elideName(k satb.ElideKind) string {
-	switch k {
-	case satb.ElidePreNull:
-		return "pre-null"
-	case satb.ElideNullOrSame:
-		return "null-or-same"
-	case satb.ElideRearrange:
-		return "rearrange"
-	default:
-		return "none"
-	}
 }
 
 // objMeta is the oracle's per-object shadow state.
@@ -134,7 +121,7 @@ func (o *oracle) checkStore(method string, pc, line, tid int, site satb.SiteKind
 		// hook bypassed projection).
 		o.checks++
 		return violation(fmt.Sprintf("%s elision is unsound under the %s barrier flavor",
-			elideName(elide), o.spec.Name))
+			elide, o.spec.Name))
 	}
 	switch elide {
 	case satb.ElidePreNull:

@@ -44,7 +44,7 @@ class A {
 	// Mark *every* next-store elided: the second execution must trip.
 	for i := range m.Code {
 		if m.Code[i].Op == bytecode.OpPutField && m.Code[i].Field.Name == "next" {
-			m.Code[i].Elide = true
+			m.Code[i].Verdict = bytecode.VerdictPreNull
 		}
 	}
 	_, err := New(p, Config{CheckElisions: true}).Run()
@@ -82,7 +82,7 @@ class A {
 }
 `, 0)
 	m, pc := findPutField(t, p, "next")
-	m.Code[pc].Elide = true
+	m.Code[pc].Verdict = bytecode.VerdictPreNull
 	_, err := New(p, Config{CheckElisions: true}).Run()
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {
@@ -111,7 +111,7 @@ class A {
 }
 `, 0)
 	m, pc := findPutField(t, p, "next")
-	m.Code[pc].Elide = true
+	m.Code[pc].Verdict = bytecode.VerdictPreNull
 	_, err := New(p, Config{CheckElisions: true}).Run()
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {

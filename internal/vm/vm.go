@@ -354,8 +354,7 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 // their barrier. Engines call it once per site — at decode/compile time
 // or per switch-interpreter store — so flavor soundness costs nothing on
 // the decoded fast paths.
-func (v *VM) projectElide(in *bytecode.Instr) satb.ElideKind {
-	k := elideKind(in)
+func (v *VM) projectElide(k satb.ElideKind) satb.ElideKind {
 	if v.hooks.forceRawElide {
 		return k
 	}
@@ -855,7 +854,7 @@ func (v *VM) step(t *thread) error {
 			return v.errf(f, "%v", err)
 		}
 		if v.prog.FieldType(in.Field).IsRef() {
-			elide := v.projectElide(in)
+			elide := v.projectElide(in.Verdict)
 			if v.oracle != nil {
 				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.FieldSite, elide, old.R, val.R, obj.R); err != nil {
 					return err
@@ -943,7 +942,7 @@ func (v *VM) step(t *thread) error {
 		if err != nil {
 			return v.errf(f, "%v", err)
 		}
-		elide := v.projectElide(in)
+		elide := v.projectElide(in.Verdict)
 		if v.oracle != nil {
 			if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old.R, val.R, arr.R); err != nil {
 				return err
@@ -1017,20 +1016,6 @@ func (v *VM) step(t *thread) error {
 	}
 	f.pc++
 	return nil
-}
-
-// elideKind maps instruction flags to the barrier verdict.
-func elideKind(in *bytecode.Instr) satb.ElideKind {
-	switch {
-	case in.Elide:
-		return satb.ElidePreNull
-	case in.ElideNullOrSame:
-		return satb.ElideNullOrSame
-	case in.ElideRearrange:
-		return satb.ElideRearrange
-	default:
-		return satb.ElideNone
-	}
 }
 
 // b2i is the shared bool→int conversion (kept as a local alias so the hot
