@@ -3,6 +3,10 @@
 // these blocks in the standard dataflow style (paper §2: "this pass
 // analyzes basic blocks with modified start states, propagating changes to
 // successor blocks, until a fixed point is reached").
+//
+// A Graph is immutable once Build returns it — nothing is computed lazily —
+// so any number of goroutines may read one graph; callers must not modify
+// the slices it hands out.
 package cfg
 
 import (
@@ -18,6 +22,8 @@ type Block struct {
 	End   int // last pc + 1 (exclusive)
 	Succs []int
 	Preds []int
+	// succs is Succs' storage: a block has at most two successors.
+	succs [2]int
 }
 
 // Graph is the control-flow graph of one method.
@@ -26,20 +32,33 @@ type Graph struct {
 	Blocks []*Block
 	// blockOf maps each pc to its containing block id.
 	blockOf []int
-	// rpo and rpoIndex cache ReversePostorder and its inverse.
+	// rpo is ReversePostorder, rpoIndex its inverse; rpo[:reached] are the
+	// blocks reachable from the entry.
 	rpo      []int
 	rpoIndex []int
+	reached  int
 }
 
-// Build constructs the CFG for a method.
+// buildHook, when a test sets it, observes every Build call.
+var buildHook func(*bytecode.Method)
+
+// Build constructs the CFG for a method in a fixed number of allocations
+// whatever its size: the blocks sit by value in one slab behind the Blocks
+// view, successor lists inside their blocks, and the predecessor lists are
+// carved from one array sized by a counting pass.
 func Build(m *bytecode.Method) (*Graph, error) {
+	if buildHook != nil {
+		buildHook(m)
+	}
 	n := len(m.Code)
 	if n == 0 {
 		return nil, fmt.Errorf("%s: empty method body", m.QualifiedName())
 	}
 
-	leader := make([]bool, n)
-	leader[0] = true
+	// blockOf first marks the leaders with a 1, then becomes the running
+	// count of leaders seen, less one.
+	blockOf := make([]int, n)
+	blockOf[0] = 1
 	for pc := 0; pc < n; pc++ {
 		in := &m.Code[pc]
 		if in.IsBranch() {
@@ -47,50 +66,113 @@ func Build(m *bytecode.Method) (*Graph, error) {
 			if t < 0 || t >= n {
 				return nil, fmt.Errorf("%s: pc %d: branch target %d out of range", m.QualifiedName(), pc, t)
 			}
-			leader[t] = true
+			blockOf[t] = 1
 			if pc+1 < n {
-				leader[pc+1] = true
+				blockOf[pc+1] = 1
 			}
 		} else if in.IsTerminator() && pc+1 < n {
-			leader[pc+1] = true
+			blockOf[pc+1] = 1
 		}
+	}
+	nb := 0
+	for pc, leader := range blockOf {
+		nb += leader
+		blockOf[pc] = nb - 1
 	}
 
-	g := &Graph{Method: m, blockOf: make([]int, n)}
-	for pc := 0; pc < n; pc++ {
-		if leader[pc] {
-			g.Blocks = append(g.Blocks, &Block{ID: len(g.Blocks), Start: pc})
+	slab := make([]Block, nb)
+	order := make([]int, 2*nb)
+	g := &Graph{Method: m, Blocks: make([]*Block, nb), blockOf: blockOf,
+		rpo: order[:nb:nb], rpoIndex: order[nb:]}
+	for pc := n - 1; pc >= 0; pc-- {
+		b := &slab[blockOf[pc]]
+		if b.End == 0 {
+			b.End = pc + 1
 		}
-		g.blockOf[pc] = len(g.Blocks) - 1
-	}
-	for i, b := range g.Blocks {
-		if i+1 < len(g.Blocks) {
-			b.End = g.Blocks[i+1].Start
-		} else {
-			b.End = n
-		}
+		b.Start = pc
 	}
 
-	for _, b := range g.Blocks {
+	// Successors: the branch target, then the fall-through. npreds counts
+	// each block's incoming edges (in rpoIndex, which order overwrites).
+	npreds, edges := g.rpoIndex, 0
+	for id := range slab {
+		b := &slab[id]
+		b.ID, g.Blocks[id] = id, b
+		k := 0
 		last := &m.Code[b.End-1]
-		addSucc := func(pc int) {
-			sid := g.blockOf[pc]
-			b.Succs = append(b.Succs, sid)
-			g.Blocks[sid].Preds = append(g.Blocks[sid].Preds, b.ID)
-		}
 		if last.IsBranch() {
-			addSucc(int(last.A))
+			b.succs[0], k = blockOf[last.A], 1
 			if last.Op != bytecode.OpGoto && b.End < n {
-				addSucc(b.End)
+				b.succs[1], k = blockOf[b.End], 2
 			}
 		} else if !last.IsTerminator() {
 			if b.End >= n {
 				return nil, fmt.Errorf("%s: control falls off the end of the method", m.QualifiedName())
 			}
-			addSucc(b.End)
+			b.succs[0], k = blockOf[b.End], 1
+		}
+		b.Succs = b.succs[:k:k]
+		for _, s := range b.Succs {
+			npreds[s]++
+		}
+		edges += k
+	}
+	// Predecessors arrive in the order the analysis's merge order depends
+	// on: blocks ascending, each block's successors in Succs order.
+	preds := make([]int, edges)
+	for id := range slab {
+		slab[id].Preds, preds = preds[:0:npreds[id]], preds[npreds[id]:]
+	}
+	for id := range slab {
+		for _, s := range slab[id].Succs {
+			slab[s].Preds = append(slab[s].Preds, id)
 		}
 	}
+	g.order()
 	return g, nil
+}
+
+// order fills rpo and rpoIndex: the postorder of a depth-first search from
+// the entry that takes successors in Succs order, reversed, then the blocks
+// it did not reach in id order.
+func (g *Graph) order() {
+	nb := len(g.Blocks)
+	// next[id] is the successor of id the search tries next, -1 while id is
+	// unseen. The search stack grows up from rpo[0] and finished blocks fill
+	// rpo down from the end; a block is in at most one of the two, so they
+	// never meet, and the finished part ends up in reverse postorder.
+	rpo, next := g.rpo, g.rpoIndex
+	for id := range next {
+		next[id] = -1
+	}
+	rpo[0], next[0] = 0, 0
+	sp, fin := 1, nb
+	for sp > 0 {
+		id := rpo[sp-1]
+		if succs := g.Blocks[id].Succs; next[id] < len(succs) {
+			s := succs[next[id]]
+			next[id]++
+			if next[s] < 0 {
+				next[s] = 0
+				rpo[sp] = s
+				sp++
+			}
+			continue
+		}
+		sp--
+		fin--
+		rpo[fin] = id
+	}
+	g.reached = copy(rpo, rpo[fin:])
+	rest := rpo[g.reached:g.reached]
+	for id := range next {
+		if next[id] < 0 {
+			rest = append(rest, id)
+		}
+	}
+	for i, id := range rpo {
+		g.rpoIndex[id] = i
+	}
 }
 
 // BlockOf returns the id of the block containing pc.
@@ -99,69 +181,20 @@ func (g *Graph) BlockOf(pc int) int { return g.blockOf[pc] }
 // ReversePostorder returns block ids in reverse postorder from the entry,
 // the classic iteration order for forward dataflow problems. Unreachable
 // blocks are appended at the end in id order so that analyses still visit
-// them (conservatively). The order is computed once and cached; callers
-// must not modify the returned slice.
-func (g *Graph) ReversePostorder() []int {
-	if g.rpo != nil {
-		return g.rpo
-	}
-	seen := make([]bool, len(g.Blocks))
-	var post []int
-	var dfs func(int)
-	dfs = func(id int) {
-		seen[id] = true
-		for _, s := range g.Blocks[id].Succs {
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, id)
-	}
-	dfs(0)
-	order := make([]int, 0, len(g.Blocks))
-	for i := len(post) - 1; i >= 0; i-- {
-		order = append(order, post[i])
-	}
-	for id := range g.Blocks {
-		if !seen[id] {
-			order = append(order, id)
-		}
-	}
-	g.rpo = order
-	return order
-}
+// them (conservatively). Callers must not modify the returned slice.
+func (g *Graph) ReversePostorder() []int { return g.rpo }
 
 // RPOIndex returns the position of each block in ReversePostorder:
 // RPOIndex()[id] is block id's priority for worklist scheduling (lower
 // runs earlier, so predecessors tend to stabilize before successors).
 // Callers must not modify the returned slice.
-func (g *Graph) RPOIndex() []int {
-	if g.rpoIndex != nil {
-		return g.rpoIndex
-	}
-	order := g.ReversePostorder()
-	idx := make([]int, len(g.Blocks))
-	for i, id := range order {
-		idx[id] = i
-	}
-	g.rpoIndex = idx
-	return idx
-}
+func (g *Graph) RPOIndex() []int { return g.rpoIndex }
 
 // Reachable reports which blocks are reachable from the entry.
 func (g *Graph) Reachable() []bool {
 	seen := make([]bool, len(g.Blocks))
-	stack := []int{0}
-	seen[0] = true
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Blocks[id].Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
+	for _, id := range g.rpo[:g.reached] {
+		seen[id] = true
 	}
 	return seen
 }

@@ -203,10 +203,11 @@ type analyzer struct {
 
 	// entry holds each block's entry state (nil until first reached).
 	// Every entry owns its buffers: the fixed point simulates blocks in
-	// scratch, merges joins into spare and swaps spare with the entry it
-	// replaces, so a visit allocates only when a block is first reached or
-	// a buffer must grow.
+	// scratch, gives a first-reached block a copy cut from slab, merges
+	// joins into spare and swaps spare with the entry it replaces, so a
+	// visit allocates only when a buffer must grow.
 	entry   []*state
+	slab    entrySlab
 	scratch *state
 	spare   *state
 
@@ -237,8 +238,14 @@ type analyzer struct {
 // still ship a correct, conservative program. A context deadline earlier
 // than Options.Deadline tightens it.
 func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options) (*MethodReport, error) {
+	return analyzeMethod(ctx, p, m, nil, opts)
+}
+
+// analyzeMethod is AnalyzeMethodCtx over m's graph g when the caller
+// already has it (nil: build it here).
+func analyzeMethod(ctx context.Context, p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options) (*MethodReport, error) {
 	rep := &MethodReport{Method: m, BytecodeBytes: m.Size()}
-	verdicts, err := analyze(ctx, p, m, opts, rep)
+	verdicts, err := analyze(ctx, p, m, g, opts, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +257,7 @@ func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Meth
 // analyze decides the method's verdicts (nil: none proven) and fills the
 // engine's part of the report; a degraded method returns nil verdicts with
 // the reason in rep.
-func analyze(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict, err error) {
+func analyze(ctx context.Context, p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			*rep = MethodReport{Method: m, BytecodeBytes: rep.BytecodeBytes, Degraded: DegradePanic,
@@ -265,9 +272,10 @@ func analyze(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts 
 	if opts.Mode == ModeNone {
 		return nil, nil
 	}
-	g, err := cfg.Build(m)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
+	if g == nil {
+		if g, err = cfg.Build(m); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		}
 	}
 	a := newAnalyzer(p, m, g, opts, false)
 	a.maxStateSize = opts.MaxStateSize
@@ -490,7 +498,8 @@ func (a *analyzer) fixpoint() DegradeReason {
 			var changed bool
 			switch cur := a.entry[tgt]; {
 			case cur == nil:
-				a.entry[tgt] = out.clone()
+				// Every block but the entry is first reached at most once.
+				a.entry[tgt] = a.slab.newEntry(out, len(a.entry)-1)
 				changed = true
 			case len(a.g.Blocks[tgt].Preds) == 1:
 				// A single-predecessor block's entry is exactly its

@@ -94,9 +94,10 @@ class T { int v; T f; static T sink; }
 class M {
     static T leak() { T t = new T(); T.sink = t; return t; }
     static T give(T t) { return t.f; }
-    static void main() { }
+    static void main() { T a = M.leak(); T b = M.give(a); }
 }
 `
+	// Summaries exist for invoked methods only, so main calls both.
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
 	sums, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
@@ -279,9 +280,10 @@ class M {
     static int ra(T t, int n) { if (n <= 0) return 0; return M.rb(t, n - 1); }
     static int rb(T t, int n) { T.sink = t; if (n <= 0) return 0; return M.ra(t, n - 1); }
     static int ro(T t) { return t.v; }
-    static void main() { }
+    static void main() { print(M.ro(new T())); }
 }
 `
+	// ro needs a caller to have a summary at all; the pair invokes itself.
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
 	opts := optsI()
 	opts.MaxSummaryRoundsPerSCC = 1

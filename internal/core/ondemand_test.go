@@ -1,0 +1,162 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"satbelim/internal/bytecode"
+	"satbelim/internal/core"
+	"satbelim/internal/pipeline"
+	"satbelim/internal/progen"
+	"satbelim/internal/workloads"
+)
+
+// unanalyzed compiles src up to and including verification.
+func unanalyzed(t *testing.T, name, src string, limit int) *bytecode.Program {
+	t.Helper()
+	b, err := pipeline.Compile(name, src, pipeline.Options{InlineLimit: limit, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Program
+}
+
+// invokeTargets is the set of methods some OpInvoke of p names.
+func invokeTargets(p *bytecode.Program) map[bytecode.MethodRef]bool {
+	out := map[bytecode.MethodRef]bool{}
+	for _, m := range p.Methods() {
+		for pc := range m.Code {
+			if in := &m.Code[pc]; in.Op == bytecode.OpInvoke && p.Method(in.Method) != nil {
+				out[in.Method] = true
+			}
+		}
+	}
+	return out
+}
+
+// analysisOutcome is everything an analysis run decides: each method's
+// report and each instruction's verdict.
+func analysisOutcome(t *testing.T, p *bytecode.Program, opts core.Options, workers int) ([]core.MethodReport, []bytecode.Verdict) {
+	t.Helper()
+	rep, err := core.AnalyzeProgramCtx(context.Background(), p, opts, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps []core.MethodReport
+	var verdicts []bytecode.Verdict
+	for _, mr := range rep.Methods {
+		reps = append(reps, *mr)
+		for pc := range mr.Method.Code {
+			verdicts = append(verdicts, mr.Method.Code[pc].Verdict)
+		}
+	}
+	return reps, verdicts
+}
+
+// TestOnDemandSummariesChangeNothing: summarizing only the methods some
+// invoke names yields the verdicts and reports of summarizing every method,
+// and the summaries it keeps are the same ones.
+func TestOnDemandSummariesChangeNothing(t *testing.T) {
+	type job struct {
+		name, src string
+		limit     int
+	}
+	var jobs []job
+	for _, w := range workloads.All() {
+		for _, limit := range []int{0, 25, 100} {
+			jobs = append(jobs, job{fmt.Sprintf("%s@%d", w.Name, limit), w.Source, limit})
+		}
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		jobs = append(jobs, job{fmt.Sprintf("seed%d", seed), progen.Generate(seed, progen.CampaignConfig()), int(seed%3) * 25})
+	}
+	opts := core.Options{Mode: core.ModeFieldArray, Interprocedural: true, NullOrSame: true}
+	elided, lookups := 0, 0
+	for _, j := range jobs {
+		p := unanalyzed(t, j.name, j.src, j.limit)
+		all := core.ComputeAllSummaries(p, opts)
+		onDemand, err := core.ComputeSummariesParallel(p, opts, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := invokeTargets(p)
+		if len(onDemand) != len(targets) {
+			t.Errorf("%s: %d summaries for %d invoked methods", j.name, len(onDemand), len(targets))
+		}
+		for ref, sum := range onDemand {
+			if !targets[ref] {
+				t.Errorf("%s: summary for %s, which nothing invokes", j.name, ref)
+			}
+			if !reflect.DeepEqual(sum, all[ref]) {
+				t.Errorf("%s: %s summarized on demand as %+v, among all methods as %+v", j.name, ref, sum, all[ref])
+			}
+		}
+
+		withAll := opts
+		withAll.Summaries = all
+		wantReps, wantVerdicts := analysisOutcome(t, p, withAll, 1)
+		gotReps, gotVerdicts := analysisOutcome(t, p, opts, 2)
+		if !reflect.DeepEqual(gotVerdicts, wantVerdicts) {
+			t.Errorf("%s: verdicts differ with on-demand summaries", j.name)
+		}
+		if !reflect.DeepEqual(gotReps, wantReps) {
+			t.Errorf("%s: method reports differ with on-demand summaries:\n got %+v\nwant %+v", j.name, gotReps, wantReps)
+		}
+		for i := range gotReps {
+			elided += gotReps[i].FieldElided + gotReps[i].ArrayElided
+			lookups += gotReps[i].SummaryCalls
+		}
+	}
+	if elided == 0 || lookups == 0 {
+		t.Errorf("corpus proves nothing: %d elisions, %d summary lookups", elided, lookups)
+	}
+}
+
+// TestSummariesCoverInvokedComponentsOnly: the key set is the members of
+// the components some invoke reaches. main, a thread body and a callee the
+// inliner swallowed have no entry — a lookup is nil, the worst case — while
+// both arms of a mutual recursion entered from outside do.
+func TestSummariesCoverInvokedComponentsOnly(t *testing.T) {
+	src := `
+class T { int v; T f; void run() { this.v = 1; } }
+class M {
+    static int tiny(T t) { return t.v; }
+    static int ping(T t, int n) { if (n <= 0) return t.v; return M.pong(t, n - 1); }
+    static int pong(T t, int n) { if (n <= 0) return 0; return M.ping(t, n - 1) + M.tiny(t); }
+    static int big(T t) {
+        int s = 0; int i = 0;
+        while (i < 10) { s = s + M.ping(t, i) * 3 + t.v * i - s / 7 + i * i; i = i + 1; }
+        while (i > 0) { s = s - M.pong(t, i) * 5 + t.v * i - s / 3 + i * i; i = i - 1; }
+        return s;
+    }
+    static void main() { T t = new T(); spawn t.run(); print(M.big(t)); }
+}
+`
+	ref := func(class, name string) bytecode.MethodRef { return bytecode.MethodRef{Class: class, Name: name} }
+	p := unanalyzed(t, "cover", src, 25)
+	if targets := invokeTargets(p); targets[ref("M", "tiny")] || !targets[ref("M", "big")] {
+		t.Fatalf("the test needs tiny inlined away and big kept; invoked: %v", targets)
+	}
+	sums, err := core.ComputeSummariesParallel(p, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []bytecode.MethodRef{ref("M", "big"), ref("M", "ping"), ref("M", "pong")} {
+		if sums[want] == nil {
+			t.Errorf("no summary for invoked method %s", want)
+		}
+	}
+	for _, absent := range []bytecode.MethodRef{ref("M", "main"), ref("T", "run"), ref("M", "tiny")} {
+		if p.Method(absent) == nil {
+			t.Fatalf("%s is not in the program", absent)
+		}
+		if sum, ok := sums[absent]; ok || sum != nil {
+			t.Errorf("%s is never invoked but has summary %+v", absent, sum)
+		}
+	}
+	if len(sums) != 3 {
+		t.Errorf("%d summaries, want 3: %v", len(sums), sums)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"satbelim/internal/bytecode"
+	"satbelim/internal/cfg"
 	"satbelim/internal/num"
 	"satbelim/internal/obs"
 )
@@ -48,14 +49,13 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Interprocedural && opts.Summaries == nil {
-		sums, err := ComputeSummariesParallel(p, opts, workers)
-		if err != nil {
-			return nil, fmt.Errorf("summaries: %w", err)
-		}
-		opts.Summaries = sums
-	}
 	methods := p.Methods()
+	// One graph per method for this call: summarizeMethod builds them,
+	// judging reads them or, for a method never summarized, builds its own.
+	graphs := make([]*cfg.Graph, len(methods))
+	if opts.Interprocedural && opts.Summaries == nil {
+		opts.Summaries = computeSummaries(p, opts, workers, graphs)
+	}
 	if workers > len(methods) {
 		workers = len(methods)
 	}
@@ -64,7 +64,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 	if workers <= 1 {
 		lane := analysisLane(0)
 		for i, m := range methods {
-			reps[i], errs[i] = analyzeMethodTraced(ctx, p, m, opts, lane)
+			reps[i], errs[i] = analyzeMethodTraced(ctx, p, m, graphs[i], opts, lane)
 		}
 	} else {
 		var next atomic.Int64
@@ -79,7 +79,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 					if i >= len(methods) {
 						return
 					}
-					reps[i], errs[i] = analyzeMethodTraced(ctx, p, methods[i], opts, lane)
+					reps[i], errs[i] = analyzeMethodTraced(ctx, p, methods[i], graphs[i], opts, lane)
 				}
 			}(w)
 		}
@@ -110,12 +110,12 @@ func analysisLane(worker int) string {
 // worker's lane, carrying the fixpoint stats (block visits, convergence,
 // degradation events) the §4.4 measurements care about. Tracing observes
 // only: results are bit-identical with and without it.
-func analyzeMethodTraced(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options, lane string) (*MethodReport, error) {
+func analyzeMethodTraced(ctx context.Context, p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options, lane string) (*MethodReport, error) {
 	if lane == "" || !obs.Enabled() {
-		return AnalyzeMethodCtx(ctx, p, m, opts)
+		return analyzeMethod(ctx, p, m, g, opts)
 	}
 	sp := obs.StartSpan(lane, "analysis", m.QualifiedName())
-	rep, err := AnalyzeMethodCtx(ctx, p, m, opts)
+	rep, err := analyzeMethod(ctx, p, m, g, opts)
 	if rep == nil {
 		sp.End()
 		return rep, err

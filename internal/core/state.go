@@ -163,10 +163,41 @@ func (s *state) copyFrom(src *state) {
 	s.nl, s.intTainted = src.nl, src.intTainted
 }
 
-// clone returns a copy of s in exactly-sized buffers of its own.
-func (s *state) clone() *state {
-	c := &state{tab: s.tab}
-	c.copyFrom(s)
+// entrySlab hands a fixed point's first-reached blocks their entry states:
+// the states and their Len and NR rows come from slabs made on first use,
+// ρ, stk and σ share one exactly-sized allocation. Every buffer is cut with
+// no capacity to spare, so a state that outgrows one moves to a buffer of
+// its own on the next append and never into its neighbour's.
+type entrySlab struct {
+	states  []state
+	lengths []intval.IntVal
+	ranges  []intval.Range
+}
+
+// carve cuts the first n elements off *slab.
+func carve[T any](slab *[]T, n int) []T {
+	vs := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return vs
+}
+
+// newEntry returns a copy of src in buffers of its own. entries bounds how
+// many the fixed point can ask for.
+func (sl *entrySlab) newEntry(src *state, entries int) *state {
+	tab := src.tab
+	if sl.states == nil {
+		sl.states = make([]state, entries)
+		sl.lengths = make([]intval.IntVal, entries*tab.numArrays)
+		sl.ranges = make([]intval.Range, entries*tab.numArrays)
+	}
+	c := &carve(&sl.states, 1)[0]
+	c.tab = tab
+	c.length = carve(&sl.lengths, tab.numArrays)
+	c.nr = carve(&sl.ranges, tab.numArrays)
+	c.sigma = make([]Value, len(src.locals)+len(src.stack)+len(src.sigma))
+	c.locals = carve(&c.sigma, len(src.locals))
+	c.stack = carve(&c.sigma, len(src.stack))
+	c.copyFrom(src)
 	return c
 }
 

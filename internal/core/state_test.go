@@ -306,7 +306,7 @@ func TestStatesEqualTreatsDefaultsAsAbsent(t *testing.T) {
 }
 
 // TestStateCopiesShareNoBuffers is the bug class the copy-on-write flags
-// used to guard: after copyFrom (and clone), writes to either state — also
+// used to guard: after copyFrom (and newEntry), writes to either state — also
 // ones that reuse spare capacity or number new slots — never show in the
 // other.
 func TestStateCopiesShareNoBuffers(t *testing.T) {
@@ -317,7 +317,8 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 	entry.sigmaSet(1, fF, RefValue(SingletonRef(2)))
 	entry.setLength(1, intval.Const(3))
 	entry.setNR(1, intval.Low(intval.Const(0)))
-	want := entry.clone()
+	var slab entrySlab
+	want := slab.newEntry(entry, 2)
 
 	mutate := func(s *state) {
 		s.locals[0] = NullValue()

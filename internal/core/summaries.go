@@ -224,46 +224,72 @@ type Summaries map[bytecode.MethodRef]*MethodSummary
 // cacheable.
 const maxSummaryRounds = 40
 
-// ComputeSummariesParallel derives escape summaries for every method,
-// scheduling callgraph SCCs bottom-up in reverse topological order and
-// fanning independent components across workers (<= 1 means sequential).
-// opts is the analysis configuration the summaries will be used with
-// (ablations apply to the summary computation too). Results are
-// bit-identical for any worker count. A method that cannot be summarized
-// gets the worst summary, so the error is always nil.
+// ComputeSummariesParallel derives escape summaries for every method some
+// OpInvoke names, scheduling their callgraph SCCs bottom-up in reverse
+// topological order and fanning independent components across workers
+// (<= 1 means sequential). A method nothing invokes — main, a thread body,
+// a callee the inliner swallowed — has no entry: a lookup yields nil, which
+// the invoke transfer function treats as the worst case. opts is the
+// analysis configuration the summaries will be used with (ablations apply
+// to the summary computation too). Results are bit-identical for any worker
+// count. A method that cannot be summarized gets the worst summary, so the
+// error is always nil.
 func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (Summaries, error) {
+	return computeSummaries(p, opts, workers, make([]*cfg.Graph, len(p.Methods()))), nil
+}
+
+// computeSummaries is ComputeSummariesParallel over a caller-owned graph
+// table indexed like p.Methods(), which it leaves holding the graph of every
+// method it summarized.
+func computeSummaries(p *bytecode.Program, opts Options, workers int, graphs []*cfg.Graph) Summaries {
 	cond := Condense(BuildCallGraph(p))
-	sums := make(Summaries, len(cond.Graph.Methods))
-	// All entries exist before any component runs: the map is read-only
-	// during the fan-out, and summaries only worsen in place.
-	for _, m := range cond.Graph.Methods {
-		sums[m.Ref()] = optimisticSummary(p, m)
-	}
-	if workers <= 1 || len(cond.SCCs) <= 1 {
-		for ci := range cond.SCCs {
-			processSCC(p, opts, cond, ci, sums)
+	// A component is needed when it holds the callee of some invoke. Its own
+	// callees are needed by the same rule, so the needed components are
+	// closed under Deps and the schedule below runs over a sub-DAG.
+	needed := make([]bool, len(cond.SCCs))
+	remaining := 0
+	sums := Summaries{}
+	for _, callees := range cond.Graph.Callees {
+		for _, j := range callees {
+			if ci := cond.CompOf[j]; !needed[ci] {
+				needed[ci] = true
+				remaining++
+				// The optimistic start exists before any component runs: the
+				// map is read-only during the fan-out, and summaries only
+				// worsen in place.
+				for _, v := range cond.SCCs[ci].Members {
+					m := cond.Graph.Methods[v]
+					sums[m.Ref()] = optimisticSummary(p, m)
+				}
+			}
 		}
-		return sums, nil
+	}
+	if workers <= 1 || remaining <= 1 {
+		for ci := range cond.SCCs {
+			if needed[ci] {
+				processSCC(p, opts, cond, ci, sums, graphs)
+			}
+		}
+		return sums
 	}
 
 	// Parallel phase: a component becomes ready when every component it
 	// calls into is finalized. The mutex orders each component's summary
 	// writes before any dependent's reads.
 	var (
-		mu        sync.Mutex
-		cv        = sync.NewCond(&mu)
-		ready     []int
-		pending   = make([]int, len(cond.SCCs))
-		remaining = len(cond.SCCs)
+		mu      sync.Mutex
+		cv      = sync.NewCond(&mu)
+		ready   []int
+		pending = make([]int, len(cond.SCCs))
 	)
 	for ci := range cond.SCCs {
 		pending[ci] = len(cond.Deps[ci])
-		if pending[ci] == 0 {
+		if needed[ci] && pending[ci] == 0 {
 			ready = append(ready, ci)
 		}
 	}
-	if workers > len(cond.SCCs) {
-		workers = len(cond.SCCs)
+	if workers > remaining {
+		workers = remaining
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -283,13 +309,13 @@ func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (S
 				ready = ready[:len(ready)-1]
 				mu.Unlock()
 
-				processSCC(p, opts, cond, ci, sums)
+				processSCC(p, opts, cond, ci, sums, graphs)
 
 				mu.Lock()
 				remaining--
 				for _, d := range cond.Dependents[ci] {
 					pending[d]--
-					if pending[d] == 0 {
+					if needed[d] && pending[d] == 0 {
 						ready = append(ready, d)
 					}
 				}
@@ -299,17 +325,18 @@ func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (S
 		}()
 	}
 	wg.Wait()
-	return sums, nil
+	return sums
 }
 
 // processSCC finalizes the summaries of one component. Acyclic
 // components need exactly one pass (their callees are already final);
 // cyclic ones iterate members in program order until nothing worsens.
-func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, sums Summaries) {
+func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, sums Summaries, graphs []*cfg.Graph) {
 	scc := &cond.SCCs[ci]
 	if !scc.Cyclic {
-		m := cond.Graph.Methods[scc.Members[0]]
-		sums[m.Ref()].worsen(summarizeMethod(p, m, opts, sums))
+		v := scc.Members[0]
+		m := cond.Graph.Methods[v]
+		sums[m.Ref()].worsen(summarizeMethod(p, m, graphs, v, opts, sums))
 		return
 	}
 	rounds := opts.MaxSummaryRoundsPerSCC
@@ -320,7 +347,7 @@ func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, s
 		changed := false
 		for _, v := range scc.Members {
 			m := cond.Graph.Methods[v]
-			if sums[m.Ref()].worsen(summarizeMethod(p, m, opts, sums)) {
+			if sums[m.Ref()].worsen(summarizeMethod(p, m, graphs, v, opts, sums)) {
 				changed = true
 			}
 		}
@@ -338,14 +365,22 @@ func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, s
 	}
 }
 
-// summarizeMethod runs the analysis in summary mode and reads off each
-// argument's fate and the return value's freshness.
-func summarizeMethod(p *bytecode.Program, m *bytecode.Method, opts Options, sums Summaries) *MethodSummary {
-	g, err := cfg.Build(m)
-	if err != nil {
-		// Structurally odd methods (none are produced by our codegen)
-		// keep the worst case.
-		return worstSummary(m)
+// summarizeMethod runs the analysis in summary mode over m, node `node` of
+// the callgraph, and reads off each argument's fate and the return value's
+// freshness. It builds m's graph on first use into graphs[node], where the
+// component's later rounds and the caller's judging pass find it; the entry
+// is touched only by the one worker that holds the method's component, so
+// the table needs no lock.
+func summarizeMethod(p *bytecode.Program, m *bytecode.Method, graphs []*cfg.Graph, node int, opts Options, sums Summaries) *MethodSummary {
+	g := graphs[node]
+	if g == nil {
+		var err error
+		if g, err = cfg.Build(m); err != nil {
+			// Structurally odd methods (none are produced by our codegen)
+			// keep the worst case.
+			return worstSummary(m)
+		}
+		graphs[node] = g
 	}
 	a := newAnalyzer(p, m, g, opts, true)
 	a.summaries = sums

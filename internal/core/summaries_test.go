@@ -238,9 +238,10 @@ class M {
     static int ro(T t) { return t.v; }
     static void mut(T t) { t.f = null; }
     static void pub(T t) { T.sink = t; }
-    static void main() { }
+    static void main() { T t = new T(); print(M.ro(t)); M.mut(t); M.pub(t); }
 }
 `
+	// Summaries exist for invoked methods only, so main calls all three.
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
 	sums, err := ComputeSummariesParallel(p, Options{Mode: ModeFieldArray}, 1)
 	if err != nil {

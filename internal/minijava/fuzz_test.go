@@ -9,27 +9,43 @@ import (
 	"satbelim/internal/verifier"
 )
 
+// fuzzSeeds is FuzzParse's seed corpus (TestTokenStreamGolden hashes its
+// token streams too).
+func fuzzSeeds() []string {
+	seeds := []string{
+		"class A { static void main() { print(1); } }",
+		`class N { N next; }
+class A { static void main() { N n = new N(); n.next = new N(); } }`,
+		`class W { W next; void work() { this.next = new W(); } }
+class A { static void main() { W w = new W(); spawn w.work(); } }`,
+		"class A { static void main() { int[] a = new int[3]; a[0] = 1; print(a[0]); } }",
+		"class A {",
+		"x = ;;",
+		// Where byte offsets and rune columns part ways: multibyte
+		// identifiers, non-ASCII inside both comment forms (with a wide
+		// space and a line separator), and stray bytes that are not UTF-8.
+		"class Größe { int größe_2; static void main() { Größe π = new Größe(); π.größe_2 = 1; print(π.größe_2); } }",
+		"class A { // ключ → значение\n static void main() { /* 漢字\u00a0\u2028 é */ print(1); } } // конец",
+		"class A { static void main() { int x\u00a0=\u20031; /* 漢 */ print(x); } }",
+		"class A { static void main() { print(1); \xff } }",
+		"class A\xc3 { }",
+		"// \xe2\x82\n/* \xf0\x9f */ class \xe6\xbc\xa2\xe6 { }",
+		"int é = 1 \x80\x80 2;",
+	}
+	seeds = append(seeds, progen.Corpus(9000, 3, progen.DefaultConfig())...)
+	// Campaign-config sources add the strided-init, alloc-reuse,
+	// aliasing, and escape-store idioms the metamorphic harness
+	// generates from (cmd/satbtest).
+	return append(seeds, progen.Corpus(17000, 3, progen.CampaignConfig())...)
+}
+
 // FuzzParse feeds arbitrary bytes through the frontend. The contract
 // under fuzzing is crash-freedom plus a pipeline invariant: any input
 // that parses and typechecks must also compile to bytecode that passes
 // the verifier — the frontend may reject, but it must never hand the
 // backend an ill-formed program.
 func FuzzParse(f *testing.F) {
-	f.Add("class A { static void main() { print(1); } }")
-	f.Add(`class N { N next; }
-class A { static void main() { N n = new N(); n.next = new N(); } }`)
-	f.Add(`class W { W next; void work() { this.next = new W(); } }
-class A { static void main() { W w = new W(); spawn w.work(); } }`)
-	f.Add("class A { static void main() { int[] a = new int[3]; a[0] = 1; print(a[0]); } }")
-	f.Add("class A {")
-	f.Add("x = ;;")
-	for _, src := range progen.Corpus(9000, 3, progen.DefaultConfig()) {
-		f.Add(src)
-	}
-	// Campaign-config sources add the strided-init, alloc-reuse,
-	// aliasing, and escape-store idioms the metamorphic harness
-	// generates from (cmd/satbtest).
-	for _, src := range progen.Corpus(17000, 3, progen.CampaignConfig()) {
+	for _, src := range fuzzSeeds() {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

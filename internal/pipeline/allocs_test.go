@@ -1,0 +1,56 @@
+package pipeline
+
+import (
+	"runtime"
+	"testing"
+
+	"satbelim/internal/core"
+	"satbelim/internal/workloads"
+)
+
+// TestCompileAllocs gates the allocation count of a whole uncached Compile
+// — lexer, parser, checker, codegen, inliner, verifier, summaries and
+// analysis — the way core.TestAnalyzeAllocs gates the analysis alone: jbb at
+// inline limit 100 (front end and inliner dominate) and jess at limit 0 with
+// summaries (the most analyzer runs). With one worker nothing in the path
+// depends on scheduling, so two measurements must agree exactly. The
+// ceilings sit about 15 % above the measured figures (jbb 2 552, jess 2 235;
+// 4 165 and 3 743 before the lexer sliced its source and summaries were
+// computed on demand).
+func TestCompileAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account, a few objects more or less per run")
+	}
+	for _, tc := range []struct {
+		workload string
+		limit    int
+		analysis core.Options
+		ceiling  float64
+	}{
+		{"jbb", 100, core.Options{Mode: core.ModeFieldArray}, 2930},
+		{"jess", 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 2570},
+	} {
+		w, err := workloads.Get(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{InlineLimit: tc.limit, Analysis: tc.analysis, NoCache: true, Workers: 1}
+		measure := func() float64 {
+			// The Go collector's first cycle allocates its workers.
+			runtime.GC()
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Compile(w.Name, w.Source, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		first, second := measure(), measure()
+		t.Logf("%s@%d: %.0f allocs per Compile", tc.workload, tc.limit, first)
+		if first != second {
+			t.Errorf("%s@%d: allocation count does not repeat: %.0f then %.0f", tc.workload, tc.limit, first, second)
+		}
+		if first > tc.ceiling {
+			t.Errorf("%s@%d: %.0f allocs per Compile, ceiling %.0f", tc.workload, tc.limit, first, tc.ceiling)
+		}
+	}
+}
