@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"satbelim/internal/core"
+	"satbelim/internal/num"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/report"
 	"satbelim/internal/satb"
@@ -65,10 +66,10 @@ func benchTable1(b *testing.B, name string) {
 		b.Fatalf("unsound elisions: %v", s.UnsoundSites)
 	}
 	b.ReportMetric(float64(s.TotalExecs), "barriers/op")
-	b.ReportMetric(pct(s.ElidedExecs, s.TotalExecs), "elim%")
-	b.ReportMetric(pct(s.PotPreNull, s.TotalExecs), "potPreNull%")
-	b.ReportMetric(pct(s.FieldElided, s.FieldExecs), "fieldElim%")
-	b.ReportMetric(pct(s.ArrayElided, s.ArrayExecs), "arrayElim%")
+	b.ReportMetric(num.Pct(s.ElidedExecs, s.TotalExecs), "elim%")
+	b.ReportMetric(num.Pct(s.PotPreNull, s.TotalExecs), "potPreNull%")
+	b.ReportMetric(num.Pct(s.FieldElided, s.FieldExecs), "fieldElim%")
+	b.ReportMetric(num.Pct(s.ArrayElided, s.ArrayExecs), "arrayElim%")
 }
 
 func BenchmarkTable1_jess(b *testing.B)  { benchTable1(b, "jess") }
@@ -139,7 +140,7 @@ func benchFig2(b *testing.B, limit int, mode core.Mode) {
 			}
 		}
 	}
-	b.ReportMetric(pct(elided, total), "elim%")
+	b.ReportMetric(num.Pct(elided, total), "elim%")
 }
 
 func BenchmarkFig2_Limit0_B(b *testing.B)   { benchFig2(b, 0, core.ModeNone) }
@@ -275,7 +276,7 @@ func benchAblation(b *testing.B, opts core.Options) {
 			total += s.TotalExecs
 		}
 	}
-	b.ReportMetric(pct(elided, total), "elim%")
+	b.ReportMetric(num.Pct(elided, total), "elim%")
 }
 
 func BenchmarkAblationBaseline(b *testing.B) {
@@ -313,7 +314,7 @@ func BenchmarkInterprocedural(b *testing.B) {
 				total += s.TotalExecs
 			}
 		}
-		b.ReportMetric(pct(elided, total), "elim%")
+		b.ReportMetric(num.Pct(elided, total), "elim%")
 	}
 	b.Run("intra", func(b *testing.B) { benchLimit0(b, core.Options{Mode: core.ModeFieldArray}) })
 	b.Run("summaries", func(b *testing.B) {
@@ -342,13 +343,6 @@ func BenchmarkRearrangeDB(b *testing.B) {
 	if len(s.UnsoundSites) > 0 {
 		b.Fatalf("unsound: %v", s.UnsoundSites)
 	}
-	b.ReportMetric(pct(s.RearrangeExecs, s.TotalExecs), "rearr%")
+	b.ReportMetric(num.Pct(s.RearrangeExecs, s.TotalExecs), "rearr%")
 	b.ReportMetric(float64(s.Retraces), "retraces")
-}
-
-func pct(n, d uint64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(d)
 }

@@ -121,12 +121,10 @@ func (b *Builder) Branch(op Op, label string) int {
 	return pc
 }
 
-// Goto / IfTrue / IfFalse / IfNull / IfNonNull emit branches to labels.
-func (b *Builder) Goto(label string) int      { return b.Branch(OpGoto, label) }
-func (b *Builder) IfTrue(label string) int    { return b.Branch(OpIfTrue, label) }
-func (b *Builder) IfFalse(label string) int   { return b.Branch(OpIfFalse, label) }
-func (b *Builder) IfNull(label string) int    { return b.Branch(OpIfNull, label) }
-func (b *Builder) IfNonNull(label string) int { return b.Branch(OpIfNonNull, label) }
+// Goto / IfTrue / IfFalse emit branches to labels.
+func (b *Builder) Goto(label string) int    { return b.Branch(OpGoto, label) }
+func (b *Builder) IfTrue(label string) int  { return b.Branch(OpIfTrue, label) }
+func (b *Builder) IfFalse(label string) int { return b.Branch(OpIfFalse, label) }
 
 // Return emits a void return.
 func (b *Builder) Return() int { return b.Op(OpReturn) }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"satbelim/internal/bytecode"
-	"satbelim/internal/cfg"
 	"satbelim/internal/intval"
 	"satbelim/internal/satb"
 )
@@ -238,26 +237,26 @@ type analyzer struct {
 // still ship a correct, conservative program. A context deadline earlier
 // than Options.Deadline tightens it.
 func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options) (*MethodReport, error) {
-	return analyzeMethod(ctx, p, m, nil, opts)
+	return analyzeMethod(ctx, newProgramIndex(p, 1), 0, m, opts)
 }
 
-// analyzeMethod is AnalyzeMethodCtx over m's graph g when the caller
-// already has it (nil: build it here).
-func analyzeMethod(ctx context.Context, p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options) (*MethodReport, error) {
+// analyzeMethod is AnalyzeMethodCtx for m, whose index is entry i of the
+// build's program index.
+func analyzeMethod(ctx context.Context, px *programIndex, i int, m *bytecode.Method, opts Options) (*MethodReport, error) {
 	rep := &MethodReport{Method: m, BytecodeBytes: m.Size()}
-	verdicts, err := analyze(ctx, p, m, g, opts, rep)
+	verdicts, err := analyze(ctx, px, i, m, opts, rep)
 	if err != nil {
 		return nil, err
 	}
 	rep.Converged = rep.Degraded == DegradeNone
-	publish(p, m, verdicts, rep)
+	publish(px.prog, m, verdicts, rep)
 	return rep, nil
 }
 
 // analyze decides the method's verdicts (nil: none proven) and fills the
 // engine's part of the report; a degraded method returns nil verdicts with
 // the reason in rep.
-func analyze(ctx context.Context, p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict, err error) {
+func analyze(ctx context.Context, px *programIndex, i int, m *bytecode.Method, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			*rep = MethodReport{Method: m, BytecodeBytes: rep.BytecodeBytes, Degraded: DegradePanic,
@@ -272,12 +271,11 @@ func analyze(ctx context.Context, p *bytecode.Program, m *bytecode.Method, g *cf
 	if opts.Mode == ModeNone {
 		return nil, nil
 	}
-	if g == nil {
-		if g, err = cfg.Build(m); err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
+	idx, err := px.of(i, m)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	a := newAnalyzer(p, m, g, opts, false)
+	a := newAnalyzer(px, m, idx, opts, false)
 	a.maxStateSize = opts.MaxStateSize
 	if opts.MaxBlockVisits > 0 {
 		a.maxVisits = opts.MaxBlockVisits
@@ -334,29 +332,23 @@ func publish(p *bytecode.Program, m *bytecode.Method, verdicts []bytecode.Verdic
 	}
 }
 
-// newAnalyzer sets up the engine for one method: its reference universe,
-// slot table, per-instruction field ids, reusable buffers and the default
+// newAnalyzer sets up the engine for one method of the build px indexes:
+// its reference universe, slot table, reusable buffers and the default
 // visit budget. summaryMode selects the summary-mode abstraction of
 // arguments (see summaryRecorder).
-func newAnalyzer(p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options, summaryMode bool) *analyzer {
+func newAnalyzer(px *programIndex, m *bytecode.Method, idx methodIndex, opts Options, summaryMode bool) *analyzer {
 	a := &analyzer{
 		transfer: transfer{
-			prog: p, m: m, g: g, opts: opts,
-			refs:    buildRefTable(p, m, opts, summaryMode),
-			fieldAt: make([]fieldID, len(m.Code)),
+			prog: px.prog, m: m, g: idx.g, opts: opts,
+			refs:   buildRefTable(px.prog, m, opts, summaryMode),
+			fields: px.fields, fieldAt: idx.fieldAt,
 		},
-		entry:     make([]*state, len(g.Blocks)),
-		maxVisits: 200*len(g.Blocks) + 2000,
+		entry:     make([]*state, len(idx.g.Blocks)),
+		maxVisits: 200*len(idx.g.Blocks) + 2000,
 	}
-	a.slots = newSlotTable(a.refs)
+	a.slots = newSlotTable(px.fields, a.refs)
 	if summaryMode {
 		a.rec = newSummaryRecorder(a.refs, a.slots)
-	}
-	for pc := range m.Code {
-		switch in := &m.Code[pc]; in.Op {
-		case bytecode.OpGetField, bytecode.OpPutField, bytecode.OpGetStatic, bytecode.OpPutStatic:
-			a.fieldAt[pc] = a.slots.fieldOf(in.Field)
-		}
 	}
 	a.scratch = &state{tab: a.slots}
 	a.spare = &state{tab: a.slots}

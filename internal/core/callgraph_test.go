@@ -202,18 +202,11 @@ class M {
 	}
 }
 
-// normalizeSums converts empty-vs-nil pre-null maps to a comparable form.
+// normalizeSums keys the summaries by method name, by value.
 func normalizeSums(s Summaries) map[string]MethodSummary {
 	out := map[string]MethodSummary{}
 	for ref, sum := range s {
-		c := *sum
-		c.ArgPreNullFields = make([]map[string]bool, len(sum.ArgPreNullFields))
-		for i, m := range sum.ArgPreNullFields {
-			if len(m) > 0 {
-				c.ArgPreNullFields[i] = m
-			}
-		}
-		out[ref.String()] = c
+		out[ref.String()] = *sum
 	}
 	return out
 }

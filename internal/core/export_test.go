@@ -1,9 +1,6 @@
 package core
 
-import (
-	"satbelim/internal/bytecode"
-	"satbelim/internal/cfg"
-)
+import "satbelim/internal/bytecode"
 
 // ComputeAllSummaries summarizes every method of p, invoked or not — what
 // ComputeSummariesParallel did before it restricted itself to invoked
@@ -11,12 +8,24 @@ import (
 func ComputeAllSummaries(p *bytecode.Program, opts Options) Summaries {
 	cond := Condense(BuildCallGraph(p))
 	sums := Summaries{}
+	px := newProgramIndex(p, len(cond.Graph.Methods))
 	for _, m := range cond.Graph.Methods {
-		sums[m.Ref()] = optimisticSummary(p, m)
+		sums[m.Ref()] = optimisticSummary(px.fields, m)
 	}
-	graphs := make([]*cfg.Graph, len(cond.Graph.Methods))
 	for ci := range cond.SCCs {
-		processSCC(p, opts, cond, ci, sums, graphs)
+		processSCC(px, opts, cond, ci, sums)
 	}
 	return sums
+}
+
+// PreNullNamed reports whether the field with qualified name ("Class.field"
+// or "$elems") is in argument i's pre-null set: the summaries speak in the
+// ids of p's field table, the tests in names.
+func (s *MethodSummary) PreNullNamed(p *bytecode.Program, i int, name string) bool {
+	for f, n := range newFieldTable(p).names {
+		if n == name {
+			return s.preNull(i, fieldID(f))
+		}
+	}
+	panic("no field named " + name)
 }

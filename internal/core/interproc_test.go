@@ -159,10 +159,10 @@ class M {
 	if ctor.ArgCompromised[0] {
 		t.Fatal("constructor receiver must stay uncompromised")
 	}
-	if ctor.PreNull(0, "T.a") {
+	if ctor.PreNullNamed(p, 0, "T.a") {
 		t.Error("written field T.a must leave the receiver's pre-null set")
 	}
-	if !ctor.PreNull(0, "T.b") {
+	if !ctor.PreNullNamed(p, 0, "T.b") {
 		t.Error("untouched field T.b must stay in the receiver's pre-null set")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})

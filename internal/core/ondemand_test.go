@@ -160,3 +160,40 @@ class M {
 		t.Errorf("%d summaries, want 3: %v", len(sums), sums)
 	}
 }
+
+// TestPrecomputedSummariesMatchInternal: a caller that computes the
+// summaries itself and hands them over as Options.Summaries — what the
+// benchmark's stage probes do to time the two stages apart — gets the
+// verdicts and reports of the run that computes them internally. The two
+// calls number the program's fields separately, so the summaries' ids must
+// mean the same fields in both.
+func TestPrecomputedSummariesMatchInternal(t *testing.T) {
+	opts := core.Options{Mode: core.ModeFieldArray, Interprocedural: true}
+	lookups := 0
+	for _, w := range workloads.All() {
+		p := unanalyzed(t, w.Name, w.Source, 0)
+		wantReps, wantVerdicts := analysisOutcome(t, p, opts, 2)
+
+		sums, err := core.ComputeSummariesParallel(p, opts, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handed := opts
+		handed.Summaries = sums
+		gotReps, gotVerdicts := analysisOutcome(t, p.Clone(), handed, 2)
+		if !reflect.DeepEqual(gotVerdicts, wantVerdicts) {
+			t.Errorf("%s: verdicts differ with precomputed summaries", w.Name)
+		}
+		for i := range gotReps {
+			// The clone's methods are copies; everything else must agree.
+			gotReps[i].Method = wantReps[i].Method
+			lookups += gotReps[i].SummaryCalls
+		}
+		if !reflect.DeepEqual(gotReps, wantReps) {
+			t.Errorf("%s: method reports differ with precomputed summaries:\n got %+v\nwant %+v", w.Name, gotReps, wantReps)
+		}
+	}
+	if lookups == 0 {
+		t.Error("no call site was judged with a summary in hand")
+	}
+}

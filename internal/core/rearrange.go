@@ -1,6 +1,9 @@
 package core
 
 import (
+	"maps"
+	"slices"
+
 	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
 )
@@ -49,7 +52,7 @@ type rearrangeTracker struct {
 	nextVN  int32
 	slotSym map[int]intval.IntVal // freshened unknown-int locals
 	slotVN  map[int]int32         // value numbers for ref locals
-	fieldVN map[string]int32      // value numbers for static ref fields
+	fieldVN map[fieldID]int32     // value numbers for static ref fields
 	events  []storeEvent
 	// clobbers are sequence points (calls, spawns) after which no pair
 	// may span.
@@ -70,7 +73,7 @@ func newRearrangeTracker() *rearrangeTracker {
 	return &rearrangeTracker{
 		slotSym: map[int]intval.IntVal{},
 		slotVN:  map[int]int32{},
-		fieldVN: map[string]int32{},
+		fieldVN: map[fieldID]int32{},
 	}
 }
 
@@ -78,25 +81,15 @@ func newRearrangeTracker() *rearrangeTracker {
 // a single-predecessor block preserves all identities, but each successor
 // accumulates its own events from there on.
 func (rt *rearrangeTracker) fork() *rearrangeTracker {
-	cp := &rearrangeTracker{
+	return &rearrangeTracker{
 		seq:      rt.seq,
 		nextVN:   rt.nextVN,
-		slotSym:  make(map[int]intval.IntVal, len(rt.slotSym)),
-		slotVN:   make(map[int]int32, len(rt.slotVN)),
-		fieldVN:  make(map[string]int32, len(rt.fieldVN)),
-		events:   append([]storeEvent(nil), rt.events...),
-		clobbers: append([]int(nil), rt.clobbers...),
+		slotSym:  maps.Clone(rt.slotSym),
+		slotVN:   maps.Clone(rt.slotVN),
+		fieldVN:  maps.Clone(rt.fieldVN),
+		events:   slices.Clone(rt.events),
+		clobbers: slices.Clone(rt.clobbers),
 	}
-	for k, v := range rt.slotSym {
-		cp.slotSym[k] = v
-	}
-	for k, v := range rt.slotVN {
-		cp.slotVN[k] = v
-	}
-	for k, v := range rt.fieldVN {
-		cp.fieldVN[k] = v
-	}
-	return cp
 }
 
 func (rt *rearrangeTracker) tick() int {
@@ -112,7 +105,7 @@ func (rt *rearrangeTracker) fresh() int32 {
 // clobber forgets everything a call might invalidate.
 func (rt *rearrangeTracker) clobber() {
 	rt.clobbers = append(rt.clobbers, rt.tick())
-	rt.fieldVN = map[string]int32{}
+	rt.fieldVN = map[fieldID]int32{}
 }
 
 // loadSlotInt freshens an unknown integer local to a stable per-slot
@@ -144,7 +137,7 @@ func (rt *rearrangeTracker) killSlot(slot int) {
 
 // loadStaticRef numbers a static reference field (killed by putstatic to
 // the field and by calls).
-func (rt *rearrangeTracker) loadStaticRef(field string) int32 {
+func (rt *rearrangeTracker) loadStaticRef(field fieldID) int32 {
 	if v, ok := rt.fieldVN[field]; ok {
 		return v
 	}
@@ -154,7 +147,7 @@ func (rt *rearrangeTracker) loadStaticRef(field string) int32 {
 }
 
 // killStatic forgets an overwritten static.
-func (rt *rearrangeTracker) killStatic(field string) {
+func (rt *rearrangeTracker) killStatic(field fieldID) {
 	delete(rt.fieldVN, field)
 }
 
@@ -197,11 +190,7 @@ func (rt *rearrangeTracker) detectSwaps(out *judgment) {
 			if e1.prov.seq >= e1.seq || e2.prov.seq >= e1.seq {
 				continue
 			}
-			lo := e1.prov.seq
-			if e2.prov.seq < lo {
-				lo = e2.prov.seq
-			}
-			if rt.interfered(lo, e2.seq, i, j) {
+			if rt.interfered(min(e1.prov.seq, e2.prov.seq), e2.seq, i, j) {
 				continue
 			}
 			out.earn(e1.pc, bytecode.VerdictRearrange)

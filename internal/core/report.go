@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"satbelim/internal/bytecode"
-	"satbelim/internal/cfg"
 	"satbelim/internal/num"
 	"satbelim/internal/obs"
 )
@@ -50,11 +49,12 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 		workers = runtime.GOMAXPROCS(0)
 	}
 	methods := p.Methods()
-	// One graph per method for this call: summarizeMethod builds them,
-	// judging reads them or, for a method never summarized, builds its own.
-	graphs := make([]*cfg.Graph, len(methods))
+	// One field table for this call and one graph and field-id row per
+	// method: summarizeMethod builds them, judging reads them or, for a
+	// method never summarized, builds its own.
+	px := newProgramIndex(p, len(methods))
 	if opts.Interprocedural && opts.Summaries == nil {
-		opts.Summaries = computeSummaries(p, opts, workers, graphs)
+		opts.Summaries = computeSummaries(px, opts, workers)
 	}
 	if workers > len(methods) {
 		workers = len(methods)
@@ -64,7 +64,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 	if workers <= 1 {
 		lane := analysisLane(0)
 		for i, m := range methods {
-			reps[i], errs[i] = analyzeMethodTraced(ctx, p, m, graphs[i], opts, lane)
+			reps[i], errs[i] = analyzeMethodTraced(ctx, px, i, m, opts, lane)
 		}
 	} else {
 		var next atomic.Int64
@@ -79,7 +79,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 					if i >= len(methods) {
 						return
 					}
-					reps[i], errs[i] = analyzeMethodTraced(ctx, p, methods[i], graphs[i], opts, lane)
+					reps[i], errs[i] = analyzeMethodTraced(ctx, px, i, methods[i], opts, lane)
 				}
 			}(w)
 		}
@@ -110,12 +110,12 @@ func analysisLane(worker int) string {
 // worker's lane, carrying the fixpoint stats (block visits, convergence,
 // degradation events) the §4.4 measurements care about. Tracing observes
 // only: results are bit-identical with and without it.
-func analyzeMethodTraced(ctx context.Context, p *bytecode.Program, m *bytecode.Method, g *cfg.Graph, opts Options, lane string) (*MethodReport, error) {
+func analyzeMethodTraced(ctx context.Context, px *programIndex, i int, m *bytecode.Method, opts Options, lane string) (*MethodReport, error) {
 	if lane == "" || !obs.Enabled() {
-		return analyzeMethod(ctx, p, m, g, opts)
+		return analyzeMethod(ctx, px, i, m, opts)
 	}
 	sp := obs.StartSpan(lane, "analysis", m.QualifiedName())
-	rep, err := analyzeMethod(ctx, p, m, g, opts)
+	rep, err := analyzeMethod(ctx, px, i, m, opts)
 	if rep == nil {
 		sp.End()
 		return rep, err
@@ -173,7 +173,7 @@ func (r *ProgramReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "static barrier sites: %d field, %d array\n", fs, as)
 	fmt.Fprintf(&b, "statically elided:    %d field (%.1f%%), %d array (%.1f%%)",
-		fe, pct(fe, fs), ae, pct(ae, as))
+		fe, num.Pct(fe, fs), ae, num.Pct(ae, as))
 	if nos > 0 {
 		fmt.Fprintf(&b, ", %d null-or-same", nos)
 	}
@@ -192,11 +192,4 @@ func (r *ProgramReport) String() string {
 		fmt.Fprintf(&b, "degraded to all-barriers: %s\n", strings.Join(nc, ", "))
 	}
 	return b.String()
-}
-
-func pct(n, d int) float64 {
-	if d == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(d)
 }

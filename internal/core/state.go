@@ -3,23 +3,10 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
-	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
 )
-
-// elemsField is the pseudo-field collapsing all elements of an array
-// (paper §2.4: "we treat an object array as an object with a single field
-// f_elems").
-const elemsField = "$elems"
-
-// fieldID names a field interned in one method's slotTable.
-type fieldID int32
-
-// elemsFieldID is elemsField's id in every slotTable.
-const elemsFieldID fieldID = 0
 
 // slotKey is one (reference, field) pair of the abstract store σ.
 type slotKey struct {
@@ -28,16 +15,14 @@ type slotKey struct {
 }
 
 // slotTable is the index space of one method analysis's abstract states:
-// it interns the field names the analysis meets and numbers the
-// (reference, field) pairs σ comes to hold, in the order the (deterministic)
-// fixed point first writes them. States store σ as a flat slice indexed by
-// slot, so slot order is the one iteration order of every copy, comparison
-// and merge. The table only grows; a state's σ may be shorter than the
-// table, the missing tail being absent entries.
+// it numbers the (reference, field) pairs σ comes to hold, in the order the
+// (deterministic) fixed point first writes them. States store σ as a flat
+// slice indexed by slot, so slot order is the one iteration order of every
+// copy, comparison and merge. The table only grows; a state's σ may be
+// shorter than the table, the missing tail being absent entries.
 type slotTable struct {
-	byRef  map[bytecode.FieldRef]fieldID
-	byName map[string]fieldID
-	names  []string
+	// fields names the slots' fields in String.
+	fields *fieldTable
 
 	keys []slotKey
 	// refSlots lists each reference's slots, so per-reference operations
@@ -53,11 +38,9 @@ type slotTable struct {
 	work []RefID
 }
 
-func newSlotTable(refs *refTable) *slotTable {
+func newSlotTable(fields *fieldTable, refs *refTable) *slotTable {
 	t := &slotTable{
-		byRef:    map[bytecode.FieldRef]fieldID{},
-		byName:   map[string]fieldID{elemsField: elemsFieldID},
-		names:    []string{elemsField},
+		fields:   fields,
 		refSlots: make([][]int32, refs.count()),
 		arrIdx:   make([]int32, refs.count()),
 	}
@@ -70,30 +53,6 @@ func newSlotTable(refs *refTable) *slotTable {
 	}
 	return t
 }
-
-// fieldNamed interns a qualified field name ("Class.field" or elemsField).
-func (t *slotTable) fieldNamed(name string) fieldID {
-	f, ok := t.byName[name]
-	if !ok {
-		f = fieldID(len(t.names))
-		t.names = append(t.names, name)
-		t.byName[name] = f
-	}
-	return f
-}
-
-// fieldOf interns an instruction's field operand; the qualified name is
-// built only the first time the table sees the field.
-func (t *slotTable) fieldOf(ref bytecode.FieldRef) fieldID {
-	f, ok := t.byRef[ref]
-	if !ok {
-		f = t.fieldNamed(ref.String())
-		t.byRef[ref] = f
-	}
-	return f
-}
-
-func (t *slotTable) name(f fieldID) string { return t.names[f] }
 
 // find returns the slot of (r, f), or -1 when σ never held the pair.
 func (t *slotTable) find(r RefID, f fieldID) int {
@@ -417,7 +376,7 @@ func (s *state) dropSrcsForEscaped() {
 
 // dropSrcsForField strips null-or-same guarantees naming the given field,
 // everywhere (a store to the field may invalidate them).
-func (s *state) dropSrcsForField(field string) {
+func (s *state) dropSrcsForField(field fieldID) {
 	s.mapSrcs(func(set *srcSet) *srcSet { return set.dropField(field) })
 }
 
@@ -436,14 +395,13 @@ func substValue(v Value, from, to RefID) Value {
 	v.refs = v.refs.Without(from).With(to)
 	// srcs keyed by the renamed ref move with it.
 	if v.srcs != nil {
-		var keys []srcKey
-		for _, k := range v.srcs.keys {
-			if k.ref == from {
-				k.ref = to
+		keys := slices.Clone(v.srcs.keys)
+		for i := range keys {
+			if keys[i].ref == from {
+				keys[i].ref = to
 			}
-			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return srcKeyLess(keys[i], keys[j]) })
+		slices.SortFunc(keys, srcKeyCmp)
 		v.srcs = &srcSet{keys: keys}
 	}
 	return v
@@ -670,7 +628,7 @@ func (s *state) String() string {
 	for i, v := range s.sigma {
 		if v.kind != vBottom {
 			k := s.tab.keys[i]
-			fmt.Fprintf(&b, "  σ(r%d,%s)=%v\n", k.ref, s.tab.name(k.field), v)
+			fmt.Fprintf(&b, "  σ(r%d,%s)=%v\n", k.ref, s.tab.fields.names[k.field], v)
 		}
 	}
 	for r, i := range s.tab.arrIdx {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
 )
 
@@ -41,26 +42,29 @@ func TestValueMergeBasics(t *testing.T) {
 	}
 }
 
-// Fields of the test slot table (see testTable).
+// Fields of the test slot table (see testTable), numbered as every field
+// table numbers them: by qualified name.
 const (
-	fF fieldID = iota + 1 // T.f
+	fA fieldID = iota + 1 // T.a
+	fF                    // T.f
 	fG                    // T.g
 	fK                    // T.k
-	fA                    // T.a
 )
 
 // testTable returns a slot table over ten references, every one an array
-// so that Len and NR are addressable, with the test fields interned.
+// so that Len and NR are addressable, and the fields of a one-class
+// program.
 func testTable() *slotTable {
 	refs := &refTable{infos: make([]refInfo, 10)}
 	for i := range refs.infos {
 		refs.infos[i].isArray = true
 	}
-	tab := newSlotTable(refs)
-	for _, name := range []string{"T.f", "T.g", "T.k", "T.a"} {
-		tab.fieldNamed(name)
-	}
-	return tab
+	p := bytecode.NewProgram()
+	tt := bytecode.ClassType("T")
+	p.AddClass(&bytecode.Class{Name: "T", Fields: []*bytecode.Field{
+		{Name: "f", Type: tt}, {Name: "g", Type: tt}, {Name: "k", Type: bytecode.Int}, {Name: "a", Type: tt},
+	}})
+	return newSlotTable(newFieldTable(p), refs)
 }
 
 // present reports whether σ holds an entry — even an explicit default —
@@ -363,8 +367,8 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 }
 
 func TestSrcSetOperations(t *testing.T) {
-	k1 := srcKey{ref: 1, field: "T.f"}
-	k2 := srcKey{ref: 2, field: "T.g"}
+	k1 := srcKey{ref: 1, field: fF}
+	k2 := srcKey{ref: 2, field: fG}
 	s := singletonSrc(k1)
 	if !s.has(k1) || s.has(k2) {
 		t.Error("membership")
@@ -373,14 +377,14 @@ func TestSrcSetOperations(t *testing.T) {
 	if got := both.intersect(singletonSrc(k1)); !got.has(k1) || got.has(k2) {
 		t.Error("intersect")
 	}
-	if got := both.dropField("T.g"); got.has(k2) || !got.has(k1) {
+	if got := both.dropField(fG); got.has(k2) || !got.has(k1) {
 		t.Error("dropField")
 	}
 	if got := both.dropRefs(SingletonRef(1)); got.has(k1) || !got.has(k2) {
 		t.Error("dropRefs")
 	}
 	var nilSet *srcSet
-	if nilSet.has(k1) || nilSet.intersect(s) != nil || nilSet.dropField("x") != nil {
+	if nilSet.has(k1) || nilSet.intersect(s) != nil || nilSet.dropField(fK) != nil {
 		t.Error("nil set behaviour")
 	}
 	if !nilSet.equal(nil) || nilSet.equal(s) {

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"satbelim/internal/bytecode"
-	"satbelim/internal/cfg"
 )
 
 // Interprocedural escape summaries — the future-work direction the paper
@@ -65,11 +64,11 @@ type MethodSummary struct {
 	// facts (stale indices could otherwise feed the array analysis).
 	ArgIntMutated []bool
 	// ArgPreNullFields[i] is the set of reference fields of argument i
-	// (qualified "Class.field" names; "$elems" for reference arrays) the
-	// callee provably leaves null. The caller invalidates its σ facts
-	// for the complement — fields the callee may have written — and
-	// keeps everything else. nil for non-reference arguments.
-	ArgPreNullFields []map[string]bool
+	// the callee provably leaves null, as ascending ids of the program's
+	// field table (elemsFieldID for reference arrays). The caller
+	// invalidates its σ facts for the complement — fields the callee may
+	// have written — and keeps everything else.
+	ArgPreNullFields [][]fieldID
 	// ReturnsFresh reports that the returned reference is a fresh
 	// allocation of this call: never escaped, not reachable from any
 	// argument, every reference field still null. Integer fields may
@@ -79,10 +78,11 @@ type MethodSummary struct {
 
 // optimisticSummary is the least element of the summary lattice: nothing
 // compromised, every reference field pre-null, the return fresh.
-func optimisticSummary(p *bytecode.Program, m *bytecode.Method) *MethodSummary {
+func optimisticSummary(fields *fieldTable, m *bytecode.Method) *MethodSummary {
 	s := blankSummary(m)
 	for i := 0; i < m.NumArgs(); i++ {
-		s.ArgPreNullFields[i] = refFieldSet(p, m.ArgType(i))
+		// A copy: worsen filters it in place.
+		s.ArgPreNullFields[i] = slices.Clone(fields.refFieldsOf(m.ArgType(i)))
 	}
 	return s
 }
@@ -93,7 +93,7 @@ func blankSummary(m *bytecode.Method) *MethodSummary {
 	return &MethodSummary{
 		ArgCompromised:   make([]bool, m.NumArgs()),
 		ArgIntMutated:    make([]bool, m.NumArgs()),
-		ArgPreNullFields: make([]map[string]bool, m.NumArgs()),
+		ArgPreNullFields: make([][]fieldID, m.NumArgs()),
 		ReturnsFresh:     m.Return.IsRef(),
 	}
 }
@@ -132,24 +132,11 @@ func (s *MethodSummary) worsen(ns *MethodSummary) bool {
 			s.ArgIntMutated[i] = true
 			changed = true
 		}
-		if cur := s.ArgPreNullFields[i]; cur != nil {
-			keep := ns.ArgPreNullFields[i]
-			var stale []string
-			for f := range cur {
-				if keep == nil || !keep[f] {
-					stale = append(stale, f)
-				}
-			}
-			if len(stale) > 0 {
-				changed = true
-				if len(stale) == len(cur) {
-					s.ArgPreNullFields[i] = nil
-				} else {
-					for _, f := range stale {
-						delete(cur, f)
-					}
-				}
-			}
+		cur := s.ArgPreNullFields[i]
+		kept := slices.DeleteFunc(cur, func(f fieldID) bool { return !ns.preNull(i, f) })
+		if len(kept) < len(cur) {
+			changed = true
+			s.ArgPreNullFields[i] = kept
 		}
 	}
 	if s.ReturnsFresh && !ns.ReturnsFresh {
@@ -159,56 +146,10 @@ func (s *MethodSummary) worsen(ns *MethodSummary) bool {
 	return changed
 }
 
-// PreNull reports whether field f of argument i is in the summary's
+// preNull reports whether field f of argument i is in the summary's
 // pre-null set.
-func (s *MethodSummary) PreNull(i int, f string) bool {
-	return i < len(s.ArgPreNullFields) && s.ArgPreNullFields[i] != nil && s.ArgPreNullFields[i][f]
-}
-
-// refFieldSet enumerates the reference fields a value of type t exposes
-// to the field analysis, as qualified σ field names: the declared
-// reference fields for a class, the $elems pseudo-field for a reference
-// array, nothing otherwise.
-func refFieldSet(p *bytecode.Program, t *bytecode.Type) map[string]bool {
-	switch {
-	case t == nil:
-		return nil
-	case t.IsRefArray():
-		return map[string]bool{elemsField: true}
-	case t.Kind == bytecode.KindClass:
-		cls := p.Classes[t.Class]
-		if cls == nil {
-			return map[string]bool{}
-		}
-		out := map[string]bool{}
-		for _, f := range cls.Fields {
-			if !f.Static && f.Type.IsRef() {
-				out[bytecode.FieldRef{Class: cls.Name, Name: f.Name}.String()] = true
-			}
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
-// dirtyRefFields returns the reference fields of argument i the summary
-// does NOT prove pre-null — the fields a caller must invalidate — in
-// sorted order (callers iterate it while mutating σ, and deterministic
-// iteration keeps the analysis bit-identical across runs).
-func dirtyRefFields(p *bytecode.Program, callee *bytecode.Method, sum *MethodSummary, i int) []string {
-	all := refFieldSet(p, callee.ArgType(i))
-	if len(all) == 0 {
-		return nil
-	}
-	var out []string
-	for f := range all {
-		if !sum.PreNull(i, f) {
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
+func (s *MethodSummary) preNull(i int, f fieldID) bool {
+	return i < len(s.ArgPreNullFields) && slices.Contains(s.ArgPreNullFields[i], f)
 }
 
 // Summaries maps methods to their interprocedural facts.
@@ -235,14 +176,13 @@ const maxSummaryRounds = 40
 // count. A method that cannot be summarized gets the worst summary, so the
 // error is always nil.
 func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (Summaries, error) {
-	return computeSummaries(p, opts, workers, make([]*cfg.Graph, len(p.Methods()))), nil
+	return computeSummaries(newProgramIndex(p, len(p.Methods())), opts, workers), nil
 }
 
-// computeSummaries is ComputeSummariesParallel over a caller-owned graph
-// table indexed like p.Methods(), which it leaves holding the graph of every
-// method it summarized.
-func computeSummaries(p *bytecode.Program, opts Options, workers int, graphs []*cfg.Graph) Summaries {
-	cond := Condense(BuildCallGraph(p))
+// computeSummaries is ComputeSummariesParallel over a caller-owned program
+// index, which it leaves holding the index of every method it summarized.
+func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
+	cond := Condense(BuildCallGraph(px.prog))
 	// A component is needed when it holds the callee of some invoke. Its own
 	// callees are needed by the same rule, so the needed components are
 	// closed under Deps and the schedule below runs over a sub-DAG.
@@ -259,7 +199,7 @@ func computeSummaries(p *bytecode.Program, opts Options, workers int, graphs []*
 				// worsen in place.
 				for _, v := range cond.SCCs[ci].Members {
 					m := cond.Graph.Methods[v]
-					sums[m.Ref()] = optimisticSummary(p, m)
+					sums[m.Ref()] = optimisticSummary(px.fields, m)
 				}
 			}
 		}
@@ -267,7 +207,7 @@ func computeSummaries(p *bytecode.Program, opts Options, workers int, graphs []*
 	if workers <= 1 || remaining <= 1 {
 		for ci := range cond.SCCs {
 			if needed[ci] {
-				processSCC(p, opts, cond, ci, sums, graphs)
+				processSCC(px, opts, cond, ci, sums)
 			}
 		}
 		return sums
@@ -309,7 +249,7 @@ func computeSummaries(p *bytecode.Program, opts Options, workers int, graphs []*
 				ready = ready[:len(ready)-1]
 				mu.Unlock()
 
-				processSCC(p, opts, cond, ci, sums, graphs)
+				processSCC(px, opts, cond, ci, sums)
 
 				mu.Lock()
 				remaining--
@@ -331,12 +271,12 @@ func computeSummaries(p *bytecode.Program, opts Options, workers int, graphs []*
 // processSCC finalizes the summaries of one component. Acyclic
 // components need exactly one pass (their callees are already final);
 // cyclic ones iterate members in program order until nothing worsens.
-func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, sums Summaries, graphs []*cfg.Graph) {
+func processSCC(px *programIndex, opts Options, cond *Condensation, ci int, sums Summaries) {
 	scc := &cond.SCCs[ci]
 	if !scc.Cyclic {
 		v := scc.Members[0]
 		m := cond.Graph.Methods[v]
-		sums[m.Ref()].worsen(summarizeMethod(p, m, graphs, v, opts, sums))
+		sums[m.Ref()].worsen(summarizeMethod(px, m, v, opts, sums))
 		return
 	}
 	rounds := opts.MaxSummaryRoundsPerSCC
@@ -347,7 +287,7 @@ func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, s
 		changed := false
 		for _, v := range scc.Members {
 			m := cond.Graph.Methods[v]
-			if sums[m.Ref()].worsen(summarizeMethod(p, m, graphs, v, opts, sums)) {
+			if sums[m.Ref()].worsen(summarizeMethod(px, m, v, opts, sums)) {
 				changed = true
 			}
 		}
@@ -367,22 +307,16 @@ func processSCC(p *bytecode.Program, opts Options, cond *Condensation, ci int, s
 
 // summarizeMethod runs the analysis in summary mode over m, node `node` of
 // the callgraph, and reads off each argument's fate and the return value's
-// freshness. It builds m's graph on first use into graphs[node], where the
-// component's later rounds and the caller's judging pass find it; the entry
-// is touched only by the one worker that holds the method's component, so
-// the table needs no lock.
-func summarizeMethod(p *bytecode.Program, m *bytecode.Method, graphs []*cfg.Graph, node int, opts Options, sums Summaries) *MethodSummary {
-	g := graphs[node]
-	if g == nil {
-		var err error
-		if g, err = cfg.Build(m); err != nil {
-			// Structurally odd methods (none are produced by our codegen)
-			// keep the worst case.
-			return worstSummary(m)
-		}
-		graphs[node] = g
+// freshness. The method's index is built on first use, where the
+// component's later rounds and the caller's judging pass find it.
+func summarizeMethod(px *programIndex, m *bytecode.Method, node int, opts Options, sums Summaries) *MethodSummary {
+	idx, err := px.of(node, m)
+	if err != nil {
+		// Structurally odd methods (none are produced by our codegen)
+		// keep the worst case.
+		return worstSummary(m)
 	}
-	a := newAnalyzer(p, m, g, opts, true)
+	a := newAnalyzer(px, m, idx, opts, true)
 	a.summaries = sums
 	if a.fixpoint() != DegradeNone {
 		return worstSummary(m)
@@ -406,11 +340,11 @@ func summarizeMethod(p *bytecode.Program, m *bytecode.Method, graphs []*cfg.Grap
 		}
 		out.ArgCompromised[i] = comp
 		out.ArgIntMutated[i] = rec.intMutatedArgs.Has(r)
-		pre := refFieldSet(p, m.ArgType(i))
-		for f := range rec.dirtyArgFields[r] {
-			delete(pre, f)
+		for _, f := range px.fields.refFieldsOf(m.ArgType(i)) {
+			if !slices.Contains(rec.dirtyArgFields[r], f) {
+				out.ArgPreNullFields[i] = append(out.ArgPreNullFields[i], f)
+			}
 		}
-		out.ArgPreNullFields[i] = pre
 	}
 	return out
 }
@@ -429,7 +363,7 @@ type summaryRecorder struct {
 	// fields the method may write: the complement of the summary's
 	// ArgPreNullFields. intMutatedArgs collects arguments whose integer
 	// fields/elements it may write.
-	dirtyArgFields map[RefID]map[string]bool
+	dirtyArgFields map[RefID][]fieldID
 	intMutatedArgs RefSet
 	// contentMutated collects contents references (refArgContent) the
 	// method may write through: mutating an object merely reachable from
@@ -491,19 +425,16 @@ func (rec *summaryRecorder) contentRef(r RefID) (RefID, bool) {
 // of the argument (the caller invalidates just that σ fact), while a
 // write through the argument's contents compromises the whole argument —
 // the caller has no finer name for the written object.
-func (rec *summaryRecorder) markDirtyField(targets RefSet, field string) {
+func (rec *summaryRecorder) markDirtyField(targets RefSet, field fieldID) {
 	targets.ForEach(func(r RefID) {
 		switch rec.refs.info(r).kind {
 		case refArg:
-			m := rec.dirtyArgFields[r]
-			if m == nil {
+			if !slices.Contains(rec.dirtyArgFields[r], field) {
 				if rec.dirtyArgFields == nil {
-					rec.dirtyArgFields = map[RefID]map[string]bool{}
+					rec.dirtyArgFields = map[RefID][]fieldID{}
 				}
-				m = map[string]bool{}
-				rec.dirtyArgFields[r] = m
+				rec.dirtyArgFields[r] = append(rec.dirtyArgFields[r], field)
 			}
-			m[field] = true
 		case refArgContent:
 			rec.contentMutated = rec.contentMutated.With(r)
 		}

@@ -263,11 +263,11 @@ class M {
 	check("mut", false)
 	check("pub", true)
 	mut := sums[bytecode.MethodRef{Class: "M", Name: "mut"}]
-	if mut.PreNull(0, "T.f") {
+	if mut.PreNullNamed(p, 0, "T.f") {
 		t.Error("written field T.f must leave the pre-null set")
 	}
 	ro := sums[bytecode.MethodRef{Class: "M", Name: "ro"}]
-	if !ro.PreNull(0, "T.f") {
+	if !ro.PreNullNamed(p, 0, "T.f") {
 		t.Error("untouched field T.f must stay pre-null for the read-only callee")
 	}
 }

@@ -23,10 +23,12 @@ type transfer struct {
 	refs  *refTable
 	namer intval.Namer
 
-	// slots is the index space of this analysis's states; fieldAt caches
-	// the interned field operand of each field instruction.
-	slots   *slotTable
+	// fields numbers the program's fields and fieldAt holds the id of each
+	// field instruction's operand (both shared with every other analysis of
+	// the build); slots is the index space of this analysis's states.
+	fields  *fieldTable
 	fieldAt []fieldID
+	slots   *slotTable
 
 	// targets and args are simulate's successor list and invoke-argument
 	// buffers, reused across blocks.
@@ -124,8 +126,7 @@ func (t *transfer) weakStore(s *state, r RefID, f fieldID, val Value, wantInt bo
 // dirtied $elems additionally kills the null-range facts the array
 // analysis relies on. Thread-locality of the referents survives — that
 // is the point of the summary.
-func (t *transfer) invalidateField(s *state, targets RefSet, field string) {
-	f := t.slots.fieldNamed(field)
+func (t *transfer) invalidateField(s *state, targets RefSet, f fieldID) {
 	targets.ForEach(func(r RefID) {
 		if s.nl.Has(r) {
 			return // lookups on escaped references are already ⊤
@@ -310,7 +311,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			if ft.IsRef() {
 				v := RefValue(SingletonRef(GlobalRefID))
 				if t.rt != nil {
-					v.vn = t.rt.loadStaticRef(t.slots.name(t.fieldAt[pc]))
+					v.vn = t.rt.loadStaticRef(t.fieldAt[pc])
 				}
 				s.push(v)
 			} else {
@@ -321,10 +322,10 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			// Values stored into statics escape (AllNonTL).
 			s.escapeValue(val)
 			if t.opts.NullOrSame {
-				s.dropSrcsForField(t.slots.name(t.fieldAt[pc]))
+				s.dropSrcsForField(t.fieldAt[pc])
 			}
 			if t.rt != nil {
-				t.rt.killStatic(t.slots.name(t.fieldAt[pc]))
+				t.rt.killStatic(t.fieldAt[pc])
 			}
 
 		case bytecode.OpGetField:
@@ -337,7 +338,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			// trivially "null or the current content of (r, f)".
 			if t.opts.NullOrSame && !wantInt {
 				if r, one := obj.Refs().Single(); one {
-					out = out.withSrcs(singletonSrc(srcKey{ref: r, field: t.slots.name(field)}))
+					out = out.withSrcs(singletonSrc(srcKey{ref: r, field: field}))
 				}
 			}
 			s.push(out)
@@ -352,7 +353,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			}
 			if t.rec != nil {
 				if ft.IsRef() {
-					t.rec.markDirtyField(obj.Refs(), t.slots.name(field))
+					t.rec.markDirtyField(obj.Refs(), field)
 				} else {
 					t.rec.markIntMutated(obj.Refs())
 				}
@@ -367,7 +368,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 				})
 			}
 			if t.opts.NullOrSame {
-				s.dropSrcsForField(t.slots.name(field))
+				s.dropSrcsForField(field)
 			}
 			s.escapeCond(obj.Refs(), val)
 
@@ -442,7 +443,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 				t.rt.recordStore(pc, arr.vn, arr.Refs(), ind, val.eprov)
 			}
 			if t.rec != nil {
-				t.rec.markDirtyField(arr.Refs(), elemsField)
+				t.rec.markDirtyField(arr.Refs(), elemsFieldID)
 			}
 			arr.Refs().ForEach(func(r RefID) {
 				t.weakStore(s, r, elemsFieldID, val, false)
@@ -489,21 +490,21 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 						// may write its scalar fields, the caller forgets
 						// its integer facts about it, and the caller's σ
 						// facts die for exactly the reference fields the
-						// callee may write (the non-pre-null ones).
+						// callee may write (the non-pre-null ones, visited
+						// in ascending order). Summary mode propagates both
+						// mutation effects transitively.
 						if sum.ArgIntMutated[i] {
 							s.intTainted = s.intTainted.Union(v.Refs())
-						}
-						dirty := dirtyRefFields(t.prog, callee, sum, i)
-						for _, f := range dirty {
-							t.invalidateField(s, v.Refs(), f)
-						}
-						if t.rec != nil {
-							// Propagate mutation effects transitively in
-							// summary mode.
-							if sum.ArgIntMutated[i] {
+							if t.rec != nil {
 								t.rec.markIntMutated(v.Refs())
 							}
-							for _, f := range dirty {
+						}
+						for _, f := range t.fields.refFieldsOf(callee.ArgType(i)) {
+							if sum.preNull(i, f) {
+								continue
+							}
+							t.invalidateField(s, v.Refs(), f)
+							if t.rec != nil {
 								t.rec.markDirtyField(v.Refs(), f)
 							}
 						}
@@ -556,7 +557,7 @@ func (t *transfer) judgeFieldStore(s *state, pc int, obj RefSet, field fieldID, 
 		case t.isNonLocal(s, r):
 			earned = bytecode.VerdictNone
 		case s.fieldIsNull(r, field):
-		case t.opts.NullOrSame && val.srcs.has(srcKey{ref: r, field: t.slots.name(field)}):
+		case t.opts.NullOrSame && val.srcs.has(srcKey{ref: r, field: field}):
 			earned = min(earned, bytecode.VerdictNullOrSame)
 		default:
 			earned = bytecode.VerdictNone

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"satbelim/internal/intval"
@@ -24,7 +25,7 @@ const (
 // srcKey identifies a heap slot for the null-or-same extension (§4.3).
 type srcKey struct {
 	ref   RefID
-	field string
+	field fieldID
 }
 
 // srcSet records the null-or-same guarantees carried by a value: key k is
@@ -36,17 +37,13 @@ func (s *srcSet) has(k srcKey) bool {
 	if s == nil {
 		return false
 	}
-	i := sort.Search(len(s.keys), func(i int) bool {
-		return !srcKeyLess(s.keys[i], k)
-	})
-	return i < len(s.keys) && s.keys[i] == k
+	_, ok := slices.BinarySearchFunc(s.keys, k, srcKeyCmp)
+	return ok
 }
 
-func srcKeyLess(a, b srcKey) bool {
-	if a.ref != b.ref {
-		return a.ref < b.ref
-	}
-	return a.field < b.field
+// srcKeyCmp orders keys by reference, then field.
+func srcKeyCmp(a, b srcKey) int {
+	return cmp.Or(cmp.Compare(a.ref, b.ref), cmp.Compare(a.field, b.field))
 }
 
 func singletonSrc(k srcKey) *srcSet { return &srcSet{keys: []srcKey{k}} }
@@ -64,7 +61,7 @@ func (s *srcSet) intersect(t *srcSet) *srcSet {
 			out = append(out, s.keys[i])
 			i++
 			j++
-		case srcKeyLess(s.keys[i], t.keys[j]):
+		case srcKeyCmp(s.keys[i], t.keys[j]) < 0:
 			i++
 		default:
 			j++
@@ -76,15 +73,14 @@ func (s *srcSet) intersect(t *srcSet) *srcSet {
 	return &srcSet{keys: out}
 }
 
-// dropField removes guarantees about any slot with the given field name
-// (conservative aliasing: a store to f anywhere may change any f).
-func (s *srcSet) dropField(field string) *srcSet {
+// without returns s less the guarantees drop selects.
+func (s *srcSet) without(drop func(srcKey) bool) *srcSet {
 	if s == nil {
 		return nil
 	}
 	var out []srcKey
 	for _, k := range s.keys {
-		if k.field != field {
+		if !drop(k) {
 			out = append(out, k)
 		}
 	}
@@ -95,43 +91,26 @@ func (s *srcSet) dropField(field string) *srcSet {
 		return s
 	}
 	return &srcSet{keys: out}
+}
+
+// dropField removes guarantees about any slot of the given field
+// (conservative aliasing: a store to f anywhere may change any f).
+func (s *srcSet) dropField(field fieldID) *srcSet {
+	return s.without(func(k srcKey) bool { return k.field == field })
 }
 
 // dropRefs removes guarantees about slots of escaped references: once an
 // object is reachable by other threads, "the field still holds this value"
 // can no longer be maintained (the paper's §4.3 mutator/mutator caveat).
 func (s *srcSet) dropRefs(nl RefSet) *srcSet {
-	if s == nil {
-		return nil
-	}
-	var out []srcKey
-	for _, k := range s.keys {
-		if !nl.Has(k.ref) {
-			out = append(out, k)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	if len(out) == len(s.keys) {
-		return s
-	}
-	return &srcSet{keys: out}
+	return s.without(func(k srcKey) bool { return nl.Has(k.ref) })
 }
 
 func (s *srcSet) equal(t *srcSet) bool {
 	if s == nil || t == nil {
 		return (s == nil) == (t == nil)
 	}
-	if len(s.keys) != len(t.keys) {
-		return false
-	}
-	for i := range s.keys {
-		if s.keys[i] != t.keys[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(s.keys, t.keys)
 }
 
 // Value is one abstract value: a RefVal (set of references, empty = null),
@@ -247,7 +226,7 @@ func (v Value) String() string {
 		if v.srcs != nil {
 			var parts []string
 			for _, k := range v.srcs.keys {
-				parts = append(parts, fmt.Sprintf("r%d.%s", k.ref, k.field))
+				parts = append(parts, fmt.Sprintf("r%d.f%d", k.ref, k.field))
 			}
 			s += "≡{" + strings.Join(parts, ",") + "}"
 		}

@@ -1,7 +1,8 @@
-// Package num holds the shared numeric conversion helpers used by the VM
-// and the barrier cost model: branch-free-ish bool→int conversion and
-// overflow-safe (saturating) unsigned accumulation. Centralizing them
-// keeps every int-width conversion in one audited place.
+// Package num holds the shared numeric conversion helpers used by the VM,
+// the barrier cost model and the reports: branch-free-ish bool→int
+// conversion, overflow-safe (saturating) unsigned accumulation and the
+// percentage every table prints. Centralizing them keeps every int-width
+// conversion in one audited place.
 package num
 
 import "math"
@@ -32,4 +33,13 @@ func AddSat(a, b uint64) uint64 {
 		return math.MaxUint64
 	}
 	return s
+}
+
+// Pct returns n as a percentage of d, 0 when d is 0 (an empty column reads
+// as "nothing eliminated", not NaN).
+func Pct[T ~int | ~uint64](n, d T) float64 {
+	if d == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(d)
 }

@@ -46,3 +46,15 @@ func TestAddSat(t *testing.T) {
 		}
 	}
 }
+
+func TestPct(t *testing.T) {
+	if got := Pct(1, 4); got != 25 {
+		t.Errorf("Pct(1, 4) = %v, want 25", got)
+	}
+	if got := Pct(uint64(3), uint64(3)); got != 100 {
+		t.Errorf("Pct(3, 3) = %v, want 100", got)
+	}
+	if got := Pct(uint64(7), 0); got != 0 {
+		t.Errorf("Pct(7, 0) = %v, want 0 for an empty column", got)
+	}
+}

@@ -47,16 +47,13 @@ const DefaultCacheEntries = 128
 const cacheShardCount = 8
 
 // cacheKey identifies a build by everything that can influence its
-// output. Workers is semantically inert (results are deterministic for
-// any worker count) but stays in the key so that differential tests
-// comparing worker counts still compile each configuration independently.
-// Runtime is deliberately absent: VM configuration cannot influence a
-// compile, so builds differing only in Runtime share an entry.
+// output. Workers and Runtime are deliberately absent: results are
+// deterministic for any worker count and VM configuration cannot influence
+// a compile, so builds differing only in those share an entry.
 type cacheKey struct {
 	name        string
 	srcHash     [32]byte
 	inlineLimit int
-	workers     int
 	analysis    string
 }
 
@@ -65,7 +62,7 @@ func (k cacheKey) shard() int {
 	h := fnv.New32a()
 	h.Write([]byte(k.name))
 	h.Write(k.srcHash[:])
-	fmt.Fprintf(h, "|%d|%d|%s", k.inlineLimit, k.workers, k.analysis)
+	fmt.Fprintf(h, "|%d|%s", k.inlineLimit, k.analysis)
 	return int(h.Sum32() % cacheShardCount)
 }
 
@@ -237,7 +234,6 @@ func (o Options) key(name, source string) cacheKey {
 		name:        name,
 		srcHash:     sha256.Sum256([]byte(source)),
 		inlineLimit: o.InlineLimit,
-		workers:     o.Workers,
 		analysis:    fmt.Sprintf("%+v", a),
 	}
 }

@@ -93,7 +93,6 @@ func TestBuildCacheKeySensitivity(t *testing.T) {
 		{InlineLimit: 25, Analysis: base.Analysis},                                             // inline limit
 		{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeField}},                        // analysis mode
 		{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeFieldArray, NullOrSame: true}}, // extension flag
-		{InlineLimit: 50, Analysis: base.Analysis, Workers: 1},                                 // worker count
 		// An injected-fault build is never served for — or as — the sound
 		// build of the same source: the fault is part of the key.
 		{InlineLimit: 50, Analysis: core.InjectFaults(base.Analysis, true, false)},
@@ -110,6 +109,13 @@ func TestBuildCacheKeySensitivity(t *testing.T) {
 	}
 	if b, err := Compile("keytest", cacheTestSrc, base); err != nil || !b.CacheHit {
 		t.Errorf("base options must still hit their own entry (hit=%v, err=%v)", b != nil && b.CacheHit, err)
+	}
+	// The worker count cannot influence a build, so it is no part of the
+	// key: a compile differing only in it is served the same entry.
+	inert := base
+	inert.Workers = 1
+	if b, err := Compile("keytest", cacheTestSrc, inert); err != nil || !b.CacheHit {
+		t.Errorf("a different worker count must share the entry (hit=%v, err=%v)", b != nil && b.CacheHit, err)
 	}
 	// Different source content must miss even under the same name.
 	b, err := Compile("keytest", cacheTestSrc+"\n// changed", base)

@@ -34,11 +34,11 @@ func TestDifferentialInlineWorkerOracle(t *testing.T) {
 	for si, src := range diffSeeds(t) {
 		var baseline []int64
 		for _, limit := range diffLimits {
-			b1, err := Compile("gen", src, Options{InlineLimit: limit, Analysis: opts, Workers: 1})
+			b1, err := Compile("gen", src, Options{InlineLimit: limit, Analysis: opts, Workers: 1, NoCache: true})
 			if err != nil {
 				t.Fatalf("seed %d limit %d: %v", si, limit, err)
 			}
-			b8, err := Compile("gen", src, Options{InlineLimit: limit, Analysis: opts, Workers: 8})
+			b8, err := Compile("gen", src, Options{InlineLimit: limit, Analysis: opts, Workers: 8, NoCache: true})
 			if err != nil {
 				t.Fatalf("seed %d limit %d workers=8: %v", si, limit, err)
 			}

@@ -120,8 +120,8 @@ func (b *Build) CompiledCodeSize() int {
 }
 
 // Compile builds a program from MiniJava source. Identical inputs (same
-// source content, inline limit, worker count, and analysis options) are
-// served from a content-addressed cache unless Options.NoCache is set.
+// source content, inline limit, and analysis options) are served from a
+// content-addressed cache unless Options.NoCache is set.
 func Compile(name, source string, opts Options) (*Build, error) {
 	return CompileCtx(context.Background(), name, source, opts)
 }
@@ -268,10 +268,4 @@ func (b *Build) Run(cfg vm.Config) (*vm.Result, error) {
 // Exec executes the built program on the VM under Options.Runtime.
 func (b *Build) Exec() (*vm.Result, error) {
 	return vm.New(b.Program, b.Options.Runtime).Run()
-}
-
-// ExecContext executes the built program on the VM under Options.Runtime,
-// aborting at a scheduler-quantum boundary when ctx is cancelled.
-func (b *Build) ExecContext(ctx context.Context) (*vm.Result, error) {
-	return vm.New(b.Program, b.Options.Runtime).RunContext(ctx)
 }

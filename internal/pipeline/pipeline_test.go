@@ -110,16 +110,18 @@ class T { static void main() { N n = new N(); n.next = new N(); } }
 // parallel pipeline: on every workload, a single-worker build and an
 // 8-worker build must produce byte-identical analysis reports and
 // per-instruction elision bits. All analysis extensions are enabled so
-// every elision flag is exercised.
+// every elision flag is exercised. The cache is bypassed here and in the
+// other worker-count differentials: the worker count is not part of its
+// key, so the second build would be the first one served again.
 func TestParallelAnalysisDeterministic(t *testing.T) {
 	opts := core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true}
 	for _, w := range workloads.All() {
 		t.Run(w.Name, func(t *testing.T) {
-			b1, err := Compile(w.Name, w.Source, Options{InlineLimit: 100, Analysis: opts, Workers: 1})
+			b1, err := Compile(w.Name, w.Source, Options{InlineLimit: 100, Analysis: opts, Workers: 1, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b8, err := Compile(w.Name, w.Source, Options{InlineLimit: 100, Analysis: opts, Workers: 8})
+			b8, err := Compile(w.Name, w.Source, Options{InlineLimit: 100, Analysis: opts, Workers: 8, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,14 +151,15 @@ func TestParallelAnalysisDeterministic(t *testing.T) {
 }
 
 // TestWorkersDefaultMatchesExplicit checks the GOMAXPROCS default path
-// agrees with an explicit worker count.
+// agrees with an explicit worker count. Neither side may be served from the
+// cache: the worker count is not part of its key.
 func TestWorkersDefaultMatchesExplicit(t *testing.T) {
 	opts := core.Options{Mode: core.ModeFieldArray}
-	bDef, err := Compile("t", src, Options{InlineLimit: 100, Analysis: opts})
+	bDef, err := Compile("t", src, Options{InlineLimit: 100, Analysis: opts, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bOne, err := Compile("t", src, Options{InlineLimit: 100, Analysis: opts, Workers: 1})
+	bOne, err := Compile("t", src, Options{InlineLimit: 100, Analysis: opts, Workers: 1, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +192,11 @@ func TestDegradationDeterministic(t *testing.T) {
 	opts := core.Options{Mode: core.ModeFieldArray, NullOrSame: true, MaxBlockVisits: 1}
 	for _, w := range workloads.All() {
 		t.Run(w.Name, func(t *testing.T) {
-			b1, err := Compile(w.Name, w.Source, Options{InlineLimit: 100, Analysis: opts, Workers: 1})
+			b1, err := Compile(w.Name, w.Source, Options{InlineLimit: 100, Analysis: opts, Workers: 1, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b8, err := Compile(w.Name, w.Source, Options{InlineLimit: 100, Analysis: opts, Workers: 8})
+			b8, err := Compile(w.Name, w.Source, Options{InlineLimit: 100, Analysis: opts, Workers: 8, NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}

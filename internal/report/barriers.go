@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"satbelim/internal/core"
+	"satbelim/internal/num"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
@@ -125,10 +126,10 @@ func Barriers(inlineLimit int) ([]BarrierRow, error) {
 				StaticKept:      fv.Kept,
 				StaticDiscarded: fv.Discarded,
 				Execs:           s.TotalExecs,
-				ElimPct:         pct(elided, s.TotalExecs),
-				PreNullPct:      pct(s.ElidedExecs, s.TotalExecs),
-				NullOrSamePct:   pct(s.NullOrSameExecs, s.TotalExecs),
-				RearrangePct:    pct(s.RearrangeExecs, s.TotalExecs),
+				ElimPct:         num.Pct(elided, s.TotalExecs),
+				PreNullPct:      num.Pct(s.ElidedExecs, s.TotalExecs),
+				NullOrSamePct:   num.Pct(s.NullOrSameExecs, s.TotalExecs),
+				RearrangePct:    num.Pct(s.RearrangeExecs, s.TotalExecs),
 				Logged:          res.Counters.Logged,
 				Shaded:          res.Counters.Shaded,
 				Cards:           res.Counters.CardsDirtied,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"satbelim/internal/core"
+	"satbelim/internal/num"
 	"satbelim/internal/obs"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/vm"
@@ -114,7 +115,7 @@ func NewRunSummary(workload string, res *vm.Result) *RunSummary {
 		StaticExecs:    res.Counters.StaticExecs,
 		BarrierExecs:   s.TotalExecs,
 		ElidedExecs:    s.ElidedExecs,
-		ElimPct:        pct(s.ElidedExecs, s.TotalExecs),
+		ElimPct:        num.Pct(s.ElidedExecs, s.TotalExecs),
 		Cycles:         res.Cycles,
 		FinalPauseWork: res.FinalPauseWork,
 		Allocated:      res.Allocated,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"satbelim/internal/core"
+	"satbelim/internal/num"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
@@ -85,12 +86,12 @@ func Table1(inlineLimit int) ([]Table1Row, error) {
 		rows = append(rows, Table1Row{
 			Name:       w.Name,
 			Total:      s.TotalExecs,
-			ElimPct:    pct(s.ElidedExecs, s.TotalExecs),
-			PotPct:     pct(s.PotPreNull, s.TotalExecs),
-			FieldShare: pct(s.FieldExecs, s.TotalExecs),
-			ArrayShare: pct(s.ArrayExecs, s.TotalExecs),
-			FieldElim:  pct(s.FieldElided, s.FieldExecs),
-			ArrayElim:  pct(s.ArrayElided, s.ArrayExecs),
+			ElimPct:    num.Pct(s.ElidedExecs, s.TotalExecs),
+			PotPct:     num.Pct(s.PotPreNull, s.TotalExecs),
+			FieldShare: num.Pct(s.FieldExecs, s.TotalExecs),
+			ArrayShare: num.Pct(s.ArrayExecs, s.TotalExecs),
+			FieldElim:  num.Pct(s.FieldElided, s.FieldExecs),
+			ArrayElim:  num.Pct(s.ArrayElided, s.ArrayExecs),
 			Paper:      w.Paper,
 		})
 	}
@@ -220,7 +221,7 @@ func Figure2(limits []int) ([]Fig2Point, error) {
 					Workload:     w.Name,
 					Limit:        limit,
 					Mode:         mode,
-					ElimPct:      pct(s.ElidedExecs, s.TotalExecs),
+					ElimPct:      num.Pct(s.ElidedExecs, s.TotalExecs),
 					CompileTime:  b.CompileTime(),
 					AnalysisTime: b.AnalysisTime,
 					CodeBytes:    b.BytecodeBytes,
@@ -317,7 +318,7 @@ func NullOrSame(inlineLimit int) ([]NullOrSameRow, error) {
 		}
 		rows = append(rows, NullOrSameRow{
 			Workload: w.Name,
-			Pct:      pct(s.NullOrSameExecs, s.TotalExecs),
+			Pct:      num.Pct(s.NullOrSameExecs, s.TotalExecs),
 			PaperPct: w.NullOrSamePaperPct,
 		})
 	}
@@ -360,7 +361,7 @@ func Interprocedural() ([]InterprocRow, error) {
 		if len(s.UnsoundSites) > 0 {
 			return 0, fmt.Errorf("%s: unsound %v", w.Name, s.UnsoundSites)
 		}
-		return pct(s.ElidedExecs, s.TotalExecs), nil
+		return num.Pct(s.ElidedExecs, s.TotalExecs), nil
 	}
 	for _, w := range workloads.All() {
 		plain, err := measure(w, 0, core.Options{Mode: core.ModeFieldArray})
@@ -436,9 +437,9 @@ func Rearrangement(inlineLimit int) ([]RearrangeRow, error) {
 		}
 		rows = append(rows, RearrangeRow{
 			Workload:         w.Name,
-			ElimPct:          pct(s.ElidedExecs, s.TotalExecs),
-			RearrangePct:     pct(s.RearrangeExecs, s.TotalExecs),
-			WithRearrangePct: pct(s.ElidedExecs+s.RearrangeExecs, s.TotalExecs),
+			ElimPct:          num.Pct(s.ElidedExecs, s.TotalExecs),
+			RearrangePct:     num.Pct(s.RearrangeExecs, s.TotalExecs),
+			WithRearrangePct: num.Pct(s.ElidedExecs+s.RearrangeExecs, s.TotalExecs),
 			Retraces:         s.Retraces,
 		})
 	}
@@ -455,11 +456,4 @@ func FormatRearrangement(rows []RearrangeRow) string {
 			r.Workload, r.ElimPct, r.RearrangePct, r.WithRearrangePct, r.Retraces)
 	}
 	return b.String()
-}
-
-func pct(n, d uint64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(d)
 }

@@ -425,18 +425,7 @@ type Summary struct {
 // soundness bug, §4.2's correctness check).
 func (c *Counters) Summarize() Summary {
 	var sum Summary
-	keys := make([]SiteKey, 0, len(c.sites))
-	for k := range c.sites {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Method != keys[j].Method {
-			return keys[i].Method < keys[j].Method
-		}
-		return keys[i].PC < keys[j].PC
-	})
-	for _, k := range keys {
-		s := c.sites[k]
+	for _, s := range c.Sites() {
 		sum.TotalExecs += s.Execs
 		if s.Kind == FieldSite {
 			sum.FieldExecs += s.Execs
@@ -452,12 +441,12 @@ func (c *Counters) Summarize() Summary {
 				sum.ArrayElided += s.Execs
 			}
 			if s.PreNull != s.Execs {
-				sum.UnsoundSites = append(sum.UnsoundSites, k)
+				sum.UnsoundSites = append(sum.UnsoundSites, s.Key)
 			}
 		case ElideNullOrSame:
 			sum.NullOrSameExecs += s.Execs
 			if s.NullOrSame != s.Execs {
-				sum.UnsoundSites = append(sum.UnsoundSites, k)
+				sum.UnsoundSites = append(sum.UnsoundSites, s.Key)
 			}
 		case ElideRearrange:
 			// Correctness is protocol-level (validated by the GC's
@@ -475,24 +464,18 @@ func (c *Counters) Summarize() Summary {
 // String renders the summary in the paper's Table 1 terms.
 func (s Summary) String() string {
 	var b strings.Builder
-	pct := func(n, d uint64) float64 {
-		if d == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(d)
-	}
 	fmt.Fprintf(&b, "total barrier execs: %d (field %d / array %d)\n",
 		s.TotalExecs, s.FieldExecs, s.ArrayExecs)
 	fmt.Fprintf(&b, "eliminated: %.1f%% total, %.1f%% field, %.1f%% array, potential pre-null %.1f%%",
-		pct(s.ElidedExecs, s.TotalExecs),
-		pct(s.FieldElided, s.FieldExecs),
-		pct(s.ArrayElided, s.ArrayExecs),
-		pct(s.PotPreNull, s.TotalExecs))
+		num.Pct(s.ElidedExecs, s.TotalExecs),
+		num.Pct(s.FieldElided, s.FieldExecs),
+		num.Pct(s.ArrayElided, s.ArrayExecs),
+		num.Pct(s.PotPreNull, s.TotalExecs))
 	if s.NullOrSameExecs > 0 {
-		fmt.Fprintf(&b, ", null-or-same %.1f%%", pct(s.NullOrSameExecs, s.TotalExecs))
+		fmt.Fprintf(&b, ", null-or-same %.1f%%", num.Pct(s.NullOrSameExecs, s.TotalExecs))
 	}
 	if s.RearrangeExecs > 0 {
-		fmt.Fprintf(&b, ", rearrange %.1f%% (%d retraces)", pct(s.RearrangeExecs, s.TotalExecs), s.Retraces)
+		fmt.Fprintf(&b, ", rearrange %.1f%% (%d retraces)", num.Pct(s.RearrangeExecs, s.TotalExecs), s.Retraces)
 	}
 	if len(s.UnsoundSites) > 0 {
 		fmt.Fprintf(&b, "\nUNSOUND ELISIONS: %v", s.UnsoundSites)
@@ -579,15 +562,10 @@ func (c *Counters) Barrier(mode BarrierMode, log Logger, key SiteKey, kind SiteK
 	c.BarrierSiteSpec(mode.Spec(), log, c.Site(key, kind, elide), elide, pre, newVal, target)
 }
 
-// BarrierSite is Barrier with the site's stats record already resolved.
-// The pre-decoded VM engine resolves each store site once at decode time
-// and calls this directly, removing the per-execution map lookup.
-func (c *Counters) BarrierSite(mode BarrierMode, log Logger, s *SiteStats, elide ElideKind, pre, newVal, target heap.Ref) {
-	c.BarrierSiteSpec(mode.Spec(), log, s, elide, pre, newVal, target)
-}
-
 // BarrierSiteSpec is the spec-driven barrier entry point all flavors
-// share.
+// share, with the site's stats record already resolved: the decoded VM
+// engines resolve each store site once at decode time and call it directly,
+// removing the per-execution map lookup.
 func (c *Counters) BarrierSiteSpec(sp *BarrierSpec, log Logger, s *SiteStats, elide ElideKind, pre, newVal, target heap.Ref) {
 	s.Execs++
 	if pre == heap.Null {

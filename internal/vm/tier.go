@@ -34,7 +34,7 @@ import (
 //     marking-phase test, no logger dispatch: the compile-time elision
 //     proof pays off at full speed, which is the paper's payoff this tier
 //     exists to demonstrate. Kept barriers and rearrangement stores keep
-//     the exact shared satb.BarrierSite path so cost accounting stays
+//     the exact shared satb.BarrierSiteSpec path so cost accounting stays
 //     bit-identical.
 //   - Fused superinstructions are preserved: non-branch forms become
 //     thunks or standalone compiled ops covering the same base span;

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"satbelim/internal/core"
+	"satbelim/internal/num"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
@@ -49,19 +50,12 @@ func TestAllWorkloadsCompileAndRun(t *testing.T) {
 			}
 			t.Logf("%s: output=%v barriers=%d elided=%.1f%% field/array=%.0f/%.0f fieldElim=%.1f%% arrayElim=%.1f%% potPreNull=%.1f%%",
 				w.Name, res.Output, sum.TotalExecs,
-				pct(sum.ElidedExecs, sum.TotalExecs),
-				pct(sum.FieldExecs, sum.TotalExecs), pct(sum.ArrayExecs, sum.TotalExecs),
-				pct(sum.FieldElided, sum.FieldExecs), pct(sum.ArrayElided, sum.ArrayExecs),
-				pct(sum.PotPreNull, sum.TotalExecs))
+				num.Pct(sum.ElidedExecs, sum.TotalExecs),
+				num.Pct(sum.FieldExecs, sum.TotalExecs), num.Pct(sum.ArrayExecs, sum.TotalExecs),
+				num.Pct(sum.FieldElided, sum.FieldExecs), num.Pct(sum.ArrayElided, sum.ArrayExecs),
+				num.Pct(sum.PotPreNull, sum.TotalExecs))
 		})
 	}
-}
-
-func pct(n, d uint64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(d)
 }
 
 func TestWorkloadsDeterministic(t *testing.T) {
@@ -179,10 +173,10 @@ func TestWorkloadStoreMixes(t *testing.T) {
 			}
 			res := runB(t, b, vm.Config{Barrier: satb.ModeConditional})
 			s := res.Counters.Summarize()
-			elim := pct(s.ElidedExecs, s.TotalExecs)
-			fieldShare := pct(s.FieldExecs, s.TotalExecs)
-			fieldElim := pct(s.FieldElided, s.FieldExecs)
-			arrayElim := pct(s.ArrayElided, s.ArrayExecs)
+			elim := num.Pct(s.ElidedExecs, s.TotalExecs)
+			fieldShare := num.Pct(s.FieldExecs, s.TotalExecs)
+			fieldElim := num.Pct(s.FieldElided, s.FieldExecs)
+			arrayElim := num.Pct(s.ArrayElided, s.ArrayExecs)
 			if elim < bw.elimLo || elim > bw.elimHi {
 				t.Errorf("total elim %.1f%% outside [%v,%v]", elim, bw.elimLo, bw.elimHi)
 			}
@@ -230,7 +224,7 @@ func TestInterproceduralSoundOnWorkloads(t *testing.T) {
 			if len(s.UnsoundSites) != 0 {
 				t.Fatalf("unsound: %v", s.UnsoundSites)
 			}
-			t.Logf("%s limit 0 + summaries: elim=%.1f%%", w.Name, pct(s.ElidedExecs, s.TotalExecs))
+			t.Logf("%s limit 0 + summaries: elim=%.1f%%", w.Name, num.Pct(s.ElidedExecs, s.TotalExecs))
 		})
 	}
 }
