@@ -1,30 +1,24 @@
-package core
+package bytecode
 
-import (
-	"satbelim/internal/bytecode"
-)
+import "slices"
 
-// The callgraph layer schedules the interprocedural summary computation
-// (summaries.go): summaries are a bottom-up property — a method's facts
-// depend only on its callees' — so instead of iterating every method of
-// the program round-robin until nothing changes, we condense the
-// callgraph into strongly connected components (Tarjan) and process the
-// SCCs in reverse topological order. Acyclic components converge in a
-// single pass (their callees are final by construction); cyclic
-// components (recursion) iterate internally to a fixed point under the
-// monotone-compromise guarantee. Independent components are processed in
-// parallel by the same worker pool that fans out the per-method analysis.
+// The call graph and its condensation schedule the two bottom-up passes
+// over a program: the inliner expands callees before their callers and
+// never expands a member of a cycle, and the interprocedural summaries —
+// a method's facts depend only on its callees' — are computed one strongly
+// connected component at a time in reverse topological order, acyclic
+// components in a single pass, cyclic ones (recursion) to a fixed point.
+// Both are functions of the code, which the inliner rewrites, so neither
+// is kept on the program: whoever needs one builds it from the code it is
+// looking at.
 
-// CallGraph is the static call graph over a program's methods, with
-// nodes indexed by position in p.Methods() (the deterministic program
-// order) and edges pointing caller → callee. OpSpawn edges are excluded:
-// a spawned receiver always escapes, so spawn sites never consult the
-// target's summary.
+// CallGraph is the static call graph over a program's methods, with nodes
+// numbered like the methods (Symbols.Methods) and edges pointing caller →
+// callee. OpSpawn edges are excluded: a spawned receiver always escapes, so
+// spawn sites never consult the target's summary.
 type CallGraph struct {
 	// Methods is p.Methods(): node i is Methods[i].
-	Methods []*bytecode.Method
-	// Index maps a method reference to its node.
-	Index map[bytecode.MethodRef]int
+	Methods []*Method
 	// Callees[i] lists the nodes method i invokes, deduplicated, in
 	// first-occurrence order of the invoke instructions (deterministic).
 	Callees [][]int
@@ -33,35 +27,21 @@ type CallGraph struct {
 // BuildCallGraph scans every method's code for OpInvoke edges.
 // Unresolvable callees (absent from the program) are skipped; verified
 // programs have none.
-func BuildCallGraph(p *bytecode.Program) *CallGraph {
-	methods := p.Methods()
-	g := &CallGraph{
-		Methods: methods,
-		Index:   make(map[bytecode.MethodRef]int, len(methods)),
-		Callees: make([][]int, len(methods)),
-	}
-	for i, m := range methods {
-		g.Index[m.Ref()] = i
-	}
-	for i, m := range methods {
-		var seen map[int]bool
+func BuildCallGraph(p *Program) *CallGraph {
+	syms := p.Symbols()
+	g := &CallGraph{Methods: syms.Methods, Callees: make([][]int, len(syms.Methods))}
+	// seen[j] == i+1 once method i's edge to j is recorded.
+	seen := make([]int, len(syms.Methods))
+	for i, m := range syms.Methods {
 		for pc := range m.Code {
 			in := &m.Code[pc]
-			if in.Op != bytecode.OpInvoke {
+			if in.Op != OpInvoke {
 				continue
 			}
-			j, ok := g.Index[in.Method]
-			if !ok {
-				continue
+			if j := syms.MethodNum(in.Method); j >= 0 && seen[j] != i+1 {
+				seen[j] = i + 1
+				g.Callees[i] = append(g.Callees[i], j)
 			}
-			if seen == nil {
-				seen = map[int]bool{}
-			}
-			if seen[j] {
-				continue
-			}
-			seen[j] = true
-			g.Callees[i] = append(g.Callees[i], j)
 		}
 	}
 	return g
@@ -176,15 +156,8 @@ func Condense(g *CallGraph) *Condensation {
 			}
 			// Ascending program order within the component, for
 			// deterministic fixed-point iteration.
-			sortInts(members)
-			cyclic := len(members) > 1
-			if !cyclic {
-				for _, w := range g.Callees[members[0]] {
-					if w == members[0] {
-						cyclic = true // self-loop
-					}
-				}
-			}
+			slices.Sort(members)
+			cyclic := len(members) > 1 || slices.Contains(g.Callees[v], v) // self-loop
 			c.SCCs = append(c.SCCs, SCC{Members: members, Cyclic: cyclic})
 		}
 	}
@@ -193,28 +166,16 @@ func Condense(g *CallGraph) *Condensation {
 	c.Deps = make([][]int, len(c.SCCs))
 	c.Dependents = make([][]int, len(c.SCCs))
 	for ci := range c.SCCs {
-		seen := map[int]bool{}
 		for _, v := range c.SCCs[ci].Members {
 			for _, w := range g.Callees[v] {
 				cw := c.CompOf[w]
-				if cw == ci || seen[cw] {
+				if cw == ci || slices.Contains(c.Deps[ci], cw) {
 					continue
 				}
-				seen[cw] = true
 				c.Deps[ci] = append(c.Deps[ci], cw)
 				c.Dependents[cw] = append(c.Dependents[cw], ci)
 			}
 		}
 	}
 	return c
-}
-
-// sortInts is an insertion sort: SCC member lists are tiny and this
-// avoids pulling in package sort for an int slice.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

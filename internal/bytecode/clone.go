@@ -13,17 +13,21 @@ func (m *Method) Clone() *Method {
 }
 
 // Clone returns a deep copy of the program. Classes and field descriptors
-// are copied shallowly except for method bodies, which are deep-copied.
+// are copied shallowly except for method bodies, which are deep-copied. The
+// copy has the same declarations and so shares the symbol table's numbering.
 func (p *Program) Clone() *Program {
 	cp := NewProgram()
 	cp.Main = p.Main
-	for name, c := range p.Classes {
+	for name, c := range p.classes {
 		nc := &Class{Name: c.Name}
 		nc.Fields = append([]*Field(nil), c.Fields...)
 		for _, m := range c.Methods {
 			nc.Methods = append(nc.Methods, m.Clone())
 		}
-		cp.Classes[name] = nc
+		cp.classes[name] = nc
+	}
+	if s := p.syms.Load(); s != nil {
+		cp.syms.Store(s.over(cp))
 	}
 	return cp
 }

@@ -2,8 +2,8 @@ package bytecode
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Field is a declared (instance or static) field of a class.
@@ -18,26 +18,6 @@ type Class struct {
 	Name    string
 	Fields  []*Field
 	Methods []*Method
-}
-
-// Field returns the declared field with the given name, or nil.
-func (c *Class) Field(name string) *Field {
-	for _, f := range c.Fields {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
-// Method returns the declared method with the given name, or nil.
-func (c *Class) Method(name string) *Method {
-	for _, m := range c.Methods {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
 }
 
 // Method is a compiled method body.
@@ -105,67 +85,56 @@ func (m *Method) Size() int {
 // QualifiedName returns "Class.Name".
 func (m *Method) QualifiedName() string { return m.Class + "." + m.Name }
 
-// Program is a whole compiled program.
+// Program is a whole compiled program. Its classes are complete when they
+// are added: a field or method appended to a class afterwards is not seen.
 type Program struct {
-	Classes map[string]*Class
+	classes map[string]*Class
+	// syms is the symbol table, nil until first asked for (symbols.go).
+	syms atomic.Pointer[Symbols]
 	// Main names the entry point, a static void method with no params.
 	Main MethodRef
 }
 
 // NewProgram returns an empty program.
 func NewProgram() *Program {
-	return &Program{Classes: map[string]*Class{}}
+	return &Program{classes: map[string]*Class{}}
 }
 
 // Class returns the named class, or nil.
-func (p *Program) Class(name string) *Class { return p.Classes[name] }
+func (p *Program) Class(name string) *Class { return p.classes[name] }
 
-// AddClass registers a class, replacing any previous definition.
-func (p *Program) AddClass(c *Class) { p.Classes[c.Name] = c }
+// AddClass registers a class, replacing any previous definition. It must
+// not run concurrently with any other use of the program.
+func (p *Program) AddClass(c *Class) {
+	p.classes[c.Name] = c
+	p.syms.Store(nil)
+}
 
 // Method resolves a method reference, or returns nil.
 func (p *Program) Method(ref MethodRef) *Method {
-	c := p.Classes[ref.Class]
-	if c == nil {
-		return nil
+	s := p.Symbols()
+	if i := s.MethodNum(ref); i >= 0 {
+		return s.Methods[i]
 	}
-	return c.Method(ref.Name)
+	return nil
 }
 
 // FieldType resolves a field reference's declared type, or nil.
 func (p *Program) FieldType(ref FieldRef) *Type {
-	c := p.Classes[ref.Class]
-	if c == nil {
-		return nil
+	if f := p.Symbols().Field(ref); f != nil {
+		return f.Type
 	}
-	f := c.Field(ref.Name)
-	if f == nil {
-		return nil
-	}
-	return f.Type
+	return nil
 }
 
 // SortedClasses returns the classes in name order, for deterministic
-// iteration.
-func (p *Program) SortedClasses() []*Class {
-	out := make([]*Class, 0, len(p.Classes))
-	for _, c := range p.Classes {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// iteration. The slice is the symbol table's and must not be modified.
+func (p *Program) SortedClasses() []*Class { return p.Symbols().Classes }
 
-// Methods returns every method in deterministic order.
-func (p *Program) Methods() []*Method {
-	var out []*Method
-	for _, c := range p.SortedClasses() {
-		ms := append([]*Method(nil), c.Methods...)
-		sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
-		out = append(out, ms...)
-	}
-	return out
-}
+// Methods returns every method in deterministic order: a method's index is
+// its method number. The slice is the symbol table's and must not be
+// modified.
+func (p *Program) Methods() []*Method { return p.Symbols().Methods }
 
 // Size returns the total bytecode size of all methods.
 func (p *Program) Size() int {
@@ -204,10 +173,12 @@ func DisassembleProgram(p *Program) string {
 }
 
 // Validate performs basic structural sanity checks: branch targets in
-// range, slots in range, resolvable field/method refs. It returns the
-// first problem found, or nil.
+// range, slots in range, field and method operands that resolve, static
+// fields accessed by the static opcodes and instance fields by the others.
+// It returns the first problem found, or nil.
 func (p *Program) Validate() error {
-	for _, m := range p.Methods() {
+	syms := p.Symbols()
+	for _, m := range syms.Methods {
 		for pc := range m.Code {
 			in := &m.Code[pc]
 			if in.IsBranch() {
@@ -221,11 +192,15 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("%s: pc %d: slot %d out of range [0,%d)", m.QualifiedName(), pc, in.A, m.NumSlots)
 				}
 			case OpGetField, OpPutField, OpGetStatic, OpPutStatic:
-				if p.FieldType(in.Field) == nil {
+				f := syms.Field(in.Field)
+				if f == nil {
 					return fmt.Errorf("%s: pc %d: unresolved field %s", m.QualifiedName(), pc, in.Field)
 				}
+				if static := in.Op == OpGetStatic || in.Op == OpPutStatic; static != f.Static {
+					return fmt.Errorf("%s: pc %d: %s of %s", m.QualifiedName(), pc, in.Op, f)
+				}
 			case OpInvoke, OpSpawn:
-				if p.Method(in.Method) == nil {
+				if syms.MethodNum(in.Method) < 0 {
 					return fmt.Errorf("%s: pc %d: unresolved method %s", m.QualifiedName(), pc, in.Method)
 				}
 			case OpNewInstance:

@@ -249,7 +249,7 @@ func analyzeMethod(ctx context.Context, px *programIndex, i int, m *bytecode.Met
 		return nil, err
 	}
 	rep.Converged = rep.Degraded == DegradeNone
-	publish(px.prog, m, verdicts, rep)
+	publish(px.syms, m, verdicts, rep)
 	return rep, nil
 }
 
@@ -305,11 +305,11 @@ func analyze(ctx context.Context, px *programIndex, i int, m *bytecode.Method, o
 // publish is the one writer of Instr.Verdict and the one counter of sites
 // and elisions: it stores the method's verdicts (nil: keep every barrier)
 // and counts the report's static columns off the stored result.
-func publish(p *bytecode.Program, m *bytecode.Method, verdicts []bytecode.Verdict, rep *MethodReport) {
+func publish(syms *bytecode.Symbols, m *bytecode.Method, verdicts []bytecode.Verdict, rep *MethodReport) {
 	for pc := range m.Code {
 		in := &m.Code[pc]
 		in.Verdict = bytecode.VerdictNone
-		kind, ok := satb.SiteOf(p, in)
+		kind, ok := satb.SiteOf(syms, in)
 		if !ok {
 			continue
 		}
@@ -339,14 +339,13 @@ func publish(p *bytecode.Program, m *bytecode.Method, verdicts []bytecode.Verdic
 func newAnalyzer(px *programIndex, m *bytecode.Method, idx methodIndex, opts Options, summaryMode bool) *analyzer {
 	a := &analyzer{
 		transfer: transfer{
-			prog: px.prog, m: m, g: idx.g, opts: opts,
-			refs:   buildRefTable(px.prog, m, opts, summaryMode),
-			fields: px.fields, fieldAt: idx.fieldAt,
+			m: m, opts: opts, syms: px.syms, methodIndex: idx,
+			refs: buildRefTable(px.syms, m, idx.calleeAt, opts, summaryMode),
 		},
 		entry:     make([]*state, len(idx.g.Blocks)),
 		maxVisits: 200*len(idx.g.Blocks) + 2000,
 	}
-	a.slots = newSlotTable(px.fields, a.refs)
+	a.slots = newSlotTable(px.syms, a.refs)
 	if summaryMode {
 		a.rec = newSummaryRecorder(a.refs, a.slots)
 	}

@@ -162,8 +162,8 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
 	g := BuildCallGraph(p)
-	twice := g.Index[bytecode.MethodRef{Class: "M", Name: "twice"}]
-	leaf := g.Index[bytecode.MethodRef{Class: "M", Name: "leaf"}]
+	twice := p.Symbols().MethodNum(bytecode.MethodRef{Class: "M", Name: "twice"})
+	leaf := p.Symbols().MethodNum(bytecode.MethodRef{Class: "M", Name: "leaf"})
 	if got := g.Callees[twice]; !reflect.DeepEqual(got, []int{leaf}) {
 		t.Errorf("duplicate invokes must dedup to one edge, got %v", got)
 	}
@@ -196,17 +196,19 @@ class M {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(normalizeSums(seq), normalizeSums(par)) {
+		if !reflect.DeepEqual(normalizeSums(p, seq), normalizeSums(p, par)) {
 			t.Fatalf("workers=%d summaries differ:\nseq: %+v\npar: %+v", workers, seq, par)
 		}
 	}
 }
 
 // normalizeSums keys the summaries by method name, by value.
-func normalizeSums(s Summaries) map[string]MethodSummary {
+func normalizeSums(p *bytecode.Program, s Summaries) map[string]MethodSummary {
 	out := map[string]MethodSummary{}
-	for ref, sum := range s {
-		out[ref.String()] = *sum
+	for i, sum := range s {
+		if sum != nil {
+			out[p.Methods()[i].QualifiedName()] = *sum
+		}
 	}
 	return out
 }

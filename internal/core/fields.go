@@ -1,116 +1,64 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/cfg"
 )
 
-// elemsField is the pseudo-field collapsing all elements of an array
-// (paper §2.4: "we treat an object array as an object with a single field
-// f_elems").
-const elemsField = "$elems"
-
-// fieldID names a field in the program's fieldTable. It is the only
+// fieldID names a field in the program's symbol table. It is the only
 // spelling of a field the analysis uses: σ slots, null-or-same guarantees,
 // summaries and the swap detector all carry ids, and two analyses of the
 // same program agree on them.
-type fieldID int32
+type fieldID = bytecode.FieldID
 
-// elemsFieldID is elemsField's id in every fieldTable.
-const elemsFieldID fieldID = 0
+// elemsFieldID is the id of the pseudo-field standing for an array's
+// elements.
+const elemsFieldID = bytecode.ElemsField
 
-// elemsOnly is the reference-field list of every reference array.
-var elemsOnly = []fieldID{elemsFieldID}
+// The call graph and its condensation live beside the symbol table; these
+// are the names the analysis's callers know them by.
+type (
+	CallGraph    = bytecode.CallGraph
+	SCC          = bytecode.SCC
+	Condensation = bytecode.Condensation
+)
 
-// fieldTable numbers the fields of one program — the paper's "fixed and
-// finite" set of field identifiers (§2.2), fixed before any fixed point
-// starts. It is a function of the program's class declarations alone:
-// elemsField is 0 and the declared fields follow in ascending order of
-// their qualified "Class.field" names, so iterating ids in ascending order
-// is iterating names in sorted order, and tables built separately from a
-// program (or from its Clone) are equal. Read-only once built.
-type fieldTable struct {
-	names []string
-	ids   map[bytecode.FieldRef]fieldID
-	// refFields lists, per class, the ids of its instance reference fields
-	// in ascending order: the fields a summary speaks about.
-	refFields map[string][]fieldID
-}
+// BuildCallGraph is bytecode.BuildCallGraph.
+func BuildCallGraph(p *bytecode.Program) *CallGraph { return bytecode.BuildCallGraph(p) }
 
-func newFieldTable(p *bytecode.Program) *fieldTable {
-	type decl struct {
-		name string
-		ref  bytecode.FieldRef
-		inst bool // instance reference field
-	}
-	var decls []decl
-	for _, c := range p.Classes {
-		for _, f := range c.Fields {
-			ref := bytecode.FieldRef{Class: c.Name, Name: f.Name}
-			decls = append(decls, decl{ref.String(), ref, !f.Static && f.Type.IsRef()})
-		}
-	}
-	slices.SortFunc(decls, func(a, b decl) int { return cmp.Compare(a.name, b.name) })
-	t := &fieldTable{
-		names:     make([]string, 1, len(decls)+1),
-		ids:       make(map[bytecode.FieldRef]fieldID, len(decls)),
-		refFields: map[string][]fieldID{},
-	}
-	t.names[elemsFieldID] = elemsField
-	for _, d := range decls {
-		id := fieldID(len(t.names))
-		t.names = append(t.names, d.name)
-		t.ids[d.ref] = id
-		if d.inst {
-			t.refFields[d.ref.Class] = append(t.refFields[d.ref.Class], id)
-		}
-	}
-	return t
-}
-
-// refFieldsOf lists the reference fields a value of type typ exposes to
-// the field analysis, in ascending order: the declared instance reference
-// fields of a class, elemsFieldID for a reference array, nothing otherwise.
-// The result is shared and must not be modified.
-func (t *fieldTable) refFieldsOf(typ *bytecode.Type) []fieldID {
-	switch {
-	case typ.IsRefArray():
-		return elemsOnly
-	case typ != nil && typ.Kind == bytecode.KindClass:
-		return t.refFields[typ.Class]
-	}
-	return nil
-}
+// Condense is bytecode.Condense.
+func Condense(g *CallGraph) *Condensation { return bytecode.Condense(g) }
 
 // methodIndex is what every analysis of one method shares, whatever its
-// mode and options: the control-flow graph and the id of each field
-// instruction's operand.
+// mode and options: the control-flow graph and the number of each
+// instruction's symbolic operand — the field id of a field instruction, the
+// method number of an invoke's callee (-1 when it names no method: the
+// verifier rejects that, and simulating it panics into DegradePanic).
 type methodIndex struct {
-	g       *cfg.Graph
-	fieldAt []fieldID
+	g        *cfg.Graph
+	fieldAt  []fieldID
+	calleeAt []int32
 }
 
 // programIndex is what the analyses of one build share, summary rounds and
-// judging alike: the program, its field table, and each method's index
-// (indexed like p.Methods()), built by the first analysis of the method.
+// judging alike: the program's symbol table and each method's index
+// (indexed by method number), built by the first analysis of the method.
 // An entry is touched by one worker at a time — the one holding the
 // method's callgraph component, later the one judging the method — so the
 // table needs no lock.
 type programIndex struct {
 	prog    *bytecode.Program
-	fields  *fieldTable
+	syms    *bytecode.Symbols
 	methods []methodIndex
 }
 
 func newProgramIndex(p *bytecode.Program, methods int) *programIndex {
-	return &programIndex{prog: p, fields: newFieldTable(p), methods: make([]methodIndex, methods)}
+	return &programIndex{prog: p, syms: p.Symbols(), methods: make([]methodIndex, methods)}
 }
 
-// of returns the index of m, method i of the program, building it on first
+// of returns the index of m, entry i of the table, building it on first
 // use. A field operand that names no declared field — the verifier rejects
 // such a method — is an error, like a method the graph builder rejects.
 func (px *programIndex) of(i int, m *bytecode.Method) (methodIndex, error) {
@@ -121,17 +69,22 @@ func (px *programIndex) of(i int, m *bytecode.Method) (methodIndex, error) {
 	if err != nil {
 		return methodIndex{}, err
 	}
-	fieldAt := make([]fieldID, len(m.Code))
+	idx := methodIndex{g: g, fieldAt: make([]fieldID, len(m.Code))}
 	for pc := range m.Code {
 		switch in := &m.Code[pc]; in.Op {
 		case bytecode.OpGetField, bytecode.OpPutField, bytecode.OpGetStatic, bytecode.OpPutStatic:
-			f, ok := px.fields.ids[in.Field]
-			if !ok {
+			f := px.syms.Field(in.Field)
+			if f == nil {
 				return methodIndex{}, fmt.Errorf("%s: pc %d: undeclared field %s", m.QualifiedName(), pc, in.Field)
 			}
-			fieldAt[pc] = f
+			idx.fieldAt[pc] = f.ID
+		case bytecode.OpInvoke:
+			if idx.calleeAt == nil {
+				idx.calleeAt = make([]int32, len(m.Code))
+			}
+			idx.calleeAt[pc] = int32(px.syms.MethodNum(in.Method))
 		}
 	}
-	px.methods[i] = methodIndex{g: g, fieldAt: fieldAt}
-	return px.methods[i], nil
+	px.methods[i] = idx
+	return idx, nil
 }

@@ -31,10 +31,10 @@ func compileOnly(t *testing.T, src string) *bytecode.Program {
 	return p
 }
 
-// TestFieldTableNumbering: the table is a function of the program — two
-// builds agree, and so does a build from the program's clone —, $elems is
-// id 0, ids ascend with qualified names, every declared field has one, and
-// a class's reference-field list is its instance reference fields in id
+// TestFieldTableNumbering: the field ids the analysis speaks are a function
+// of the program — the program's clone numbers them alike —, $elems is id
+// 0, ids ascend with qualified names, every declared field has one, and a
+// class's reference-field list is its instance reference fields in id
 // order.
 func TestFieldTableNumbering(t *testing.T) {
 	var srcs []string
@@ -46,39 +46,45 @@ func TestFieldTableNumbering(t *testing.T) {
 	}
 	for i, src := range srcs {
 		p := compileOnly(t, src)
-		ft := newFieldTable(p)
-		for _, again := range []*fieldTable{newFieldTable(p), newFieldTable(p.Clone())} {
-			if !reflect.DeepEqual(ft, again) {
-				t.Fatalf("source %d: two field tables of one program differ:\n%+v\n%+v", i, ft, again)
+		ft := p.Symbols()
+		if again := p.Clone().Symbols(); !reflect.DeepEqual(ft.Fields, again.Fields) {
+			t.Fatalf("source %d: a program and its clone number fields differently:\n%+v\n%+v", i, ft.Fields, again.Fields)
+		}
+		var names []string
+		for id, f := range ft.Fields {
+			if f.ID != fieldID(id) {
+				t.Errorf("source %d: field %d says it is field %d", i, id, f.ID)
 			}
+			names = append(names, f.Name)
 		}
-		if ft.names[elemsFieldID] != elemsField {
-			t.Errorf("source %d: id %d is %q, want %q", i, elemsFieldID, ft.names[elemsFieldID], elemsField)
+		if names[elemsFieldID] != "$elems" {
+			t.Errorf("source %d: id %d is %q, want $elems", i, elemsFieldID, names[elemsFieldID])
 		}
-		if !slices.IsSorted(ft.names) || len(slices.Compact(slices.Clone(ft.names))) != len(ft.names) {
-			t.Errorf("source %d: names do not strictly ascend with ids: %q", i, ft.names)
+		if !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(names) {
+			t.Errorf("source %d: names do not strictly ascend with ids: %q", i, names)
 		}
 		declared := 0
-		for _, c := range p.Classes {
+		for _, c := range p.SortedClasses() {
 			var refFields []fieldID
 			for _, f := range c.Fields {
 				declared++
 				ref := bytecode.FieldRef{Class: c.Name, Name: f.Name}
-				id, ok := ft.ids[ref]
-				if !ok || ft.names[id] != ref.String() {
-					t.Errorf("source %d: %s has id %d (found %t), which names %q", i, ref, id, ok, ft.names[id])
+				sym := ft.Field(ref)
+				if sym == nil || sym.Name != ref.String() {
+					t.Errorf("source %d: %s resolves to %+v", i, ref, sym)
+					continue
 				}
 				if !f.Static && f.Type.IsRef() {
-					refFields = append(refFields, id)
+					refFields = append(refFields, sym.ID)
 				}
 			}
 			slices.Sort(refFields)
-			if got := ft.refFieldsOf(bytecode.ClassType(c.Name)); !slices.Equal(got, refFields) {
+			if got := ft.RefFieldsOf(bytecode.ClassType(c.Name)); !slices.Equal(got, refFields) {
 				t.Errorf("source %d: reference fields of %s = %v, want %v", i, c.Name, got, refFields)
 			}
 		}
-		if len(ft.names) != declared+1 {
-			t.Errorf("source %d: %d ids for %d declared fields and $elems", i, len(ft.names), declared)
+		if len(names) != declared+1 {
+			t.Errorf("source %d: %d ids for %d declared fields and $elems", i, len(names), declared)
 		}
 	}
 }
@@ -89,8 +95,8 @@ func TestRefFieldsOfType(t *testing.T) {
 	p := compileOnly(t, `
 class T { int v; T a; static T s; T[] b; int[] c; }
 class M { static void main() { print(0); } }`)
-	ft := newFieldTable(p)
-	id := func(name string) fieldID { return ft.ids[bytecode.FieldRef{Class: "T", Name: name}] }
+	ft := p.Symbols()
+	id := func(name string) fieldID { return ft.Field(bytecode.FieldRef{Class: "T", Name: name}).ID }
 	tt := bytecode.ClassType("T")
 	for _, tc := range []struct {
 		typ  *bytecode.Type
@@ -104,8 +110,8 @@ class M { static void main() { print(0); } }`)
 		{bytecode.Int, nil},
 		{nil, nil},
 	} {
-		if got := ft.refFieldsOf(tc.typ); !slices.Equal(got, tc.want) {
-			t.Errorf("refFieldsOf(%s) = %v, want %v", tc.typ, got, tc.want)
+		if got := ft.RefFieldsOf(tc.typ); !slices.Equal(got, tc.want) {
+			t.Errorf("RefFieldsOf(%s) = %v, want %v", tc.typ, got, tc.want)
 		}
 	}
 }
@@ -118,14 +124,14 @@ func TestDirtyFieldEnumerationAllocatesNothing(t *testing.T) {
 	p := compileOnly(t, `
 class T { T a; T b; T c; void touch(T[] ts) { this.b = this; ts[0] = this; } }
 class M { static void main() { T t = new T(); t.touch(new T[1]); } }`)
-	ft := newFieldTable(p)
+	ft := p.Symbols()
 	callee := p.Method(bytecode.MethodRef{Class: "T", Name: "touch"})
 	sum := optimisticSummary(ft, callee)
 	sum.ArgPreNullFields[0] = sum.ArgPreNullFields[0][:1]
 	dirty := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < callee.NumArgs(); i++ {
-			for _, f := range ft.refFieldsOf(callee.ArgType(i)) {
+			for _, f := range ft.RefFieldsOf(callee.ArgType(i)) {
 				if !sum.preNull(i, f) {
 					dirty++
 				}
@@ -160,7 +166,7 @@ func TestUndeclaredFieldOperand(t *testing.T) {
 	if _, err := AnalyzeProgram(p, Options{Mode: ModeFieldArray}); err == nil {
 		t.Error("AnalyzeProgram accepted an undeclared field operand")
 	}
-	if sum := summarizeMethod(px, m, 0, Options{Mode: ModeFieldArray}, Summaries{}); !sum.ArgCompromised[0] {
+	if sum := summarizeMethod(px, m, 0, Options{Mode: ModeFieldArray}, nil); !sum.ArgCompromised[0] {
 		t.Errorf("summary of an unindexable method = %+v, want the worst case", sum)
 	}
 }

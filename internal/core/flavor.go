@@ -28,13 +28,14 @@ type FlavorVerdicts struct {
 // verdicts through one flavor's soundness predicate.
 func FlavorSiteVerdicts(p *bytecode.Program, spec *satb.BarrierSpec) FlavorVerdicts {
 	fv := FlavorVerdicts{Flavor: spec.Name}
-	for _, m := range p.Methods() {
+	syms := p.Symbols()
+	for _, m := range syms.Methods {
 		for i := range m.Code {
 			in := &m.Code[i]
 			if in.Verdict == satb.ElideNone {
 				continue
 			}
-			if _, ok := satb.SiteOf(p, in); !ok {
+			if _, ok := satb.SiteOf(syms, in); !ok {
 				continue
 			}
 			fv.Verdicts++

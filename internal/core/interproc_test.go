@@ -79,7 +79,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sums[bytecode.MethodRef{Class: "M", Name: "mkInit"}].ReturnsFresh {
+	if sums.Of(p, bytecode.MethodRef{Class: "M", Name: "mkInit"}).ReturnsFresh {
 		t.Error("non-null-field return must not be fresh")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
@@ -103,10 +103,10 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sums[bytecode.MethodRef{Class: "M", Name: "leak"}].ReturnsFresh {
+	if sums.Of(p, bytecode.MethodRef{Class: "M", Name: "leak"}).ReturnsFresh {
 		t.Error("escaped return must not be fresh")
 	}
-	if sums[bytecode.MethodRef{Class: "M", Name: "give"}].ReturnsFresh {
+	if sums.Of(p, bytecode.MethodRef{Class: "M", Name: "give"}).ReturnsFresh {
 		t.Error("argument-reachable return must not be fresh")
 	}
 }
@@ -155,7 +155,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctor := sums[bytecode.MethodRef{Class: "T", Name: "<init>"}]
+	ctor := sums.Of(p, bytecode.MethodRef{Class: "T", Name: "<init>"})
 	if ctor.ArgCompromised[0] {
 		t.Fatal("constructor receiver must stay uncompromised")
 	}
@@ -198,7 +198,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sums[bytecode.MethodRef{Class: "M", Name: "foo"}].ArgCompromised[0] {
+	if !sums.Of(p, bytecode.MethodRef{Class: "M", Name: "foo"}).ArgCompromised[0] {
 		t.Fatal("publishing the argument's contents must compromise the argument")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
@@ -241,7 +241,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sums[bytecode.MethodRef{Class: "M", Name: "deep"}].ArgCompromised[0] {
+	if !sums.Of(p, bytecode.MethodRef{Class: "M", Name: "deep"}).ArgCompromised[0] {
 		t.Fatal("mutation through the argument's contents must compromise it")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
@@ -292,12 +292,12 @@ class M {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"ra", "rb"} {
-		s := sums[bytecode.MethodRef{Class: "M", Name: name}]
+		s := sums.Of(p, bytecode.MethodRef{Class: "M", Name: name})
 		if !s.ArgCompromised[0] || !s.ArgIntMutated[0] {
 			t.Errorf("%s must degrade to the worst case under a 1-round budget: %+v", name, s)
 		}
 	}
-	if sums[bytecode.MethodRef{Class: "M", Name: "ro"}].ArgCompromised[0] {
+	if sums.Of(p, bytecode.MethodRef{Class: "M", Name: "ro"}).ArgCompromised[0] {
 		t.Error("budget degradation must not leak outside the cyclic component")
 	}
 	// Default budget converges and is strictly more precise: ra
@@ -306,7 +306,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := full[bytecode.MethodRef{Class: "M", Name: "ra"}]
+	ra := full.Of(p, bytecode.MethodRef{Class: "M", Name: "ra"})
 	if !ra.ArgCompromised[0] || ra.ArgIntMutated[0] {
 		t.Errorf("converged ra summary = %+v, want compromised but not int-mutated", ra)
 	}
@@ -330,7 +330,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sound[bytecode.MethodRef{Class: "M", Name: "ra"}].ArgCompromised[0] {
+	if !sound.Of(p, bytecode.MethodRef{Class: "M", Name: "ra"}).ArgCompromised[0] {
 		t.Fatal("sound fixed point must compromise ra's argument transitively")
 	}
 	unsound := InjectFaults(optsI(), false, true)
@@ -338,11 +338,11 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trusted[bytecode.MethodRef{Class: "M", Name: "ra"}].ArgCompromised[0] {
+	if trusted.Of(p, bytecode.MethodRef{Class: "M", Name: "ra"}).ArgCompromised[0] {
 		t.Fatal("trust-all knob should have produced the unsound clean summary for ra " +
 			"(the self-test relies on this exact wrongness)")
 	}
-	if !trusted[bytecode.MethodRef{Class: "M", Name: "rb"}].ArgCompromised[0] {
+	if !trusted.Of(p, bytecode.MethodRef{Class: "M", Name: "rb"}).ArgCompromised[0] {
 		t.Error("rb publishes directly; even trust-all sees that")
 	}
 }

@@ -117,7 +117,7 @@ type refTable struct {
 // invoke sites whose callee returns a reference additionally get an A/B
 // pair for the returned object; in summary mode (summaryMode) each
 // non-unique reference argument gets a contents reference.
-func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, summaryMode bool) *refTable {
+func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32, opts Options, summaryMode bool) *refTable {
 	singleSummary := opts.SingleRefPerSite
 	t := &refTable{
 		allocA:     map[int]RefID{},
@@ -188,14 +188,13 @@ func buildRefTable(p *bytecode.Program, m *bytecode.Method, opts Options, summar
 				t.allocB[pc] = b
 			}
 		case bytecode.OpInvoke:
-			if !opts.Interprocedural {
+			if !opts.Interprocedural || calleeAt[pc] < 0 {
 				continue
 			}
-			callee := p.Method(in.Method)
-			if callee == nil || !callee.Return.IsRef() {
+			ret := syms.Methods[calleeAt[pc]].Return
+			if !ret.IsRef() {
 				continue
 			}
-			ret := callee.Return
 			a := RefID(len(t.infos))
 			t.infos = append(t.infos, refInfo{
 				kind: refCallA, site: pc, class: ret.Class,

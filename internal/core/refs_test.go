@@ -126,7 +126,7 @@ func TestBuildRefTableNamesEverything(t *testing.T) {
 	b.Return()
 	m := b.Build()
 
-	tab := buildRefTable(nil, m, Options{}, false)
+	tab := buildRefTable(nil, m, nil, Options{}, false)
 	// Global + 2 ref args (receiver, array; the int param gets none) +
 	// 2 sites × 2 refs.
 	if tab.count() != 1+2+4 {
@@ -162,7 +162,7 @@ func TestBuildRefTableNamesEverything(t *testing.T) {
 	}
 
 	// Single-summary ablation: A == B, nothing unique.
-	tab2 := buildRefTable(nil, m, Options{SingleRefPerSite: true}, false)
+	tab2 := buildRefTable(nil, m, nil, Options{SingleRefPerSite: true}, false)
 	for pc, a := range tab2.allocA {
 		if tab2.allocB[pc] != a {
 			t.Error("ablation should collapse A and B")
@@ -179,7 +179,7 @@ func TestCtorReceiverUniqueThreadLocal(t *testing.T) {
 	b.DeclareSlot(bytecode.ClassType("T"))
 	b.Return()
 	m := b.Build()
-	tab := buildRefTable(nil, m, Options{}, false)
+	tab := buildRefTable(nil, m, nil, Options{}, false)
 	r := tab.argRef[0]
 	if !tab.unique(r) {
 		t.Error("constructor this must be unique (§2.3)")
@@ -188,7 +188,7 @@ func TestCtorReceiverUniqueThreadLocal(t *testing.T) {
 	b2 := bytecode.NewBuilder("T", "m", false)
 	b2.DeclareSlot(bytecode.ClassType("T"))
 	b2.Return()
-	tab2 := buildRefTable(nil, b2.Build(), Options{}, false)
+	tab2 := buildRefTable(nil, b2.Build(), nil, Options{}, false)
 	if tab2.unique(tab2.argRef[0]) {
 		t.Error("plain method this must not be unique")
 	}

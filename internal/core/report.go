@@ -37,7 +37,7 @@ func AnalyzeProgram(p *bytecode.Program, opts Options) (*ProgramReport, error) {
 // verdicts are bit-identical to a sequential run. Interprocedural
 // summaries, when requested, are computed up front over the condensed
 // callgraph (bottom-up SCC order, independent components in parallel; see
-// callgraph.go) and are read-only during the fan-out. Each method's
+// bytecode/callgraph.go) and are read-only during the fan-out. Each method's
 // analysis observes cancellation of ctx at block-visit boundaries and
 // degrades soundly (DegradeCancelled) rather than erroring, so a cancelled
 // compile still yields a correct all-barriers program whose report says
@@ -49,9 +49,9 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 		workers = runtime.GOMAXPROCS(0)
 	}
 	methods := p.Methods()
-	// One field table for this call and one graph and field-id row per
-	// method: summarizeMethod builds them, judging reads them or, for a
-	// method never summarized, builds its own.
+	// One graph and operand-number row per method: summarizeMethod builds
+	// them, judging reads them or, for a method never summarized, builds its
+	// own.
 	px := newProgramIndex(p, len(methods))
 	if opts.Interprocedural && opts.Summaries == nil {
 		opts.Summaries = computeSummaries(px, opts, workers)

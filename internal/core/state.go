@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
 )
 
@@ -21,8 +22,8 @@ type slotKey struct {
 // copy, comparison and merge. The table only grows; a state's σ may be
 // shorter than the table, the missing tail being absent entries.
 type slotTable struct {
-	// fields names the slots' fields in String.
-	fields *fieldTable
+	// syms names the slots' fields in String.
+	syms *bytecode.Symbols
 
 	keys []slotKey
 	// refSlots lists each reference's slots, so per-reference operations
@@ -38,9 +39,9 @@ type slotTable struct {
 	work []RefID
 }
 
-func newSlotTable(fields *fieldTable, refs *refTable) *slotTable {
+func newSlotTable(syms *bytecode.Symbols, refs *refTable) *slotTable {
 	t := &slotTable{
-		fields:   fields,
+		syms:     syms,
 		refSlots: make([][]int32, refs.count()),
 		arrIdx:   make([]int32, refs.count()),
 	}
@@ -628,7 +629,7 @@ func (s *state) String() string {
 	for i, v := range s.sigma {
 		if v.kind != vBottom {
 			k := s.tab.keys[i]
-			fmt.Fprintf(&b, "  σ(r%d,%s)=%v\n", k.ref, s.tab.fields.names[k.field], v)
+			fmt.Fprintf(&b, "  σ(r%d,%s)=%v\n", k.ref, s.tab.syms.Fields[k.field].Name, v)
 		}
 	}
 	for r, i := range s.tab.arrIdx {

@@ -41,7 +41,7 @@ import (
 // longer prove thread-local.
 //
 // Scheduling is bottom-up over the callgraph's SCC condensation (see
-// callgraph.go): acyclic components converge in one pass because their
+// bytecode/callgraph.go): acyclic components converge in one pass because their
 // callees are final; cyclic components (recursion) iterate to a fixed
 // point from the optimistic start under the monotone-compromise
 // guarantee — facts only worsen, so the iteration computes the least
@@ -65,7 +65,7 @@ type MethodSummary struct {
 	ArgIntMutated []bool
 	// ArgPreNullFields[i] is the set of reference fields of argument i
 	// the callee provably leaves null, as ascending ids of the program's
-	// field table (elemsFieldID for reference arrays). The caller
+	// symbol table (elemsFieldID for reference arrays). The caller
 	// invalidates its σ facts for the complement — fields the callee may
 	// have written — and keeps everything else.
 	ArgPreNullFields [][]fieldID
@@ -78,11 +78,11 @@ type MethodSummary struct {
 
 // optimisticSummary is the least element of the summary lattice: nothing
 // compromised, every reference field pre-null, the return fresh.
-func optimisticSummary(fields *fieldTable, m *bytecode.Method) *MethodSummary {
+func optimisticSummary(syms *bytecode.Symbols, m *bytecode.Method) *MethodSummary {
 	s := blankSummary(m)
 	for i := 0; i < m.NumArgs(); i++ {
 		// A copy: worsen filters it in place.
-		s.ArgPreNullFields[i] = slices.Clone(fields.refFieldsOf(m.ArgType(i)))
+		s.ArgPreNullFields[i] = slices.Clone(syms.RefFieldsOf(m.ArgType(i)))
 	}
 	return s
 }
@@ -107,8 +107,8 @@ func worstSummary(m *bytecode.Method) *MethodSummary {
 
 // degradeToWorst moves the summary to the top of the lattice in place —
 // in place so that concurrently scheduled components never observe a
-// replaced map entry, only monotonically worsened fields of the same
-// struct (the Summaries map itself stays read-only during the fan-out).
+// replaced entry, only monotonically worsened fields of the same struct
+// (the Summaries slice itself stays read-only during the fan-out).
 func (s *MethodSummary) degradeToWorst() {
 	for i := range s.ArgCompromised {
 		s.ArgCompromised[i] = true
@@ -152,8 +152,18 @@ func (s *MethodSummary) preNull(i int, f fieldID) bool {
 	return i < len(s.ArgPreNullFields) && slices.Contains(s.ArgPreNullFields[i], f)
 }
 
-// Summaries maps methods to their interprocedural facts.
-type Summaries map[bytecode.MethodRef]*MethodSummary
+// Summaries holds each method's interprocedural facts, indexed by method
+// number; nil for a method without a summary.
+type Summaries []*MethodSummary
+
+// of returns the summary of method i, or nil: a set shorter than the
+// program (the empty one above all) has no entry for the rest.
+func (s Summaries) of(i int) *MethodSummary {
+	if i < len(s) {
+		return s[i]
+	}
+	return nil
+}
 
 // maxSummaryRounds is the default per-SCC fixed-point round budget
 // (Options.MaxSummaryRoundsPerSCC overrides it). Summary facts move
@@ -188,18 +198,17 @@ func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
 	// closed under Deps and the schedule below runs over a sub-DAG.
 	needed := make([]bool, len(cond.SCCs))
 	remaining := 0
-	sums := Summaries{}
+	sums := make(Summaries, len(cond.Graph.Methods))
 	for _, callees := range cond.Graph.Callees {
 		for _, j := range callees {
 			if ci := cond.CompOf[j]; !needed[ci] {
 				needed[ci] = true
 				remaining++
 				// The optimistic start exists before any component runs: the
-				// map is read-only during the fan-out, and summaries only
+				// slice is read-only during the fan-out, and summaries only
 				// worsen in place.
 				for _, v := range cond.SCCs[ci].Members {
-					m := cond.Graph.Methods[v]
-					sums[m.Ref()] = optimisticSummary(px.fields, m)
+					sums[v] = optimisticSummary(px.syms, cond.Graph.Methods[v])
 				}
 			}
 		}
@@ -275,8 +284,7 @@ func processSCC(px *programIndex, opts Options, cond *Condensation, ci int, sums
 	scc := &cond.SCCs[ci]
 	if !scc.Cyclic {
 		v := scc.Members[0]
-		m := cond.Graph.Methods[v]
-		sums[m.Ref()].worsen(summarizeMethod(px, m, v, opts, sums))
+		sums[v].worsen(summarizeMethod(px, cond.Graph.Methods[v], v, opts, sums))
 		return
 	}
 	rounds := opts.MaxSummaryRoundsPerSCC
@@ -286,8 +294,7 @@ func processSCC(px *programIndex, opts Options, cond *Condensation, ci int, sums
 	for round := 0; round < rounds; round++ {
 		changed := false
 		for _, v := range scc.Members {
-			m := cond.Graph.Methods[v]
-			if sums[m.Ref()].worsen(summarizeMethod(px, m, v, opts, sums)) {
+			if sums[v].worsen(summarizeMethod(px, cond.Graph.Methods[v], v, opts, sums)) {
 				changed = true
 			}
 		}
@@ -301,7 +308,7 @@ func processSCC(px *programIndex, opts Options, cond *Condensation, ci int, sums
 	// Round budget exceeded: degrade this component — and only this
 	// component — to the sound worst case.
 	for _, v := range scc.Members {
-		sums[cond.Graph.Methods[v].Ref()].degradeToWorst()
+		sums[v].degradeToWorst()
 	}
 }
 
@@ -340,7 +347,7 @@ func summarizeMethod(px *programIndex, m *bytecode.Method, node int, opts Option
 		}
 		out.ArgCompromised[i] = comp
 		out.ArgIntMutated[i] = rec.intMutatedArgs.Has(r)
-		for _, f := range px.fields.refFieldsOf(m.ArgType(i)) {
+		for _, f := range px.syms.RefFieldsOf(m.ArgType(i)) {
 			if !slices.Contains(rec.dirtyArgFields[r], f) {
 				out.ArgPreNullFields[i] = append(out.ArgPreNullFields[i], f)
 			}

@@ -249,7 +249,7 @@ class M {
 	}
 	check := func(name string, want bool) {
 		t.Helper()
-		s := sums[bytecode.MethodRef{Class: "M", Name: name}]
+		s := sums.Of(p, bytecode.MethodRef{Class: "M", Name: name})
 		if s == nil || len(s.ArgCompromised) != 1 {
 			t.Fatalf("%s summary = %+v", name, s)
 		}
@@ -262,11 +262,11 @@ class M {
 	// written field leaves the pre-null set.
 	check("mut", false)
 	check("pub", true)
-	mut := sums[bytecode.MethodRef{Class: "M", Name: "mut"}]
+	mut := sums.Of(p, bytecode.MethodRef{Class: "M", Name: "mut"})
 	if mut.PreNullNamed(p, 0, "T.f") {
 		t.Error("written field T.f must leave the pre-null set")
 	}
-	ro := sums[bytecode.MethodRef{Class: "M", Name: "ro"}]
+	ro := sums.Of(p, bytecode.MethodRef{Class: "M", Name: "ro"})
 	if !ro.PreNullNamed(p, 0, "T.f") {
 		t.Error("untouched field T.f must stay pre-null for the read-only callee")
 	}

@@ -16,19 +16,18 @@ import (
 // transform: the method and its indexes, the options that change a
 // transfer function, and the callee summaries.
 type transfer struct {
-	prog  *bytecode.Program
 	m     *bytecode.Method
-	g     *cfg.Graph
 	opts  Options
 	refs  *refTable
 	namer intval.Namer
 
-	// fields numbers the program's fields and fieldAt holds the id of each
-	// field instruction's operand (both shared with every other analysis of
-	// the build); slots is the index space of this analysis's states.
-	fields  *fieldTable
-	fieldAt []fieldID
-	slots   *slotTable
+	// syms numbers the program's fields and methods and methodIndex holds
+	// the method's graph and the number of each instruction's operand (both
+	// shared with every other analysis of the build); slots is the index
+	// space of this analysis's states.
+	syms *bytecode.Symbols
+	methodIndex
+	slots *slotTable
 
 	// targets and args are simulate's successor list and invoke-argument
 	// buffers, reused across blocks.
@@ -307,8 +306,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			t.targets = append(t.targets, t.g.BlockOf(int(in.A)))
 
 		case bytecode.OpGetStatic:
-			ft := t.prog.FieldType(in.Field)
-			if ft.IsRef() {
+			if t.syms.Fields[t.fieldAt[pc]].IsRef {
 				v := RefValue(SingletonRef(GlobalRefID))
 				if t.rt != nil {
 					v.vn = t.rt.loadStaticRef(t.fieldAt[pc])
@@ -330,9 +328,8 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 
 		case bytecode.OpGetField:
 			obj := s.pop()
-			ft := t.prog.FieldType(in.Field)
 			field := t.fieldAt[pc]
-			wantInt := !ft.IsRef()
+			wantInt := !t.syms.Fields[field].IsRef
 			out := t.readField(s, obj.Refs(), field, wantInt)
 			// Null-or-same provenance: a value loaded from (r, f) is
 			// trivially "null or the current content of (r, f)".
@@ -346,13 +343,13 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 		case bytecode.OpPutField:
 			val := s.pop()
 			obj := s.pop()
-			ft := t.prog.FieldType(in.Field)
 			field := t.fieldAt[pc]
-			if j != nil && ft.IsRef() {
+			isRef := t.syms.Fields[field].IsRef
+			if j != nil && isRef {
 				t.judgeFieldStore(s, pc, obj.Refs(), field, val, j)
 			}
 			if t.rec != nil {
-				if ft.IsRef() {
+				if isRef {
 					t.rec.markDirtyField(obj.Refs(), field)
 				} else {
 					t.rec.markIntMutated(obj.Refs())
@@ -364,7 +361,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 				s.sigmaSet(r, field, val)
 			} else {
 				obj.Refs().ForEach(func(r RefID) {
-					t.weakStore(s, r, field, val, !ft.IsRef())
+					t.weakStore(s, r, field, val, !isRef)
 				})
 			}
 			if t.opts.NullOrSame {
@@ -468,7 +465,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			}
 
 		case bytecode.OpInvoke:
-			callee := t.prog.Method(in.Method)
+			callee := t.syms.Methods[t.calleeAt[pc]]
 			n := len(s.stack) - callee.NumArgs()
 			t.args = append(t.args[:0], s.stack[n:]...)
 			s.stack = s.stack[:n]
@@ -476,10 +473,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			// Passed references escape: nAllNonTL (§2.4) — unless an
 			// interprocedural summary proves the callee neither
 			// publishes nor mutates the argument.
-			var sum *MethodSummary
-			if t.summaries != nil {
-				sum = t.summaries[in.Method]
-			}
+			sum := t.summaries.of(int(t.calleeAt[pc]))
 			if j != nil && sum != nil {
 				j.summaryCalls++
 			}
@@ -499,7 +493,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 								t.rec.markIntMutated(v.Refs())
 							}
 						}
-						for _, f := range t.fields.refFieldsOf(callee.ArgType(i)) {
+						for _, f := range t.syms.RefFieldsOf(callee.ArgType(i)) {
 							if sum.preNull(i, f) {
 								continue
 							}

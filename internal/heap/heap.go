@@ -63,55 +63,43 @@ const (
 // IsArray reports whether the object is an array.
 func (o *Object) IsArray() bool { return o.array }
 
-// Layout resolves field names to slot indices per class.
-type Layout struct {
-	fieldIndex map[string]map[string]int // class -> field -> index
-	numFields  map[string]int
-	statics    []bytecode.FieldRef // declared static fields in order
-}
+// Layout is the program's storage layout: each class's instance fields and
+// the program's statics by slot, as its symbol table numbers them.
+type Layout struct{ syms *bytecode.Symbols }
 
-// NewLayout computes field layouts for a program.
-func NewLayout(p *bytecode.Program) *Layout {
-	l := &Layout{fieldIndex: map[string]map[string]int{}, numFields: map[string]int{}}
-	for _, c := range p.SortedClasses() {
-		idx := map[string]int{}
-		n := 0
-		for _, f := range c.Fields {
-			if f.Static {
-				l.statics = append(l.statics, bytecode.FieldRef{Class: c.Name, Name: f.Name})
-				continue
-			}
-			idx[f.Name] = n
-			n++
-		}
-		l.fieldIndex[c.Name] = idx
-		l.numFields[c.Name] = n
-	}
-	return l
-}
+// NewLayout returns the program's layout.
+func NewLayout(p *bytecode.Program) *Layout { return &Layout{p.Symbols()} }
 
 // FieldIndex returns the slot of an instance field.
 func (l *Layout) FieldIndex(ref bytecode.FieldRef) (int, error) {
-	idx, ok := l.fieldIndex[ref.Class]
-	if !ok {
+	if f := l.syms.Field(ref); f != nil && !f.Static {
+		return f.Slot, nil
+	}
+	if l.syms.Class(ref.Class) == nil {
 		return 0, fmt.Errorf("heap: unknown class %s", ref.Class)
 	}
-	i, ok := idx[ref.Name]
-	if !ok {
-		return 0, fmt.Errorf("heap: unknown field %s", ref)
-	}
-	return i, nil
+	return 0, fmt.Errorf("heap: unknown field %s", ref)
 }
 
-// Statics lists the declared static reference roots.
-func (l *Layout) Statics() []bytecode.FieldRef { return l.statics }
+// Statics lists the declared static fields by slot.
+func (l *Layout) Statics() []bytecode.FieldRef { return l.syms.Statics }
+
+// staticIndex returns the slot of a declared static field.
+func (l *Layout) staticIndex(ref bytecode.FieldRef) (int, bool) {
+	if f := l.syms.Field(ref); f != nil && f.Static {
+		return f.Slot, true
+	}
+	return 0, false
+}
 
 // NumFields returns the instance-field count of a class, reporting whether
 // the class is known. The pre-decoded VM engine resolves it once per
 // allocation site instead of per allocation.
 func (l *Layout) NumFields(class string) (int, bool) {
-	n, ok := l.numFields[class]
-	return n, ok
+	if c := l.syms.Class(class); c != nil {
+		return c.NumFields, true
+	}
+	return 0, false
 }
 
 // Heap is the object store.
@@ -143,7 +131,6 @@ type Heap struct {
 	block       []Value // rest of the block carve hands storage out of
 	stamp       uint32  // current epoch, shifted: the all-clear state word
 	staticSlots []Value
-	staticIdx   map[bytecode.FieldRef]int
 	staticExtra map[bytecode.FieldRef]Value
 
 	// Allocated counts allocations over the heap's lifetime. Refs are not
@@ -200,15 +187,10 @@ var deadChunk = newChunk()
 
 // New creates an empty heap over the program's layout.
 func New(layout *Layout) *Heap {
-	idx := make(map[bytecode.FieldRef]int, len(layout.statics))
-	for i, ref := range layout.statics {
-		idx[ref] = i
-	}
 	return &Heap{
 		layout:      layout,
 		stamp:       epochUnit,
-		staticSlots: make([]Value, len(layout.statics)),
-		staticIdx:   idx,
+		staticSlots: make([]Value, len(layout.Statics())),
 	}
 }
 
@@ -353,7 +335,7 @@ func (h *Heap) add(o Object) Ref {
 
 // AllocObject allocates a class instance with null/zero fields.
 func (h *Heap) AllocObject(class string) (Ref, error) {
-	n, ok := h.layout.numFields[class]
+	n, ok := h.layout.NumFields(class)
 	if !ok {
 		return Null, fmt.Errorf("heap: unknown class %s", class)
 	}
@@ -454,7 +436,7 @@ func (h *Heap) ArrayLen(r Ref) (int64, error) {
 
 // GetStatic reads a static field (zero value when never written).
 func (h *Heap) GetStatic(ref bytecode.FieldRef) Value {
-	if i, ok := h.staticIdx[ref]; ok {
+	if i, ok := h.layout.staticIndex(ref); ok {
 		return h.staticSlots[i]
 	}
 	return h.staticExtra[ref]
@@ -462,7 +444,7 @@ func (h *Heap) GetStatic(ref bytecode.FieldRef) Value {
 
 // SetStatic writes a static field, returning the pre-value.
 func (h *Heap) SetStatic(ref bytecode.FieldRef, v Value) Value {
-	if i, ok := h.staticIdx[ref]; ok {
+	if i, ok := h.layout.staticIndex(ref); ok {
 		old := h.staticSlots[i]
 		h.staticSlots[i] = v
 		return old
@@ -480,7 +462,7 @@ func (h *Heap) SetStatic(ref bytecode.FieldRef, v Value) Value {
 // statics to slots once at method translation; reads and writes through
 // the pointer are equivalent to GetStatic/SetStatic.
 func (h *Heap) StaticSlot(ref bytecode.FieldRef) *Value {
-	if i, ok := h.staticIdx[ref]; ok {
+	if i, ok := h.layout.staticIndex(ref); ok {
 		return &h.staticSlots[i]
 	}
 	return nil

@@ -15,7 +15,6 @@ package inline
 
 import (
 	"slices"
-	"sort"
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/obs"
@@ -56,15 +55,17 @@ func Apply(p *bytecode.Program, opts Options) *Result {
 		if callerCap <= 0 {
 			callerCap = DefaultCallerCap
 		}
-		methods := out.Methods()
-		index := map[bytecode.MethodRef]int{}
-		for i, m := range methods {
-			index[m.Ref()] = i
-		}
-		order := processingOrder(methods, index)
-		inl := &inliner{prog: out, limit: opts.Limit, callerCap: callerCap, res: res}
-		for _, mi := range order {
-			inl.inlineInto(methods[mi])
+		// The graph of the code before any expansion decides both the order
+		// and, once and for all, who may be expanded: expansion only ever
+		// adds edges that shortcut existing paths and never removes an edge
+		// inside a cycle (a cycle's members are not expanded), so a callee is
+		// on a cycle afterwards exactly when it is now.
+		ix := &inliner{syms: out.Symbols(), cond: bytecode.Condense(bytecode.BuildCallGraph(out)),
+			limit: opts.Limit, callerCap: callerCap}
+		for _, scc := range ix.cond.SCCs {
+			for _, mi := range scc.Members {
+				res.Expanded += ix.inlineInto(ix.syms.Methods[mi])
+			}
 		}
 	}
 	for _, m := range out.Methods() {
@@ -79,191 +80,49 @@ func Apply(p *bytecode.Program, opts Options) *Result {
 	return res
 }
 
-// processingOrder returns method indices in bottom-up call-graph order
-// (callees before callers), using Tarjan's SCC algorithm. Members of the
-// same SCC keep index order; inlineInto itself refuses same-SCC targets via
-// the recursion check below (a callee inside a cycle keeps growing only if
-// we allowed it — we re-check sizes at expansion time, and a method never
-// inlines itself, so cycles are handled by the SCC condensation order plus
-// the direct-recursion guard).
-func processingOrder(methods []*bytecode.Method, index map[bytecode.MethodRef]int) []int {
-	n := len(methods)
-	adj := make([][]int, n)
-	for i, m := range methods {
-		seen := map[int]bool{}
-		for pc := range m.Code {
-			in := &m.Code[pc]
-			if in.Op != bytecode.OpInvoke {
-				continue
-			}
-			if j, ok := index[in.Method]; ok && !seen[j] {
-				seen[j] = true
-				adj[i] = append(adj[i], j)
-			}
-		}
-		sort.Ints(adj[i])
-	}
-
-	// Tarjan's algorithm, iterative state kept in slices.
-	const unvisited = -1
-	indexNum := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range indexNum {
-		indexNum[i] = unvisited
-		comp[i] = unvisited
-	}
-	var stack []int
-	counter := 0
-	ncomp := 0
-	var order []int // methods appended as their SCC completes = bottom-up
-
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		indexNum[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if indexNum[w] == unvisited {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && indexNum[w] < low[v] {
-				low[v] = indexNum[w]
-			}
-		}
-		if low[v] == indexNum[v] {
-			var members []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = ncomp
-				members = append(members, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Ints(members)
-			order = append(order, members...)
-			ncomp++
-		}
-	}
-	for v := 0; v < n; v++ {
-		if indexNum[v] == unvisited {
-			strongconnect(v)
-		}
-	}
-	return order
-}
-
 type inliner struct {
-	prog      *bytecode.Program
+	syms *bytecode.Symbols
+	// cond is the condensation of the call graph before any expansion:
+	// its order is the processing order, and a callee whose component is
+	// Cyclic — it can reach itself, alone or through others — is never
+	// expanded anywhere, which would not terminate.
+	cond      *bytecode.Condensation
 	limit     int
 	callerCap int
-	res       *Result
-	recursive map[bytecode.MethodRef]bool
 	// splice is expand's buffer for the sequence replacing one invoke,
 	// reused across sites.
 	splice []bytecode.Instr
 }
 
-// inlineInto expands eligible call sites within m, in place. The scan
-// resumes at each splice instead of restarting: a site rejected once stays
-// rejected, because every check either ignores the caller's code or
-// compares its size — which only grows — against a bound, and callee
-// bodies are final by the bottom-up order.
-func (ix *inliner) inlineInto(m *bytecode.Method) {
-	for site := ix.findSite(m, 0); site >= 0; site = ix.findSite(m, site) {
-		ix.expand(m, site)
-		ix.res.Expanded++
-	}
-}
-
-// findSite returns the pc of the first expandable call site at or after
-// from, or -1.
-func (ix *inliner) findSite(m *bytecode.Method, from int) int {
-	for pc := from; pc < len(m.Code); pc++ {
+// inlineInto expands eligible call sites within m, in place, and returns
+// how many. The scan resumes at each splice instead of restarting: a site
+// rejected once stays rejected, because every check either ignores the
+// caller's code or compares its size — which only grows — against a bound,
+// and callee bodies are final by the bottom-up order.
+func (ix *inliner) inlineInto(m *bytecode.Method) (expanded int) {
+	for pc := 0; pc < len(m.Code); pc++ {
 		in := &m.Code[pc]
 		if in.Op != bytecode.OpInvoke {
 			continue
 		}
-		callee := ix.prog.Method(in.Method)
-		if callee == nil {
+		ci := ix.syms.MethodNum(in.Method)
+		if ci < 0 || ix.cond.SCCs[ix.cond.CompOf[ci]].Cyclic {
 			continue
 		}
-		if callee.Ref() == m.Ref() {
-			continue // direct recursion
-		}
-		if callee.Size() > ix.limit {
+		callee := ix.syms.Methods[ci]
+		if size := callee.Size(); size > ix.limit || m.Size()+size > ix.callerCap {
 			continue
 		}
-		if m.Size()+callee.Size() > ix.callerCap {
-			continue
-		}
-		if ix.isRecursive(callee) {
-			// A (self-)recursive callee would splice fresh call sites
-			// to itself at every expansion round; leave it out-of-line.
-			continue
-		}
-		if ix.callsBackInto(callee, m) {
-			continue // same-SCC cycle
-		}
-		return pc
+		ix.expand(m, pc, callee)
+		expanded++
+		pc-- // the splice starts here: rescan it
 	}
-	return -1
+	return expanded
 }
 
-// isRecursive reports (with memoization) whether m can transitively
-// invoke itself.
-func (ix *inliner) isRecursive(m *bytecode.Method) bool {
-	if ix.recursive == nil {
-		ix.recursive = map[bytecode.MethodRef]bool{}
-	}
-	if r, ok := ix.recursive[m.Ref()]; ok {
-		return r
-	}
-	r := ix.callsBackInto(m, m)
-	ix.recursive[m.Ref()] = r
-	return r
-}
-
-// callsBackInto reports whether callee (transitively) invokes target,
-// which would make inlining it into target non-terminating. Bottom-up SCC
-// order makes this rare; the check makes it impossible.
-func (ix *inliner) callsBackInto(callee, target *bytecode.Method) bool {
-	seen := map[bytecode.MethodRef]bool{}
-	var walk func(m *bytecode.Method) bool
-	walk = func(m *bytecode.Method) bool {
-		for pc := range m.Code {
-			in := &m.Code[pc]
-			if in.Op != bytecode.OpInvoke {
-				continue
-			}
-			if in.Method == target.Ref() {
-				return true
-			}
-			if seen[in.Method] {
-				continue
-			}
-			seen[in.Method] = true
-			if next := ix.prog.Method(in.Method); next != nil && walk(next) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(callee)
-}
-
-// expand splices the callee's body in place of the invoke at site, within
-// m's own code slice.
-func (ix *inliner) expand(m *bytecode.Method, site int) {
-	callee := ix.prog.Method(m.Code[site].Method)
+// expand splices callee's body in place of the invoke at site, within m's
+// own code slice.
+func (ix *inliner) expand(m *bytecode.Method, site int, callee *bytecode.Method) {
 	line := m.Code[site].Line
 
 	// Allocate caller slots for every callee slot.

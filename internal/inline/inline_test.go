@@ -1,11 +1,14 @@
 package inline
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/codegen"
 	"satbelim/internal/minijava"
+	"satbelim/internal/progen"
 	"satbelim/internal/verifier"
 )
 
@@ -285,19 +288,164 @@ class T { static void main() { print(C.top()); } }
 `
 	p := compileSrc(t, src)
 	methods := p.Methods()
-	index := map[bytecode.MethodRef]int{}
-	for i, m := range methods {
-		index[m.Ref()] = i
-	}
-	order := processingOrder(methods, index)
+	cond := bytecode.Condense(bytecode.BuildCallGraph(p))
 	pos := map[string]int{}
-	for i, mi := range order {
-		pos[methods[mi].QualifiedName()] = i
+	n := 0
+	for _, scc := range cond.SCCs {
+		for _, mi := range scc.Members {
+			pos[methods[mi].QualifiedName()] = n
+			n++
+		}
 	}
 	if !(pos["C.leaf"] < pos["C.mid"] && pos["C.mid"] < pos["C.top"] && pos["C.top"] < pos["T.main"]) {
 		t.Errorf("order not bottom-up: %v", pos)
 	}
-	if len(order) != len(methods) {
-		t.Errorf("order misses methods: %d vs %d", len(order), len(methods))
+	if n != len(methods) {
+		t.Errorf("order misses methods: %d vs %d", n, len(methods))
+	}
+}
+
+// onCycle computes, without the condensation the inliner uses, which
+// methods can reach themselves through invokes: the transitive closure of
+// the call graph read off the code by name.
+func onCycle(p *bytecode.Program) map[bytecode.MethodRef]bool {
+	methods := p.Methods()
+	num := map[bytecode.MethodRef]int{}
+	for i, m := range methods {
+		num[m.Ref()] = i
+	}
+	reach := make([][]bool, len(methods))
+	for i, m := range methods {
+		reach[i] = make([]bool, len(methods))
+		for pc := range m.Code {
+			if in := &m.Code[pc]; in.Op == bytecode.OpInvoke {
+				reach[i][num[in.Method]] = true
+			}
+		}
+	}
+	for k := range methods {
+		for i := range methods {
+			for j := range methods {
+				reach[i][j] = reach[i][j] || reach[i][k] && reach[k][j]
+			}
+		}
+	}
+	out := map[bytecode.MethodRef]bool{}
+	for i, m := range methods {
+		out[m.Ref()] = reach[i][i]
+	}
+	return out
+}
+
+// checkExpansion holds the inliner's result for p against the rule it
+// implements: a call site is expanded exactly when its callee is on no
+// cycle of the original call graph and its final body fits the limit (the
+// caller cap must not bind in these programs). Expanding a site replaces
+// it by the callee's own remaining sites and gives the caller the callee's
+// slots, so each method's invoke sequence and slot count say which sites
+// were expanded — a self-recursive callee expanded once leaves the same
+// sequence but not the same slot count.
+func checkExpansion(t *testing.T, name string, p *bytecode.Program, limit int) {
+	t.Helper()
+	res := Apply(p, Options{Limit: limit})
+	out := res.Program
+	if err := verifier.VerifyProgram(out); err != nil {
+		t.Errorf("%s limit %d: %v", name, limit, err)
+		return
+	}
+	cyclic := onCycle(p)
+	type shape struct {
+		seq   []bytecode.MethodRef
+		slots int
+	}
+	memo := map[bytecode.MethodRef]*shape{}
+	expanded := 0
+	var want func(m *bytecode.Method) *shape
+	want = func(m *bytecode.Method) *shape {
+		if sh := memo[m.Ref()]; sh != nil {
+			return sh
+		}
+		sh := &shape{slots: m.NumSlots}
+		memo[m.Ref()] = sh
+		for pc := range m.Code {
+			in := &m.Code[pc]
+			if in.Op != bytecode.OpInvoke {
+				continue
+			}
+			if cyclic[in.Method] || out.Method(in.Method).Size() > limit {
+				sh.seq = append(sh.seq, in.Method)
+				continue
+			}
+			expanded++
+			callee := want(p.Method(in.Method))
+			sh.seq = append(sh.seq, callee.seq...)
+			sh.slots += callee.slots
+		}
+		return sh
+	}
+	remaining := 0
+	for _, m := range p.Methods() {
+		got := out.Method(m.Ref())
+		var seq []bytecode.MethodRef
+		for pc := range got.Code {
+			if in := &got.Code[pc]; in.Op == bytecode.OpInvoke {
+				seq = append(seq, in.Method)
+				if got.Size()+out.Method(in.Method).Size() > DefaultCallerCap {
+					t.Fatalf("%s limit %d: the caller cap binds in %s; the model ignores it", name, limit, m.QualifiedName())
+				}
+			}
+		}
+		sh := want(m)
+		if !slices.Equal(seq, sh.seq) || got.NumSlots != sh.slots {
+			t.Errorf("%s limit %d: %s has %d slots and calls %v; expanding exactly the acyclic callees within the limit gives %d slots and %v",
+				name, limit, m.QualifiedName(), got.NumSlots, seq, sh.slots, sh.seq)
+		}
+		remaining += len(seq)
+	}
+	if res.Expanded != expanded || res.Remaining != remaining {
+		t.Errorf("%s limit %d: Expanded = %d and Remaining = %d; the rule expands %d sites and the program has %d invokes",
+			name, limit, res.Expanded, res.Remaining, expanded, remaining)
+	}
+}
+
+// TestExpansionRuleHandWritten: self recursion, mutual recursion entered
+// from outside and from a helper both arms call, and a diamond.
+func TestExpansionRuleHandWritten(t *testing.T) {
+	for name, src := range map[string]string{
+		"self": `
+class C { static int fact(int n) { if (n <= 1) return 1; return n * C.fact(n - 1); } }
+class T { static void main() { print(C.fact(5)); } }`,
+		"mutual": `
+class C {
+    static int one() { return 1; }
+    static int even(int n) { if (n == 0) return C.one(); return C.odd(n - 1); }
+    static int odd(int n) { if (n == 0) return 0; return C.even(n - C.one()); }
+    static int both(int n) { return C.even(n) + C.odd(n); }
+}
+class T { static void main() { print(C.both(10)); print(C.even(3)); } }`,
+		"diamond": `
+class C {
+    static int leaf(int n) { return n + 1; }
+    static int left(int n) { return C.leaf(n) * 2; }
+    static int right(int n) { return C.leaf(n) * 3; }
+    static int top(int n) { return C.left(n) + C.right(n); }
+}
+class T { static void main() { print(C.top(1)); } }`,
+	} {
+		p := compileSrc(t, src)
+		for _, limit := range []int{8, 25, 1000} {
+			checkExpansion(t, name, p, limit)
+		}
+	}
+}
+
+// TestExpansionRuleGenerated: the same rule over generated programs with
+// mutual recursion and deep call chains.
+func TestExpansionRuleGenerated(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		p := compileSrc(t, progen.Generate(seed, progen.CampaignConfig()))
+		for _, limit := range []int{10, 25, 100, 1000} {
+			checkExpansion(t, fmt.Sprintf("seed %d", seed), p, limit)
+		}
 	}
 }

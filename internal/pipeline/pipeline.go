@@ -103,15 +103,16 @@ func (b *Build) CompileTime() time.Duration {
 // (Figure 3's metric — elision shrinks code by 2–6% in the paper).
 func (b *Build) CompiledCodeSize() int {
 	size := 0
-	for _, m := range b.Program.Methods() {
+	syms := b.Program.Symbols()
+	for _, m := range syms.Methods {
 		size += m.Size() * CodeExpansionFactor
 		for pc := range m.Code {
 			in := &m.Code[pc]
 			// A rearranged store trades the logging sequence for the
 			// trace-state check, so only the stronger verdicts save bytes.
-			_, site := satb.SiteOf(b.Program, in)
+			_, site := satb.SiteOf(syms, in)
 			if site && in.Verdict < bytecode.VerdictNullOrSame ||
-				in.Op == bytecode.OpPutStatic && b.Program.FieldType(in.Field).IsRef() {
+				in.Op == bytecode.OpPutStatic && syms.Field(in.Field).IsRef {
 				size += BarrierInlineBytes
 			}
 		}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"satbelim/internal/core"
@@ -219,4 +220,33 @@ func TestDegradationDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentRunsShareOneBuild: a cached Build is run by many requests
+// at once, and everything a VM reads off the program — the symbol table,
+// the layout, the code — is shared between them. Run under -race.
+func TestConcurrentRunsShareOneBuild(t *testing.T) {
+	b, err := Compile("shared", workloads.JBB().Source, Options{InlineLimit: 25, NoCache: true,
+		Analysis: core.Options{Mode: core.ModeFieldArray, Interprocedural: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := b.Run(vm.Config{Engine: vm.EngineSwitch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(engine vm.Engine) {
+			defer wg.Done()
+			got, err := b.Run(vm.Config{Engine: engine, GC: vm.GCSATB})
+			if err != nil {
+				t.Errorf("engine %v: %v", engine, err)
+			} else if !reflect.DeepEqual(got.Output, want.Output) || b.CompiledCodeSize() <= 0 {
+				t.Errorf("engine %v: output %v, want %v", engine, got.Output, want.Output)
+			}
+		}([]vm.Engine{vm.EngineFused, vm.EngineSwitch, vm.EngineCompiled}[g%3])
+	}
+	wg.Wait()
 }

@@ -115,3 +115,37 @@ func TestVerifyErrorsNameTheMethod(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyRejectsStaticInstanceMismatch: a static field is reached by the
+// static opcodes and an instance field by the others. The first program is
+// the one that used to verify, have its store annotated "; no-barrier" and
+// then die in every engine with "heap: unknown field C.s"; the putstatic of
+// an instance field silently lived outside the heap's layout.
+func TestVerifyRejectsStaticInstanceMismatch(t *testing.T) {
+	s := bytecode.FieldRef{Class: "C", Name: "s"}
+	f := bytecode.FieldRef{Class: "C", Name: "f"}
+	for _, tc := range []struct {
+		want  string
+		build func(b *bytecode.Builder)
+	}{
+		{"putfield of static field C.s", func(b *bytecode.Builder) { b.New("C"); b.New("C"); b.PutField(s) }},
+		{"putstatic of instance field C.f", func(b *bytecode.Builder) { b.New("C"); b.PutStatic(f) }},
+		{"getfield of static field C.s", func(b *bytecode.Builder) { b.New("C"); b.GetField(s); b.Op(bytecode.OpPop) }},
+		{"getstatic of instance field C.f", func(b *bytecode.Builder) { b.GetStatic(f); b.Op(bytecode.OpPop) }},
+	} {
+		p := bytecode.NewProgram()
+		c := bytecode.ClassType("C")
+		b := bytecode.NewBuilder("C", "main", true)
+		tc.build(b)
+		b.Return()
+		m := b.Build()
+		p.AddClass(&bytecode.Class{Name: "C", Methods: []*bytecode.Method{m},
+			Fields: []*bytecode.Field{{Name: "s", Type: c, Static: true}, {Name: "f", Type: c}}})
+		p.Main = m.Ref()
+		for what, err := range map[string]error{"Verify": Verify(p, m), "VerifyProgram": VerifyProgram(p), "Validate": p.Validate()} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s = %v, want a rejection containing %q", what, err, tc.want)
+			}
+		}
+	}
+}

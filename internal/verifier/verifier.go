@@ -123,6 +123,20 @@ func (v *verifier) errf(pc int, format string, args ...any) error {
 	return &Error{Method: v.m.QualifiedName(), PC: pc, Msg: fmt.Sprintf(format, args...)}
 }
 
+// fieldType resolves a field instruction's operand to its declared type. A
+// static field takes the static opcodes and an instance field the others:
+// the two are laid out apart, so a mismatched access names no storage.
+func (v *verifier) fieldType(pc int, in *bytecode.Instr) (*bytecode.Type, error) {
+	f := v.p.Symbols().Field(in.Field)
+	if f == nil {
+		return nil, v.errf(pc, "unresolved field %s", in.Field)
+	}
+	if static := in.Op == bytecode.OpGetStatic || in.Op == bytecode.OpPutStatic; static != f.Static {
+		return nil, v.errf(pc, "%s of %s", in.Op, f)
+	}
+	return f.Type, nil
+}
+
 // Verify checks one method and fills in its MaxStack. Malformed bytecode
 // always surfaces as an *Error naming the method — never a panic: a
 // recover guard turns internal faults on adversarial input (e.g. from
@@ -345,9 +359,9 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 			}
 			targets = append(targets, v.g.BlockOf(int(in.A)))
 		case bytecode.OpGetField:
-			ft := v.p.FieldType(in.Field)
-			if ft == nil {
-				return nil, nil, v.errf(pc, "unresolved field %s", in.Field)
+			ft, err := v.fieldType(pc, in)
+			if err != nil {
+				return nil, nil, err
 			}
 			obj, err := popKind(pc, vRef, "getfield")
 			if err != nil {
@@ -358,9 +372,9 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 			}
 			push(typeToV(ft))
 		case bytecode.OpPutField:
-			ft := v.p.FieldType(in.Field)
-			if ft == nil {
-				return nil, nil, v.errf(pc, "unresolved field %s", in.Field)
+			ft, err := v.fieldType(pc, in)
+			if err != nil {
+				return nil, nil, err
 			}
 			val, err := pop(pc)
 			if err != nil {
@@ -377,15 +391,15 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 				return nil, nil, v.errf(pc, "putfield %s on %s", in.Field, obj)
 			}
 		case bytecode.OpGetStatic:
-			ft := v.p.FieldType(in.Field)
-			if ft == nil {
-				return nil, nil, v.errf(pc, "unresolved field %s", in.Field)
+			ft, err := v.fieldType(pc, in)
+			if err != nil {
+				return nil, nil, err
 			}
 			push(typeToV(ft))
 		case bytecode.OpPutStatic:
-			ft := v.p.FieldType(in.Field)
-			if ft == nil {
-				return nil, nil, v.errf(pc, "unresolved field %s", in.Field)
+			ft, err := v.fieldType(pc, in)
+			if err != nil {
+				return nil, nil, err
 			}
 			val, err := pop(pc)
 			if err != nil {

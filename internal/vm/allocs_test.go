@@ -19,14 +19,18 @@ import (
 // and the fused engine with a marking cycle always in progress (gc_mark).
 // Nothing is pooled or cached across runs, so the count is a function of
 // the program and the configuration alone: two measurements must agree
-// exactly. The ceilings sit about 15 % above the measured figures:
+// exactly. The ceilings sit about 15 % above the measured figures; the
+// log line also says how many of a run's allocations are vm.New's (the
+// heap, the layout and the decode of the whole program — what a build
+// could own instead of each VM):
 //
-//	                 slab heap   parent (an Object and a Fields slice per
-//	                             `new`, a root slice per cycle boundary)
-//	jess compiled        1 155   15 099
-//	jess fused+satb        573   22 089
-//	jbb  compiled        1 217    4 792
-//	jbb  fused+satb        332   42 575
+//	                 one symbol   slab heap   before it (an Object and a
+//	                 table                    Fields slice per `new`, a root
+//	                                          slice per cycle boundary)
+//	jess compiled        1 062       1 155   15 099
+//	jess fused+satb        540         573   22 089
+//	jbb  compiled        1 126       1 217    4 792
+//	jbb  fused+satb        287         332   42 575
 func TestRunAllocs(t *testing.T) {
 	runtime.GC() // the Go collector's first cycle allocates its workers
 	hot := vm.Config{Engine: vm.EngineCompiled, Barrier: satb.ModeConditional, GC: vm.GCNone}
@@ -37,10 +41,10 @@ func TestRunAllocs(t *testing.T) {
 		cfg      vm.Config
 		ceiling  float64
 	}{
-		{"jess", "compiled", hot, 1330},
-		{"jess", "fused+satb", marking, 660},
-		{"jbb", "compiled", hot, 1400},
-		{"jbb", "fused+satb", marking, 380},
+		{"jess", "compiled", hot, 1220},
+		{"jess", "fused+satb", marking, 620},
+		{"jbb", "compiled", hot, 1295},
+		{"jbb", "fused+satb", marking, 330},
 	} {
 		w, err := workloads.Get(tc.workload)
 		if err != nil {
@@ -59,7 +63,8 @@ func TestRunAllocs(t *testing.T) {
 			})
 		}
 		first, second := measure(), measure()
-		t.Logf("%s %s: %.0f allocs per run", tc.workload, tc.name, first)
+		inNew := testing.AllocsPerRun(3, func() { vm.New(b.Program, tc.cfg) })
+		t.Logf("%s %s: %.0f allocs per run, %.0f of them in vm.New", tc.workload, tc.name, first, inNew)
 		if first != second {
 			t.Errorf("%s %s: allocation count does not repeat: %.0f then %.0f", tc.workload, tc.name, first, second)
 		}

@@ -219,10 +219,10 @@ func (m *dmethod) release(f *fframe) {
 	}
 }
 
-// dprogram is a decoded program.
+// dprogram is a decoded program: methods is indexed by method number.
 type dprogram struct {
 	main    *dmethod
-	methods map[*bytecode.Method]*dmethod
+	methods []*dmethod
 }
 
 // decodeProgram translates a program into the dense executable form. Any
@@ -232,14 +232,14 @@ type dprogram struct {
 // verdict used at runtime (the barrier flavor's soundness projection) —
 // it runs once per site here, keeping flavor logic off the dispatch path.
 func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(satb.ElideKind) satb.ElideKind) (*dprogram, error) {
-	mm := p.Method(p.Main)
-	if mm == nil {
+	syms := p.Symbols()
+	main := syms.MethodNum(p.Main)
+	if main < 0 {
 		return nil, fmt.Errorf("vm: no main method %s", p.Main)
 	}
-	d := &dprogram{methods: make(map[*bytecode.Method]*dmethod)}
-	methods := p.Methods()
-	for _, m := range methods {
-		d.methods[m] = &dmethod{
+	d := &dprogram{methods: make([]*dmethod, len(syms.Methods))}
+	for i, m := range syms.Methods {
+		d.methods[i] = &dmethod{
 			src:      m,
 			name:     m.QualifiedName(),
 			static:   m.Static,
@@ -248,12 +248,12 @@ func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(satb.E
 			stackCap: m.MaxStack + 4,
 		}
 	}
-	for _, m := range methods {
-		if err := d.decodeMethod(p, layout, d.methods[m], project); err != nil {
+	for _, dm := range d.methods {
+		if err := d.decodeMethod(syms, layout, dm, project); err != nil {
 			return nil, err
 		}
 	}
-	d.main = d.methods[mm]
+	d.main = d.methods[main]
 	return d, nil
 }
 
@@ -266,7 +266,7 @@ func i32(v int64) (int32, error) {
 }
 
 // decodeMethod fills in dm.code and the operand tables.
-func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dmethod, project func(satb.ElideKind) satb.ElideKind) error {
+func (d *dprogram) decodeMethod(syms *bytecode.Symbols, layout *heap.Layout, dm *dmethod, project func(satb.ElideKind) satb.ElideKind) error {
 	m := dm.src
 	dm.code = make([]dinstr, len(m.Code))
 	for pc := range m.Code {
@@ -274,7 +274,7 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 		di := &dm.code[pc]
 		di.fuse = -1
 		di.line = int32(in.Line)
-		siteKind, isSite := satb.SiteOf(p, in)
+		siteKind, isSite := satb.SiteOf(syms, in)
 		switch in.Op {
 		case bytecode.OpNop:
 			di.op = dNop
@@ -354,11 +354,7 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 			if err != nil {
 				return fmt.Errorf("vm: decode %s pc %d: %v", dm.name, pc, err)
 			}
-			// A putfield stores a reference exactly when it is a site.
-			isRef := isSite
-			if in.Op == bytecode.OpGetField {
-				isRef = p.FieldType(in.Field).IsRef()
-			}
+			isRef := syms.Field(in.Field).IsRef
 			di.a = int32(len(dm.fields))
 			dm.fields = append(dm.fields, fieldRec{ref: in.Field, idx: int32(idx), isRef: isRef})
 			switch {
@@ -372,11 +368,11 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 				di.op = dPutFieldInt
 			}
 		case bytecode.OpGetStatic, bytecode.OpPutStatic:
-			ft := p.FieldType(in.Field)
-			if ft == nil {
+			f := syms.Field(in.Field)
+			if f == nil {
 				return fmt.Errorf("vm: decode %s pc %d: unresolved static %s", dm.name, pc, in.Field)
 			}
-			isRef := ft.IsRef()
+			isRef := f.IsRef
 			di.a = int32(len(dm.statics))
 			dm.statics = append(dm.statics, staticRec{ref: in.Field, isRef: isRef})
 			switch {
@@ -419,8 +415,8 @@ func (d *dprogram) decodeMethod(p *bytecode.Program, layout *heap.Layout, dm *dm
 		case bytecode.OpIAStore:
 			di.op = dIAStore
 		case bytecode.OpInvoke, bytecode.OpSpawn:
-			callee := p.Method(in.Method)
-			if callee == nil {
+			callee := syms.MethodNum(in.Method)
+			if callee < 0 {
 				return fmt.Errorf("vm: decode %s pc %d: unresolved method %s", dm.name, pc, in.Method)
 			}
 			di.op = dInvoke

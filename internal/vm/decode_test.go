@@ -32,15 +32,15 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", w.Name, err)
 		}
-		for _, mr := range rep.Methods {
-			sites := d.methods[mr.Method].sites
+		for i, mr := range rep.Methods {
+			sites := d.methods[i].sites
 			if len(sites) != mr.FieldSites+mr.ArraySites {
 				t.Errorf("%s %s: %d decoded sites, report counts %d field + %d array",
 					w.Name, mr.Method.QualifiedName(), len(sites), mr.FieldSites, mr.ArraySites)
 			}
 			for _, s := range sites {
 				in := &mr.Method.Code[s.key.PC]
-				if kind, ok := satb.SiteOf(p, in); !ok || kind != s.kind || in.Verdict != s.elide {
+				if kind, ok := satb.SiteOf(p.Symbols(), in); !ok || kind != s.kind || in.Verdict != s.elide {
 					t.Errorf("%s %s pc %d (%s): decoded as %v site with verdict %v; predicate says %v/%v, code says %v",
 						w.Name, s.key.Method, s.key.PC, in, s.kind, s.elide, kind, ok, in.Verdict)
 				}
