@@ -237,7 +237,7 @@ type analyzer struct {
 // still ship a correct, conservative program. A context deadline earlier
 // than Options.Deadline tightens it.
 func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options) (*MethodReport, error) {
-	return analyzeMethod(ctx, newProgramIndex(p, 1), 0, m, opts)
+	return analyzeMethod(ctx, newProgramIndex(p, 1, opts), 0, m, opts)
 }
 
 // analyzeMethod is AnalyzeMethodCtx for m, whose index is entry i of the
@@ -275,7 +275,7 @@ func analyze(ctx context.Context, px *programIndex, i int, m *bytecode.Method, o
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	a := newAnalyzer(px, m, idx, opts, false)
+	a := newAnalyzer(px, m, idx, opts)
 	a.maxStateSize = opts.MaxStateSize
 	if opts.MaxBlockVisits > 0 {
 		a.maxVisits = opts.MaxBlockVisits
@@ -290,7 +290,7 @@ func analyze(ctx context.Context, px *programIndex, i int, m *bytecode.Method, o
 		a.deadline = d
 	}
 	a.cancel = ctx.Done()
-	rep.AbstractRefs = a.refs.count()
+	rep.AbstractRefs = a.refs.judged
 
 	rep.Degraded = a.fixpoint()
 	rep.BlockVisits = a.visits
@@ -333,22 +333,15 @@ func publish(syms *bytecode.Symbols, m *bytecode.Method, verdicts []bytecode.Ver
 }
 
 // newAnalyzer sets up the engine for one method of the build px indexes:
-// its reference universe, slot table, reusable buffers and the default
-// visit budget. summaryMode selects the summary-mode abstraction of
-// arguments (see summaryRecorder).
-func newAnalyzer(px *programIndex, m *bytecode.Method, idx methodIndex, opts Options, summaryMode bool) *analyzer {
+// its slot table, reusable buffers and the default visit budget. It judges
+// unless the caller gives it a summary recorder.
+func newAnalyzer(px *programIndex, m *bytecode.Method, idx methodIndex, opts Options) *analyzer {
 	a := &analyzer{
-		transfer: transfer{
-			m: m, opts: opts, syms: px.syms, methodIndex: idx,
-			refs: buildRefTable(px.syms, m, idx.calleeAt, opts, summaryMode),
-		},
+		transfer:  transfer{m: m, opts: opts, syms: px.syms, methodIndex: idx},
 		entry:     make([]*state, len(idx.g.Blocks)),
 		maxVisits: 200*len(idx.g.Blocks) + 2000,
 	}
 	a.slots = newSlotTable(px.syms, a.refs)
-	if summaryMode {
-		a.rec = newSummaryRecorder(a.refs, a.slots)
-	}
 	a.scratch = &state{tab: a.slots}
 	a.spare = &state{tab: a.slots}
 	return a

@@ -145,3 +145,54 @@ func TestGenerousBudgetsChangeNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSummaryPanicDegrades: T.main → T.f → T.ghost, with ghost never
+// declared. Summarizing T.f panics like judging it does; the summary fixed
+// point must answer the worst summary instead of taking the build down —
+// also on a worker goroutine, where no caller's recover reaches — and
+// judging then degrades T.f on its own. T.g is a second component to
+// summarize, so four workers fan out.
+func TestSummaryPanicDegrades(t *testing.T) {
+	p := bytecode.NewProgram()
+	tt := bytecode.ClassType("T")
+	method := func(name string, param bool, calls ...string) *bytecode.Method {
+		b := bytecode.NewBuilder("T", name, true)
+		if param {
+			b.AddParam(tt)
+		}
+		for _, c := range calls {
+			if c == "f" {
+				b.Null()
+			}
+			b.Invoke(bytecode.MethodRef{Class: "T", Name: c})
+		}
+		b.Return()
+		return b.Build()
+	}
+	p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{
+		method("main", false, "f", "g"), method("f", true, "ghost"), method("g", false)}})
+	f := bytecode.MethodRef{Class: "T", Name: "f"}
+	opts := Options{Mode: ModeFieldArray, Interprocedural: true}
+	for _, workers := range []int{1, 4} {
+		sums, err := ComputeSummariesParallel(p, opts, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := worstSummary(p.Method(f)); !reflect.DeepEqual(sums.Of(p, f), want) {
+			t.Errorf("workers=%d: summary of T.f = %+v, want the worst %+v", workers, sums.Of(p, f), want)
+		}
+		rep, err := AnalyzeProgramCtx(context.Background(), p, opts, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: a panic should degrade, not error: %v", workers, err)
+		}
+		for _, mr := range rep.Methods {
+			want := DegradeNone
+			if mr.Method.Name == "f" {
+				want = DegradePanic
+			}
+			if mr.Degraded != want {
+				t.Errorf("workers=%d: %s degraded %q, want %q", workers, mr.Method.QualifiedName(), mr.Degraded, want)
+			}
+		}
+	}
+}

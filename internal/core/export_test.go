@@ -1,6 +1,11 @@
 package core
 
-import "satbelim/internal/bytecode"
+import (
+	"context"
+	"fmt"
+
+	"satbelim/internal/bytecode"
+)
 
 // ComputeAllSummaries summarizes every method of p, invoked or not — what
 // ComputeSummariesParallel did before it restricted itself to invoked
@@ -8,7 +13,7 @@ import "satbelim/internal/bytecode"
 func ComputeAllSummaries(p *bytecode.Program, opts Options) Summaries {
 	cond := Condense(BuildCallGraph(p))
 	sums := make(Summaries, len(cond.Graph.Methods))
-	px := newProgramIndex(p, len(cond.Graph.Methods))
+	px := newProgramIndex(p, len(cond.Graph.Methods), opts)
 	for i, m := range cond.Graph.Methods {
 		sums[i] = optimisticSummary(px.syms, m)
 	}
@@ -38,4 +43,60 @@ func (s *MethodSummary) PreNullNamed(p *bytecode.Program, i int, name string) bo
 		}
 	}
 	panic("no field named " + name)
+}
+
+// RefTablesOf analyzes p as AnalyzeProgram does, on one worker, and returns
+// how many reference tables the build constructed. It also checks what
+// sharing one table promises: a summarized method is judged over the table
+// its summary rounds read, no judging state names a contents reference, and
+// each report's AbstractRefs is its table's judged count.
+func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
+	methods := p.Methods()
+	px := newProgramIndex(p, len(methods), opts)
+	if opts.Interprocedural {
+		opts.Summaries = computeSummaries(px, opts, 1)
+	}
+	tables := 0
+	for i, m := range methods {
+		summarized := px.methods[i].refs
+		rep, err := analyzeMethod(context.Background(), px, i, m, opts)
+		if err != nil {
+			return 0, err
+		}
+		idx := px.methods[i]
+		if summarized != nil && summarized != idx.refs {
+			return 0, fmt.Errorf("%s: judged over a table of its own", m.QualifiedName())
+		}
+		if rep.AbstractRefs != idx.refs.judged {
+			return 0, fmt.Errorf("%s: AbstractRefs %d, judged references %d", m.QualifiedName(), rep.AbstractRefs, idx.refs.judged)
+		}
+		tables++
+		a := newAnalyzer(px, m, idx, opts)
+		a.summaries = opts.Summaries
+		a.fixpoint()
+		for _, s := range a.entry {
+			if s == nil {
+				continue
+			}
+			named := s.nl.Union(s.intTainted)
+			for _, vs := range [][]Value{s.locals, s.stack, s.sigma} {
+				for _, v := range vs {
+					named = named.Union(v.refs)
+				}
+			}
+			for _, k := range s.tab.keys {
+				named = named.With(k.ref)
+			}
+			var bad []RefID
+			named.ForEach(func(r RefID) {
+				if int(r) >= idx.refs.judged {
+					bad = append(bad, r)
+				}
+			})
+			if len(bad) > 0 {
+				return 0, fmt.Errorf("%s: a judging state names contents references %v", m.QualifiedName(), bad)
+			}
+		}
+	}
+	return tables, nil
 }

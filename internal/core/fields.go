@@ -31,31 +31,35 @@ func BuildCallGraph(p *bytecode.Program) *CallGraph { return bytecode.BuildCallG
 // Condense is bytecode.Condense.
 func Condense(g *CallGraph) *Condensation { return bytecode.Condense(g) }
 
-// methodIndex is what every analysis of one method shares, whatever its
-// mode and options: the control-flow graph and the number of each
+// methodIndex is what every analysis of one method in a build shares, summary
+// rounds and judging alike: the control-flow graph, the number of each
 // instruction's symbolic operand — the field id of a field instruction, the
 // method number of an invoke's callee (-1 when it names no method: the
-// verifier rejects that, and simulating it panics into DegradePanic).
+// verifier rejects that, and simulating it panics into DegradePanic) — and
+// the method's reference table.
 type methodIndex struct {
 	g        *cfg.Graph
 	fieldAt  []fieldID
 	calleeAt []int32
+	refs     *refTable
 }
 
-// programIndex is what the analyses of one build share, summary rounds and
-// judging alike: the program's symbol table and each method's index
-// (indexed by method number), built by the first analysis of the method.
+// programIndex is what the analyses of one build share: the program's symbol
+// table, the options the reference tables depend on (SingleRefPerSite,
+// Interprocedural), and each method's index (indexed by method number),
+// built by the first analysis of the method.
 // An entry is touched by one worker at a time — the one holding the
 // method's callgraph component, later the one judging the method — so the
 // table needs no lock.
 type programIndex struct {
 	prog    *bytecode.Program
 	syms    *bytecode.Symbols
+	opts    Options
 	methods []methodIndex
 }
 
-func newProgramIndex(p *bytecode.Program, methods int) *programIndex {
-	return &programIndex{prog: p, syms: p.Symbols(), methods: make([]methodIndex, methods)}
+func newProgramIndex(p *bytecode.Program, methods int, opts Options) *programIndex {
+	return &programIndex{prog: p, syms: p.Symbols(), opts: opts, methods: make([]methodIndex, methods)}
 }
 
 // of returns the index of m, entry i of the table, building it on first
@@ -85,6 +89,7 @@ func (px *programIndex) of(i int, m *bytecode.Method) (methodIndex, error) {
 			idx.calleeAt[pc] = int32(px.syms.MethodNum(in.Method))
 		}
 	}
+	idx.refs = buildRefTable(px.syms, m, idx.calleeAt, px.opts)
 	px.methods[i] = idx
 	return idx, nil
 }

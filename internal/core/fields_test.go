@@ -159,14 +159,15 @@ func TestUndeclaredFieldOperand(t *testing.T) {
 	b.Return()
 	m := b.Build()
 	p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{m}})
-	px := newProgramIndex(p, 1)
+	opts := Options{Mode: ModeFieldArray}
+	px := newProgramIndex(p, 1, opts)
 	if _, err := px.of(0, m); err == nil {
 		t.Fatal("indexing a method with an undeclared field operand succeeded")
 	}
-	if _, err := AnalyzeProgram(p, Options{Mode: ModeFieldArray}); err == nil {
+	if _, err := AnalyzeProgram(p, opts); err == nil {
 		t.Error("AnalyzeProgram accepted an undeclared field operand")
 	}
-	if sum := summarizeMethod(px, m, 0, Options{Mode: ModeFieldArray}, nil); !sum.ArgCompromised[0] {
+	if sum := summarizeMethod(px, m, 0, opts, nil); !sum.ArgCompromised[0] {
 		t.Errorf("summary of an unindexable method = %+v, want the worst case", sum)
 	}
 }

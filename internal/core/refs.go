@@ -25,7 +25,8 @@ import (
 	"satbelim/internal/bytecode"
 )
 
-// RefID names an abstract reference within one method's analysis.
+// RefID names an abstract reference of one method: a number of the method's
+// reference table, which every analysis of the method in a build shares.
 type RefID int32
 
 // GlobalRefID is the abstract reference summarizing every object allocated
@@ -58,13 +59,13 @@ const (
 
 // refInfo describes one abstract reference.
 type refInfo struct {
-	kind    refKind
-	arg     int    // argument index for refArg/refArgContent
-	site    int    // allocation or call pc for refAlloc*/refCall*
-	isArray bool   // allocation of an array
-	elemRef bool   // array whose elements are references
-	class   string // class name for object allocations
-	unique  bool   // denotes exactly one runtime reference (strong update)
+	kind   refKind
+	arg    int  // argument index for refArg/refArgContent
+	site   int  // allocation or call pc for refAlloc*/refCall*
+	unique bool // denotes exactly one runtime reference (strong update)
+	// arr is an array's index in a state's Len and NR rows, -1 for a
+	// non-array: only arrays carry those facts.
+	arr int32
 }
 
 // String renders the reference's debug name ("Arg0", "R12/A", "RC7/B", …).
@@ -91,135 +92,100 @@ func (i *refInfo) String() string {
 
 // refTable holds the fixed universe of abstract references for one method.
 // The set is fixed before the fixed point begins (paper §2.2: "the set of
-// reference values and field identifiers is fixed and finite").
+// reference values and field identifiers is fixed and finite"): the table is
+// built once per method per build (programIndex.of) and only read after
+// that, by every summary round of the method's component and by its judging
+// pass.
+//
+// GlobalRef comes first, then one reference per reference-typed argument and
+// an A/B pair per site in pc order — the judged references, all a judging
+// analysis uses — and last the arguments' contents references, which only
+// summary mode reads.
 type refTable struct {
 	infos []refInfo
-	// allocA/allocB map an allocation pc to its two references.
-	allocA map[int]RefID
-	allocB map[int]RefID
-	// argRef maps argument index (receiver = 0) to its reference, for
-	// reference-typed arguments only.
-	argRef map[int]RefID
-	// callA/callB map an invoke pc whose callee returns a reference to
-	// the A/B pair for its returned object (interprocedural mode only).
-	callA map[int]RefID
-	callB map[int]RefID
-	// argContent maps argument index to its contents reference (summary
-	// mode only; absent for a constructor's unique receiver, whose
+	// judged counts the judged references.
+	judged int
+	// siteA is, per pc, the A name of an allocation site or of an invoke
+	// whose callee returns a reference (interprocedural builds only), and 0
+	// elsewhere; see site.
+	siteA []RefID
+	// argRef and argContent are, per argument index (receiver = 0), the
+	// argument's reference and its contents reference, 0 for none: an integer
+	// argument has neither, a constructor's unique receiver no contents (its
 	// fields genuinely start null).
-	argContent map[int]RefID
+	argRef, argContent []RefID
+	// numArrays is the length of a state's Len and NR rows.
+	numArrays int
 }
 
 // buildRefTable scans the method and creates GlobalRef, one reference per
-// reference-typed argument, and an A/B pair per allocation site. With
+// reference-typed argument, an A/B pair per allocation site and, last, a
+// contents reference per non-unique reference argument. With
 // Options.SingleRefPerSite (the two-refs-per-site ablation) the A and B
 // names coincide and nothing is unique. Under Options.Interprocedural,
 // invoke sites whose callee returns a reference additionally get an A/B
-// pair for the returned object; in summary mode (summaryMode) each
-// non-unique reference argument gets a contents reference.
-func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32, opts Options, summaryMode bool) *refTable {
-	singleSummary := opts.SingleRefPerSite
-	t := &refTable{
-		allocA:     map[int]RefID{},
-		allocB:     map[int]RefID{},
-		argRef:     map[int]RefID{},
-		callA:      map[int]RefID{},
-		callB:      map[int]RefID{},
-		argContent: map[int]RefID{},
-	}
-	t.infos = append(t.infos, refInfo{kind: refGlobal})
-	for i := 0; i < m.NumArgs(); i++ {
-		at := m.ArgType(i)
-		if !at.IsRef() {
-			continue
+// pair for the returned object.
+func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32, opts Options) *refTable {
+	n := m.NumArgs()
+	args := make([]RefID, 2*n)
+	t := &refTable{argRef: args[:n:n], argContent: args[n:], siteA: make([]RefID, len(m.Code))}
+	add := func(info refInfo, isArray bool) RefID {
+		info.arr = -1
+		if isArray {
+			info.arr = int32(t.numArrays)
+			t.numArrays++
 		}
-		id := RefID(len(t.infos))
-		// The implicit this of a constructor is unique and thread-local
-		// in the initial state (paper §2.3).
-		uniq := m.Ctor && i == 0
-		t.infos = append(t.infos, refInfo{
-			kind: refArg, arg: i, unique: uniq,
-			isArray: at.Kind == bytecode.KindArray,
-			elemRef: at.IsRefArray(),
-			class:   at.Class,
-		})
-		t.argRef[i] = id
-		if summaryMode && !uniq {
-			c := RefID(len(t.infos))
-			t.infos = append(t.infos, refInfo{kind: refArgContent, arg: i})
-			t.argContent[i] = c
+		t.infos = append(t.infos, info)
+		return RefID(len(t.infos) - 1)
+	}
+	// addSite names a site's A reference and, unless the ablation merges
+	// them, its B reference (whose kind follows A's).
+	addSite := func(kind refKind, pc int, isArray bool) {
+		t.siteA[pc] = add(refInfo{kind: kind, site: pc, unique: !opts.SingleRefPerSite}, isArray)
+		if !opts.SingleRefPerSite {
+			add(refInfo{kind: kind + 1, site: pc}, isArray)
+		}
+	}
+	add(refInfo{kind: refGlobal}, false)
+	for i := range n {
+		if at := m.ArgType(i); at.IsRef() {
+			// The implicit this of a constructor is unique and thread-local
+			// in the initial state (paper §2.3).
+			t.argRef[i] = add(refInfo{kind: refArg, arg: i, unique: m.Ctor && i == 0}, at.Kind == bytecode.KindArray)
 		}
 	}
 	for pc := range m.Code {
-		in := &m.Code[pc]
-		switch in.Op {
+		switch m.Code[pc].Op {
 		case bytecode.OpNewInstance:
-			a := RefID(len(t.infos))
-			t.infos = append(t.infos, refInfo{
-				kind: refAllocA, site: pc, class: in.Type.Class,
-				unique: !singleSummary,
-			})
-			t.allocA[pc] = a
-			if singleSummary {
-				t.allocB[pc] = a
-			} else {
-				b := RefID(len(t.infos))
-				t.infos = append(t.infos, refInfo{
-					kind: refAllocB, site: pc, class: in.Type.Class,
-				})
-				t.allocB[pc] = b
-			}
+			addSite(refAllocA, pc, false)
 		case bytecode.OpNewArray:
-			a := RefID(len(t.infos))
-			t.infos = append(t.infos, refInfo{
-				kind: refAllocA, site: pc, isArray: true,
-				elemRef: in.Type.IsRef(),
-				unique:  !singleSummary,
-			})
-			t.allocA[pc] = a
-			if singleSummary {
-				t.allocB[pc] = a
-			} else {
-				b := RefID(len(t.infos))
-				t.infos = append(t.infos, refInfo{
-					kind: refAllocB, site: pc, isArray: true,
-					elemRef: in.Type.IsRef(),
-				})
-				t.allocB[pc] = b
-			}
+			addSite(refAllocA, pc, true)
 		case bytecode.OpInvoke:
-			if !opts.Interprocedural || calleeAt[pc] < 0 {
-				continue
+			if opts.Interprocedural && calleeAt[pc] >= 0 {
+				if ret := syms.Methods[calleeAt[pc]].Return; ret.IsRef() {
+					addSite(refCallA, pc, ret.Kind == bytecode.KindArray)
+				}
 			}
-			ret := syms.Methods[calleeAt[pc]].Return
-			if !ret.IsRef() {
-				continue
-			}
-			a := RefID(len(t.infos))
-			t.infos = append(t.infos, refInfo{
-				kind: refCallA, site: pc, class: ret.Class,
-				isArray: ret.Kind == bytecode.KindArray,
-				elemRef: ret.IsRefArray(),
-				unique:  !singleSummary,
-			})
-			t.callA[pc] = a
-			if singleSummary {
-				t.callB[pc] = a
-			} else {
-				b := RefID(len(t.infos))
-				t.infos = append(t.infos, refInfo{
-					kind: refCallB, site: pc, class: ret.Class,
-					isArray: ret.Kind == bytecode.KindArray,
-					elemRef: ret.IsRefArray(),
-				})
-				t.callB[pc] = b
-			}
+		}
+	}
+	t.judged = len(t.infos)
+	for i, r := range t.argRef {
+		if r != 0 && !t.infos[r].unique {
+			t.argContent[i] = add(refInfo{kind: refArgContent, arg: i}, false)
 		}
 	}
 	return t
 }
 
-func (t *refTable) count() int            { return len(t.infos) }
+// site returns the A and B names of the site at pc — one name twice under
+// the single-reference ablation, GlobalRef twice where no site is.
+func (t *refTable) site(pc int) (a, b RefID) {
+	if a = t.siteA[pc]; t.infos[a].unique {
+		return a, a + 1
+	}
+	return a, a
+}
+
 func (t *refTable) info(r RefID) *refInfo { return &t.infos[r] }
 
 // unique reports whether r denotes exactly one runtime reference.

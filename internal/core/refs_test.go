@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -126,45 +127,73 @@ func TestBuildRefTableNamesEverything(t *testing.T) {
 	b.Return()
 	m := b.Build()
 
-	tab := buildRefTable(nil, m, nil, Options{}, false)
+	tab := buildRefTable(nil, m, nil, Options{})
 	// Global + 2 ref args (receiver, array; the int param gets none) +
-	// 2 sites × 2 refs.
-	if tab.count() != 1+2+4 {
-		t.Fatalf("refs = %d", tab.count())
+	// 2 sites × 2 refs are judged; the two arguments' contents references
+	// come after them.
+	if len(tab.infos) != 1+2+4+2 || tab.judged != 1+2+4 {
+		t.Fatalf("refs = %d, judged %d", len(tab.infos), tab.judged)
 	}
-	if _, ok := tab.argRef[0]; !ok {
+	if tab.argRef[0] == 0 {
 		t.Error("receiver ref missing")
 	}
-	if _, ok := tab.argRef[1]; ok {
+	if tab.argRef[1] != 0 || tab.argContent[1] != 0 {
 		t.Error("int param must not get a ref")
 	}
-	if _, ok := tab.argRef[2]; !ok {
+	if tab.argRef[2] == 0 {
 		t.Error("array param ref missing")
+	}
+	for i, c := range tab.argContent {
+		if tab.argRef[i] != 0 && int(c) < tab.judged {
+			t.Errorf("Arg%d's contents ref %d is numbered before the judged count %d", i, c, tab.judged)
+		}
 	}
 	// Debug names are formatted from kind and site / argument index.
 	var names []string
 	for r := range tab.infos {
 		names = append(names, tab.info(RefID(r)).String())
 	}
-	if got, want := strings.Join(names, " "), "Global Arg0 Arg2 R0/A R0/B R3/A R3/B"; got != want {
+	if got, want := strings.Join(names, " "), "Global Arg0 Arg2 R0/A R0/B R3/A R3/B Arg0* Arg2*"; got != want {
 		t.Errorf("ref names = %q, want %q", got, want)
 	}
-	for pc, a := range tab.allocA {
-		if tab.allocB[pc] == a {
+	sites := 0
+	for pc := range m.Code {
+		a, b := tab.site(pc)
+		if a == GlobalRefID {
+			continue
+		}
+		sites++
+		if b == a {
 			t.Error("A and B refs must differ")
 		}
 		if !tab.unique(a) {
 			t.Error("A refs are unique")
 		}
-		if tab.unique(tab.allocB[pc]) {
+		if tab.unique(b) {
 			t.Error("B refs are summaries")
 		}
 	}
+	if sites != 2 {
+		t.Errorf("%d sites named, want 2", sites)
+	}
+	// Only arrays carry Len and NR: the array argument and the newarray
+	// site's two references.
+	var arrs []int32
+	for _, info := range tab.infos {
+		arrs = append(arrs, info.arr)
+	}
+	if got, want := fmt.Sprint(arrs), "[-1 -1 0 -1 -1 1 2 -1 -1]"; tab.numArrays != 3 || got != want {
+		t.Errorf("%d arrays at %s, want 3 at %s", tab.numArrays, got, want)
+	}
 
 	// Single-summary ablation: A == B, nothing unique.
-	tab2 := buildRefTable(nil, m, nil, Options{SingleRefPerSite: true}, false)
-	for pc, a := range tab2.allocA {
-		if tab2.allocB[pc] != a {
+	tab2 := buildRefTable(nil, m, nil, Options{SingleRefPerSite: true})
+	for pc := range m.Code {
+		a, b := tab2.site(pc)
+		if a == GlobalRefID {
+			continue
+		}
+		if b != a {
 			t.Error("ablation should collapse A and B")
 		}
 		if tab2.unique(a) {
@@ -179,17 +208,23 @@ func TestCtorReceiverUniqueThreadLocal(t *testing.T) {
 	b.DeclareSlot(bytecode.ClassType("T"))
 	b.Return()
 	m := b.Build()
-	tab := buildRefTable(nil, m, nil, Options{}, false)
+	tab := buildRefTable(nil, m, nil, Options{})
 	r := tab.argRef[0]
 	if !tab.unique(r) {
 		t.Error("constructor this must be unique (§2.3)")
+	}
+	if tab.argContent[0] != 0 {
+		t.Error("constructor this starts with null fields: it has no contents ref")
 	}
 	// Non-ctor receiver is not unique.
 	b2 := bytecode.NewBuilder("T", "m", false)
 	b2.DeclareSlot(bytecode.ClassType("T"))
 	b2.Return()
-	tab2 := buildRefTable(nil, b2.Build(), nil, Options{}, false)
+	tab2 := buildRefTable(nil, b2.Build(), nil, Options{})
 	if tab2.unique(tab2.argRef[0]) {
 		t.Error("plain method this must not be unique")
+	}
+	if tab2.argContent[0] == 0 {
+		t.Error("plain method this has a contents ref")
 	}
 }

@@ -49,10 +49,10 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 		workers = runtime.GOMAXPROCS(0)
 	}
 	methods := p.Methods()
-	// One graph and operand-number row per method: summarizeMethod builds
-	// them, judging reads them or, for a method never summarized, builds its
-	// own.
-	px := newProgramIndex(p, len(methods))
+	// One graph, operand-number row and reference table per method:
+	// summarizeMethod builds them, judging reads them or, for a method never
+	// summarized, builds its own.
+	px := newProgramIndex(p, len(methods), opts)
 	if opts.Interprocedural && opts.Summaries == nil {
 		opts.Summaries = computeSummaries(px, opts, workers)
 	}

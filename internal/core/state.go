@@ -22,37 +22,22 @@ type slotKey struct {
 // copy, comparison and merge. The table only grows; a state's σ may be
 // shorter than the table, the missing tail being absent entries.
 type slotTable struct {
-	// syms names the slots' fields in String.
+	// syms names the slots' fields in String; refs is the method's reference
+	// table, which places each array's Len and NR entries.
 	syms *bytecode.Symbols
+	refs *refTable
 
 	keys []slotKey
 	// refSlots lists each reference's slots, so per-reference operations
 	// (clearing, renaming, reachability) never scan the whole store.
 	refSlots [][]int32
 
-	// arrIdx maps an array-typed reference to its index in the Len and NR
-	// slices (-1 for everything else: only arrays carry those facts).
-	arrIdx    []int32
-	numArrays int
-
 	// work is reachFrom's worklist buffer.
 	work []RefID
 }
 
 func newSlotTable(syms *bytecode.Symbols, refs *refTable) *slotTable {
-	t := &slotTable{
-		syms:     syms,
-		refSlots: make([][]int32, refs.count()),
-		arrIdx:   make([]int32, refs.count()),
-	}
-	for r := range refs.infos {
-		t.arrIdx[r] = -1
-		if refs.infos[r].isArray {
-			t.arrIdx[r] = int32(t.numArrays)
-			t.numArrays++
-		}
-	}
-	return t
+	return &slotTable{syms: syms, refs: refs, refSlots: make([][]int32, len(refs.infos))}
 }
 
 // find returns the slot of (r, f), or -1 when σ never held the pair.
@@ -80,7 +65,7 @@ func (t *slotTable) slot(r RefID, f fieldID) int {
 // ⟨ρ, σ, NL, stk, Len, NR⟩.
 //
 // Every container is a flat slice owned by exactly one state: σ is indexed
-// by slotTable slot, Len and NR by slotTable.arrIdx. An entry carries its
+// by slotTable slot, Len and NR by refInfo.arr. An entry carries its
 // own "absent" marker — ⊥ in σ (the field still holds its allocation
 // default), ⊤ in Len and the empty range in NR (no information) — so
 // copying is a memmove and comparison and merge are linear loops in index
@@ -103,8 +88,8 @@ func newState(tab *slotTable, numLocals int) *state {
 	s := &state{
 		tab:    tab,
 		locals: make([]Value, numLocals),
-		length: make([]intval.IntVal, tab.numArrays),
-		nr:     make([]intval.Range, tab.numArrays),
+		length: make([]intval.IntVal, tab.refs.numArrays),
+		nr:     make([]intval.Range, tab.refs.numArrays),
 	}
 	for i := range s.length {
 		s.length[i] = intval.Top
@@ -147,13 +132,13 @@ func (sl *entrySlab) newEntry(src *state, entries int) *state {
 	tab := src.tab
 	if sl.states == nil {
 		sl.states = make([]state, entries)
-		sl.lengths = make([]intval.IntVal, entries*tab.numArrays)
-		sl.ranges = make([]intval.Range, entries*tab.numArrays)
+		sl.lengths = make([]intval.IntVal, entries*tab.refs.numArrays)
+		sl.ranges = make([]intval.Range, entries*tab.refs.numArrays)
 	}
 	c := &carve(&sl.states, 1)[0]
 	c.tab = tab
-	c.length = carve(&sl.lengths, tab.numArrays)
-	c.nr = carve(&sl.ranges, tab.numArrays)
+	c.length = carve(&sl.lengths, tab.refs.numArrays)
+	c.nr = carve(&sl.ranges, tab.refs.numArrays)
 	c.sigma = make([]Value, len(src.locals)+len(src.stack)+len(src.sigma))
 	c.locals = carve(&c.sigma, len(src.locals))
 	c.stack = carve(&c.sigma, len(src.stack))
@@ -198,7 +183,7 @@ func (s *state) clearSigmaRef(r RefID) {
 
 // lengthOf returns Len(r), ⊤ when unknown.
 func (s *state) lengthOf(r RefID) intval.IntVal {
-	if i := s.tab.arrIdx[r]; i >= 0 {
+	if i := s.tab.refs.infos[r].arr; i >= 0 {
 		return s.length[i]
 	}
 	return intval.Top
@@ -206,18 +191,18 @@ func (s *state) lengthOf(r RefID) intval.IntVal {
 
 // setLength writes Len(r); ⊤ forgets it. Only array references carry a
 // length.
-func (s *state) setLength(r RefID, l intval.IntVal) { s.length[s.tab.arrIdx[r]] = l }
+func (s *state) setLength(r RefID, l intval.IntVal) { s.length[s.tab.refs.infos[r].arr] = l }
 
 // delLength forgets Len(r).
 func (s *state) delLength(r RefID) {
-	if i := s.tab.arrIdx[r]; i >= 0 {
+	if i := s.tab.refs.infos[r].arr; i >= 0 {
 		s.length[i] = intval.Top
 	}
 }
 
 // nrOf returns NR(r), the empty range when no index is known null.
 func (s *state) nrOf(r RefID) intval.Range {
-	if i := s.tab.arrIdx[r]; i >= 0 {
+	if i := s.tab.refs.infos[r].arr; i >= 0 {
 		return s.nr[i]
 	}
 	return intval.Empty()
@@ -225,11 +210,11 @@ func (s *state) nrOf(r RefID) intval.Range {
 
 // setNR writes NR(r); the empty range forgets it. Only array references
 // carry a null range.
-func (s *state) setNR(r RefID, rng intval.Range) { s.nr[s.tab.arrIdx[r]] = rng }
+func (s *state) setNR(r RefID, rng intval.Range) { s.nr[s.tab.refs.infos[r].arr] = rng }
 
 // delNR forgets NR(r).
 func (s *state) delNR(r RefID) {
-	if i := s.tab.arrIdx[r]; i >= 0 {
+	if i := s.tab.refs.infos[r].arr; i >= 0 {
 		s.nr[i] = intval.Empty()
 	}
 }
@@ -632,7 +617,8 @@ func (s *state) String() string {
 			fmt.Fprintf(&b, "  σ(r%d,%s)=%v\n", k.ref, s.tab.syms.Fields[k.field].Name, v)
 		}
 	}
-	for r, i := range s.tab.arrIdx {
+	for r, info := range s.tab.refs.infos {
+		i := info.arr
 		if i < 0 {
 			continue
 		}

@@ -55,9 +55,9 @@ const (
 // so that Len and NR are addressable, and the fields of a one-class
 // program.
 func testTable() *slotTable {
-	refs := &refTable{infos: make([]refInfo, 10)}
+	refs := &refTable{infos: make([]refInfo, 10), numArrays: 10}
 	for i := range refs.infos {
-		refs.infos[i].isArray = true
+		refs.infos[i].arr = int32(i)
 	}
 	p := bytecode.NewProgram()
 	tt := bytecode.ClassType("T")

@@ -186,7 +186,7 @@ const maxSummaryRounds = 40
 // count. A method that cannot be summarized gets the worst summary, so the
 // error is always nil.
 func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (Summaries, error) {
-	return computeSummaries(newProgramIndex(p, len(p.Methods())), opts, workers), nil
+	return computeSummaries(newProgramIndex(p, len(p.Methods()), opts), opts, workers), nil
 }
 
 // computeSummaries is ComputeSummariesParallel over a caller-owned program
@@ -316,28 +316,39 @@ func processSCC(px *programIndex, opts Options, cond *Condensation, ci int, sums
 // the callgraph, and reads off each argument's fate and the return value's
 // freshness. The method's index is built on first use, where the
 // component's later rounds and the caller's judging pass find it.
-func summarizeMethod(px *programIndex, m *bytecode.Method, node int, opts Options, sums Summaries) *MethodSummary {
+//
+// Like judging, summarizing never takes the build down: a panic — possible
+// only in unverified code — yields the worst summary, and judging then
+// degrades the method on its own. The recover is here and not around the
+// scheduler because a fanned-out component runs on a worker goroutine no
+// caller's recover reaches.
+func summarizeMethod(px *programIndex, m *bytecode.Method, node int, opts Options, sums Summaries) (out *MethodSummary) {
+	defer func() {
+		if recover() != nil {
+			out = worstSummary(m)
+		}
+	}()
 	idx, err := px.of(node, m)
 	if err != nil {
 		// Structurally odd methods (none are produced by our codegen)
 		// keep the worst case.
 		return worstSummary(m)
 	}
-	a := newAnalyzer(px, m, idx, opts, true)
+	a := newAnalyzer(px, m, idx, opts)
 	a.summaries = sums
+	a.rec = newSummaryRecorder(a.refs, a.slots)
 	if a.fixpoint() != DegradeNone {
 		return worstSummary(m)
 	}
 	rec := a.rec
-	out := blankSummary(m)
+	out = blankSummary(m)
 	out.ReturnsFresh = out.ReturnsFresh && !rec.retNotFresh
-	for i := 0; i < m.NumArgs(); i++ {
-		r, ok := a.refs.argRef[i]
-		if !ok {
+	for i, r := range a.refs.argRef {
+		if r == 0 {
 			continue // non-reference arguments are never compromised
 		}
 		comp := a.everNL.Has(r) || rec.reach.Has(r) || rec.storedInOtherArg(i, r)
-		if cr, ok := a.refs.argContent[i]; ok {
+		if cr := a.refs.argContent[i]; cr != 0 {
 			// Anything reached through the argument that was published,
 			// returned, stored into another argument, or mutated takes
 			// the whole argument with it: the caller has no finer name
@@ -348,7 +359,7 @@ func summarizeMethod(px *programIndex, m *bytecode.Method, node int, opts Option
 		out.ArgCompromised[i] = comp
 		out.ArgIntMutated[i] = rec.intMutatedArgs.Has(r)
 		for _, f := range px.syms.RefFieldsOf(m.ArgType(i)) {
-			if !slices.Contains(rec.dirtyArgFields[r], f) {
+			if !slices.Contains(rec.args[i].dirty, f) {
 				out.ArgPreNullFields[i] = append(out.ArgPreNullFields[i], f)
 			}
 		}
@@ -366,11 +377,10 @@ type summaryRecorder struct {
 	refs  *refTable
 	slots *slotTable
 
-	// dirtyArgFields collects, per argument reference, the reference
-	// fields the method may write: the complement of the summary's
-	// ArgPreNullFields. intMutatedArgs collects arguments whose integer
-	// fields/elements it may write.
-	dirtyArgFields map[RefID][]fieldID
+	// args is what the method does to each argument, by argument index.
+	args []argEffects
+	// intMutatedArgs collects arguments whose integer fields/elements the
+	// method may write.
 	intMutatedArgs RefSet
 	// contentMutated collects contents references (refArgContent) the
 	// method may write through: mutating an object merely reachable from
@@ -379,14 +389,8 @@ type summaryRecorder struct {
 	contentMutated RefSet
 	// reach collects references reachable from returned values or escaped
 	// objects at return points: such arguments are compromised for the
-	// caller. argStored collects, per argument index, everything reachable
-	// from references the method stored into that argument's fields: an
-	// argument stored into a DIFFERENT argument's fields is compromised
-	// (the caller gains an untracked path to it), while stores into an
-	// argument's own fields are covered by the targeted dirty-field
-	// invalidation.
-	reach     RefSet
-	argStored map[int]RefSet
+	// caller.
+	reach RefSet
 	// argRefs is the set of argument and contents references, cached for
 	// the per-return freshness check.
 	argRefs RefSet
@@ -396,13 +400,24 @@ type summaryRecorder struct {
 	retNotFresh bool
 }
 
+// argEffects is what a summary-mode fixed point learns about one argument.
+// dirty collects the reference fields the method may write: the complement
+// of the summary's ArgPreNullFields. stored collects everything reachable
+// from references the method stored into the argument's fields: an argument
+// stored into a DIFFERENT argument's fields is compromised (the caller gains
+// an untracked path to it), while stores into an argument's own fields are
+// covered by the targeted dirty-field invalidation.
+type argEffects struct {
+	dirty  []fieldID
+	stored RefSet
+}
+
 func newSummaryRecorder(refs *refTable, slots *slotTable) *summaryRecorder {
-	rec := &summaryRecorder{refs: refs, slots: slots}
-	for _, r := range refs.argRef {
-		rec.argRefs = rec.argRefs.With(r)
-	}
-	for _, r := range refs.argContent {
-		rec.argRefs = rec.argRefs.With(r)
+	rec := &summaryRecorder{refs: refs, slots: slots, args: make([]argEffects, len(refs.argRef))}
+	for r, info := range refs.infos {
+		if info.kind == refArg || info.kind == refArgContent {
+			rec.argRefs = rec.argRefs.With(RefID(r))
+		}
 	}
 	return rec
 }
@@ -416,11 +431,8 @@ func (rec *summaryRecorder) contentRef(r RefID) (RefID, bool) {
 	info := rec.refs.info(r)
 	switch info.kind {
 	case refArg:
-		if info.unique {
-			return 0, false
-		}
-		cr, ok := rec.refs.argContent[info.arg]
-		return cr, ok
+		cr := rec.refs.argContent[info.arg]
+		return cr, cr != 0
 	case refArgContent:
 		return r, true
 	}
@@ -434,13 +446,10 @@ func (rec *summaryRecorder) contentRef(r RefID) (RefID, bool) {
 // the caller has no finer name for the written object.
 func (rec *summaryRecorder) markDirtyField(targets RefSet, field fieldID) {
 	targets.ForEach(func(r RefID) {
-		switch rec.refs.info(r).kind {
+		switch info := rec.refs.info(r); info.kind {
 		case refArg:
-			if !slices.Contains(rec.dirtyArgFields[r], field) {
-				if rec.dirtyArgFields == nil {
-					rec.dirtyArgFields = map[RefID][]fieldID{}
-				}
-				rec.dirtyArgFields[r] = append(rec.dirtyArgFields[r], field)
+			if arg := &rec.args[info.arg]; !slices.Contains(arg.dirty, field) {
+				arg.dirty = append(arg.dirty, field)
 			}
 		case refArgContent:
 			rec.contentMutated = rec.contentMutated.With(r)
@@ -466,8 +475,8 @@ func (rec *summaryRecorder) markIntMutated(targets RefSet) {
 // recordReturn accumulates, at a return point, every reference a
 // caller (or another thread) could reach afterwards: escaped references
 // and the returned value feed reach (compromising), while
-// references stored into an argument's fields feed that argument's
-// argStored set — they compromise only the OTHER arguments found there.
+// references stored into an argument's fields feed that argument's stored
+// set — they compromise only the OTHER arguments found there.
 // It also applies the strict freshness test to the returned value.
 func (rec *summaryRecorder) recordReturn(s *state, hasValue bool) {
 	set := s.nl
@@ -480,15 +489,13 @@ func (rec *summaryRecorder) recordReturn(s *state, hasValue bool) {
 	}
 	rec.reach = rec.reach.Union(s.reachFrom(set))
 	for arg, r := range rec.refs.argRef {
+		if r == 0 {
+			continue
+		}
 		for _, i := range rec.slots.refSlots[r] {
-			v := s.sigmaAt(int(i))
-			if !v.IsRefs() {
-				continue
+			if v := s.sigmaAt(int(i)); v.IsRefs() {
+				rec.args[arg].stored = rec.args[arg].stored.Union(s.reachFrom(v.Refs()))
 			}
-			if rec.argStored == nil {
-				rec.argStored = map[int]RefSet{}
-			}
-			rec.argStored[arg] = rec.argStored[arg].Union(s.reachFrom(v.Refs()))
 		}
 	}
 }
@@ -497,8 +504,8 @@ func (rec *summaryRecorder) recordReturn(s *state, hasValue bool) {
 // contents, belonging to argument i) was stored into some other
 // argument's fields — an untracked caller-visible alias.
 func (rec *summaryRecorder) storedInOtherArg(i int, r RefID) bool {
-	for j, set := range rec.argStored {
-		if j != i && set.Has(r) {
+	for j := range rec.args {
+		if j != i && rec.args[j].stored.Has(r) {
 			return true
 		}
 	}

@@ -18,13 +18,12 @@ import (
 type transfer struct {
 	m     *bytecode.Method
 	opts  Options
-	refs  *refTable
 	namer intval.Namer
 
 	// syms numbers the program's fields and methods and methodIndex holds
-	// the method's graph and the number of each instruction's operand (both
-	// shared with every other analysis of the build); slots is the index
-	// space of this analysis's states.
+	// the method's graph, the number of each instruction's operand and its
+	// references (all shared with every other analysis of the build); slots
+	// is the index space of this analysis's states.
 	syms *bytecode.Symbols
 	methodIndex
 	slots *slotTable
@@ -34,9 +33,11 @@ type transfer struct {
 	targets []int
 	args    []Value
 
-	// siteLenConst names the unknown allocation length of each newarray
-	// site (lazily minted, stable across the fixed point).
-	siteLenConst map[int]intval.ConstU
+	// siteLenConst is, per pc, 1 + the symbol naming the unknown allocation
+	// length of the newarray site there: 0 until minted on first use, so the
+	// namer numbers it where the fixed point first needs it, and stable
+	// across the fixed point after that.
+	siteLenConst []intval.ConstU
 
 	// rt is the block-local rearrangement detector, set only while judging
 	// with Options.Rearrange.
@@ -152,13 +153,13 @@ func (t *transfer) pushCallResult(s *state, pc int, callee *bytecode.Method, sum
 		return
 	}
 	if sum != nil && sum.ReturnsFresh {
-		if ra, ok := t.refs.callA[pc]; ok {
+		if ra, rb := t.refs.site(pc); ra != GlobalRefID {
 			if j != nil {
 				j.freshReturns++
 			}
 			// All reference fields are null per the freshness proof, which
 			// is exactly the reallocated name's σ default.
-			t.reallocate(s, ra, t.refs.callB[pc])
+			t.reallocate(s, ra, rb)
 			s.intTainted = s.intTainted.With(ra)
 			s.push(RefValue(SingletonRef(ra)))
 			return
@@ -208,14 +209,12 @@ func (t *transfer) readField(s *state, targets RefSet, f fieldID, wantInt bool) 
 // siteLen returns the stable length symbol for a newarray site.
 func (t *transfer) siteLen(pc int) intval.ConstU {
 	if t.siteLenConst == nil {
-		t.siteLenConst = map[int]intval.ConstU{}
+		t.siteLenConst = make([]intval.ConstU, len(t.m.Code))
 	}
-	c, ok := t.siteLenConst[pc]
-	if !ok {
-		c = t.namer.FreshConst()
-		t.siteLenConst[pc] = c
+	if t.siteLenConst[pc] == 0 {
+		t.siteLenConst[pc] = t.namer.FreshConst() + 1
 	}
-	return c
+	return t.siteLenConst[pc] - 1
 }
 
 // isNonLocal consults NL, or everNL under the flow-insensitive ablation.
@@ -370,16 +369,15 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			s.escapeCond(obj.Refs(), val)
 
 		case bytecode.OpNewInstance:
-			ra := t.refs.allocA[pc]
-			if t.reallocate(s, ra, t.refs.allocB[pc]) {
+			ra, rb := t.refs.site(pc)
+			if t.reallocate(s, ra, rb) {
 				s.intTainted = s.intTainted.Without(ra)
 			}
 			s.push(RefValue(SingletonRef(ra)))
 
 		case bytecode.OpNewArray:
 			n := s.pop().Int()
-			ra := t.refs.allocA[pc]
-			rb := t.refs.allocB[pc]
+			ra, rb := t.refs.site(pc)
 			fresh := t.reallocate(s, ra, rb)
 			// The summary B inherits no length/range facts: its members'
 			// lengths differ across the site's executions.

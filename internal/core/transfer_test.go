@@ -1,9 +1,12 @@
 package core
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +28,31 @@ func TestTransferImports(t *testing.T) {
 	for _, imp := range f.Imports {
 		if path, _ := strconv.Unquote(imp.Path.Value); !allowed[path] {
 			t.Errorf("transfer.go imports %s; the transfer functions may depend only on bytecode, cfg and intval", path)
+		}
+	}
+}
+
+// TestNoMapsInTheFixedPoint keeps the analysis's per-method universe in
+// slices: references, fields, callees and sites are numbers of the method or
+// the program, so a table keyed by pc, argument or reference is a slice, and
+// a map in non-test code means a private numbering has come back. The opt-in
+// swap detector (rearrange.go) keeps its value-numbering maps.
+func TestNoMapsInTheFixedPoint(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "rearrange.go"
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if _, ok := n.(*ast.MapType); ok {
+					t.Errorf("%s: a map type; number the key and use a slice", fset.Position(n.Pos()))
+				}
+				return true
+			})
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/core"
+	"satbelim/internal/progen"
 	"satbelim/internal/workloads"
 )
 
@@ -65,5 +66,40 @@ func TestVerdictDumpGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != verdictDumpGolden {
 		t.Errorf("verdict dump hash %s, want %s (%d builds)", got, verdictDumpGolden, builds)
+	}
+}
+
+// summaryDumpGolden is the sha256 TestSummaryDumpGolden computes. It was
+// taken with this test unchanged at the commit before a method's references
+// were numbered once per build (PR 28's tree, where summary rounds and the
+// judging pass each built their own reference table and summary mode
+// interleaved contents references with the arguments).
+const summaryDumpGolden = "74fa0d0b89c25b0eb106588df18afa8c3a38f5d3f20b5a377e83ffbc18c488de"
+
+// TestSummaryDumpGolden hashes dumpBuild over summary-heavy generated
+// programs — mutual recursion and deep call chains, which the six workloads
+// lack — at inline limits 0 and 100 × {summaries, + one reference per
+// allocation site, + null-or-same and rearrange}: 240 builds in which the
+// summary fixed point decides what judging may trust.
+func TestSummaryDumpGolden(t *testing.T) {
+	h := sha256.New()
+	for seed, src := range progen.Corpus(2900, 40, progen.CampaignConfig()) {
+		for _, limit := range []int{0, 100} {
+			for ext, opts := range []core.Options{
+				{Mode: core.ModeFieldArray, Interprocedural: true},
+				{Mode: core.ModeFieldArray, Interprocedural: true, SingleRefPerSite: true},
+				{Mode: core.ModeFieldArray, Interprocedural: true, NullOrSame: true, Rearrange: true},
+			} {
+				b, err := Compile(fmt.Sprintf("gen%d", seed), src, Options{InlineLimit: limit, Analysis: opts, NoCache: true})
+				if err != nil {
+					t.Fatalf("seed %d limit %d: %v", seed, limit, err)
+				}
+				fmt.Fprintf(h, "== seed=%d limit=%d opts=%d\n", seed, limit, ext)
+				dumpBuild(h, b)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != summaryDumpGolden {
+		t.Errorf("summary dump hash %s, want %s", got, summaryDumpGolden)
 	}
 }
