@@ -1,0 +1,112 @@
+package bytecode_test
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"satbelim/internal/bytecode"
+	"satbelim/internal/inline"
+	"satbelim/internal/workloads"
+)
+
+// countGraphs runs f and returns how many graphs it built.
+func countGraphs(f func()) int {
+	var mu sync.Mutex
+	n := 0
+	bytecode.SetGraphHook(func(*bytecode.Method) { mu.Lock(); n++; mu.Unlock() })
+	defer bytecode.SetGraphHook(nil)
+	f()
+	return n
+}
+
+// TestBodiesAreNeverStale: a record describes the code it was built from.
+// The original program's records are all built before it is inlined; the
+// inlined program (a Clone the inliner then rewrites) must not inherit them,
+// so each of its records equals a fresh build from the inlined code. A
+// Clone starts with no record, and AddClass drops every record.
+func TestBodiesAreNeverStale(t *testing.T) {
+	for name, src := range corpus() {
+		p := compile(t, src)
+		if err := p.Validate(); err != nil { // builds every record of p
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, limit := range []int{0, 25, 1000} {
+			q := inline.Apply(p, inline.Options{Limit: limit}).Program
+			for i, m := range q.Methods() {
+				got := q.Body(i)
+				if got.Err != nil || got.Graph.Method != m || !reflect.DeepEqual(got, bytecode.NewBody(q, m)) {
+					t.Errorf("%s at limit %d: the record of %s is not a fresh build of its inlined code", name, limit, m.QualifiedName())
+				}
+			}
+		}
+
+		c := p.Clone()
+		if n := countGraphs(func() { c.Validate() }); n != len(c.Methods()) {
+			t.Errorf("%s: the clone's first Validate built %d graphs for %d methods", name, n, len(c.Methods()))
+		}
+		for i, m := range c.Methods() {
+			if c.Body(i) == p.Body(i) || c.Body(i).Graph.Method != m {
+				t.Errorf("%s: the clone reads the original's record of %s", name, m.QualifiedName())
+			}
+		}
+
+		before := p.Body(0)
+		p.AddClass(p.SortedClasses()[0])
+		if p.Body(0) == before {
+			t.Errorf("%s: AddClass kept the records", name)
+		}
+		if n := countGraphs(func() { p.Validate() }); n != len(p.Methods())-1 {
+			t.Errorf("%s: after AddClass and one lookup, Validate built %d graphs for %d methods", name, n, len(p.Methods()))
+		}
+	}
+}
+
+// TestBodyOfAMethodOutsideTheProgram: a method the program does not hold
+// gets a record built for the caller and kept by nobody.
+func TestBodyOfAMethodOutsideTheProgram(t *testing.T) {
+	p := compile(t, workloads.JBB().Source)
+	m := p.Methods()[0]
+	if p.BodyOf(m) != p.Body(0) {
+		t.Error("BodyOf a method of the program is not the program's record")
+	}
+	lone := m.Clone()
+	if n := countGraphs(func() { p.BodyOf(lone); p.BodyOf(lone) }); n != 2 {
+		t.Errorf("two BodyOf calls on a method outside the program built %d graphs, want 2", n)
+	}
+	if b := p.BodyOf(lone); b.Err != nil || b.Graph.Method != lone || !reflect.DeepEqual(b.FieldAt, p.Body(0).FieldAt) {
+		t.Errorf("the lone copy's record is not its own: %+v", b)
+	}
+}
+
+// TestFirstBodyUseIsRaceFree: eight goroutines ask for every record of a
+// program nobody has asked yet (run under -race); they all get the same
+// record, and it is a fresh build.
+func TestFirstBodyUseIsRaceFree(t *testing.T) {
+	src := workloads.JBB().Source
+	for round := 0; round < 20; round++ {
+		p := unlinked(t, src)
+		got := make([][]*bytecode.Body, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range p.Methods() {
+					got[g] = append(got[g], p.Body(i))
+				}
+			}()
+		}
+		wg.Wait()
+		for i, m := range p.Methods() {
+			for g := range got {
+				if got[g][i] != got[0][i] {
+					t.Fatalf("goroutines %d and 0 hold different records of %s", g, m.QualifiedName())
+				}
+			}
+			if !reflect.DeepEqual(got[0][i], bytecode.NewBody(p, m)) {
+				t.Errorf("the kept record of %s is not a fresh build", m.QualifiedName())
+			}
+		}
+	}
+}

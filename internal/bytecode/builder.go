@@ -10,8 +10,8 @@ type Builder struct {
 	fixups map[string][]int // label -> pcs of branches awaiting the label
 }
 
-// NewBuilder starts a method. Slot types for the receiver and parameters
-// must already be reflected in numSlots / slotTypes via DeclareSlot.
+// NewBuilder starts a method. Slots for the receiver and parameters are
+// declared with DeclareSlot (or AddParam).
 func NewBuilder(class, name string, static bool) *Builder {
 	return &Builder{
 		m: &Method{
@@ -43,8 +43,7 @@ func (b *Builder) AddParam(t *Type) int {
 // index.
 func (b *Builder) DeclareSlot(t *Type) int {
 	b.m.SlotTypes = append(b.m.SlotTypes, t)
-	b.m.NumSlots = len(b.m.SlotTypes)
-	return b.m.NumSlots - 1
+	return len(b.m.SlotTypes) - 1
 }
 
 // PC returns the next instruction's pc.

@@ -1,0 +1,13 @@
+package bytecode
+
+// BuildGraph is the graph half of a Body build, for the tests that compare
+// its shape and count its allocations.
+func BuildGraph(m *Method) (*Graph, error) { return buildGraph(m) }
+
+// SetGraphHook makes every graph build report its method to f (nil: to
+// nobody). Tests that set it must not run in parallel.
+func SetGraphHook(f func(*Method)) { graphHook = f }
+
+// NewBody builds m's record against p's symbol table without consulting or
+// filling p's records: what a fresh build from the code as it is now gives.
+func NewBody(p *Program, m *Method) *Body { return newBody(p.Symbols(), m) }

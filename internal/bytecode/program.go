@@ -35,12 +35,10 @@ type Method struct {
 	// Return is the result type (Void for none).
 	Return *Type
 
-	// NumSlots is the number of local variable slots. Slot 0 is the
-	// receiver for instance methods; parameters follow.
-	NumSlots int
-	// SlotTypes records the static type of each slot, filled by codegen
-	// and updated by the inliner. The analyses use it to distinguish
-	// reference slots.
+	// SlotTypes records the static type of each local variable slot, filled
+	// by codegen and extended by the inliner; its length is the slot count.
+	// Slot 0 is the receiver for instance methods; parameters follow. The
+	// analyses use it to distinguish reference slots.
 	SlotTypes []*Type
 
 	Code []Instr
@@ -48,6 +46,9 @@ type Method struct {
 	// MaxStack is the verified operand stack bound (set by the verifier).
 	MaxStack int
 }
+
+// NumSlots returns the number of local variable slots.
+func (m *Method) NumSlots() int { return len(m.SlotTypes) }
 
 // Ref returns the method's reference.
 func (m *Method) Ref() MethodRef { return MethodRef{Class: m.Class, Name: m.Name} }
@@ -155,7 +156,7 @@ func Disassemble(m *Method) string {
 	if m.Ctor {
 		kind = "constructor"
 	}
-	fmt.Fprintf(&b, "%s %s.%s (%d slots, %d bytes)\n", kind, m.Class, m.Name, m.NumSlots, m.Size())
+	fmt.Fprintf(&b, "%s %s.%s (%d slots, %d bytes)\n", kind, m.Class, m.Name, m.NumSlots(), m.Size())
 	for pc := range m.Code {
 		fmt.Fprintf(&b, "  %4d: %s\n", pc, m.Code[pc].String())
 	}
@@ -172,46 +173,13 @@ func DisassembleProgram(p *Program) string {
 	return b.String()
 }
 
-// Validate performs basic structural sanity checks: branch targets in
-// range, slots in range, field and method operands that resolve, static
-// fields accessed by the static opcodes and instance fields by the others.
-// It returns the first problem found, or nil.
+// Validate reports the first structural fault of any method's Body, in
+// method-number order, then checks the entry point. It returns nil for a
+// program whose methods the verifier may go on to type-check.
 func (p *Program) Validate() error {
-	syms := p.Symbols()
-	for _, m := range syms.Methods {
-		for pc := range m.Code {
-			in := &m.Code[pc]
-			if in.IsBranch() {
-				if in.A < 0 || in.A >= int64(len(m.Code)) {
-					return fmt.Errorf("%s: pc %d: branch target %d out of range", m.QualifiedName(), pc, in.A)
-				}
-			}
-			switch in.Op {
-			case OpLoad, OpStore:
-				if in.A < 0 || in.A >= int64(m.NumSlots) {
-					return fmt.Errorf("%s: pc %d: slot %d out of range [0,%d)", m.QualifiedName(), pc, in.A, m.NumSlots)
-				}
-			case OpGetField, OpPutField, OpGetStatic, OpPutStatic:
-				f := syms.Field(in.Field)
-				if f == nil {
-					return fmt.Errorf("%s: pc %d: unresolved field %s", m.QualifiedName(), pc, in.Field)
-				}
-				if static := in.Op == OpGetStatic || in.Op == OpPutStatic; static != f.Static {
-					return fmt.Errorf("%s: pc %d: %s of %s", m.QualifiedName(), pc, in.Op, f)
-				}
-			case OpInvoke, OpSpawn:
-				if syms.MethodNum(in.Method) < 0 {
-					return fmt.Errorf("%s: pc %d: unresolved method %s", m.QualifiedName(), pc, in.Method)
-				}
-			case OpNewInstance:
-				if in.Type == nil || in.Type.Kind != KindClass || p.Class(in.Type.Class) == nil {
-					return fmt.Errorf("%s: pc %d: bad newinstance type %s", m.QualifiedName(), pc, in.Type)
-				}
-			case OpNewArray:
-				if in.Type == nil {
-					return fmt.Errorf("%s: pc %d: newarray missing element type", m.QualifiedName(), pc)
-				}
-			}
+	for n := range p.Methods() {
+		if err := p.Body(n).Err; err != nil {
+			return err
 		}
 	}
 	if p.Main != (MethodRef{}) {

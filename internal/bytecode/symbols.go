@@ -3,6 +3,7 @@ package bytecode
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 )
 
 // FieldID numbers a field in a program's symbol table.
@@ -48,10 +49,12 @@ type ClassSym struct {
 // methods and fields and resolves references to them — the paper's "fixed
 // and finite" universe (§2.2), fixed before any fixed point starts. The
 // numbering is a function of the declarations alone, so a program, its
-// Clone and its inlined form agree on it. Nothing about method bodies is
-// recorded, since those change under the inliner; the call graph is
-// computed from the code when asked for (BuildCallGraph). Read-only once
-// built, and so safe for concurrent readers.
+// Clone and its inlined form agree on it. Method bodies change under the
+// inliner, so what is known about them is not copied with the numbering:
+// each table holds its own program's Body records, built on first use
+// (body.go), and the call graph is computed from the code when asked for
+// (BuildCallGraph). Read-only once built, apart from the records' one-time
+// fill, and so safe for concurrent readers.
 type Symbols struct {
 	// Classes is every class in ascending name order.
 	Classes []*Class
@@ -69,11 +72,15 @@ type Symbols struct {
 	classes map[string]*ClassSym
 	fields  map[FieldRef]FieldID
 	methods map[MethodRef]int
+	// bodies holds each method's Body by method number, nil until first
+	// asked for.
+	bodies []atomic.Pointer[Body]
 }
 
 // Symbols returns the program's symbol table, linking the program on first
 // use (and again after AddClass). Concurrent first users may each link; the
-// tables are equal and one of them is kept.
+// tables are equal, one of them is kept, and all of them get it — so they
+// share its Body records too.
 func (p *Program) Symbols() *Symbols {
 	if s := p.syms.Load(); s != nil {
 		return s
@@ -136,7 +143,10 @@ func (p *Program) link() *Symbols {
 			cs.RefFields = append(cs.RefFields, f.ID)
 		}
 	}
-	p.syms.Store(s)
+	s.bodies = make([]atomic.Pointer[Body], len(s.Methods))
+	if !p.syms.CompareAndSwap(nil, s) {
+		return p.syms.Load()
+	}
 	return s
 }
 
@@ -151,11 +161,12 @@ func (s *Symbols) addMethods(c *Class) (first int) {
 
 // over returns the table of p, a program with the declarations of the one s
 // was linked from (its Clone): the numbering is shared, the class and
-// method pointers are p's.
+// method pointers are p's, and no body has a record yet.
 func (s *Symbols) over(p *Program) *Symbols {
 	t := *s
 	t.Classes = make([]*Class, len(s.Classes))
 	t.Methods = make([]*Method, 0, len(s.Methods))
+	t.bodies = make([]atomic.Pointer[Body], len(s.Methods))
 	for i, c := range s.Classes {
 		t.Classes[i] = p.classes[c.Name]
 		t.addMethods(t.Classes[i])

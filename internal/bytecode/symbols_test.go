@@ -250,13 +250,17 @@ func TestFirstUseIsRaceFree(t *testing.T) {
 // of them keeps a map keyed by a symbolic reference or a method pointer —
 // the heap's overflow for statics an unverified program invents is the one
 // exception — and the files that run per block visit or per heap access
-// never resolve a name through the program at all. Once-per-instruction
-// resolvers (the verifier, decode, the reference interpreter) may.
+// never resolve a name through the program at all. An instruction's operand
+// is resolved once, by its method's Body: the verifier, the analysis, the
+// site predicate, the pipeline and decode read the Body's numbers and never
+// look an operand up by name. The reference interpreter may.
 func TestNoPrivateSymbolTables(t *testing.T) {
 	allowedMaps := map[string]string{"heap": "map[bytecode.FieldRef]Value"} // Heap.staticExtra
 	noLookups := map[string]bool{"core/transfer.go": true, "core/refs.go": true, "heap/heap.go": true}
+	readsBodies := map[string]bool{"core": true, "satb": true, "verifier": true, "pipeline": true}
 	symbolic := map[string]bool{"FieldRef": true, "MethodRef": true, "bytecode.FieldRef": true,
 		"bytecode.MethodRef": true, "*Method": true, "*bytecode.Method": true}
+	seen := map[string]bool{}
 	for _, pkg := range []string{"core", "heap", "satb", "verifier", "inline", "pipeline", "vm"} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, "../"+pkg, func(fi fs.FileInfo) bool {
@@ -268,6 +272,7 @@ func TestNoPrivateSymbolTables(t *testing.T) {
 		for _, files := range pkgs {
 			for path, file := range files.Files {
 				name := pkg + "/" + filepath.Base(path)
+				seen[name] = true
 				ast.Inspect(file, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.MapType:
@@ -276,17 +281,44 @@ func TestNoPrivateSymbolTables(t *testing.T) {
 						}
 					case *ast.CallExpr:
 						sel, ok := n.Fun.(*ast.SelectorExpr)
-						if ok && noLookups[name] && (sel.Sel.Name == "Method" || sel.Sel.Name == "FieldType") {
+						if !ok {
+							break
+						}
+						if noLookups[name] && (sel.Sel.Name == "Method" || sel.Sel.Name == "FieldType") {
 							t.Errorf("%s: %s resolves a name where it should read a number resolved beforehand", fset.Position(n.Pos()), types.ExprString(n.Fun))
+						}
+						if (readsBodies[pkg] || name == "vm/decode.go") && resolvesOperand(sel, n.Args) {
+							t.Errorf("%s: %s resolves an instruction's operand; read its Body's FieldAt or CalleeAt", fset.Position(n.Pos()), types.ExprString(n))
 						}
 					}
 					return true
 				})
-				delete(noLookups, name)
 			}
 		}
 	}
 	for name := range noLookups {
-		t.Errorf("%s is gone; name the file that runs per visit or per access now", name)
+		if !seen[name] {
+			t.Errorf("%s is gone; name the file that runs per visit or per access now", name)
+		}
 	}
+	if !seen["vm/decode.go"] {
+		t.Error("vm/decode.go is gone; name the file that decodes now")
+	}
+}
+
+// resolvesOperand reports a call that looks an instruction's symbolic
+// operand up by name: X.Field(in.Field), X.Method(in.Method),
+// X.MethodNum(in.Method), or any FieldType call.
+func resolvesOperand(sel *ast.SelectorExpr, args []ast.Expr) bool {
+	switch sel.Sel.Name {
+	case "FieldType":
+		return true
+	case "Field", "Method", "MethodNum":
+		if len(args) != 1 {
+			return false
+		}
+		arg, ok := args[0].(*ast.SelectorExpr)
+		return ok && (arg.Sel.Name == "Field" || arg.Sel.Name == "Method")
+	}
+	return false
 }

@@ -243,37 +243,34 @@ func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Meth
 // analyzeMethod is AnalyzeMethodCtx for m, whose index is entry i of the
 // build's program index.
 func analyzeMethod(ctx context.Context, px *programIndex, i int, m *bytecode.Method, opts Options) (*MethodReport, error) {
-	rep := &MethodReport{Method: m, BytecodeBytes: m.Size()}
-	verdicts, err := analyze(ctx, px, i, m, opts, rep)
+	idx, err := px.of(i, m)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: %w", err)
 	}
+	rep := &MethodReport{Method: m, BytecodeBytes: m.Size()}
+	verdicts := analyze(ctx, px, idx, m, opts, rep)
 	rep.Converged = rep.Degraded == DegradeNone
-	publish(px.syms, m, verdicts, rep)
+	publish(px.syms, idx.Body, verdicts, rep)
 	return rep, nil
 }
 
 // analyze decides the method's verdicts (nil: none proven) and fills the
 // engine's part of the report; a degraded method returns nil verdicts with
 // the reason in rep.
-func analyze(ctx context.Context, px *programIndex, i int, m *bytecode.Method, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict, err error) {
+func analyze(ctx context.Context, px *programIndex, idx methodIndex, m *bytecode.Method, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict) {
 	defer func() {
 		if r := recover(); r != nil {
 			*rep = MethodReport{Method: m, BytecodeBytes: rep.BytecodeBytes, Degraded: DegradePanic,
 				DegradeDetail: fmt.Sprintf("%v\n%s", r, debug.Stack())}
-			verdicts, err = nil, nil
+			verdicts = nil
 		}
 	}()
 	if cerr := ctx.Err(); cerr != nil {
 		rep.Degraded, rep.DegradeDetail = DegradeCancelled, cerr.Error()
-		return nil, nil
+		return nil
 	}
 	if opts.Mode == ModeNone {
-		return nil, nil
-	}
-	idx, err := px.of(i, m)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
+		return nil
 	}
 	a := newAnalyzer(px, m, idx, opts)
 	a.maxStateSize = opts.MaxStateSize
@@ -295,21 +292,22 @@ func analyze(ctx context.Context, px *programIndex, i int, m *bytecode.Method, o
 	rep.Degraded = a.fixpoint()
 	rep.BlockVisits = a.visits
 	if rep.Degraded != DegradeNone {
-		return nil, nil
+		return nil
 	}
 	j := a.judge()
 	rep.SummaryCalls, rep.FreshReturns = j.summaryCalls, j.freshReturns
-	return j.verdicts, nil
+	return j.verdicts
 }
 
 // publish is the one writer of Instr.Verdict and the one counter of sites
 // and elisions: it stores the method's verdicts (nil: keep every barrier)
 // and counts the report's static columns off the stored result.
-func publish(syms *bytecode.Symbols, m *bytecode.Method, verdicts []bytecode.Verdict, rep *MethodReport) {
+func publish(syms *bytecode.Symbols, body *bytecode.Body, verdicts []bytecode.Verdict, rep *MethodReport) {
+	m := body.Graph.Method
 	for pc := range m.Code {
 		in := &m.Code[pc]
 		in.Verdict = bytecode.VerdictNone
-		kind, ok := satb.SiteOf(syms, in)
+		kind, ok := satb.SiteOf(syms, in.Op, body.FieldAt[pc])
 		if !ok {
 			continue
 		}
@@ -338,8 +336,8 @@ func publish(syms *bytecode.Symbols, m *bytecode.Method, verdicts []bytecode.Ver
 func newAnalyzer(px *programIndex, m *bytecode.Method, idx methodIndex, opts Options) *analyzer {
 	a := &analyzer{
 		transfer:  transfer{m: m, opts: opts, syms: px.syms, methodIndex: idx},
-		entry:     make([]*state, len(idx.g.Blocks)),
-		maxVisits: 200*len(idx.g.Blocks) + 2000,
+		entry:     make([]*state, len(idx.Graph.Blocks)),
+		maxVisits: 200*len(idx.Graph.Blocks) + 2000,
 	}
 	a.slots = newSlotTable(px.syms, a.refs)
 	a.scratch = &state{tab: a.slots}
@@ -349,7 +347,7 @@ func newAnalyzer(px *programIndex, m *bytecode.Method, idx methodIndex, opts Opt
 
 // initialState builds the method-entry state of §2.3 / §3.4.
 func (a *analyzer) initialState() *state {
-	s := newState(a.slots, a.m.NumSlots)
+	s := newState(a.slots, a.m.NumSlots())
 	s.nl = SingletonRef(GlobalRefID)
 	for i := range s.locals {
 		s.locals[i] = Bottom
@@ -448,7 +446,7 @@ const deadlineCheckInterval = 32
 // degrade to the conservative result.
 func (a *analyzer) fixpoint() DegradeReason {
 	a.entry[0] = a.initialState()
-	work := newRPOWorklist(a.g.RPOIndex())
+	work := newRPOWorklist(a.Graph.RPOIndex())
 	work.push(0)
 	for {
 		id, ok := work.pop()
@@ -473,7 +471,7 @@ func (a *analyzer) fixpoint() DegradeReason {
 		}
 		out := a.scratch
 		out.copyFrom(a.entry[id])
-		targets := a.simulate(out, a.g.Blocks[id], nil)
+		targets := a.simulate(out, a.Graph.Blocks[id], nil)
 		if a.maxStateSize > 0 && out.footprint() > a.maxStateSize {
 			return DegradeStateSize
 		}
@@ -485,7 +483,7 @@ func (a *analyzer) fixpoint() DegradeReason {
 				// Every block but the entry is first reached at most once.
 				a.entry[tgt] = a.slab.newEntry(out, len(a.entry)-1)
 				changed = true
-			case len(a.g.Blocks[tgt].Preds) == 1:
+			case len(a.Graph.Blocks[tgt].Preds) == 1:
 				// A single-predecessor block's entry is exactly its
 				// predecessor's out state; re-merging it with its own
 				// stale entry would degrade stride variables to ⊤
@@ -525,7 +523,7 @@ func (a *analyzer) judge() judgment {
 	outs := make([]struct {
 		st    *state
 		conts int
-	}, len(a.g.Blocks))
+	}, len(a.Graph.Blocks))
 	free := []*state{a.scratch, a.spare}
 	copyOf := func(src *state) *state {
 		st := &state{tab: a.slots}
@@ -537,15 +535,15 @@ func (a *analyzer) judge() judgment {
 	}
 	var trackers []*rearrangeTracker
 	if a.opts.Rearrange {
-		trackers = make([]*rearrangeTracker, len(a.g.Blocks))
+		trackers = make([]*rearrangeTracker, len(a.Graph.Blocks))
 	}
-	for _, id := range a.g.ReversePostorder() {
+	for _, id := range a.Graph.ReversePostorder() {
 		if a.entry[id] == nil {
 			continue
 		}
-		b := a.g.Blocks[id]
+		b := a.Graph.Blocks[id]
 		for _, succ := range b.Succs {
-			if len(a.g.Blocks[succ].Preds) == 1 {
+			if len(a.Graph.Blocks[succ].Preds) == 1 {
 				outs[id].conts++
 			}
 		}

@@ -98,13 +98,13 @@ func TestDeadlineDegrades(t *testing.T) {
 }
 
 func TestPanicDegradesConservatively(t *testing.T) {
-	// An invoke of an unresolved method panics inside simulate (nil
-	// callee). Unverified programs are the only way to reach this; the
-	// analysis must degrade the method, not take the pipeline down.
+	// A pop from an empty stack panics inside simulate. Unverified programs
+	// are the only way to reach this; the analysis must degrade the method,
+	// not take the pipeline down.
 	p := bytecode.NewProgram()
 	cls := &bytecode.Class{Name: "T"}
 	b := bytecode.NewBuilder("T", "boom", true)
-	b.Invoke(bytecode.MethodRef{Class: "X", Name: "nope"})
+	b.Op(bytecode.OpPop)
 	b.Return()
 	m := b.Build()
 	cls.Methods = append(cls.Methods, m)
@@ -146,8 +146,8 @@ func TestGenerousBudgetsChangeNothing(t *testing.T) {
 	}
 }
 
-// TestSummaryPanicDegrades: T.main → T.f → T.ghost, with ghost never
-// declared. Summarizing T.f panics like judging it does; the summary fixed
+// TestSummaryPanicDegrades: T.main → T.f, where T.f pops an empty stack.
+// Summarizing T.f panics like judging it does; the summary fixed
 // point must answer the worst summary instead of taking the build down —
 // also on a worker goroutine, where no caller's recover reaches — and
 // judging then degrades T.f on its own. T.g is a second component to
@@ -166,11 +166,14 @@ func TestSummaryPanicDegrades(t *testing.T) {
 			}
 			b.Invoke(bytecode.MethodRef{Class: "T", Name: c})
 		}
+		if name == "f" {
+			b.Op(bytecode.OpPop) // the stack is empty
+		}
 		b.Return()
 		return b.Build()
 	}
 	p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{
-		method("main", false, "f", "g"), method("f", true, "ghost"), method("g", false)}})
+		method("main", false, "f", "g"), method("f", true), method("g", false)}})
 	f := bytecode.MethodRef{Class: "T", Name: "f"}
 	opts := Options{Mode: ModeFieldArray, Interprocedural: true}
 	for _, workers := range []int{1, 4} {

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"satbelim/internal/bytecode"
-	"satbelim/internal/cfg"
-)
+import "satbelim/internal/bytecode"
 
 // fieldID names a field in the program's symbol table. It is the only
 // spelling of a field the analysis uses: σ slots, null-or-same guarantees,
@@ -32,16 +27,12 @@ func BuildCallGraph(p *bytecode.Program) *CallGraph { return bytecode.BuildCallG
 func Condense(g *CallGraph) *Condensation { return bytecode.Condense(g) }
 
 // methodIndex is what every analysis of one method in a build shares, summary
-// rounds and judging alike: the control-flow graph, the number of each
-// instruction's symbolic operand — the field id of a field instruction, the
-// method number of an invoke's callee (-1 when it names no method: the
-// verifier rejects that, and simulating it panics into DegradePanic) — and
-// the method's reference table.
+// rounds and judging alike: the method's Body — its control-flow graph and
+// the number of each instruction's symbolic operand, as the program resolved
+// them once — and the method's reference table.
 type methodIndex struct {
-	g        *cfg.Graph
-	fieldAt  []fieldID
-	calleeAt []int32
-	refs     *refTable
+	*bytecode.Body
+	refs *refTable
 }
 
 // programIndex is what the analyses of one build share: the program's symbol
@@ -62,34 +53,18 @@ func newProgramIndex(p *bytecode.Program, methods int, opts Options) *programInd
 	return &programIndex{prog: p, syms: p.Symbols(), opts: opts, methods: make([]methodIndex, methods)}
 }
 
-// of returns the index of m, entry i of the table, building it on first
-// use. A field operand that names no declared field — the verifier rejects
-// such a method — is an error, like a method the graph builder rejects.
+// of returns the index of m, entry i of the table, building its reference
+// table on first use. A body with a structural fault — the verifier rejects
+// such a method — is an error.
 func (px *programIndex) of(i int, m *bytecode.Method) (methodIndex, error) {
-	if px.methods[i].g != nil {
+	if px.methods[i].Body != nil {
 		return px.methods[i], nil
 	}
-	g, err := cfg.Build(m)
-	if err != nil {
-		return methodIndex{}, err
+	b := px.prog.BodyOf(m)
+	if b.Err != nil {
+		return methodIndex{}, b.Err
 	}
-	idx := methodIndex{g: g, fieldAt: make([]fieldID, len(m.Code))}
-	for pc := range m.Code {
-		switch in := &m.Code[pc]; in.Op {
-		case bytecode.OpGetField, bytecode.OpPutField, bytecode.OpGetStatic, bytecode.OpPutStatic:
-			f := px.syms.Field(in.Field)
-			if f == nil {
-				return methodIndex{}, fmt.Errorf("%s: pc %d: undeclared field %s", m.QualifiedName(), pc, in.Field)
-			}
-			idx.fieldAt[pc] = f.ID
-		case bytecode.OpInvoke:
-			if idx.calleeAt == nil {
-				idx.calleeAt = make([]int32, len(m.Code))
-			}
-			idx.calleeAt[pc] = int32(px.syms.MethodNum(in.Method))
-		}
-	}
-	idx.refs = buildRefTable(px.syms, m, idx.calleeAt, px.opts)
+	idx := methodIndex{Body: b, refs: buildRefTable(px.syms, m, b.CalleeAt, px.opts)}
 	px.methods[i] = idx
 	return idx, nil
 }

@@ -29,13 +29,17 @@ type FlavorVerdicts struct {
 func FlavorSiteVerdicts(p *bytecode.Program, spec *satb.BarrierSpec) FlavorVerdicts {
 	fv := FlavorVerdicts{Flavor: spec.Name}
 	syms := p.Symbols()
-	for _, m := range syms.Methods {
-		for i := range m.Code {
-			in := &m.Code[i]
+	for n, m := range syms.Methods {
+		body := p.Body(n)
+		if body.Err != nil {
+			continue // a body with a fault resolves no site
+		}
+		for pc := range m.Code {
+			in := &m.Code[pc]
 			if in.Verdict == satb.ElideNone {
 				continue
 			}
-			if _, ok := satb.SiteOf(syms, in); !ok {
+			if _, ok := satb.SiteOf(syms, in.Op, body.FieldAt[pc]); !ok {
 				continue
 			}
 			fv.Verdicts++

@@ -2,7 +2,6 @@ package core
 
 import (
 	"satbelim/internal/bytecode"
-	"satbelim/internal/cfg"
 	"satbelim/internal/intval"
 )
 
@@ -21,9 +20,9 @@ type transfer struct {
 	namer intval.Namer
 
 	// syms numbers the program's fields and methods and methodIndex holds
-	// the method's graph, the number of each instruction's operand and its
-	// references (all shared with every other analysis of the build); slots
-	// is the index space of this analysis's states.
+	// the method's Body — its graph and the number of each instruction's
+	// operand — and its references (all shared with every other analysis of
+	// the build); slots is the index space of this analysis's states.
 	syms *bytecode.Symbols
 	methodIndex
 	slots *slotTable
@@ -232,7 +231,7 @@ func (t *transfer) trackArrays() bool { return t.opts.Mode == ModeFieldArray }
 // receives the verdict of each barrier site traversed.
 // It transforms s into the block's out state in place and returns the
 // successor block ids (valid until the next call).
-func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
+func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 	t.targets = t.targets[:0]
 	for pc := b.Start; pc < b.End; pc++ {
 		in := &t.m.Code[pc]
@@ -298,17 +297,17 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			s.push(TopInt())
 
 		case bytecode.OpGoto:
-			t.targets = append(t.targets, t.g.BlockOf(int(in.A)))
+			t.targets = append(t.targets, t.Graph.BlockOf(int(in.A)))
 			return t.targets
 		case bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfNull, bytecode.OpIfNonNull:
 			s.pop()
-			t.targets = append(t.targets, t.g.BlockOf(int(in.A)))
+			t.targets = append(t.targets, t.Graph.BlockOf(int(in.A)))
 
 		case bytecode.OpGetStatic:
-			if t.syms.Fields[t.fieldAt[pc]].IsRef {
+			if t.syms.Fields[t.FieldAt[pc]].IsRef {
 				v := RefValue(SingletonRef(GlobalRefID))
 				if t.rt != nil {
-					v.vn = t.rt.loadStaticRef(t.fieldAt[pc])
+					v.vn = t.rt.loadStaticRef(t.FieldAt[pc])
 				}
 				s.push(v)
 			} else {
@@ -319,15 +318,15 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			// Values stored into statics escape (AllNonTL).
 			s.escapeValue(val)
 			if t.opts.NullOrSame {
-				s.dropSrcsForField(t.fieldAt[pc])
+				s.dropSrcsForField(t.FieldAt[pc])
 			}
 			if t.rt != nil {
-				t.rt.killStatic(t.fieldAt[pc])
+				t.rt.killStatic(t.FieldAt[pc])
 			}
 
 		case bytecode.OpGetField:
 			obj := s.pop()
-			field := t.fieldAt[pc]
+			field := t.FieldAt[pc]
 			wantInt := !t.syms.Fields[field].IsRef
 			out := t.readField(s, obj.Refs(), field, wantInt)
 			// Null-or-same provenance: a value loaded from (r, f) is
@@ -342,7 +341,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 		case bytecode.OpPutField:
 			val := s.pop()
 			obj := s.pop()
-			field := t.fieldAt[pc]
+			field := t.FieldAt[pc]
 			isRef := t.syms.Fields[field].IsRef
 			if j != nil && isRef {
 				t.judgeFieldStore(s, pc, obj.Refs(), field, val, j)
@@ -463,7 +462,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			}
 
 		case bytecode.OpInvoke:
-			callee := t.syms.Methods[t.calleeAt[pc]]
+			callee := t.syms.Methods[t.CalleeAt[pc]]
 			n := len(s.stack) - callee.NumArgs()
 			t.args = append(t.args[:0], s.stack[n:]...)
 			s.stack = s.stack[:n]
@@ -471,7 +470,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			// Passed references escape: nAllNonTL (§2.4) — unless an
 			// interprocedural summary proves the callee neither
 			// publishes nor mutates the argument.
-			sum := t.summaries.of(int(t.calleeAt[pc]))
+			sum := t.summaries.of(int(t.CalleeAt[pc]))
 			if j != nil && sum != nil {
 				j.summaryCalls++
 			}
@@ -534,7 +533,7 @@ func (t *transfer) simulate(s *state, b *cfg.Block, j *judgment) []int {
 			return t.targets
 		}
 	}
-	t.targets = append(t.targets, t.g.BlockOf(b.End))
+	t.targets = append(t.targets, t.Graph.BlockOf(b.End))
 	return t.targets
 }
 

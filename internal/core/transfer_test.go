@@ -22,12 +22,11 @@ func TestTransferImports(t *testing.T) {
 	}
 	allowed := map[string]bool{
 		"satbelim/internal/bytecode": true,
-		"satbelim/internal/cfg":      true,
 		"satbelim/internal/intval":   true,
 	}
 	for _, imp := range f.Imports {
 		if path, _ := strconv.Unquote(imp.Path.Value); !allowed[path] {
-			t.Errorf("transfer.go imports %s; the transfer functions may depend only on bytecode, cfg and intval", path)
+			t.Errorf("transfer.go imports %s; the transfer functions may depend only on bytecode and intval", path)
 		}
 	}
 }

@@ -93,8 +93,7 @@ func (l *Layout) staticIndex(ref bytecode.FieldRef) (int, bool) {
 }
 
 // NumFields returns the instance-field count of a class, reporting whether
-// the class is known. The pre-decoded VM engine resolves it once per
-// allocation site instead of per allocation.
+// the class is known.
 func (l *Layout) NumFields(class string) (int, bool) {
 	if c := l.syms.Class(class); c != nil {
 		return c.NumFields, true
@@ -122,7 +121,7 @@ func (l *Layout) NumFields(class string) (int, bool) {
 // Declared statics live in a dense slice in declaration order
 // (staticSlots): the slice is sized once at construction and never
 // reallocates, so a slot's address is stable for the heap's lifetime and
-// StaticSlot can hand out direct pointers for translation-time resolution.
+// Static can hand out direct pointers for decode-time resolution.
 // Statics written outside the declared layout (possible only for
 // unverified programs) overflow into a map.
 type Heap struct {
@@ -457,16 +456,11 @@ func (h *Heap) SetStatic(ref bytecode.FieldRef, v Value) Value {
 	return old
 }
 
-// StaticSlot returns a stable pointer to a declared static's storage, or
-// nil for refs outside the declared layout. The compiled VM tier resolves
-// statics to slots once at method translation; reads and writes through
-// the pointer are equivalent to GetStatic/SetStatic.
-func (h *Heap) StaticSlot(ref bytecode.FieldRef) *Value {
-	if i, ok := h.layout.staticIndex(ref); ok {
-		return &h.staticSlots[i]
-	}
-	return nil
-}
+// Static returns a stable pointer to the storage of the declared static in
+// slot (FieldSym.Slot). The decoded engines resolve statics to slots once at
+// decode; reads and writes through the pointer are equivalent to
+// GetStatic/SetStatic of that field.
+func (h *Heap) Static(slot int) *Value { return &h.staticSlots[slot] }
 
 // AppendStaticRoots appends the current reference values of all statics to
 // dst, in declaration order, and returns it. The order must be

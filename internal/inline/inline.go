@@ -128,7 +128,6 @@ func (ix *inliner) expand(m *bytecode.Method, site int, callee *bytecode.Method)
 	// Allocate caller slots for every callee slot.
 	base := len(m.SlotTypes)
 	m.SlotTypes = append(m.SlotTypes, callee.SlotTypes...)
-	m.NumSlots = len(m.SlotTypes)
 
 	// The spliced sequence: stores of the stacked arguments into the
 	// callee's parameter slots (top of stack is the last argument), then

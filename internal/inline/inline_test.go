@@ -256,8 +256,8 @@ class T { static void main() { int x = 5; int y = 7; print(C.mix(x, y)); print(x
 	if err := verifier.VerifyProgram(res.Program); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if m.NumSlots < 7 {
-		t.Errorf("expected extra slots for callee locals, NumSlots = %d", m.NumSlots)
+	if m.NumSlots() < 7 {
+		t.Errorf("expected extra slots for callee locals, NumSlots = %d", m.NumSlots())
 	}
 }
 
@@ -365,7 +365,7 @@ func checkExpansion(t *testing.T, name string, p *bytecode.Program, limit int) {
 		if sh := memo[m.Ref()]; sh != nil {
 			return sh
 		}
-		sh := &shape{slots: m.NumSlots}
+		sh := &shape{slots: m.NumSlots()}
 		memo[m.Ref()] = sh
 		for pc := range m.Code {
 			in := &m.Code[pc]
@@ -396,9 +396,9 @@ func checkExpansion(t *testing.T, name string, p *bytecode.Program, limit int) {
 			}
 		}
 		sh := want(m)
-		if !slices.Equal(seq, sh.seq) || got.NumSlots != sh.slots {
+		if !slices.Equal(seq, sh.seq) || got.NumSlots() != sh.slots {
 			t.Errorf("%s limit %d: %s has %d slots and calls %v; expanding exactly the acyclic callees within the limit gives %d slots and %v",
-				name, limit, m.QualifiedName(), got.NumSlots, seq, sh.slots, sh.seq)
+				name, limit, m.QualifiedName(), got.NumSlots(), seq, sh.slots, sh.seq)
 		}
 		remaining += len(seq)
 	}

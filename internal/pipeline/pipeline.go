@@ -104,15 +104,16 @@ func (b *Build) CompileTime() time.Duration {
 func (b *Build) CompiledCodeSize() int {
 	size := 0
 	syms := b.Program.Symbols()
-	for _, m := range syms.Methods {
+	for n, m := range syms.Methods {
 		size += m.Size() * CodeExpansionFactor
+		fieldAt := b.Program.Body(n).FieldAt
 		for pc := range m.Code {
 			in := &m.Code[pc]
 			// A rearranged store trades the logging sequence for the
 			// trace-state check, so only the stronger verdicts save bytes.
-			_, site := satb.SiteOf(syms, in)
+			_, site := satb.SiteOf(syms, in.Op, fieldAt[pc])
 			if site && in.Verdict < bytecode.VerdictNullOrSame ||
-				in.Op == bytecode.OpPutStatic && syms.Field(in.Field).IsRef {
+				in.Op == bytecode.OpPutStatic && syms.Fields[fieldAt[pc]].IsRef {
 				size += BarrierInlineBytes
 			}
 		}
@@ -223,8 +224,10 @@ func compile(ctx context.Context, name, source string, opts Options) (*Build, er
 // verifyParallel verifies every method, fanning independent methods
 // across workers. The inliner deep-clones method bodies, so no two
 // methods share a Code or SlotTypes slice and each worker's writes
-// (MaxStack) stay method-local. On failure the error of the first method
-// in program order is returned, independent of scheduling.
+// (MaxStack) stay method-local; each method's Body, which the analysis
+// reads after it, is built here by the worker verifying it. On failure the
+// error of the first method in program order is returned, independent of
+// scheduling.
 func verifyParallel(p *bytecode.Program, workers int) error {
 	methods := p.Methods()
 	if workers > len(methods) {

@@ -144,17 +144,15 @@ func (k SiteKind) String() string {
 
 // SiteOf is the one answer to "is this instruction a barrier site, and of
 // which kind": a putfield of a reference-typed field or an aastore (the
-// kind is meaningless when the answer is no). Site counts, the code-size
-// model, the flavor projection and the VM's site tables ask it once per
-// instruction against the program's symbol table, so it keeps a form that
-// inlines (cost 48 of 80 under -gcflags=-m=2): one map lookup for a
-// putfield, nothing for the rest.
-func SiteOf(syms *bytecode.Symbols, in *bytecode.Instr) (SiteKind, bool) {
-	if in.Op == bytecode.OpPutField {
-		f := syms.Field(in.Field)
-		return FieldSite, f != nil && f.IsRef
+// kind is meaningless when the answer is no). op is the instruction's
+// opcode and field the id its Body resolved it to (Body.FieldAt). Site
+// counts, the code-size model, the flavor projection and the VM's site
+// tables ask it once per instruction, so it stays an index and a compare.
+func SiteOf(syms *bytecode.Symbols, op bytecode.Op, field bytecode.FieldID) (SiteKind, bool) {
+	if op == bytecode.OpPutField {
+		return FieldSite, syms.Fields[field].IsRef
 	}
-	return ArraySite, in.Op == bytecode.OpAAStore
+	return ArraySite, op == bytecode.OpAAStore
 }
 
 // SiteKey identifies a compiled store site.

@@ -63,19 +63,16 @@ func TestVerifyRejectsUnderflowAcrossBlocks(t *testing.T) {
 	})
 }
 
-// TestVerifyPanicIsolated drives the verifier into an internal fault —
-// OpNewInstance with a nil type pushes a typeless reference that later
-// dereferences nil — and checks the recover guard converts it into an
-// *Error instead of unwinding the caller (e.g. a parallel verify pool).
+// TestVerifyPanicIsolated drives the verifier into an internal fault — a
+// declared slot with no type, which the structural check accepts and the
+// type check dereferences — and checks the recover guard converts it into
+// an *Error instead of unwinding the caller (e.g. a parallel verify pool).
 func TestVerifyPanicIsolated(t *testing.T) {
 	p := bytecode.NewProgram()
-	cls := &bytecode.Class{Name: "T", Fields: []*bytecode.Field{
-		{Name: "f", Type: bytecode.ClassType("T")},
-	}}
+	cls := &bytecode.Class{Name: "T"}
 	b := bytecode.NewBuilder("T", "bad", true)
-	b.Emit(bytecode.Instr{Op: bytecode.OpNewInstance}) // Type nil: invalid
-	b.Null()
-	b.PutField(bytecode.FieldRef{Class: "T", Name: "f"})
+	b.Load(b.DeclareSlot(nil)) // a typeless slot: invalid
+	b.Op(bytecode.OpPop)
 	b.Return()
 	m := b.Build()
 	cls.Methods = append(cls.Methods, m)
@@ -95,7 +92,7 @@ func TestVerifyPanicIsolated(t *testing.T) {
 }
 
 // TestVerifyErrorsNameTheMethod asserts the Error type renders the
-// method for every rejection shape (cfg failure vs simulate failure).
+// method for every rejection shape (structural fault vs simulate failure).
 func TestVerifyErrorsNameTheMethod(t *testing.T) {
 	builders := []func(b *bytecode.Builder){
 		func(b *bytecode.Builder) { b.Emit(bytecode.Instr{Op: bytecode.OpGoto, A: 123}); b.Return() },
@@ -141,6 +138,39 @@ func TestVerifyRejectsStaticInstanceMismatch(t *testing.T) {
 		m := b.Build()
 		p.AddClass(&bytecode.Class{Name: "C", Methods: []*bytecode.Method{m},
 			Fields: []*bytecode.Field{{Name: "s", Type: c, Static: true}, {Name: "f", Type: c}}})
+		p.Main = m.Ref()
+		for what, err := range map[string]error{"Verify": Verify(p, m), "VerifyProgram": VerifyProgram(p), "Validate": p.Validate()} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s = %v, want a rejection containing %q", what, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestVerifyRejectsBadAllocationTypes: a newinstance of an undeclared class
+// or with no type, and a newarray with no element type, used to verify; the
+// first then failed in every engine with "heap: unknown class", the second
+// crashed every engine. The structural check the verifier now shares with
+// Validate rejects all three.
+func TestVerifyRejectsBadAllocationTypes(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		in   bytecode.Instr
+	}{
+		{"bad newinstance type Ghost", bytecode.Instr{Op: bytecode.OpNewInstance, Type: bytecode.ClassType("Ghost")}},
+		{"bad newinstance type <nil-type>", bytecode.Instr{Op: bytecode.OpNewInstance}},
+		{"newarray missing element type", bytecode.Instr{Op: bytecode.OpNewArray}},
+	} {
+		p := bytecode.NewProgram()
+		b := bytecode.NewBuilder("T", "main", true)
+		if tc.in.Op == bytecode.OpNewArray {
+			b.Const(1)
+		}
+		b.Emit(tc.in)
+		b.Op(bytecode.OpPop)
+		b.Return()
+		m := b.Build()
+		p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{m}})
 		p.Main = m.Ref()
 		for what, err := range map[string]error{"Verify": Verify(p, m), "VerifyProgram": VerifyProgram(p), "Validate": p.Validate()} {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

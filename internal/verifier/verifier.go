@@ -2,14 +2,16 @@
 // methods, in the role the JVM bytecode verifier plays for the paper's
 // analyses: it establishes that operand stacks agree in depth and type at
 // every control-flow join (paper §2.2 relies on this to merge local states
-// elementwise) and computes each method's MaxStack.
+// elementwise) and computes each method's MaxStack. The structural half of
+// verification — the graph, declared slots, resolved operands — is the
+// method's bytecode.Body, which the program builds once and everyone reads;
+// the verifier rejects a body with a fault and type-checks the rest.
 package verifier
 
 import (
 	"fmt"
 
 	"satbelim/internal/bytecode"
-	"satbelim/internal/cfg"
 )
 
 // vkind classifies an abstract verification type.
@@ -107,9 +109,9 @@ func (e *Error) Error() string {
 }
 
 type verifier struct {
-	p *bytecode.Program
-	m *bytecode.Method
-	g *cfg.Graph
+	syms *bytecode.Symbols
+	m    *bytecode.Method
+	body *bytecode.Body
 
 	// entry[b] is the stack state at the entry of block b, valid when
 	// seen[b] is set. (The state itself may be an empty stack, so a nil
@@ -123,19 +125,11 @@ func (v *verifier) errf(pc int, format string, args ...any) error {
 	return &Error{Method: v.m.QualifiedName(), PC: pc, Msg: fmt.Sprintf(format, args...)}
 }
 
-// fieldType resolves a field instruction's operand to its declared type. A
-// static field takes the static opcodes and an instance field the others:
-// the two are laid out apart, so a mismatched access names no storage.
-func (v *verifier) fieldType(pc int, in *bytecode.Instr) (*bytecode.Type, error) {
-	f := v.p.Symbols().Field(in.Field)
-	if f == nil {
-		return nil, v.errf(pc, "unresolved field %s", in.Field)
-	}
-	if static := in.Op == bytecode.OpGetStatic || in.Op == bytecode.OpPutStatic; static != f.Static {
-		return nil, v.errf(pc, "%s of %s", in.Op, f)
-	}
-	return f.Type, nil
-}
+// fieldType is the declared type of the field the instruction at pc names.
+func (v *verifier) fieldType(pc int) *bytecode.Type { return v.syms.Fields[v.body.FieldAt[pc]].Type }
+
+// callee is the method the invoke or spawn at pc names.
+func (v *verifier) callee(pc int) *bytecode.Method { return v.syms.Methods[v.body.CalleeAt[pc]] }
 
 // Verify checks one method and fills in its MaxStack. Malformed bytecode
 // always surfaces as an *Error naming the method — never a panic: a
@@ -148,12 +142,14 @@ func Verify(p *bytecode.Program, m *bytecode.Method) (err error) {
 			err = &Error{Method: m.QualifiedName(), PC: -1, Msg: fmt.Sprintf("internal verifier panic: %v", r)}
 		}
 	}()
-	g, err := cfg.Build(m)
-	if err != nil {
-		return &Error{Method: m.QualifiedName(), PC: -1, Msg: err.Error()}
+	body := p.BodyOf(m)
+	if body.Err != nil {
+		be := body.Err.(*bytecode.BodyError) // the only kind of body fault
+		return &Error{Method: be.Method, PC: be.PC, Msg: be.Msg}
 	}
+	g := body.Graph
 	v := &verifier{
-		p: p, m: m, g: g,
+		syms: p.Symbols(), m: m, body: body,
 		entry: make([][]vtype, len(g.Blocks)),
 		seen:  make([]bool, len(g.Blocks)),
 	}
@@ -204,13 +200,13 @@ func (v *verifier) mergeInto(id int, state []vtype) (bool, error) {
 	}
 	cur := v.entry[id]
 	if len(cur) != len(state) {
-		return false, v.errf(v.g.Blocks[id].Start, "stack depth mismatch at join: %d vs %d", len(cur), len(state))
+		return false, v.errf(v.body.Graph.Blocks[id].Start, "stack depth mismatch at join: %d vs %d", len(cur), len(state))
 	}
 	changed := false
 	for i := range cur {
 		merged, ok := mergeV(cur[i], state[i])
 		if !ok {
-			return false, v.errf(v.g.Blocks[id].Start, "stack type mismatch at join: %s vs %s", cur[i], state[i])
+			return false, v.errf(v.body.Graph.Blocks[id].Start, "stack type mismatch at join: %s vs %s", cur[i], state[i])
 		}
 		if merged != cur[i] {
 			cur[i] = merged
@@ -222,7 +218,7 @@ func (v *verifier) mergeInto(id int, state []vtype) (bool, error) {
 
 // simulate runs the block from its entry state, returning the out state
 // and the successor block ids it flows to.
-func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error) {
+func (v *verifier) simulate(b *bytecode.Block) (out []vtype, targets []int, err error) {
 	stk := append([]vtype(nil), v.entry[b.ID]...)
 
 	push := func(t vtype) {
@@ -267,16 +263,9 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 		case bytecode.OpConstNull:
 			push(vtype{kind: vNull})
 		case bytecode.OpLoad:
-			slot := int(in.A)
-			if slot < 0 || slot >= len(v.m.SlotTypes) {
-				return nil, nil, v.errf(pc, "load from undeclared slot %d", slot)
-			}
-			push(typeToV(v.m.SlotTypes[slot]))
+			push(typeToV(v.m.SlotTypes[in.A]))
 		case bytecode.OpStore:
 			slot := int(in.A)
-			if slot < 0 || slot >= len(v.m.SlotTypes) {
-				return nil, nil, v.errf(pc, "store to undeclared slot %d", slot)
-			}
 			t, err := pop(pc)
 			if err != nil {
 				return nil, nil, err
@@ -346,23 +335,20 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 			}
 			push(vtype{kind: vBool})
 		case bytecode.OpGoto:
-			targets = append(targets, v.g.BlockOf(int(in.A)))
+			targets = append(targets, v.body.Graph.BlockOf(int(in.A)))
 			return stk, targets, nil
 		case bytecode.OpIfTrue, bytecode.OpIfFalse:
 			if _, err := popKind(pc, vBool, in.Op.String()); err != nil {
 				return nil, nil, err
 			}
-			targets = append(targets, v.g.BlockOf(int(in.A)))
+			targets = append(targets, v.body.Graph.BlockOf(int(in.A)))
 		case bytecode.OpIfNull, bytecode.OpIfNonNull:
 			if _, err := popKind(pc, vRef, in.Op.String()); err != nil {
 				return nil, nil, err
 			}
-			targets = append(targets, v.g.BlockOf(int(in.A)))
+			targets = append(targets, v.body.Graph.BlockOf(int(in.A)))
 		case bytecode.OpGetField:
-			ft, err := v.fieldType(pc, in)
-			if err != nil {
-				return nil, nil, err
-			}
+			ft := v.fieldType(pc)
 			obj, err := popKind(pc, vRef, "getfield")
 			if err != nil {
 				return nil, nil, err
@@ -372,10 +358,7 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 			}
 			push(typeToV(ft))
 		case bytecode.OpPutField:
-			ft, err := v.fieldType(pc, in)
-			if err != nil {
-				return nil, nil, err
-			}
+			ft := v.fieldType(pc)
 			val, err := pop(pc)
 			if err != nil {
 				return nil, nil, err
@@ -391,16 +374,10 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 				return nil, nil, v.errf(pc, "putfield %s on %s", in.Field, obj)
 			}
 		case bytecode.OpGetStatic:
-			ft, err := v.fieldType(pc, in)
-			if err != nil {
-				return nil, nil, err
-			}
+			ft := v.fieldType(pc)
 			push(typeToV(ft))
 		case bytecode.OpPutStatic:
-			ft, err := v.fieldType(pc, in)
-			if err != nil {
-				return nil, nil, err
-			}
+			ft := v.fieldType(pc)
 			val, err := pop(pc)
 			if err != nil {
 				return nil, nil, err
@@ -493,10 +470,7 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 				return nil, nil, v.errf(pc, "iastore on %s", arr)
 			}
 		case bytecode.OpInvoke:
-			callee := v.p.Method(in.Method)
-			if callee == nil {
-				return nil, nil, v.errf(pc, "unresolved method %s", in.Method)
-			}
+			callee := v.callee(pc)
 			for i := callee.NumArgs() - 1; i >= 0; i-- {
 				at := callee.ArgType(i)
 				val, err := pop(pc)
@@ -511,10 +485,7 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 				push(typeToV(callee.Return))
 			}
 		case bytecode.OpSpawn:
-			callee := v.p.Method(in.Method)
-			if callee == nil {
-				return nil, nil, v.errf(pc, "unresolved method %s", in.Method)
-			}
+			callee := v.callee(pc)
 			if callee.Static || len(callee.Params) != 0 || callee.Return != bytecode.Void {
 				return nil, nil, v.errf(pc, "spawn target %s must be a void instance method with no parameters", in.Method)
 			}
@@ -549,6 +520,6 @@ func (v *verifier) simulate(b *cfg.Block) (out []vtype, targets []int, err error
 		}
 	}
 	// Fell through the block end.
-	targets = append(targets, v.g.BlockOf(b.End))
+	targets = append(targets, v.body.Graph.BlockOf(b.End))
 	return stk, targets, nil
 }

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/heap"
@@ -11,10 +10,11 @@ import (
 
 // This file implements the decode half of the pre-decoded execution
 // engine: at VM construction every method's bytecode is translated into a
-// dense internal form (dinstr) whose operands are fully resolved — field
-// names become slot indices, method references become *dmethod pointers,
-// barrier sites become pre-classified site records carrying the elision
-// verdict decided once here instead of per execution. A second pass fuses
+// dense internal form (dinstr) whose operands are fully resolved — the
+// field and method numbers the method's Body already holds become storage
+// slots and *dmethod pointers, barrier sites become pre-classified site
+// records carrying the elision verdict decided once here instead of per
+// execution. A second pass fuses
 // the hottest instruction sequences (loop headers, local increments,
 // array element stores, field stores from locals) into superinstructions.
 //
@@ -130,9 +130,10 @@ type fieldRec struct {
 	isRef bool
 }
 
-// staticRec is a resolved static-field operand.
+// staticRec is a resolved static-field operand: the static's slot in the
+// heap's static storage.
 type staticRec struct {
-	ref   bytecode.FieldRef
+	slot  int32
 	isRef bool
 }
 
@@ -225,13 +226,13 @@ type dprogram struct {
 	methods []*dmethod
 }
 
-// decodeProgram translates a program into the dense executable form. Any
-// unresolvable operand fails the whole decode; the caller then falls back
+// decodeProgram translates a program into the dense executable form. A body
+// with a structural fault fails the whole decode; the caller then falls back
 // to the switch interpreter, which reports such programs with its usual
-// runtime errors. project maps each store's analysis verdict to the
-// verdict used at runtime (the barrier flavor's soundness projection) —
-// it runs once per site here, keeping flavor logic off the dispatch path.
-func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(satb.ElideKind) satb.ElideKind) (*dprogram, error) {
+// runtime errors. project maps each store's analysis verdict to the verdict
+// used at runtime (the barrier flavor's soundness projection) — it runs once
+// per site here, keeping flavor logic off the dispatch path.
+func decodeProgram(p *bytecode.Program, project func(satb.ElideKind) satb.ElideKind) (*dprogram, error) {
 	syms := p.Symbols()
 	main := syms.MethodNum(p.Main)
 	if main < 0 {
@@ -244,12 +245,16 @@ func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(satb.E
 			name:     m.QualifiedName(),
 			static:   m.Static,
 			numArgs:  m.NumArgs(),
-			numSlots: m.NumSlots,
+			numSlots: m.NumSlots(),
 			stackCap: m.MaxStack + 4,
 		}
 	}
-	for _, dm := range d.methods {
-		if err := d.decodeMethod(syms, layout, dm, project); err != nil {
+	for i, dm := range d.methods {
+		body := p.Body(i)
+		if body.Err != nil {
+			return nil, fmt.Errorf("vm: decode: %w", body.Err)
+		}
+		if err := d.decodeMethod(syms, body, dm, project); err != nil {
 			return nil, err
 		}
 	}
@@ -257,16 +262,9 @@ func decodeProgram(p *bytecode.Program, layout *heap.Layout, project func(satb.E
 	return d, nil
 }
 
-// i32 guards an operand that must fit the decoded form exactly.
-func i32(v int64) (int32, error) {
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("vm: decode: operand %d out of range", v)
-	}
-	return int32(v), nil
-}
-
-// decodeMethod fills in dm.code and the operand tables.
-func (d *dprogram) decodeMethod(syms *bytecode.Symbols, layout *heap.Layout, dm *dmethod, project func(satb.ElideKind) satb.ElideKind) error {
+// decodeMethod fills in dm.code and the operand tables from the method's
+// Body, which has checked every slot, branch target and operand.
+func (d *dprogram) decodeMethod(syms *bytecode.Symbols, body *bytecode.Body, dm *dmethod, project func(satb.ElideKind) satb.ElideKind) error {
 	m := dm.src
 	dm.code = make([]dinstr, len(m.Code))
 	for pc := range m.Code {
@@ -274,7 +272,7 @@ func (d *dprogram) decodeMethod(syms *bytecode.Symbols, layout *heap.Layout, dm 
 		di := &dm.code[pc]
 		di.fuse = -1
 		di.line = int32(in.Line)
-		siteKind, isSite := satb.SiteOf(syms, in)
+		siteKind, isSite := satb.SiteOf(syms, in.Op, body.FieldAt[pc])
 		switch in.Op {
 		case bytecode.OpNop:
 			di.op = dNop
@@ -284,15 +282,11 @@ func (d *dprogram) decodeMethod(syms *bytecode.Symbols, layout *heap.Layout, dm 
 		case bytecode.OpConstNull:
 			di.op = dConstNull
 		case bytecode.OpLoad, bytecode.OpStore:
-			a, err := i32(in.A)
-			if err != nil {
-				return err
-			}
 			di.op = dLoad
 			if in.Op == bytecode.OpStore {
 				di.op = dStore
 			}
-			di.a = a
+			di.a = int32(in.A)
 		case bytecode.OpDup:
 			di.op = dDup
 		case bytecode.OpPop:
@@ -331,75 +325,49 @@ func (d *dprogram) decodeMethod(syms *bytecode.Symbols, layout *heap.Layout, dm 
 			di.op = dRefEQ
 		case bytecode.OpRefNE:
 			di.op = dRefNE
-		case bytecode.OpGoto, bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfNull, bytecode.OpIfNonNull:
-			a, err := i32(in.A)
-			if err != nil {
-				return err
-			}
-			switch in.Op {
-			case bytecode.OpGoto:
-				di.op = dGoto
-			case bytecode.OpIfTrue:
-				di.op = dIfTrue
-			case bytecode.OpIfFalse:
-				di.op = dIfFalse
-			case bytecode.OpIfNull:
-				di.op = dIfNull
-			default:
-				di.op = dIfNonNull
-			}
-			di.a = a
+		case bytecode.OpGoto:
+			di.op, di.a = dGoto, int32(in.A)
+		case bytecode.OpIfTrue:
+			di.op, di.a = dIfTrue, int32(in.A)
+		case bytecode.OpIfFalse:
+			di.op, di.a = dIfFalse, int32(in.A)
+		case bytecode.OpIfNull:
+			di.op, di.a = dIfNull, int32(in.A)
+		case bytecode.OpIfNonNull:
+			di.op, di.a = dIfNonNull, int32(in.A)
 		case bytecode.OpGetField, bytecode.OpPutField:
-			idx, err := layout.FieldIndex(in.Field)
-			if err != nil {
-				return fmt.Errorf("vm: decode %s pc %d: %v", dm.name, pc, err)
-			}
-			isRef := syms.Field(in.Field).IsRef
+			f := &syms.Fields[body.FieldAt[pc]]
 			di.a = int32(len(dm.fields))
-			dm.fields = append(dm.fields, fieldRec{ref: in.Field, idx: int32(idx), isRef: isRef})
+			dm.fields = append(dm.fields, fieldRec{ref: f.Ref, idx: int32(f.Slot), isRef: f.IsRef})
 			switch {
-			case in.Op == bytecode.OpGetField && isRef:
+			case in.Op == bytecode.OpGetField && f.IsRef:
 				di.op = dGetFieldRef
 			case in.Op == bytecode.OpGetField:
 				di.op = dGetFieldInt
-			case isRef:
+			case f.IsRef:
 				di.op = dPutFieldRef
 			default:
 				di.op = dPutFieldInt
 			}
 		case bytecode.OpGetStatic, bytecode.OpPutStatic:
-			f := syms.Field(in.Field)
-			if f == nil {
-				return fmt.Errorf("vm: decode %s pc %d: unresolved static %s", dm.name, pc, in.Field)
-			}
-			isRef := f.IsRef
+			f := &syms.Fields[body.FieldAt[pc]]
 			di.a = int32(len(dm.statics))
-			dm.statics = append(dm.statics, staticRec{ref: in.Field, isRef: isRef})
+			dm.statics = append(dm.statics, staticRec{slot: int32(f.Slot), isRef: f.IsRef})
 			switch {
-			case in.Op == bytecode.OpGetStatic && isRef:
+			case in.Op == bytecode.OpGetStatic && f.IsRef:
 				di.op = dGetStaticRef
 			case in.Op == bytecode.OpGetStatic:
 				di.op = dGetStaticInt
-			case isRef:
+			case f.IsRef:
 				di.op = dPutStaticRef
 			default:
 				di.op = dPutStaticInt
 			}
 		case bytecode.OpNewInstance:
-			if in.Type == nil {
-				return fmt.Errorf("vm: decode %s pc %d: newinstance missing type", dm.name, pc)
-			}
-			n, ok := layout.NumFields(in.Type.Class)
-			if !ok {
-				return fmt.Errorf("vm: decode %s pc %d: unknown class %s", dm.name, pc, in.Type.Class)
-			}
 			di.op = dNewInstance
 			di.a = int32(len(dm.allocs))
-			dm.allocs = append(dm.allocs, allocRec{class: in.Type.Class, nFields: n})
+			dm.allocs = append(dm.allocs, allocRec{class: in.Type.Class, nFields: syms.Class(in.Type.Class).NumFields})
 		case bytecode.OpNewArray:
-			if in.Type == nil {
-				return fmt.Errorf("vm: decode %s pc %d: newarray missing element type", dm.name, pc)
-			}
 			di.op = dNewArrayInt
 			if in.Type.IsRef() {
 				di.op = dNewArrayRef
@@ -415,16 +383,12 @@ func (d *dprogram) decodeMethod(syms *bytecode.Symbols, layout *heap.Layout, dm 
 		case bytecode.OpIAStore:
 			di.op = dIAStore
 		case bytecode.OpInvoke, bytecode.OpSpawn:
-			callee := syms.MethodNum(in.Method)
-			if callee < 0 {
-				return fmt.Errorf("vm: decode %s pc %d: unresolved method %s", dm.name, pc, in.Method)
-			}
 			di.op = dInvoke
 			if in.Op == bytecode.OpSpawn {
 				di.op = dSpawn
 			}
 			di.a = int32(len(dm.callees))
-			dm.callees = append(dm.callees, calleeRec{m: d.methods[callee], ref: in.Method.String()})
+			dm.callees = append(dm.callees, calleeRec{m: d.methods[body.CalleeAt[pc]], ref: in.Method.String()})
 		case bytecode.OpReturn:
 			di.op = dReturn
 		case bytecode.OpReturnValue:

@@ -7,7 +7,6 @@ import (
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/core"
-	"satbelim/internal/heap"
 	"satbelim/internal/satb"
 	"satbelim/internal/workloads"
 )
@@ -28,7 +27,7 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := decodeProgram(p, heap.NewLayout(p), rawVerdict)
+		d, err := decodeProgram(p, rawVerdict)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", w.Name, err)
 		}
@@ -40,7 +39,7 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 			}
 			for _, s := range sites {
 				in := &mr.Method.Code[s.key.PC]
-				if kind, ok := satb.SiteOf(p.Symbols(), in); !ok || kind != s.kind || in.Verdict != s.elide {
+				if kind, ok := satb.SiteOf(p.Symbols(), in.Op, p.Body(i).FieldAt[s.key.PC]); !ok || kind != s.kind || in.Verdict != s.elide {
 					t.Errorf("%s %s pc %d (%s): decoded as %v site with verdict %v; predicate says %v/%v, code says %v",
 						w.Name, s.key.Method, s.key.PC, in, s.kind, s.elide, kind, ok, in.Verdict)
 				}
@@ -53,7 +52,7 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 // at each fused head pc of the main method.
 func fusedOpsByHead(t *testing.T, p *bytecode.Program) map[int]dop {
 	t.Helper()
-	d, err := decodeProgram(p, heap.NewLayout(p), rawVerdict)
+	d, err := decodeProgram(p, rawVerdict)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

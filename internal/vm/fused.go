@@ -329,14 +329,16 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 			}
 		}
 	case dGetStaticRef, dGetStaticInt:
-		val := v.heap.GetStatic(f.m.statics[in.a].ref)
+		val := *v.heap.Static(int(f.m.statics[in.a].slot))
 		if in.op == dGetStaticRef {
 			val.IsRef = true
 		}
 		f.push(val)
 	case dPutStaticRef:
 		val := f.pop()
-		old := v.heap.SetStatic(f.m.statics[in.a].ref, val)
+		p := v.heap.Static(int(f.m.statics[in.a].slot))
+		old := *p
+		*p = val
 		if v.oracle != nil {
 			// Statics are globally reachable: the stored object (and
 			// everything it reaches) is published.
@@ -344,7 +346,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		}
 		v.counters.StaticBarrierSpec(v.spec, v.logger(), old.R, val.R)
 	case dPutStaticInt:
-		v.heap.SetStatic(f.m.statics[in.a].ref, f.pop())
+		*v.heap.Static(int(f.m.statics[in.a].slot)) = f.pop()
 
 	case dNewInstance:
 		al := &f.m.allocs[in.a]

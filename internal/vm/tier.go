@@ -827,26 +827,12 @@ func loadThunk(a int32) thunk {
 }
 
 func (v *VM) getStaticThunk(dm *dmethod, in *dinstr) thunk {
-	ref := dm.statics[in.a].ref
+	// Statics resolve to a stable slot pointer at translation time.
+	slot := v.heap.Static(int(dm.statics[in.a].slot))
 	isRef := in.op == dGetStaticRef
-	if slot := v.heap.StaticSlot(ref); slot != nil {
-		// Statics resolve to a stable slot pointer at translation time —
-		// no per-access map lookup.
-		return thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				val := *slot
-				if isRef {
-					val.IsRef = true
-				}
-				return val, nil
-			},
-			w: 1, pure: true,
-		}
-	}
-	// Undeclared refs (unverified programs only) keep the map path.
 	return thunk{
 		ev: func(t *fthread, f *fframe) (heap.Value, error) {
-			val := v.heap.GetStatic(ref)
+			val := *slot
 			if isRef {
 				val.IsRef = true
 			}
@@ -1322,19 +1308,8 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 }
 
 func (v *VM) putStaticOp(dm *dmethod, in *dinstr, val thunk) cop {
-	ref := dm.statics[in.a].ref
-	slot := v.heap.StaticSlot(ref)
+	slot := v.heap.Static(int(dm.statics[in.a].slot))
 	if in.op == dPutStaticInt {
-		if slot == nil {
-			return func(t *fthread, f *fframe) error {
-				valv, err := val.ev(t, f)
-				if err != nil {
-					return err
-				}
-				v.heap.SetStatic(ref, valv)
-				return nil
-			}
-		}
 		return func(t *fthread, f *fframe) error {
 			valv, err := val.ev(t, f)
 			if err != nil {
@@ -1346,17 +1321,6 @@ func (v *VM) putStaticOp(dm *dmethod, in *dinstr, val thunk) cop {
 	}
 	spec := v.spec
 	log := v.logger()
-	if slot == nil {
-		return func(t *fthread, f *fframe) error {
-			valv, err := val.ev(t, f)
-			if err != nil {
-				return err
-			}
-			old := v.heap.SetStatic(ref, valv)
-			v.counters.StaticBarrierSpec(spec, log, old.R, valv.R)
-			return nil
-		}
-	}
 	return func(t *fthread, f *fframe) error {
 		valv, err := val.ev(t, f)
 		if err != nil {

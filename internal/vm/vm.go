@@ -337,10 +337,11 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 		v.oracle = newOracle(v.heap, v.spec)
 	}
 	if cfg.Engine != EngineSwitch {
-		// Decode failures (unresolved refs, missing main) fall back to the
-		// switch interpreter, which reports them as runtime errors.
+		// Decode failures (a body with a structural fault, a missing main)
+		// fall back to the switch interpreter, which reports them as
+		// runtime errors.
 		sp := obs.StartSpan("main", "pipeline", "decode")
-		d, err := decodeProgram(p, v.heap.Layout(), v.projectElide)
+		d, err := decodeProgram(p, v.projectElide)
 		if err == nil {
 			v.dprog = d
 		}
@@ -573,7 +574,7 @@ func (v *VM) result() *Result {
 }
 
 func newFrame(m *bytecode.Method) *frame {
-	return &frame{m: m, locals: make([]heap.Value, m.NumSlots), stack: make([]heap.Value, 0, m.MaxStack+4)}
+	return &frame{m: m, locals: make([]heap.Value, m.NumSlots()), stack: make([]heap.Value, 0, m.MaxStack+4)}
 }
 
 // roots collects the current GC roots: every reference in every thread's
@@ -740,10 +741,17 @@ func (v *VM) step(t *thread) error {
 		push(heap.IntVal(in.A))
 	case bytecode.OpConstNull:
 		push(heap.NullVal())
-	case bytecode.OpLoad:
-		push(f.locals[in.A])
-	case bytecode.OpStore:
-		f.locals[in.A] = pop()
+	case bytecode.OpLoad, bytecode.OpStore:
+		// The decoded engines run only bodies whose slots were checked; this
+		// one runs whatever it is given.
+		if uint64(in.A) >= uint64(len(f.locals)) {
+			return v.errf(f, "slot %d out of range [0,%d)", in.A, len(f.locals))
+		}
+		if in.Op == bytecode.OpLoad {
+			push(f.locals[in.A])
+		} else {
+			f.locals[in.A] = pop()
+		}
 	case bytecode.OpDup:
 		push(f.stack[len(f.stack)-1])
 	case bytecode.OpPop:
@@ -883,6 +891,9 @@ func (v *VM) step(t *thread) error {
 		}
 
 	case bytecode.OpNewInstance:
+		if in.Type == nil {
+			return v.errf(f, "newinstance without a type")
+		}
 		r, err := v.heap.AllocObject(in.Type.Class)
 		if err != nil {
 			return v.errf(f, "%v", err)
