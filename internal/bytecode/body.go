@@ -1,6 +1,9 @@
 package bytecode
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Body is what checking a method body establishes, once, for everyone who
 // reads the body afterwards — the verifier, the analysis, the VM's decode,
@@ -110,6 +113,13 @@ func (p *Program) BodyOf(m *Method) *Body {
 	}
 	return newBody(s, m)
 }
+
+// Decoded is the slot an executor keeps its decoded form of the program in
+// (internal/vm's images), held beside the bodies it is decoded from: it
+// starts empty, AddClass drops it with them and a Clone starts without it.
+// The program never reads it; its one user owns the type of what it holds
+// and decides when that is stale.
+func (p *Program) Decoded() *atomic.Value { return &p.Symbols().decoded }
 
 func (s *Symbols) body(n int) *Body {
 	slot := &s.bodies[n]

@@ -75,6 +75,8 @@ type Symbols struct {
 	// bodies holds each method's Body by method number, nil until first
 	// asked for.
 	bodies []atomic.Pointer[Body]
+	// decoded is the slot Program.Decoded hands out.
+	decoded atomic.Value
 }
 
 // Symbols returns the program's symbol table, linking the program on first
@@ -161,17 +163,23 @@ func (s *Symbols) addMethods(c *Class) (first int) {
 
 // over returns the table of p, a program with the declarations of the one s
 // was linked from (its Clone): the numbering is shared, the class and
-// method pointers are p's, and no body has a record yet.
+// method pointers are p's, and nothing decoded from a body exists yet.
 func (s *Symbols) over(p *Program) *Symbols {
-	t := *s
-	t.Classes = make([]*Class, len(s.Classes))
-	t.Methods = make([]*Method, 0, len(s.Methods))
-	t.bodies = make([]atomic.Pointer[Body], len(s.Methods))
+	t := &Symbols{
+		Classes: make([]*Class, len(s.Classes)),
+		Methods: make([]*Method, 0, len(s.Methods)),
+		Fields:  s.Fields,
+		Statics: s.Statics,
+		classes: s.classes,
+		fields:  s.fields,
+		methods: s.methods,
+		bodies:  make([]atomic.Pointer[Body], len(s.Methods)),
+	}
 	for i, c := range s.Classes {
 		t.Classes[i] = p.classes[c.Name]
 		t.addMethods(t.Classes[i])
 	}
-	return &t
+	return t
 }
 
 // Field resolves a field reference, or returns nil. The result points into

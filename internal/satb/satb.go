@@ -225,18 +225,6 @@ func (sp *BarrierSpec) Sound(k ElideKind) bool {
 	return int(k) < numElideKinds && sp.sound[k]
 }
 
-// Project maps an analysis verdict to the verdict actually usable under
-// this flavor: the verdict itself when sound, ElideNone (keep the
-// barrier) otherwise. Engines project each site's verdict once — at
-// decode or compile time — so flavor soundness never costs anything on
-// the store fast path.
-func (sp *BarrierSpec) Project(k ElideKind) ElideKind {
-	if sp.Sound(k) {
-		return k
-	}
-	return ElideNone
-}
-
 // allSound: every verdict applies. The legacy SATB modes keep the full
 // verdict set so their Table 1/2 rates are bit-identical to the
 // pre-spec implementation; no-barrier and card-marking execute no

@@ -64,16 +64,6 @@ func TestSoundnessMatrix(t *testing.T) {
 				sp.Sound(ElidePreNull), sp.Sound(ElideNullOrSame), sp.Sound(ElideRearrange),
 				r.preNull, r.nullOrSame, r.rearrange)
 		}
-		// Project keeps sound verdicts and demotes unsound ones to None.
-		for k := ElideNone; k <= ElidePreNull; k++ {
-			want := k
-			if !sp.Sound(k) {
-				want = ElideNone
-			}
-			if got := sp.Project(k); got != want {
-				t.Errorf("%v.Project(%v) = %v, want %v", r.mode, k, got, want)
-			}
-		}
 	}
 	if ModeDijkstra.Spec().SnapshotSound || !ModeYuasa.Spec().SnapshotSound || !ModeHybrid.Spec().SnapshotSound {
 		t.Error("snapshot soundness: yuasa and hybrid maintain the snapshot, dijkstra does not")
@@ -157,12 +147,12 @@ func TestHybridBarrierShadesBoth(t *testing.T) {
 
 func TestProjectedElisionIsFreeUnderNewFlavors(t *testing.T) {
 	// A pre-null site under yuasa (sound) is free; the same verdict under
-	// dijkstra must be projected away by the caller — when it is, the
-	// barrier runs in full.
+	// dijkstra must be projected away (to ElideNone) by the caller — when
+	// it is, the barrier runs in full.
 	c := NewCounters()
 	log := &recordingLogger{active: true}
 	ysp := ModeYuasa.Spec()
-	c.BarrierSiteSpec(ysp, log, c.Site(key, FieldSite, ElidePreNull), ysp.Project(ElidePreNull),
+	c.BarrierSiteSpec(ysp, log, c.Site(key, FieldSite, ElidePreNull), ElidePreNull,
 		heap.Null, heap.Ref(8), heap.Ref(1))
 	if c.Cost != 0 {
 		t.Errorf("sound elision must be free, cost=%d", c.Cost)
@@ -170,7 +160,7 @@ func TestProjectedElisionIsFreeUnderNewFlavors(t *testing.T) {
 	c2 := NewCounters()
 	dsp := ModeDijkstra.Spec()
 	k2 := SiteKey{Method: "T.m", PC: 9}
-	c2.BarrierSiteSpec(dsp, log, c2.Site(k2, FieldSite, dsp.Project(ElidePreNull)), dsp.Project(ElidePreNull),
+	c2.BarrierSiteSpec(dsp, log, c2.Site(k2, FieldSite, ElideNone), ElideNone,
 		heap.Null, heap.Ref(8), heap.Ref(1))
 	if c2.Cost != CostDijkstraShade || c2.Shaded != 1 {
 		t.Errorf("projected-away elision must pay the full barrier: cost=%d shaded=%d", c2.Cost, c2.Shaded)

@@ -64,16 +64,18 @@ func decodeRequest(r *http.Request, maxBytes int64) (*Request, error) {
 	return &req, nil
 }
 
-// clampDeadline resolves the effective per-request deadline.
+// clampDeadline resolves the effective per-request deadline. The request's
+// milliseconds are compared before they are converted: a Duration holds
+// only about 292 years, and a larger product would wrap negative.
 func (s *Server) clampDeadline(ms int64) time.Duration {
 	d := s.cfg.DefaultDeadline
 	if ms > 0 {
+		if ms > s.cfg.MaxDeadline.Milliseconds() {
+			return s.cfg.MaxDeadline
+		}
 		d = time.Duration(ms) * time.Millisecond
 	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
-	}
-	return d
+	return min(d, s.cfg.MaxDeadline)
 }
 
 // endpoint builds the handler for one pipeline endpoint. The shape is
@@ -294,8 +296,10 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
+// writeDoc sends a Document as compact JSON: the wire format has no reader
+// to indent for, and the files the CLIs write keep their indentation.
 func writeDoc(w http.ResponseWriter, status int, doc *report.Document) {
-	data, err := json.MarshalIndent(doc, "", "  ")
+	data, err := json.Marshal(doc)
 	if err != nil {
 		// A Document always marshals; this is unreachable but must not
 		// produce a schema-invalid body if it ever fires.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -262,6 +263,22 @@ func TestDeadlineTimesOutSpinningRun(t *testing.T) {
 	}
 	if st := s.Stats(); st.Timeouts != 1 {
 		t.Errorf("timeouts = %d, want 1", st.Timeouts)
+	}
+}
+
+// TestHugeDeadlineIsClamped: a deadline past what a time.Duration holds is
+// clamped to MaxDeadline like any other long one, not wrapped negative into
+// an instant timeout.
+func TestHugeDeadlineIsClamped(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, ms := range []int64{10_000_000_000_000, math.MaxInt64} {
+		status, _, doc := post(t, ts, "compile", Request{Name: "hello", Source: helloSrc, DeadlineMS: ms})
+		if status != http.StatusOK || doc.Satbd.Request.Outcome != OutcomeOK {
+			t.Errorf("deadline_ms %d: status %d outcome %q (%s), want 200/ok", ms, status, doc.Satbd.Request.Outcome, doc.Satbd.Request.Error)
+		}
+		if got, want := doc.Satbd.Request.DeadlineMS, (10 * time.Second).Milliseconds(); got != want {
+			t.Errorf("deadline_ms %d: effective deadline %d ms, want MaxDeadline %d ms", ms, got, want)
+		}
 	}
 }
 

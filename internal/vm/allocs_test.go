@@ -11,26 +11,52 @@ import (
 	"satbelim/internal/workloads"
 )
 
-// TestRunAllocs gates the Go allocations of one decode-and-run in tier-1,
+// compileA compiles a workload at inline limit 100 under mode A, uncached:
+// a fresh program, with no image yet.
+func compileA(t *testing.T, name string) *pipeline.Build {
+	t.Helper()
+	w, err := workloads.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
+		InlineLimit: 100, Analysis: core.Options{Mode: core.ModeFieldArray}, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// mallocsOnce counts the allocations of one call of f, which
+// testing.AllocsPerRun cannot: it calls f once before it starts counting.
+func mallocsOnce(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRunAllocs gates the Go allocations of one vm.New-and-run in tier-1,
 // so a regression in the VM's heap, its collectors or its root scan fails
 // here and not only in the benchmark. jess and jbb at inline limit 100
 // (the two workloads that allocate the most objects), on the benchmark's
 // two VM configurations: the compiled tier with no collector (run_hot)
 // and the fused engine with a marking cycle always in progress (gc_mark).
-// Nothing is pooled or cached across runs, so the count is a function of
+// A VM runs the image its program already holds, so only the first vm.New
+// of a fresh compile decodes (the "cold" count in the log line); after it
+// nothing is pooled or cached across runs, and the count is a function of
 // the program and the configuration alone: two measurements must agree
-// exactly. The ceilings sit about 15 % above the measured figures; the
-// log line also says how many of a run's allocations are vm.New's (the
-// heap, the layout and the decode of the whole program — what a build
-// could own instead of each VM):
+// exactly. The ceilings sit about 15 % above the measured figures:
 //
-//	                 one symbol   slab heap   before it (an Object and a
-//	                 table                    Fields slice per `new`, a root
-//	                                          slice per cycle boundary)
-//	jess compiled        1 062       1 155   15 099
-//	jess fused+satb        540         573   22 089
-//	jbb  compiled        1 126       1 217    4 792
-//	jbb  fused+satb        287         332   42 575
+//	                 one image   one symbol   slab heap   before it (an Object and a
+//	                 (decoded    table                    Fields slice per `new`, a root
+//	                 once)                                slice per cycle boundary)
+//	jess compiled          983        1 062       1 155   15 099
+//	jess fused+satb        459          540         573   22 089
+//	jbb  compiled        1 019        1 126       1 217    4 792
+//	jbb  fused+satb        174          287         332   42 575
 func TestRunAllocs(t *testing.T) {
 	runtime.GC() // the Go collector's first cycle allocates its workers
 	hot := vm.Config{Engine: vm.EngineCompiled, Barrier: satb.ModeConditional, GC: vm.GCNone}
@@ -41,20 +67,13 @@ func TestRunAllocs(t *testing.T) {
 		cfg      vm.Config
 		ceiling  float64
 	}{
-		{"jess", "compiled", hot, 1220},
-		{"jess", "fused+satb", marking, 620},
-		{"jbb", "compiled", hot, 1295},
-		{"jbb", "fused+satb", marking, 330},
+		{"jess", "compiled", hot, 1130},
+		{"jess", "fused+satb", marking, 528},
+		{"jbb", "compiled", hot, 1172},
+		{"jbb", "fused+satb", marking, 200},
 	} {
-		w, err := workloads.Get(tc.workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-			InlineLimit: 100, Analysis: core.Options{Mode: core.ModeFieldArray}, NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := compileA(t, tc.workload)
+		cold := mallocsOnce(func() { vm.New(b.Program, tc.cfg) })
 		measure := func() float64 {
 			return testing.AllocsPerRun(3, func() {
 				if _, err := vm.New(b.Program, tc.cfg).Run(); err != nil {
@@ -63,13 +82,36 @@ func TestRunAllocs(t *testing.T) {
 			})
 		}
 		first, second := measure(), measure()
-		inNew := testing.AllocsPerRun(3, func() { vm.New(b.Program, tc.cfg) })
-		t.Logf("%s %s: %.0f allocs per run, %.0f of them in vm.New", tc.workload, tc.name, first, inNew)
+		warm := testing.AllocsPerRun(3, func() { vm.New(b.Program, tc.cfg) })
+		t.Logf("%s %s: %.0f allocs per run, %.0f of them in vm.New (%d in the first vm.New, which decodes)",
+			tc.workload, tc.name, first, warm, cold)
 		if first != second {
 			t.Errorf("%s %s: allocation count does not repeat: %.0f then %.0f", tc.workload, tc.name, first, second)
 		}
 		if first > tc.ceiling {
 			t.Errorf("%s %s: %.0f allocs per run, ceiling %.0f", tc.workload, tc.name, first, tc.ceiling)
 		}
+	}
+}
+
+// TestNewOnAWarmImage: once a program holds its image, vm.New allocates
+// only the VM's own state — the VM, its heap and counters, and the per-method
+// and per-site tables — the same few allocations whatever the program.
+func TestNewOnAWarmImage(t *testing.T) {
+	const ceiling = 10
+	cfg := vm.Config{Engine: vm.EngineCompiled, Barrier: satb.ModeConditional}
+	var counts []float64
+	for _, name := range []string{"jess", "jbb"} {
+		b := compileA(t, name)
+		vm.New(b.Program, cfg)
+		n := testing.AllocsPerRun(5, func() { vm.New(b.Program, cfg) })
+		t.Logf("%s: %.0f allocs in vm.New on a warm image", name, n)
+		if n > ceiling {
+			t.Errorf("%s: vm.New on a warm image allocates %.0f times, ceiling %d", name, n, ceiling)
+		}
+		counts = append(counts, n)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("vm.New on a warm image allocates %.0f times for jess and %.0f for jbb: it depends on the program", counts[0], counts[1])
 	}
 }

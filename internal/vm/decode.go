@@ -2,21 +2,27 @@ package vm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/heap"
+	"satbelim/internal/obs"
 	"satbelim/internal/satb"
 )
 
 // This file implements the decode half of the pre-decoded execution
-// engine: at VM construction every method's bytecode is translated into a
-// dense internal form (dinstr) whose operands are fully resolved — the
-// field and method numbers the method's Body already holds become storage
-// slots and *dmethod pointers, barrier sites become pre-classified site
-// records carrying the elision verdict decided once here instead of per
-// execution. A second pass fuses
-// the hottest instruction sequences (loop headers, local increments,
-// array element stores, field stores from locals) into superinstructions.
+// engine: every method's bytecode is translated into a dense internal form
+// (dinstr) whose operands are fully resolved — the field and method
+// numbers the method's Body already holds become storage slots and
+// *dmethod pointers, barrier sites become pre-classified site records
+// carrying the elision verdict decided once here instead of per execution.
+// A second pass fuses the hottest instruction sequences (loop headers,
+// local increments, array element stores, field stores from locals) into
+// superinstructions.
+//
+// The result is an image (dprogram): read-only, decoded once per program
+// and projection and shared by every VM of them (imageOf). What a run
+// changes is the VM's own, by method or site number (mstate, siteStats).
 //
 // Fusion never changes semantics: the per-pc plain instructions are kept
 // alongside each fused head, and the executor only takes the fused form
@@ -103,7 +109,7 @@ const (
 // dinstr is one decoded instruction. Operand meaning depends on op:
 // slot index (load/store), branch target pc (branches), or an index into
 // one of the method's operand tables (fields, statics, allocs, callees;
-// b is the site-table index of barriered stores).
+// b is the site number of barriered stores).
 type dinstr struct {
 	op   dop
 	fuse int32 // index into dmethod.fused; -1 when this pc heads no fusion
@@ -150,20 +156,23 @@ type calleeRec struct {
 	ref string
 }
 
-// siteRec is a barriered store site with its decode-time elision verdict.
-// stats is resolved against the VM's counters on first execution, so a
-// never-executed site leaves no trace (matching the reference engine).
+// siteRec is a barriered store site of method number m: raw is the
+// analysis verdict at its pc when it was decoded, elide what the image's
+// projection made of it. What the site did in a run is the VM's, under the
+// same site number (VM.siteStats).
 type siteRec struct {
 	key   satb.SiteKey
 	kind  satb.SiteKind
 	elide satb.ElideKind
-	stats *satb.SiteStats
+	raw   bytecode.Verdict
+	m     int32
 }
 
-// dmethod is one decoded method plus its frame pool.
+// dmethod is one decoded method, part of an image and so read-only; num is
+// its method number, which indexes a VM's own state for it (mstate).
 type dmethod struct {
-	src      *bytecode.Method
 	name     string // qualified "Class.Name"
+	num      int32
 	static   bool
 	numArgs  int
 	numSlots int
@@ -175,8 +184,10 @@ type dmethod struct {
 	statics []staticRec
 	allocs  []allocRec
 	callees []calleeRec
-	sites   []siteRec
+}
 
+// mstate is what one VM changes about one method while it runs.
+type mstate struct {
 	// pool recycles frames; steady-state call-heavy execution allocates
 	// nothing per invoke. recycled counts pool hits for the
 	// observability layer (plain counter: the VM is single-goroutine).
@@ -186,8 +197,9 @@ type dmethod struct {
 	// Compiled-tier state (EngineCompiled only; all three are inert on
 	// the other engines). hotness counts method entries plus loop
 	// back-edges observed on fused dispatch; tier is the closure-threaded
-	// translation installed at tier-up; tierFailed bars a method whose
-	// translation was rejected from being retried every quantum.
+	// translation installed at tier-up, whose closures capture the VM;
+	// tierFailed bars a method whose translation was rejected from being
+	// retried every quantum.
 	hotness    int64
 	tier       *cmethod
 	tierFailed bool
@@ -197,12 +209,13 @@ type dmethod struct {
 // should not pin frames forever).
 const maxFramePool = 64
 
-// acquire returns a frame with zeroed locals and an empty stack.
-func (m *dmethod) acquire() *fframe {
-	if n := len(m.pool); n > 0 {
-		f := m.pool[n-1]
-		m.pool = m.pool[:n-1]
-		m.recycled++
+// acquire returns a frame of m with zeroed locals and an empty stack.
+func (v *VM) acquire(m *dmethod) *fframe {
+	s := &v.ms[m.num]
+	if n := len(s.pool); n > 0 {
+		f := s.pool[n-1]
+		s.pool = s.pool[:n-1]
+		s.recycled++
 		f.pc, f.sp = 0, 0
 		loc := f.locals
 		for i := range loc {
@@ -213,36 +226,116 @@ func (m *dmethod) acquire() *fframe {
 	return &fframe{m: m, locals: make([]heap.Value, m.numSlots), stack: make([]heap.Value, m.stackCap)}
 }
 
-// release returns a frame to the pool.
-func (m *dmethod) release(f *fframe) {
-	if len(m.pool) < maxFramePool {
-		m.pool = append(m.pool, f)
+// release returns a frame to its method's pool.
+func (v *VM) release(f *fframe) {
+	if s := &v.ms[f.m.num]; len(s.pool) < maxFramePool {
+		s.pool = append(s.pool, f)
 	}
 }
 
-// dprogram is a decoded program: methods is indexed by method number.
+// dprogram is a decoded program, an image: methods is indexed by method
+// number, sites by the site number decode assigns (in method, then pc
+// order). entry is the Main it was decoded for; err why decoding failed,
+// in which case the image has nothing else.
 type dprogram struct {
 	main    *dmethod
 	methods []*dmethod
+	sites   []siteRec
+	entry   bytecode.MethodRef
+	err     error
+}
+
+// projection is the set of analysis verdicts a VM applies as published,
+// bit k for verdict k; a site with any other verdict keeps its barrier. It
+// is the barrier flavor's soundness table and all of the flavor that
+// decode reads, so flavors with one table share an image: the seven
+// flavors have three (every verdict, pre-null only, none).
+type projection uint8
+
+// allVerdicts applies every verdict: the SATB flavors' table, and what the
+// forceRawElide test hook runs with.
+const allVerdicts = projection(1<<satb.ElideRearrange | 1<<satb.ElideNullOrSame | 1<<satb.ElidePreNull)
+
+func projectionOf(spec *satb.BarrierSpec) (pr projection) {
+	for k := satb.ElideRearrange; k <= satb.ElidePreNull; k++ {
+		if spec.Sound(k) {
+			pr |= 1 << k
+		}
+	}
+	return pr
+}
+
+// apply maps an analysis verdict to the one the VM runs the site with.
+func (pr projection) apply(k satb.ElideKind) satb.ElideKind {
+	if pr&(1<<k) == 0 {
+		return satb.ElideNone
+	}
+	return k
+}
+
+// images is a program's images by projection, held in the slot the
+// program keeps beside its bodies (bytecode.Program.Decoded): AddClass
+// drops it and a Clone starts without one.
+type images [allVerdicts + 1]atomic.Pointer[dprogram]
+
+// imageOf returns p's image under pr, decoding one when there is none or
+// it is stale. Concurrent first users may each decode; one image is kept
+// and each runs its own, all equal. A failed decode is kept like any
+// other, so the VMs of an undecodable program do not retry it.
+func imageOf(p *bytecode.Program, pr projection) *dprogram {
+	slot := p.Decoded()
+	ims, _ := slot.Load().(*images)
+	if ims == nil {
+		slot.CompareAndSwap(nil, new(images))
+		ims = slot.Load().(*images)
+	}
+	at := &ims[pr]
+	old := at.Load()
+	if old != nil && old.current(p) {
+		return old
+	}
+	sp := obs.StartSpan("main", "pipeline", "decode")
+	d := decodeProgram(p, pr)
+	sp.EndArgs(obs.KV{K: "ok", V: b2i(d.err == nil)})
+	at.CompareAndSwap(old, d)
+	return d
+}
+
+// current reports whether d was decoded from what p holds now: the same
+// Main, and at every site the verdict a re-analysis or a test may since
+// have rewritten.
+func (d *dprogram) current(p *bytecode.Program) bool {
+	if p.Main != d.entry {
+		return false
+	}
+	methods := p.Symbols().Methods
+	for i := range d.sites {
+		s := &d.sites[i]
+		if methods[s.m].Code[s.key.PC].Verdict != s.raw {
+			return false
+		}
+	}
+	return true
 }
 
 // decodeProgram translates a program into the dense executable form. A body
-// with a structural fault fails the whole decode; the caller then falls back
-// to the switch interpreter, which reports such programs with its usual
-// runtime errors. project maps each store's analysis verdict to the verdict
-// used at runtime (the barrier flavor's soundness projection) — it runs once
-// per site here, keeping flavor logic off the dispatch path.
-func decodeProgram(p *bytecode.Program, project func(satb.ElideKind) satb.ElideKind) (*dprogram, error) {
+// with a structural fault fails the whole decode; the VM then falls back to
+// the switch interpreter, which reports such programs with its usual
+// runtime errors. pr maps each store's analysis verdict to the verdict used
+// at runtime — once per site here, keeping flavor logic off the dispatch
+// path.
+func decodeProgram(p *bytecode.Program, pr projection) *dprogram {
 	syms := p.Symbols()
+	fail := func(err error) *dprogram { return &dprogram{entry: p.Main, err: err} }
 	main := syms.MethodNum(p.Main)
 	if main < 0 {
-		return nil, fmt.Errorf("vm: no main method %s", p.Main)
+		return fail(fmt.Errorf("vm: no main method %s", p.Main))
 	}
-	d := &dprogram{methods: make([]*dmethod, len(syms.Methods))}
+	d := &dprogram{methods: make([]*dmethod, len(syms.Methods)), entry: p.Main}
 	for i, m := range syms.Methods {
 		d.methods[i] = &dmethod{
-			src:      m,
 			name:     m.QualifiedName(),
+			num:      int32(i),
 			static:   m.Static,
 			numArgs:  m.NumArgs(),
 			numSlots: m.NumSlots(),
@@ -252,20 +345,20 @@ func decodeProgram(p *bytecode.Program, project func(satb.ElideKind) satb.ElideK
 	for i, dm := range d.methods {
 		body := p.Body(i)
 		if body.Err != nil {
-			return nil, fmt.Errorf("vm: decode: %w", body.Err)
+			return fail(fmt.Errorf("vm: decode: %w", body.Err))
 		}
-		if err := d.decodeMethod(syms, body, dm, project); err != nil {
-			return nil, err
+		if err := d.decodeMethod(syms.Methods[i], syms, body, dm, pr); err != nil {
+			return fail(err)
 		}
 	}
 	d.main = d.methods[main]
-	return d, nil
+	return d
 }
 
 // decodeMethod fills in dm.code and the operand tables from the method's
-// Body, which has checked every slot, branch target and operand.
-func (d *dprogram) decodeMethod(syms *bytecode.Symbols, body *bytecode.Body, dm *dmethod, project func(satb.ElideKind) satb.ElideKind) error {
-	m := dm.src
+// Body, which has checked every slot, branch target and operand, and
+// appends the method's sites to d.sites.
+func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body *bytecode.Body, dm *dmethod, pr projection) error {
 	dm.code = make([]dinstr, len(m.Code))
 	for pc := range m.Code {
 		in := &m.Code[pc]
@@ -401,11 +494,13 @@ func (d *dprogram) decodeMethod(syms *bytecode.Symbols, body *bytecode.Body, dm 
 			return fmt.Errorf("vm: decode %s pc %d: unknown opcode %v", dm.name, pc, in.Op)
 		}
 		if isSite {
-			di.b = int32(len(dm.sites))
-			dm.sites = append(dm.sites, siteRec{
+			di.b = int32(len(d.sites))
+			d.sites = append(d.sites, siteRec{
 				key:   satb.SiteKey{Method: dm.name, PC: pc},
 				kind:  siteKind,
-				elide: project(in.Verdict),
+				elide: pr.apply(in.Verdict),
+				raw:   in.Verdict,
+				m:     dm.num,
 			})
 		}
 	}

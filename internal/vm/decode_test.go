@@ -11,10 +11,6 @@ import (
 	"satbelim/internal/workloads"
 )
 
-// rawVerdict is the identity projection: decode with the analysis's
-// verdicts as published.
-func rawVerdict(k satb.ElideKind) satb.ElideKind { return k }
-
 // TestDecodedSitesMatchSiteCounts: the VM's site tables and the analysis
 // report's site columns are both read off satb.SiteOf, so on every method
 // of every workload they count the same sites, and each decoded site is a
@@ -27,23 +23,31 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := decodeProgram(p, rawVerdict)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", w.Name, err)
+		d := decodeProgram(p, allVerdicts)
+		if d.err != nil {
+			t.Fatalf("%s: decode: %v", w.Name, d.err)
 		}
+		sites := d.sites
 		for i, mr := range rep.Methods {
-			sites := d.methods[i].sites
-			if len(sites) != mr.FieldSites+mr.ArraySites {
-				t.Errorf("%s %s: %d decoded sites, report counts %d field + %d array",
-					w.Name, mr.Method.QualifiedName(), len(sites), mr.FieldSites, mr.ArraySites)
+			n := 0
+			for n < len(sites) && sites[n].m == int32(i) {
+				n++
 			}
-			for _, s := range sites {
+			if n != mr.FieldSites+mr.ArraySites {
+				t.Errorf("%s %s: %d decoded sites, report counts %d field + %d array",
+					w.Name, mr.Method.QualifiedName(), n, mr.FieldSites, mr.ArraySites)
+			}
+			for _, s := range sites[:n] {
 				in := &mr.Method.Code[s.key.PC]
 				if kind, ok := satb.SiteOf(p.Symbols(), in.Op, p.Body(i).FieldAt[s.key.PC]); !ok || kind != s.kind || in.Verdict != s.elide {
 					t.Errorf("%s %s pc %d (%s): decoded as %v site with verdict %v; predicate says %v/%v, code says %v",
 						w.Name, s.key.Method, s.key.PC, in, s.kind, s.elide, kind, ok, in.Verdict)
 				}
 			}
+			sites = sites[n:]
+		}
+		if len(sites) > 0 {
+			t.Errorf("%s: %d decoded sites belong to no method", w.Name, len(sites))
 		}
 	}
 }
@@ -52,9 +56,9 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 // at each fused head pc of the main method.
 func fusedOpsByHead(t *testing.T, p *bytecode.Program) map[int]dop {
 	t.Helper()
-	d, err := decodeProgram(p, rawVerdict)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	d := decodeProgram(p, allVerdicts)
+	if d.err != nil {
+		t.Fatalf("decode: %v", d.err)
 	}
 	out := map[int]dop{}
 	for pc := range d.main.code {

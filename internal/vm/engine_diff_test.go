@@ -14,6 +14,7 @@ package vm_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"satbelim/internal/core"
@@ -527,5 +528,72 @@ func TestHorizonSpawnAndSurvivor(t *testing.T) {
 			}
 		}
 		assertHorizonParity(t, fmt.Sprintf("spawn/inline%d", limit), bd, []int{3, 64}, 1)
+	}
+}
+
+// TestFirstImageUseIsRaceFree: VMs built concurrently on one cached Build
+// decode its images concurrently, keep one of each and run it. Eight
+// goroutines each run every engine × flavor cell, starting at different
+// cells so that first uses collide, and every result equals the sequential
+// run of a build that no other VM shares. Run it under -race.
+func TestFirstImageUseIsRaceFree(t *testing.T) {
+	opts := pipeline.Options{
+		Analysis: core.Options{Mode: core.ModeFieldArray, NullOrSame: true},
+		Cache:    pipeline.NewCache(4),
+	}
+	var cells []vm.Config
+	for _, eng := range []vm.Engine{vm.EngineFused, vm.EngineCompiled} {
+		for _, mode := range []satb.BarrierMode{satb.ModeConditional, satb.ModeHybrid, satb.ModeDijkstra} {
+			cells = append(cells, vm.Config{Engine: eng, Barrier: mode, GC: vm.GCSATB, TriggerEveryAllocs: 64})
+		}
+	}
+	solo := opts
+	solo.NoCache = true
+	ref, err := pipeline.Compile("tiertest", tierTestSource, solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*vm.Result, len(cells))
+	for i, cfg := range cells {
+		want[i] = runEngine(t, ref, cfg, cfg.Engine)
+	}
+
+	if _, err := pipeline.Compile("tiertest", tierTestSource, opts); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := pipeline.Compile("tiertest", tierTestSource, opts)
+	if err != nil || !shared.CacheHit {
+		t.Fatalf("second compile: hit %v, err %v", shared != nil && shared.CacheHit, err)
+	}
+	const goroutines = 8
+	got := make([][]*vm.Result, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]*vm.Result, len(cells))
+			for k := range cells {
+				i := (g + k) % len(cells)
+				cfg := cells[i]
+				if cfg.Engine == vm.EngineCompiled {
+					cfg.TierThreshold = diffTierThreshold
+				}
+				if got[g][i], errs[g] = shared.Run(cfg); errs[g] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i, cfg := range cells {
+			name := cfg.Engine.String()
+			assertIdentical(t, got[g][i], want[i], name, name)
+		}
 	}
 }

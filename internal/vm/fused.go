@@ -63,20 +63,28 @@ func (v *VM) ferrf(f *fframe, format string, args ...any) error {
 
 // refStoreBarrier runs the oracle check and the write barrier for one
 // reference store, identical in order and observable effect to the switch
-// interpreter's putfield/aastore tail. Site statistics are resolved
-// lazily so that never-executed sites leave no trace in the counters.
-func (v *VM) refStoreBarrier(t *fthread, f *fframe, pc int, kind satb.SiteKind, siteIdx int32, pre, newR, target heap.Ref) error {
-	rec := &f.m.sites[siteIdx]
+// interpreter's putfield/aastore tail.
+func (v *VM) refStoreBarrier(t *fthread, f *fframe, pc int, kind satb.SiteKind, site int32, pre, newR, target heap.Ref) error {
+	rec := &v.dprog.sites[site]
 	if v.oracle != nil {
 		if err := v.oracle.checkStore(f.m.name, pc, int(f.m.code[pc].line), t.id, kind, rec.elide, pre, newR, target); err != nil {
 			return err
 		}
 	}
-	if rec.stats == nil {
-		rec.stats = v.counters.Site(rec.key, rec.kind, rec.elide)
-	}
-	v.counters.BarrierSiteSpec(v.spec, v.logger(), rec.stats, rec.elide, pre, newR, target)
+	v.counters.BarrierSiteSpec(v.spec, v.logger(), v.siteStatsOf(site), rec.elide, pre, newR, target)
 	return nil
+}
+
+// siteStatsOf returns the VM's counters for a site, creating them on the
+// site's first execution.
+func (v *VM) siteStatsOf(site int32) *satb.SiteStats {
+	st := v.siteStats[site]
+	if st == nil {
+		rec := &v.dprog.sites[site]
+		st = v.counters.Site(rec.key, rec.kind, rec.elide)
+		v.siteStats[site] = st
+	}
+	return st
 }
 
 // horizonSteps caps a coalesced turn: with nothing to observe at any quantum
@@ -138,7 +146,7 @@ func (v *VM) spawnClamp(done int) int {
 // that a turn covers horizon() base instructions instead of one quantum, so
 // quantum boundaries nothing can observe are not visited.
 func (v *VM) runDecoded(quantum func(t *fthread, limit int) error) (*Result, error) {
-	v.fthreads = []*fthread{{frames: []*fframe{v.dprog.main.acquire()}, span: threadSpan(0)}}
+	v.fthreads = []*fthread{{frames: []*fframe{v.acquire(v.dprog.main)}, span: threadSpan(0)}}
 	if v.cfg.ForceMarkingAlways && v.marker != nil {
 		v.startCycle()
 	}
@@ -409,13 +417,13 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	case dInvoke:
 		cr := &f.m.callees[in.a]
 		callee := cr.m
-		nf := callee.acquire()
+		nf := v.acquire(callee)
 		n := int32(callee.numArgs)
 		base := f.sp - n
 		copy(nf.locals[:n], f.stack[base:f.sp])
 		f.sp = base
 		if !callee.static && nf.locals[0].R == heap.Null {
-			callee.release(nf)
+			v.release(nf)
 			return v.ferrf(f, "null receiver calling %s", cr.ref)
 		}
 		f.pc++
@@ -426,7 +434,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		if recv.R == heap.Null {
 			return v.ferrf(f, "null receiver in spawn")
 		}
-		nf := f.m.callees[in.a].m.acquire()
+		nf := v.acquire(f.m.callees[in.a].m)
 		nf.locals[0] = recv
 		if v.oracle != nil {
 			// The receiver (and everything it reaches) becomes visible to
@@ -438,12 +446,12 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		return errSpawned
 	case dReturn:
 		t.frames = t.frames[:len(t.frames)-1]
-		f.m.release(f)
+		v.release(f)
 		return nil
 	case dReturnValue:
 		rv := f.pop()
 		t.frames = t.frames[:len(t.frames)-1]
-		f.m.release(f)
+		v.release(f)
 		if len(t.frames) > 0 {
 			t.frames[len(t.frames)-1].push(rv)
 		}

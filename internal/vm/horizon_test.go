@@ -69,7 +69,7 @@ func TestInstructionAllocatesAtMostOnce(t *testing.T) {
 			if v.tierEnabled() {
 				turn = v.runTieredQuantum
 			}
-			v.fthreads = []*fthread{{frames: []*fframe{v.dprog.main.acquire()}}}
+			v.fthreads = []*fthread{{frames: []*fframe{v.acquire(v.dprog.main)}}}
 			var allocs int64
 			for live := true; live; {
 				live = false

@@ -189,7 +189,7 @@ func (v *VM) runTieredQuantum(t *fthread, limit int) error {
 			return v.ferrf(f, "pc past end of method")
 		}
 
-		if cm := f.m.tier; cm != nil && !v.tierOff {
+		if cm := v.ms[f.m.num].tier; cm != nil && !v.tierOff {
 			if si, k, wbase := cm.entryAt(f.pc); si >= 0 {
 				ran := false
 				deoptAfter := v.hooks.tierForceDeoptAfter
@@ -269,10 +269,12 @@ func (v *VM) runTieredQuantum(t *fthread, limit int) error {
 							break
 						}
 						f = t.frames[len(t.frames)-1]
-						if int(f.pc) >= len(f.m.code) || f.m.tier == nil {
+						if int(f.pc) >= len(f.m.code) {
 							break
 						}
-						cm = f.m.tier
+						if cm = v.ms[f.m.num].tier; cm == nil {
+							break
+						}
 						si, k, wbase = cm.entryAt(f.pc)
 					}
 				}
@@ -355,25 +357,26 @@ func (v *VM) tierNote(f *fframe, in *dinstr) {
 
 // tierBump heats a method and tiers it up at the threshold.
 func (v *VM) tierBump(dm *dmethod) {
-	if dm.tier != nil || dm.tierFailed {
+	s := &v.ms[dm.num]
+	if s.tier != nil || s.tierFailed {
 		return
 	}
-	dm.hotness++
-	if dm.hotness >= v.tierThreshold {
-		v.tierUp(dm)
+	s.hotness++
+	if s.hotness >= v.tierThreshold {
+		v.tierUp(dm, s)
 	}
 }
 
 // tierUp translates a hot method to closure-threaded code. A method whose
 // translation is rejected is barred from retrying (hysteresis: the
 // counter check above short-circuits on tierFailed forever after).
-func (v *VM) tierUp(dm *dmethod) {
+func (v *VM) tierUp(dm *dmethod, s *mstate) {
 	cm := v.compileMethod(dm)
 	if cm == nil {
-		dm.tierFailed = true
+		s.tierFailed = true
 		return
 	}
-	dm.tier = cm
+	s.tier = cm
 	v.tierUps++
 	if obs.Enabled() {
 		obs.Instant("vm", "tier", "tier-up:"+dm.name)
@@ -771,21 +774,16 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 // the other engines. Site statistics stay lazily resolved so
 // never-executed sites leave no trace, exactly like the fused engine. A
 // store of a non-reference has no site and no barrier: nil.
-func (v *VM) compileBarrier(dm *dmethod, isRef bool, siteIdx int32) func(pre, newR, target heap.Ref) {
+func (v *VM) compileBarrier(isRef bool, site int32) func(pre, newR, target heap.Ref) {
 	if !isRef {
 		return nil
 	}
-	rec := &dm.sites[siteIdx]
-	counters := v.counters
+	elide := v.dprog.sites[site].elide
 	spec := v.spec
-	if rec.elide == satb.ElidePreNull || rec.elide == satb.ElideNullOrSame ||
+	if elide == satb.ElidePreNull || elide == satb.ElideNullOrSame ||
 		(!spec.ShadesPre && !spec.ShadesNew && !spec.Card) {
 		return func(pre, newR, target heap.Ref) {
-			st := rec.stats
-			if st == nil {
-				st = counters.Site(rec.key, rec.kind, rec.elide)
-				rec.stats = st
-			}
+			st := v.siteStatsOf(site)
 			st.Execs++
 			if pre == heap.Null {
 				st.PreNull++
@@ -795,14 +793,10 @@ func (v *VM) compileBarrier(dm *dmethod, isRef bool, siteIdx int32) func(pre, ne
 			}
 		}
 	}
-	log := v.logger()
+	counters, log := v.counters, v.logger()
 	return func(pre, newR, target heap.Ref) {
-		st := rec.stats
-		if st == nil {
-			st = counters.Site(rec.key, rec.kind, rec.elide)
-			rec.stats = st
-		}
-		counters.BarrierSiteSpec(spec, log, st, rec.elide, pre, newR, target)
+		st := v.siteStatsOf(site)
+		counters.BarrierSiteSpec(spec, log, st, elide, pre, newR, target)
 	}
 }
 
@@ -1442,14 +1436,14 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 		val := sb.operand()
 		sb.emit(v.printOp(val), val.w+1)
 	case dPutFieldRef, dPutFieldInt:
-		barrier := v.compileBarrier(dm, in.op == dPutFieldRef, in.b)
+		barrier := v.compileBarrier(in.op == dPutFieldRef, in.b)
 		ths := sb.operands(2)
 		sb.emit(v.putFieldOp(ths[0], ths[1], &dm.fields[in.a], barrier, pcc), ths[0].w+ths[1].w+1)
 	case dPutStaticRef, dPutStaticInt:
 		val := sb.operand()
 		sb.emit(v.putStaticOp(dm, in, val), val.w+1)
 	case dAAStore, dIAStore:
-		barrier := v.compileBarrier(dm, in.op == dAAStore, in.b)
+		barrier := v.compileBarrier(in.op == dAAStore, in.b)
 		ths := sb.operands(3)
 		sb.emit(v.arrayStoreOp(ths[0], ths[1], ths[2], barrier, pcc), ths[0].w+ths[1].w+ths[2].w+1)
 
@@ -1515,11 +1509,11 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 			return nil
 		}, n)
 	case fLLPutFieldRef, fLLPutFieldInt:
-		barrier := v.compileBarrier(dm, fi.op == fLLPutFieldRef, fi.site)
+		barrier := v.compileBarrier(fi.op == fLLPutFieldRef, fi.site)
 		sb.emit(v.putFieldOp(localOperand(fi.a), localOperand(fi.b), &dm.fields[fi.c], barrier, pcc+2), n)
 	case fLLLAAStore, fLLLIAStore:
 		a, b, c := fi.a, fi.b, fi.c
-		barrier := v.compileBarrier(dm, fi.op == fLLLAAStore, fi.site)
+		barrier := v.compileBarrier(fi.op == fLLLAAStore, fi.site)
 		sb.emit(func(t *fthread, f *fframe) error {
 			arr := f.locals[a]
 			idx := f.locals[b].I
@@ -1615,11 +1609,11 @@ func (v *VM) compileInvoke(sb *segBuilder, dm *dmethod, pc int32) (cterm, int32)
 		// Calls made from compiled code still heat their callee, so a
 		// method whose only callers are compiled can itself tier up.
 		v.tierBump(callee)
-		nf := callee.acquire()
+		nf := v.acquire(callee)
 		for i := range ths {
 			av, err := ths[i].ev(t, f)
 			if err != nil {
-				callee.release(nf)
+				v.release(nf)
 				v.opEntered += offs[i]
 				return termToDriver, err
 			}
@@ -1628,7 +1622,7 @@ func (v *VM) compileInvoke(sb *segBuilder, dm *dmethod, pc int32) (cterm, int32)
 		f.sp -= stackN
 		copy(nf.locals[:stackN], f.stack[f.sp:f.sp+stackN])
 		if !callee.static && nf.locals[0].R == heap.Null {
-			callee.release(nf)
+			v.release(nf)
 			return termToDriver, v.cerr(f, pc, w, "null receiver calling %s", cr.ref)
 		}
 		f.pc = pc + 1
@@ -1683,7 +1677,7 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 				return termToDriver, err
 			}
 			t.frames = t.frames[:len(t.frames)-1]
-			f.m.release(f)
+			v.release(f)
 			if len(t.frames) > 0 {
 				t.frames[len(t.frames)-1].push(rv)
 			}
@@ -1701,7 +1695,7 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 			if recv.R == heap.Null {
 				return termToDriver, v.cerr(f, pcc, w, "null receiver in spawn")
 			}
-			nf := cr.m.acquire()
+			nf := v.acquire(cr.m)
 			nf.locals[0] = recv
 			v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
 			f.pc = pcc + 1
@@ -1727,7 +1721,7 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 	case dReturn:
 		term = func(t *fthread, f *fframe) (int32, error) {
 			t.frames = t.frames[:len(t.frames)-1]
-			f.m.release(f)
+			v.release(f)
 			return termSwitchFrame, nil
 		}
 	default: // dTrap

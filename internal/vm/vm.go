@@ -35,7 +35,8 @@ type Engine int
 
 const (
 	// EngineFused (the default) runs the pre-decoded execution engine:
-	// bytecode is translated at VM construction into a dense internal form
+	// bytecode is translated, once per program and verdict projection and
+	// shared by every VM of it, into a dense internal form
 	// with resolved operands (field offsets, call targets, site records),
 	// hot instruction sequences are fused into superinstructions, and
 	// frames are pooled. Results are bit-identical to EngineSwitch. When a
@@ -159,8 +160,8 @@ type hooks struct {
 	// forceRawElide bypasses the barrier flavor's soundness projection and
 	// applies every analysis verdict as-is — deliberately unsound under
 	// flavors whose spec rejects a verdict. The per-flavor oracle violation
-	// tests use it to prove the oracle catches cross-flavor elisions. It is
-	// read while New decodes the program, hence construction-time.
+	// tests use it to prove the oracle catches cross-flavor elisions. It
+	// picks the image New runs, hence construction-time.
 	forceRawElide bool
 }
 
@@ -244,17 +245,22 @@ type VM struct {
 	oracle   *oracle
 
 	// spec is the resolved barrier-flavor descriptor for cfg.Barrier; all
-	// engines consult it for costs, shading, and verdict projection.
-	// checkInv is CheckInvariant gated on the flavor maintaining the
-	// snapshot at all.
+	// engines consult it for costs and shading. proj is the verdicts it
+	// lets the VM apply (every one under the forceRawElide hook). checkInv
+	// is CheckInvariant gated on the flavor maintaining the snapshot at all.
 	spec     *satb.BarrierSpec
+	proj     projection
 	checkInv bool
 
-	// dprog is the pre-decoded program (nil when the switch engine is
-	// selected or the program could not be decoded); fthreads are the
-	// fused engine's threads.
-	dprog    *dprogram
-	fthreads []*fthread
+	// dprog is the program's image under proj (nil on the switch engine).
+	// ms is this VM's state per method number; siteStats its counters per
+	// site number, created on a site's first execution so that a
+	// never-executed site leaves no trace (as in the reference engine).
+	// fthreads are the decoded engines' threads.
+	dprog     *dprogram
+	ms        []mstate
+	siteStats []*satb.SiteStats
+	fthreads  []*fthread
 
 	steps          int64
 	maxSteps       int64
@@ -327,6 +333,10 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 		spec:          cfg.Barrier.Spec(),
 	}
 	v.checkInv = cfg.CheckInvariant && v.spec.SnapshotSound
+	v.proj = projectionOf(v.spec)
+	if h.forceRawElide {
+		v.proj = allVerdicts
+	}
 	switch cfg.GC {
 	case GCSATB:
 		v.marker = gc.NewSATB(v.heap)
@@ -337,29 +347,16 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 		v.oracle = newOracle(v.heap, v.spec)
 	}
 	if cfg.Engine != EngineSwitch {
-		// Decode failures (a body with a structural fault, a missing main)
-		// fall back to the switch interpreter, which reports them as
-		// runtime errors.
-		sp := obs.StartSpan("main", "pipeline", "decode")
-		d, err := decodeProgram(p, v.projectElide)
-		if err == nil {
+		// An image that failed to decode (a body with a structural fault, a
+		// missing main) leaves the VM on the switch interpreter, which
+		// reports such programs as runtime errors.
+		if d := imageOf(p, v.proj); d.err == nil {
 			v.dprog = d
+			v.ms = make([]mstate, len(d.methods))
+			v.siteStats = make([]*satb.SiteStats, len(d.sites))
 		}
-		sp.EndArgs(obs.KV{K: "ok", V: b2i(err == nil)})
 	}
 	return v
-}
-
-// projectElide maps an instruction's analysis verdict through the barrier
-// flavor's soundness predicate: verdicts the flavor cannot honor keep
-// their barrier. Engines call it once per site — at decode/compile time
-// or per switch-interpreter store — so flavor soundness costs nothing on
-// the decoded fast paths.
-func (v *VM) projectElide(k satb.ElideKind) satb.ElideKind {
-	if v.hooks.forceRawElide {
-		return k
-	}
-	return v.spec.Project(k)
 }
 
 // EngineUsed reports the engine this VM actually executes with (the fused
@@ -459,8 +456,8 @@ func (v *VM) publishObs(ok bool) {
 	}
 	if v.dprog != nil {
 		recycles := int64(0)
-		for _, m := range v.dprog.methods {
-			recycles += m.recycled
+		for i := range v.ms {
+			recycles += v.ms[i].recycled
 		}
 		obs.Count("vm.frame_pool.recycles", recycles)
 		obs.Count("vm.sched.turns", v.schedTurns)
@@ -862,7 +859,7 @@ func (v *VM) step(t *thread) error {
 			return v.errf(f, "%v", err)
 		}
 		if v.prog.FieldType(in.Field).IsRef() {
-			elide := v.projectElide(in.Verdict)
+			elide := v.proj.apply(in.Verdict)
 			if v.oracle != nil {
 				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.FieldSite, elide, old.R, val.R, obj.R); err != nil {
 					return err
@@ -953,7 +950,7 @@ func (v *VM) step(t *thread) error {
 		if err != nil {
 			return v.errf(f, "%v", err)
 		}
-		elide := v.projectElide(in.Verdict)
+		elide := v.proj.apply(in.Verdict)
 		if v.oracle != nil {
 			if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old.R, val.R, arr.R); err != nil {
 				return err
