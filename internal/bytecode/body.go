@@ -46,11 +46,11 @@ func (e *BodyError) Error() string {
 
 // newBody checks m against the symbol table s and resolves its operands.
 // It is the one place that decides whether a body is well formed: a
-// non-empty body whose branch targets are in range and whose control never
-// falls off the end (buildGraph), local slots that are declared, field and
-// method operands that resolve, static fields reached by the static opcodes
-// and instance fields by the others, a newinstance of a declared class and
-// a newarray with an element type.
+// non-empty body of known opcodes whose branch targets are in range and
+// whose control never falls off the end (buildGraph), local slots that are
+// declared, field and method operands that resolve, static fields reached
+// by the static opcodes and instance fields by the others, a newinstance of
+// a declared class and a newarray with an element type.
 func newBody(s *Symbols, m *Method) *Body {
 	g, err := buildGraph(m)
 	if err != nil {
@@ -92,6 +92,10 @@ func newBody(s *Symbols, m *Method) *Body {
 		case OpNewArray:
 			if in.Type == nil {
 				return fail(pc, "newarray missing element type")
+			}
+		default:
+			if _, ok := opNames[in.Op]; !ok {
+				return fail(pc, "unknown opcode %v", in.Op)
 			}
 		}
 	}

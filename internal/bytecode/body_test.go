@@ -110,3 +110,28 @@ func TestFirstBodyUseIsRaceFree(t *testing.T) {
 		}
 	}
 }
+
+// TestBodyRejectsWhatNoEngineCanRun: an opcode with no mnemonic and a
+// conditional branch whose fall-through leaves the method are structural
+// faults, so no engine ever meets either.
+func TestBodyRejectsWhatNoEngineCanRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		code []bytecode.Instr
+		want string
+	}{
+		{"unknown opcode", []bytecode.Instr{{Op: 200}, {Op: bytecode.OpReturn}}, "T.main: pc 0: unknown opcode op(200)"},
+		{"branch off the end", []bytecode.Instr{{Op: bytecode.OpConstBool}, {Op: bytecode.OpIfTrue}}, "T.main: control falls off the end of the method"},
+	} {
+		b := bytecode.NewBuilder("T", "main", true)
+		for _, in := range tc.code {
+			b.Emit(in)
+		}
+		m := b.Build()
+		p := bytecode.NewProgram()
+		p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{m}})
+		if err := p.BodyOf(m).Err; err == nil || err.Error() != tc.want {
+			t.Errorf("%s: body fault %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -101,14 +101,14 @@ func buildGraph(m *Method) (*Graph, error) {
 		last := &m.Code[b.End-1]
 		if last.IsBranch() {
 			b.succs[0], k = blockOf[last.A], 1
-			if last.Op != OpGoto && b.End < n {
-				b.succs[1], k = blockOf[b.End], 2
-			}
-		} else if !last.IsTerminator() {
+		}
+		if !last.IsTerminator() {
+			// A conditional branch falls through when it is not taken.
 			if b.End >= n {
 				return nil, &BodyError{Method: m.QualifiedName(), PC: -1, Msg: "control falls off the end of the method"}
 			}
-			b.succs[0], k = blockOf[b.End], 1
+			b.succs[k] = blockOf[b.End]
+			k++
 		}
 		b.Succs = b.succs[:k:k]
 		for _, s := range b.Succs {

@@ -17,7 +17,6 @@ import (
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/codegen"
-	"satbelim/internal/heap"
 	"satbelim/internal/inline"
 	"satbelim/internal/minijava"
 	"satbelim/internal/progen"
@@ -160,12 +159,11 @@ func TestNumberingOrder(t *testing.T) {
 // TestSlotsMatchDeclarationOrder: storage slots are what the heap's layout
 // always computed by walking the classes in name order — an instance field's
 // index among its class's instance fields, a static's among all statics —
-// and the heap's layout now reads them off the table.
+// and every engine reads them off the table.
 func TestSlotsMatchDeclarationOrder(t *testing.T) {
 	for _, w := range workloads.All() {
 		p := compile(t, w.Source)
 		s := p.Symbols()
-		layout := heap.NewLayout(p)
 		var statics []bytecode.FieldRef
 		for _, c := range p.SortedClasses() {
 			n := 0
@@ -176,22 +174,19 @@ func TestSlotsMatchDeclarationOrder(t *testing.T) {
 						t.Errorf("%s: static %s in slot %d, want %d", w.Name, ref, got, len(statics))
 					}
 					statics = append(statics, ref)
-					if _, err := layout.FieldIndex(ref); err == nil {
-						t.Errorf("%s: static %s has an instance index", w.Name, ref)
-					}
 					continue
 				}
-				if got, err := layout.FieldIndex(ref); err != nil || got != n || s.Field(ref).Slot != n {
-					t.Errorf("%s: %s in slot %d (layout: %d, %v), want %d", w.Name, ref, s.Field(ref).Slot, got, err, n)
+				if got := s.Field(ref).Slot; got != n {
+					t.Errorf("%s: %s in slot %d, want %d", w.Name, ref, got, n)
 				}
 				n++
 			}
-			if got, ok := layout.NumFields(c.Name); !ok || got != n || s.Class(c.Name).NumFields != n {
-				t.Errorf("%s: %s has %d instance fields (layout: %d, %t), want %d", w.Name, c.Name, s.Class(c.Name).NumFields, got, ok, n)
+			if got := s.Class(c.Name).NumFields; got != n {
+				t.Errorf("%s: %s has %d instance fields, want %d", w.Name, c.Name, got, n)
 			}
 		}
-		if !slices.Equal(s.Statics, statics) || !slices.Equal(layout.Statics(), statics) {
-			t.Errorf("%s: statics %v (layout: %v), want %v", w.Name, s.Statics, layout.Statics(), statics)
+		if !slices.Equal(s.Statics, statics) {
+			t.Errorf("%s: statics %v, want %v", w.Name, s.Statics, statics)
 		}
 	}
 }
@@ -247,17 +242,15 @@ func TestFirstUseIsRaceFree(t *testing.T) {
 
 // TestNoPrivateSymbolTables keeps the layers above this package from
 // growing their own answer to "which number is this field or method": none
-// of them keeps a map keyed by a symbolic reference or a method pointer —
-// the heap's overflow for statics an unverified program invents is the one
-// exception — and the files that run per block visit or per heap access
-// never resolve a name through the program at all. An instruction's operand
-// is resolved once, by its method's Body: the verifier, the analysis, the
-// site predicate, the pipeline and decode read the Body's numbers and never
-// look an operand up by name. The reference interpreter may.
+// of them keeps a map keyed by a symbolic reference or a method pointer,
+// and the files that run per block visit or per heap access never resolve a
+// name through the program at all. An instruction's operand is resolved
+// once, by its method's Body: the verifier, the analysis, the site
+// predicate, the pipeline, the heap and all three engines read the Body's
+// numbers and never look an operand up by name.
 func TestNoPrivateSymbolTables(t *testing.T) {
-	allowedMaps := map[string]string{"heap": "map[bytecode.FieldRef]Value"} // Heap.staticExtra
 	noLookups := map[string]bool{"core/transfer.go": true, "core/refs.go": true, "heap/heap.go": true}
-	readsBodies := map[string]bool{"core": true, "satb": true, "verifier": true, "pipeline": true}
+	readsBodies := map[string]bool{"core": true, "satb": true, "verifier": true, "pipeline": true, "heap": true, "vm": true}
 	symbolic := map[string]bool{"FieldRef": true, "MethodRef": true, "bytecode.FieldRef": true,
 		"bytecode.MethodRef": true, "*Method": true, "*bytecode.Method": true}
 	seen := map[string]bool{}
@@ -276,8 +269,8 @@ func TestNoPrivateSymbolTables(t *testing.T) {
 				ast.Inspect(file, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.MapType:
-						if typ := types.ExprString(n); symbolic[types.ExprString(n.Key)] && allowedMaps[pkg] != typ {
-							t.Errorf("%s: %s is a private symbol table; index by the program's numbers instead", fset.Position(n.Pos()), typ)
+						if symbolic[types.ExprString(n.Key)] {
+							t.Errorf("%s: %s is a private symbol table; index by the program's numbers instead", fset.Position(n.Pos()), types.ExprString(n))
 						}
 					case *ast.CallExpr:
 						sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -287,7 +280,7 @@ func TestNoPrivateSymbolTables(t *testing.T) {
 						if noLookups[name] && (sel.Sel.Name == "Method" || sel.Sel.Name == "FieldType") {
 							t.Errorf("%s: %s resolves a name where it should read a number resolved beforehand", fset.Position(n.Pos()), types.ExprString(n.Fun))
 						}
-						if (readsBodies[pkg] || name == "vm/decode.go") && resolvesOperand(sel, n.Args) {
+						if readsBodies[pkg] && resolvesOperand(sel, n.Args) {
 							t.Errorf("%s: %s resolves an instruction's operand; read its Body's FieldAt or CalleeAt", fset.Position(n.Pos()), types.ExprString(n))
 						}
 					}
@@ -300,9 +293,6 @@ func TestNoPrivateSymbolTables(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("%s is gone; name the file that runs per visit or per access now", name)
 		}
-	}
-	if !seen["vm/decode.go"] {
-		t.Error("vm/decode.go is gone; name the file that decodes now")
 	}
 }
 

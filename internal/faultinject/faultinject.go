@@ -2,8 +2,8 @@
 // hooks for the chaos testing of long-running services (cmd/satbd). An
 // Injector owns a deterministic PRNG and fires four fault families at
 // configured probabilities: slow stages (added latency on a pipeline
-// stage), cache-shard failures (a build-cache shard pretends the entry
-// is gone), worker stalls (a request-lane worker sleeps mid-request),
+// stage), cache failures (the build cache pretends the entry is gone),
+// worker stalls (a request-lane worker sleeps mid-request),
 // and spurious panics (a request handler panics at a hook point).
 //
 // Everything is opt-in: the zero Config fires nothing, and every method
@@ -35,8 +35,8 @@ type Config struct {
 	// SlowStageDelay.
 	SlowStage      float64
 	SlowStageDelay time.Duration
-	// CacheFail is the probability that a build-cache shard operation
-	// fails (a get misses, a put is dropped).
+	// CacheFail is the probability that a build-cache operation fails (a
+	// get misses, a put is dropped).
 	CacheFail float64
 	// Panic is the probability that a MaybePanic hook panics.
 	Panic float64
@@ -175,14 +175,14 @@ func (in *Injector) Stall(site string) {
 	}
 }
 
-// CacheFault reports whether a cache shard operation should fail. Its
-// signature matches pipeline.CacheFaultHook so an Injector plugs straight
-// into Cache.SetFaultHook.
-func (in *Injector) CacheFault(op string, shard int) bool {
+// CacheFault reports whether a build-cache operation ("get" or "put")
+// should fail. Its signature matches pipeline.CacheFaultHook so an
+// Injector plugs straight into Cache.SetFaultHook.
+func (in *Injector) CacheFault(op string) bool {
 	if in == nil {
 		return false
 	}
-	return in.hit(in.cfg.CacheFail, fmt.Sprintf("cachefail:%s:shard%d", op, shard))
+	return in.hit(in.cfg.CacheFail, "cachefail:"+op)
 }
 
 // MaybePanic panics with probability Config.Panic. The panic value is a

@@ -13,7 +13,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	in.SlowStage("parse") // must not panic
 	in.Stall("worker")
 	in.MaybePanic("handler")
-	if in.CacheFault("get", 3) {
+	if in.CacheFault("get") {
 		t.Error("nil injector fired a cache fault")
 	}
 	if in.Fired() != nil || in.TotalFired() != 0 {
@@ -53,7 +53,7 @@ func TestProbabilityOneAlwaysFires(t *testing.T) {
 	if slept != 2 {
 		t.Errorf("slept %d times, want 2", slept)
 	}
-	if !in.CacheFault("put", 0) {
+	if !in.CacheFault("put") {
 		t.Error("p=1 cache fault did not fire")
 	}
 	caught := false

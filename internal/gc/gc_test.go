@@ -15,14 +15,24 @@ func newHeap() *heap.Heap {
 	return heap.New(heap.NewLayout(p))
 }
 
-var nextField = bytecode.FieldRef{Class: "T", Name: "next"}
+// alloc allocates a T.
+func alloc(h *heap.Heap) heap.Ref { return h.AllocObjectN("T", 1) }
+
+// setNext stores v in r's next field (slot 0) and returns the overwritten
+// value, the barrier's pre-value.
+func setNext(h *heap.Heap, r heap.Ref, v heap.Value) heap.Value {
+	p := &h.Get(r).Fields[0]
+	old := *p
+	*p = v
+	return old
+}
 
 // chain builds a linked list of n objects and returns the head.
 func chain(h *heap.Heap, n int) heap.Ref {
 	var head heap.Ref
 	for i := 0; i < n; i++ {
-		r, _ := h.AllocObject("T")
-		h.SetField(r, nextField, heap.RefVal(head))
+		r := alloc(h)
+		setNext(h, r, heap.RefVal(head))
 		head = r
 	}
 	return head
@@ -31,7 +41,7 @@ func chain(h *heap.Heap, n int) heap.Ref {
 func TestSATBMarksReachable(t *testing.T) {
 	h := newHeap()
 	head := chain(h, 10)
-	garbage, _ := h.AllocObject("T")
+	garbage := alloc(h)
 	_ = garbage
 
 	m := NewSATB(h)
@@ -55,14 +65,14 @@ func TestSATBLogPreservesUnlinkedSubgraph(t *testing.T) {
 	// b, unlink it (a.next = null) with the barrier logging b. b is part
 	// of the snapshot and must still be marked.
 	h := newHeap()
-	a, _ := h.AllocObject("T")
-	b, _ := h.AllocObject("T")
-	h.SetField(a, nextField, heap.RefVal(b))
+	a := alloc(h)
+	b := alloc(h)
+	setNext(h, a, heap.RefVal(b))
 
 	m := NewSATB(h)
 	m.Start([]heap.Ref{a}, true)
 	// Mutator overwrites before any marking work happens.
-	old, _ := h.SetField(a, nextField, heap.NullVal())
+	old := setNext(h, a, heap.NullVal())
 	if old.R != b {
 		t.Fatal("test setup: pre-value should be b")
 	}
@@ -83,13 +93,13 @@ func TestSATBWithoutLogMissesSnapshotObject(t *testing.T) {
 	// invariant checker must notice. (This is what a wrong elision would
 	// cause.)
 	h := newHeap()
-	a, _ := h.AllocObject("T")
-	b, _ := h.AllocObject("T")
-	h.SetField(a, nextField, heap.RefVal(b))
+	a := alloc(h)
+	b := alloc(h)
+	setNext(h, a, heap.RefVal(b))
 
 	m := NewSATB(h)
 	m.Start([]heap.Ref{a}, true)
-	h.SetField(a, nextField, heap.NullVal()) // no log: simulated bad elision
+	setNext(h, a, heap.NullVal()) // no log: simulated bad elision
 	for !m.Step(1) {
 	}
 	m.Finish([]heap.Ref{a})
@@ -100,10 +110,10 @@ func TestSATBWithoutLogMissesSnapshotObject(t *testing.T) {
 
 func TestSATBAllocDuringMarkImplicitlyLive(t *testing.T) {
 	h := newHeap()
-	root, _ := h.AllocObject("T")
+	root := alloc(h)
 	m := NewSATB(h)
 	m.Start([]heap.Ref{root}, false)
-	fresh, _ := h.AllocObject("T") // allocated while marking
+	fresh := alloc(h) // allocated while marking
 	for !m.Step(4) {
 	}
 	m.Finish([]heap.Ref{root})
@@ -119,13 +129,13 @@ func TestIncrementalUpdateRescansDirty(t *testing.T) {
 	// a is marked early; then the mutator stores a new edge a -> c. The
 	// dirty card must cause c to be found in the final phase.
 	h := newHeap()
-	a, _ := h.AllocObject("T")
+	a := alloc(h)
 	m := NewInc(h)
 	m.Start([]heap.Ref{a}, false)
 	for !m.Step(8) {
 	} // a fully scanned, marking "done"
-	c, _ := h.AllocObject("T")
-	h.SetField(a, nextField, heap.RefVal(c))
+	c := alloc(h)
+	setNext(h, a, heap.RefVal(c))
 	m.DirtyCard(a)
 	m.Finish([]heap.Ref{a})
 	if !h.Marked(c) {
@@ -139,7 +149,7 @@ func TestIncrementalFinalPauseGrowsWithDirtyVolume(t *testing.T) {
 	// paper's core motivation for SATB.
 	build := func(kind string) int {
 		h := newHeap()
-		root, _ := h.AllocObject("T")
+		root := alloc(h)
 		var m Marker
 		if kind == "satb" {
 			m = NewSATB(h)
@@ -150,8 +160,8 @@ func TestIncrementalFinalPauseGrowsWithDirtyVolume(t *testing.T) {
 		// Mutator: allocate and initialize 200 objects during marking.
 		prev := root
 		for i := 0; i < 200; i++ {
-			r, _ := h.AllocObject("T")
-			pre, _ := h.SetField(r, nextField, heap.RefVal(prev))
+			r := alloc(h)
+			pre := setNext(h, r, heap.RefVal(prev))
 			// Initializing store: pre-value null. SATB logs nothing;
 			// card marking dirties the object.
 			if pre.R != heap.Null {
@@ -173,7 +183,7 @@ func TestIncrementalFinalPauseGrowsWithDirtyVolume(t *testing.T) {
 func TestReachableComputesClosure(t *testing.T) {
 	h := newHeap()
 	head := chain(h, 5)
-	lone, _ := h.AllocObject("T")
+	lone := alloc(h)
 	set := Reachable(h, []heap.Ref{head})
 	if len(set) != 5 {
 		t.Errorf("reachable = %d, want 5", len(set))
@@ -216,19 +226,19 @@ func TestIncrementalDirtyOrderIsPinned(t *testing.T) {
 	const n = 64
 	for rep := 0; rep < 20; rep++ {
 		h := newHeap()
-		root, _ := h.AllocObject("T")
+		root := alloc(h)
 		m := NewInc(h)
 		m.Start([]heap.Ref{root}, false)
 		for !m.Step(8) {
 		} // root scanned, marking "done"
 		o := make([]heap.Ref, n)
 		for i := range o {
-			o[i], _ = h.AllocObject("T")
+			o[i] = alloc(h)
 		}
-		h.SetField(root, nextField, heap.RefVal(o[n-1]))
+		setNext(h, root, heap.RefVal(o[n-1]))
 		m.DirtyCard(root)
 		for i := n - 1; i > 0; i-- {
-			h.SetField(o[i], nextField, heap.RefVal(o[i-1]))
+			setNext(h, o[i], heap.RefVal(o[i-1]))
 			m.DirtyCard(o[i])
 			m.DirtyCard(o[i]) // a card is seen once
 		}

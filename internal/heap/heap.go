@@ -4,12 +4,7 @@
 // write barriers observe field and element overwrites in it.
 package heap
 
-import (
-	"fmt"
-	"sort"
-
-	"satbelim/internal/bytecode"
-)
+import "satbelim/internal/bytecode"
 
 // Ref is a heap handle. The zero Ref is null.
 type Ref int64
@@ -63,43 +58,13 @@ const (
 // IsArray reports whether the object is an array.
 func (o *Object) IsArray() bool { return o.array }
 
-// Layout is the program's storage layout: each class's instance fields and
-// the program's statics by slot, as its symbol table numbers them.
+// Layout is the program's storage layout, as its symbol table numbers it:
+// an object's field count is its ClassSym.NumFields, a field's storage its
+// FieldSym.Slot. The heap reads only how many statics there are.
 type Layout struct{ syms *bytecode.Symbols }
 
 // NewLayout returns the program's layout.
 func NewLayout(p *bytecode.Program) *Layout { return &Layout{p.Symbols()} }
-
-// FieldIndex returns the slot of an instance field.
-func (l *Layout) FieldIndex(ref bytecode.FieldRef) (int, error) {
-	if f := l.syms.Field(ref); f != nil && !f.Static {
-		return f.Slot, nil
-	}
-	if l.syms.Class(ref.Class) == nil {
-		return 0, fmt.Errorf("heap: unknown class %s", ref.Class)
-	}
-	return 0, fmt.Errorf("heap: unknown field %s", ref)
-}
-
-// Statics lists the declared static fields by slot.
-func (l *Layout) Statics() []bytecode.FieldRef { return l.syms.Statics }
-
-// staticIndex returns the slot of a declared static field.
-func (l *Layout) staticIndex(ref bytecode.FieldRef) (int, bool) {
-	if f := l.syms.Field(ref); f != nil && f.Static {
-		return f.Slot, true
-	}
-	return 0, false
-}
-
-// NumFields returns the instance-field count of a class, reporting whether
-// the class is known.
-func (l *Layout) NumFields(class string) (int, bool) {
-	if c := l.syms.Class(class); c != nil {
-		return c.NumFields, true
-	}
-	return 0, false
-}
 
 // Heap is the object store.
 //
@@ -121,16 +86,13 @@ func (l *Layout) NumFields(class string) (int, bool) {
 // Declared statics live in a dense slice in declaration order
 // (staticSlots): the slice is sized once at construction and never
 // reallocates, so a slot's address is stable for the heap's lifetime and
-// Static can hand out direct pointers for decode-time resolution.
-// Statics written outside the declared layout (possible only for
-// unverified programs) overflow into a map.
+// Static can hand out direct pointers. A program the VM runs names no
+// other static (bytecode.Program.Validate).
 type Heap struct {
-	layout      *Layout
 	chunks      []*chunk
 	block       []Value // rest of the block carve hands storage out of
 	stamp       uint32  // current epoch, shifted: the all-clear state word
 	staticSlots []Value
-	staticExtra map[bytecode.FieldRef]Value
 
 	// Allocated counts allocations over the heap's lifetime. Refs are not
 	// reused, so it is also the highest Ref handed out.
@@ -187,14 +149,10 @@ var deadChunk = newChunk()
 // New creates an empty heap over the program's layout.
 func New(layout *Layout) *Heap {
 	return &Heap{
-		layout:      layout,
 		stamp:       epochUnit,
-		staticSlots: make([]Value, len(layout.Statics())),
+		staticSlots: make([]Value, len(layout.syms.Statics)),
 	}
 }
-
-// Layout exposes the field layout.
-func (h *Heap) Layout() *Layout { return h.layout }
 
 // Get returns the object for a reference, or nil when the reference is
 // null, was never handed out, or names a swept object.
@@ -332,19 +290,9 @@ func (h *Heap) add(o Object) Ref {
 	return Ref(h.Allocated)
 }
 
-// AllocObject allocates a class instance with null/zero fields.
-func (h *Heap) AllocObject(class string) (Ref, error) {
-	n, ok := h.layout.NumFields(class)
-	if !ok {
-		return Null, fmt.Errorf("heap: unknown class %s", class)
-	}
-	return h.AllocObjectN(class, n), nil
-}
-
-// AllocObjectN allocates a class instance whose field count was resolved
-// ahead of time (the decode-time fast path; equivalent to AllocObject for
-// a known class). The class is not recorded: nothing reads an instance's
-// class at run time.
+// AllocObjectN allocates a class instance of nFields fields, the class's
+// ClassSym.NumFields. The class is not recorded: nothing reads an
+// instance's class at run time.
 //
 // Reference fields must read back as null references, not zero ints; the
 // distinction matters to barrier pre-value checks. The layout does not
@@ -355,111 +303,20 @@ func (h *Heap) AllocObjectN(class string, nFields int) Ref {
 	return h.add(Object{Fields: h.carve(nFields)})
 }
 
-// AllocArray allocates an array with zeroed/nulled elements.
-func (h *Heap) AllocArray(elemRef bool, n int64) (Ref, error) {
-	if n < 0 {
-		return Null, fmt.Errorf("heap: negative array size %d", n)
-	}
+// AllocArray allocates an array of n zeroed/nulled elements; n is not
+// negative (the VM raises that fault before it asks).
+func (h *Heap) AllocArray(elemRef bool, n int64) Ref {
 	elems := h.carve(int(n))
 	if elemRef {
 		for i := range elems {
 			elems[i].IsRef = true
 		}
 	}
-	return h.add(Object{Elems: elems, ElemRef: elemRef, array: true}), nil
+	return h.add(Object{Elems: elems, ElemRef: elemRef, array: true})
 }
 
-// GetField reads an instance field.
-func (h *Heap) GetField(r Ref, ref bytecode.FieldRef) (Value, error) {
-	o := h.Get(r)
-	if o == nil {
-		return Value{}, fmt.Errorf("heap: null dereference reading %s", ref)
-	}
-	i, err := h.layout.FieldIndex(ref)
-	if err != nil {
-		return Value{}, err
-	}
-	return o.Fields[i], nil
-}
-
-// SetField writes an instance field, returning the overwritten value (the
-// SATB barrier's pre-value).
-func (h *Heap) SetField(r Ref, ref bytecode.FieldRef, v Value) (Value, error) {
-	o := h.Get(r)
-	if o == nil {
-		return Value{}, fmt.Errorf("heap: null dereference writing %s", ref)
-	}
-	i, err := h.layout.FieldIndex(ref)
-	if err != nil {
-		return Value{}, err
-	}
-	old := o.Fields[i]
-	o.Fields[i] = v
-	return old, nil
-}
-
-// GetElem reads an array element.
-func (h *Heap) GetElem(r Ref, i int64) (Value, error) {
-	o := h.Get(r)
-	if o == nil {
-		return Value{}, fmt.Errorf("heap: null array dereference")
-	}
-	if i < 0 || i >= int64(len(o.Elems)) {
-		return Value{}, fmt.Errorf("heap: index %d out of bounds [0,%d)", i, len(o.Elems))
-	}
-	return o.Elems[i], nil
-}
-
-// SetElem writes an array element, returning the pre-value.
-func (h *Heap) SetElem(r Ref, i int64, v Value) (Value, error) {
-	o := h.Get(r)
-	if o == nil {
-		return Value{}, fmt.Errorf("heap: null array dereference")
-	}
-	if i < 0 || i >= int64(len(o.Elems)) {
-		return Value{}, fmt.Errorf("heap: index %d out of bounds [0,%d)", i, len(o.Elems))
-	}
-	old := o.Elems[i]
-	o.Elems[i] = v
-	return old, nil
-}
-
-// ArrayLen returns an array's length.
-func (h *Heap) ArrayLen(r Ref) (int64, error) {
-	o := h.Get(r)
-	if o == nil {
-		return 0, fmt.Errorf("heap: null array dereference")
-	}
-	return int64(len(o.Elems)), nil
-}
-
-// GetStatic reads a static field (zero value when never written).
-func (h *Heap) GetStatic(ref bytecode.FieldRef) Value {
-	if i, ok := h.layout.staticIndex(ref); ok {
-		return h.staticSlots[i]
-	}
-	return h.staticExtra[ref]
-}
-
-// SetStatic writes a static field, returning the pre-value.
-func (h *Heap) SetStatic(ref bytecode.FieldRef, v Value) Value {
-	if i, ok := h.layout.staticIndex(ref); ok {
-		old := h.staticSlots[i]
-		h.staticSlots[i] = v
-		return old
-	}
-	if h.staticExtra == nil {
-		h.staticExtra = map[bytecode.FieldRef]Value{}
-	}
-	old := h.staticExtra[ref]
-	h.staticExtra[ref] = v
-	return old
-}
-
-// Static returns a stable pointer to the storage of the declared static in
-// slot (FieldSym.Slot). The decoded engines resolve statics to slots once at
-// decode; reads and writes through the pointer are equivalent to
-// GetStatic/SetStatic of that field.
+// Static returns a stable pointer to the storage of the static in slot
+// (FieldSym.Slot), the one way any engine reads or writes a static.
 func (h *Heap) Static(slot int) *Value { return &h.staticSlots[slot] }
 
 // AppendStaticRoots appends the current reference values of all statics to
@@ -471,25 +328,6 @@ func (h *Heap) AppendStaticRoots(dst []Ref) []Ref {
 	for _, v := range h.staticSlots {
 		if v.IsRef && v.R != Null {
 			dst = append(dst, v.R)
-		}
-	}
-	if len(h.staticExtra) > 0 {
-		// Statics written outside the declared layout (possible only for
-		// unverified programs): include them in a stable order too.
-		var extras []bytecode.FieldRef
-		for ref, v := range h.staticExtra {
-			if v.IsRef && v.R != Null {
-				extras = append(extras, ref)
-			}
-		}
-		sort.Slice(extras, func(i, j int) bool {
-			if extras[i].Class != extras[j].Class {
-				return extras[i].Class < extras[j].Class
-			}
-			return extras[i].Name < extras[j].Name
-		})
-		for _, ref := range extras {
-			dst = append(dst, h.staticExtra[ref].R)
 		}
 	}
 	return dst

@@ -16,90 +16,73 @@ func testProgram() *bytecode.Program {
 	return p
 }
 
+// alloc allocates a T of the test program (next, v).
+func alloc(h *Heap) Ref { return h.AllocObjectN("T", 2) }
+
+// TestLayoutIndexes: the heap lays storage out by the symbol table's
+// numbers — an object of a class has its NumFields slots, an instance field
+// lives at its Slot, and the statics are Symbols.Statics by slot.
 func TestLayoutIndexes(t *testing.T) {
-	l := NewLayout(testProgram())
-	i, err := l.FieldIndex(bytecode.FieldRef{Class: "T", Name: "next"})
-	if err != nil || i != 0 {
-		t.Errorf("next index = %d, %v", i, err)
+	p := testProgram()
+	s := p.Symbols()
+	h := New(NewLayout(p))
+	if next, v := s.Field(bytecode.FieldRef{Class: "T", Name: "next"}), s.Field(bytecode.FieldRef{Class: "T", Name: "v"}); next.Slot != 0 || v.Slot != 1 {
+		t.Errorf("next in slot %d, v in slot %d", next.Slot, v.Slot)
 	}
-	j, err := l.FieldIndex(bytecode.FieldRef{Class: "T", Name: "v"})
-	if err != nil || j != 1 {
-		t.Errorf("v index = %d, %v", j, err)
+	if r := h.AllocObjectN("T", s.Class("T").NumFields); len(h.Get(r).Fields) != 2 {
+		t.Errorf("a T has %d fields, want 2", len(h.Get(r).Fields))
 	}
-	if _, err := l.FieldIndex(bytecode.FieldRef{Class: "T", Name: "head"}); err == nil {
-		t.Error("static field must not have an instance index")
-	}
-	if _, err := l.FieldIndex(bytecode.FieldRef{Class: "X", Name: "f"}); err == nil {
-		t.Error("unknown class must error")
-	}
-	if len(l.Statics()) != 1 {
-		t.Errorf("statics = %v", l.Statics())
+	if head := s.Field(bytecode.FieldRef{Class: "T", Name: "head"}); len(h.staticSlots) != 1 || head.Slot != 0 {
+		t.Errorf("%d static slots, head in slot %d", len(h.staticSlots), head.Slot)
 	}
 }
 
 func TestAllocAndFieldAccess(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	r, err := h.AllocObject("T")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := alloc(h)
 	if r == Null {
 		t.Fatal("allocation returned null")
 	}
-	fr := bytecode.FieldRef{Class: "T", Name: "next"}
-	old, err := h.SetField(r, fr, RefVal(r))
-	if err != nil {
-		t.Fatal(err)
+	o := h.Get(r)
+	if o == nil || o.IsArray() || len(o.Fields) != 2 {
+		t.Fatalf("Get = %+v", o)
 	}
-	if old.R != Null {
-		t.Error("fresh field should have null pre-value")
+	if o.Fields[0].R != Null || o.Fields[1].I != 0 {
+		t.Error("fresh fields should read as null and zero")
 	}
-	got, err := h.GetField(r, fr)
-	if err != nil || got.R != r {
-		t.Errorf("GetField = %v, %v", got, err)
-	}
-	old2, _ := h.SetField(r, fr, NullVal())
-	if old2.R != r {
-		t.Error("second store should see the first value as pre-value")
+	o.Fields[0] = RefVal(r)
+	if got := h.Get(r).Fields[0]; got.R != r {
+		t.Errorf("field reads back %v", got)
 	}
 }
 
 func TestArrays(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	a, err := h.AllocArray(true, 3)
-	if err != nil {
-		t.Fatal(err)
+	a := h.AllocArray(true, 3)
+	o := h.Get(a)
+	if !o.IsArray() || !o.ElemRef || len(o.Elems) != 3 {
+		t.Fatalf("ref array = %+v", o)
 	}
-	n, _ := h.ArrayLen(a)
-	if n != 3 {
-		t.Errorf("len = %d", n)
-	}
-	if _, err := h.GetElem(a, 3); err == nil {
-		t.Error("out-of-bounds read must error")
-	}
-	if _, err := h.SetElem(a, -1, NullVal()); err == nil {
-		t.Error("negative index must error")
-	}
-	v, _ := h.GetElem(a, 0)
-	if !v.IsRef || v.R != Null {
+	if v := o.Elems[0]; !v.IsRef || v.R != Null {
 		t.Errorf("fresh ref-array element should be null ref, got %v", v)
 	}
-	if _, err := h.AllocArray(true, -1); err == nil {
-		t.Error("negative size must error")
+	ints := h.Get(h.AllocArray(false, 2))
+	if ints.ElemRef || len(ints.Elems) != 2 || ints.Elems[1].IsRef {
+		t.Errorf("int array = %+v", ints)
+	}
+	if empty := h.Get(h.AllocArray(true, 0)); empty == nil || len(empty.Elems) != 0 {
+		t.Errorf("empty array = %+v", empty)
 	}
 }
 
 func TestStatics(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	fr := bytecode.FieldRef{Class: "T", Name: "head"}
-	if got := h.GetStatic(fr); got.R != Null {
-		t.Error("unset static should read as zero")
+	head := h.Static(0)
+	if head.R != Null || head != h.Static(0) {
+		t.Error("an unset static reads as zero, through one stable address")
 	}
-	r, _ := h.AllocObject("T")
-	old := h.SetStatic(fr, RefVal(r))
-	if old.R != Null {
-		t.Error("first static store pre-value should be null")
-	}
+	r := alloc(h)
+	*head = RefVal(r)
 	buf := make([]Ref, 0, 4)
 	roots := h.AppendStaticRoots(append(buf, 99))
 	if len(roots) != 2 || roots[0] != 99 || roots[1] != r {
@@ -112,8 +95,8 @@ func TestStatics(t *testing.T) {
 
 func TestSweep(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	a, _ := h.AllocObject("T")
-	b, _ := h.AllocObject("T")
+	a := alloc(h)
+	b := alloc(h)
 	h.BeginCycle()
 	if !h.Mark(a) || h.Mark(a) {
 		t.Error("Mark must report true once, on the white-to-marked transition")
@@ -147,7 +130,7 @@ func TestAllocDuringMarkSurvivesSweep(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	h.BeginCycle()
 	h.MarkingActive = true
-	r, _ := h.AllocObject("T")
+	r := alloc(h)
 	h.MarkingActive = false
 	if !h.AllocDuringMark(r) {
 		t.Fatal("alloc-during-mark flag not set")
@@ -169,7 +152,7 @@ func TestAllocDuringMarkSurvivesSweep(t *testing.T) {
 
 func TestGetDanglingRefs(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	r, _ := h.AllocObject("T")
+	r := alloc(h)
 	for _, bad := range []Ref{Null, -1, -1 << 62, r + 1, 1 << 40} {
 		if h.Get(bad) != nil {
 			t.Errorf("Get(%d) must be nil", bad)
@@ -192,7 +175,7 @@ func TestGetDanglingRefs(t *testing.T) {
 // to make it so (the state words still hold cycle N's stamps).
 func TestEpochResetsCollectorState(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	r, _ := h.AllocObject("T")
+	r := alloc(h)
 	h.BeginCycle()
 	h.Mark(r)
 	h.MarkDirty(r)
@@ -218,9 +201,9 @@ func TestEpochResetsCollectorState(t *testing.T) {
 
 func TestEpochWrapAround(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	live, _ := h.AllocObject("T")
-	dead, _ := h.AllocObject("T")
-	old, _ := h.AllocObject("T")
+	live := alloc(h)
+	dead := alloc(h)
+	old := alloc(h)
 	h.Mark(live)
 	h.Mark(old)
 	h.Sweep()
@@ -257,14 +240,14 @@ func TestEpochWrapAround(t *testing.T) {
 
 func TestObjectPointersAreStable(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	r, _ := h.AllocObject("T")
-	arr, _ := h.AllocArray(true, 3)
+	r := alloc(h)
+	arr := h.AllocArray(true, 3)
 	o, a := h.Get(r), h.Get(arr)
 	for i := 0; i < 10_000; i++ {
 		if i%7 == 0 {
 			h.AllocArray(i%2 == 0, int64(i%(2*carveMax)))
 		} else {
-			h.AllocObject("T")
+			alloc(h)
 		}
 	}
 	if h.Get(r) != o || h.Get(arr) != a {
@@ -272,10 +255,10 @@ func TestObjectPointersAreStable(t *testing.T) {
 	}
 	o.Fields[0] = RefVal(arr)
 	a.Elems[2] = RefVal(r)
-	if v, _ := h.GetField(r, bytecode.FieldRef{Class: "T", Name: "next"}); v.R != arr {
+	if v := h.Get(r).Fields[0]; v.R != arr {
 		t.Error("a write through the old pointer must be visible through the heap")
 	}
-	if v, _ := h.GetElem(arr, 2); v.R != r {
+	if v := h.Get(arr).Elems[2]; v.R != r {
 		t.Error("a write through the old array pointer must be visible through the heap")
 	}
 	// Carved storage is private: no neighbour saw those writes.
@@ -298,7 +281,7 @@ func TestSweepReleasesDeadChunks(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	var refs []Ref
 	for i := 0; i < 3*chunkSize+1; i++ {
-		r, _ := h.AllocObject("T")
+		r := alloc(h)
 		refs = append(refs, r)
 	}
 	h.BeginCycle()
@@ -325,7 +308,7 @@ func TestSweepReleasesDeadChunks(t *testing.T) {
 	if h.chunks[0] != deadChunk || h.chunks[3] == deadChunk {
 		t.Error("chunk 0 is now all dead and full; the tail chunk is not full")
 	}
-	r, _ := h.AllocObject("T")
+	r := alloc(h)
 	if r != Ref(3*chunkSize+2) || h.Get(r) == nil || h.Get(refs[3*chunkSize]) != nil {
 		t.Error("allocation must continue in the tail chunk with a fresh ref")
 	}
@@ -338,11 +321,11 @@ func TestSweepReleasesDeadChunks(t *testing.T) {
 
 func TestRefsOf(t *testing.T) {
 	h := New(NewLayout(testProgram()))
-	a, _ := h.AllocObject("T")
-	b, _ := h.AllocObject("T")
-	h.SetField(a, bytecode.FieldRef{Class: "T", Name: "next"}, RefVal(b))
-	arr, _ := h.AllocArray(true, 2)
-	h.SetElem(arr, 1, RefVal(a))
+	a := alloc(h)
+	b := alloc(h)
+	h.Get(a).Fields[0] = RefVal(b)
+	arr := h.AllocArray(true, 2)
+	h.Get(arr).Elems[1] = RefVal(a)
 	var got []Ref
 	h.Get(a).RefsOf(func(r Ref) { got = append(got, r) })
 	if len(got) != 1 || got[0] != b {

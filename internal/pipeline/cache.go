@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -19,13 +18,13 @@ import (
 // are deterministic), so entries are keyed by source hash × options,
 // never by anything ambient, and a hit is exact.
 //
-// Structure: the key space is split across shards, each an independently
-// locked LRU, so concurrent daemon requests touching different programs
-// never contend on one mutex. On top of the shards sits a singleflight
-// layer: N concurrent compiles of the same key run the compile once — the
-// first caller (the "winner") compiles, followers block and share the
-// result. Only clean results are shared; a winner whose build errored or
-// degraded on wall-clock grounds (deadline, cancellation — conditions of
+// Structure: one LRU under one mutex, held only for a map lookup and a list
+// move; every miss takes the singleflight's one lock as well, so splitting
+// the LRU would not let more requests proceed at once. On top of it sits a
+// singleflight layer: N concurrent compiles of the same key run the compile
+// once — the first caller (the "winner") compiles, followers block and
+// share the result. Only clean results are shared; a winner whose build
+// errored or degraded on wall-clock grounds (deadline, cancellation — conditions of
 // that request, not of the key) keeps it private and followers compile
 // for themselves, so one request's deadline never bleeds into another's
 // result.
@@ -39,12 +38,9 @@ import (
 // nil meaning the process-wide DefaultCache. Tests, embedders, and the
 // satbd daemon construct their own with NewCache.
 
-// DefaultCacheEntries bounds DefaultCache; at the limit each shard evicts
-// its least-recently-used entry.
+// DefaultCacheEntries bounds DefaultCache; at the limit the cache evicts its
+// least-recently-used entry.
 const DefaultCacheEntries = 128
-
-// cacheShardCount is the number of independently locked LRU shards.
-const cacheShardCount = 8
 
 // cacheKey identifies a build by everything that can influence its
 // output. Workers and Runtime are deliberately absent: results are
@@ -57,28 +53,11 @@ type cacheKey struct {
 	analysis    string
 }
 
-// shard maps a key onto its LRU shard (FNV-1a over the key fields).
-func (k cacheKey) shard() int {
-	h := fnv.New32a()
-	h.Write([]byte(k.name))
-	h.Write(k.srcHash[:])
-	fmt.Fprintf(h, "|%d|%s", k.inlineLimit, k.analysis)
-	return int(h.Sum32() % cacheShardCount)
-}
-
-// CacheFaultHook is an injectable shard-failure hook for chaos testing:
-// when it returns true for an operation ("get" or "put") on a shard, that
-// operation fails (the get misses, the put is dropped). A failing shard
-// only costs recomputation — correctness never depends on the cache.
-type CacheFaultHook func(op string, shard int) bool
-
-// cacheShard is one independently locked LRU.
-type cacheShard struct {
-	mu      sync.Mutex
-	max     int
-	entries map[cacheKey]*list.Element
-	lru     *list.List // front = most recently used
-}
+// CacheFaultHook is an injectable cache-failure hook for chaos testing:
+// when it returns true for an operation ("get" or "put"), that operation
+// fails (the get misses, the put is dropped). A failing cache only costs
+// recomputation — correctness never depends on it.
+type CacheFaultHook func(op string) bool
 
 type cacheEntry struct {
 	key cacheKey
@@ -95,11 +74,13 @@ type flightCall struct {
 	shared bool
 }
 
-// Cache is a content-addressed build cache instance: sharded LRU storage
-// plus singleflight compile coalescing. All methods are safe for
-// concurrent use.
+// Cache is a content-addressed build cache instance: LRU storage plus
+// singleflight compile coalescing. All methods are safe for concurrent use.
 type Cache struct {
-	shards [cacheShardCount]cacheShard
+	mu      sync.Mutex
+	max     int
+	entries map[cacheKey]*list.Element
+	lru     *list.List // front = most recently used
 
 	flightMu sync.Mutex
 	flight   map[cacheKey]*flightCall
@@ -113,24 +94,14 @@ type Cache struct {
 	hook atomic.Pointer[CacheFaultHook]
 }
 
-// NewCache returns an empty cache bounded to maxEntries in total (<= 0
-// means DefaultCacheEntries). The bound is split evenly across shards, so
-// per-shard capacity is maxEntries/8 (minimum 1).
+// NewCache returns an empty cache that holds up to maxEntries builds (<= 0
+// means DefaultCacheEntries).
 func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	perShard := maxEntries / cacheShardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Cache{flight: map[cacheKey]*flightCall{}}
-	for i := range c.shards {
-		c.shards[i].max = perShard
-		c.shards[i].entries = map[cacheKey]*list.Element{}
-		c.shards[i].lru = list.New()
-	}
-	return c
+	return &Cache{max: maxEntries, entries: map[cacheKey]*list.Element{}, lru: list.New(),
+		flight: map[cacheKey]*flightCall{}}
 }
 
 // DefaultCache is the process-wide build cache used when Options.Cache
@@ -138,8 +109,8 @@ func NewCache(maxEntries int) *Cache {
 // instance so daemon state never rides on a package global.
 var DefaultCache = NewCache(DefaultCacheEntries)
 
-// SetFaultHook installs (or, with nil, removes) the chaos-testing shard
-// failure hook.
+// SetFaultHook installs (or, with nil, removes) the chaos-testing failure
+// hook.
 func (c *Cache) SetFaultHook(h CacheFaultHook) {
 	if h == nil {
 		c.hook.Store(nil)
@@ -148,13 +119,13 @@ func (c *Cache) SetFaultHook(h CacheFaultHook) {
 	c.hook.Store(&h)
 }
 
-// faulted consults the installed hook for one shard operation.
-func (c *Cache) faulted(op string, shard int) bool {
+// faulted consults the installed hook for one operation.
+func (c *Cache) faulted(op string) bool {
 	hp := c.hook.Load()
 	if hp == nil {
 		return false
 	}
-	if (*hp)(op, shard) {
+	if (*hp)(op) {
 		c.faultDrop.Add(1)
 		obs.Count("pipeline.cache.fault_drops", 1)
 		return true
@@ -185,25 +156,19 @@ func (c *Cache) Stats() CacheStats {
 		Coalesced:  c.coalesced.Load(),
 		FaultDrops: c.faultDrop.Load(),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += len(sh.entries)
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	s.Entries = len(c.entries)
+	c.mu.Unlock()
 	return s
 }
 
 // Clear empties the cache and resets its counters. In-flight compiles
 // are unaffected (they complete and store into the cleared cache).
 func (c *Cache) Clear() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.entries = map[cacheKey]*list.Element{}
-		sh.lru = list.New()
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.entries = map[cacheKey]*list.Element{}
+	c.lru = list.New()
+	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
@@ -240,43 +205,38 @@ func (o Options) key(name, source string) cacheKey {
 
 // get returns the cached build for a key, refreshing its recency.
 func (c *Cache) get(k cacheKey) (*Build, bool) {
-	shard := k.shard()
-	if c.faulted("get", shard) {
+	if c.faulted("get") {
 		return nil, false
 	}
-	sh := &c.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[k]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[k]
 	if !ok {
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
+	c.lru.MoveToFront(el)
 	return el.Value.(*cacheEntry).b, true
 }
 
-// put stores a build, evicting the shard's least-recently-used entry at
-// capacity.
+// put stores a build, evicting the least-recently-used entry at capacity.
 func (c *Cache) put(k cacheKey, b *Build) {
-	shard := k.shard()
-	if c.faulted("put", shard) {
+	if c.faulted("put") {
 		return
 	}
-	sh := &c.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[k]; ok {
-		sh.lru.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		c.lru.MoveToFront(el)
 		return
 	}
-	if sh.lru.Len() >= sh.max {
-		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		delete(sh.entries, oldest.Value.(*cacheEntry).key)
+	if c.lru.Len() >= c.max {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
 		c.evictions.Add(1)
 		obs.Count("pipeline.cache.evictions", 1)
 	}
-	sh.entries[k] = sh.lru.PushFront(&cacheEntry{key: k, b: b})
+	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, b: b})
 }
 
 // do runs one cacheable compilation with hit lookup and singleflight

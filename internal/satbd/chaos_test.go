@@ -33,7 +33,7 @@ func checkGoroutines(t *testing.T, baseline int) {
 
 // TestChaosLoad is the chaos acceptance run from the issue: a
 // progen-driven storm against a daemon with every fault class injected
-// (slow stages, cache-shard failures, worker stalls, spurious panics).
+// (slow stages, cache failures, worker stalls, spurious panics).
 // The pass condition is the daemon's whole contract: zero crashes, zero
 // schema-invalid responses, zero silently-wrong results (every /run
 // output re-executed locally and compared), every degradation flagged,

@@ -515,8 +515,6 @@ func (v *verifier) simulate(b *bytecode.Block) (out []vtype, targets []int, err 
 			}
 		case bytecode.OpTrap:
 			return stk, nil, nil
-		default:
-			return nil, nil, v.errf(pc, "unknown opcode %v", in.Op)
 		}
 	}
 	// Fell through the block end.

@@ -3,19 +3,19 @@ package vm
 import (
 	"fmt"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/heap"
 )
 
-// This file is the decoded engines' one heap-access layer. The switch
-// interpreter reaches object storage through internal/heap's checked
-// GetField/SetField/GetElem/SetElem/ArrayLen; the fused engine and the
-// compiled tier resolve field indices at decode time and would pay for the
-// by-name lookup, so they reach it through the three accessors below
-// instead. Each answers "the slot, or nil" in a form small enough to inline
-// into every site; a nil answer goes to accessErr, the single place that
-// decides which fault it was and words it. A site therefore states only
-// what is its own — where its operands come from, its error pc and charge,
-// its barrier — and a new fault rule or heap layout changes this file only.
+// This file is the engines' one heap-access layer. All three reach object
+// storage through the three accessors below, with the field slot or the
+// array index their method's Body resolved, and statics through
+// heap.Static. Each accessor answers "the slot, or nil" in a form small
+// enough to inline into every site; a nil answer goes to heapFault, the
+// single place that decides which fault it was and words it. A site
+// therefore states only what is its own — where its operands come from, its
+// error pc and charge, its barrier — and a new fault rule or heap layout
+// changes this file only.
 
 // fieldSlot returns field idx of the object r names, or nil when r is null
 // or dangling.
@@ -47,7 +47,7 @@ func (v *VM) arrayLen(r heap.Ref) int64 {
 	return int64(len(o.Elems))
 }
 
-// access names the heap access a site performs, for accessErr.
+// access names the heap access a site performs, for heapFault.
 type access uint8
 
 const (
@@ -58,35 +58,40 @@ const (
 	lengthOf
 )
 
-// accessErr is the cold path behind a nil slot: it re-derives which check
-// failed — null reference, dangling reference, index out of bounds, in the
-// reference interpreter's order — and returns the RuntimeError the switch
-// interpreter raises for it, the "heap:" messages byte for byte those of
-// internal/heap. pc and entered follow the cerr protocol (the fused engine
-// counts steps before executing and passes 0). fr is the field for field
-// accesses, i the index for element accesses.
-func (v *VM) accessErr(f *fframe, pc, entered int32, a access, r heap.Ref, i int64, fr *fieldRec) error {
-	o := v.heap.Get(r)
-	var msg string
+// heapFault is the cold path behind a nil slot: it re-derives which check
+// failed — null reference, dangling reference, index out of bounds, in that
+// order — and words the fault. field is the field of a field access, i the
+// index of an element access.
+func (v *VM) heapFault(a access, r heap.Ref, i int64, field *bytecode.FieldRef) string {
 	switch {
 	case a == readField && r == heap.Null:
-		msg = fmt.Sprintf("null pointer dereference reading %s", fr.ref)
+		return fmt.Sprintf("null pointer dereference reading %s", field)
 	case a == readField:
-		msg = fmt.Sprintf("heap: null dereference reading %s", fr.ref)
+		return fmt.Sprintf("heap: null dereference reading %s", field)
 	case a == writeField && r == heap.Null:
-		msg = fmt.Sprintf("null pointer dereference writing %s", fr.ref)
+		return fmt.Sprintf("null pointer dereference writing %s", field)
 	case a == writeField:
-		msg = fmt.Sprintf("heap: null dereference writing %s", fr.ref)
+		return fmt.Sprintf("heap: null dereference writing %s", field)
 	case a == loadElem && r == heap.Null:
-		msg = "null pointer dereference in array load"
+		return "null pointer dereference in array load"
 	case a == storeElem && r == heap.Null:
-		msg = "null pointer dereference in array store"
+		return "null pointer dereference in array store"
 	case a == lengthOf && r == heap.Null:
-		msg = "null pointer dereference in arraylength"
-	case o == nil:
-		msg = "heap: null array dereference"
-	default:
-		msg = fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, len(o.Elems))
+		return "null pointer dereference in arraylength"
 	}
-	return v.cerr(f, pc, entered, "%s", msg)
+	if o := v.heap.Get(r); o != nil {
+		return fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, len(o.Elems))
+	}
+	return "heap: null array dereference"
+}
+
+// accessErr is heapFault raised by a decoded engine: pc and entered follow
+// the cerr protocol (the fused engine counts steps before executing and
+// passes 0), and fr is nil for an element access.
+func (v *VM) accessErr(f *fframe, pc, entered int32, a access, r heap.Ref, i int64, fr *fieldRec) error {
+	var field *bytecode.FieldRef
+	if fr != nil {
+		field = &fr.ref
+	}
+	return v.cerr(f, pc, entered, "%s", v.heapFault(a, r, i, field))
 }

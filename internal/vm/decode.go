@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"satbelim/internal/bytecode"
@@ -194,15 +193,12 @@ type mstate struct {
 	pool     []*fframe
 	recycled int64
 
-	// Compiled-tier state (EngineCompiled only; all three are inert on
-	// the other engines). hotness counts method entries plus loop
-	// back-edges observed on fused dispatch; tier is the closure-threaded
-	// translation installed at tier-up, whose closures capture the VM;
-	// tierFailed bars a method whose translation was rejected from being
-	// retried every quantum.
-	hotness    int64
-	tier       *cmethod
-	tierFailed bool
+	// Compiled-tier state (EngineCompiled only; both are inert on the other
+	// engines). hotness counts method entries plus loop back-edges observed
+	// on fused dispatch; tier is the closure-threaded translation installed
+	// at tier-up, whose closures capture the VM.
+	hotness int64
+	tier    *cmethod
 }
 
 // maxFramePool bounds the per-method free list (deep recursion spikes
@@ -235,8 +231,8 @@ func (v *VM) release(f *fframe) {
 
 // dprogram is a decoded program, an image: methods is indexed by method
 // number, sites by the site number decode assigns (in method, then pc
-// order). entry is the Main it was decoded for; err why decoding failed,
-// in which case the image has nothing else.
+// order). entry is the Main it was decoded for; err why the program is not
+// runnable, in which case the image has nothing else.
 type dprogram struct {
 	main    *dmethod
 	methods []*dmethod
@@ -280,8 +276,8 @@ type images [allVerdicts + 1]atomic.Pointer[dprogram]
 
 // imageOf returns p's image under pr, decoding one when there is none or
 // it is stale. Concurrent first users may each decode; one image is kept
-// and each runs its own, all equal. A failed decode is kept like any
-// other, so the VMs of an undecodable program do not retry it.
+// and each runs its own, all equal. The image of a program that is not
+// runnable is kept like any other, so its VMs do not check it again.
 func imageOf(p *bytecode.Program, pr projection) *dprogram {
 	slot := p.Decoded()
 	ims, _ := slot.Load().(*images)
@@ -318,19 +314,15 @@ func (d *dprogram) current(p *bytecode.Program) bool {
 	return true
 }
 
-// decodeProgram translates a program into the dense executable form. A body
-// with a structural fault fails the whole decode; the VM then falls back to
-// the switch interpreter, which reports such programs with its usual
-// runtime errors. pr maps each store's analysis verdict to the verdict used
-// at runtime — once per site here, keeping flavor logic off the dispatch
-// path.
+// decodeProgram translates a runnable program into the dense executable
+// form; a program that is not runnable decodes to its error. pr maps each
+// store's analysis verdict to the verdict used at runtime — once per site
+// here, keeping flavor logic off the dispatch path.
 func decodeProgram(p *bytecode.Program, pr projection) *dprogram {
-	syms := p.Symbols()
-	fail := func(err error) *dprogram { return &dprogram{entry: p.Main, err: err} }
-	main := syms.MethodNum(p.Main)
-	if main < 0 {
-		return fail(fmt.Errorf("vm: no main method %s", p.Main))
+	if err := runnable(p); err != nil {
+		return &dprogram{entry: p.Main, err: err}
 	}
+	syms := p.Symbols()
 	d := &dprogram{methods: make([]*dmethod, len(syms.Methods)), entry: p.Main}
 	for i, m := range syms.Methods {
 		d.methods[i] = &dmethod{
@@ -343,22 +335,16 @@ func decodeProgram(p *bytecode.Program, pr projection) *dprogram {
 		}
 	}
 	for i, dm := range d.methods {
-		body := p.Body(i)
-		if body.Err != nil {
-			return fail(fmt.Errorf("vm: decode: %w", body.Err))
-		}
-		if err := d.decodeMethod(syms.Methods[i], syms, body, dm, pr); err != nil {
-			return fail(err)
-		}
+		d.decodeMethod(syms.Methods[i], syms, p.Body(i), dm, pr)
 	}
-	d.main = d.methods[main]
+	d.main = d.methods[syms.MethodNum(p.Main)]
 	return d
 }
 
 // decodeMethod fills in dm.code and the operand tables from the method's
 // Body, which has checked every slot, branch target and operand, and
 // appends the method's sites to d.sites.
-func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body *bytecode.Body, dm *dmethod, pr projection) error {
+func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body *bytecode.Body, dm *dmethod, pr projection) {
 	dm.code = make([]dinstr, len(m.Code))
 	for pc := range m.Code {
 		in := &m.Code[pc]
@@ -490,8 +476,6 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 			di.op = dPrint
 		case bytecode.OpTrap:
 			di.op = dTrap
-		default:
-			return fmt.Errorf("vm: decode %s pc %d: unknown opcode %v", dm.name, pc, in.Op)
 		}
 		if isSite {
 			di.b = int32(len(d.sites))
@@ -505,7 +489,6 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 		}
 	}
 	fuseMethod(dm)
-	return nil
 }
 
 // isArith reports the fusible arithmetic ops (div/rem are excluded: their

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"satbelim/internal/bytecode"
@@ -170,46 +169,37 @@ func TestBranchIntoFusedRegion(t *testing.T) {
 	}
 }
 
-func TestDecodeFallbackOnUnresolvedMethod(t *testing.T) {
-	prog := bytecode.NewProgram()
-	cls := &bytecode.Class{Name: "T"}
+// TestStructurallyFaultyProgramRunsOnNoEngine: a program whose body fails
+// the structural check (here an invoke of a method nobody declares) is not
+// runnable, and every engine says so in the same words before it executes
+// an instruction.
+func TestStructurallyFaultyProgramRunsOnNoEngine(t *testing.T) {
 	b := bytecode.NewBuilder("T", "main", true)
 	b.Invoke(bytecode.MethodRef{Class: "T", Name: "nope"})
 	b.Return()
-	cls.Methods = append(cls.Methods, b.Build())
-	prog.AddClass(cls)
-	prog.Main = bytecode.MethodRef{Class: "T", Name: "main"}
-
-	v := New(prog, Config{})
-	if v.EngineUsed() != EngineSwitch {
-		t.Fatalf("undecodable program must fall back to the switch engine, got %v", v.EngineUsed())
-	}
-	_, err := v.Run()
-	if err == nil || !strings.Contains(err.Error(), "unresolved method T.nope") {
-		t.Fatalf("err = %v, want unresolved-method runtime error", err)
+	prog := mainOnly(b)
+	for _, eng := range []Engine{EngineSwitch, EngineFused, EngineCompiled} {
+		v := New(prog, Config{Engine: eng})
+		res, err := v.Run()
+		if err == nil || err.Error() != "vm: T.main: pc 0: unresolved method T.nope" || res != nil || v.steps != 0 {
+			t.Errorf("%v: %+v after %d steps, %v; want the structural fault before any step", eng, res, v.steps, err)
+		}
 	}
 }
 
 func TestEngineSelection(t *testing.T) {
 	p := compileSrc(t, `class A { static void main() { print(7); } }`, 0)
-	fused := New(p, Config{})
-	if fused.EngineUsed() != EngineFused {
-		t.Errorf("default engine = %v, want fused", fused.EngineUsed())
+	for _, eng := range []Engine{EngineFused, EngineSwitch, EngineCompiled} {
+		res, err := New(p, Config{Engine: eng}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Engine != eng.String() {
+			t.Errorf("Result.Engine = %q, want %q", res.Engine, eng)
+		}
 	}
-	sw := New(p, Config{Engine: EngineSwitch})
-	if sw.EngineUsed() != EngineSwitch {
-		t.Errorf("explicit switch engine not honored")
-	}
-	fres, err := fused.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := sw.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fres.Engine != "fused" || sres.Engine != "switch" {
-		t.Errorf("Result.Engine: fused=%q switch=%q", fres.Engine, sres.Engine)
+	if res, _ := New(p, Config{}).Run(); res.Engine != "fused" {
+		t.Errorf("default engine = %q, want fused", res.Engine)
 	}
 }
 

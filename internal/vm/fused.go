@@ -54,11 +54,7 @@ type fthread struct {
 
 // ferrf builds a RuntimeError at the frame's current pc.
 func (v *VM) ferrf(f *fframe, format string, args ...any) error {
-	line := 0
-	if int(f.pc) < len(f.m.code) {
-		line = int(f.m.code[f.pc].line)
-	}
-	return &RuntimeError{Method: f.m.name, PC: int(f.pc), Line: line, Msg: fmt.Sprintf(format, args...)}
+	return &RuntimeError{Method: f.m.name, PC: int(f.pc), Line: int(f.m.code[f.pc].line), Msg: fmt.Sprintf(format, args...)}
 }
 
 // refStoreBarrier runs the oracle check and the write barrier for one
@@ -207,9 +203,6 @@ func (v *VM) runFusedQuantum(t *fthread, limit int) error {
 			return fmt.Errorf("vm: instruction budget exhausted (%d)", v.maxSteps)
 		}
 		f := t.frames[len(t.frames)-1]
-		if int(f.pc) >= len(f.m.code) {
-			return v.ferrf(f, "pc past end of method")
-		}
 		in := &f.m.code[f.pc]
 		if in.fuse >= 0 {
 			fi := &f.m.fused[in.fuse]
@@ -369,10 +362,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		if n < 0 {
 			return v.ferrf(f, "negative array size %d", n)
 		}
-		r, err := v.heap.AllocArray(in.op == dNewArrayRef, n)
-		if err != nil {
-			return v.ferrf(f, "%v", err)
-		}
+		r := v.heap.AllocArray(in.op == dNewArrayRef, n)
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.name, int(f.pc), t.id)

@@ -59,10 +59,10 @@ func runGuarded(p *bytecode.Program, eng Engine) (res *Result, err error, panick
 // length of its slot types, so the frame every engine sizes matches what
 // the verifier checked — the hand-built T.main prints 7 on all three. Its
 // shrunken form (a store to an undeclared slot), a newinstance with no type
-// or of an undeclared class and a newarray with no element type are
-// structural faults: each engine reports them (the decoded engines fall
-// back to the switch interpreter, as for any body with a fault) and none
-// panics.
+// or of an undeclared class, a newarray with no element type, an opcode
+// with no mnemonic and a conditional branch that falls off the end are
+// structural faults: no engine runs them, each reports the same error
+// before its first step, and none panics.
 func TestMalformedProgramsCannotPanicAnEngine(t *testing.T) {
 	engines := []Engine{EngineSwitch, EngineFused, EngineCompiled}
 	for _, eng := range engines {
@@ -71,23 +71,29 @@ func TestMalformedProgramsCannotPanicAnEngine(t *testing.T) {
 			t.Errorf("T.main on %v: %+v, %v", eng, res, err)
 		}
 	}
+	branchOffTheEnd := bytecode.NewBuilder("T", "main", true)
+	branchOffTheEnd.Emit(bytecode.Instr{Op: bytecode.OpConstBool})
+	branchOffTheEnd.Emit(bytecode.Instr{Op: bytecode.OpIfTrue, A: 0})
 	for _, tc := range []struct {
-		name  string
-		p     *bytecode.Program
-		fails bool // at run time, in the switch interpreter
+		name string
+		p    *bytecode.Program
 	}{
-		{"shrunken slot count", printSeven(), true},
-		{"newinstance with no type", allocating(bytecode.Instr{Op: bytecode.OpNewInstance}), true},
-		{"newinstance of an undeclared class", allocating(bytecode.Instr{Op: bytecode.OpNewInstance, Type: bytecode.ClassType("Ghost")}), true},
-		{"newarray with no element type", allocating(bytecode.Instr{Op: bytecode.OpNewArray}), false},
+		{"shrunken slot count", printSeven()},
+		{"newinstance with no type", allocating(bytecode.Instr{Op: bytecode.OpNewInstance})},
+		{"newinstance of an undeclared class", allocating(bytecode.Instr{Op: bytecode.OpNewInstance, Type: bytecode.ClassType("Ghost")})},
+		{"newarray with no element type", allocating(bytecode.Instr{Op: bytecode.OpNewArray})},
+		{"unknown opcode", allocating(bytecode.Instr{Op: 200})},
+		{"conditional branch off the end", mainOnly(branchOffTheEnd)},
 	} {
-		if tc.p.Validate() == nil {
+		verr := tc.p.Validate()
+		if verr == nil {
 			t.Errorf("%s: the structural check accepts it", tc.name)
+			continue
 		}
 		for _, eng := range engines {
-			_, err, panicked := runGuarded(tc.p, eng)
-			if panicked || (err != nil) != tc.fails {
-				t.Errorf("%s on %v: err = %v", tc.name, eng, err)
+			res, err, panicked := runGuarded(tc.p, eng)
+			if panicked || res != nil || err == nil || err.Error() != "vm: "+verr.Error() {
+				t.Errorf("%s on %v: %+v, %v; want %q", tc.name, eng, res, err, "vm: "+verr.Error())
 			}
 		}
 	}

@@ -93,8 +93,8 @@ type cval func(t *fthread, f *fframe) (heap.Value, error)
 
 // cterm is a segment terminator: it performs the control transfer,
 // updates f.pc, and returns the next segment index in the same method, or
-// termToDriver when control left the method (call, return, fallthrough
-// off the end) and the driver must re-resolve.
+// one of the signals below when control left the method or the segment
+// failed.
 type cterm func(t *fthread, f *fframe) (int32, error)
 
 // termToDriver tells the segment loop to return to the quantum driver.
@@ -185,9 +185,6 @@ func (v *VM) runTieredQuantum(t *fthread, limit int) error {
 			return fmt.Errorf("vm: instruction budget exhausted (%d)", v.maxSteps)
 		}
 		f := t.frames[len(t.frames)-1]
-		if int(f.pc) >= len(f.m.code) {
-			return v.ferrf(f, "pc past end of method")
-		}
 
 		if cm := v.ms[f.m.num].tier; cm != nil && !v.tierOff {
 			if si, k, wbase := cm.entryAt(f.pc); si >= 0 {
@@ -263,15 +260,11 @@ func (v *VM) runTieredQuantum(t *fthread, limit int) error {
 						// Control moved to another frame (call/return):
 						// continue the chain there if its code is
 						// compiled and the pc is an entry point. The
-						// outer loop re-raises thread-done and
-						// pc-past-end conditions when we break instead.
+						// outer loop ends the thread when we break instead.
 						if len(t.frames) == 0 {
 							break
 						}
 						f = t.frames[len(t.frames)-1]
-						if int(f.pc) >= len(f.m.code) {
-							break
-						}
 						if cm = v.ms[f.m.num].tier; cm == nil {
 							break
 						}
@@ -358,7 +351,7 @@ func (v *VM) tierNote(f *fframe, in *dinstr) {
 // tierBump heats a method and tiers it up at the threshold.
 func (v *VM) tierBump(dm *dmethod) {
 	s := &v.ms[dm.num]
-	if s.tier != nil || s.tierFailed {
+	if s.tier != nil {
 		return
 	}
 	s.hotness++
@@ -367,16 +360,9 @@ func (v *VM) tierBump(dm *dmethod) {
 	}
 }
 
-// tierUp translates a hot method to closure-threaded code. A method whose
-// translation is rejected is barred from retrying (hysteresis: the
-// counter check above short-circuits on tierFailed forever after).
+// tierUp translates a hot method to closure-threaded code.
 func (v *VM) tierUp(dm *dmethod, s *mstate) {
-	cm := v.compileMethod(dm)
-	if cm == nil {
-		s.tierFailed = true
-		return
-	}
-	s.tier = cm
+	s.tier = v.compileMethod(dm)
 	v.tierUps++
 	if obs.Enabled() {
 		obs.Instant("vm", "tier", "tier-up:"+dm.name)
@@ -586,12 +572,9 @@ func isTermOp(op dop) bool {
 }
 
 // compileMethod translates one decoded method into its closure-threaded
-// form, or nil when the method cannot be compiled (empty body).
+// form.
 func (v *VM) compileMethod(dm *dmethod) *cmethod {
 	code := dm.code
-	if len(code) == 0 {
-		return nil
-	}
 
 	// Pass 1: segment leaders — entry, branch targets, and every pc after
 	// a terminator (branch fallthroughs and call return points).
@@ -647,15 +630,6 @@ func (v *VM) compileMethod(dm *dmethod) *cmethod {
 
 // segBlock is one basic block's bounds (term == -1: fallthrough).
 type segBlock struct{ head, end, term int }
-
-// segIdxAt resolves a pc to its segment index for terminator targets
-// (termToDriver when pc is past the end of the method).
-func (cm *cmethod) segIdxAt(pc int) int32 {
-	if pc >= len(cm.segOf) {
-		return termToDriver
-	}
-	return cm.segOf[pc]
-}
 
 // compileSeg fills one segment: the ops region [head, termPC) translated
 // with symbolic-stack composition, then the terminator (explicit at
@@ -721,7 +695,7 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 		}
 		if termPC >= 0 {
 			if code[termPC].op == dGoto {
-				if tgt := int(code[termPC].a); int(sb.wAcc) < mergeCap && tgt < len(code) && !visited[tgt] {
+				if tgt := int(code[termPC].a); int(sb.wAcc) < mergeCap && !visited[tgt] {
 					// The goto disappears into an eager charge (it is
 					// infallible and has no effect beyond control flow);
 					// deferred thunks stay deferred across it.
@@ -735,7 +709,7 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 			}
 			seg.term, termW = v.compileTerm(sb, dm, cm, termPC)
 		} else {
-			if int(sb.wAcc) < mergeCap && end < len(code) && !visited[end] {
+			if int(sb.wAcc) < mergeCap && !visited[end] {
 				// Fallthrough merge: no instruction executes at the
 				// boundary, translation just continues at the join.
 				visited[end] = true
@@ -746,7 +720,7 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 			// Fallthrough into the next leader (weight 0: no instruction
 			// executes at the boundary).
 			sb.flush()
-			next := cm.segIdxAt(end)
+			next := cm.segOf[end]
 			endPC := int32(end)
 			seg.term = func(t *fthread, f *fframe) (int32, error) {
 				f.pc = endPC
@@ -967,10 +941,7 @@ func (v *VM) newArrayThunk(n thunk, isRef bool, pc int32) thunk {
 			if nv.I < 0 {
 				return nv, v.cerr(f, pc, w, "negative array size %d", nv.I)
 			}
-			r, aerr := v.heap.AllocArray(isRef, nv.I)
-			if aerr != nil {
-				return nv, v.cerr(f, pc, w, "%v", aerr)
-			}
+			r := v.heap.AllocArray(isRef, nv.I)
 			v.allocSinceGC++
 			return heap.RefVal(r), nil
 		},
@@ -1543,9 +1514,9 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 // with both edges resolved to segment indices.
 func (v *VM) compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
 	target := fi.d
-	tsi := cm.segIdxAt(int(fi.d))
+	tsi := cm.segOf[fi.d]
 	fallPC := int32(pc + int(fi.n))
-	fsi := cm.segIdxAt(pc + int(fi.n))
+	fsi := cm.segOf[pc+int(fi.n)]
 	wantTrue := fi.e != 0
 	cmp := dop(fi.c)
 	a := fi.a
@@ -1644,8 +1615,8 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 		th := sb.termOperand(pc)
 		op := in.op
 		target := in.a
-		tsi := cm.segIdxAt(int(in.a))
-		fsi := cm.segIdxAt(pc + 1)
+		tsi := cm.segOf[in.a]
+		fsi := cm.segOf[pc+1]
 		return func(t *fthread, f *fframe) (int32, error) {
 			cond, err := th.ev(t, f)
 			if err != nil {
@@ -1713,7 +1684,7 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 	switch in.op {
 	case dGoto:
 		target := in.a
-		tsi := cm.segIdxAt(int(in.a))
+		tsi := cm.segOf[in.a]
 		term = func(t *fthread, f *fframe) (int32, error) {
 			f.pc = target
 			return tsi, nil

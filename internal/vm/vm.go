@@ -7,6 +7,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"satbelim/internal/bytecode"
@@ -39,10 +40,8 @@ const (
 	// shared by every VM of it, into a dense internal form
 	// with resolved operands (field offsets, call targets, site records),
 	// hot instruction sequences are fused into superinstructions, and
-	// frames are pooled. Results are bit-identical to EngineSwitch. When a
-	// program cannot be decoded (unresolved references), the VM silently
-	// falls back to the switch interpreter, which reports the failure with
-	// its usual runtime errors.
+	// frames are pooled. Results are bit-identical to EngineSwitch, and a
+	// program that is not runnable fails on every engine alike (see New).
 	EngineFused Engine = iota
 	// EngineSwitch is the reference interpreter: a giant switch over the
 	// raw bytecode, kept as the differential-testing baseline.
@@ -217,6 +216,7 @@ func (e *RuntimeError) Error() string {
 
 type frame struct {
 	m      *bytecode.Method
+	body   *bytecode.Body
 	pc     int
 	locals []heap.Value
 	stack  []heap.Value
@@ -233,7 +233,9 @@ type thread struct {
 
 // VM is one interpreter instance.
 type VM struct {
-	prog     *bytecode.Program
+	prog *bytecode.Program
+	// syms is what the switch interpreter reads its Bodies' numbers in.
+	syms     *bytecode.Symbols
 	cfg      Config
 	hooks    hooks
 	heap     *heap.Heap
@@ -243,6 +245,9 @@ type VM struct {
 	threads  []*thread
 	output   []int64
 	oracle   *oracle
+	// err is why the program is not runnable, which Run reports before any
+	// instruction.
+	err error
 
 	// spec is the resolved barrier-flavor descriptor for cfg.Barrier; all
 	// engines consult it for costs and shading. proj is the verdicts it
@@ -346,32 +351,32 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 	if cfg.CheckElisions {
 		v.oracle = newOracle(v.heap, v.spec)
 	}
-	if cfg.Engine != EngineSwitch {
-		// An image that failed to decode (a body with a structural fault, a
-		// missing main) leaves the VM on the switch interpreter, which
-		// reports such programs as runtime errors.
-		if d := imageOf(p, v.proj); d.err == nil {
-			v.dprog = d
-			v.ms = make([]mstate, len(d.methods))
-			v.siteStats = make([]*satb.SiteStats, len(d.sites))
-		}
+	if cfg.Engine == EngineSwitch {
+		v.syms = p.Symbols()
+		v.err = runnable(p)
+	} else if d := imageOf(p, v.proj); d.err != nil {
+		v.err = d.err
+	} else {
+		v.dprog = d
+		v.ms = make([]mstate, len(d.methods))
+		v.siteStats = make([]*satb.SiteStats, len(d.sites))
 	}
 	return v
 }
 
-// EngineUsed reports the engine this VM actually executes with (the fused
-// and compiled engines fall back to the switch interpreter on undecodable
-// programs). A compiled-tier VM reports "compiled" even when no method
-// crossed the hot threshold — tier capability, not tier occupancy; the
-// Result's TierUps says how many methods actually compiled.
-func (v *VM) EngineUsed() Engine {
-	if v.dprog != nil {
-		if v.cfg.Engine == EngineCompiled {
-			return EngineCompiled
-		}
-		return EngineFused
+// runnable is the one definition of a program the VM runs: its bodies all
+// pass the structural check and its Main names a static method with no
+// parameters (bytecode.Program.Validate). Every engine reports the same
+// error for any other program, before it runs an instruction: the switch
+// interpreter checks once per VM, the decoded engines once per image.
+func runnable(p *bytecode.Program) error {
+	if p.Main == (bytecode.MethodRef{}) {
+		return errors.New("vm: program has no main method")
 	}
-	return EngineSwitch
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("vm: %w", err)
+	}
+	return nil
 }
 
 // Heap exposes the heap (tests and tools).
@@ -406,7 +411,7 @@ func (v *VM) Run() (*Result, error) {
 	sp := obs.StartSpan("vm", "vm", "run")
 	res, err := v.run()
 	if sp.Recording() {
-		sp.EndArgs(obs.KV{K: "engine", S: v.EngineUsed().String()},
+		sp.EndArgs(obs.KV{K: "engine", S: v.cfg.Engine.String()},
 			obs.KV{K: "steps", V: v.steps},
 			obs.KV{K: "cycles", V: int64(v.cycles)})
 		v.publishObs(err == nil)
@@ -415,13 +420,15 @@ func (v *VM) Run() (*Result, error) {
 }
 
 func (v *VM) run() (*Result, error) {
-	if v.dprog != nil {
-		if v.tierEnabled() {
-			return v.runDecoded(v.runTieredQuantum)
-		}
-		return v.runDecoded(v.runFusedQuantum)
+	switch {
+	case v.err != nil:
+		return nil, v.err
+	case v.dprog == nil:
+		return v.runSwitch()
+	case v.tierEnabled():
+		return v.runDecoded(v.runTieredQuantum)
 	}
-	return v.runSwitch()
+	return v.runDecoded(v.runFusedQuantum)
 }
 
 // tierEnabled reports whether this run may tier methods up to compiled
@@ -439,7 +446,7 @@ func (v *VM) tierEnabled() bool {
 // the enabled path's overhead is O(sites), not O(instructions).
 func (v *VM) publishObs(ok bool) {
 	obs.Count("vm.runs", 1)
-	obs.Count("vm.engine."+v.EngineUsed().String(), 1)
+	obs.Count("vm.engine."+v.cfg.Engine.String(), 1)
 	obs.Count("vm.steps", v.steps)
 	obs.Count("vm.cycles", int64(v.cycles))
 	obs.Count("vm.final_pause_work", int64(v.finalPauseWork))
@@ -509,11 +516,8 @@ func threadSpan(id int) obs.Span {
 
 // runSwitch executes the program on the reference switch interpreter.
 func (v *VM) runSwitch() (*Result, error) {
-	main := v.prog.Method(v.prog.Main)
-	if main == nil {
-		return nil, fmt.Errorf("vm: no main method %s", v.prog.Main)
-	}
-	v.threads = []*thread{{frames: []*frame{newFrame(main)}, span: threadSpan(0)}}
+	main := v.newFrame(int32(v.syms.MethodNum(v.prog.Main)))
+	v.threads = []*thread{{frames: []*frame{main}, span: threadSpan(0)}}
 	if v.cfg.ForceMarkingAlways && v.marker != nil {
 		v.startCycle()
 	}
@@ -558,7 +562,7 @@ func (v *VM) result() *Result {
 		FinalPauseWork: v.finalPauseWork,
 		Allocated:      v.heap.Allocated,
 		Swept:          v.swept,
-		Engine:         v.EngineUsed().String(),
+		Engine:         v.cfg.Engine.String(),
 		Flavor:         v.spec.Name,
 		TierUps:        v.tierUps,
 		TierDeopts:     v.tierDeopts,
@@ -570,8 +574,10 @@ func (v *VM) result() *Result {
 	return res
 }
 
-func newFrame(m *bytecode.Method) *frame {
-	return &frame{m: m, locals: make([]heap.Value, m.NumSlots()), stack: make([]heap.Value, 0, m.MaxStack+4)}
+// newFrame returns a frame of method number n for the switch interpreter.
+func (v *VM) newFrame(n int32) *frame {
+	m := v.syms.Methods[n]
+	return &frame{m: m, body: v.prog.Body(int(n)), locals: make([]heap.Value, m.NumSlots()), stack: make([]heap.Value, 0, m.MaxStack+4)}
 }
 
 // roots collects the current GC roots: every reference in every thread's
@@ -691,11 +697,7 @@ func (v *VM) gcTick() {
 }
 
 func (v *VM) errf(f *frame, format string, args ...any) error {
-	line := 0
-	if f.pc < len(f.m.Code) {
-		line = f.m.Code[f.pc].Line
-	}
-	return &RuntimeError{Method: f.m.QualifiedName(), PC: f.pc, Line: line, Msg: fmt.Sprintf(format, args...)}
+	return &RuntimeError{Method: f.m.QualifiedName(), PC: f.pc, Line: f.m.Code[f.pc].Line, Msg: fmt.Sprintf(format, args...)}
 }
 
 // runQuantum executes up to Quantum instructions on one thread.
@@ -719,9 +721,6 @@ func (v *VM) runQuantum(t *thread) error {
 // step executes one instruction of the thread's top frame.
 func (v *VM) step(t *thread) error {
 	f := t.frames[len(t.frames)-1]
-	if f.pc >= len(f.m.Code) {
-		return v.errf(f, "pc past end of method")
-	}
 	in := &f.m.Code[f.pc]
 	v.steps++
 
@@ -738,17 +737,10 @@ func (v *VM) step(t *thread) error {
 		push(heap.IntVal(in.A))
 	case bytecode.OpConstNull:
 		push(heap.NullVal())
-	case bytecode.OpLoad, bytecode.OpStore:
-		// The decoded engines run only bodies whose slots were checked; this
-		// one runs whatever it is given.
-		if uint64(in.A) >= uint64(len(f.locals)) {
-			return v.errf(f, "slot %d out of range [0,%d)", in.A, len(f.locals))
-		}
-		if in.Op == bytecode.OpLoad {
-			push(f.locals[in.A])
-		} else {
-			f.locals[in.A] = pop()
-		}
+	case bytecode.OpLoad:
+		push(f.locals[in.A])
+	case bytecode.OpStore:
+		f.locals[in.A] = pop()
 	case bytecode.OpDup:
 		push(f.stack[len(f.stack)-1])
 	case bytecode.OpPop:
@@ -837,28 +829,27 @@ func (v *VM) step(t *thread) error {
 
 	case bytecode.OpGetField:
 		obj := pop()
-		if obj.R == heap.Null {
-			return v.errf(f, "null pointer dereference reading %s", in.Field)
+		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
+		p := v.fieldSlot(obj.R, int32(fs.Slot))
+		if p == nil {
+			return v.errf(f, "%s", v.heapFault(readField, obj.R, 0, &fs.Ref))
 		}
-		val, err := v.heap.GetField(obj.R, in.Field)
-		if err != nil {
-			return v.errf(f, "%v", err)
-		}
-		if v.prog.FieldType(in.Field).IsRef() {
+		val := *p
+		if fs.IsRef {
 			val.IsRef = true
 		}
 		push(val)
 	case bytecode.OpPutField:
 		val := pop()
 		obj := pop()
-		if obj.R == heap.Null {
-			return v.errf(f, "null pointer dereference writing %s", in.Field)
+		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
+		p := v.fieldSlot(obj.R, int32(fs.Slot))
+		if p == nil {
+			return v.errf(f, "%s", v.heapFault(writeField, obj.R, 0, &fs.Ref))
 		}
-		old, err := v.heap.SetField(obj.R, in.Field, val)
-		if err != nil {
-			return v.errf(f, "%v", err)
-		}
-		if v.prog.FieldType(in.Field).IsRef() {
+		old := *p
+		*p = val
+		if fs.IsRef {
 			elide := v.proj.apply(in.Verdict)
 			if v.oracle != nil {
 				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.FieldSite, elide, old.R, val.R, obj.R); err != nil {
@@ -870,15 +861,19 @@ func (v *VM) step(t *thread) error {
 				elide, old.R, val.R, obj.R)
 		}
 	case bytecode.OpGetStatic:
-		val := v.heap.GetStatic(in.Field)
-		if v.prog.FieldType(in.Field).IsRef() {
+		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
+		val := *v.heap.Static(fs.Slot)
+		if fs.IsRef {
 			val.IsRef = true
 		}
 		push(val)
 	case bytecode.OpPutStatic:
 		val := pop()
-		old := v.heap.SetStatic(in.Field, val)
-		if v.prog.FieldType(in.Field).IsRef() {
+		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
+		p := v.heap.Static(fs.Slot)
+		old := *p
+		*p = val
+		if fs.IsRef {
 			if v.oracle != nil {
 				// Statics are globally reachable: the stored object (and
 				// everything it reaches) is published.
@@ -888,13 +883,7 @@ func (v *VM) step(t *thread) error {
 		}
 
 	case bytecode.OpNewInstance:
-		if in.Type == nil {
-			return v.errf(f, "newinstance without a type")
-		}
-		r, err := v.heap.AllocObject(in.Type.Class)
-		if err != nil {
-			return v.errf(f, "%v", err)
-		}
+		r := v.heap.AllocObjectN(in.Type.Class, v.syms.Class(in.Type.Class).NumFields)
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
@@ -905,10 +894,7 @@ func (v *VM) step(t *thread) error {
 		if n < 0 {
 			return v.errf(f, "negative array size %d", n)
 		}
-		r, err := v.heap.AllocArray(in.Type.IsRef(), n)
-		if err != nil {
-			return v.errf(f, "%v", err)
-		}
+		r := v.heap.AllocArray(in.Type.IsRef(), n)
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
@@ -916,66 +902,49 @@ func (v *VM) step(t *thread) error {
 		push(heap.RefVal(r))
 	case bytecode.OpArrayLength:
 		arr := pop()
-		if arr.R == heap.Null {
-			return v.errf(f, "null pointer dereference in arraylength")
-		}
-		n, err := v.heap.ArrayLen(arr.R)
-		if err != nil {
-			return v.errf(f, "%v", err)
+		n := v.arrayLen(arr.R)
+		if n < 0 {
+			return v.errf(f, "%s", v.heapFault(lengthOf, arr.R, 0, nil))
 		}
 		push(heap.IntVal(n))
 
 	case bytecode.OpAALoad, bytecode.OpIALoad:
 		idx := pop().I
 		arr := pop()
-		if arr.R == heap.Null {
-			return v.errf(f, "null pointer dereference in array load")
+		p := v.elemSlot(arr.R, idx)
+		if p == nil {
+			return v.errf(f, "%s", v.heapFault(loadElem, arr.R, idx, nil))
 		}
-		val, err := v.heap.GetElem(arr.R, idx)
-		if err != nil {
-			return v.errf(f, "%v", err)
-		}
+		val := *p
 		if in.Op == bytecode.OpAALoad {
 			val.IsRef = true
 		}
 		push(val)
-	case bytecode.OpAAStore:
+	case bytecode.OpAAStore, bytecode.OpIAStore:
 		val := pop()
 		idx := pop().I
 		arr := pop()
-		if arr.R == heap.Null {
-			return v.errf(f, "null pointer dereference in array store")
+		p := v.elemSlot(arr.R, idx)
+		if p == nil {
+			return v.errf(f, "%s", v.heapFault(storeElem, arr.R, idx, nil))
 		}
-		old, err := v.heap.SetElem(arr.R, idx, val)
-		if err != nil {
-			return v.errf(f, "%v", err)
-		}
-		elide := v.proj.apply(in.Verdict)
-		if v.oracle != nil {
-			if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old.R, val.R, arr.R); err != nil {
-				return err
+		old := *p
+		*p = val
+		if in.Op == bytecode.OpAAStore {
+			elide := v.proj.apply(in.Verdict)
+			if v.oracle != nil {
+				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old.R, val.R, arr.R); err != nil {
+					return err
+				}
 			}
-		}
-		key := satb.SiteKey{Method: f.m.QualifiedName(), PC: f.pc}
-		v.counters.BarrierSiteSpec(v.spec, v.logger(), v.counters.Site(key, satb.ArraySite, elide),
-			elide, old.R, val.R, arr.R)
-	case bytecode.OpIAStore:
-		val := pop()
-		idx := pop().I
-		arr := pop()
-		if arr.R == heap.Null {
-			return v.errf(f, "null pointer dereference in array store")
-		}
-		if _, err := v.heap.SetElem(arr.R, idx, val); err != nil {
-			return v.errf(f, "%v", err)
+			key := satb.SiteKey{Method: f.m.QualifiedName(), PC: f.pc}
+			v.counters.BarrierSiteSpec(v.spec, v.logger(), v.counters.Site(key, satb.ArraySite, elide),
+				elide, old.R, val.R, arr.R)
 		}
 
 	case bytecode.OpInvoke:
-		callee := v.prog.Method(in.Method)
-		if callee == nil {
-			return v.errf(f, "unresolved method %s", in.Method)
-		}
-		nf := newFrame(callee)
+		nf := v.newFrame(f.body.CalleeAt[f.pc])
+		callee := nf.m
 		n := callee.NumArgs()
 		for i := n - 1; i >= 0; i-- {
 			nf.locals[i] = pop()
@@ -991,11 +960,7 @@ func (v *VM) step(t *thread) error {
 		if recv.R == heap.Null {
 			return v.errf(f, "null receiver in spawn")
 		}
-		callee := v.prog.Method(in.Method)
-		if callee == nil {
-			return v.errf(f, "unresolved method %s", in.Method)
-		}
-		nf := newFrame(callee)
+		nf := v.newFrame(f.body.CalleeAt[f.pc])
 		nf.locals[0] = recv
 		if v.oracle != nil {
 			// The receiver (and everything it reaches) becomes visible to
@@ -1019,8 +984,6 @@ func (v *VM) step(t *thread) error {
 		v.output = append(v.output, pop().I)
 	case bytecode.OpTrap:
 		return v.errf(f, "missing return value")
-	default:
-		return v.errf(f, "unknown opcode %v", in.Op)
 	}
 	f.pc++
 	return nil
