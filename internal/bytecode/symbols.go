@@ -43,6 +43,9 @@ type ClassSym struct {
 	NumFields int
 	// RefFields lists the instance reference fields in ascending id order.
 	RefFields []FieldID
+	// RefSlots lists the slots of the instance reference fields in
+	// ascending order: the words of an object that a collector traces.
+	RefSlots []int32
 }
 
 // Symbols is a program's symbol table: the one place that numbers its
@@ -68,6 +71,9 @@ type Symbols struct {
 	// Statics lists the static fields by Slot: classes in name order, each
 	// class's statics in declaration order.
 	Statics []FieldRef
+	// RefStatics lists the slots of the reference statics in ascending
+	// order: the static roots.
+	RefStatics []int32
 
 	classes map[string]*ClassSym
 	fields  map[FieldRef]FieldID
@@ -91,10 +97,19 @@ func (p *Program) Symbols() *Symbols {
 }
 
 func (p *Program) link() *Symbols {
-	fields, methods := 1, 0
+	fields, methods, instRefs, staticRefs := 1, 0, 0, 0
 	for _, c := range p.classes {
 		fields += len(c.Fields)
 		methods += len(c.Methods)
+		for _, f := range c.Fields {
+			switch {
+			case !f.Type.IsRef():
+			case f.Static:
+				staticRefs++
+			default:
+				instRefs++
+			}
+		}
 	}
 	s := &Symbols{
 		Classes: make([]*Class, 0, len(p.classes)),
@@ -109,23 +124,34 @@ func (p *Program) link() *Symbols {
 	}
 	slices.SortFunc(s.Classes, func(a, b *Class) int { return cmp.Compare(a.Name, b.Name) })
 	s.Fields[ElemsField] = FieldSym{Name: "$elems", IsRef: true}
+	// One backing array holds every class's RefSlots, then RefStatics.
+	refSlots := make([]int32, instRefs+staticRefs)
+	insts, statics := refSlots[:0:instRefs], refSlots[instRefs:instRefs]
 	// Of two declarations with one name the first resolves, as a scan of the
 	// declaration lists would find it.
 	for _, c := range s.Classes {
 		cs := &ClassSym{}
 		s.classes[c.Name] = cs
+		firstRef := len(insts)
 		for _, f := range c.Fields {
 			ref := FieldRef{Class: c.Name, Name: f.Name}
 			sym := FieldSym{Ref: ref, Name: ref.String(), Type: f.Type, Static: f.Static, IsRef: f.Type.IsRef()}
 			if f.Static {
 				sym.Slot = len(s.Statics)
 				s.Statics = append(s.Statics, ref)
+				if sym.IsRef {
+					statics = append(statics, int32(sym.Slot))
+				}
 			} else {
 				sym.Slot = cs.NumFields
 				cs.NumFields++
+				if sym.IsRef {
+					insts = append(insts, int32(sym.Slot))
+				}
 			}
 			s.Fields = append(s.Fields, sym)
 		}
+		cs.RefSlots = insts[firstRef:len(insts):len(insts)]
 		first := s.addMethods(c)
 		for i, m := range s.Methods[first:] {
 			if ref := (MethodRef{Class: c.Name, Name: m.Name}); s.MethodNum(ref) < 0 {
@@ -145,6 +171,7 @@ func (p *Program) link() *Symbols {
 			cs.RefFields = append(cs.RefFields, f.ID)
 		}
 	}
+	s.RefStatics = statics
 	s.bodies = make([]atomic.Pointer[Body], len(s.Methods))
 	if !p.syms.CompareAndSwap(nil, s) {
 		return p.syms.Load()
@@ -170,10 +197,12 @@ func (s *Symbols) over(p *Program) *Symbols {
 		Methods: make([]*Method, 0, len(s.Methods)),
 		Fields:  s.Fields,
 		Statics: s.Statics,
-		classes: s.classes,
-		fields:  s.fields,
-		methods: s.methods,
-		bodies:  make([]atomic.Pointer[Body], len(s.Methods)),
+		// RefStatics, like the classes' RefSlots, is the numbering's.
+		RefStatics: s.RefStatics,
+		classes:    s.classes,
+		fields:     s.fields,
+		methods:    s.methods,
+		bodies:     make([]atomic.Pointer[Body], len(s.Methods)),
 	}
 	for i, c := range s.Classes {
 		t.Classes[i] = p.classes[c.Name]

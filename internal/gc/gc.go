@@ -70,8 +70,9 @@ type CycleStats struct {
 }
 
 // tracer is the marking core both collectors share: the gray stack and
-// the loops that shade and scan. Objects are scanned where they lie —
-// heap.Mark per edge, no callback, no Value copy.
+// the loops that shade and scan. Objects are scanned where they lie, by
+// their class word: heap.Mark per reference slot, no callback, and no
+// look at an int.
 type tracer struct {
 	h    *heap.Heap
 	gray []heap.Ref
@@ -88,19 +89,28 @@ func (t *tracer) shade(r heap.Ref) {
 	}
 }
 
+// begin starts a cycle: the heap's new epoch clears every mark and trace
+// state, allocation turns black and the roots grey (the initial pause).
+func (t *tracer) begin(roots []heap.Ref) {
+	t.gray, t.MarkedCount = t.gray[:0], 0
+	t.h.BeginCycle()
+	t.h.MarkingActive = true
+	for _, r := range roots {
+		t.shade(r)
+	}
+}
+
 // scan shades every outgoing reference of the object.
 func (t *tracer) scan(o *heap.Object) {
-	for i := range o.Fields {
-		if v := &o.Fields[i]; v.IsRef {
-			t.shade(v.R)
+	fs := o.Fields
+	if o.ElemRef() {
+		for _, w := range fs {
+			t.shade(heap.Ref(w))
 		}
+		return
 	}
-	if o.ElemRef {
-		for i := range o.Elems {
-			if v := &o.Elems[i]; v.IsRef {
-				t.shade(v.R)
-			}
-		}
+	for _, slot := range o.RefSlots() {
+		t.shade(heap.Ref(fs[slot]))
 	}
 }
 
@@ -131,27 +141,16 @@ type SATBMarker struct {
 // NewSATB returns a marker over the heap.
 func NewSATB(h *heap.Heap) *SATBMarker { return &SATBMarker{tracer: tracer{h: h}} }
 
-// Start begins a marking cycle: the roots are greyed (the initial pause)
-// and the heap is flagged so allocations become implicitly marked. The
-// heap's new epoch clears every mark and trace state.
+// Start begins a marking cycle (tracer.begin), recording the snapshot for
+// CheckSnapshotInvariant when asked to.
 func (m *SATBMarker) Start(roots []heap.Ref, recordSnapshot bool) {
 	m.active = true
-	m.gray = m.gray[:0]
-	m.buf = m.buf[:0]
-	m.retrace = m.retrace[:0]
-	m.MarkedCount = 0
-	m.StepsDone = 0
-	m.LogEntries = 0
-	m.ShadeEntries = 0
-	m.RetraceCount = 0
-	m.h.BeginCycle()
-	m.h.MarkingActive = true
-	for _, r := range roots {
-		m.shade(r)
-	}
+	m.buf, m.retrace = m.buf[:0], m.retrace[:0]
+	m.StepsDone, m.LogEntries, m.ShadeEntries, m.RetraceCount = 0, 0, 0, 0
+	m.begin(roots)
 	m.snapshot = nil
 	if recordSnapshot {
-		m.snapshot = reachable(m.h, roots)
+		m.snapshot = Reachable(m.h, roots)
 	}
 }
 
@@ -281,8 +280,8 @@ func (m *SATBMarker) CheckSnapshotInvariant() error {
 	return nil
 }
 
-// reachable computes the set of objects reachable from roots.
-func reachable(h *heap.Heap, roots []heap.Ref) map[heap.Ref]bool {
+// Reachable computes the set of objects reachable from roots.
+func Reachable(h *heap.Heap, roots []heap.Ref) map[heap.Ref]bool {
 	seen := map[heap.Ref]bool{}
 	var stack []heap.Ref
 	push := func(r heap.Ref) {
@@ -301,9 +300,6 @@ func reachable(h *heap.Heap, roots []heap.Ref) map[heap.Ref]bool {
 	}
 	return seen
 }
-
-// Reachable exposes snapshot computation for tests and tools.
-func Reachable(h *heap.Heap, roots []heap.Ref) map[heap.Ref]bool { return reachable(h, roots) }
 
 // IncMarker is the mostly-parallel incremental-update baseline.
 type IncMarker struct {
@@ -329,20 +325,12 @@ func (m *IncMarker) Stats() CycleStats {
 		ShadeEntries: m.ShadeEntries}
 }
 
-// Start begins a cycle.
+// Start begins a cycle (tracer.begin).
 func (m *IncMarker) Start(roots []heap.Ref, recordSnapshot bool) {
 	m.active = true
-	m.gray = m.gray[:0]
 	m.dirty = m.dirty[:0]
-	m.MarkedCount = 0
-	m.StepsDone = 0
-	m.CardsSeen = 0
-	m.ShadeEntries = 0
-	m.h.BeginCycle()
-	m.h.MarkingActive = true
-	for _, r := range roots {
-		m.shade(r)
-	}
+	m.StepsDone, m.CardsSeen, m.ShadeEntries = 0, 0, 0
+	m.begin(roots)
 }
 
 // MarkingActive reports whether a cycle is in progress.

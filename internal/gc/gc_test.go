@@ -73,10 +73,10 @@ func TestSATBLogPreservesUnlinkedSubgraph(t *testing.T) {
 	m.Start([]heap.Ref{a}, true)
 	// Mutator overwrites before any marking work happens.
 	old := setNext(h, a, heap.NullVal())
-	if old.R != b {
+	if old != heap.RefVal(b) {
 		t.Fatal("test setup: pre-value should be b")
 	}
-	m.LogPreValue(old.R) // the write barrier's job
+	m.LogPreValue(heap.Ref(old)) // the write barrier's job
 	for !m.Step(1) {
 	}
 	m.Finish([]heap.Ref{a})
@@ -164,7 +164,7 @@ func TestIncrementalFinalPauseGrowsWithDirtyVolume(t *testing.T) {
 			pre := setNext(h, r, heap.RefVal(prev))
 			// Initializing store: pre-value null. SATB logs nothing;
 			// card marking dirties the object.
-			if pre.R != heap.Null {
+			if pre != heap.NullVal() {
 				t.Fatal("expected initializing store")
 			}
 			m.DirtyCard(r) // card barrier fires regardless of pre-value
@@ -250,6 +250,96 @@ func TestIncrementalDirtyOrderIsPinned(t *testing.T) {
 		// Round one: 1 root, n rescans, n newly marked. Round two: 1 root.
 		if want := 2*n + 2; work != want || m.FinalPauseWork != want {
 			t.Fatalf("rep %d: FinalPauseWork = %d (Finish returned %d), want %d", rep, m.FinalPauseWork, work, want)
+		}
+	}
+}
+
+// mixed is a heap over class M {int i0; M r1; int i2; M r3; static int s}:
+// reference fields at non-contiguous slots, and an int static.
+func mixed() *heap.Heap {
+	p := bytecode.NewProgram()
+	m := bytecode.ClassType("M")
+	p.AddClass(&bytecode.Class{Name: "M", Fields: []*bytecode.Field{
+		{Name: "i0", Type: bytecode.Int}, {Name: "r1", Type: m},
+		{Name: "i2", Type: bytecode.Int}, {Name: "r3", Type: m},
+		{Name: "s", Type: bytecode.Int, Static: true},
+	}})
+	return heap.New(heap.NewLayout(p))
+}
+
+// markers makes each of the two collectors over a heap.
+var markers = map[string]func(*heap.Heap) Marker{
+	"satb": func(h *heap.Heap) Marker { return NewSATB(h) },
+	"inc":  func(h *heap.Heap) Marker { return NewInc(h) },
+}
+
+// cycle runs one whole marking cycle of m over h from roots and the heap's
+// static roots.
+func cycle(m Marker, h *heap.Heap, roots ...heap.Ref) {
+	m.Start(h.AppendStaticRoots(roots), false)
+	m.Finish(roots)
+}
+
+// TestMarkerReadsOnlyReferenceWords: the marker finds references by the
+// object's class, never by the word's value. An int field, an int static
+// and an int-array element each hold the Ref of an object nothing
+// references; every one of those objects is swept. Reference fields at
+// slots 1 and 3, with ints between them, are both shaded.
+func TestMarkerReadsOnlyReferenceWords(t *testing.T) {
+	for name, newMarker := range markers {
+		t.Run(name, func(t *testing.T) { markOnlyReferenceWords(t, newMarker) })
+	}
+}
+
+func markOnlyReferenceWords(t *testing.T, newMarker func(*heap.Heap) Marker) {
+	h := mixed()
+	root, left, right := h.AllocObjectN("M", 4), h.AllocObjectN("M", 4), h.AllocObjectN("M", 4)
+	victims := []heap.Ref{h.AllocObjectN("M", 4), h.AllocObjectN("M", 4), h.AllocObjectN("M", 4)}
+	ints := h.AllocArray(false, 3)
+	o := h.Get(root)
+	o.Fields[0] = heap.IntVal(int64(victims[0]))
+	o.Fields[1] = heap.RefVal(left)
+	o.Fields[2] = heap.IntVal(int64(victims[0]))
+	o.Fields[3] = heap.RefVal(right)
+	h.Get(left).Fields[1] = heap.RefVal(ints)
+	h.Get(ints).Fields[2] = heap.IntVal(int64(victims[1]))
+	*h.Static(0) = heap.IntVal(int64(victims[2]))
+	cycle(newMarker(h), h, root)
+	for _, r := range []heap.Ref{root, left, right, ints} {
+		if !h.Marked(r) {
+			t.Errorf("reachable object %d not marked", r)
+		}
+	}
+	if freed := h.Sweep(); freed != len(victims) {
+		t.Errorf("swept %d, want the %d objects only ints named", freed, len(victims))
+	}
+	for _, r := range victims {
+		if h.Get(r) != nil {
+			t.Errorf("object %d, named only by an int, survived", r)
+		}
+	}
+}
+
+// TestMarkingByNameAllocatedObjects: an object allocated by class name and
+// linked by writing its Fields directly, as a heap's embedder may, is
+// traced like one the VM allocated.
+func TestMarkingByNameAllocatedObjects(t *testing.T) {
+	p := bytecode.NewProgram()
+	p.AddClass(&bytecode.Class{Name: "T", Fields: []*bytecode.Field{
+		{Name: "a", Type: bytecode.ClassType("T")}, {Name: "b", Type: bytecode.ClassType("T")},
+	}})
+	for name, newMarker := range markers {
+		h := heap.New(heap.NewLayout(p))
+		refs := make([]heap.Ref, 4)
+		for i := range refs {
+			refs[i] = h.AllocObjectN("T", 2)
+		}
+		h.Get(refs[0]).Fields[1] = heap.RefVal(refs[1])
+		h.Get(refs[1]).Fields[0] = heap.RefVal(refs[2])
+		h.Get(refs[1]).Fields[1] = heap.NullVal()
+		cycle(newMarker(h), h, refs[0])
+		if freed := h.Sweep(); freed != 1 || h.Get(refs[3]) != nil || h.Get(refs[2]) == nil {
+			t.Errorf("%s: swept %d; want only the unlinked object", name, freed)
 		}
 	}
 }

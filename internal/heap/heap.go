@@ -12,33 +12,37 @@ type Ref int64
 // Null is the null reference.
 const Null Ref = 0
 
-// Value is one runtime value: an integer/boolean or a reference.
-type Value struct {
-	IsRef bool
-	I     int64
-	R     Ref
-}
+// Value is one heap slot: an integer or boolean, or a Ref. The word does
+// not say which; the slot's object does (Object), and whoever reads or
+// writes a slot knows its kind from the field's or the array's type.
+type Value int64
 
-// IntVal wraps an integer (or boolean, 0/1).
-func IntVal(i int64) Value { return Value{I: i} }
+// IntVal is the slot word of an integer (or boolean, 0/1).
+func IntVal(i int64) Value { return Value(i) }
 
-// RefVal wraps a reference.
-func RefVal(r Ref) Value { return Value{IsRef: true, R: r} }
+// RefVal is the slot word of a reference.
+func RefVal(r Ref) Value { return Value(r) }
 
-// NullVal is the null reference value.
-func NullVal() Value { return Value{IsRef: true} }
+// NullVal is the slot word of the null reference, the zero word.
+func NullVal() Value { return 0 }
 
-// Object is one heap object: a class instance (Fields) or an array
-// (Elems). Objects live by value inside the heap's chunks, so a *Object
-// from Get stays valid for the object's lifetime. Collector state (mark,
-// allocated-during-mark, dirty, §4.3 trace state) is not here: it lives in
-// the chunk's stamped state words, see Heap.
+// Object is one heap object: its storage, a class instance's fields by
+// slot or an array's elements, and its class word, which says which words
+// are references — the class's RefSlots for an instance, every element of
+// a reference array, none of an int array. Objects live by value inside
+// the heap's chunks, so a *Object from Get stays valid for the object's
+// lifetime. Collector state (mark, allocated-during-mark, dirty, §4.3
+// trace state) is not here: it lives in the chunk's stamped state words,
+// see Heap.
 type Object struct {
-	Fields  []Value
-	Elems   []Value
-	ElemRef bool // array of references
-	array   bool
+	Fields []Value
+	class  *bytecode.ClassSym
 }
+
+// The class words of arrays are &intArray and &refArray: heap-owned, so no
+// program's class is one of them, with no RefSlots, and at addresses the
+// linker fixes, so telling an array by them loads nothing.
+var intArray, refArray bytecode.ClassSym
 
 // TraceState is the collector's per-array tracing progress, published so
 // that barrier-elided rearrangement code can detect overlap with the scan
@@ -56,11 +60,18 @@ const (
 )
 
 // IsArray reports whether the object is an array.
-func (o *Object) IsArray() bool { return o.array }
+func (o *Object) IsArray() bool { return o.class == &intArray || o.class == &refArray }
+
+// ElemRef reports whether the object is an array of references.
+func (o *Object) ElemRef() bool { return o.class == &refArray }
+
+// RefSlots lists the slots of an instance's reference fields; an array has
+// none (ElemRef says whether every element is one).
+func (o *Object) RefSlots() []int32 { return o.class.RefSlots }
 
 // Layout is the program's storage layout, as its symbol table numbers it:
 // an object's field count is its ClassSym.NumFields, a field's storage its
-// FieldSym.Slot. The heap reads only how many statics there are.
+// FieldSym.Slot, the static roots Symbols.RefStatics.
 type Layout struct{ syms *bytecode.Symbols }
 
 // NewLayout returns the program's layout.
@@ -72,9 +83,9 @@ func NewLayout(p *bytecode.Program) *Layout { return &Layout{p.Symbols()} }
 // number, chunks are never moved and growth only appends a chunk pointer,
 // so Get is two index operations and a *Object stays valid while other
 // objects are allocated. Refs are never reused. Field and element storage
-// is carved from small shared blocks of Values; Sweep zeroes dead objects
-// so the Go collector reclaims a block once nothing is carved from it, and
-// a full chunk with no survivor is replaced by the shared deadChunk.
+// is carved from small shared blocks of one-word Values; Sweep zeroes dead
+// objects so the Go collector reclaims a block once nothing is carved from
+// it, and a full chunk with no survivor is replaced by the shared deadChunk.
 //
 // Collector state is one stamped word per slot, beside the objects in the
 // chunk: epoch<<5 | flags. A word from an older epoch reads as all-clear,
@@ -89,6 +100,7 @@ func NewLayout(p *bytecode.Program) *Layout { return &Layout{p.Symbols()} }
 // Static can hand out direct pointers. A program the VM runs names no
 // other static (bytecode.Program.Validate).
 type Heap struct {
+	syms        *bytecode.Symbols
 	chunks      []*chunk
 	block       []Value // rest of the block carve hands storage out of
 	stamp       uint32  // current epoch, shifted: the all-clear state word
@@ -149,6 +161,7 @@ var deadChunk = newChunk()
 // New creates an empty heap over the program's layout.
 func New(layout *Layout) *Heap {
 	return &Heap{
+		syms:        layout.syms,
 		stamp:       epochUnit,
 		staticSlots: make([]Value, len(layout.syms.Statics)),
 	}
@@ -290,63 +303,61 @@ func (h *Heap) add(o Object) Ref {
 	return Ref(h.Allocated)
 }
 
-// AllocObjectN allocates a class instance of nFields fields, the class's
-// ClassSym.NumFields. The class is not recorded: nothing reads an
-// instance's class at run time.
-//
-// Reference fields must read back as null references, not zero ints; the
-// distinction matters to barrier pre-value checks. The layout does not
-// record types per slot: a zero Value reads as int 0 and as Null when
-// interpreted as a reference, and the VM always interprets by the declared
-// type, so the shared zero works for both.
-func (h *Heap) AllocObjectN(class string, nFields int) Ref {
-	return h.add(Object{Fields: h.carve(nFields)})
+// AllocObject allocates an instance of cls with every field zero, which
+// reads as int 0 and as Null alike.
+func (h *Heap) AllocObject(cls *bytecode.ClassSym) Ref {
+	return h.add(Object{Fields: h.carve(cls.NumFields), class: cls})
 }
 
-// AllocArray allocates an array of n zeroed/nulled elements; n is not
-// negative (the VM raises that fault before it asks).
+// AllocObjectN is AllocObject by the name of a class of the heap's
+// program, for callers that hold no ClassSym; nFields is its NumFields.
+func (h *Heap) AllocObjectN(class string, nFields int) Ref {
+	return h.AllocObject(h.syms.Class(class))
+}
+
+// AllocArray allocates an array of n zero elements, ints or nulls; n is
+// not negative (the VM raises that fault, and that of a length too large,
+// before it asks).
 func (h *Heap) AllocArray(elemRef bool, n int64) Ref {
-	elems := h.carve(int(n))
+	cls := &intArray
 	if elemRef {
-		for i := range elems {
-			elems[i].IsRef = true
-		}
+		cls = &refArray
 	}
-	return h.add(Object{Elems: elems, ElemRef: elemRef, array: true})
+	return h.add(Object{Fields: h.carve(int(n)), class: cls})
 }
 
 // Static returns a stable pointer to the storage of the static in slot
 // (FieldSym.Slot), the one way any engine reads or writes a static.
 func (h *Heap) Static(slot int) *Value { return &h.staticSlots[slot] }
 
-// AppendStaticRoots appends the current reference values of all statics to
-// dst, in declaration order, and returns it. The order must be
+// AppendStaticRoots appends the non-null reference statics to dst, in
+// declaration order, and returns it. The order must be
 // deterministic: the concurrent marker paces its work in fixed-size steps,
 // so a run-to-run shuffle of the root queue would shift mark completion
 // across scheduler quanta and make barrier logging counts unreproducible.
 func (h *Heap) AppendStaticRoots(dst []Ref) []Ref {
-	for _, v := range h.staticSlots {
-		if v.IsRef && v.R != Null {
-			dst = append(dst, v.R)
+	for _, slot := range h.syms.RefStatics {
+		if r := Ref(h.staticSlots[slot]); r != Null {
+			dst = append(dst, r)
 		}
 	}
 	return dst
 }
 
 // RefsOf calls f with every outgoing reference of the object. The markers
-// scan Fields and Elems in place instead; this is for the cold walks (the
+// walk the same words in place instead; this is for the cold walks (the
 // oracle's escape closure, the test-only snapshot).
 func (o *Object) RefsOf(f func(Ref)) {
-	for _, v := range o.Fields {
-		if v.IsRef && v.R != Null {
-			f(v.R)
+	if o.ElemRef() {
+		for _, w := range o.Fields {
+			if w != 0 {
+				f(Ref(w))
+			}
 		}
 	}
-	if o.ElemRef {
-		for _, v := range o.Elems {
-			if v.IsRef && v.R != Null {
-				f(v.R)
-			}
+	for _, slot := range o.RefSlots() {
+		if w := o.Fields[slot]; w != 0 {
+			f(Ref(w))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"testing"
+	"unsafe"
 
 	"satbelim/internal/bytecode"
 )
@@ -47,11 +48,11 @@ func TestAllocAndFieldAccess(t *testing.T) {
 	if o == nil || o.IsArray() || len(o.Fields) != 2 {
 		t.Fatalf("Get = %+v", o)
 	}
-	if o.Fields[0].R != Null || o.Fields[1].I != 0 {
+	if o.Fields[0] != NullVal() || o.Fields[1] != IntVal(0) {
 		t.Error("fresh fields should read as null and zero")
 	}
 	o.Fields[0] = RefVal(r)
-	if got := h.Get(r).Fields[0]; got.R != r {
+	if got := h.Get(r).Fields[0]; got != RefVal(r) {
 		t.Errorf("field reads back %v", got)
 	}
 }
@@ -60,17 +61,17 @@ func TestArrays(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	a := h.AllocArray(true, 3)
 	o := h.Get(a)
-	if !o.IsArray() || !o.ElemRef || len(o.Elems) != 3 {
+	if !o.IsArray() || !o.ElemRef() || len(o.Fields) != 3 || len(o.RefSlots()) != 0 {
 		t.Fatalf("ref array = %+v", o)
 	}
-	if v := o.Elems[0]; !v.IsRef || v.R != Null {
+	if v := o.Fields[0]; v != NullVal() {
 		t.Errorf("fresh ref-array element should be null ref, got %v", v)
 	}
 	ints := h.Get(h.AllocArray(false, 2))
-	if ints.ElemRef || len(ints.Elems) != 2 || ints.Elems[1].IsRef {
+	if !ints.IsArray() || ints.ElemRef() || len(ints.Fields) != 2 || ints.Fields[1] != IntVal(0) {
 		t.Errorf("int array = %+v", ints)
 	}
-	if empty := h.Get(h.AllocArray(true, 0)); empty == nil || len(empty.Elems) != 0 {
+	if empty := h.Get(h.AllocArray(true, 0)); empty == nil || len(empty.Fields) != 0 {
 		t.Errorf("empty array = %+v", empty)
 	}
 }
@@ -78,7 +79,7 @@ func TestArrays(t *testing.T) {
 func TestStatics(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	head := h.Static(0)
-	if head.R != Null || head != h.Static(0) {
+	if *head != NullVal() || head != h.Static(0) {
 		t.Error("an unset static reads as zero, through one stable address")
 	}
 	r := alloc(h)
@@ -254,11 +255,11 @@ func TestObjectPointersAreStable(t *testing.T) {
 		t.Fatal("Get must keep returning the same *Object")
 	}
 	o.Fields[0] = RefVal(arr)
-	a.Elems[2] = RefVal(r)
-	if v := h.Get(r).Fields[0]; v.R != arr {
+	a.Fields[2] = RefVal(r)
+	if v := h.Get(r).Fields[0]; v != RefVal(arr) {
 		t.Error("a write through the old pointer must be visible through the heap")
 	}
-	if v := h.Get(arr).Elems[2]; v.R != r {
+	if v := h.Get(arr).Fields[2]; v != RefVal(r) {
 		t.Error("a write through the old array pointer must be visible through the heap")
 	}
 	// Carved storage is private: no neighbour saw those writes.
@@ -266,8 +267,8 @@ func TestObjectPointersAreStable(t *testing.T) {
 		if q == r || q == arr {
 			continue
 		}
-		for _, v := range append(h.Get(q).Fields, h.Get(q).Elems...) {
-			if v.R != Null || v.I != 0 {
+		for _, v := range h.Get(q).Fields {
+			if v != 0 {
 				t.Fatalf("object %d shares storage with another", q)
 			}
 		}
@@ -319,13 +320,20 @@ func TestSweepReleasesDeadChunks(t *testing.T) {
 	}
 }
 
+// TestRefsOf: an object's references are the words its class word names —
+// the class's reference slots, every element of a reference array — and
+// an int that happens to equal a Ref is none of them.
 func TestRefsOf(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	a := alloc(h)
 	b := alloc(h)
 	h.Get(a).Fields[0] = RefVal(b)
+	h.Get(a).Fields[1] = IntVal(int64(a)) // T.v, an int
 	arr := h.AllocArray(true, 2)
-	h.Get(arr).Elems[1] = RefVal(a)
+	h.Get(arr).Fields[1] = RefVal(a)
+	ints := h.AllocArray(false, 2)
+	h.Get(ints).Fields[0] = IntVal(int64(b))
+	h.Get(ints).RefsOf(func(r Ref) { t.Errorf("an int array has no references, got %d", r) })
 	var got []Ref
 	h.Get(a).RefsOf(func(r Ref) { got = append(got, r) })
 	if len(got) != 1 || got[0] != b {
@@ -335,5 +343,24 @@ func TestRefsOf(t *testing.T) {
 	h.Get(arr).RefsOf(func(r Ref) { got = append(got, r) })
 	if len(got) != 1 || got[0] != a {
 		t.Errorf("array refs = %v", got)
+	}
+}
+
+// TestObjectAndChunkSizes pins the heap's footprint. An Object is one
+// slice header and one class word, 32 bytes, so a chunk (32 state words
+// and 32 Objects) is 1 152 B. Go prefixes an object over 512 B that holds
+// pointers with an 8-byte header, so a chunk is allocated from the 1 280 B
+// size class (a 1 920 B chunk of 56-byte Objects took 2 048 B). A storage
+// block is pointer-free and exactly 1 KiB, a third of what 24-byte tagged
+// slots took.
+func TestObjectAndChunkSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n != 32 {
+		t.Errorf("an Object is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(chunk{}); n != 1152 {
+		t.Errorf("a chunk is %d bytes, want 1152", n)
+	}
+	if n := unsafe.Sizeof(Value(0)) * blockValues; n != 1024 {
+		t.Errorf("a storage block is %d bytes, want 1024", n)
 	}
 }

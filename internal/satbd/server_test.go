@@ -352,6 +352,25 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 	}
 }
 
+// TestHugeArrayIsAnError: an array past the heap's length limit is a
+// runtime error of the request, not a Go out-of-memory crash that would
+// take the daemon down with it; the daemon answers 400/error and serves on.
+func TestHugeArrayIsAnError(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, n := range []string{"400000000", "1152921504606846976"} {
+		src := "class A { static void main() { int[] a = new int[" + n + "]; print(a.length); } }"
+		status, _, doc := post(t, ts, "run", Request{Name: "huge", Source: src})
+		if status != http.StatusBadRequest || doc.Satbd.Request.Outcome != OutcomeError ||
+			!strings.Contains(doc.Satbd.Request.Error, "array size "+n+" exceeds the heap limit") {
+			t.Errorf("new int[%s]: status %d outcome %q (%s), want 400/error", n, status, doc.Satbd.Request.Outcome, doc.Satbd.Request.Error)
+		}
+	}
+	status, _, doc := post(t, ts, "run", Request{Name: "hello", Source: helloSrc})
+	if status != http.StatusOK || len(doc.Run.Output) != 1 || doc.Run.Output[0] != 45 {
+		t.Errorf("run after the huge arrays: status %d, run %+v", status, doc.Run)
+	}
+}
+
 func TestPanicIsolation(t *testing.T) {
 	// Every request panics mid-pipeline; the daemon must answer 500 each
 	// time and stay alive.

@@ -16,35 +16,86 @@ import (
 // therefore states only what is its own — where its operands come from, its
 // error pc and charge, its barrier — and a new fault rule or heap layout
 // changes this file only.
+//
+// A heap slot is one untagged word; a frame holds tagged values. The kind
+// of every site is static — its field's declared type, or its opcode for
+// an array — so load and word convert at the site, and a decoded engine's
+// site passes a constant kind.
+
+// value is a frame's local or operand-stack entry: an int, or a reference
+// (IsRef), as the instruction that produced it knew.
+type value struct {
+	IsRef bool
+	I     int64
+	R     heap.Ref
+}
+
+func intVal(i int64) value    { return value{I: i} }
+func refVal(r heap.Ref) value { return value{IsRef: true, R: r} }
+func nullVal() value          { return value{IsRef: true} }
+
+// load is the frame value of heap word w at a site that reads a reference
+// (ref) or an int.
+func load(w heap.Value, ref bool) value {
+	if ref {
+		return refVal(heap.Ref(w))
+	}
+	return intVal(int64(w))
+}
+
+// word is the heap word of frame value x at a site that stores a reference
+// (ref) or an int.
+func word(x value, ref bool) heap.Value {
+	if ref {
+		return heap.RefVal(x.R)
+	}
+	return heap.IntVal(x.I)
+}
 
 // fieldSlot returns field idx of the object r names, or nil when r is null
-// or dangling.
+// or dangling, names an array, or names an object with no slot idx (one of
+// another class than the field's: the structural check does not type the
+// operand stack).
 func (v *VM) fieldSlot(r heap.Ref, idx int32) *heap.Value {
 	o := v.heap.Get(r)
-	if o == nil {
+	if o == nil || uint32(idx) >= uint32(len(o.Fields)) || o.IsArray() {
 		return nil
 	}
 	return &o.Fields[idx]
 }
 
 // elemSlot returns element i of the array r names, or nil when r is null or
-// dangling or i is out of bounds.
+// dangling, names no array, or i is out of bounds.
 func (v *VM) elemSlot(r heap.Ref, i int64) *heap.Value {
 	o := v.heap.Get(r)
-	if o == nil || uint64(i) >= uint64(len(o.Elems)) {
+	if o == nil || uint64(i) >= uint64(len(o.Fields)) || !o.IsArray() {
 		return nil
 	}
-	return &o.Elems[i]
+	return &o.Fields[i]
 }
 
 // arrayLen returns the length of the array r names, or -1 when r is null or
-// dangling.
+// dangling or names no array.
 func (v *VM) arrayLen(r heap.Ref) int64 {
 	o := v.heap.Get(r)
-	if o == nil {
+	if o == nil || !o.IsArray() {
 		return -1
 	}
-	return int64(len(o.Elems))
+	return int64(len(o.Fields))
+}
+
+// maxArrayLen is the longest array the heap hands out, 1<<24 elements (128
+// MiB of words). A longer one is a runtime error like a negative length,
+// not a Go panic or an out-of-memory crash that no recover stops.
+const maxArrayLen = 1 << 24
+
+// arraySizeFault words the fault of an array length outside [0,
+// maxArrayLen]; every engine tests uint64(n) > maxArrayLen first.
+func arraySizeFault(n int64) string {
+	if n < 0 {
+		return fmt.Sprintf("negative array size %d", n)
+	}
+	return fmt.Sprintf("array size %d exceeds the heap limit of %d elements", n, maxArrayLen)
 }
 
 // access names the heap access a site performs, for heapFault.
@@ -59,30 +110,36 @@ const (
 )
 
 // heapFault is the cold path behind a nil slot: it re-derives which check
-// failed — null reference, dangling reference, index out of bounds, in that
-// order — and words the fault. field is the field of a field access, i the
-// index of an element access.
+// failed — null reference, dangling reference, an object of the wrong
+// shape, index out of bounds, in that order — and words the fault. field is
+// the field of a field access, i the index of an element access.
 func (v *VM) heapFault(a access, r heap.Ref, i int64, field *bytecode.FieldRef) string {
+	o := v.heap.Get(r)
 	switch {
 	case a == readField && r == heap.Null:
 		return fmt.Sprintf("null pointer dereference reading %s", field)
-	case a == readField:
+	case a == readField && o == nil:
 		return fmt.Sprintf("heap: null dereference reading %s", field)
 	case a == writeField && r == heap.Null:
 		return fmt.Sprintf("null pointer dereference writing %s", field)
-	case a == writeField:
+	case a == writeField && o == nil:
 		return fmt.Sprintf("heap: null dereference writing %s", field)
+	case (a == readField || a == writeField) && o.IsArray():
+		return fmt.Sprintf("heap: field %s of an array", field)
+	case a == readField || a == writeField:
+		return fmt.Sprintf("heap: field %s past the object's %d fields", field, len(o.Fields))
 	case a == loadElem && r == heap.Null:
 		return "null pointer dereference in array load"
 	case a == storeElem && r == heap.Null:
 		return "null pointer dereference in array store"
 	case a == lengthOf && r == heap.Null:
 		return "null pointer dereference in arraylength"
+	case o == nil:
+		return "heap: null array dereference"
+	case !o.IsArray():
+		return "heap: array access to an object that is not an array"
 	}
-	if o := v.heap.Get(r); o != nil {
-		return fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, len(o.Elems))
-	}
-	return "heap: null array dereference"
+	return fmt.Sprintf("heap: index %d out of bounds [0,%d)", i, len(o.Fields))
 }
 
 // accessErr is heapFault raised by a decoded engine: pc and entered follow

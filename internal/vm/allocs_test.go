@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"satbelim/internal/core"
@@ -38,6 +39,23 @@ func mallocsOnce(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the Go heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call. The Go
+// collector is off meanwhile: its own few bytes would land in the count
+// whenever a cycle happened to start.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestRunAllocs gates the Go allocations of one vm.New-and-run in tier-1,
 // so a regression in the VM's heap, its collectors or its root scan fails
 // here and not only in the benchmark. jess and jbb at inline limit 100
@@ -57,6 +75,17 @@ func mallocsOnce(f func()) uint64 {
 //	jess fused+satb        459          540         573   22 089
 //	jbb  compiled        1 019        1 126       1 217    4 792
 //	jbb  fused+satb        174          287         332   42 575
+//
+// The bytes of a run repeat exactly too, and have their own ceilings. One-
+// word heap slots cut them by half or more: a storage block of 128 slots
+// went from 3 072 B to 1 024 B, a chunk of 32 objects from 1 920 B to
+// 1 152 B (allocated as 2 048 B and 1 280 B).
+//
+//	                 one-word slots   tagged 24-byte slots
+//	jess compiled           600 317              1 319 229
+//	jess fused+satb         608 032              1 326 949
+//	jbb  compiled           176 253                300 709
+//	jbb  fused+satb         131 032                255 493
 func TestRunAllocs(t *testing.T) {
 	runtime.GC() // the Go collector's first cycle allocates its workers
 	hot := vm.Config{Engine: vm.EngineCompiled, Barrier: satb.ModeConditional, GC: vm.GCNone}
@@ -66,25 +95,31 @@ func TestRunAllocs(t *testing.T) {
 		name     string
 		cfg      vm.Config
 		ceiling  float64
+		bytesMax uint64
 	}{
-		{"jess", "compiled", hot, 1130},
-		{"jess", "fused+satb", marking, 528},
-		{"jbb", "compiled", hot, 1172},
-		{"jbb", "fused+satb", marking, 200},
+		{"jess", "compiled", hot, 1130, 690_000},
+		{"jess", "fused+satb", marking, 528, 700_000},
+		{"jbb", "compiled", hot, 1172, 203_000},
+		{"jbb", "fused+satb", marking, 200, 151_000},
 	} {
 		b := compileA(t, tc.workload)
 		cold := mallocsOnce(func() { vm.New(b.Program, tc.cfg) })
-		measure := func() float64 {
-			return testing.AllocsPerRun(3, func() {
-				if _, err := vm.New(b.Program, tc.cfg).Run(); err != nil {
-					t.Fatal(err)
-				}
-			})
+		run := func() {
+			if _, err := vm.New(b.Program, tc.cfg).Run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		first, second := measure(), measure()
+		first, second := testing.AllocsPerRun(3, run), testing.AllocsPerRun(3, run)
+		bytes, bytes2 := bytesPerRun(3, run), bytesPerRun(3, run)
 		warm := testing.AllocsPerRun(3, func() { vm.New(b.Program, tc.cfg) })
-		t.Logf("%s %s: %.0f allocs per run, %.0f of them in vm.New (%d in the first vm.New, which decodes)",
-			tc.workload, tc.name, first, warm, cold)
+		t.Logf("%s %s: %.0f allocs and %d bytes per run, %.0f allocs in vm.New (%d in the first vm.New, which decodes)",
+			tc.workload, tc.name, first, bytes, warm, cold)
+		if bytes != bytes2 {
+			t.Errorf("%s %s: allocated bytes do not repeat: %d then %d", tc.workload, tc.name, bytes, bytes2)
+		}
+		if bytes > tc.bytesMax {
+			t.Errorf("%s %s: %d bytes per run, ceiling %d", tc.workload, tc.name, bytes, tc.bytesMax)
+		}
 		if first != second {
 			t.Errorf("%s %s: allocation count does not repeat: %.0f then %.0f", tc.workload, tc.name, first, second)
 		}

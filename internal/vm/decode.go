@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"satbelim/internal/bytecode"
-	"satbelim/internal/heap"
 	"satbelim/internal/obs"
 	"satbelim/internal/satb"
 )
@@ -128,24 +127,11 @@ type finstr struct {
 	site          int32
 }
 
-// fieldRec is a resolved instance-field operand.
+// fieldRec is a resolved instance-field operand. Its kind is the
+// instruction's (dGetFieldRef, dPutFieldInt, …), as a static's is.
 type fieldRec struct {
-	ref   bytecode.FieldRef
-	idx   int32
-	isRef bool
-}
-
-// staticRec is a resolved static-field operand: the static's slot in the
-// heap's static storage.
-type staticRec struct {
-	slot  int32
-	isRef bool
-}
-
-// allocRec is a resolved allocation site.
-type allocRec struct {
-	class   string
-	nFields int
+	ref bytecode.FieldRef
+	idx int32
 }
 
 // calleeRec is a resolved call target. ref keeps the original method
@@ -180,8 +166,8 @@ type dmethod struct {
 	code    []dinstr
 	fused   []finstr
 	fields  []fieldRec
-	statics []staticRec
-	allocs  []allocRec
+	statics []int32 // slots in the heap's static storage
+	allocs  []*bytecode.ClassSym
 	callees []calleeRec
 }
 
@@ -215,11 +201,11 @@ func (v *VM) acquire(m *dmethod) *fframe {
 		f.pc, f.sp = 0, 0
 		loc := f.locals
 		for i := range loc {
-			loc[i] = heap.Value{}
+			loc[i] = value{}
 		}
 		return f
 	}
-	return &fframe{m: m, locals: make([]heap.Value, m.numSlots), stack: make([]heap.Value, m.stackCap)}
+	return &fframe{m: m, locals: make([]value, m.numSlots), stack: make([]value, m.stackCap)}
 }
 
 // release returns a frame to its method's pool.
@@ -417,7 +403,7 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 		case bytecode.OpGetField, bytecode.OpPutField:
 			f := &syms.Fields[body.FieldAt[pc]]
 			di.a = int32(len(dm.fields))
-			dm.fields = append(dm.fields, fieldRec{ref: f.Ref, idx: int32(f.Slot), isRef: f.IsRef})
+			dm.fields = append(dm.fields, fieldRec{ref: f.Ref, idx: int32(f.Slot)})
 			switch {
 			case in.Op == bytecode.OpGetField && f.IsRef:
 				di.op = dGetFieldRef
@@ -431,7 +417,7 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 		case bytecode.OpGetStatic, bytecode.OpPutStatic:
 			f := &syms.Fields[body.FieldAt[pc]]
 			di.a = int32(len(dm.statics))
-			dm.statics = append(dm.statics, staticRec{slot: int32(f.Slot), isRef: f.IsRef})
+			dm.statics = append(dm.statics, int32(f.Slot))
 			switch {
 			case in.Op == bytecode.OpGetStatic && f.IsRef:
 				di.op = dGetStaticRef
@@ -445,7 +431,7 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 		case bytecode.OpNewInstance:
 			di.op = dNewInstance
 			di.a = int32(len(dm.allocs))
-			dm.allocs = append(dm.allocs, allocRec{class: in.Type.Class, nFields: syms.Class(in.Type.Class).NumFields})
+			dm.allocs = append(dm.allocs, syms.Class(in.Type.Class))
 		case bytecode.OpNewArray:
 			di.op = dNewArrayInt
 			if in.Type.IsRef() {

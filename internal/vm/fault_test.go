@@ -43,6 +43,7 @@ var faultCases = []struct{ name, body string }{
 	{"invoke-null-receiver", `N n = new N(); for (int i = 0; i < 300; i = i + 1) { if (i == 250) n = null; s = s + n.get(i + 1); }`},
 	{"spawn-null-receiver", `N n = new N(); for (int i = 0; i < 300; i = i + 1) { if (i == 250) n = null; spawn n.run(); }`},
 	{"negative-array-size", `for (int i = 0; i < 300; i = i + 1) { int[] b = new int[249 - i]; s = s + b.length; }`},
+	{"huge-array-size", `for (int i = 0; i < 300; i = i + 1) { int[] b = new int[i / 250 * 400000000 + 1]; s = s + b.length; }`},
 	{"nested-call-argument", `int[] a = new int[250]; for (int i = 0; i < 300; i = i + 1) s = s + H.add3(H.id(i), a[i], i);`},
 	{"fault-under-getfield", `N[] a = new N[250]; N n = new N(); for (int i = 0; i < 250; i = i + 1) a[i] = n; for (int i = 0; i < 300; i = i + 1) s = s + a[i].v;`},
 
@@ -59,6 +60,7 @@ var faultCases = []struct{ name, body string }{
 	{"stack-branch-then-bounds", `int[] a = new int[4]; for (int i = 0; i < 300; i = i + 1) { if (H.lt(i, 250)) s = s + 1; else s = s + a[i]; }`},
 	{"stack-invoke-null-receiver", `N n = new N(); for (int i = 0; i < 300; i = i + 1) s = s + H.pick(n, i).get(H.id(i));`},
 	{"stack-negative-array-size", `for (int i = 0; i < 300; i = i + 1) { int[] b = new int[H.id(249 - i)]; s = s + b.length; }`},
+	{"stack-huge-array-size", `for (int i = 0; i < 300; i = i + 1) { N[] b = new N[H.id(i / 250 * 1152921504606846976 + 1)]; s = s + b.length; }`},
 }
 
 // TestFaultParity pins the fault contract of the decoded engines against

@@ -25,19 +25,19 @@ type fframe struct {
 	m      *dmethod
 	pc     int32
 	sp     int32
-	locals []heap.Value
-	stack  []heap.Value
+	locals []value
+	stack  []value
 }
 
-func (f *fframe) push(val heap.Value) {
+func (f *fframe) push(val value) {
 	if int(f.sp) == len(f.stack) {
-		f.stack = append(f.stack, heap.Value{})
+		f.stack = append(f.stack, value{})
 	}
 	f.stack[f.sp] = val
 	f.sp++
 }
 
-func (f *fframe) pop() heap.Value {
+func (f *fframe) pop() value {
 	f.sp--
 	return f.stack[f.sp]
 }
@@ -234,9 +234,9 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	switch in.op {
 	case dNop:
 	case dConst:
-		f.push(heap.IntVal(in.imm))
+		f.push(intVal(in.imm))
 	case dConstNull:
-		f.push(heap.NullVal())
+		f.push(nullVal())
 	case dLoad:
 		f.push(f.locals[in.a])
 	case dStore:
@@ -247,36 +247,36 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		f.sp--
 	case dAdd, dSub, dMul:
 		y, x := f.pop().I, f.pop().I
-		f.push(heap.IntVal(arith(in.op, x, y)))
+		f.push(intVal(arith(in.op, x, y)))
 	case dDiv, dRem:
 		y, x := f.pop().I, f.pop().I
 		if y == 0 {
 			return v.ferrf(f, "division by zero")
 		}
 		if in.op == dDiv {
-			f.push(heap.IntVal(x / y))
+			f.push(intVal(x / y))
 		} else {
-			f.push(heap.IntVal(x % y))
+			f.push(intVal(x % y))
 		}
 	case dNeg:
-		f.push(heap.IntVal(-f.pop().I))
+		f.push(intVal(-f.pop().I))
 	case dAnd:
 		y, x := f.pop().I, f.pop().I
-		f.push(heap.IntVal(x & y))
+		f.push(intVal(x & y))
 	case dOr:
 		y, x := f.pop().I, f.pop().I
-		f.push(heap.IntVal(x | y))
+		f.push(intVal(x | y))
 	case dNot:
-		f.push(heap.IntVal(1 - f.pop().I))
+		f.push(intVal(1 - f.pop().I))
 	case dCmpEQ, dCmpNE, dCmpLT, dCmpLE, dCmpGT, dCmpGE:
 		y, x := f.pop().I, f.pop().I
-		f.push(heap.IntVal(b2i(intCmp(in.op, x, y))))
+		f.push(intVal(b2i(intCmp(in.op, x, y))))
 	case dRefEQ:
 		y, x := f.pop().R, f.pop().R
-		f.push(heap.IntVal(b2i(x == y)))
+		f.push(intVal(b2i(x == y)))
 	case dRefNE:
 		y, x := f.pop().R, f.pop().R
-		f.push(heap.IntVal(b2i(x != y)))
+		f.push(intVal(b2i(x != y)))
 
 	case dGoto:
 		f.pc = in.a
@@ -309,11 +309,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		if p == nil {
 			return v.accessErr(f, f.pc, 0, readField, obj.R, 0, fr)
 		}
-		val := *p
-		if in.op == dGetFieldRef {
-			val.IsRef = true
-		}
-		f.push(val)
+		f.push(load(*p, in.op == dGetFieldRef))
 	case dPutFieldRef, dPutFieldInt:
 		val := f.pop()
 		obj := f.pop()
@@ -322,59 +318,54 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		if p == nil {
 			return v.accessErr(f, f.pc, 0, writeField, obj.R, 0, fr)
 		}
-		old := *p
-		*p = val
+		old := heap.Ref(*p)
+		*p = word(val, in.op == dPutFieldRef)
 		if in.op == dPutFieldRef {
-			if err := v.refStoreBarrier(t, f, int(f.pc), satb.FieldSite, in.b, old.R, val.R, obj.R); err != nil {
+			if err := v.refStoreBarrier(t, f, int(f.pc), satb.FieldSite, in.b, old, val.R, obj.R); err != nil {
 				return err
 			}
 		}
 	case dGetStaticRef, dGetStaticInt:
-		val := *v.heap.Static(int(f.m.statics[in.a].slot))
-		if in.op == dGetStaticRef {
-			val.IsRef = true
-		}
-		f.push(val)
+		f.push(load(*v.heap.Static(int(f.m.statics[in.a])), in.op == dGetStaticRef))
 	case dPutStaticRef:
 		val := f.pop()
-		p := v.heap.Static(int(f.m.statics[in.a].slot))
-		old := *p
-		*p = val
+		p := v.heap.Static(int(f.m.statics[in.a]))
+		old := heap.Ref(*p)
+		*p = word(val, true)
 		if v.oracle != nil {
 			// Statics are globally reachable: the stored object (and
 			// everything it reaches) is published.
 			v.oracle.escape(val.R)
 		}
-		v.counters.StaticBarrierSpec(v.spec, v.logger(), old.R, val.R)
+		v.counters.StaticBarrierSpec(v.spec, v.logger(), old, val.R)
 	case dPutStaticInt:
-		*v.heap.Static(int(f.m.statics[in.a].slot)) = f.pop()
+		*v.heap.Static(int(f.m.statics[in.a])) = word(f.pop(), false)
 
 	case dNewInstance:
-		al := &f.m.allocs[in.a]
-		r := v.heap.AllocObjectN(al.class, al.nFields)
+		r := v.heap.AllocObject(f.m.allocs[in.a])
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.name, int(f.pc), t.id)
 		}
-		f.push(heap.RefVal(r))
+		f.push(refVal(r))
 	case dNewArrayRef, dNewArrayInt:
 		n := f.pop().I
-		if n < 0 {
-			return v.ferrf(f, "negative array size %d", n)
+		if uint64(n) > maxArrayLen {
+			return v.ferrf(f, "%s", arraySizeFault(n))
 		}
 		r := v.heap.AllocArray(in.op == dNewArrayRef, n)
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.name, int(f.pc), t.id)
 		}
-		f.push(heap.RefVal(r))
+		f.push(refVal(r))
 	case dArrayLength:
 		arr := f.pop()
 		n := v.arrayLen(arr.R)
 		if n < 0 {
 			return v.accessErr(f, f.pc, 0, lengthOf, arr.R, 0, nil)
 		}
-		f.push(heap.IntVal(n))
+		f.push(intVal(n))
 
 	case dAALoad, dIALoad:
 		idx := f.pop().I
@@ -383,11 +374,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		if p == nil {
 			return v.accessErr(f, f.pc, 0, loadElem, arr.R, idx, nil)
 		}
-		val := *p
-		if in.op == dAALoad {
-			val.IsRef = true
-		}
-		f.push(val)
+		f.push(load(*p, in.op == dAALoad))
 	case dAAStore, dIAStore:
 		val := f.pop()
 		idx := f.pop().I
@@ -396,10 +383,10 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		if p == nil {
 			return v.accessErr(f, f.pc, 0, storeElem, arr.R, idx, nil)
 		}
-		old := *p
-		*p = val
+		old := heap.Ref(*p)
+		*p = word(val, in.op == dAAStore)
 		if in.op == dAAStore {
-			if err := v.refStoreBarrier(t, f, int(f.pc), satb.ArraySite, in.b, old.R, val.R, arr.R); err != nil {
+			if err := v.refStoreBarrier(t, f, int(f.pc), satb.ArraySite, in.b, old, val.R, arr.R); err != nil {
 				return err
 			}
 		}
@@ -477,16 +464,16 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 			f.pc += int32(fi.n)
 		}
 	case fIncLocal:
-		f.locals[fi.b] = heap.IntVal(arith(dop(fi.c), f.locals[fi.a].I, fi.imm))
+		f.locals[fi.b] = intVal(arith(dop(fi.c), f.locals[fi.a].I, fi.imm))
 		f.pc += 4
 	case fLLArith:
-		f.push(heap.IntVal(arith(dop(fi.c), f.locals[fi.a].I, f.locals[fi.b].I)))
+		f.push(intVal(arith(dop(fi.c), f.locals[fi.a].I, f.locals[fi.b].I)))
 		f.pc += 3
 	case fLCArith:
-		f.push(heap.IntVal(arith(dop(fi.c), f.locals[fi.a].I, fi.imm)))
+		f.push(intVal(arith(dop(fi.c), f.locals[fi.a].I, fi.imm)))
 		f.pc += 3
 	case fConstStore:
-		f.locals[fi.b] = heap.IntVal(fi.imm)
+		f.locals[fi.b] = intVal(fi.imm)
 		f.pc += 2
 
 	case fLGetFieldRef, fLGetFieldInt:
@@ -496,11 +483,7 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		if p == nil {
 			return v.accessErr(f, f.pc+1, 0, readField, obj.R, 0, fr)
 		}
-		val := *p
-		if fi.op == fLGetFieldRef {
-			val.IsRef = true
-		}
-		f.push(val)
+		f.push(load(*p, fi.op == fLGetFieldRef))
 		f.pc += 2
 	case fLLPutFieldRef, fLLPutFieldInt:
 		obj := f.locals[fi.a]
@@ -510,10 +493,10 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		if p == nil {
 			return v.accessErr(f, f.pc+2, 0, writeField, obj.R, 0, fr)
 		}
-		old := *p
-		*p = val
+		old := heap.Ref(*p)
+		*p = word(val, fi.op == fLLPutFieldRef)
 		if fi.op == fLLPutFieldRef {
-			if err := v.refStoreBarrier(t, f, int(f.pc)+2, satb.FieldSite, fi.site, old.R, val.R, obj.R); err != nil {
+			if err := v.refStoreBarrier(t, f, int(f.pc)+2, satb.FieldSite, fi.site, old, val.R, obj.R); err != nil {
 				return err
 			}
 		}
@@ -526,11 +509,7 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		if p == nil {
 			return v.accessErr(f, f.pc+2, 0, loadElem, arr.R, idx, nil)
 		}
-		val := *p
-		if fi.op == fLLAALoad {
-			val.IsRef = true
-		}
-		f.push(val)
+		f.push(load(*p, fi.op == fLLAALoad))
 		f.pc += 3
 	case fLLLAAStore, fLLLIAStore:
 		arr := f.locals[fi.a]
@@ -540,10 +519,10 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		if p == nil {
 			return v.accessErr(f, f.pc+3, 0, storeElem, arr.R, idx, nil)
 		}
-		old := *p
-		*p = val
+		old := heap.Ref(*p)
+		*p = word(val, fi.op == fLLLAAStore)
 		if fi.op == fLLLAAStore {
-			if err := v.refStoreBarrier(t, f, int(f.pc)+3, satb.ArraySite, fi.site, old.R, val.R, arr.R); err != nil {
+			if err := v.refStoreBarrier(t, f, int(f.pc)+3, satb.ArraySite, fi.site, old, val.R, arr.R); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/heap"
 	"satbelim/internal/obs"
 	"satbelim/internal/satb"
@@ -89,7 +90,7 @@ type cop func(t *fthread, f *fframe) error
 // same opEntered contract as cop applies, relative to the thunk's own
 // first base instruction — composers add static offsets for operands
 // evaluated before it.
-type cval func(t *fthread, f *fframe) (heap.Value, error)
+type cval func(t *fthread, f *fframe) (value, error)
 
 // cterm is a segment terminator: it performs the control transfer,
 // updates f.pc, and returns the next segment index in the same method, or
@@ -399,7 +400,7 @@ type thunk struct {
 	pure    bool
 	isLocal bool // exactly "load local" (reads f.locals[local])
 	local   int32
-	cv      heap.Value // the constant, when isConst
+	cv      value // the constant, when isConst
 }
 
 // segBuilder accumulates one segment's compiled ops while simulating the
@@ -778,16 +779,16 @@ func (v *VM) compileBarrier(isRef bool, site int32) func(pre, newR, target heap.
 // Producers (thunks)
 // ---------------------------------------------------------------------
 
-func constThunk(val heap.Value) thunk {
+func constThunk(val value) thunk {
 	return thunk{
-		ev:      func(t *fthread, f *fframe) (heap.Value, error) { return val, nil },
+		ev:      func(t *fthread, f *fframe) (value, error) { return val, nil },
 		isConst: true, pure: true, cv: val,
 	}
 }
 
 func loadThunk(a int32) thunk {
 	return thunk{
-		ev:      func(t *fthread, f *fframe) (heap.Value, error) { return f.locals[a], nil },
+		ev:      func(t *fthread, f *fframe) (value, error) { return f.locals[a], nil },
 		w:       1,
 		pure:    true,
 		isLocal: true, local: a,
@@ -796,15 +797,11 @@ func loadThunk(a int32) thunk {
 
 func (v *VM) getStaticThunk(dm *dmethod, in *dinstr) thunk {
 	// Statics resolve to a stable slot pointer at translation time.
-	slot := v.heap.Static(int(dm.statics[in.a].slot))
+	slot := v.heap.Static(int(dm.statics[in.a]))
 	isRef := in.op == dGetStaticRef
 	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
-			val := *slot
-			if isRef {
-				val.IsRef = true
-			}
-			return val, nil
+		ev: func(t *fthread, f *fframe) (value, error) {
+			return load(*slot, isRef), nil
 		},
 		w: 1, pure: true,
 	}
@@ -815,23 +812,19 @@ func (v *VM) getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk 
 	if obj.isLocal {
 		a := obj.local
 		return thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
+			ev: func(t *fthread, f *fframe) (value, error) {
 				objv := f.locals[a]
 				p := v.fieldSlot(objv.R, fr.idx)
 				if p == nil {
 					return objv, v.accessErr(f, pc, w, readField, objv.R, 0, fr)
 				}
-				val := *p
-				if isRef {
-					val.IsRef = true
-				}
-				return val, nil
+				return load(*p, isRef), nil
 			},
 			w: w, canFail: true,
 		}
 	}
 	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
+		ev: func(t *fthread, f *fframe) (value, error) {
 			objv, err := obj.ev(t, f)
 			if err != nil {
 				return objv, err
@@ -840,11 +833,7 @@ func (v *VM) getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk 
 			if p == nil {
 				return objv, v.accessErr(f, pc, w, readField, objv.R, 0, fr)
 			}
-			val := *p
-			if isRef {
-				val.IsRef = true
-			}
-			return val, nil
+			return load(*p, isRef), nil
 		},
 		w: w, canFail: true,
 	}
@@ -857,7 +846,7 @@ func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 		ai := arr.local
 		ii, ic, idxLocal := idx.local, idx.cv.I, idx.isLocal
 		return thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
+			ev: func(t *fthread, f *fframe) (value, error) {
 				arrv := f.locals[ai]
 				i := ic
 				if idxLocal {
@@ -867,17 +856,13 @@ func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 				if p == nil {
 					return arrv, v.accessErr(f, pc, w, loadElem, arrv.R, i, nil)
 				}
-				val := *p
-				if isRef {
-					val.IsRef = true
-				}
-				return val, nil
+				return load(*p, isRef), nil
 			},
 			w: w, canFail: true,
 		}
 	}
 	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
+		ev: func(t *fthread, f *fframe) (value, error) {
 			arrv, err := arr.ev(t, f)
 			if err != nil {
 				return arrv, err
@@ -891,11 +876,7 @@ func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 			if p == nil {
 				return arrv, v.accessErr(f, pc, w, loadElem, arrv.R, idxv.I, nil)
 			}
-			val := *p
-			if isRef {
-				val.IsRef = true
-			}
-			return val, nil
+			return load(*p, isRef), nil
 		},
 		w: w, canFail: true,
 	}
@@ -904,7 +885,7 @@ func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 func (v *VM) arrayLengthThunk(arr thunk, pc int32) thunk {
 	w := arr.w + 1
 	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
+		ev: func(t *fthread, f *fframe) (value, error) {
 			arrv, err := arr.ev(t, f)
 			if err != nil {
 				return arrv, err
@@ -913,18 +894,18 @@ func (v *VM) arrayLengthThunk(arr thunk, pc int32) thunk {
 			if n < 0 {
 				return arrv, v.accessErr(f, pc, w, lengthOf, arrv.R, 0, nil)
 			}
-			return heap.IntVal(n), nil
+			return intVal(n), nil
 		},
 		w: w, canFail: true,
 	}
 }
 
-func (v *VM) newInstanceThunk(al *allocRec) thunk {
+func (v *VM) newInstanceThunk(cls *bytecode.ClassSym) thunk {
 	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
-			r := v.heap.AllocObjectN(al.class, al.nFields)
+		ev: func(t *fthread, f *fframe) (value, error) {
+			r := v.heap.AllocObject(cls)
 			v.allocSinceGC++
-			return heap.RefVal(r), nil
+			return refVal(r), nil
 		},
 		w: 1,
 	}
@@ -933,17 +914,17 @@ func (v *VM) newInstanceThunk(al *allocRec) thunk {
 func (v *VM) newArrayThunk(n thunk, isRef bool, pc int32) thunk {
 	w := n.w + 1
 	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
+		ev: func(t *fthread, f *fframe) (value, error) {
 			nv, err := n.ev(t, f)
 			if err != nil {
 				return nv, err
 			}
-			if nv.I < 0 {
-				return nv, v.cerr(f, pc, w, "negative array size %d", nv.I)
+			if uint64(nv.I) > maxArrayLen {
+				return nv, v.cerr(f, pc, w, "%s", arraySizeFault(nv.I))
 			}
 			r := v.heap.AllocArray(isRef, nv.I)
 			v.allocSinceGC++
-			return heap.RefVal(r), nil
+			return refVal(r), nil
 		},
 		w: w, canFail: true,
 	}
@@ -1014,51 +995,51 @@ func (v *VM) arithThunk(op dop, a, b thunk, pc int32) thunk {
 	canFail := a.canFail || b.canFail
 	switch op {
 	case dAdd:
-		ev = func(t *fthread, f *fframe) (heap.Value, error) {
+		ev = func(t *fthread, f *fframe) (value, error) {
 			x, y, err := eval2(t, f)
-			return heap.IntVal(x + y), err
+			return intVal(x + y), err
 		}
 	case dSub:
-		ev = func(t *fthread, f *fframe) (heap.Value, error) {
+		ev = func(t *fthread, f *fframe) (value, error) {
 			x, y, err := eval2(t, f)
-			return heap.IntVal(x - y), err
+			return intVal(x - y), err
 		}
 	case dMul:
-		ev = func(t *fthread, f *fframe) (heap.Value, error) {
+		ev = func(t *fthread, f *fframe) (value, error) {
 			x, y, err := eval2(t, f)
-			return heap.IntVal(x * y), err
+			return intVal(x * y), err
 		}
 	case dAnd:
-		ev = func(t *fthread, f *fframe) (heap.Value, error) {
+		ev = func(t *fthread, f *fframe) (value, error) {
 			x, y, err := eval2(t, f)
-			return heap.IntVal(x & y), err
+			return intVal(x & y), err
 		}
 	case dOr:
-		ev = func(t *fthread, f *fframe) (heap.Value, error) {
+		ev = func(t *fthread, f *fframe) (value, error) {
 			x, y, err := eval2(t, f)
-			return heap.IntVal(x | y), err
+			return intVal(x | y), err
 		}
 	case dDiv, dRem:
 		canFail = true
 		isDiv := op == dDiv
-		ev = func(t *fthread, f *fframe) (heap.Value, error) {
+		ev = func(t *fthread, f *fframe) (value, error) {
 			x, y, err := eval2(t, f)
 			if err != nil {
-				return heap.Value{}, err
+				return value{}, err
 			}
 			if y == 0 {
-				return heap.Value{}, v.cerr(f, pc, w, "division by zero")
+				return value{}, v.cerr(f, pc, w, "division by zero")
 			}
 			if isDiv {
-				return heap.IntVal(x / y), nil
+				return intVal(x / y), nil
 			}
-			return heap.IntVal(x % y), nil
+			return intVal(x % y), nil
 		}
 	default: // comparisons
 		cmp := op
-		ev = func(t *fthread, f *fframe) (heap.Value, error) {
+		ev = func(t *fthread, f *fframe) (value, error) {
 			x, y, err := eval2(t, f)
-			return heap.IntVal(b2i(intCmp(cmp, x, y))), err
+			return intVal(b2i(intCmp(cmp, x, y))), err
 		}
 	}
 	return thunk{ev: ev, w: w, canFail: canFail, pure: a.pure && b.pure && !canFail}
@@ -1068,15 +1049,15 @@ func (v *VM) refCmpThunk(eq bool, a, b thunk) thunk {
 	if a.isLocal && b.isLocal {
 		ai, bi := a.local, b.local
 		return thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				return heap.IntVal(b2i((f.locals[ai].R == f.locals[bi].R) == eq)), nil
+			ev: func(t *fthread, f *fframe) (value, error) {
+				return intVal(b2i((f.locals[ai].R == f.locals[bi].R) == eq)), nil
 			},
 			w: a.w + b.w + 1, pure: true,
 		}
 	}
 	aw := a.w
 	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
+		ev: func(t *fthread, f *fframe) (value, error) {
 			av, err := a.ev(t, f)
 			if err != nil {
 				return av, err
@@ -1086,7 +1067,7 @@ func (v *VM) refCmpThunk(eq bool, a, b thunk) thunk {
 				v.opEntered += aw
 				return bv, err
 			}
-			return heap.IntVal(b2i((av.R == bv.R) == eq)), nil
+			return intVal(b2i((av.R == bv.R) == eq)), nil
 		},
 		w: a.w + b.w + 1, canFail: a.canFail || b.canFail, pure: a.pure && b.pure,
 	}
@@ -1094,15 +1075,15 @@ func (v *VM) refCmpThunk(eq bool, a, b thunk) thunk {
 
 func unaryThunk(op dop, x thunk) thunk {
 	return thunk{
-		ev: func(t *fthread, f *fframe) (heap.Value, error) {
+		ev: func(t *fthread, f *fframe) (value, error) {
 			xv, err := x.ev(t, f)
 			if err != nil {
 				return xv, err
 			}
 			if op == dNeg {
-				return heap.IntVal(-xv.I), nil
+				return intVal(-xv.I), nil
 			}
-			return heap.IntVal(1 - xv.I), nil
+			return intVal(1 - xv.I), nil
 		},
 		w: x.w + 1, canFail: x.canFail, pure: x.pure,
 	}
@@ -1127,11 +1108,11 @@ var stackOperands = [...][]thunk{
 }
 
 func stackPeek(depth int32) thunk {
-	return thunk{ev: func(t *fthread, f *fframe) (heap.Value, error) { return f.stack[f.sp-depth], nil }}
+	return thunk{ev: func(t *fthread, f *fframe) (value, error) { return f.stack[f.sp-depth], nil }}
 }
 
 func stackPop(k int32) thunk {
-	return thunk{ev: func(t *fthread, f *fframe) (heap.Value, error) {
+	return thunk{ev: func(t *fthread, f *fframe) (value, error) {
 		f.sp -= k
 		return f.stack[f.sp+k-1], nil
 	}}
@@ -1219,10 +1200,10 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 			if p == nil {
 				return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 			}
-			old := *p
-			*p = valv
+			old := heap.Ref(*p)
+			*p = word(valv, barrier != nil)
 			if barrier != nil {
-				barrier(old.R, valv.R, objv.R)
+				barrier(old, valv.R, objv.R)
 			}
 			return nil
 		}
@@ -1241,10 +1222,10 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 			if p == nil {
 				return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 			}
-			old := *p
-			*p = valv
+			old := heap.Ref(*p)
+			*p = word(valv, barrier != nil)
 			if barrier != nil {
-				barrier(old.R, valv.R, objv.R)
+				barrier(old, valv.R, objv.R)
 			}
 			return nil
 		}
@@ -1263,24 +1244,24 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 		if p == nil {
 			return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 		}
-		old := *p
-		*p = valv
+		old := heap.Ref(*p)
+		*p = word(valv, barrier != nil)
 		if barrier != nil {
-			barrier(old.R, valv.R, objv.R)
+			barrier(old, valv.R, objv.R)
 		}
 		return nil
 	}
 }
 
 func (v *VM) putStaticOp(dm *dmethod, in *dinstr, val thunk) cop {
-	slot := v.heap.Static(int(dm.statics[in.a].slot))
+	slot := v.heap.Static(int(dm.statics[in.a]))
 	if in.op == dPutStaticInt {
 		return func(t *fthread, f *fframe) error {
 			valv, err := val.ev(t, f)
 			if err != nil {
 				return err
 			}
-			*slot = valv
+			*slot = word(valv, false)
 			return nil
 		}
 	}
@@ -1291,9 +1272,9 @@ func (v *VM) putStaticOp(dm *dmethod, in *dinstr, val thunk) cop {
 		if err != nil {
 			return err
 		}
-		old := *slot
-		*slot = valv
-		v.counters.StaticBarrierSpec(spec, log, old.R, valv.R)
+		old := heap.Ref(*slot)
+		*slot = word(valv, true)
+		v.counters.StaticBarrierSpec(spec, log, old, valv.R)
 		return nil
 	}
 }
@@ -1320,10 +1301,10 @@ func (v *VM) arrayStoreOp(arr, idx, val thunk, barrier func(pre, newR, target he
 		if p == nil {
 			return v.accessErr(f, pc, w, storeElem, arrv.R, idxv.I, nil)
 		}
-		old := *p
-		*p = valv
+		old := heap.Ref(*p)
+		*p = word(valv, barrier != nil)
 		if barrier != nil {
-			barrier(old.R, valv.R, arrv.R)
+			barrier(old, valv.R, arrv.R)
 		}
 		return nil
 	}
@@ -1343,10 +1324,10 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	case dNop:
 		sb.charge(1)
 	case dConst:
-		sb.push(constThunk(heap.IntVal(in.imm)))
+		sb.push(constThunk(intVal(in.imm)))
 		sb.charge(1)
 	case dConstNull:
-		sb.push(constThunk(heap.NullVal()))
+		sb.push(constThunk(nullVal()))
 		sb.charge(1)
 	case dLoad:
 		sb.push(loadThunk(in.a))
@@ -1360,7 +1341,7 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	case dArrayLength:
 		sb.push(v.arrayLengthThunk(sb.operand(), pcc))
 	case dNewInstance:
-		sb.push(v.newInstanceThunk(&dm.allocs[in.a]))
+		sb.push(v.newInstanceThunk(dm.allocs[in.a]))
 	case dNewArrayRef, dNewArrayInt:
 		sb.push(v.newArrayThunk(sb.operand(), in.op == dNewArrayRef, pcc))
 	case dAdd, dSub, dMul, dDiv, dRem, dAnd, dOr,
@@ -1453,16 +1434,16 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 	case fLLArith:
 		a, b, aop := fi.a, fi.b, dop(fi.c)
 		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				return heap.IntVal(arith(aop, f.locals[a].I, f.locals[b].I)), nil
+			ev: func(t *fthread, f *fframe) (value, error) {
+				return intVal(arith(aop, f.locals[a].I, f.locals[b].I)), nil
 			},
 			w: n, pure: true,
 		})
 	case fLCArith:
 		a, aop, imm := fi.a, dop(fi.c), fi.imm
 		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (heap.Value, error) {
-				return heap.IntVal(arith(aop, f.locals[a].I, imm)), nil
+			ev: func(t *fthread, f *fframe) (value, error) {
+				return intVal(arith(aop, f.locals[a].I, imm)), nil
 			},
 			w: n, pure: true,
 		})
@@ -1470,13 +1451,13 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 	case fIncLocal:
 		src, dst, aop, imm := fi.a, fi.b, dop(fi.c), fi.imm
 		sb.emit(func(t *fthread, f *fframe) error {
-			f.locals[dst] = heap.IntVal(arith(aop, f.locals[src].I, imm))
+			f.locals[dst] = intVal(arith(aop, f.locals[src].I, imm))
 			return nil
 		}, n)
 	case fConstStore:
 		dst, imm := fi.b, fi.imm
 		sb.emit(func(t *fthread, f *fframe) error {
-			f.locals[dst] = heap.IntVal(imm)
+			f.locals[dst] = intVal(imm)
 			return nil
 		}, n)
 	case fLLPutFieldRef, fLLPutFieldInt:
@@ -1493,10 +1474,10 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 			if p == nil {
 				return v.accessErr(f, pcc+3, n, storeElem, arr.R, idx, nil)
 			}
-			old := *p
-			*p = val
+			old := heap.Ref(*p)
+			*p = word(val, barrier != nil)
 			if barrier != nil {
-				barrier(old.R, val.R, arr.R)
+				barrier(old, val.R, arr.R)
 			}
 			return nil
 		}, n)

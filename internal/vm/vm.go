@@ -218,8 +218,8 @@ type frame struct {
 	m      *bytecode.Method
 	body   *bytecode.Body
 	pc     int
-	locals []heap.Value
-	stack  []heap.Value
+	locals []value
+	stack  []value
 }
 
 type thread struct {
@@ -577,7 +577,7 @@ func (v *VM) result() *Result {
 // newFrame returns a frame of method number n for the switch interpreter.
 func (v *VM) newFrame(n int32) *frame {
 	m := v.syms.Methods[n]
-	return &frame{m: m, body: v.prog.Body(int(n)), locals: make([]heap.Value, m.NumSlots()), stack: make([]heap.Value, 0, m.MaxStack+4)}
+	return &frame{m: m, body: v.prog.Body(int(n)), locals: make([]value, m.NumSlots()), stack: make([]value, 0, m.MaxStack+4)}
 }
 
 // roots collects the current GC roots: every reference in every thread's
@@ -724,8 +724,8 @@ func (v *VM) step(t *thread) error {
 	in := &f.m.Code[f.pc]
 	v.steps++
 
-	push := func(val heap.Value) { f.stack = append(f.stack, val) }
-	pop := func() heap.Value {
+	push := func(val value) { f.stack = append(f.stack, val) }
+	pop := func() value {
 		val := f.stack[len(f.stack)-1]
 		f.stack = f.stack[:len(f.stack)-1]
 		return val
@@ -734,9 +734,9 @@ func (v *VM) step(t *thread) error {
 	switch in.Op {
 	case bytecode.OpNop:
 	case bytecode.OpConst, bytecode.OpConstBool:
-		push(heap.IntVal(in.A))
+		push(intVal(in.A))
 	case bytecode.OpConstNull:
-		push(heap.NullVal())
+		push(nullVal())
 	case bytecode.OpLoad:
 		push(f.locals[in.A])
 	case bytecode.OpStore:
@@ -766,17 +766,17 @@ func (v *VM) step(t *thread) error {
 			}
 			r = x % y
 		}
-		push(heap.IntVal(r))
+		push(intVal(r))
 	case bytecode.OpNeg:
-		push(heap.IntVal(-pop().I))
+		push(intVal(-pop().I))
 	case bytecode.OpAnd:
 		y, x := pop().I, pop().I
-		push(heap.IntVal(x & y))
+		push(intVal(x & y))
 	case bytecode.OpOr:
 		y, x := pop().I, pop().I
-		push(heap.IntVal(x | y))
+		push(intVal(x | y))
 	case bytecode.OpNot:
-		push(heap.IntVal(1 - pop().I))
+		push(intVal(1 - pop().I))
 	case bytecode.OpCmpEQ, bytecode.OpCmpNE, bytecode.OpCmpLT, bytecode.OpCmpLE,
 		bytecode.OpCmpGT, bytecode.OpCmpGE:
 		y, x := pop().I, pop().I
@@ -795,13 +795,13 @@ func (v *VM) step(t *thread) error {
 		case bytecode.OpCmpGE:
 			b = x >= y
 		}
-		push(heap.IntVal(b2i(b)))
+		push(intVal(b2i(b)))
 	case bytecode.OpRefEQ:
 		y, x := pop().R, pop().R
-		push(heap.IntVal(b2i(x == y)))
+		push(intVal(b2i(x == y)))
 	case bytecode.OpRefNE:
 		y, x := pop().R, pop().R
-		push(heap.IntVal(b2i(x != y)))
+		push(intVal(b2i(x != y)))
 
 	case bytecode.OpGoto:
 		f.pc = int(in.A)
@@ -834,11 +834,7 @@ func (v *VM) step(t *thread) error {
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(readField, obj.R, 0, &fs.Ref))
 		}
-		val := *p
-		if fs.IsRef {
-			val.IsRef = true
-		}
-		push(val)
+		push(load(*p, fs.IsRef))
 	case bytecode.OpPutField:
 		val := pop()
 		obj := pop()
@@ -847,66 +843,62 @@ func (v *VM) step(t *thread) error {
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(writeField, obj.R, 0, &fs.Ref))
 		}
-		old := *p
-		*p = val
+		old := heap.Ref(*p)
+		*p = word(val, fs.IsRef)
 		if fs.IsRef {
 			elide := v.proj.apply(in.Verdict)
 			if v.oracle != nil {
-				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.FieldSite, elide, old.R, val.R, obj.R); err != nil {
+				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.FieldSite, elide, old, val.R, obj.R); err != nil {
 					return err
 				}
 			}
 			key := satb.SiteKey{Method: f.m.QualifiedName(), PC: f.pc}
 			v.counters.BarrierSiteSpec(v.spec, v.logger(), v.counters.Site(key, satb.FieldSite, elide),
-				elide, old.R, val.R, obj.R)
+				elide, old, val.R, obj.R)
 		}
 	case bytecode.OpGetStatic:
 		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
-		val := *v.heap.Static(fs.Slot)
-		if fs.IsRef {
-			val.IsRef = true
-		}
-		push(val)
+		push(load(*v.heap.Static(fs.Slot), fs.IsRef))
 	case bytecode.OpPutStatic:
 		val := pop()
 		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
 		p := v.heap.Static(fs.Slot)
-		old := *p
-		*p = val
+		old := heap.Ref(*p)
+		*p = word(val, fs.IsRef)
 		if fs.IsRef {
 			if v.oracle != nil {
 				// Statics are globally reachable: the stored object (and
 				// everything it reaches) is published.
 				v.oracle.escape(val.R)
 			}
-			v.counters.StaticBarrierSpec(v.spec, v.logger(), old.R, val.R)
+			v.counters.StaticBarrierSpec(v.spec, v.logger(), old, val.R)
 		}
 
 	case bytecode.OpNewInstance:
-		r := v.heap.AllocObjectN(in.Type.Class, v.syms.Class(in.Type.Class).NumFields)
+		r := v.heap.AllocObject(v.syms.Class(in.Type.Class))
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
 		}
-		push(heap.RefVal(r))
+		push(refVal(r))
 	case bytecode.OpNewArray:
 		n := pop().I
-		if n < 0 {
-			return v.errf(f, "negative array size %d", n)
+		if uint64(n) > maxArrayLen {
+			return v.errf(f, "%s", arraySizeFault(n))
 		}
 		r := v.heap.AllocArray(in.Type.IsRef(), n)
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
 		}
-		push(heap.RefVal(r))
+		push(refVal(r))
 	case bytecode.OpArrayLength:
 		arr := pop()
 		n := v.arrayLen(arr.R)
 		if n < 0 {
 			return v.errf(f, "%s", v.heapFault(lengthOf, arr.R, 0, nil))
 		}
-		push(heap.IntVal(n))
+		push(intVal(n))
 
 	case bytecode.OpAALoad, bytecode.OpIALoad:
 		idx := pop().I
@@ -915,11 +907,7 @@ func (v *VM) step(t *thread) error {
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(loadElem, arr.R, idx, nil))
 		}
-		val := *p
-		if in.Op == bytecode.OpAALoad {
-			val.IsRef = true
-		}
-		push(val)
+		push(load(*p, in.Op == bytecode.OpAALoad))
 	case bytecode.OpAAStore, bytecode.OpIAStore:
 		val := pop()
 		idx := pop().I
@@ -928,18 +916,18 @@ func (v *VM) step(t *thread) error {
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(storeElem, arr.R, idx, nil))
 		}
-		old := *p
-		*p = val
+		old := heap.Ref(*p)
+		*p = word(val, in.Op == bytecode.OpAAStore)
 		if in.Op == bytecode.OpAAStore {
 			elide := v.proj.apply(in.Verdict)
 			if v.oracle != nil {
-				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old.R, val.R, arr.R); err != nil {
+				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old, val.R, arr.R); err != nil {
 					return err
 				}
 			}
 			key := satb.SiteKey{Method: f.m.QualifiedName(), PC: f.pc}
 			v.counters.BarrierSiteSpec(v.spec, v.logger(), v.counters.Site(key, satb.ArraySite, elide),
-				elide, old.R, val.R, arr.R)
+				elide, old, val.R, arr.R)
 		}
 
 	case bytecode.OpInvoke:
