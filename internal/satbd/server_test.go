@@ -184,6 +184,52 @@ func TestCompiledTierStatsInMetrics(t *testing.T) {
 	}
 }
 
+// TestConcurrentCompiledRunsOfOneBuild: two /run requests on the compiled
+// engine at once, on one cached build, whose VMs share its image and the
+// translations in it. Both succeed with the same output.
+func TestConcurrentCompiledRunsOfOneBuild(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	if status, _, doc := post(t, ts, "compile", Request{Name: "hot", Source: hotSrc}); status != 200 {
+		t.Fatalf("compile: status %d outcome %q", status, doc.Satbd.Request.Outcome)
+	}
+	body, err := json.Marshal(Request{Name: "hot", Source: hotSrc, Engine: "compiled"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]report.Document, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range docs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			errs[i] = json.NewDecoder(resp.Body).Decode(&docs[i])
+		}()
+	}
+	wg.Wait()
+	for i, doc := range docs {
+		switch {
+		case errs[i] != nil:
+			t.Fatalf("run %d: %v", i, errs[i])
+		case doc.Satbd == nil || doc.Satbd.Request == nil || doc.Satbd.Request.Outcome != OutcomeOK || doc.Run == nil:
+			t.Fatalf("run %d: not ok: %+v", i, doc.Satbd)
+		case doc.Compile == nil || !doc.Compile.CacheHit:
+			t.Errorf("run %d did not run the cached build", i)
+		case doc.Run.TierUps == 0:
+			t.Errorf("run %d tiered nothing up", i)
+		}
+	}
+	if a, b := docs[0].Run.Output, docs[1].Run.Output; len(a) != 1 || a[0] != 12497500 || len(b) != 1 || b[0] != a[0] {
+		t.Errorf("outputs %v and %v, want [12497500] twice", a, b)
+	}
+}
+
 func TestLatencyStats(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	got := latencyStats(map[string][]time.Duration{

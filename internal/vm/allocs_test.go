@@ -63,29 +63,32 @@ func bytesPerRun(runs int, f func()) uint64 {
 // two VM configurations: the compiled tier with no collector (run_hot)
 // and the fused engine with a marking cycle always in progress (gc_mark).
 // A VM runs the image its program already holds, so only the first vm.New
-// of a fresh compile decodes (the "cold" count in the log line); after it
-// nothing is pooled or cached across runs, and the count is a function of
-// the program and the configuration alone: two measurements must agree
+// of a fresh compile decodes (the "cold" count in the log line), and only
+// the first compiled run translates its hot methods: later VMs install the
+// translations the image holds (TestTierUpReusesTranslation). Nothing else
+// is pooled or cached across runs, so the count of a warm run is a function
+// of the program and the configuration alone: two measurements must agree
 // exactly. The ceilings sit about 15 % above the measured figures:
 //
-//	                 one image   one symbol   slab heap   before it (an Object and a
-//	                 (decoded    table                    Fields slice per `new`, a root
-//	                 once)                                slice per cycle boundary)
-//	jess compiled          983        1 062       1 155   15 099
-//	jess fused+satb        459          540         573   22 089
-//	jbb  compiled        1 019        1 126       1 217    4 792
-//	jbb  fused+satb        174          287         332   42 575
+//	                 shared         one image   one symbol   slab heap   before it (an Object and a
+//	                 translations   (decoded    table                    Fields slice per `new`, a root
+//	                                once)                                slice per cycle boundary)
+//	jess compiled             437         983        1 062       1 155   15 099
+//	jess fused+satb           459         459          540         573   22 089
+//	jbb  compiled             153       1 019        1 126       1 217    4 792
+//	jbb  fused+satb           174         174          287         332   42 575
 //
 // The bytes of a run repeat exactly too, and have their own ceilings. One-
 // word heap slots cut them by half or more: a storage block of 128 slots
 // went from 3 072 B to 1 024 B, a chunk of 32 objects from 1 920 B to
 // 1 152 B (allocated as 2 048 B and 1 280 B).
 //
-//	                 one-word slots   tagged 24-byte slots
-//	jess compiled           600 317              1 319 229
-//	jess fused+satb         608 032              1 326 949
-//	jbb  compiled           176 253                300 709
-//	jbb  fused+satb         131 032                255 493
+//	                 shared         one-word slots   tagged 24-byte slots
+//	                 translations
+//	jess compiled         568 042          600 317              1 319 229
+//	jess fused+satb       608 032          608 032              1 326 949
+//	jbb  compiled         122 082          176 253                300 709
+//	jbb  fused+satb       131 032          131 032                255 493
 func TestRunAllocs(t *testing.T) {
 	runtime.GC() // the Go collector's first cycle allocates its workers
 	hot := vm.Config{Engine: vm.EngineCompiled, Barrier: satb.ModeConditional, GC: vm.GCNone}
@@ -97,9 +100,9 @@ func TestRunAllocs(t *testing.T) {
 		ceiling  float64
 		bytesMax uint64
 	}{
-		{"jess", "compiled", hot, 1130, 690_000},
+		{"jess", "compiled", hot, 503, 653_000},
 		{"jess", "fused+satb", marking, 528, 700_000},
-		{"jbb", "compiled", hot, 1172, 203_000},
+		{"jbb", "compiled", hot, 176, 140_000},
 		{"jbb", "fused+satb", marking, 200, 151_000},
 	} {
 		b := compileA(t, tc.workload)
@@ -126,6 +129,34 @@ func TestRunAllocs(t *testing.T) {
 		if first > tc.ceiling {
 			t.Errorf("%s %s: %.0f allocs per run, ceiling %.0f", tc.workload, tc.name, first, tc.ceiling)
 		}
+	}
+}
+
+// TestTierUpReusesTranslation: on a fresh compile the first compiled run
+// translates its hot methods into the image, and the second installs those
+// translations: the same tier-ups, at least 150 fewer allocations (jess
+// tiers up 2–4 methods of 170–290 allocations each).
+func TestTierUpReusesTranslation(t *testing.T) {
+	runtime.GC()
+	cfg := vm.Config{Engine: vm.EngineCompiled, Barrier: satb.ModeConditional, GC: vm.GCNone}
+	b := compileA(t, "jess")
+	vm.New(b.Program, cfg) // decode, so that the two runs differ only in translating
+	var res [2]*vm.Result
+	var mallocs [2]uint64
+	for i := range res {
+		mallocs[i] = mallocsOnce(func() {
+			var err error
+			if res[i], err = vm.New(b.Program, cfg).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("jess compiled: %d allocs in the run that translates, %d in the next (%d tier-ups each)", mallocs[0], mallocs[1], res[0].TierUps)
+	if res[0].TierUps == 0 || res[0].TierUps != res[1].TierUps {
+		t.Errorf("tier-ups: %d in the first run, %d in the second", res[0].TierUps, res[1].TierUps)
+	}
+	if mallocs[1]+150 > mallocs[0] {
+		t.Errorf("the second run allocates %d times, the first %d: it translated again", mallocs[1], mallocs[0])
 	}
 }
 

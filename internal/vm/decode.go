@@ -19,8 +19,10 @@ import (
 // superinstructions.
 //
 // The result is an image (dprogram): read-only, decoded once per program
-// and projection and shared by every VM of them (imageOf). What a run
-// changes is the VM's own, by method or site number (mstate, siteStats).
+// and projection and shared by every VM of them (imageOf). The compiled
+// tier's translations belong to it too, published once per method and
+// barrier shape (dmethod.compiled). What a run changes is the VM's own, by method or site
+// number (mstate, siteStats).
 //
 // Fusion never changes semantics: the per-pc plain instructions are kept
 // alongside each fused head, and the executor only takes the fused form
@@ -169,6 +171,13 @@ type dmethod struct {
 	statics []int32 // slots in the heap's static storage
 	allocs  []*bytecode.ClassSym
 	callees []calleeRec
+
+	// compiled is the method's compiled-tier translation, made by the first
+	// VM of the image to tier the method up and installed by every later
+	// one (tierUp): [1] for a flavor that shades nothing, whose reference
+	// stores all compile raw, [0] for the others. The one field of an image
+	// written after decode, and only by compare-and-swap from nil.
+	compiled [2]atomic.Pointer[cmethod]
 }
 
 // mstate is what one VM changes about one method while it runs.
@@ -181,8 +190,8 @@ type mstate struct {
 
 	// Compiled-tier state (EngineCompiled only; both are inert on the other
 	// engines). hotness counts method entries plus loop back-edges observed
-	// on fused dispatch; tier is the closure-threaded translation installed
-	// at tier-up, whose closures capture the VM.
+	// on fused dispatch; tier is the image's translation this VM installed
+	// at tier-up, nil before it.
 	hotness int64
 	tier    *cmethod
 }
@@ -327,6 +336,20 @@ func decodeProgram(p *bytecode.Program, pr projection) *dprogram {
 	return d
 }
 
+// operandless is the decoded op of each opcode that has no operand, by
+// opcode (dNop for the others).
+var operandless = [...]dop{
+	bytecode.OpNop: dNop, bytecode.OpConstNull: dConstNull, bytecode.OpDup: dDup, bytecode.OpPop: dPop,
+	bytecode.OpAdd: dAdd, bytecode.OpSub: dSub, bytecode.OpMul: dMul, bytecode.OpDiv: dDiv,
+	bytecode.OpRem: dRem, bytecode.OpNeg: dNeg, bytecode.OpAnd: dAnd, bytecode.OpOr: dOr,
+	bytecode.OpNot: dNot, bytecode.OpCmpEQ: dCmpEQ, bytecode.OpCmpNE: dCmpNE, bytecode.OpCmpLT: dCmpLT,
+	bytecode.OpCmpLE: dCmpLE, bytecode.OpCmpGT: dCmpGT, bytecode.OpCmpGE: dCmpGE,
+	bytecode.OpRefEQ: dRefEQ, bytecode.OpRefNE: dRefNE, bytecode.OpArrayLength: dArrayLength,
+	bytecode.OpAALoad: dAALoad, bytecode.OpIALoad: dIALoad, bytecode.OpAAStore: dAAStore,
+	bytecode.OpIAStore: dIAStore, bytecode.OpReturn: dReturn, bytecode.OpReturnValue: dReturnValue,
+	bytecode.OpPrint: dPrint, bytecode.OpTrap: dTrap,
+}
+
 // decodeMethod fills in dm.code and the operand tables from the method's
 // Body, which has checked every slot, branch target and operand, and
 // appends the method's sites to d.sites.
@@ -339,57 +362,15 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 		di.line = int32(in.Line)
 		siteKind, isSite := satb.SiteOf(syms, in.Op, body.FieldAt[pc])
 		switch in.Op {
-		case bytecode.OpNop:
-			di.op = dNop
 		case bytecode.OpConst, bytecode.OpConstBool:
 			di.op = dConst
 			di.imm = in.A
-		case bytecode.OpConstNull:
-			di.op = dConstNull
 		case bytecode.OpLoad, bytecode.OpStore:
 			di.op = dLoad
 			if in.Op == bytecode.OpStore {
 				di.op = dStore
 			}
 			di.a = int32(in.A)
-		case bytecode.OpDup:
-			di.op = dDup
-		case bytecode.OpPop:
-			di.op = dPop
-		case bytecode.OpAdd:
-			di.op = dAdd
-		case bytecode.OpSub:
-			di.op = dSub
-		case bytecode.OpMul:
-			di.op = dMul
-		case bytecode.OpDiv:
-			di.op = dDiv
-		case bytecode.OpRem:
-			di.op = dRem
-		case bytecode.OpNeg:
-			di.op = dNeg
-		case bytecode.OpAnd:
-			di.op = dAnd
-		case bytecode.OpOr:
-			di.op = dOr
-		case bytecode.OpNot:
-			di.op = dNot
-		case bytecode.OpCmpEQ:
-			di.op = dCmpEQ
-		case bytecode.OpCmpNE:
-			di.op = dCmpNE
-		case bytecode.OpCmpLT:
-			di.op = dCmpLT
-		case bytecode.OpCmpLE:
-			di.op = dCmpLE
-		case bytecode.OpCmpGT:
-			di.op = dCmpGT
-		case bytecode.OpCmpGE:
-			di.op = dCmpGE
-		case bytecode.OpRefEQ:
-			di.op = dRefEQ
-		case bytecode.OpRefNE:
-			di.op = dRefNE
 		case bytecode.OpGoto:
 			di.op, di.a = dGoto, int32(in.A)
 		case bytecode.OpIfTrue:
@@ -437,16 +418,6 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 			if in.Type.IsRef() {
 				di.op = dNewArrayRef
 			}
-		case bytecode.OpArrayLength:
-			di.op = dArrayLength
-		case bytecode.OpAALoad:
-			di.op = dAALoad
-		case bytecode.OpIALoad:
-			di.op = dIALoad
-		case bytecode.OpAAStore:
-			di.op = dAAStore
-		case bytecode.OpIAStore:
-			di.op = dIAStore
 		case bytecode.OpInvoke, bytecode.OpSpawn:
 			di.op = dInvoke
 			if in.Op == bytecode.OpSpawn {
@@ -454,14 +425,10 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 			}
 			di.a = int32(len(dm.callees))
 			dm.callees = append(dm.callees, calleeRec{m: d.methods[body.CalleeAt[pc]], ref: in.Method.String()})
-		case bytecode.OpReturn:
-			di.op = dReturn
-		case bytecode.OpReturnValue:
-			di.op = dReturnValue
-		case bytecode.OpPrint:
-			di.op = dPrint
-		case bytecode.OpTrap:
-			di.op = dTrap
+		default:
+			if int(in.Op) < len(operandless) {
+				di.op = operandless[in.Op]
+			}
 		}
 		if isSite {
 			di.b = int32(len(d.sites))

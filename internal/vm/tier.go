@@ -18,11 +18,20 @@ import (
 // array of continuation closures plus one terminator closure whose branch
 // targets are resolved to segment indices.
 //
+// A translation is part of the image, not of the VM that made it. It is a
+// function of the image, the method and one bit of the flavor (whether it
+// shades nothing), and no translation function can reach a VM: the closures
+// take the running VM as an argument and read its heap, statics, counters
+// and logger from it. The first VM to tier a method up publishes the
+// translation in the dmethod; every later VM of the image installs it
+// without translating. When a VM tiers a method up is still its own
+// decision (mstate.hotness), so tier-up timing does not depend on other VMs.
+//
 // Translation is a real compile, not a re-packaging of dispatch:
 //
 //   - The operand stack is simulated symbolically. Producers (constants,
-//     local loads, static loads through translation-resolved slot
-//     pointers, field/array loads, arithmetic) become value thunks that
+//     local loads, static loads by slot number, field/array loads,
+//     arithmetic) become value thunks that
 //     are composed directly into their consumers, so a statement like
 //     `a[i] = x.f` runs as ONE closure with no push/pop traffic and no
 //     per-instruction dispatch between its parts. Thunks whose deferral
@@ -80,23 +89,28 @@ import (
 const DefaultTierThreshold = 64
 
 // cop is one compiled operation: a continuation with operands, error pc,
-// and barrier decision baked in at translation time. It never touches
-// f.pc except on its error path and never touches v.steps (the segment
-// runner accounts steps in bulk). On error it must leave VM.opEntered
-// equal to the number of base instructions entered within it.
-type cop func(t *fthread, f *fframe) error
+// and barrier decision baked in at translation time, run on behalf of VM
+// v. It never touches f.pc except on its error path and never touches
+// v.steps (the segment runner accounts steps in bulk). On error it must
+// leave v.opEntered equal to the number of base instructions entered
+// within it.
+type cop func(v *VM, t *fthread, f *fframe) error
 
 // cval is a compiled value producer (a deferred expression). On error the
 // same opEntered contract as cop applies, relative to the thunk's own
 // first base instruction — composers add static offsets for operands
 // evaluated before it.
-type cval func(t *fthread, f *fframe) (value, error)
+type cval func(v *VM, t *fthread, f *fframe) (value, error)
 
 // cterm is a segment terminator: it performs the control transfer,
 // updates f.pc, and returns the next segment index in the same method, or
 // one of the signals below when control left the method or the segment
 // failed.
-type cterm func(t *fthread, f *fframe) (int32, error)
+type cterm func(v *VM, t *fthread, f *fframe) (int32, error)
+
+// cbarrier is a store site's compiled barrier: pre is the overwritten
+// reference, newR the stored one, target the object or array written.
+type cbarrier func(v *VM, pre, newR, target heap.Ref)
 
 // termToDriver tells the segment loop to return to the quantum driver.
 const termToDriver = int32(-1)
@@ -132,8 +146,9 @@ type cseg struct {
 // segEntry is one resumable boundary inside a segment.
 type segEntry struct{ op, w, pc int32 }
 
-// cmethod is the compiled form of one method. segOf maps each pc to its
-// segment index (-1 when the pc is not a leader). eSeg/eOp/eW are the
+// cmethod is the compiled form of one method, read-only once built and
+// shared by every VM of its image (dmethod.compiled). segOf maps each pc to
+// its segment index (-1 when the pc is not a leader). eSeg/eOp/eW are the
 // mid-segment entry tables: every instruction boundary where the
 // translation-time symbolic stack was empty is a resumable entry point —
 // the real operand stack there holds exactly what the remaining compiled
@@ -236,13 +251,13 @@ func (v *VM) runTieredQuantum(t *fthread, limit int) error {
 					// terminator, one bulk step charge on success.
 					ops := seg.ops
 					for oi := int(k); oi < len(ops); oi++ {
-						if err := ops[oi](t, f); err != nil {
+						if err := ops[oi](v, t, f); err != nil {
 							v.steps += int64(seg.wbefore[oi]-wbase) + int64(v.opEntered)
 							return err
 						}
 					}
 					var err error
-					si, err = seg.term(t, f)
+					si, err = seg.term(v, t, f)
 					if err != nil {
 						v.steps += int64(seg.n-seg.termW-wbase) + int64(v.opEntered)
 						return err
@@ -319,7 +334,7 @@ func (v *VM) runTieredQuantum(t *fthread, limit int) error {
 func (v *VM) runSegPart(t *fthread, f *fframe, seg *cseg, k, k2, wbase, w2 int32) error {
 	ops := seg.ops
 	for i := int(k); i < int(k2); i++ {
-		if err := ops[i](t, f); err != nil {
+		if err := ops[i](v, t, f); err != nil {
 			v.steps += int64(seg.wbefore[i]-wbase) + int64(v.opEntered)
 			return err
 		}
@@ -331,7 +346,7 @@ func (v *VM) runSegPart(t *fthread, f *fframe, seg *cseg, k, k2, wbase, w2 int32
 // tierNote is the hotness probe on the fused per-instruction path: loop
 // back-edges (plain or at the head of a fused compare-and-branch) heat
 // the current method, calls heat the callee. Crossing the threshold
-// translates the method immediately, so a hot loop tiers up mid-method.
+// tiers the method up immediately, so a hot loop tiers up mid-method.
 func (v *VM) tierNote(f *fframe, in *dinstr) {
 	switch in.op {
 	case dInvoke, dSpawn:
@@ -361,13 +376,28 @@ func (v *VM) tierBump(dm *dmethod) {
 	}
 }
 
-// tierUp translates a hot method to closure-threaded code.
+// tierUp installs a hot method's compiled code: the translation the image
+// already holds for this flavor's barrier shape, or one this VM makes and
+// publishes there. Concurrent first translators may each translate; one
+// translation is kept and each VM runs its own, all equal (as imageOf
+// keeps images).
 func (v *VM) tierUp(dm *dmethod, s *mstate) {
-	s.tier = v.compileMethod(dm)
+	noShade := !v.spec.ShadesPre && !v.spec.ShadesNew && !v.spec.Card
+	at := &dm.compiled[b2i(noShade)]
+	cm := at.Load()
+	translated := cm == nil
+	if translated {
+		cm = compileMethod(v.dprog, dm, noShade)
+		at.CompareAndSwap(nil, cm)
+	}
+	s.tier = cm
 	v.tierUps++
 	if obs.Enabled() {
 		obs.Instant("vm", "tier", "tier-up:"+dm.name)
 		obs.Count("vm.tier.compiled_methods", 1)
+		if translated {
+			obs.Count("vm.tier.translations", 1)
+		}
 	}
 }
 
@@ -404,16 +434,20 @@ type thunk struct {
 }
 
 // segBuilder accumulates one segment's compiled ops while simulating the
-// operand stack symbolically.
+// operand stack symbolically. It holds all translation may read — the
+// image d, the method dm and whether the flavor shades nothing — and no
+// VM, so what it builds can serve every VM of the image.
 type segBuilder struct {
-	v    *VM
-	cm   *cmethod
-	si   int32
-	seg  *cseg
-	ops  []cop
-	wb   []int32
-	wAcc int32
-	sym  []thunk
+	d       *dprogram
+	dm      *dmethod
+	noShade bool
+	cm      *cmethod
+	si      int32
+	seg     *cseg
+	ops     []cop
+	wb      []int32
+	wAcc    int32
+	sym     []thunk
 }
 
 // entry records pc as a resumable entry point, provided nothing is deferred
@@ -467,20 +501,15 @@ func (sb *segBuilder) flush() {
 	ths := sb.sym
 	sb.sym = nil
 	simple := true
+	var w int32
 	for i := range ths {
-		if !ths[i].isLocal && !ths[i].isConst {
-			simple = false
-			break
-		}
+		simple = simple && (ths[i].isLocal || ths[i].isConst)
+		w += ths[i].w
 	}
 	if simple {
 		// Locals and constants push with no nested evaluation and no
 		// error paths (the common shape under a call's argument pushes).
-		var w int32
-		for i := range ths {
-			w += ths[i].w
-		}
-		sb.appendOp(func(t *fthread, f *fframe) error {
+		sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
 			for i := range ths {
 				if ths[i].isLocal {
 					f.push(f.locals[ths[i].local])
@@ -494,26 +523,20 @@ func (sb *segBuilder) flush() {
 	}
 	if len(ths) == 1 {
 		th := ths[0]
-		sb.appendOp(func(t *fthread, f *fframe) error {
-			val, err := th.ev(t, f)
+		sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
+			val, err := th.ev(v, t, f)
 			if err != nil {
 				return err
 			}
 			f.push(val)
 			return nil
-		}, th.w)
+		}, w)
 		return
 	}
-	offs := make([]int32, len(ths))
-	var w int32
-	for i := range ths {
-		offs[i] = w
-		w += ths[i].w
-	}
-	v := sb.v
-	sb.appendOp(func(t *fthread, f *fframe) error {
+	offs := prefixWeights(ths)
+	sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
 		for i := range ths {
-			val, err := ths[i].ev(t, f)
+			val, err := ths[i].ev(v, t, f)
 			if err != nil {
 				v.opEntered += offs[i]
 				return err
@@ -522,6 +545,16 @@ func (sb *segBuilder) flush() {
 		}
 		return nil
 	}, w)
+}
+
+// prefixWeights is, for each thunk of ths, the weight of those before it:
+// what a composer adds to opEntered when that thunk fails.
+func prefixWeights(ths []thunk) []int32 {
+	offs := make([]int32, len(ths))
+	for i := 1; i < len(ths); i++ {
+		offs[i] = offs[i-1] + ths[i-1].w
+	}
+	return offs
 }
 
 // emit appends a side-effecting op. Any deferred non-const thunks are
@@ -572,9 +605,10 @@ func isTermOp(op dop) bool {
 	return false
 }
 
-// compileMethod translates one decoded method into its closure-threaded
-// form.
-func (v *VM) compileMethod(dm *dmethod) *cmethod {
+// compileMethod translates method dm of image d into its closure-threaded
+// form; noShade is whether the flavor shades nothing, which sends every
+// reference store down the raw path (compileBarrier).
+func compileMethod(d *dprogram, dm *dmethod, noShade bool) *cmethod {
 	code := dm.code
 
 	// Pass 1: segment leaders — entry, branch targets, and every pc after
@@ -623,8 +657,9 @@ func (v *VM) compileMethod(dm *dmethod) *cmethod {
 	}
 
 	cm.segs = make([]cseg, len(segBounds))
-	for i, sb := range segBounds {
-		v.compileSeg(dm, cm, int32(i), &cm.segs[i], segBounds, sb.head, sb.end, sb.term)
+	for i, b := range segBounds {
+		sb := &segBuilder{d: d, dm: dm, noShade: noShade, cm: cm, si: int32(i), seg: &cm.segs[i]}
+		sb.compileSeg(segBounds, b.head, b.end, b.term)
 	}
 	return cm
 }
@@ -632,9 +667,9 @@ func (v *VM) compileMethod(dm *dmethod) *cmethod {
 // segBlock is one basic block's bounds (term == -1: fallthrough).
 type segBlock struct{ head, end, term int }
 
-// compileSeg fills one segment: the ops region [head, termPC) translated
-// with symbolic-stack composition, then the terminator (explicit at
-// termPC, or the implicit fallthrough). Every instruction boundary whose
+// compileSeg fills the builder's segment: the ops region [head, termPC)
+// translated with symbolic-stack composition, then the terminator (explicit
+// at termPC, or the implicit fallthrough). Every instruction boundary whose
 // symbolic stack is empty is recorded as a mid-segment entry point: at
 // those pcs the interpreter's operand stack holds exactly what the
 // remaining compiled ops expect (deferred-but-unconsumed thunks are the
@@ -642,10 +677,9 @@ type segBlock struct{ head, end, term int }
 // that interrupted the segment can resume compiled execution there. A
 // composed terminator condition is the one exception — its operand is
 // deferred across the terminator, so no entry is recorded at it.
-func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []segBlock, head, end, termPC int) {
-	code := dm.code
+func (sb *segBuilder) compileSeg(blocks []segBlock, head, end, termPC int) {
+	code, cm, seg := sb.dm.code, sb.cm, sb.seg
 	seg.pc = int32(head)
-	sb := &segBuilder{v: v, cm: cm, si: si, seg: seg}
 
 	// Superblock growth: a block ending in an unconditional goto or a
 	// plain fallthrough keeps translating at its successor (tail
@@ -665,7 +699,7 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 		}
 		for pc := head; pc < opsEnd; {
 			if in := &code[pc]; in.fuse >= 0 {
-				fi := &dm.fused[in.fuse]
+				fi := &sb.dm.fused[in.fuse]
 				if fi.op == fLLCmpBr || fi.op == fLCCmpBr {
 					// A fused compare-and-branch whose branch is this
 					// segment's terminator becomes the terminator itself
@@ -675,20 +709,20 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 						done = true
 						sb.flush()
 						sb.entry(pc)
-						seg.term = v.compileFusedBranch(cm, fi, pc)
+						seg.term = compileFusedBranch(cm, fi, pc)
 						termW = int32(fi.n)
 						break
 					}
 				} else if pc+int(fi.n) <= opsEnd {
 					sb.entry(pc)
-					if v.addFused(sb, dm, fi, pc) {
+					if sb.addFused(fi, pc) {
 						pc += int(fi.n)
 						continue
 					}
 				}
 			}
 			sb.entry(pc)
-			v.addPlain(sb, dm, pc)
+			sb.addPlain(pc)
 			pc++
 		}
 		if done {
@@ -708,7 +742,7 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 					continue
 				}
 			}
-			seg.term, termW = v.compileTerm(sb, dm, cm, termPC)
+			seg.term, termW = sb.compileTerm(termPC)
 		} else {
 			if int(sb.wAcc) < mergeCap && !visited[end] {
 				// Fallthrough merge: no instruction executes at the
@@ -723,7 +757,7 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 			sb.flush()
 			next := cm.segOf[end]
 			endPC := int32(end)
-			seg.term = func(t *fthread, f *fframe) (int32, error) {
+			seg.term = func(v *VM, t *fthread, f *fframe) (int32, error) {
 				f.pc = endPC
 				return next, nil
 			}
@@ -745,19 +779,18 @@ func (v *VM) compileSeg(dm *dmethod, cm *cmethod, si int32, seg *cseg, blocks []
 // through the flavor's soundness predicate at decode time, so a verdict
 // the flavor cannot honor never reaches the raw path. Kept and
 // rearrangement barriers route through the shared satb.BarrierSiteSpec
-// so cost, logging, shading, and card accounting stay bit-identical to
-// the other engines. Site statistics stay lazily resolved so
-// never-executed sites leave no trace, exactly like the fused engine. A
-// store of a non-reference has no site and no barrier: nil.
-func (v *VM) compileBarrier(isRef bool, site int32) func(pre, newR, target heap.Ref) {
+// with the running VM's spec, counters and logger, so cost, logging,
+// shading, and card accounting stay bit-identical to the other engines.
+// Site statistics stay lazily resolved so never-executed sites leave no
+// trace, exactly like the fused engine. A store of a non-reference has no
+// site and no barrier: nil.
+func (sb *segBuilder) compileBarrier(isRef bool, site int32) cbarrier {
 	if !isRef {
 		return nil
 	}
-	elide := v.dprog.sites[site].elide
-	spec := v.spec
-	if elide == satb.ElidePreNull || elide == satb.ElideNullOrSame ||
-		(!spec.ShadesPre && !spec.ShadesNew && !spec.Card) {
-		return func(pre, newR, target heap.Ref) {
+	elide := sb.d.sites[site].elide
+	if elide == satb.ElidePreNull || elide == satb.ElideNullOrSame || sb.noShade {
+		return func(v *VM, pre, newR, target heap.Ref) {
 			st := v.siteStatsOf(site)
 			st.Execs++
 			if pre == heap.Null {
@@ -768,10 +801,8 @@ func (v *VM) compileBarrier(isRef bool, site int32) func(pre, newR, target heap.
 			}
 		}
 	}
-	counters, log := v.counters, v.logger()
-	return func(pre, newR, target heap.Ref) {
-		st := v.siteStatsOf(site)
-		counters.BarrierSiteSpec(spec, log, st, elide, pre, newR, target)
+	return func(v *VM, pre, newR, target heap.Ref) {
+		v.counters.BarrierSiteSpec(v.spec, v.logger(), v.siteStatsOf(site), elide, pre, newR, target)
 	}
 }
 
@@ -781,38 +812,36 @@ func (v *VM) compileBarrier(isRef bool, site int32) func(pre, newR, target heap.
 
 func constThunk(val value) thunk {
 	return thunk{
-		ev:      func(t *fthread, f *fframe) (value, error) { return val, nil },
+		ev:      func(v *VM, t *fthread, f *fframe) (value, error) { return val, nil },
 		isConst: true, pure: true, cv: val,
 	}
 }
 
 func loadThunk(a int32) thunk {
 	return thunk{
-		ev:      func(t *fthread, f *fframe) (value, error) { return f.locals[a], nil },
+		ev:      func(v *VM, t *fthread, f *fframe) (value, error) { return f.locals[a], nil },
 		w:       1,
 		pure:    true,
 		isLocal: true, local: a,
 	}
 }
 
-func (v *VM) getStaticThunk(dm *dmethod, in *dinstr) thunk {
-	// Statics resolve to a stable slot pointer at translation time.
-	slot := v.heap.Static(int(dm.statics[in.a]))
-	isRef := in.op == dGetStaticRef
+// getStaticThunk reads the static in storage slot of the running VM's heap.
+func getStaticThunk(slot int32, isRef bool) thunk {
 	return thunk{
-		ev: func(t *fthread, f *fframe) (value, error) {
-			return load(*slot, isRef), nil
+		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			return load(*v.heap.Static(int(slot)), isRef), nil
 		},
 		w: 1, pure: true,
 	}
 }
 
-func (v *VM) getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk {
+func getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk {
 	w := obj.w + 1
 	if obj.isLocal {
 		a := obj.local
 		return thunk{
-			ev: func(t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
 				objv := f.locals[a]
 				p := v.fieldSlot(objv.R, fr.idx)
 				if p == nil {
@@ -824,8 +853,8 @@ func (v *VM) getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk 
 		}
 	}
 	return thunk{
-		ev: func(t *fthread, f *fframe) (value, error) {
-			objv, err := obj.ev(t, f)
+		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			objv, err := obj.ev(v, t, f)
 			if err != nil {
 				return objv, err
 			}
@@ -839,14 +868,14 @@ func (v *VM) getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk 
 	}
 }
 
-func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
+func aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 	w := arr.w + idx.w + 1
 	aw := arr.w
 	if arr.isLocal && (idx.isLocal || idx.isConst) {
 		ai := arr.local
 		ii, ic, idxLocal := idx.local, idx.cv.I, idx.isLocal
 		return thunk{
-			ev: func(t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
 				arrv := f.locals[ai]
 				i := ic
 				if idxLocal {
@@ -862,12 +891,12 @@ func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 		}
 	}
 	return thunk{
-		ev: func(t *fthread, f *fframe) (value, error) {
-			arrv, err := arr.ev(t, f)
+		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			arrv, err := arr.ev(v, t, f)
 			if err != nil {
 				return arrv, err
 			}
-			idxv, err := idx.ev(t, f)
+			idxv, err := idx.ev(v, t, f)
 			if err != nil {
 				v.opEntered += aw
 				return idxv, err
@@ -882,11 +911,11 @@ func (v *VM) aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 	}
 }
 
-func (v *VM) arrayLengthThunk(arr thunk, pc int32) thunk {
+func arrayLengthThunk(arr thunk, pc int32) thunk {
 	w := arr.w + 1
 	return thunk{
-		ev: func(t *fthread, f *fframe) (value, error) {
-			arrv, err := arr.ev(t, f)
+		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			arrv, err := arr.ev(v, t, f)
 			if err != nil {
 				return arrv, err
 			}
@@ -900,9 +929,9 @@ func (v *VM) arrayLengthThunk(arr thunk, pc int32) thunk {
 	}
 }
 
-func (v *VM) newInstanceThunk(cls *bytecode.ClassSym) thunk {
+func newInstanceThunk(cls *bytecode.ClassSym) thunk {
 	return thunk{
-		ev: func(t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
 			r := v.heap.AllocObject(cls)
 			v.allocSinceGC++
 			return refVal(r), nil
@@ -911,11 +940,11 @@ func (v *VM) newInstanceThunk(cls *bytecode.ClassSym) thunk {
 	}
 }
 
-func (v *VM) newArrayThunk(n thunk, isRef bool, pc int32) thunk {
+func newArrayThunk(n thunk, isRef bool, pc int32) thunk {
 	w := n.w + 1
 	return thunk{
-		ev: func(t *fthread, f *fframe) (value, error) {
-			nv, err := n.ev(t, f)
+		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			nv, err := n.ev(v, t, f)
 			if err != nil {
 				return nv, err
 			}
@@ -932,32 +961,32 @@ func (v *VM) newArrayThunk(n thunk, isRef bool, pc int32) thunk {
 
 // arithThunk composes a binary integer operation (div/rem are the only
 // fallible ones).
-func (v *VM) arithThunk(op dop, a, b thunk, pc int32) thunk {
+func arithThunk(op dop, a, b thunk, pc int32) thunk {
 	w := a.w + b.w + 1
 	aw := a.w
-	var eval2 func(t *fthread, f *fframe) (int64, int64, error)
+	var eval2 func(v *VM, t *fthread, f *fframe) (int64, int64, error)
 	switch {
 	case a.isLocal && b.isLocal:
 		ai, bi := a.local, b.local
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
 			return f.locals[ai].I, f.locals[bi].I, nil
 		}
 	case a.isLocal && b.isConst:
 		ai, bc := a.local, b.cv.I
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
 			return f.locals[ai].I, bc, nil
 		}
 	case a.isConst && b.isLocal:
 		ac, bi := a.cv.I, b.local
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
 			return ac, f.locals[bi].I, nil
 		}
 	case a.isLocal:
 		// A local is a pure read: deferring it past b's evaluation is
 		// unobservable, and an error in b still charges a's weight.
 		ai, evB := a.local, b.ev
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
-			bv, err := evB(t, f)
+		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+			bv, err := evB(v, t, f)
 			if err != nil {
 				v.opEntered += aw
 				return 0, 0, err
@@ -966,24 +995,24 @@ func (v *VM) arithThunk(op dop, a, b thunk, pc int32) thunk {
 		}
 	case b.isConst:
 		evA, bc := a.ev, b.cv.I
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
-			av, err := evA(t, f)
+		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+			av, err := evA(v, t, f)
 			return av.I, bc, err
 		}
 	case b.isLocal:
 		evA, bi := a.ev, b.local
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
-			av, err := evA(t, f)
+		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+			av, err := evA(v, t, f)
 			return av.I, f.locals[bi].I, err
 		}
 	default:
 		evA, evB := a.ev, b.ev
-		eval2 = func(t *fthread, f *fframe) (int64, int64, error) {
-			av, err := evA(t, f)
+		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+			av, err := evA(v, t, f)
 			if err != nil {
 				return 0, 0, err
 			}
-			bv, err := evB(t, f)
+			bv, err := evB(v, t, f)
 			if err != nil {
 				v.opEntered += aw
 				return 0, 0, err
@@ -995,35 +1024,35 @@ func (v *VM) arithThunk(op dop, a, b thunk, pc int32) thunk {
 	canFail := a.canFail || b.canFail
 	switch op {
 	case dAdd:
-		ev = func(t *fthread, f *fframe) (value, error) {
-			x, y, err := eval2(t, f)
+		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+			x, y, err := eval2(v, t, f)
 			return intVal(x + y), err
 		}
 	case dSub:
-		ev = func(t *fthread, f *fframe) (value, error) {
-			x, y, err := eval2(t, f)
+		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+			x, y, err := eval2(v, t, f)
 			return intVal(x - y), err
 		}
 	case dMul:
-		ev = func(t *fthread, f *fframe) (value, error) {
-			x, y, err := eval2(t, f)
+		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+			x, y, err := eval2(v, t, f)
 			return intVal(x * y), err
 		}
 	case dAnd:
-		ev = func(t *fthread, f *fframe) (value, error) {
-			x, y, err := eval2(t, f)
+		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+			x, y, err := eval2(v, t, f)
 			return intVal(x & y), err
 		}
 	case dOr:
-		ev = func(t *fthread, f *fframe) (value, error) {
-			x, y, err := eval2(t, f)
+		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+			x, y, err := eval2(v, t, f)
 			return intVal(x | y), err
 		}
 	case dDiv, dRem:
 		canFail = true
 		isDiv := op == dDiv
-		ev = func(t *fthread, f *fframe) (value, error) {
-			x, y, err := eval2(t, f)
+		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+			x, y, err := eval2(v, t, f)
 			if err != nil {
 				return value{}, err
 			}
@@ -1037,19 +1066,19 @@ func (v *VM) arithThunk(op dop, a, b thunk, pc int32) thunk {
 		}
 	default: // comparisons
 		cmp := op
-		ev = func(t *fthread, f *fframe) (value, error) {
-			x, y, err := eval2(t, f)
+		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+			x, y, err := eval2(v, t, f)
 			return intVal(b2i(intCmp(cmp, x, y))), err
 		}
 	}
 	return thunk{ev: ev, w: w, canFail: canFail, pure: a.pure && b.pure && !canFail}
 }
 
-func (v *VM) refCmpThunk(eq bool, a, b thunk) thunk {
+func refCmpThunk(eq bool, a, b thunk) thunk {
 	if a.isLocal && b.isLocal {
 		ai, bi := a.local, b.local
 		return thunk{
-			ev: func(t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
 				return intVal(b2i((f.locals[ai].R == f.locals[bi].R) == eq)), nil
 			},
 			w: a.w + b.w + 1, pure: true,
@@ -1057,12 +1086,12 @@ func (v *VM) refCmpThunk(eq bool, a, b thunk) thunk {
 	}
 	aw := a.w
 	return thunk{
-		ev: func(t *fthread, f *fframe) (value, error) {
-			av, err := a.ev(t, f)
+		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			av, err := a.ev(v, t, f)
 			if err != nil {
 				return av, err
 			}
-			bv, err := b.ev(t, f)
+			bv, err := b.ev(v, t, f)
 			if err != nil {
 				v.opEntered += aw
 				return bv, err
@@ -1075,8 +1104,8 @@ func (v *VM) refCmpThunk(eq bool, a, b thunk) thunk {
 
 func unaryThunk(op dop, x thunk) thunk {
 	return thunk{
-		ev: func(t *fthread, f *fframe) (value, error) {
-			xv, err := x.ev(t, f)
+		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			xv, err := x.ev(v, t, f)
 			if err != nil {
 				return xv, err
 			}
@@ -1108,11 +1137,11 @@ var stackOperands = [...][]thunk{
 }
 
 func stackPeek(depth int32) thunk {
-	return thunk{ev: func(t *fthread, f *fframe) (value, error) { return f.stack[f.sp-depth], nil }}
+	return thunk{ev: func(v *VM, t *fthread, f *fframe) (value, error) { return f.stack[f.sp-depth], nil }}
 }
 
 func stackPop(k int32) thunk {
-	return thunk{ev: func(t *fthread, f *fframe) (value, error) {
+	return thunk{ev: func(v *VM, t *fthread, f *fframe) (value, error) {
 		f.sp -= k
 		return f.stack[f.sp+k-1], nil
 	}}
@@ -1146,16 +1175,16 @@ func (sb *segBuilder) termOperand(pc int) thunk {
 	return stackOperands[1][0]
 }
 
-func (v *VM) storeOp(a int32, val thunk) cop {
+func storeOp(a int32, val thunk) cop {
 	if val.isLocal {
 		b := val.local
-		return func(t *fthread, f *fframe) error {
+		return func(v *VM, t *fthread, f *fframe) error {
 			f.locals[a] = f.locals[b]
 			return nil
 		}
 	}
-	return func(t *fthread, f *fframe) error {
-		valv, err := val.ev(t, f)
+	return func(v *VM, t *fthread, f *fframe) error {
+		valv, err := val.ev(v, t, f)
 		if err != nil {
 			return err
 		}
@@ -1164,9 +1193,9 @@ func (v *VM) storeOp(a int32, val thunk) cop {
 	}
 }
 
-func (v *VM) printOp(val thunk) cop {
-	return func(t *fthread, f *fframe) error {
-		valv, err := val.ev(t, f)
+func printOp(val thunk) cop {
+	return func(v *VM, t *fthread, f *fframe) error {
+		valv, err := val.ev(v, t, f)
 		if err != nil {
 			return err
 		}
@@ -1178,19 +1207,19 @@ func (v *VM) printOp(val thunk) cop {
 // discardOp evaluates a fallible/impure deferred thunk for its effects
 // (dPop of something that can fail must still fail there).
 func discardOp(val thunk) cop {
-	return func(t *fthread, f *fframe) error {
-		_, err := val.ev(t, f)
+	return func(v *VM, t *fthread, f *fframe) error {
+		_, err := val.ev(v, t, f)
 		return err
 	}
 }
 
-func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, target heap.Ref), pc int32) cop {
+func putFieldOp(obj, val thunk, fr *fieldRec, barrier cbarrier, pc int32) cop {
 	w := obj.w + val.w + 1
 	ow := obj.w
 	if obj.isLocal && (val.isLocal || val.isConst) {
 		oi := obj.local
 		vi, vc, valLocal := val.local, val.cv, val.isLocal
-		return func(t *fthread, f *fframe) error {
+		return func(v *VM, t *fthread, f *fframe) error {
 			objv := f.locals[oi]
 			valv := vc
 			if valLocal {
@@ -1200,19 +1229,15 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 			if p == nil {
 				return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 			}
-			old := heap.Ref(*p)
-			*p = word(valv, barrier != nil)
-			if barrier != nil {
-				barrier(old, valv.R, objv.R)
-			}
+			put(v, p, valv, barrier, objv.R)
 			return nil
 		}
 	}
 	if obj.isLocal {
 		oi := obj.local
 		evV := val.ev
-		return func(t *fthread, f *fframe) error {
-			valv, err := evV(t, f)
+		return func(v *VM, t *fthread, f *fframe) error {
+			valv, err := evV(v, t, f)
 			if err != nil {
 				v.opEntered += ow
 				return err
@@ -1222,20 +1247,16 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 			if p == nil {
 				return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 			}
-			old := heap.Ref(*p)
-			*p = word(valv, barrier != nil)
-			if barrier != nil {
-				barrier(old, valv.R, objv.R)
-			}
+			put(v, p, valv, barrier, objv.R)
 			return nil
 		}
 	}
-	return func(t *fthread, f *fframe) error {
-		objv, err := obj.ev(t, f)
+	return func(v *VM, t *fthread, f *fframe) error {
+		objv, err := obj.ev(v, t, f)
 		if err != nil {
 			return err
 		}
-		valv, err := val.ev(t, f)
+		valv, err := val.ev(v, t, f)
 		if err != nil {
 			v.opEntered += ow
 			return err
@@ -1244,55 +1265,63 @@ func (v *VM) putFieldOp(obj, val thunk, fr *fieldRec, barrier func(pre, newR, ta
 		if p == nil {
 			return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 		}
-		old := heap.Ref(*p)
-		*p = word(valv, barrier != nil)
-		if barrier != nil {
-			barrier(old, valv.R, objv.R)
-		}
+		put(v, p, valv, barrier, objv.R)
 		return nil
 	}
 }
 
-func (v *VM) putStaticOp(dm *dmethod, in *dinstr, val thunk) cop {
-	slot := v.heap.Static(int(dm.statics[in.a]))
-	if in.op == dPutStaticInt {
-		return func(t *fthread, f *fframe) error {
-			valv, err := val.ev(t, f)
+// put stores x in heap slot p of target; a reference store (barrier
+// non-nil) then runs its barrier.
+func put(v *VM, p *heap.Value, x value, barrier cbarrier, target heap.Ref) {
+	if barrier == nil {
+		*p = heap.IntVal(x.I)
+		return
+	}
+	old := heap.Ref(*p)
+	*p = heap.RefVal(x.R)
+	barrier(v, old, x.R, target)
+}
+
+// putStaticOp writes the static in storage slot of the running VM's heap,
+// through the VM's static barrier when the static holds a reference.
+func putStaticOp(slot int32, isRef bool, val thunk) cop {
+	if !isRef {
+		return func(v *VM, t *fthread, f *fframe) error {
+			valv, err := val.ev(v, t, f)
 			if err != nil {
 				return err
 			}
-			*slot = word(valv, false)
+			*v.heap.Static(int(slot)) = word(valv, false)
 			return nil
 		}
 	}
-	spec := v.spec
-	log := v.logger()
-	return func(t *fthread, f *fframe) error {
-		valv, err := val.ev(t, f)
+	return func(v *VM, t *fthread, f *fframe) error {
+		valv, err := val.ev(v, t, f)
 		if err != nil {
 			return err
 		}
-		old := heap.Ref(*slot)
-		*slot = word(valv, true)
-		v.counters.StaticBarrierSpec(spec, log, old, valv.R)
+		p := v.heap.Static(int(slot))
+		old := heap.Ref(*p)
+		*p = word(valv, true)
+		v.counters.StaticBarrierSpec(v.spec, v.logger(), old, valv.R)
 		return nil
 	}
 }
 
-func (v *VM) arrayStoreOp(arr, idx, val thunk, barrier func(pre, newR, target heap.Ref), pc int32) cop {
+func arrayStoreOp(arr, idx, val thunk, barrier cbarrier, pc int32) cop {
 	w := arr.w + idx.w + val.w + 1
 	aw, iw := arr.w, idx.w
-	return func(t *fthread, f *fframe) error {
-		arrv, err := arr.ev(t, f)
+	return func(v *VM, t *fthread, f *fframe) error {
+		arrv, err := arr.ev(v, t, f)
 		if err != nil {
 			return err
 		}
-		idxv, err := idx.ev(t, f)
+		idxv, err := idx.ev(v, t, f)
 		if err != nil {
 			v.opEntered += aw
 			return err
 		}
-		valv, err := val.ev(t, f)
+		valv, err := val.ev(v, t, f)
 		if err != nil {
 			v.opEntered += aw + iw
 			return err
@@ -1301,11 +1330,7 @@ func (v *VM) arrayStoreOp(arr, idx, val thunk, barrier func(pre, newR, target he
 		if p == nil {
 			return v.accessErr(f, pc, w, storeElem, arrv.R, idxv.I, nil)
 		}
-		old := heap.Ref(*p)
-		*p = word(valv, barrier != nil)
-		if barrier != nil {
-			barrier(old, valv.R, arrv.R)
-		}
+		put(v, p, valv, barrier, arrv.R)
 		return nil
 	}
 }
@@ -1317,7 +1342,8 @@ func (v *VM) arrayStoreOp(arr, idx, val thunk, barrier func(pre, newR, target he
 // addPlain translates one plain decoded instruction into the builder:
 // producers defer as thunks, consumers compose or fall back to
 // stack-consuming ops, stack shuffles materialize as needed.
-func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
+func (sb *segBuilder) addPlain(pc int) {
+	dm := sb.dm
 	in := &dm.code[pc]
 	pcc := int32(pc)
 	switch in.op {
@@ -1332,25 +1358,25 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 	case dLoad:
 		sb.push(loadThunk(in.a))
 	case dGetStaticRef, dGetStaticInt:
-		sb.push(v.getStaticThunk(dm, in))
+		sb.push(getStaticThunk(dm.statics[in.a], in.op == dGetStaticRef))
 	case dGetFieldRef, dGetFieldInt:
-		sb.push(v.getFieldThunk(sb.operand(), &dm.fields[in.a], in.op == dGetFieldRef, pcc))
+		sb.push(getFieldThunk(sb.operand(), &dm.fields[in.a], in.op == dGetFieldRef, pcc))
 	case dAALoad, dIALoad:
 		ths := sb.operands(2)
-		sb.push(v.aaloadThunk(ths[0], ths[1], in.op == dAALoad, pcc))
+		sb.push(aaloadThunk(ths[0], ths[1], in.op == dAALoad, pcc))
 	case dArrayLength:
-		sb.push(v.arrayLengthThunk(sb.operand(), pcc))
+		sb.push(arrayLengthThunk(sb.operand(), pcc))
 	case dNewInstance:
-		sb.push(v.newInstanceThunk(dm.allocs[in.a]))
+		sb.push(newInstanceThunk(dm.allocs[in.a]))
 	case dNewArrayRef, dNewArrayInt:
-		sb.push(v.newArrayThunk(sb.operand(), in.op == dNewArrayRef, pcc))
+		sb.push(newArrayThunk(sb.operand(), in.op == dNewArrayRef, pcc))
 	case dAdd, dSub, dMul, dDiv, dRem, dAnd, dOr,
 		dCmpEQ, dCmpNE, dCmpLT, dCmpLE, dCmpGT, dCmpGE:
 		ths := sb.operands(2)
-		sb.push(v.arithThunk(in.op, ths[0], ths[1], pcc))
+		sb.push(arithThunk(in.op, ths[0], ths[1], pcc))
 	case dRefEQ, dRefNE:
 		ths := sb.operands(2)
-		sb.push(v.refCmpThunk(in.op == dRefEQ, ths[0], ths[1]))
+		sb.push(refCmpThunk(in.op == dRefEQ, ths[0], ths[1]))
 	case dNeg, dNot:
 		sb.push(unaryThunk(in.op, sb.operand()))
 
@@ -1360,7 +1386,7 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 			sb.charge(1)
 		} else {
 			sb.flush()
-			sb.appendOp(func(t *fthread, f *fframe) error {
+			sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
 				f.push(f.stack[f.sp-1])
 				return nil
 			}, 1)
@@ -1375,7 +1401,7 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 				sb.emit(discardOp(th), th.w+1)
 			}
 		} else {
-			sb.appendOp(func(t *fthread, f *fframe) error {
+			sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
 				f.sp--
 				return nil
 			}, 1)
@@ -1383,27 +1409,27 @@ func (v *VM) addPlain(sb *segBuilder, dm *dmethod, pc int) {
 
 	case dStore:
 		val := sb.operand()
-		sb.emit(v.storeOp(in.a, val), val.w+1)
+		sb.emit(storeOp(in.a, val), val.w+1)
 	case dPrint:
 		val := sb.operand()
-		sb.emit(v.printOp(val), val.w+1)
+		sb.emit(printOp(val), val.w+1)
 	case dPutFieldRef, dPutFieldInt:
-		barrier := v.compileBarrier(in.op == dPutFieldRef, in.b)
+		barrier := sb.compileBarrier(in.op == dPutFieldRef, in.b)
 		ths := sb.operands(2)
-		sb.emit(v.putFieldOp(ths[0], ths[1], &dm.fields[in.a], barrier, pcc), ths[0].w+ths[1].w+1)
+		sb.emit(putFieldOp(ths[0], ths[1], &dm.fields[in.a], barrier, pcc), ths[0].w+ths[1].w+1)
 	case dPutStaticRef, dPutStaticInt:
 		val := sb.operand()
-		sb.emit(v.putStaticOp(dm, in, val), val.w+1)
+		sb.emit(putStaticOp(dm.statics[in.a], in.op == dPutStaticRef, val), val.w+1)
 	case dAAStore, dIAStore:
-		barrier := v.compileBarrier(in.op == dAAStore, in.b)
+		barrier := sb.compileBarrier(in.op == dAAStore, in.b)
 		ths := sb.operands(3)
-		sb.emit(v.arrayStoreOp(ths[0], ths[1], ths[2], barrier, pcc), ths[0].w+ths[1].w+ths[2].w+1)
+		sb.emit(arrayStoreOp(ths[0], ths[1], ths[2], barrier, pcc), ths[0].w+ths[1].w+ths[2].w+1)
 
 	default:
 		// Terminator ops never reach addPlain (compileSeg routes them to
 		// the terminator builders); an unknown op would be a decode bug —
 		// fail loudly at the instruction, like the reference engine.
-		sb.emit(func(t *fthread, f *fframe) error {
+		sb.emit(func(v *VM, t *fthread, f *fframe) error {
 			return v.cerr(f, pcc, 1, "compiled tier: unexpected opcode at pc %d", pcc)
 		}, 1)
 	}
@@ -1423,18 +1449,18 @@ func localOperand(a int32) thunk {
 // error pc is the family's final component and whose weight is its span.
 // Returns false for forms the caller should fall back to plain
 // per-instruction translation on.
-func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
+func (sb *segBuilder) addFused(fi *finstr, pc int) bool {
 	pcc := int32(pc)
 	n := int32(fi.n)
 	switch fi.op {
 	case fLGetFieldRef, fLGetFieldInt:
-		sb.push(v.getFieldThunk(localOperand(fi.a), &dm.fields[fi.b], fi.op == fLGetFieldRef, pcc+1))
+		sb.push(getFieldThunk(localOperand(fi.a), &sb.dm.fields[fi.b], fi.op == fLGetFieldRef, pcc+1))
 	case fLLAALoad, fLLIALoad:
-		sb.push(v.aaloadThunk(localOperand(fi.a), localOperand(fi.b), fi.op == fLLAALoad, pcc+2))
+		sb.push(aaloadThunk(localOperand(fi.a), localOperand(fi.b), fi.op == fLLAALoad, pcc+2))
 	case fLLArith:
 		a, b, aop := fi.a, fi.b, dop(fi.c)
 		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
 				return intVal(arith(aop, f.locals[a].I, f.locals[b].I)), nil
 			},
 			w: n, pure: true,
@@ -1442,7 +1468,7 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 	case fLCArith:
 		a, aop, imm := fi.a, dop(fi.c), fi.imm
 		sb.push(thunk{
-			ev: func(t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
 				return intVal(arith(aop, f.locals[a].I, imm)), nil
 			},
 			w: n, pure: true,
@@ -1450,23 +1476,23 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 
 	case fIncLocal:
 		src, dst, aop, imm := fi.a, fi.b, dop(fi.c), fi.imm
-		sb.emit(func(t *fthread, f *fframe) error {
+		sb.emit(func(v *VM, t *fthread, f *fframe) error {
 			f.locals[dst] = intVal(arith(aop, f.locals[src].I, imm))
 			return nil
 		}, n)
 	case fConstStore:
 		dst, imm := fi.b, fi.imm
-		sb.emit(func(t *fthread, f *fframe) error {
+		sb.emit(func(v *VM, t *fthread, f *fframe) error {
 			f.locals[dst] = intVal(imm)
 			return nil
 		}, n)
 	case fLLPutFieldRef, fLLPutFieldInt:
-		barrier := v.compileBarrier(fi.op == fLLPutFieldRef, fi.site)
-		sb.emit(v.putFieldOp(localOperand(fi.a), localOperand(fi.b), &dm.fields[fi.c], barrier, pcc+2), n)
+		barrier := sb.compileBarrier(fi.op == fLLPutFieldRef, fi.site)
+		sb.emit(putFieldOp(localOperand(fi.a), localOperand(fi.b), &sb.dm.fields[fi.c], barrier, pcc+2), n)
 	case fLLLAAStore, fLLLIAStore:
 		a, b, c := fi.a, fi.b, fi.c
-		barrier := v.compileBarrier(fi.op == fLLLAAStore, fi.site)
-		sb.emit(func(t *fthread, f *fframe) error {
+		barrier := sb.compileBarrier(fi.op == fLLLAAStore, fi.site)
+		sb.emit(func(v *VM, t *fthread, f *fframe) error {
 			arr := f.locals[a]
 			idx := f.locals[b].I
 			val := f.locals[c]
@@ -1474,11 +1500,7 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 			if p == nil {
 				return v.accessErr(f, pcc+3, n, storeElem, arr.R, idx, nil)
 			}
-			old := heap.Ref(*p)
-			*p = word(val, barrier != nil)
-			if barrier != nil {
-				barrier(old, val.R, arr.R)
-			}
+			put(v, p, val, barrier, arr.R)
 			return nil
 		}, n)
 	default:
@@ -1493,7 +1515,7 @@ func (v *VM) addFused(sb *segBuilder, dm *dmethod, fi *finstr, pc int) bool {
 
 // compileFusedBranch translates a fused compare-and-branch terminator
 // with both edges resolved to segment indices.
-func (v *VM) compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
+func compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
 	target := fi.d
 	tsi := cm.segOf[fi.d]
 	fallPC := int32(pc + int(fi.n))
@@ -1503,7 +1525,7 @@ func (v *VM) compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
 	a := fi.a
 	if fi.op == fLLCmpBr {
 		b := fi.b
-		return func(t *fthread, f *fframe) (int32, error) {
+		return func(v *VM, t *fthread, f *fframe) (int32, error) {
 			if intCmp(cmp, f.locals[a].I, f.locals[b].I) == wantTrue {
 				f.pc = target
 				return tsi, nil
@@ -1513,7 +1535,7 @@ func (v *VM) compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
 		}
 	}
 	imm := fi.imm
-	return func(t *fthread, f *fframe) (int32, error) {
+	return func(v *VM, t *fthread, f *fframe) (int32, error) {
 		if intCmp(cmp, f.locals[a].I, imm) == wantTrue {
 			f.pc = target
 			return tsi, nil
@@ -1533,8 +1555,8 @@ func (v *VM) compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
 // argument's failure; fallible arguments charge themselves through
 // opEntered). Stack operands were charged when pushed, so the terminator's
 // weight covers only the deferred ones.
-func (v *VM) compileInvoke(sb *segBuilder, dm *dmethod, pc int32) (cterm, int32) {
-	cr := &dm.callees[dm.code[pc].a]
+func (sb *segBuilder) compileInvoke(pc int32) (cterm, int32) {
+	cr := &sb.dm.callees[sb.dm.code[pc].a]
 	n := int(cr.m.numArgs)
 	ths := sb.sym
 	if len(ths) > n {
@@ -1549,21 +1571,19 @@ func (v *VM) compileInvoke(sb *segBuilder, dm *dmethod, pc int32) (cterm, int32)
 		sb.entry(int(pc))
 	}
 	stackN := int32(n - len(ths))
-	offs := make([]int32, len(ths))
-	var w int32
+	offs := prefixWeights(ths)
+	w := int32(1)
 	for i := range ths {
-		offs[i] = w
 		w += ths[i].w
 	}
-	w++
-	return func(t *fthread, f *fframe) (int32, error) {
+	return func(v *VM, t *fthread, f *fframe) (int32, error) {
 		callee := cr.m
 		// Calls made from compiled code still heat their callee, so a
 		// method whose only callers are compiled can itself tier up.
 		v.tierBump(callee)
 		nf := v.acquire(callee)
 		for i := range ths {
-			av, err := ths[i].ev(t, f)
+			av, err := ths[i].ev(v, t, f)
 			if err != nil {
 				v.release(nf)
 				v.opEntered += offs[i]
@@ -1588,18 +1608,18 @@ func (v *VM) compileInvoke(sb *segBuilder, dm *dmethod, pc int32) (cterm, int32)
 // operand through termOperand, deferred or on the real stack alike; a
 // deferred operand may be fallible — it charges itself through opEntered
 // and the segment runner adds the prefix before the terminator.
-func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cterm, int32) {
-	in := &dm.code[pc]
+func (sb *segBuilder) compileTerm(pc int) (cterm, int32) {
+	in := &sb.dm.code[pc]
 	pcc := int32(pc)
 	switch in.op {
 	case dIfTrue, dIfFalse, dIfNull, dIfNonNull:
 		th := sb.termOperand(pc)
 		op := in.op
 		target := in.a
-		tsi := cm.segOf[in.a]
-		fsi := cm.segOf[pc+1]
-		return func(t *fthread, f *fframe) (int32, error) {
-			cond, err := th.ev(t, f)
+		tsi := sb.cm.segOf[in.a]
+		fsi := sb.cm.segOf[pc+1]
+		return func(v *VM, t *fthread, f *fframe) (int32, error) {
+			cond, err := th.ev(v, t, f)
 			if err != nil {
 				return termToDriver, err
 			}
@@ -1623,8 +1643,8 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 		}, th.w + 1
 	case dReturnValue:
 		th := sb.termOperand(pc)
-		return func(t *fthread, f *fframe) (int32, error) {
-			rv, err := th.ev(t, f)
+		return func(v *VM, t *fthread, f *fframe) (int32, error) {
+			rv, err := th.ev(v, t, f)
 			if err != nil {
 				return termToDriver, err
 			}
@@ -1638,9 +1658,9 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 	case dSpawn:
 		th := sb.termOperand(pc)
 		w := th.w + 1
-		cr := &dm.callees[in.a]
-		return func(t *fthread, f *fframe) (int32, error) {
-			recv, err := th.ev(t, f)
+		cr := &sb.dm.callees[in.a]
+		return func(v *VM, t *fthread, f *fframe) (int32, error) {
+			recv, err := th.ev(v, t, f)
 			if err != nil {
 				return termToDriver, err
 			}
@@ -1654,7 +1674,7 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 			return termSpawned, nil
 		}, w
 	case dInvoke:
-		return v.compileInvoke(sb, dm, pcc)
+		return sb.compileInvoke(pcc)
 	}
 
 	// The rest take nothing deferred: everything is materialized and the
@@ -1665,19 +1685,19 @@ func (v *VM) compileTerm(sb *segBuilder, dm *dmethod, cm *cmethod, pc int) (cter
 	switch in.op {
 	case dGoto:
 		target := in.a
-		tsi := cm.segOf[in.a]
-		term = func(t *fthread, f *fframe) (int32, error) {
+		tsi := sb.cm.segOf[in.a]
+		term = func(v *VM, t *fthread, f *fframe) (int32, error) {
 			f.pc = target
 			return tsi, nil
 		}
 	case dReturn:
-		term = func(t *fthread, f *fframe) (int32, error) {
+		term = func(v *VM, t *fthread, f *fframe) (int32, error) {
 			t.frames = t.frames[:len(t.frames)-1]
 			v.release(f)
 			return termSwitchFrame, nil
 		}
 	default: // dTrap
-		term = func(t *fthread, f *fframe) (int32, error) {
+		term = func(v *VM, t *fthread, f *fframe) (int32, error) {
 			return termToDriver, v.cerr(f, pcc, 1, "missing return value")
 		}
 	}

@@ -10,12 +10,14 @@ package vm_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"satbelim/internal/core"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
+	"satbelim/internal/workloads"
 )
 
 // tierTestSource has one hot helper with a store-heavy loop (called
@@ -204,6 +206,62 @@ func TestTierConfigSurface(t *testing.T) {
 	// ~40 back-edges per call), so even the default must tier up.
 	if res.TierUps == 0 {
 		t.Error("default threshold never tiered up on the hot loop")
+	}
+}
+
+// TestSharedTranslationsUnderConcurrency: eight goroutines run the six
+// workloads, each on one fresh compile they all share, so first tier-ups
+// race to translate and publish the same methods. Every result — tier
+// counters included — equals a sequential run of a compile no other VM
+// shares. Run it under -race.
+func TestSharedTranslationsUnderConcurrency(t *testing.T) {
+	cfg := vm.Config{Engine: vm.EngineCompiled, TierThreshold: 2, Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 64}
+	fresh := func(w *workloads.Workload) *pipeline.Build {
+		bd, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
+			InlineLimit: 100, Analysis: core.Options{Mode: core.ModeFieldArray, NullOrSame: true}, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bd
+	}
+	ws := workloads.All()
+	want := make([]*vm.Result, len(ws))
+	shared := make([]*pipeline.Build, len(ws))
+	for i, w := range ws {
+		want[i] = runTier(t, fresh(w), cfg)
+		shared[i] = fresh(w)
+	}
+	const goroutines = 8
+	got := make([][]*vm.Result, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]*vm.Result, len(ws))
+			for k := range ws {
+				i := (g + k) % len(ws)
+				if got[g][i], errs[g] = shared[i].Run(cfg); errs[g] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i, w := range ws {
+			a, b := got[g][i], want[i]
+			assertSameRun(t, a, b, "shared", "sequential")
+			if a.TierUps != b.TierUps || a.TierDeopts != b.TierDeopts || a.TierSegExecs != b.TierSegExecs ||
+				a.Cycles != b.Cycles || a.Allocated != b.Allocated || a.Swept != b.Swept {
+				t.Errorf("%s, goroutine %d: {ups %d deopts %d segs %d cycles %d} against {ups %d deopts %d segs %d cycles %d}",
+					w.Name, g, a.TierUps, a.TierDeopts, a.TierSegExecs, a.Cycles, b.TierUps, b.TierDeopts, b.TierSegExecs, b.Cycles)
+			}
+		}
 	}
 }
 
