@@ -35,9 +35,12 @@ func (s *MethodSig) Ref() bytecode.MethodRef {
 // ClassInfo is the resolved symbol table of one class.
 type ClassInfo struct {
 	Decl    *ClassDecl
+	Type    *bytecode.Type // the class's one type, shared by every use
 	Fields  map[string]*bytecode.Field
 	Methods map[string]*MethodSig
 	Ctor    *MethodSig // nil when the class declares no constructor
+
+	ctorRef *bytecode.MethodRef // Ctor.Ref(), shared by every new
 }
 
 // Checked is the result of semantic analysis: the annotated AST plus
@@ -52,23 +55,41 @@ type Checked struct {
 
 // checker carries type-checking state.
 type checker struct {
-	file    string
-	classes map[string]*ClassInfo
-	slots   map[*MethodDecl][]*bytecode.Type
+	file      string
+	classes   map[string]*ClassInfo
+	slots     map[*MethodDecl][]*bytecode.Type
+	arrays    map[*bytecode.Type]*bytecode.Type // element type -> its one array type
+	typeLists slab[*bytecode.Type]              // parameter and slot type lists
 
 	// Per-method state.
 	class  *ClassInfo
 	method *MethodSig
-	scopes []map[string]int // name -> slot
-	types  []*bytecode.Type // slot -> type
+	types  []*bytecode.Type // slot -> type; copied out when the method is done
+
+	// The local scopes: every visible declaration innermost last, each
+	// scope's start in vars, and the name -> vars index of each name's
+	// innermost declaration (-1 once it goes out of scope). The map is
+	// only ever written for names already in it when a scope closes, so
+	// it holds one entry per distinct local name of the program.
+	vars    []scopeVar
+	marks   []int
+	visible map[string]int
+}
+
+// scopeVar is one declared local, and the index in vars of the
+// declaration of the same name it shadows, or -1.
+type scopeVar struct {
+	name   string
+	slot   int
+	shadow int
 }
 
 // Check performs semantic analysis on a parsed program.
 func Check(file string, prog *Program) (*Checked, error) {
 	c := &checker{
 		file:    file,
-		classes: map[string]*ClassInfo{},
-		slots:   map[*MethodDecl][]*bytecode.Type{},
+		arrays:  map[*bytecode.Type]*bytecode.Type{},
+		visible: map[string]int{},
 	}
 	if err := c.collect(prog); err != nil {
 		return nil, err
@@ -97,30 +118,58 @@ func (c *checker) resolveType(te *TypeExpr) (*bytecode.Type, error) {
 	case "boolean":
 		base = bytecode.Bool
 	default:
-		if _, ok := c.classes[te.Base]; !ok {
+		ci, ok := c.classes[te.Base]
+		if !ok {
 			return nil, c.errorf(te.Line, "unknown type %s", te.Base)
 		}
-		base = bytecode.ClassType(te.Base)
+		base = ci.Type
 	}
 	for i := 0; i < te.Dims; i++ {
-		base = bytecode.ArrayOf(base)
+		base = c.arrayOf(base)
 	}
 	return base, nil
+}
+
+// arrayOf returns the one array type of elem. Since every class type and
+// scalar type has one pointer, so does every array type built on them.
+func (c *checker) arrayOf(elem *bytecode.Type) *bytecode.Type {
+	t, ok := c.arrays[elem]
+	if !ok {
+		t = bytecode.ArrayOf(elem)
+		c.arrays[elem] = t
+	}
+	return t
 }
 
 // collect builds the class symbol tables (two-pass: names first so that
 // classes may reference each other).
 func (c *checker) collect(prog *Program) error {
-	for _, cd := range prog.Classes {
+	c.classes = make(map[string]*ClassInfo, len(prog.Classes))
+	infos := make([]ClassInfo, len(prog.Classes))
+	nfields, nmethods, nparams := 0, 0, 0
+	for i, cd := range prog.Classes {
 		if _, dup := c.classes[cd.Name]; dup {
 			return c.errorf(cd.Line, "duplicate class %s", cd.Name)
 		}
-		c.classes[cd.Name] = &ClassInfo{
+		infos[i] = ClassInfo{
 			Decl:    cd,
-			Fields:  map[string]*bytecode.Field{},
-			Methods: map[string]*MethodSig{},
+			Type:    bytecode.ClassType(cd.Name),
+			Fields:  make(map[string]*bytecode.Field, len(cd.Fields)),
+			Methods: make(map[string]*MethodSig, len(cd.Methods)),
+		}
+		c.classes[cd.Name] = &infos[i]
+		nfields += len(cd.Fields)
+		nmethods += len(cd.Methods)
+		for _, md := range cd.Methods {
+			nparams += len(md.Params)
 		}
 	}
+	c.slots = make(map[*MethodDecl][]*bytecode.Type, nmethods)
+	fields := make([]bytecode.Field, 0, nfields)
+	sigs := make([]MethodSig, 0, nmethods)
+	// The parameter lists, then each method's slots: its receiver, its
+	// parameters again and its locals, which the sizes guess at.
+	c.typeLists.hint = 2 * (nparams + nmethods)
 	for _, cd := range prog.Classes {
 		ci := c.classes[cd.Name]
 		for _, fd := range cd.Fields {
@@ -131,20 +180,24 @@ func (c *checker) collect(prog *Program) error {
 			if err != nil {
 				return err
 			}
-			ci.Fields[fd.Name] = &bytecode.Field{Name: fd.Name, Type: ft, Static: fd.Static}
+			fields = append(fields, bytecode.Field{Name: fd.Name, Type: ft, Static: fd.Static})
+			ci.Fields[fd.Name] = &fields[len(fields)-1]
 		}
 		for _, md := range cd.Methods {
 			if _, dup := ci.Methods[md.Name]; dup {
 				return c.errorf(md.Line, "duplicate method %s.%s", cd.Name, md.Name)
 			}
-			sig := &MethodSig{Decl: md, Class: cd.Name, Static: md.Static, Ctor: md.Ctor}
+			sigs = append(sigs, MethodSig{Decl: md, Class: cd.Name, Static: md.Static, Ctor: md.Ctor})
+			sig := &sigs[len(sigs)-1]
+			c.types = c.types[:0]
 			for _, pm := range md.Params {
 				pt, err := c.resolveType(pm.Type)
 				if err != nil {
 					return err
 				}
-				sig.Params = append(sig.Params, pt)
+				c.types = append(c.types, pt)
 			}
+			sig.Params = c.typeLists.copyOf(c.types)
 			sig.Return = bytecode.Void
 			if md.Return != nil {
 				rt, err := c.resolveType(md.Return)
@@ -155,32 +208,42 @@ func (c *checker) collect(prog *Program) error {
 			}
 			ci.Methods[md.Name] = sig
 			if md.Ctor {
-				ci.Ctor = sig
+				ref := sig.Ref()
+				ci.Ctor, ci.ctorRef = sig, &ref
 			}
 		}
 	}
 	return nil
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]int{}) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) pushScope() { c.marks = append(c.marks, len(c.vars)) }
+
+func (c *checker) popScope() {
+	m := c.marks[len(c.marks)-1]
+	for i := len(c.vars) - 1; i >= m; i-- {
+		c.visible[c.vars[i].name] = c.vars[i].shadow
+	}
+	c.vars, c.marks = c.vars[:m], c.marks[:len(c.marks)-1]
+}
 
 func (c *checker) declare(name string, t *bytecode.Type, line int) (int, error) {
-	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[name]; dup {
+	shadow, ok := c.visible[name]
+	if !ok {
+		shadow = -1
+	}
+	if shadow >= c.marks[len(c.marks)-1] {
 		return 0, c.errorf(line, "duplicate variable %s", name)
 	}
 	slot := len(c.types)
 	c.types = append(c.types, t)
-	top[name] = slot
+	c.visible[name] = len(c.vars)
+	c.vars = append(c.vars, scopeVar{name: name, slot: slot, shadow: shadow})
 	return slot, nil
 }
 
 func (c *checker) lookupVar(name string) (int, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if slot, ok := c.scopes[i][name]; ok {
-			return slot, true
-		}
+	if i, ok := c.visible[name]; ok && i >= 0 {
+		return c.vars[i].slot, true
 	}
 	return 0, false
 }
@@ -189,15 +252,13 @@ func (c *checker) checkMethod(ci *ClassInfo, md *MethodDecl) error {
 	sig := ci.Methods[md.Name]
 	c.class = ci
 	c.method = sig
-	c.scopes = nil
-	c.types = nil
+	c.types = c.types[:0]
 	c.pushScope()
 	defer c.popScope()
 
 	if !md.Static {
 		// Slot 0 is the receiver.
-		c.types = append(c.types, bytecode.ClassType(ci.Decl.Name))
-		c.scopes[0]["this"] = 0
+		c.types = append(c.types, ci.Type)
 	}
 	for i, pm := range md.Params {
 		if _, err := c.declare(pm.Name, sig.Params[i], pm.Line); err != nil {
@@ -207,7 +268,7 @@ func (c *checker) checkMethod(ci *ClassInfo, md *MethodDecl) error {
 	if err := c.checkBlock(md.Body); err != nil {
 		return err
 	}
-	c.slots[md] = c.types
+	c.slots[md] = c.typeLists.copyOf(c.types)
 	return nil
 }
 
@@ -406,7 +467,7 @@ func (c *checker) checkExpr(e Expr) (*bytecode.Type, error) {
 		if c.method.Static {
 			return nil, c.errorf(ex.Line, "this is not available in a static method")
 		}
-		ex.setType(bytecode.ClassType(c.class.Decl.Name))
+		ex.setType(c.class.Type)
 	case *Ident:
 		if slot, ok := c.lookupVar(ex.Name); ok {
 			ex.Kind = SymLocal
@@ -505,8 +566,7 @@ func (c *checker) checkExpr(e Expr) (*bytecode.Type, error) {
 		var want []*bytecode.Type
 		if ci.Ctor != nil {
 			want = ci.Ctor.Params
-			ref := ci.Ctor.Ref()
-			ex.Ctor = &ref
+			ex.Ctor = ci.ctorRef
 		}
 		if len(ex.Args) != len(want) {
 			return nil, c.errorf(ex.Line, "constructor %s expects %d arguments, got %d", ex.ClassName, len(want), len(ex.Args))
@@ -520,7 +580,7 @@ func (c *checker) checkExpr(e Expr) (*bytecode.Type, error) {
 				return nil, c.errorf(ex.Line, "constructor argument %d: cannot use %s as %s", i+1, at, want[i])
 			}
 		}
-		ex.setType(bytecode.ClassType(ex.ClassName))
+		ex.setType(ci.Type)
 	case *NewArray:
 		et, err := c.resolveType(ex.Elem)
 		if err != nil {
@@ -534,7 +594,7 @@ func (c *checker) checkExpr(e Expr) (*bytecode.Type, error) {
 			return nil, c.errorf(ex.Line, "array length must be int, got %s", lt)
 		}
 		ex.ElemType = et
-		ex.setType(bytecode.ArrayOf(et))
+		ex.setType(c.arrayOf(et))
 	case *Call:
 		return c.checkCall(ex)
 	case *Unary:

@@ -208,6 +208,17 @@ class A { static void main() {
 	checkErr(t, `
 class A { static void main() { { int x = 1; } print(x); } }
 `, "undefined: x")
+
+	// An inner declaration shadows an outer one until its scope closes.
+	ch := mustCheck(t, `
+class A { static void main() { int x = 1; { int x = 2; print(x); } print(x); } }
+`)
+	body := ch.Prog.Classes[0].Methods[0].Body.Stmts
+	inner := body[1].(*Block).Stmts[1].(*Print).E.(*Ident)
+	outer := body[2].(*Print).E.(*Ident)
+	if inner.Slot != 1 || outer.Slot != 0 {
+		t.Errorf("x reads slot %d inside the block and %d after it, want 1 and 0", inner.Slot, outer.Slot)
+	}
 }
 
 func TestFindMain(t *testing.T) {

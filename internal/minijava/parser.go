@@ -2,11 +2,22 @@ package minijava
 
 import "fmt"
 
-// Parser is a recursive-descent parser for MiniJava.
+// maxNesting bounds how deeply statements and expressions may nest. The
+// parser recurses once per level, so an unbounded depth — 450 000 nested
+// parentheses fit in a megabyte of source — would overflow the goroutine
+// stack, which kills the process rather than failing the parse. A left-
+// associative chain (1+1+…+1) or a postfix chain (a.b.c, a[i][j]) is
+// parsed by a loop and does not nest.
+const maxNesting = 1000
+
+// Parser is a recursive-descent parser for MiniJava. Its nodes come from
+// the arena's slabs, sized from the token stream before parsing starts.
 type Parser struct {
-	file string
-	toks []Token
-	pos  int
+	file  string
+	toks  []Token
+	pos   int
+	depth int // statement and expression nesting
+	a     arena
 }
 
 // Parse parses a whole source file.
@@ -16,8 +27,21 @@ func Parse(file, src string) (*Program, error) {
 		return nil, err
 	}
 	p := &Parser{file: file, toks: toks}
+	p.a.size(toks)
 	return p.parseProgram()
 }
+
+// enter counts one level of nesting; every successful enter is paired with
+// a leave.
+func (p *Parser) enter() error {
+	if p.depth == maxNesting {
+		return p.errorf(p.cur(), "nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) cur() Token  { return p.toks[p.pos] }
 func (p *Parser) peek() Token { return p.at(1) }
@@ -75,14 +99,14 @@ func (p *Parser) expectIdent() (Token, error) {
 }
 
 func (p *Parser) parseProgram() (*Program, error) {
-	prog := &Program{}
 	for p.cur().Kind != TokEOF {
 		cd, err := p.parseClass()
 		if err != nil {
 			return nil, err
 		}
-		prog.Classes = append(prog.Classes, cd)
+		p.a.classList.push(cd)
 	}
+	prog := &Program{Classes: p.a.classList.pop(0)}
 	if len(prog.Classes) == 0 {
 		return nil, p.errorf(p.cur(), "empty program: expected at least one class")
 	}
@@ -101,7 +125,8 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 	if _, err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	cd := &ClassDecl{Name: name.Text, Line: kw.Line}
+	cd := p.a.classes.alloc(ClassDecl{Name: name.Text, Line: kw.Line})
+	fields, methods := p.a.fieldList.mark(), p.a.methodList.mark()
 	for !p.isPunct("}") {
 		if p.cur().Kind == TokEOF {
 			return nil, p.errorf(p.cur(), "unexpected end of file in class %s", cd.Name)
@@ -111,10 +136,12 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 		}
 	}
 	p.advance() // }
+	cd.Fields, cd.Methods = p.a.fieldList.pop(fields), p.a.methodList.pop(methods)
 	return cd, nil
 }
 
-// parseMember parses one field, method, or constructor declaration.
+// parseMember parses one field, method, or constructor declaration of cd
+// onto the field and method lists.
 func (p *Parser) parseMember(cd *ClassDecl) error {
 	static := false
 	if p.isKw("static") {
@@ -125,7 +152,7 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 	// Constructor: ClassName ( ... )
 	if !static && p.cur().Kind == TokIdent && p.cur().Text == cd.Name &&
 		p.peek().Kind == TokPunct && p.peek().Text == "(" {
-		return p.parseCtor(cd)
+		return p.parseCtor()
 	}
 
 	// void method
@@ -135,7 +162,7 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 		if err != nil {
 			return err
 		}
-		return p.parseMethodRest(cd, name.Text, static, nil, vt.Line)
+		return p.parseMethodRest(name.Text, static, nil, vt.Line)
 	}
 
 	// Typed member: field(s) or method.
@@ -148,23 +175,23 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 		return err
 	}
 	if p.isPunct("(") {
-		return p.parseMethodRest(cd, name.Text, static, te, te.Line)
+		return p.parseMethodRest(name.Text, static, te, te.Line)
 	}
 	// Field declaration, possibly a comma list.
-	cd.Fields = append(cd.Fields, &FieldDecl{Name: name.Text, Type: te, Static: static, Line: name.Line})
+	p.a.fieldList.push(p.a.fields.alloc(FieldDecl{Name: name.Text, Type: te, Static: static, Line: name.Line}))
 	for p.isPunct(",") {
 		p.advance()
 		n, err := p.expectIdent()
 		if err != nil {
 			return err
 		}
-		cd.Fields = append(cd.Fields, &FieldDecl{Name: n.Text, Type: te, Static: static, Line: n.Line})
+		p.a.fieldList.push(p.a.fields.alloc(FieldDecl{Name: n.Text, Type: te, Static: static, Line: n.Line}))
 	}
 	_, err = p.expectPunct(";")
 	return err
 }
 
-func (p *Parser) parseCtor(cd *ClassDecl) error {
+func (p *Parser) parseCtor() error {
 	name := p.advance() // class name
 	params, err := p.parseParams()
 	if err != nil {
@@ -174,13 +201,13 @@ func (p *Parser) parseCtor(cd *ClassDecl) error {
 	if err != nil {
 		return err
 	}
-	cd.Methods = append(cd.Methods, &MethodDecl{
+	p.a.methodList.push(p.a.methods.alloc(MethodDecl{
 		Name: "<init>", Ctor: true, Params: params, Body: body, Line: name.Line,
-	})
+	}))
 	return nil
 }
 
-func (p *Parser) parseMethodRest(cd *ClassDecl, name string, static bool, ret *TypeExpr, line int) error {
+func (p *Parser) parseMethodRest(name string, static bool, ret *TypeExpr, line int) error {
 	params, err := p.parseParams()
 	if err != nil {
 		return err
@@ -189,9 +216,9 @@ func (p *Parser) parseMethodRest(cd *ClassDecl, name string, static bool, ret *T
 	if err != nil {
 		return err
 	}
-	cd.Methods = append(cd.Methods, &MethodDecl{
+	p.a.methodList.push(p.a.methods.alloc(MethodDecl{
 		Name: name, Static: static, Params: params, Return: ret, Body: body, Line: line,
-	})
+	}))
 	return nil
 }
 
@@ -199,9 +226,9 @@ func (p *Parser) parseParams() ([]*Param, error) {
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	var params []*Param
+	m := p.a.paramList.mark()
 	for !p.isPunct(")") {
-		if len(params) > 0 {
+		if p.a.paramList.mark() > m {
 			if _, err := p.expectPunct(","); err != nil {
 				return nil, err
 			}
@@ -214,10 +241,10 @@ func (p *Parser) parseParams() ([]*Param, error) {
 		if err != nil {
 			return nil, err
 		}
-		params = append(params, &Param{Name: name.Text, Type: te, Line: name.Line})
+		p.a.paramList.push(p.a.params.alloc(Param{Name: name.Text, Type: te, Line: name.Line}))
 	}
 	p.advance() // )
-	return params, nil
+	return p.a.paramList.pop(m), nil
 }
 
 // parseType parses a base type name plus [] dimensions.
@@ -241,7 +268,7 @@ func (p *Parser) parseType() (*TypeExpr, error) {
 		p.advance()
 		dims++
 	}
-	return &TypeExpr{Base: base, Dims: dims, Line: t.Line}, nil
+	return p.a.types.alloc(TypeExpr{Base: base, Dims: dims, Line: t.Line}), nil
 }
 
 func (p *Parser) parseBlock() (*Block, error) {
@@ -249,7 +276,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	blk := &Block{Line: lb.Line}
+	m := p.a.stmtList.mark()
 	for !p.isPunct("}") {
 		if p.cur().Kind == TokEOF {
 			return nil, p.errorf(p.cur(), "unexpected end of file in block")
@@ -258,10 +285,10 @@ func (p *Parser) parseBlock() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		blk.Stmts = append(blk.Stmts, s)
+		p.a.stmtList.push(s)
 	}
 	p.advance() // }
-	return blk, nil
+	return p.a.blocks.alloc(Block{Stmts: p.a.stmtList.pop(m), Line: lb.Line}), nil
 }
 
 // looksLikeVarDecl decides whether the upcoming tokens start a local
@@ -288,6 +315,10 @@ func (p *Parser) looksLikeVarDecl() bool {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case p.isPunct("{"):
@@ -300,7 +331,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseFor()
 	case p.isKw("return"):
 		p.advance()
-		r := &Return{Line: t.Line}
+		r := p.a.returns.alloc(Return{Line: t.Line})
 		if !p.isPunct(";") {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -327,7 +358,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expectPunct(";"); err != nil {
 			return nil, err
 		}
-		return &Print{E: e, Line: t.Line}, nil
+		return p.a.prints.alloc(Print{E: e, Line: t.Line}), nil
 	case p.isKw("spawn"):
 		p.advance()
 		e, err := p.parseExpr()
@@ -341,7 +372,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expectPunct(";"); err != nil {
 			return nil, err
 		}
-		return &Spawn{Call: call, Line: t.Line}, nil
+		return p.a.spawns.alloc(Spawn{Call: call, Line: t.Line}), nil
 	case p.looksLikeVarDecl():
 		vd, err := p.parseVarDecl()
 		if err != nil {
@@ -372,7 +403,7 @@ func (p *Parser) parseVarDecl() (*VarDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	vd := &VarDecl{Name: name.Text, TypeExpr: te, Line: name.Line}
+	vd := p.a.varDecls.alloc(VarDecl{Name: name.Text, TypeExpr: te, Line: name.Line})
 	if p.isPunct("=") {
 		p.advance()
 		e, err := p.parseExpr()
@@ -400,7 +431,7 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 		}
 		switch e.(type) {
 		case *Ident, *FieldAccess, *Index:
-			return &Assign{LHS: e, RHS: rhs, Line: t.Line}, nil
+			return p.a.assigns.alloc(Assign{LHS: e, RHS: rhs, Line: t.Line}), nil
 		default:
 			return nil, p.errorf(t, "invalid assignment target")
 		}
@@ -408,7 +439,7 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 	if _, ok := e.(*Call); !ok {
 		return nil, p.errorf(t, "expression statement must be a call")
 	}
-	return &ExprStmt{E: e, Line: t.Line}, nil
+	return p.a.exprStmts.alloc(ExprStmt{E: e, Line: t.Line}), nil
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
@@ -427,7 +458,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &If{Cond: cond, Then: then, Line: t.Line}
+	st := p.a.ifs.alloc(If{Cond: cond, Then: then, Line: t.Line})
 	if p.isKw("else") {
 		p.advance()
 		els, err := p.parseStmt()
@@ -455,7 +486,7 @@ func (p *Parser) parseWhile() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &While{Cond: cond, Body: body, Line: t.Line}, nil
+	return p.a.whiles.alloc(While{Cond: cond, Body: body, Line: t.Line}), nil
 }
 
 func (p *Parser) parseFor() (Stmt, error) {
@@ -463,7 +494,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	st := &For{Line: t.Line}
+	st := p.a.fors.alloc(For{Line: t.Line})
 	if !p.isPunct(";") {
 		if p.looksLikeVarDecl() {
 			vd, err := p.parseVarDecl()
@@ -521,7 +552,13 @@ func (p *Parser) parseFor() (Stmt, error) {
 //	mul    := unary (("*"|"/"|"%") unary)*
 //	unary  := ("-"|"!") unary | postfix
 //	postfix:= primary ( "." ident [args] | "." length | "[" expr "]" )*
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return p.parseOr()
+}
 
 func (p *Parser) parseBinaryLevel(ops []string, sub func() (Expr, error)) (Expr, error) {
 	x, err := sub()
@@ -537,7 +574,7 @@ func (p *Parser) parseBinaryLevel(ops []string, sub func() (Expr, error)) (Expr,
 				if err != nil {
 					return nil, err
 				}
-				x = &Binary{Op: op, X: x, Y: y, Line: t.Line}
+				x = p.a.binaries.alloc(Binary{Op: op, X: x, Y: y, Line: t.Line})
 				matched = true
 				break
 			}
@@ -575,12 +612,16 @@ func (p *Parser) parseMul() (Expr, error) {
 func (p *Parser) parseUnary() (Expr, error) {
 	t := p.cur()
 	if p.isPunct("-") || p.isPunct("!") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: t.Text, X: x, Line: t.Line}, nil
+		return p.a.unaries.alloc(Unary{Op: t.Text, X: x, Line: t.Line}), nil
 	}
 	return p.parsePostfix()
 }
@@ -596,7 +637,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			p.advance()
 			if p.isKw("length") {
 				t := p.advance()
-				e = &Length{Arr: e, Line: t.Line}
+				e = p.a.lengths.alloc(Length{Arr: e, Line: t.Line})
 				continue
 			}
 			name, err := p.expectIdent()
@@ -608,9 +649,9 @@ func (p *Parser) parsePostfix() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				e = &Call{Recv: e, Name: name.Text, Args: args, Line: name.Line}
+				e = p.a.calls.alloc(Call{Recv: e, Name: name.Text, Args: args, Line: name.Line})
 			} else {
-				e = &FieldAccess{Obj: e, Name: name.Text, Line: name.Line}
+				e = p.a.fieldAccs.alloc(FieldAccess{Obj: e, Name: name.Text, Line: name.Line})
 			}
 		case p.isPunct("["):
 			t := p.advance()
@@ -621,7 +662,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if _, err := p.expectPunct("]"); err != nil {
 				return nil, err
 			}
-			e = &Index{Arr: e, Index: idx, Line: t.Line}
+			e = p.a.indexes.alloc(Index{Arr: e, Index: idx, Line: t.Line})
 		default:
 			return e, nil
 		}
@@ -632,9 +673,9 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	var args []Expr
+	m := p.a.argList.mark()
 	for !p.isPunct(")") {
-		if len(args) > 0 {
+		if p.a.argList.mark() > m {
 			if _, err := p.expectPunct(","); err != nil {
 				return nil, err
 			}
@@ -643,10 +684,10 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		p.a.argList.push(a)
 	}
 	p.advance() // )
-	return args, nil
+	return p.a.argList.pop(m), nil
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
@@ -654,16 +695,16 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.Kind == TokInt:
 		p.advance()
-		return &IntLit{Val: t.Val, Line: t.Line}, nil
+		return p.a.intLits.alloc(IntLit{Val: t.Val, Line: t.Line}), nil
 	case p.isKw("true"), p.isKw("false"):
 		p.advance()
-		return &BoolLit{Val: t.Text == "true", Line: t.Line}, nil
+		return p.a.boolLits.alloc(BoolLit{Val: t.Text == "true", Line: t.Line}), nil
 	case p.isKw("null"):
 		p.advance()
-		return &NullLit{Line: t.Line}, nil
+		return p.a.nullLits.alloc(NullLit{Line: t.Line}), nil
 	case p.isKw("this"):
 		p.advance()
-		return &This{Line: t.Line}, nil
+		return p.a.thises.alloc(This{Line: t.Line}), nil
 	case p.isKw("new"):
 		return p.parseNew()
 	case p.isPunct("("):
@@ -683,9 +724,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Call{Name: t.Text, Args: args, Line: t.Line}, nil
+			return p.a.calls.alloc(Call{Name: t.Text, Args: args, Line: t.Line}), nil
 		}
-		return &Ident{Name: t.Text, Line: t.Line}, nil
+		return p.a.idents.alloc(Ident{Name: t.Text, Line: t.Line}), nil
 	default:
 		return nil, p.errorf(t, "expected expression, found %s", t)
 	}
@@ -716,7 +757,7 @@ func (p *Parser) parseNew() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &NewObject{ClassName: base, Args: args, Line: t.Line}, nil
+		return p.a.newObjs.alloc(NewObject{ClassName: base, Args: args, Line: t.Line}), nil
 	}
 	if _, err := p.expectPunct("["); err != nil {
 		return nil, err
@@ -734,5 +775,6 @@ func (p *Parser) parseNew() (Expr, error) {
 		p.advance()
 		dims++
 	}
-	return &NewArray{Elem: &TypeExpr{Base: base, Dims: dims, Line: t.Line}, Len: length, Line: t.Line}, nil
+	elem := p.a.types.alloc(TypeExpr{Base: base, Dims: dims, Line: t.Line})
+	return p.a.newArrs.alloc(NewArray{Elem: elem, Len: length, Line: t.Line}), nil
 }

@@ -1,6 +1,7 @@
 package minijava
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -230,5 +231,80 @@ func TestParseParenthesizedExpr(t *testing.T) {
 	}
 	if add, ok := mul.X.(*Binary); !ok || add.Op != "+" {
 		t.Error("parens should group the +")
+	}
+}
+
+// TestParseNestingBound: nesting past maxNesting is a SyntaxError, where
+// the recursion used to overflow the goroutine stack and kill the process
+// (450 000 parentheses fit in a megabyte of source). Chains that parse by
+// a loop do not nest, however long.
+func TestParseNestingBound(t *testing.T) {
+	wrap := func(expr string) string {
+		return "class N { N n; int[] a; }\nclass A { static void main() { N m = new N(); int x = " + expr + "; print(x); } }"
+	}
+	deep := 2 * maxNesting
+	for name, src := range map[string]string{
+		"parentheses": wrap(strings.Repeat("(", 450000) + "1" + strings.Repeat(")", 450000)),
+		"unary":       wrap(strings.Repeat("-", deep) + "1"),
+		"index":       wrap(strings.Repeat("m.a[", deep) + "0" + strings.Repeat("]", deep)),
+		"blocks":      "class A { static void main() { " + strings.Repeat("{", deep) + strings.Repeat("}", deep) + " } }",
+		"if":          "class A { static void main() { " + strings.Repeat("if (true) ", deep) + "print(1); } }",
+	} {
+		_, err := Parse("t.mj", src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nesting deeper than 1000 levels") {
+			t.Errorf("%s: err = %v, want a nesting SyntaxError", name, err)
+		}
+	}
+
+	// Within the bound, and chains of any length.
+	shallow := maxNesting - 10
+	for name, src := range map[string]string{
+		"parentheses": wrap(strings.Repeat("(", shallow) + "1" + strings.Repeat(")", shallow)),
+		"sum":         wrap("1" + strings.Repeat("+1", 399999)),
+		"postfix":     wrap("m" + strings.Repeat(".n", 100000) + ".a[0]"),
+	} {
+		prog, err := Parse("t.mj", src)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if name == "sum" && raceDetector {
+			// The checker still recurses once per operator of a chain, and
+			// the race detector's frames are large enough that 400 000 of
+			// them pass the 1 GB goroutine stack limit.
+			continue
+		}
+		if _, err := Check("t.mj", prog); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestParseListsAreExact: node lists share slab chunks, so each must have
+// capacity equal to its length, or an append to one would overwrite the
+// next.
+func TestParseListsAreExact(t *testing.T) {
+	prog := mustParse(t, `
+class A {
+    int v, w;
+    static int f(int a, int b) { print(a); print(b); return a; }
+    static void main() { print(f(1, 2)); print(f(3, 4)); }
+}
+`)
+	cd := prog.Classes[0]
+	f, main := cd.Methods[0], cd.Methods[1]
+	call := main.Body.Stmts[0].(*Print).E.(*Call)
+	for name, spare := range map[string]int{
+		"classes":    cap(prog.Classes) - len(prog.Classes),
+		"fields":     cap(cd.Fields) - len(cd.Fields),
+		"methods":    cap(cd.Methods) - len(cd.Methods),
+		"params":     cap(f.Params) - len(f.Params),
+		"statements": cap(f.Body.Stmts) - len(f.Body.Stmts),
+		"arguments":  cap(call.Args) - len(call.Args),
+	} {
+		if spare != 0 {
+			t.Errorf("a list of %s has %d spare capacity", name, spare)
+		}
 	}
 }

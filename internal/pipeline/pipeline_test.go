@@ -1,12 +1,14 @@
 package pipeline
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"satbelim/internal/core"
+	"satbelim/internal/minijava"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
 	"satbelim/internal/workloads"
@@ -72,6 +74,18 @@ func TestCompileErrorsArePropagated(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestDeepNestingIsASyntaxError: 450 000 nested parentheses, 900 055
+// bytes, are rejected by the parser's nesting bound instead of overflowing
+// the goroutine stack, which no recover can catch.
+func TestDeepNestingIsASyntaxError(t *testing.T) {
+	deep := "class A { static void main() { int x = " + strings.Repeat("(", 450000) + "1" + strings.Repeat(")", 450000) + "; print(x); } }"
+	_, err := Compile("deep", deep, Options{NoCache: true})
+	var se *minijava.SyntaxError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want a *minijava.SyntaxError", err)
 	}
 }
 

@@ -417,6 +417,24 @@ func TestHugeArrayIsAnError(t *testing.T) {
 	}
 }
 
+// TestDeepNestingIsACompileError: a source within MaxSourceBytes whose
+// 450 000 nested parentheses used to overflow the parser's goroutine stack
+// — a fatal error no recover catches, so one /compile took the daemon
+// down — is a syntax error of the request, and the daemon serves on.
+func TestDeepNestingIsACompileError(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	deep := "class A { static void main() { int x = " + strings.Repeat("(", 450000) + "1" + strings.Repeat(")", 450000) + "; print(x); } }"
+	status, _, doc := post(t, ts, "compile", Request{Name: "deep", Source: deep})
+	if status != http.StatusBadRequest || doc.Satbd.Request.Outcome != OutcomeError ||
+		!strings.Contains(doc.Satbd.Request.Error, "nesting deeper than") {
+		t.Errorf("deep nesting: status %d outcome %q (%s), want 400/error", status, doc.Satbd.Request.Outcome, doc.Satbd.Request.Error)
+	}
+	status, _, doc = post(t, ts, "run", Request{Name: "hello", Source: helloSrc})
+	if status != http.StatusOK || len(doc.Run.Output) != 1 || doc.Run.Output[0] != 45 {
+		t.Errorf("run after the deep nesting: status %d, run %+v", status, doc.Run)
+	}
+}
+
 func TestPanicIsolation(t *testing.T) {
 	// Every request panics mid-pipeline; the daemon must answer 500 each
 	// time and stay alive.

@@ -113,12 +113,24 @@ type verifier struct {
 	m    *bytecode.Method
 	body *bytecode.Body
 
-	// entry[b] is the stack state at the entry of block b, valid when
-	// seen[b] is set. (The state itself may be an empty stack, so a nil
-	// check cannot stand in for a visited flag.)
-	entry    [][]vtype
-	seen     []bool
+	blocks []vblock
+	// states holds every reached block's entry stack back to back. A
+	// block's depth is fixed when it is first reached (a join of another
+	// depth is an error), so its entry never moves or grows.
+	states []vtype
+	// stk is the one scratch stack every block is simulated on, and succ
+	// the successors of the block just simulated.
+	stk      []vtype
+	succ     [2]int
+	nsucc    int
 	maxStack int
+}
+
+// vblock is one block's verification state.
+type vblock struct {
+	off, depth int  // its entry stack is states[off : off+depth]
+	seen       bool // reached; its entry is valid (and may be empty)
+	queued     bool
 }
 
 func (v *verifier) errf(pc int, format string, args ...any) error {
@@ -148,32 +160,34 @@ func Verify(p *bytecode.Program, m *bytecode.Method) (err error) {
 		return &Error{Method: be.Method, PC: be.PC, Msg: be.Msg}
 	}
 	g := body.Graph
+	n := len(g.Blocks)
 	v := &verifier{
 		syms: p.Symbols(), m: m, body: body,
-		entry: make([][]vtype, len(g.Blocks)),
-		seen:  make([]bool, len(g.Blocks)),
+		blocks: make([]vblock, n),
+		stk:    make([]vtype, 0, 8), // most methods never stack deeper
 	}
-	v.seen[0] = true
+	v.blocks[0] = vblock{seen: true, queued: true}
 
-	work := []int{0}
-	inWork := make([]bool, len(g.Blocks))
-	inWork[0] = true
-	for len(work) > 0 {
-		id := work[0]
-		work = work[1:]
-		inWork[id] = false
-		out, targets, err := v.simulate(g.Blocks[id])
-		if err != nil {
+	// A FIFO of queued blocks. A block is queued at most once at a time,
+	// so a ring of one slot per block never overflows.
+	work := make([]int, n)
+	head, queued := 0, 1
+	for queued > 0 {
+		id := work[head]
+		head, queued = (head+1)%n, queued-1
+		v.blocks[id].queued = false
+		if err := v.simulate(g.Blocks[id]); err != nil {
 			return err
 		}
-		for _, tgt := range targets {
-			changed, err := v.mergeInto(tgt, out)
+		for _, tgt := range v.succ[:v.nsucc] {
+			changed, err := v.mergeInto(tgt)
 			if err != nil {
 				return err
 			}
-			if changed && !inWork[tgt] {
-				work = append(work, tgt)
-				inWork[tgt] = true
+			if changed && !v.blocks[tgt].queued {
+				work[(head+queued)%n] = tgt
+				queued++
+				v.blocks[tgt].queued = true
 			}
 		}
 	}
@@ -191,14 +205,16 @@ func VerifyProgram(p *bytecode.Program) error {
 	return nil
 }
 
-// mergeInto merges state into block id's entry; reports whether it changed.
-func (v *verifier) mergeInto(id int, state []vtype) (bool, error) {
-	if !v.seen[id] {
-		v.seen[id] = true
-		v.entry[id] = append([]vtype(nil), state...)
+// mergeInto merges the scratch stack into block id's entry; reports
+// whether the entry changed.
+func (v *verifier) mergeInto(id int) (bool, error) {
+	state, b := v.stk, &v.blocks[id]
+	if !b.seen {
+		*b = vblock{off: len(v.states), depth: len(state), seen: true}
+		v.states = append(v.states, state...)
 		return true, nil
 	}
-	cur := v.entry[id]
+	cur := v.states[b.off : b.off+b.depth]
 	if len(cur) != len(state) {
 		return false, v.errf(v.body.Graph.Blocks[id].Start, "stack depth mismatch at join: %d vs %d", len(cur), len(state))
 	}
@@ -216,308 +232,319 @@ func (v *verifier) mergeInto(id int, state []vtype) (bool, error) {
 	return changed, nil
 }
 
-// simulate runs the block from its entry state, returning the out state
-// and the successor block ids it flows to.
-func (v *verifier) simulate(b *bytecode.Block) (out []vtype, targets []int, err error) {
-	stk := append([]vtype(nil), v.entry[b.ID]...)
+func (v *verifier) push(t vtype) {
+	v.stk = append(v.stk, t)
+	if len(v.stk) > v.maxStack {
+		v.maxStack = len(v.stk)
+	}
+}
 
-	push := func(t vtype) {
-		stk = append(stk, t)
-		if len(stk) > v.maxStack {
-			v.maxStack = len(stk)
-		}
+func (v *verifier) pop(pc int) (vtype, error) {
+	if len(v.stk) == 0 {
+		return vtype{}, v.errf(pc, "pop from empty stack")
 	}
-	pop := func(pc int) (vtype, error) {
-		if len(stk) == 0 {
-			return vtype{}, v.errf(pc, "pop from empty stack")
-		}
-		t := stk[len(stk)-1]
-		stk = stk[:len(stk)-1]
-		return t, nil
+	t := v.stk[len(v.stk)-1]
+	v.stk = v.stk[:len(v.stk)-1]
+	return t, nil
+}
+
+func (v *verifier) popKind(pc int, k vkind, what string) (vtype, error) {
+	t, err := v.pop(pc)
+	if err != nil {
+		return t, err
 	}
-	popKind := func(pc int, k vkind, what string) (vtype, error) {
-		t, err := pop(pc)
-		if err != nil {
-			return t, err
-		}
-		if k == vRef {
-			if !t.isRef() {
-				return t, v.errf(pc, "%s requires a reference, found %s", what, t)
-			}
-			return t, nil
-		}
-		if t.kind != k {
-			return t, v.errf(pc, "%s requires %v operand, found %s", what, vtype{kind: k}, t)
+	if k == vRef {
+		if !t.isRef() {
+			return t, v.errf(pc, "%s requires a reference, found %s", what, t)
 		}
 		return t, nil
 	}
+	if t.kind != k {
+		return t, v.errf(pc, "%s requires %v operand, found %s", what, vtype{kind: k}, t)
+	}
+	return t, nil
+}
+
+// branch records the block holding pc as a successor of the block being
+// simulated; a block has at most two.
+func (v *verifier) branch(pc int) {
+	v.succ[v.nsucc] = v.body.Graph.BlockOf(pc)
+	v.nsucc++
+}
+
+// simulate runs the block from its entry state on the scratch stack,
+// leaving there its out state and in succ the blocks it flows to.
+func (v *verifier) simulate(b *bytecode.Block) error {
+	e := v.blocks[b.ID]
+	v.stk = append(v.stk[:0], v.states[e.off:e.off+e.depth]...)
+	v.nsucc = 0
 
 	for pc := b.Start; pc < b.End; pc++ {
 		in := &v.m.Code[pc]
 		switch in.Op {
 		case bytecode.OpNop:
 		case bytecode.OpConst:
-			push(vtype{kind: vInt})
+			v.push(vtype{kind: vInt})
 		case bytecode.OpConstBool:
-			push(vtype{kind: vBool})
+			v.push(vtype{kind: vBool})
 		case bytecode.OpConstNull:
-			push(vtype{kind: vNull})
+			v.push(vtype{kind: vNull})
 		case bytecode.OpLoad:
-			push(typeToV(v.m.SlotTypes[in.A]))
+			v.push(typeToV(v.m.SlotTypes[in.A]))
 		case bytecode.OpStore:
 			slot := int(in.A)
-			t, err := pop(pc)
+			t, err := v.pop(pc)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if !assignableV(v.m.SlotTypes[slot], t) {
-				return nil, nil, v.errf(pc, "cannot store %s into slot %d of type %s", t, slot, v.m.SlotTypes[slot])
+				return v.errf(pc, "cannot store %s into slot %d of type %s", t, slot, v.m.SlotTypes[slot])
 			}
 		case bytecode.OpDup:
-			if len(stk) == 0 {
-				return nil, nil, v.errf(pc, "dup on empty stack")
+			if len(v.stk) == 0 {
+				return v.errf(pc, "dup on empty stack")
 			}
-			push(stk[len(stk)-1])
+			v.push(v.stk[len(v.stk)-1])
 		case bytecode.OpPop:
-			if _, err := pop(pc); err != nil {
-				return nil, nil, err
+			if _, err := v.pop(pc); err != nil {
+				return err
 			}
 		case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpRem:
-			if _, err := popKind(pc, vInt, in.Op.String()); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, in.Op.String()); err != nil {
+				return err
 			}
-			if _, err := popKind(pc, vInt, in.Op.String()); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, in.Op.String()); err != nil {
+				return err
 			}
-			push(vtype{kind: vInt})
+			v.push(vtype{kind: vInt})
 		case bytecode.OpNeg:
-			if _, err := popKind(pc, vInt, "neg"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, "neg"); err != nil {
+				return err
 			}
-			push(vtype{kind: vInt})
+			v.push(vtype{kind: vInt})
 		case bytecode.OpAnd, bytecode.OpOr:
-			if _, err := popKind(pc, vBool, in.Op.String()); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vBool, in.Op.String()); err != nil {
+				return err
 			}
-			if _, err := popKind(pc, vBool, in.Op.String()); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vBool, in.Op.String()); err != nil {
+				return err
 			}
-			push(vtype{kind: vBool})
+			v.push(vtype{kind: vBool})
 		case bytecode.OpNot:
-			if _, err := popKind(pc, vBool, "not"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vBool, "not"); err != nil {
+				return err
 			}
-			push(vtype{kind: vBool})
+			v.push(vtype{kind: vBool})
 		case bytecode.OpCmpEQ, bytecode.OpCmpNE, bytecode.OpCmpLT, bytecode.OpCmpLE,
 			bytecode.OpCmpGT, bytecode.OpCmpGE:
-			a, err := pop(pc)
+			a, err := v.pop(pc)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
-			bb, err := pop(pc)
+			bb, err := v.pop(pc)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			// Equality works on int or bool pairs; ordering on ints.
 			ordered := in.Op != bytecode.OpCmpEQ && in.Op != bytecode.OpCmpNE
 			okPair := (a.kind == vInt && bb.kind == vInt) ||
 				(!ordered && a.kind == vBool && bb.kind == vBool)
 			if !okPair {
-				return nil, nil, v.errf(pc, "%s on %s and %s", in.Op, bb, a)
+				return v.errf(pc, "%s on %s and %s", in.Op, bb, a)
 			}
-			push(vtype{kind: vBool})
+			v.push(vtype{kind: vBool})
 		case bytecode.OpRefEQ, bytecode.OpRefNE:
-			if _, err := popKind(pc, vRef, in.Op.String()); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vRef, in.Op.String()); err != nil {
+				return err
 			}
-			if _, err := popKind(pc, vRef, in.Op.String()); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vRef, in.Op.String()); err != nil {
+				return err
 			}
-			push(vtype{kind: vBool})
+			v.push(vtype{kind: vBool})
 		case bytecode.OpGoto:
-			targets = append(targets, v.body.Graph.BlockOf(int(in.A)))
-			return stk, targets, nil
+			v.branch(int(in.A))
+			return nil
 		case bytecode.OpIfTrue, bytecode.OpIfFalse:
-			if _, err := popKind(pc, vBool, in.Op.String()); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vBool, in.Op.String()); err != nil {
+				return err
 			}
-			targets = append(targets, v.body.Graph.BlockOf(int(in.A)))
+			v.branch(int(in.A))
 		case bytecode.OpIfNull, bytecode.OpIfNonNull:
-			if _, err := popKind(pc, vRef, in.Op.String()); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vRef, in.Op.String()); err != nil {
+				return err
 			}
-			targets = append(targets, v.body.Graph.BlockOf(int(in.A)))
+			v.branch(int(in.A))
 		case bytecode.OpGetField:
 			ft := v.fieldType(pc)
-			obj, err := popKind(pc, vRef, "getfield")
+			obj, err := v.popKind(pc, vRef, "getfield")
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if obj.kind == vRef && (obj.ref.Kind != bytecode.KindClass || obj.ref.Class != in.Field.Class) {
-				return nil, nil, v.errf(pc, "getfield %s on %s", in.Field, obj)
+				return v.errf(pc, "getfield %s on %s", in.Field, obj)
 			}
-			push(typeToV(ft))
+			v.push(typeToV(ft))
 		case bytecode.OpPutField:
 			ft := v.fieldType(pc)
-			val, err := pop(pc)
+			val, err := v.pop(pc)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if !assignableV(ft, val) {
-				return nil, nil, v.errf(pc, "putfield %s: cannot store %s into %s", in.Field, val, ft)
+				return v.errf(pc, "putfield %s: cannot store %s into %s", in.Field, val, ft)
 			}
-			obj, err := popKind(pc, vRef, "putfield")
+			obj, err := v.popKind(pc, vRef, "putfield")
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if obj.kind == vRef && (obj.ref.Kind != bytecode.KindClass || obj.ref.Class != in.Field.Class) {
-				return nil, nil, v.errf(pc, "putfield %s on %s", in.Field, obj)
+				return v.errf(pc, "putfield %s on %s", in.Field, obj)
 			}
 		case bytecode.OpGetStatic:
 			ft := v.fieldType(pc)
-			push(typeToV(ft))
+			v.push(typeToV(ft))
 		case bytecode.OpPutStatic:
 			ft := v.fieldType(pc)
-			val, err := pop(pc)
+			val, err := v.pop(pc)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if !assignableV(ft, val) {
-				return nil, nil, v.errf(pc, "putstatic %s: cannot store %s into %s", in.Field, val, ft)
+				return v.errf(pc, "putstatic %s: cannot store %s into %s", in.Field, val, ft)
 			}
 		case bytecode.OpNewInstance:
-			push(vtype{kind: vRef, ref: in.Type})
+			v.push(vtype{kind: vRef, ref: in.Type})
 		case bytecode.OpNewArray:
-			if _, err := popKind(pc, vInt, "newarray length"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, "newarray length"); err != nil {
+				return err
 			}
-			push(vtype{kind: vRef, ref: bytecode.ArrayOf(in.Type)})
+			v.push(vtype{kind: vRef, ref: bytecode.ArrayOf(in.Type)})
 		case bytecode.OpArrayLength:
-			arr, err := popKind(pc, vRef, "arraylength")
+			arr, err := v.popKind(pc, vRef, "arraylength")
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if arr.kind == vRef && arr.ref.Kind != bytecode.KindArray {
-				return nil, nil, v.errf(pc, "arraylength on %s", arr)
+				return v.errf(pc, "arraylength on %s", arr)
 			}
-			push(vtype{kind: vInt})
+			v.push(vtype{kind: vInt})
 		case bytecode.OpAALoad:
-			if _, err := popKind(pc, vInt, "aaload index"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, "aaload index"); err != nil {
+				return err
 			}
-			arr, err := popKind(pc, vRef, "aaload")
+			arr, err := v.popKind(pc, vRef, "aaload")
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if arr.kind == vRef {
 				if !arr.ref.IsRefArray() {
-					return nil, nil, v.errf(pc, "aaload on %s", arr)
+					return v.errf(pc, "aaload on %s", arr)
 				}
-				push(vtype{kind: vRef, ref: arr.ref.Elem})
+				v.push(vtype{kind: vRef, ref: arr.ref.Elem})
 			} else {
-				push(vtype{kind: vRefAny})
+				v.push(vtype{kind: vRefAny})
 			}
 		case bytecode.OpAAStore:
-			val, err := pop(pc)
+			val, err := v.pop(pc)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if !val.isRef() {
-				return nil, nil, v.errf(pc, "aastore of non-reference %s", val)
+				return v.errf(pc, "aastore of non-reference %s", val)
 			}
-			if _, err := popKind(pc, vInt, "aastore index"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, "aastore index"); err != nil {
+				return err
 			}
-			arr, err := popKind(pc, vRef, "aastore")
+			arr, err := v.popKind(pc, vRef, "aastore")
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if arr.kind == vRef && !arr.ref.IsRefArray() {
-				return nil, nil, v.errf(pc, "aastore on %s", arr)
+				return v.errf(pc, "aastore on %s", arr)
 			}
 		case bytecode.OpIALoad:
-			if _, err := popKind(pc, vInt, "iaload index"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, "iaload index"); err != nil {
+				return err
 			}
-			arr, err := popKind(pc, vRef, "iaload")
+			arr, err := v.popKind(pc, vRef, "iaload")
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			elem := vtype{kind: vInt}
 			if arr.kind == vRef {
 				if arr.ref.Kind != bytecode.KindArray || arr.ref.Elem.IsRef() {
-					return nil, nil, v.errf(pc, "iaload on %s", arr)
+					return v.errf(pc, "iaload on %s", arr)
 				}
 				elem = typeToV(arr.ref.Elem)
 			}
-			push(elem)
+			v.push(elem)
 		case bytecode.OpIAStore:
-			val, err := pop(pc)
+			val, err := v.pop(pc)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if val.isRef() {
-				return nil, nil, v.errf(pc, "iastore of reference %s", val)
+				return v.errf(pc, "iastore of reference %s", val)
 			}
-			if _, err := popKind(pc, vInt, "iastore index"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, "iastore index"); err != nil {
+				return err
 			}
-			arr, err := popKind(pc, vRef, "iastore")
+			arr, err := v.popKind(pc, vRef, "iastore")
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if arr.kind == vRef && (arr.ref.Kind != bytecode.KindArray || arr.ref.Elem.IsRef()) {
-				return nil, nil, v.errf(pc, "iastore on %s", arr)
+				return v.errf(pc, "iastore on %s", arr)
 			}
 		case bytecode.OpInvoke:
 			callee := v.callee(pc)
 			for i := callee.NumArgs() - 1; i >= 0; i-- {
 				at := callee.ArgType(i)
-				val, err := pop(pc)
+				val, err := v.pop(pc)
 				if err != nil {
-					return nil, nil, err
+					return err
 				}
 				if !assignableV(at, val) {
-					return nil, nil, v.errf(pc, "invoke %s: argument %d: cannot use %s as %s", in.Method, i, val, at)
+					return v.errf(pc, "invoke %s: argument %d: cannot use %s as %s", in.Method, i, val, at)
 				}
 			}
 			if callee.Return != bytecode.Void {
-				push(typeToV(callee.Return))
+				v.push(typeToV(callee.Return))
 			}
 		case bytecode.OpSpawn:
 			callee := v.callee(pc)
 			if callee.Static || len(callee.Params) != 0 || callee.Return != bytecode.Void {
-				return nil, nil, v.errf(pc, "spawn target %s must be a void instance method with no parameters", in.Method)
+				return v.errf(pc, "spawn target %s must be a void instance method with no parameters", in.Method)
 			}
-			if _, err := popKind(pc, vRef, "spawn"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vRef, "spawn"); err != nil {
+				return err
 			}
 		case bytecode.OpReturn:
 			if v.m.Return != bytecode.Void {
-				return nil, nil, v.errf(pc, "return without value in method returning %s", v.m.Return)
+				return v.errf(pc, "return without value in method returning %s", v.m.Return)
 			}
-			return stk, nil, nil
+			return nil
 		case bytecode.OpReturnValue:
 			if v.m.Return == bytecode.Void {
-				return nil, nil, v.errf(pc, "returnvalue in void method")
+				return v.errf(pc, "returnvalue in void method")
 			}
-			val, err := pop(pc)
+			val, err := v.pop(pc)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if !assignableV(v.m.Return, val) {
-				return nil, nil, v.errf(pc, "cannot return %s from method returning %s", val, v.m.Return)
+				return v.errf(pc, "cannot return %s from method returning %s", val, v.m.Return)
 			}
-			return stk, nil, nil
+			return nil
 		case bytecode.OpPrint:
-			if _, err := popKind(pc, vInt, "print"); err != nil {
-				return nil, nil, err
+			if _, err := v.popKind(pc, vInt, "print"); err != nil {
+				return err
 			}
 		case bytecode.OpTrap:
-			return stk, nil, nil
+			return nil
 		}
 	}
 	// Fell through the block end.
-	targets = append(targets, v.body.Graph.BlockOf(b.End))
-	return stk, targets, nil
+	v.branch(b.End)
+	return nil
 }
