@@ -51,12 +51,12 @@ func main() {
 			label += " (stride inference disabled)"
 		}
 		fmt.Printf("== analysis mode %s ==\n", label)
-		m := build.Program.Method(bytecode.MethodRef{Class: "Util", Name: "expand"})
-		for pc := range m.Code {
-			in := &m.Code[pc]
+		ref := bytecode.MethodRef{Class: "Util", Name: "expand"}
+		n := build.Program.Symbols().MethodNum(ref)
+		for pc, in := range build.Program.Method(ref).Code {
 			if in.Op == bytecode.OpAAStore {
 				verdict := "barrier kept"
-				if in.Verdict == bytecode.VerdictPreNull {
+				if build.Program.Verdicts().At(n, pc) == bytecode.VerdictPreNull {
 					verdict = "barrier ELIDED"
 				}
 				fmt.Printf("  expand pc %d aastore: %s\n", pc, verdict)

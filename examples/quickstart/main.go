@@ -49,8 +49,8 @@ func main() {
 	}
 
 	fmt.Println("== annotated bytecode for List.main ==")
-	m := build.Program.Method(bytecode.MethodRef{Class: "List", Name: "main"})
-	fmt.Print(bytecode.Disassemble(m))
+	n := build.Program.Symbols().MethodNum(bytecode.MethodRef{Class: "List", Name: "main"})
+	fmt.Print(bytecode.Disassemble(build.Program.Methods()[n], build.Program.Verdicts().Of(n)))
 
 	fmt.Println("\n== static analysis report ==")
 	fmt.Print(build.Report.String())

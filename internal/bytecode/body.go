@@ -1,9 +1,6 @@
 package bytecode
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Body is what checking a method body establishes, once, for everyone who
 // reads the body afterwards — the verifier, the analysis, the VM's decode,
@@ -107,23 +104,15 @@ func newBody(s *Symbols, m *Method) *Body {
 // users may each build one; one is kept, and all of them get it.
 func (p *Program) Body(n int) *Body { return p.Symbols().body(n) }
 
-// BodyOf returns m's record: the one p holds when m is one of p's methods,
-// otherwise one built for the caller and kept by nobody (a method analyzed
-// on its own).
+// BodyOf returns the record of m, which must be one of p's methods.
 func (p *Program) BodyOf(m *Method) *Body {
 	s := p.Symbols()
-	if n := s.MethodNum(m.Ref()); n >= 0 && s.Methods[n] == m {
-		return s.body(n)
+	n := s.MethodNum(m.Ref())
+	if n < 0 || s.Methods[n] != m {
+		panic("bytecode: BodyOf " + m.QualifiedName() + ", a method the program does not hold")
 	}
-	return newBody(s, m)
+	return s.body(n)
 }
-
-// Decoded is the slot an executor keeps its decoded form of the program in
-// (internal/vm's images), held beside the bodies it is decoded from: it
-// starts empty, AddClass drops it with them and a Clone starts without it.
-// The program never reads it; its one user owns the type of what it holds
-// and decides when that is stale.
-func (p *Program) Decoded() *atomic.Value { return &p.Symbols().decoded }
 
 func (s *Symbols) body(n int) *Body {
 	slot := &s.bodies[n]

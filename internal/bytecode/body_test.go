@@ -62,23 +62,6 @@ func TestBodiesAreNeverStale(t *testing.T) {
 	}
 }
 
-// TestBodyOfAMethodOutsideTheProgram: a method the program does not hold
-// gets a record built for the caller and kept by nobody.
-func TestBodyOfAMethodOutsideTheProgram(t *testing.T) {
-	p := compile(t, workloads.JBB().Source)
-	m := p.Methods()[0]
-	if p.BodyOf(m) != p.Body(0) {
-		t.Error("BodyOf a method of the program is not the program's record")
-	}
-	lone := m.Clone()
-	if n := countGraphs(func() { p.BodyOf(lone); p.BodyOf(lone) }); n != 2 {
-		t.Errorf("two BodyOf calls on a method outside the program built %d graphs, want 2", n)
-	}
-	if b := p.BodyOf(lone); b.Err != nil || b.Graph.Method != lone || !reflect.DeepEqual(b.FieldAt, p.Body(0).FieldAt) {
-		t.Errorf("the lone copy's record is not its own: %+v", b)
-	}
-}
-
 // TestFirstBodyUseIsRaceFree: eight goroutines ask for every record of a
 // program nobody has asked yet (run under -race); they all get the same
 // record, and it is a fresh build.
@@ -130,7 +113,7 @@ func TestBodyRejectsWhatNoEngineCanRun(t *testing.T) {
 		m := b.Build()
 		p := bytecode.NewProgram()
 		p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{m}})
-		if err := p.BodyOf(m).Err; err == nil || err.Error() != tc.want {
+		if err := p.Body(0).Err; err == nil || err.Error() != tc.want {
 			t.Errorf("%s: body fault %v, want %q", tc.name, err, tc.want)
 		}
 	}

@@ -12,9 +12,8 @@ func TestMethodCloneIsDeep(t *testing.T) {
 
 	cp := m.Clone()
 	cp.Code[0].A = 99
-	cp.Code[0].Verdict = VerdictPreNull
 	cp.SlotTypes[0] = Bool
-	if m.Code[0].A == 99 || m.Code[0].Verdict != VerdictNone {
+	if m.Code[0].A == 99 {
 		t.Error("clone must not share instruction storage")
 	}
 	if m.SlotTypes[0] != Int {
@@ -22,19 +21,26 @@ func TestMethodCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestProgramCloneIsolatesMethods: a Clone has its own code and class map,
+// starts with no verdicts, and installing a table on it leaves the
+// original's.
 func TestProgramCloneIsolatesMethods(t *testing.T) {
 	p := buildTinyProgram()
+	orig := p.SetVerdicts([][]Verdict{{VerdictPreNull, VerdictNone, VerdictNone}})
 	cp := p.Clone()
 	if cp.Main != p.Main {
 		t.Error("main ref must be preserved")
 	}
+	if got := cp.Verdicts(); got == orig || got.At(0, 0) != VerdictNone {
+		t.Error("a Clone starts with its original's verdicts")
+	}
+	cp.SetVerdicts([][]Verdict{{VerdictRearrange, VerdictNone, VerdictNone}})
+	if p.Verdicts() != orig || orig.At(0, 0) != VerdictPreNull {
+		t.Error("installing verdicts on the clone changed the original's")
+	}
 	cm := cp.Method(p.Main)
-	cm.Code[0].Verdict = VerdictPreNull
 	cm.Code = append(cm.Code, Instr{Op: OpNop})
 	om := p.Method(p.Main)
-	if om.Code[0].Verdict != VerdictNone {
-		t.Error("clone must not share method code")
-	}
 	if len(om.Code) == len(cm.Code) {
 		t.Error("appending to the clone must not grow the original")
 	}
@@ -56,12 +62,14 @@ func TestOpStringUnknown(t *testing.T) {
 }
 
 func TestInstrStringRearrangeAnnotation(t *testing.T) {
-	in := Instr{Op: OpAAStore, Verdict: VerdictRearrange}
-	if got := in.String(); got != "aastore  ; no-barrier(rearrange)" {
-		t.Errorf("String = %q", got)
+	in := Instr{Op: OpAAStore}
+	if got := in.Annotated(VerdictRearrange); got != "aastore  ; no-barrier(rearrange)" {
+		t.Errorf("Annotated = %q", got)
 	}
-	in2 := Instr{Op: OpAAStore, Verdict: VerdictNullOrSame}
-	if got := in2.String(); got != "aastore  ; no-barrier(null-or-same)" {
+	if got := in.Annotated(VerdictNullOrSame); got != "aastore  ; no-barrier(null-or-same)" {
+		t.Errorf("Annotated = %q", got)
+	}
+	if got := in.String(); got != "aastore" {
 		t.Errorf("String = %q", got)
 	}
 }

@@ -139,28 +139,6 @@ type MethodRef struct {
 
 func (m MethodRef) String() string { return m.Class + "." + m.Name }
 
-// Verdict is what the analysis proved about one reference-store site,
-// ordered by strength: a site that earns several verdicts keeps the
-// greatest, so "strongest wins" is a comparison.
-type Verdict uint8
-
-const (
-	// VerdictNone: nothing proven; the barrier is kept.
-	VerdictNone Verdict = iota
-	// VerdictRearrange: half of an array-element swap; the logging barrier
-	// is replaced by the optimistic trace-state check (§4.3).
-	VerdictRearrange
-	// VerdictNullOrSame: proven to overwrite null or rewrite the value
-	// already present (§4.3).
-	VerdictNullOrSame
-	// VerdictPreNull: proven to overwrite null (§2/§3).
-	VerdictPreNull
-)
-
-var verdictNames = [...]string{"none", "rearrange", "null-or-same", "pre-null"}
-
-func (v Verdict) String() string { return verdictNames[v] }
-
 // Instr is one bytecode instruction. Operand fields are used according to
 // the opcode; unused fields are zero.
 type Instr struct {
@@ -169,12 +147,6 @@ type Instr struct {
 	Field  FieldRef  // OpGetField/OpPutField/OpGetStatic/OpPutStatic
 	Method MethodRef // OpInvoke/OpSpawn
 	Type   *Type     // OpNewInstance (class), OpNewArray (element type)
-
-	// Verdict is the barrier-elision analysis's finding for an OpPutField
-	// or OpAAStore site (VerdictNone on every other instruction). The
-	// analysis writes it; the VM projects it through the barrier flavor's
-	// soundness predicate and skips or replaces the barrier accordingly.
-	Verdict Verdict
 
 	// Line is the source line for diagnostics (0 when synthesized).
 	Line int
@@ -253,7 +225,11 @@ func (o Op) String() string {
 }
 
 // String renders the instruction with its operands.
-func (in *Instr) String() string {
+func (in *Instr) String() string { return in.Annotated(VerdictNone) }
+
+// Annotated renders the instruction with its operands and, for a verdict
+// that elides a barrier, the disassembly's "; no-barrier" note.
+func (in *Instr) Annotated(v Verdict) string {
 	s := in.Op.String()
 	switch in.Op {
 	case OpConst, OpConstBool, OpLoad, OpStore:
@@ -267,12 +243,12 @@ func (in *Instr) String() string {
 	case OpInvoke, OpSpawn:
 		s = fmt.Sprintf("%s %s", s, in.Method)
 	}
-	switch in.Verdict {
+	switch v {
 	case VerdictNone:
 	case VerdictPreNull:
 		s += "  ; no-barrier"
 	default:
-		s += "  ; no-barrier(" + in.Verdict.String() + ")"
+		s += "  ; no-barrier(" + v.String() + ")"
 	}
 	return s
 }

@@ -146,8 +146,9 @@ func (p *Program) Size() int {
 	return n
 }
 
-// Disassemble renders a method listing.
-func Disassemble(m *Method) string {
+// Disassemble renders a method listing, each instruction annotated with
+// its verdict in verdicts (nil: none).
+func Disassemble(m *Method, verdicts []Verdict) string {
 	var b strings.Builder
 	kind := "method"
 	if m.Static {
@@ -158,16 +159,22 @@ func Disassemble(m *Method) string {
 	}
 	fmt.Fprintf(&b, "%s %s.%s (%d slots, %d bytes)\n", kind, m.Class, m.Name, m.NumSlots(), m.Size())
 	for pc := range m.Code {
-		fmt.Fprintf(&b, "  %4d: %s\n", pc, m.Code[pc].String())
+		v := VerdictNone
+		if verdicts != nil {
+			v = verdicts[pc]
+		}
+		fmt.Fprintf(&b, "  %4d: %s\n", pc, m.Code[pc].Annotated(v))
 	}
 	return b.String()
 }
 
-// DisassembleProgram renders every method of the program.
+// DisassembleProgram renders every method of the program, annotated with
+// its verdict table.
 func DisassembleProgram(p *Program) string {
 	var b strings.Builder
-	for _, m := range p.Methods() {
-		b.WriteString(Disassemble(m))
+	vt := p.Verdicts()
+	for n, m := range p.Methods() {
+		b.WriteString(Disassemble(m, vt.Of(n)))
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -55,9 +55,10 @@ type ClassSym struct {
 // Clone and its inlined form agree on it. Method bodies change under the
 // inliner, so what is known about them is not copied with the numbering:
 // each table holds its own program's Body records, built on first use
-// (body.go), and the call graph is computed from the code when asked for
-// (BuildCallGraph). Read-only once built, apart from the records' one-time
-// fill, and so safe for concurrent readers.
+// (body.go), and its program's verdict table (verdicts.go); the call graph
+// is computed from the code when asked for (BuildCallGraph). Read-only once
+// built, apart from the records' one-time fill and the verdict table's
+// atomic replacement, and so safe for concurrent readers.
 type Symbols struct {
 	// Classes is every class in ascending name order.
 	Classes []*Class
@@ -81,8 +82,9 @@ type Symbols struct {
 	// bodies holds each method's Body by method number, nil until first
 	// asked for.
 	bodies []atomic.Pointer[Body]
-	// decoded is the slot Program.Decoded hands out.
-	decoded atomic.Value
+	// verdicts is the table Program.Verdicts returns, nil until the first
+	// SetVerdicts or Verdicts.
+	verdicts atomic.Pointer[Verdicts]
 }
 
 // Symbols returns the program's symbol table, linking the program on first
@@ -190,7 +192,8 @@ func (s *Symbols) addMethods(c *Class) (first int) {
 
 // over returns the table of p, a program with the declarations of the one s
 // was linked from (its Clone): the numbering is shared, the class and
-// method pointers are p's, and nothing decoded from a body exists yet.
+// method pointers are p's, and nothing decoded from a body, and no
+// verdict, exists yet.
 func (s *Symbols) over(p *Program) *Symbols {
 	t := &Symbols{
 		Classes: make([]*Class, len(s.Classes)),

@@ -88,11 +88,11 @@ func TestInstrPredicatesAndSize(t *testing.T) {
 }
 
 func TestInstrString(t *testing.T) {
-	in := Instr{Op: OpPutField, Field: FieldRef{Class: "T", Name: "f"}, Verdict: VerdictPreNull}
-	got := in.String()
+	in := Instr{Op: OpPutField, Field: FieldRef{Class: "T", Name: "f"}}
+	got := in.Annotated(VerdictPreNull)
 	want := "putfield T.f  ; no-barrier"
 	if got != want {
-		t.Errorf("String = %q, want %q", got, want)
+		t.Errorf("Annotated = %q, want %q", got, want)
 	}
 	in2 := Instr{Op: OpGoto, A: 7}
 	if in2.String() != "goto -> 7" {

@@ -21,6 +21,7 @@ import (
 // inlining, and Program.Validate checks it on request.
 func Compile(ch *minijava.Checked) (*bytecode.Program, error) {
 	p := bytecode.NewProgram()
+	pg := &progGen{}
 	for _, cd := range ch.Prog.Classes {
 		ci := ch.Classes[cd.Name]
 		cls := &bytecode.Class{Name: cd.Name}
@@ -28,13 +29,12 @@ func Compile(ch *minijava.Checked) (*bytecode.Program, error) {
 			cls.Fields = append(cls.Fields, ci.Fields[fd.Name])
 		}
 		for _, md := range cd.Methods {
-			m, err := compileMethod(ch, ci, md)
-			if err != nil {
-				return nil, err
-			}
-			cls.Methods = append(cls.Methods, m)
+			cls.Methods = append(cls.Methods, compileMethod(ch, pg, ci, md))
 		}
 		p.AddClass(cls)
+	}
+	if pg.err != nil {
+		return nil, pg.err
 	}
 	if main, err := ch.FindMain(); err == nil {
 		p.Main = main
@@ -42,8 +42,18 @@ func Compile(ch *minijava.Checked) (*bytecode.Program, error) {
 	return p, nil
 }
 
+// progGen is what the generators of one program's methods share: the links
+// of the operator chains being emitted (see binary) and the first error. A
+// checked program has no construct the generator does not know, so its
+// errors are internal, and Compile returns the first.
+type progGen struct {
+	chain []*minijava.Binary
+	err   error
+}
+
 // gen is the per-method code generator.
 type gen struct {
+	*progGen
 	ch     *minijava.Checked
 	class  *minijava.ClassInfo
 	method *minijava.MethodSig
@@ -51,7 +61,14 @@ type gen struct {
 	labels int
 }
 
-func compileMethod(ch *minijava.Checked, ci *minijava.ClassInfo, md *minijava.MethodDecl) (*bytecode.Method, error) {
+// fail records an internal error, unless one is recorded already.
+func (g *gen) fail(format string, args ...any) {
+	if g.err == nil {
+		g.err = fmt.Errorf("codegen: "+format, args...)
+	}
+}
+
+func compileMethod(ch *minijava.Checked, pg *progGen, ci *minijava.ClassInfo, md *minijava.MethodDecl) *bytecode.Method {
 	sig := ci.Methods[md.Name]
 	b := bytecode.NewBuilder(ci.Decl.Name, md.Name, md.Static)
 	if md.Ctor {
@@ -64,10 +81,8 @@ func compileMethod(ch *minijava.Checked, ci *minijava.ClassInfo, md *minijava.Me
 	}
 	b.Method().Params = sig.Params
 
-	g := &gen{ch: ch, class: ci, method: sig, b: b}
-	if err := g.stmt(md.Body); err != nil {
-		return nil, err
-	}
+	g := &gen{progGen: pg, ch: ch, class: ci, method: sig, b: b}
+	g.stmt(md.Body)
 	if sig.Return == bytecode.Void {
 		// Implicit return for void methods and constructors.
 		b.Return()
@@ -76,7 +91,7 @@ func compileMethod(ch *minijava.Checked, ci *minijava.ClassInfo, md *minijava.Me
 		// bug; trap it so the VM fails loudly rather than silently.
 		b.Op(bytecode.OpTrap)
 	}
-	return b.Build(), nil
+	return b.Build()
 }
 
 // setLine tags the instruction at pc with a source line.
@@ -92,20 +107,15 @@ func (g *gen) newLabel(prefix string) string {
 	return fmt.Sprintf("%s%d", prefix, g.labels)
 }
 
-func (g *gen) stmt(s minijava.Stmt) error {
+func (g *gen) stmt(s minijava.Stmt) {
 	switch st := s.(type) {
 	case *minijava.Block:
 		for _, inner := range st.Stmts {
-			if err := g.stmt(inner); err != nil {
-				return err
-			}
+			g.stmt(inner)
 		}
-		return nil
 	case *minijava.VarDecl:
 		if st.Init != nil {
-			if err := g.expr(st.Init); err != nil {
-				return err
-			}
+			g.expr(st.Init)
 		} else {
 			// Default-initialize, mirroring the JVM's zeroed frame
 			// discipline and giving the verifier a defined type at
@@ -114,110 +124,74 @@ func (g *gen) stmt(s minijava.Stmt) error {
 		}
 		pc := g.b.Store(st.Slot)
 		g.setLine(pc, st.Line)
-		return nil
 	case *minijava.If:
 		elseL := g.newLabel("else")
 		endL := g.newLabel("endif")
-		if err := g.expr(st.Cond); err != nil {
-			return err
-		}
+		g.expr(st.Cond)
 		if st.Else != nil {
 			g.b.IfFalse(elseL)
-			if err := g.stmt(st.Then); err != nil {
-				return err
-			}
+			g.stmt(st.Then)
 			g.b.Goto(endL)
 			g.b.Label(elseL)
-			if err := g.stmt(st.Else); err != nil {
-				return err
-			}
+			g.stmt(st.Else)
 			g.b.Label(endL)
 		} else {
 			g.b.IfFalse(endL)
-			if err := g.stmt(st.Then); err != nil {
-				return err
-			}
+			g.stmt(st.Then)
 			g.b.Label(endL)
 		}
-		return nil
 	case *minijava.While:
 		top := g.newLabel("while")
 		end := g.newLabel("endwhile")
 		g.b.Label(top)
-		if err := g.expr(st.Cond); err != nil {
-			return err
-		}
+		g.expr(st.Cond)
 		g.b.IfFalse(end)
-		if err := g.stmt(st.Body); err != nil {
-			return err
-		}
+		g.stmt(st.Body)
 		g.b.Goto(top)
 		g.b.Label(end)
-		return nil
 	case *minijava.For:
 		top := g.newLabel("for")
 		end := g.newLabel("endfor")
 		if st.Init != nil {
-			if err := g.stmt(st.Init); err != nil {
-				return err
-			}
+			g.stmt(st.Init)
 		}
 		g.b.Label(top)
 		if st.Cond != nil {
-			if err := g.expr(st.Cond); err != nil {
-				return err
-			}
+			g.expr(st.Cond)
 			g.b.IfFalse(end)
 		}
-		if err := g.stmt(st.Body); err != nil {
-			return err
-		}
+		g.stmt(st.Body)
 		if st.Post != nil {
-			if err := g.stmt(st.Post); err != nil {
-				return err
-			}
+			g.stmt(st.Post)
 		}
 		g.b.Goto(top)
 		g.b.Label(end)
-		return nil
 	case *minijava.Return:
 		if st.Value != nil {
-			if err := g.expr(st.Value); err != nil {
-				return err
-			}
+			g.expr(st.Value)
 			pc := g.b.ReturnValue()
 			g.setLine(pc, st.Line)
 		} else {
 			pc := g.b.Return()
 			g.setLine(pc, st.Line)
 		}
-		return nil
 	case *minijava.ExprStmt:
-		if err := g.expr(st.E); err != nil {
-			return err
-		}
+		g.expr(st.E)
 		if st.E.Type() != bytecode.Void {
 			g.b.Op(bytecode.OpPop)
 		}
-		return nil
 	case *minijava.Print:
-		if err := g.expr(st.E); err != nil {
-			return err
-		}
+		g.expr(st.E)
 		pc := g.b.Op(bytecode.OpPrint)
 		g.setLine(pc, st.Line)
-		return nil
 	case *minijava.Spawn:
-		if err := g.expr(st.Call.Recv); err != nil {
-			return err
-		}
+		g.expr(st.Call.Recv)
 		pc := g.b.Spawn(st.Call.Method)
 		g.setLine(pc, st.Line)
-		return nil
 	case *minijava.Assign:
-		return g.assign(st)
+		g.assign(st)
 	default:
-		return fmt.Errorf("codegen: unknown statement %T", s)
+		g.fail("unknown statement %T", s)
 	}
 }
 
@@ -233,74 +207,53 @@ func (g *gen) pushZero(t *bytecode.Type) {
 	}
 }
 
-func (g *gen) assign(st *minijava.Assign) error {
+func (g *gen) assign(st *minijava.Assign) {
 	switch lhs := st.LHS.(type) {
 	case *minijava.Ident:
 		switch lhs.Kind {
 		case minijava.SymLocal:
-			if err := g.expr(st.RHS); err != nil {
-				return err
-			}
+			g.expr(st.RHS)
 			pc := g.b.Store(lhs.Slot)
 			g.setLine(pc, st.Line)
 		case minijava.SymField:
 			g.b.Load(0) // this
-			if err := g.expr(st.RHS); err != nil {
-				return err
-			}
+			g.expr(st.RHS)
 			pc := g.b.PutField(lhs.Field)
 			g.setLine(pc, st.Line)
 		case minijava.SymStaticField:
-			if err := g.expr(st.RHS); err != nil {
-				return err
-			}
+			g.expr(st.RHS)
 			pc := g.b.PutStatic(lhs.Field)
 			g.setLine(pc, st.Line)
 		default:
-			return fmt.Errorf("codegen: bad assignment target kind %v", lhs.Kind)
+			g.fail("bad assignment target kind %v", lhs.Kind)
 		}
-		return nil
 	case *minijava.FieldAccess:
 		if lhs.Static {
-			if err := g.expr(st.RHS); err != nil {
-				return err
-			}
+			g.expr(st.RHS)
 			pc := g.b.PutStatic(lhs.Field)
 			g.setLine(pc, st.Line)
-			return nil
+			return
 		}
-		if err := g.expr(lhs.Obj); err != nil {
-			return err
-		}
-		if err := g.expr(st.RHS); err != nil {
-			return err
-		}
+		g.expr(lhs.Obj)
+		g.expr(st.RHS)
 		pc := g.b.PutField(lhs.Field)
 		g.setLine(pc, st.Line)
-		return nil
 	case *minijava.Index:
-		if err := g.expr(lhs.Arr); err != nil {
-			return err
-		}
-		if err := g.expr(lhs.Index); err != nil {
-			return err
-		}
-		if err := g.expr(st.RHS); err != nil {
-			return err
-		}
+		g.expr(lhs.Arr)
+		g.expr(lhs.Index)
+		g.expr(st.RHS)
 		op := bytecode.OpIAStore
 		if lhs.Arr.Type().IsRefArray() {
 			op = bytecode.OpAAStore
 		}
 		pc := g.b.Op(op)
 		g.setLine(pc, st.Line)
-		return nil
 	default:
-		return fmt.Errorf("codegen: unknown assignment target %T", st.LHS)
+		g.fail("unknown assignment target %T", st.LHS)
 	}
 }
 
-func (g *gen) expr(e minijava.Expr) error {
+func (g *gen) expr(e minijava.Expr) {
 	switch ex := e.(type) {
 	case *minijava.IntLit:
 		g.b.Const(ex.Val)
@@ -320,33 +273,25 @@ func (g *gen) expr(e minijava.Expr) error {
 		case minijava.SymStaticField:
 			g.b.GetStatic(ex.Field)
 		default:
-			return fmt.Errorf("codegen: identifier %s not a value", ex.Name)
+			g.fail("identifier %s not a value", ex.Name)
 		}
 	case *minijava.FieldAccess:
 		if ex.Static {
 			g.b.GetStatic(ex.Field)
-			return nil
+			return
 		}
-		if err := g.expr(ex.Obj); err != nil {
-			return err
-		}
+		g.expr(ex.Obj)
 		g.b.GetField(ex.Field)
 	case *minijava.Index:
-		if err := g.expr(ex.Arr); err != nil {
-			return err
-		}
-		if err := g.expr(ex.Index); err != nil {
-			return err
-		}
+		g.expr(ex.Arr)
+		g.expr(ex.Index)
 		if ex.Arr.Type().IsRefArray() {
 			g.b.Op(bytecode.OpAALoad)
 		} else {
 			g.b.Op(bytecode.OpIALoad)
 		}
 	case *minijava.Length:
-		if err := g.expr(ex.Arr); err != nil {
-			return err
-		}
+		g.expr(ex.Arr)
 		g.b.Op(bytecode.OpArrayLength)
 	case *minijava.NewObject:
 		pc := g.b.New(ex.ClassName)
@@ -354,54 +299,43 @@ func (g *gen) expr(e minijava.Expr) error {
 		if ex.Ctor != nil {
 			g.b.Op(bytecode.OpDup)
 			for _, a := range ex.Args {
-				if err := g.expr(a); err != nil {
-					return err
-				}
+				g.expr(a)
 			}
 			cpc := g.b.Invoke(*ex.Ctor)
 			g.setLine(cpc, ex.Line)
 		}
 	case *minijava.NewArray:
-		if err := g.expr(ex.Len); err != nil {
-			return err
-		}
+		g.expr(ex.Len)
 		pc := g.b.Emit(bytecode.Instr{Op: bytecode.OpNewArray, Type: ex.ElemType})
 		g.setLine(pc, ex.Line)
 	case *minijava.Call:
 		if !ex.Static {
 			if ex.Recv != nil {
-				if err := g.expr(ex.Recv); err != nil {
-					return err
-				}
+				g.expr(ex.Recv)
 			} else {
 				g.b.Load(0) // implicit this
 			}
 		}
 		for _, a := range ex.Args {
-			if err := g.expr(a); err != nil {
-				return err
-			}
+			g.expr(a)
 		}
 		pc := g.b.Invoke(ex.Method)
 		g.setLine(pc, ex.Line)
 	case *minijava.Unary:
-		if err := g.expr(ex.X); err != nil {
-			return err
-		}
+		g.expr(ex.X)
 		switch ex.Op {
 		case "-":
 			g.b.Op(bytecode.OpNeg)
 		case "!":
 			g.b.Op(bytecode.OpNot)
 		default:
-			return fmt.Errorf("codegen: unknown unary op %s", ex.Op)
+			g.fail("unknown unary op %s", ex.Op)
 		}
 	case *minijava.Binary:
-		return g.binary(ex)
+		g.binary(ex)
 	default:
-		return fmt.Errorf("codegen: unknown expression %T", e)
+		g.fail("unknown expression %T", e)
 	}
-	return nil
 }
 
 var intBinOps = map[string]bytecode.Op{
@@ -411,15 +345,30 @@ var intBinOps = map[string]bytecode.Op{
 	">": bytecode.OpCmpGT, ">=": bytecode.OpCmpGE,
 }
 
-func (g *gen) binary(ex *minijava.Binary) error {
+// binary emits ex and, by a loop, the left-deep chain of binary operators
+// under it (1+1+…+1): only right operands recurse, so a chain of any length
+// fits the stack. chain holds the links of every chain being emitted,
+// innermost last.
+func (g *gen) binary(ex *minijava.Binary) {
+	base := len(g.chain)
+	for b := ex; b != nil; b, _ = b.X.(*minijava.Binary) {
+		g.chain = append(g.chain, b)
+	}
+	g.expr(g.chain[len(g.chain)-1].X)
+	for i := len(g.chain) - 1; i >= base; i-- {
+		g.link(g.chain[i])
+	}
+	g.chain = g.chain[:base]
+}
+
+// link emits the operator of ex and its right operand, its left operand
+// being on the stack.
+func (g *gen) link(ex *minijava.Binary) {
 	switch ex.Op {
 	case "&&", "||":
 		// Short-circuit with the dup pattern: the left value survives on
 		// the stack when it decides the result.
 		end := g.newLabel("sc")
-		if err := g.expr(ex.X); err != nil {
-			return err
-		}
 		g.b.Op(bytecode.OpDup)
 		if ex.Op == "&&" {
 			g.b.IfFalse(end)
@@ -427,18 +376,10 @@ func (g *gen) binary(ex *minijava.Binary) error {
 			g.b.IfTrue(end)
 		}
 		g.b.Op(bytecode.OpPop)
-		if err := g.expr(ex.Y); err != nil {
-			return err
-		}
+		g.expr(ex.Y)
 		g.b.Label(end)
-		return nil
 	case "==", "!=":
-		if err := g.expr(ex.X); err != nil {
-			return err
-		}
-		if err := g.expr(ex.Y); err != nil {
-			return err
-		}
+		g.expr(ex.Y)
 		xt, yt := ex.X.Type(), ex.Y.Type()
 		isRef := xt.IsRef() || yt.IsRef() ||
 			(xt.Kind == bytecode.KindClass && xt.Class == "<null>") ||
@@ -456,19 +397,12 @@ func (g *gen) binary(ex *minijava.Binary) error {
 				g.b.Op(bytecode.OpCmpNE)
 			}
 		}
-		return nil
 	default:
-		op, ok := intBinOps[ex.Op]
-		if !ok {
-			return fmt.Errorf("codegen: unknown binary op %s", ex.Op)
+		g.expr(ex.Y)
+		if op, ok := intBinOps[ex.Op]; ok {
+			g.b.Op(op)
+		} else {
+			g.fail("unknown binary op %s", ex.Op)
 		}
-		if err := g.expr(ex.X); err != nil {
-			return err
-		}
-		if err := g.expr(ex.Y); err != nil {
-			return err
-		}
-		g.b.Op(op)
-		return nil
 	}
 }

@@ -49,7 +49,7 @@ class T { static void main() { P p = new P(3); } }
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("op %d = %v, want %v\n%s", i, got[i], want[i], bytecode.Disassemble(m))
+			t.Fatalf("op %d = %v, want %v\n%s", i, got[i], want[i], bytecode.Disassemble(m, nil))
 		}
 	}
 	if m.Code[3].Method.Name != "<init>" {
@@ -102,7 +102,7 @@ class T {
 }
 `)
 	m := p.Method(bytecode.MethodRef{Class: "T", Name: "link"})
-	dis := bytecode.Disassemble(m)
+	dis := bytecode.Disassemble(m, nil)
 	for _, want := range []string{"load 0", "load 1", "putfield T.next", "putstatic T.head"} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("missing %q in:\n%s", want, dis)
@@ -160,7 +160,7 @@ class T { static boolean f(boolean a, boolean b) { return a && b || a; } }
 		}
 	}
 	if dups != 2 || pops != 2 || branches != 2 {
-		t.Errorf("short-circuit shape: dup=%d pop=%d branch=%d\n%s", dups, pops, branches, bytecode.Disassemble(m))
+		t.Errorf("short-circuit shape: dup=%d pop=%d branch=%d\n%s", dups, pops, branches, bytecode.Disassemble(m, nil))
 	}
 }
 
@@ -214,7 +214,7 @@ class T { static int f(int n) { int s = 0; int i = 0; while (i < n) { s = s + i;
 		}
 	}
 	if !backward {
-		t.Errorf("while loop should contain a backward goto:\n%s", bytecode.Disassemble(m))
+		t.Errorf("while loop should contain a backward goto:\n%s", bytecode.Disassemble(m, nil))
 	}
 }
 
@@ -279,7 +279,7 @@ class Util {
 }
 `)
 	m := p.Method(bytecode.MethodRef{Class: "Util", Name: "expand"})
-	dis := bytecode.Disassemble(m)
+	dis := bytecode.Disassemble(m, nil)
 	for _, want := range []string{"newarray T", "aastore", "aaload", "arraylength"} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("missing %q in:\n%s", want, dis)
@@ -334,7 +334,7 @@ class Main {
 		t.Fatal(err)
 	}
 	m := p.Method(bytecode.MethodRef{Class: "Pair", Name: "touch"})
-	dis := bytecode.Disassemble(m)
+	dis := bytecode.Disassemble(m, nil)
 	for _, want := range []string{"putstatic Pair.cache", "getstatic Pair.hits", "putfield Pair.other", "not"} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("missing %q in touch:\n%s", want, dis)
@@ -373,7 +373,7 @@ class C {
 }
 `)
 	m := p.Method(bytecode.MethodRef{Class: "C", Name: "push"})
-	dis := bytecode.Disassemble(m)
+	dis := bytecode.Disassemble(m, nil)
 	for _, want := range []string{"getstatic C.head", "putstatic C.head", "putfield C.next"} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("missing %q:\n%s", want, dis)
@@ -396,5 +396,32 @@ class Main {
 `)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompileLongChains: a left-deep chain of operators compiles in a loop
+// over its links, so a chain of any length fits the goroutine stack (also
+// under -race): a 400 000-term sum and a 100 000-term conjunction, each
+// link of which branches just past its own right operand.
+func TestCompileLongChains(t *testing.T) {
+	wrap := func(typ, expr string) string {
+		return "class A { static void main() { " + typ + " x = " + expr + "; } }"
+	}
+	sum := compile(t, wrap("int", "1"+strings.Repeat("+1", 399999))).Methods()[0]
+	if n := strings.Count(bytecode.Disassemble(sum, nil), "add\n"); n != 399999 {
+		t.Errorf("the sum compiled to %d adds, want 399999", n)
+	}
+	and := compile(t, wrap("boolean", "true"+strings.Repeat(" && true", 99999))).Methods()[0]
+	links := 0
+	for pc, in := range and.Code {
+		if in.Op == bytecode.OpIfFalse {
+			links++
+			if in.A != int64(pc+3) || and.Code[pc-1].Op != bytecode.OpDup || and.Code[pc+1].Op != bytecode.OpPop {
+				t.Fatalf("link at pc %d: %v, want dup; iffalse -> %d; pop", pc, &in, pc+3)
+			}
+		}
+	}
+	if links != 99999 {
+		t.Errorf("the conjunction compiled to %d links, want 99999", links)
 	}
 }

@@ -8,6 +8,8 @@ import (
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
+	"satbelim/internal/num"
+	"satbelim/internal/obs"
 	"satbelim/internal/satb"
 )
 
@@ -221,37 +223,41 @@ type analyzer struct {
 	cancel <-chan struct{}
 }
 
-// AnalyzeMethodCtx runs the analysis on one method: it writes each store
-// site's Verdict into the method's instructions and returns the report
-// counted off them. ModeNone proves nothing, so every site keeps its
-// barrier.
-//
-// The analysis never takes a method (or the pipeline above it) down: a
-// panic anywhere inside is recovered and converted into the conservative
-// degraded result — every barrier kept — with the recovered value and
-// stack in the report. The same holds for methods exceeding the Options
-// budgets (visit count, deadline, state size). Cancellation of ctx is
-// observed at block-visit boundaries (the fixed point's only loop) and
-// degrades the method the same way with reason DegradeCancelled —
-// analysis is never torn down mid-judgment, so a cancelled request can
-// still ship a correct, conservative program. A context deadline earlier
-// than Options.Deadline tightens it.
-func AnalyzeMethodCtx(ctx context.Context, p *bytecode.Program, m *bytecode.Method, opts Options) (*MethodReport, error) {
-	return analyzeMethod(ctx, newProgramIndex(p, 1, opts), 0, m, opts)
-}
-
-// analyzeMethod is AnalyzeMethodCtx for m, whose index is entry i of the
-// build's program index.
-func analyzeMethod(ctx context.Context, px *programIndex, i int, m *bytecode.Method, opts Options) (*MethodReport, error) {
-	idx, err := px.of(i, m)
+// analyzeMethod analyzes method number i of the build px indexes and
+// returns its report and its row of verdicts (nil: none proven). It never
+// takes the build down: a panic, an exceeded budget (visit count, deadline,
+// state size) or cancellation of ctx degrades the method to the
+// conservative result — every barrier kept — with the reason in the
+// report. A context deadline earlier than Options.Deadline tightens it.
+// On a worker's lane ("" when tracing is off) a span carries the fixpoint
+// stats the §4.4 measurements care about; tracing observes only.
+func analyzeMethod(ctx context.Context, px *programIndex, i int, opts Options, lane string) (*MethodReport, []bytecode.Verdict, error) {
+	m := px.syms.Methods[i]
+	idx, err := px.of(i)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
+		return nil, nil, fmt.Errorf("analysis: %w", err)
+	}
+	var sp obs.Span
+	if lane != "" {
+		sp = obs.StartSpan(lane, "analysis", m.QualifiedName())
 	}
 	rep := &MethodReport{Method: m, BytecodeBytes: m.Size()}
 	verdicts := analyze(ctx, px, idx, m, opts, rep)
 	rep.Converged = rep.Degraded == DegradeNone
 	publish(px.syms, idx.Body, verdicts, rep)
-	return rep, nil
+	if lane != "" {
+		sp.EndArgs(
+			obs.KV{K: "block_visits", V: int64(rep.BlockVisits)},
+			obs.KV{K: "converged", V: num.B2I(rep.Converged)},
+			obs.KV{K: "degraded", S: string(rep.Degraded)},
+		)
+		obs.Count("analysis.methods", 1)
+		obs.Count("analysis.block_visits", int64(rep.BlockVisits))
+		if rep.Degraded != DegradeNone {
+			obs.Count("analysis.degraded", 1)
+		}
+	}
+	return rep, verdicts, nil
 }
 
 // analyze decides the method's verdicts (nil: none proven) and fills the
@@ -299,27 +305,25 @@ func analyze(ctx context.Context, px *programIndex, idx methodIndex, m *bytecode
 	return j.verdicts
 }
 
-// publish is the one writer of Instr.Verdict and the one counter of sites
-// and elisions: it stores the method's verdicts (nil: keep every barrier)
-// and counts the report's static columns off the stored result.
+// publish is the one counter of sites and elisions: it counts the
+// report's static columns off the method's verdicts (nil: every barrier
+// kept), the row the build's table will hold for it.
 func publish(syms *bytecode.Symbols, body *bytecode.Body, verdicts []bytecode.Verdict, rep *MethodReport) {
 	m := body.Graph.Method
 	for pc := range m.Code {
-		in := &m.Code[pc]
-		in.Verdict = bytecode.VerdictNone
-		kind, ok := satb.SiteOf(syms, in.Op, body.FieldAt[pc])
+		kind, ok := satb.SiteOf(syms, m.Code[pc].Op, body.FieldAt[pc])
 		if !ok {
 			continue
-		}
-		if verdicts != nil {
-			in.Verdict = verdicts[pc]
 		}
 		sites, elided := &rep.FieldSites, &rep.FieldElided
 		if kind == satb.ArraySite {
 			sites, elided = &rep.ArraySites, &rep.ArrayElided
 		}
 		*sites++
-		switch in.Verdict {
+		if verdicts == nil {
+			continue
+		}
+		switch verdicts[pc] {
 		case bytecode.VerdictPreNull:
 			*elided++
 		case bytecode.VerdictNullOrSame:

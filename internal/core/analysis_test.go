@@ -37,17 +37,35 @@ func analyzeSrc(t *testing.T, src string, inlineLimit int, opts Options) (*bytec
 	return p, rep
 }
 
-// elisions lists the pcs of elided stores in a method, split by opcode.
-func elisions(m *bytecode.Method) (fields, arrays, nos []int) {
-	for pc := range m.Code {
-		in := &m.Code[pc]
-		preNull := in.Verdict == bytecode.VerdictPreNull
+// verdictsOf returns the verdict of every pc of m, one of p's methods, in
+// p's verdict table.
+func verdictsOf(p *bytecode.Program, m *bytecode.Method) []bytecode.Verdict {
+	n := p.Symbols().MethodNum(m.Ref())
+	if n < 0 || p.Methods()[n] != m {
+		panic(m.QualifiedName() + " is not a method of the program")
+	}
+	if row := p.Verdicts().Of(n); row != nil {
+		return row
+	}
+	return make([]bytecode.Verdict, len(m.Code))
+}
+
+// dis is m's listing annotated with its verdicts in p.
+func dis(p *bytecode.Program, m *bytecode.Method) string {
+	return bytecode.Disassemble(m, verdictsOf(p, m))
+}
+
+// elisions lists the pcs of elided stores in a method of p, split by
+// opcode.
+func elisions(p *bytecode.Program, m *bytecode.Method) (fields, arrays, nos []int) {
+	for pc, v := range verdictsOf(p, m) {
+		op := m.Code[pc].Op
 		switch {
-		case preNull && in.Op == bytecode.OpPutField:
+		case v == bytecode.VerdictPreNull && op == bytecode.OpPutField:
 			fields = append(fields, pc)
-		case preNull && in.Op == bytecode.OpAAStore:
+		case v == bytecode.VerdictPreNull && op == bytecode.OpAAStore:
 			arrays = append(arrays, pc)
-		case in.Verdict == bytecode.VerdictNullOrSame:
+		case v == bytecode.VerdictNullOrSame:
 			nos = append(nos, pc)
 		}
 	}
@@ -66,9 +84,9 @@ class M { static void main() { T t = new T(null); } }
 `
 	p, _ := analyzeSrc(t, src, 0, optsA())
 	ctor := p.Method(bytecode.MethodRef{Class: "T", Name: "<init>"})
-	f, _, _ := elisions(ctor)
+	f, _, _ := elisions(p, ctor)
 	if len(f) != 1 {
-		t.Errorf("constructor store should be elided:\n%s", bytecode.Disassemble(ctor))
+		t.Errorf("constructor store should be elided:\n%s", dis(p, ctor))
 	}
 }
 
@@ -81,9 +99,9 @@ class M { static void main() { T t = new T(); t.set(null); } }
 `
 	p, _ := analyzeSrc(t, src, 0, optsA())
 	set := p.Method(bytecode.MethodRef{Class: "T", Name: "set"})
-	f, _, _ := elisions(set)
+	f, _, _ := elisions(p, set)
 	if len(f) != 0 {
-		t.Errorf("store through an escaped argument must keep its barrier:\n%s", bytecode.Disassemble(set))
+		t.Errorf("store through an escaped argument must keep its barrier:\n%s", dis(p, set))
 	}
 }
 
@@ -103,17 +121,17 @@ class M {
 	// barrier.
 	p0, _ := analyzeSrc(t, src, 0, optsA())
 	m0 := p0.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f0, _, _ := elisions(m0)
+	f0, _, _ := elisions(p0, m0)
 	if len(f0) != 0 {
-		t.Errorf("without inlining, no main elisions expected:\n%s", bytecode.Disassemble(m0))
+		t.Errorf("without inlining, no main elisions expected:\n%s", dis(p0, m0))
 	}
 	// With inlining: both the inlined v-store and the next-store are
 	// pre-null on thread-local objects.
 	p1, _ := analyzeSrc(t, src, 100, optsA())
 	m1 := p1.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f1, _, _ := elisions(m1)
+	f1, _, _ := elisions(p1, m1)
 	if len(f1) != 1 { // only t.next is a ref store; v is an int field
-		t.Errorf("with inlining, the t.next store should be elided (got %v):\n%s", f1, bytecode.Disassemble(m1))
+		t.Errorf("with inlining, the t.next store should be elided (got %v):\n%s", f1, dis(p1, m1))
 	}
 }
 
@@ -130,9 +148,9 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 1 {
-		t.Errorf("exactly the first store should be elided, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Errorf("exactly the first store should be elided, got %v:\n%s", f, dis(p, m))
 	}
 	// The elided one must be the earlier pc.
 	var stores []int
@@ -169,7 +187,7 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 0, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "run"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	// Find the two x.f stores in pc order; W1 must be elided, W2 not.
 	var stores []int
 	for pc := range m.Code {
@@ -181,14 +199,14 @@ class M {
 		t.Fatalf("expected 2 f-stores, found %v", stores)
 	}
 	if len(f) != 1 || f[0] != stores[0] {
-		t.Errorf("W1 (pc %d) should be the only elision, got %v:\n%s", stores[0], f, bytecode.Disassemble(m))
+		t.Errorf("W1 (pc %d) should be the only elision, got %v:\n%s", stores[0], f, dis(p, m))
 	}
 
 	// Ablation: with a single summary node per site, strong update is
 	// impossible and W1 keeps its barrier.
 	pa, _ := analyzeSrc(t, src, 0, Options{Mode: ModeFieldArray, SingleRefPerSite: true})
 	ma := pa.Method(bytecode.MethodRef{Class: "M", Name: "run"})
-	fa, _, _ := elisions(ma)
+	fa, _, _ := elisions(pa, ma)
 	if len(fa) != 0 {
 		t.Errorf("single-summary ablation should lose the W1 elision, got %v", fa)
 	}
@@ -210,14 +228,14 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 1 {
-		t.Errorf("exactly the pre-escape store should be elided, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Errorf("exactly the pre-escape store should be elided, got %v:\n%s", f, dis(p, m))
 	}
 
 	pa, _ := analyzeSrc(t, src, 100, Options{Mode: ModeFieldArray, FlowInsensitiveEscape: true})
 	ma := pa.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	fa, _, _ := elisions(ma)
+	fa, _, _ := elisions(pa, ma)
 	if len(fa) != 0 {
 		t.Errorf("flow-insensitive ablation should lose the elision, got %v", fa)
 	}
@@ -237,7 +255,7 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 0, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 0 {
 		t.Errorf("store after call-escape must keep its barrier, got %v", f)
 	}
@@ -260,9 +278,9 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 1 {
-		t.Errorf("only a.next=b should be elided, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Errorf("only a.next=b should be elided, got %v:\n%s", f, dis(p, m))
 	}
 }
 
@@ -279,7 +297,7 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 0 {
 		t.Errorf("store to spawned receiver must keep its barrier, got %v", f)
 	}
@@ -300,15 +318,15 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 0, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "expand"})
-	_, arr, _ := elisions(m)
+	_, arr, _ := elisions(p, m)
 	if len(arr) != 1 {
-		t.Errorf("the loop's aastore should be elided, got %v:\n%s", arr, bytecode.Disassemble(m))
+		t.Errorf("the loop's aastore should be elided, got %v:\n%s", arr, dis(p, m))
 	}
 
 	// Mode F must not elide array stores.
 	pf, _ := analyzeSrc(t, src, 0, Options{Mode: ModeField})
 	mf := pf.Method(bytecode.MethodRef{Class: "U", Name: "expand"})
-	_, arrF, _ := elisions(mf)
+	_, arrF, _ := elisions(pf, mf)
 	if len(arrF) != 0 {
 		t.Errorf("mode F should not elide array stores, got %v", arrF)
 	}
@@ -316,7 +334,7 @@ class U {
 	// Stride-inference ablation collapses the loop invariant.
 	pn, _ := analyzeSrc(t, src, 0, Options{Mode: ModeFieldArray, NoStrideInference: true})
 	mn := pn.Method(bytecode.MethodRef{Class: "U", Name: "expand"})
-	_, arrN, _ := elisions(mn)
+	_, arrN, _ := elisions(pn, mn)
 	if len(arrN) != 0 {
 		t.Errorf("no-stride ablation should lose the elision, got %v", arrN)
 	}
@@ -337,9 +355,9 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "fill"})
-	_, arr, _ := elisions(m)
+	_, arr, _ := elisions(p, m)
 	if len(arr) != 1 {
-		t.Errorf("downward fill should be elided, got %v:\n%s", arr, bytecode.Disassemble(m))
+		t.Errorf("downward fill should be elided, got %v:\n%s", arr, dis(p, m))
 	}
 }
 
@@ -358,9 +376,9 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "sparse"})
-	_, arr, _ := elisions(m)
+	_, arr, _ := elisions(p, m)
 	if len(arr) != 1 {
-		t.Errorf("only a[0] should be elided, got %v:\n%s", arr, bytecode.Disassemble(m))
+		t.Errorf("only a[0] should be elided, got %v:\n%s", arr, dis(p, m))
 	}
 }
 
@@ -379,7 +397,7 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "swap"})
-	_, arr, _ := elisions(m)
+	_, arr, _ := elisions(p, m)
 	if len(arr) != 0 {
 		t.Errorf("swap stores must keep barriers, got %v", arr)
 	}
@@ -400,7 +418,7 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "main"})
-	_, arr, _ := elisions(m)
+	_, arr, _ := elisions(p, m)
 	if len(arr) != 0 {
 		t.Errorf("stores into an escaped array must keep barriers, got %v", arr)
 	}
@@ -424,9 +442,9 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 2 {
-		t.Errorf("both stores should be elided, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Errorf("both stores should be elided, got %v:\n%s", f, dis(p, m))
 	}
 }
 
@@ -436,7 +454,7 @@ class T { T next; T(T n) { next = n; } }
 `
 	p, rep := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
 	m := p.Method(bytecode.MethodRef{Class: "T", Name: "<init>"})
-	f, a, n := elisions(m)
+	f, a, n := elisions(p, m)
 	if len(f)+len(a)+len(n) != 0 {
 		t.Error("mode B must not elide anything")
 	}
@@ -463,14 +481,14 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeFieldArray, NullOrSame: true})
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "roundtrip"})
-	f, _, nos := elisions(m)
+	f, _, nos := elisions(p, m)
 	// t.f = x elided (pre-null); t.g = t.f elided (pre-null, g untouched);
 	// t.f = t.f is null-or-same.
 	if len(f) != 2 {
-		t.Errorf("pre-null elisions = %v, want 2:\n%s", f, bytecode.Disassemble(m))
+		t.Errorf("pre-null elisions = %v, want 2:\n%s", f, dis(p, m))
 	}
 	if len(nos) != 1 {
-		t.Errorf("null-or-same elisions = %v, want 1:\n%s", nos, bytecode.Disassemble(m))
+		t.Errorf("null-or-same elisions = %v, want 1:\n%s", nos, dis(p, m))
 	}
 }
 
@@ -489,7 +507,7 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeFieldArray, NullOrSame: true})
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "run"})
-	f, _, nos := elisions(m)
+	f, _, nos := elisions(p, m)
 	if len(f) != 1 {
 		t.Errorf("only the first store is pre-null, got %v", f)
 	}
@@ -513,7 +531,7 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeFieldArray, NullOrSame: true})
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "run"})
-	_, _, nos := elisions(m)
+	_, _, nos := elisions(p, m)
 	if len(nos) != 0 {
 		t.Errorf("call must kill null-or-same sources, got %v", nos)
 	}
@@ -587,7 +605,7 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 0 {
 		t.Errorf("store into global object must keep barrier, got %v", f)
 	}
@@ -608,8 +626,8 @@ class M {
 `
 	p, _ := analyzeSrc(t, src, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "run"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 1 {
-		t.Errorf("merged-refset store should be elided, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Errorf("merged-refset store should be elided, got %v:\n%s", f, dis(p, m))
 	}
 }

@@ -28,9 +28,8 @@ class A {
 func noElisions(t *testing.T, p *bytecode.Program) {
 	t.Helper()
 	for _, m := range p.Methods() {
-		for pc := range m.Code {
-			in := &m.Code[pc]
-			if in.Verdict != bytecode.VerdictNone {
+		for pc, v := range verdictsOf(p, m) {
+			if v != bytecode.VerdictNone {
 				t.Errorf("%s pc %d: elision flag survived degradation", m.QualifiedName(), pc)
 			}
 		}
@@ -110,10 +109,11 @@ func TestPanicDegradesConservatively(t *testing.T) {
 	cls.Methods = append(cls.Methods, m)
 	p.AddClass(cls)
 
-	rep, err := AnalyzeMethodCtx(context.Background(), p, m, Options{Mode: ModeFieldArray})
+	prep, err := AnalyzeProgram(p, Options{Mode: ModeFieldArray})
 	if err != nil {
 		t.Fatalf("panic should degrade, not error: %v", err)
 	}
+	rep := prep.Methods[0]
 	if rep.Degraded != DegradePanic {
 		t.Fatalf("Degraded = %q, want %q", rep.Degraded, DegradePanic)
 	}
@@ -137,11 +137,8 @@ func TestGenerousBudgetsChangeNothing(t *testing.T) {
 	}
 	m1, m2 := p1.Methods(), p2.Methods()
 	for i := range m1 {
-		for pc := range m1[i].Code {
-			x, y := &m1[i].Code[pc], &m2[i].Code[pc]
-			if x.Verdict != y.Verdict {
-				t.Errorf("%s pc %d: elision bits differ", m1[i].QualifiedName(), pc)
-			}
+		if !reflect.DeepEqual(verdictsOf(p1, m1[i]), verdictsOf(p2, m2[i])) {
+			t.Errorf("%s: elision bits differ", m1[i].QualifiedName())
 		}
 	}
 }

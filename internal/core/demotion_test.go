@@ -92,10 +92,10 @@ func TestUnsoundSkipBDemotionReopensHole(t *testing.T) {
 	sound := compileDemotion(t, core.Options{Mode: core.ModeFieldArray})
 	b := compileDemotion(t, core.InjectFaults(core.Options{Mode: core.ModeFieldArray}, true, false))
 	same := true
-	soundMethods := sound.Program.Methods()
+	soundVerdicts, verdicts := sound.Program.Verdicts(), b.Program.Verdicts()
 	for mi, m := range b.Program.Methods() {
-		for pc, in := range m.Code {
-			if in.Verdict != soundMethods[mi].Code[pc].Verdict {
+		for pc := range m.Code {
+			if verdicts.At(mi, pc) != soundVerdicts.At(mi, pc) {
 				same = false
 			}
 		}

@@ -13,7 +13,7 @@ import (
 func ComputeAllSummaries(p *bytecode.Program, opts Options) Summaries {
 	cond := Condense(BuildCallGraph(p))
 	sums := make(Summaries, len(cond.Graph.Methods))
-	px := newProgramIndex(p, len(cond.Graph.Methods), opts)
+	px := newProgramIndex(p, opts)
 	for i, m := range cond.Graph.Methods {
 		sums[i] = optimisticSummary(px.syms, m)
 	}
@@ -52,14 +52,14 @@ func (s *MethodSummary) PreNullNamed(p *bytecode.Program, i int, name string) bo
 // each report's AbstractRefs is its table's judged count.
 func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 	methods := p.Methods()
-	px := newProgramIndex(p, len(methods), opts)
+	px := newProgramIndex(p, opts)
 	if opts.Interprocedural {
 		opts.Summaries = computeSummaries(px, opts, 1)
 	}
 	tables := 0
 	for i, m := range methods {
 		summarized := px.methods[i].refs
-		rep, err := analyzeMethod(context.Background(), px, i, m, opts)
+		rep, _, err := analyzeMethod(context.Background(), px, i, opts, "")
 		if err != nil {
 			return 0, err
 		}

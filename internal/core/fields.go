@@ -49,22 +49,23 @@ type programIndex struct {
 	methods []methodIndex
 }
 
-func newProgramIndex(p *bytecode.Program, methods int, opts Options) *programIndex {
-	return &programIndex{prog: p, syms: p.Symbols(), opts: opts, methods: make([]methodIndex, methods)}
+func newProgramIndex(p *bytecode.Program, opts Options) *programIndex {
+	s := p.Symbols()
+	return &programIndex{prog: p, syms: s, opts: opts, methods: make([]methodIndex, len(s.Methods))}
 }
 
-// of returns the index of m, entry i of the table, building its reference
-// table on first use. A body with a structural fault — the verifier rejects
-// such a method — is an error.
-func (px *programIndex) of(i int, m *bytecode.Method) (methodIndex, error) {
+// of returns the index of method number i, building its reference table on
+// first use. A body with a structural fault — the verifier rejects such a
+// method — is an error.
+func (px *programIndex) of(i int) (methodIndex, error) {
 	if px.methods[i].Body != nil {
 		return px.methods[i], nil
 	}
-	b := px.prog.BodyOf(m)
+	b := px.prog.Body(i)
 	if b.Err != nil {
 		return methodIndex{}, b.Err
 	}
-	idx := methodIndex{Body: b, refs: buildRefTable(px.syms, m, b.CalleeAt, px.opts)}
+	idx := methodIndex{Body: b, refs: buildRefTable(px.syms, px.syms.Methods[i], b.CalleeAt, px.opts)}
 	px.methods[i] = idx
 	return idx, nil
 }

@@ -160,8 +160,8 @@ func TestUndeclaredFieldOperand(t *testing.T) {
 	m := b.Build()
 	p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{m}})
 	opts := Options{Mode: ModeFieldArray}
-	px := newProgramIndex(p, 1, opts)
-	if _, err := px.of(0, m); err == nil {
+	px := newProgramIndex(p, opts)
+	if _, err := px.of(0); err == nil {
 		t.Fatal("indexing a method with an undeclared field operand succeeded")
 	}
 	if _, err := AnalyzeProgram(p, opts); err == nil {

@@ -28,22 +28,21 @@ type FlavorVerdicts struct {
 // verdicts through one flavor's soundness predicate.
 func FlavorSiteVerdicts(p *bytecode.Program, spec *satb.BarrierSpec) FlavorVerdicts {
 	fv := FlavorVerdicts{Flavor: spec.Name}
-	syms := p.Symbols()
+	syms, vt := p.Symbols(), p.Verdicts()
 	for n, m := range syms.Methods {
 		body := p.Body(n)
 		if body.Err != nil {
 			continue // a body with a fault resolves no site
 		}
-		for pc := range m.Code {
-			in := &m.Code[pc]
-			if in.Verdict == satb.ElideNone {
+		for pc, k := range vt.Of(n) {
+			if k == satb.ElideNone {
 				continue
 			}
-			if _, ok := satb.SiteOf(syms, in.Op, body.FieldAt[pc]); !ok {
+			if _, ok := satb.SiteOf(syms, m.Code[pc].Op, body.FieldAt[pc]); !ok {
 				continue
 			}
 			fv.Verdicts++
-			if spec.Sound(in.Verdict) {
+			if spec.Sound(k) {
 				fv.Kept++
 			} else {
 				fv.Discarded++

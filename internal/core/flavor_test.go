@@ -15,15 +15,17 @@ func flavorProgram() *bytecode.Program {
 	f := bytecode.FieldRef{Class: "T", Name: "f"}
 	m := &bytecode.Method{Class: "T", Name: "main", Static: true}
 	m.Code = []bytecode.Instr{
-		{Op: bytecode.OpPutField, Field: f, Verdict: bytecode.VerdictPreNull},
-		{Op: bytecode.OpAAStore, Verdict: bytecode.VerdictNullOrSame},
-		{Op: bytecode.OpAAStore, Verdict: bytecode.VerdictRearrange},
+		{Op: bytecode.OpPutField, Field: f},
+		{Op: bytecode.OpAAStore},
+		{Op: bytecode.OpAAStore},
 		{Op: bytecode.OpPutField, Field: f},
 		{Op: bytecode.OpReturn},
 	}
 	cls.Methods = append(cls.Methods, m)
 	p.AddClass(cls)
 	p.Main = bytecode.MethodRef{Class: "T", Name: "main"}
+	p.SetVerdicts([][]bytecode.Verdict{{bytecode.VerdictPreNull, bytecode.VerdictNullOrSame, bytecode.VerdictRearrange,
+		bytecode.VerdictNone, bytecode.VerdictNone}})
 	return p
 }
 

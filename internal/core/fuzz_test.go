@@ -112,17 +112,11 @@ class A { static void main() {
 			if _, err := core.AnalyzeProgram(plainProg, plainOpts); err != nil {
 				t.Fatalf("plain analysis error: %v", err)
 			}
-			plainByName := map[string][]bytecode.Instr{}
-			for _, m := range plainProg.Methods() {
-				plainByName[m.QualifiedName()] = m.Code
-			}
-			elided := func(in bytecode.Instr) bool {
-				return in.Verdict != bytecode.VerdictNone
-			}
-			for _, m := range prog.Methods() {
-				plain := plainByName[m.QualifiedName()]
-				for pc, in := range m.Code {
-					if elided(plain[pc]) && !elided(in) {
+			plain, interproc := plainProg.Verdicts(), prog.Verdicts()
+			for n, m := range prog.Methods() {
+				pn := plainProg.Symbols().MethodNum(m.Ref())
+				for pc := range m.Code {
+					if plain.At(pn, pc) != bytecode.VerdictNone && interproc.At(n, pc) == bytecode.VerdictNone {
 						t.Fatalf("%s pc %d: intraprocedural run elides but interprocedural run does not\noptions: %+v\nsource:\n%s",
 							m.QualifiedName(), pc, opts, src)
 					}

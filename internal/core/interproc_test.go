@@ -27,13 +27,13 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f, _, _ := elisions(m); len(f) != 1 {
-		t.Errorf("fresh-return store should be elided, got %v:\n%s", f, bytecode.Disassemble(m))
+	if f, _, _ := elisions(p, m); len(f) != 1 {
+		t.Errorf("fresh-return store should be elided, got %v:\n%s", f, dis(p, m))
 	}
 	// Without summaries the result is just GlobalRef: no elision.
 	p0, _ := analyzeSrc(t, src, 0, optsA())
 	m0 := p0.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f0, _, _ := elisions(m0); len(f0) != 0 {
+	if f0, _, _ := elisions(p0, m0); len(f0) != 0 {
 		t.Errorf("without summaries the store must keep its barrier, got %v", f0)
 	}
 }
@@ -54,8 +54,8 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f, _, _ := elisions(m); len(f) != 1 {
-		t.Errorf("chained fresh return should keep the elision, got %v:\n%s", f, bytecode.Disassemble(m))
+	if f, _, _ := elisions(p, m); len(f) != 1 {
+		t.Errorf("chained fresh return should keep the elision, got %v:\n%s", f, dis(p, m))
 	}
 }
 
@@ -83,7 +83,7 @@ class M {
 		t.Error("non-null-field return must not be fresh")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f, _, _ := elisions(m); len(f) != 0 {
+	if f, _, _ := elisions(p, m); len(f) != 0 {
 		t.Errorf("store into initialized field must keep its barrier, got %v", f)
 	}
 }
@@ -128,9 +128,9 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if _, arr, _ := elisions(m); len(arr) != 0 {
+	if _, arr, _ := elisions(p, m); len(arr) != 0 {
 		t.Errorf("store indexed by callee-written int must keep its barrier, got %v:\n%s",
-			arr, bytecode.Disassemble(m))
+			arr, dis(p, m))
 	}
 }
 
@@ -166,12 +166,12 @@ class M {
 		t.Error("untouched field T.b must stay in the receiver's pre-null set")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	// The ctor's own `a = x` store is in <init>; main's t.b store is the
 	// one at stake here.
 	if len(f) != 1 {
 		t.Errorf("t.b store should stay elidable past the ctor call, got %v:\n%s",
-			f, bytecode.Disassemble(m))
+			f, dis(p, m))
 	}
 }
 
@@ -202,11 +202,11 @@ class M {
 		t.Fatal("publishing the argument's contents must compromise the argument")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	// Only the pre-call x.link = y store is elidable; the post-call y.g
 	// store must keep its barrier (y escaped through foo).
 	if len(f) != 1 {
-		t.Fatalf("want exactly the pre-call elision, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Fatalf("want exactly the pre-call elision, got %v:\n%s", f, dis(p, m))
 	}
 	var stores []int
 	for pc := range m.Code {
@@ -245,17 +245,17 @@ class M {
 		t.Fatal("mutation through the argument's contents must compromise it")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	for _, pc := range mustElisions(t, m) {
+	for _, pc := range mustElisions(t, p, m) {
 		// The y.g store is the last putfield; it must not be elided.
 		if m.Code[pc].Op == bytecode.OpPutField && pc == lastPutfield(m) {
-			t.Errorf("store into deep-mutated object elided at pc %d:\n%s", pc, bytecode.Disassemble(m))
+			t.Errorf("store into deep-mutated object elided at pc %d:\n%s", pc, dis(p, m))
 		}
 	}
 }
 
-func mustElisions(t *testing.T, m *bytecode.Method) []int {
+func mustElisions(t *testing.T, p *bytecode.Program, m *bytecode.Method) []int {
 	t.Helper()
-	f, arr, _ := elisions(m)
+	f, arr, _ := elisions(p, m)
 	return append(f, arr...)
 }
 

@@ -46,10 +46,11 @@ func analysisOutcome(t *testing.T, p *bytecode.Program, opts core.Options, worke
 	}
 	var reps []core.MethodReport
 	var verdicts []bytecode.Verdict
-	for _, mr := range rep.Methods {
+	vt := p.Verdicts()
+	for n, mr := range rep.Methods {
 		reps = append(reps, *mr)
 		for pc := range mr.Method.Code {
-			verdicts = append(verdicts, mr.Method.Code[pc].Verdict)
+			verdicts = append(verdicts, vt.At(n, pc))
 		}
 	}
 	return reps, verdicts

@@ -8,11 +8,11 @@ import (
 
 func optsR() Options { return Options{Mode: ModeFieldArray, Rearrange: true} }
 
-// rearranged lists pcs whose verdict is rearrange.
-func rearranged(m *bytecode.Method) []int {
+// rearranged lists the pcs of m, a method of p, whose verdict is rearrange.
+func rearranged(p *bytecode.Program, m *bytecode.Method) []int {
 	var out []int
-	for pc := range m.Code {
-		if m.Code[pc].Verdict == bytecode.VerdictRearrange {
+	for pc, v := range verdictsOf(p, m) {
+		if v == bytecode.VerdictRearrange {
 			out = append(out, pc)
 		}
 	}
@@ -35,9 +35,9 @@ class U {
 func TestSwapIdiomDetected(t *testing.T) {
 	p, rep := analyzeSrc(t, swapSrc, 100, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "swap"})
-	got := rearranged(m)
+	got := rearranged(p, m)
 	if len(got) != 2 {
-		t.Fatalf("both swap stores should be flagged, got %v:\n%s", got, bytecode.Disassemble(m))
+		t.Fatalf("both swap stores should be flagged, got %v:\n%s", got, dis(p, m))
 	}
 	total := 0
 	for _, mr := range rep.Methods {
@@ -51,7 +51,7 @@ func TestSwapIdiomDetected(t *testing.T) {
 func TestSwapNotDetectedWithoutOption(t *testing.T) {
 	p, _ := analyzeSrc(t, swapSrc, 100, optsA())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "swap"})
-	if got := rearranged(m); len(got) != 0 {
+	if got := rearranged(p, m); len(got) != 0 {
 		t.Errorf("option off: got %v", got)
 	}
 }
@@ -74,8 +74,8 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "deleteFirst"})
-	if got := rearranged(m); len(got) != 0 {
-		t.Errorf("move-down must not be flagged, got %v:\n%s", got, bytecode.Disassemble(m))
+	if got := rearranged(p, m); len(got) != 0 {
+		t.Errorf("move-down must not be flagged, got %v:\n%s", got, dis(p, m))
 	}
 }
 
@@ -95,7 +95,7 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "notASwap"})
-	if got := rearranged(m); len(got) != 0 {
+	if got := rearranged(p, m); len(got) != 0 {
 		t.Errorf("interfered pair must not be flagged, got %v", got)
 	}
 }
@@ -117,7 +117,7 @@ class U {
 `
 	p, _ := analyzeSrc(t, swapHelperInline(src), 0, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "notASwap"})
-	if got := rearranged(m); len(got) != 0 {
+	if got := rearranged(p, m); len(got) != 0 {
 		t.Errorf("call-split pair must not be flagged, got %v", got)
 	}
 }
@@ -145,7 +145,7 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "crossSwap"})
-	if got := rearranged(m); len(got) != 0 {
+	if got := rearranged(p, m); len(got) != 0 {
 		t.Errorf("cross-array exchange must not be flagged, got %v", got)
 	}
 }
@@ -169,7 +169,7 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "notASwap"})
-	if got := rearranged(m); len(got) != 0 {
+	if got := rearranged(p, m); len(got) != 0 {
 		t.Errorf("reassigned-array pair must not be flagged, got %v", got)
 	}
 }
@@ -200,9 +200,9 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "sortish"})
-	got := rearranged(m)
+	got := rearranged(p, m)
 	if len(got) != 2 {
-		t.Errorf("loop-carried swap should be flagged, got %v:\n%s", got, bytecode.Disassemble(m))
+		t.Errorf("loop-carried swap should be flagged, got %v:\n%s", got, dis(p, m))
 	}
 }
 
@@ -249,9 +249,9 @@ class U {
 `
 	p, _ := analyzeSrc(t, src, 100, optsR())
 	m := p.Method(bytecode.MethodRef{Class: "U", Name: "build"})
-	for pc := range m.Code {
-		if in := &m.Code[pc]; in.Op == bytecode.OpAAStore && in.Verdict != bytecode.VerdictPreNull {
-			t.Errorf("pc %d: init-loop store is %v, want pre-null", pc, in.Verdict)
+	for pc, v := range verdictsOf(p, m) {
+		if m.Code[pc].Op == bytecode.OpAAStore && v != bytecode.VerdictPreNull {
+			t.Errorf("pc %d: init-loop store is %v, want pre-null", pc, v)
 		}
 	}
 }

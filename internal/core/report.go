@@ -29,8 +29,10 @@ func AnalyzeProgram(p *bytecode.Program, opts Options) (*ProgramReport, error) {
 	return AnalyzeProgramCtx(context.Background(), p, opts, 0)
 }
 
-// AnalyzeProgramCtx analyzes every method of the program in place, writing
-// each store site's Verdict (workers <= 0 means GOMAXPROCS). The analysis
+// AnalyzeProgramCtx analyzes every method of the program and installs what
+// it proved as the program's verdict table (SetVerdicts), in one store
+// after every method is judged, so that a VM of the program runs either
+// the old table or the new one (workers <= 0 means GOMAXPROCS). The analysis
 // is intra-procedural after inlining, so methods are independent: each
 // worker claims methods off a shared counter, and reports land in
 // p.Methods() order regardless of completion order — the report and the
@@ -52,7 +54,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 	// One graph, operand-number row and reference table per method:
 	// summarizeMethod builds them, judging reads them or, for a method never
 	// summarized, builds its own.
-	px := newProgramIndex(p, len(methods), opts)
+	px := newProgramIndex(p, opts)
 	if opts.Interprocedural && opts.Summaries == nil {
 		opts.Summaries = computeSummaries(px, opts, workers)
 	}
@@ -60,11 +62,12 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 		workers = len(methods)
 	}
 	reps := make([]*MethodReport, len(methods))
+	rows := make([][]bytecode.Verdict, len(methods))
 	errs := make([]error, len(methods))
 	if workers <= 1 {
 		lane := analysisLane(0)
-		for i, m := range methods {
-			reps[i], errs[i] = analyzeMethodTraced(ctx, px, i, m, opts, lane)
+		for i := range methods {
+			reps[i], rows[i], errs[i] = analyzeMethod(ctx, px, i, opts, lane)
 		}
 	} else {
 		var next atomic.Int64
@@ -79,7 +82,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 					if i >= len(methods) {
 						return
 					}
-					reps[i], errs[i] = analyzeMethodTraced(ctx, px, i, methods[i], opts, lane)
+					reps[i], rows[i], errs[i] = analyzeMethod(ctx, px, i, opts, lane)
 				}
 			}(w)
 		}
@@ -92,6 +95,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 			return nil, fmt.Errorf("%s: %w", methods[i].QualifiedName(), err)
 		}
 	}
+	p.SetVerdicts(rows)
 	rep.Methods = reps
 	rep.AnalysisTime = time.Since(start)
 	return rep, nil
@@ -104,33 +108,6 @@ func analysisLane(worker int) string {
 		return ""
 	}
 	return fmt.Sprintf("analysis/w%d", worker)
-}
-
-// analyzeMethodTraced wraps AnalyzeMethodCtx with a per-method span on the
-// worker's lane, carrying the fixpoint stats (block visits, convergence,
-// degradation events) the §4.4 measurements care about. Tracing observes
-// only: results are bit-identical with and without it.
-func analyzeMethodTraced(ctx context.Context, px *programIndex, i int, m *bytecode.Method, opts Options, lane string) (*MethodReport, error) {
-	if lane == "" || !obs.Enabled() {
-		return analyzeMethod(ctx, px, i, m, opts)
-	}
-	sp := obs.StartSpan(lane, "analysis", m.QualifiedName())
-	rep, err := analyzeMethod(ctx, px, i, m, opts)
-	if rep == nil {
-		sp.End()
-		return rep, err
-	}
-	sp.EndArgs(
-		obs.KV{K: "block_visits", V: int64(rep.BlockVisits)},
-		obs.KV{K: "converged", V: num.B2I(rep.Converged)},
-		obs.KV{K: "degraded", S: string(rep.Degraded)},
-	)
-	obs.Count("analysis.methods", 1)
-	obs.Count("analysis.block_visits", int64(rep.BlockVisits))
-	if rep.Degraded != DegradeNone {
-		obs.Count("analysis.degraded", 1)
-	}
-	return rep, err
 }
 
 // BlockVisits sums the fixed-point block visits across methods — the

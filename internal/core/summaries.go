@@ -186,7 +186,7 @@ const maxSummaryRounds = 40
 // count. A method that cannot be summarized gets the worst summary, so the
 // error is always nil.
 func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (Summaries, error) {
-	return computeSummaries(newProgramIndex(p, len(p.Methods()), opts), opts, workers), nil
+	return computeSummaries(newProgramIndex(p, opts), opts, workers), nil
 }
 
 // computeSummaries is ComputeSummariesParallel over a caller-owned program
@@ -328,7 +328,7 @@ func summarizeMethod(px *programIndex, m *bytecode.Method, node int, opts Option
 			out = worstSummary(m)
 		}
 	}()
-	idx, err := px.of(node, m)
+	idx, err := px.of(node)
 	if err != nil {
 		// Structurally odd methods (none are produced by our codegen)
 		// keep the worst case.

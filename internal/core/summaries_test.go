@@ -30,14 +30,14 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 1 {
-		t.Errorf("read-only callee should keep the elision, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Errorf("read-only callee should keep the elision, got %v:\n%s", f, dis(p, m))
 	}
 	// Without summaries, the call compromises t.
 	p0, _ := analyzeSrc(t, src, 0, optsA())
 	m0 := p0.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f0, _, _ := elisions(m0); len(f0) != 0 {
+	if f0, _, _ := elisions(p0, m0); len(f0) != 0 {
 		t.Errorf("without summaries the store must keep its barrier, got %v", f0)
 	}
 }
@@ -60,8 +60,8 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f, _, _ := elisions(m); len(f) != 1 {
-		t.Errorf("int-only mutation must not block ref-field elision, got %v:\n%s", f, bytecode.Disassemble(m))
+	if f, _, _ := elisions(p, m); len(f) != 1 {
+		t.Errorf("int-only mutation must not block ref-field elision, got %v:\n%s", f, dis(p, m))
 	}
 }
 
@@ -85,7 +85,7 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	_, arr, _ := elisions(m)
+	_, arr, _ := elisions(p, m)
 	// Only the literal a[0] store may be elided; the a[t.idx] store reads
 	// a tainted int and must stay.
 	var stores []int
@@ -99,7 +99,7 @@ class M {
 	}
 	for _, pc := range arr {
 		if pc == stores[0] {
-			t.Errorf("store with tainted index must keep its barrier:\n%s", bytecode.Disassemble(m))
+			t.Errorf("store with tainted index must keep its barrier:\n%s", dis(p, m))
 		}
 	}
 }
@@ -118,7 +118,7 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f, _, _ := elisions(m); len(f) != 0 {
+	if f, _, _ := elisions(p, m); len(f) != 0 {
 		t.Errorf("publishing callee must compromise the argument, got %v", f)
 	}
 }
@@ -139,7 +139,7 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f, _, _ := elisions(m); len(f) != 0 {
+	if f, _, _ := elisions(p, m); len(f) != 0 {
 		t.Errorf("returned argument must be compromised, got %v", f)
 	}
 }
@@ -166,9 +166,9 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 1 {
-		t.Fatalf("exactly the a.g store should be elided, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Fatalf("exactly the a.g store should be elided, got %v:\n%s", f, dis(p, m))
 	}
 	// The single elision must be the first post-call putfield (a.g).
 	var stores []int
@@ -181,7 +181,7 @@ class M {
 		t.Fatalf("expected 3 putfields, got %v", stores)
 	}
 	if f[0] != stores[0] {
-		t.Errorf("elision at pc %d, want the a.g store at pc %d:\n%s", f[0], stores[0], bytecode.Disassemble(m))
+		t.Errorf("elision at pc %d, want the a.g store at pc %d:\n%s", f[0], stores[0], dis(p, m))
 	}
 }
 
@@ -206,9 +206,9 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	f, _, _ := elisions(m)
+	f, _, _ := elisions(p, m)
 	if len(f) != 1 {
-		t.Errorf("exactly the read-only-chain store should be elided, got %v:\n%s", f, bytecode.Disassemble(m))
+		t.Errorf("exactly the read-only-chain store should be elided, got %v:\n%s", f, dis(p, m))
 	}
 }
 
@@ -226,7 +226,7 @@ class M {
 `
 	p, _ := analyzeI(t, src)
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
-	if f, _, _ := elisions(m); len(f) != 1 {
+	if f, _, _ := elisions(p, m); len(f) != 1 {
 		t.Errorf("read-only recursion should keep the elision, got %v", f)
 	}
 }

@@ -77,7 +77,7 @@ func TestInlineCtorAndGetter(t *testing.T) {
 	}
 	m := res.Program.Method(bytecode.MethodRef{Class: "T", Name: "main"})
 	if got := countOp(m, bytecode.OpInvoke); got != 0 {
-		t.Errorf("invokes after inlining = %d, want 0:\n%s", got, bytecode.Disassemble(m))
+		t.Errorf("invokes after inlining = %d, want 0:\n%s", got, bytecode.Disassemble(m, nil))
 	}
 	// The inlined body must still be verifiable and valid.
 	if err := res.Program.Validate(); err != nil {
@@ -88,7 +88,7 @@ func TestInlineCtorAndGetter(t *testing.T) {
 	}
 	// Constructor's putfield must now appear inside main.
 	if countOp(m, bytecode.OpPutField) != 1 {
-		t.Errorf("putfield not inlined into main:\n%s", bytecode.Disassemble(m))
+		t.Errorf("putfield not inlined into main:\n%s", bytecode.Disassemble(m, nil))
 	}
 }
 
@@ -117,7 +117,7 @@ class T { static void main() { P p = new P(); print(p.get() + p.big(2)); } }
 	res := Apply(p, Options{Limit: limit})
 	m := res.Program.Method(bytecode.MethodRef{Class: "T", Name: "main"})
 	if got := countOp(m, bytecode.OpInvoke); got != 1 {
-		t.Errorf("invokes = %d, want 1 (big only):\n%s", got, bytecode.Disassemble(m))
+		t.Errorf("invokes = %d, want 1 (big only):\n%s", got, bytecode.Disassemble(m, nil))
 	}
 	for pc := range m.Code {
 		if m.Code[pc].Op == bytecode.OpInvoke && m.Code[pc].Method.Name != "big" {
@@ -139,7 +139,7 @@ class T { static void main() { print(C.a()); } }
 	res := Apply(p, Options{Limit: 200})
 	m := res.Program.Method(bytecode.MethodRef{Class: "T", Name: "main"})
 	if got := countOp(m, bytecode.OpInvoke); got != 0 {
-		t.Errorf("chain not fully inlined, %d invokes left:\n%s", got, bytecode.Disassemble(m))
+		t.Errorf("chain not fully inlined, %d invokes left:\n%s", got, bytecode.Disassemble(m, nil))
 	}
 	if err := verifier.VerifyProgram(res.Program); err != nil {
 		t.Fatalf("Verify: %v", err)
@@ -208,7 +208,7 @@ class T {
 	}
 	m := res.Program.Method(bytecode.MethodRef{Class: "T", Name: "main"})
 	if countOp(m, bytecode.OpInvoke) != 0 {
-		t.Errorf("abs not inlined:\n%s", bytecode.Disassemble(m))
+		t.Errorf("abs not inlined:\n%s", bytecode.Disassemble(m, nil))
 	}
 }
 
@@ -248,7 +248,7 @@ class T { static void main() { int x = 5; int y = 7; print(C.mix(x, y)); print(x
 	res := Apply(p, Options{Limit: 100})
 	m := res.Program.Method(bytecode.MethodRef{Class: "T", Name: "main"})
 	if countOp(m, bytecode.OpInvoke) != 0 {
-		t.Fatalf("mix not inlined:\n%s", bytecode.Disassemble(m))
+		t.Fatalf("mix not inlined:\n%s", bytecode.Disassemble(m, nil))
 	}
 	if err := res.Program.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)

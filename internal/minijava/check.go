@@ -74,6 +74,8 @@ type checker struct {
 	vars    []scopeVar
 	marks   []int
 	visible map[string]int
+
+	chain []*Binary // see checkChain
 }
 
 // scopeVar is one declared local, and the index in vars of the
@@ -615,45 +617,63 @@ func (c *checker) checkExpr(e Expr) (*bytecode.Type, error) {
 			ex.setType(bytecode.Bool)
 		}
 	case *Binary:
-		xt, err := c.checkExpr(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		yt, err := c.checkExpr(ex.Y)
-		if err != nil {
-			return nil, err
-		}
-		switch ex.Op {
-		case "+", "-", "*", "/", "%":
-			if xt != bytecode.Int || yt != bytecode.Int {
-				return nil, c.errorf(ex.Line, "%s requires ints, got %s and %s", ex.Op, xt, yt)
-			}
-			ex.setType(bytecode.Int)
-		case "<", "<=", ">", ">=":
-			if xt != bytecode.Int || yt != bytecode.Int {
-				return nil, c.errorf(ex.Line, "%s requires ints, got %s and %s", ex.Op, xt, yt)
-			}
-			ex.setType(bytecode.Bool)
-		case "&&", "||":
-			if xt != bytecode.Bool || yt != bytecode.Bool {
-				return nil, c.errorf(ex.Line, "%s requires booleans, got %s and %s", ex.Op, xt, yt)
-			}
-			ex.setType(bytecode.Bool)
-		case "==", "!=":
-			ok := (xt == bytecode.Int && yt == bytecode.Int) ||
-				(xt == bytecode.Bool && yt == bytecode.Bool) ||
-				((xt.IsRef() || isNullType(xt)) && (yt.IsRef() || isNullType(yt)))
-			if !ok {
-				return nil, c.errorf(ex.Line, "%s requires operands of matching category, got %s and %s", ex.Op, xt, yt)
-			}
-			ex.setType(bytecode.Bool)
-		default:
-			return nil, fmt.Errorf("internal: unknown binary op %s", ex.Op)
-		}
+		return c.checkChain(ex)
 	default:
 		return nil, fmt.Errorf("internal: unknown expression %T", e)
 	}
 	return e.Type(), nil
+}
+
+// checkChain checks ex and, by a loop, the left-deep chain of binary
+// operators under it (1+1+…+1): only right operands recurse, so a chain of
+// any length fits the stack. chain holds the links of every chain being
+// checked, innermost last.
+func (c *checker) checkChain(ex *Binary) (*bytecode.Type, error) {
+	base := len(c.chain)
+	for b := ex; b != nil; b, _ = b.X.(*Binary) {
+		c.chain = append(c.chain, b)
+	}
+	xt, err := c.checkExpr(c.chain[len(c.chain)-1].X)
+	for i := len(c.chain) - 1; i >= base && err == nil; i-- {
+		var yt *bytecode.Type
+		if yt, err = c.checkExpr(c.chain[i].Y); err == nil {
+			xt, err = c.binaryType(c.chain[i], xt, yt)
+		}
+	}
+	c.chain = c.chain[:base]
+	return xt, err
+}
+
+// binaryType types ex, whose operands have types xt and yt.
+func (c *checker) binaryType(ex *Binary, xt, yt *bytecode.Type) (*bytecode.Type, error) {
+	switch ex.Op {
+	case "+", "-", "*", "/", "%":
+		if xt != bytecode.Int || yt != bytecode.Int {
+			return nil, c.errorf(ex.Line, "%s requires ints, got %s and %s", ex.Op, xt, yt)
+		}
+		ex.setType(bytecode.Int)
+	case "<", "<=", ">", ">=":
+		if xt != bytecode.Int || yt != bytecode.Int {
+			return nil, c.errorf(ex.Line, "%s requires ints, got %s and %s", ex.Op, xt, yt)
+		}
+		ex.setType(bytecode.Bool)
+	case "&&", "||":
+		if xt != bytecode.Bool || yt != bytecode.Bool {
+			return nil, c.errorf(ex.Line, "%s requires booleans, got %s and %s", ex.Op, xt, yt)
+		}
+		ex.setType(bytecode.Bool)
+	case "==", "!=":
+		ok := (xt == bytecode.Int && yt == bytecode.Int) ||
+			(xt == bytecode.Bool && yt == bytecode.Bool) ||
+			((xt.IsRef() || isNullType(xt)) && (yt.IsRef() || isNullType(yt)))
+		if !ok {
+			return nil, c.errorf(ex.Line, "%s requires operands of matching category, got %s and %s", ex.Op, xt, yt)
+		}
+		ex.setType(bytecode.Bool)
+	default:
+		return nil, fmt.Errorf("internal: unknown binary op %s", ex.Op)
+	}
+	return ex.Type(), nil
 }
 
 func (c *checker) checkCall(ex *Call) (*bytecode.Type, error) {

@@ -269,12 +269,6 @@ func TestParseNestingBound(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if name == "sum" && raceDetector {
-			// The checker still recurses once per operator of a chain, and
-			// the race detector's frames are large enough that 400 000 of
-			// them pass the 1 GB goroutine stack limit.
-			continue
-		}
 		if _, err := Check("t.mj", prog); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

@@ -50,11 +50,11 @@ func TestDifferentialInlineWorkerOracle(t *testing.T) {
 			if d := r1.Degraded(); len(d) > 0 {
 				t.Errorf("seed %d limit %d: methods degraded under default budgets: %v", si, limit, d)
 			}
-			m1, m8 := b1.Program.Methods(), b8.Program.Methods()
+			m1 := b1.Program.Methods()
+			v1, v8 := b1.Program.Verdicts(), b8.Program.Verdicts()
 			for i := range m1 {
 				for pc := range m1[i].Code {
-					x, y := &m1[i].Code[pc], &m8[i].Code[pc]
-					if x.Verdict != y.Verdict {
+					if v1.At(i, pc) != v8.At(i, pc) {
 						t.Errorf("seed %d limit %d %s pc %d: elision bits differ across worker counts",
 							si, limit, m1[i].QualifiedName(), pc)
 					}

@@ -76,9 +76,10 @@ class Main {
 // flag removed the barrier from.
 func elidedSites(p *bytecode.Program) map[[2]interface{}]bool {
 	out := map[[2]interface{}]bool{}
-	for _, m := range p.Methods() {
-		for pc, in := range m.Code {
-			if in.Verdict != bytecode.VerdictNone {
+	vt := p.Verdicts()
+	for n, m := range p.Methods() {
+		for pc := range m.Code {
+			if vt.At(n, pc) != bytecode.VerdictNone {
 				out[[2]interface{}{m.QualifiedName(), pc}] = true
 			}
 		}

@@ -110,7 +110,7 @@ func (b *Build) CompiledCodeSize() int { return b.compiledCodeSize }
 // codeSizes measures a verified, analyzed program: its bytecode bytes and
 // the compiled code size model's.
 func codeSizes(p *bytecode.Program) (bytecodeBytes, compiled int) {
-	syms := p.Symbols()
+	syms, vt := p.Symbols(), p.Verdicts()
 	for n, m := range syms.Methods {
 		size := m.Size()
 		bytecodeBytes += size
@@ -121,7 +121,7 @@ func codeSizes(p *bytecode.Program) (bytecodeBytes, compiled int) {
 			// A rearranged store trades the logging sequence for the
 			// trace-state check, so only the stronger verdicts save bytes.
 			_, site := satb.SiteOf(syms, in.Op, fieldAt[pc])
-			if site && in.Verdict < bytecode.VerdictNullOrSame ||
+			if site && vt.At(n, pc) < bytecode.VerdictNullOrSame ||
 				in.Op == bytecode.OpPutStatic && syms.Fields[fieldAt[pc]].IsRef {
 				compiled += BarrierInlineBytes
 			}

@@ -146,6 +146,7 @@ func TestParallelAnalysisDeterministic(t *testing.T) {
 				t.Errorf("reports differ between Workers=1 and Workers=8:\n%s\nvs\n%s", r1, r8)
 			}
 			m1, m8 := b1.Program.Methods(), b8.Program.Methods()
+			v1, v8 := b1.Program.Verdicts(), b8.Program.Verdicts()
 			if len(m1) != len(m8) {
 				t.Fatalf("method counts differ: %d vs %d", len(m1), len(m8))
 			}
@@ -154,10 +155,9 @@ func TestParallelAnalysisDeterministic(t *testing.T) {
 					t.Fatalf("%s: code lengths differ", m1[i].QualifiedName())
 				}
 				for pc := range m1[i].Code {
-					x, y := &m1[i].Code[pc], &m8[i].Code[pc]
-					if x.Verdict != y.Verdict {
+					if x, y := v1.At(i, pc), v8.At(i, pc); x != y {
 						t.Errorf("%s pc %d: verdicts differ: %v vs %v",
-							m1[i].QualifiedName(), pc, x.Verdict, y.Verdict)
+							m1[i].QualifiedName(), pc, x, y)
 					}
 				}
 			}
@@ -223,11 +223,11 @@ func TestDegradationDeterministic(t *testing.T) {
 			if !reflect.DeepEqual(r1, r8) {
 				t.Errorf("degraded reports differ between Workers=1 and Workers=8:\n%s\nvs\n%s", r1, r8)
 			}
-			m1, m8 := b1.Program.Methods(), b8.Program.Methods()
+			m1 := b1.Program.Methods()
+			v1, v8 := b1.Program.Verdicts(), b8.Program.Verdicts()
 			for i := range m1 {
 				for pc := range m1[i].Code {
-					x, y := &m1[i].Code[pc], &m8[i].Code[pc]
-					if x.Verdict != y.Verdict {
+					if v1.At(i, pc) != v8.At(i, pc) {
 						t.Errorf("%s pc %d: elision bits differ under degradation", m1[i].QualifiedName(), pc)
 					}
 				}

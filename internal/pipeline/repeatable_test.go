@@ -15,11 +15,12 @@ import (
 // per method its visit count and degradation, and every elision bit.
 func analysisPrint(b *Build) string {
 	var sb strings.Builder
-	for _, mr := range b.Report.Methods {
+	vt := b.Program.Verdicts()
+	for n, mr := range b.Report.Methods {
 		fmt.Fprintf(&sb, "%s visits=%d degraded=%q", mr.Method.QualifiedName(), mr.BlockVisits, mr.Degraded)
 		for pc := range mr.Method.Code {
-			if in := &mr.Method.Code[pc]; in.Verdict != bytecode.VerdictNone {
-				fmt.Fprintf(&sb, " %d:%v", pc, in.Verdict)
+			if v := vt.At(n, pc); v != bytecode.VerdictNone {
+				fmt.Fprintf(&sb, " %d:%v", pc, v)
 			}
 		}
 		sb.WriteByte('\n')

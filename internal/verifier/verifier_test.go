@@ -108,7 +108,7 @@ func expectReject(t *testing.T, wantSub string, build func(b *bytecode.Builder))
 	p.AddClass(cls)
 	err := Verify(p, m)
 	if err == nil {
-		t.Fatalf("expected rejection containing %q, got nil\n%s", wantSub, bytecode.Disassemble(m))
+		t.Fatalf("expected rejection containing %q, got nil\n%s", wantSub, bytecode.Disassemble(m, nil))
 	}
 	if !strings.Contains(err.Error(), wantSub) {
 		t.Fatalf("error %q does not contain %q", err, wantSub)

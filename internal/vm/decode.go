@@ -18,8 +18,8 @@ import (
 // local increments, array element stores, field stores from locals) into
 // superinstructions.
 //
-// The result is an image (dprogram): read-only, decoded once per program
-// and projection and shared by every VM of them (imageOf). The compiled
+// The result is an image (dprogram): read-only, decoded once per verdict
+// table and projection and shared by every VM of them (imageOf). The compiled
 // tier's translations belong to it too, published once per method and
 // barrier shape (dmethod.compiled). What a run changes is the VM's own, by method or site
 // number (mstate, siteStats).
@@ -143,16 +143,13 @@ type calleeRec struct {
 	ref string
 }
 
-// siteRec is a barriered store site of method number m: raw is the
-// analysis verdict at its pc when it was decoded, elide what the image's
-// projection made of it. What the site did in a run is the VM's, under the
-// same site number (VM.siteStats).
+// siteRec is a barriered store site: elide is what the image's projection
+// made of the analysis verdict at its pc. What the site did in a run is the
+// VM's, under the same site number (VM.siteStats).
 type siteRec struct {
 	key   satb.SiteKey
 	kind  satb.SiteKind
 	elide satb.ElideKind
-	raw   bytecode.Verdict
-	m     int32
 }
 
 // dmethod is one decoded method, part of an image and so read-only; num is
@@ -264,17 +261,19 @@ func (pr projection) apply(k satb.ElideKind) satb.ElideKind {
 	return k
 }
 
-// images is a program's images by projection, held in the slot the
-// program keeps beside its bodies (bytecode.Program.Decoded): AddClass
-// drops it and a Clone starts without one.
+// images is a verdict table's images by projection, held in the slot the
+// table keeps for them (bytecode.Verdicts.Decoded): an image belongs to the
+// verdicts it was decoded under, and a new table — a re-analysis, a Clone,
+// AddClass — starts without any.
 type images [allVerdicts + 1]atomic.Pointer[dprogram]
 
-// imageOf returns p's image under pr, decoding one when there is none or
-// it is stale. Concurrent first users may each decode; one image is kept
-// and each runs its own, all equal. The image of a program that is not
-// runnable is kept like any other, so its VMs do not check it again.
-func imageOf(p *bytecode.Program, pr projection) *dprogram {
-	slot := p.Decoded()
+// imageOf returns p's image under the verdicts vt and projection pr,
+// decoding one when there is none or it was decoded for another Main.
+// Concurrent first users may each decode; one image is kept and each runs
+// its own, all equal. The image of a program that is not runnable is kept
+// like any other, so its VMs do not check it again.
+func imageOf(p *bytecode.Program, vt *bytecode.Verdicts, pr projection) *dprogram {
+	slot := vt.Decoded()
 	ims, _ := slot.Load().(*images)
 	if ims == nil {
 		slot.CompareAndSwap(nil, new(images))
@@ -282,38 +281,21 @@ func imageOf(p *bytecode.Program, pr projection) *dprogram {
 	}
 	at := &ims[pr]
 	old := at.Load()
-	if old != nil && old.current(p) {
+	if old != nil && old.entry == p.Main {
 		return old
 	}
 	sp := obs.StartSpan("main", "pipeline", "decode")
-	d := decodeProgram(p, pr)
+	d := decodeProgram(p, vt, pr)
 	sp.EndArgs(obs.KV{K: "ok", V: b2i(d.err == nil)})
 	at.CompareAndSwap(old, d)
 	return d
 }
 
-// current reports whether d was decoded from what p holds now: the same
-// Main, and at every site the verdict a re-analysis or a test may since
-// have rewritten.
-func (d *dprogram) current(p *bytecode.Program) bool {
-	if p.Main != d.entry {
-		return false
-	}
-	methods := p.Symbols().Methods
-	for i := range d.sites {
-		s := &d.sites[i]
-		if methods[s.m].Code[s.key.PC].Verdict != s.raw {
-			return false
-		}
-	}
-	return true
-}
-
 // decodeProgram translates a runnable program into the dense executable
 // form; a program that is not runnable decodes to its error. pr maps each
-// store's analysis verdict to the verdict used at runtime — once per site
+// store's verdict in vt to the verdict used at runtime — once per site
 // here, keeping flavor logic off the dispatch path.
-func decodeProgram(p *bytecode.Program, pr projection) *dprogram {
+func decodeProgram(p *bytecode.Program, vt *bytecode.Verdicts, pr projection) *dprogram {
 	if err := runnable(p); err != nil {
 		return &dprogram{entry: p.Main, err: err}
 	}
@@ -330,7 +312,7 @@ func decodeProgram(p *bytecode.Program, pr projection) *dprogram {
 		}
 	}
 	for i, dm := range d.methods {
-		d.decodeMethod(syms.Methods[i], syms, p.Body(i), dm, pr)
+		d.decodeMethod(i, syms, p.Body(i), vt, dm, pr)
 	}
 	d.main = d.methods[syms.MethodNum(p.Main)]
 	return d
@@ -352,8 +334,9 @@ var operandless = [...]dop{
 
 // decodeMethod fills in dm.code and the operand tables from the method's
 // Body, which has checked every slot, branch target and operand, and
-// appends the method's sites to d.sites.
-func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body *bytecode.Body, dm *dmethod, pr projection) {
+// appends the method's sites, with their verdicts in vt, to d.sites.
+func (d *dprogram) decodeMethod(i int, syms *bytecode.Symbols, body *bytecode.Body, vt *bytecode.Verdicts, dm *dmethod, pr projection) {
+	m := syms.Methods[i]
 	dm.code = make([]dinstr, len(m.Code))
 	for pc := range m.Code {
 		in := &m.Code[pc]
@@ -435,9 +418,7 @@ func (d *dprogram) decodeMethod(m *bytecode.Method, syms *bytecode.Symbols, body
 			d.sites = append(d.sites, siteRec{
 				key:   satb.SiteKey{Method: dm.name, PC: pc},
 				kind:  siteKind,
-				elide: pr.apply(in.Verdict),
-				raw:   in.Verdict,
-				m:     dm.num,
+				elide: pr.apply(vt.At(i, pc)),
 			})
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // TestDecodedSitesMatchSiteCounts: the VM's site tables and the analysis
 // report's site columns are both read off satb.SiteOf, so on every method
 // of every workload they count the same sites, and each decoded site is a
-// store the predicate accepts, of that kind, carrying the verdict published
-// at its pc.
+// store the predicate accepts, of that kind, carrying the verdict the table
+// holds at its pc.
 func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 	for _, w := range workloads.All() {
 		p := compileSrc(t, w.Source, 100)
@@ -22,14 +22,15 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := decodeProgram(p, allVerdicts)
+		vt := p.Verdicts()
+		d := decodeProgram(p, vt, allVerdicts)
 		if d.err != nil {
 			t.Fatalf("%s: decode: %v", w.Name, d.err)
 		}
 		sites := d.sites
 		for i, mr := range rep.Methods {
 			n := 0
-			for n < len(sites) && sites[n].m == int32(i) {
+			for n < len(sites) && sites[n].key.Method == mr.Method.QualifiedName() {
 				n++
 			}
 			if n != mr.FieldSites+mr.ArraySites {
@@ -37,10 +38,10 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 					w.Name, mr.Method.QualifiedName(), n, mr.FieldSites, mr.ArraySites)
 			}
 			for _, s := range sites[:n] {
-				in := &mr.Method.Code[s.key.PC]
-				if kind, ok := satb.SiteOf(p.Symbols(), in.Op, p.Body(i).FieldAt[s.key.PC]); !ok || kind != s.kind || in.Verdict != s.elide {
-					t.Errorf("%s %s pc %d (%s): decoded as %v site with verdict %v; predicate says %v/%v, code says %v",
-						w.Name, s.key.Method, s.key.PC, in, s.kind, s.elide, kind, ok, in.Verdict)
+				in, v := &mr.Method.Code[s.key.PC], vt.At(i, s.key.PC)
+				if kind, ok := satb.SiteOf(p.Symbols(), in.Op, p.Body(i).FieldAt[s.key.PC]); !ok || kind != s.kind || v != s.elide {
+					t.Errorf("%s %s pc %d (%s): decoded as %v site with verdict %v; predicate says %v/%v, table says %v",
+						w.Name, s.key.Method, s.key.PC, in, s.kind, s.elide, kind, ok, v)
 				}
 			}
 			sites = sites[n:]
@@ -55,7 +56,7 @@ func TestDecodedSitesMatchSiteCounts(t *testing.T) {
 // at each fused head pc of the main method.
 func fusedOpsByHead(t *testing.T, p *bytecode.Program) map[int]dop {
 	t.Helper()
-	d := decodeProgram(p, allVerdicts)
+	d := decodeProgram(p, p.Verdicts(), allVerdicts)
 	if d.err != nil {
 		t.Fatalf("decode: %v", d.err)
 	}

@@ -46,10 +46,10 @@ func analyzedFlavorProgram(t *testing.T) *bytecode.Program {
 		t.Fatal(err)
 	}
 	var prenull, nos bool
-	for _, m := range p.Methods() {
-		for i := range m.Code {
-			prenull = prenull || m.Code[i].Verdict == bytecode.VerdictPreNull
-			nos = nos || m.Code[i].Verdict == bytecode.VerdictNullOrSame
+	for n := range p.Methods() {
+		for _, v := range p.Verdicts().Of(n) {
+			prenull = prenull || v == bytecode.VerdictPreNull
+			nos = nos || v == bytecode.VerdictNullOrSame
 		}
 	}
 	if !prenull || !nos {

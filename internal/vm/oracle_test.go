@@ -26,6 +26,23 @@ func findPutField(t *testing.T, p *bytecode.Program, field string) (*bytecode.Me
 	return nil, 0
 }
 
+// setVerdicts installs a copy of p's verdict table with verdict v at each
+// of the pcs of m, one of p's methods.
+func setVerdicts(p *bytecode.Program, m *bytecode.Method, v bytecode.Verdict, pcs ...int) {
+	vt := p.Verdicts()
+	rows := make([][]bytecode.Verdict, len(p.Methods()))
+	for n, pm := range p.Methods() {
+		rows[n] = make([]bytecode.Verdict, len(pm.Code))
+		copy(rows[n], vt.Of(n))
+		if pm == m {
+			for _, pc := range pcs {
+				rows[n][pc] = v
+			}
+		}
+	}
+	p.SetVerdicts(rows)
+}
+
 // TestOracleCatchesNonNullOverwrite injects an unsound pre-null elision at
 // a store that dynamically overwrites a non-null reference and checks the
 // oracle reports it with a precise site diagnostic.
@@ -42,11 +59,13 @@ class A {
 `, 0)
 	m, _ := findPutField(t, p, "next")
 	// Mark *every* next-store elided: the second execution must trip.
+	var stores []int
 	for i := range m.Code {
 		if m.Code[i].Op == bytecode.OpPutField && m.Code[i].Field.Name == "next" {
-			m.Code[i].Verdict = bytecode.VerdictPreNull
+			stores = append(stores, i)
 		}
 	}
+	setVerdicts(p, m, bytecode.VerdictPreNull, stores...)
 	_, err := New(p, Config{CheckElisions: true}).Run()
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {
@@ -82,7 +101,7 @@ class A {
 }
 `, 0)
 	m, pc := findPutField(t, p, "next")
-	m.Code[pc].Verdict = bytecode.VerdictPreNull
+	setVerdicts(p, m, bytecode.VerdictPreNull, pc)
 	_, err := New(p, Config{CheckElisions: true}).Run()
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {
@@ -111,7 +130,7 @@ class A {
 }
 `, 0)
 	m, pc := findPutField(t, p, "next")
-	m.Code[pc].Verdict = bytecode.VerdictPreNull
+	setVerdicts(p, m, bytecode.VerdictPreNull, pc)
 	_, err := New(p, Config{CheckElisions: true}).Run()
 	var sv *SoundnessViolation
 	if !errors.As(err, &sv) {

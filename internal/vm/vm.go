@@ -36,7 +36,7 @@ type Engine int
 
 const (
 	// EngineFused (the default) runs the pre-decoded execution engine:
-	// bytecode is translated, once per program and verdict projection and
+	// bytecode is translated, once per verdict table and projection and
 	// shared by every VM of it, into a dense internal form
 	// with resolved operands (field offsets, call targets, site records),
 	// hot instruction sequences are fused into superinstructions, and
@@ -216,6 +216,7 @@ func (e *RuntimeError) Error() string {
 
 type frame struct {
 	m      *bytecode.Method
+	num    int32 // m's method number
 	body   *bytecode.Body
 	pc     int
 	locals []value
@@ -256,6 +257,9 @@ type VM struct {
 	spec     *satb.BarrierSpec
 	proj     projection
 	checkInv bool
+	// verdicts is the program's verdict table when the VM was made: what
+	// it runs, whatever a re-analysis installs meanwhile.
+	verdicts *bytecode.Verdicts
 
 	// dprog is the program's image under proj (nil on the switch engine).
 	// ms is this VM's state per method number; siteStats its counters per
@@ -336,6 +340,7 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 		maxSteps:      cfg.MaxSteps,
 		tierThreshold: cfg.TierThreshold,
 		spec:          cfg.Barrier.Spec(),
+		verdicts:      p.Verdicts(),
 	}
 	v.checkInv = cfg.CheckInvariant && v.spec.SnapshotSound
 	v.proj = projectionOf(v.spec)
@@ -354,7 +359,7 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 	if cfg.Engine == EngineSwitch {
 		v.syms = p.Symbols()
 		v.err = runnable(p)
-	} else if d := imageOf(p, v.proj); d.err != nil {
+	} else if d := imageOf(p, v.verdicts, v.proj); d.err != nil {
 		v.err = d.err
 	} else {
 		v.dprog = d
@@ -577,7 +582,7 @@ func (v *VM) result() *Result {
 // newFrame returns a frame of method number n for the switch interpreter.
 func (v *VM) newFrame(n int32) *frame {
 	m := v.syms.Methods[n]
-	return &frame{m: m, body: v.prog.Body(int(n)), locals: make([]value, m.NumSlots()), stack: make([]value, 0, m.MaxStack+4)}
+	return &frame{m: m, num: n, body: v.prog.Body(int(n)), locals: make([]value, m.NumSlots()), stack: make([]value, 0, m.MaxStack+4)}
 }
 
 // roots collects the current GC roots: every reference in every thread's
@@ -846,7 +851,7 @@ func (v *VM) step(t *thread) error {
 		old := heap.Ref(*p)
 		*p = word(val, fs.IsRef)
 		if fs.IsRef {
-			elide := v.proj.apply(in.Verdict)
+			elide := v.proj.apply(v.verdicts.At(int(f.num), f.pc))
 			if v.oracle != nil {
 				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.FieldSite, elide, old, val.R, obj.R); err != nil {
 					return err
@@ -919,7 +924,7 @@ func (v *VM) step(t *thread) error {
 		old := heap.Ref(*p)
 		*p = word(val, in.Op == bytecode.OpAAStore)
 		if in.Op == bytecode.OpAAStore {
-			elide := v.proj.apply(in.Verdict)
+			elide := v.proj.apply(v.verdicts.At(int(f.num), f.pc))
 			if v.oracle != nil {
 				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old, val.R, arr.R); err != nil {
 					return err
