@@ -201,16 +201,18 @@ type MethodReport struct {
 // that stop the iteration.
 type analyzer struct {
 	transfer
+	// ws is the worker's workspace, whose buffers the method's analysis
+	// borrows.
+	ws *workspace
 
 	// entry holds each block's entry state (nil until first reached).
-	// Every entry owns its buffers: the fixed point simulates blocks in
-	// scratch, gives a first-reached block a copy cut from slab, merges
-	// joins into spare and swaps spare with the entry it replaces, so a
-	// visit allocates only when a buffer must grow.
-	entry   []*state
-	slab    entrySlab
-	scratch *state
-	spare   *state
+	// Every entry owns its buffers: the fixed point simulates blocks in the
+	// workspace's scratch state, gives a first-reached block a copy cut from
+	// slab, and merges a join into the workspace's spare state and copies
+	// the result into the entry it replaces, so a visit allocates only when
+	// a buffer must grow.
+	entry []*state
+	slab  entrySlab
 
 	visits    int
 	maxVisits int
@@ -223,15 +225,43 @@ type analyzer struct {
 	cancel <-chan struct{}
 }
 
-// analyzeMethod analyzes method number i of the build px indexes and
-// returns its report and its row of verdicts (nil: none proven). It never
-// takes the build down: a panic, an exceeded budget (visit count, deadline,
-// state size) or cancellation of ctx degrades the method to the
-// conservative result — every barrier kept — with the reason in the
-// report. A context deadline earlier than Options.Deadline tightens it.
+// workspace is what one analysis worker reuses from method to method: the
+// buffers whose lifetime ends with a method's analysis — the slot table,
+// the fixed point's scratch and spare states and its worklist, simulate's
+// successor and argument buffers, and the judge pass's per-block
+// bookkeeping, free list and states. Each worker goroutine of one
+// AnalyzeProgramCtx or computeSummaries call owns one, as does a serial
+// run, and newAnalyzer re-initialises what it hands out, so no result
+// depends on what the workspace analyzed before. Entry states are not here:
+// each belongs to its method (entrySlab, initialState), and no workspace
+// state ever becomes one.
+type workspace struct {
+	slots          slotTable
+	scratch, spare state
+	work           rpoWorklist
+	sim            simBuffers
+	outs           []judgeOut
+	free           []*state
+	// extra holds the judge pass's states beyond scratch and spare.
+	extra []*state
+}
+
+func newWorkspace() *workspace {
+	ws := &workspace{}
+	ws.scratch.tab = &ws.slots
+	ws.spare.tab = &ws.slots
+	return ws
+}
+
+// analyzeMethod analyzes method number i of the build px indexes on the
+// worker owning ws and returns its report and its row of verdicts (nil:
+// none proven). It never takes the build down: a panic, an exceeded budget
+// (visit count, deadline, state size) or cancellation of ctx degrades the
+// method to the conservative result — every barrier kept — with the reason
+// in the report. A context deadline earlier than Options.Deadline tightens it.
 // On a worker's lane ("" when tracing is off) a span carries the fixpoint
 // stats the §4.4 measurements care about; tracing observes only.
-func analyzeMethod(ctx context.Context, px *programIndex, i int, opts Options, lane string) (*MethodReport, []bytecode.Verdict, error) {
+func analyzeMethod(ctx context.Context, px *programIndex, ws *workspace, i int, opts Options, lane string) (*MethodReport, []bytecode.Verdict, error) {
 	m := px.syms.Methods[i]
 	idx, err := px.of(i)
 	if err != nil {
@@ -242,7 +272,7 @@ func analyzeMethod(ctx context.Context, px *programIndex, i int, opts Options, l
 		sp = obs.StartSpan(lane, "analysis", m.QualifiedName())
 	}
 	rep := &MethodReport{Method: m, BytecodeBytes: m.Size()}
-	verdicts := analyze(ctx, px, idx, m, opts, rep)
+	verdicts := analyze(ctx, px, ws, idx, m, opts, rep)
 	rep.Converged = rep.Degraded == DegradeNone
 	publish(px.syms, idx.Body, verdicts, rep)
 	if lane != "" {
@@ -263,7 +293,7 @@ func analyzeMethod(ctx context.Context, px *programIndex, i int, opts Options, l
 // analyze decides the method's verdicts (nil: none proven) and fills the
 // engine's part of the report; a degraded method returns nil verdicts with
 // the reason in rep.
-func analyze(ctx context.Context, px *programIndex, idx methodIndex, m *bytecode.Method, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict) {
+func analyze(ctx context.Context, px *programIndex, ws *workspace, idx methodIndex, m *bytecode.Method, opts Options, rep *MethodReport) (verdicts []bytecode.Verdict) {
 	defer func() {
 		if r := recover(); r != nil {
 			*rep = MethodReport{Method: m, BytecodeBytes: rep.BytecodeBytes, Degraded: DegradePanic,
@@ -278,7 +308,7 @@ func analyze(ctx context.Context, px *programIndex, idx methodIndex, m *bytecode
 	if opts.Mode == ModeNone {
 		return nil
 	}
-	a := newAnalyzer(px, m, idx, opts)
+	a := newAnalyzer(px, ws, m, idx, opts)
 	a.maxStateSize = opts.MaxStateSize
 	if opts.MaxBlockVisits > 0 {
 		a.maxVisits = opts.MaxBlockVisits
@@ -334,19 +364,19 @@ func publish(syms *bytecode.Symbols, body *bytecode.Body, verdicts []bytecode.Ve
 	}
 }
 
-// newAnalyzer sets up the engine for one method of the build px indexes:
-// its slot table, reusable buffers and the default visit budget. It judges
-// unless the caller gives it a summary recorder.
-func newAnalyzer(px *programIndex, m *bytecode.Method, idx methodIndex, opts Options) *analyzer {
-	a := &analyzer{
-		transfer:  transfer{m: m, opts: opts, syms: px.syms, methodIndex: idx},
+// newAnalyzer sets up the engine for one method of the build px indexes
+// on ws: the workspace's slot table, emptied for the method's references,
+// and the default visit budget. It judges unless the caller gives it a
+// summary recorder.
+func newAnalyzer(px *programIndex, ws *workspace, m *bytecode.Method, idx methodIndex, opts Options) *analyzer {
+	ws.slots.reset(px.syms, idx.refs)
+	return &analyzer{
+		transfer: transfer{m: m, opts: opts, syms: px.syms, methodIndex: idx,
+			slots: &ws.slots, simBuffers: &ws.sim},
+		ws:        ws,
 		entry:     make([]*state, len(idx.Graph.Blocks)),
 		maxVisits: 200*len(idx.Graph.Blocks) + 2000,
 	}
-	a.slots = newSlotTable(px.syms, a.refs)
-	a.scratch = &state{tab: a.slots}
-	a.spare = &state{tab: a.slots}
-	return a
 }
 
 // initialState builds the method-entry state of §2.3 / §3.4.
@@ -392,8 +422,12 @@ type rpoWorklist struct {
 	inWork []bool
 }
 
-func newRPOWorklist(rpoIndex []int) *rpoWorklist {
-	return &rpoWorklist{prio: rpoIndex, inWork: make([]bool, len(rpoIndex))}
+// reset empties the worklist for a graph with the given RPO indexes.
+func (w *rpoWorklist) reset(rpoIndex []int) {
+	w.prio = rpoIndex
+	w.heap = w.heap[:0]
+	w.inWork = resized(w.inWork, len(rpoIndex))
+	clear(w.inWork)
 }
 
 func (w *rpoWorklist) push(id int) {
@@ -450,7 +484,8 @@ const deadlineCheckInterval = 32
 // degrade to the conservative result.
 func (a *analyzer) fixpoint() DegradeReason {
 	a.entry[0] = a.initialState()
-	work := newRPOWorklist(a.Graph.RPOIndex())
+	work := &a.ws.work
+	work.reset(a.Graph.RPOIndex())
 	work.push(0)
 	for {
 		id, ok := work.pop()
@@ -473,7 +508,7 @@ func (a *analyzer) fixpoint() DegradeReason {
 				return DegradeDeadline
 			}
 		}
-		out := a.scratch
+		out := &a.ws.scratch
 		out.copyFrom(a.entry[id])
 		targets := a.simulate(out, a.Graph.Blocks[id], nil)
 		if a.maxStateSize > 0 && out.footprint() > a.maxStateSize {
@@ -497,8 +532,9 @@ func (a *analyzer) fixpoint() DegradeReason {
 				changed = !statesEqual(cur, out)
 				cur.copyFrom(out)
 			default:
-				changed = mergeStates(a.spare, cur, out, &a.namer, a.opts.NoStrideInference)
-				a.entry[tgt], a.spare = a.spare, cur
+				spare := &a.ws.spare
+				changed = mergeStates(spare, cur, out, &a.namer, a.opts.NoStrideInference)
+				cur.copyFrom(spare)
 			}
 			if changed {
 				work.push(tgt)
@@ -522,17 +558,21 @@ func (a *analyzer) judge() judgment {
 	// outs[id].st is block id's out state while outs[id].conts
 	// single-predecessor successors have yet to continue from it; the last
 	// of them takes the state over instead of copying it, and a state
-	// nobody continues from goes back to free. The fixed point's two
-	// buffers start the list.
-	outs := make([]struct {
-		st    *state
-		conts int
-	}, len(a.Graph.Blocks))
-	free := []*state{a.scratch, a.spare}
+	// nobody continues from goes back to free. Every state is the
+	// workspace's: the fixed point's two buffers and the extra states
+	// earlier judge passes made start the list.
+	ws := a.ws
+	outs := resized(ws.outs, len(a.Graph.Blocks))
+	clear(outs)
+	free := append(ws.free[:0], &ws.scratch, &ws.spare)
+	free = append(free, ws.extra...)
 	copyOf := func(src *state) *state {
-		st := &state{tab: a.slots}
+		var st *state
 		if n := len(free); n > 0 {
 			st, free = free[n-1], free[:n-1]
+		} else {
+			st = &state{tab: &ws.slots}
+			ws.extra = append(ws.extra, st)
 		}
 		st.copyFrom(src)
 		return st
@@ -581,5 +621,14 @@ func (a *analyzer) judge() judgment {
 			a.rt = nil
 		}
 	}
+	ws.outs, ws.free = outs, free
 	return j
+}
+
+// judgeOut is a block's entry in the judge pass's bookkeeping: its out
+// state, while conts single-predecessor successors have yet to continue
+// from it.
+type judgeOut struct {
+	st    *state
+	conts int
 }

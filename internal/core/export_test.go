@@ -17,8 +17,9 @@ func ComputeAllSummaries(p *bytecode.Program, opts Options) Summaries {
 	for i, m := range cond.Graph.Methods {
 		sums[i] = optimisticSummary(px.syms, m)
 	}
+	ws := newWorkspace()
 	for ci := range cond.SCCs {
-		processSCC(px, opts, cond, ci, sums)
+		processSCC(px, ws, opts, cond, ci, sums)
 	}
 	return sums
 }
@@ -57,9 +58,10 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 		opts.Summaries = computeSummaries(px, opts, 1)
 	}
 	tables := 0
+	ws := newWorkspace()
 	for i, m := range methods {
 		summarized := px.methods[i].refs
-		rep, _, err := analyzeMethod(context.Background(), px, i, opts, "")
+		rep, _, err := analyzeMethod(context.Background(), px, ws, i, opts, "")
 		if err != nil {
 			return 0, err
 		}
@@ -71,7 +73,7 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 			return 0, fmt.Errorf("%s: AbstractRefs %d, judged references %d", m.QualifiedName(), rep.AbstractRefs, idx.refs.judged)
 		}
 		tables++
-		a := newAnalyzer(px, m, idx, opts)
+		a := newAnalyzer(px, ws, m, idx, opts)
 		a.summaries = opts.Summaries
 		a.fixpoint()
 		for _, s := range a.entry {

@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"satbelim/internal/bytecode"
 )
@@ -191,106 +192,133 @@ func (t *refTable) info(r RefID) *refInfo { return &t.infos[r] }
 // unique reports whether r denotes exactly one runtime reference.
 func (t *refTable) unique(r RefID) bool { return t.infos[r].unique }
 
-// RefSet is an immutable set of abstract references, stored as a bitset.
-// Operations return new sets; the zero value is the empty set (which, as a
-// RefVal, denotes "definitely null").
-type RefSet struct{ words []uint64 }
+// RefSet is an immutable set of abstract references, stored as a bitset:
+// ids below 64 in lo, the rest in the words hi points to (word i holds ids
+// 64(i+1) to 64(i+1)+63). A method's references are fixed and finite (paper
+// §2.2) and few — no method of the corpus has more than 57 — so a set is one
+// word in practice, and With, Without and Union on it return values instead
+// of allocating. A spilled set is canonical — hi is nil or its last word is
+// non-zero — and its words are never written after they are built, so sets
+// share them freely. The zero value is the empty set (which, as a RefVal,
+// denotes "definitely null").
+type RefSet struct {
+	lo uint64
+	hi *[]uint64
+}
 
 // EmptyRefSet is the definitely-null reference value.
 var EmptyRefSet = RefSet{}
 
-// singletonCache interns the singleton sets for small ids. RefSet
-// operations never mutate a words slice in place, so the cached backing
-// arrays can be shared freely (including across goroutines). {GlobalRef}
-// alone is materialized on every lookup of an escaped reference, so this
-// removes the hottest allocation of the abstract interpreter.
-var singletonCache = func() [256]RefSet {
-	var c [256]RefSet
-	for r := range c {
-		w := make([]uint64, r/64+1)
-		w[r/64] = 1 << (uint(r) % 64)
-		c[r] = RefSet{words: w}
-	}
-	return c
-}()
-
 // SingletonRef returns {r}.
-func SingletonRef(r RefID) RefSet {
-	if int(r) < len(singletonCache) {
-		return singletonCache[r]
+func SingletonRef(r RefID) RefSet { return EmptyRefSet.With(r) }
+
+// high returns the spilled words (nil when there are none).
+func (s RefSet) high() []uint64 {
+	if s.hi == nil {
+		return nil
 	}
-	return EmptyRefSet.With(r)
+	return *s.hi
 }
 
-// Has reports membership.
-func (s RefSet) Has(r RefID) bool {
-	w := int(r) / 64
-	return w < len(s.words) && s.words[w]&(1<<(uint(r)%64)) != 0
+// spill returns words as a canonical high part: trailing zero words
+// dropped, nil when nothing is left.
+func spill(words []uint64) *[]uint64 {
+	for len(words) > 0 && words[len(words)-1] == 0 {
+		words = words[:len(words)-1]
+	}
+	if len(words) == 0 {
+		return nil
+	}
+	return &words
 }
 
-// IsEmpty reports whether the set is empty (the value is definitely null).
-func (s RefSet) IsEmpty() bool {
-	for _, w := range s.words {
-		if w != 0 {
+// containsWords reports whether every bit of t is set in s.
+func containsWords(s, t []uint64) bool {
+	if len(t) > len(s) {
+		return false // canonical: t's last word is non-zero
+	}
+	for i, w := range t {
+		if s[i]&w != w {
 			return false
 		}
 	}
 	return true
 }
 
+// Has reports membership.
+func (s RefSet) Has(r RefID) bool {
+	if r < 64 {
+		return s.lo&(1<<uint(r)) != 0
+	}
+	h, w := s.high(), int(r)/64-1
+	return w < len(h) && h[w]&(1<<(uint(r)%64)) != 0
+}
+
+// IsEmpty reports whether the set is empty (the value is definitely null).
+func (s RefSet) IsEmpty() bool { return s.lo == 0 && s.hi == nil }
+
 // With returns s ∪ {r}.
 func (s RefSet) With(r RefID) RefSet {
-	w := int(r) / 64
-	n := len(s.words)
-	if w >= n {
-		n = w + 1
+	if r < 64 {
+		s.lo |= 1 << uint(r)
+		return s
 	}
-	out := make([]uint64, n)
-	copy(out, s.words)
+	if s.Has(r) {
+		return s
+	}
+	h, w := s.high(), int(r)/64-1
+	out := make([]uint64, max(len(h), w+1))
+	copy(out, h)
 	out[w] |= 1 << (uint(r) % 64)
-	return RefSet{words: out}
+	s.hi = &out
+	return s
 }
 
 // Without returns s \ {r}.
 func (s RefSet) Without(r RefID) RefSet {
+	if r < 64 {
+		s.lo &^= 1 << uint(r)
+		return s
+	}
 	if !s.Has(r) {
 		return s
 	}
-	out := make([]uint64, len(s.words))
-	copy(out, s.words)
-	out[int(r)/64] &^= 1 << (uint(r) % 64)
-	return RefSet{words: out}
+	out := slices.Clone(*s.hi)
+	out[int(r)/64-1] &^= 1 << (uint(r) % 64)
+	s.hi = spill(out)
+	return s
 }
 
-// Union returns s ∪ t. When one side contains the other the larger side is
-// returned unchanged (cheap convergence checks).
+// Union returns s ∪ t. When one side's spilled words contain the other's,
+// the result shares them (cheap convergence checks).
 func (s RefSet) Union(t RefSet) RefSet {
-	if s.Contains(t) {
-		return s
+	s.lo |= t.lo
+	a, b := s.high(), t.high()
+	switch {
+	case containsWords(a, b):
+	case containsWords(b, a):
+		s.hi = t.hi
+	default:
+		if len(a) < len(b) {
+			a, b = b, a
+		}
+		out := slices.Clone(a)
+		for i, w := range b {
+			out[i] |= w
+		}
+		s.hi = &out
 	}
-	if t.Contains(s) {
-		return t
-	}
-	n := len(s.words)
-	if len(t.words) > n {
-		n = len(t.words)
-	}
-	out := make([]uint64, n)
-	copy(out, s.words)
-	for i, w := range t.words {
-		out[i] |= w
-	}
-	return RefSet{words: out}
+	return s
 }
 
 // Intersects reports whether s ∩ t is non-empty.
 func (s RefSet) Intersects(t RefSet) bool {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
+	if s.lo&t.lo != 0 {
+		return true
 	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
+	a, b := s.high(), t.high()
+	for i := range min(len(a), len(b)) {
+		if a[i]&b[i] != 0 {
 			return true
 		}
 	}
@@ -299,57 +327,51 @@ func (s RefSet) Intersects(t RefSet) bool {
 
 // Contains reports whether t ⊆ s.
 func (s RefSet) Contains(t RefSet) bool {
-	for i, w := range t.words {
-		if w == 0 {
-			continue
-		}
-		if i >= len(s.words) || s.words[i]&w != w {
-			return false
-		}
-	}
-	return true
+	return t.lo&^s.lo == 0 && containsWords(s.high(), t.high())
 }
 
 // Equal reports set equality.
-func (s RefSet) Equal(t RefSet) bool { return s.Contains(t) && t.Contains(s) }
+func (s RefSet) Equal(t RefSet) bool {
+	return s.lo == t.lo && slices.Equal(s.high(), t.high())
+}
 
 // Single returns the only member when the set is a singleton.
 func (s RefSet) Single() (RefID, bool) {
-	found := false
-	var r RefID
-	for i, w := range s.words {
-		for w != 0 {
-			if found {
-				return 0, false
-			}
-			bit := w & (-w)
-			r = RefID(i*64 + trailingZeros(bit))
-			found = true
-			w &^= bit
-		}
+	if s.Count() != 1 {
+		return 0, false
 	}
-	return r, found
+	if s.lo != 0 {
+		return RefID(bits.TrailingZeros64(s.lo)), true
+	}
+	h := s.high() // canonical: the member is in the last word
+	return RefID(64*len(h) + bits.TrailingZeros64(h[len(h)-1])), true
 }
 
 // ForEach calls f for each member in increasing order.
 func (s RefSet) ForEach(f func(RefID)) {
-	for i, w := range s.words {
-		for w != 0 {
-			bit := w & (-w)
-			f(RefID(i*64 + trailingZeros(bit)))
-			w &^= bit
-		}
+	forEachBit(s.lo, 0, f)
+	for i, w := range s.high() {
+		forEachBit(w, 64*(i+1), f)
+	}
+}
+
+// forEachBit calls f with base + the index of each bit set in w, in
+// increasing order.
+func forEachBit(w uint64, base int, f func(RefID)) {
+	for w != 0 {
+		f(RefID(base + bits.TrailingZeros64(w)))
+		w &= w - 1
 	}
 }
 
 // Count returns the cardinality.
 func (s RefSet) Count() int {
-	n := 0
-	s.ForEach(func(RefID) { n++ })
+	n := bits.OnesCount64(s.lo)
+	for _, w := range s.high() {
+		n += bits.OnesCount64(w)
+	}
 	return n
 }
-
-func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 
 // String renders the set with the default naming (ids).
 func (s RefSet) String() string {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"satbelim/internal/bytecode"
 )
@@ -111,6 +112,130 @@ func TestQuickRefSetWithWithout(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refModel is the reference RefSet is checked against.
+type refModel map[RefID]bool
+
+// TestRefSetMatchesReference runs every RefSet operation against a map
+// model over ids 0–200, drawing the word boundaries 63, 64, 127 and 128
+// every round, so the one-word case, the spill words and the crossings
+// between them all meet each other. Operations must leave their receivers
+// alone, and With, Without and Union on ids below 64 must not allocate.
+func TestRefSetMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	boundary := []RefID{63, 64, 127, 128}
+	draw := func() RefID {
+		if rng.Intn(3) == 0 {
+			return boundary[rng.Intn(len(boundary))]
+		}
+		return RefID(rng.Intn(201))
+	}
+	gen := func() (RefSet, refModel) {
+		s, m := EmptyRefSet, refModel{}
+		for range rng.Intn(8) {
+			r := draw()
+			if rng.Intn(4) == 0 {
+				s, m[r] = s.Without(r), false
+			} else {
+				s, m[r] = s.With(r), true
+			}
+		}
+		return s, m
+	}
+	// check compares s with m through every query.
+	check := func(what string, s RefSet, m refModel) {
+		t.Helper()
+		var members []RefID
+		for r := RefID(0); r <= 255; r++ {
+			if s.Has(r) != m[r] {
+				t.Fatalf("%s = %v: Has(%d) = %v, model %v", what, s, r, s.Has(r), m[r])
+			}
+			if m[r] {
+				members = append(members, r)
+			}
+		}
+		var seen []RefID
+		s.ForEach(func(r RefID) { seen = append(seen, r) })
+		if fmt.Sprint(seen) != fmt.Sprint(members) {
+			t.Fatalf("%s: ForEach visits %v, model %v", what, seen, members)
+		}
+		if s.Count() != len(members) || s.IsEmpty() != (len(members) == 0) {
+			t.Fatalf("%s = %v: Count %d IsEmpty %v, model %v", what, s, s.Count(), s.IsEmpty(), members)
+		}
+		r, one := s.Single()
+		if one != (len(members) == 1) || one && r != members[0] {
+			t.Fatalf("%s = %v: Single %d %v, model %v", what, s, r, one, members)
+		}
+		// The same members added in another order make an equal set.
+		rebuilt := EmptyRefSet
+		for i := len(members) - 1; i >= 0; i-- {
+			rebuilt = rebuilt.With(members[i])
+		}
+		if !s.Equal(rebuilt) || !rebuilt.Equal(s) {
+			t.Fatalf("%s = %v is not Equal to %v, built from its members", what, s, rebuilt)
+		}
+	}
+	with := func(m refModel, r RefID, in bool) refModel {
+		out := refModel{r: in}
+		for k, v := range m {
+			if k != r {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	for round := range 2000 {
+		a, ma := gen()
+		b, mb := gen()
+		check("a", a, ma)
+		for _, r := range append([]RefID{draw()}, boundary...) {
+			check(fmt.Sprintf("round %d: a.With(%d)", round, r), a.With(r), with(ma, r, true))
+			check(fmt.Sprintf("round %d: a.Without(%d)", round, r), a.Without(r), with(ma, r, false))
+		}
+		union := refModel{}
+		meets, aHasB := false, true
+		for r, in := range mb {
+			union[r] = in
+			meets = meets || in && ma[r]
+			aHasB = aHasB && (!in || ma[r])
+		}
+		for r, in := range ma {
+			union[r] = union[r] || in
+		}
+		equal := aHasB
+		for r, in := range ma {
+			equal = equal && (!in || mb[r])
+		}
+		check(fmt.Sprintf("round %d: a.Union(b)", round), a.Union(b), union)
+		check(fmt.Sprintf("round %d: b.Union(a)", round), b.Union(a), union)
+		if a.Intersects(b) != meets || b.Intersects(a) != meets {
+			t.Fatalf("round %d: %v ∩ %v: Intersects %v, model %v", round, a, b, a.Intersects(b), meets)
+		}
+		if a.Contains(b) != aHasB || !a.Union(b).Contains(a) || !a.Union(b).Contains(b) {
+			t.Fatalf("round %d: %v ⊇ %v: Contains %v, model %v", round, a, b, a.Contains(b), aHasB)
+		}
+		if a.Equal(b) != equal || b.Equal(a) != equal {
+			t.Fatalf("round %d: %v = %v: Equal %v, model %v", round, a, b, a.Equal(b), equal)
+		}
+		// Nothing above changed a or b.
+		check("a afterwards", a, ma)
+		check("b afterwards", b, mb)
+	}
+
+	small, other := EmptyRefSet.With(5).With(40), EmptyRefSet.With(7)
+	allocs := testing.AllocsPerRun(100, func() {
+		s := small.With(63).Without(5).Union(other).With(0)
+		if s.Count() != 4 || !s.Has(63) {
+			t.Fatal(s)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("With, Without and Union on ids below 64 allocate %.0f times", allocs)
+	}
+	if n := unsafe.Sizeof(Value{}); n != 88 {
+		t.Errorf("Value is %d bytes, want 88: a RefSet is one word and a pointer", n)
 	}
 }
 

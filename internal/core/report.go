@@ -65,9 +65,9 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 	rows := make([][]bytecode.Verdict, len(methods))
 	errs := make([]error, len(methods))
 	if workers <= 1 {
-		lane := analysisLane(0)
+		lane, ws := analysisLane(0), newWorkspace()
 		for i := range methods {
-			reps[i], rows[i], errs[i] = analyzeMethod(ctx, px, i, opts, lane)
+			reps[i], rows[i], errs[i] = analyzeMethod(ctx, px, ws, i, opts, lane)
 		}
 	} else {
 		var next atomic.Int64
@@ -76,13 +76,13 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				lane := analysisLane(w)
+				lane, ws := analysisLane(w), newWorkspace()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(methods) {
 						return
 					}
-					reps[i], rows[i], errs[i] = analyzeMethod(ctx, px, i, opts, lane)
+					reps[i], rows[i], errs[i] = analyzeMethod(ctx, px, ws, i, opts, lane)
 				}
 			}(w)
 		}

@@ -32,12 +32,26 @@ type slotTable struct {
 	// (clearing, renaming, reachability) never scan the whole store.
 	refSlots [][]int32
 
-	// work is reachFrom's worklist buffer.
-	work []RefID
+	// work is reachFrom's worklist buffer and merge mergeStates's stride
+	// context, reset for every join.
+	work  []RefID
+	merge intval.MergeCtx
 }
 
-func newSlotTable(syms *bytecode.Symbols, refs *refTable) *slotTable {
-	return &slotTable{syms: syms, refs: refs, refSlots: make([][]int32, len(refs.infos))}
+// reset empties the table for a method with reference table refs, keeping
+// its buffers — the per-reference slot lists included — for the worker's
+// next method.
+func (t *slotTable) reset(syms *bytecode.Symbols, refs *refTable) {
+	t.syms, t.refs = syms, refs
+	t.keys = t.keys[:0]
+	rs := t.refSlots[:cap(t.refSlots)]
+	for i := range rs {
+		rs[i] = rs[i][:0]
+	}
+	if n := len(refs.infos); n > len(rs) {
+		rs = append(rs, make([][]int32, n-len(rs))...)
+	}
+	t.refSlots = rs[:len(refs.infos)]
 }
 
 // find returns the slot of (r, f), or -1 when σ never held the pair.
@@ -470,10 +484,10 @@ func resized[T any](vs []T, n int) []T { return slices.Grow(vs[:0], n)[:n] }
 // §3.5), visited in a fixed order — stack, locals, σ by slot, Len, NR — so
 // which component first names a stride is a property of the method, not
 // of the run. namer supplies fresh variable unknowns; noStride disables
-// their invention (ablation).
+// their invention (ablation). The context is the slot table's, reset here.
 func mergeStates(out, cur, incoming *state, namer *intval.Namer, noStride bool) bool {
-	ctx := intval.NewMergeCtx(namer)
-	ctx.Disabled = noStride
+	ctx := &out.tab.merge
+	ctx.Reset(namer, noStride)
 	changed := false
 
 	if len(cur.stack) != len(incoming.stack) {

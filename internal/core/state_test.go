@@ -64,7 +64,9 @@ func testTable() *slotTable {
 	p.AddClass(&bytecode.Class{Name: "T", Fields: []*bytecode.Field{
 		{Name: "f", Type: tt}, {Name: "g", Type: tt}, {Name: "k", Type: bytecode.Int}, {Name: "a", Type: tt},
 	}})
-	return newSlotTable(p.Symbols(), refs)
+	tab := &slotTable{}
+	tab.reset(p.Symbols(), refs)
+	return tab
 }
 
 // present reports whether σ holds an entry — even an explicit default —

@@ -214,9 +214,10 @@ func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
 		}
 	}
 	if workers <= 1 || remaining <= 1 {
+		ws := newWorkspace()
 		for ci := range cond.SCCs {
 			if needed[ci] {
-				processSCC(px, opts, cond, ci, sums)
+				processSCC(px, ws, opts, cond, ci, sums)
 			}
 		}
 		return sums
@@ -245,6 +246,7 @@ func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ws := newWorkspace()
 			for {
 				mu.Lock()
 				for len(ready) == 0 && remaining > 0 {
@@ -258,7 +260,7 @@ func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
 				ready = ready[:len(ready)-1]
 				mu.Unlock()
 
-				processSCC(px, opts, cond, ci, sums)
+				processSCC(px, ws, opts, cond, ci, sums)
 
 				mu.Lock()
 				remaining--
@@ -277,14 +279,15 @@ func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
 	return sums
 }
 
-// processSCC finalizes the summaries of one component. Acyclic
-// components need exactly one pass (their callees are already final);
-// cyclic ones iterate members in program order until nothing worsens.
-func processSCC(px *programIndex, opts Options, cond *Condensation, ci int, sums Summaries) {
+// processSCC finalizes the summaries of one component on the worker owning
+// ws. Acyclic components need exactly one pass (their callees are already
+// final); cyclic ones iterate members in program order until nothing
+// worsens.
+func processSCC(px *programIndex, ws *workspace, opts Options, cond *Condensation, ci int, sums Summaries) {
 	scc := &cond.SCCs[ci]
 	if !scc.Cyclic {
 		v := scc.Members[0]
-		sums[v].worsen(summarizeMethod(px, cond.Graph.Methods[v], v, opts, sums))
+		sums[v].worsen(summarizeMethod(px, ws, cond.Graph.Methods[v], v, opts, sums))
 		return
 	}
 	rounds := opts.MaxSummaryRoundsPerSCC
@@ -294,7 +297,7 @@ func processSCC(px *programIndex, opts Options, cond *Condensation, ci int, sums
 	for round := 0; round < rounds; round++ {
 		changed := false
 		for _, v := range scc.Members {
-			if sums[v].worsen(summarizeMethod(px, cond.Graph.Methods[v], v, opts, sums)) {
+			if sums[v].worsen(summarizeMethod(px, ws, cond.Graph.Methods[v], v, opts, sums)) {
 				changed = true
 			}
 		}
@@ -322,7 +325,7 @@ func processSCC(px *programIndex, opts Options, cond *Condensation, ci int, sums
 // degrades the method on its own. The recover is here and not around the
 // scheduler because a fanned-out component runs on a worker goroutine no
 // caller's recover reaches.
-func summarizeMethod(px *programIndex, m *bytecode.Method, node int, opts Options, sums Summaries) (out *MethodSummary) {
+func summarizeMethod(px *programIndex, ws *workspace, m *bytecode.Method, node int, opts Options, sums Summaries) (out *MethodSummary) {
 	defer func() {
 		if recover() != nil {
 			out = worstSummary(m)
@@ -334,7 +337,7 @@ func summarizeMethod(px *programIndex, m *bytecode.Method, node int, opts Option
 		// keep the worst case.
 		return worstSummary(m)
 	}
-	a := newAnalyzer(px, m, idx, opts)
+	a := newAnalyzer(px, ws, m, idx, opts)
 	a.summaries = sums
 	a.rec = newSummaryRecorder(a.refs, a.slots)
 	if a.fixpoint() != DegradeNone {

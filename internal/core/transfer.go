@@ -27,10 +27,7 @@ type transfer struct {
 	methodIndex
 	slots *slotTable
 
-	// targets and args are simulate's successor list and invoke-argument
-	// buffers, reused across blocks.
-	targets []int
-	args    []Value
+	*simBuffers
 
 	// siteLenConst is, per pc, 1 + the symbol naming the unknown allocation
 	// length of the newarray site there: 0 until minted on first use, so the
@@ -51,6 +48,13 @@ type transfer struct {
 	// everNL accumulates every reference that enters NL in any state, for
 	// the flow-insensitive-escape ablation and the summaries.
 	everNL RefSet
+}
+
+// simBuffers are simulate's successor list and invoke-argument buffers,
+// reused across blocks and, being the worker's, across methods.
+type simBuffers struct {
+	targets []int
+	args    []Value
 }
 
 // judgment is the output of one judging pass over a method: the verdict

@@ -308,6 +308,17 @@ type MergeCtx struct {
 // NewMergeCtx returns an empty context drawing fresh names from n.
 func NewMergeCtx(n *Namer) *MergeCtx { return &MergeCtx{N: n} }
 
+// Reset empties the context for the next state merge, drawing fresh names
+// from n, with invention off when disabled. The maps keep their storage, so
+// a context reset between merges allocates only until it has met the
+// largest merge; its results are those of a fresh context.
+func (c *MergeCtx) Reset(n *Namer, disabled bool) {
+	c.N, c.Disabled = n, disabled
+	clear(c.U)
+	clear(c.Mu1)
+	clear(c.Mu2)
+}
+
 // bind records in *mu (Mu1 or Mu2) that v stands for s in that state.
 func bind(mu *map[VarU]IntVal, v VarU, s IntVal) {
 	if *mu == nil {

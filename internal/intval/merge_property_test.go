@@ -267,3 +267,76 @@ func TestQuickMergeRangesIdempotentAndCommutative(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMergeCtxReuse: a context Reset between state merges behaves as a
+// fresh one. Each state merge — a few IntVal and range merges sharing one
+// context — runs once through a context reset before it and once through a
+// NewMergeCtx of its own; results, the μ1/μ2 bindings and the stride table
+// must agree, though the merges before it invented strides and bound
+// variables that a Reset forgetting one map would leak into the next.
+func TestMergeCtxReuse(t *testing.T) {
+	sameMap := func(a, b map[VarU]IntVal) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for v, x := range a {
+			if y, ok := b[v]; !ok || !x.Equal(y) {
+				return false
+			}
+		}
+		return true
+	}
+	invented := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var nReused, nFresh Namer
+		nReused.nextVar, nFresh.nextVar = 10, 10
+		reused := NewMergeCtx(&nReused)
+		for merge := 0; merge < 4; merge++ {
+			disabled := r.Intn(6) == 0
+			reused.Reset(&nReused, disabled)
+			fresh := NewMergeCtx(&nFresh)
+			fresh.Disabled = disabled
+			for k := 0; k < 4; k++ {
+				if r.Intn(3) == 0 {
+					r1, r2 := genConstRange(r), genConstRange(r)
+					if a, b := MergeRanges(r1, r2, reused), MergeRanges(r1, r2, fresh); !a.Equal(b) {
+						t.Logf("merge %d: ranges %s, %s: reused %s, fresh %s", merge, r1, r2, a, b)
+						return false
+					}
+					continue
+				}
+				i1, i2 := genVarFree(r), genVarFree(r)
+				if r.Intn(2) == 0 {
+					i1 = i1.Add(OfVar(VarU(r.Intn(2))).MulK(int64(r.Intn(3) - 1)))
+				}
+				if a, b := Merge(i1, i2, reused), Merge(i1, i2, fresh); !a.Equal(b) {
+					t.Logf("merge %d: %s, %s: reused %s, fresh %s", merge, i1, i2, a, b)
+					return false
+				}
+			}
+			if !sameMap(reused.Mu1, fresh.Mu1) || !sameMap(reused.Mu2, fresh.Mu2) {
+				t.Logf("merge %d: bindings μ1 %v μ2 %v, fresh μ1 %v μ2 %v", merge, reused.Mu1, reused.Mu2, fresh.Mu1, fresh.Mu2)
+				return false
+			}
+			if len(reused.U) != len(fresh.U) {
+				t.Logf("merge %d: strides %v, fresh %v", merge, reused.U, fresh.U)
+				return false
+			}
+			for d, v := range fresh.U {
+				if reused.U[d] != v {
+					t.Logf("merge %d: strides %v, fresh %v", merge, reused.U, fresh.U)
+					return false
+				}
+			}
+			invented += len(fresh.U)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if invented == 0 {
+		t.Error("no merge invented a stride: the reuse was never tested against a dirty context")
+	}
+}

@@ -14,12 +14,16 @@ import (
 // inline limit 100 (front end and inliner dominate) and jess at limit 0 with
 // summaries (the most analyzer runs). With one worker nothing in the path
 // depends on scheduling, so two measurements must agree exactly. The
-// ceilings sit about 15 % above the measured figures (jbb 1 412, jess 1 279;
-// 2 267 and 1 811 while the parser allocated each node, the checker each
-// scope and class type, and the verifier each block's stack; 2 301 and
-// 1 838 while the verifier and the analysis each built a method's
-// graph and resolved its operands, 2 368 and 1 962 while every summary round
-// and judging pass built its own reference table, 2 471 and 2 047 while
+// ceilings sit about 15 % above the measured figures (jbb 917, jess 854;
+// 1 420 and 1 284 while a reference set was a slice, each join built its
+// own merge context and each analyzer its own slot table, scratch states,
+// worklist and judge states, and 1 412 and 1 279 before the analysis
+// installed its verdicts as one table; 2 267 and 1 811 while the parser
+// allocated each node, the checker each scope and class type, and the
+// verifier each block's stack; 2 301 and 1 838 while the verifier and the
+// analysis each built a method's graph and resolved its operands, 2 368
+// and 1 962 while every summary round and judging pass built its own
+// reference table, 2 471 and 2 047 while
 // every layer numbered the program's methods and fields for itself, 2 552
 // and 2 235 while every analyzer did, 4 165 and 3 743 before the lexer
 // sliced its source and summaries were computed on demand).
@@ -33,8 +37,8 @@ func TestCompileAllocs(t *testing.T) {
 		analysis core.Options
 		ceiling  float64
 	}{
-		{"jbb", 100, core.Options{Mode: core.ModeFieldArray}, 1625},
-		{"jess", 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 1470},
+		{"jbb", 100, core.Options{Mode: core.ModeFieldArray}, 1055},
+		{"jess", 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 985},
 	} {
 		w, err := workloads.Get(tc.workload)
 		if err != nil {
