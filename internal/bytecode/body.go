@@ -1,6 +1,9 @@
 package bytecode
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Body is what checking a method body establishes, once, for everyone who
 // reads the body afterwards — the verifier, the analysis, the VM's decode,
@@ -10,8 +13,8 @@ import "fmt"
 // verification, the half that does not depend on types.
 //
 // A Body is read-only once built, so any number of goroutines may share one.
-// It describes the code as it was when built: nothing asks for the body of a
-// method whose code is still changing (the inliner's clone).
+// It describes the code as it was when built: a pass that rewrites the code
+// in place (the inliner) drops the program's records (CodeChanged).
 type Body struct {
 	// Graph is the method's control-flow graph.
 	Graph *Graph
@@ -41,22 +44,38 @@ func (e *BodyError) Error() string {
 	return fmt.Sprintf("%s: pc %d: %s", e.Method, e.PC, e.Msg)
 }
 
+// record is a Body and its Graph in one allocation.
+type record struct {
+	Body
+	graph Graph
+}
+
 // newBody checks m against the symbol table s and resolves its operands.
 // It is the one place that decides whether a body is well formed: a
 // non-empty body of known opcodes whose branch targets are in range and
-// whose control never falls off the end (buildGraph), local slots that are
+// whose control never falls off the end (Graph.build), local slots that are
 // declared, field and method operands that resolve, static fields reached
 // by the static opcodes and instance fields by the others, a newinstance of
 // a declared class and a newarray with an element type.
+//
+// A body takes a fixed handful of allocations whatever its size: the record
+// and its graph, one array holding FieldAt, CalleeAt and the graph's
+// pc-to-block map, and the graph's own three (Graph.build).
 func newBody(s *Symbols, m *Method) *Body {
-	g, err := buildGraph(m)
-	if err != nil {
+	n := len(m.Code)
+	ids := make([]int32, 3*n)
+	rec := &record{}
+	if err := rec.graph.build(m, ids[2*n:]); err != nil {
 		return &Body{Err: err}
 	}
 	fail := func(pc int, format string, args ...any) *Body {
 		return &Body{Err: &BodyError{Method: m.QualifiedName(), PC: pc, Msg: fmt.Sprintf(format, args...)}}
 	}
-	b := &Body{Graph: g, FieldAt: make([]FieldID, len(m.Code)), CalleeAt: make([]int32, len(m.Code))}
+	// A FieldID is an int32, so the first third of ids holds field ids.
+	b := &rec.Body
+	b.Graph = &rec.graph
+	b.FieldAt = unsafe.Slice((*FieldID)(unsafe.SliceData(ids)), n)
+	b.CalleeAt = ids[n : 2*n : 2*n]
 	for pc := range m.Code {
 		in := &m.Code[pc]
 		b.CalleeAt[pc] = -1
@@ -103,6 +122,19 @@ func newBody(s *Symbols, m *Method) *Body {
 // (and again after AddClass; a Clone starts with none). Concurrent first
 // users may each build one; one is kept, and all of them get it.
 func (p *Program) Body(n int) *Body { return p.Symbols().body(n) }
+
+// CodeChanged tells p that its methods' code was rewritten in place: it
+// drops every Body record and the verdict table, which describe the code
+// before, and keeps the numbering, which only the declarations decide. Like
+// AddClass, it must not run concurrently with any other use of the program.
+func (p *Program) CodeChanged() {
+	if s := p.syms.Load(); s != nil {
+		for i := range s.bodies {
+			s.bodies[i].Store(nil)
+		}
+		s.verdicts.Store(nil)
+	}
+}
 
 // BodyOf returns the record of m, which must be one of p's methods.
 func (p *Program) BodyOf(m *Method) *Body {

@@ -21,10 +21,10 @@ func countGraphs(f func()) int {
 }
 
 // TestBodiesAreNeverStale: a record describes the code it was built from.
-// The original program's records are all built before it is inlined; the
-// inlined program (a Clone the inliner then rewrites) must not inherit them,
-// so each of its records equals a fresh build from the inlined code. A
-// Clone starts with no record, and AddClass drops every record.
+// Every record of a program is built before the inliner rewrites it in
+// place; none may survive the rewrite, so each record read afterwards equals
+// a fresh build from the inlined code. A Clone starts with no record, and
+// AddClass drops every record.
 func TestBodiesAreNeverStale(t *testing.T) {
 	for name, src := range corpus() {
 		p := compile(t, src)
@@ -32,7 +32,11 @@ func TestBodiesAreNeverStale(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, limit := range []int{0, 25, 1000} {
-			q := inline.Apply(p, inline.Options{Limit: limit}).Program
+			q := p.Clone()
+			if err := q.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			inline.Apply(q, inline.Options{Limit: limit})
 			for i, m := range q.Methods() {
 				got := q.Body(i)
 				if got.Err != nil || got.Graph.Method != m || !reflect.DeepEqual(got, bytecode.NewBody(q, m)) {

@@ -2,27 +2,48 @@ package bytecode
 
 import "fmt"
 
-// Builder assembles a Method by hand. It is used by tests and by the code
-// generator. Branch targets may be forward-referenced through labels.
+// Builder assembles methods by hand. It is used by tests and by the code
+// generator, which builds every method of a program with one Builder: Start
+// begins the next method and reuses the instruction buffer and label table
+// of the last. Branch targets may be forward-referenced through labels.
 type Builder struct {
-	m      *Method
-	labels map[string]int   // label -> pc
-	fixups map[string][]int // label -> pcs of branches awaiting the label
+	m *Method
+	// code is the instruction buffer, kept across methods; m.Code is it
+	// until Build copies the method's code out.
+	code []Instr
+	// labels is indexed by Label.
+	labels []label
 }
 
-// NewBuilder starts a method. Slots for the receiver and parameters are
-// declared with DeclareSlot (or AddParam).
+// Label is a branch target of the method under construction, numbered in
+// the order NewLabel made it.
+type Label int
+
+// label is what the Builder knows of one Label. Until it is bound, the
+// branches awaiting it form a chain through their A operands, last first,
+// ending in -1.
+type label struct {
+	at   int // the bound pc, -1 until Bind
+	last int // the last branch awaiting the label, -1 for none
+}
+
+// NewBuilder starts a method on a new Builder. Slots for the receiver and
+// parameters are declared with DeclareSlot (or AddParam).
 func NewBuilder(class, name string, static bool) *Builder {
-	return &Builder{
-		m: &Method{
-			Class:  class,
-			Name:   name,
-			Static: static,
-			Return: Void,
-		},
-		labels: map[string]int{},
-		fixups: map[string][]int{},
+	b := &Builder{}
+	b.Start(class, name, static)
+	return b
+}
+
+// Start begins a new method, dropping the labels of the last one.
+func (b *Builder) Start(class, name string, static bool) *Builder {
+	if b.code == nil {
+		// Room for a typical method, so that the buffers seldom grow.
+		b.code, b.labels = make([]Instr, 0, 64), make([]label, 0, 16)
 	}
+	b.m = &Method{Class: class, Name: name, Static: static, Return: Void, Code: b.code[:0]}
+	b.labels = b.labels[:0]
+	return b
 }
 
 // SetCtor marks the method as a constructor.
@@ -99,31 +120,38 @@ func (b *Builder) Invoke(ref MethodRef) int { return b.Emit(Instr{Op: OpInvoke, 
 // Spawn emits a thread start.
 func (b *Builder) Spawn(ref MethodRef) int { return b.Emit(Instr{Op: OpSpawn, Method: ref}) }
 
-// Label binds the named label to the next pc and patches pending fixups.
-func (b *Builder) Label(name string) {
-	pc := b.PC()
-	b.labels[name] = pc
-	for _, site := range b.fixups[name] {
-		b.m.Code[site].A = int64(pc)
-	}
-	delete(b.fixups, name)
+// NewLabel makes an unbound label.
+func (b *Builder) NewLabel() Label {
+	b.labels = append(b.labels, label{at: -1, last: -1})
+	return Label(len(b.labels) - 1)
 }
 
-// Branch emits a branch to the named label (which may be bound later).
-func (b *Builder) Branch(op Op, label string) int {
-	pc := b.Emit(Instr{Op: op})
-	if target, ok := b.labels[label]; ok {
-		b.m.Code[pc].A = int64(target)
-	} else {
-		b.fixups[label] = append(b.fixups[label], pc)
+// Bind binds l to the next pc and patches the branches awaiting it.
+func (b *Builder) Bind(l Label) {
+	lb := &b.labels[l]
+	lb.at = b.PC()
+	for pc := lb.last; pc >= 0; {
+		in := &b.m.Code[pc]
+		pc, in.A = int(in.A), int64(lb.at)
 	}
+	lb.last = -1
+}
+
+// Branch emits a branch to l, which may be bound later.
+func (b *Builder) Branch(op Op, l Label) int {
+	lb := &b.labels[l]
+	if lb.at >= 0 {
+		return b.Emit(Instr{Op: op, A: int64(lb.at)})
+	}
+	pc := b.Emit(Instr{Op: op, A: int64(lb.last)})
+	lb.last = pc
 	return pc
 }
 
 // Goto / IfTrue / IfFalse emit branches to labels.
-func (b *Builder) Goto(label string) int    { return b.Branch(OpGoto, label) }
-func (b *Builder) IfTrue(label string) int  { return b.Branch(OpIfTrue, label) }
-func (b *Builder) IfFalse(label string) int { return b.Branch(OpIfFalse, label) }
+func (b *Builder) Goto(l Label) int    { return b.Branch(OpGoto, l) }
+func (b *Builder) IfTrue(l Label) int  { return b.Branch(OpIfTrue, l) }
+func (b *Builder) IfFalse(l Label) int { return b.Branch(OpIfFalse, l) }
 
 // Return emits a void return.
 func (b *Builder) Return() int { return b.Op(OpReturn) }
@@ -136,13 +164,17 @@ func (b *Builder) ReturnValue() int { return b.Op(OpReturnValue) }
 // lines) but must still call Build to check label resolution.
 func (b *Builder) Method() *Method { return b.m }
 
-// Build finalizes and returns the method. It panics on unresolved labels
-// (a programming error in the caller).
+// Build finalizes and returns the method, its code copied out of the
+// Builder's buffer at its exact size. It panics on a branch to a label
+// that was never bound (a programming error in the caller).
 func (b *Builder) Build() *Method {
-	if len(b.fixups) > 0 {
-		for name := range b.fixups {
-			panic(fmt.Sprintf("bytecode.Builder: unresolved label %q in %s.%s", name, b.m.Class, b.m.Name))
+	m := b.m
+	for l, lb := range b.labels {
+		if lb.last >= 0 {
+			panic(fmt.Sprintf("bytecode.Builder: unbound label %d in %s.%s", l, m.Class, m.Name))
 		}
 	}
-	return b.m
+	b.code = m.Code[:0]
+	m.Code = append(make([]Instr, 0, len(m.Code)), m.Code...)
+	return m
 }

@@ -26,13 +26,25 @@ type CallGraph struct {
 
 // BuildCallGraph scans every method's code for OpInvoke edges.
 // Unresolvable callees (absent from the program) are skipped; verified
-// programs have none.
+// programs have none. A counting pass bounds the edges, so every list is
+// carved from one array.
 func BuildCallGraph(p *Program) *CallGraph {
 	syms := p.Symbols()
-	g := &CallGraph{Methods: syms.Methods, Callees: make([][]int, len(syms.Methods))}
-	// seen[j] == i+1 once method i's edge to j is recorded.
-	seen := make([]int, len(syms.Methods))
+	n, invokes := len(syms.Methods), 0
+	for _, m := range syms.Methods {
+		for pc := range m.Code {
+			if m.Code[pc].Op == OpInvoke {
+				invokes++
+			}
+		}
+	}
+	g := &CallGraph{Methods: syms.Methods, Callees: make([][]int, n)}
+	// seen[j] == i+1 once method i's edge to j is recorded; the lists fill
+	// edges from the front.
+	buf := make([]int, n+invokes)
+	seen, edges := buf[:n], buf[n:n]
 	for i, m := range syms.Methods {
+		first := len(edges)
 		for pc := range m.Code {
 			in := &m.Code[pc]
 			if in.Op != OpInvoke {
@@ -40,8 +52,11 @@ func BuildCallGraph(p *Program) *CallGraph {
 			}
 			if j := syms.MethodNum(in.Method); j >= 0 && seen[j] != i+1 {
 				seen[j] = i + 1
-				g.Callees[i] = append(g.Callees[i], j)
+				edges = append(edges, j)
 			}
+		}
+		if len(edges) > first {
+			g.Callees[i] = edges[first:len(edges):len(edges)]
 		}
 	}
 	return g
@@ -78,102 +93,124 @@ type Condensation struct {
 
 // Condense runs Tarjan's SCC algorithm (iteratively — generated programs
 // are small but workloads can have deep call chains) and builds the
-// component DAG.
+// component DAG, in a fixed number of allocations whatever the graph: the
+// search's per-node state and path share one array, the members of every
+// component are carved from another, and the component lists from a third,
+// sized by a counting pass.
 func Condense(g *CallGraph) *Condensation {
 	n := len(g.Methods)
-	c := &Condensation{Graph: g, CompOf: make([]int, n)}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
+	// CompOf, then per node its search index, its lowlink and how many of
+	// its callees the search has taken, then the search path. A node is on
+	// Tarjan's stack exactly when it has an index and no component yet.
+	state := make([]int, 5*n)
+	c := &Condensation{Graph: g, CompOf: state[:n:n], SCCs: make([]SCC, 0, n)}
+	index, low, edge, path := state[n:2*n], state[2*n:3*n], state[3*n:4*n], state[4*n:4*n]
+	for i := range n {
 		index[i] = -1
 		c.CompOf[i] = -1
 	}
-	var stack []int
+	// members holds the components emitted so far from the front and
+	// Tarjan's stack from the back, its top first: a node is in at most one
+	// of the two, so they never meet, and a component is the top of the
+	// stack, contiguous.
+	members := make([]int, n)
+	emitted, top := 0, n
 	next := 0
-
-	// Iterative Tarjan: each frame tracks the node and the position in
-	// its callee list.
-	type frame struct {
-		node int
-		edge int
+	visit := func(v int) {
+		index[v], low[v], edge[v] = next, next, 0
+		next++
+		top--
+		members[top] = v
+		path = append(path, v)
 	}
-	var frames []frame
-	for root := 0; root < n; root++ {
+	for root := range n {
 		if index[root] != -1 {
 			continue
 		}
-		frames = append(frames[:0], frame{node: root})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			v := f.node
-			if f.edge < len(g.Callees[v]) {
-				w := g.Callees[v][f.edge]
-				f.edge++
+		visit(root)
+		for len(path) > 0 {
+			v := path[len(path)-1]
+			if edge[v] < len(g.Callees[v]) {
+				w := g.Callees[v][edge[v]]
+				edge[v]++
 				switch {
 				case index[w] == -1:
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{node: w})
-				case onStack[w]:
-					if index[w] < low[v] {
-						low[v] = index[w]
-					}
+					visit(w)
+				case c.CompOf[w] == -1: // on the stack
+					low[v] = min(low[v], index[w])
 				}
 				continue
 			}
-			// v is finished: pop its frame, fold lowlink into the parent,
-			// and emit an SCC if v is a root.
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].node
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
+			// v is finished: pop it off the path, fold its lowlink into the
+			// parent's, and emit a component if v is a root.
+			path = path[:len(path)-1]
+			if len(path) > 0 {
+				p := path[len(path)-1]
+				low[p] = min(low[p], low[v])
 			}
 			if low[v] != index[v] {
 				continue
 			}
 			comp := len(c.SCCs)
-			var members []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
+			size := 0
+			for members[top+size] != v {
+				size++
+			}
+			size++
+			scc := members[emitted : emitted+size : emitted+size]
+			copy(scc, members[top:top+size])
+			top += size
+			emitted += size
+			for _, w := range scc {
 				c.CompOf[w] = comp
-				members = append(members, w)
-				if w == v {
-					break
-				}
 			}
 			// Ascending program order within the component, for
 			// deterministic fixed-point iteration.
-			slices.Sort(members)
-			cyclic := len(members) > 1 || slices.Contains(g.Callees[v], v) // self-loop
-			c.SCCs = append(c.SCCs, SCC{Members: members, Cyclic: cyclic})
+			slices.Sort(scc)
+			cyclic := size > 1 || slices.Contains(g.Callees[v], v) // self-loop
+			c.SCCs = append(c.SCCs, SCC{Members: scc, Cyclic: cyclic})
 		}
 	}
 
-	// Component DAG edges (deduplicated, deterministic order).
-	c.Deps = make([][]int, len(c.SCCs))
-	c.Dependents = make([][]int, len(c.SCCs))
+	// Component DAG edges (deduplicated, deterministic order). A first pass
+	// counts each component's lists, reusing the search state: mark[cw] ==
+	// ci+1 once ci's edge to cw is counted.
+	nc := len(c.SCCs)
+	mark, ndeps, ndependents := state[n:2*n], state[2*n:3*n], state[3*n:4*n]
+	clear(state[n : 4*n])
+	total := 0
 	for ci := range c.SCCs {
 		for _, v := range c.SCCs[ci].Members {
 			for _, w := range g.Callees[v] {
-				cw := c.CompOf[w]
-				if cw == ci || slices.Contains(c.Deps[ci], cw) {
-					continue
+				if cw := c.CompOf[w]; cw != ci && mark[cw] != ci+1 {
+					mark[cw] = ci + 1
+					ndeps[ci]++
+					ndependents[cw]++
+					total++
 				}
-				c.Deps[ci] = append(c.Deps[ci], cw)
-				c.Dependents[cw] = append(c.Dependents[cw], ci)
+			}
+		}
+	}
+	lists := make([][]int, 2*nc)
+	c.Deps, c.Dependents = lists[:nc:nc], lists[nc:]
+	edges := make([]int, 2*total)
+	for ci := range nc {
+		if k := ndeps[ci]; k > 0 {
+			c.Deps[ci], edges = edges[:0:k], edges[k:]
+		}
+		if k := ndependents[ci]; k > 0 {
+			c.Dependents[ci], edges = edges[:0:k], edges[k:]
+		}
+	}
+	clear(mark[:nc])
+	for ci := range c.SCCs {
+		for _, v := range c.SCCs[ci].Members {
+			for _, w := range g.Callees[v] {
+				if cw := c.CompOf[w]; cw != ci && mark[cw] != ci+1 {
+					mark[cw] = ci + 1
+					c.Deps[ci] = append(c.Deps[ci], cw)
+					c.Dependents[cw] = append(c.Dependents[cw], ci)
+				}
 			}
 		}
 	}

@@ -2,7 +2,13 @@ package bytecode
 
 // BuildGraph is the graph half of a Body build, for the tests that compare
 // its shape and count its allocations.
-func BuildGraph(m *Method) (*Graph, error) { return buildGraph(m) }
+func BuildGraph(m *Method) (*Graph, error) {
+	g := &Graph{}
+	if err := g.build(m, make([]int32, len(m.Code))); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
 
 // SetGraphHook makes every graph build report its method to f (nil: to
 // nobody). Tests that set it must not run in parallel.

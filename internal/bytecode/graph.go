@@ -29,7 +29,7 @@ type Graph struct {
 	Method *Method
 	Blocks []*Block
 	// blockOf maps each pc to its containing block id.
-	blockOf []int
+	blockOf []int32
 	// rpo is ReversePostorder, rpoIndex its inverse; rpo[:reached] are the
 	// blocks reachable from the entry.
 	rpo      []int
@@ -37,33 +37,35 @@ type Graph struct {
 	reached  int
 }
 
-// graphHook, when a test sets it, observes every buildGraph call.
+// graphHook, when a test sets it, observes every graph build.
 var graphHook func(*Method)
 
-// buildGraph constructs the CFG for a method in a fixed number of
-// allocations whatever its size: the blocks sit by value in one slab behind
-// the Blocks view, successor lists inside their blocks, and the predecessor
-// lists are carved from one array sized by a counting pass. It rejects an
-// empty body, a branch out of range and control falling off the end.
-func buildGraph(m *Method) (*Graph, error) {
+// build constructs the CFG for a method into g, with blockOf (one zeroed
+// int32 per pc) as its pc-to-block map, in three allocations whatever its
+// size: the blocks sit by value in one slab behind the Blocks view,
+// successor lists inside their blocks, and the reverse postorder, its
+// inverse and the predecessor lists share one array (a block has at most
+// two successors, so there are at most twice as many edges as blocks). It
+// rejects an empty body, a branch out of range and control falling off the
+// end.
+func (g *Graph) build(m *Method, blockOf []int32) error {
 	if graphHook != nil {
 		graphHook(m)
 	}
 	n := len(m.Code)
 	if n == 0 {
-		return nil, &BodyError{Method: m.QualifiedName(), PC: -1, Msg: "empty method body"}
+		return &BodyError{Method: m.QualifiedName(), PC: -1, Msg: "empty method body"}
 	}
 
 	// blockOf first marks the leaders with a 1, then becomes the running
 	// count of leaders seen, less one.
-	blockOf := make([]int, n)
 	blockOf[0] = 1
 	for pc := 0; pc < n; pc++ {
 		in := &m.Code[pc]
 		if in.IsBranch() {
 			t := int(in.A)
 			if t < 0 || t >= n {
-				return nil, &BodyError{Method: m.QualifiedName(), PC: pc, Msg: fmt.Sprintf("branch target %d out of range", in.A)}
+				return &BodyError{Method: m.QualifiedName(), PC: pc, Msg: fmt.Sprintf("branch target %d out of range", in.A)}
 			}
 			blockOf[t] = 1
 			if pc+1 < n {
@@ -75,14 +77,14 @@ func buildGraph(m *Method) (*Graph, error) {
 	}
 	nb := 0
 	for pc, leader := range blockOf {
-		nb += leader
-		blockOf[pc] = nb - 1
+		nb += int(leader)
+		blockOf[pc] = int32(nb - 1)
 	}
 
 	slab := make([]Block, nb)
-	order := make([]int, 2*nb)
-	g := &Graph{Method: m, Blocks: make([]*Block, nb), blockOf: blockOf,
-		rpo: order[:nb:nb], rpoIndex: order[nb:]}
+	order := make([]int, 4*nb)
+	*g = Graph{Method: m, Blocks: make([]*Block, nb), blockOf: blockOf,
+		rpo: order[:nb:nb], rpoIndex: order[nb : 2*nb : 2*nb]}
 	for pc := n - 1; pc >= 0; pc-- {
 		b := &slab[blockOf[pc]]
 		if b.End == 0 {
@@ -100,14 +102,14 @@ func buildGraph(m *Method) (*Graph, error) {
 		k := 0
 		last := &m.Code[b.End-1]
 		if last.IsBranch() {
-			b.succs[0], k = blockOf[last.A], 1
+			b.succs[0], k = int(blockOf[last.A]), 1
 		}
 		if !last.IsTerminator() {
 			// A conditional branch falls through when it is not taken.
 			if b.End >= n {
-				return nil, &BodyError{Method: m.QualifiedName(), PC: -1, Msg: "control falls off the end of the method"}
+				return &BodyError{Method: m.QualifiedName(), PC: -1, Msg: "control falls off the end of the method"}
 			}
-			b.succs[k] = blockOf[b.End]
+			b.succs[k] = int(blockOf[b.End])
 			k++
 		}
 		b.Succs = b.succs[:k:k]
@@ -118,7 +120,7 @@ func buildGraph(m *Method) (*Graph, error) {
 	}
 	// Predecessors arrive in the order the analysis's merge order depends
 	// on: blocks ascending, each block's successors in Succs order.
-	preds := make([]int, edges)
+	preds := order[2*nb : 2*nb+edges]
 	for id := range slab {
 		slab[id].Preds, preds = preds[:0:npreds[id]], preds[npreds[id]:]
 	}
@@ -128,7 +130,7 @@ func buildGraph(m *Method) (*Graph, error) {
 		}
 	}
 	g.order()
-	return g, nil
+	return nil
 }
 
 // order fills rpo and rpoIndex: the postorder of a depth-first search from
@@ -175,7 +177,7 @@ func (g *Graph) order() {
 }
 
 // BlockOf returns the id of the block containing pc.
-func (g *Graph) BlockOf(pc int) int { return g.blockOf[pc] }
+func (g *Graph) BlockOf(pc int) int { return int(g.blockOf[pc]) }
 
 // ReversePostorder returns block ids in reverse postorder from the entry,
 // the classic iteration order for forward dataflow problems. Unreachable

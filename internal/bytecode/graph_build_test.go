@@ -99,12 +99,13 @@ func TestBuildKeepsTheReferenceShape(t *testing.T) {
 		}
 	}
 	doubled := bytecode.NewBuilder("T", "doubled", true)
+	next, dead := doubled.NewLabel(), doubled.NewLabel()
 	doubled.Const(1)
-	doubled.IfFalse("next")
-	doubled.Label("next")
+	doubled.IfFalse(next)
+	doubled.Bind(next)
 	doubled.Return()
-	doubled.Label("dead")
-	doubled.Goto("dead")
+	doubled.Bind(dead)
+	doubled.Goto(dead)
 	methods = append(methods, doubled.Build())
 
 	blocks, edges := 0, 0
@@ -146,7 +147,10 @@ func TestBuildKeepsTheReferenceShape(t *testing.T) {
 	t.Logf("%d methods, %d blocks, %d edges", len(methods), blocks, edges)
 }
 
-// TestBuildAllocatesPerGraphNotPerBlock: six allocations whatever the size.
+// TestBuildAllocatesPerGraphNotPerBlock: a Body takes five allocations
+// whatever the method's size — the record with its graph, one array for
+// FieldAt, CalleeAt and the pc-to-block map, and the graph's block slab,
+// Blocks view and order array — where it took nine.
 func TestBuildAllocatesPerGraphNotPerBlock(t *testing.T) {
 	w, err := workloads.Get("javac")
 	if err != nil {
@@ -157,8 +161,8 @@ func TestBuildAllocatesPerGraphNotPerBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range b.Program.Methods() {
-		if got := testing.AllocsPerRun(3, func() { bytecode.BuildGraph(m) }); got > 6 {
-			t.Errorf("%s (%d instructions): %.0f allocations per graph", m.QualifiedName(), len(m.Code), got)
+		if got := testing.AllocsPerRun(3, func() { bytecode.NewBody(b.Program, m) }); got != 5 {
+			t.Errorf("%s (%d instructions): %.0f allocations per body, want 5", m.QualifiedName(), len(m.Code), got)
 		}
 	}
 }

@@ -20,23 +20,24 @@ func loopMethod() *Method {
 	s := b.DeclareSlot(Int)
 	b.Const(0)
 	b.Store(s)
-	b.Label("head")
+	head, end := b.NewLabel(), b.NewLabel()
+	b.Bind(head)
 	b.Load(s)
 	b.Const(10)
 	b.Op(OpCmpLT)
-	b.IfFalse("end")
+	b.IfFalse(end)
 	b.Load(s)
 	b.Const(1)
 	b.Op(OpAdd)
 	b.Store(s)
-	b.Goto("head")
-	b.Label("end")
+	b.Goto(head)
+	b.Bind(end)
 	b.Return()
 	return b.Build()
 }
 
 func TestBuildLoopCFG(t *testing.T) {
-	g, err := buildGraph(loopMethod())
+	g, err := BuildGraph(loopMethod())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestBuildLoopCFG(t *testing.T) {
 }
 
 func TestBlockOf(t *testing.T) {
-	g, err := buildGraph(loopMethod())
+	g, err := BuildGraph(loopMethod())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestBlockOf(t *testing.T) {
 }
 
 func TestReversePostorderVisitsAll(t *testing.T) {
-	g, err := buildGraph(loopMethod())
+	g, err := BuildGraph(loopMethod())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestUnreachableBlockStillListed(t *testing.T) {
 	b.Const(1)
 	b.Op(OpPop)
 	b.Return()
-	g, err := buildGraph(b.Build())
+	g, err := BuildGraph(b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestUnreachableBlockStillListed(t *testing.T) {
 }
 
 func TestRPOIndexIsInverseOfOrder(t *testing.T) {
-	g, err := buildGraph(loopMethod())
+	g, err := BuildGraph(loopMethod())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRPOIndexIsInverseOfOrder(t *testing.T) {
 }
 
 func TestRPOLoopOrdersHeadBeforeBody(t *testing.T) {
-	g, err := buildGraph(loopMethod())
+	g, err := BuildGraph(loopMethod())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestRPOIrreducibleLoop(t *testing.T) {
 		{Op: OpNop},
 		{Op: OpGoto, A: 1},
 	}}
-	g, err := buildGraph(m)
+	g, err := BuildGraph(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestRPOUnreachableAppendedInIDOrder(t *testing.T) {
 		{Op: OpReturn},
 		{Op: OpReturn},
 	}}
-	g, err := buildGraph(m)
+	g, err := BuildGraph(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestRPOUnreachableAppendedInIDOrder(t *testing.T) {
 }
 
 func TestRPOCached(t *testing.T) {
-	g, err := buildGraph(loopMethod())
+	g, err := BuildGraph(loopMethod())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestRPOCached(t *testing.T) {
 
 func TestEmptyMethodRejected(t *testing.T) {
 	m := &Method{Class: "T", Name: "m"}
-	if _, err := buildGraph(m); err == nil {
+	if _, err := BuildGraph(m); err == nil {
 		t.Fatal("expected error for empty method")
 	}
 }
@@ -268,7 +269,7 @@ func TestFallOffEndRejected(t *testing.T) {
 	b := NewBuilder("T", "m", true)
 	b.Const(1)
 	b.Op(OpPop)
-	if _, err := buildGraph(b.Build()); err == nil {
+	if _, err := BuildGraph(b.Build()); err == nil {
 		t.Fatal("expected error when control falls off the method end")
 	}
 }
@@ -277,7 +278,7 @@ func TestBranchTargetOutOfRange(t *testing.T) {
 	m := &Method{Class: "T", Name: "m", Code: []Instr{
 		{Op: OpGoto, A: 5},
 	}}
-	if _, err := buildGraph(m); err == nil {
+	if _, err := BuildGraph(m); err == nil {
 		t.Fatal("expected error for out-of-range target")
 	}
 }
@@ -287,7 +288,7 @@ func TestSingleBlock(t *testing.T) {
 	b.Const(1)
 	b.Op(OpPrint)
 	b.Return()
-	g, err := buildGraph(b.Build())
+	g, err := BuildGraph(b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,11 @@ type ClassSym struct {
 // Clone and its inlined form agree on it. Method bodies change under the
 // inliner, so what is known about them is not copied with the numbering:
 // each table holds its own program's Body records, built on first use
-// (body.go), and its program's verdict table (verdicts.go); the call graph
-// is computed from the code when asked for (BuildCallGraph). Read-only once
-// built, apart from the records' one-time fill and the verdict table's
-// atomic replacement, and so safe for concurrent readers.
+// (body.go) and dropped when the code is rewritten (CodeChanged), and its
+// program's verdict table (verdicts.go); the call graph is computed from
+// the code when asked for (BuildCallGraph). Read-only once built, apart
+// from the records' one-time fill and the verdict table's atomic
+// replacement, and so safe for concurrent readers.
 type Symbols struct {
 	// Classes is every class in ascending name order.
 	Classes []*Class

@@ -91,8 +91,8 @@ func TestNumberingIsAFunctionOfDeclarations(t *testing.T) {
 		p := compile(t, src)
 		want := numberingOf(p)
 		others := map[string]*bytecode.Program{"clone": p.Clone(), "clone of an unlinked program": unlinked(t, src).Clone(),
-			"inlined at 25":   inline.Apply(p, inline.Options{Limit: 25}).Program,
-			"inlined at 1000": inline.Apply(p, inline.Options{Limit: 1000}).Program}
+			"inlined at 25":   inline.Apply(p.Clone(), inline.Options{Limit: 25}).Program,
+			"inlined at 1000": inline.Apply(p.Clone(), inline.Options{Limit: 1000}).Program}
 		for what, q := range others {
 			if got := numberingOf(q); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: the %s numbers the program differently:\n got %+v\nwant %+v", name, what, got, want)

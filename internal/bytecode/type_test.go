@@ -100,32 +100,72 @@ func TestInstrString(t *testing.T) {
 	}
 }
 
+// TestBuilderLabelsForwardAndBackward: several branches may await one
+// label, and forward and backward branches resolve alike.
 func TestBuilderLabelsForwardAndBackward(t *testing.T) {
 	b := NewBuilder("T", "m", true)
-	b.Label("top")
+	top, out := b.NewLabel(), b.NewLabel()
+	b.Bind(top)
 	b.ConstBool(true)
-	b.IfFalse("done") // forward reference
-	b.Goto("top")     // backward reference
-	b.Label("done")
+	b.IfTrue(out) // pc 1
+	b.ConstBool(false)
+	b.IfFalse(out) // pc 3
+	b.Goto(top)    // pc 4, backward
+	b.Goto(out)    // pc 5
+	b.Bind(out)
 	b.Return()
 	m := b.Build()
-	if m.Code[1].A != 3 {
-		t.Errorf("forward branch target = %d, want 3", m.Code[1].A)
+	for pc, want := range map[int]int64{1: 6, 3: 6, 4: 0, 5: 6} {
+		if got := m.Code[pc].A; got != want {
+			t.Errorf("branch at pc %d targets %d, want %d", pc, got, want)
+		}
 	}
-	if m.Code[2].A != 0 {
-		t.Errorf("backward branch target = %d, want 0", m.Code[2].A)
+	if len(m.Code) != 7 || cap(m.Code) != 7 {
+		t.Errorf("code has length %d and capacity %d, want 7 and 7", len(m.Code), cap(m.Code))
 	}
 }
 
 func TestBuilderUnresolvedLabelPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Build should panic on unresolved label")
+			t.Fatal("Build did not panic on a branch to an unbound label")
 		}
 	}()
 	b := NewBuilder("T", "m", true)
-	b.Goto("nowhere")
+	l := b.NewLabel()
+	b.Goto(l)
+	b.Goto(l)
 	b.Build()
+}
+
+// TestBuilderLabels: one Builder builds method after method, each with its
+// own labels and with its code copied out at its exact size.
+func TestBuilderLabels(t *testing.T) {
+	b := NewBuilder("T", "first", true)
+	out := b.NewLabel()
+	b.ConstBool(true)
+	b.IfTrue(out)
+	b.Bind(out)
+	b.Return()
+	first := b.Build()
+	if len(first.Code) != 3 || cap(first.Code) != 3 || first.Code[1].A != 2 {
+		t.Errorf("first: %s", Disassemble(first, nil))
+	}
+
+	b.Start("T", "second", true)
+	if l := b.NewLabel(); l != 0 {
+		t.Errorf("the second method's first label is %d, want 0", l)
+	}
+	b.Goto(0)
+	b.Bind(0)
+	b.Return()
+	second := b.Build()
+	if second.Name != "second" || len(second.Code) != 2 || second.Code[0].A != 1 {
+		t.Errorf("second: %s", Disassemble(second, nil))
+	}
+	if first.Code[0].Op != OpConstBool || first.Code[1].A != 2 {
+		t.Errorf("building the second method changed the first: %s", Disassemble(first, nil))
+	}
 }
 
 func TestMethodArgTypesAndSize(t *testing.T) {

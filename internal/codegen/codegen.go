@@ -19,22 +19,43 @@ import (
 // when a unique static void main() exists. The output is not checked here:
 // the verifier checks the program the pipeline goes on to run, after
 // inlining, and Program.Validate checks it on request.
+//
+// Compile allocates per program and per method, not per class, statement
+// or label: the classes, their field and method lists and every method's
+// slot types are carved from one array each, one Builder emits every
+// method into one reused buffer, and each method's code is copied out
+// once, at its exact size.
 func Compile(ch *minijava.Checked) (*bytecode.Program, error) {
 	p := bytecode.NewProgram()
-	pg := &progGen{}
+	g := &gen{ch: ch, b: &bytecode.Builder{}, chain: make([]*minijava.Binary, 0, 16)}
+	nfields, nmethods, nslots := 0, 0, 0
 	for _, cd := range ch.Prog.Classes {
-		ci := ch.Classes[cd.Name]
-		cls := &bytecode.Class{Name: cd.Name}
-		for _, fd := range cd.Fields {
-			cls.Fields = append(cls.Fields, ci.Fields[fd.Name])
-		}
+		nfields += len(cd.Fields)
+		nmethods += len(cd.Methods)
 		for _, md := range cd.Methods {
-			cls.Methods = append(cls.Methods, compileMethod(ch, pg, ci, md))
+			nslots += len(ch.Slots[md])
+		}
+	}
+	classes := make([]bytecode.Class, len(ch.Prog.Classes))
+	fields := make([]*bytecode.Field, nfields)
+	methods := make([]*bytecode.Method, nmethods)
+	g.slots = make([]*bytecode.Type, nslots)
+	for i, cd := range ch.Prog.Classes {
+		ci := ch.Classes[cd.Name]
+		cls := &classes[i]
+		cls.Name = cd.Name
+		cls.Fields, fields = fields[:len(cd.Fields):len(cd.Fields)], fields[len(cd.Fields):]
+		cls.Methods, methods = methods[:len(cd.Methods):len(cd.Methods)], methods[len(cd.Methods):]
+		for j, fd := range cd.Fields {
+			cls.Fields[j] = ci.Fields[fd.Name]
+		}
+		for j, md := range cd.Methods {
+			cls.Methods[j] = g.method(ci, md)
 		}
 		p.AddClass(cls)
 	}
-	if pg.err != nil {
-		return nil, pg.err
+	if g.err != nil {
+		return nil, g.err
 	}
 	if main, err := ch.FindMain(); err == nil {
 		p.Main = main
@@ -42,23 +63,18 @@ func Compile(ch *minijava.Checked) (*bytecode.Program, error) {
 	return p, nil
 }
 
-// progGen is what the generators of one program's methods share: the links
-// of the operator chains being emitted (see binary) and the first error. A
-// checked program has no construct the generator does not know, so its
-// errors are internal, and Compile returns the first.
-type progGen struct {
+// gen is the code generator of one program. A checked program has no
+// construct the generator does not know, so its errors are internal, and
+// Compile returns the first.
+type gen struct {
+	ch *minijava.Checked
+	b  *bytecode.Builder
+	// slots is what is left of the program's slot types array.
+	slots []*bytecode.Type
+	// chain holds the links of the operator chains being emitted (see
+	// binary).
 	chain []*minijava.Binary
 	err   error
-}
-
-// gen is the per-method code generator.
-type gen struct {
-	*progGen
-	ch     *minijava.Checked
-	class  *minijava.ClassInfo
-	method *minijava.MethodSig
-	b      *bytecode.Builder
-	labels int
 }
 
 // fail records an internal error, unless one is recorded already.
@@ -68,20 +84,20 @@ func (g *gen) fail(format string, args ...any) {
 	}
 }
 
-func compileMethod(ch *minijava.Checked, pg *progGen, ci *minijava.ClassInfo, md *minijava.MethodDecl) *bytecode.Method {
+// method lowers one method declaration of class ci.
+func (g *gen) method(ci *minijava.ClassInfo, md *minijava.MethodDecl) *bytecode.Method {
 	sig := ci.Methods[md.Name]
-	b := bytecode.NewBuilder(ci.Decl.Name, md.Name, md.Static)
+	b := g.b.Start(ci.Decl.Name, md.Name, md.Static)
 	if md.Ctor {
 		b.SetCtor()
 	}
 	b.SetReturn(sig.Return)
-	// Declare the checker-assigned slots (receiver, params, locals).
-	for _, st := range ch.Slots[md] {
-		b.DeclareSlot(st)
-	}
-	b.Method().Params = sig.Params
+	m := b.Method()
+	// The checker-assigned slots: receiver, params, locals.
+	k := copy(g.slots, g.ch.Slots[md])
+	m.SlotTypes, g.slots = g.slots[:k:k], g.slots[k:]
+	m.Params = sig.Params
 
-	g := &gen{progGen: pg, ch: ch, class: ci, method: sig, b: b}
 	g.stmt(md.Body)
 	if sig.Return == bytecode.Void {
 		// Implicit return for void methods and constructors.
@@ -102,11 +118,6 @@ func (g *gen) setLine(pc, line int) {
 	}
 }
 
-func (g *gen) newLabel(prefix string) string {
-	g.labels++
-	return fmt.Sprintf("%s%d", prefix, g.labels)
-}
-
 func (g *gen) stmt(s minijava.Stmt) {
 	switch st := s.(type) {
 	case *minijava.Block:
@@ -125,37 +136,34 @@ func (g *gen) stmt(s minijava.Stmt) {
 		pc := g.b.Store(st.Slot)
 		g.setLine(pc, st.Line)
 	case *minijava.If:
-		elseL := g.newLabel("else")
-		endL := g.newLabel("endif")
+		elseL, endL := g.b.NewLabel(), g.b.NewLabel()
 		g.expr(st.Cond)
 		if st.Else != nil {
 			g.b.IfFalse(elseL)
 			g.stmt(st.Then)
 			g.b.Goto(endL)
-			g.b.Label(elseL)
+			g.b.Bind(elseL)
 			g.stmt(st.Else)
-			g.b.Label(endL)
+			g.b.Bind(endL)
 		} else {
 			g.b.IfFalse(endL)
 			g.stmt(st.Then)
-			g.b.Label(endL)
+			g.b.Bind(endL)
 		}
 	case *minijava.While:
-		top := g.newLabel("while")
-		end := g.newLabel("endwhile")
-		g.b.Label(top)
+		top, end := g.b.NewLabel(), g.b.NewLabel()
+		g.b.Bind(top)
 		g.expr(st.Cond)
 		g.b.IfFalse(end)
 		g.stmt(st.Body)
 		g.b.Goto(top)
-		g.b.Label(end)
+		g.b.Bind(end)
 	case *minijava.For:
-		top := g.newLabel("for")
-		end := g.newLabel("endfor")
+		top, end := g.b.NewLabel(), g.b.NewLabel()
 		if st.Init != nil {
 			g.stmt(st.Init)
 		}
-		g.b.Label(top)
+		g.b.Bind(top)
 		if st.Cond != nil {
 			g.expr(st.Cond)
 			g.b.IfFalse(end)
@@ -165,7 +173,7 @@ func (g *gen) stmt(s minijava.Stmt) {
 			g.stmt(st.Post)
 		}
 		g.b.Goto(top)
-		g.b.Label(end)
+		g.b.Bind(end)
 	case *minijava.Return:
 		if st.Value != nil {
 			g.expr(st.Value)
@@ -294,7 +302,7 @@ func (g *gen) expr(e minijava.Expr) {
 		g.expr(ex.Arr)
 		g.b.Op(bytecode.OpArrayLength)
 	case *minijava.NewObject:
-		pc := g.b.New(ex.ClassName)
+		pc := g.b.Emit(bytecode.Instr{Op: bytecode.OpNewInstance, Type: ex.Type()})
 		g.setLine(pc, ex.Line)
 		if ex.Ctor != nil {
 			g.b.Op(bytecode.OpDup)
@@ -368,7 +376,7 @@ func (g *gen) link(ex *minijava.Binary) {
 	case "&&", "||":
 		// Short-circuit with the dup pattern: the left value survives on
 		// the stack when it decides the result.
-		end := g.newLabel("sc")
+		end := g.b.NewLabel()
 		g.b.Op(bytecode.OpDup)
 		if ex.Op == "&&" {
 			g.b.IfFalse(end)
@@ -377,7 +385,7 @@ func (g *gen) link(ex *minijava.Binary) {
 		}
 		g.b.Op(bytecode.OpPop)
 		g.expr(ex.Y)
-		g.b.Label(end)
+		g.b.Bind(end)
 	case "==", "!=":
 		g.expr(ex.Y)
 		xt, yt := ex.X.Type(), ex.Y.Type()

@@ -479,6 +479,14 @@ func (w *rpoWorklist) pop() (int, bool) {
 // point: one time.Now() per this many block visits.
 const deadlineCheckInterval = 32
 
+// isJoin reports whether block id's entry is a join of several states. The
+// entry block's always is, whatever its predecessors: the initial state
+// flows into it too, so a loop header at pc 0 with a single back edge
+// merges that edge with the method entry rather than taking its state.
+func (a *analyzer) isJoin(id int) bool {
+	return id == 0 || len(a.Graph.Blocks[id].Preds) != 1
+}
+
 // fixpoint iterates blocks to a fixed point in RPO priority order. A
 // non-DegradeNone return means a budget was exhausted and the method must
 // degrade to the conservative result.
@@ -522,7 +530,7 @@ func (a *analyzer) fixpoint() DegradeReason {
 				// Every block but the entry is first reached at most once.
 				a.entry[tgt] = a.slab.newEntry(out, len(a.entry)-1)
 				changed = true
-			case len(a.Graph.Blocks[tgt].Preds) == 1:
+			case !a.isJoin(tgt):
 				// A single-predecessor block's entry is exactly its
 				// predecessor's out state; re-merging it with its own
 				// stale entry would degrade stride variables to ⊤
@@ -587,13 +595,13 @@ func (a *analyzer) judge() judgment {
 		}
 		b := a.Graph.Blocks[id]
 		for _, succ := range b.Succs {
-			if len(a.Graph.Blocks[succ].Preds) == 1 {
+			if !a.isJoin(succ) {
 				outs[id].conts++
 			}
 		}
 		var st *state
 		a.rt = nil
-		if len(b.Preds) == 1 && outs[b.Preds[0]].st != nil {
+		if !a.isJoin(id) && outs[b.Preds[0]].st != nil {
 			p := &outs[b.Preds[0]]
 			if a.opts.Rearrange && trackers[b.Preds[0]] != nil {
 				a.rt = trackers[b.Preds[0]].fork()

@@ -30,6 +30,13 @@ class A { static void main() {
     for (int i = 0; i < 4; i = i + 1) { a[i] = new A(); }
     print(0);
 } }`,
+		// A loop header at pc 0, whose entry joins the back edge with the
+		// method entry (TestEntryBlockIsAJoin).
+		`class O { O f; }
+class A {
+    static void g(O o, int n) { while (n > 0) { o.f = o; o = new O(); n = n - 1; } }
+    static void main() { O a = new O(); a.f = a; A.g(a, 3); print(1); }
+}`,
 	}
 	for _, src := range handwritten {
 		f.Add(src, uint16(0))

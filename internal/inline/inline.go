@@ -11,6 +11,11 @@
 // components, so a callee's body is fully expanded before its callers
 // consider it, and no member of a cycle is ever inlined into another
 // (which would not terminate).
+//
+// Apply rewrites the program it is given, in place, and returns it: the
+// pipeline discards the code generator's output once it is inlined, so a
+// copy would be made only to be thrown away. A caller that still needs the
+// code before inlining applies to a Clone.
 package inline
 
 import (
@@ -45,11 +50,14 @@ type Result struct {
 	Remaining int
 }
 
-// Apply returns a new program with eligible call sites expanded. The input
-// program is not modified.
+// Apply expands p's eligible call sites in place and returns p as
+// res.Program. At limit 0 it changes nothing. A method that expands gets
+// new Code and SlotTypes slices; no other method is touched. The Body
+// records and verdict table p held describe the code before, so an Apply
+// that expands anything drops them (Program.CodeChanged). Like AddClass,
+// Apply must not run concurrently with any other use of p.
 func Apply(p *bytecode.Program, opts Options) *Result {
-	out := p.Clone()
-	res := &Result{Program: out}
+	res := &Result{Program: p}
 	if opts.Limit > 0 {
 		callerCap := opts.CallerCap
 		if callerCap <= 0 {
@@ -60,15 +68,18 @@ func Apply(p *bytecode.Program, opts Options) *Result {
 		// adds edges that shortcut existing paths and never removes an edge
 		// inside a cycle (a cycle's members are not expanded), so a callee is
 		// on a cycle afterwards exactly when it is now.
-		ix := &inliner{syms: out.Symbols(), cond: bytecode.Condense(bytecode.BuildCallGraph(out)),
+		ix := &inliner{syms: p.Symbols(), cond: bytecode.Condense(bytecode.BuildCallGraph(p)),
 			limit: opts.Limit, callerCap: callerCap}
 		for _, scc := range ix.cond.SCCs {
 			for _, mi := range scc.Members {
 				res.Expanded += ix.inlineInto(ix.syms.Methods[mi])
 			}
 		}
+		if res.Expanded > 0 {
+			p.CodeChanged()
+		}
 	}
-	for _, m := range out.Methods() {
+	for _, m := range p.Methods() {
 		for pc := range m.Code {
 			if m.Code[pc].Op == bytecode.OpInvoke {
 				res.Remaining++
@@ -89,19 +100,26 @@ type inliner struct {
 	cond      *bytecode.Condensation
 	limit     int
 	callerCap int
-	// splice is expand's buffer for the sequence replacing one invoke,
-	// reused across sites.
+	// work holds the code and slot types of the method being rewritten,
+	// and splice the sequence replacing one invoke: buffers reused across
+	// methods and sites.
+	work   bytecode.Method
 	splice []bytecode.Instr
 }
 
-// inlineInto expands eligible call sites within m, in place, and returns
-// how many. The scan resumes at each splice instead of restarting: a site
-// rejected once stays rejected, because every check either ignores the
-// caller's code or compares its size — which only grows — against a bound,
-// and callee bodies are final by the bottom-up order.
+// inlineInto expands eligible call sites within m and returns how many. m
+// is rewritten in the inliner's buffers and, if anything expanded, gets
+// copies of them at their exact sizes. The scan resumes at each splice
+// instead of restarting: a site rejected once stays rejected, because every
+// check either ignores the caller's code or compares its size — which only
+// grows — against a bound, and callee bodies are final by the bottom-up
+// order.
 func (ix *inliner) inlineInto(m *bytecode.Method) (expanded int) {
-	for pc := 0; pc < len(m.Code); pc++ {
-		in := &m.Code[pc]
+	w := &ix.work
+	w.Code = append(w.Code[:0], m.Code...)
+	w.SlotTypes = append(w.SlotTypes[:0], m.SlotTypes...)
+	for pc := 0; pc < len(w.Code); pc++ {
+		in := &w.Code[pc]
 		if in.Op != bytecode.OpInvoke {
 			continue
 		}
@@ -110,18 +128,22 @@ func (ix *inliner) inlineInto(m *bytecode.Method) (expanded int) {
 			continue
 		}
 		callee := ix.syms.Methods[ci]
-		if size := callee.Size(); size > ix.limit || m.Size()+size > ix.callerCap {
+		if size := callee.Size(); size > ix.limit || w.Size()+size > ix.callerCap {
 			continue
 		}
-		ix.expand(m, pc, callee)
+		ix.expand(w, pc, callee)
 		expanded++
 		pc-- // the splice starts here: rescan it
+	}
+	if expanded > 0 {
+		m.Code = append(make([]bytecode.Instr, 0, len(w.Code)), w.Code...)
+		m.SlotTypes = append(make([]*bytecode.Type, 0, len(w.SlotTypes)), w.SlotTypes...)
 	}
 	return expanded
 }
 
-// expand splices callee's body in place of the invoke at site, within m's
-// own code slice.
+// expand splices callee's body in place of the invoke at site, within the
+// buffers of m.
 func (ix *inliner) expand(m *bytecode.Method, site int, callee *bytecode.Method) {
 	line := m.Code[site].Line
 

@@ -59,13 +59,49 @@ func TestInlineZeroLimitIsIdentityShape(t *testing.T) {
 	}
 }
 
-func TestInlineDoesNotMutateInput(t *testing.T) {
-	p := compileSrc(t, ctorSrc)
-	before := p.Method(bytecode.MethodRef{Class: "T", Name: "main"}).Size()
-	Apply(p, Options{Limit: 100})
-	after := p.Method(bytecode.MethodRef{Class: "T", Name: "main"}).Size()
-	if before != after {
-		t.Errorf("input program mutated: size %d -> %d", before, after)
+// TestApplyRewritesInPlace: Apply returns the program it was given. At
+// limit 0 it changes nothing, the records built before included; when it
+// expands, the Body records and the verdict table built before, which
+// describe the code before, do not survive it, and a method without an
+// expanded site keeps its code.
+func TestApplyRewritesInPlace(t *testing.T) {
+	main := bytecode.MethodRef{Class: "T", Name: "main"}
+	prepare := func() (*bytecode.Program, *bytecode.Body, *bytecode.Verdicts) {
+		p := compileSrc(t, ctorSrc)
+		if err := p.Validate(); err != nil { // builds every record
+			t.Fatal(err)
+		}
+		rows := make([][]bytecode.Verdict, len(p.Methods()))
+		return p, p.BodyOf(p.Method(main)), p.SetVerdicts(rows)
+	}
+
+	p, body, vt := prepare()
+	code := p.Method(main).Code
+	if res := Apply(p, Options{Limit: 0}); res.Program != p {
+		t.Fatal("Apply at limit 0 returned another program")
+	}
+	if m := p.Method(main); &m.Code[0] != &code[0] || len(m.Code) != len(code) || p.BodyOf(m) != body || p.Verdicts() != vt {
+		t.Error("Apply at limit 0 changed the program")
+	}
+
+	p, body, vt = prepare()
+	get := p.Method(bytecode.MethodRef{Class: "P", Name: "get"})
+	getCode := get.Code
+	if res := Apply(p, Options{Limit: 100}); res.Program != p || res.Expanded == 0 {
+		t.Fatalf("Apply at limit 100 returned %p (want %p), expanding %d sites", res.Program, p, res.Expanded)
+	}
+	m := p.Method(main)
+	if countOp(m, bytecode.OpInvoke) != 0 {
+		t.Errorf("main was not rewritten in place:\n%s", bytecode.Disassemble(m, nil))
+	}
+	if &get.Code[0] != &getCode[0] {
+		t.Error("a method with no expanded site got new code")
+	}
+	if got := p.BodyOf(m); got == body || len(got.FieldAt) != len(m.Code) {
+		t.Error("the record of main built before Apply survived it")
+	}
+	if p.Verdicts() == vt {
+		t.Error("the verdict table installed before Apply survived it")
 	}
 }
 
@@ -347,7 +383,7 @@ func onCycle(p *bytecode.Program) map[bytecode.MethodRef]bool {
 // sequence but not the same slot count.
 func checkExpansion(t *testing.T, name string, p *bytecode.Program, limit int) {
 	t.Helper()
-	res := Apply(p, Options{Limit: limit})
+	res := Apply(p.Clone(), Options{Limit: limit})
 	out := res.Program
 	if err := verifier.VerifyProgram(out); err != nil {
 		t.Errorf("%s limit %d: %v", name, limit, err)

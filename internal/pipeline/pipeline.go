@@ -231,10 +231,12 @@ func compile(ctx context.Context, name, source string, opts Options) (*Build, er
 }
 
 // verifyParallel verifies every method, fanning independent methods
-// across workers. The inliner deep-clones method bodies, so no two
-// methods share a Code or SlotTypes slice and each worker's writes
-// (MaxStack) stay method-local; each method's Body, which the analysis
-// reads after it, is built here by the worker verifying it. On failure the
+// across workers. Codegen copies each method's code out at its exact size
+// and carves its slot types at capacity equal to length, and the inliner
+// gives a method it expands new slices, so no two methods' Code or
+// SlotTypes overlap and each worker's writes (MaxStack) stay method-local;
+// each method's Body, which the analysis reads after it, is built here by
+// the worker verifying it. On failure the
 // error of the first method in program order is returned, independent of
 // scheduling.
 func verifyParallel(p *bytecode.Program, workers int) error {

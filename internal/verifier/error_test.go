@@ -43,9 +43,10 @@ func TestVerifyRejectsUnresolvedInvoke(t *testing.T) {
 
 func TestVerifyRejectsBranchOnRef(t *testing.T) {
 	expectReject(t, "iftrue", func(b *bytecode.Builder) {
+		end := b.NewLabel()
 		b.New("T")
-		b.IfTrue("end")
-		b.Label("end")
+		b.IfTrue(end)
+		b.Bind(end)
 		b.Return()
 	})
 }
@@ -54,10 +55,11 @@ func TestVerifyRejectsUnderflowAcrossBlocks(t *testing.T) {
 	// The underflowing pop sits in its own block, reached by a branch:
 	// exercises merge-then-simulate rather than straight-line checking.
 	expectReject(t, "pop from empty stack", func(b *bytecode.Builder) {
+		deep := b.NewLabel()
 		b.ConstBool(true)
-		b.IfTrue("deep")
+		b.IfTrue(deep)
 		b.Return()
-		b.Label("deep")
+		b.Bind(deep)
 		b.Op(bytecode.OpPop)
 		b.Return()
 	})

@@ -126,11 +126,15 @@ type verifier struct {
 	maxStack int
 }
 
-// vblock is one block's verification state.
+// vblock is one block's verification state, and one slot of the work
+// ring.
 type vblock struct {
 	off, depth int  // its entry stack is states[off : off+depth]
 	seen       bool // reached; its entry is valid (and may be empty)
 	queued     bool
+	// work is the ring's slot at this block's index: the id of a queued
+	// block.
+	work int
 }
 
 func (v *verifier) errf(pc int, format string, args ...any) error {
@@ -161,19 +165,19 @@ func Verify(p *bytecode.Program, m *bytecode.Method) (err error) {
 	}
 	g := body.Graph
 	n := len(g.Blocks)
-	v := &verifier{
-		syms: p.Symbols(), m: m, body: body,
-		blocks: make([]vblock, n),
-		stk:    make([]vtype, 0, 8), // most methods never stack deeper
-	}
-	v.blocks[0] = vblock{seen: true, queued: true}
+	// stk and states start out in one buffer: most methods never stack
+	// deeper than 8 nor hold more than 16 entry values.
+	small := make([]vtype, 24)
+	v := &verifier{syms: p.Symbols(), m: m, body: body, blocks: make([]vblock, n),
+		stk: small[:0:8], states: small[8:8]}
+	v.blocks[0].seen, v.blocks[0].queued = true, true
 
-	// A FIFO of queued blocks. A block is queued at most once at a time,
-	// so a ring of one slot per block never overflows.
-	work := make([]int, n)
+	// A FIFO of queued blocks, in the blocks' work slots. A block is
+	// queued at most once at a time, so a ring of one slot per block never
+	// overflows.
 	head, queued := 0, 1
 	for queued > 0 {
-		id := work[head]
+		id := v.blocks[head].work
 		head, queued = (head+1)%n, queued-1
 		v.blocks[id].queued = false
 		if err := v.simulate(g.Blocks[id]); err != nil {
@@ -185,7 +189,7 @@ func Verify(p *bytecode.Program, m *bytecode.Method) (err error) {
 				return err
 			}
 			if changed && !v.blocks[tgt].queued {
-				work[(head+queued)%n] = tgt
+				v.blocks[(head+queued)%n].work = tgt
 				queued++
 				v.blocks[tgt].queued = true
 			}
@@ -210,7 +214,7 @@ func VerifyProgram(p *bytecode.Program) error {
 func (v *verifier) mergeInto(id int) (bool, error) {
 	state, b := v.stk, &v.blocks[id]
 	if !b.seen {
-		*b = vblock{off: len(v.states), depth: len(state), seen: true}
+		b.off, b.depth, b.seen = len(v.states), len(state), true
 		v.states = append(v.states, state...)
 		return true, nil
 	}

@@ -143,23 +143,25 @@ func TestVerifyRejectsBadStore(t *testing.T) {
 
 func TestVerifyRejectsDepthMismatchAtJoin(t *testing.T) {
 	expectReject(t, "stack depth mismatch", func(b *bytecode.Builder) {
+		join := b.NewLabel()
 		b.ConstBool(true)
-		b.IfTrue("join")
+		b.IfTrue(join)
 		b.Const(1) // one path pushes an extra value
-		b.Label("join")
+		b.Bind(join)
 		b.Return()
 	})
 }
 
 func TestVerifyRejectsKindMismatchAtJoin(t *testing.T) {
 	expectReject(t, "stack type mismatch", func(b *bytecode.Builder) {
+		other, join := b.NewLabel(), b.NewLabel()
 		b.ConstBool(true)
-		b.IfTrue("other")
+		b.IfTrue(other)
 		b.Const(1)
-		b.Goto("join")
-		b.Label("other")
+		b.Goto(join)
+		b.Bind(other)
 		b.Null()
-		b.Label("join")
+		b.Bind(join)
 		b.Op(bytecode.OpPop)
 		b.Return()
 	})
@@ -170,13 +172,14 @@ func TestVerifyMergesDistinctClassesToAnyRef(t *testing.T) {
 	clsA := &bytecode.Class{Name: "A"}
 	clsB := &bytecode.Class{Name: "B"}
 	b := bytecode.NewBuilder("A", "m", true)
+	other, join := b.NewLabel(), b.NewLabel()
 	b.ConstBool(true)
-	b.IfTrue("other")
+	b.IfTrue(other)
 	b.New("A")
-	b.Goto("join")
-	b.Label("other")
+	b.Goto(join)
+	b.Bind(other)
 	b.New("B")
-	b.Label("join")
+	b.Bind(join)
 	b.Op(bytecode.OpPop)
 	b.Return()
 	m := b.Build()
