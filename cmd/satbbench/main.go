@@ -21,10 +21,10 @@
 // are off by default, in which case every instrumentation hook stays on
 // its zero-allocation disabled path.
 //
-// -deadline D applies a per-method analysis wall-clock budget: methods
-// exceeding it degrade to the sound all-barriers result. -strict exits
-// nonzero if any method degraded or the oracle found a violation, for CI
-// gating.
+// -strict exits nonzero if any method degraded or the oracle found a
+// violation, for CI gating. The analysis budgets are structural, so a
+// degradation — and the gate's verdict — does not depend on the speed of
+// the machine.
 //
 // Usage:
 //
@@ -32,7 +32,7 @@
 //	satbbench -table1 -fig3
 //	satbbench -all -json BENCH_satb.json
 //	satbbench -table1 -trace trace.json -metrics metrics.json
-//	satbbench -oracle -strict -deadline 2s
+//	satbbench -strict
 package main
 
 import (
@@ -57,7 +57,6 @@ func main() {
 	interp := flag.Bool("interproc", false, "escape-summary recovery at inline limit 0")
 	oracle := flag.Bool("oracle", false, "soundness oracle: validate every elided store at runtime")
 	inlineLimit := flag.Int("inline", report.DefaultInlineLimit, "inline limit for Table 1/2, Figure 3, oracle")
-	deadline := flag.Duration("deadline", 0, "per-method analysis wall-clock budget (0 = unlimited); over-budget methods keep all barriers")
 	strict := flag.Bool("strict", false, "exit nonzero if any method degraded or the oracle found a violation (implies -oracle)")
 	jsonPath := flag.String("json", "", "also write results as JSON to this file (e.g. BENCH_satb.json)")
 	var ob cli.Obs
@@ -71,12 +70,11 @@ func main() {
 		*t1, *t2, *f2, *f3, *nos, *rearr, *barriers, *interp, *oracle = true, true, true, true, true, true, true, true, true
 	}
 	if !*t1 && !*t2 && !*f2 && !*f3 && !*nos && !*rearr && !*barriers && !*interp && !*oracle {
-		fmt.Fprintln(os.Stderr, "usage: satbbench [-all] [-table1] [-table2] [-fig2] [-fig3] [-nullorsame] [-rearrange] [-barriers] [-interproc] [-oracle] [-strict] [-deadline D] [-json FILE] [-trace FILE] [-metrics FILE]")
+		fmt.Fprintln(os.Stderr, "usage: satbbench [-all] [-table1] [-table2] [-fig2] [-fig3] [-nullorsame] [-rearrange] [-barriers] [-interproc] [-oracle] [-strict] [-json FILE] [-trace FILE] [-metrics FILE]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
 
-	report.AnalysisDeadline = *deadline
 	ob.Start()
 
 	out := report.NewDocument("satbbench")

@@ -7,6 +7,12 @@
 // writes the aggregated counters; -json FILE writes the run summary as a
 // versioned report.Document.
 //
+// -deadline D bounds the whole compile (pipeline.CompileCtx under a
+// context with that timeout): a deadline that passes before the analysis
+// fails the compile, and one that passes during it cuts the analysis
+// short, which keeps every barrier of the methods concerned and reports
+// each as degraded.
+//
 // Usage:
 //
 //	satbvm [-inline N] [-mode A] [-barrier conditional] [-gc satb] file.mj
@@ -15,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +47,7 @@ func main() {
 	trigger := flag.Int64("gc-trigger", 200, "allocations between marking cycles")
 	check := flag.Bool("check", false, "verify the SATB snapshot invariant every cycle")
 	oracle := flag.Bool("oracle", false, "validate every elided store at runtime (soundness oracle)")
-	deadline := flag.Duration("deadline", 0, "per-method analysis wall-clock budget (0 = unlimited)")
+	deadline := flag.Duration("deadline", 0, "wall-clock bound on the whole compile (0 = unlimited); analysis cut short keeps all barriers")
 	sites := flag.Bool("sites", false, "print per-site statistics")
 	workload := flag.String("workload", "", "run a built-in workload instead of a file")
 	engine := flag.String("engine", "fused", "execution engine: fused (pre-decoded), switch (reference interpreter), or compiled (tiered closure-threaded)")
@@ -92,13 +99,18 @@ func main() {
 
 	ob.Start()
 
-	b, err := pipeline.Compile(name, source, pipeline.Options{
+	ctx := context.Background()
+	if *deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		defer cancel()
+	}
+	b, err := pipeline.CompileCtx(ctx, name, source, pipeline.Options{
 		InlineLimit: *inlineLimit,
 		Analysis: core.Options{
 			Mode:            am,
 			NullOrSame:      *nullOrSame,
 			Interprocedural: *interproc,
-			Deadline:        *deadline,
 		},
 		Runtime: vm.Config{
 			Barrier:            bm,

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
@@ -89,18 +89,14 @@ type Options struct {
 	// deterministic and cacheable.
 	MaxSummaryRoundsPerSCC int
 
-	// Analysis budgets (sound degradation). A method exceeding any budget
-	// bails out to the always-sound result — every barrier kept, no
-	// instruction annotated — with the reason recorded in its
-	// MethodReport.Degraded.
+	// Analysis budgets (sound degradation), structural and applied to
+	// every fixed point; a wall-clock bound rides on the caller's context.
+	// A judged method exceeding one bails out to the always-sound result —
+	// every barrier kept — with the reason in MethodReport.Degraded; a
+	// summarized one gets the worst summary.
 	//
 	// MaxBlockVisits bounds the fixed point per method (0 = default).
 	MaxBlockVisits int
-	// Deadline bounds per-method analysis wall-clock time (0 = none).
-	// Unlike the structural budgets it is a real-time bound, so whether a
-	// borderline method degrades can vary run to run; use MaxBlockVisits
-	// or MaxStateSize where reproducibility matters.
-	Deadline time.Duration
 	// MaxStateSize bounds the abstract-state footprint (σ + Len + NR
 	// entries) of any block's out state (0 = none).
 	MaxStateSize int
@@ -145,18 +141,28 @@ const (
 	DegradeNone DegradeReason = ""
 	// DegradeVisitBudget: the fixed point exceeded MaxBlockVisits.
 	DegradeVisitBudget DegradeReason = "visit-budget"
-	// DegradeDeadline: the per-method wall-clock Deadline expired.
+	// DegradeDeadline: the caller context's deadline expired
+	// (ctx.Err() is context.DeadlineExceeded).
 	DegradeDeadline DegradeReason = "deadline"
 	// DegradeStateSize: an abstract state outgrew MaxStateSize.
 	DegradeStateSize DegradeReason = "state-size"
 	// DegradePanic: the analysis panicked; the recovered value and stack
 	// are in MethodReport.DegradeDetail.
 	DegradePanic DegradeReason = "panic"
-	// DegradeCancelled: the caller's context was cancelled mid-analysis
-	// (observed at block-visit boundaries). Like DegradeDeadline it is a
-	// real-time condition, never reproducible from the inputs alone.
+	// DegradeCancelled: the caller's context was cancelled for any other
+	// reason. Like DegradeDeadline it is a real-time condition, never
+	// reproducible from the inputs alone.
 	DegradeCancelled DegradeReason = "cancelled"
 )
+
+// stopReason names why a done context stopped the analysis: its deadline
+// or any other cancellation.
+func stopReason(err error) DegradeReason {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return DegradeDeadline
+	}
+	return DegradeCancelled
+}
 
 // TimeDriven reports whether a degradation reason depends on wall-clock
 // conditions (deadline, cancellation) rather than on the analyzed input.
@@ -216,13 +222,9 @@ type analyzer struct {
 
 	visits    int
 	maxVisits int
-	// deadline is the wall-clock bail-out time (zero = none);
-	// maxStateSize caps any block out-state's footprint (0 = none).
-	deadline     time.Time
-	maxStateSize int
-	// cancel, when non-nil, is the caller context's Done channel, polled
-	// at the same block-visit boundaries as the deadline.
-	cancel <-chan struct{}
+	// ctx is the caller's context; its Done channel is polled every
+	// doneCheckInterval block visits.
+	ctx context.Context
 }
 
 // workspace is what one analysis worker reuses from method to method: the
@@ -256,11 +258,10 @@ func newWorkspace() *workspace {
 // analyzeMethod analyzes method number i of the build px indexes on the
 // worker owning ws and returns its report and its row of verdicts (nil:
 // none proven). It never takes the build down: a panic, an exceeded budget
-// (visit count, deadline, state size) or cancellation of ctx degrades the
-// method to the conservative result — every barrier kept — with the reason
-// in the report. A context deadline earlier than Options.Deadline tightens it.
-// On a worker's lane ("" when tracing is off) a span carries the fixpoint
-// stats the §4.4 measurements care about; tracing observes only.
+// (visit count, state size) or the end of ctx degrades the method to the
+// conservative result — every barrier kept — with the reason in the
+// report. On a worker's lane ("" when tracing is off) a span carries the
+// fixpoint stats the §4.4 measurements care about; tracing observes only.
 func analyzeMethod(ctx context.Context, px *programIndex, ws *workspace, i int, opts Options, lane string) (*MethodReport, []bytecode.Verdict, error) {
 	m := px.syms.Methods[i]
 	idx, err := px.of(i)
@@ -302,27 +303,16 @@ func analyze(ctx context.Context, px *programIndex, ws *workspace, idx methodInd
 		}
 	}()
 	if cerr := ctx.Err(); cerr != nil {
-		rep.Degraded, rep.DegradeDetail = DegradeCancelled, cerr.Error()
+		rep.Degraded, rep.DegradeDetail = stopReason(cerr), cerr.Error()
 		return nil
 	}
 	if opts.Mode == ModeNone {
 		return nil
 	}
-	a := newAnalyzer(px, ws, m, idx, opts)
-	a.maxStateSize = opts.MaxStateSize
-	if opts.MaxBlockVisits > 0 {
-		a.maxVisits = opts.MaxBlockVisits
-	}
+	a := newAnalyzer(ctx, px, ws, m, idx, opts)
 	if opts.Interprocedural {
 		a.summaries = opts.Summaries
 	}
-	if opts.Deadline > 0 {
-		a.deadline = time.Now().Add(opts.Deadline)
-	}
-	if d, ok := ctx.Deadline(); ok && (a.deadline.IsZero() || d.Before(a.deadline)) {
-		a.deadline = d
-	}
-	a.cancel = ctx.Done()
 	rep.AbstractRefs = a.refs.judged
 
 	rep.Degraded = a.fixpoint()
@@ -366,16 +356,23 @@ func publish(syms *bytecode.Symbols, body *bytecode.Body, verdicts []bytecode.Ve
 
 // newAnalyzer sets up the engine for one method of the build px indexes
 // on ws: the workspace's slot table, emptied for the method's references,
-// and the default visit budget. It judges unless the caller gives it a
-// summary recorder.
-func newAnalyzer(px *programIndex, ws *workspace, m *bytecode.Method, idx methodIndex, opts Options) *analyzer {
+// and what stops its fixed point besides opts.MaxStateSize: the visit
+// budget (opts.MaxBlockVisits, else a default sized by the method) and
+// ctx. Judging and summarizing both start here, so both stop for the same
+// reasons. It judges unless the caller gives it a summary recorder.
+func newAnalyzer(ctx context.Context, px *programIndex, ws *workspace, m *bytecode.Method, idx methodIndex, opts Options) *analyzer {
 	ws.slots.reset(px.syms, idx.refs)
+	maxVisits := opts.MaxBlockVisits
+	if maxVisits <= 0 {
+		maxVisits = 200*len(idx.Graph.Blocks) + 2000
+	}
 	return &analyzer{
 		transfer: transfer{m: m, opts: opts, syms: px.syms, methodIndex: idx,
 			slots: &ws.slots, simBuffers: &ws.sim},
 		ws:        ws,
 		entry:     make([]*state, len(idx.Graph.Blocks)),
-		maxVisits: 200*len(idx.Graph.Blocks) + 2000,
+		maxVisits: maxVisits,
+		ctx:       ctx,
 	}
 }
 
@@ -475,9 +472,11 @@ func (w *rpoWorklist) pop() (int, bool) {
 	return id, true
 }
 
-// deadlineCheckInterval spaces out the wall-clock reads in the fixed
-// point: one time.Now() per this many block visits.
-const deadlineCheckInterval = 32
+// doneCheckInterval spaces out the fixed point's polls of the caller's
+// context: one look at its Done channel before the first block visit and
+// one per this many visits after, so a context already done when a fixed
+// point starts stops it before any work.
+const doneCheckInterval = 32
 
 // isJoin reports whether block id's entry is a join of several states. The
 // entry block's always is, whatever its predecessors: the initial state
@@ -504,22 +503,17 @@ func (a *analyzer) fixpoint() DegradeReason {
 		if a.visits > a.maxVisits {
 			return DegradeVisitBudget
 		}
-		if a.visits%deadlineCheckInterval == 0 {
-			if a.cancel != nil {
-				select {
-				case <-a.cancel:
-					return DegradeCancelled
-				default:
-				}
-			}
-			if !a.deadline.IsZero() && time.Now().After(a.deadline) {
-				return DegradeDeadline
+		if a.visits%doneCheckInterval == 1 {
+			select {
+			case <-a.ctx.Done():
+				return stopReason(a.ctx.Err())
+			default:
 			}
 		}
 		out := &a.ws.scratch
 		out.copyFrom(a.entry[id])
 		targets := a.simulate(out, a.Graph.Blocks[id], nil)
-		if a.maxStateSize > 0 && out.footprint() > a.maxStateSize {
+		if a.opts.MaxStateSize > 0 && out.footprint() > a.opts.MaxStateSize {
 			return DegradeStateSize
 		}
 		a.everNL = a.everNL.Union(out.nl)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,20 +74,25 @@ func TestStateSizeBudgetDegrades(t *testing.T) {
 	}
 }
 
+// TestDeadlineDegrades: a wall-clock bound rides on the caller's context.
+// One that expires before or during the analysis degrades the long method
+// with DegradeDeadline, never DegradeCancelled.
 func TestDeadlineDegrades(t *testing.T) {
-	// Enough branching that the fixed point exceeds the deadline-check
-	// interval, so the expired 1ns deadline is observed.
-	var b strings.Builder
-	b.WriteString("class N { N next; }\nclass A {\n    static void main() {\n        N n = new N();\n        int s = 0;\n")
-	for i := 0; i < 2*deadlineCheckInterval; i++ {
-		fmt.Fprintf(&b, "        if (s < %d) { s = s + 1; n.next = new N(); }\n", i)
+	p := compileSrc(t, branchySrc(2*doneCheckInterval), 0)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	rep, err := AnalyzeProgramCtx(ctx, p, Options{Mode: ModeFieldArray}, 1)
+	if err != nil {
+		t.Fatalf("a deadline must degrade, not error: %v", err)
 	}
-	b.WriteString("        print(s);\n    }\n}\n")
-	_, rep := analyzeSrc(t, b.String(), 0, Options{Mode: ModeFieldArray, Deadline: time.Nanosecond})
 	found := false
 	for _, m := range rep.Methods {
-		if m.Degraded == DegradeDeadline {
+		switch m.Degraded {
+		case DegradeDeadline:
 			found = true
+		case DegradeNone:
+		default:
+			t.Errorf("%s degraded %q under an expired deadline", m.Method.QualifiedName(), m.Degraded)
 		}
 	}
 	if !found {
@@ -124,14 +128,20 @@ func TestPanicDegradesConservatively(t *testing.T) {
 }
 
 // TestGenerousBudgetsChangeNothing: budgets far above what the program
-// needs must leave the analysis result bit-identical to no budgets.
+// needs, and a context with an hour to spare, must leave the analysis
+// result bit-identical to no budgets under no deadline.
 func TestGenerousBudgetsChangeNothing(t *testing.T) {
 	p1, r1 := analyzeSrc(t, loopSrc, 100, Options{Mode: ModeFieldArray, NullOrSame: true})
-	p2, r2 := analyzeSrc(t, loopSrc, 100, Options{
+	p2 := compileSrc(t, loopSrc, 100)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	r2, err := AnalyzeProgramCtx(ctx, p2, Options{
 		Mode: ModeFieldArray, NullOrSame: true,
-		MaxStateSize: 1 << 20, Deadline: time.Hour, MaxBlockVisits: 1 << 20,
-	})
-	r1.AnalysisTime, r2.AnalysisTime = 0, 0
+		MaxStateSize: 1 << 20, MaxBlockVisits: 1 << 20,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Errorf("generous budgets changed the report:\n%s\nvs\n%s", r1, r2)
 	}

@@ -19,9 +19,29 @@ func ComputeAllSummaries(p *bytecode.Program, opts Options) Summaries {
 	}
 	ws := newWorkspace()
 	for ci := range cond.SCCs {
-		processSCC(px, ws, opts, cond, ci, sums)
+		processSCC(context.Background(), px, ws, opts, cond, ci, sums)
 	}
 	return sums
+}
+
+// SummariesCtx summarizes p under ctx, as AnalyzeProgramCtx does before
+// it judges.
+func SummariesCtx(ctx context.Context, p *bytecode.Program, opts Options, workers int) Summaries {
+	return computeSummaries(ctx, newProgramIndex(p, opts), opts, workers)
+}
+
+// IsWorst reports whether s is the worst summary of m: every argument
+// compromised, no field pre-null, the return not fresh.
+func (s *MethodSummary) IsWorst(m *bytecode.Method) bool {
+	if s.ReturnsFresh || len(s.ArgCompromised) != m.NumArgs() {
+		return false
+	}
+	for i := range s.ArgCompromised {
+		if !s.ArgCompromised[i] || !s.ArgIntMutated[i] || len(s.ArgPreNullFields[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Of returns the summary of the named method of p, or nil: the summaries
@@ -55,7 +75,7 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 	methods := p.Methods()
 	px := newProgramIndex(p, opts)
 	if opts.Interprocedural {
-		opts.Summaries = computeSummaries(px, opts, 1)
+		opts.Summaries = computeSummaries(context.Background(), px, opts, 1)
 	}
 	tables := 0
 	ws := newWorkspace()
@@ -73,7 +93,7 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 			return 0, fmt.Errorf("%s: AbstractRefs %d, judged references %d", m.QualifiedName(), rep.AbstractRefs, idx.refs.judged)
 		}
 		tables++
-		a := newAnalyzer(px, ws, m, idx, opts)
+		a := newAnalyzer(context.Background(), px, ws, m, idx, opts)
 		a.summaries = opts.Summaries
 		a.fixpoint()
 		for _, s := range a.entry {

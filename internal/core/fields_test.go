@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -167,7 +168,7 @@ func TestUndeclaredFieldOperand(t *testing.T) {
 	if _, err := AnalyzeProgram(p, opts); err == nil {
 		t.Error("AnalyzeProgram accepted an undeclared field operand")
 	}
-	if sum := summarizeMethod(px, newWorkspace(), m, 0, opts, nil); !sum.ArgCompromised[0] {
+	if sum := summarizeMethod(context.Background(), px, newWorkspace(), m, 0, opts, nil); !sum.ArgCompromised[0] {
 		t.Errorf("summary of an unindexable method = %+v, want the worst case", sum)
 	}
 }

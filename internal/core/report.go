@@ -8,19 +8,18 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/num"
 	"satbelim/internal/obs"
 )
 
-// ProgramReport aggregates per-method analysis reports.
+// ProgramReport aggregates per-method analysis reports. It is a function
+// of the program and the options, unless some method's Degraded reason is
+// TimeDriven: the caller's context cut the analysis short. The time the
+// analysis took is its caller's to measure (pipeline.Build.AnalysisTime).
 type ProgramReport struct {
 	Methods []*MethodReport
-	// AnalysisTime is the wall-clock time spent analyzing methods across
-	// the program (the paper's §4.4 compile-time metric).
-	AnalysisTime time.Duration
 }
 
 // AnalyzeProgram is AnalyzeProgramCtx without a caller context, fanned
@@ -39,14 +38,14 @@ func AnalyzeProgram(p *bytecode.Program, opts Options) (*ProgramReport, error) {
 // verdicts are bit-identical to a sequential run. Interprocedural
 // summaries, when requested, are computed up front over the condensed
 // callgraph (bottom-up SCC order, independent components in parallel; see
-// bytecode/callgraph.go) and are read-only during the fan-out. Each method's
-// analysis observes cancellation of ctx at block-visit boundaries and
-// degrades soundly (DegradeCancelled) rather than erroring, so a cancelled
-// compile still yields a correct all-barriers program whose report says
-// exactly which methods were cut short.
+// bytecode/callgraph.go) and are read-only during the fan-out. Every fixed
+// point, summarizing or judging, observes the end of ctx at block-visit
+// boundaries and degrades soundly rather than erroring — a summary to the
+// worst case, a method to all barriers with the reason ctx.Err() gives
+// (DegradeDeadline or DegradeCancelled) — so a cut-short compile still
+// yields a correct program whose report says exactly which methods were
+// cut short.
 func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, workers int) (*ProgramReport, error) {
-	rep := &ProgramReport{}
-	start := time.Now()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -56,7 +55,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 	// summarized, builds its own.
 	px := newProgramIndex(p, opts)
 	if opts.Interprocedural && opts.Summaries == nil {
-		opts.Summaries = computeSummaries(px, opts, workers)
+		opts.Summaries = computeSummaries(ctx, px, opts, workers)
 	}
 	if workers > len(methods) {
 		workers = len(methods)
@@ -96,9 +95,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 		}
 	}
 	p.SetVerdicts(rows)
-	rep.Methods = reps
-	rep.AnalysisTime = time.Since(start)
-	return rep, nil
+	return &ProgramReport{Methods: reps}, nil
 }
 
 // analysisLane names a worker's observability lane ("" when tracing is
@@ -154,7 +151,7 @@ func (r *ProgramReport) String() string {
 	if nos > 0 {
 		fmt.Fprintf(&b, ", %d null-or-same", nos)
 	}
-	fmt.Fprintf(&b, "\nanalysis time: %v (%d block visits)\n", r.AnalysisTime, r.BlockVisits())
+	fmt.Fprintf(&b, "\nblock visits: %d\n", r.BlockVisits())
 	var nc []string
 	for _, m := range r.Methods {
 		switch {

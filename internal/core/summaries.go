@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"sync"
 
@@ -186,12 +187,15 @@ const maxSummaryRounds = 40
 // count. A method that cannot be summarized gets the worst summary, so the
 // error is always nil.
 func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (Summaries, error) {
-	return computeSummaries(newProgramIndex(p, opts), opts, workers), nil
+	return computeSummaries(context.Background(), newProgramIndex(p, opts), opts, workers), nil
 }
 
-// computeSummaries is ComputeSummariesParallel over a caller-owned program
-// index, which it leaves holding the index of every method it summarized.
-func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
+// computeSummaries is ComputeSummariesParallel under the caller's ctx and
+// over a caller-owned program index, which it leaves holding the index of
+// every method it summarized. A summary fixed point stops on the budgets
+// of opts and on ctx as a judging one does (newAnalyzer), and a stopped
+// method gets the worst summary.
+func computeSummaries(ctx context.Context, px *programIndex, opts Options, workers int) Summaries {
 	cond := Condense(BuildCallGraph(px.prog))
 	// A component is needed when it holds the callee of some invoke. Its own
 	// callees are needed by the same rule, so the needed components are
@@ -217,7 +221,7 @@ func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
 		ws := newWorkspace()
 		for ci := range cond.SCCs {
 			if needed[ci] {
-				processSCC(px, ws, opts, cond, ci, sums)
+				processSCC(ctx, px, ws, opts, cond, ci, sums)
 			}
 		}
 		return sums
@@ -260,7 +264,7 @@ func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
 				ready = ready[:len(ready)-1]
 				mu.Unlock()
 
-				processSCC(px, ws, opts, cond, ci, sums)
+				processSCC(ctx, px, ws, opts, cond, ci, sums)
 
 				mu.Lock()
 				remaining--
@@ -283,11 +287,11 @@ func computeSummaries(px *programIndex, opts Options, workers int) Summaries {
 // ws. Acyclic components need exactly one pass (their callees are already
 // final); cyclic ones iterate members in program order until nothing
 // worsens.
-func processSCC(px *programIndex, ws *workspace, opts Options, cond *Condensation, ci int, sums Summaries) {
+func processSCC(ctx context.Context, px *programIndex, ws *workspace, opts Options, cond *Condensation, ci int, sums Summaries) {
 	scc := &cond.SCCs[ci]
 	if !scc.Cyclic {
 		v := scc.Members[0]
-		sums[v].worsen(summarizeMethod(px, ws, cond.Graph.Methods[v], v, opts, sums))
+		sums[v].worsen(summarizeMethod(ctx, px, ws, cond.Graph.Methods[v], v, opts, sums))
 		return
 	}
 	rounds := opts.MaxSummaryRoundsPerSCC
@@ -297,7 +301,7 @@ func processSCC(px *programIndex, ws *workspace, opts Options, cond *Condensatio
 	for round := 0; round < rounds; round++ {
 		changed := false
 		for _, v := range scc.Members {
-			if sums[v].worsen(summarizeMethod(px, ws, cond.Graph.Methods[v], v, opts, sums)) {
+			if sums[v].worsen(summarizeMethod(ctx, px, ws, cond.Graph.Methods[v], v, opts, sums)) {
 				changed = true
 			}
 		}
@@ -318,14 +322,15 @@ func processSCC(px *programIndex, ws *workspace, opts Options, cond *Condensatio
 // summarizeMethod runs the analysis in summary mode over m, node `node` of
 // the callgraph, and reads off each argument's fate and the return value's
 // freshness. The method's index is built on first use, where the
-// component's later rounds and the caller's judging pass find it.
+// component's later rounds and the caller's judging pass find it. A fixed
+// point stopped by a budget or by ctx yields the worst summary.
 //
 // Like judging, summarizing never takes the build down: a panic — possible
 // only in unverified code — yields the worst summary, and judging then
 // degrades the method on its own. The recover is here and not around the
 // scheduler because a fanned-out component runs on a worker goroutine no
 // caller's recover reaches.
-func summarizeMethod(px *programIndex, ws *workspace, m *bytecode.Method, node int, opts Options, sums Summaries) (out *MethodSummary) {
+func summarizeMethod(ctx context.Context, px *programIndex, ws *workspace, m *bytecode.Method, node int, opts Options, sums Summaries) (out *MethodSummary) {
 	defer func() {
 		if recover() != nil {
 			out = worstSummary(m)
@@ -337,7 +342,7 @@ func summarizeMethod(px *programIndex, ws *workspace, m *bytecode.Method, node i
 		// keep the worst case.
 		return worstSummary(m)
 	}
-	a := newAnalyzer(px, ws, m, idx, opts)
+	a := newAnalyzer(ctx, px, ws, m, idx, opts)
 	a.summaries = sums
 	a.rec = newSummaryRecorder(a.refs, a.slots)
 	if a.fixpoint() != DegradeNone {

@@ -47,7 +47,7 @@ func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next 
 			run.sums[i] = optimisticSummary(px.syms, m)
 		}
 		for ci := range cond.SCCs {
-			processSCC(px, next(), opts, cond, ci, run.sums)
+			processSCC(context.Background(), px, next(), opts, cond, ci, run.sums)
 		}
 		opts.Summaries = run.sums
 	}
@@ -60,7 +60,7 @@ func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next 
 		}
 		run.reps[i], run.rows[i] = rep, row
 		idx, _ := px.of(i)
-		a := newAnalyzer(px, ws, methods[i], idx, opts)
+		a := newAnalyzer(context.Background(), px, ws, methods[i], idx, opts)
 		a.summaries = opts.Summaries
 		if a.fixpoint() != DegradeNone {
 			t.Fatalf("%s degraded", methods[i].QualifiedName())

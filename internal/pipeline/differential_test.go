@@ -43,7 +43,6 @@ func TestDifferentialInlineWorkerOracle(t *testing.T) {
 				t.Fatalf("seed %d limit %d workers=8: %v", si, limit, err)
 			}
 			r1, r8 := b1.Report, b8.Report
-			r1.AnalysisTime, r8.AnalysisTime = 0, 0
 			if !reflect.DeepEqual(r1, r8) {
 				t.Errorf("seed %d limit %d: reports differ across worker counts", si, limit)
 			}

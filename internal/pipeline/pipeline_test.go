@@ -141,7 +141,6 @@ func TestParallelAnalysisDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			r1, r8 := b1.Report, b8.Report
-			r1.AnalysisTime, r8.AnalysisTime = 0, 0
 			if !reflect.DeepEqual(r1, r8) {
 				t.Errorf("reports differ between Workers=1 and Workers=8:\n%s\nvs\n%s", r1, r8)
 			}
@@ -179,7 +178,6 @@ func TestWorkersDefaultMatchesExplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, o := bDef.Report, bOne.Report
-	d.AnalysisTime, o.AnalysisTime = 0, 0
 	if !reflect.DeepEqual(d, o) {
 		t.Error("default worker count changed analysis results")
 	}
@@ -219,7 +217,6 @@ func TestDegradationDeterministic(t *testing.T) {
 				t.Fatal("MaxBlockVisits=1 should degrade at least one method")
 			}
 			r1, r8 := b1.Report, b8.Report
-			r1.AnalysisTime, r8.AnalysisTime = 0, 0
 			if !reflect.DeepEqual(r1, r8) {
 				t.Errorf("degraded reports differ between Workers=1 and Workers=8:\n%s\nvs\n%s", r1, r8)
 			}

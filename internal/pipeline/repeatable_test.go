@@ -2,6 +2,10 @@ package pipeline
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,6 +122,34 @@ func TestStateSizeDegradationPinned(t *testing.T) {
 				name := mr.Method.QualifiedName()
 				if got, want := mr.Degraded == core.DegradeStateSize, pin[name] >= budget; got != want {
 					t.Errorf("%s MaxStateSize=%d: %s degraded=%t (%q), want %t", w.Name, budget, name, got, mr.Degraded, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNoClockBelowThePipeline pins where a result may come from: below
+// this package, a compile, analysis, run or collection depends on the
+// program, the options and the caller's context, never on the clock. No
+// non-test file of the layers below imports time; a wall-clock bound
+// reaches them only as a context deadline, and timing a stage is its
+// caller's business (Build's stage times). internal/obs may read the
+// clock: tracing only observes (TestTracingIsObservationOnly).
+func TestNoClockBelowThePipeline(t *testing.T) {
+	for _, pkg := range []string{"core", "vm", "gc", "heap", "satb", "bytecode", "verifier", "inline", "codegen", "minijava", "intval"} {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, "../"+pkg, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ImportsOnly)
+		if err != nil || len(pkgs) != 1 {
+			t.Fatalf("parsing ../%s: %d packages, %v", pkg, len(pkgs), err)
+		}
+		for _, files := range pkgs {
+			for _, file := range files.Files {
+				for _, imp := range file.Imports {
+					if path, _ := strconv.Unquote(imp.Path.Value); path == "time" {
+						t.Errorf("%s imports time: bound the work structurally or by the caller's context", fset.Position(imp.Pos()))
+					}
 				}
 			}
 		}

@@ -94,7 +94,7 @@ func Barriers(inlineLimit int) ([]BarrierRow, error) {
 			spec := fc.Mode.Spec()
 			b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
 				InlineLimit: inlineLimit,
-				Analysis:    withBudget(opts),
+				Analysis:    opts,
 				Runtime: vm.Config{
 					Barrier:            fc.Mode,
 					GC:                 fc.GC,

@@ -53,7 +53,7 @@ func Oracle(inlineLimit int) ([]OracleRow, error) {
 		for _, cfg := range oracleConfigs {
 			b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
 				InlineLimit: inlineLimit,
-				Analysis:    withBudget(cfg.Opts),
+				Analysis:    cfg.Opts,
 				Runtime: vm.Config{
 					Barrier:            satb.ModeConditional,
 					GC:                 vm.GCSATB,

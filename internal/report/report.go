@@ -23,28 +23,13 @@ import (
 // results").
 const DefaultInlineLimit = 100
 
-// AnalysisDeadline, when nonzero, is applied as the per-method analysis
-// wall-clock budget for every build this package performs (satbbench's
-// -deadline flag). Methods that exceed it degrade to the sound
-// all-barriers result and are listed in the report output.
-var AnalysisDeadline time.Duration
-
-// withBudget applies the package-level analysis budget to an options
-// value.
-func withBudget(o core.Options) core.Options {
-	if AnalysisDeadline > 0 && o.Deadline == 0 {
-		o.Deadline = AnalysisDeadline
-	}
-	return o
-}
-
 // buildAndRun compiles a workload with the given options and runs it with
 // conditional SATB barriers (marking kept permanently active so that every
 // barrier's dynamic behaviour is observed).
 func buildAndRun(w *workloads.Workload, inlineLimit int, opts core.Options) (*pipeline.Build, *vm.Result, error) {
 	b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
 		InlineLimit: inlineLimit,
-		Analysis:    withBudget(opts),
+		Analysis:    opts,
 		Runtime:     vm.Config{Barrier: satb.ModeConditional},
 	})
 	if err != nil {
@@ -148,7 +133,7 @@ func Table2(inlineLimit int) ([]Table2Row, error) {
 	for _, c := range cfgs {
 		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
 			InlineLimit: inlineLimit,
-			Analysis:    withBudget(c.opts),
+			Analysis:    c.opts,
 			Runtime:     vm.Config{Barrier: c.mode},
 		})
 		if err != nil {
@@ -206,7 +191,7 @@ func Figure2(limits []int) ([]Fig2Point, error) {
 			for _, mode := range []core.Mode{core.ModeNone, core.ModeField, core.ModeFieldArray} {
 				b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
 					InlineLimit: limit,
-					Analysis:    withBudget(core.Options{Mode: mode}),
+					Analysis:    core.Options{Mode: mode},
 					Runtime:     vm.Config{Barrier: satb.ModeConditional},
 				})
 				if err != nil {
@@ -265,7 +250,7 @@ func Figure3(inlineLimit int) ([]Fig3Row, error) {
 		for _, mode := range []core.Mode{core.ModeNone, core.ModeField, core.ModeFieldArray} {
 			b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
 				InlineLimit: inlineLimit,
-				Analysis:    withBudget(core.Options{Mode: mode}),
+				Analysis:    core.Options{Mode: mode},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fig3 %s: %w", w.Name, err)
@@ -416,7 +401,7 @@ func Rearrangement(inlineLimit int) ([]RearrangeRow, error) {
 	for _, w := range workloads.All() {
 		b, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
 			InlineLimit: inlineLimit,
-			Analysis:    withBudget(core.Options{Mode: core.ModeFieldArray, Rearrange: true}),
+			Analysis:    core.Options{Mode: core.ModeFieldArray, Rearrange: true},
 			Runtime: vm.Config{
 				Barrier:            satb.ModeConditional,
 				GC:                 vm.GCSATB,

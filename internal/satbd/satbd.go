@@ -42,7 +42,8 @@ type Config struct {
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
 
-	// Compile-side defaults; a request may lower but never exceed them.
+	// Compile-side settings. A request sets none of them: MaxSteps below
+	// is the only bound a request can lower.
 	InlineLimit    int
 	Mode           core.Mode
 	NullOrSame     bool

@@ -2,7 +2,11 @@ package vm
 
 import (
 	"errors"
+	"slices"
+	"strconv"
 	"testing"
+
+	"satbelim/internal/bytecode"
 )
 
 // faultPrelude is shared by every TestFaultParity program: a node class,
@@ -103,5 +107,80 @@ func TestFaultParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDiscardedFieldReadFaultParity: a field read whose value is popped
+// unused is still a null check. The compiled tier defers `load n; getfield
+// f` and, at the pop, evaluates the deferred read for its effects alone
+// (discardOp) — which MiniJava's expression statements never produce, so
+// the loop is built by hand. It runs 300 times, tiered up long before
+// iteration 250 sets n to null; every engine must print the same output
+// and raise the same RuntimeError at the getfield after the same number
+// of steps.
+func TestDiscardedFieldReadFaultParity(t *testing.T) {
+	f := bytecode.FieldRef{Class: "N", Name: "f"}
+	b := bytecode.NewBuilder("T", "loop", true)
+	n := b.DeclareSlot(bytecode.ClassType("N"))
+	i := b.DeclareSlot(bytecode.Int)
+	b.New("N")
+	b.Store(n)
+	b.Const(0)
+	b.Store(i)
+	head, live := b.NewLabel(), b.NewLabel()
+	b.Bind(head)
+	b.Load(n)
+	getfield := b.GetField(f)
+	b.Op(bytecode.OpPop)
+	b.Load(i)
+	b.Op(bytecode.OpPrint)
+	b.Load(i)
+	b.Const(1)
+	b.Op(bytecode.OpAdd)
+	b.Store(i)
+	b.Load(i)
+	b.Const(250)
+	b.Op(bytecode.OpCmpNE)
+	b.IfTrue(live)
+	b.Null()
+	b.Store(n)
+	b.Bind(live)
+	b.Load(i)
+	b.Const(300)
+	b.Op(bytecode.OpCmpLT)
+	b.IfTrue(head)
+	b.Return()
+	loop := b.Build()
+	mb := bytecode.NewBuilder("T", "main", true)
+	mb.Invoke(loop.Ref())
+	mb.Return()
+	main := mb.Build()
+	p := bytecode.NewProgram()
+	p.AddClass(&bytecode.Class{Name: "N", Fields: []*bytecode.Field{{Name: "f", Type: bytecode.ClassType("N")}}})
+	p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{main, loop}})
+	p.Main = main.Ref()
+
+	want := "runtime error at T.loop pc " + strconv.Itoa(getfield) + " (line 0): null pointer dereference reading N.f"
+	var wantOut []int64
+	wantSteps := int64(-1)
+	for _, eng := range []Engine{EngineSwitch, EngineFused, EngineCompiled} {
+		v := New(p, Config{Engine: eng, TierThreshold: 2})
+		_, err := v.Run()
+		var re *RuntimeError
+		if !errors.As(err, &re) || re.PC != getfield || re.Error() != want {
+			t.Fatalf("%v: err = %v, want %q", eng, err, want)
+		}
+		if eng == EngineCompiled && v.tierUps == 0 {
+			t.Error("compiled run never tiered up")
+		}
+		if wantSteps < 0 {
+			wantOut, wantSteps = v.output, v.steps
+			if len(wantOut) != 250 {
+				t.Fatalf("%v: printed %d values before the fault, want 250", eng, len(wantOut))
+			}
+		}
+		if !slices.Equal(v.output, wantOut) || v.steps != wantSteps {
+			t.Errorf("%v: %d values after %d steps, want %d after %d", eng, len(v.output), v.steps, len(wantOut), wantSteps)
+		}
 	}
 }
