@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"satbelim/internal/core"
@@ -8,16 +10,24 @@ import (
 	"satbelim/internal/workloads"
 )
 
-// TestAnalyzeAllocs gates the analysis's allocation count in tier-1, so a
-// regression fails here and not only in the benchmark: javac at inline
-// limit 100 (the largest method bodies) and jess at limit 0 with summaries
-// (the most analyzer runs). Every reused buffer belongs to one worker of
-// one AnalyzeProgram call, and AllocsPerRun runs at GOMAXPROCS 1, so there
-// is one worker and the count is a function of the program alone: two
-// measurements must agree exactly. The ceilings sit about 15 % above the
-// measured figures (javac 294, jess 429: a reference set is a word, each
-// join resets one merge context, and slot tables, scratch states,
-// worklists and judge states live in one workspace per worker). With a
+// TestAnalyzeAllocs gates the analysis's allocation count and bytes in
+// tier-1, so a regression fails here and not only in the benchmark: javac at
+// inline limit 100 (the largest method bodies) and jess at limit 0 with
+// summaries (the most analyzer runs). Every reused buffer belongs to one
+// worker of one AnalyzeProgram call, and both measurements run at GOMAXPROCS
+// 1, so there is one worker and the figures are a function of the program
+// alone: two measurements must agree exactly. The byte ceilings sit about
+// 15 % above the measured figures:
+//
+//	              64-byte Value, 32-byte IntVal    88-byte Value, 48-byte IntVal
+//	              (annotations in a side table)    (a term list was a slice)
+//	javac@100     282 allocs, 135 897 B            294 allocs, 175 369 B
+//	jess@0        397 allocs,  72 249 B            397 allocs,  90 393 B
+//
+// The allocation ceilings sit about 15 % above earlier figures (javac 294,
+// jess 429: a reference set is a word, each join resets one merge context,
+// and slot tables, scratch states, worklists and judge states live in one
+// workspace per worker). With a
 // RefSet of a slice, three maps per join and those buffers made per
 // analyzer they were 675 and 859, and 673 and 857 before the analysis
 // installed its verdicts as one table (the program holds each method's
@@ -37,9 +47,10 @@ func TestAnalyzeAllocs(t *testing.T) {
 		limit    int
 		opts     core.Options
 		ceiling  float64
+		bytesMax uint64
 	}{
-		{"javac", 100, core.Options{Mode: core.ModeFieldArray}, 340},
-		{"jess", 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 495},
+		{"javac", 100, core.Options{Mode: core.ModeFieldArray}, 340, 156_000},
+		{"jess", 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 495, 83_000},
 	} {
 		w, err := workloads.Get(tc.workload)
 		if err != nil {
@@ -49,20 +60,41 @@ func TestAnalyzeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		measure := func() float64 {
-			return testing.AllocsPerRun(5, func() {
-				if _, err := core.AnalyzeProgram(b.Program, tc.opts); err != nil {
-					t.Fatal(err)
-				}
-			})
+		analyze := func() {
+			if _, err := core.AnalyzeProgram(b.Program, tc.opts); err != nil {
+				t.Fatal(err)
+			}
 		}
-		first, second := measure(), measure()
-		t.Logf("%s@%d: %.0f allocs per AnalyzeProgram", tc.workload, tc.limit, first)
+		first, second := testing.AllocsPerRun(5, analyze), testing.AllocsPerRun(5, analyze)
+		bytes, bytes2 := bytesPerRun(5, analyze), bytesPerRun(5, analyze)
+		t.Logf("%s@%d: %.0f allocs and %d bytes per AnalyzeProgram", tc.workload, tc.limit, first, bytes)
 		if first != second {
 			t.Errorf("%s@%d: allocation count does not repeat: %.0f then %.0f", tc.workload, tc.limit, first, second)
 		}
 		if first > tc.ceiling {
 			t.Errorf("%s@%d: %.0f allocs per AnalyzeProgram, ceiling %.0f", tc.workload, tc.limit, first, tc.ceiling)
 		}
+		if bytes != bytes2 {
+			t.Errorf("%s@%d: allocated bytes do not repeat: %d then %d", tc.workload, tc.limit, bytes, bytes2)
+		}
+		if bytes > tc.bytesMax {
+			t.Errorf("%s@%d: %d bytes per AnalyzeProgram, ceiling %d", tc.workload, tc.limit, bytes, tc.bytesMax)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the Go heap bytes one call
+// of f allocates, averaged over runs after a warm-up call, with one worker
+// and the Go collector off (a collection cycle allocates its own).
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

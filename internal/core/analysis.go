@@ -611,7 +611,11 @@ func (a *analyzer) judge() judgment {
 		if a.opts.Rearrange && a.rt == nil {
 			a.rt = newRearrangeTracker()
 		}
+		if a.rt != nil {
+			st.ann = &a.rt.ann
+		}
 		a.simulate(st, b, &j)
+		st.ann = nil
 		if outs[id].conts > 0 {
 			outs[id].st = st
 		} else {

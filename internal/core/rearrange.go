@@ -33,6 +33,10 @@ import (
 //   - aaload attaches element provenance (array value number, index,
 //     sequence time) to the loaded value.
 //
+// Value numbers and provenance are facts of the judge pass alone, so they
+// live beside the state, not in its Values: annotations holds rows
+// parallel to ρ, stk and σ, which the tracker forks with the state.
+//
 // Two stores pair when they target the same array (by value number),
 // their indices cross-match their values' source indices symbolically,
 // both loads precede the first store, and nothing else touched the array
@@ -46,8 +50,65 @@ import (
 // reasoning; the option is therefore opt-in, for programs that access
 // rearranged arrays under a locking discipline or from a single thread.
 
+// annot is what the detector knows of one value of a judge-pass state: vn
+// is a value number pinning the runtime identity of a reference value (0:
+// none), and eprov says the value was loaded from an array element.
+type annot struct {
+	vn    int32
+	eprov *elemProv
+}
+
+// elemProv says a value was read from arr[idx] (array pinned by value
+// number arrVN) at block-local time seq.
+type elemProv struct {
+	arrVN int32
+	arr   RefSet
+	idx   intval.IntVal
+	seq   int
+}
+
+// annRow annotates one row of a state's values by position; positions past
+// its end are unannotated.
+type annRow []annot
+
+func (r annRow) at(i int) annot {
+	if i < len(r) {
+		return r[i]
+	}
+	return annot{}
+}
+
+func (r *annRow) set(i int, a annot) {
+	if i >= len(*r) {
+		if a == (annot{}) {
+			return
+		}
+		*r = append(*r, make(annRow, i+1-len(*r))...)
+	}
+	(*r)[i] = a
+}
+
+// cut drops the annotations of positions n and up.
+func (r *annRow) cut(n int) {
+	if len(*r) > n {
+		*r = (*r)[:n]
+	}
+}
+
+// annotations are the detector's rows parallel to a judge-pass state's ρ,
+// stk and σ. A value keeps its annotation while it moves between them
+// (load, store, dup, a strong field update and the read that returns it);
+// a value a transfer function computes afresh has none. The state points to
+// its tracker's rows while the judge pass simulates a block (state.ann), and
+// the state methods that pop, truncate or overwrite entries drop their
+// annotations.
+type annotations struct {
+	locals, stack, sigma annRow
+}
+
 // rearrangeTracker holds the block-local state of the detector.
 type rearrangeTracker struct {
+	ann     annotations
 	seq     int
 	nextVN  int32
 	slotSym map[int]intval.IntVal // freshened unknown-int locals
@@ -82,6 +143,11 @@ func newRearrangeTracker() *rearrangeTracker {
 // accumulates its own events from there on.
 func (rt *rearrangeTracker) fork() *rearrangeTracker {
 	return &rearrangeTracker{
+		ann: annotations{
+			locals: slices.Clone(rt.ann.locals),
+			stack:  slices.Clone(rt.ann.stack),
+			sigma:  slices.Clone(rt.ann.sigma),
+		},
 		seq:      rt.seq,
 		nextVN:   rt.nextVN,
 		slotSym:  maps.Clone(rt.slotSym),

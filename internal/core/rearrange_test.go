@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"satbelim/internal/bytecode"
@@ -203,6 +204,44 @@ class U {
 	got := rearranged(p, m)
 	if len(got) != 2 {
 		t.Errorf("loop-carried swap should be flagged, got %v:\n%s", got, dis(p, m))
+	}
+}
+
+func TestSwapThroughAFieldTemporary(t *testing.T) {
+	// The saved element waits in a field of a fresh object, not in a local:
+	// its provenance lives in the judge pass's annotation row for σ, which
+	// a strong update fills and the read of the same slot returns. Once the
+	// temporary's field is written again before the read, or the temporary
+	// escapes, the value read back is not the one saved, and the stores do
+	// not pair.
+	const swap = `
+class T { int v; }
+class H { T x; }
+class U {
+    static T[] data;
+    static H shared;
+    static void swap(int i, int j) {
+        H h = new H();
+        h.x = U.data[i];
+        %s
+        U.data[i] = U.data[j];
+        U.data[j] = h.x;
+    }
+}
+`
+	for _, tc := range []struct {
+		between string
+		pairs   bool
+	}{
+		{"", true},
+		{"h.x = U.data[j];", false},
+		{"U.shared = h;", false},
+	} {
+		p, _ := analyzeSrc(t, fmt.Sprintf(swap, tc.between), 100, optsR())
+		m := p.Method(bytecode.MethodRef{Class: "U", Name: "swap"})
+		if got := rearranged(p, m); (len(got) == 2) != tc.pairs {
+			t.Errorf("with %q in between: rearranged stores %v, want a pair: %v\n%s", tc.between, got, tc.pairs, dis(p, m))
+		}
 	}
 }
 

@@ -234,8 +234,8 @@ func TestRefSetMatchesReference(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("With, Without and Union on ids below 64 allocate %.0f times", allocs)
 	}
-	if n := unsafe.Sizeof(Value{}); n != 88 {
-		t.Errorf("Value is %d bytes, want 88: a RefSet is one word and a pointer", n)
+	if n := unsafe.Sizeof(RefSet{}); n != 16 {
+		t.Errorf("RefSet is %d bytes, want 16: one word and a pointer", n)
 	}
 }
 

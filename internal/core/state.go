@@ -96,6 +96,10 @@ type state struct {
 	// intTainted marks references whose integer fields a summarized
 	// callee may have rewritten: integer lookups on them answer ⊤.
 	intTainted RefSet
+	// ann, set only while the judge pass simulates a block with
+	// Options.Rearrange, annotates the state's values for the swap
+	// detector.
+	ann *annotations
 }
 
 func newState(tab *slotTable, numLocals int) *state {
@@ -178,19 +182,33 @@ func (s *state) sigmaGet(r RefID, f fieldID) (Value, bool) {
 }
 
 // sigmaSet writes σ(r, f) = v.
-func (s *state) sigmaSet(r RefID, f fieldID, v Value) {
+func (s *state) sigmaSet(r RefID, f fieldID, v Value) { s.sigmaSetAnn(r, f, v, annot{}) }
+
+// sigmaSetAnn writes σ(r, f) = v, annotated with a.
+func (s *state) sigmaSetAnn(r RefID, f fieldID, v Value, a annot) {
 	i := s.tab.slot(r, f)
 	for len(s.sigma) <= i {
 		s.sigma = append(s.sigma, Bottom)
 	}
 	s.sigma[i] = v
+	if s.ann != nil {
+		s.ann.sigma.set(i, a)
+	}
+}
+
+// sigmaClear makes σ's slot i absent.
+func (s *state) sigmaClear(i int) {
+	s.sigma[i] = Bottom
+	if s.ann != nil {
+		s.ann.sigma.set(i, annot{})
+	}
 }
 
 // clearSigmaRef removes every σ entry keyed by r.
 func (s *state) clearSigmaRef(r RefID) {
 	for _, i := range s.tab.refSlots[r] {
 		if int(i) < len(s.sigma) {
-			s.sigma[i] = Bottom
+			s.sigmaClear(int(i))
 		}
 	}
 }
@@ -259,8 +277,42 @@ func (s *state) push(v Value) { s.stack = append(s.stack, v) }
 
 func (s *state) pop() Value {
 	v := s.stack[len(s.stack)-1]
-	s.stack = s.stack[:len(s.stack)-1]
+	s.truncate(len(s.stack) - 1)
 	return v
+}
+
+// truncate cuts the stack to its first n values.
+func (s *state) truncate(n int) {
+	s.stack = s.stack[:n]
+	if s.ann != nil {
+		s.ann.stack.cut(n)
+	}
+}
+
+// pushAnn pushes v annotated with a.
+func (s *state) pushAnn(v Value, a annot) {
+	s.push(v)
+	if s.ann != nil {
+		s.ann.stack.set(len(s.stack)-1, a)
+	}
+}
+
+// dup pushes a copy of the top value and its annotation.
+func (s *state) dup() {
+	top := len(s.stack) - 1
+	s.push(s.stack[top])
+	if s.ann != nil {
+		s.ann.stack.set(top+1, s.ann.stack.at(top))
+	}
+}
+
+// popAnn pops the top value and its annotation.
+func (s *state) popAnn() (Value, annot) {
+	var a annot
+	if s.ann != nil {
+		a = s.ann.stack.at(len(s.stack) - 1)
+	}
+	return s.pop(), a
 }
 
 // lookup implements the paper's lookup(σ, r, NL, f): non-thread-local
@@ -436,7 +488,7 @@ func (s *state) renameAlloc(a, b RefID) {
 		if v.kind == vBottom {
 			continue
 		}
-		s.sigma[i] = Bottom
+		s.sigmaClear(int(i))
 		f := s.tab.keys[i].field
 		v = substValue(v, a, b)
 		old, ok := s.sigmaGet(b, f)

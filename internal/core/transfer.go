@@ -209,6 +209,23 @@ func (t *transfer) readField(s *state, targets RefSet, f fieldID, wantInt bool) 
 	return out
 }
 
+// fieldAnn is the annotation of the value readField yields: a thread-local
+// single target's σ entry keeps the annotation it was stored with, which is
+// none unless a strong update stored an annotated value.
+func fieldAnn(s *state, targets RefSet, f fieldID) annot {
+	if s.ann == nil {
+		return annot{}
+	}
+	r, one := targets.Single()
+	if !one || s.nl.Has(r) {
+		return annot{}
+	}
+	if i := s.tab.find(r, f); i >= 0 {
+		return s.ann.sigma.at(i)
+	}
+	return annot{}
+}
+
 // siteLen returns the stable length symbol for a newarray site.
 func (t *transfer) siteLen(pc int) intval.ConstU {
 	if t.siteLenConst == nil {
@@ -256,23 +273,28 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 					v = TopInt()
 				}
 			}
-			if t.rt != nil {
-				if v.kind == vInt && v.iv.IsTop() {
-					// Freshen the unknown local to a stable per-slot
-					// symbol so index expressions stay comparable.
-					v = IntValue(t.rt.loadSlotInt(int(in.A), &t.namer))
-				} else if v.kind == vRefs {
-					v.vn = t.rt.loadSlotRef(int(in.A))
-				}
+			if t.rt == nil {
+				s.push(v)
+				break
 			}
-			s.push(v)
+			a := s.ann.locals.at(int(in.A))
+			if v.kind == vInt && v.iv.IsTop() {
+				// Freshen the unknown local to a stable per-slot
+				// symbol so index expressions stay comparable.
+				v, a = IntValue(t.rt.loadSlotInt(int(in.A), &t.namer)), annot{}
+			} else if v.kind == vRefs {
+				a.vn = t.rt.loadSlotRef(int(in.A))
+			}
+			s.pushAnn(v, a)
 		case bytecode.OpStore:
-			s.locals[in.A] = s.pop()
+			v, a := s.popAnn()
+			s.locals[in.A] = v
 			if t.rt != nil {
+				s.ann.locals.set(int(in.A), a)
 				t.rt.killSlot(int(in.A))
 			}
 		case bytecode.OpDup:
-			s.push(s.stack[len(s.stack)-1])
+			s.dup()
 		case bytecode.OpPop:
 			s.pop()
 		case bytecode.OpAdd:
@@ -309,11 +331,11 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 
 		case bytecode.OpGetStatic:
 			if t.syms.Fields[t.FieldAt[pc]].IsRef {
-				v := RefValue(SingletonRef(GlobalRefID))
+				var a annot
 				if t.rt != nil {
-					v.vn = t.rt.loadStaticRef(t.FieldAt[pc])
+					a.vn = t.rt.loadStaticRef(t.FieldAt[pc])
 				}
-				s.push(v)
+				s.pushAnn(RefValue(SingletonRef(GlobalRefID)), a)
 			} else {
 				s.push(TopInt())
 			}
@@ -340,10 +362,10 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 					out = out.withSrcs(singletonSrc(srcKey{ref: r, field: field}))
 				}
 			}
-			s.push(out)
+			s.pushAnn(out, fieldAnn(s, obj.Refs(), field))
 
 		case bytecode.OpPutField:
-			val := s.pop()
+			val, a := s.popAnn()
 			obj := s.pop()
 			field := t.FieldAt[pc]
 			isRef := t.syms.Fields[field].IsRef
@@ -360,7 +382,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			// Strong update for a singleton unique reference, weak
 			// otherwise (§2.4).
 			if r, one := obj.Refs().Single(); one && t.refs.unique(r) {
-				s.sigmaSet(r, field, val)
+				s.sigmaSetAnn(r, field, val, a)
 			} else {
 				obj.Refs().ForEach(func(r RefID) {
 					t.weakStore(s, r, field, val, !isRef)
@@ -423,22 +445,23 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 
 		case bytecode.OpAALoad:
 			ind := s.pop().Int()
-			arr := s.pop()
+			arr, arrAnn := s.popAnn()
 			out := t.readField(s, arr.Refs(), elemsFieldID, false)
+			a := fieldAnn(s, arr.Refs(), elemsFieldID)
 			if t.rt != nil {
-				out.eprov = &elemProv{arrVN: arr.vn, arr: arr.Refs(), idx: ind, seq: t.rt.tick()}
+				a.eprov = &elemProv{arrVN: arrAnn.vn, arr: arr.Refs(), idx: ind, seq: t.rt.tick()}
 			}
-			s.push(out)
+			s.pushAnn(out, a)
 
 		case bytecode.OpAAStore:
-			val := s.pop()
+			val, valAnn := s.popAnn()
 			ind := s.pop().Int()
-			arr := s.pop()
+			arr, arrAnn := s.popAnn()
 			if j != nil {
 				t.judgeArrayStore(s, pc, arr.Refs(), ind, j)
 			}
 			if t.rt != nil {
-				t.rt.recordStore(pc, arr.vn, arr.Refs(), ind, val.eprov)
+				t.rt.recordStore(pc, arrAnn.vn, arr.Refs(), ind, valAnn.eprov)
 			}
 			if t.rec != nil {
 				t.rec.markDirtyField(arr.Refs(), elemsFieldID)
@@ -469,7 +492,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			callee := t.syms.Methods[t.CalleeAt[pc]]
 			n := len(s.stack) - callee.NumArgs()
 			t.args = append(t.args[:0], s.stack[n:]...)
-			s.stack = s.stack[:n]
+			s.truncate(n)
 			args := t.args
 			// Passed references escape: nAllNonTL (§2.4) — unless an
 			// interprocedural summary proves the callee neither
@@ -544,7 +567,9 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 // judgeFieldStore evaluates the putfield judgments in the pre-instruction
 // state: pre-null (§2.4) when every possible target is thread-local with
 // the field still null, null-or-same (§4.3) when each thread-local target's
-// field is null or already holds the stored value.
+// field is null or already holds the stored value. A guarantee keyed by a
+// summary reference R_B is about one of the site's older objects, not
+// necessarily the one stored into, so null-or-same needs a unique target.
 func (t *transfer) judgeFieldStore(s *state, pc int, obj RefSet, field fieldID, val Value, j *judgment) {
 	earned := bytecode.VerdictPreNull
 	obj.ForEach(func(r RefID) {
@@ -552,7 +577,7 @@ func (t *transfer) judgeFieldStore(s *state, pc int, obj RefSet, field fieldID, 
 		case t.isNonLocal(s, r):
 			earned = bytecode.VerdictNone
 		case s.fieldIsNull(r, field):
-		case t.opts.NullOrSame && val.srcs.has(srcKey{ref: r, field: field}):
+		case t.opts.NullOrSame && t.refs.unique(r) && val.srcs.has(srcKey{ref: r, field: field}):
 			earned = min(earned, bytecode.VerdictNullOrSame)
 		default:
 			earned = bytecode.VerdictNone

@@ -114,30 +114,16 @@ func (s *srcSet) equal(t *srcSet) bool {
 }
 
 // Value is one abstract value: a RefVal (set of references, empty = null),
-// a symbolic integer, or ⊥.
+// a symbolic integer, or ⊥. It holds the fixed point's facts and nothing
+// else, in one 64-byte cache line: states copy, compare and merge Values by
+// the thousand. (The §4.3 rearrangement detector's value numbers and
+// element provenance are the judge pass's, in a side table: see
+// annotations.)
 type Value struct {
 	kind vkind
-	// Block-local judge-pass annotations for the §4.3 rearrangement
-	// detector (never part of the fixed point; dropped at merges):
-	// vn is a value number pinning runtime identity of reference values
-	// within a block (it shares kind's word: states are arrays of Values);
-	// eprov records that the value was loaded from an element of a
-	// specific array.
-	vn    int32
-	eprov *elemProv
-
 	refs RefSet
 	iv   intval.IntVal
 	srcs *srcSet
-}
-
-// elemProv says a value was read from arr[idx] (array pinned by value
-// number arrVN) at block-local time seq.
-type elemProv struct {
-	arrVN int32
-	arr   RefSet
-	idx   intval.IntVal
-	seq   int
 }
 
 // Bottom is the ⊥ value.
@@ -178,8 +164,7 @@ func (v Value) withSrcs(s *srcSet) Value {
 	return v
 }
 
-// Equal reports structural equality (srcs included: they are part of the
-// fixed point; vn/eprov excluded: they are block-local).
+// Equal reports structural equality.
 func (v Value) Equal(w Value) bool {
 	if v.kind != w.kind {
 		return false
@@ -209,7 +194,6 @@ func mergeValue(a, b Value, ctx *intval.MergeCtx) Value {
 	}
 	switch a.kind {
 	case vRefs:
-		// vn/eprov are block-local and do not survive joins.
 		return Value{kind: vRefs, refs: a.refs.Union(b.refs), srcs: a.srcs.intersect(b.srcs)}
 	default:
 		return Value{kind: vInt, iv: intval.Merge(a.iv, b.iv, ctx)}

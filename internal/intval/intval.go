@@ -18,7 +18,9 @@ package intval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"unsafe"
 )
 
 // VarU names a variable unknown.
@@ -34,14 +36,62 @@ type Term struct {
 }
 
 // IntVal is a symbolic integer value. The zero IntVal is the constant 0.
-// IntVals are immutable; operations return new values. The two sub-word
-// fields sit together: abstract states hold IntVals by the thousand.
+// IntVals are immutable; operations return new values. Abstract states hold
+// IntVals by the thousand, so an IntVal is four words: the two sub-word
+// fields share one, and the term list is a single pointer.
 type IntVal struct {
 	top bool
-	v   VarU   // valid when a != 0
-	a   int64  // variable-unknown coefficient
-	ts  []Term // constant-unknown terms, sorted by C, all K != 0
+	v   VarU     // valid when a != 0
+	a   int64    // variable-unknown coefficient
+	ts  termList // constant-unknown terms
 	b   int64
+}
+
+// termList is an immutable list of constant-unknown terms, sorted by C, all
+// K != 0, in one word: nil when empty, otherwise a pointer to a header Term
+// whose C counts the terms that follow it in the same allocation. A list is
+// never written after it is built, so values share lists freely, including
+// across goroutines. reflect.DeepEqual sees only the header, so it equates
+// lists of the same length: compare IntVals with Equal.
+type termList struct{ hdr *Term }
+
+// terms returns the list's terms.
+func (l termList) terms() []Term {
+	if l.hdr == nil {
+		return nil
+	}
+	return unsafe.Slice(l.hdr, int(l.hdr.C)+1)[1:]
+}
+
+// newTerms returns an empty buffer for a list of at most n terms: append
+// the terms, then seal it.
+func newTerms(n int) []Term { return make([]Term, 1, n+1) }
+
+// seal makes a list of a buffer newTerms returned.
+func seal(buf []Term) termList {
+	if len(buf) == 1 {
+		return termList{}
+	}
+	buf[0].C = ConstU(len(buf) - 1)
+	return termList{&buf[0]}
+}
+
+// mapTerms returns the list of f applied to each of l's terms, or false
+// when f rejects one.
+func (l termList) mapTerms(f func(Term) (Term, bool)) (termList, bool) {
+	if l.hdr == nil {
+		return l, true
+	}
+	ts := l.terms()
+	buf := newTerms(len(ts))
+	for _, t := range ts {
+		u, ok := f(t)
+		if !ok {
+			return termList{}, false
+		}
+		buf = append(buf, u)
+	}
+	return seal(buf), true
 }
 
 // Top is the unknown-integer lattice top.
@@ -54,12 +104,9 @@ func Const(b int64) IntVal { return IntVal{b: b} }
 func OfVar(v VarU) IntVal { return IntVal{a: 1, v: v} }
 
 // constUCache interns the one-term lists of small constant unknowns.
-// Term lists are immutable (every operation builds a new list), so the
-// cached slices can be shared freely, including across goroutines.
-var constUCache = func() [64][]Term {
-	var c [64][]Term
+var constUCache = func() (c [64][2]Term) {
 	for i := range c {
-		c[i] = []Term{{C: ConstU(i), K: 1}}
+		c[i] = [2]Term{{C: 1}, {C: ConstU(i), K: 1}}
 	}
 	return c
 }()
@@ -67,9 +114,9 @@ var constUCache = func() [64][]Term {
 // OfConstU returns the value 1·c.
 func OfConstU(c ConstU) IntVal {
 	if int(c) < len(constUCache) {
-		return IntVal{ts: constUCache[c]}
+		return IntVal{ts: termList{&constUCache[c][0]}}
 	}
-	return IntVal{ts: []Term{{C: c, K: 1}}}
+	return IntVal{ts: seal(append(newTerms(1), Term{C: c, K: 1}))}
 }
 
 // IsTop reports whether i is ⊤.
@@ -77,7 +124,7 @@ func (i IntVal) IsTop() bool { return i.top }
 
 // AsConst returns the literal value when i is a pure integer constant.
 func (i IntVal) AsConst() (int64, bool) {
-	if i.top || i.a != 0 || len(i.ts) != 0 {
+	if i.top || i.a != 0 || i.ts.hdr != nil {
 		return 0, false
 	}
 	return i.b, true
@@ -96,20 +143,23 @@ func (i IntVal) Equal(j IntVal) bool {
 	if i.top || j.top {
 		return i.top == j.top
 	}
-	if i.a != j.a || (i.a != 0 && i.v != j.v) || i.b != j.b || len(i.ts) != len(j.ts) {
+	if i.a != j.a || (i.a != 0 && i.v != j.v) || i.b != j.b {
 		return false
 	}
-	for k := range i.ts {
-		if i.ts[k] != j.ts[k] {
-			return false
-		}
-	}
-	return true
+	return i.ts == j.ts || slices.Equal(i.ts.terms(), j.ts.terms())
 }
 
-// addTerms merges two sorted term lists.
-func addTerms(x, y []Term, ysign int64) []Term {
-	out := make([]Term, 0, len(x)+len(y))
+// addTerms merges two sorted term lists. A sum with an empty list is the
+// other list itself.
+func addTerms(xl, yl termList) termList {
+	if xl.hdr == nil {
+		return yl
+	}
+	if yl.hdr == nil {
+		return xl
+	}
+	x, y := xl.terms(), yl.terms()
+	out := newTerms(len(x) + len(y))
 	i, j := 0, 0
 	for i < len(x) || j < len(y) {
 		switch {
@@ -117,21 +167,17 @@ func addTerms(x, y []Term, ysign int64) []Term {
 			out = append(out, x[i])
 			i++
 		case i >= len(x) || y[j].C < x[i].C:
-			out = append(out, Term{C: y[j].C, K: ysign * y[j].K})
+			out = append(out, y[j])
 			j++
 		default:
-			k := x[i].K + ysign*y[j].K
-			if k != 0 {
+			if k := x[i].K + y[j].K; k != 0 {
 				out = append(out, Term{C: x[i].C, K: k})
 			}
 			i++
 			j++
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return seal(out)
 }
 
 // Add returns i + j, or ⊤ when the sum would need two variable unknowns.
@@ -139,7 +185,7 @@ func (i IntVal) Add(j IntVal) IntVal {
 	if i.top || j.top {
 		return Top
 	}
-	r := IntVal{b: i.b + j.b, ts: addTerms(i.ts, j.ts, 1)}
+	r := IntVal{b: i.b + j.b, ts: addTerms(i.ts, j.ts)}
 	switch {
 	case i.a == 0:
 		r.a, r.v = j.a, j.v
@@ -161,14 +207,7 @@ func (i IntVal) Neg() IntVal {
 	if i.top {
 		return Top
 	}
-	r := IntVal{a: -i.a, v: i.v, b: -i.b}
-	if len(i.ts) > 0 {
-		r.ts = make([]Term, len(i.ts))
-		for k, t := range i.ts {
-			r.ts[k] = Term{C: t.C, K: -t.K}
-		}
-	}
-	return r
+	return i.MulK(-1)
 }
 
 // Sub returns i - j.
@@ -179,17 +218,14 @@ func (i IntVal) MulK(k int64) IntVal {
 	if i.top {
 		return Top
 	}
-	if k == 0 {
+	switch k {
+	case 0:
 		return IntVal{}
+	case 1:
+		return i
 	}
-	r := IntVal{a: i.a * k, v: i.v, b: i.b * k}
-	if len(i.ts) > 0 {
-		r.ts = make([]Term, len(i.ts))
-		for n, t := range i.ts {
-			r.ts[n] = Term{C: t.C, K: t.K * k}
-		}
-	}
-	return r
+	ts, _ := i.ts.mapTerms(func(t Term) (Term, bool) { return Term{C: t.C, K: t.K * k}, true })
+	return IntVal{a: i.a * k, v: i.v, ts: ts, b: i.b * k}
 }
 
 // Mul returns i·j when one side is a literal constant, ⊤ otherwise
@@ -212,17 +248,11 @@ func (i IntVal) DivExact(k int64) (IntVal, bool) {
 	if i.a%k != 0 || i.b%k != 0 {
 		return Top, false
 	}
-	r := IntVal{a: i.a / k, v: i.v, b: i.b / k}
-	if len(i.ts) > 0 {
-		r.ts = make([]Term, len(i.ts))
-		for n, t := range i.ts {
-			if t.K%k != 0 {
-				return Top, false
-			}
-			r.ts[n] = Term{C: t.C, K: t.K / k}
-		}
+	ts, ok := i.ts.mapTerms(func(t Term) (Term, bool) { return Term{C: t.C, K: t.K / k}, t.K%k == 0 })
+	if !ok {
+		return Top, false
 	}
-	return r, true
+	return IntVal{a: i.a / k, v: i.v, ts: ts, b: i.b / k}, true
 }
 
 // SubstVar returns i with its variable term a·v replaced by a·s. The
@@ -251,7 +281,7 @@ func (i IntVal) String() string {
 			parts = append(parts, fmt.Sprintf("%d*v%d", i.a, i.v))
 		}
 	}
-	for _, t := range i.ts {
+	for _, t := range i.ts.terms() {
 		switch t.K {
 		case 1:
 			parts = append(parts, fmt.Sprintf("c%d", t.C))

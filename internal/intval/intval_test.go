@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestConstArithmetic(t *testing.T) {
@@ -374,5 +375,35 @@ func TestEqualIsReflectDeepEqualCompatible(t *testing.T) {
 	b := OfVar(0).Add(OfConstU(0)).Add(Const(2))
 	if !a.Equal(b) || !reflect.DeepEqual(a, b) {
 		t.Error("structurally identical values must be Equal and DeepEqual")
+	}
+}
+
+// TestIntValLayout pins the integer domain's footprint in the abstract
+// state: an IntVal is four words (its term list is one pointer) and a Range
+// a kind and two IntVals.
+func TestIntValLayout(t *testing.T) {
+	if n := unsafe.Sizeof(IntVal{}); n != 32 {
+		t.Errorf("IntVal is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(Range{}); n != 72 {
+		t.Errorf("Range is %d bytes, want 72", n)
+	}
+}
+
+// TestTermListsAreShared: term lists are immutable, so adding a value
+// without terms, and scaling by one, reuse the operand's list instead of
+// copying it.
+func TestTermListsAreShared(t *testing.T) {
+	var n Namer
+	x := OfConstU(n.FreshConst()).Add(OfConstU(n.FreshConst())).Add(OfVar(n.FreshVar()))
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, v := range []IntVal{x.Add(Const(3)), Const(3).Add(x), x.MulK(1), x.Sub(Const(1))} {
+			if v.ts != x.ts {
+				t.Fatalf("%v does not share the term list of %v", v, x)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("sharing term lists allocates %.0f times", allocs)
 	}
 }
