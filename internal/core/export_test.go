@@ -95,30 +95,53 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 		tables++
 		a := newAnalyzer(context.Background(), px, ws, m, idx, opts)
 		a.summaries = opts.Summaries
-		a.fixpoint()
-		for _, s := range a.entry {
-			if s == nil {
+		if r := a.fixpoint(); r != DegradeNone {
+			return 0, fmt.Errorf("%s: degraded: %s", m.QualifiedName(), r)
+		}
+		// Every state the judge pass starts a block from or ends it with: a
+		// join's entry, and out states — among them each single-predecessor
+		// block's entry — re-derived here by simulation in reverse
+		// postorder, as the judge pass derives them.
+		outs := make([]*state, len(a.Graph.Blocks))
+		for _, id := range a.Graph.ReversePostorder() {
+			if !ws.reached[id] {
 				continue
 			}
-			named := s.nl.Union(s.intTainted)
-			for _, vs := range [][]Value{s.locals, s.stack, s.sigma} {
-				for _, v := range vs {
-					named = named.Union(v.refs)
-				}
+			in := a.entry[id]
+			if !a.isJoin(id) {
+				in = outs[a.Graph.Blocks[id].Preds[0]]
 			}
-			for _, k := range s.tab.keys {
-				named = named.With(k.ref)
-			}
-			var bad []RefID
-			named.ForEach(func(r RefID) {
-				if int(r) >= idx.refs.judged {
-					bad = append(bad, r)
+			out := &state{tab: in.tab}
+			out.copyFrom(in)
+			a.simulate(out, a.Graph.Blocks[id], nil)
+			outs[id] = out
+			for _, s := range []*state{in, out} {
+				if bad := contentsNamed(s, idx.refs.judged); len(bad) > 0 {
+					return 0, fmt.Errorf("%s: a judging state names contents references %v", m.QualifiedName(), bad)
 				}
-			})
-			if len(bad) > 0 {
-				return 0, fmt.Errorf("%s: a judging state names contents references %v", m.QualifiedName(), bad)
 			}
 		}
 	}
 	return tables, nil
+}
+
+// contentsNamed returns the references at or above judged — contents
+// references, which no judging state may name — that s names.
+func contentsNamed(s *state, judged int) []RefID {
+	named := s.nl.Union(s.intTainted)
+	for _, vs := range [][]Value{s.locals, s.stack, s.sigma} {
+		for _, v := range vs {
+			named = named.Union(v.refs)
+		}
+	}
+	for _, k := range s.tab.keys {
+		named = named.With(k.ref)
+	}
+	var bad []RefID
+	named.ForEach(func(r RefID) {
+		if int(r) >= judged {
+			bad = append(bad, r)
+		}
+	})
+	return bad
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"satbelim/internal/bytecode"
@@ -8,14 +10,23 @@ import (
 	"satbelim/internal/core"
 	"satbelim/internal/minijava"
 	"satbelim/internal/progen"
+	"satbelim/internal/satb"
+	"satbelim/internal/vm"
 )
 
 // FuzzAnalyze feeds frontend-accepted programs through the barrier
-// analysis under fuzzed option combinations. The contract is the
-// recovery guarantee of AnalyzeMethod: a panic anywhere in the analysis
-// is converted into a conservative degraded MethodReport, so no panic
-// may ever escape AnalyzeProgram — for any valid program, any mode, any
-// ablation, and any (tiny) budget.
+// analysis under fuzzed option combinations. Two contracts hold for any
+// valid program, any mode, any ablation, and any (tiny) budget:
+//
+//   - Recovery: a panic anywhere in the analysis is converted into a
+//     conservative degraded MethodReport, so no panic may ever escape
+//     AnalyzeProgram. The recovery layer is a safety net, not a licence: a
+//     method degraded by a panic fails the fuzz too.
+//   - Soundness: the analyzed program runs on the fused engine under SATB
+//     marking started at every allocation, with the runtime elision oracle
+//     and the snapshot invariant checked, and no elided barrier may be
+//     contradicted. A program fault or the step bound ends the run without
+//     failing it: the property is about the verdicts, not the program.
 func FuzzAnalyze(f *testing.F) {
 	handwritten := []string{
 		"class A { static void main() { print(1); } }",
@@ -31,15 +42,22 @@ class A { static void main() {
     print(0);
 } }`,
 		// A loop header at pc 0, whose entry joins the back edge with the
-		// method entry (TestEntryBlockIsAJoin).
+		// method entry (TestEntryBlockIsAJoin). This form counts n down,
+		// so taking the back edge's state alone chases n to the visit
+		// budget and degrades instead of eliding; entryLoopSrc's loop
+		// bound is a static, and the same bug elides o.f = o.
 		`class O { O f; }
 class A {
     static void g(O o, int n) { while (n > 0) { o.f = o; o = new O(); n = n - 1; } }
     static void main() { O a = new O(); a.f = a; A.g(a, 3); print(1); }
 }`,
+		entryLoopSrc,
 	}
+	// cfg 1 is mode F and cfg 2 mode A, with no ablation or budget: cfg 0
+	// would select mode B, which runs no analysis.
 	for _, src := range handwritten {
-		f.Add(src, uint16(0))
+		f.Add(src, uint16(1))
+		f.Add(src, uint16(2))
 	}
 	// Campaign-idiom generator sources exercise the strided-init,
 	// alloc-reuse, aliasing, and escape-store paths the properties in
@@ -93,6 +111,10 @@ class A {
 			t.Fatalf("analysis error (must degrade, not fail): %v\noptions: %+v\nsource:\n%s", err, opts, src)
 		}
 		for _, mr := range rep.Methods {
+			if mr.Degraded == core.DegradePanic {
+				t.Fatalf("%s: the analysis panicked: %s\noptions: %+v\nsource:\n%s",
+					mr.Method.QualifiedName(), mr.DegradeDetail, opts, src)
+			}
 			if mr.FieldElided > mr.FieldSites || mr.ArrayElided > mr.ArraySites {
 				t.Fatalf("%s: elisions exceed sites (%d/%d field, %d/%d array)\noptions: %+v\nsource:\n%s",
 					mr.Method.QualifiedName(), mr.FieldElided, mr.FieldSites,
@@ -102,6 +124,9 @@ class A {
 				t.Fatalf("%s: degraded (%s) but still elides barriers\noptions: %+v\nsource:\n%s",
 					mr.Method.QualifiedName(), mr.Degraded, opts, src)
 			}
+		}
+		if err := runChecked(prog); err != nil {
+			t.Fatalf("%v\noptions: %+v\nsource:\n%s", err, opts, src)
 		}
 		// Summaries are a pure precision layer: with no starvation budgets
 		// in play, every store site the intraprocedural analysis elides
@@ -131,4 +156,24 @@ class A {
 			}
 		}
 	})
+}
+
+// runChecked runs an analyzed program on the fused engine under SATB
+// marking that starts at every allocation, with the runtime elision oracle
+// and the snapshot invariant armed, and returns what contradicts its
+// verdicts: a *vm.SoundnessViolation or a snapshot-invariant failure (the
+// VM panics with the latter). Any other run error — a program fault, the
+// step bound — is not the analysis's and returns nil.
+func runChecked(prog *bytecode.Program) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("run panicked: %v", r)
+		}
+	}()
+	_, runErr := vm.New(prog, vm.Config{Engine: vm.EngineFused, Barrier: satb.ModeConditional, GC: vm.GCSATB,
+		TriggerEveryAllocs: 1, CheckElisions: true, CheckInvariant: true, MaxSteps: 20_000}).Run()
+	if sv := (*vm.SoundnessViolation)(nil); errors.As(runErr, &sv) {
+		return sv
+	}
+	return nil
 }

@@ -615,56 +615,6 @@ func mergeStates(out, cur, incoming *state, namer *intval.Namer, noStride bool) 
 	return changed
 }
 
-// statesEqual reports structural equality of two states, treating absent
-// σ entries as their allocation defaults and absent Len/NR entries as
-// no-information.
-func statesEqual(a, b *state) bool {
-	if len(a.locals) != len(b.locals) || len(a.stack) != len(b.stack) {
-		return false
-	}
-	for i := range a.locals {
-		if !a.locals[i].Equal(b.locals[i]) {
-			return false
-		}
-	}
-	for i := range a.stack {
-		if !a.stack[i].Equal(b.stack[i]) {
-			return false
-		}
-	}
-	if !a.nl.Equal(b.nl) {
-		return false
-	}
-	if !a.intTainted.Equal(b.intTainted) {
-		return false
-	}
-	for i := range max(len(a.sigma), len(b.sigma)) {
-		v, w := a.sigmaAt(i), b.sigmaAt(i)
-		switch {
-		case v.kind == vBottom && w.kind == vBottom:
-			continue
-		case w.kind == vBottom:
-			w = defaultFor(v)
-		case v.kind == vBottom:
-			v = defaultFor(w)
-		}
-		if !v.Equal(w) {
-			return false
-		}
-	}
-	for i := range a.length {
-		if !a.length[i].Equal(b.length[i]) {
-			return false
-		}
-	}
-	for i := range a.nr {
-		if !a.nr[i].Equal(b.nr[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // defaultFor returns the allocation-time default matching a value's kind.
 func defaultFor(v Value) Value {
 	if v.kind == vInt {

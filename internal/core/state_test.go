@@ -288,29 +288,6 @@ func TestMergeStatesLenNRIntersection(t *testing.T) {
 	}
 }
 
-func TestStatesEqualTreatsDefaultsAsAbsent(t *testing.T) {
-	tab := testTable()
-	a := newState(tab, 1)
-	b := newState(tab, 1)
-	a.locals[0] = NullValue()
-	b.locals[0] = NullValue()
-	a.sigmaSet(2, fF, NullValue()) // explicit default
-	if !statesEqual(a, b) || !statesEqual(b, a) {
-		t.Error("explicit null entry equals absent entry")
-	}
-	a.sigmaSet(2, fF, RefValue(SingletonRef(1)))
-	if statesEqual(a, b) || statesEqual(b, a) {
-		t.Error("non-default entry must break equality")
-	}
-	// b's σ is shorter than a's (it never wrote slot 0); a Len fact on one
-	// side only breaks equality too.
-	a.sigmaSet(2, fF, NullValue())
-	a.setLength(4, intval.Const(1))
-	if statesEqual(a, b) || statesEqual(b, a) {
-		t.Error("Len known on one side only must break equality")
-	}
-}
-
 // TestStateCopiesShareNoBuffers is the bug class the copy-on-write flags
 // used to guard: after copyFrom (and newEntry), writes to either state — also
 // ones that reuse spare capacity or number new slots — never show in the
@@ -342,11 +319,11 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 
 	scratch := &state{tab: tab}
 	scratch.copyFrom(entry)
-	if !statesEqual(scratch, entry) {
+	if !sameState(scratch, entry) {
 		t.Fatal("copyFrom is not a copy")
 	}
 	mutate(scratch)
-	if !statesEqual(entry, want) {
+	if !sameState(entry, want) {
 		t.Errorf("mutating the scratch copy changed the stored entry:\n%v", entry)
 	}
 
@@ -354,7 +331,7 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 	// capacity to spare, so copyFrom reuses its arrays.
 	scratch.copyFrom(entry)
 	mutate(entry)
-	if !statesEqual(scratch, want) {
+	if !sameState(scratch, want) {
 		t.Errorf("mutating the entry changed its scratch copy:\n%v", scratch)
 	}
 
@@ -363,7 +340,7 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 	merged := &state{tab: tab}
 	mergeStates(merged, scratch, want, &n, false)
 	mutate(merged)
-	if !statesEqual(scratch, want) {
+	if !sameState(scratch, want) {
 		t.Error("mutating a merge result changed its input")
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // TestValueLayout pins the abstract value to the fixed point's facts in one
 // 64-byte cache line: states copy, compare and merge Values by the
-// thousand, and every field is one that Equal, mergeValue and statesEqual
-// compare (the swap detector's annotations live beside the state).
+// thousand, and every field is one that Equal and mergeValue compare (the
+// swap detector's annotations live beside the state).
 func TestValueLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Value{}); n != 64 {
 		t.Errorf("Value is %d bytes, want 64", n)

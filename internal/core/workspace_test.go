@@ -20,8 +20,8 @@ type analysisRun struct {
 	sums Summaries
 }
 
-// kept is one method's converged entry states, as the fixed point left them
-// and as copied right then.
+// kept is one method's converged join entry states, as the fixed point
+// left them and as copied right then.
 type kept struct {
 	method string
 	blocks []int
@@ -33,8 +33,12 @@ type kept struct {
 // bottom-up when opts asks for summaries, then every method judged in
 // order — taking each workspace from next: one per component and one per
 // method, or the same one throughout. Beside each judging analysis it runs
-// the method's fixed point and judge pass again and keeps the entry states,
-// which runWith's caller checks after the workspace has moved on.
+// the method's fixed point and judge pass again and keeps the join entry
+// states, which runWith's caller checks after the workspace has moved on.
+// It fails at once if a join's entry is a workspace state, or if the
+// workspace's states — scratch, spare and the free list's, which hold the
+// single-predecessor entries while they are pending — are not the ones it
+// had before, grown by what this method needed.
 func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next func() *workspace) (analysisRun, []kept) {
 	t.Helper()
 	px := newProgramIndex(p, opts)
@@ -60,6 +64,7 @@ func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next 
 		}
 		run.reps[i], run.rows[i] = rep, row
 		idx, _ := px.of(i)
+		pool := slices.Clone(ws.extra)
 		a := newAnalyzer(context.Background(), px, ws, methods[i], idx, opts)
 		a.summaries = opts.Summaries
 		if a.fixpoint() != DegradeNone {
@@ -79,6 +84,14 @@ func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next 
 			k.entry, k.copies = append(k.entry, s), append(k.copies, c)
 		}
 		a.judge()
+		if !slices.Equal(ws.extra[:len(pool)], pool) {
+			t.Fatalf("%s: the workspace's states were replaced", k.method)
+		}
+		for _, s := range ws.extra {
+			if s.tab != &ws.slots {
+				t.Fatalf("%s: a workspace state reads another worker's slot table", k.method)
+			}
+		}
 		keep = append(keep, k)
 	}
 	return run, keep
@@ -101,9 +114,11 @@ func sameState(a, b *state) bool {
 // workspace in program order, and through one workspace judging in reverse
 // program order. Reports, verdict rows and summaries must not tell the
 // three apart, and the fresh run must match AnalyzeProgramCtx. Every
-// method's converged entry states must still hold what its fixed point left
-// in them after the workspace has served every later method: an entry state
-// belongs to its method, never to the worker.
+// method's converged join entry states must still hold what its fixed point
+// left in them after the workspace has served every later method: a join's
+// entry state belongs to its method, never to the worker, while a
+// single-predecessor block's entry is one of the worker's states, lent to
+// it only while the block is pending and reused by every later method.
 func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	for _, w := range workloads.All() {
 		for _, cfg := range []struct {
