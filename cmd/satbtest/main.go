@@ -12,11 +12,11 @@
 //	satbtest -repro FILE.mj   replay a shrunk counterexample source file
 //
 // Exit status: 0 clean, 1 counterexamples found (or an internal error), 2
-// usage. The -unsound-skip-b-demotion flag injects a known soundness bug
-// into the analysis (skipping the R/A→R/B allocation-site demotion) so
-// the harness itself can be validated end-to-end: a campaign under that
-// flag MUST fail. -unsound-trust-all-summaries does the same for the
-// interprocedural layer (summaries trusted after one optimistic round).
+// usage. The harness is validated end to end by mutants, not by flags:
+// internal/mutants builds this command with `go build -overlay` over a
+// deliberately broken analysis file, and a campaign of that binary MUST
+// fail with a small repro. No build of the command itself can plant a
+// soundness bug.
 package main
 
 import (
@@ -47,10 +47,6 @@ func main() {
 	nullOrSame := flag.Bool("nullorsame", false, "enable the null-or-same extension")
 	maxFailures := flag.Int("max-failures", 10, "stop the campaign after this many failures")
 	interproc := flag.Bool("interproc", false, "enable interprocedural method summaries")
-	injectSkipB := flag.Bool("unsound-skip-b-demotion", false,
-		"inject a known soundness bug (skip the R/A->R/B demotion) to validate the harness")
-	injectTrustAll := flag.Bool("unsound-trust-all-summaries", false,
-		"inject a known soundness bug (trust cyclic-SCC summaries after one round; implies -interproc) to validate the harness")
 	var ob cli.Obs
 	ob.RegisterFlags()
 	flag.Parse()
@@ -71,11 +67,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	analysis := core.InjectFaults(core.Options{
-		Mode:            am,
-		NullOrSame:      *nullOrSame,
-		Interprocedural: *interproc || *injectTrustAll,
-	}, *injectSkipB, *injectTrustAll)
+	analysis := core.Options{Mode: am, NullOrSame: *nullOrSame, Interprocedural: *interproc}
 	var propNames []string
 	if *props != "" {
 		propNames = strings.Split(*props, ",")

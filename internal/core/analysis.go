@@ -100,36 +100,6 @@ type Options struct {
 	// MaxStateSize bounds the abstract-state footprint (σ + Len + NR
 	// entries) of any block's out state (0 = none).
 	MaxStateSize int
-
-	// faults is set only by InjectFaults. It is part of the value (and so
-	// of every cache key derived from it) but of no configuration surface.
-	faults faults
-}
-
-// faults are DELIBERATELY UNSOUND defects the metamorphic harness injects
-// to prove it would catch them; unlike the ablations they break the
-// analysis's soundness argument.
-type faults struct {
-	// skipBDemotion: allocation sites skip the R_id/A → R_id/B demotion,
-	// so objects from earlier executions of a site keep the unique A name
-	// and inherit the fresh allocation's "all fields null, thread-local"
-	// facts.
-	skipBDemotion bool
-	// trustAllSummaries: cyclic callgraph components stop after their
-	// first summary pass instead of iterating the compromise re-run to a
-	// fixed point, so a method summarized before its cycle-mate keeps
-	// trusting the mate's stale optimistic facts (e.g. mutual recursion
-	// where the later-summarized arm publishes an argument).
-	trustAllSummaries bool
-}
-
-// InjectFaults returns o with the named soundness bugs switched on. It is
-// the only way to set them and exists for harness self-validation
-// (cmd/satbtest, internal/metatest): no flag parser, JSON decoder or struct
-// literal outside this package can reach them.
-func InjectFaults(o Options, skipBDemotion, trustAllSummaries bool) Options {
-	o.faults = faults{skipBDemotion: skipBDemotion, trustAllSummaries: trustAllSummaries}
-	return o
 }
 
 // DegradeReason labels why a method's analysis bailed out to the

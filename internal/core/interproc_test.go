@@ -312,11 +312,13 @@ class M {
 	}
 }
 
-func TestUnsoundTrustAllSummariesSkipsRerun(t *testing.T) {
-	// ra is summarized before its cycle-mate rb within the round; rb
-	// publishes the shared argument. Skipping the compromise re-run
-	// leaves ra trusting rb's stale optimistic summary — the injected
-	// bug the metamorphic campaign must catch dynamically.
+// TestCyclicSummaryRerunCompromisesEarlierMember: ra is summarized
+// before its cycle-mate rb within a round, and rb publishes the shared
+// argument. Only the component's compromise re-run carries that back into
+// ra's summary; the trust-all-summaries mutant (internal/mutants), which
+// stops after the first round, leaves ra trusting rb's stale optimistic
+// facts and fails here.
+func TestCyclicSummaryRerunCompromisesEarlierMember(t *testing.T) {
 	src := `
 class T { int v; T f; static T sink; }
 class M {
@@ -326,23 +328,14 @@ class M {
 }
 `
 	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
-	sound, err := ComputeSummariesParallel(p, optsI(), 1)
+	sums, err := ComputeSummariesParallel(p, optsI(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sound.Of(p, bytecode.MethodRef{Class: "M", Name: "ra"}).ArgCompromised[0] {
-		t.Fatal("sound fixed point must compromise ra's argument transitively")
+	if !sums.Of(p, bytecode.MethodRef{Class: "M", Name: "ra"}).ArgCompromised[0] {
+		t.Fatal("the fixed point must compromise ra's argument transitively")
 	}
-	unsound := InjectFaults(optsI(), false, true)
-	trusted, err := ComputeSummariesParallel(p, unsound, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trusted.Of(p, bytecode.MethodRef{Class: "M", Name: "ra"}).ArgCompromised[0] {
-		t.Fatal("trust-all knob should have produced the unsound clean summary for ra " +
-			"(the self-test relies on this exact wrongness)")
-	}
-	if !trusted.Of(p, bytecode.MethodRef{Class: "M", Name: "rb"}).ArgCompromised[0] {
-		t.Error("rb publishes directly; even trust-all sees that")
+	if !sums.Of(p, bytecode.MethodRef{Class: "M", Name: "rb"}).ArgCompromised[0] {
+		t.Error("rb publishes its argument directly")
 	}
 }

@@ -305,10 +305,7 @@ func processSCC(ctx context.Context, px *programIndex, ws *workspace, opts Optio
 				changed = true
 			}
 		}
-		if !changed || opts.faults.trustAllSummaries {
-			// The injected fault skips the compromise re-run, leaving
-			// members summarized earlier in the round trusting their
-			// cycle-mates' stale optimistic facts.
+		if !changed {
 			return
 		}
 	}

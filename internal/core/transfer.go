@@ -177,9 +177,7 @@ func (t *transfer) pushCallResult(s *state, pc int, callee *bytecode.Method, sum
 // allocation defaults: no σ entries (the allocator zeroed the fields),
 // thread-local, no array facts. It reports whether A is such a fresh name.
 func (t *transfer) reallocate(s *state, ra, rb RefID) bool {
-	if !t.opts.faults.skipBDemotion {
-		s.renameAlloc(ra, rb)
-	}
+	s.renameAlloc(ra, rb)
 	if t.opts.SingleRefPerSite {
 		return false
 	}

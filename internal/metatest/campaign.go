@@ -19,8 +19,8 @@ type Options struct {
 	// progen.CampaignConfig() (all idiom knobs on).
 	Gen progen.Config
 	// Analysis is the analysis configuration every property compiles
-	// under — the campaign's fault-injection point (the self-test runs
-	// under core.InjectFaults and must see failures).
+	// under. A soundness bug reaches the campaign only as a mutant of the
+	// analysis's source (internal/mutants), never through this value.
 	Analysis core.Options
 	// Props filters the property library by name; empty means all.
 	Props []string

@@ -37,71 +37,6 @@ func TestCampaignCleanOnSoundAnalysis(t *testing.T) {
 	}
 }
 
-// TestCampaignCatchesInjectedDemotionBug is the acceptance self-test: an
-// analysis that skips the R/A→R/B demotion must be caught by the
-// campaign, and the auto-shrunk repro must be ≤ 25 lines.
-func TestCampaignCatchesInjectedDemotionBug(t *testing.T) {
-	res, err := RunCampaign(Options{
-		Seeds:       40,
-		Analysis:    core.InjectFaults(core.Options{Mode: core.ModeFieldArray}, true, false),
-		MaxFailures: 1, // first counterexample suffices
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) == 0 {
-		t.Fatal("campaign missed the injected /B-demotion bug")
-	}
-	f := res.Failures[0]
-	t.Logf("caught by %s at seed %d in %d shrink checks; %d-line repro:\n%s",
-		f.Property, f.Seed, f.ShrinkChecks, f.ReproLines, f.Repro)
-	if f.ReproLines > 25 {
-		t.Errorf("repro is %d lines, want ≤ 25:\n%s", f.ReproLines, f.Repro)
-	}
-	// The repro must itself still be a counterexample.
-	vs, err := CheckSource(f.Repro, core.InjectFaults(core.Options{Mode: core.ModeFieldArray}, true, false),
-		[]string{f.Property})
-	if err != nil {
-		t.Fatalf("repro replay: %v", err)
-	}
-	if len(vs) == 0 {
-		t.Error("shrunk repro no longer fails the property")
-	}
-}
-
-// TestCampaignCatchesInjectedTrustAllBug is the interprocedural
-// acceptance self-test: an analysis that trusts every cyclic-SCC
-// summary after its first optimistic round (skipping the compromise
-// re-run) must be caught by the campaign with a small shrunk repro.
-func TestCampaignCatchesInjectedTrustAllBug(t *testing.T) {
-	unsound := core.InjectFaults(core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, false, true)
-	res, err := RunCampaign(Options{
-		Seeds:       40,
-		Analysis:    unsound,
-		MaxFailures: 1, // first counterexample suffices
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) == 0 {
-		t.Fatal("campaign missed the injected trust-all-summaries bug")
-	}
-	f := res.Failures[0]
-	t.Logf("caught by %s at seed %d in %d shrink checks; %d-line repro:\n%s",
-		f.Property, f.Seed, f.ShrinkChecks, f.ReproLines, f.Repro)
-	if f.ReproLines > 40 {
-		t.Errorf("repro is %d lines, want ≤ 40:\n%s", f.ReproLines, f.Repro)
-	}
-	// The repro must itself still be a counterexample.
-	vs, err := CheckSource(f.Repro, unsound, []string{f.Property})
-	if err != nil {
-		t.Fatalf("repro replay: %v", err)
-	}
-	if len(vs) == 0 {
-		t.Error("shrunk repro no longer fails the property")
-	}
-}
-
 // TestCampaignBudget: the wall-clock budget stops the run early and is
 // reported.
 func TestCampaignBudget(t *testing.T) {

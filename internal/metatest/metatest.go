@@ -309,9 +309,9 @@ func totals(b *pipeline.Build) elisionTotals {
 // summaries-on and summaries-off builds must be observationally
 // identical under every barrier flavor, and the extra elisions the
 // summaries unlock must survive the runtime oracle. An unsound summary
-// (e.g. core.InjectFaults' trust-all-summaries bug) shows up either as
-// an oracle violation on the summaries-on build or as an execution
-// divergence.
+// (e.g. the trust-all-summaries mutant of internal/mutants) shows up
+// either as an oracle violation on the summaries-on build or as an
+// execution divergence.
 func checkSummarySoundness(src string, analysis core.Options) error {
 	on := analysis
 	on.Interprocedural = true

@@ -93,10 +93,6 @@ func TestBuildCacheKeySensitivity(t *testing.T) {
 		{InlineLimit: 25, Analysis: base.Analysis},                                             // inline limit
 		{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeField}},                        // analysis mode
 		{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeFieldArray, NullOrSame: true}}, // extension flag
-		// An injected-fault build is never served for — or as — the sound
-		// build of the same source: the fault is part of the key.
-		{InlineLimit: 50, Analysis: core.InjectFaults(base.Analysis, true, false)},
-		{InlineLimit: 50, Analysis: core.InjectFaults(base.Analysis, false, true)},
 	}
 	for i, o := range variants {
 		b, err := Compile("keytest", cacheTestSrc, o)

@@ -242,7 +242,6 @@ func TestCacheKeyCoversSummaryOptions(t *testing.T) {
 	base := Options{InlineLimit: 0, Analysis: core.Options{Mode: core.ModeFieldArray}}
 	variants := []Options{
 		{InlineLimit: 0, Analysis: core.Options{Mode: core.ModeFieldArray, Interprocedural: true}},
-		{InlineLimit: 0, Analysis: core.InjectFaults(core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, false, true)},
 		{InlineLimit: 0, Analysis: core.Options{Mode: core.ModeFieldArray, Interprocedural: true, MaxSummaryRoundsPerSCC: 1}},
 	}
 	src := "class Main { static void main() { print(1); } }"
