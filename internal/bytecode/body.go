@@ -54,13 +54,16 @@ type record struct {
 // It is the one place that decides whether a body is well formed: a
 // non-empty body of known opcodes whose branch targets are in range and
 // whose control never falls off the end (Graph.build), local slots that are
-// declared, field and method operands that resolve, static fields reached
-// by the static opcodes and instance fields by the others, a newinstance of
-// a declared class and a newarray with an element type.
+// declared, operand indices within the method's pool that name an entry of
+// the kind their opcode takes, field and method operands that resolve,
+// static fields reached by the static opcodes and instance fields by the
+// others, a newinstance of a declared class and a newarray with an element
+// type.
 //
 // A body takes a fixed handful of allocations whatever its size: the record
 // and its graph, one array holding FieldAt, CalleeAt and the graph's
-// pc-to-block map, and the graph's own three (Graph.build).
+// pc-to-block map, and the graph's own three (Graph.build). Its operands
+// are looked up in the pool's resolution, made once per link (resolve).
 func newBody(s *Symbols, m *Method) *Body {
 	n := len(m.Code)
 	ids := make([]int32, 3*n)
@@ -76,37 +79,52 @@ func newBody(s *Symbols, m *Method) *Body {
 	b.Graph = &rec.graph
 	b.FieldAt = unsafe.Slice((*FieldID)(unsafe.SliceData(ids)), n)
 	b.CalleeAt = ids[n : 2*n : 2*n]
+	var res resolution
 	for pc := range m.Code {
 		in := &m.Code[pc]
 		b.CalleeAt[pc] = -1
+		var o *Operand
+		if in.HasOperand() {
+			if in.Ref < 0 || int(in.Ref) >= m.Pool.Len() {
+				return fail(pc, "operand #%d out of range [0,%d)", in.Ref, m.Pool.Len())
+			}
+			if res.pool == nil {
+				res = s.resolve(m.Pool)
+			}
+			o = m.Pool.At(in.Ref)
+			isType := in.Op == OpNewInstance || in.Op == OpNewArray
+			if o.Type != nil && !isType {
+				return fail(pc, "%s of type entry #%d (%s)", in.Op, in.Ref, o)
+			}
+		}
 		switch in.Op {
 		case OpLoad, OpStore:
 			if in.A < 0 || in.A >= int64(len(m.SlotTypes)) {
 				return fail(pc, "slot %d out of range [0,%d)", in.A, len(m.SlotTypes))
 			}
 		case OpGetField, OpPutField, OpGetStatic, OpPutStatic:
-			f := s.Field(in.Field)
-			if f == nil {
-				return fail(pc, "unresolved field %s", in.Field)
+			id := res.field[in.Ref]
+			if id < 0 {
+				return fail(pc, "unresolved field %s", o)
 			}
 			// The two kinds are laid out apart, so a mismatched access names
 			// no storage.
-			if static := in.Op == OpGetStatic || in.Op == OpPutStatic; static != f.Static {
+			if f := &s.Fields[id]; (in.Op == OpGetStatic || in.Op == OpPutStatic) != f.Static {
 				return fail(pc, "%s of %s", in.Op, f)
 			}
-			b.FieldAt[pc] = f.ID
+			b.FieldAt[pc] = id
 		case OpInvoke, OpSpawn:
-			callee := s.MethodNum(in.Method)
+			callee := res.method[in.Ref]
 			if callee < 0 {
-				return fail(pc, "unresolved method %s", in.Method)
+				return fail(pc, "unresolved method %s", o)
 			}
-			b.CalleeAt[pc] = int32(callee)
+			b.CalleeAt[pc] = callee
 		case OpNewInstance:
-			if in.Type == nil || in.Type.Kind != KindClass || s.Class(in.Type.Class) == nil {
-				return fail(pc, "bad newinstance type %s", in.Type)
+			if t := o.Type; t == nil || t.Kind != KindClass || s.Class(t.Class) == nil {
+				return fail(pc, "bad newinstance type %s", t)
 			}
 		case OpNewArray:
-			if in.Type == nil {
+			if o.Type == nil {
 				return fail(pc, "newarray missing element type")
 			}
 		default:
@@ -116,6 +134,46 @@ func newBody(s *Symbols, m *Method) *Body {
 		}
 	}
 	return b
+}
+
+// resolution is what one operand pool's name entries resolve to under a
+// symbol table, entry by entry: the field id (-1 for none) and the method
+// number (-1 for none). A name entry may name both.
+type resolution struct {
+	pool   *Pool
+	field  []FieldID
+	method []int32
+}
+
+// resolve returns pool's resolution, made on first use: each entry is
+// looked up once per link, however many instructions name it. A pool is
+// not written once its program is linked, so a resolution stays valid when
+// the code changes; one of a pool that grew since (a Builder still in use)
+// is made again.
+func (s *Symbols) resolve(pool *Pool) resolution {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.resolved {
+		if r.pool == pool && len(r.field) == pool.Len() {
+			return r
+		}
+	}
+	n := pool.Len()
+	ids := make([]int32, 2*n)
+	r := resolution{pool: pool, field: unsafe.Slice((*FieldID)(unsafe.SliceData(ids)), n), method: ids[n:]}
+	for i := range n {
+		o := pool.At(int32(i))
+		r.field[i], r.method[i] = -1, -1
+		if o.Type != nil {
+			continue
+		}
+		if id, ok := s.fields[o.Field()]; ok {
+			r.field[i] = id
+		}
+		r.method[i] = int32(s.MethodNum(o.Method()))
+	}
+	s.resolved = append(s.resolved, r)
+	return r
 }
 
 // Body returns the record of method number n, building it on first use

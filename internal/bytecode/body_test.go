@@ -98,19 +98,38 @@ func TestFirstBodyUseIsRaceFree(t *testing.T) {
 	}
 }
 
-// TestBodyRejectsWhatNoEngineCanRun: an opcode with no mnemonic and a
-// conditional branch whose fall-through leaves the method are structural
-// faults, so no engine ever meets either.
+// TestBodyRejectsWhatNoEngineCanRun: an opcode with no mnemonic, a
+// conditional branch whose fall-through leaves the method, an operand index
+// outside the method's pool and a pool entry of the wrong kind for its
+// opcode are structural faults, so no engine ever meets any of them.
 func TestBodyRejectsWhatNoEngineCanRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
+		pool []bytecode.Operand
 		code []bytecode.Instr
 		want string
 	}{
-		{"unknown opcode", []bytecode.Instr{{Op: 200}, {Op: bytecode.OpReturn}}, "T.main: pc 0: unknown opcode op(200)"},
-		{"branch off the end", []bytecode.Instr{{Op: bytecode.OpConstBool}, {Op: bytecode.OpIfTrue}}, "T.main: control falls off the end of the method"},
+		{"unknown opcode", nil, []bytecode.Instr{{Op: 200}, {Op: bytecode.OpReturn}}, "T.main: pc 0: unknown opcode op(200)"},
+		{"branch off the end", nil, []bytecode.Instr{{Op: bytecode.OpConstBool}, {Op: bytecode.OpIfTrue}}, "T.main: control falls off the end of the method"},
+		{"operand outside the pool", []bytecode.Operand{{Type: bytecode.ClassType("T")}},
+			[]bytecode.Instr{{Op: bytecode.OpNewInstance, Ref: 1}, {Op: bytecode.OpPop}, {Op: bytecode.OpReturn}},
+			"T.main: pc 0: operand #1 out of range [0,1)"},
+		{"negative operand", nil, []bytecode.Instr{{Op: bytecode.OpInvoke, Ref: -1}, {Op: bytecode.OpReturn}},
+			"T.main: pc 0: operand #-1 out of range [0,0)"},
+		{"getfield of a type entry", []bytecode.Operand{{Type: bytecode.ClassType("T")}},
+			[]bytecode.Instr{{Op: bytecode.OpConstNull}, {Op: bytecode.OpGetField}, {Op: bytecode.OpPop}, {Op: bytecode.OpReturn}},
+			"T.main: pc 1: getfield of type entry #0 (T)"},
+		{"invoke of a type entry", []bytecode.Operand{{Type: bytecode.Int}},
+			[]bytecode.Instr{{Op: bytecode.OpInvoke}, {Op: bytecode.OpReturn}},
+			"T.main: pc 0: invoke of type entry #0 (int)"},
+		{"newinstance of a name entry", []bytecode.Operand{{Class: "T", Name: "main"}},
+			[]bytecode.Instr{{Op: bytecode.OpNewInstance}, {Op: bytecode.OpPop}, {Op: bytecode.OpReturn}},
+			"T.main: pc 0: bad newinstance type <nil-type>"},
 	} {
 		b := bytecode.NewBuilder("T", "main", true)
+		for _, o := range tc.pool {
+			b.Operand(o)
+		}
 		for _, in := range tc.code {
 			b.Emit(in)
 		}

@@ -5,7 +5,8 @@ import "fmt"
 // Builder assembles methods by hand. It is used by tests and by the code
 // generator, which builds every method of a program with one Builder: Start
 // begins the next method and reuses the instruction buffer and label table
-// of the last. Branch targets may be forward-referenced through labels.
+// of the last, and every method a Builder makes shares its operand pool.
+// Branch targets may be forward-referenced through labels.
 type Builder struct {
 	m *Method
 	// code is the instruction buffer, kept across methods; m.Code is it
@@ -13,6 +14,10 @@ type Builder struct {
 	code []Instr
 	// labels is indexed by Label.
 	labels []label
+	// pool is the operand pool of every method the Builder makes, and index
+	// maps each interning key (Operand) to its entry.
+	pool  *Pool
+	index map[Operand]int32
 }
 
 // Label is a branch target of the method under construction, numbered in
@@ -35,15 +40,28 @@ func NewBuilder(class, name string, static bool) *Builder {
 	return b
 }
 
-// Start begins a new method, dropping the labels of the last one.
+// Start begins a new method, dropping the labels of the last one. The
+// method shares the operand pool of the Builder's earlier methods.
 func (b *Builder) Start(class, name string, static bool) *Builder {
 	if b.code == nil {
 		// Room for a typical method, so that the buffers seldom grow.
 		b.code, b.labels = make([]Instr, 0, 64), make([]label, 0, 16)
 	}
-	b.m = &Method{Class: class, Name: name, Static: static, Return: Void, Code: b.code[:0]}
+	if b.pool == nil {
+		b.Reserve(8)
+	}
+	b.m = &Method{Class: class, Name: name, Static: static, Return: Void, Code: b.code[:0], Pool: b.pool}
 	b.labels = b.labels[:0]
 	return b
+}
+
+// Reserve makes room for n operands in the pool of the Builder's methods,
+// before its first Start: the code generator, which knows how many fields,
+// methods and classes a program declares, sizes its one pool once.
+func (b *Builder) Reserve(n int) {
+	if b.pool == nil {
+		b.pool, b.index = &Pool{entries: make([]Operand, 0, n)}, make(map[Operand]int32, n)
+	}
 }
 
 // SetCtor marks the method as a constructor.
@@ -100,25 +118,56 @@ func (b *Builder) Load(slot int) int { return b.Emit(Instr{Op: OpLoad, A: int64(
 // Store emits a local store.
 func (b *Builder) Store(slot int) int { return b.Emit(Instr{Op: OpStore, A: int64(slot)}) }
 
+// Operand returns the index of o in the Builder's operand pool, appending o
+// on first use. Equal name entries share one entry, as do type entries for
+// one class (ClassType makes a new *Type per call); other types are
+// interned by pointer.
+func (b *Builder) Operand(o Operand) int32 {
+	key := o
+	if o.Type != nil && o.Type.Kind == KindClass {
+		key = Operand{Class: o.Type.Class, Type: anyClass}
+	}
+	ref, ok := b.index[key]
+	if !ok {
+		ref = int32(len(b.pool.entries))
+		b.pool.entries = append(b.pool.entries, o)
+		b.index[key] = ref
+	}
+	return ref
+}
+
+// anyClass is the Type of every class type's interning key.
+var anyClass = &Type{Kind: KindClass}
+
+func (b *Builder) field(op Op, f FieldRef) int {
+	return b.Emit(Instr{Op: op, Ref: b.Operand(Operand{Class: f.Class, Name: f.Name})})
+}
+
+func (b *Builder) call(op Op, m MethodRef) int {
+	return b.Emit(Instr{Op: op, Ref: b.Operand(Operand{Class: m.Class, Name: m.Name})})
+}
+
 // GetField / PutField / GetStatic / PutStatic emit field accesses.
-func (b *Builder) GetField(f FieldRef) int  { return b.Emit(Instr{Op: OpGetField, Field: f}) }
-func (b *Builder) PutField(f FieldRef) int  { return b.Emit(Instr{Op: OpPutField, Field: f}) }
-func (b *Builder) GetStatic(f FieldRef) int { return b.Emit(Instr{Op: OpGetStatic, Field: f}) }
-func (b *Builder) PutStatic(f FieldRef) int { return b.Emit(Instr{Op: OpPutStatic, Field: f}) }
+func (b *Builder) GetField(f FieldRef) int  { return b.field(OpGetField, f) }
+func (b *Builder) PutField(f FieldRef) int  { return b.field(OpPutField, f) }
+func (b *Builder) GetStatic(f FieldRef) int { return b.field(OpGetStatic, f) }
+func (b *Builder) PutStatic(f FieldRef) int { return b.field(OpPutStatic, f) }
 
 // New emits an object allocation.
 func (b *Builder) New(class string) int {
-	return b.Emit(Instr{Op: OpNewInstance, Type: ClassType(class)})
+	return b.Emit(Instr{Op: OpNewInstance, Ref: b.Operand(Operand{Type: ClassType(class)})})
 }
 
 // NewArray emits an array allocation with the given element type.
-func (b *Builder) NewArray(elem *Type) int { return b.Emit(Instr{Op: OpNewArray, Type: elem}) }
+func (b *Builder) NewArray(elem *Type) int {
+	return b.Emit(Instr{Op: OpNewArray, Ref: b.Operand(Operand{Type: elem})})
+}
 
 // Invoke emits a call.
-func (b *Builder) Invoke(ref MethodRef) int { return b.Emit(Instr{Op: OpInvoke, Method: ref}) }
+func (b *Builder) Invoke(ref MethodRef) int { return b.call(OpInvoke, ref) }
 
 // Spawn emits a thread start.
-func (b *Builder) Spawn(ref MethodRef) int { return b.Emit(Instr{Op: OpSpawn, Method: ref}) }
+func (b *Builder) Spawn(ref MethodRef) int { return b.call(OpSpawn, ref) }
 
 // NewLabel makes an unbound label.
 func (b *Builder) NewLabel() Label {

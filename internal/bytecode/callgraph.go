@@ -25,9 +25,9 @@ type CallGraph struct {
 }
 
 // BuildCallGraph scans every method's code for OpInvoke edges.
-// Unresolvable callees (absent from the program) are skipped; verified
-// programs have none. A counting pass bounds the edges, so every list is
-// carved from one array.
+// Unresolvable callees (absent from the program, or an operand index out of
+// its pool) are skipped; verified programs have none. A counting pass
+// bounds the edges, so every list is carved from one array.
 func BuildCallGraph(p *Program) *CallGraph {
 	syms := p.Symbols()
 	n, invokes := len(syms.Methods), 0
@@ -43,16 +43,20 @@ func BuildCallGraph(p *Program) *CallGraph {
 	// edges from the front.
 	buf := make([]int, n+invokes)
 	seen, edges := buf[:n], buf[n:n]
+	var res resolution
 	for i, m := range syms.Methods {
+		if i == 0 || res.pool != m.Pool {
+			res = syms.resolve(m.Pool)
+		}
 		first := len(edges)
 		for pc := range m.Code {
 			in := &m.Code[pc]
-			if in.Op != OpInvoke {
+			if in.Op != OpInvoke || in.Ref < 0 || int(in.Ref) >= len(res.method) {
 				continue
 			}
-			if j := syms.MethodNum(in.Method); j >= 0 && seen[j] != i+1 {
+			if j := res.method[in.Ref]; j >= 0 && seen[j] != i+1 {
 				seen[j] = i + 1
-				edges = append(edges, j)
+				edges = append(edges, int(j))
 			}
 		}
 		if len(edges) > first {

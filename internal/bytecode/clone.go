@@ -2,8 +2,9 @@ package bytecode
 
 // Clone returns a deep copy of the method: instructions, slot types, and
 // parameter lists are copied so that transformations (inlining, barrier
-// annotation) on the copy never affect the original. Type values are
-// shared; they are immutable by convention.
+// annotation) on the copy never affect the original. Type values and the
+// operand pool are shared: types are immutable by convention, and a pass
+// that would add operands gives the method a new pool (Pool.Concat).
 func (m *Method) Clone() *Method {
 	cp := *m
 	cp.Code = append([]Instr(nil), m.Code...)

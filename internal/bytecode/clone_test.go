@@ -53,8 +53,8 @@ func TestProgramCloneIsolatesMethods(t *testing.T) {
 }
 
 func TestOpStringUnknown(t *testing.T) {
-	if Op(9999).String() != "op(9999)" {
-		t.Errorf("unknown op string = %q", Op(9999).String())
+	if Op(199).String() != "op(199)" {
+		t.Errorf("unknown op string = %q", Op(199).String())
 	}
 	if OpTrap.String() != "trap" {
 		t.Error("trap mnemonic")
@@ -63,10 +63,10 @@ func TestOpStringUnknown(t *testing.T) {
 
 func TestInstrStringRearrangeAnnotation(t *testing.T) {
 	in := Instr{Op: OpAAStore}
-	if got := in.Annotated(VerdictRearrange); got != "aastore  ; no-barrier(rearrange)" {
+	if got := in.Annotated(nil, VerdictRearrange); got != "aastore  ; no-barrier(rearrange)" {
 		t.Errorf("Annotated = %q", got)
 	}
-	if got := in.Annotated(VerdictNullOrSame); got != "aastore  ; no-barrier(null-or-same)" {
+	if got := in.Annotated(nil, VerdictNullOrSame); got != "aastore  ; no-barrier(null-or-same)" {
 		t.Errorf("Annotated = %q", got)
 	}
 	if got := in.String(); got != "aastore" {

@@ -3,7 +3,7 @@ package bytecode
 import "fmt"
 
 // Op is a bytecode opcode.
-type Op int
+type Op uint8
 
 // The instruction set. It mirrors the JVM subset over which the paper's
 // analyses are defined: local load/store, field and static access, object
@@ -68,25 +68,28 @@ const (
 	// OpIfNonNull pops a reference and jumps to pc A when it is non-null.
 	OpIfNonNull
 
-	// OpGetField pops an object reference and pushes the value of Field.
+	// OpGetField pops an object reference and pushes the value of the
+	// field its operand names.
 	OpGetField
 	// OpPutField pops a value then an object reference and stores the
-	// value into Field of the object. When the stored value is a
+	// value into the field its operand names. When the stored value is a
 	// reference, this is an SATB write-barrier site.
 	OpPutField
 
-	// OpGetStatic pushes the value of the static Field.
+	// OpGetStatic pushes the value of the static field its operand names.
 	OpGetStatic
-	// OpPutStatic pops a value into the static Field. Reference stores
-	// here always keep their barrier (and make the value escape).
+	// OpPutStatic pops a value into the static field its operand names.
+	// Reference stores here always keep their barrier (and make the value
+	// escape).
 	OpPutStatic
 
-	// OpNewInstance allocates a new object of class Type (fields zeroed /
-	// nulled) and pushes its reference. The instruction's pc is the
-	// allocation-site id used by the analysis.
+	// OpNewInstance allocates a new object of the class its operand's Type
+	// names (fields zeroed / nulled) and pushes its reference. The
+	// instruction's pc is the allocation-site id used by the analysis.
 	OpNewInstance
-	// OpNewArray pops a length and allocates a new array with element
-	// type Type (elements zeroed / nulled), pushing its reference.
+	// OpNewArray pops a length and allocates a new array whose element
+	// type is its operand's Type (elements zeroed / nulled), pushing its
+	// reference.
 	OpNewArray
 	// OpArrayLength pops an array reference and pushes its length.
 	OpArrayLength
@@ -101,12 +104,12 @@ const (
 	OpIALoad
 	OpIAStore
 
-	// OpInvoke calls Method. Arguments (receiver first for instance
-	// methods) are popped; a non-void result is pushed.
+	// OpInvoke calls the method its operand names. Arguments (receiver
+	// first for instance methods) are popped; a non-void result is pushed.
 	OpInvoke
-	// OpSpawn pops a receiver and starts Method (an instance method of
-	// the receiver with no other arguments) on a new thread. The receiver
-	// escapes.
+	// OpSpawn pops a receiver and starts the method its operand names (an
+	// instance method of the receiver with no other arguments) on a new
+	// thread. The receiver escapes.
 	OpSpawn
 
 	// OpReturn returns from a void method.
@@ -139,17 +142,31 @@ type MethodRef struct {
 
 func (m MethodRef) String() string { return m.Class + "." + m.Name }
 
-// Instr is one bytecode instruction. Operand fields are used according to
-// the opcode; unused fields are zero.
+// Instr is one bytecode instruction: three words holding no pointer, so
+// that code arrays copy as plain memory and the Go collector never scans
+// them. Operand fields are used according to the opcode; unused fields are
+// zero.
 type Instr struct {
-	Op     Op
-	A      int64     // constant, local slot, or branch target pc
-	Field  FieldRef  // OpGetField/OpPutField/OpGetStatic/OpPutStatic
-	Method MethodRef // OpInvoke/OpSpawn
-	Type   *Type     // OpNewInstance (class), OpNewArray (element type)
-
+	A int64 // constant, local slot, or branch target pc
 	// Line is the source line for diagnostics (0 when synthesized).
-	Line int
+	Line int32
+	// Ref indexes the method's operand pool (Method.Pool) for the
+	// instructions that name something: a field (OpGetField, OpPutField,
+	// OpGetStatic, OpPutStatic), a method (OpInvoke, OpSpawn) or an
+	// allocated type (OpNewInstance, OpNewArray). It is what a JVM
+	// instruction's constant-pool index is.
+	Ref int32
+	Op  Op
+}
+
+// HasOperand reports whether the instruction names a pool entry (Ref).
+func (in *Instr) HasOperand() bool {
+	switch in.Op {
+	case OpGetField, OpPutField, OpGetStatic, OpPutStatic,
+		OpNewInstance, OpNewArray, OpInvoke, OpSpawn:
+		return true
+	}
+	return false
 }
 
 // IsBranch reports whether the instruction can transfer control to Instr.A.
@@ -224,24 +241,26 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// String renders the instruction with its operands.
-func (in *Instr) String() string { return in.Annotated(VerdictNone) }
+// String renders the instruction with its operands, a pool operand as its
+// index ("getfield #3"): the pool is the method's.
+func (in *Instr) String() string { return in.Annotated(nil, VerdictNone) }
 
-// Annotated renders the instruction with its operands and, for a verdict
-// that elides a barrier, the disassembly's "; no-barrier" note.
-func (in *Instr) Annotated(v Verdict) string {
+// Annotated renders the instruction with its operands, a pool operand as
+// the entry of pool it names (its index, "#3", when pool has no such
+// entry), and, for a verdict that elides a barrier, the disassembly's
+// "; no-barrier" note.
+func (in *Instr) Annotated(pool *Pool, v Verdict) string {
 	s := in.Op.String()
-	switch in.Op {
-	case OpConst, OpConstBool, OpLoad, OpStore:
+	switch {
+	case in.Op == OpConst || in.Op == OpConstBool || in.Op == OpLoad || in.Op == OpStore:
 		s = fmt.Sprintf("%s %d", s, in.A)
-	case OpGoto, OpIfTrue, OpIfFalse, OpIfNull, OpIfNonNull:
+	case in.IsBranch():
 		s = fmt.Sprintf("%s -> %d", s, in.A)
-	case OpGetField, OpPutField, OpGetStatic, OpPutStatic:
-		s = fmt.Sprintf("%s %s", s, in.Field)
-	case OpNewInstance, OpNewArray:
-		s = fmt.Sprintf("%s %s", s, in.Type)
-	case OpInvoke, OpSpawn:
-		s = fmt.Sprintf("%s %s", s, in.Method)
+	case !in.HasOperand():
+	case in.Ref < 0 || int(in.Ref) >= pool.Len():
+		s = fmt.Sprintf("%s #%d", s, in.Ref)
+	default:
+		s += " " + pool.At(in.Ref).String()
 	}
 	switch v {
 	case VerdictNone:

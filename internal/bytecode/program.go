@@ -42,6 +42,10 @@ type Method struct {
 	SlotTypes []*Type
 
 	Code []Instr
+	// Pool holds the operands Code names by index (Instr.Ref). Methods of
+	// one program usually share it; it is never written once the program
+	// is published, so Clone shares it too.
+	Pool *Pool
 
 	// MaxStack is the verified operand stack bound (set by the verifier).
 	MaxStack int
@@ -163,7 +167,7 @@ func Disassemble(m *Method, verdicts []Verdict) string {
 		if verdicts != nil {
 			v = verdicts[pc]
 		}
-		fmt.Fprintf(&b, "  %4d: %s\n", pc, m.Code[pc].Annotated(v))
+		fmt.Fprintf(&b, "  %4d: %s\n", pc, m.Code[pc].Annotated(m.Pool, v))
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package bytecode
 import (
 	"cmp"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -58,8 +59,9 @@ type ClassSym struct {
 // (body.go) and dropped when the code is rewritten (CodeChanged), and its
 // program's verdict table (verdicts.go); the call graph is computed from
 // the code when asked for (BuildCallGraph). Read-only once built, apart
-// from the records' one-time fill and the verdict table's atomic
-// replacement, and so safe for concurrent readers.
+// from the records' one-time fill, the verdict table's atomic replacement
+// and the locked cache of operand-pool resolutions, and so safe for
+// concurrent readers.
 type Symbols struct {
 	// Classes is every class in ascending name order.
 	Classes []*Class
@@ -86,6 +88,10 @@ type Symbols struct {
 	// verdicts is the table Program.Verdicts returns, nil until the first
 	// SetVerdicts or Verdicts.
 	verdicts atomic.Pointer[Verdicts]
+	// resolved holds the resolution of each operand pool a Body has needed
+	// (resolve), under mu.
+	mu       sync.Mutex
+	resolved []resolution
 }
 
 // Symbols returns the program's symbol table, linking the program on first

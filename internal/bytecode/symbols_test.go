@@ -297,8 +297,9 @@ func TestNoPrivateSymbolTables(t *testing.T) {
 }
 
 // resolvesOperand reports a call that looks an instruction's symbolic
-// operand up by name: X.Field(in.Field), X.Method(in.Method),
-// X.MethodNum(in.Method), or any FieldType call.
+// operand up by name: X.Field(o.Field()) or X.MethodNum(o.Method()) for a
+// pool entry o (or a field or method reference held by name, X.Field(r.Field)),
+// or any FieldType call.
 func resolvesOperand(sel *ast.SelectorExpr, args []ast.Expr) bool {
 	switch sel.Sel.Name {
 	case "FieldType":
@@ -307,8 +308,12 @@ func resolvesOperand(sel *ast.SelectorExpr, args []ast.Expr) bool {
 		if len(args) != 1 {
 			return false
 		}
-		arg, ok := args[0].(*ast.SelectorExpr)
-		return ok && (arg.Sel.Name == "Field" || arg.Sel.Name == "Method")
+		arg := args[0]
+		if call, ok := arg.(*ast.CallExpr); ok {
+			arg = call.Fun
+		}
+		s, ok := arg.(*ast.SelectorExpr)
+		return ok && (s.Sel.Name == "Field" || s.Sel.Name == "Method")
 	}
 	return false
 }

@@ -88,11 +88,15 @@ func TestInstrPredicatesAndSize(t *testing.T) {
 }
 
 func TestInstrString(t *testing.T) {
-	in := Instr{Op: OpPutField, Field: FieldRef{Class: "T", Name: "f"}}
-	got := in.Annotated(VerdictPreNull)
+	in := Instr{Op: OpPutField}
+	got := in.Annotated(&Pool{entries: []Operand{{Class: "T", Name: "f"}}}, VerdictPreNull)
 	want := "putfield T.f  ; no-barrier"
 	if got != want {
 		t.Errorf("Annotated = %q, want %q", got, want)
+	}
+	// Without the pool, or past its end, the operand is its index.
+	if in.String() != "putfield #0" {
+		t.Errorf("putfield string = %q", in.String())
 	}
 	in2 := Instr{Op: OpGoto, A: 7}
 	if in2.String() != "goto -> 7" {
@@ -249,9 +253,11 @@ func TestValidateCatchesBadSlot(t *testing.T) {
 func TestValidateCatchesUnresolvedField(t *testing.T) {
 	p := buildTinyProgram()
 	m := p.Method(p.Main)
-	m.Code = append([]Instr{{Op: OpGetStatic, Field: FieldRef{Class: "T", Name: "zzz"}}}, m.Code...)
-	if err := p.Validate(); err == nil {
-		t.Fatal("Validate should reject unresolved field")
+	ref := int32(m.Pool.Len())
+	m.Pool = m.Pool.Concat(&Pool{entries: []Operand{{Class: "T", Name: "zzz"}}})
+	m.Code = append([]Instr{{Op: OpGetStatic, Ref: ref}}, m.Code...)
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "unresolved field T.zzz") {
+		t.Fatalf("Validate = %v, want the unresolved field T.zzz", err)
 	}
 }
 

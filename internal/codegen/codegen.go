@@ -36,6 +36,8 @@ func Compile(ch *minijava.Checked) (*bytecode.Program, error) {
 			nslots += len(ch.Slots[md])
 		}
 	}
+	// An operand names a field, a method, a class or a scalar element type.
+	g.b.Reserve(nfields + nmethods + len(ch.Prog.Classes) + 2)
 	classes := make([]bytecode.Class, len(ch.Prog.Classes))
 	fields := make([]*bytecode.Field, nfields)
 	methods := make([]*bytecode.Method, nmethods)
@@ -114,7 +116,7 @@ func (g *gen) method(ci *minijava.ClassInfo, md *minijava.MethodDecl) *bytecode.
 func (g *gen) setLine(pc, line int) {
 	m := g.b.Method()
 	if pc >= 0 && pc < len(m.Code) {
-		m.Code[pc].Line = line
+		m.Code[pc].Line = int32(line)
 	}
 }
 
@@ -302,7 +304,7 @@ func (g *gen) expr(e minijava.Expr) {
 		g.expr(ex.Arr)
 		g.b.Op(bytecode.OpArrayLength)
 	case *minijava.NewObject:
-		pc := g.b.Emit(bytecode.Instr{Op: bytecode.OpNewInstance, Type: ex.Type()})
+		pc := g.b.Emit(bytecode.Instr{Op: bytecode.OpNewInstance, Ref: g.b.Operand(bytecode.Operand{Type: ex.Type()})})
 		g.setLine(pc, ex.Line)
 		if ex.Ctor != nil {
 			g.b.Op(bytecode.OpDup)
@@ -314,7 +316,7 @@ func (g *gen) expr(e minijava.Expr) {
 		}
 	case *minijava.NewArray:
 		g.expr(ex.Len)
-		pc := g.b.Emit(bytecode.Instr{Op: bytecode.OpNewArray, Type: ex.ElemType})
+		pc := g.b.Emit(bytecode.Instr{Op: bytecode.OpNewArray, Ref: g.b.Operand(bytecode.Operand{Type: ex.ElemType})})
 		g.setLine(pc, ex.Line)
 	case *minijava.Call:
 		if !ex.Static {

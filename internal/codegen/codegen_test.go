@@ -52,7 +52,7 @@ class T { static void main() { P p = new P(3); } }
 			t.Fatalf("op %d = %v, want %v\n%s", i, got[i], want[i], bytecode.Disassemble(m, nil))
 		}
 	}
-	if m.Code[3].Method.Name != "<init>" {
+	if m.Operand(3).Name != "<init>" {
 		t.Error("invoke should target the constructor")
 	}
 }
@@ -225,8 +225,8 @@ class T { static void main() { W w = new W(); spawn w.run(); } }
 `)
 	m := p.Method(bytecode.MethodRef{Class: "T", Name: "main"})
 	var found bool
-	for _, in := range m.Code {
-		if in.Op == bytecode.OpSpawn && in.Method.Name == "run" {
+	for pc, in := range m.Code {
+		if in.Op == bytecode.OpSpawn && m.Operand(pc).Name == "run" {
 			found = true
 		}
 	}

@@ -191,7 +191,7 @@ class M {
 	// Find the two x.f stores in pc order; W1 must be elided, W2 not.
 	var stores []int
 	for pc := range m.Code {
-		if m.Code[pc].Op == bytecode.OpPutField && m.Code[pc].Field.Name == "f" {
+		if m.Code[pc].Op == bytecode.OpPutField && m.Operand(pc).Name == "f" {
 			stores = append(stores, pc)
 		}
 	}

@@ -13,15 +13,13 @@ func flavorProgram() *bytecode.Program {
 	p := bytecode.NewProgram()
 	cls := &bytecode.Class{Name: "T", Fields: []*bytecode.Field{{Name: "f", Type: bytecode.ClassType("T")}}}
 	f := bytecode.FieldRef{Class: "T", Name: "f"}
-	m := &bytecode.Method{Class: "T", Name: "main", Static: true}
-	m.Code = []bytecode.Instr{
-		{Op: bytecode.OpPutField, Field: f},
-		{Op: bytecode.OpAAStore},
-		{Op: bytecode.OpAAStore},
-		{Op: bytecode.OpPutField, Field: f},
-		{Op: bytecode.OpReturn},
-	}
-	cls.Methods = append(cls.Methods, m)
+	b := bytecode.NewBuilder("T", "main", true)
+	b.PutField(f)
+	b.Op(bytecode.OpAAStore)
+	b.Op(bytecode.OpAAStore)
+	b.PutField(f)
+	b.Return()
+	cls.Methods = append(cls.Methods, b.Build())
 	p.AddClass(cls)
 	p.Main = bytecode.MethodRef{Class: "T", Name: "main"}
 	p.SetVerdicts([][]bytecode.Verdict{{bytecode.VerdictPreNull, bytecode.VerdictNullOrSame, bytecode.VerdictRearrange,

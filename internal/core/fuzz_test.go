@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"satbelim/internal/bytecode"
@@ -11,6 +12,7 @@ import (
 	"satbelim/internal/minijava"
 	"satbelim/internal/progen"
 	"satbelim/internal/satb"
+	"satbelim/internal/verifier"
 	"satbelim/internal/vm"
 )
 
@@ -176,4 +178,73 @@ func runChecked(prog *bytecode.Program) (err error) {
 		return sv
 	}
 	return nil
+}
+
+// TestOutOfPoolOperandsAreRejected runs FuzzAnalyze's contracts over
+// programs no front end makes: in turn, each instruction of a seed that
+// names an operand names one past its method's pool instead. Under either
+// mode, with or without summaries, the analysis rejects the build or
+// degrades the method — it never panics and never elides in it — and the
+// verifier and the VM reject it as a structural fault.
+func TestOutOfPoolOperandsAreRejected(t *testing.T) {
+	const src = `class O { O f; static O s; }
+class A {
+    static O mk() { O o = new O(); o.f = o; return o; }
+    static void main() { O[] a = new O[2]; a[0] = A.mk(); O.s = a[0].f; print(1); }
+}`
+	compile := func() *bytecode.Program {
+		ast, err := minijava.Parse("seed.mj", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked, err := minijava.Check("seed.mj", ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := codegen.Compile(checked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	corrupted := 0
+	for n, m := range compile().Methods() {
+		for pc := range m.Code {
+			if !m.Code[pc].HasOperand() {
+				continue
+			}
+			corrupted++
+			for _, opts := range []core.Options{{Mode: core.ModeField}, {Mode: core.ModeFieldArray, Interprocedural: true}} {
+				prog := compile()
+				bad := prog.Methods()[n]
+				bad.Code[pc].Ref = int32(bad.Pool.Len())
+				where := fmt.Sprintf("%s pc %d (%s), interprocedural %v", bad.QualifiedName(), pc, bad.Code[pc].Op, opts.Interprocedural)
+				rep, err := func() (rep *core.ProgramReport, err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s: panic escaped the analysis: %v", where, r)
+						}
+					}()
+					return core.AnalyzeProgram(prog, opts)
+				}()
+				if err == nil {
+					for _, mr := range rep.Methods {
+						if mr.Method == bad && (mr.Degraded == core.DegradeNone || mr.FieldElided+mr.ArrayElided+mr.NullOrSame != 0) {
+							t.Errorf("%s: analyzed as %s with %d elisions", where, mr.Degraded, mr.FieldElided+mr.ArrayElided+mr.NullOrSame)
+						}
+					}
+				}
+				want := fmt.Sprintf("pc %d: operand #%d out of range", pc, bad.Pool.Len())
+				if err := verifier.VerifyProgram(prog); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: VerifyProgram = %v, want %q", where, err, want)
+				}
+				if _, err := vm.New(prog, vm.Config{}).Run(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: the VM runs it: %v", where, err)
+				}
+			}
+		}
+	}
+	if corrupted != 6 {
+		t.Errorf("the seed has %d operand instructions, want 6: newinstance, putfield, newarray, invoke, getfield, putstatic", corrupted)
+	}
 }

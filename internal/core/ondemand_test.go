@@ -28,8 +28,11 @@ func invokeTargets(p *bytecode.Program) map[bytecode.MethodRef]bool {
 	out := map[bytecode.MethodRef]bool{}
 	for _, m := range p.Methods() {
 		for pc := range m.Code {
-			if in := &m.Code[pc]; in.Op == bytecode.OpInvoke && p.Method(in.Method) != nil {
-				out[in.Method] = true
+			if m.Code[pc].Op != bytecode.OpInvoke {
+				continue
+			}
+			if ref := m.Operand(pc).Method(); p.Method(ref) != nil {
+				out[ref] = true
 			}
 		}
 	}

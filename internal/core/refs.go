@@ -125,11 +125,34 @@ type refTable struct {
 // Options.SingleRefPerSite (the two-refs-per-site ablation) the A and B
 // names coincide and nothing is unique. Under Options.Interprocedural,
 // invoke sites whose callee returns a reference additionally get an A/B
-// pair for the returned object.
+// pair for the returned object. A counting pass bounds the references, so
+// the table takes three allocations whatever the method: itself, its
+// references and its per-argument and per-pc names.
 func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32, opts Options) *refTable {
 	n := m.NumArgs()
-	args := make([]RefID, 2*n)
-	t := &refTable{argRef: args[:n:n], argContent: args[n:], siteA: make([]RefID, len(m.Code))}
+	// callSite reports whether the invoke at pc names a reference result.
+	callSite := func(pc int) (ok, isArray bool) {
+		if !opts.Interprocedural || calleeAt[pc] < 0 {
+			return false, false
+		}
+		ret := syms.Methods[calleeAt[pc]].Return
+		return ret.IsRef(), ret.Kind == bytecode.KindArray
+	}
+	sites := 0
+	for pc := range m.Code {
+		switch m.Code[pc].Op {
+		case bytecode.OpNewInstance, bytecode.OpNewArray:
+			sites++
+		case bytecode.OpInvoke:
+			if ok, _ := callSite(pc); ok {
+				sites++
+			}
+		}
+	}
+	names := make([]RefID, 2*n+len(m.Code))
+	t := &refTable{argRef: names[:n:n], argContent: names[n : 2*n : 2*n], siteA: names[2*n:],
+		// GlobalRef, two per argument (itself and its contents), two per site.
+		infos: make([]refInfo, 0, 1+2*n+2*sites)}
 	add := func(info refInfo, isArray bool) RefID {
 		info.arr = -1
 		if isArray {
@@ -162,10 +185,8 @@ func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32,
 		case bytecode.OpNewArray:
 			addSite(refAllocA, pc, true)
 		case bytecode.OpInvoke:
-			if opts.Interprocedural && calleeAt[pc] >= 0 {
-				if ret := syms.Methods[calleeAt[pc]].Return; ret.IsRef() {
-					addSite(refCallA, pc, ret.Kind == bytecode.KindArray)
-				}
+			if ok, isArray := callSite(pc); ok {
+				addSite(refCallA, pc, isArray)
 			}
 		}
 	}

@@ -418,7 +418,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 						n = intval.OfConstU(t.siteLen(pc))
 					}
 					s.setLength(ra, n)
-					if in.Type.IsRef() {
+					if t.m.Operand(pc).Type.IsRef() {
 						// NR(R_A) = [0 .. n-1] (§3.3).
 						s.setNR(ra, intval.Full(intval.Const(0), n.Sub(intval.Const(1))))
 					}

@@ -52,10 +52,12 @@ type Result struct {
 
 // Apply expands p's eligible call sites in place and returns p as
 // res.Program. At limit 0 it changes nothing. A method that expands gets
-// new Code and SlotTypes slices; no other method is touched. The Body
-// records and verdict table p held describe the code before, so an Apply
-// that expands anything drops them (Program.CodeChanged). Like AddClass,
-// Apply must not run concurrently with any other use of p.
+// new Code and SlotTypes slices, and a new operand pool if it took in a
+// callee with another pool; no other method is touched, and no pool is
+// written. The Body records and verdict table p held describe the code
+// before, so an Apply that expands anything drops them
+// (Program.CodeChanged). Like AddClass, Apply must not run concurrently
+// with any other use of p.
 func Apply(p *bytecode.Program, opts Options) *Result {
 	res := &Result{Program: p}
 	if opts.Limit > 0 {
@@ -118,12 +120,13 @@ func (ix *inliner) inlineInto(m *bytecode.Method) (expanded int) {
 	w := &ix.work
 	w.Code = append(w.Code[:0], m.Code...)
 	w.SlotTypes = append(w.SlotTypes[:0], m.SlotTypes...)
+	w.Pool = m.Pool
 	for pc := 0; pc < len(w.Code); pc++ {
 		in := &w.Code[pc]
-		if in.Op != bytecode.OpInvoke {
+		if in.Op != bytecode.OpInvoke || in.Ref < 0 || int(in.Ref) >= w.Pool.Len() {
 			continue
 		}
-		ci := ix.syms.MethodNum(in.Method)
+		ci := ix.syms.MethodNum(w.Operand(pc).Method())
 		if ci < 0 || ix.cond.SCCs[ix.cond.CompOf[ci]].Cyclic {
 			continue
 		}
@@ -138,6 +141,7 @@ func (ix *inliner) inlineInto(m *bytecode.Method) (expanded int) {
 	if expanded > 0 {
 		m.Code = append(make([]bytecode.Instr, 0, len(w.Code)), w.Code...)
 		m.SlotTypes = append(make([]*bytecode.Type, 0, len(w.SlotTypes)), w.SlotTypes...)
+		m.Pool = w.Pool
 	}
 	return expanded
 }
@@ -150,6 +154,17 @@ func (ix *inliner) expand(m *bytecode.Method, site int, callee *bytecode.Method)
 	// Allocate caller slots for every callee slot.
 	base := len(m.SlotTypes)
 	m.SlotTypes = append(m.SlotTypes, callee.SlotTypes...)
+
+	// Callee operands index the callee's pool. The methods of one code
+	// generator share a pool, so theirs are the caller's as they stand;
+	// another callee's pool is appended to the caller's, in a new pool (the
+	// caller's may be reachable from elsewhere: a Clone's original), and its
+	// operands move by the caller's entry count.
+	var poolBase int32
+	if callee.Pool != m.Pool {
+		poolBase = int32(m.Pool.Len())
+		m.Pool = m.Pool.Concat(callee.Pool)
+	}
 
 	// The spliced sequence: stores of the stacked arguments into the
 	// callee's parameter slots (top of stack is the last argument), then
@@ -168,6 +183,8 @@ func (ix *inliner) expand(m *bytecode.Method, site int, callee *bytecode.Method)
 			in.A += int64(base)
 		case in.IsBranch():
 			in.A += bodyAt
+		case in.HasOperand():
+			in.Ref += poolBase
 		case in.Op == bytecode.OpReturn || in.Op == bytecode.OpReturnValue:
 			// Jump past the body; any return value stays on the stack.
 			in = bytecode.Instr{Op: bytecode.OpGoto, A: int64(len(callee.Code)) + bodyAt, Line: in.Line}

@@ -3,6 +3,7 @@ package inline
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"satbelim/internal/bytecode"
@@ -156,8 +157,8 @@ class T { static void main() { P p = new P(); print(p.get() + p.big(2)); } }
 		t.Errorf("invokes = %d, want 1 (big only):\n%s", got, bytecode.Disassemble(m, nil))
 	}
 	for pc := range m.Code {
-		if m.Code[pc].Op == bytecode.OpInvoke && m.Code[pc].Method.Name != "big" {
-			t.Errorf("wrong call left behind: %s", m.Code[pc].Method)
+		if m.Code[pc].Op == bytecode.OpInvoke && m.Operand(pc).Name != "big" {
+			t.Errorf("wrong call left behind: %s", m.Operand(pc))
 		}
 	}
 }
@@ -354,8 +355,8 @@ func onCycle(p *bytecode.Program) map[bytecode.MethodRef]bool {
 	for i, m := range methods {
 		reach[i] = make([]bool, len(methods))
 		for pc := range m.Code {
-			if in := &m.Code[pc]; in.Op == bytecode.OpInvoke {
-				reach[i][num[in.Method]] = true
+			if m.Code[pc].Op == bytecode.OpInvoke {
+				reach[i][num[m.Operand(pc).Method()]] = true
 			}
 		}
 	}
@@ -404,16 +405,16 @@ func checkExpansion(t *testing.T, name string, p *bytecode.Program, limit int) {
 		sh := &shape{slots: m.NumSlots()}
 		memo[m.Ref()] = sh
 		for pc := range m.Code {
-			in := &m.Code[pc]
-			if in.Op != bytecode.OpInvoke {
+			if m.Code[pc].Op != bytecode.OpInvoke {
 				continue
 			}
-			if cyclic[in.Method] || out.Method(in.Method).Size() > limit {
-				sh.seq = append(sh.seq, in.Method)
+			ref := m.Operand(pc).Method()
+			if cyclic[ref] || out.Method(ref).Size() > limit {
+				sh.seq = append(sh.seq, ref)
 				continue
 			}
 			expanded++
-			callee := want(p.Method(in.Method))
+			callee := want(p.Method(ref))
 			sh.seq = append(sh.seq, callee.seq...)
 			sh.slots += callee.slots
 		}
@@ -424,9 +425,10 @@ func checkExpansion(t *testing.T, name string, p *bytecode.Program, limit int) {
 		got := out.Method(m.Ref())
 		var seq []bytecode.MethodRef
 		for pc := range got.Code {
-			if in := &got.Code[pc]; in.Op == bytecode.OpInvoke {
-				seq = append(seq, in.Method)
-				if got.Size()+out.Method(in.Method).Size() > DefaultCallerCap {
+			if got.Code[pc].Op == bytecode.OpInvoke {
+				ref := got.Operand(pc).Method()
+				seq = append(seq, ref)
+				if got.Size()+out.Method(ref).Size() > DefaultCallerCap {
 					t.Fatalf("%s limit %d: the caller cap binds in %s; the model ignores it", name, limit, m.QualifiedName())
 				}
 			}
@@ -482,6 +484,93 @@ func TestExpansionRuleGenerated(t *testing.T) {
 		p := compileSrc(t, progen.Generate(seed, progen.CampaignConfig()))
 		for _, limit := range []int{10, 25, 100, 1000} {
 			checkExpansion(t, fmt.Sprintf("seed %d", seed), p, limit)
+		}
+	}
+}
+
+// acrossPools hand-builds T.main, which allocates a P and calls its set;
+// P.set, which stores into next, reads x and calls P.log; and P.log, twenty
+// nops long. start begins each method: on three NewBuilders the three have
+// three operand pools, on one Builder one.
+func acrossPools(start func(class, name string, static bool) *bytecode.Builder) *bytecode.Program {
+	p := bytecode.NewProgram()
+	pt := bytecode.ClassType("P")
+
+	b := start("T", "main", true)
+	slot := b.DeclareSlot(pt)
+	b.New("P")
+	b.Store(slot)
+	b.Load(slot)
+	b.Load(slot)
+	b.Invoke(bytecode.MethodRef{Class: "P", Name: "set"})
+	b.Return()
+	main := b.Build()
+
+	b = start("P", "set", false)
+	b.DeclareSlot(pt)
+	b.AddParam(pt)
+	b.Load(0)
+	b.Load(1)
+	b.PutField(bytecode.FieldRef{Class: "P", Name: "next"})
+	b.Load(0)
+	b.GetField(bytecode.FieldRef{Class: "P", Name: "x"})
+	b.Invoke(bytecode.MethodRef{Class: "P", Name: "log"})
+	b.Return()
+	set := b.Build()
+
+	b = start("P", "log", true)
+	b.AddParam(bytecode.Int)
+	for range 20 {
+		b.Op(bytecode.OpNop)
+	}
+	b.Return()
+	log := b.Build()
+
+	p.AddClass(&bytecode.Class{Name: "P", Fields: []*bytecode.Field{{Name: "x", Type: bytecode.Int}, {Name: "next", Type: pt}},
+		Methods: []*bytecode.Method{set, log}})
+	p.AddClass(&bytecode.Class{Name: "T", Methods: []*bytecode.Method{main}})
+	p.Main = main.Ref()
+	return p
+}
+
+// TestInlineAcrossPools: a callee's operands index its own pool. Expanding
+// it into a caller with another pool must carry its entries over, so the
+// caller names the callee's fields and methods: the result is the program
+// that one shared pool gives, disassembly for disassembly, and it verifies.
+// The pools the methods started with are not written.
+func TestInlineAcrossPools(t *testing.T) {
+	apart := acrossPools(bytecode.NewBuilder)
+	shared := acrossPools((&bytecode.Builder{}).Start)
+	main := bytecode.MethodRef{Class: "T", Name: "main"}
+	if apart.Method(main).Pool == apart.Method(bytecode.MethodRef{Class: "P", Name: "set"}).Pool {
+		t.Fatal("test premise broken: the stand-alone methods share a pool")
+	}
+	pools := map[*bytecode.Pool]int{}
+	for _, m := range apart.Methods() {
+		pools[m.Pool] = m.Pool.Len()
+	}
+	// set expands into main; log, over the limit, stays a call.
+	limit := apart.Method(bytecode.MethodRef{Class: "P", Name: "set"}).Size()
+	for _, p := range []*bytecode.Program{apart, shared} {
+		if res := Apply(p, Options{Limit: limit}); res.Expanded != 1 {
+			t.Fatalf("Expanded = %d, want 1", res.Expanded)
+		}
+	}
+	got, want := bytecode.Disassemble(apart.Method(main), nil), bytecode.Disassemble(shared.Method(main), nil)
+	if got != want {
+		t.Errorf("across pools, T.main is\n%s\nwith one pool\n%s", got, want)
+	}
+	for _, name := range []string{"putfield P.next", "getfield P.x", "invoke P.log"} {
+		if !strings.Contains(got, name) {
+			t.Errorf("T.main does not name %q:\n%s", name, got)
+		}
+	}
+	if err := verifier.VerifyProgram(apart); err != nil {
+		t.Error(err)
+	}
+	for pool, n := range pools {
+		if pool.Len() != n {
+			t.Errorf("a pool of %d entries now has %d", n, pool.Len())
 		}
 	}
 }

@@ -42,7 +42,11 @@ func TestTokenStreamGolden(t *testing.T) {
 		}
 		tokens += len(toks)
 		for _, tok := range toks {
-			fmt.Fprintf(h, "%d %q %d %d %d\n", tok.Kind, tok.Text, tok.Val, tok.Line, tok.Col)
+			val := int64(0)
+			if tok.Kind == minijava.TokInt {
+				val = tok.Val(src)
+			}
+			fmt.Fprintf(h, "%d %q %d %d %d\n", tok.Kind, tok.Text(src), val, tok.Line, tok.Col)
 		}
 	}
 	if failed == 0 || failed == len(srcs) {

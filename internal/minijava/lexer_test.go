@@ -1,9 +1,33 @@
 package minijava
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
+
+// TestTokenLayout pins the token to at most three words with no pointer:
+// LexAll's stream, sized at two tokens per five source bytes, is the front
+// end's largest array, and an array of pointer-free elements is never
+// scanned by the Go collector. A token's text is sliced from the source on
+// demand.
+func TestTokenLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Token{}); n > 24 {
+		t.Errorf("Token is %d bytes, want at most 24", n)
+	}
+	typ := reflect.TypeFor[Token]()
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int32, reflect.Uint8:
+		default:
+			t.Errorf("Token.%s is a %s, want a fixed-size integer", f.Name, f.Type)
+		}
+	}
+}
 
 func TestLexBasics(t *testing.T) {
-	toks, err := LexAll("t.mj", "class Foo { int x; }")
+	src := "class Foo { int x; }"
+	toks, err := LexAll("t.mj", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,32 +43,34 @@ func TestLexBasics(t *testing.T) {
 		t.Fatalf("got %d tokens, want %d", len(toks), len(want))
 	}
 	for i, w := range want {
-		if toks[i].Kind != w.kind || toks[i].Text != w.text {
-			t.Errorf("token %d = (%v, %q), want (%v, %q)", i, toks[i].Kind, toks[i].Text, w.kind, w.text)
+		if toks[i].Kind != w.kind || toks[i].Text(src) != w.text {
+			t.Errorf("token %d = (%v, %q), want (%v, %q)", i, toks[i].Kind, toks[i].Text(src), w.kind, w.text)
 		}
 	}
 }
 
 func TestLexOperators(t *testing.T) {
-	toks, err := LexAll("t.mj", "== != <= >= && || < > = ! + - * / %")
+	src := "== != <= >= && || < > = ! + - * / %"
+	toks, err := LexAll("t.mj", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"==", "!=", "<=", ">=", "&&", "||", "<", ">", "=", "!", "+", "-", "*", "/", "%"}
 	for i, w := range want {
-		if toks[i].Text != w {
-			t.Errorf("token %d = %q, want %q", i, toks[i].Text, w)
+		if toks[i].Text(src) != w {
+			t.Errorf("token %d = %q, want %q", i, toks[i].Text(src), w)
 		}
 	}
 }
 
 func TestLexIntLiteral(t *testing.T) {
-	toks, err := LexAll("t.mj", "12345 0")
+	src := "12345 0"
+	toks, err := LexAll("t.mj", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Val != 12345 || toks[1].Val != 0 {
-		t.Errorf("int values = %d %d", toks[0].Val, toks[1].Val)
+	if toks[0].Val(src) != 12345 || toks[1].Val(src) != 0 {
+		t.Errorf("int values = %d %d", toks[0].Val(src), toks[1].Val(src))
 	}
 }
 
@@ -61,9 +87,10 @@ func TestLexIntOverflow(t *testing.T) {
 		{"99999999999999999999999999", false},
 		{"1234567890123456789012345678901234567890", false},
 	} {
-		toks, err := LexAll("t.mj", "x =\n  "+tc.lit+";")
+		src := "x =\n  " + tc.lit + ";"
+		toks, err := LexAll("t.mj", src)
 		if tc.ok {
-			if err != nil || toks[2].Kind != TokInt || toks[2].Val != 9223372036854775807 || toks[2].Text != tc.lit {
+			if err != nil || toks[2].Kind != TokInt || toks[2].Val(src) != 9223372036854775807 || toks[2].Text(src) != tc.lit {
 				t.Errorf("%s: tokens %v, error %v", tc.lit, toks, err)
 			}
 			continue
@@ -80,22 +107,28 @@ func TestLexIntOverflow(t *testing.T) {
 // column wide, and a digit outside ASCII may continue an identifier but is
 // not a number.
 func TestLexNonASCII(t *testing.T) {
-	toks, err := LexAll("t.mj", "größe_٣ /* 漢字 */ é1\n// ключ\n\u00a0π")
+	src := "größe_٣ /* 漢字 */ é1\n// ключ\n\u00a0π"
+	toks, err := LexAll("t.mj", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Token{
-		{Kind: TokIdent, Text: "größe_٣", Line: 1, Col: 1},
-		{Kind: TokIdent, Text: "é1", Line: 1, Col: 18},
-		{Kind: TokIdent, Text: "π", Line: 3, Col: 2},
-		{Kind: TokEOF, Line: 3, Col: 3},
+	type tok struct {
+		kind      TokenKind
+		text      string
+		line, col int32
+	}
+	want := []tok{
+		{TokIdent, "größe_٣", 1, 1},
+		{TokIdent, "é1", 1, 18},
+		{TokIdent, "π", 3, 2},
+		{TokEOF, "", 3, 3},
 	}
 	if len(toks) != len(want) {
 		t.Fatalf("tokens %v, want %v", toks, want)
 	}
 	for i := range want {
-		if toks[i] != want[i] {
-			t.Errorf("token %d = %+v, want %+v", i, toks[i], want[i])
+		if got := (tok{toks[i].Kind, toks[i].Text(src), toks[i].Line, toks[i].Col}); got != want[i] {
+			t.Errorf("token %d = %+v, want %+v", i, got, want[i])
 		}
 	}
 	for src, want := range map[string]string{
@@ -119,7 +152,7 @@ comment */ y
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks) != 3 || toks[0].Text != "x" || toks[1].Text != "y" {
+	if len(toks) != 3 || toks[0].Text(src) != "x" || toks[1].Text(src) != "y" {
 		t.Fatalf("comments not skipped: %v", toks)
 	}
 }

@@ -14,6 +14,7 @@ const maxNesting = 1000
 // the arena's slabs, sized from the token stream before parsing starts.
 type Parser struct {
 	file  string
+	src   string
 	toks  []Token
 	pos   int
 	depth int // statement and expression nesting
@@ -26,8 +27,8 @@ func Parse(file, src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{file: file, toks: toks}
-	p.a.size(toks)
+	p := &Parser{file: file, src: src, toks: toks}
+	p.a.size(src, toks)
 	return p.parseProgram()
 }
 
@@ -62,38 +63,38 @@ func (p *Parser) advance() Token {
 }
 
 func (p *Parser) errorf(t Token, format string, args ...any) error {
-	return &SyntaxError{File: p.file, Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{File: p.file, Line: int(t.Line), Col: int(t.Col), Msg: fmt.Sprintf(format, args...)}
 }
 
 // isKw reports whether the current token is the given keyword.
 func (p *Parser) isKw(kw string) bool {
 	t := p.cur()
-	return t.Kind == TokKeyword && t.Text == kw
+	return t.Kind == TokKeyword && t.Text(p.src) == kw
 }
 
 // isPunct reports whether the current token is the given punctuation.
 func (p *Parser) isPunct(s string) bool {
 	t := p.cur()
-	return t.Kind == TokPunct && t.Text == s
+	return t.Kind == TokPunct && t.Text(p.src) == s
 }
 
 func (p *Parser) expectKw(kw string) (Token, error) {
 	if !p.isKw(kw) {
-		return Token{}, p.errorf(p.cur(), "expected %q, found %s", kw, p.cur())
+		return Token{}, p.errorf(p.cur(), "expected %q, found %s", kw, p.cur().describe(p.src))
 	}
 	return p.advance(), nil
 }
 
 func (p *Parser) expectPunct(s string) (Token, error) {
 	if !p.isPunct(s) {
-		return Token{}, p.errorf(p.cur(), "expected %q, found %s", s, p.cur())
+		return Token{}, p.errorf(p.cur(), "expected %q, found %s", s, p.cur().describe(p.src))
 	}
 	return p.advance(), nil
 }
 
 func (p *Parser) expectIdent() (Token, error) {
 	if p.cur().Kind != TokIdent {
-		return Token{}, p.errorf(p.cur(), "expected identifier, found %s", p.cur())
+		return Token{}, p.errorf(p.cur(), "expected identifier, found %s", p.cur().describe(p.src))
 	}
 	return p.advance(), nil
 }
@@ -125,7 +126,7 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 	if _, err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	cd := p.a.classes.alloc(ClassDecl{Name: name.Text, Line: kw.Line})
+	cd := p.a.classes.alloc(ClassDecl{Name: name.Text(p.src), Line: int(kw.Line)})
 	fields, methods := p.a.fieldList.mark(), p.a.methodList.mark()
 	for !p.isPunct("}") {
 		if p.cur().Kind == TokEOF {
@@ -150,8 +151,8 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 	}
 
 	// Constructor: ClassName ( ... )
-	if !static && p.cur().Kind == TokIdent && p.cur().Text == cd.Name &&
-		p.peek().Kind == TokPunct && p.peek().Text == "(" {
+	if !static && p.cur().Kind == TokIdent && p.cur().Text(p.src) == cd.Name &&
+		p.peek().Kind == TokPunct && p.peek().Text(p.src) == "(" {
 		return p.parseCtor()
 	}
 
@@ -162,7 +163,7 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 		if err != nil {
 			return err
 		}
-		return p.parseMethodRest(name.Text, static, nil, vt.Line)
+		return p.parseMethodRest(name.Text(p.src), static, nil, int(vt.Line))
 	}
 
 	// Typed member: field(s) or method.
@@ -175,17 +176,17 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 		return err
 	}
 	if p.isPunct("(") {
-		return p.parseMethodRest(name.Text, static, te, te.Line)
+		return p.parseMethodRest(name.Text(p.src), static, te, te.Line)
 	}
 	// Field declaration, possibly a comma list.
-	p.a.fieldList.push(p.a.fields.alloc(FieldDecl{Name: name.Text, Type: te, Static: static, Line: name.Line}))
+	p.a.fieldList.push(p.a.fields.alloc(FieldDecl{Name: name.Text(p.src), Type: te, Static: static, Line: int(name.Line)}))
 	for p.isPunct(",") {
 		p.advance()
 		n, err := p.expectIdent()
 		if err != nil {
 			return err
 		}
-		p.a.fieldList.push(p.a.fields.alloc(FieldDecl{Name: n.Text, Type: te, Static: static, Line: n.Line}))
+		p.a.fieldList.push(p.a.fields.alloc(FieldDecl{Name: n.Text(p.src), Type: te, Static: static, Line: int(n.Line)}))
 	}
 	_, err = p.expectPunct(";")
 	return err
@@ -202,7 +203,7 @@ func (p *Parser) parseCtor() error {
 		return err
 	}
 	p.a.methodList.push(p.a.methods.alloc(MethodDecl{
-		Name: "<init>", Ctor: true, Params: params, Body: body, Line: name.Line,
+		Name: "<init>", Ctor: true, Params: params, Body: body, Line: int(name.Line),
 	}))
 	return nil
 }
@@ -241,7 +242,7 @@ func (p *Parser) parseParams() ([]*Param, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.a.paramList.push(p.a.params.alloc(Param{Name: name.Text, Type: te, Line: name.Line}))
+		p.a.paramList.push(p.a.params.alloc(Param{Name: name.Text(p.src), Type: te, Line: int(name.Line)}))
 	}
 	p.advance() // )
 	return p.a.paramList.pop(m), nil
@@ -257,18 +258,18 @@ func (p *Parser) parseType() (*TypeExpr, error) {
 	case p.isKw("boolean"):
 		base = "boolean"
 	case t.Kind == TokIdent:
-		base = t.Text
+		base = t.Text(p.src)
 	default:
-		return nil, p.errorf(t, "expected type, found %s", t)
+		return nil, p.errorf(t, "expected type, found %s", t.describe(p.src))
 	}
 	p.advance()
 	dims := 0
-	for p.isPunct("[") && p.peek().Kind == TokPunct && p.peek().Text == "]" {
+	for p.isPunct("[") && p.peek().Kind == TokPunct && p.peek().Text(p.src) == "]" {
 		p.advance()
 		p.advance()
 		dims++
 	}
-	return p.a.types.alloc(TypeExpr{Base: base, Dims: dims, Line: t.Line}), nil
+	return p.a.types.alloc(TypeExpr{Base: base, Dims: dims, Line: int(t.Line)}), nil
 }
 
 func (p *Parser) parseBlock() (*Block, error) {
@@ -288,7 +289,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 		p.a.stmtList.push(s)
 	}
 	p.advance() // }
-	return p.a.blocks.alloc(Block{Stmts: p.a.stmtList.pop(m), Line: lb.Line}), nil
+	return p.a.blocks.alloc(Block{Stmts: p.a.stmtList.pop(m), Line: int(lb.Line)}), nil
 }
 
 // looksLikeVarDecl decides whether the upcoming tokens start a local
@@ -307,8 +308,8 @@ func (p *Parser) looksLikeVarDecl() bool {
 		return true
 	}
 	// Name [ ] ... => declaration (array type)
-	if p.peek().Kind == TokPunct && p.peek().Text == "[" &&
-		p.at(2).Kind == TokPunct && p.at(2).Text == "]" {
+	if p.peek().Kind == TokPunct && p.peek().Text(p.src) == "[" &&
+		p.at(2).Kind == TokPunct && p.at(2).Text(p.src) == "]" {
 		return true
 	}
 	return false
@@ -331,7 +332,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseFor()
 	case p.isKw("return"):
 		p.advance()
-		r := p.a.returns.alloc(Return{Line: t.Line})
+		r := p.a.returns.alloc(Return{Line: int(t.Line)})
 		if !p.isPunct(";") {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -358,7 +359,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expectPunct(";"); err != nil {
 			return nil, err
 		}
-		return p.a.prints.alloc(Print{E: e, Line: t.Line}), nil
+		return p.a.prints.alloc(Print{E: e, Line: int(t.Line)}), nil
 	case p.isKw("spawn"):
 		p.advance()
 		e, err := p.parseExpr()
@@ -372,7 +373,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expectPunct(";"); err != nil {
 			return nil, err
 		}
-		return p.a.spawns.alloc(Spawn{Call: call, Line: t.Line}), nil
+		return p.a.spawns.alloc(Spawn{Call: call, Line: int(t.Line)}), nil
 	case p.looksLikeVarDecl():
 		vd, err := p.parseVarDecl()
 		if err != nil {
@@ -403,7 +404,7 @@ func (p *Parser) parseVarDecl() (*VarDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	vd := p.a.varDecls.alloc(VarDecl{Name: name.Text, TypeExpr: te, Line: name.Line})
+	vd := p.a.varDecls.alloc(VarDecl{Name: name.Text(p.src), TypeExpr: te, Line: int(name.Line)})
 	if p.isPunct("=") {
 		p.advance()
 		e, err := p.parseExpr()
@@ -431,7 +432,7 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 		}
 		switch e.(type) {
 		case *Ident, *FieldAccess, *Index:
-			return p.a.assigns.alloc(Assign{LHS: e, RHS: rhs, Line: t.Line}), nil
+			return p.a.assigns.alloc(Assign{LHS: e, RHS: rhs, Line: int(t.Line)}), nil
 		default:
 			return nil, p.errorf(t, "invalid assignment target")
 		}
@@ -439,7 +440,7 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 	if _, ok := e.(*Call); !ok {
 		return nil, p.errorf(t, "expression statement must be a call")
 	}
-	return p.a.exprStmts.alloc(ExprStmt{E: e, Line: t.Line}), nil
+	return p.a.exprStmts.alloc(ExprStmt{E: e, Line: int(t.Line)}), nil
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
@@ -458,7 +459,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := p.a.ifs.alloc(If{Cond: cond, Then: then, Line: t.Line})
+	st := p.a.ifs.alloc(If{Cond: cond, Then: then, Line: int(t.Line)})
 	if p.isKw("else") {
 		p.advance()
 		els, err := p.parseStmt()
@@ -486,7 +487,7 @@ func (p *Parser) parseWhile() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.a.whiles.alloc(While{Cond: cond, Body: body, Line: t.Line}), nil
+	return p.a.whiles.alloc(While{Cond: cond, Body: body, Line: int(t.Line)}), nil
 }
 
 func (p *Parser) parseFor() (Stmt, error) {
@@ -494,7 +495,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	st := p.a.fors.alloc(For{Line: t.Line})
+	st := p.a.fors.alloc(For{Line: int(t.Line)})
 	if !p.isPunct(";") {
 		if p.looksLikeVarDecl() {
 			vd, err := p.parseVarDecl()
@@ -574,7 +575,7 @@ func (p *Parser) parseBinaryLevel(ops []string, sub func() (Expr, error)) (Expr,
 				if err != nil {
 					return nil, err
 				}
-				x = p.a.binaries.alloc(Binary{Op: op, X: x, Y: y, Line: t.Line})
+				x = p.a.binaries.alloc(Binary{Op: op, X: x, Y: y, Line: int(t.Line)})
 				matched = true
 				break
 			}
@@ -621,7 +622,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.a.unaries.alloc(Unary{Op: t.Text, X: x, Line: t.Line}), nil
+		return p.a.unaries.alloc(Unary{Op: t.Text(p.src), X: x, Line: int(t.Line)}), nil
 	}
 	return p.parsePostfix()
 }
@@ -637,7 +638,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			p.advance()
 			if p.isKw("length") {
 				t := p.advance()
-				e = p.a.lengths.alloc(Length{Arr: e, Line: t.Line})
+				e = p.a.lengths.alloc(Length{Arr: e, Line: int(t.Line)})
 				continue
 			}
 			name, err := p.expectIdent()
@@ -649,9 +650,9 @@ func (p *Parser) parsePostfix() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				e = p.a.calls.alloc(Call{Recv: e, Name: name.Text, Args: args, Line: name.Line})
+				e = p.a.calls.alloc(Call{Recv: e, Name: name.Text(p.src), Args: args, Line: int(name.Line)})
 			} else {
-				e = p.a.fieldAccs.alloc(FieldAccess{Obj: e, Name: name.Text, Line: name.Line})
+				e = p.a.fieldAccs.alloc(FieldAccess{Obj: e, Name: name.Text(p.src), Line: int(name.Line)})
 			}
 		case p.isPunct("["):
 			t := p.advance()
@@ -662,7 +663,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if _, err := p.expectPunct("]"); err != nil {
 				return nil, err
 			}
-			e = p.a.indexes.alloc(Index{Arr: e, Index: idx, Line: t.Line})
+			e = p.a.indexes.alloc(Index{Arr: e, Index: idx, Line: int(t.Line)})
 		default:
 			return e, nil
 		}
@@ -695,16 +696,16 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.Kind == TokInt:
 		p.advance()
-		return p.a.intLits.alloc(IntLit{Val: t.Val, Line: t.Line}), nil
+		return p.a.intLits.alloc(IntLit{Val: t.Val(p.src), Line: int(t.Line)}), nil
 	case p.isKw("true"), p.isKw("false"):
 		p.advance()
-		return p.a.boolLits.alloc(BoolLit{Val: t.Text == "true", Line: t.Line}), nil
+		return p.a.boolLits.alloc(BoolLit{Val: t.Text(p.src) == "true", Line: int(t.Line)}), nil
 	case p.isKw("null"):
 		p.advance()
-		return p.a.nullLits.alloc(NullLit{Line: t.Line}), nil
+		return p.a.nullLits.alloc(NullLit{Line: int(t.Line)}), nil
 	case p.isKw("this"):
 		p.advance()
-		return p.a.thises.alloc(This{Line: t.Line}), nil
+		return p.a.thises.alloc(This{Line: int(t.Line)}), nil
 	case p.isKw("new"):
 		return p.parseNew()
 	case p.isPunct("("):
@@ -724,11 +725,11 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return p.a.calls.alloc(Call{Name: t.Text, Args: args, Line: t.Line}), nil
+			return p.a.calls.alloc(Call{Name: t.Text(p.src), Args: args, Line: int(t.Line)}), nil
 		}
-		return p.a.idents.alloc(Ident{Name: t.Text, Line: t.Line}), nil
+		return p.a.idents.alloc(Ident{Name: t.Text(p.src), Line: int(t.Line)}), nil
 	default:
-		return nil, p.errorf(t, "expected expression, found %s", t)
+		return nil, p.errorf(t, "expected expression, found %s", t.describe(p.src))
 	}
 }
 
@@ -744,10 +745,10 @@ func (p *Parser) parseNew() (Expr, error) {
 		base = "boolean"
 		p.advance()
 	case p.cur().Kind == TokIdent:
-		base = p.cur().Text
+		base = p.cur().Text(p.src)
 		p.advance()
 	default:
-		return nil, p.errorf(p.cur(), "expected type after new, found %s", p.cur())
+		return nil, p.errorf(p.cur(), "expected type after new, found %s", p.cur().describe(p.src))
 	}
 	if p.isPunct("(") {
 		if base == "int" || base == "boolean" {
@@ -757,7 +758,7 @@ func (p *Parser) parseNew() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.a.newObjs.alloc(NewObject{ClassName: base, Args: args, Line: t.Line}), nil
+		return p.a.newObjs.alloc(NewObject{ClassName: base, Args: args, Line: int(t.Line)}), nil
 	}
 	if _, err := p.expectPunct("["); err != nil {
 		return nil, err
@@ -770,11 +771,11 @@ func (p *Parser) parseNew() (Expr, error) {
 		return nil, err
 	}
 	dims := 0
-	for p.isPunct("[") && p.peek().Kind == TokPunct && p.peek().Text == "]" {
+	for p.isPunct("[") && p.peek().Kind == TokPunct && p.peek().Text(p.src) == "]" {
 		p.advance()
 		p.advance()
 		dims++
 	}
-	elem := p.a.types.alloc(TypeExpr{Base: base, Dims: dims, Line: t.Line})
-	return p.a.newArrs.alloc(NewArray{Elem: elem, Len: length, Line: t.Line}), nil
+	elem := p.a.types.alloc(TypeExpr{Base: base, Dims: dims, Line: int(t.Line)})
+	return p.a.newArrs.alloc(NewArray{Elem: elem, Len: length, Line: int(t.Line)}), nil
 }

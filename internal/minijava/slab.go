@@ -102,7 +102,7 @@ type arena struct {
 // FieldAccess or (before `(`) a Call, an identifier after a type a
 // declared name — so on a well-formed program each slab takes one chunk
 // that it fills, and the list counts are upper bounds.
-func (a *arena) size(toks []Token) {
+func (a *arena) size(src string, toks []Token) {
 	var n struct {
 		classes, fields, methods, params, types, blocks, varDecls    int
 		ifs, whiles, fors, returns, prints, spawns, assigns          int
@@ -124,20 +124,20 @@ func (a *arena) size(toks []Token) {
 			n.intLits++
 		case TokIdent:
 			switch {
-			case isKwTok(prev, "class"):
-			case isPunctTok(prev, "."):
-				if isPunctTok(next, "(") {
+			case isKwTok(src, prev, "class"):
+			case isPunctTok(src, prev, "."):
+				if isPunctTok(src, next, "(") {
 					n.calls++
 				} else {
 					n.fieldAccs++
 				}
-			case isKwTok(prev, "new"):
-				if !isPunctTok(next, "(") {
+			case isKwTok(src, prev, "new"):
+				if !isPunctTok(src, next, "(") {
 					n.types++
 				}
-			case endsType(prev) || braces == 1 && parens == 0 && isPunctTok(prev, ","):
+			case endsType(src, prev) || braces == 1 && parens == 0 && isPunctTok(src, prev, ","):
 				switch {
-				case isPunctTok(next, "("):
+				case isPunctTok(src, next, "("):
 					n.methods++
 				case braces > 1:
 					n.varDecls++
@@ -146,9 +146,9 @@ func (a *arena) size(toks []Token) {
 				default:
 					n.fields++
 				}
-			case next.Kind == TokIdent || isPunctTok(next, "[") && i+2 < len(toks) && isPunctTok(toks[i+2], "]"):
+			case next.Kind == TokIdent || isPunctTok(src, next, "[") && i+2 < len(toks) && isPunctTok(src, toks[i+2], "]"):
 				n.types++
-			case isPunctTok(next, "("):
+			case isPunctTok(src, next, "("):
 				if braces == 1 {
 					n.methods++ // a constructor
 				} else {
@@ -158,7 +158,7 @@ func (a *arena) size(toks []Token) {
 				n.idents++
 			}
 		case TokKeyword:
-			switch t.Text {
+			switch t.Text(src) {
 			case "class":
 				n.classes++
 			case "int", "boolean":
@@ -186,14 +186,14 @@ func (a *arena) size(toks []Token) {
 			case "length":
 				n.lengths++
 			case "new":
-				if i+2 < len(toks) && isPunctTok(toks[i+2], "(") {
+				if i+2 < len(toks) && isPunctTok(src, toks[i+2], "(") {
 					n.newObjs++
 				} else {
 					n.newArrs++
 				}
 			}
 		case TokPunct:
-			switch t.Text {
+			switch t.Text(src) {
 			case "{":
 				if braces > 0 {
 					n.blocks++
@@ -218,18 +218,18 @@ func (a *arena) size(toks []Token) {
 					n.commas++
 				}
 			case "[":
-				if !isPunctTok(next, "]") && !(i > 1 && isKwTok(toks[i-2], "new")) {
+				if !isPunctTok(src, next, "]") && !(i > 1 && isKwTok(src, toks[i-2], "new")) {
 					n.indexes++
 				}
 			case "=":
 				// `T x = e` declares; any other `=` assigns.
-				if prev.Kind != TokIdent || i < 2 || !endsType(toks[i-2]) {
+				if prev.Kind != TokIdent || i < 2 || !endsType(src, toks[i-2]) {
 					n.assigns++
 				}
 			case "!":
 				n.unaries++
 			case "-":
-				if endsOperand(prev) {
+				if endsOperand(src, prev) {
 					n.binaries++
 				} else {
 					n.unaries++
@@ -259,26 +259,36 @@ func (a *arena) size(toks []Token) {
 	a.argList.slab.hint = n.commas + n.calls + n.newObjs
 }
 
-func isKwTok(t Token, kw string) bool   { return t.Kind == TokKeyword && t.Text == kw }
-func isPunctTok(t Token, s string) bool { return t.Kind == TokPunct && t.Text == s }
+func isKwTok(src string, t Token, kw string) bool   { return t.Kind == TokKeyword && t.Text(src) == kw }
+func isPunctTok(src string, t Token, s string) bool { return t.Kind == TokPunct && t.Text(src) == s }
 
 // endsType reports whether t can be the last token of a type that a
 // declared name follows.
-func endsType(t Token) bool {
-	return t.Kind == TokIdent || isPunctTok(t, "]") ||
-		t.Kind == TokKeyword && (t.Text == "int" || t.Text == "boolean" || t.Text == "void")
+func endsType(src string, t Token) bool {
+	switch t.Kind {
+	case TokIdent:
+		return true
+	case TokKeyword:
+		s := t.Text(src)
+		return s == "int" || s == "boolean" || s == "void"
+	case TokPunct:
+		return t.Text(src) == "]"
+	}
+	return false
 }
 
 // endsOperand reports whether t can end an operand, which makes a `-`
 // after it binary.
-func endsOperand(t Token) bool {
+func endsOperand(src string, t Token) bool {
 	switch t.Kind {
 	case TokIdent, TokInt:
 		return true
 	case TokKeyword:
-		return t.Text == "this" || t.Text == "null" || t.Text == "true" || t.Text == "false" || t.Text == "length"
+		s := t.Text(src)
+		return s == "this" || s == "null" || s == "true" || s == "false" || s == "length"
 	case TokPunct:
-		return t.Text == ")" || t.Text == "]"
+		s := t.Text(src)
+		return s == ")" || s == "]"
 	}
 	return false
 }

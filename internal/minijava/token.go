@@ -15,7 +15,7 @@ import (
 )
 
 // TokenKind identifies a lexical token class.
-type TokenKind int
+type TokenKind uint8
 
 const (
 	TokEOF TokenKind = iota
@@ -25,23 +25,41 @@ const (
 	TokPunct
 )
 
-// Token is one lexical token.
+// Token is one lexical token: where its text lies in the source, and where
+// it starts. It holds no pointer, so a token stream is one flat array that
+// the Go collector does not scan; its text is sliced from the source on
+// demand (Text), and an integer's value parsed from it (Val).
 type Token struct {
-	Kind TokenKind
-	Text string
-	Val  int64 // for TokInt
-	Line int
-	Col  int
+	// Start and End are the byte offsets of the token's text in the source:
+	// src[Start:End].
+	Start, End int32
+	Line, Col  int32
+	Kind       TokenKind
 }
 
-func (t Token) String() string {
+// Text returns the token's text in src, the source it was lexed from.
+func (t Token) Text(src string) string { return src[t.Start:t.End] }
+
+// Val returns an integer token's value in src. The lexer has checked that
+// the literal is decimal digits whose value fits an int64.
+func (t Token) Val(src string) int64 {
+	var v int64
+	for i := t.Start; i < t.End; i++ {
+		v = v*10 + int64(src[i]-'0')
+	}
+	return v
+}
+
+// describe renders the token for a parse error: "end of file", "integer 7"
+// or its quoted text.
+func (t Token) describe(src string) string {
 	switch t.Kind {
 	case TokEOF:
 		return "end of file"
 	case TokInt:
-		return fmt.Sprintf("integer %d", t.Val)
+		return fmt.Sprintf("integer %d", t.Val(src))
 	default:
-		return fmt.Sprintf("%q", t.Text)
+		return fmt.Sprintf("%q", t.Text(src))
 	}
 }
 
@@ -53,9 +71,10 @@ var keywords = map[string]bool{
 }
 
 // Lexer splits MiniJava source text into tokens. It reads the source where
-// it lies: pos is a byte offset, a token's Text is a substring of src, and
+// it lies: pos is a byte offset, a token is a pair of offsets into src, and
 // only bytes outside ASCII are decoded (an invalid one reads as U+FFFD,
-// one column wide).
+// one column wide). Offsets are int32, so a source may be at most
+// math.MaxInt32 bytes long.
 type Lexer struct {
 	src  string
 	pos  int
@@ -146,12 +165,18 @@ func (l *Lexer) skipSpaceAndComments() error {
 
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
+	if len(l.src) > math.MaxInt32 {
+		return Token{}, l.errorf(1, 1, "source of %d bytes is longer than %d", len(l.src), math.MaxInt32)
+	}
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
 	line, col, start := l.line, l.col, l.pos
+	tok := func(kind TokenKind) Token {
+		return Token{Kind: kind, Start: int32(start), End: int32(l.pos), Line: int32(line), Col: int32(col)}
+	}
 	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Line: line, Col: col}, nil
+		return tok(TokEOF), nil
 	}
 	r, _ := l.peek()
 	switch {
@@ -159,12 +184,10 @@ func (l *Lexer) Next() (Token, error) {
 		for r, w := l.peek(); unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'; r, w = l.peek() {
 			l.advance(r, w)
 		}
-		text := l.src[start:l.pos]
-		kind := TokIdent
-		if keywords[text] {
-			kind = TokKeyword
+		if keywords[l.src[start:l.pos]] {
+			return tok(TokKeyword), nil
 		}
-		return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
+		return tok(TokIdent), nil
 	case '0' <= r && r <= '9':
 		var v int64
 		overflow := false
@@ -177,11 +200,10 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 			l.col++
 		}
-		text := l.src[start:l.pos]
 		if overflow {
-			return Token{}, l.errorf(line, col, "integer literal %s overflows int64", text)
+			return Token{}, l.errorf(line, col, "integer literal %s overflows int64", l.src[start:l.pos])
 		}
-		return Token{Kind: TokInt, Text: text, Val: v, Line: line, Col: col}, nil
+		return tok(TokInt), nil
 	default:
 		width := 0
 		switch r {
@@ -202,7 +224,7 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		l.pos += width
 		l.col += width
-		return Token{Kind: TokPunct, Text: l.src[start:l.pos], Line: line, Col: col}, nil
+		return tok(TokPunct), nil
 	}
 }
 

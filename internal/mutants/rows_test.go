@@ -1,7 +1,7 @@
 package mutants
 
-// rows are the mutants: each breaks one proof obligation of the analysis
-// and names the tests that must catch it. To add one, copy a row, quote
+// rows are the mutants: each breaks one proof obligation of the analysis,
+// or of a pass it relies on, and names the tests that must catch it. To add one, copy a row, quote
 // the original text exactly (enough of it to occur once in the file), and
 // declare the cheapest tests that fail on it; `go test -run TestMutants`
 // then proves they do, and TestMutantMatrix records what else does.
@@ -52,6 +52,20 @@ var rows = []row{
 		killers: []check{
 			{pkg: "internal/core", run: "^TestEntryBlockIsAJoin$", want: "soundness violation at T.g"},
 			{pkg: "internal/core", run: "^FuzzAnalyze$", want: "soundness violation at T.g"},
+		},
+	},
+	{
+		name: "inline-foreign-pool-verbatim",
+		file: "internal/inline/inline.go",
+		original: `		poolBase = int32(m.Pool.Len())
+`,
+		mutant: ``,
+		rationale: "a callee with an operand pool of its own is spliced in with its operand indices " +
+			"unchanged, so they name the caller's entries: other fields, methods and types",
+		// The code generator gives a program one pool, so no compiled
+		// program meets this path; only hand-built ones do.
+		killers: []check{
+			{pkg: "internal/inline", run: "^TestInlineAcrossPools$", want: "across pools, T.main is"},
 		},
 	},
 }

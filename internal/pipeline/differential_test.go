@@ -1,13 +1,19 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/core"
+	"satbelim/internal/inline"
 	"satbelim/internal/progen"
 	"satbelim/internal/satb"
+	"satbelim/internal/verifier"
 	"satbelim/internal/vm"
+	"satbelim/internal/workloads"
 )
 
 // The differential harness drives generated programs through the full
@@ -116,4 +122,74 @@ func TestDifferentialDegradedStillCorrect(t *testing.T) {
 			t.Errorf("seed %d: degraded build still executed %d elided stores", si, rs.ElisionChecks)
 		}
 	}
+}
+
+// perMethodPools gives every method of p an operand pool of its own, holding
+// only the operands the method names in the order it first names them, as
+// a stand-alone NewBuilder per method would.
+func perMethodPools(p *bytecode.Program) {
+	for _, m := range p.Methods() {
+		b := bytecode.NewBuilder(m.Class, m.Name, m.Static)
+		for pc := range m.Code {
+			if m.Code[pc].HasOperand() {
+				m.Code[pc].Ref = b.Operand(*m.Operand(pc))
+			}
+		}
+		m.Pool = b.Method().Pool
+	}
+	p.CodeChanged()
+}
+
+// TestDifferentialPerMethodPools: which pool an operand lives in is not
+// observable. The code generator gives a program one pool; the same
+// program with a pool per method, inlined, verified and analyzed, must
+// disassemble — every instruction, operand and verdict — exactly as the
+// pipeline's build does, though every expansion then splices in a callee
+// whose operand indices name another pool.
+func TestDifferentialPerMethodPools(t *testing.T) {
+	opts := core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true}
+	srcs := map[string]string{}
+	for _, w := range workloads.All() {
+		srcs[w.Name] = w.Source
+	}
+	for i, src := range diffSeeds(t) {
+		srcs[fmt.Sprintf("seed%d", i)] = src
+	}
+	for name, src := range srcs {
+		for _, limit := range diffLimits[1:] {
+			want, err := Compile(name, src, Options{InlineLimit: limit, Analysis: opts, NoCache: true})
+			if err != nil {
+				t.Fatalf("%s limit %d: %v", name, limit, err)
+			}
+			base, err := Compile(name, src, Options{NoCache: true})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			p := base.Program
+			perMethodPools(p)
+			if inline.Apply(p, inline.Options{Limit: limit}).Expanded != want.InlinedCalls {
+				t.Fatalf("%s limit %d: expanded a different number of calls", name, limit)
+			}
+			if err := verifier.VerifyProgram(p); err != nil {
+				t.Fatalf("%s limit %d with a pool per method: %v", name, limit, err)
+			}
+			if _, err := core.AnalyzeProgram(p, opts); err != nil {
+				t.Fatalf("%s limit %d with a pool per method: %v", name, limit, err)
+			}
+			if got, want := bytecode.DisassembleProgram(p), bytecode.DisassembleProgram(want.Program); got != want {
+				t.Errorf("%s limit %d: with a pool per method the build disassembles differently:\n%s", name, limit, firstDiff(got, want))
+			}
+		}
+	}
+}
+
+// firstDiff renders the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d: %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }

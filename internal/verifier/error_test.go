@@ -157,18 +157,19 @@ func TestVerifyRejectsStaticInstanceMismatch(t *testing.T) {
 func TestVerifyRejectsBadAllocationTypes(t *testing.T) {
 	for _, tc := range []struct {
 		want string
-		in   bytecode.Instr
+		op   bytecode.Op
+		o    bytecode.Operand
 	}{
-		{"bad newinstance type Ghost", bytecode.Instr{Op: bytecode.OpNewInstance, Type: bytecode.ClassType("Ghost")}},
-		{"bad newinstance type <nil-type>", bytecode.Instr{Op: bytecode.OpNewInstance}},
-		{"newarray missing element type", bytecode.Instr{Op: bytecode.OpNewArray}},
+		{"bad newinstance type Ghost", bytecode.OpNewInstance, bytecode.Operand{Type: bytecode.ClassType("Ghost")}},
+		{"bad newinstance type <nil-type>", bytecode.OpNewInstance, bytecode.Operand{}},
+		{"newarray missing element type", bytecode.OpNewArray, bytecode.Operand{}},
 	} {
 		p := bytecode.NewProgram()
 		b := bytecode.NewBuilder("T", "main", true)
-		if tc.in.Op == bytecode.OpNewArray {
+		if tc.op == bytecode.OpNewArray {
 			b.Const(1)
 		}
-		b.Emit(tc.in)
+		b.Emit(bytecode.Instr{Op: tc.op, Ref: b.Operand(tc.o)})
 		b.Op(bytecode.OpPop)
 		b.Return()
 		m := b.Build()

@@ -141,8 +141,8 @@ func (v *verifier) errf(pc int, format string, args ...any) error {
 	return &Error{Method: v.m.QualifiedName(), PC: pc, Msg: fmt.Sprintf(format, args...)}
 }
 
-// fieldType is the declared type of the field the instruction at pc names.
-func (v *verifier) fieldType(pc int) *bytecode.Type { return v.syms.Fields[v.body.FieldAt[pc]].Type }
+// field is the field the instruction at pc names.
+func (v *verifier) field(pc int) *bytecode.FieldSym { return &v.syms.Fields[v.body.FieldAt[pc]] }
 
 // callee is the method the invoke or spawn at pc names.
 func (v *verifier) callee(pc int) *bytecode.Method { return v.syms.Methods[v.body.CalleeAt[pc]] }
@@ -379,50 +379,49 @@ func (v *verifier) simulate(b *bytecode.Block) error {
 			}
 			v.branch(int(in.A))
 		case bytecode.OpGetField:
-			ft := v.fieldType(pc)
+			f := v.field(pc)
 			obj, err := v.popKind(pc, vRef, "getfield")
 			if err != nil {
 				return err
 			}
-			if obj.kind == vRef && (obj.ref.Kind != bytecode.KindClass || obj.ref.Class != in.Field.Class) {
-				return v.errf(pc, "getfield %s on %s", in.Field, obj)
+			if obj.kind == vRef && (obj.ref.Kind != bytecode.KindClass || obj.ref.Class != f.Ref.Class) {
+				return v.errf(pc, "getfield %s on %s", f.Ref, obj)
 			}
-			v.push(typeToV(ft))
+			v.push(typeToV(f.Type))
 		case bytecode.OpPutField:
-			ft := v.fieldType(pc)
+			f := v.field(pc)
 			val, err := v.pop(pc)
 			if err != nil {
 				return err
 			}
-			if !assignableV(ft, val) {
-				return v.errf(pc, "putfield %s: cannot store %s into %s", in.Field, val, ft)
+			if !assignableV(f.Type, val) {
+				return v.errf(pc, "putfield %s: cannot store %s into %s", f.Ref, val, f.Type)
 			}
 			obj, err := v.popKind(pc, vRef, "putfield")
 			if err != nil {
 				return err
 			}
-			if obj.kind == vRef && (obj.ref.Kind != bytecode.KindClass || obj.ref.Class != in.Field.Class) {
-				return v.errf(pc, "putfield %s on %s", in.Field, obj)
+			if obj.kind == vRef && (obj.ref.Kind != bytecode.KindClass || obj.ref.Class != f.Ref.Class) {
+				return v.errf(pc, "putfield %s on %s", f.Ref, obj)
 			}
 		case bytecode.OpGetStatic:
-			ft := v.fieldType(pc)
-			v.push(typeToV(ft))
+			v.push(typeToV(v.field(pc).Type))
 		case bytecode.OpPutStatic:
-			ft := v.fieldType(pc)
+			f := v.field(pc)
 			val, err := v.pop(pc)
 			if err != nil {
 				return err
 			}
-			if !assignableV(ft, val) {
-				return v.errf(pc, "putstatic %s: cannot store %s into %s", in.Field, val, ft)
+			if !assignableV(f.Type, val) {
+				return v.errf(pc, "putstatic %s: cannot store %s into %s", f.Ref, val, f.Type)
 			}
 		case bytecode.OpNewInstance:
-			v.push(vtype{kind: vRef, ref: in.Type})
+			v.push(vtype{kind: vRef, ref: v.m.Operand(pc).Type})
 		case bytecode.OpNewArray:
 			if _, err := v.popKind(pc, vInt, "newarray length"); err != nil {
 				return err
 			}
-			v.push(vtype{kind: vRef, ref: bytecode.ArrayOf(in.Type)})
+			v.push(vtype{kind: vRef, ref: bytecode.ArrayOf(v.m.Operand(pc).Type)})
 		case bytecode.OpArrayLength:
 			arr, err := v.popKind(pc, vRef, "arraylength")
 			if err != nil {
@@ -509,7 +508,7 @@ func (v *verifier) simulate(b *bytecode.Block) error {
 					return err
 				}
 				if !assignableV(at, val) {
-					return v.errf(pc, "invoke %s: argument %d: cannot use %s as %s", in.Method, i, val, at)
+					return v.errf(pc, "invoke %s: argument %d: cannot use %s as %s", v.m.Operand(pc), i, val, at)
 				}
 			}
 			if callee.Return != bytecode.Void {
@@ -518,7 +517,7 @@ func (v *verifier) simulate(b *bytecode.Block) error {
 		case bytecode.OpSpawn:
 			callee := v.callee(pc)
 			if callee.Static || len(callee.Params) != 0 || callee.Return != bytecode.Void {
-				return v.errf(pc, "spawn target %s must be a void instance method with no parameters", in.Method)
+				return v.errf(pc, "spawn target %s must be a void instance method with no parameters", v.m.Operand(pc))
 			}
 			if _, err := v.popKind(pc, vRef, "spawn"); err != nil {
 				return err

@@ -136,11 +136,11 @@ type fieldRec struct {
 	idx int32
 }
 
-// calleeRec is a resolved call target. ref keeps the original method
-// reference string for the null-receiver diagnostic.
+// calleeRec is a resolved call target. ref is the call's operand in the
+// caller's pool (dmethod.pool), which the null-receiver diagnostic names.
 type calleeRec struct {
 	m   *dmethod
-	ref string
+	ref int32
 }
 
 // siteRec is a barriered store site: elide is what the image's projection
@@ -156,6 +156,7 @@ type siteRec struct {
 // its method number, which indexes a VM's own state for it (mstate).
 type dmethod struct {
 	name     string // qualified "Class.Name"
+	pool     *bytecode.Pool
 	num      int32
 	static   bool
 	numArgs  int
@@ -304,6 +305,7 @@ func decodeProgram(p *bytecode.Program, vt *bytecode.Verdicts, pr projection) *d
 	for i, m := range syms.Methods {
 		d.methods[i] = &dmethod{
 			name:     m.QualifiedName(),
+			pool:     m.Pool,
 			num:      int32(i),
 			static:   m.Static,
 			numArgs:  m.NumArgs(),
@@ -342,7 +344,7 @@ func (d *dprogram) decodeMethod(i int, syms *bytecode.Symbols, body *bytecode.Bo
 		in := &m.Code[pc]
 		di := &dm.code[pc]
 		di.fuse = -1
-		di.line = int32(in.Line)
+		di.line = in.Line
 		siteKind, isSite := satb.SiteOf(syms, in.Op, body.FieldAt[pc])
 		switch in.Op {
 		case bytecode.OpConst, bytecode.OpConstBool:
@@ -395,10 +397,10 @@ func (d *dprogram) decodeMethod(i int, syms *bytecode.Symbols, body *bytecode.Bo
 		case bytecode.OpNewInstance:
 			di.op = dNewInstance
 			di.a = int32(len(dm.allocs))
-			dm.allocs = append(dm.allocs, syms.Class(in.Type.Class))
+			dm.allocs = append(dm.allocs, syms.Class(m.Operand(pc).Type.Class))
 		case bytecode.OpNewArray:
 			di.op = dNewArrayInt
-			if in.Type.IsRef() {
+			if m.Operand(pc).Type.IsRef() {
 				di.op = dNewArrayRef
 			}
 		case bytecode.OpInvoke, bytecode.OpSpawn:
@@ -407,7 +409,7 @@ func (d *dprogram) decodeMethod(i int, syms *bytecode.Symbols, body *bytecode.Bo
 				di.op = dSpawn
 			}
 			di.a = int32(len(dm.callees))
-			dm.callees = append(dm.callees, calleeRec{m: d.methods[body.CalleeAt[pc]], ref: in.Method.String()})
+			dm.callees = append(dm.callees, calleeRec{m: d.methods[body.CalleeAt[pc]], ref: in.Ref})
 		default:
 			if int(in.Op) < len(operandless) {
 				di.op = operandless[in.Op]

@@ -401,7 +401,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		f.sp = base
 		if !callee.static && nf.locals[0].R == heap.Null {
 			v.release(nf)
-			return v.ferrf(f, "null receiver calling %s", cr.ref)
+			return v.ferrf(f, "null receiver calling %s", f.m.pool.At(cr.ref))
 		}
 		f.pc++
 		t.frames = append(t.frames, nf)

@@ -25,13 +25,14 @@ func printSeven(slots ...*bytecode.Type) *bytecode.Program {
 	return mainOnly(b)
 }
 
-// allocating is T.main allocating with one bad operand and dropping it.
-func allocating(in bytecode.Instr) *bytecode.Program {
+// allocating is T.main running op, with one bad operand o, and dropping
+// what it pushes.
+func allocating(op bytecode.Op, o bytecode.Operand) *bytecode.Program {
 	b := bytecode.NewBuilder("T", "main", true)
-	if in.Op == bytecode.OpNewArray {
+	if op == bytecode.OpNewArray {
 		b.Const(1)
 	}
-	b.Emit(in)
+	b.Emit(bytecode.Instr{Op: op, Ref: b.Operand(o)})
 	b.Op(bytecode.OpPop)
 	b.Return()
 	return mainOnly(b)
@@ -67,9 +68,10 @@ func runVM(v *VM) (res *Result, err error, panicked bool) {
 // the verifier checked — the hand-built T.main prints 7 on all three. Its
 // shrunken form (a store to an undeclared slot), a newinstance with no type
 // or of an undeclared class, a newarray with no element type, an opcode
-// with no mnemonic and a conditional branch that falls off the end are
-// structural faults: no engine runs them, each reports the same error
-// before its first step, and none panics.
+// with no mnemonic, a conditional branch that falls off the end, an
+// operand index outside the method's pool and a getfield naming a type
+// entry are structural faults: no engine runs them, each reports the same
+// error before its first step, and none panics.
 func TestMalformedProgramsCannotPanicAnEngine(t *testing.T) {
 	engines := []Engine{EngineSwitch, EngineFused, EngineCompiled}
 	for _, eng := range engines {
@@ -81,16 +83,27 @@ func TestMalformedProgramsCannotPanicAnEngine(t *testing.T) {
 	branchOffTheEnd := bytecode.NewBuilder("T", "main", true)
 	branchOffTheEnd.Emit(bytecode.Instr{Op: bytecode.OpConstBool})
 	branchOffTheEnd.Emit(bytecode.Instr{Op: bytecode.OpIfTrue, A: 0})
+	refOutOfPool := bytecode.NewBuilder("T", "main", true)
+	refOutOfPool.Emit(bytecode.Instr{Op: bytecode.OpNewInstance, Ref: 5})
+	refOutOfPool.Op(bytecode.OpPop)
+	refOutOfPool.Return()
+	typeAsField := bytecode.NewBuilder("T", "main", true)
+	typeAsField.Null()
+	typeAsField.Emit(bytecode.Instr{Op: bytecode.OpGetField, Ref: typeAsField.Operand(bytecode.Operand{Type: bytecode.ClassType("T")})})
+	typeAsField.Op(bytecode.OpPop)
+	typeAsField.Return()
 	for _, tc := range []struct {
 		name string
 		p    *bytecode.Program
 	}{
 		{"shrunken slot count", printSeven()},
-		{"newinstance with no type", allocating(bytecode.Instr{Op: bytecode.OpNewInstance})},
-		{"newinstance of an undeclared class", allocating(bytecode.Instr{Op: bytecode.OpNewInstance, Type: bytecode.ClassType("Ghost")})},
-		{"newarray with no element type", allocating(bytecode.Instr{Op: bytecode.OpNewArray})},
-		{"unknown opcode", allocating(bytecode.Instr{Op: 200})},
+		{"newinstance with no type", allocating(bytecode.OpNewInstance, bytecode.Operand{})},
+		{"newinstance of an undeclared class", allocating(bytecode.OpNewInstance, bytecode.Operand{Type: bytecode.ClassType("Ghost")})},
+		{"newarray with no element type", allocating(bytecode.OpNewArray, bytecode.Operand{})},
+		{"unknown opcode", allocating(200, bytecode.Operand{})},
 		{"conditional branch off the end", mainOnly(branchOffTheEnd)},
+		{"operand index outside the pool", mainOnly(refOutOfPool)},
+		{"getfield of a type entry", mainOnly(typeAsField)},
 	} {
 		verr := tc.p.Validate()
 		if verr == nil {

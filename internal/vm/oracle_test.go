@@ -17,7 +17,7 @@ func findPutField(t *testing.T, p *bytecode.Program, field string) (*bytecode.Me
 	for _, m := range p.Methods() {
 		for pc := range m.Code {
 			in := &m.Code[pc]
-			if in.Op == bytecode.OpPutField && in.Field.Name == field {
+			if in.Op == bytecode.OpPutField && m.Operand(pc).Name == field {
 				return m, pc
 			}
 		}
@@ -61,7 +61,7 @@ class A {
 	// Mark *every* next-store elided: the second execution must trip.
 	var stores []int
 	for i := range m.Code {
-		if m.Code[i].Op == bytecode.OpPutField && m.Code[i].Field.Name == "next" {
+		if m.Code[i].Op == bytecode.OpPutField && m.Operand(i).Name == "next" {
 			stores = append(stores, i)
 		}
 	}

@@ -1595,7 +1595,7 @@ func (sb *segBuilder) compileInvoke(pc int32) (cterm, int32) {
 		copy(nf.locals[:stackN], f.stack[f.sp:f.sp+stackN])
 		if !callee.static && nf.locals[0].R == heap.Null {
 			v.release(nf)
-			return termToDriver, v.cerr(f, pc, w, "null receiver calling %s", cr.ref)
+			return termToDriver, v.cerr(f, pc, w, "null receiver calling %s", f.m.pool.At(cr.ref))
 		}
 		f.pc = pc + 1
 		t.frames = append(t.frames, nf)

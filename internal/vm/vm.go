@@ -702,7 +702,7 @@ func (v *VM) gcTick() {
 }
 
 func (v *VM) errf(f *frame, format string, args ...any) error {
-	return &RuntimeError{Method: f.m.QualifiedName(), PC: f.pc, Line: f.m.Code[f.pc].Line, Msg: fmt.Sprintf(format, args...)}
+	return &RuntimeError{Method: f.m.QualifiedName(), PC: f.pc, Line: int(f.m.Code[f.pc].Line), Msg: fmt.Sprintf(format, args...)}
 }
 
 // runQuantum executes up to Quantum instructions on one thread.
@@ -853,7 +853,7 @@ func (v *VM) step(t *thread) error {
 		if fs.IsRef {
 			elide := v.proj.apply(v.verdicts.At(int(f.num), f.pc))
 			if v.oracle != nil {
-				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.FieldSite, elide, old, val.R, obj.R); err != nil {
+				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, int(in.Line), t.id, satb.FieldSite, elide, old, val.R, obj.R); err != nil {
 					return err
 				}
 			}
@@ -880,7 +880,7 @@ func (v *VM) step(t *thread) error {
 		}
 
 	case bytecode.OpNewInstance:
-		r := v.heap.AllocObject(v.syms.Class(in.Type.Class))
+		r := v.heap.AllocObject(v.syms.Class(f.m.Operand(f.pc).Type.Class))
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
@@ -891,7 +891,7 @@ func (v *VM) step(t *thread) error {
 		if uint64(n) > maxArrayLen {
 			return v.errf(f, "%s", arraySizeFault(n))
 		}
-		r := v.heap.AllocArray(in.Type.IsRef(), n)
+		r := v.heap.AllocArray(f.m.Operand(f.pc).Type.IsRef(), n)
 		v.allocSinceGC++
 		if v.oracle != nil {
 			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
@@ -926,7 +926,7 @@ func (v *VM) step(t *thread) error {
 		if in.Op == bytecode.OpAAStore {
 			elide := v.proj.apply(v.verdicts.At(int(f.num), f.pc))
 			if v.oracle != nil {
-				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, in.Line, t.id, satb.ArraySite, elide, old, val.R, arr.R); err != nil {
+				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, int(in.Line), t.id, satb.ArraySite, elide, old, val.R, arr.R); err != nil {
 					return err
 				}
 			}
@@ -943,7 +943,7 @@ func (v *VM) step(t *thread) error {
 			nf.locals[i] = pop()
 		}
 		if !callee.Static && nf.locals[0].R == heap.Null {
-			return v.errf(f, "null receiver calling %s", in.Method)
+			return v.errf(f, "null receiver calling %s", f.m.Operand(f.pc))
 		}
 		f.pc++
 		t.frames = append(t.frames, nf)
