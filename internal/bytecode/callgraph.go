@@ -85,22 +85,17 @@ type SCC struct {
 type Condensation struct {
 	Graph *CallGraph
 	SCCs  []SCC
-	// CompOf maps a node to its component index in SCCs.
+	// CompOf maps a node to its component index in SCCs. For every edge
+	// v → w, CompOf[w] <= CompOf[v]: no callee's component comes after its
+	// caller's.
 	CompOf []int
-	// Deps[c] lists the component indices c's members call into
-	// (excluding c itself), deduplicated; all are < c by construction.
-	Deps [][]int
-	// Dependents[c] is the reverse of Deps: components that call into c.
-	// The parallel scheduler uses it to release waiting components.
-	Dependents [][]int
 }
 
 // Condense runs Tarjan's SCC algorithm (iteratively — generated programs
-// are small but workloads can have deep call chains) and builds the
-// component DAG, in a fixed number of allocations whatever the graph: the
-// search's per-node state and path share one array, the members of every
-// component are carved from another, and the component lists from a third,
-// sized by a counting pass.
+// are small but workloads can have deep call chains) in a fixed number of
+// allocations whatever the graph: the search's per-node state and path
+// share one array, and the members of every component are carved from
+// another.
 func Condense(g *CallGraph) *Condensation {
 	n := len(g.Methods)
 	// CompOf, then per node its search index, its lowlink and how many of
@@ -173,49 +168,6 @@ func Condense(g *CallGraph) *Condensation {
 			slices.Sort(scc)
 			cyclic := size > 1 || slices.Contains(g.Callees[v], v) // self-loop
 			c.SCCs = append(c.SCCs, SCC{Members: scc, Cyclic: cyclic})
-		}
-	}
-
-	// Component DAG edges (deduplicated, deterministic order). A first pass
-	// counts each component's lists, reusing the search state: mark[cw] ==
-	// ci+1 once ci's edge to cw is counted.
-	nc := len(c.SCCs)
-	mark, ndeps, ndependents := state[n:2*n], state[2*n:3*n], state[3*n:4*n]
-	clear(state[n : 4*n])
-	total := 0
-	for ci := range c.SCCs {
-		for _, v := range c.SCCs[ci].Members {
-			for _, w := range g.Callees[v] {
-				if cw := c.CompOf[w]; cw != ci && mark[cw] != ci+1 {
-					mark[cw] = ci + 1
-					ndeps[ci]++
-					ndependents[cw]++
-					total++
-				}
-			}
-		}
-	}
-	lists := make([][]int, 2*nc)
-	c.Deps, c.Dependents = lists[:nc:nc], lists[nc:]
-	edges := make([]int, 2*total)
-	for ci := range nc {
-		if k := ndeps[ci]; k > 0 {
-			c.Deps[ci], edges = edges[:0:k], edges[k:]
-		}
-		if k := ndependents[ci]; k > 0 {
-			c.Dependents[ci], edges = edges[:0:k], edges[k:]
-		}
-	}
-	clear(mark[:nc])
-	for ci := range c.SCCs {
-		for _, v := range c.SCCs[ci].Members {
-			for _, w := range g.Callees[v] {
-				if cw := c.CompOf[w]; cw != ci && mark[cw] != ci+1 {
-					mark[cw] = ci + 1
-					c.Deps[ci] = append(c.Deps[ci], cw)
-					c.Dependents[cw] = append(c.Dependents[cw], ci)
-				}
-			}
 		}
 	}
 	return c

@@ -12,9 +12,9 @@ import (
 // sparse and dense, with self-loops, unreachable parts and nodes of no
 // edges — against what reachability alone says: two nodes share a
 // component exactly when each reaches the other; members ascend; a
-// component is cyclic exactly when it has two members or a self-loop; it
-// comes after every component it calls into; Deps lists exactly the other
-// components its members call, once each; and Dependents mirrors Deps.
+// component is cyclic exactly when it has two members or a self-loop; and
+// every edge v → w runs bottom-up, CompOf[w] <= CompOf[v], strictly unless
+// v and w share a component.
 func TestCondenseMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for round := 0; round < 500; round++ {
@@ -59,33 +59,6 @@ func TestCondenseMatchesReference(t *testing.T) {
 			if cyclic := len(scc.Members) > 1 || reach[v][v]; scc.Cyclic != cyclic {
 				fail("component %d %v: Cyclic %v, want %v", ci, scc.Members, scc.Cyclic, cyclic)
 			}
-			var deps []int
-			for _, v := range scc.Members {
-				for _, w := range g.Callees[v] {
-					if cw := c.CompOf[w]; cw != ci && !slices.Contains(deps, cw) {
-						deps = append(deps, cw)
-					}
-				}
-			}
-			slices.Sort(deps)
-			got := slices.Clone(c.Deps[ci])
-			slices.Sort(got)
-			if !slices.Equal(got, deps) {
-				fail("component %d: Deps %v, want %v", ci, c.Deps[ci], deps)
-			}
-			for _, d := range c.Deps[ci] {
-				if d >= ci {
-					fail("component %d depends on component %d, which comes later", ci, d)
-				}
-				if !slices.Contains(c.Dependents[d], ci) {
-					fail("component %d depends on %d, whose Dependents %v omit it", ci, d, c.Dependents[d])
-				}
-			}
-			for _, d := range c.Dependents[ci] {
-				if !slices.Contains(c.Deps[d], ci) {
-					fail("component %d lists dependent %d, whose Deps %v omit it", ci, d, c.Deps[d])
-				}
-			}
 		}
 		if seen != n {
 			fail("the components hold %d nodes of %d", seen, n)
@@ -99,6 +72,11 @@ func TestCondenseMatchesReference(t *testing.T) {
 			}
 			if !slices.Contains(c.SCCs[c.CompOf[v]].Members, v) {
 				fail("node %d is not a member of its component %d", v, c.CompOf[v])
+			}
+			for _, w := range g.Callees[v] {
+				if cv, cw := c.CompOf[v], c.CompOf[w]; cw > cv {
+					fail("edge %d → %d runs from component %d to component %d", v, w, cv, cw)
+				}
 			}
 		}
 	}

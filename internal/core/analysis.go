@@ -205,9 +205,9 @@ type analyzer struct {
 // the fixed point's scratch and spare states, its worklist, its pending
 // single-predecessor entries and its reached row, simulate's successor and
 // argument buffers, and the judge pass's per-block bookkeeping — and the
-// states both passes take from and return to the free list. Each worker
-// goroutine of one AnalyzeProgramCtx or computeSummaries call owns one, as
-// does a serial run, and newAnalyzer, fixpoint and judge re-initialise what
+// states both passes take from and return to the free list. Each judging
+// worker of one AnalyzeProgramCtx call owns one, as do a serial run and
+// computeSummaries, and newAnalyzer, fixpoint and judge re-initialise what
 // they use, so no result depends on what the workspace analyzed before.
 // Join entry states are not here: each belongs to its method (entrySlab,
 // initialState), and no workspace state ever becomes one.

@@ -72,8 +72,9 @@ func TestCondenseNestedCyclesAndUnreachable(t *testing.T) {
 
 // TestCondenseBottomUpInvariants is the randomized structural property:
 // on arbitrary digraphs the condensation must partition the nodes, every
-// dependency must point at an earlier component (bottom-up order), and
-// SCC membership must coincide with mutual reachability.
+// call edge must point at the caller's component or an earlier one
+// (bottom-up order), and SCC membership must coincide with mutual
+// reachability.
 func TestCondenseBottomUpInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -105,11 +106,12 @@ func TestCondenseBottomUpInvariants(t *testing.T) {
 			t.Fatalf("trial %d: partition covers %d of %d nodes", trial, count, n)
 		}
 
-		// Bottom-up: deps strictly precede their dependents.
-		for ci, deps := range c.Deps {
-			for _, d := range deps {
-				if d >= ci {
-					t.Fatalf("trial %d: component %d depends on later/equal %d", trial, ci, d)
+		// Bottom-up: every edge v → w has CompOf[w] <= CompOf[v], equal only
+		// when v and w share a component.
+		for v, callees := range adj {
+			for _, w := range callees {
+				if cv, cw := c.CompOf[v], c.CompOf[w]; cw > cv {
+					t.Fatalf("trial %d: edge %d → %d runs from component %d to %d", trial, v, w, cv, cw)
 				}
 			}
 		}
@@ -169,8 +171,8 @@ class M {
 	}
 }
 
-// TestComputeSummariesParallelDeterministic: any worker count yields the
-// same summaries as the sequential schedule, bit for bit.
+// TestComputeSummariesParallelDeterministic: the workers argument changes
+// nothing, so any value yields the same summaries, bit for bit.
 func TestComputeSummariesParallelDeterministic(t *testing.T) {
 	src := `
 class T { int v; T f; static T sink; }

@@ -155,10 +155,10 @@ func TestGenerousBudgetsChangeNothing(t *testing.T) {
 
 // TestSummaryPanicDegrades: T.main → T.f, where T.f pops an empty stack.
 // Summarizing T.f panics like judging it does; the summary fixed
-// point must answer the worst summary instead of taking the build down —
-// also on a worker goroutine, where no caller's recover reaches — and
-// judging then degrades T.f on its own. T.g is a second component to
-// summarize, so four workers fan out.
+// point must answer the worst summary instead of taking the build down,
+// and judging then degrades T.f on its own — also on a judging worker
+// goroutine, where no caller's recover reaches. T.g is a second component
+// to summarize.
 func TestSummaryPanicDegrades(t *testing.T) {
 	p := bytecode.NewProgram()
 	tt := bytecode.ClassType("T")

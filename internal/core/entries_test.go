@@ -67,7 +67,7 @@ func TestEntriesOnlyAtJoins(t *testing.T) {
 				p := compileSrc(t, w.Source, limit)
 				px := newProgramIndex(p, opts)
 				if opts.Interprocedural {
-					opts.Summaries = computeSummaries(context.Background(), px, opts, 1)
+					opts.Summaries = computeSummaries(context.Background(), px, opts)
 				}
 				modes := []bool{false}
 				if opts.Interprocedural {

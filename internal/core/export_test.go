@@ -26,8 +26,8 @@ func ComputeAllSummaries(p *bytecode.Program, opts Options) Summaries {
 
 // SummariesCtx summarizes p under ctx, as AnalyzeProgramCtx does before
 // it judges.
-func SummariesCtx(ctx context.Context, p *bytecode.Program, opts Options, workers int) Summaries {
-	return computeSummaries(ctx, newProgramIndex(p, opts), opts, workers)
+func SummariesCtx(ctx context.Context, p *bytecode.Program, opts Options) Summaries {
+	return computeSummaries(ctx, newProgramIndex(p, opts), opts)
 }
 
 // IsWorst reports whether s is the worst summary of m: every argument
@@ -75,7 +75,7 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 	methods := p.Methods()
 	px := newProgramIndex(p, opts)
 	if opts.Interprocedural {
-		opts.Summaries = computeSummaries(context.Background(), px, opts, 1)
+		opts.Summaries = computeSummaries(context.Background(), px, opts)
 	}
 	tables := 0
 	ws := newWorkspace()

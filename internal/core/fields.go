@@ -39,9 +39,9 @@ type methodIndex struct {
 // table, the options the reference tables depend on (SingleRefPerSite,
 // Interprocedural), and each method's index (indexed by method number),
 // built by the first analysis of the method.
-// An entry is touched by one worker at a time — the one holding the
-// method's callgraph component, later the one judging the method — so the
-// table needs no lock.
+// An entry is touched by one goroutine at a time — computeSummaries, before
+// any judging starts, then the worker judging the method — so the table
+// needs no lock.
 type programIndex struct {
 	prog    *bytecode.Program
 	syms    *bytecode.Symbols

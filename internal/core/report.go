@@ -36,9 +36,10 @@ func AnalyzeProgram(p *bytecode.Program, opts Options) (*ProgramReport, error) {
 // worker claims methods off a shared counter, and reports land in
 // p.Methods() order regardless of completion order — the report and the
 // verdicts are bit-identical to a sequential run. Interprocedural
-// summaries, when requested, are computed up front over the condensed
-// callgraph (bottom-up SCC order, independent components in parallel; see
-// bytecode/callgraph.go) and are read-only during the fan-out. Every fixed
+// summaries, when requested, are computed up front on the calling goroutine
+// over the condensed callgraph (bottom-up SCC order; see
+// bytecode/callgraph.go) and are read-only during the fan-out, which is the
+// only place a build runs goroutines. Every fixed
 // point, summarizing or judging, observes the end of ctx at block-visit
 // boundaries and degrades soundly rather than erroring — a summary to the
 // worst case, a method to all barriers with the reason ctx.Err() gives
@@ -55,7 +56,7 @@ func AnalyzeProgramCtx(ctx context.Context, p *bytecode.Program, opts Options, w
 	// summarized, builds its own.
 	px := newProgramIndex(p, opts)
 	if opts.Interprocedural && opts.Summaries == nil {
-		opts.Summaries = computeSummaries(ctx, px, opts, workers)
+		opts.Summaries = computeSummaries(ctx, px, opts)
 	}
 	if workers > len(methods) {
 		workers = len(methods)

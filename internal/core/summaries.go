@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sync"
 
 	"satbelim/internal/bytecode"
 )
@@ -47,9 +46,8 @@ import (
 // point from the optimistic start under the monotone-compromise
 // guarantee — facts only worsen, so the iteration computes the least
 // fixed point, which is what lets read-only recursion stay
-// uncompromised. Independent components fan out across workers; results
-// are bit-identical for any worker count because each component depends
-// only on finalized callee summaries.
+// uncompromised. One goroutine walks the components in that order, so each
+// component reads only callee summaries that are already final.
 
 // MethodSummary is the interprocedural fact set for one method. All
 // fields move monotonically toward the worst case during the fixed
@@ -106,10 +104,7 @@ func worstSummary(m *bytecode.Method) *MethodSummary {
 	return s
 }
 
-// degradeToWorst moves the summary to the top of the lattice in place —
-// in place so that concurrently scheduled components never observe a
-// replaced entry, only monotonically worsened fields of the same struct
-// (the Summaries slice itself stays read-only during the fan-out).
+// degradeToWorst moves the summary to the top of the lattice in place.
 func (s *MethodSummary) degradeToWorst() {
 	for i := range s.ArgCompromised {
 		s.ArgCompromised[i] = true
@@ -177,17 +172,17 @@ func (s Summaries) of(i int) *MethodSummary {
 const maxSummaryRounds = 40
 
 // ComputeSummariesParallel derives escape summaries for every method some
-// OpInvoke names, scheduling their callgraph SCCs bottom-up in reverse
-// topological order and fanning independent components across workers
-// (<= 1 means sequential). A method nothing invokes — main, a thread body,
-// a callee the inliner swallowed — has no entry: a lookup yields nil, which
+// OpInvoke names, one callgraph SCC at a time in bottom-up (reverse
+// topological) order. A method nothing invokes — main, a thread body, a
+// callee the inliner swallowed — has no entry: a lookup yields nil, which
 // the invoke transfer function treats as the worst case. opts is the
 // analysis configuration the summaries will be used with (ablations apply
-// to the summary computation too). Results are bit-identical for any worker
-// count. A method that cannot be summarized gets the worst summary, so the
-// error is always nil.
+// to the summary computation too). workers is unused: summaries run on the
+// calling goroutine, and the argument stays for callers that size it. A
+// method that cannot be summarized gets the worst summary, so the error is
+// always nil.
 func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (Summaries, error) {
-	return computeSummaries(context.Background(), newProgramIndex(p, opts), opts, workers), nil
+	return computeSummaries(context.Background(), newProgramIndex(p, opts), opts), nil
 }
 
 // computeSummaries is ComputeSummariesParallel under the caller's ctx and
@@ -195,96 +190,34 @@ func ComputeSummariesParallel(p *bytecode.Program, opts Options, workers int) (S
 // every method it summarized. A summary fixed point stops on the budgets
 // of opts and on ctx as a judging one does (newAnalyzer), and a stopped
 // method gets the worst summary.
-func computeSummaries(ctx context.Context, px *programIndex, opts Options, workers int) Summaries {
+func computeSummaries(ctx context.Context, px *programIndex, opts Options) Summaries {
 	cond := Condense(BuildCallGraph(px.prog))
 	// A component is needed when it holds the callee of some invoke. Its own
-	// callees are needed by the same rule, so the needed components are
-	// closed under Deps and the schedule below runs over a sub-DAG.
+	// callees are needed by the same rule, so every component a needed one
+	// calls into is needed too, and comes before it in cond.SCCs.
 	needed := make([]bool, len(cond.SCCs))
-	remaining := 0
 	sums := make(Summaries, len(cond.Graph.Methods))
 	for _, callees := range cond.Graph.Callees {
 		for _, j := range callees {
 			if ci := cond.CompOf[j]; !needed[ci] {
 				needed[ci] = true
-				remaining++
-				// The optimistic start exists before any component runs: the
-				// slice is read-only during the fan-out, and summaries only
-				// worsen in place.
 				for _, v := range cond.SCCs[ci].Members {
 					sums[v] = optimisticSummary(px.syms, cond.Graph.Methods[v])
 				}
 			}
 		}
 	}
-	if workers <= 1 || remaining <= 1 {
-		ws := newWorkspace()
-		for ci := range cond.SCCs {
-			if needed[ci] {
-				processSCC(ctx, px, ws, opts, cond, ci, sums)
-			}
-		}
-		return sums
-	}
-
-	// Parallel phase: a component becomes ready when every component it
-	// calls into is finalized. The mutex orders each component's summary
-	// writes before any dependent's reads.
-	var (
-		mu      sync.Mutex
-		cv      = sync.NewCond(&mu)
-		ready   []int
-		pending = make([]int, len(cond.SCCs))
-	)
+	ws := newWorkspace()
 	for ci := range cond.SCCs {
-		pending[ci] = len(cond.Deps[ci])
-		if needed[ci] && pending[ci] == 0 {
-			ready = append(ready, ci)
+		if needed[ci] {
+			processSCC(ctx, px, ws, opts, cond, ci, sums)
 		}
 	}
-	if workers > remaining {
-		workers = remaining
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := newWorkspace()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && remaining > 0 {
-					cv.Wait()
-				}
-				if remaining == 0 {
-					mu.Unlock()
-					return
-				}
-				ci := ready[len(ready)-1]
-				ready = ready[:len(ready)-1]
-				mu.Unlock()
-
-				processSCC(ctx, px, ws, opts, cond, ci, sums)
-
-				mu.Lock()
-				remaining--
-				for _, d := range cond.Dependents[ci] {
-					pending[d]--
-					if needed[d] && pending[d] == 0 {
-						ready = append(ready, d)
-					}
-				}
-				cv.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
 	return sums
 }
 
-// processSCC finalizes the summaries of one component on the worker owning
-// ws. Acyclic components need exactly one pass (their callees are already
+// processSCC finalizes the summaries of one component on workspace ws.
+// Acyclic components need exactly one pass (their callees are already
 // final); cyclic ones iterate members in program order until nothing
 // worsens.
 func processSCC(ctx context.Context, px *programIndex, ws *workspace, opts Options, cond *Condensation, ci int, sums Summaries) {
@@ -324,9 +257,7 @@ func processSCC(ctx context.Context, px *programIndex, ws *workspace, opts Optio
 //
 // Like judging, summarizing never takes the build down: a panic — possible
 // only in unverified code — yields the worst summary, and judging then
-// degrades the method on its own. The recover is here and not around the
-// scheduler because a fanned-out component runs on a worker goroutine no
-// caller's recover reaches.
+// degrades the method on its own.
 func summarizeMethod(ctx context.Context, px *programIndex, ws *workspace, m *bytecode.Method, node int, opts Options, sums Summaries) (out *MethodSummary) {
 	defer func() {
 		if recover() != nil {

@@ -60,12 +60,12 @@ func TestSummariesObeyBudgetsAndContext(t *testing.T) {
 			t.Errorf("%s: %d methods summarized, want 4", what, n)
 		}
 	}
-	summarized("no budget", core.SummariesCtx(context.Background(), p, opts, 1), false)
+	summarized("no budget", core.SummariesCtx(context.Background(), p, opts), false)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	summarized("cancelled", core.SummariesCtx(ctx, p, opts), true)
 	for _, workers := range []int{1, 4} {
-		summarized("cancelled", core.SummariesCtx(ctx, p, opts, workers), true)
 		start := time.Now()
 		rep, err := core.AnalyzeProgramCtx(ctx, p, opts, workers)
 		if err != nil {
@@ -83,7 +83,7 @@ func TestSummariesObeyBudgetsAndContext(t *testing.T) {
 
 	starved := opts
 	starved.MaxBlockVisits = 1
-	summarized("MaxBlockVisits=1", core.SummariesCtx(context.Background(), p, starved, 4), true)
+	summarized("MaxBlockVisits=1", core.SummariesCtx(context.Background(), p, starved), true)
 	b, err := pipeline.Compile("summarized", summarizedSrc, pipeline.Options{InlineLimit: 0, Analysis: starved, NoCache: true})
 	if err != nil {
 		t.Fatal(err)

@@ -36,6 +36,25 @@ var rows = []row{
 		campaign: &campaign{args: []string{"-interproc"}, maxRepro: 40},
 	},
 	{
+		name: "summaries-top-down",
+		file: "internal/core/summaries.go",
+		original: `	for ci := range cond.SCCs {
+		if needed[ci] {
+`,
+		mutant: `	for ci := len(cond.SCCs) - 1; ci >= 0; ci-- {
+		if needed[ci] {
+`,
+		rationale: "callgraph components are summarized top-down, so a caller's summary is computed " +
+			"over its callees' optimistic starting summaries instead of their final ones",
+		killers: []check{
+			{pkg: "internal/core", run: "^TestSummaryTransitiveThroughHelperChain$", want: "exactly the read-only-chain store"},
+			{pkg: "internal/core", run: "^TestOnDemandSummariesChangeNothing$", want: "among all methods"},
+			{pkg: "internal/pipeline", run: "^TestSummaryDumpGolden$"},
+			{pkg: "internal/pipeline", run: "^TestInterprocDifferentialSweep$", want: "soundness violation"},
+		},
+		campaign: &campaign{args: []string{"-interproc"}, maxRepro: 30},
+	},
+	{
 		name: "entry-block-not-a-join",
 		file: "internal/core/analysis.go",
 		original: `				cur.copyFrom(spare)

@@ -190,11 +190,11 @@ func TestInterprocWinsAtInlineLimitZero(t *testing.T) {
 }
 
 // TestConcurrentInterprocCompilesMatchSequential is the race check for
-// the condensed-callgraph summary scheduler: many goroutines compiling
-// the same interprocedural build through the shared cache must all see
-// the exact elision decisions of an uncached sequential reference
-// compile. Run under -race this also proves the SCC worker pool and the
-// cache's singleflight layer are data-race free.
+// interprocedural builds: many goroutines compiling the same
+// interprocedural build through the shared cache must all see the exact
+// elision decisions of an uncached sequential reference compile. Run
+// under -race this also proves that the judging pool's reads of the
+// summaries and the cache's singleflight layer are data-race free.
 func TestConcurrentInterprocCompilesMatchSequential(t *testing.T) {
 	src := sweepPrograms()["mutual-recursion"]
 	opts := Options{

@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"satbelim/internal/bytecode"
@@ -48,11 +46,11 @@ type Options struct {
 	Analysis core.Options
 	// Runtime is the VM configuration Build.Exec runs under.
 	Runtime vm.Config
-	// Workers is the per-method fan-out width for the verify and
-	// analysis stages (both are intra-procedural after inlining, so
-	// methods are independent). <= 0 means GOMAXPROCS. Results are
-	// deterministic: reports and elision bits are identical for any
-	// worker count.
+	// Workers is the per-method fan-out width of analysis judging only
+	// (intra-procedural after inlining, so methods are independent);
+	// parsing, verification and summaries run on the calling goroutine.
+	// <= 0 means GOMAXPROCS. Results are deterministic: reports and
+	// elision bits are identical for any worker count.
 	Workers int
 	// NoCache disables the content-addressed build cache for this
 	// compilation (it neither reads nor stores an entry). Use it when
@@ -206,7 +204,7 @@ func compile(ctx context.Context, name, source string, opts Options) (*Build, er
 
 	start = time.Now()
 	sp = obs.StartSpan("main", "pipeline", "verify")
-	err = verifyParallel(b.Program, opts.workerCount())
+	err = verifier.VerifyProgram(b.Program)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline %s: %w", name, err)
@@ -228,48 +226,6 @@ func compile(ctx context.Context, name, source string, opts Options) (*Build, er
 	}
 	b.BytecodeBytes, b.compiledCodeSize = codeSizes(b.Program)
 	return b, nil
-}
-
-// verifyParallel verifies every method, fanning independent methods
-// across workers. Codegen copies each method's code out at its exact size
-// and carves its slot types at capacity equal to length, and the inliner
-// gives a method it expands new slices, so no two methods' Code or
-// SlotTypes overlap and each worker's writes (MaxStack) stay method-local;
-// each method's Body, which the analysis reads after it, is built here by
-// the worker verifying it. On failure the
-// error of the first method in program order is returned, independent of
-// scheduling.
-func verifyParallel(p *bytecode.Program, workers int) error {
-	methods := p.Methods()
-	if workers > len(methods) {
-		workers = len(methods)
-	}
-	if workers <= 1 {
-		return verifier.VerifyProgram(p)
-	}
-	errs := make([]error, len(methods))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(methods) {
-					return
-				}
-				errs[i] = verifier.Verify(p, methods[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Run executes the built program on the VM under an explicit config: the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime/debug"
 	"time"
@@ -49,10 +48,15 @@ const (
 	OutcomePanic    = "panic"
 )
 
-func decodeRequest(r *http.Request, maxBytes int64) (*Request, error) {
+// decodeRequest reads the JSON body of r, refusing one longer than
+// maxBytes outright rather than decoding a truncated prefix of it.
+func decodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (*Request, error) {
 	var req Request
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err := dec.Decode(&req); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			return nil, fmt.Errorf("satbd: request body exceeds %d bytes", maxBytes)
+		}
 		return nil, fmt.Errorf("satbd: bad request body: %w", err)
 	}
 	if req.Source == "" {
@@ -94,7 +98,7 @@ func (s *Server) endpoint(name string) http.HandlerFunc {
 		doc := report.NewDocument("satbd")
 		doc.Satbd = &report.Satbd{Request: sr}
 
-		req, err := decodeRequest(r, s.cfg.MaxSourceBytes)
+		req, err := decodeRequest(w, r, s.cfg.MaxSourceBytes)
 		if err != nil {
 			s.errs.Add(1)
 			s.finish(w, http.StatusBadRequest, doc, sr, OutcomeError, err, t0)

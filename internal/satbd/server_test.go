@@ -435,6 +435,23 @@ func TestDeepNestingIsACompileError(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIsRefused: a body longer than MaxSourceBytes is refused
+// as too large, not decoded as far as the limit and reported as a
+// truncated JSON value; one within the limit is served.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, MaxSourceBytes: 200})
+	status, _, doc := post(t, ts, "compile", Request{Name: "loopy", Source: loopySrc()})
+	if status != http.StatusBadRequest || doc.Satbd.Request.Outcome != OutcomeError ||
+		doc.Satbd.Request.Error != "satbd: request body exceeds 200 bytes" {
+		t.Errorf("oversized body: status %d outcome %q (%s), want 400/error saying it exceeds 200 bytes",
+			status, doc.Satbd.Request.Outcome, doc.Satbd.Request.Error)
+	}
+	small := "class A { static void main() { print(1); } }"
+	if status, _, doc := post(t, ts, "compile", Request{Name: "small", Source: small}); status != http.StatusOK {
+		t.Errorf("body within the limit: status %d (%s), want 200", status, doc.Satbd.Request.Error)
+	}
+}
+
 func TestPanicIsolation(t *testing.T) {
 	// Every request panics mid-pipeline; the daemon must answer 500 each
 	// time and stay alive.

@@ -150,8 +150,8 @@ func (v *verifier) callee(pc int) *bytecode.Method { return v.syms.Methods[v.bod
 // Verify checks one method and fills in its MaxStack. Malformed bytecode
 // always surfaces as an *Error naming the method — never a panic: a
 // recover guard turns internal faults on adversarial input (e.g. from
-// fuzzing) into ordinary rejections, so a parallel verify pool cannot be
-// taken down by one bad method.
+// fuzzing) into ordinary rejections, so one bad method cannot take the
+// process down.
 func Verify(p *bytecode.Program, m *bytecode.Method) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
