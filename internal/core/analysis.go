@@ -1,3 +1,7 @@
+// Package core iterates the abstract domain of internal/domain to the
+// paper's barrier-elision verdicts: the fixed point with its budgets, the
+// judging pass, the summaries' schedule, the judges' fan-out, the reports
+// and the per-flavor projection.
 package core
 
 import (
@@ -5,10 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 
 	"satbelim/internal/bytecode"
-	"satbelim/internal/intval"
-	"satbelim/internal/num"
+	"satbelim/internal/domain"
 	"satbelim/internal/obs"
 	"satbelim/internal/satb"
 )
@@ -81,7 +85,7 @@ type Options struct {
 	Interprocedural bool
 	// Summaries supplies precomputed summaries; AnalyzeProgram fills it
 	// when Interprocedural is set and it is nil.
-	Summaries Summaries
+	Summaries domain.Summaries
 	// MaxSummaryRoundsPerSCC bounds the summary fixed point within one
 	// cyclic callgraph component (0 = default). Exceeding it degrades
 	// that component's summaries — and only that component's — to the
@@ -155,7 +159,6 @@ type MethodReport struct {
 	NullOrSame    int
 	Rearranged    int
 	BlockVisits   int
-	Converged     bool
 	AbstractRefs  int
 	BytecodeBytes int
 	// SummaryCalls counts call sites judged with an interprocedural
@@ -176,7 +179,8 @@ type MethodReport struct {
 // context plus the entry states they are iterated over and the budgets
 // that stop the iteration.
 type analyzer struct {
-	transfer
+	t     domain.Transfer
+	graph *bytecode.Graph
 	// ws is the worker's workspace, whose buffers the method's analysis
 	// borrows.
 	ws *workspace
@@ -190,62 +194,58 @@ type analyzer struct {
 	// entry it replaces, so a visit allocates only when a buffer must grow.
 	// A single-predecessor block's entry is its predecessor's out state,
 	// held in a workspace state only while the block is pending.
-	entry []*state
-	slab  entrySlab
+	entry []*domain.State
+	slab  domain.EntrySlab
 
 	visits    int
 	maxVisits int
+	// maxState bounds an out state's Footprint (0: no bound).
+	maxState int
 	// ctx is the caller's context; its Done channel is polled every
 	// doneCheckInterval block visits.
 	ctx context.Context
 }
 
 // workspace is what one analysis worker reuses from method to method: the
-// buffers whose lifetime ends with a method's analysis — the slot table,
-// the fixed point's scratch and spare states, its worklist, its pending
-// single-predecessor entries and its reached row, simulate's successor and
-// argument buffers, and the judge pass's per-block bookkeeping — and the
-// states both passes take from and return to the free list. Each judging
-// worker of one AnalyzeProgramCtx call owns one, as do a serial run and
-// computeSummaries, and newAnalyzer, fixpoint and judge re-initialise what
-// they use, so no result depends on what the workspace analyzed before.
-// Join entry states are not here: each belongs to its method (entrySlab,
-// initialState), and no workspace state ever becomes one.
+// buffers whose lifetime ends with a method's analysis — the domain's (the
+// slot table, simulate's successor and argument buffers), the fixed point's
+// scratch and spare states, its worklist, its pending single-predecessor
+// entries and its reached row, and the judge pass's per-block bookkeeping —
+// and the states both passes take from and return to the free list. Each
+// judging worker of one AnalyzeProgramCtx call owns one, as do a serial run
+// and computeSummaries, and newAnalyzer, fixpoint and judge re-initialise
+// what they use, so no result depends on what the workspace analyzed before.
+// Join entry states are not here: each belongs to its method (EntrySlab,
+// InitialState), and no workspace state ever becomes one.
 type workspace struct {
-	slots          slotTable
-	scratch, spare state
+	dom            domain.Buffers
+	scratch, spare domain.State
 	work           rpoWorklist
 	// pending[id] is single-predecessor block id's entry state while the
 	// block is on the worklist, nil otherwise; reached[id] says whether the
 	// fixed point reached block id at all.
-	pending []*state
+	pending []*domain.State
 	reached []bool
-	sim     simBuffers
 	outs    []judgeOut
-	free    []*state
+	free    []*domain.State
 	// extra holds the states beyond scratch and spare: the fixed point's
 	// pending entries and the judge pass's out states.
-	extra []*state
+	extra []*domain.State
 }
 
-func newWorkspace() *workspace {
-	ws := &workspace{}
-	ws.scratch.tab = &ws.slots
-	ws.spare.tab = &ws.slots
-	return ws
-}
+func newWorkspace() *workspace { return &workspace{} }
 
 // copyOf returns a copy of src in a state off the free list, or in a new
 // one of the worker's when the list is empty.
-func (ws *workspace) copyOf(src *state) *state {
-	var st *state
+func (ws *workspace) copyOf(src *domain.State) *domain.State {
+	var st *domain.State
 	if n := len(ws.free); n > 0 {
 		st, ws.free = ws.free[n-1], ws.free[:n-1]
 	} else {
-		st = &state{tab: &ws.slots}
+		st = new(domain.State)
 		ws.extra = append(ws.extra, st)
 	}
-	st.copyFrom(src)
+	st.CopyFrom(src)
 	return st
 }
 
@@ -268,12 +268,10 @@ func analyzeMethod(ctx context.Context, px *programIndex, ws *workspace, i int, 
 	}
 	rep := &MethodReport{Method: m, BytecodeBytes: m.Size()}
 	verdicts := analyze(ctx, px, ws, idx, m, opts, rep)
-	rep.Converged = rep.Degraded == DegradeNone
 	publish(px.syms, idx.Body, verdicts, rep)
 	if lane != "" {
 		sp.EndArgs(
 			obs.KV{K: "block_visits", V: int64(rep.BlockVisits)},
-			obs.KV{K: "converged", V: num.B2I(rep.Converged)},
 			obs.KV{K: "degraded", S: string(rep.Degraded)},
 		)
 		obs.Count("analysis.methods", 1)
@@ -303,11 +301,12 @@ func analyze(ctx context.Context, px *programIndex, ws *workspace, idx methodInd
 	if opts.Mode == ModeNone {
 		return nil
 	}
-	a := newAnalyzer(ctx, px, ws, m, idx, opts)
+	var sums domain.Summaries
 	if opts.Interprocedural {
-		a.summaries = opts.Summaries
+		sums = opts.Summaries
 	}
-	rep.AbstractRefs = a.refs.judged
+	a := newAnalyzer(ctx, px, ws, idx, opts, sums, false)
+	rep.AbstractRefs = idx.refs.Judged()
 
 	rep.Degraded = a.fixpoint()
 	rep.BlockVisits = a.visits
@@ -315,8 +314,8 @@ func analyze(ctx context.Context, px *programIndex, ws *workspace, idx methodInd
 		return nil
 	}
 	j := a.judge()
-	rep.SummaryCalls, rep.FreshReturns = j.summaryCalls, j.freshReturns
-	return j.verdicts
+	verdicts, rep.SummaryCalls, rep.FreshReturns = j.Result()
+	return verdicts
 }
 
 // publish is the one counter of sites and elisions: it counts the
@@ -349,58 +348,26 @@ func publish(syms *bytecode.Symbols, body *bytecode.Body, verdicts []bytecode.Ve
 }
 
 // newAnalyzer sets up the engine for one method of the build px indexes
-// on ws: the workspace's slot table, emptied for the method's references,
-// and what stops its fixed point besides opts.MaxStateSize: the visit
-// budget (opts.MaxBlockVisits, else a default sized by the method) and
-// ctx. Judging and summarizing both start here, so both stop for the same
-// reasons. It judges unless the caller gives it a summary recorder.
-func newAnalyzer(ctx context.Context, px *programIndex, ws *workspace, m *bytecode.Method, idx methodIndex, opts Options) *analyzer {
-	ws.slots.reset(px.syms, idx.refs)
+// on ws: the domain's transfer functions over the workspace's buffers,
+// reading the callee summaries sums and, with summarize, in summary mode;
+// and what stops its fixed point: the state-size budget
+// (opts.MaxStateSize), the visit budget (opts.MaxBlockVisits, else a
+// default sized by the method) and ctx. Judging and summarizing both start
+// here, so both stop for the same reasons.
+func newAnalyzer(ctx context.Context, px *programIndex, ws *workspace, idx methodIndex, opts Options, sums domain.Summaries, summarize bool) *analyzer {
 	maxVisits := opts.MaxBlockVisits
 	if maxVisits <= 0 {
 		maxVisits = 200*len(idx.Graph.Blocks) + 2000
 	}
 	return &analyzer{
-		transfer: transfer{m: m, opts: opts, syms: px.syms, methodIndex: idx,
-			slots: &ws.slots, simBuffers: &ws.sim},
+		t:         domain.NewTransfer(&ws.dom, px.syms, idx.Body, idx.refs, px.cfg, sums, summarize),
+		graph:     idx.Graph,
 		ws:        ws,
-		entry:     make([]*state, len(idx.Graph.Blocks)),
+		entry:     make([]*domain.State, len(idx.Graph.Blocks)),
 		maxVisits: maxVisits,
+		maxState:  opts.MaxStateSize,
 		ctx:       ctx,
 	}
-}
-
-// initialState builds the method-entry state of §2.3 / §3.4.
-func (a *analyzer) initialState() *state {
-	s := newState(a.slots, a.m.NumSlots())
-	s.nl = SingletonRef(GlobalRefID)
-	for i := range s.locals {
-		s.locals[i] = Bottom
-	}
-	slot := 0
-	for i := 0; i < a.m.NumArgs(); i++ {
-		at := a.m.ArgType(i)
-		if at.IsRef() {
-			r := a.refs.argRef[i]
-			s.locals[slot] = RefValue(SingletonRef(r))
-			if !(a.m.Ctor && i == 0) && a.rec == nil {
-				// Non-constructor reference arguments are non-thread-
-				// local from the start. In summary mode they start
-				// local so their genuine escapes can be observed.
-				s.nl = s.nl.With(r)
-			}
-			if at.Kind == bytecode.KindArray {
-				// Len(R_arg(i)) = fresh constant unknown (§3.4).
-				s.setLength(r, intval.OfConstU(a.namer.FreshConst()))
-			}
-		} else {
-			// Integer inputs become constant unknowns (§3.4).
-			s.locals[slot] = IntValue(intval.OfConstU(a.namer.FreshConst()))
-		}
-		slot++
-	}
-	a.everNL = s.nl
-	return s
 }
 
 // rpoWorklist is a priority worklist over block ids ordered by
@@ -477,7 +444,7 @@ const doneCheckInterval = 32
 // flows into it too, so a loop header at pc 0 with a single back edge
 // merges that edge with the method entry rather than taking its state.
 func (a *analyzer) isJoin(id int) bool {
-	return id == 0 || len(a.Graph.Blocks[id].Preds) != 1
+	return id == 0 || len(a.graph.Blocks[id].Preds) != 1
 }
 
 // fixpoint iterates blocks to a fixed point in RPO priority order. A
@@ -495,7 +462,7 @@ func (a *analyzer) isJoin(id int) bool {
 // ran again is re-visited even when its entry did not change.
 func (a *analyzer) fixpoint() DegradeReason {
 	ws := a.ws
-	n := len(a.Graph.Blocks)
+	n := len(a.graph.Blocks)
 	joins := 0
 	for id := range n {
 		if a.isJoin(id) {
@@ -507,10 +474,10 @@ func (a *analyzer) fixpoint() DegradeReason {
 	ws.reached = resized(ws.reached, n)
 	clear(ws.reached)
 	ws.free = append(ws.free[:0], ws.extra...)
-	a.entry[0] = a.initialState()
+	a.entry[0] = a.t.InitialState()
 	ws.reached[0] = true
 	work := &ws.work
-	work.reset(a.Graph.RPOIndex())
+	work.reset(a.graph.RPOIndex())
 	work.push(0)
 	for {
 		id, ok := work.pop()
@@ -530,36 +497,35 @@ func (a *analyzer) fixpoint() DegradeReason {
 		}
 		out := &ws.scratch
 		if a.isJoin(id) {
-			out.copyFrom(a.entry[id])
+			out.CopyFrom(a.entry[id])
 		} else {
 			in := ws.pending[id]
-			out.copyFrom(in)
+			out.CopyFrom(in)
 			ws.pending[id] = nil
 			ws.free = append(ws.free, in)
 		}
-		targets := a.simulate(out, a.Graph.Blocks[id], nil)
-		if a.opts.MaxStateSize > 0 && out.footprint() > a.opts.MaxStateSize {
+		targets := a.t.Step(out, id)
+		if a.maxState > 0 && out.Footprint() > a.maxState {
 			return DegradeStateSize
 		}
-		a.everNL = a.everNL.Union(out.nl)
 		for _, tgt := range targets {
 			ws.reached[tgt] = true
 			switch cur := a.entry[tgt]; {
 			case !a.isJoin(tgt):
 				if p := ws.pending[tgt]; p != nil {
-					p.copyFrom(out)
+					p.CopyFrom(out)
 				} else {
 					ws.pending[tgt] = ws.copyOf(out)
 					work.push(tgt)
 				}
 			case cur == nil:
 				// Every join but the entry is first reached at most once.
-				a.entry[tgt] = a.slab.newEntry(out, joins-1)
+				a.entry[tgt] = a.slab.NewEntry(out, joins-1)
 				work.push(tgt)
 			default:
 				spare := &ws.spare
-				changed := mergeStates(spare, cur, out, &a.namer, a.opts.NoStrideInference)
-				cur.copyFrom(spare)
+				changed := a.t.Join(spare, cur, out)
+				cur.CopyFrom(spare)
 				if changed {
 					work.push(tgt)
 				}
@@ -572,8 +538,8 @@ func (a *analyzer) fixpoint() DegradeReason {
 // re-simulates every reachable block, and the transfer functions record
 // what each store site earned ("the last such judgment (at the fixed point
 // of the analysis) is correct", §2.4).
-func (a *analyzer) judge() judgment {
-	j := judgment{verdicts: make([]bytecode.Verdict, len(a.m.Code))}
+func (a *analyzer) judge() domain.Judgment {
+	var j domain.Judgment
 	// Visit blocks in reverse postorder so that a single-predecessor
 	// block continues its predecessor's judge-pass state and rearrangement
 	// tracker — the fixed point kept no entry for it — and a join starts
@@ -588,66 +554,52 @@ func (a *analyzer) judge() judgment {
 	// workspace's: the fixed point's two buffers and the extra states
 	// earlier passes made start the list.
 	ws := a.ws
-	outs := resized(ws.outs, len(a.Graph.Blocks))
+	outs := resized(ws.outs, len(a.graph.Blocks))
 	clear(outs)
 	ws.free = append(ws.free[:0], &ws.scratch, &ws.spare)
 	ws.free = append(ws.free, ws.extra...)
-	var trackers []*rearrangeTracker
-	if a.opts.Rearrange {
-		trackers = make([]*rearrangeTracker, len(a.Graph.Blocks))
-	}
-	for _, id := range a.Graph.ReversePostorder() {
+	for _, id := range a.graph.ReversePostorder() {
 		if !ws.reached[id] {
 			continue
 		}
-		b := a.Graph.Blocks[id]
+		b := a.graph.Blocks[id]
 		for _, succ := range b.Succs {
 			if !a.isJoin(succ) {
 				outs[id].conts++
 			}
 		}
-		var st *state
-		a.rt = nil
+		var st *domain.State
+		from := -1
 		if a.isJoin(id) {
 			st = ws.copyOf(a.entry[id])
 		} else {
-			p := &outs[b.Preds[0]]
-			if a.opts.Rearrange && trackers[b.Preds[0]] != nil {
-				a.rt = trackers[b.Preds[0]].fork()
-			}
+			from = b.Preds[0]
+			p := &outs[from]
 			if p.conts--; p.conts == 0 {
 				st, p.st = p.st, nil
 			} else {
 				st = ws.copyOf(p.st)
 			}
 		}
-		if a.opts.Rearrange && a.rt == nil {
-			a.rt = newRearrangeTracker()
-		}
-		if a.rt != nil {
-			st.ann = &a.rt.ann
-		}
-		a.simulate(st, b, &j)
-		st.ann = nil
+		a.t.Judge(&j, st, id, from)
 		if outs[id].conts > 0 {
 			outs[id].st = st
 		} else {
 			ws.free = append(ws.free, st)
-		}
-		if a.rt != nil {
-			a.rt.detectSwaps(&j)
-			trackers[id] = a.rt
-			a.rt = nil
 		}
 	}
 	ws.outs = outs
 	return j
 }
 
+// resized returns vs with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resized[T any](vs []T, n int) []T { return slices.Grow(vs[:0], n)[:n] }
+
 // judgeOut is a block's entry in the judge pass's bookkeeping: its out
 // state, while conts single-predecessor successors have yet to continue
 // from it.
 type judgeOut struct {
-	st    *state
+	st    *domain.State
 	conts int
 }

@@ -170,47 +170,3 @@ class M {
 		t.Errorf("duplicate invokes must dedup to one edge, got %v", got)
 	}
 }
-
-// TestComputeSummariesParallelDeterministic: the workers argument changes
-// nothing, so any value yields the same summaries, bit for bit.
-func TestComputeSummariesParallelDeterministic(t *testing.T) {
-	src := `
-class T { int v; T f; static T sink; }
-class M {
-    static int ra(T t, int n) { if (n <= 0) return t.v; return M.rb(t, n - 1); }
-    static int rb(T t, int n) { if (n <= 0) return 0; return M.ra(t, n - 1) + 1; }
-    static int ro(T t) { return t.v; }
-    static void pub(T t) { T.sink = t; }
-    static T mk() { return new T(); }
-    static T chain() { return M.mk(); }
-    static int use(T t) { return M.ro(t) + M.ra(t, 3); }
-    static void main() { T t = new T(); print(M.use(t)); M.pub(t); print(M.chain().v); }
-}
-`
-	p, _ := analyzeSrc(t, src, 0, Options{Mode: ModeNone})
-	opts := Options{Mode: ModeFieldArray, Interprocedural: true}
-	seq, err := ComputeSummariesParallel(p, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := ComputeSummariesParallel(p, opts, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(normalizeSums(p, seq), normalizeSums(p, par)) {
-			t.Fatalf("workers=%d summaries differ:\nseq: %+v\npar: %+v", workers, seq, par)
-		}
-	}
-}
-
-// normalizeSums keys the summaries by method name, by value.
-func normalizeSums(p *bytecode.Program, s Summaries) map[string]MethodSummary {
-	out := map[string]MethodSummary{}
-	for i, sum := range s {
-		if sum != nil {
-			out[p.Methods()[i].QualifiedName()] = *sum
-		}
-	}
-	return out
-}

@@ -122,7 +122,7 @@ func fixpointOfMain(ctx context.Context, p *bytecode.Program, opts Options) (Deg
 		if err != nil {
 			panic(err)
 		}
-		a := newAnalyzer(ctx, px, newWorkspace(), m, idx, opts)
+		a := newAnalyzer(ctx, px, newWorkspace(), idx, opts, nil, false)
 		return a.fixpoint(), a.visits
 	}
 	panic("no main")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"satbelim/internal/bytecode"
+	"satbelim/internal/domain"
 )
 
 // loopSrc has a genuine fixed point (a loop) so budgets can bite.
@@ -45,9 +46,6 @@ func TestVisitBudgetDegradesConservatively(t *testing.T) {
 	}
 	if main.Degraded != DegradeVisitBudget {
 		t.Fatalf("main Degraded = %q, want %q", main.Degraded, DegradeVisitBudget)
-	}
-	if main.Converged {
-		t.Error("degraded method still reports Converged")
 	}
 	if main.FieldSites == 0 {
 		t.Error("degraded report should still count barrier sites")
@@ -183,14 +181,16 @@ func TestSummaryPanicDegrades(t *testing.T) {
 		method("main", false, "f", "g"), method("f", true), method("g", false)}})
 	f := bytecode.MethodRef{Class: "T", Name: "f"}
 	opts := Options{Mode: ModeFieldArray, Interprocedural: true}
+	sums, err := ComputeSummariesParallel(p, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := domain.WorstSummary(p.Method(f)); !reflect.DeepEqual(SummaryOf(sums, p, f), want) {
+		t.Errorf("summary of T.f = %+v, want the worst %+v", SummaryOf(sums, p, f), want)
+	}
+	// The judges fan out over workers; the summaries run on one goroutine
+	// whatever the count.
 	for _, workers := range []int{1, 4} {
-		sums, err := ComputeSummariesParallel(p, opts, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := worstSummary(p.Method(f)); !reflect.DeepEqual(sums.Of(p, f), want) {
-			t.Errorf("workers=%d: summary of T.f = %+v, want the worst %+v", workers, sums.Of(p, f), want)
-		}
 		rep, err := AnalyzeProgramCtx(context.Background(), p, opts, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: a panic should degrade, not error: %v", workers, err)

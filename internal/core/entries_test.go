@@ -34,7 +34,7 @@ func graphReach(g *bytecode.Graph) []bool {
 // reached row equal to graph reachability from block 0.
 func checkEntriesOnlyAtJoins(a *analyzer) error {
 	ws := a.ws
-	reach := graphReach(a.Graph)
+	reach := graphReach(a.graph)
 	if !slices.Equal(ws.reached, reach) {
 		return fmt.Errorf("reached %v, graph reachability %v", ws.reached, reach)
 	}
@@ -80,11 +80,7 @@ func TestEntriesOnlyAtJoins(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, summary := range modes {
-						a := newAnalyzer(context.Background(), px, ws, m, idx, opts)
-						a.summaries = opts.Summaries
-						if summary {
-							a.rec = newSummaryRecorder(a.refs, a.slots)
-						}
+						a := newAnalyzer(context.Background(), px, ws, idx, opts, opts.Summaries, summary)
 						if r := a.fixpoint(); r != DegradeNone {
 							t.Fatalf("%s: %s degraded: %s", name, m.QualifiedName(), r)
 						}

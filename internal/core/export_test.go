@@ -3,19 +3,23 @@ package core
 import (
 	"context"
 	"fmt"
+	"regexp"
+	"slices"
+	"strconv"
 
 	"satbelim/internal/bytecode"
+	"satbelim/internal/domain"
 )
 
 // ComputeAllSummaries summarizes every method of p, invoked or not — what
 // ComputeSummariesParallel did before it restricted itself to invoked
 // components. The on-demand tests compare against it.
-func ComputeAllSummaries(p *bytecode.Program, opts Options) Summaries {
+func ComputeAllSummaries(p *bytecode.Program, opts Options) domain.Summaries {
 	cond := Condense(BuildCallGraph(p))
-	sums := make(Summaries, len(cond.Graph.Methods))
+	sums := make(domain.Summaries, len(cond.Graph.Methods))
 	px := newProgramIndex(p, opts)
 	for i, m := range cond.Graph.Methods {
-		sums[i] = optimisticSummary(px.syms, m)
+		sums[i] = domain.OptimisticSummary(px.syms, m)
 	}
 	ws := newWorkspace()
 	for ci := range cond.SCCs {
@@ -26,13 +30,13 @@ func ComputeAllSummaries(p *bytecode.Program, opts Options) Summaries {
 
 // SummariesCtx summarizes p under ctx, as AnalyzeProgramCtx does before
 // it judges.
-func SummariesCtx(ctx context.Context, p *bytecode.Program, opts Options) Summaries {
+func SummariesCtx(ctx context.Context, p *bytecode.Program, opts Options) domain.Summaries {
 	return computeSummaries(ctx, newProgramIndex(p, opts), opts)
 }
 
 // IsWorst reports whether s is the worst summary of m: every argument
 // compromised, no field pre-null, the return not fresh.
-func (s *MethodSummary) IsWorst(m *bytecode.Method) bool {
+func IsWorst(s *domain.MethodSummary, m *bytecode.Method) bool {
 	if s.ReturnsFresh || len(s.ArgCompromised) != m.NumArgs() {
 		return false
 	}
@@ -44,23 +48,26 @@ func (s *MethodSummary) IsWorst(m *bytecode.Method) bool {
 	return true
 }
 
-// Of returns the summary of the named method of p, or nil: the summaries
-// are indexed by p's method numbers, the tests speak in names.
-func (s Summaries) Of(p *bytecode.Program, ref bytecode.MethodRef) *MethodSummary {
+// SummaryOf returns the summary of the named method of p, or nil: the
+// summaries are indexed by p's method numbers, the tests speak in names.
+func SummaryOf(s domain.Summaries, p *bytecode.Program, ref bytecode.MethodRef) *domain.MethodSummary {
 	i := p.Symbols().MethodNum(ref)
 	if i < 0 {
 		panic("no method named " + ref.String())
 	}
-	return s.of(i)
+	if i < len(s) {
+		return s[i]
+	}
+	return nil
 }
 
 // PreNullNamed reports whether the field with qualified name ("Class.field"
 // or "$elems") is in argument i's pre-null set: the summaries speak in the
 // ids of p's symbol table, the tests in names.
-func (s *MethodSummary) PreNullNamed(p *bytecode.Program, i int, name string) bool {
+func PreNullNamed(s *domain.MethodSummary, p *bytecode.Program, i int, name string) bool {
 	for _, f := range p.Symbols().Fields {
 		if f.Name == name {
-			return s.preNull(i, f.ID)
+			return s.PreNull(i, f.ID)
 		}
 	}
 	panic("no field named " + name)
@@ -89,12 +96,11 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 		if summarized != nil && summarized != idx.refs {
 			return 0, fmt.Errorf("%s: judged over a table of its own", m.QualifiedName())
 		}
-		if rep.AbstractRefs != idx.refs.judged {
-			return 0, fmt.Errorf("%s: AbstractRefs %d, judged references %d", m.QualifiedName(), rep.AbstractRefs, idx.refs.judged)
+		if rep.AbstractRefs != idx.refs.Judged() {
+			return 0, fmt.Errorf("%s: AbstractRefs %d, judged references %d", m.QualifiedName(), rep.AbstractRefs, idx.refs.Judged())
 		}
 		tables++
-		a := newAnalyzer(context.Background(), px, ws, m, idx, opts)
-		a.summaries = opts.Summaries
+		a := newAnalyzer(context.Background(), px, ws, idx, opts, opts.Summaries, false)
 		if r := a.fixpoint(); r != DegradeNone {
 			return 0, fmt.Errorf("%s: degraded: %s", m.QualifiedName(), r)
 		}
@@ -102,21 +108,21 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 		// join's entry, and out states — among them each single-predecessor
 		// block's entry — re-derived here by simulation in reverse
 		// postorder, as the judge pass derives them.
-		outs := make([]*state, len(a.Graph.Blocks))
-		for _, id := range a.Graph.ReversePostorder() {
+		outs := make([]*domain.State, len(a.graph.Blocks))
+		for _, id := range a.graph.ReversePostorder() {
 			if !ws.reached[id] {
 				continue
 			}
 			in := a.entry[id]
 			if !a.isJoin(id) {
-				in = outs[a.Graph.Blocks[id].Preds[0]]
+				in = outs[a.graph.Blocks[id].Preds[0]]
 			}
-			out := &state{tab: in.tab}
-			out.copyFrom(in)
-			a.simulate(out, a.Graph.Blocks[id], nil)
+			out := new(domain.State)
+			out.CopyFrom(in)
+			a.t.Step(out, id)
 			outs[id] = out
-			for _, s := range []*state{in, out} {
-				if bad := contentsNamed(s, idx.refs.judged); len(bad) > 0 {
+			for _, s := range []*domain.State{in, out} {
+				if bad := contentsNamed(s, idx.refs.Judged()); len(bad) > 0 {
 					return 0, fmt.Errorf("%s: a judging state names contents references %v", m.QualifiedName(), bad)
 				}
 			}
@@ -125,23 +131,20 @@ func RefTablesOf(p *bytecode.Program, opts Options) (int, error) {
 	return tables, nil
 }
 
+// refName matches a reference in a state's rendering (State.String), which
+// spells every reference the state names — in ρ, stk, σ's keys and values,
+// the null-or-same guarantees, NL, the tainted set, Len and NR — as r<id>;
+// a field, rendered Class.name, never matches.
+var refName = regexp.MustCompile(`(?:^|[^.\w])r([0-9]+)`)
+
 // contentsNamed returns the references at or above judged — contents
 // references, which no judging state may name — that s names.
-func contentsNamed(s *state, judged int) []RefID {
-	named := s.nl.Union(s.intTainted)
-	for _, vs := range [][]Value{s.locals, s.stack, s.sigma} {
-		for _, v := range vs {
-			named = named.Union(v.refs)
-		}
-	}
-	for _, k := range s.tab.keys {
-		named = named.With(k.ref)
-	}
-	var bad []RefID
-	named.ForEach(func(r RefID) {
-		if int(r) >= judged {
+func contentsNamed(s *domain.State, judged int) []int {
+	var bad []int
+	for _, m := range refName.FindAllStringSubmatch(s.String(), -1) {
+		if r, _ := strconv.Atoi(m[1]); r >= judged && !slices.Contains(bad, r) {
 			bad = append(bad, r)
 		}
-	})
+	}
 	return bad
 }

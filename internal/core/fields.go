@@ -1,16 +1,9 @@
 package core
 
-import "satbelim/internal/bytecode"
-
-// fieldID names a field in the program's symbol table. It is the only
-// spelling of a field the analysis uses: σ slots, null-or-same guarantees,
-// summaries and the swap detector all carry ids, and two analyses of the
-// same program agree on them.
-type fieldID = bytecode.FieldID
-
-// elemsFieldID is the id of the pseudo-field standing for an array's
-// elements.
-const elemsFieldID = bytecode.ElemsField
+import (
+	"satbelim/internal/bytecode"
+	"satbelim/internal/domain"
+)
 
 // The call graph and its condensation live beside the symbol table; these
 // are the names the analysis's callers know them by.
@@ -32,26 +25,31 @@ func Condense(g *CallGraph) *Condensation { return bytecode.Condense(g) }
 // them once — and the method's reference table.
 type methodIndex struct {
 	*bytecode.Body
-	refs *refTable
+	refs *domain.RefTable
 }
 
 // programIndex is what the analyses of one build share: the program's symbol
-// table, the options the reference tables depend on (SingleRefPerSite,
-// Interprocedural), and each method's index (indexed by method number),
-// built by the first analysis of the method.
+// table, the domain's switches (the reference tables depend on two of them,
+// SingleRefPerSite and Interprocedural), and each method's index (indexed
+// by method number), built by the first analysis of the method.
 // An entry is touched by one goroutine at a time — computeSummaries, before
 // any judging starts, then the worker judging the method — so the table
 // needs no lock.
 type programIndex struct {
 	prog    *bytecode.Program
 	syms    *bytecode.Symbols
-	opts    Options
+	cfg     domain.Config
 	methods []methodIndex
 }
 
+// newProgramIndex derives the domain's switches from opts: the one place an
+// option reaches the transfer functions and the join.
 func newProgramIndex(p *bytecode.Program, opts Options) *programIndex {
 	s := p.Symbols()
-	return &programIndex{prog: p, syms: s, opts: opts, methods: make([]methodIndex, len(s.Methods))}
+	cfg := domain.Config{Arrays: opts.Mode == ModeFieldArray, NullOrSame: opts.NullOrSame, Rearrange: opts.Rearrange,
+		SingleRefPerSite: opts.SingleRefPerSite, FlowInsensitiveEscape: opts.FlowInsensitiveEscape,
+		Interprocedural: opts.Interprocedural, NoStrideInference: opts.NoStrideInference}
+	return &programIndex{prog: p, syms: s, cfg: cfg, methods: make([]methodIndex, len(s.Methods))}
 }
 
 // of returns the index of method number i, building its reference table on
@@ -65,7 +63,7 @@ func (px *programIndex) of(i int) (methodIndex, error) {
 	if b.Err != nil {
 		return methodIndex{}, b.Err
 	}
-	idx := methodIndex{Body: b, refs: buildRefTable(px.syms, px.syms.Methods[i], b.CalleeAt, px.opts)}
+	idx := methodIndex{Body: b, refs: domain.NewRefTable(px.syms, px.syms.Methods[i], b.CalleeAt, px.cfg)}
 	px.methods[i] = idx
 	return idx, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/codegen"
+	"satbelim/internal/domain"
 	"satbelim/internal/minijava"
 	"satbelim/internal/progen"
 	"satbelim/internal/workloads"
@@ -53,20 +54,20 @@ func TestFieldTableNumbering(t *testing.T) {
 		}
 		var names []string
 		for id, f := range ft.Fields {
-			if f.ID != fieldID(id) {
+			if f.ID != bytecode.FieldID(id) {
 				t.Errorf("source %d: field %d says it is field %d", i, id, f.ID)
 			}
 			names = append(names, f.Name)
 		}
-		if names[elemsFieldID] != "$elems" {
-			t.Errorf("source %d: id %d is %q, want $elems", i, elemsFieldID, names[elemsFieldID])
+		if names[bytecode.ElemsField] != "$elems" {
+			t.Errorf("source %d: id %d is %q, want $elems", i, bytecode.ElemsField, names[bytecode.ElemsField])
 		}
 		if !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(names) {
 			t.Errorf("source %d: names do not strictly ascend with ids: %q", i, names)
 		}
 		declared := 0
 		for _, c := range p.SortedClasses() {
-			var refFields []fieldID
+			var refFields []bytecode.FieldID
 			for _, f := range c.Fields {
 				declared++
 				ref := bytecode.FieldRef{Class: c.Name, Name: f.Name}
@@ -97,14 +98,14 @@ func TestRefFieldsOfType(t *testing.T) {
 class T { int v; T a; static T s; T[] b; int[] c; }
 class M { static void main() { print(0); } }`)
 	ft := p.Symbols()
-	id := func(name string) fieldID { return ft.Field(bytecode.FieldRef{Class: "T", Name: name}).ID }
+	id := func(name string) bytecode.FieldID { return ft.Field(bytecode.FieldRef{Class: "T", Name: name}).ID }
 	tt := bytecode.ClassType("T")
 	for _, tc := range []struct {
 		typ  *bytecode.Type
-		want []fieldID
+		want []bytecode.FieldID
 	}{
-		{tt, []fieldID{id("a"), id("b"), id("c")}},
-		{bytecode.ArrayOf(tt), []fieldID{elemsFieldID}},
+		{tt, []bytecode.FieldID{id("a"), id("b"), id("c")}},
+		{bytecode.ArrayOf(tt), []bytecode.FieldID{bytecode.ElemsField}},
 		{bytecode.ArrayOf(bytecode.Int), nil},
 		{bytecode.ClassType("M"), nil},
 		{bytecode.ClassType("Undeclared"), nil},
@@ -127,13 +128,13 @@ class T { T a; T b; T c; void touch(T[] ts) { this.b = this; ts[0] = this; } }
 class M { static void main() { T t = new T(); t.touch(new T[1]); } }`)
 	ft := p.Symbols()
 	callee := p.Method(bytecode.MethodRef{Class: "T", Name: "touch"})
-	sum := optimisticSummary(ft, callee)
+	sum := domain.OptimisticSummary(ft, callee)
 	sum.ArgPreNullFields[0] = sum.ArgPreNullFields[0][:1]
 	dirty := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < callee.NumArgs(); i++ {
 			for _, f := range ft.RefFieldsOf(callee.ArgType(i)) {
-				if !sum.preNull(i, f) {
+				if !sum.PreNull(i, f) {
 					dirty++
 				}
 			}

@@ -79,7 +79,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sums.Of(p, bytecode.MethodRef{Class: "M", Name: "mkInit"}).ReturnsFresh {
+	if SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: "mkInit"}).ReturnsFresh {
 		t.Error("non-null-field return must not be fresh")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
@@ -103,10 +103,10 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sums.Of(p, bytecode.MethodRef{Class: "M", Name: "leak"}).ReturnsFresh {
+	if SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: "leak"}).ReturnsFresh {
 		t.Error("escaped return must not be fresh")
 	}
-	if sums.Of(p, bytecode.MethodRef{Class: "M", Name: "give"}).ReturnsFresh {
+	if SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: "give"}).ReturnsFresh {
 		t.Error("argument-reachable return must not be fresh")
 	}
 }
@@ -155,14 +155,14 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctor := sums.Of(p, bytecode.MethodRef{Class: "T", Name: "<init>"})
+	ctor := SummaryOf(sums, p, bytecode.MethodRef{Class: "T", Name: "<init>"})
 	if ctor.ArgCompromised[0] {
 		t.Fatal("constructor receiver must stay uncompromised")
 	}
-	if ctor.PreNullNamed(p, 0, "T.a") {
+	if PreNullNamed(ctor, p, 0, "T.a") {
 		t.Error("written field T.a must leave the receiver's pre-null set")
 	}
-	if !ctor.PreNullNamed(p, 0, "T.b") {
+	if !PreNullNamed(ctor, p, 0, "T.b") {
 		t.Error("untouched field T.b must stay in the receiver's pre-null set")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
@@ -198,7 +198,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sums.Of(p, bytecode.MethodRef{Class: "M", Name: "foo"}).ArgCompromised[0] {
+	if !SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: "foo"}).ArgCompromised[0] {
 		t.Fatal("publishing the argument's contents must compromise the argument")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
@@ -241,7 +241,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sums.Of(p, bytecode.MethodRef{Class: "M", Name: "deep"}).ArgCompromised[0] {
+	if !SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: "deep"}).ArgCompromised[0] {
 		t.Fatal("mutation through the argument's contents must compromise it")
 	}
 	m := p.Method(bytecode.MethodRef{Class: "M", Name: "main"})
@@ -292,12 +292,12 @@ class M {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"ra", "rb"} {
-		s := sums.Of(p, bytecode.MethodRef{Class: "M", Name: name})
+		s := SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: name})
 		if !s.ArgCompromised[0] || !s.ArgIntMutated[0] {
 			t.Errorf("%s must degrade to the worst case under a 1-round budget: %+v", name, s)
 		}
 	}
-	if sums.Of(p, bytecode.MethodRef{Class: "M", Name: "ro"}).ArgCompromised[0] {
+	if SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: "ro"}).ArgCompromised[0] {
 		t.Error("budget degradation must not leak outside the cyclic component")
 	}
 	// Default budget converges and is strictly more precise: ra
@@ -306,7 +306,7 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := full.Of(p, bytecode.MethodRef{Class: "M", Name: "ra"})
+	ra := SummaryOf(full, p, bytecode.MethodRef{Class: "M", Name: "ra"})
 	if !ra.ArgCompromised[0] || ra.ArgIntMutated[0] {
 		t.Errorf("converged ra summary = %+v, want compromised but not int-mutated", ra)
 	}
@@ -332,10 +332,10 @@ class M {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sums.Of(p, bytecode.MethodRef{Class: "M", Name: "ra"}).ArgCompromised[0] {
+	if !SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: "ra"}).ArgCompromised[0] {
 		t.Fatal("the fixed point must compromise ra's argument transitively")
 	}
-	if !sums.Of(p, bytecode.MethodRef{Class: "M", Name: "rb"}).ArgCompromised[0] {
+	if !SummaryOf(sums, p, bytecode.MethodRef{Class: "M", Name: "rb"}).ArgCompromised[0] {
 		t.Error("rb publishes its argument directly")
 	}
 }

@@ -146,7 +146,7 @@ class M {
 		t.Fatal(err)
 	}
 	for _, want := range []bytecode.MethodRef{ref("M", "big"), ref("M", "ping"), ref("M", "pong")} {
-		if sums.Of(p, want) == nil {
+		if core.SummaryOf(sums, p, want) == nil {
 			t.Errorf("no summary for invoked method %s", want)
 		}
 	}
@@ -154,7 +154,7 @@ class M {
 		if p.Method(absent) == nil {
 			t.Fatalf("%s is not in the program", absent)
 		}
-		if sum := sums.Of(p, absent); sum != nil {
+		if sum := core.SummaryOf(sums, p, absent); sum != nil {
 			t.Errorf("%s is never invoked but has summary %+v", absent, sum)
 		}
 	}

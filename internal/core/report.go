@@ -154,13 +154,8 @@ func (r *ProgramReport) String() string {
 	}
 	fmt.Fprintf(&b, "\nblock visits: %d\n", r.BlockVisits())
 	var nc []string
-	for _, m := range r.Methods {
-		switch {
-		case m.Degraded != DegradeNone:
-			nc = append(nc, fmt.Sprintf("%s (%s)", m.Method.QualifiedName(), m.Degraded))
-		case !m.Converged:
-			nc = append(nc, m.Method.QualifiedName())
-		}
+	for _, m := range r.Degraded() {
+		nc = append(nc, fmt.Sprintf("%s (%s)", m.Method.QualifiedName(), m.Degraded))
 	}
 	if len(nc) > 0 {
 		sort.Strings(nc)

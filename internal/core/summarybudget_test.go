@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"satbelim/internal/core"
+	"satbelim/internal/domain"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
@@ -44,7 +45,7 @@ func TestSummariesObeyBudgetsAndContext(t *testing.T) {
 	opts := core.Options{Mode: core.ModeFieldArray, Interprocedural: true}
 	// summarized checks that sums has a summary for each callee and that
 	// each is the worst case exactly when worst is set.
-	summarized := func(what string, sums core.Summaries, worst bool) {
+	summarized := func(what string, sums domain.Summaries, worst bool) {
 		t.Helper()
 		n := 0
 		for i, s := range sums {
@@ -52,7 +53,7 @@ func TestSummariesObeyBudgetsAndContext(t *testing.T) {
 				continue
 			}
 			n++
-			if got := s.IsWorst(methods[i]); got != worst {
+			if got := core.IsWorst(s, methods[i]); got != worst {
 				t.Errorf("%s: summary of %s is worst %v, want %v: %+v", what, methods[i].QualifiedName(), got, worst, s)
 			}
 		}

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"satbelim/internal/bytecode"
-	"satbelim/internal/intval"
+	"satbelim/internal/domain"
 	"satbelim/internal/workloads"
 )
 
@@ -17,7 +17,7 @@ import (
 type analysisRun struct {
 	reps []*MethodReport
 	rows [][]bytecode.Verdict
-	sums Summaries
+	sums domain.Summaries
 }
 
 // kept is one method's converged join entry states, as the fixed point
@@ -25,8 +25,8 @@ type analysisRun struct {
 type kept struct {
 	method string
 	blocks []int
-	entry  []*state
-	copies []*state
+	entry  []*domain.State
+	copies []*domain.State
 }
 
 // runWith analyzes p on one worker — every callgraph component summarized
@@ -46,9 +46,9 @@ func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next 
 	run := analysisRun{reps: make([]*MethodReport, len(methods)), rows: make([][]bytecode.Verdict, len(methods))}
 	if opts.Interprocedural {
 		cond := Condense(BuildCallGraph(p))
-		run.sums = make(Summaries, len(cond.Graph.Methods))
+		run.sums = make(domain.Summaries, len(cond.Graph.Methods))
 		for i, m := range cond.Graph.Methods {
-			run.sums[i] = optimisticSummary(px.syms, m)
+			run.sums[i] = domain.OptimisticSummary(px.syms, m)
 		}
 		for ci := range cond.SCCs {
 			processSCC(context.Background(), px, next(), opts, cond, ci, run.sums)
@@ -65,8 +65,7 @@ func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next 
 		run.reps[i], run.rows[i] = rep, row
 		idx, _ := px.of(i)
 		pool := slices.Clone(ws.extra)
-		a := newAnalyzer(context.Background(), px, ws, methods[i], idx, opts)
-		a.summaries = opts.Summaries
+		a := newAnalyzer(context.Background(), px, ws, idx, opts, opts.Summaries, false)
 		if a.fixpoint() != DegradeNone {
 			t.Fatalf("%s degraded", methods[i].QualifiedName())
 		}
@@ -78,8 +77,8 @@ func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next 
 			if s == &ws.scratch || s == &ws.spare || slices.Contains(ws.extra, s) {
 				t.Fatalf("%s: block %d's entry state is the workspace's", k.method, id)
 			}
-			c := &state{tab: s.tab}
-			c.copyFrom(s)
+			c := new(domain.State)
+			c.CopyFrom(s)
 			k.blocks = append(k.blocks, id)
 			k.entry, k.copies = append(k.entry, s), append(k.copies, c)
 		}
@@ -87,26 +86,17 @@ func runWith(t *testing.T, p *bytecode.Program, opts Options, order []int, next 
 		if !slices.Equal(ws.extra[:len(pool)], pool) {
 			t.Fatalf("%s: the workspace's states were replaced", k.method)
 		}
-		for _, s := range ws.extra {
-			if s.tab != &ws.slots {
-				t.Fatalf("%s: a workspace state reads another worker's slot table", k.method)
-			}
-		}
 		keep = append(keep, k)
 	}
 	return run, keep
 }
 
-// sameState reports whether two states hold the same entries, position by
-// position.
-func sameState(a, b *state) bool {
-	return slices.EqualFunc(a.locals, b.locals, Value.Equal) &&
-		slices.EqualFunc(a.stack, b.stack, Value.Equal) &&
-		slices.EqualFunc(a.sigma, b.sigma, Value.Equal) &&
-		slices.EqualFunc(a.length, b.length, intval.IntVal.Equal) &&
-		slices.EqualFunc(a.nr, b.nr, intval.Range.Equal) &&
-		a.nl.Equal(b.nl) && a.intTainted.Equal(b.intTainted)
-}
+// sameState reports whether two states hold the same rows, bit for bit. A
+// copy shares its source's immutable values, so fmt's rendering of the
+// representation — which, unlike State.String, reads no slot table, and the
+// worker's has moved on to other methods by the time entries are checked —
+// tells any overwritten entry apart.
+func sameState(a, b *domain.State) bool { return fmt.Sprintf("%v", *a) == fmt.Sprintf("%v", *b) }
 
 // TestWorkspaceReuseIsInvisible analyzes every method of the six workloads
 // — at inline limit 100 in mode A, and at limit 0 with summaries — three

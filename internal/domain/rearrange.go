@@ -1,4 +1,4 @@
-package core
+package domain
 
 import (
 	"maps"
@@ -231,7 +231,7 @@ func symEq(a, b intval.IntVal) bool {
 
 // detectSwaps pairs the block's store events and records both pcs of each
 // swap in out.
-func (rt *rearrangeTracker) detectSwaps(out *judgment) {
+func (rt *rearrangeTracker) detectSwaps(out *Judgment) {
 	evs := rt.events
 	for i := 0; i < len(evs); i++ {
 		for j := i + 1; j < len(evs); j++ {

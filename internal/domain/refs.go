@@ -1,4 +1,5 @@
-// Package core implements the paper's two barrier-elision analyses:
+// Package domain is the abstract domain of the paper's two barrier-elision
+// analyses, with its join and its transfer functions:
 //
 //   - The field analysis (§2): a flow-sensitive, intra-procedural abstract
 //     interpretation over ⟨ρ, σ, NL, stk⟩ that identifies pre-null writes
@@ -14,9 +15,11 @@
 //     strides across loop iterations and thereby proves loop-filling
 //     array stores initializing.
 //
-// A restricted form of the §4.3 "null-or-same" extension is also
-// implemented (see nullorsame tracking in value.go).
-package core
+// The §4.3 extensions (null-or-same in value.go, swaps in rearrange.go)
+// and the summary lattice (summary.go) are here too. Iterating the domain
+// is internal/core's, which reaches a state only through the operations
+// exported here.
+package domain
 
 import (
 	"fmt"
@@ -69,32 +72,10 @@ type refInfo struct {
 	arr int32
 }
 
-// String renders the reference's debug name ("Arg0", "R12/A", "RC7/B", …).
-// Names are formatted on demand: diagnostics are their only reader, while
-// reference tables are built for every method of every build.
-func (i *refInfo) String() string {
-	switch i.kind {
-	case refArg:
-		return fmt.Sprintf("Arg%d", i.arg)
-	case refArgContent:
-		return fmt.Sprintf("Arg%d*", i.arg)
-	case refAllocA:
-		return fmt.Sprintf("R%d/A", i.site)
-	case refAllocB:
-		return fmt.Sprintf("R%d/B", i.site)
-	case refCallA:
-		return fmt.Sprintf("RC%d/A", i.site)
-	case refCallB:
-		return fmt.Sprintf("RC%d/B", i.site)
-	default:
-		return "Global"
-	}
-}
-
-// refTable holds the fixed universe of abstract references for one method.
+// RefTable holds the fixed universe of abstract references for one method.
 // The set is fixed before the fixed point begins (paper §2.2: "the set of
 // reference values and field identifiers is fixed and finite"): the table is
-// built once per method per build (programIndex.of) and only read after
+// built once per method per build and only read after
 // that, by every summary round of the method's component and by its judging
 // pass.
 //
@@ -102,7 +83,7 @@ func (i *refInfo) String() string {
 // an A/B pair per site in pc order — the judged references, all a judging
 // analysis uses — and last the arguments' contents references, which only
 // summary mode reads.
-type refTable struct {
+type RefTable struct {
 	infos []refInfo
 	// judged counts the judged references.
 	judged int
@@ -119,20 +100,20 @@ type refTable struct {
 	numArrays int
 }
 
-// buildRefTable scans the method and creates GlobalRef, one reference per
+// NewRefTable scans the method and creates GlobalRef, one reference per
 // reference-typed argument, an A/B pair per allocation site and, last, a
 // contents reference per non-unique reference argument. With
-// Options.SingleRefPerSite (the two-refs-per-site ablation) the A and B
-// names coincide and nothing is unique. Under Options.Interprocedural,
+// Config.SingleRefPerSite (the two-refs-per-site ablation) the A and B
+// names coincide and nothing is unique. Under Config.Interprocedural,
 // invoke sites whose callee returns a reference additionally get an A/B
 // pair for the returned object. A counting pass bounds the references, so
 // the table takes three allocations whatever the method: itself, its
 // references and its per-argument and per-pc names.
-func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32, opts Options) *refTable {
+func NewRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32, cfg Config) *RefTable {
 	n := m.NumArgs()
 	// callSite reports whether the invoke at pc names a reference result.
 	callSite := func(pc int) (ok, isArray bool) {
-		if !opts.Interprocedural || calleeAt[pc] < 0 {
+		if !cfg.Interprocedural || calleeAt[pc] < 0 {
 			return false, false
 		}
 		ret := syms.Methods[calleeAt[pc]].Return
@@ -150,7 +131,7 @@ func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32,
 		}
 	}
 	names := make([]RefID, 2*n+len(m.Code))
-	t := &refTable{argRef: names[:n:n], argContent: names[n : 2*n : 2*n], siteA: names[2*n:],
+	t := &RefTable{argRef: names[:n:n], argContent: names[n : 2*n : 2*n], siteA: names[2*n:],
 		// GlobalRef, two per argument (itself and its contents), two per site.
 		infos: make([]refInfo, 0, 1+2*n+2*sites)}
 	add := func(info refInfo, isArray bool) RefID {
@@ -165,8 +146,8 @@ func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32,
 	// addSite names a site's A reference and, unless the ablation merges
 	// them, its B reference (whose kind follows A's).
 	addSite := func(kind refKind, pc int, isArray bool) {
-		t.siteA[pc] = add(refInfo{kind: kind, site: pc, unique: !opts.SingleRefPerSite}, isArray)
-		if !opts.SingleRefPerSite {
+		t.siteA[pc] = add(refInfo{kind: kind, site: pc, unique: !cfg.SingleRefPerSite}, isArray)
+		if !cfg.SingleRefPerSite {
 			add(refInfo{kind: kind + 1, site: pc}, isArray)
 		}
 	}
@@ -201,17 +182,21 @@ func buildRefTable(syms *bytecode.Symbols, m *bytecode.Method, calleeAt []int32,
 
 // site returns the A and B names of the site at pc — one name twice under
 // the single-reference ablation, GlobalRef twice where no site is.
-func (t *refTable) site(pc int) (a, b RefID) {
+func (t *RefTable) site(pc int) (a, b RefID) {
 	if a = t.siteA[pc]; t.infos[a].unique {
 		return a, a + 1
 	}
 	return a, a
 }
 
-func (t *refTable) info(r RefID) *refInfo { return &t.infos[r] }
+// Judged counts the references a judging analysis of the method uses
+// (MethodReport.AbstractRefs).
+func (t *RefTable) Judged() int { return t.judged }
+
+func (t *RefTable) info(r RefID) *refInfo { return &t.infos[r] }
 
 // unique reports whether r denotes exactly one runtime reference.
-func (t *refTable) unique(r RefID) bool { return t.infos[r].unique }
+func (t *RefTable) unique(r RefID) bool { return t.infos[r].unique }
 
 // RefSet is an immutable set of abstract references, stored as a bitset:
 // ids below 64 in lo, the rest in the words hi points to (word i holds ids

@@ -1,4 +1,4 @@
-package core
+package domain
 
 import (
 	"fmt"
@@ -25,7 +25,7 @@ type slotTable struct {
 	// syms names the slots' fields in String; refs is the method's reference
 	// table, which places each array's Len and NR entries.
 	syms *bytecode.Symbols
-	refs *refTable
+	refs *RefTable
 
 	keys []slotKey
 	// refSlots lists each reference's slots, so per-reference operations
@@ -41,7 +41,7 @@ type slotTable struct {
 // reset empties the table for a method with reference table refs, keeping
 // its buffers — the per-reference slot lists included — for the worker's
 // next method.
-func (t *slotTable) reset(syms *bytecode.Symbols, refs *refTable) {
+func (t *slotTable) reset(syms *bytecode.Symbols, refs *RefTable) {
 	t.syms, t.refs = syms, refs
 	t.keys = t.keys[:0]
 	rs := t.refSlots[:cap(t.refSlots)]
@@ -75,8 +75,11 @@ func (t *slotTable) slot(r RefID, f fieldID) int {
 	return i
 }
 
-// state is the paper's program state tuple extended for arrays:
-// ⟨ρ, σ, NL, stk, Len, NR⟩.
+// State is the paper's program state tuple extended for arrays:
+// ⟨ρ, σ, NL, stk, Len, NR⟩. Its representation is this package's alone:
+// the engine copies and sizes states with CopyFrom and Footprint, and joins
+// and simulates them through Transfer; the zero State is an empty buffer
+// for CopyFrom or a join to fill.
 //
 // Every container is a flat slice owned by exactly one state: σ is indexed
 // by slotTable slot, Len and NR by refInfo.arr. An entry carries its
@@ -85,7 +88,7 @@ func (t *slotTable) slot(r RefID, f fieldID) int {
 // copying is a memmove and comparison and merge are linear loops in index
 // order. The Values, RefSets, IntVals and srcSets stored inside are
 // immutable and may be shared between states.
-type state struct {
+type State struct {
 	tab    *slotTable
 	locals []Value
 	stack  []Value
@@ -97,13 +100,13 @@ type state struct {
 	// callee may have rewritten: integer lookups on them answer ⊤.
 	intTainted RefSet
 	// ann, set only while the judge pass simulates a block with
-	// Options.Rearrange, annotates the state's values for the swap
+	// Config.Rearrange, annotates the state's values for the swap
 	// detector.
 	ann *annotations
 }
 
-func newState(tab *slotTable, numLocals int) *state {
-	s := &state{
+func newState(tab *slotTable, numLocals int) *State {
+	s := &State{
 		tab:    tab,
 		locals: make([]Value, numLocals),
 		length: make([]intval.IntVal, tab.refs.numArrays),
@@ -115,9 +118,11 @@ func newState(tab *slotTable, numLocals int) *state {
 	return s
 }
 
-// copyFrom makes s a copy of src, reusing s's buffers where they are
-// large enough. The two states share no mutable memory afterwards.
-func (s *state) copyFrom(src *state) {
+// CopyFrom makes s a copy of src, over src's slot table, reusing s's
+// buffers where they are large enough. The two states share no mutable
+// memory afterwards.
+func (s *State) CopyFrom(src *State) {
+	s.tab = src.tab
 	s.locals = append(s.locals[:0], src.locals...)
 	s.stack = append(s.stack[:0], src.stack...)
 	s.sigma = append(s.sigma[:0], src.sigma...)
@@ -126,13 +131,13 @@ func (s *state) copyFrom(src *state) {
 	s.nl, s.intTainted = src.nl, src.intTainted
 }
 
-// entrySlab hands a fixed point's first-reached blocks their entry states:
+// EntrySlab hands a fixed point's first-reached joins their entry states:
 // the states and their Len and NR rows come from slabs made on first use,
 // ρ, stk and σ share one exactly-sized allocation. Every buffer is cut with
 // no capacity to spare, so a state that outgrows one moves to a buffer of
 // its own on the next append and never into its neighbour's.
-type entrySlab struct {
-	states  []state
+type EntrySlab struct {
+	states  []State
 	lengths []intval.IntVal
 	ranges  []intval.Range
 }
@@ -144,28 +149,27 @@ func carve[T any](slab *[]T, n int) []T {
 	return vs
 }
 
-// newEntry returns a copy of src in buffers of its own. entries bounds how
+// NewEntry returns a copy of src in buffers of its own. entries bounds how
 // many the fixed point can ask for.
-func (sl *entrySlab) newEntry(src *state, entries int) *state {
+func (sl *EntrySlab) NewEntry(src *State, entries int) *State {
 	tab := src.tab
 	if sl.states == nil {
-		sl.states = make([]state, entries)
+		sl.states = make([]State, entries)
 		sl.lengths = make([]intval.IntVal, entries*tab.refs.numArrays)
 		sl.ranges = make([]intval.Range, entries*tab.refs.numArrays)
 	}
 	c := &carve(&sl.states, 1)[0]
-	c.tab = tab
 	c.length = carve(&sl.lengths, tab.refs.numArrays)
 	c.nr = carve(&sl.ranges, tab.refs.numArrays)
 	c.sigma = make([]Value, len(src.locals)+len(src.stack)+len(src.sigma))
 	c.locals = carve(&c.sigma, len(src.locals))
 	c.stack = carve(&c.sigma, len(src.stack))
-	c.copyFrom(src)
+	c.CopyFrom(src)
 	return c
 }
 
 // sigmaAt returns σ's entry in slot i (⊥ when absent).
-func (s *state) sigmaAt(i int) Value {
+func (s *State) sigmaAt(i int) Value {
 	if i < len(s.sigma) {
 		return s.sigma[i]
 	}
@@ -173,7 +177,7 @@ func (s *state) sigmaAt(i int) Value {
 }
 
 // sigmaGet returns σ(r, f) and whether the entry is present.
-func (s *state) sigmaGet(r RefID, f fieldID) (Value, bool) {
+func (s *State) sigmaGet(r RefID, f fieldID) (Value, bool) {
 	if i := s.tab.find(r, f); i >= 0 {
 		v := s.sigmaAt(i)
 		return v, v.kind != vBottom
@@ -182,10 +186,10 @@ func (s *state) sigmaGet(r RefID, f fieldID) (Value, bool) {
 }
 
 // sigmaSet writes σ(r, f) = v.
-func (s *state) sigmaSet(r RefID, f fieldID, v Value) { s.sigmaSetAnn(r, f, v, annot{}) }
+func (s *State) sigmaSet(r RefID, f fieldID, v Value) { s.sigmaSetAnn(r, f, v, annot{}) }
 
 // sigmaSetAnn writes σ(r, f) = v, annotated with a.
-func (s *state) sigmaSetAnn(r RefID, f fieldID, v Value, a annot) {
+func (s *State) sigmaSetAnn(r RefID, f fieldID, v Value, a annot) {
 	i := s.tab.slot(r, f)
 	for len(s.sigma) <= i {
 		s.sigma = append(s.sigma, Bottom)
@@ -197,7 +201,7 @@ func (s *state) sigmaSetAnn(r RefID, f fieldID, v Value, a annot) {
 }
 
 // sigmaClear makes σ's slot i absent.
-func (s *state) sigmaClear(i int) {
+func (s *State) sigmaClear(i int) {
 	s.sigma[i] = Bottom
 	if s.ann != nil {
 		s.ann.sigma.set(i, annot{})
@@ -205,7 +209,7 @@ func (s *state) sigmaClear(i int) {
 }
 
 // clearSigmaRef removes every σ entry keyed by r.
-func (s *state) clearSigmaRef(r RefID) {
+func (s *State) clearSigmaRef(r RefID) {
 	for _, i := range s.tab.refSlots[r] {
 		if int(i) < len(s.sigma) {
 			s.sigmaClear(int(i))
@@ -214,7 +218,7 @@ func (s *state) clearSigmaRef(r RefID) {
 }
 
 // lengthOf returns Len(r), ⊤ when unknown.
-func (s *state) lengthOf(r RefID) intval.IntVal {
+func (s *State) lengthOf(r RefID) intval.IntVal {
 	if i := s.tab.refs.infos[r].arr; i >= 0 {
 		return s.length[i]
 	}
@@ -223,17 +227,17 @@ func (s *state) lengthOf(r RefID) intval.IntVal {
 
 // setLength writes Len(r); ⊤ forgets it. Only array references carry a
 // length.
-func (s *state) setLength(r RefID, l intval.IntVal) { s.length[s.tab.refs.infos[r].arr] = l }
+func (s *State) setLength(r RefID, l intval.IntVal) { s.length[s.tab.refs.infos[r].arr] = l }
 
 // delLength forgets Len(r).
-func (s *state) delLength(r RefID) {
+func (s *State) delLength(r RefID) {
 	if i := s.tab.refs.infos[r].arr; i >= 0 {
 		s.length[i] = intval.Top
 	}
 }
 
 // nrOf returns NR(r), the empty range when no index is known null.
-func (s *state) nrOf(r RefID) intval.Range {
+func (s *State) nrOf(r RefID) intval.Range {
 	if i := s.tab.refs.infos[r].arr; i >= 0 {
 		return s.nr[i]
 	}
@@ -242,18 +246,18 @@ func (s *state) nrOf(r RefID) intval.Range {
 
 // setNR writes NR(r); the empty range forgets it. Only array references
 // carry a null range.
-func (s *state) setNR(r RefID, rng intval.Range) { s.nr[s.tab.refs.infos[r].arr] = rng }
+func (s *State) setNR(r RefID, rng intval.Range) { s.nr[s.tab.refs.infos[r].arr] = rng }
 
 // delNR forgets NR(r).
-func (s *state) delNR(r RefID) {
+func (s *State) delNR(r RefID) {
 	if i := s.tab.refs.infos[r].arr; i >= 0 {
 		s.nr[i] = intval.Empty()
 	}
 }
 
-// footprint counts the state's present σ, Len and NR entries — the
-// quantity MaxStateSize bounds.
-func (s *state) footprint() int {
+// Footprint counts the state's present σ, Len and NR entries — the
+// quantity a state-size budget bounds.
+func (s *State) Footprint() int {
 	n := 0
 	for i := range s.sigma {
 		if s.sigma[i].kind != vBottom {
@@ -273,16 +277,16 @@ func (s *state) footprint() int {
 	return n
 }
 
-func (s *state) push(v Value) { s.stack = append(s.stack, v) }
+func (s *State) push(v Value) { s.stack = append(s.stack, v) }
 
-func (s *state) pop() Value {
+func (s *State) pop() Value {
 	v := s.stack[len(s.stack)-1]
 	s.truncate(len(s.stack) - 1)
 	return v
 }
 
 // truncate cuts the stack to its first n values.
-func (s *state) truncate(n int) {
+func (s *State) truncate(n int) {
 	s.stack = s.stack[:n]
 	if s.ann != nil {
 		s.ann.stack.cut(n)
@@ -290,7 +294,7 @@ func (s *state) truncate(n int) {
 }
 
 // pushAnn pushes v annotated with a.
-func (s *state) pushAnn(v Value, a annot) {
+func (s *State) pushAnn(v Value, a annot) {
 	s.push(v)
 	if s.ann != nil {
 		s.ann.stack.set(len(s.stack)-1, a)
@@ -298,7 +302,7 @@ func (s *state) pushAnn(v Value, a annot) {
 }
 
 // dup pushes a copy of the top value and its annotation.
-func (s *state) dup() {
+func (s *State) dup() {
 	top := len(s.stack) - 1
 	s.push(s.stack[top])
 	if s.ann != nil {
@@ -307,7 +311,7 @@ func (s *state) dup() {
 }
 
 // popAnn pops the top value and its annotation.
-func (s *state) popAnn() (Value, annot) {
+func (s *State) popAnn() (Value, annot) {
 	var a annot
 	if s.ann != nil {
 		a = s.ann.stack.at(len(s.stack) - 1)
@@ -319,7 +323,7 @@ func (s *state) popAnn() (Value, annot) {
 // references yield {GlobalRef}; otherwise the σ entry, defaulting to null
 // for reference fields (the allocator zeroed them) and 0 for integer
 // fields. wantInt selects the integer default.
-func (s *state) lookup(r RefID, f fieldID, wantInt bool) Value {
+func (s *State) lookup(r RefID, f fieldID, wantInt bool) Value {
 	if s.nl.Has(r) {
 		if wantInt {
 			return TopInt()
@@ -341,7 +345,7 @@ func (s *state) lookup(r RefID, f fieldID, wantInt bool) Value {
 // fieldIsNull reports whether σ guarantees (r, f) is null: r is
 // thread-local and its entry is the empty reference set (or absent, i.e.
 // still zeroed).
-func (s *state) fieldIsNull(r RefID, f fieldID) bool {
+func (s *State) fieldIsNull(r RefID, f fieldID) bool {
 	if s.nl.Has(r) {
 		return false
 	}
@@ -354,7 +358,7 @@ func (s *state) fieldIsNull(r RefID, f fieldID) bool {
 
 // reachFrom returns rs plus every reference transitively reachable from rs
 // via σ (the closure used by AllNonTL).
-func (s *state) reachFrom(rs RefSet) RefSet {
+func (s *State) reachFrom(rs RefSet) RefSet {
 	out := rs
 	work := s.tab.work[:0]
 	rs.ForEach(func(r RefID) { work = append(work, r) })
@@ -381,7 +385,7 @@ func (s *state) reachFrom(rs RefSet) RefSet {
 // escape implements AllNonTL: NL is extended with rs and everything
 // reachable from it, and null-or-same guarantees about the newly escaped
 // references are dropped from every tracked value.
-func (s *state) escape(rs RefSet) {
+func (s *State) escape(rs RefSet) {
 	if rs.IsEmpty() {
 		return
 	}
@@ -394,7 +398,7 @@ func (s *state) escape(rs RefSet) {
 }
 
 // escapeValue escapes a Value when it is a reference.
-func (s *state) escapeValue(v Value) {
+func (s *State) escapeValue(v Value) {
 	if v.kind == vRefs {
 		s.escape(v.refs)
 	}
@@ -402,7 +406,7 @@ func (s *state) escapeValue(v Value) {
 
 // escapeCond implements AllNonTLCond: when the target set intersects NL,
 // the stored value (and its reachable closure) escapes.
-func (s *state) escapeCond(targets RefSet, val Value) {
+func (s *State) escapeCond(targets RefSet, val Value) {
 	if targets.Intersects(s.nl) {
 		s.escapeValue(val)
 	}
@@ -410,7 +414,7 @@ func (s *state) escapeCond(targets RefSet, val Value) {
 
 // mapSrcs rewrites the null-or-same guarantee set of every tracked value
 // through f.
-func (s *state) mapSrcs(f func(*srcSet) *srcSet) {
+func (s *State) mapSrcs(f func(*srcSet) *srcSet) {
 	for _, vs := range [][]Value{s.locals, s.stack, s.sigma} {
 		for i := range vs {
 			if vs[i].srcs != nil {
@@ -422,19 +426,19 @@ func (s *state) mapSrcs(f func(*srcSet) *srcSet) {
 
 // dropSrcsForEscaped strips null-or-same guarantees that name escaped
 // references, everywhere in the state.
-func (s *state) dropSrcsForEscaped() {
+func (s *State) dropSrcsForEscaped() {
 	s.mapSrcs(func(set *srcSet) *srcSet { return set.dropRefs(s.nl) })
 }
 
 // dropSrcsForField strips null-or-same guarantees naming the given field,
 // everywhere (a store to the field may invalidate them).
-func (s *state) dropSrcsForField(field fieldID) {
+func (s *State) dropSrcsForField(field fieldID) {
 	s.mapSrcs(func(set *srcSet) *srcSet { return set.dropField(field) })
 }
 
 // dropAllSrcs strips every null-or-same guarantee (calls may write any
 // field of any reachable object).
-func (s *state) dropAllSrcs() {
+func (s *State) dropAllSrcs() {
 	s.mapSrcs(func(*srcSet) *srcSet { return nil })
 }
 
@@ -459,17 +463,11 @@ func substValue(v Value, from, to RefID) Value {
 	return v
 }
 
-// weakMergeValue is the weak-update join: reference sets union, integers
-// stay only when equal (no stride context outside control-flow merges).
-func weakMergeValue(a, b Value) Value {
-	return mergeValue(a, b, nil)
-}
-
 // renameAlloc performs the newinstance/newarray renaming: every occurrence
 // of the site's A reference becomes the B reference (rngSubst on ρ and
 // stk, replS on NL, transfer on σ, and the corresponding moves in Len and
 // NR), freeing the A name for the newly allocated object.
-func (s *state) renameAlloc(a, b RefID) {
+func (s *State) renameAlloc(a, b RefID) {
 	if a == b {
 		return // single-summary ablation: nothing to rename
 	}
@@ -497,7 +495,7 @@ func (s *state) renameAlloc(a, b RefID) {
 			// is with that default.
 			old = defaultFor(v)
 		}
-		s.sigmaSet(b, f, weakMergeValue(old, v))
+		s.sigmaSet(b, f, mergeValue(old, v, nil))
 	}
 	substAll(s.sigma, a, b)
 	// Len and NR move to the summary with weak semantics.
@@ -530,14 +528,15 @@ func substAll(vs []Value, from, to RefID) {
 // large enough. The contents are unspecified.
 func resized[T any](vs []T, n int) []T { return slices.Grow(vs[:0], n)[:n] }
 
-// mergeStates overwrites out with the merge of incoming into cur and
-// reports whether the result differs from cur. out must be neither of the
-// inputs. All integer components share one stride context (the essence of
+// mergeStates overwrites out with the merge of incoming into cur, over
+// cur's slot table, and reports whether the result differs from cur. out
+// must be neither of the inputs. All integer components share one stride context (the essence of
 // §3.5), visited in a fixed order — stack, locals, σ by slot, Len, NR — so
 // which component first names a stride is a property of the method, not
 // of the run. namer supplies fresh variable unknowns; noStride disables
 // their invention (ablation). The context is the slot table's, reset here.
-func mergeStates(out, cur, incoming *state, namer *intval.Namer, noStride bool) bool {
+func mergeStates(out, cur, incoming *State, namer *intval.Namer, noStride bool) bool {
+	out.tab = cur.tab
 	ctx := &out.tab.merge
 	ctx.Reset(namer, noStride)
 	changed := false
@@ -624,9 +623,12 @@ func defaultFor(v Value) Value {
 }
 
 // String renders the state for debugging.
-func (s *state) String() string {
+func (s *State) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "locals=%v stack=%v nl=%s\n", s.locals, s.stack, s.nl)
+	if !s.intTainted.IsEmpty() {
+		fmt.Fprintf(&b, "  intTainted=%s\n", s.intTainted)
+	}
 	for i, v := range s.sigma {
 		if v.kind != vBottom {
 			k := s.tab.keys[i]

@@ -1,6 +1,7 @@
-package core
+package domain
 
 import (
+	"slices"
 	"testing"
 
 	"satbelim/internal/bytecode"
@@ -55,7 +56,7 @@ const (
 // so that Len and NR are addressable, and the fields of a one-class
 // program.
 func testTable() *slotTable {
-	refs := &refTable{infos: make([]refInfo, 10), numArrays: 10}
+	refs := &RefTable{infos: make([]refInfo, 10), numArrays: 10}
 	for i := range refs.infos {
 		refs.infos[i].arr = int32(i)
 	}
@@ -71,7 +72,7 @@ func testTable() *slotTable {
 
 // present reports whether σ holds an entry — even an explicit default —
 // for (r, f).
-func present(s *state, r RefID, f fieldID) bool {
+func present(s *State, r RefID, f fieldID) bool {
 	_, ok := s.sigmaGet(r, f)
 	return ok
 }
@@ -107,8 +108,8 @@ func TestStateLookupDefaults(t *testing.T) {
 	}
 	// Reads never number a slot: only the one written pair exists, and
 	// absent entries — read or not — are not part of the footprint.
-	if len(s.tab.keys) != 1 || s.footprint() != 1 {
-		t.Errorf("slots = %d, footprint = %d, want 1 and 1", len(s.tab.keys), s.footprint())
+	if len(s.tab.keys) != 1 || s.Footprint() != 1 {
+		t.Errorf("slots = %d, footprint = %d, want 1 and 1", len(s.tab.keys), s.Footprint())
 	}
 }
 
@@ -216,8 +217,8 @@ func TestRenameAllocWeakMergeIntoSummary(t *testing.T) {
 	if got, _ := s2.sigmaGet(3, fF); !got.Refs().Has(9) {
 		t.Errorf("transfer into empty summary: %v", got)
 	}
-	if present(s2, 2, fF) || s2.footprint() != 1 {
-		t.Errorf("the A entry should have moved, footprint = %d", s2.footprint())
+	if present(s2, 2, fF) || s2.Footprint() != 1 {
+		t.Errorf("the A entry should have moved, footprint = %d", s2.Footprint())
 	}
 }
 
@@ -230,7 +231,7 @@ func TestMergeStatesSigmaDefaults(t *testing.T) {
 	b.locals[0] = NullValue()
 	// a has a non-null entry; b implicitly holds the null default.
 	a.sigmaSet(2, fF, RefValue(SingletonRef(5)))
-	merged := &state{tab: tab}
+	merged := &State{tab: tab}
 	// b's implicit default is null; union with {5} leaves a unchanged.
 	if mergeStates(merged, a, b, &n, false) {
 		t.Error("union with the implicit null default should not report change")
@@ -259,8 +260,8 @@ func TestMergeStatesSigmaDefaults(t *testing.T) {
 	if mergeStates(merged, c, d, &n, false) {
 		t.Error("an explicit default is no change against the implicit one")
 	}
-	if !present(merged, 2, fF) || merged.footprint() != 1 {
-		t.Errorf("explicit default dropped from the merge, footprint = %d", merged.footprint())
+	if !present(merged, 2, fF) || merged.Footprint() != 1 {
+		t.Errorf("explicit default dropped from the merge, footprint = %d", merged.Footprint())
 	}
 }
 
@@ -272,7 +273,7 @@ func TestMergeStatesLenNRIntersection(t *testing.T) {
 	a.setLength(2, intval.Const(4))
 	a.setNR(2, intval.Low(intval.Const(0)))
 	// b lacks both: merged must drop them (no information on one path).
-	merged := &state{tab: tab}
+	merged := &State{tab: tab}
 	if !mergeStates(merged, a, b, &n, false) {
 		t.Error("losing Len/NR facts is a change")
 	}
@@ -283,13 +284,13 @@ func TestMergeStatesLenNRIntersection(t *testing.T) {
 		t.Error("NR should intersect keys")
 	}
 	// Facts only the incoming side has never arrive, and are no change.
-	if mergeStates(merged, b, a, &n, false) || merged.footprint() != 0 {
+	if mergeStates(merged, b, a, &n, false) || merged.Footprint() != 0 {
 		t.Error("incoming-only Len/NR facts must be ignored")
 	}
 }
 
 // TestStateCopiesShareNoBuffers is the bug class the copy-on-write flags
-// used to guard: after copyFrom (and newEntry), writes to either state — also
+// used to guard: after CopyFrom (and NewEntry), writes to either state — also
 // ones that reuse spare capacity or number new slots — never show in the
 // other.
 func TestStateCopiesShareNoBuffers(t *testing.T) {
@@ -300,10 +301,10 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 	entry.sigmaSet(1, fF, RefValue(SingletonRef(2)))
 	entry.setLength(1, intval.Const(3))
 	entry.setNR(1, intval.Low(intval.Const(0)))
-	var slab entrySlab
-	want := slab.newEntry(entry, 2)
+	var slab EntrySlab
+	want := slab.NewEntry(entry, 2)
 
-	mutate := func(s *state) {
+	mutate := func(s *State) {
 		s.locals[0] = NullValue()
 		s.locals[1] = IntValue(intval.Const(1))
 		s.pop()
@@ -317,10 +318,10 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 		s.setNR(2, intval.Low(intval.Const(4)))
 	}
 
-	scratch := &state{tab: tab}
-	scratch.copyFrom(entry)
+	scratch := &State{tab: tab}
+	scratch.CopyFrom(entry)
 	if !sameState(scratch, entry) {
-		t.Fatal("copyFrom is not a copy")
+		t.Fatal("CopyFrom is not a copy")
 	}
 	mutate(scratch)
 	if !sameState(entry, want) {
@@ -328,8 +329,8 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 	}
 
 	// The other direction, through recycled buffers: scratch now has
-	// capacity to spare, so copyFrom reuses its arrays.
-	scratch.copyFrom(entry)
+	// capacity to spare, so CopyFrom reuses its arrays.
+	scratch.CopyFrom(entry)
 	mutate(entry)
 	if !sameState(scratch, want) {
 		t.Errorf("mutating the entry changed its scratch copy:\n%v", scratch)
@@ -337,12 +338,23 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 
 	// A merge result is as private as a copy.
 	var n intval.Namer
-	merged := &state{tab: tab}
+	merged := &State{tab: tab}
 	mergeStates(merged, scratch, want, &n, false)
 	mutate(merged)
 	if !sameState(scratch, want) {
 		t.Error("mutating a merge result changed its input")
 	}
+}
+
+// sameState reports whether two states hold the same entries, position by
+// position.
+func sameState(a, b *State) bool {
+	return slices.EqualFunc(a.locals, b.locals, Value.Equal) &&
+		slices.EqualFunc(a.stack, b.stack, Value.Equal) &&
+		slices.EqualFunc(a.sigma, b.sigma, Value.Equal) &&
+		slices.EqualFunc(a.length, b.length, intval.IntVal.Equal) &&
+		slices.EqualFunc(a.nr, b.nr, intval.Range.Equal) &&
+		a.nl.Equal(b.nl) && a.intTainted.Equal(b.intTainted)
 }
 
 func TestSrcSetOperations(t *testing.T) {

@@ -1,4 +1,4 @@
-package core
+package domain
 
 import (
 	"satbelim/internal/bytecode"
@@ -7,27 +7,37 @@ import (
 
 // The transfer functions of §2.4 (field analysis), §3.3 (array analysis)
 // and the §4.3 extensions: how one instruction changes an abstract state,
-// and what it proves about a store site on the way. Nothing here iterates,
-// merges or budgets — that is the engine's job (analysis.go) — so this file
-// imports only the program representation and the integer domain.
+// and what it proves about a store site on the way. Nothing here iterates
+// or budgets: the engine (internal/core) does, through Transfer's initial
+// state, fixed-point step, join and judging step.
 
-// transfer is what the transfer functions read besides the state they
-// transform: the method and its indexes, the options that change a
-// transfer function, and the callee summaries.
-type transfer struct {
+// Config holds the switches of the transfer functions and the join, which
+// the engine derives from its options in one place.
+type Config struct {
+	Arrays                bool // Len and NR tracked (mode A)
+	NullOrSame            bool // §4.3 null-or-same guarantees tracked and judged
+	Rearrange             bool // §4.3 swap detector run by the judging pass
+	SingleRefPerSite      bool // ablation: a site's A and B names are one
+	FlowInsensitiveEscape bool // ablation: thread-local means "never escapes"
+	Interprocedural       bool // a call returning a reference names its object
+	NoStrideInference     bool // ablation: the join invents no variable unknown
+}
+
+// Transfer is one analysis of a method: what the transfer functions read
+// besides the state they transform, and what they accumulate across states.
+type Transfer struct {
 	m     *bytecode.Method
-	opts  Options
+	cfg   Config
 	namer intval.Namer
 
-	// syms numbers the program's fields and methods and methodIndex holds
-	// the method's Body — its graph and the number of each instruction's
-	// operand — and its references (all shared with every other analysis of
-	// the build); slots is the index space of this analysis's states.
+	// syms numbers the program's fields and methods, body holds the
+	// method's graph and the number of each instruction's operand, and refs
+	// its references (all shared with every other analysis of the build);
+	// buf is the worker's.
 	syms *bytecode.Symbols
-	methodIndex
-	slots *slotTable
-
-	*simBuffers
+	body *bytecode.Body
+	refs *RefTable
+	buf  *Buffers
 
 	// siteLenConst is, per pc, 1 + the symbol naming the unknown allocation
 	// length of the newarray site there: 0 until minted on first use, so the
@@ -36,7 +46,7 @@ type transfer struct {
 	siteLenConst []intval.ConstU
 
 	// rt is the block-local rearrangement detector, set only while judging
-	// with Options.Rearrange.
+	// with Config.Rearrange.
 	rt *rearrangeTracker
 
 	// summaries, when non-nil, refines invoke escape effects.
@@ -50,29 +60,120 @@ type transfer struct {
 	everNL RefSet
 }
 
-// simBuffers are simulate's successor list and invoke-argument buffers,
-// reused across blocks and, being the worker's, across methods.
-type simBuffers struct {
+// Buffers are what a worker's analyses reuse from method to method: the
+// slot table its states index, and simulate's successor and argument rows.
+type Buffers struct {
+	slots   slotTable
 	targets []int
 	args    []Value
 }
 
-// judgment is the output of one judging pass over a method: the verdict
+// NewTransfer starts an analysis of body's method on a worker's buffers.
+// sums refines calls (nil: each is the worst case); summarize selects
+// summary mode, whose result Summary reads.
+func NewTransfer(buf *Buffers, syms *bytecode.Symbols, body *bytecode.Body, refs *RefTable, cfg Config, sums Summaries, summarize bool) Transfer {
+	buf.slots.reset(syms, refs)
+	t := Transfer{m: body.Graph.Method, cfg: cfg, syms: syms, body: body, refs: refs, buf: buf, summaries: sums}
+	if summarize {
+		t.rec = newSummaryRecorder(refs, &buf.slots)
+	}
+	return t
+}
+
+// InitialState builds the method-entry state of §2.3 / §3.4.
+func (t *Transfer) InitialState() *State {
+	s := newState(&t.buf.slots, t.m.NumSlots())
+	s.nl = SingletonRef(GlobalRefID)
+	for i := range s.locals {
+		s.locals[i] = Bottom
+	}
+	for i := 0; i < t.m.NumArgs(); i++ {
+		at := t.m.ArgType(i)
+		if at.IsRef() {
+			r := t.refs.argRef[i]
+			s.locals[i] = RefValue(SingletonRef(r))
+			if !(t.m.Ctor && i == 0) && t.rec == nil {
+				// Non-constructor reference arguments are non-thread-
+				// local from the start. In summary mode they start
+				// local so their genuine escapes can be observed.
+				s.nl = s.nl.With(r)
+			}
+			if at.Kind == bytecode.KindArray {
+				// Len(R_arg(i)) = fresh constant unknown (§3.4).
+				s.setLength(r, intval.OfConstU(t.namer.FreshConst()))
+			}
+		} else {
+			// Integer inputs become constant unknowns (§3.4).
+			s.locals[i] = IntValue(intval.OfConstU(t.namer.FreshConst()))
+		}
+	}
+	t.everNL = s.nl
+	return s
+}
+
+// Step is a fixed-point visit of block id: it transforms s into the block's
+// out state in place and returns the successor ids (valid until the next
+// call).
+func (t *Transfer) Step(s *State, id int) []int {
+	targets := t.simulate(s, t.body.Graph.Blocks[id], nil)
+	t.everNL = t.everNL.Union(s.nl)
+	return targets
+}
+
+// Join is mergeStates with this analysis's namer.
+func (t *Transfer) Join(out, cur, incoming *State) bool {
+	return mergeStates(out, cur, incoming, &t.namer, t.cfg.NoStrideInference)
+}
+
+// Judgment is the output of one judging pass over a method: the verdict
 // each store site earned, by pc, and how many call sites were judged with
 // a summary in hand (freshReturns: the subset modeled as allocations). The
-// engine hands the transfer functions one on the final pass — each
-// reachable block exactly once, so the counts are deterministic — and nil
-// while iterating.
-type judgment struct {
+// engine judges each reachable block exactly once, so the counts are
+// deterministic. trackers holds each judged block's swap detector.
+type Judgment struct {
 	verdicts     []bytecode.Verdict
 	summaryCalls int
 	freshReturns int
+	trackers     []*rearrangeTracker
+}
+
+// Judge simulates block id from its fixed-point entry state s and records
+// in j, zero before the first block, what each store site earned. from is
+// the block whose out state s continues, and whose swap detector the
+// block's continues, or -1.
+func (t *Transfer) Judge(j *Judgment, s *State, id, from int) {
+	if j.verdicts == nil {
+		j.verdicts = make([]bytecode.Verdict, len(t.m.Code))
+		if t.cfg.Rearrange {
+			j.trackers = make([]*rearrangeTracker, len(t.body.Graph.Blocks))
+		}
+	}
+	if j.trackers != nil {
+		if from >= 0 && j.trackers[from] != nil {
+			t.rt = j.trackers[from].fork()
+		} else {
+			t.rt = newRearrangeTracker()
+		}
+		s.ann = &t.rt.ann
+	}
+	t.simulate(s, t.body.Graph.Blocks[id], j)
+	s.ann = nil
+	if t.rt != nil {
+		t.rt.detectSwaps(j)
+		j.trackers[id] = t.rt
+		t.rt = nil
+	}
+}
+
+// Result is the judging pass's verdict row (by pc) and its call counts.
+func (j *Judgment) Result() (verdicts []bytecode.Verdict, summaryCalls, freshReturns int) {
+	return j.verdicts, j.summaryCalls, j.freshReturns
 }
 
 // earn records verdict v for the site at pc. A site keeps the strongest
 // verdict it earns, in whatever order they arrive (the swap detector
 // reports after a block's stores were judged one by one).
-func (j *judgment) earn(pc int, v bytecode.Verdict) {
+func (j *Judgment) earn(pc int, v bytecode.Verdict) {
 	if v > j.verdicts[pc] {
 		j.verdicts[pc] = v
 	}
@@ -85,7 +186,7 @@ func (j *judgment) earn(pc int, v bytecode.Verdict) {
 // reference fields, ⊤ for integers). Without the contents abstraction a
 // callee could read arg.f, publish it, and the summary would never learn
 // that the argument's reachable objects escaped.
-func (t *transfer) sigmaDefault(r RefID, wantInt bool) Value {
+func (t *Transfer) sigmaDefault(r RefID, wantInt bool) Value {
 	if t.rec != nil {
 		if cr, ok := t.rec.contentRef(r); ok {
 			if wantInt {
@@ -102,7 +203,7 @@ func (t *transfer) sigmaDefault(r RefID, wantInt bool) Value {
 
 // fieldValue is lookup(σ, r, NL, f) honoring the summary-mode contents
 // abstraction for absent entries.
-func (t *transfer) fieldValue(s *state, r RefID, f fieldID, wantInt bool) Value {
+func (t *Transfer) fieldValue(s *State, r RefID, f fieldID, wantInt bool) Value {
 	if t.rec != nil && !s.nl.Has(r) {
 		if _, ok := t.rec.contentRef(r); ok {
 			if _, has := s.sigmaGet(r, f); !has {
@@ -115,12 +216,12 @@ func (t *transfer) fieldValue(s *state, r RefID, f fieldID, wantInt bool) Value 
 
 // weakStore is the weak update σ(r, f) ⊔= val, an absent entry standing
 // for the field's default.
-func (t *transfer) weakStore(s *state, r RefID, f fieldID, val Value, wantInt bool) {
+func (t *Transfer) weakStore(s *State, r RefID, f fieldID, val Value, wantInt bool) {
 	old, ok := s.sigmaGet(r, f)
 	if !ok {
 		old = t.sigmaDefault(r, wantInt)
 	}
-	s.sigmaSet(r, f, weakMergeValue(old, val))
+	s.sigmaSet(r, f, mergeValue(old, val, nil))
 }
 
 // invalidateField drops the caller's σ facts about one callee-written
@@ -129,7 +230,7 @@ func (t *transfer) weakStore(s *state, r RefID, f fieldID, val Value, wantInt bo
 // dirtied $elems additionally kills the null-range facts the array
 // analysis relies on. Thread-locality of the referents survives — that
 // is the point of the summary.
-func (t *transfer) invalidateField(s *state, targets RefSet, f fieldID) {
+func (t *Transfer) invalidateField(s *State, targets RefSet, f fieldID) {
 	targets.ForEach(func(r RefID) {
 		if s.nl.Has(r) {
 			return // lookups on escaped references are already ⊤
@@ -147,7 +248,7 @@ func (t *transfer) invalidateField(s *state, targets RefSet, f fieldID) {
 // thread-local with null reference fields, and pushed — except its
 // integer fields are tainted, since the callee may have initialized
 // them. Anything else returns the unknown {GlobalRef} / ⊤.
-func (t *transfer) pushCallResult(s *state, pc int, callee *bytecode.Method, sum *MethodSummary, j *judgment) {
+func (t *Transfer) pushCallResult(s *State, pc int, callee *bytecode.Method, sum *MethodSummary, j *Judgment) {
 	if callee.Return == bytecode.Void {
 		return
 	}
@@ -176,9 +277,9 @@ func (t *transfer) pushCallResult(s *state, pc int, callee *bytecode.Method, sum
 // merged the two names, which leaves weak semantics — A restarts from the
 // allocation defaults: no σ entries (the allocator zeroed the fields),
 // thread-local, no array facts. It reports whether A is such a fresh name.
-func (t *transfer) reallocate(s *state, ra, rb RefID) bool {
+func (t *Transfer) reallocate(s *State, ra, rb RefID) bool {
 	s.renameAlloc(ra, rb)
-	if t.opts.SingleRefPerSite {
+	if t.cfg.SingleRefPerSite {
 		return false
 	}
 	s.clearSigmaRef(ra)
@@ -191,7 +292,7 @@ func (t *transfer) reallocate(s *state, ra, rb RefID) bool {
 // readField is the value a getfield/aaload of field f yields over every
 // possible target: the join of the targets' lookups, or the field's zero
 // when the reference is definitely null (unreachable past the NPE).
-func (t *transfer) readField(s *state, targets RefSet, f fieldID, wantInt bool) Value {
+func (t *Transfer) readField(s *State, targets RefSet, f fieldID, wantInt bool) Value {
 	out, first := NullValue(), true
 	if wantInt {
 		out = TopInt()
@@ -201,7 +302,7 @@ func (t *transfer) readField(s *state, targets RefSet, f fieldID, wantInt bool) 
 		if first {
 			out, first = v, false
 		} else {
-			out = weakMergeValue(out, v)
+			out = mergeValue(out, v, nil)
 		}
 	})
 	return out
@@ -210,7 +311,7 @@ func (t *transfer) readField(s *state, targets RefSet, f fieldID, wantInt bool) 
 // fieldAnn is the annotation of the value readField yields: a thread-local
 // single target's σ entry keeps the annotation it was stored with, which is
 // none unless a strong update stored an annotated value.
-func fieldAnn(s *state, targets RefSet, f fieldID) annot {
+func fieldAnn(s *State, targets RefSet, f fieldID) annot {
 	if s.ann == nil {
 		return annot{}
 	}
@@ -225,7 +326,7 @@ func fieldAnn(s *state, targets RefSet, f fieldID) annot {
 }
 
 // siteLen returns the stable length symbol for a newarray site.
-func (t *transfer) siteLen(pc int) intval.ConstU {
+func (t *Transfer) siteLen(pc int) intval.ConstU {
 	if t.siteLenConst == nil {
 		t.siteLenConst = make([]intval.ConstU, len(t.m.Code))
 	}
@@ -236,22 +337,19 @@ func (t *transfer) siteLen(pc int) intval.ConstU {
 }
 
 // isNonLocal consults NL, or everNL under the flow-insensitive ablation.
-func (t *transfer) isNonLocal(s *state, r RefID) bool {
-	if t.opts.FlowInsensitiveEscape {
+func (t *Transfer) isNonLocal(s *State, r RefID) bool {
+	if t.cfg.FlowInsensitiveEscape {
 		return t.everNL.Has(r)
 	}
 	return s.nl.Has(r)
 }
 
-// trackArrays reports whether Len/NR bookkeeping is active.
-func (t *transfer) trackArrays() bool { return t.opts.Mode == ModeFieldArray }
-
 // simulate interprets one block from the given state. j, when non-nil,
 // receives the verdict of each barrier site traversed.
 // It transforms s into the block's out state in place and returns the
 // successor block ids (valid until the next call).
-func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
-	t.targets = t.targets[:0]
+func (t *Transfer) simulate(s *State, b *bytecode.Block, j *Judgment) []int {
+	t.buf.targets = t.buf.targets[:0]
 	for pc := b.Start; pc < b.End; pc++ {
 		in := &t.m.Code[pc]
 		switch in.Op {
@@ -306,11 +404,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			s.push(IntValue(x.Int().Mul(y.Int())))
 		case bytecode.OpNeg:
 			s.push(IntValue(s.pop().Int().Neg()))
-		case bytecode.OpDiv, bytecode.OpRem:
-			s.pop()
-			s.pop()
-			s.push(TopInt())
-		case bytecode.OpAnd, bytecode.OpOr,
+		case bytecode.OpDiv, bytecode.OpRem, bytecode.OpAnd, bytecode.OpOr,
 			bytecode.OpCmpEQ, bytecode.OpCmpNE, bytecode.OpCmpLT, bytecode.OpCmpLE,
 			bytecode.OpCmpGT, bytecode.OpCmpGE, bytecode.OpRefEQ, bytecode.OpRefNE:
 			s.pop()
@@ -321,17 +415,17 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			s.push(TopInt())
 
 		case bytecode.OpGoto:
-			t.targets = append(t.targets, t.Graph.BlockOf(int(in.A)))
-			return t.targets
+			t.buf.targets = append(t.buf.targets, t.body.Graph.BlockOf(int(in.A)))
+			return t.buf.targets
 		case bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfNull, bytecode.OpIfNonNull:
 			s.pop()
-			t.targets = append(t.targets, t.Graph.BlockOf(int(in.A)))
+			t.buf.targets = append(t.buf.targets, t.body.Graph.BlockOf(int(in.A)))
 
 		case bytecode.OpGetStatic:
-			if t.syms.Fields[t.FieldAt[pc]].IsRef {
+			if t.syms.Fields[t.body.FieldAt[pc]].IsRef {
 				var a annot
 				if t.rt != nil {
-					a.vn = t.rt.loadStaticRef(t.FieldAt[pc])
+					a.vn = t.rt.loadStaticRef(t.body.FieldAt[pc])
 				}
 				s.pushAnn(RefValue(SingletonRef(GlobalRefID)), a)
 			} else {
@@ -341,23 +435,23 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			val := s.pop()
 			// Values stored into statics escape (AllNonTL).
 			s.escapeValue(val)
-			if t.opts.NullOrSame {
-				s.dropSrcsForField(t.FieldAt[pc])
+			if t.cfg.NullOrSame {
+				s.dropSrcsForField(t.body.FieldAt[pc])
 			}
 			if t.rt != nil {
-				t.rt.killStatic(t.FieldAt[pc])
+				t.rt.killStatic(t.body.FieldAt[pc])
 			}
 
 		case bytecode.OpGetField:
 			obj := s.pop()
-			field := t.FieldAt[pc]
+			field := t.body.FieldAt[pc]
 			wantInt := !t.syms.Fields[field].IsRef
 			out := t.readField(s, obj.Refs(), field, wantInt)
 			// Null-or-same provenance: a value loaded from (r, f) is
 			// trivially "null or the current content of (r, f)".
-			if t.opts.NullOrSame && !wantInt {
+			if t.cfg.NullOrSame && !wantInt {
 				if r, one := obj.Refs().Single(); one {
-					out = out.withSrcs(singletonSrc(srcKey{ref: r, field: field}))
+					out.srcs = singletonSrc(srcKey{ref: r, field: field})
 				}
 			}
 			s.pushAnn(out, fieldAnn(s, obj.Refs(), field))
@@ -365,7 +459,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 		case bytecode.OpPutField:
 			val, a := s.popAnn()
 			obj := s.pop()
-			field := t.FieldAt[pc]
+			field := t.body.FieldAt[pc]
 			isRef := t.syms.Fields[field].IsRef
 			if j != nil && isRef {
 				t.judgeFieldStore(s, pc, obj.Refs(), field, val, j)
@@ -386,7 +480,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 					t.weakStore(s, r, field, val, !isRef)
 				})
 			}
-			if t.opts.NullOrSame {
+			if t.cfg.NullOrSame {
 				s.dropSrcsForField(field)
 			}
 			s.escapeCond(obj.Refs(), val)
@@ -408,7 +502,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			s.delNR(rb)
 			if fresh {
 				s.intTainted = s.intTainted.Without(ra)
-				if t.trackArrays() {
+				if t.cfg.Arrays {
 					if n.IsTop() {
 						// Unknown allocation length: name it with the
 						// site's length symbol. Within one window (until
@@ -466,7 +560,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			}
 			arr.Refs().ForEach(func(r RefID) {
 				t.weakStore(s, r, elemsFieldID, val, false)
-				if t.trackArrays() {
+				if t.cfg.Arrays {
 					if rng := s.nrOf(r); !rng.IsEmpty() {
 						s.setNR(r, rng.Contract(ind))
 					}
@@ -487,15 +581,15 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			}
 
 		case bytecode.OpInvoke:
-			callee := t.syms.Methods[t.CalleeAt[pc]]
+			callee := t.syms.Methods[t.body.CalleeAt[pc]]
 			n := len(s.stack) - callee.NumArgs()
-			t.args = append(t.args[:0], s.stack[n:]...)
+			t.buf.args = append(t.buf.args[:0], s.stack[n:]...)
 			s.truncate(n)
-			args := t.args
+			args := t.buf.args
 			// Passed references escape: nAllNonTL (§2.4) — unless an
 			// interprocedural summary proves the callee neither
 			// publishes nor mutates the argument.
-			sum := t.summaries.of(int(t.CalleeAt[pc]))
+			sum := t.summaries.of(int(t.body.CalleeAt[pc]))
 			if j != nil && sum != nil {
 				j.summaryCalls++
 			}
@@ -516,7 +610,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 							}
 						}
 						for _, f := range t.syms.RefFieldsOf(callee.ArgType(i)) {
-							if sum.preNull(i, f) {
+							if sum.PreNull(i, f) {
 								continue
 							}
 							t.invalidateField(s, v.Refs(), f)
@@ -529,7 +623,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 				}
 				s.escapeValue(v)
 			}
-			if t.opts.NullOrSame {
+			if t.cfg.NullOrSame {
 				// The callee may write any field of any escaped object.
 				s.dropAllSrcs()
 			}
@@ -541,7 +635,7 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 		case bytecode.OpSpawn:
 			recv := s.pop()
 			s.escapeValue(recv)
-			if t.opts.NullOrSame {
+			if t.cfg.NullOrSame {
 				s.dropAllSrcs()
 			}
 			if t.rt != nil {
@@ -555,11 +649,11 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 			if t.rec != nil && in.Op != bytecode.OpTrap {
 				t.rec.recordReturn(s, in.Op == bytecode.OpReturnValue)
 			}
-			return t.targets
+			return t.buf.targets
 		}
 	}
-	t.targets = append(t.targets, t.Graph.BlockOf(b.End))
-	return t.targets
+	t.buf.targets = append(t.buf.targets, t.body.Graph.BlockOf(b.End))
+	return t.buf.targets
 }
 
 // judgeFieldStore evaluates the putfield judgments in the pre-instruction
@@ -568,14 +662,14 @@ func (t *transfer) simulate(s *state, b *bytecode.Block, j *judgment) []int {
 // field is null or already holds the stored value. A guarantee keyed by a
 // summary reference R_B is about one of the site's older objects, not
 // necessarily the one stored into, so null-or-same needs a unique target.
-func (t *transfer) judgeFieldStore(s *state, pc int, obj RefSet, field fieldID, val Value, j *judgment) {
+func (t *Transfer) judgeFieldStore(s *State, pc int, obj RefSet, field fieldID, val Value, j *Judgment) {
 	earned := bytecode.VerdictPreNull
 	obj.ForEach(func(r RefID) {
 		switch {
 		case t.isNonLocal(s, r):
 			earned = bytecode.VerdictNone
 		case s.fieldIsNull(r, field):
-		case t.opts.NullOrSame && t.refs.unique(r) && val.srcs.has(srcKey{ref: r, field: field}):
+		case t.cfg.NullOrSame && t.refs.unique(r) && val.srcs.has(srcKey{ref: r, field: field}):
 			earned = min(earned, bytecode.VerdictNullOrSame)
 		default:
 			earned = bytecode.VerdictNone
@@ -586,8 +680,8 @@ func (t *transfer) judgeFieldStore(s *state, pc int, obj RefSet, field fieldID, 
 
 // judgeArrayStore evaluates the aastore elision judgment: every possible
 // array is thread-local and the index lies in its known-null range.
-func (t *transfer) judgeArrayStore(s *state, pc int, arr RefSet, ind intval.IntVal, j *judgment) {
-	if !t.trackArrays() {
+func (t *Transfer) judgeArrayStore(s *State, pc int, arr RefSet, ind intval.IntVal, j *Judgment) {
+	if !t.cfg.Arrays {
 		return
 	}
 	earned := bytecode.VerdictPreNull

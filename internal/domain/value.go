@@ -1,4 +1,4 @@
-package core
+package domain
 
 import (
 	"cmp"
@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"satbelim/internal/bytecode"
 	"satbelim/internal/intval"
 )
 
@@ -21,6 +22,16 @@ const (
 	// vInt is a symbolic integer (booleans are folded into this domain).
 	vInt
 )
+
+// fieldID names a field in the program's symbol table. It is the only
+// spelling of a field the analysis uses: σ slots, null-or-same guarantees,
+// summaries and the swap detector all carry ids, and two analyses of the
+// same program agree on them.
+type fieldID = bytecode.FieldID
+
+// elemsFieldID is the id of the pseudo-field standing for an array's
+// elements.
+const elemsFieldID = bytecode.ElemsField
 
 // srcKey identifies a heap slot for the null-or-same extension (§4.3).
 type srcKey struct {
@@ -158,12 +169,6 @@ func (v Value) Int() intval.IntVal {
 	return v.iv
 }
 
-// withSrcs returns v carrying the given null-or-same guarantees.
-func (v Value) withSrcs(s *srcSet) Value {
-	v.srcs = s
-	return v
-}
-
 // Equal reports structural equality.
 func (v Value) Equal(w Value) bool {
 	if v.kind != w.kind {
@@ -180,7 +185,8 @@ func (v Value) Equal(w Value) bool {
 }
 
 // mergeValue joins two values elementwise; integer components share the
-// state merge's stride context.
+// state merge's stride context. With no context it is the weak-update join:
+// integers stay only when equal.
 func mergeValue(a, b Value, ctx *intval.MergeCtx) Value {
 	if a.kind == vBottom {
 		return b

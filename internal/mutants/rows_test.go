@@ -8,7 +8,7 @@ package mutants
 var rows = []row{
 	{
 		name: "skip-b-demotion",
-		file: "internal/core/transfer.go",
+		file: "internal/domain/transfer.go",
 		original: `	s.renameAlloc(ra, rb)
 `,
 		mutant: ``,
@@ -57,12 +57,12 @@ var rows = []row{
 	{
 		name: "entry-block-not-a-join",
 		file: "internal/core/analysis.go",
-		original: `				cur.copyFrom(spare)
+		original: `				cur.CopyFrom(spare)
 `,
 		mutant: `				if tgt == 0 {
 					spare = out
 				}
-				cur.copyFrom(spare)
+				cur.CopyFrom(spare)
 `,
 		rationale: "an edge into block 0 overwrites the method entry's state instead of joining it, " +
 			"so a loop at pc 0 forgets what its arguments arrive with",

@@ -18,14 +18,16 @@ import (
 // must agree exactly. The ceilings sit about 15 % above the measured
 // figures:
 //
-//	              condensation without component    24-byte instructions naming
-//	              dependency lists                  operands by pool index, 20-byte
-//	                                                tokens, one-pass reference tables
-//	jbb@100       562 allocs, 216 449 B             564 allocs, 217 073 B
-//	jess@0        604 allocs, 141 729 B             607 allocs, 142 232 B
+//	              the domain a package (an        condensation without component
+//	              analyzer holds no Options)      dependency lists
+//	jbb@100       562 allocs, 215 665 B           562 allocs, 216 449 B
+//	jess@0        604 allocs, 140 721 B           604 allocs, 141 729 B
 //
-// With 96-byte instructions holding their operands and 48-byte tokens they
-// were 584 allocs and 357 041 B, and 617 allocs and 203 049 B.
+// With 24-byte instructions naming operands by pool index, 20-byte tokens
+// and one-pass reference tables they were 564 allocs and 217 073 B, and
+// 607 allocs and 142 232 B; with 96-byte instructions holding their
+// operands and 48-byte tokens 584 allocs and 357 041 B, and 617 allocs and
+// 203 049 B.
 //
 // Earlier counts were jbb 596 and jess 620; 917 and 854 while codegen
 // allocated per label and per class, the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"satbelim/internal/core"
+	"satbelim/internal/domain"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
 	"satbelim/internal/workloads"
@@ -146,7 +147,7 @@ func TestBuildCacheBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	sopts := Options{InlineLimit: 50, Analysis: core.Options{
-		Mode: core.ModeFieldArray, Interprocedural: true, Summaries: core.Summaries{},
+		Mode: core.ModeFieldArray, Interprocedural: true, Summaries: domain.Summaries{},
 	}}
 	for i := 0; i < 2; i++ {
 		b, err := Compile("jack", w.Source, sopts)

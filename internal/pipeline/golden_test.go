@@ -37,7 +37,7 @@ func dumpBuild(w, visits io.Writer, b *Build) {
 	for _, mr := range b.Report.Methods {
 		fmt.Fprintf(w, "%s fs=%d as=%d fe=%d ae=%d nos=%d rearr=%d conv=%t refs=%d bytes=%d sumcalls=%d fresh=%d degraded=%q detail=%q\n",
 			mr.Method.QualifiedName(), mr.FieldSites, mr.ArraySites, mr.FieldElided, mr.ArrayElided,
-			mr.NullOrSame, mr.Rearranged, mr.Converged, mr.AbstractRefs, mr.BytecodeBytes,
+			mr.NullOrSame, mr.Rearranged, mr.Degraded == core.DegradeNone, mr.AbstractRefs, mr.BytecodeBytes,
 			mr.SummaryCalls, mr.FreshReturns, mr.Degraded, mr.DegradeDetail)
 		fmt.Fprintf(visits, "%s visits=%d\n", mr.Method.QualifiedName(), mr.BlockVisits)
 	}

@@ -136,7 +136,7 @@ func TestStateSizeDegradationPinned(t *testing.T) {
 // caller's business (Build's stage times). internal/obs may read the
 // clock: tracing only observes (TestTracingIsObservationOnly).
 func TestNoClockBelowThePipeline(t *testing.T) {
-	for _, pkg := range []string{"core", "vm", "gc", "heap", "satb", "bytecode", "verifier", "inline", "codegen", "minijava", "intval"} {
+	for _, pkg := range []string{"core", "domain", "vm", "gc", "heap", "satb", "bytecode", "verifier", "inline", "codegen", "minijava", "intval"} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, "../"+pkg, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
