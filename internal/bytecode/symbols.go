@@ -40,6 +40,8 @@ func (f *FieldSym) String() string {
 
 // ClassSym is what linking decides about one class.
 type ClassSym struct {
+	// Num is the class's number: its index in Classes and ClassSyms.
+	Num int
 	// NumFields counts the instance fields: the size of an object.
 	NumFields int
 	// RefFields lists the instance reference fields in ascending id order.
@@ -65,6 +67,9 @@ type ClassSym struct {
 type Symbols struct {
 	// Classes is every class in ascending name order.
 	Classes []*Class
+	// ClassSyms is what linking decided about each class, by class number
+	// (the order of Classes).
+	ClassSyms []ClassSym
 	// Methods is every method, classes in name order and each class's
 	// methods in name order. A method's index is its method number.
 	Methods []*Method
@@ -121,12 +126,13 @@ func (p *Program) link() *Symbols {
 		}
 	}
 	s := &Symbols{
-		Classes: make([]*Class, 0, len(p.classes)),
-		Methods: make([]*Method, 0, methods),
-		Fields:  make([]FieldSym, 1, fields),
-		classes: make(map[string]*ClassSym, len(p.classes)),
-		fields:  make(map[FieldRef]FieldID, fields),
-		methods: make(map[MethodRef]int, methods),
+		Classes:   make([]*Class, 0, len(p.classes)),
+		ClassSyms: make([]ClassSym, len(p.classes)),
+		Methods:   make([]*Method, 0, methods),
+		Fields:    make([]FieldSym, 1, fields),
+		classes:   make(map[string]*ClassSym, len(p.classes)),
+		fields:    make(map[FieldRef]FieldID, fields),
+		methods:   make(map[MethodRef]int, methods),
 	}
 	for _, c := range p.classes {
 		s.Classes = append(s.Classes, c)
@@ -138,8 +144,9 @@ func (p *Program) link() *Symbols {
 	insts, statics := refSlots[:0:instRefs], refSlots[instRefs:instRefs]
 	// Of two declarations with one name the first resolves, as a scan of the
 	// declaration lists would find it.
-	for _, c := range s.Classes {
-		cs := &ClassSym{}
+	for i, c := range s.Classes {
+		cs := &s.ClassSyms[i]
+		cs.Num = i
 		s.classes[c.Name] = cs
 		firstRef := len(insts)
 		for _, f := range c.Fields {
@@ -203,10 +210,11 @@ func (s *Symbols) addMethods(c *Class) (first int) {
 // verdict, exists yet.
 func (s *Symbols) over(p *Program) *Symbols {
 	t := &Symbols{
-		Classes: make([]*Class, len(s.Classes)),
-		Methods: make([]*Method, 0, len(s.Methods)),
-		Fields:  s.Fields,
-		Statics: s.Statics,
+		Classes:   make([]*Class, len(s.Classes)),
+		ClassSyms: s.ClassSyms,
+		Methods:   make([]*Method, 0, len(s.Methods)),
+		Fields:    s.Fields,
+		Statics:   s.Statics,
 		// RefStatics, like the classes' RefSlots, is the numbering's.
 		RefStatics: s.RefStatics,
 		classes:    s.classes,

@@ -51,14 +51,3 @@ func FlavorSiteVerdicts(p *bytecode.Program, spec *satb.BarrierSpec) FlavorVerdi
 	}
 	return fv
 }
-
-// AllFlavorVerdicts computes FlavorSiteVerdicts for every registered
-// barrier flavor, in satb.AllSpecs order.
-func AllFlavorVerdicts(p *bytecode.Program) []FlavorVerdicts {
-	specs := satb.AllSpecs()
-	out := make([]FlavorVerdicts, 0, len(specs))
-	for _, sp := range specs {
-		out = append(out, FlavorSiteVerdicts(p, sp))
-	}
-	return out
-}

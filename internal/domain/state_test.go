@@ -290,19 +290,23 @@ func TestMergeStatesLenNRIntersection(t *testing.T) {
 }
 
 // TestStateCopiesShareNoBuffers is the bug class the copy-on-write flags
-// used to guard: after CopyFrom (and NewEntry), writes to either state — also
+// used to guard: after CopyFrom and NewEntry, writes to either state — also
 // ones that reuse spare capacity or number new slots — never show in the
-// other.
+// other. The reference state want is built by the same literal steps as
+// the states under test, not copied from one: a copy that shares a buffer
+// would change along with its source and hide the sharing.
 func TestStateCopiesShareNoBuffers(t *testing.T) {
 	tab := testTable()
-	entry := newState(tab, 2)
-	entry.locals[0] = RefValue(SingletonRef(1))
-	entry.stack = append(entry.stack, IntValue(intval.Const(7)))
-	entry.sigmaSet(1, fF, RefValue(SingletonRef(2)))
-	entry.setLength(1, intval.Const(3))
-	entry.setNR(1, intval.Low(intval.Const(0)))
-	var slab EntrySlab
-	want := slab.NewEntry(entry, 2)
+	build := func() *State {
+		s := newState(tab, 2)
+		s.locals[0] = RefValue(SingletonRef(1))
+		s.stack = append(s.stack, IntValue(intval.Const(7)))
+		s.sigmaSet(1, fF, RefValue(SingletonRef(2)))
+		s.setLength(1, intval.Const(3))
+		s.setNR(1, intval.Low(intval.Const(0)))
+		return s
+	}
+	entry, want := build(), build()
 
 	mutate := func(s *State) {
 		s.locals[0] = NullValue()
@@ -343,6 +347,24 @@ func TestStateCopiesShareNoBuffers(t *testing.T) {
 	mutate(merged)
 	if !sameState(scratch, want) {
 		t.Error("mutating a merge result changed its input")
+	}
+
+	// An entry NewEntry stores shares nothing with its source, either way.
+	var slab EntrySlab
+	src := build()
+	stored := slab.NewEntry(src, 2)
+	if !sameState(stored, want) {
+		t.Fatal("NewEntry is not a copy")
+	}
+	mutate(src)
+	if !sameState(stored, want) {
+		t.Errorf("mutating the source changed the stored entry:\n%v", stored)
+	}
+	src = build()
+	stored = slab.NewEntry(src, 2)
+	mutate(stored)
+	if !sameState(src, want) {
+		t.Errorf("mutating the stored entry changed its source:\n%v", src)
 	}
 }
 

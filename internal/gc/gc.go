@@ -101,7 +101,7 @@ func (t *tracer) begin(roots []heap.Ref) {
 }
 
 // scan shades every outgoing reference of the object.
-func (t *tracer) scan(o *heap.Object) {
+func (t *tracer) scan(o heap.Object) {
 	fs := o.Fields
 	if o.ElemRef() {
 		for _, w := range fs {
@@ -203,7 +203,7 @@ func (m *SATBMarker) Step(n int) bool {
 		}
 		r := m.gray[len(m.gray)-1]
 		m.gray = m.gray[:len(m.gray)-1]
-		if o := m.h.Get(r); o != nil {
+		if o := m.h.Get(r); !o.IsNil() {
 			// Publish the scan to the rearrangement protocol: a flagged
 			// store that finds the array not TraceUntraced requests a
 			// retrace. A scan is atomic to the mutator here (Step runs
@@ -270,7 +270,7 @@ func (m *SATBMarker) CheckSnapshotInvariant() error {
 		return fmt.Errorf("gc: no snapshot recorded")
 	}
 	for r := range m.snapshot {
-		if m.h.Get(r) == nil {
+		if m.h.Get(r).IsNil() {
 			return fmt.Errorf("gc: snapshot object %d vanished during marking", r)
 		}
 		if !m.h.Marked(r) && !m.h.AllocDuringMark(r) {
@@ -285,7 +285,7 @@ func Reachable(h *heap.Heap, roots []heap.Ref) map[heap.Ref]bool {
 	seen := map[heap.Ref]bool{}
 	var stack []heap.Ref
 	push := func(r heap.Ref) {
-		if r != heap.Null && !seen[r] && h.Get(r) != nil {
+		if r != heap.Null && !seen[r] && !h.Get(r).IsNil() {
 			seen[r] = true
 			stack = append(stack, r)
 		}
@@ -372,7 +372,7 @@ func (m *IncMarker) Step(n int) bool {
 		}
 		r := m.gray[len(m.gray)-1]
 		m.gray = m.gray[:len(m.gray)-1]
-		if o := m.h.Get(r); o != nil {
+		if o := m.h.Get(r); !o.IsNil() {
 			m.scan(o)
 		}
 		m.StepsDone++

@@ -120,7 +120,7 @@ func TestSATBAllocDuringMarkImplicitlyLive(t *testing.T) {
 	if h.Sweep() != 0 {
 		t.Error("object allocated during marking must survive")
 	}
-	if h.Get(fresh) == nil {
+	if h.Get(fresh).IsNil() {
 		t.Error("fresh object swept")
 	}
 }
@@ -314,7 +314,7 @@ func markOnlyReferenceWords(t *testing.T, newMarker func(*heap.Heap) Marker) {
 		t.Errorf("swept %d, want the %d objects only ints named", freed, len(victims))
 	}
 	for _, r := range victims {
-		if h.Get(r) != nil {
+		if !h.Get(r).IsNil() {
 			t.Errorf("object %d, named only by an int, survived", r)
 		}
 	}
@@ -338,7 +338,7 @@ func TestMarkingByNameAllocatedObjects(t *testing.T) {
 		h.Get(refs[1]).Fields[0] = heap.RefVal(refs[2])
 		h.Get(refs[1]).Fields[1] = heap.NullVal()
 		cycle(newMarker(h), h, refs[0])
-		if freed := h.Sweep(); freed != 1 || h.Get(refs[3]) != nil || h.Get(refs[2]) == nil {
+		if freed := h.Sweep(); freed != 1 || !h.Get(refs[3]).IsNil() || h.Get(refs[2]).IsNil() {
 			t.Errorf("%s: swept %d; want only the unlinked object", name, freed)
 		}
 	}

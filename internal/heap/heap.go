@@ -4,7 +4,11 @@
 // write barriers observe field and element overwrites in it.
 package heap
 
-import "satbelim/internal/bytecode"
+import (
+	"unsafe"
+
+	"satbelim/internal/bytecode"
+)
 
 // Ref is a heap handle. The zero Ref is null.
 type Ref int64
@@ -26,23 +30,26 @@ func RefVal(r Ref) Value { return Value(r) }
 // NullVal is the slot word of the null reference, the zero word.
 func NullVal() Value { return 0 }
 
-// Object is one heap object: its storage, a class instance's fields by
-// slot or an array's elements, and its class word, which says which words
-// are references — the class's RefSlots for an instance, every element of
-// a reference array, none of an int array. Objects live by value inside
-// the heap's chunks, so a *Object from Get stays valid for the object's
-// lifetime. Collector state (mark, allocated-during-mark, dirty, §4.3
-// trace state) is not here: it lives in the chunk's stamped state words,
-// see Heap.
+// Object is one heap object as Get reads it: its storage, a class
+// instance's fields by slot or an array's elements, and its class word,
+// which says which words are references — the class's RefSlots for an
+// instance, every element of a reference array, none of an int array.
+// Fields aliases the heap's storage, which stays where it is for the
+// object's lifetime, so writes through it are the object's and an Object
+// read once stays valid while others are allocated and swept. The zero
+// Object is no object (IsNil). Collector state (mark,
+// allocated-during-mark, dirty, §4.3 trace state) is not here: it lives in
+// the chunk's stamped state words, see Heap.
 type Object struct {
 	Fields []Value
 	class  *bytecode.ClassSym
 }
 
-// The class words of arrays are &intArray and &refArray: heap-owned, so no
+// The class words of arrays are &arrays[0] for ints and &arrays[1] for
+// references, indexed by a shape's elemRefBit: heap-owned, so no
 // program's class is one of them, with no RefSlots, and at addresses the
 // linker fixes, so telling an array by them loads nothing.
-var intArray, refArray bytecode.ClassSym
+var arrays [2]bytecode.ClassSym
 
 // TraceState is the collector's per-array tracing progress, published so
 // that barrier-elided rearrangement code can detect overlap with the scan
@@ -59,33 +66,40 @@ const (
 	TraceTraced
 )
 
+// IsNil reports whether the Object is no object: Get's answer for a null,
+// dangling or swept reference.
+func (o Object) IsNil() bool { return o.class == nil }
+
 // IsArray reports whether the object is an array.
-func (o *Object) IsArray() bool { return o.class == &intArray || o.class == &refArray }
+func (o Object) IsArray() bool { return o.class == &arrays[0] || o.class == &arrays[1] }
 
 // ElemRef reports whether the object is an array of references.
-func (o *Object) ElemRef() bool { return o.class == &refArray }
+func (o Object) ElemRef() bool { return o.class == &arrays[1] }
 
 // RefSlots lists the slots of an instance's reference fields; an array has
 // none (ElemRef says whether every element is one).
-func (o *Object) RefSlots() []int32 { return o.class.RefSlots }
+func (o Object) RefSlots() []int32 { return o.class.RefSlots }
 
-// Layout is the program's storage layout, as its symbol table numbers it:
-// an object's field count is its ClassSym.NumFields, a field's storage its
-// FieldSym.Slot, the static roots Symbols.RefStatics.
-type Layout struct{ syms *bytecode.Symbols }
+// Layout is the program's storage layout, which its symbol table numbers:
+// an instance's shape is its ClassSym.Num, its field count NumFields, a
+// field's storage its FieldSym.Slot, the static roots Symbols.RefStatics.
+type Layout = bytecode.Symbols
 
-// NewLayout returns the program's layout.
-func NewLayout(p *bytecode.Program) *Layout { return &Layout{p.Symbols()} }
+// NewLayout returns the program's layout, its symbol table.
+func NewLayout(p *bytecode.Program) *Layout { return p.Symbols() }
 
 // Heap is the object store.
 //
-// Objects live by value in fixed-size chunks: a Ref is a 1-based slot
+// An object is three words in a fixed-size chunk: its collector state,
+// its shape (a class number, or an array's element kind and length) and a
+// pointer to the first word of its storage. A Ref is a 1-based slot
 // number, chunks are never moved and growth only appends a chunk pointer,
-// so Get is two index operations and a *Object stays valid while other
-// objects are allocated. Refs are never reused. Field and element storage
-// is carved from small shared blocks of one-word Values; Sweep zeroes dead
-// objects so the Go collector reclaims a block once nothing is carved from
-// it, and a full chunk with no survivor is replaced by the shared deadChunk.
+// so Get is two index operations and a shape decode. Refs are never
+// reused. Field and element storage is carved from small shared blocks of
+// one-word Values and never moves; Sweep clears a dead object's shape and
+// storage pointer so the Go collector reclaims a block once nothing carved
+// from it is live, and a full chunk with no survivor is replaced by the
+// shared deadChunk.
 //
 // Collector state is one stamped word per slot, beside the objects in the
 // chunk: epoch<<5 | flags. A word from an older epoch reads as all-clear,
@@ -100,7 +114,9 @@ func NewLayout(p *bytecode.Program) *Layout { return &Layout{p.Symbols()} }
 // Static can hand out direct pointers. A program the VM runs names no
 // other static (bytecode.Program.Validate).
 type Heap struct {
-	syms        *bytecode.Symbols
+	syms *bytecode.Symbols
+	// classes is syms.ClassSyms: an instance's shape indexes it.
+	classes     []bytecode.ClassSym
 	chunks      []*chunk
 	block       []Value // rest of the block carve hands storage out of
 	stamp       uint32  // current epoch, shifted: the all-clear state word
@@ -141,9 +157,22 @@ const (
 	maxStamp = deadState&^(epochUnit-1) - epochUnit
 )
 
+// Shape-word bits. An instance's shape is its class number; an array's is
+// arrayBit, elemRefBit if its elements are references, and its length.
+const (
+	arrayBit     uint32 = 1 << 31
+	elemRefShift        = 30
+	elemRefBit   uint32 = 1 << elemRefShift
+	lenMask             = elemRefBit - 1
+)
+
+// A chunk is the records of chunkSize objects in parallel arrays: 512 B,
+// a size class of its own, which Go allocates with no header. The storage
+// pointers come first, so the Go collector scans only the first half.
 type chunk struct {
+	words [chunkSize]*Value // first storage word, nil for no storage
 	state [chunkSize]uint32
-	objs  [chunkSize]Object
+	shape [chunkSize]uint32
 }
 
 func newChunk() *chunk {
@@ -161,24 +190,31 @@ var deadChunk = newChunk()
 // New creates an empty heap over the program's layout.
 func New(layout *Layout) *Heap {
 	return &Heap{
-		syms:        layout.syms,
+		syms:        layout,
+		classes:     layout.ClassSyms,
 		stamp:       epochUnit,
-		staticSlots: make([]Value, len(layout.syms.Statics)),
+		staticSlots: make([]Value, len(layout.Statics)),
 	}
 }
 
-// Get returns the object for a reference, or nil when the reference is
-// null, was never handed out, or names a swept object.
-func (h *Heap) Get(r Ref) *Object {
+// Get returns the object for a reference, or the zero Object when the
+// reference is null, was never handed out, or names a swept object.
+func (h *Heap) Get(r Ref) Object {
 	i := uint64(r - 1) // null and negative refs wrap past Allocated
 	if i >= uint64(h.Allocated) {
-		return nil
+		return Object{}
 	}
-	c := h.chunks[i>>chunkShift]
-	if c.state[i&chunkMask] == deadState {
-		return nil
+	c, j := h.chunks[i>>chunkShift], i&chunkMask
+	if c.state[j] == deadState {
+		return Object{}
 	}
-	return &c.objs[i&chunkMask]
+	s := c.shape[j]
+	cls, n := &arrays[s>>elemRefShift&1], s&lenMask
+	if s&arrayBit == 0 {
+		cls = &h.classes[s]
+		n = uint32(cls.NumFields)
+	}
+	return Object{unsafe.Slice(c.words[j], n), cls}
 }
 
 // state returns the reference's state word, or a dead one for a reference
@@ -275,26 +311,31 @@ func (h *Heap) SetTraceState(r Ref, ts TraceState) {
 	}
 }
 
-// carve returns n zeroed Values, from the current block when they fit.
-func (h *Heap) carve(n int) []Value {
-	if n > carveMax {
-		return make([]Value, n)
-	}
-	if n > len(h.block) {
+// carve returns the first of n zeroed Values, from the current block when
+// they fit, or nil when n is 0.
+func (h *Heap) carve(n int) *Value {
+	switch {
+	case n == 0:
+		return nil
+	case n > carveMax:
+		return &make([]Value, n)[0]
+	case n > len(h.block):
 		h.block = make([]Value, blockValues)
 	}
-	vs := h.block[:n:n]
+	p := &h.block[0]
 	h.block = h.block[n:]
-	return vs
+	return p
 }
 
-func (h *Heap) add(o Object) Ref {
+// add allocates an object of the shape with n words of storage.
+func (h *Heap) add(shape uint32, n int) Ref {
 	j := h.Allocated & chunkMask
 	if j == 0 {
 		h.chunks = append(h.chunks, newChunk())
 	}
 	c := h.chunks[len(h.chunks)-1]
-	c.objs[j] = o
+	c.words[j] = h.carve(n)
+	c.shape[j] = shape
 	c.state[j] = 0
 	if h.MarkingActive {
 		c.state[j] = h.stamp | allocBit
@@ -306,7 +347,7 @@ func (h *Heap) add(o Object) Ref {
 // AllocObject allocates an instance of cls with every field zero, which
 // reads as int 0 and as Null alike.
 func (h *Heap) AllocObject(cls *bytecode.ClassSym) Ref {
-	return h.add(Object{Fields: h.carve(cls.NumFields), class: cls})
+	return h.add(uint32(cls.Num), cls.NumFields)
 }
 
 // AllocObjectN is AllocObject by the name of a class of the heap's
@@ -316,14 +357,17 @@ func (h *Heap) AllocObjectN(class string, nFields int) Ref {
 }
 
 // AllocArray allocates an array of n zero elements, ints or nulls; n is
-// not negative (the VM raises that fault, and that of a length too large,
-// before it asks).
+// neither negative nor above 1<<24 (the VM raises those faults before it
+// asks), and a length beyond what a shape word holds panics.
 func (h *Heap) AllocArray(elemRef bool, n int64) Ref {
-	cls := &intArray
-	if elemRef {
-		cls = &refArray
+	if uint64(n) > uint64(lenMask) {
+		panic("heap: array length out of range")
 	}
-	return h.add(Object{Fields: h.carve(int(n)), class: cls})
+	s := arrayBit | uint32(n)
+	if elemRef {
+		s |= elemRefBit
+	}
+	return h.add(s, int(n))
 }
 
 // Static returns a stable pointer to the storage of the static in slot
@@ -347,7 +391,7 @@ func (h *Heap) AppendStaticRoots(dst []Ref) []Ref {
 // RefsOf calls f with every outgoing reference of the object. The markers
 // walk the same words in place instead; this is for the cold walks (the
 // oracle's escape closure, the test-only snapshot).
-func (o *Object) RefsOf(f func(Ref)) {
+func (o Object) RefsOf(f func(Ref)) {
 	if o.ElemRef() {
 		for _, w := range o.Fields {
 			if w != 0 {
@@ -378,7 +422,7 @@ func (h *Heap) Sweep() int {
 			case h.flags(s)&(markBit|allocBit) != 0:
 				live++
 			default:
-				c.objs[j] = Object{}
+				c.words[j], c.shape[j] = nil, 0
 				c.state[j] = deadState
 				freed++
 			}

@@ -1,12 +1,20 @@
 package heap
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 	"unsafe"
 
 	"satbelim/internal/bytecode"
 )
 
+// testProgram declares T (next, v and the static head), which most tests
+// allocate, and three more shapes of instance: A, whose reference fields
+// are not its first; E, with no fields and so no storage; and W, with more
+// fields than a shared block carves.
 func testProgram() *bytecode.Program {
 	p := bytecode.NewProgram()
 	p.AddClass(&bytecode.Class{Name: "T", Fields: []*bytecode.Field{
@@ -14,6 +22,22 @@ func testProgram() *bytecode.Program {
 		{Name: "v", Type: bytecode.Int},
 		{Name: "head", Type: bytecode.ClassType("T"), Static: true},
 	}})
+	p.AddClass(&bytecode.Class{Name: "A", Fields: []*bytecode.Field{
+		{Name: "x", Type: bytecode.Int},
+		{Name: "l", Type: bytecode.ClassType("T")},
+		{Name: "y", Type: bytecode.Bool},
+		{Name: "r", Type: bytecode.ArrayOf(bytecode.Int)},
+	}})
+	p.AddClass(&bytecode.Class{Name: "E"})
+	w := &bytecode.Class{Name: "W"}
+	for i := 0; i < carveMax+8; i++ {
+		typ := bytecode.Int
+		if i%3 == 0 {
+			typ = bytecode.ClassType("W")
+		}
+		w.Fields = append(w.Fields, &bytecode.Field{Name: fmt.Sprintf("f%02d", i), Type: typ})
+	}
+	p.AddClass(w)
 	return p
 }
 
@@ -45,7 +69,7 @@ func TestAllocAndFieldAccess(t *testing.T) {
 		t.Fatal("allocation returned null")
 	}
 	o := h.Get(r)
-	if o == nil || o.IsArray() || len(o.Fields) != 2 {
+	if o.IsNil() || o.IsArray() || len(o.Fields) != 2 {
 		t.Fatalf("Get = %+v", o)
 	}
 	if o.Fields[0] != NullVal() || o.Fields[1] != IntVal(0) {
@@ -71,7 +95,7 @@ func TestArrays(t *testing.T) {
 	if !ints.IsArray() || ints.ElemRef() || len(ints.Fields) != 2 || ints.Fields[1] != IntVal(0) {
 		t.Errorf("int array = %+v", ints)
 	}
-	if empty := h.Get(h.AllocArray(true, 0)); empty == nil || len(empty.Fields) != 0 {
+	if empty := h.Get(h.AllocArray(true, 0)); empty.IsNil() || len(empty.Fields) != 0 {
 		t.Errorf("empty array = %+v", empty)
 	}
 }
@@ -109,10 +133,10 @@ func TestSweep(t *testing.T) {
 	if freed != 1 {
 		t.Errorf("freed = %d, want 1", freed)
 	}
-	if h.Get(a) == nil {
+	if h.Get(a).IsNil() {
 		t.Error("marked object must survive")
 	}
-	if h.Get(b) != nil {
+	if !h.Get(b).IsNil() {
 		t.Error("unmarked object must be freed")
 	}
 	if h.Marked(a) {
@@ -155,8 +179,8 @@ func TestGetDanglingRefs(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	r := alloc(h)
 	for _, bad := range []Ref{Null, -1, -1 << 62, r + 1, 1 << 40} {
-		if h.Get(bad) != nil {
-			t.Errorf("Get(%d) must be nil", bad)
+		if !h.Get(bad).IsNil() {
+			t.Errorf("Get(%d) must be no object", bad)
 		}
 		if h.Mark(bad) || h.Marked(bad) || h.MarkDirty(bad) || h.AllocDuringMark(bad) {
 			t.Errorf("ref %d must carry no collector state", bad)
@@ -166,7 +190,7 @@ func TestGetDanglingRefs(t *testing.T) {
 			t.Errorf("ref %d must read as untraced", bad)
 		}
 	}
-	if h.Get(r) == nil {
+	if h.Get(r).IsNil() {
 		t.Error("the live object must still resolve")
 	}
 }
@@ -228,53 +252,14 @@ func TestEpochWrapAround(t *testing.T) {
 	if h.Marked(live) || h.Marked(old) {
 		t.Error("no mark from before the wrap may be visible after it")
 	}
-	if h.Get(dead) != nil || h.Mark(dead) || h.Marked(dead) {
+	if !h.Get(dead).IsNil() || h.Mark(dead) || h.Marked(dead) {
 		t.Error("the dead stay dead across the wrap")
 	}
 	if !h.Mark(live) || !h.Marked(live) {
 		t.Error("marks must work after the wrap")
 	}
-	if freed := h.Sweep(); freed != 1 || h.Get(old) != nil || h.Get(live) == nil {
+	if freed := h.Sweep(); freed != 1 || !h.Get(old).IsNil() || h.Get(live).IsNil() {
 		t.Errorf("sweep after the wrap freed %d, want 1 (old)", freed)
-	}
-}
-
-func TestObjectPointersAreStable(t *testing.T) {
-	h := New(NewLayout(testProgram()))
-	r := alloc(h)
-	arr := h.AllocArray(true, 3)
-	o, a := h.Get(r), h.Get(arr)
-	for i := 0; i < 10_000; i++ {
-		if i%7 == 0 {
-			h.AllocArray(i%2 == 0, int64(i%(2*carveMax)))
-		} else {
-			alloc(h)
-		}
-	}
-	if h.Get(r) != o || h.Get(arr) != a {
-		t.Fatal("Get must keep returning the same *Object")
-	}
-	o.Fields[0] = RefVal(arr)
-	a.Fields[2] = RefVal(r)
-	if v := h.Get(r).Fields[0]; v != RefVal(arr) {
-		t.Error("a write through the old pointer must be visible through the heap")
-	}
-	if v := h.Get(arr).Fields[2]; v != RefVal(r) {
-		t.Error("a write through the old array pointer must be visible through the heap")
-	}
-	// Carved storage is private: no neighbour saw those writes.
-	for q := Ref(1); q <= Ref(h.Allocated); q++ {
-		if q == r || q == arr {
-			continue
-		}
-		for _, v := range h.Get(q).Fields {
-			if v != 0 {
-				t.Fatalf("object %d shares storage with another", q)
-			}
-		}
-	}
-	if fs := h.Get(r).Fields; cap(fs) != len(fs) {
-		t.Error("carved storage must be capped, or append would write into a neighbour")
 	}
 }
 
@@ -298,7 +283,7 @@ func TestSweepReleasesDeadChunks(t *testing.T) {
 		t.Error("a full chunk with no survivor must be released")
 	}
 	for _, r := range refs[1 : 3*chunkSize] {
-		if h.Get(r) != nil || h.Mark(r) {
+		if !h.Get(r).IsNil() || h.Mark(r) {
 			t.Fatalf("ref %d into swept storage must be dead", r)
 		}
 	}
@@ -310,11 +295,11 @@ func TestSweepReleasesDeadChunks(t *testing.T) {
 		t.Error("chunk 0 is now all dead and full; the tail chunk is not full")
 	}
 	r := alloc(h)
-	if r != Ref(3*chunkSize+2) || h.Get(r) == nil || h.Get(refs[3*chunkSize]) != nil {
+	if r != Ref(3*chunkSize+2) || h.Get(r).IsNil() || !h.Get(refs[3*chunkSize]).IsNil() {
 		t.Error("allocation must continue in the tail chunk with a fresh ref")
 	}
 	for j, s := range deadChunk.state {
-		if s != deadState || deadChunk.objs[j].Fields != nil {
+		if s != deadState || deadChunk.shape[j] != 0 || deadChunk.words[j] != nil {
 			t.Fatal("the shared dead chunk was written to")
 		}
 	}
@@ -346,21 +331,71 @@ func TestRefsOf(t *testing.T) {
 	}
 }
 
-// TestObjectAndChunkSizes pins the heap's footprint. An Object is one
-// slice header and one class word, 32 bytes, so a chunk (32 state words
-// and 32 Objects) is 1 152 B. Go prefixes an object over 512 B that holds
-// pointers with an 8-byte header, so a chunk is allocated from the 1 280 B
-// size class (a 1 920 B chunk of 56-byte Objects took 2 048 B). A storage
+// TestSweepReleasesStorage: Sweep drops the chunk's pointer to a dead
+// object's storage, so the Go collector reclaims it. The storage of an
+// array longer than carveMax is an allocation of its own, whose finalizer
+// runs once nothing points at it.
+func TestSweepReleasesStorage(t *testing.T) {
+	h := New(NewLayout(testProgram()))
+	released := make(chan struct{})
+	func() {
+		fs := h.Get(h.AllocArray(true, 4*carveMax)).Fields
+		runtime.SetFinalizer(&fs[0], func(*Value) { close(released) })
+	}()
+	keep := alloc(h)
+	h.BeginCycle()
+	h.Mark(keep)
+	if freed := h.Sweep(); freed != 1 {
+		t.Fatalf("freed = %d, want the array", freed)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		runtime.GC()
+		select {
+		case <-released:
+			runtime.KeepAlive(h) // the heap outlived the storage
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the storage of a swept array is still reachable from the heap")
+		}
+	}
+}
+
+// allocatedBytes is the Go heap bytes one call of f allocates, averaged
+// over 100 calls with the Go collector off.
+func allocatedBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+var chunkSink *chunk
+var blockSink []Value
+
+// TestObjectAndChunkSizes pins the heap's footprint, as Go allocates it.
+// A chunk is 32 storage pointers, 32 state words and 32 shape words: 512
+// B, the 512-byte size class, which takes no malloc header, so an object
+// costs 16 B of its chunk. A chunk of 32-byte Objects (slice header and
+// class pointer) beside the state words was 1 152 B, allocated from the
+// 1 280 B size class with Go's 8-byte header: 40 B an object. A storage
 // block is pointer-free and exactly 1 KiB, a third of what 24-byte tagged
 // slots took.
 func TestObjectAndChunkSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Object{}); n != 32 {
-		t.Errorf("an Object is %d bytes, want 32", n)
+	if n := unsafe.Sizeof(chunk{}); n != 512 {
+		t.Errorf("a chunk is %d bytes, want 512", n)
 	}
-	if n := unsafe.Sizeof(chunk{}); n != 1152 {
-		t.Errorf("a chunk is %d bytes, want 1152", n)
+	if n := allocatedBytes(func() { chunkSink = newChunk() }); n != 512 {
+		t.Errorf("a chunk allocates %d bytes, want 512", n)
 	}
-	if n := unsafe.Sizeof(Value(0)) * blockValues; n != 1024 {
-		t.Errorf("a storage block is %d bytes, want 1024", n)
+	if n := allocatedBytes(func() { blockSink = make([]Value, blockValues) }); n != 1024 {
+		t.Errorf("a storage block allocates %d bytes, want 1024", n)
 	}
 }

@@ -10,9 +10,9 @@ import (
 // This file is the engines' one heap-access layer. All three reach object
 // storage through the three accessors below, with the field slot or the
 // array index their method's Body resolved, and statics through
-// heap.Static. Each accessor answers "the slot, or nil" in a form small
-// enough to inline into every site; a nil answer goes to heapFault, the
-// single place that decides which fault it was and words it. A site
+// heap.Static. Each accessor reads the object heap.Get returns and answers
+// "the slot, or nil"; a nil answer goes to heapFault, the single place
+// that decides which fault it was and words it. A site
 // therefore states only what is its own — where its operands come from, its
 // error pc and charge, its barrier — and a new fault rule or heap layout
 // changes this file only.
@@ -58,7 +58,7 @@ func word(x value, ref bool) heap.Value {
 // operand stack).
 func (v *VM) fieldSlot(r heap.Ref, idx int32) *heap.Value {
 	o := v.heap.Get(r)
-	if o == nil || uint32(idx) >= uint32(len(o.Fields)) || o.IsArray() {
+	if o.IsNil() || uint32(idx) >= uint32(len(o.Fields)) || o.IsArray() {
 		return nil
 	}
 	return &o.Fields[idx]
@@ -68,7 +68,7 @@ func (v *VM) fieldSlot(r heap.Ref, idx int32) *heap.Value {
 // dangling, names no array, or i is out of bounds.
 func (v *VM) elemSlot(r heap.Ref, i int64) *heap.Value {
 	o := v.heap.Get(r)
-	if o == nil || uint64(i) >= uint64(len(o.Fields)) || !o.IsArray() {
+	if o.IsNil() || uint64(i) >= uint64(len(o.Fields)) || !o.IsArray() {
 		return nil
 	}
 	return &o.Fields[i]
@@ -78,7 +78,7 @@ func (v *VM) elemSlot(r heap.Ref, i int64) *heap.Value {
 // dangling or names no array.
 func (v *VM) arrayLen(r heap.Ref) int64 {
 	o := v.heap.Get(r)
-	if o == nil || !o.IsArray() {
+	if o.IsNil() || !o.IsArray() {
 		return -1
 	}
 	return int64(len(o.Fields))
@@ -118,11 +118,11 @@ func (v *VM) heapFault(a access, r heap.Ref, i int64, field *bytecode.FieldRef) 
 	switch {
 	case a == readField && r == heap.Null:
 		return fmt.Sprintf("null pointer dereference reading %s", field)
-	case a == readField && o == nil:
+	case a == readField && o.IsNil():
 		return fmt.Sprintf("heap: null dereference reading %s", field)
 	case a == writeField && r == heap.Null:
 		return fmt.Sprintf("null pointer dereference writing %s", field)
-	case a == writeField && o == nil:
+	case a == writeField && o.IsNil():
 		return fmt.Sprintf("heap: null dereference writing %s", field)
 	case (a == readField || a == writeField) && o.IsArray():
 		return fmt.Sprintf("heap: field %s of an array", field)
@@ -134,7 +134,7 @@ func (v *VM) heapFault(a access, r heap.Ref, i int64, field *bytecode.FieldRef) 
 		return "null pointer dereference in array store"
 	case a == lengthOf && r == heap.Null:
 		return "null pointer dereference in arraylength"
-	case o == nil:
+	case o.IsNil():
 		return "heap: null array dereference"
 	case !o.IsArray():
 		return "heap: array access to an object that is not an array"

@@ -70,25 +70,30 @@ func bytesPerRun(runs int, f func()) uint64 {
 // of the program and the configuration alone: two measurements must agree
 // exactly. The ceilings sit about 15 % above the measured figures:
 //
-//	                 shared         one image   one symbol   slab heap   before it (an Object and a
-//	                 translations   (decoded    table                    Fields slice per `new`, a root
-//	                                once)                                slice per cycle boundary)
-//	jess compiled             437         983        1 062       1 155   15 099
-//	jess fused+satb           459         459          540         573   22 089
-//	jbb  compiled             153       1 019        1 126       1 217    4 792
-//	jbb  fused+satb           174         174          287         332   42 575
+//	                 512-byte   shared         one image   one symbol   slab heap   before it (an Object and a
+//	                 chunks     translations   (decoded    table                    Fields slice per `new`, a root
+//	                                           once)                                slice per cycle boundary)
+//	jess compiled         436            437         983        1 062       1 155   15 099
+//	jess fused+satb       458            459         459          540         573   22 089
+//	jbb  compiled         152            153       1 019        1 126       1 217    4 792
+//	jbb  fused+satb       173            174         174          287         332   42 575
+//
+// (the heap's layout became the program's symbol table, which vm.New no
+// longer wraps in an allocation of its own).
 //
 // The bytes of a run repeat exactly too, and have their own ceilings. One-
 // word heap slots cut them by half or more: a storage block of 128 slots
 // went from 3 072 B to 1 024 B, a chunk of 32 objects from 1 920 B to
-// 1 152 B (allocated as 2 048 B and 1 280 B).
+// 1 152 B (allocated as 2 048 B and 1 280 B). A chunk of three parallel
+// arrays, state, shape and storage pointer, is 512 B and allocated as 512
+// B: 16 B an object where a chunk of Objects took 40.
 //
-//	                 shared         one-word slots   tagged 24-byte slots
-//	                 translations
-//	jess compiled         568 042          600 317              1 319 229
-//	jess fused+satb       608 032          608 032              1 326 949
-//	jbb  compiled         122 082          176 253                300 709
-//	jbb  fused+satb       131 032          131 032                255 493
+//	                 512-byte   shared         one-word slots   tagged 24-byte slots
+//	                 chunks     translations
+//	jess compiled     396 018        568 042          600 317              1 319 229
+//	jess fused+satb   436 008        608 032          608 032              1 326 949
+//	jbb  compiled      77 546        122 082          176 253                300 709
+//	jbb  fused+satb    86 496        131 032          131 032                255 493
 func TestRunAllocs(t *testing.T) {
 	runtime.GC() // the Go collector's first cycle allocates its workers
 	hot := vm.Config{Engine: vm.EngineCompiled, Barrier: satb.ModeConditional, GC: vm.GCNone}
@@ -100,10 +105,10 @@ func TestRunAllocs(t *testing.T) {
 		ceiling  float64
 		bytesMax uint64
 	}{
-		{"jess", "compiled", hot, 503, 653_000},
-		{"jess", "fused+satb", marking, 528, 700_000},
-		{"jbb", "compiled", hot, 176, 140_000},
-		{"jbb", "fused+satb", marking, 200, 151_000},
+		{"jess", "compiled", hot, 503, 455_000},
+		{"jess", "fused+satb", marking, 528, 501_000},
+		{"jbb", "compiled", hot, 176, 89_000},
+		{"jbb", "fused+satb", marking, 200, 99_500},
 	} {
 		b := compileA(t, tc.workload)
 		cold := mallocsOnce(func() { vm.New(b.Program, tc.cfg) })

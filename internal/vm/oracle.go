@@ -80,7 +80,7 @@ func (o *oracle) escape(r heap.Ref) {
 		return
 	}
 	m.escaped = true
-	if obj := o.h.Get(r); obj != nil {
+	if obj := o.h.Get(r); !obj.IsNil() {
 		obj.RefsOf(o.escape)
 	}
 }
@@ -146,7 +146,7 @@ func (o *oracle) checkStore(method string, pc, line, tid int, site satb.SiteKind
 		// snapshot-invariant checker; the oracle verifies the structural
 		// precondition that the flagged site really writes an array.
 		o.checks++
-		if obj := o.h.Get(target); obj != nil && !obj.IsArray() {
+		if obj := o.h.Get(target); !obj.IsNil() && !obj.IsArray() {
 			err = violation("rearrangement site writes a non-array object")
 		}
 	}
