@@ -1,14 +1,13 @@
 // Command satbd runs the compile-and-run daemon (serve mode) or its
-// load/chaos client (-loadtest).
+// load client (-loadtest).
 //
 // Serve:
 //
 //	satbd -addr 127.0.0.1:8344 [-workers N] [-queue N] [-obs]
-//	      [-faults 'slow=0.05:2ms,panic=0.02' -fault-seed 7]
 //
 // Load test (boots an in-process daemon unless -url points elsewhere):
 //
-//	satbd -loadtest -n 200 -c 8 [-verify] [-faults ...] [-json out.json]
+//	satbd -loadtest -n 200 -c 8 [-verify] [-deadline-ms N] [-json out.json]
 //
 // The load test exits non-zero if any response violated the daemon's
 // contract: schema-invalid body, outcome/status mismatch, unflagged
@@ -30,7 +29,6 @@ import (
 
 	"satbelim/internal/cli"
 	"satbelim/internal/core"
-	"satbelim/internal/faultinject"
 	"satbelim/internal/obs"
 	"satbelim/internal/report"
 	"satbelim/internal/satbd"
@@ -56,10 +54,7 @@ func run() error {
 		visits      = flag.Int("max-block-visits", 0, "tier-0 analysis visit budget (0 = default)")
 		obsOn       = flag.Bool("obs", false, "enable the observability collector (/metrics spans, /trace)")
 
-		faults    = flag.String("faults", "", "fault-injection spec, e.g. 'slow=0.1:5ms,cachefail=0.2,panic=0.05,stall=0.1:10ms'")
-		faultSeed = flag.Int64("fault-seed", 1, "fault-injection PRNG seed")
-
-		loadtest = flag.Bool("loadtest", false, "run the load/chaos client instead of serving")
+		loadtest = flag.Bool("loadtest", false, "run the load client instead of serving")
 		n        = flag.Int("n", 200, "loadtest: number of requests")
 		c        = flag.Int("c", 8, "loadtest: concurrency")
 		seed     = flag.Int64("seed", 1, "loadtest: base progen seed")
@@ -74,15 +69,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var inj *faultinject.Injector
-	if *faults != "" {
-		fc, err := faultinject.ParseSpec(*faults)
-		if err != nil {
-			return err
-		}
-		fc.Seed = *faultSeed
-		inj = faultinject.New(fc)
-	}
 	if *obsOn {
 		obs.Enable()
 	}
@@ -95,7 +81,6 @@ func run() error {
 		Mode:            m,
 		CacheEntries:    *cacheSize,
 		MaxBlockVisits:  *visits,
-		Inject:          inj,
 	}
 
 	if *loadtest {
@@ -106,7 +91,7 @@ func run() error {
 			Seed:          *seed,
 			DeadlineMS:    *reqDL,
 			VerifyOutputs: *verify,
-		}, inj, *jsonOut)
+		}, *jsonOut)
 	}
 	return serve(*addr, cfg)
 }
@@ -144,9 +129,8 @@ func serve(addr string, cfg satbd.Config) error {
 
 // runLoadtest drives a load run, printing the outcome table and writing
 // the JSON document. With no -url it boots an in-process daemon on a
-// loopback port so the whole loop (including fault injection) is one
-// command.
-func runLoadtest(cfg satbd.Config, lc satbd.LoadConfig, inj *faultinject.Injector, jsonOut string) error {
+// loopback port so the whole loop is one command.
+func runLoadtest(cfg satbd.Config, lc satbd.LoadConfig, jsonOut string) error {
 	var stats func() report.SatbdStats
 	if lc.BaseURL == "" {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -190,9 +174,6 @@ func runLoadtest(cfg satbd.Config, lc satbd.LoadConfig, inj *faultinject.Injecto
 	}
 	if load.OutputsVerified > 0 {
 		fmt.Printf("  outputs verified against local baseline: %d\n", load.OutputsVerified)
-	}
-	if inj != nil {
-		fmt.Printf("  faults injected: %s\n", inj.Summary())
 	}
 
 	doc := report.NewDocument("satbd")

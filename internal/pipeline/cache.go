@@ -53,12 +53,6 @@ type cacheKey struct {
 	analysis    string
 }
 
-// CacheFaultHook is an injectable cache-failure hook for chaos testing:
-// when it returns true for an operation ("get" or "put"), that operation
-// fails (the get misses, the put is dropped). A failing cache only costs
-// recomputation — correctness never depends on it.
-type CacheFaultHook func(op string) bool
-
 type cacheEntry struct {
 	key cacheKey
 	b   *Build
@@ -89,9 +83,6 @@ type Cache struct {
 	misses    atomic.Int64
 	evictions atomic.Int64
 	coalesced atomic.Int64
-	faultDrop atomic.Int64
-
-	hook atomic.Pointer[CacheFaultHook]
 }
 
 // NewCache returns an empty cache that holds up to maxEntries builds (<= 0
@@ -109,52 +100,25 @@ func NewCache(maxEntries int) *Cache {
 // instance so daemon state never rides on a package global.
 var DefaultCache = NewCache(DefaultCacheEntries)
 
-// SetFaultHook installs (or, with nil, removes) the chaos-testing failure
-// hook.
-func (c *Cache) SetFaultHook(h CacheFaultHook) {
-	if h == nil {
-		c.hook.Store(nil)
-		return
-	}
-	c.hook.Store(&h)
-}
-
-// faulted consults the installed hook for one operation.
-func (c *Cache) faulted(op string) bool {
-	hp := c.hook.Load()
-	if hp == nil {
-		return false
-	}
-	if (*hp)(op) {
-		c.faultDrop.Add(1)
-		obs.Count("pipeline.cache.fault_drops", 1)
-		return true
-	}
-	return false
-}
-
 // CacheStats reports build-cache effectiveness. Hits counts servings from
 // the LRU, Coalesced counts compiles avoided by singleflight (a follower
 // adopting an in-flight winner's result), Misses counts actual compiles
-// entered through the cache, Evictions counts LRU displacements, and
-// FaultDrops counts operations failed by the chaos hook.
+// entered through the cache, and Evictions counts LRU displacements.
 type CacheStats struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Entries    int   `json:"entries"`
-	Evictions  int64 `json:"evictions"`
-	Coalesced  int64 `json:"coalesced"`
-	FaultDrops int64 `json:"fault_drops,omitempty"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Entries   int   `json:"entries"`
+	Evictions int64 `json:"evictions"`
+	Coalesced int64 `json:"coalesced"`
 }
 
 // Stats returns a snapshot of this cache's counters.
 func (c *Cache) Stats() CacheStats {
 	s := CacheStats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		Coalesced:  c.coalesced.Load(),
-		FaultDrops: c.faultDrop.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Coalesced: c.coalesced.Load(),
 	}
 	c.mu.Lock()
 	s.Entries = len(c.entries)
@@ -173,7 +137,6 @@ func (c *Cache) Clear() {
 	c.misses.Store(0)
 	c.evictions.Store(0)
 	c.coalesced.Store(0)
-	c.faultDrop.Store(0)
 }
 
 // cacheInstance resolves the cache these Options address.
@@ -205,9 +168,6 @@ func (o Options) key(name, source string) cacheKey {
 
 // get returns the cached build for a key, refreshing its recency.
 func (c *Cache) get(k cacheKey) (*Build, bool) {
-	if c.faulted("get") {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
@@ -220,9 +180,6 @@ func (c *Cache) get(k cacheKey) (*Build, bool) {
 
 // put stores a build, evicting the least-recently-used entry at capacity.
 func (c *Cache) put(k cacheKey, b *Build) {
-	if c.faulted("put") {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {

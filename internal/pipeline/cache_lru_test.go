@@ -217,38 +217,6 @@ func TestCacheTimeDrivenDegradedNeverStored(t *testing.T) {
 	}
 }
 
-func TestCacheFaultHookDegradesToRecompute(t *testing.T) {
-	c := NewCache(0)
-	opts := Options{InlineLimit: 50, Analysis: core.Options{Mode: core.ModeFieldArray}, Cache: c}
-
-	c.SetFaultHook(func(op string) bool { return true })
-	for i := 0; i < 2; i++ {
-		b, err := Compile("faulty", cacheTestSrc, opts)
-		if err != nil {
-			t.Fatalf("a failing cache must only cost recomputation: %v", err)
-		}
-		if b.CacheHit {
-			t.Error("hit through a fully faulted cache")
-		}
-	}
-	s := c.Stats()
-	if s.Entries != 0 || s.Misses != 2 {
-		t.Errorf("stats = %+v, want 0 entries / 2 misses under total cache failure", s)
-	}
-	if s.FaultDrops != 4 { // per compile: one faulted get + one dropped put
-		t.Errorf("FaultDrops = %d, want 4", s.FaultDrops)
-	}
-
-	// Removing the hook restores normal caching.
-	c.SetFaultHook(nil)
-	if b, err := Compile("faulty", cacheTestSrc, opts); err != nil || b.CacheHit {
-		t.Fatalf("first post-hook compile: hit=%v err=%v", b.CacheHit, err)
-	}
-	if b, err := Compile("faulty", cacheTestSrc, opts); err != nil || !b.CacheHit {
-		t.Fatalf("second post-hook compile must hit: err=%v", err)
-	}
-}
-
 // degradeSet renders a report's degradations in a scheduling-independent
 // canonical form.
 func degradeSet(rep *core.ProgramReport) string {

@@ -75,7 +75,7 @@ func sampleDocument() *Document {
 	}
 	doc.BuildCache = &pipeline.CacheStats{
 		Hits: 1, Misses: 2, Entries: 2,
-		Evictions: 1, Coalesced: 3, FaultDrops: 1,
+		Evictions: 1, Coalesced: 3,
 	}
 	doc.Satbd = &Satbd{
 		Request: &SatbdRequest{

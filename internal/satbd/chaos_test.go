@@ -2,13 +2,65 @@ package satbd
 
 import (
 	"context"
-	"net/http/httptest"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
-
-	"satbelim/internal/faultinject"
 )
+
+// injector is the chaos tests' fault source, installed as a Server's
+// hook. At each site the daemon names it stalls with probability stall
+// (sleeping for delay: a stuck worker or a slow stage) and panics with
+// probability panics. Its draws come from one seeded source, so a
+// single-threaded sequence repeats; under concurrency their interleaving
+// depends on scheduling, and the tests assert invariants, never where a
+// fault landed.
+type injector struct {
+	stall  float64
+	delay  time.Duration
+	panics float64
+
+	mu    sync.Mutex
+	rng   *rand.Rand
+	fired map[string]int
+}
+
+func newInjector(seed int64, stall float64, delay time.Duration, panics float64) *injector {
+	return &injector{stall: stall, delay: delay, panics: panics,
+		rng: rand.New(rand.NewSource(seed)), fired: map[string]int{}}
+}
+
+// at is the Server hook.
+func (in *injector) at(site string) {
+	in.mu.Lock()
+	stall, panics := in.rng.Float64() < in.stall, in.rng.Float64() < in.panics
+	if stall {
+		in.fired["stall:"+site]++
+	}
+	if panics {
+		in.fired["panic:"+site]++
+	}
+	in.mu.Unlock()
+	if stall {
+		time.Sleep(in.delay)
+	}
+	if panics {
+		panic("injected panic at " + site)
+	}
+}
+
+// firedCounts returns a copy of the per-site fired counts and their sum.
+func (in *injector) firedCounts() (map[string]int, int) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	out, total := make(map[string]int, len(in.fired)), 0
+	for k, n := range in.fired {
+		out[k] = n
+		total += n
+	}
+	return out, total
+}
 
 // checkGoroutines asserts the goroutine count returns to (near) its
 // baseline after a load run — a leaked per-request goroutine would grow
@@ -31,9 +83,10 @@ func checkGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestChaosLoad is the chaos acceptance run from the issue: a
-// progen-driven storm against a daemon with every fault class injected
-// (slow stages, cache failures, worker stalls, spurious panics).
+// TestChaosLoad is the chaos acceptance run: a progen-driven storm
+// against a daemon whose workers stall and panic at random before they
+// compile or run, and whose build cache holds 8 entries, so that a
+// repeated program usually misses after an eviction and is recompiled.
 // The pass condition is the daemon's whole contract: zero crashes, zero
 // schema-invalid responses, zero silently-wrong results (every /run
 // output re-executed locally and compared), every degradation flagged,
@@ -46,17 +99,8 @@ func TestChaosLoad(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	inj := faultinject.New(faultinject.Config{
-		Seed:           7,
-		SlowStage:      0.05,
-		SlowStageDelay: 2 * time.Millisecond,
-		CacheFail:      0.2,
-		Panic:          0.03,
-		Stall:          0.05,
-		StallDelay:     2 * time.Millisecond,
-	})
-	s := New(Config{Workers: 4, QueueDepth: 16, Inject: inj})
-	ts := httptest.NewServer(s.Handler())
+	inj := newInjector(7, 0.1, 2*time.Millisecond, 0.03)
+	s, ts := newHookedServer(t, Config{Workers: 4, QueueDepth: 16, CacheEntries: 8}, inj.at)
 
 	load, err := RunLoad(context.Background(), LoadConfig{
 		BaseURL:       ts.URL,
@@ -93,8 +137,15 @@ func TestChaosLoad(t *testing.T) {
 		lat.P50NS <= 0 || lat.P95NS < lat.P50NS || lat.P99NS < lat.P95NS || lat.MaxNS < lat.P99NS {
 		t.Errorf("ok latency summary malformed: %+v", lat)
 	}
-	if inj.TotalFired() == 0 {
+	fired, nFired := inj.firedCounts()
+	if nFired == 0 {
 		t.Error("no fault fired; the chaos run exercised nothing")
+	}
+	// RunLoad requests each distinct program about twice: more misses
+	// than distinct programs means evicted builds were compiled again.
+	cs := s.Cache().Stats()
+	if cs.Evictions == 0 || cs.Misses <= int64(programs/2) {
+		t.Errorf("the storm never recompiled an evicted build: %+v", cs)
 	}
 	st := s.Stats()
 	if st.Requests < int64(programs) {
@@ -103,8 +154,8 @@ func TestChaosLoad(t *testing.T) {
 	if st.Inflight != 0 || st.Queued != 0 {
 		t.Errorf("daemon not drained: %+v", st)
 	}
-	t.Logf("chaos: %d requests, outcomes %v, faults %s, cache %+v",
-		programs, load.ByOutcome, inj.Summary(), s.Cache().Stats())
+	t.Logf("chaos: %d requests, outcomes %v, faults %v, cache %+v",
+		programs, load.ByOutcome, fired, cs)
 
 	ts.Close()
 	checkGoroutines(t, baseline)
@@ -121,13 +172,8 @@ func TestChaosTightDeadlines(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	inj := faultinject.New(faultinject.Config{
-		Seed:       11,
-		Stall:      0.5,
-		StallDelay: 30 * time.Millisecond,
-	})
-	s := New(Config{Workers: 2, QueueDepth: 4, Inject: inj})
-	ts := httptest.NewServer(s.Handler())
+	inj := newInjector(11, 0.5, 30*time.Millisecond, 0)
+	_, ts := newHookedServer(t, Config{Workers: 2, QueueDepth: 4}, inj.at)
 
 	load, err := RunLoad(context.Background(), LoadConfig{
 		BaseURL:       ts.URL,

@@ -187,7 +187,7 @@ func (s *Server) finish(w http.ResponseWriter, status int, doc *report.Document,
 
 // process runs one admitted request through the pipeline. Any panic —
 // from the compiler, the analysis (beyond core's own per-method
-// recovery), the VM, or an injected fault — is confined here: the
+// recovery), the VM, or a test's hook — is confined here: the
 // request gets a 500 with outcome "panic" and the daemon keeps serving.
 func (s *Server) process(ctx context.Context, slot int, name string, req *Request, bgt budgets, doc *report.Document) (status int, outcome string, err error) {
 	lane := fmt.Sprintf("satbd/w%d", slot)
@@ -203,10 +203,9 @@ func (s *Server) process(ctx context.Context, slot int, name string, req *Reques
 		sp.EndArgs(obs.KV{K: "outcome", S: outcome})
 	}()
 
-	inj := s.cfg.Inject
-	inj.Stall("worker")
-	inj.MaybePanic("request")
-	inj.SlowStage("compile")
+	if s.hook != nil {
+		s.hook("compile")
+	}
 
 	opts := pipeline.Options{
 		InlineLimit: s.cfg.InlineLimit,
@@ -243,7 +242,9 @@ func (s *Server) process(ctx context.Context, slot int, name string, req *Reques
 			s.errs.Add(1)
 			return http.StatusBadRequest, OutcomeError, err
 		}
-		inj.SlowStage("run")
+		if s.hook != nil {
+			s.hook("run")
+		}
 		res, err := vm.New(b.Program, cfg).RunContext(ctx)
 		if err != nil {
 			if ctxErr(err) {

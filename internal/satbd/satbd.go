@@ -6,10 +6,12 @@
 // deadlines and queue pressure onto tiered analysis budgets and sheds
 // load (429 + Retry-After) at saturation; a panic anywhere in a
 // request's pipeline is isolated to that request. The invariant the
-// chaos suite enforces end to end: under faults the daemon degrades
-// (slower responses, conservative all-barriers analyses, shed
-// requests) but never crashes and never returns a silently-wrong
-// result — every degradation is flagged in the response document.
+// chaos tests enforce end to end, with stalls and panics injected from
+// the test side and a cache small enough to evict under the storm: the
+// daemon degrades (slower responses, conservative all-barriers
+// analyses, shed requests, recompiles) but never crashes and never
+// returns a silently-wrong result — every degradation is flagged in the
+// response document.
 package satbd
 
 import (
@@ -19,7 +21,6 @@ import (
 	"time"
 
 	"satbelim/internal/core"
-	"satbelim/internal/faultinject"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/report"
 	"satbelim/internal/satb"
@@ -27,7 +28,7 @@ import (
 )
 
 // Config is the daemon's one configuration surface. The zero value is
-// usable: Normalize fills every unset knob with its default.
+// usable: normalized fills every unset knob with its default.
 type Config struct {
 	// Workers is the number of concurrent request slots (default: the
 	// number of CPUs).
@@ -57,9 +58,6 @@ type Config struct {
 	MaxBlockVisits int
 	MaxStateSize   int
 	MaxSteps       int64
-
-	// Inject enables fault injection (nil = no faults).
-	Inject *faultinject.Injector
 }
 
 func (c Config) normalized() Config {
@@ -108,6 +106,12 @@ type Server struct {
 	slots chan int
 	start time.Time
 
+	// hook, when set, is called with "compile" before a request compiles
+	// and with "run" before it runs. It is for tests only, kept off
+	// Config so that nothing that builds a Config can reach it: the chaos
+	// tests set it before the server serves, to stall or panic there.
+	hook func(site string)
+
 	seq        atomic.Int64
 	queued     atomic.Int64
 	queuedPeak atomic.Int64
@@ -142,9 +146,6 @@ func New(cfg Config) *Server {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.slots <- i
-	}
-	if inj := cfg.Inject; inj.Enabled() {
-		s.cache.SetFaultHook(inj.CacheFault)
 	}
 	return s
 }

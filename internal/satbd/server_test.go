@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"satbelim/internal/core"
-	"satbelim/internal/faultinject"
 	"satbelim/internal/obs"
 	"satbelim/internal/report"
 )
@@ -54,7 +53,14 @@ class A {
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	return newHookedServer(t, cfg, nil)
+}
+
+// newHookedServer serves a Server whose hook is set before it serves.
+func newHookedServer(t *testing.T, cfg Config, hook func(site string)) (*Server, *httptest.Server) {
+	t.Helper()
 	s := New(cfg)
+	s.hook = hook
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -359,8 +365,8 @@ func TestAdmissionShedsAtCapacity(t *testing.T) {
 	// One worker, queue depth 1: capacity is 2 waiting requests. Every
 	// request stalls 400ms in the worker, so the sequence A (running),
 	// B and C (waiting), D is deterministic: D must be shed.
-	inj := faultinject.New(faultinject.Config{Seed: 1, Stall: 1, StallDelay: 400 * time.Millisecond})
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Inject: inj})
+	inj := newInjector(1, 1, 400*time.Millisecond, 0)
+	s, ts := newHookedServer(t, Config{Workers: 1, QueueDepth: 1}, inj.at)
 
 	var wg sync.WaitGroup
 	results := make(chan string, 3)
@@ -455,8 +461,8 @@ func TestOversizedBodyIsRefused(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	// Every request panics mid-pipeline; the daemon must answer 500 each
 	// time and stay alive.
-	inj := faultinject.New(faultinject.Config{Seed: 1, Panic: 1})
-	s, ts := newTestServer(t, Config{Workers: 2, Inject: inj})
+	inj := newInjector(1, 0, 0, 1)
+	s, ts := newHookedServer(t, Config{Workers: 2}, inj.at)
 
 	for i := 0; i < 3; i++ {
 		status, _, doc := post(t, ts, "run", Request{Name: "hello", Source: helloSrc})
