@@ -18,15 +18,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"satbelim/internal/bytecode"
 	"satbelim/internal/cli"
 	"satbelim/internal/core"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/report"
-	"satbelim/internal/workloads"
 )
 
 func main() {
@@ -40,25 +37,9 @@ func main() {
 	ob.RegisterFlags()
 	flag.Parse()
 
-	var name, source string
-	switch {
-	case *workload != "":
-		w, err := workloads.Get(*workload)
-		if err != nil {
-			fatal(err)
-		}
-		name, source = w.Name, w.Source
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		name = strings.TrimSuffix(filepath.Base(flag.Arg(0)), ".mj")
-		source = string(data)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: satbc [flags] file.mj | satbc [flags] -workload NAME")
-		flag.PrintDefaults()
-		os.Exit(2)
+	name, source, err := cli.Source("satbc", *workload)
+	if err != nil {
+		fatal(err)
 	}
 
 	m, err := core.ParseMode(*mode)
@@ -78,8 +59,7 @@ func main() {
 
 	fmt.Printf("compiled %s: %d bytecode bytes, %d call sites inlined (limit %d)\n",
 		name, b.BytecodeBytes, b.InlinedCalls, *inlineLimit)
-	fmt.Printf("compile time: frontend %v, inline %v, verify %v, analysis %v\n",
-		b.FrontendTime, b.InlineTime, b.VerifyTime, b.AnalysisTime)
+	fmt.Printf("compile time: %s\n", b.FormatStageTimes())
 	fmt.Printf("modeled compiled code size: %d bytes\n", b.CompiledCodeSize())
 	if b.Report != nil {
 		fmt.Print(b.Report.String())

@@ -25,8 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"satbelim/internal/cli"
 	"satbelim/internal/core"
@@ -34,7 +32,6 @@ import (
 	"satbelim/internal/report"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
-	"satbelim/internal/workloads"
 )
 
 func main() {
@@ -59,25 +56,9 @@ func main() {
 	ob.RegisterFlags()
 	flag.Parse()
 
-	var name, source string
-	switch {
-	case *workload != "":
-		w, err := workloads.Get(*workload)
-		if err != nil {
-			fatal(err)
-		}
-		name, source = w.Name, w.Source
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		name = strings.TrimSuffix(filepath.Base(flag.Arg(0)), ".mj")
-		source = string(data)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: satbvm [flags] file.mj | satbvm [flags] -workload NAME")
-		flag.PrintDefaults()
-		os.Exit(2)
+	name, source, err := cli.Source("satbvm", *workload)
+	if err != nil {
+		fatal(err)
 	}
 
 	am, err := core.ParseMode(*mode)
@@ -145,8 +126,7 @@ func main() {
 		cs := pipeline.DefaultCache.Stats()
 		fmt.Printf("build cache: hit=%v (%d hits / %d misses, %d entries)\n",
 			b.CacheHit, cs.Hits, cs.Misses, cs.Entries)
-		fmt.Printf("compile: frontend %v, inline %v, verify %v, analysis %v\n",
-			b.FrontendTime, b.InlineTime, b.VerifyTime, b.AnalysisTime)
+		fmt.Printf("compile: %s\n", b.FormatStageTimes())
 	}
 	if *oracle {
 		fmt.Printf("oracle: %d elided stores validated\n", res.ElisionChecks)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"satbelim/internal/core"
+	"satbelim/internal/num"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/satb"
 	"satbelim/internal/vm"
@@ -38,12 +39,8 @@ func main() {
 				log.Fatal(err)
 			}
 			s := res.Counters.Summarize()
-			elim := 0.0
-			if s.TotalExecs > 0 {
-				elim = 100 * float64(s.ElidedExecs) / float64(s.TotalExecs)
-			}
-			fmt.Printf("%6d %6s %8.1f %12v %12d\n",
-				limit, mode, elim, b.AnalysisTime.Round(time.Microsecond), b.BytecodeBytes)
+			fmt.Printf("%6d %6s %8.1f %12v %12d\n", limit, mode, num.Pct(s.ElidedExecs, s.TotalExecs),
+				b.StageTime[pipeline.StageAnalyze].Round(time.Microsecond), b.BytecodeBytes)
 		}
 	}
 }

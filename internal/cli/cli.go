@@ -1,6 +1,7 @@
 // Package cli holds the flag surface and export plumbing shared by the
-// satbc / satbvm / satbbench commands: the -trace / -metrics observability
-// flags, the versioned JSON document writer, and atomic file output.
+// satbc / satbvm / satbbench commands: the program a command reads, the
+// -trace / -metrics observability flags, the versioned JSON document
+// writer, and atomic file output.
 package cli
 
 import (
@@ -9,11 +10,34 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"satbelim/internal/obs"
 	"satbelim/internal/pipeline"
 	"satbelim/internal/report"
+	"satbelim/internal/workloads"
 )
+
+// Source is the program a compiling command works on: the built-in
+// workload it names, or else its one file argument, named after the file
+// without ".mj". With neither it prints the usage and exits 2.
+func Source(tool, workload string) (name, source string, err error) {
+	switch {
+	case workload != "":
+		w, err := workloads.Get(workload)
+		if err != nil {
+			return "", "", err
+		}
+		return w.Name, w.Source, nil
+	case flag.NArg() == 1:
+		data, err := os.ReadFile(flag.Arg(0))
+		return strings.TrimSuffix(filepath.Base(flag.Arg(0)), ".mj"), string(data), err
+	}
+	fmt.Fprintf(os.Stderr, "usage: %s [flags] file.mj | %s [flags] -workload NAME\n", tool, tool)
+	flag.PrintDefaults()
+	os.Exit(2)
+	return "", "", nil
+}
 
 // Obs carries the observability flags common to every command. Zero
 // values mean "off": no collector is installed and every hook stays on

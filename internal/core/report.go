@@ -17,7 +17,7 @@ import (
 // ProgramReport aggregates per-method analysis reports. It is a function
 // of the program and the options, unless some method's Degraded reason is
 // TimeDriven: the caller's context cut the analysis short. The time the
-// analysis took is its caller's to measure (pipeline.Build.AnalysisTime).
+// analysis took is its caller's to measure (pipeline.Build.StageTime).
 type ProgramReport struct {
 	Methods []*MethodReport
 }

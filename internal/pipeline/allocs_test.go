@@ -18,13 +18,15 @@ import (
 // must agree exactly. The ceilings sit about 15 % above the measured
 // figures:
 //
-//	              the domain a package (an        condensation without component
-//	              analyzer holds no Options)      dependency lists
-//	jbb@100       562 allocs, 215 665 B           562 allocs, 216 449 B
-//	jess@0        604 allocs, 140 721 B           604 allocs, 141 729 B
+//	              the compile path one stage      the domain a package (an
+//	              table, one file name            analyzer holds no Options)
+//	jbb@100       556 allocs, 215 688 B           562 allocs, 215 665 B
+//	jess@0        600 allocs, 140 744 B           604 allocs, 140 721 B
 //
-// With 24-byte instructions naming operands by pool index, 20-byte tokens
-// and one-pass reference tables they were 564 allocs and 217 073 B, and
+// With the condensation still holding component dependency lists they were
+// 562 allocs and 216 449 B, and 604 allocs and 141 729 B. With 24-byte
+// instructions naming operands by pool index, 20-byte tokens and one-pass
+// reference tables they were 564 allocs and 217 073 B, and
 // 607 allocs and 142 232 B; with 96-byte instructions holding their
 // operands and 48-byte tokens 584 allocs and 357 041 B, and 617 allocs and
 // 203 049 B.

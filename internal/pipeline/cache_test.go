@@ -3,6 +3,7 @@ package pipeline
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"satbelim/internal/core"
 	"satbelim/internal/domain"
@@ -56,10 +57,10 @@ func TestBuildCacheHitAndIsolation(t *testing.T) {
 	if b2 == b1 {
 		t.Error("cache hit must return a caller-private Build copy")
 	}
-	// Mutating the copy's metadata must not leak into later hits.
-	b2.AnalysisTime = 0
+	// Mutating the copy's stage times must not leak into later hits.
+	b2.StageTime = [NumStages]time.Duration{}
 	b3, _ := Compile("cachetest", cacheTestSrc, opts)
-	if b3.AnalysisTime != b1.AnalysisTime {
+	if b3.StageTime != b1.StageTime || b3.StageTime[StageAnalyze] == 0 {
 		t.Error("caller mutation of a hit leaked into the cache")
 	}
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"satbelim/internal/bytecode"
@@ -75,10 +76,9 @@ type Build struct {
 	Program *bytecode.Program
 	Options Options
 
-	FrontendTime time.Duration // parse + typecheck + codegen
-	InlineTime   time.Duration
-	VerifyTime   time.Duration
-	AnalysisTime time.Duration
+	// StageTime is each stage's wall time, indexed by Stage; a stage the
+	// build skipped reads zero.
+	StageTime [NumStages]time.Duration
 
 	// BytecodeBytes is the post-inline bytecode size.
 	BytecodeBytes int
@@ -87,16 +87,30 @@ type Build struct {
 	// Report is the analysis report (nil for ModeNone).
 	Report *core.ProgramReport
 	// CacheHit reports that this Build was served from the build cache
-	// (its timing fields are the original compilation's).
+	// (its stage times are the original compilation's).
 	CacheHit bool
 
 	// compiledCodeSize is CompiledCodeSize, counted once by compile.
 	compiledCodeSize int
 }
 
-// CompileTime is the total compile-side time.
+// CompileTime is the total compile-side time: the sum of the stage times.
 func (b *Build) CompileTime() time.Duration {
-	return b.FrontendTime + b.InlineTime + b.VerifyTime + b.AnalysisTime
+	var t time.Duration
+	for _, d := range b.StageTime {
+		t += d
+	}
+	return t
+}
+
+// FormatStageTimes renders the stage times in table order, as "parse 1ms,
+// typecheck 2ms, …".
+func (b *Build) FormatStageTimes() string {
+	parts := make([]string, NumStages)
+	for s, d := range b.StageTime {
+		parts[s] = fmt.Sprintf("%s %v", Stage(s), d)
+	}
+	return strings.Join(parts, ", ")
 }
 
 // CompiledCodeSize models total compiled code bytes: expanded bytecode
@@ -136,9 +150,9 @@ func Compile(name, source string, opts Options) (*Build, error) {
 }
 
 // CompileCtx is Compile under a caller context. Cancellation is observed
-// between the frontend stages (an error return) and inside the analysis
-// fixed point (sound per-method degradation with DegradeCancelled — the
-// build still succeeds, conservatively). Concurrent CompileCtx calls for
+// before every stage (an error return) and inside the analysis fixed
+// point (sound per-method degradation with DegradeCancelled — the build
+// still succeeds, conservatively). Concurrent CompileCtx calls for
 // the same key coalesce onto one compilation via the cache's singleflight
 // layer; results degraded by a request's own deadline are never shared or
 // cached, so no caller observes another caller's time budget.
@@ -165,64 +179,63 @@ func CompileCtx(ctx context.Context, name, source string, opts Options) (*Build,
 	return b, nil
 }
 
-// compile is the uncached compile path: parse → typecheck → codegen →
-// inline → verify → analyze.
+// Stage numbers a stage of the compile path. The constants are the stage
+// table: compile runs the stages in this order, analyze only under an
+// analysis mode, and Build.StageTime is indexed by them.
+type Stage uint8
+
+const (
+	StageParse Stage = iota
+	StageTypecheck
+	StageCodegen
+	StageInline
+	StageVerify
+	StageAnalyze
+	NumStages
+)
+
+var stageNames = [NumStages]string{"parse", "typecheck", "codegen", "inline", "verify", "analyze"}
+
+// String is the stage's name, which is also its span's.
+func (s Stage) String() string { return stageNames[s] }
+
+// compile is the uncached compile path. It runs the stage table, and for
+// each stage polls the context, traces and times the stage, and wraps its
+// error.
 func compile(ctx context.Context, name, source string, opts Options) (*Build, error) {
 	b := &Build{Name: name, Options: opts}
-
-	start := time.Now()
-	sp := obs.StartSpan("main", "pipeline", "parse")
-	ast, err := minijava.Parse(name+".mj", source)
-	sp.EndArgs(obs.KV{K: "program", S: name})
-	if err != nil {
-		return nil, fmt.Errorf("pipeline %s: %w", name, err)
+	file, last := name+".mj", NumStages
+	if opts.Analysis.Mode == core.ModeNone {
+		last = StageAnalyze
 	}
-	sp = obs.StartSpan("main", "pipeline", "typecheck")
-	checked, err := minijava.Check(name+".mj", ast)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline %s: %w", name, err)
-	}
-	sp = obs.StartSpan("main", "pipeline", "codegen")
-	prog, err := codegen.Compile(checked)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline %s: %w", name, err)
-	}
-	b.FrontendTime = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("pipeline %s: %w", name, err)
-	}
-
-	start = time.Now()
-	sp = obs.StartSpan("main", "pipeline", "inline")
-	ir := inline.Apply(prog, inline.Options{Limit: opts.InlineLimit})
-	sp.EndArgs(obs.KV{K: "limit", V: int64(opts.InlineLimit)}, obs.KV{K: "expanded", V: int64(ir.Expanded)})
-	b.InlineTime = time.Since(start)
-	b.Program = ir.Program
-	b.InlinedCalls = ir.Expanded
-
-	start = time.Now()
-	sp = obs.StartSpan("main", "pipeline", "verify")
-	err = verifier.VerifyProgram(b.Program)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline %s: %w", name, err)
-	}
-	b.VerifyTime = time.Since(start)
-
-	if opts.Analysis.Mode != core.ModeNone {
-		start = time.Now()
-		sp = obs.StartSpan("main", "pipeline", "analyze")
-		rep, err := core.AnalyzeProgramCtx(ctx, b.Program, opts.Analysis, opts.workerCount())
+	var ast *minijava.Program
+	var checked *minijava.Checked
+	for s := range last {
+		err := ctx.Err()
+		if err == nil {
+			sp := obs.StartSpan("main", "pipeline", s.String())
+			start := time.Now()
+			switch s {
+			case StageParse:
+				ast, err = minijava.Parse(file, source)
+			case StageTypecheck:
+				checked, err = minijava.Check(file, ast)
+			case StageCodegen:
+				b.Program, err = codegen.Compile(checked)
+			case StageInline:
+				ir := inline.Apply(b.Program, inline.Options{Limit: opts.InlineLimit})
+				b.Program, b.InlinedCalls = ir.Program, ir.Expanded
+			case StageVerify:
+				err = verifier.VerifyProgram(b.Program)
+			case StageAnalyze:
+				b.Report, err = core.AnalyzeProgramCtx(ctx, b.Program, opts.Analysis, opts.workerCount())
+			}
+			sp.EndArgs(obs.KV{K: "program", S: name})
+			b.StageTime[s] = time.Since(start)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("pipeline %s: %w", name, err)
 		}
-		sp.EndArgs(obs.KV{K: "block_visits", V: int64(rep.BlockVisits())},
-			obs.KV{K: "methods", V: int64(len(rep.Methods))},
-			obs.KV{K: "degraded", V: int64(len(rep.Degraded()))})
-		b.AnalysisTime = time.Since(start)
-		b.Report = rep
 	}
 	b.BytecodeBytes, b.compiledCodeSize = codeSizes(b.Program)
 	return b, nil

@@ -57,7 +57,7 @@ func TestCompileModeNoneSkipsAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Report != nil || b.AnalysisTime != 0 {
+	if b.Report != nil || b.StageTime[StageAnalyze] != 0 {
 		t.Error("mode B should not run the analysis")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // SchemaVersion is the version of the Document JSON schema. Bump it on
 // any breaking change to the document shape; the golden test in
 // document_test.go pins the current shape.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Document is the one versioned JSON report schema every CLI emits:
 // satbbench -json writes experiment sections, satbvm -json writes a Run
@@ -36,8 +36,7 @@ type Document struct {
 	Figure3    []Fig3Row       `json:"figure3,omitempty"`
 	NullOrSame []NullOrSameRow `json:"null_or_same,omitempty"`
 	Rearrange  []RearrangeRow  `json:"rearrange,omitempty"`
-	// Barriers is the cross-flavor barrier matrix (satbbench -barriers;
-	// additive to schema v1).
+	// Barriers is the cross-flavor barrier matrix (satbbench -barriers).
 	Barriers        []BarrierRow   `json:"barriers,omitempty"`
 	Interprocedural []InterprocRow `json:"interprocedural,omitempty"`
 	Oracle          []OracleRow    `json:"oracle,omitempty"`
@@ -72,7 +71,7 @@ type RunSummary struct {
 	Workload string `json:"workload"`
 	Engine   string `json:"engine"`
 	// Flavor is the barrier flavor the run executed with ("conditional",
-	// "yuasa", "dijkstra", ...; additive to schema v1).
+	// "yuasa", "dijkstra", ...).
 	Flavor      string  `json:"barrier_flavor,omitempty"`
 	Output      []int64 `json:"output"`
 	Steps       int64   `json:"steps"`
@@ -80,7 +79,7 @@ type RunSummary struct {
 	TotalCost   uint64  `json:"total_cost"`
 	Logged      uint64  `json:"logged"`
 	// Shaded counts insertion-side shade events (new-value shading by
-	// the dijkstra and hybrid flavors; additive to schema v1).
+	// the dijkstra and hybrid flavors).
 	Shaded         uint64  `json:"shaded,omitempty"`
 	CardsDirtied   uint64  `json:"cards_dirtied,omitempty"`
 	StaticExecs    uint64  `json:"static_execs"`
@@ -92,7 +91,7 @@ type RunSummary struct {
 	Allocated      int64   `json:"allocated"`
 	Swept          int     `json:"swept"`
 	ElisionChecks  int64   `json:"elision_checks,omitempty"`
-	// Tier counters (compiled engine only; additive to schema v1).
+	// Tier counters (compiled engine only).
 	TierUps      int   `json:"tier_ups,omitempty"`
 	TierDeopts   int64 `json:"tier_deopts,omitempty"`
 	TierSegExecs int64 `json:"tier_seg_execs,omitempty"`
@@ -155,22 +154,27 @@ type CampaignFailure struct {
 
 // CompileSummary is one compilation in Document form.
 type CompileSummary struct {
-	Workload         string   `json:"workload"`
-	InlineLimit      int      `json:"inline_limit"`
-	BytecodeBytes    int      `json:"bytecode_bytes"`
-	InlinedCalls     int      `json:"inlined_calls"`
-	CompiledCodeSize int      `json:"compiled_code_size"`
-	FrontendNs       int64    `json:"frontend_ns"`
-	InlineNs         int64    `json:"inline_ns"`
-	VerifyNs         int64    `json:"verify_ns"`
-	AnalysisNs       int64    `json:"analysis_ns"`
-	CacheHit         bool     `json:"cache_hit"`
-	FieldSites       int      `json:"field_sites"`
-	ArraySites       int      `json:"array_sites"`
-	FieldElided      int      `json:"field_elided"`
-	ArrayElided      int      `json:"array_elided"`
-	NullOrSame       int      `json:"null_or_same,omitempty"`
-	Degraded         []string `json:"degraded,omitempty"`
+	Workload         string `json:"workload"`
+	InlineLimit      int    `json:"inline_limit"`
+	BytecodeBytes    int    `json:"bytecode_bytes"`
+	InlinedCalls     int    `json:"inlined_calls"`
+	CompiledCodeSize int    `json:"compiled_code_size"`
+	// Stages are the stage times in the pipeline's table order; a
+	// skipped stage reads 0 ns.
+	Stages      [pipeline.NumStages]StageTime `json:"stages"`
+	CacheHit    bool                          `json:"cache_hit"`
+	FieldSites  int                           `json:"field_sites"`
+	ArraySites  int                           `json:"array_sites"`
+	FieldElided int                           `json:"field_elided"`
+	ArrayElided int                           `json:"array_elided"`
+	NullOrSame  int                           `json:"null_or_same,omitempty"`
+	Degraded    []string                      `json:"degraded,omitempty"`
+}
+
+// StageTime is one compile stage's wall time.
+type StageTime struct {
+	Stage string `json:"stage"`
+	Ns    int64  `json:"ns"`
 }
 
 // NewCompileSummary converts a pipeline build into its Document form.
@@ -181,11 +185,10 @@ func NewCompileSummary(b *pipeline.Build) *CompileSummary {
 		BytecodeBytes:    b.BytecodeBytes,
 		InlinedCalls:     b.InlinedCalls,
 		CompiledCodeSize: b.CompiledCodeSize(),
-		FrontendNs:       b.FrontendTime.Nanoseconds(),
-		InlineNs:         b.InlineTime.Nanoseconds(),
-		VerifyNs:         b.VerifyTime.Nanoseconds(),
-		AnalysisNs:       b.AnalysisTime.Nanoseconds(),
 		CacheHit:         b.CacheHit,
+	}
+	for s, d := range b.StageTime {
+		c.Stages[s] = StageTime{Stage: pipeline.Stage(s).String(), Ns: d.Nanoseconds()}
 	}
 	if b.Report != nil {
 		c.FieldSites, c.ArraySites, c.FieldElided, c.ArrayElided, c.NullOrSame = b.Report.Totals()
@@ -198,7 +201,7 @@ func NewCompileSummary(b *pipeline.Build) *CompileSummary {
 
 // Satbd is the daemon section. Every satbd HTTP response carries a
 // Document with Request set; /healthz and /metrics carry Stats; the
-// load-test client emits Load. All three are additive to schema v1.
+// load-test client emits Load.
 type Satbd struct {
 	Request *SatbdRequest `json:"request,omitempty"`
 	Stats   *SatbdStats   `json:"stats,omitempty"`
@@ -248,13 +251,13 @@ type SatbdStats struct {
 	Workers    int   `json:"workers"`
 	QueueDepth int   `json:"queue_depth"`
 	// Compiled-tier counters accumulated across /run requests that
-	// executed on the compiled engine (additive to schema v1).
+	// executed on the compiled engine.
 	TierUps      int64 `json:"tier_ups,omitempty"`
 	TierDeopts   int64 `json:"tier_deopts,omitempty"`
 	TierSegExecs int64 `json:"tier_seg_execs,omitempty"`
 	// Barrier traffic accumulated across /run requests: deletion-side
-	// log entries and insertion-side shade events (additive to schema
-	// v1). Per-flavor splits are on /metrics as vm.barrier.flavor.*.
+	// log entries and insertion-side shade events. Per-flavor splits are
+	// on /metrics as vm.barrier.flavor.*.
 	Logged int64 `json:"logged,omitempty"`
 	Shaded int64 `json:"shaded,omitempty"`
 }
@@ -271,7 +274,7 @@ type SatbdLoad struct {
 	// re-executed locally and matched (the silently-wrong check).
 	OutputsVerified int `json:"outputs_verified"`
 	// Latency is the wall-clock latency distribution per outcome class
-	// ("ok", "shed", ...; additive to schema v1).
+	// ("ok", "shed", ...).
 	Latency map[string]SatbdLatency `json:"latency,omitempty"`
 	// Invalid lists schema or consistency violations (capped); a
 	// passing load run has none.

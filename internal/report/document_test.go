@@ -45,10 +45,12 @@ func sampleDocument() *Document {
 	doc.Compile = &CompileSummary{
 		Workload: "jbb", InlineLimit: 100, BytecodeBytes: 2048,
 		InlinedCalls: 17, CompiledCodeSize: 4096,
-		FrontendNs: 1000, InlineNs: 2000, VerifyNs: 3000, AnalysisNs: 4000,
 		CacheHit: true, FieldSites: 20, ArraySites: 10,
 		FieldElided: 12, ArrayElided: 4, NullOrSame: 2,
 		Degraded: []string{"A.slow (deadline)"},
+	}
+	for s := range doc.Compile.Stages {
+		doc.Compile.Stages[s] = StageTime{Stage: pipeline.Stage(s).String(), Ns: int64(s+1) * 1000}
 	}
 	doc.Campaign = &CampaignSummary{
 		BaseSeed: 0, SeedsRun: 250, Checks: 1250,

@@ -208,7 +208,7 @@ func Figure2(limits []int) ([]Fig2Point, error) {
 					Mode:         mode,
 					ElimPct:      num.Pct(s.ElidedExecs, s.TotalExecs),
 					CompileTime:  b.CompileTime(),
-					AnalysisTime: b.AnalysisTime,
+					AnalysisTime: b.StageTime[pipeline.StageAnalyze],
 					CodeBytes:    b.BytecodeBytes,
 				})
 			}
@@ -327,8 +327,7 @@ type InterprocRow struct {
 	Limit0Pct      float64 // no inlining, intra-procedural only
 	Limit0SumPct   float64 // no inlining, with summaries
 	InlinedBasePct float64 // inline limit 100 (the paper's setting)
-	// DeltaPct is what the summaries buy: Limit0SumPct - Limit0Pct
-	// (additive to schema v1).
+	// DeltaPct is what the summaries buy: Limit0SumPct - Limit0Pct.
 	DeltaPct float64
 }
 
