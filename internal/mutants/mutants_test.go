@@ -7,6 +7,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -287,6 +290,56 @@ func TestStaleRowsFail(t *testing.T) {
 		_, err := stale.overlay(row{name: "stale", file: "x.go", original: original}, t.TempDir())
 		if err == nil || !strings.Contains(err.Error(), count) {
 			t.Errorf("original text %q: err = %v, want it to occur %s", original, err, count)
+		}
+	}
+}
+
+// TestEveryCheckNamesATest: every row killer and every layer check matches
+// at least one top-level Test or Fuzz function of its package, read from
+// the package's _test.go files without starting a go process. A renamed
+// test would otherwise empty a layer of the wide matrix without a sound;
+// only declared killers fail loudly.
+func TestEveryCheckNamesATest(t *testing.T) {
+	root := newEnv(t).root
+	type owned struct {
+		owner string
+		check
+	}
+	var checks []owned
+	for _, r := range rows {
+		for _, c := range r.killers {
+			checks = append(checks, owned{"mutant " + r.name, c})
+		}
+	}
+	for _, l := range layers {
+		for _, c := range l.checks {
+			checks = append(checks, owned{"layer " + l.name, c})
+		}
+	}
+	names := map[string][]string{}
+	for _, c := range checks {
+		tests, ok := names[c.pkg]
+		if !ok {
+			files, err := filepath.Glob(filepath.Join(root, c.pkg, "*_test.go"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("%s: no test files in %s (%v)", c.owner, c.pkg, err)
+			}
+			for _, f := range files {
+				af, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range af.Decls {
+					fd, ok := d.(*ast.FuncDecl)
+					if ok && fd.Recv == nil && (strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+						tests = append(tests, fd.Name.Name)
+					}
+				}
+			}
+			names[c.pkg] = tests
+		}
+		if !slices.ContainsFunc(tests, regexp.MustCompile(c.run).MatchString) {
+			t.Errorf("%s: %s -run %s matches no test", c.owner, c.pkg, c.run)
 		}
 	}
 }

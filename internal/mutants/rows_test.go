@@ -102,7 +102,7 @@ var layers = []layer{
 		{pkg: "internal/progen", run: "^TestGeneratedProgramsSATBInvariant$"},
 	}},
 	{name: "differentials", checks: []check{
-		{pkg: "internal/vm", run: "^(TestEngineDifferential|TestHorizonParityMatrix|TestFlavorOracle)"},
+		{pkg: "internal/vm", run: "^(TestEngineParity|TestEngineDifferential|TestHorizonParityMatrix|TestFlavorOracle)"},
 		{pkg: "internal/pipeline", run: "^(TestDifferential|TestInterprocDifferentialSweep)"},
 		{pkg: "internal/workloads", run: "^TestBarrierFlavorMatrixRelations$"},
 	}},

@@ -67,17 +67,6 @@ func barrierMatrixFlavors() []struct {
 	}
 }
 
-func gcName(k vm.GCKind) string {
-	switch k {
-	case vm.GCSATB:
-		return "satb"
-	case vm.GCIncremental:
-		return "inc"
-	default:
-		return "none"
-	}
-}
-
 // Barriers measures the cross-flavor matrix (the ISSUE's Table-1
 // analogue): every workload × every barrier flavor, compiled once per
 // workload with the full analysis (mode A + null-or-same + array
@@ -122,7 +111,7 @@ func Barriers(inlineLimit int) ([]BarrierRow, error) {
 			rows = append(rows, BarrierRow{
 				Workload:        w.Name,
 				Flavor:          spec.Name,
-				GC:              gcName(fc.GC),
+				GC:              fc.GC.String(),
 				StaticKept:      fv.Kept,
 				StaticDiscarded: fv.Discarded,
 				Execs:           s.TotalExecs,

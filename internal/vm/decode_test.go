@@ -222,6 +222,19 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
+// TestGCKindNamesRoundTrip: String is the inverse of ParseGCKind over every
+// kind, so a collector printed in a report or a test name parses back.
+func TestGCKindNamesRoundTrip(t *testing.T) {
+	for k := range GCKind(len(gcNames)) {
+		if got, err := ParseGCKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseGCKind(%q) = %v, %v, want %d", k.String(), got, err, int(k))
+		}
+	}
+	if _, err := ParseGCKind("conditional"); err == nil {
+		t.Error(`ParseGCKind("conditional") should fail`)
+	}
+}
+
 func TestFramePoolReuse(t *testing.T) {
 	// Enough calls to cycle frames through the pool many times; a stale
 	// local or stack slot would corrupt the running sum.

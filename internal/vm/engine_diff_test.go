@@ -1,18 +1,31 @@
 package vm_test
 
-// Differential harness for the three execution engines: every workload
-// runs under the pre-decoded fused engine, the reference switch
-// interpreter, and the compiled hot-method tier across the barrier modes
-// and analysis configurations of the paper's evaluation, with and without
-// the runtime elision oracle, and the Results must be bit-identical —
-// output, step counts, GC cycles, allocation/sweep totals, oracle check
-// counts, and the full per-site barrier counters. The compiled tier runs
-// with an aggressive threshold so every workload actually tiers up, and
-// a forced-deopt sweep proves that abandoning compiled code mid-run
-// changes nothing observable.
+// The engine-parity table: one declared list of cells, each a program ×
+// build options (inline limit, analysis mode and extensions,
+// interprocedural summaries) × runtime config (flavor, collector, trigger,
+// quantum, oracle, invariant, forced marking) × the compiled tier's
+// thresholds. Every cell runs its build once on the switch interpreter —
+// the reference, which visits every quantum boundary — and the fused engine
+// and the compiled tier at each threshold must reproduce that Result
+// exactly (assertIdentical). What a cell's config promises beyond parity is
+// checked on every cell alike (checkCell).
+//
+// The table has five sources, and each source's cells run under one
+// top-level test (runParity): the Table 1 workloads across barrier modes,
+// analyses, inline limits and the oracle; the newer flavors with every
+// safe collector; adversarial quanta; the scheduling horizon's collector
+// situations and quanta; and satbvm's defaults in three lanes. The first
+// four keep the subtest names they had as separate tables, so an old log's
+// cell name still finds its cell; the lanes are named by their config.
+// TestEngineParityCensus pins the cell count of each source.
+//
+// Forced deopt, step budgets, spawn clamps and concurrent first use test
+// hooks and budgets rather than cells, and keep their own tests below the
+// table.
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -25,44 +38,320 @@ import (
 	"satbelim/internal/workloads"
 )
 
-// diffConfig is one compile+run configuration of the sweep.
-type diffConfig struct {
+// parityCell is one cell of the table. test is the top-level test that runs
+// it; run leaves Engine and TierThreshold unset.
+type parityCell struct {
+	test, name string
+	prog, src  string
+	limit      int
+	analysis   core.Options
+	run        vm.Config
+	thresholds []int64
+}
+
+// build names the cell's program and compile options.
+func (c parityCell) build() string { return fmt.Sprintf("%s %d %+v", c.prog, c.limit, c.analysis) }
+
+// diffTierThreshold tiers every method up almost immediately so the
+// compiled tier, not its fused fallback, is what a cell exercises.
+const diffTierThreshold = 2
+
+// fullAnalysis is mode A with both §4.3 extensions.
+var fullAnalysis = core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true}
+
+// diffConfigs are the compile+run pairs of TestEngineDifferentialWorkloads.
+var diffConfigs = []struct {
 	name     string
 	analysis core.Options
 	run      vm.Config
+}{
+	{name: "nobarrier", run: vm.Config{Barrier: satb.ModeNoBarrier}},
+	{name: "alwayslog", run: vm.Config{Barrier: satb.ModeAlwaysLog}},
+	{name: "alwayslog-elim", analysis: fullAnalysis, run: vm.Config{Barrier: satb.ModeAlwaysLog}},
+	{name: "conditional-gc", analysis: fullAnalysis, run: vm.Config{
+		Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 64, CheckInvariant: true}},
 }
 
-func diffConfigs() []diffConfig {
-	return []diffConfig{
-		{
-			name: "nobarrier",
-			run:  vm.Config{Barrier: satb.ModeNoBarrier},
-		},
-		{
-			name: "alwayslog",
-			run:  vm.Config{Barrier: satb.ModeAlwaysLog},
-		},
-		{
-			name:     "alwayslog-elim",
-			analysis: core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true},
-			run:      vm.Config{Barrier: satb.ModeAlwaysLog},
-		},
-		{
-			name:     "conditional-gc",
-			analysis: core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true},
-			run: vm.Config{
-				Barrier:            satb.ModeConditional,
-				GC:                 vm.GCSATB,
-				TriggerEveryAllocs: 64,
-				CheckInvariant:     true,
-			},
-		},
+// diffInlineLimits are the inline limits the cells compile at. The tier's
+// translation depends on what the inliner leaves behind: at limit 100
+// nearly every callee is gone, at 25 the mid-size ones remain, and at 0 every
+// call and return point is a real frame switch (loop heads as method entries
+// and as return points — the shapes the chain's entry tables must get right).
+var diffInlineLimits = []int{100, 25, 0}
+
+// horizonConfigs are the collector situations the scheduling horizon
+// distinguishes: nothing to observe (GCNone), an idle marker whose trigger is
+// far away, one whose trigger is no multiple of the quantum, one whose trigger
+// is nearer than a quantum, a second collector, and permanent marking (the
+// horizon must stay at one quantum throughout).
+var horizonConfigs = []struct {
+	name string
+	run  vm.Config
+}{
+	{"none", vm.Config{Barrier: satb.ModeConditional}},
+	{"satb1000", vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 1000, CheckInvariant: true}},
+	{"satb129", vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 129, CheckInvariant: true}},
+	{"satb40", vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 40, CheckInvariant: true}},
+	{"inc500", vm.Config{Barrier: satb.ModeCardMarking, GC: vm.GCIncremental, TriggerEveryAllocs: 500}},
+	{"always", vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, ForceMarkingAlways: true, CheckInvariant: true}},
+}
+
+// horizonCells are the horizon configs at every quantum, each compiled at
+// threshold 2 and at the default. Permanent marking runs only at quanta of
+// at least alwaysFrom: a cycle then finishes and restarts every few quanta
+// with a full root scan and sweep each, which at quantum 1 costs a Table 1
+// workload the better part of a minute.
+func horizonCells(name string, quanta []int, alwaysFrom int) []parityCell {
+	var cells []parityCell
+	for _, hc := range horizonConfigs {
+		for _, quantum := range quanta {
+			if hc.run.ForceMarkingAlways && quantum < alwaysFrom {
+				continue
+			}
+			run := hc.run
+			run.Quantum = quantum
+			cells = append(cells, parityCell{
+				name:       fmt.Sprintf("%s/%s/q%d", name, hc.name, quantum),
+				run:        run,
+				thresholds: []int64{diffTierThreshold, vm.DefaultTierThreshold},
+			})
+		}
+	}
+	return cells
+}
+
+// pairing is a barrier flavor and the collector it runs with.
+type pairing struct {
+	mode satb.BarrierMode
+	gc   vm.GCKind
+}
+
+// parityTable declares every cell, source by source; TestEngineParityCensus
+// pins how many each source holds.
+func parityTable() []parityCell {
+	var cells []parityCell
+	add := func(c parityCell, test, prog, src string, limit int, analysis core.Options) {
+		c.test, c.prog, c.src, c.limit, c.analysis = test, prog, src, limit, analysis
+		cells = append(cells, c)
+	}
+	oracleSuffix := map[bool]string{false: "", true: "/oracle"}
+
+	// The six Table 1 workloads across inline limits × barrier modes ×
+	// analysis configurations × oracle on/off. Under the oracle the tier
+	// disables itself and the compiled run degrades to fused dispatch.
+	for _, w := range workloads.All() {
+		for _, dc := range diffConfigs {
+			for _, limit := range diffInlineLimits {
+				for _, oracle := range []bool{false, true} {
+					c := parityCell{run: dc.run, thresholds: []int64{diffTierThreshold}}
+					c.run.CheckElisions = oracle
+					c.name = w.Name + "/" + dc.name + oracleSuffix[oracle]
+					if limit != 100 {
+						c.name = fmt.Sprintf("%s/%s/inline%d%s", w.Name, dc.name, limit, oracleSuffix[oracle])
+					}
+					add(c, "TestEngineDifferentialWorkloads", w.Name, w.Source, limit, dc.analysis)
+				}
+			}
+		}
+	}
+
+	// The yuasa, dijkstra and hybrid flavors with every safe collector ×
+	// oracle on/off, over the full analysis. Verdicts are projected through
+	// each flavor per engine (at decode for fused and compiled, per store
+	// for switch), so a projection bug in any one path cannot hide.
+	flavors := []pairing{
+		{satb.ModeYuasa, vm.GCNone}, {satb.ModeYuasa, vm.GCSATB},
+		{satb.ModeDijkstra, vm.GCNone}, {satb.ModeDijkstra, vm.GCSATB}, {satb.ModeDijkstra, vm.GCIncremental},
+		{satb.ModeHybrid, vm.GCNone}, {satb.ModeHybrid, vm.GCSATB}, {satb.ModeHybrid, vm.GCIncremental},
+	}
+	for _, w := range workloads.All() {
+		for _, f := range flavors {
+			for _, oracle := range []bool{false, true} {
+				// The invariant is armed only on snapshot-sound flavors
+				// (yuasa, hybrid), and is a no-op with GC off.
+				add(parityCell{
+					name: w.Name + "/" + f.mode.String() + "/" + f.gc.String() + oracleSuffix[oracle],
+					run: vm.Config{Barrier: f.mode, GC: f.gc, TriggerEveryAllocs: 64,
+						CheckInvariant: true, CheckElisions: oracle},
+					thresholds: []int64{diffTierThreshold},
+				}, "TestEngineDifferentialFlavorMatrix", w.Name, w.Source, 100, fullAnalysis)
+			}
+		}
+	}
+
+	// Tiny odd quanta force fused superinstructions and whole compiled
+	// segments to straddle quantum ends and fall back to the
+	// per-instruction path mid-sequence. At quantum 1 no compiled segment
+	// longer than one instruction fits, so the compiled engine runs almost
+	// entirely on its deopt path.
+	jbb, err := workloads.Get("jbb")
+	if err != nil {
+		panic(err)
+	}
+	for _, limit := range diffInlineLimits {
+		for _, quantum := range []int{1, 2, 3, 5, 7, 13, 64} {
+			add(parityCell{
+				name: "quantum",
+				run: vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB,
+					TriggerEveryAllocs: 32, Quantum: quantum},
+				thresholds: []int64{diffTierThreshold},
+			}, "TestEngineDifferentialQuantumBoundaries", jbb.Name, jbb.Source, limit,
+				core.Options{Mode: core.ModeFieldArray, NullOrSame: true})
+		}
+	}
+
+	// The scheduling horizon's proof obligation: the decoded engines skip
+	// quantum boundaries nothing can observe, the switch interpreter visits
+	// them all, and every cell must agree, including those where a second
+	// thread or an active marker pins the horizon to one quantum. Generated
+	// programs keep their mutual recursion and deep call chains as real
+	// calls (limit 0), so coalesced turns cross many frame switches.
+	quanta := []int{1, 3, 64, 100}
+	for _, w := range workloads.All() {
+		for _, c := range horizonCells(w.Name, quanta, 64) {
+			add(c, "TestHorizonParityMatrix", w.Name, w.Source, 100, fullAnalysis)
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		name := fmt.Sprintf("gen%d", seed)
+		src := progen.Generate(seed, progen.CampaignConfig())
+		for _, c := range horizonCells(name, quanta, 1) {
+			add(c, "TestHorizonParityMatrix", name, src, 0, fullAnalysis)
+		}
+	}
+
+	// satbvm's defaults (mode A, no null-or-same, trigger 200, default
+	// quantum and threshold) over every flavor with its natural collector,
+	// in three lanes: limit 100; limit 25, whose mid-size callees stay real
+	// calls whose call and return points land on loop heads; and limit 0
+	// with summaries, so that a summary soundness bug that bites one engine
+	// or flavor shows up as a divergence.
+	lanes := []struct {
+		limit     int
+		interproc bool
+	}{{100, false}, {0, true}, {25, false}}
+	natural := []pairing{
+		{satb.ModeConditional, vm.GCSATB}, {satb.ModeYuasa, vm.GCSATB}, {satb.ModeDijkstra, vm.GCSATB},
+		{satb.ModeHybrid, vm.GCSATB}, {satb.ModeCardMarking, vm.GCIncremental},
+	}
+	for _, l := range lanes {
+		lane := fmt.Sprintf("inline%d", l.limit)
+		if l.interproc {
+			lane += "-interproc"
+		}
+		for _, w := range workloads.All() {
+			for _, f := range natural {
+				add(parityCell{
+					name:       w.Name + "/" + lane + "/" + f.mode.String() + "/" + f.gc.String(),
+					run:        vm.Config{Barrier: f.mode, GC: f.gc, TriggerEveryAllocs: 200},
+					thresholds: []int64{vm.DefaultTierThreshold},
+				}, "TestEngineParityLanes", w.Name, w.Source, l.limit,
+					core.Options{Mode: core.ModeFieldArray, Interprocedural: l.interproc})
+			}
+		}
+	}
+	return cells
+}
+
+// TestEngineParityCensus pins the table's cells by source, and that no two
+// cells are the same cell.
+func TestEngineParityCensus(t *testing.T) {
+	want := map[string]int{
+		"TestEngineDifferentialWorkloads":         144,
+		"TestEngineDifferentialFlavorMatrix":      96,
+		"TestEngineDifferentialQuantumBoundaries": 21,
+		"TestHorizonParityMatrix":                 228,
+		"TestEngineParityLanes":                   90,
+	}
+	got := map[string]int{}
+	seen := map[string]string{}
+	for _, c := range parityTable() {
+		got[c.test]++
+		key := fmt.Sprintf("%s %+v %v", c.build(), c.run, c.thresholds)
+		if prev, dup := seen[key]; dup {
+			t.Errorf("%s/%s repeats %s", c.test, c.name, prev)
+		}
+		seen[key] = c.test + "/" + c.name
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("cells by source: %v, want %v", got, want)
 	}
 }
 
-// diffTierThreshold tiers every method up almost immediately so the
-// compiled tier, not its fused fallback, is what the sweep exercises.
-const diffTierThreshold = 2
+// runParity runs the table's cells of the calling top-level test, each as
+// a parallel subtest, compiling each distinct build once.
+func runParity(t *testing.T) {
+	builds := map[string]*pipeline.Build{}
+	for _, c := range parityTable() {
+		if c.test != t.Name() {
+			continue
+		}
+		key := c.build()
+		bd := builds[key]
+		if bd == nil {
+			var err error
+			bd, err = pipeline.Compile(c.prog, c.src, pipeline.Options{InlineLimit: c.limit, Analysis: c.analysis})
+			if err != nil {
+				t.Fatalf("%s: compile: %v", key, err)
+			}
+			builds[key] = bd
+		}
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			checkCell(t, bd, c)
+		})
+	}
+}
+
+func TestEngineDifferentialWorkloads(t *testing.T)         { runParity(t) }
+func TestEngineDifferentialFlavorMatrix(t *testing.T)      { runParity(t) }
+func TestEngineDifferentialQuantumBoundaries(t *testing.T) { runParity(t) }
+func TestHorizonParityMatrix(t *testing.T)                 { runParity(t) }
+func TestEngineParityLanes(t *testing.T)                   { runParity(t) }
+
+// checkCell runs cell c of build bd on the switch interpreter once, holds
+// the fused engine and the compiled tier at each threshold to it, and
+// checks what the cell's config promises beyond parity: the oracle turns
+// the tier off, a threshold of 2 at the default quantum tiers up without it
+// (gen1 of the horizon cells runs too briefly to), the oracle validated
+// elided stores exactly when some ran, no site's elision is unsound under
+// the flavor, and dijkstra projected every verdict away.
+func checkCell(t *testing.T, bd *pipeline.Build, c parityCell) {
+	t.Helper()
+	sw := runEngine(t, bd, c.run, vm.EngineSwitch)
+	assertIdentical(t, runEngine(t, bd, c.run, vm.EngineFused), sw, "fused", "switch")
+	for _, threshold := range c.thresholds {
+		cfg := c.run
+		cfg.TierThreshold = threshold
+		comp := runEngine(t, bd, cfg, vm.EngineCompiled)
+		assertIdentical(t, comp, sw, "compiled", "switch")
+		if cfg.CheckElisions && (comp.TierUps != 0 || comp.TierSegExecs != 0) {
+			t.Errorf("oracle run tiered up (ups=%d segExecs=%d); the tier must disable itself under the oracle",
+				comp.TierUps, comp.TierSegExecs)
+		} else if !cfg.CheckElisions && threshold == diffTierThreshold && cfg.Quantum == 0 && (comp.TierUps == 0 || comp.TierSegExecs == 0) {
+			t.Errorf("compiled run at threshold %d: %d methods tiered up, %d segments executed; want both > 0",
+				threshold, comp.TierUps, comp.TierSegExecs)
+		}
+	}
+	s := sw.Counters.Summarize()
+	elided := s.ElidedExecs + s.NullOrSameExecs + s.RearrangeExecs
+	if len(s.UnsoundSites) > 0 {
+		t.Errorf("unsound sites under %s: %v", c.run.Barrier, s.UnsoundSites)
+	}
+	dijkstra := c.run.Barrier == satb.ModeDijkstra
+	if dijkstra && elided != 0 {
+		t.Errorf("dijkstra executed elided sites (prenull=%d nos=%d rearr=%d), projection leaked",
+			s.ElidedExecs, s.NullOrSameExecs, s.RearrangeExecs)
+	}
+	// Below limit 100 a workload may keep every barrier (jess and jack do at
+	// 0: nothing is provably pre-null without their constructors inlined).
+	if c.run.CheckElisions {
+		want := elided > 0 || c.limit == 100 && c.analysis.Mode != core.ModeNone && !dijkstra
+		if got := sw.ElisionChecks > 0; got != want {
+			t.Errorf("oracle validated %d elided stores (%d executed), want validation %v", sw.ElisionChecks, elided, want)
+		}
+	}
+}
 
 // runEngine executes one build on one engine.
 func runEngine(t *testing.T, bd *pipeline.Build, cfg vm.Config, eng vm.Engine) *vm.Result {
@@ -78,41 +367,23 @@ func runEngine(t *testing.T, bd *pipeline.Build, cfg vm.Config, eng vm.Engine) *
 	return res
 }
 
-// assertIdentical compares every semantic field of two Results (Engine
-// and the tier counters are the intentionally differing, informational
-// fields).
+// assertIdentical compares every semantic field of two Results: Engine and
+// the tier counters are the informational fields that differ by design.
+// Every field report.NewRunSummary reads is either compared here directly
+// (Flavor among them) or derived from Counters, which must match to the last
+// per-site statistic, including which sites exist at all (site stats are
+// created lazily on first execution in every engine).
 func assertIdentical(t *testing.T, a, b *vm.Result, an, bn string) {
 	t.Helper()
 	if a.Engine != an || b.Engine != bn {
 		t.Fatalf("engine labels: got %q/%q, want %q/%q", a.Engine, b.Engine, an, bn)
 	}
+	if sa, sb := scalars(a), scalars(b); sa != sb {
+		t.Errorf("Results differ:\n%s %+v\n%s %+v", an, sa, bn, sb)
+	}
 	if !reflect.DeepEqual(a.Output, b.Output) {
 		t.Errorf("Output differs: %s %d values, %s %d values", an, len(a.Output), bn, len(b.Output))
 	}
-	if a.Steps != b.Steps {
-		t.Errorf("Steps: %s %d, %s %d", an, a.Steps, bn, b.Steps)
-	}
-	if a.Cycles != b.Cycles {
-		t.Errorf("Cycles: %s %d, %s %d", an, a.Cycles, bn, b.Cycles)
-	}
-	if a.FinalPauseWork != b.FinalPauseWork {
-		t.Errorf("FinalPauseWork: %s %d, %s %d", an, a.FinalPauseWork, bn, b.FinalPauseWork)
-	}
-	if a.Allocated != b.Allocated {
-		t.Errorf("Allocated: %s %d, %s %d", an, a.Allocated, bn, b.Allocated)
-	}
-	if a.Swept != b.Swept {
-		t.Errorf("Swept: %s %d, %s %d", an, a.Swept, bn, b.Swept)
-	}
-	if a.ElisionChecks != b.ElisionChecks {
-		t.Errorf("ElisionChecks: %s %d, %s %d", an, a.ElisionChecks, bn, b.ElisionChecks)
-	}
-	if a.TotalCost() != b.TotalCost() {
-		t.Errorf("TotalCost: %s %d, %s %d", an, a.TotalCost(), bn, b.TotalCost())
-	}
-	// The counters must match to the last per-site statistic, including
-	// which sites exist at all (site stats are created lazily on first
-	// execution in every engine).
 	if !reflect.DeepEqual(a.Counters, b.Counters) {
 		as, bs := a.Counters.Summarize(), b.Counters.Summarize()
 		t.Errorf("Counters differ: %s {cost=%d logged=%d execs=%d sites=%d} %s {cost=%d logged=%d execs=%d sites=%d}",
@@ -121,194 +392,25 @@ func assertIdentical(t *testing.T, a, b *vm.Result, an, bn string) {
 	}
 }
 
-// diffInlineLimits are the inline limits the differentials compile at. The
-// tier's translation depends on what the inliner leaves behind: at limit 100
-// nearly every callee is gone, at 25 the mid-size ones remain, and at 0 every
-// call and return point is a real frame switch (loop heads as method entries
-// and as return points — the shapes the chain's entry tables must get right).
-var diffInlineLimits = []int{100, 25, 0}
-
-// limitSuffix names a sweep cell's inline limit; the long-standing limit-100
-// cells keep their bare names.
-func limitSuffix(limit int) string {
-	if limit == 100 {
-		return ""
-	}
-	return fmt.Sprintf("/inline%d", limit)
+// resultScalars are the scalar semantic fields of a Result.
+type resultScalars struct {
+	Flavor                 string
+	Steps, Allocated       int64
+	Cycles, FinalPauseWork int
+	Swept                  int
+	ElisionChecks          int64
+	TotalCost              uint64
 }
 
-// TestEngineDifferentialWorkloads sweeps all six Table 1 workloads across
-// inline limits × barrier modes × analysis configurations × oracle on/off,
-// on all three engines. The compiled tier must be bit-identical to both
-// reference engines; under the oracle, tier-up is disabled and the run
-// degrades to fused dispatch (TierUps must be 0), still bit-identical.
-func TestEngineDifferentialWorkloads(t *testing.T) {
-	for _, w := range workloads.All() {
-		for _, dc := range diffConfigs() {
-			for _, limit := range diffInlineLimits {
-				bd, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-					InlineLimit: limit,
-					Analysis:    dc.analysis,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s: compile at limit %d: %v", w.Name, dc.name, limit, err)
-				}
-				for _, oracle := range []bool{false, true} {
-					name := w.Name + "/" + dc.name + limitSuffix(limit)
-					if oracle {
-						name += "/oracle"
-					}
-					t.Run(name, func(t *testing.T) {
-						cfg := dc.run
-						cfg.CheckElisions = oracle
-						fused := runEngine(t, bd, cfg, vm.EngineFused)
-						sw := runEngine(t, bd, cfg, vm.EngineSwitch)
-						comp := runEngine(t, bd, cfg, vm.EngineCompiled)
-						assertIdentical(t, fused, sw, "fused", "switch")
-						assertIdentical(t, comp, fused, "compiled", "fused")
-						if oracle {
-							if comp.TierUps != 0 || comp.TierSegExecs != 0 {
-								t.Errorf("oracle run tiered up (ups=%d segExecs=%d); the tier must disable itself under the oracle",
-									comp.TierUps, comp.TierSegExecs)
-							}
-							// Below limit 100 a workload may keep every
-							// barrier (jess and jack do at 0: nothing is
-							// provably pre-null without their constructors
-							// inlined); the oracle must have validated
-							// something exactly when elided stores executed.
-							sum := fused.Counters.Summarize()
-							elided := sum.ElidedExecs + sum.NullOrSameExecs + sum.RearrangeExecs
-							if fused.ElisionChecks == 0 && (elided > 0 || limit == 100 && dc.analysis.Mode != core.ModeNone) {
-								t.Error("oracle ran but validated no elided stores")
-							}
-						} else {
-							if comp.TierUps == 0 {
-								t.Errorf("compiled run tiered up no methods at threshold %d", diffTierThreshold)
-							}
-							if comp.TierSegExecs == 0 {
-								t.Error("compiled run executed no compiled segments")
-							}
-						}
-					})
-				}
-			}
-		}
-	}
+func scalars(r *vm.Result) resultScalars {
+	return resultScalars{r.Flavor, r.Steps, r.Allocated, r.Cycles, r.FinalPauseWork, r.Swept, r.ElisionChecks, r.TotalCost()}
 }
 
-// TestEngineDifferentialFlavorMatrix sweeps the new barrier flavors
-// (yuasa, dijkstra, hybrid) across every safe collector pairing and
-// oracle on/off, on all three engines, with the full analysis enabled.
-// Every flavor must be bit-identical across engines; the projection of
-// analysis verdicts through each flavor's soundness predicate happens
-// per-engine (decode-time for fused/compiled, per-store for switch), so
-// this is the test that a projection bug in any one path cannot hide.
-func TestEngineDifferentialFlavorMatrix(t *testing.T) {
-	analysis := core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true}
-	pairings := []struct {
-		mode satb.BarrierMode
-		gc   vm.GCKind
-	}{
-		{satb.ModeYuasa, vm.GCNone},
-		{satb.ModeYuasa, vm.GCSATB},
-		{satb.ModeDijkstra, vm.GCNone},
-		{satb.ModeDijkstra, vm.GCSATB},
-		{satb.ModeDijkstra, vm.GCIncremental},
-		{satb.ModeHybrid, vm.GCNone},
-		{satb.ModeHybrid, vm.GCSATB},
-		{satb.ModeHybrid, vm.GCIncremental},
-	}
-	gcName := map[vm.GCKind]string{vm.GCNone: "none", vm.GCSATB: "satb", vm.GCIncremental: "inc"}
-	for _, w := range workloads.All() {
-		bd, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-			InlineLimit: 100,
-			Analysis:    analysis,
-		})
-		if err != nil {
-			t.Fatalf("%s: compile: %v", w.Name, err)
-		}
-		for _, pr := range pairings {
-			for _, oracle := range []bool{false, true} {
-				name := w.Name + "/" + pr.mode.String() + "/" + gcName[pr.gc]
-				if oracle {
-					name += "/oracle"
-				}
-				t.Run(name, func(t *testing.T) {
-					cfg := vm.Config{
-						Barrier:            pr.mode,
-						GC:                 pr.gc,
-						TriggerEveryAllocs: 64,
-						// Armed only on snapshot-sound flavors (yuasa,
-						// hybrid); a no-op with GC off.
-						CheckInvariant: true,
-						CheckElisions:  oracle,
-					}
-					fused := runEngine(t, bd, cfg, vm.EngineFused)
-					sw := runEngine(t, bd, cfg, vm.EngineSwitch)
-					comp := runEngine(t, bd, cfg, vm.EngineCompiled)
-					assertIdentical(t, fused, sw, "fused", "switch")
-					assertIdentical(t, comp, fused, "compiled", "fused")
-					if oracle {
-						// Dijkstra projects every deletion-side verdict
-						// away, so the oracle has nothing to validate;
-						// the deletion-capable flavors must validate the
-						// kept subset.
-						if pr.mode == satb.ModeDijkstra && fused.ElisionChecks != 0 {
-							t.Errorf("dijkstra validated %d elisions, want 0 (all verdicts projected)", fused.ElisionChecks)
-						}
-						if pr.mode != satb.ModeDijkstra && fused.ElisionChecks == 0 {
-							t.Error("oracle ran but validated no elided stores")
-						}
-					}
-					s := fused.Counters.Summarize()
-					if len(s.UnsoundSites) > 0 {
-						t.Errorf("unsound sites under %s: %v", pr.mode, s.UnsoundSites)
-					}
-					if pr.mode == satb.ModeDijkstra && s.ElidedExecs+s.NullOrSameExecs+s.RearrangeExecs != 0 {
-						t.Errorf("dijkstra executed elided sites (prenull=%d nos=%d rearr=%d), projection leaked",
-							s.ElidedExecs, s.NullOrSameExecs, s.RearrangeExecs)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestEngineDifferentialQuantumBoundaries stresses boundary gating at
-// scheduler quantum ends: tiny odd quanta force fused superinstructions
-// and whole compiled segments to straddle quantum ends and fall back to
-// the per-instruction path mid-sequence, which must not perturb any
-// observable result. Quantum 1 is the extreme: no compiled segment longer
-// than one instruction ever fits, so the compiled engine runs almost
-// entirely on its deopt path.
-func TestEngineDifferentialQuantumBoundaries(t *testing.T) {
-	w, err := workloads.Get("jbb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range diffInlineLimits {
-		bd, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{
-			InlineLimit: limit,
-			Analysis:    core.Options{Mode: core.ModeFieldArray, NullOrSame: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, quantum := range []int{1, 2, 3, 5, 7, 13, 64} {
-			cfg := vm.Config{
-				Barrier:            satb.ModeConditional,
-				GC:                 vm.GCSATB,
-				TriggerEveryAllocs: 32,
-				Quantum:            quantum,
-			}
-			fused := runEngine(t, bd, cfg, vm.EngineFused)
-			sw := runEngine(t, bd, cfg, vm.EngineSwitch)
-			comp := runEngine(t, bd, cfg, vm.EngineCompiled)
-			t.Run("quantum", func(t *testing.T) {
-				assertIdentical(t, fused, sw, "fused", "switch")
-				assertIdentical(t, comp, fused, "compiled", "fused")
-			})
-		}
+// assertHorizonParity checks the horizon cells of one build, named after
+// name, as subtests of t.
+func assertHorizonParity(t *testing.T, name string, bd *pipeline.Build, quanta []int, alwaysFrom int) {
+	for _, c := range horizonCells(name, quanta, alwaysFrom) {
+		t.Run(c.name, func(t *testing.T) { checkCell(t, bd, c) })
 	}
 }
 
@@ -394,78 +496,6 @@ func TestEngineDifferentialForcedDeopt(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// horizonConfigs are the collector situations the scheduling horizon
-// distinguishes: nothing to observe (GCNone), an idle marker whose trigger is
-// far away, one whose trigger is no multiple of the quantum, one whose trigger
-// is nearer than a quantum, a second collector, and permanent marking (the
-// horizon must stay at one quantum throughout).
-func horizonConfigs() []diffConfig {
-	return []diffConfig{
-		{name: "none", run: vm.Config{Barrier: satb.ModeConditional}},
-		{name: "satb1000", run: vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 1000, CheckInvariant: true}},
-		{name: "satb129", run: vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 129, CheckInvariant: true}},
-		{name: "satb40", run: vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, TriggerEveryAllocs: 40, CheckInvariant: true}},
-		{name: "inc500", run: vm.Config{Barrier: satb.ModeCardMarking, GC: vm.GCIncremental, TriggerEveryAllocs: 500}},
-		{name: "always", run: vm.Config{Barrier: satb.ModeConditional, GC: vm.GCSATB, ForceMarkingAlways: true, CheckInvariant: true}},
-	}
-}
-
-// assertHorizonParity runs one build under every horizon configuration and
-// quantum on the fused engine and on the compiled tier (threshold 2 and
-// default), each against the switch interpreter — whose scheduler visits
-// every quantum boundary — and demands identical Results. Permanent marking
-// runs only at quanta of at least alwaysFrom: a cycle then finishes and
-// restarts every few quanta with a full root scan and sweep each, which at
-// quantum 1 costs a Table 1 workload the better part of a minute.
-func assertHorizonParity(t *testing.T, name string, bd *pipeline.Build, quanta []int, alwaysFrom int) {
-	for _, hc := range horizonConfigs() {
-		for _, quantum := range quanta {
-			if hc.run.ForceMarkingAlways && quantum < alwaysFrom {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s/%s/q%d", name, hc.name, quantum), func(t *testing.T) {
-				cfg := hc.run
-				cfg.Quantum = quantum
-				sw := runEngine(t, bd, cfg, vm.EngineSwitch)
-				assertIdentical(t, runEngine(t, bd, cfg, vm.EngineFused), sw, "fused", "switch")
-				for _, threshold := range []int64{diffTierThreshold, vm.DefaultTierThreshold} {
-					cfg.TierThreshold = threshold
-					assertIdentical(t, runEngine(t, bd, cfg, vm.EngineCompiled), sw, "compiled", "switch")
-				}
-			})
-		}
-	}
-}
-
-// TestHorizonParityMatrix is the scheduling horizon's proof obligation: the
-// decoded engines skip quantum boundaries nothing can observe, the switch
-// interpreter visits them all, and every field of the Result — output, steps,
-// GC cycles (so every cycle's start and finish step), final-pause work,
-// allocation and sweep totals, per-site barrier counters — must agree in
-// every cell, including the cells where a second thread or an active marker
-// pins the horizon to one quantum.
-func TestHorizonParityMatrix(t *testing.T) {
-	analysis := core.Options{Mode: core.ModeFieldArray, NullOrSame: true, Rearrange: true}
-	quanta := []int{1, 3, 64, 100}
-	for _, w := range workloads.All() {
-		bd, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{InlineLimit: 100, Analysis: analysis})
-		if err != nil {
-			t.Fatalf("%s: compile: %v", w.Name, err)
-		}
-		assertHorizonParity(t, w.Name, bd, quanta, 64)
-	}
-	// Generated programs keep their mutual recursion and deep call chains as
-	// real calls (limit 0), so coalesced turns cross many frame switches.
-	for seed := int64(1); seed <= 4; seed++ {
-		name := fmt.Sprintf("gen%d", seed)
-		bd, err := pipeline.Compile(name, progen.Generate(seed, progen.CampaignConfig()), pipeline.Options{InlineLimit: 0, Analysis: analysis})
-		if err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
-		}
-		assertHorizonParity(t, name, bd, quanta, 1)
 	}
 }
 

@@ -31,6 +31,18 @@ const (
 	GCIncremental
 )
 
+// gcNames is the collector vocabulary of every CLI, satbd request and
+// report, indexed by GCKind.
+var gcNames = [...]string{GCNone: "none", GCSATB: "satb", GCIncremental: "inc"}
+
+// String is the collector's name, the one ParseGCKind reads.
+func (k GCKind) String() string {
+	if k < 0 || int(k) >= len(gcNames) {
+		return fmt.Sprintf("GCKind(%d)", int(k))
+	}
+	return gcNames[k]
+}
+
 // Engine selects the execution engine.
 type Engine int
 
@@ -89,13 +101,13 @@ func ParseEngine(s string) (Engine, error) {
 // ParseGCKind parses a collector name ("none", "satb", or "inc"). All
 // CLIs share it so the flag vocabulary cannot drift.
 func ParseGCKind(s string) (GCKind, error) {
-	switch s {
-	case "none", "":
+	if s == "" {
 		return GCNone, nil
-	case "satb":
-		return GCSATB, nil
-	case "inc":
-		return GCIncremental, nil
+	}
+	for k, name := range gcNames {
+		if s == name {
+			return GCKind(k), nil
+		}
 	}
 	return GCNone, fmt.Errorf("unknown gc %q (want none, satb, or inc)", s)
 }
