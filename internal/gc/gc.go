@@ -100,16 +100,16 @@ func (t *tracer) begin(roots []heap.Ref) {
 	}
 }
 
-// scan shades every outgoing reference of the object.
-func (t *tracer) scan(o heap.Object) {
-	fs := o.Fields
-	if o.ElemRef() {
+// scan shades every outgoing reference of the object r names, if any.
+func (t *tracer) scan(r heap.Ref) {
+	fs, slots, all := t.h.RefWords(r)
+	if all {
 		for _, w := range fs {
 			t.shade(heap.Ref(w))
 		}
 		return
 	}
-	for _, slot := range o.RefSlots() {
+	for _, slot := range slots {
 		t.shade(heap.Ref(fs[slot]))
 	}
 }
@@ -203,15 +203,13 @@ func (m *SATBMarker) Step(n int) bool {
 		}
 		r := m.gray[len(m.gray)-1]
 		m.gray = m.gray[:len(m.gray)-1]
-		if o := m.h.Get(r); !o.IsNil() {
-			// Publish the scan to the rearrangement protocol: a flagged
-			// store that finds the array not TraceUntraced requests a
-			// retrace. A scan is atomic to the mutator here (Step runs
-			// between quanta), so nothing could observe TraceTracing and
-			// only the end state is written.
-			m.scan(o)
-			m.h.SetTraceState(r, heap.TraceTraced)
-		}
+		// Publish the scan to the rearrangement protocol: a flagged store
+		// that finds the array not TraceUntraced requests a retrace. A
+		// scan is atomic to the mutator here (Step runs between quanta),
+		// so nothing could observe TraceTracing and only the end state is
+		// written. A swept object has nothing to scan and takes no state.
+		m.scan(r)
+		m.h.SetTraceState(r, heap.TraceTraced)
 		m.StepsDone++
 	}
 	return len(m.gray) == 0 && len(m.buf) == 0
@@ -246,7 +244,7 @@ func (m *SATBMarker) Finish(roots []heap.Ref) int {
 		if !m.h.Marked(r) {
 			continue // unreachable arrays need no retrace
 		}
-		m.scan(m.h.Get(r))
+		m.scan(r)
 		m.RetraceCount++
 		work++
 	}
@@ -296,7 +294,7 @@ func Reachable(h *heap.Heap, roots []heap.Ref) map[heap.Ref]bool {
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		h.Get(r).RefsOf(push)
+		h.RefsOf(r, push)
 	}
 	return seen
 }
@@ -372,9 +370,7 @@ func (m *IncMarker) Step(n int) bool {
 		}
 		r := m.gray[len(m.gray)-1]
 		m.gray = m.gray[:len(m.gray)-1]
-		if o := m.h.Get(r); !o.IsNil() {
-			m.scan(o)
-		}
+		m.scan(r)
 		m.StepsDone++
 	}
 	return len(m.gray) == 0
@@ -394,7 +390,7 @@ func (m *IncMarker) Finish(roots []heap.Ref) int {
 		work += len(roots)
 		for _, r := range m.dirty {
 			if m.h.Marked(r) {
-				m.scan(m.h.Get(r))
+				m.scan(r)
 				work++
 			}
 		}

@@ -5,6 +5,7 @@
 package heap
 
 import (
+	"sync"
 	"unsafe"
 
 	"satbelim/internal/bytecode"
@@ -32,12 +33,11 @@ func NullVal() Value { return 0 }
 
 // Object is one heap object as Get reads it: its storage, a class
 // instance's fields by slot or an array's elements, and its class word,
-// which says which words are references — the class's RefSlots for an
-// instance, every element of a reference array, none of an int array.
-// Fields aliases the heap's storage, which stays where it is for the
-// object's lifetime, so writes through it are the object's and an Object
-// read once stays valid while others are allocated and swept. The zero
-// Object is no object (IsNil). Collector state (mark,
+// which tells an instance from an array; which words are references only
+// RefWords says. Fields aliases the heap's storage, which stays where it
+// is for the object's lifetime, so writes through it are the object's and
+// an Object read once stays valid while others are allocated and swept.
+// The zero Object is no object (IsNil). Collector state (mark,
 // allocated-during-mark, dirty, §4.3 trace state) is not here: it lives in
 // the chunk's stamped state words, see Heap.
 type Object struct {
@@ -73,13 +73,6 @@ func (o Object) IsNil() bool { return o.class == nil }
 // IsArray reports whether the object is an array.
 func (o Object) IsArray() bool { return o.class == &arrays[0] || o.class == &arrays[1] }
 
-// ElemRef reports whether the object is an array of references.
-func (o Object) ElemRef() bool { return o.class == &arrays[1] }
-
-// RefSlots lists the slots of an instance's reference fields; an array has
-// none (ElemRef says whether every element is one).
-func (o Object) RefSlots() []int32 { return o.class.RefSlots }
-
 // Layout is the program's storage layout, which its symbol table numbers:
 // an instance's shape is its ClassSym.Num, its field count NumFields, a
 // field's storage its FieldSym.Slot, the static roots Symbols.RefStatics.
@@ -94,19 +87,27 @@ func NewLayout(p *bytecode.Program) *Layout { return p.Symbols() }
 // its shape (a class number, or an array's element kind and length) and a
 // pointer to the first word of its storage. A Ref is a 1-based slot
 // number, chunks are never moved and growth only appends a chunk pointer,
-// so Get is two index operations and a shape decode. Refs are never
-// reused. Field and element storage is carved from small shared blocks of
-// one-word Values and never moves; Sweep clears a dead object's shape and
-// storage pointer so the Go collector reclaims a block once nothing carved
-// from it is live, and a full chunk with no survivor is replaced by the
-// shared deadChunk.
+// so an access is two index operations and a shape decode. Field and
+// element storage is carved from small shared blocks of one-word Values
+// and never moves while its object lives.
+//
+// Refs are never reused; memory is. Sweep clears a dead object's shape and
+// storage pointer, swaps a full chunk with no survivor for the shared
+// deadChunk, and hands that chunk and every block none of whose objects
+// survived to the heap's arena, from which the next allocations take
+// memory before they ask Go for more. A dead object's oversize storage is
+// left to the Go collector. Release ends the heap: its chunks, its blocks
+// and its live objects' oversize storage go to the arena and the arena to
+// a pool, where the next New finds it. An arena keeps at most arenaMax
+// bytes, so a large run pins no more than that past its end.
 //
 // Collector state is one stamped word per slot, beside the objects in the
 // chunk: epoch<<5 | flags. A word from an older epoch reads as all-clear,
 // so BeginCycle resets every object's mark, allocated-during-mark, dirty
 // and trace state by bumping the epoch, with no pass over the heap. A dead
 // slot (swept or never allocated) holds deadState, whose epoch is never
-// issued and which Mark's single compare reads as "already marked".
+// issued and which Mark's single compare reads as "already marked",
+// deadShape, which FieldSlot and ElemSlot read as no slot, and no storage.
 //
 // Declared statics live in a dense slice in declaration order
 // (staticSlots): the slice is sized once at construction and never
@@ -118,7 +119,9 @@ type Heap struct {
 	// classes is syms.ClassSyms: an instance's shape indexes it.
 	classes     []bytecode.ClassSym
 	chunks      []*chunk
-	block       []Value // rest of the block carve hands storage out of
+	blocks      []block // every block carved from and not yet recycled, in carving order
+	block       []Value // rest of the last block, which carve hands storage out of
+	arena       *arena  // spare memory; nil once released
 	stamp       uint32  // current epoch, shifted: the all-clear state word
 	staticSlots []Value
 
@@ -164,6 +167,10 @@ const (
 	elemRefShift        = 30
 	elemRefBit   uint32 = 1 << elemRefShift
 	lenMask             = elemRefBit - 1
+
+	// deadShape is a dead slot's: an empty int array, so a test of the
+	// shape alone finds no field and no element in it.
+	deadShape = arrayBit
 )
 
 // A chunk is the records of chunkSize objects in parallel arrays: 512 B,
@@ -175,33 +182,196 @@ type chunk struct {
 	shape [chunkSize]uint32
 }
 
-func newChunk() *chunk {
-	c := new(chunk)
+// reset makes every slot of the chunk dead.
+func (c *chunk) reset() *chunk {
+	clear(c.words[:])
 	for j := range c.state {
-		c.state[j] = deadState
+		c.state[j], c.shape[j] = deadState, deadShape
 	}
 	return c
 }
 
 // deadChunk stands in for every released chunk. All its slots are dead, so
 // nothing ever writes to it and heaps can share it.
-var deadChunk = newChunk()
+var deadChunk = new(chunk).reset()
 
-// New creates an empty heap over the program's layout.
-func New(layout *Layout) *Heap {
-	return &Heap{
-		syms:        layout,
-		classes:     layout.ClassSyms,
-		stamp:       epochUnit,
-		staticSlots: make([]Value, len(layout.Statics)),
+// block is a shared storage block and the first Ref carved from it. carve
+// is sequential, so every object from first up to the next block's first
+// either has its storage in this block or has none in any block.
+type block struct {
+	mem   *[blockValues]Value
+	first Ref
+}
+
+// arena is memory no heap uses: whole chunks, storage blocks, oversize
+// storage by length, and the emptied lists of a released heap's chunks and
+// blocks. It is reset as it is handed out again, so what a heap takes from
+// it reads as fresh memory does.
+type arena struct {
+	chunks []*chunk
+	blocks []*[blockValues]Value
+	big    map[int][]*Value // first words of oversize storage, by length
+
+	chunkList []*chunk
+	blockList []block
+}
+
+// arenaMax bounds the bytes an arena keeps past its heap's Release: about
+// ten times what the largest workload's heap holds (jess, 400 KB a run), so
+// every workload's run finds its memory again, while a larger run leaves
+// the rest to the Go collector and pins nothing beyond this.
+const arenaMax = 4 << 20
+
+// arenas holds the arenas of released heaps for the next New. An idle
+// arena the pool drops at the Go collector's second cycle.
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
+// chunk returns a chunk of dead slots, a spare one if there is one.
+func (a *arena) chunk() *chunk {
+	if n := len(a.chunks); n > 0 {
+		c := a.chunks[n-1]
+		a.chunks = a.chunks[:n-1]
+		return c.reset()
+	}
+	return new(chunk).reset()
+}
+
+// block returns a zeroed storage block, a spare one if there is one.
+func (a *arena) block() *[blockValues]Value {
+	if n := len(a.blocks); n > 0 {
+		b := a.blocks[n-1]
+		a.blocks = a.blocks[:n-1]
+		clear(b[:])
+		return b
+	}
+	return new([blockValues]Value)
+}
+
+// storage returns the first of n zeroed Values for oversize storage, spare
+// storage of that length if there is some.
+func (a *arena) storage(n int) *Value {
+	if free := a.big[n]; len(free) > 0 {
+		p := free[len(free)-1]
+		a.big[n] = free[:len(free)-1]
+		clear(unsafe.Slice(p, n))
+		return p
+	}
+	return &make([]Value, n)[0]
+}
+
+// trim drops what the arena holds beyond arenaMax bytes: first oversize
+// storage, then blocks, then chunks, and last the lists, which cost the
+// most allocations per byte to grow again.
+func (a *arena) trim() {
+	room := arenaMax
+	a.chunkList = keepList(a.chunkList, &room)
+	a.blockList = keepList(a.blockList, &room)
+	a.chunks = keepSpares(a.chunks, int(unsafe.Sizeof(chunk{})), &room)
+	a.blocks = keepSpares(a.blocks, blockValues*valueBytes, &room)
+	for n, free := range a.big {
+		if free = keepSpares(free, n*valueBytes, &room); len(free) > 0 {
+			a.big[n] = free
+		} else {
+			delete(a.big, n)
+		}
 	}
 }
 
+const valueBytes = int(unsafe.Sizeof(Value(0)))
+
+// keepList returns the empty list s if its storage fits in room, which it
+// takes, and nil if not.
+func keepList[T any](s []T, room *int) []T {
+	var e T
+	if n := cap(s) * int(unsafe.Sizeof(e)); n <= *room {
+		*room -= n
+		return s
+	}
+	return nil
+}
+
+// keepSpares returns as many of the spares s, size bytes each, as fit in
+// room, which they take, in storage no larger than four times theirs.
+func keepSpares[T any](s []T, size int, room *int) []T {
+	n := min(len(s), *room/size)
+	*room -= n * size
+	clear(s[n:])
+	if s = s[:n]; cap(s) > 4*n {
+		s = append([]T(nil), s...)
+	}
+	return s
+}
+
+// New creates an empty heap over the program's layout, with the memory a
+// released heap left, if any.
+func New(layout *Layout) *Heap {
+	a := arenas.Get().(*arena)
+	h := &Heap{
+		syms:        layout,
+		classes:     layout.ClassSyms,
+		chunks:      a.chunkList,
+		blocks:      a.blockList,
+		arena:       a,
+		stamp:       epochUnit,
+		staticSlots: make([]Value, len(layout.Statics)),
+	}
+	a.chunkList, a.blockList = nil, nil
+	return h
+}
+
+// Release ends the heap's life and hands its memory on: its chunks, its
+// blocks and the oversize storage of its live objects go to its arena, and
+// the arena, trimmed to arenaMax bytes, to the pool New draws from. The
+// statics stay as they were; every Ref reads as no object, and allocating
+// panics. Releasing again does nothing.
+func (h *Heap) Release() {
+	a := h.arena
+	if a == nil {
+		return
+	}
+	for _, c := range h.chunks {
+		if c == deadChunk {
+			continue
+		}
+		for j, s := range c.state {
+			if s == deadState {
+				continue
+			}
+			if n := h.storageLen(c.shape[j]); n > carveMax {
+				if a.big == nil {
+					a.big = map[int][]*Value{}
+				}
+				a.big[n] = append(a.big[n], c.words[j])
+			}
+		}
+		a.chunks = append(a.chunks, c)
+	}
+	for _, b := range h.blocks {
+		a.blocks = append(a.blocks, b.mem)
+	}
+	clear(h.chunks)
+	clear(h.blocks)
+	a.chunkList, a.blockList = h.chunks[:0], h.blocks[:0]
+	a.trim()
+	h.chunks, h.blocks, h.block, h.arena = nil, nil, nil, nil
+	arenas.Put(a)
+}
+
+// storageLen is the number of storage words of an object of the shape.
+func (h *Heap) storageLen(s uint32) int {
+	if s&arrayBit != 0 {
+		return int(s & lenMask)
+	}
+	return h.classes[s].NumFields
+}
+
 // Get returns the object for a reference, or the zero Object when the
-// reference is null, was never handed out, or names a swept object.
+// reference is null, was never handed out, or names a swept object. The
+// engines and the markers read through the accessors below instead, which
+// build no Object.
 func (h *Heap) Get(r Ref) Object {
-	i := uint64(r - 1) // null and negative refs wrap past Allocated
-	if i >= uint64(h.Allocated) {
+	i := uint64(r - 1) // null and negative refs wrap past every chunk
+	if i>>chunkShift >= uint64(len(h.chunks)) {
 		return Object{}
 	}
 	c, j := h.chunks[i>>chunkShift], i&chunkMask
@@ -217,11 +387,74 @@ func (h *Heap) Get(r Ref) Object {
 	return Object{unsafe.Slice(c.words[j], n), cls}
 }
 
+// FieldSlot returns field slot idx of the instance r names, or nil when r
+// names no object (a dead slot's shape is an array's), names an array, or
+// names an instance with no slot idx (one of another class than the
+// field's: the structural check does not type the operand stack).
+func (h *Heap) FieldSlot(r Ref, idx int32) *Value {
+	i := uint64(r - 1)
+	if i>>chunkShift >= uint64(len(h.chunks)) {
+		return nil
+	}
+	c, j := h.chunks[i>>chunkShift], i&chunkMask
+	s := c.shape[j]
+	if s&arrayBit != 0 || uint32(idx) >= uint32(h.classes[s].NumFields) {
+		return nil
+	}
+	return (*Value)(unsafe.Add(unsafe.Pointer(c.words[j]), uintptr(idx)*unsafe.Sizeof(Value(0))))
+}
+
+// ElemSlot returns element k of the array r names, or nil when r names no
+// array or k is out of bounds (a dead slot's shape is an empty array's).
+func (h *Heap) ElemSlot(r Ref, k int64) *Value {
+	i := uint64(r - 1)
+	if i>>chunkShift >= uint64(len(h.chunks)) {
+		return nil
+	}
+	c, j := h.chunks[i>>chunkShift], i&chunkMask
+	if s := c.shape[j]; s&arrayBit == 0 || uint64(k) >= uint64(s&lenMask) {
+		return nil
+	}
+	return (*Value)(unsafe.Add(unsafe.Pointer(c.words[j]), uintptr(k)*unsafe.Sizeof(Value(0))))
+}
+
+// ArrayLen returns the length of the array r names, or -1 when r names no
+// array.
+func (h *Heap) ArrayLen(r Ref) int64 {
+	i := uint64(r - 1)
+	if i>>chunkShift >= uint64(len(h.chunks)) {
+		return -1
+	}
+	c, j := h.chunks[i>>chunkShift], i&chunkMask
+	if s := c.shape[j]; s&arrayBit != 0 && c.state[j] != deadState {
+		return int64(s & lenMask)
+	}
+	return -1
+}
+
+// RefWords returns what a marker scans of the object r names: its storage
+// and where the references in it are, every word when all is set (an
+// array of references), else the words at slots (an instance's reference
+// fields). An int array, and a Ref that names no object, have neither.
+func (h *Heap) RefWords(r Ref) (words []Value, slots []int32, all bool) {
+	i := uint64(r - 1)
+	if i>>chunkShift >= uint64(len(h.chunks)) {
+		return nil, nil, false
+	}
+	c, j := h.chunks[i>>chunkShift], i&chunkMask
+	s := c.shape[j]
+	if s&arrayBit != 0 {
+		return unsafe.Slice(c.words[j], s&lenMask), nil, s&elemRefBit != 0
+	}
+	cls := &h.classes[s]
+	return unsafe.Slice(c.words[j], cls.NumFields), cls.RefSlots, false
+}
+
 // state returns the reference's state word, or a dead one for a reference
 // that was never handed out.
 func (h *Heap) state(r Ref) *uint32 {
 	i := uint64(r - 1)
-	if i >= uint64(h.Allocated) {
+	if i>>chunkShift >= uint64(len(h.chunks)) {
 		return &deadChunk.state[0]
 	}
 	return &h.chunks[i>>chunkShift].state[i&chunkMask]
@@ -262,18 +495,14 @@ func (h *Heap) Mark(r Ref) bool {
 	// Not through state(): its cost would push the markers' shade over
 	// the inlining budget and out of their scan loop.
 	i := uint64(r - 1)
-	if i >= uint64(h.Allocated) {
+	if i>>chunkShift >= uint64(len(h.chunks)) {
 		return false
 	}
 	p := &h.chunks[i>>chunkShift].state[i&chunkMask]
-	s := *p
-	if s >= h.stamp|markBit { // marked this cycle, or dead
+	if *p >= h.stamp|markBit { // marked this cycle, or dead
 		return false
 	}
-	if s < h.stamp {
-		s = h.stamp
-	}
-	*p = s | markBit
+	*p = max(*p, h.stamp) | markBit // a stale word's flags clear
 	return true
 }
 
@@ -311,16 +540,18 @@ func (h *Heap) SetTraceState(r Ref, ts TraceState) {
 	}
 }
 
-// carve returns the first of n zeroed Values, from the current block when
-// they fit, or nil when n is 0.
+// carve returns the first of n zeroed Values for the object about to be
+// allocated, from the current block when they fit, or nil when n is 0.
 func (h *Heap) carve(n int) *Value {
 	switch {
 	case n == 0:
 		return nil
 	case n > carveMax:
-		return &make([]Value, n)[0]
+		return h.arena.storage(n)
 	case n > len(h.block):
-		h.block = make([]Value, blockValues)
+		b := h.arena.block()
+		h.blocks = append(h.blocks, block{mem: b, first: Ref(h.Allocated + 1)})
+		h.block = b[:]
 	}
 	p := &h.block[0]
 	h.block = h.block[n:]
@@ -331,7 +562,7 @@ func (h *Heap) carve(n int) *Value {
 func (h *Heap) add(shape uint32, n int) Ref {
 	j := h.Allocated & chunkMask
 	if j == 0 {
-		h.chunks = append(h.chunks, newChunk())
+		h.chunks = append(h.chunks, h.arena.chunk())
 	}
 	c := h.chunks[len(h.chunks)-1]
 	c.words[j] = h.carve(n)
@@ -388,19 +619,22 @@ func (h *Heap) AppendStaticRoots(dst []Ref) []Ref {
 	return dst
 }
 
-// RefsOf calls f with every outgoing reference of the object. The markers
-// walk the same words in place instead; this is for the cold walks (the
-// oracle's escape closure, the test-only snapshot).
-func (o Object) RefsOf(f func(Ref)) {
-	if o.ElemRef() {
-		for _, w := range o.Fields {
+// RefsOf calls f with every non-null reference held by the object r
+// names, as RefWords finds them. The markers walk RefWords in place
+// instead; this is for the cold walks (the oracle's escape closure, the
+// snapshot check).
+func (h *Heap) RefsOf(r Ref, f func(Ref)) {
+	words, slots, all := h.RefWords(r)
+	if all {
+		for _, w := range words {
 			if w != 0 {
 				f(Ref(w))
 			}
 		}
+		return
 	}
-	for _, slot := range o.RefSlots() {
-		if w := o.Fields[slot]; w != 0 {
+	for _, slot := range slots {
+		if w := words[slot]; w != 0 {
 			f(Ref(w))
 		}
 	}
@@ -408,7 +642,9 @@ func (o Object) RefsOf(f func(Ref)) {
 
 // Sweep frees the objects neither marked nor allocated during marking in
 // this cycle, ends the cycle's epoch so that the survivors read as
-// unmarked again, and returns the number freed.
+// unmarked again, and returns the number freed. A full chunk with no
+// survivor goes to the arena, and so does every block but the current one
+// whose objects all lie in such chunks.
 func (h *Heap) Sweep() int {
 	freed := 0
 	for ci, c := range h.chunks {
@@ -422,15 +658,35 @@ func (h *Heap) Sweep() int {
 			case h.flags(s)&(markBit|allocBit) != 0:
 				live++
 			default:
-				c.words[j], c.shape[j] = nil, 0
+				c.words[j], c.shape[j] = nil, deadShape
 				c.state[j] = deadState
 				freed++
 			}
 		}
 		if live == 0 && int64(ci+1)<<chunkShift <= h.Allocated {
 			h.chunks[ci] = deadChunk
+			h.arena.chunks = append(h.arena.chunks, c)
 		}
 	}
+	// Per chunk rather than per object: a survivor keeps every block its
+	// chunk overlaps, and the sweep costs nothing per live object.
+	kept := h.blocks[:0]
+	for i, b := range h.blocks {
+		live := i == len(h.blocks)-1
+		if !live {
+			first, last := (b.first-1)>>chunkShift, (h.blocks[i+1].first-2)>>chunkShift
+			for ci := first; ci <= last && !live; ci++ {
+				live = h.chunks[ci] != deadChunk
+			}
+		}
+		if live {
+			kept = append(kept, b)
+		} else {
+			h.arena.blocks = append(h.arena.blocks, b.mem)
+		}
+	}
+	clear(h.blocks[len(kept):])
+	h.blocks = kept
 	h.BeginCycle()
 	return freed
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"satbelim/internal/bytecode"
 )
@@ -64,97 +65,166 @@ func declaredRefSlots(c *bytecode.Class) (n int, refs []int32) {
 
 // TestHeapMatchesModel runs seeded random sequences of allocations, word
 // writes and collector operations against the heap and a map-based model
-// of it, and after every operation compares what Get, IsArray, ElemRef,
-// RefSlots, the words and the collector flags say about every Ref issued
-// (and a few never issued) with what the model says.
+// of it, and after every operation compares what Get, RefWords, the words
+// and the collector flags say about every Ref issued (and a few never
+// issued) with what the model says.
+//
+// Each sequence runs twice: on a new heap, and again, after that heap's
+// Release, on the next heap New makes, which takes its memory. Before the
+// release every live object's words are set nonzero, so storage that is
+// handed out again without being zeroed shows as a word the model does
+// not hold; and after every operation the unallocated slots of the last
+// chunk must be dead and the rest of the current block zero. A pool may
+// drop what it is given (the race detector's drops a quarter of it, and
+// a Go collection empties it), so when the next heap finds another arena
+// the first run is made again, up to ten times.
 func TestHeapMatchesModel(t *testing.T) {
 	p := testProgram()
-	classes := p.SortedClasses()
-	const seeds, opsPerSeed = 5, 2_500
+	const seeds, tries = 5, 10
 	for seed := int64(1); seed <= seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		h := New(NewLayout(p))
-		m := &heapModel{objs: map[Ref]*modelObj{}}
-		anyRef := func() Ref { return Ref(rng.Int63n(int64(m.issued)+3) - 1) }
-		for op := 0; op < opsPerSeed; op++ {
-			switch k := rng.Intn(100); {
-			case k < 25:
-				c := classes[rng.Intn(len(classes))]
-				n, refs := declaredRefSlots(c)
-				r := h.AllocObject(p.Symbols().Class(c.Name))
-				m.add(t, h, r, &modelObj{refSlots: refs, words: make([]Value, n)})
-			case k < 40:
-				var n int64
-				switch rng.Intn(3) {
-				case 1:
-					n = 1 + rng.Int63n(carveMax)
-				case 2:
-					n = carveMax + 1 + rng.Int63n(2*carveMax)
-				}
-				ref := rng.Intn(2) == 0
-				r := h.AllocArray(ref, n)
-				m.add(t, h, r, &modelObj{array: true, elemRef: ref, words: make([]Value, n)})
-			case k < 70:
-				// A word write, through Get or through the Fields the
-				// object was allocated with.
-				r := anyRef()
-				o := m.live(r)
-				if o == nil || len(o.words) == 0 {
-					continue
-				}
-				i := rng.Intn(len(o.words))
-				w := Value(rng.Int63n(int64(m.issued) + 1))
-				if rng.Intn(2) == 0 {
-					h.Get(r).Fields[i] = w
-				} else {
-					o.fields[i] = w
-				}
-				o.words[i] = w
-			case k < 73:
-				h.BeginCycle()
-				m.beginCycle()
-			case k < 83:
-				r := anyRef()
-				o := m.live(r)
-				if got := h.Mark(r); got != (o != nil && !o.marked) {
-					t.Fatalf("seed %d op %d: Mark(%d) = %v", seed, op, r, got)
-				}
-				if o != nil {
-					o.marked = true
-				}
-			case k < 88:
-				r := anyRef()
-				o := m.live(r)
-				if got := h.MarkDirty(r); got != (o != nil && !o.dirty) {
-					t.Fatalf("seed %d op %d: MarkDirty(%d) = %v", seed, op, r, got)
-				}
-				if o != nil {
-					o.dirty = true
-				}
-			case k < 93:
-				r, ts := anyRef(), TraceState(rng.Intn(3))
-				h.SetTraceState(r, ts)
-				if o := m.live(r); o != nil {
-					o.trace = ts
-				}
-			case k < 95:
-				h.MarkingActive = !h.MarkingActive
-				m.markingActive = h.MarkingActive
-			default:
-				want := 0
-				for _, o := range m.objs {
-					if o.live && !o.marked && !o.allocBit {
-						o.live, o.fields = false, nil
-						want++
-					}
-				}
-				m.beginCycle()
-				if got := h.Sweep(); got != want {
-					t.Fatalf("seed %d op %d: Sweep freed %d, want %d", seed, op, got, want)
+		var next *Heap
+		var spare map[unsafe.Pointer]bool
+		for try := 1; next == nil; try++ {
+			if try > tries {
+				t.Fatalf("seed %d: in %d tries no next heap took the released heap's arena", seed, tries)
+			}
+			h := New(NewLayout(p))
+			replayModel(t, p, h, seed)
+			a := h.arena
+			issued := Ref(h.Allocated)
+			for r := Ref(1); r <= issued; r++ {
+				fs := h.Get(r).Fields
+				for i := range fs {
+					fs[i] = -1
 				}
 			}
-			m.check(t, h, seed, op)
+			*h.Static(0) = RefVal(1)
+			h.Release()
+			for r := Ref(-1); r <= issued+2; r++ {
+				if !h.Get(r).IsNil() || h.FieldSlot(r, 0) != nil || h.ElemSlot(r, 0) != nil || h.ArrayLen(r) != -1 || h.Mark(r) {
+					t.Fatalf("seed %d: ref %d names an object after Release", seed, r)
+				}
+			}
+			if *h.Static(0) != RefVal(1) {
+				t.Fatalf("seed %d: Release lost a static", seed)
+			}
+			spare = map[unsafe.Pointer]bool{}
+			for _, c := range a.chunks {
+				spare[unsafe.Pointer(c)] = true
+			}
+			for _, b := range a.blocks {
+				spare[unsafe.Pointer(b)] = true
+			}
+			if next = New(NewLayout(p)); next.arena != a {
+				next.Release()
+				next = nil
+			}
 		}
+		replayModel(t, p, next, seed)
+		reused := 0
+		for _, c := range next.chunks {
+			if spare[unsafe.Pointer(c)] {
+				reused++
+			}
+		}
+		for _, b := range next.blocks {
+			if spare[unsafe.Pointer(b.mem)] {
+				reused++
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("seed %d: the next heap reused none of the released chunks and blocks", seed)
+		}
+		next.Release()
+	}
+}
+
+// replayModel runs seed's operations on h and a fresh model.
+func replayModel(t *testing.T, p *bytecode.Program, h *Heap, seed int64) {
+	t.Helper()
+	const opsPerSeed = 2_500
+	classes := p.SortedClasses()
+	rng := rand.New(rand.NewSource(seed))
+	m := &heapModel{objs: map[Ref]*modelObj{}}
+	anyRef := func() Ref { return Ref(rng.Int63n(int64(m.issued)+3) - 1) }
+	for op := 0; op < opsPerSeed; op++ {
+		switch k := rng.Intn(100); {
+		case k < 25:
+			c := classes[rng.Intn(len(classes))]
+			n, refs := declaredRefSlots(c)
+			r := h.AllocObject(p.Symbols().Class(c.Name))
+			m.add(t, h, r, &modelObj{refSlots: refs, words: make([]Value, n)})
+		case k < 40:
+			var n int64
+			switch rng.Intn(3) {
+			case 1:
+				n = 1 + rng.Int63n(carveMax)
+			case 2:
+				n = carveMax + 1 + rng.Int63n(2*carveMax)
+			}
+			ref := rng.Intn(2) == 0
+			r := h.AllocArray(ref, n)
+			m.add(t, h, r, &modelObj{array: true, elemRef: ref, words: make([]Value, n)})
+		case k < 70:
+			// A word write, through Get or through the Fields the
+			// object was allocated with.
+			r := anyRef()
+			o := m.live(r)
+			if o == nil || len(o.words) == 0 {
+				continue
+			}
+			i := rng.Intn(len(o.words))
+			w := Value(rng.Int63n(int64(m.issued) + 1))
+			if rng.Intn(2) == 0 {
+				h.Get(r).Fields[i] = w
+			} else {
+				o.fields[i] = w
+			}
+			o.words[i] = w
+		case k < 73:
+			h.BeginCycle()
+			m.beginCycle()
+		case k < 83:
+			r := anyRef()
+			o := m.live(r)
+			if got := h.Mark(r); got != (o != nil && !o.marked) {
+				t.Fatalf("seed %d op %d: Mark(%d) = %v", seed, op, r, got)
+			}
+			if o != nil {
+				o.marked = true
+			}
+		case k < 88:
+			r := anyRef()
+			o := m.live(r)
+			if got := h.MarkDirty(r); got != (o != nil && !o.dirty) {
+				t.Fatalf("seed %d op %d: MarkDirty(%d) = %v", seed, op, r, got)
+			}
+			if o != nil {
+				o.dirty = true
+			}
+		case k < 93:
+			r, ts := anyRef(), TraceState(rng.Intn(3))
+			h.SetTraceState(r, ts)
+			if o := m.live(r); o != nil {
+				o.trace = ts
+			}
+		case k < 95:
+			h.MarkingActive = !h.MarkingActive
+			m.markingActive = h.MarkingActive
+		default:
+			want := 0
+			for _, o := range m.objs {
+				if o.live && !o.marked && !o.allocBit {
+					o.live, o.fields = false, nil
+					want++
+				}
+			}
+			m.beginCycle()
+			if got := h.Sweep(); got != want {
+				t.Fatalf("seed %d op %d: Sweep freed %d, want %d", seed, op, got, want)
+			}
+		}
+		m.check(t, h, seed, op)
 	}
 }
 
@@ -177,6 +247,19 @@ func (m *heapModel) check(t *testing.T, h *Heap, seed int64, op int) {
 	if h.Allocated != int64(m.issued) {
 		t.Fatalf("seed %d op %d: Allocated = %d, want %d", seed, op, h.Allocated, m.issued)
 	}
+	if n := len(h.chunks); n > 0 {
+		c := h.chunks[n-1]
+		for j := h.Allocated - int64(n-1)<<chunkShift; j < chunkSize; j++ {
+			if c.state[j] != deadState || c.shape[j] != deadShape || c.words[j] != nil {
+				t.Fatalf("seed %d op %d: unallocated slot %d of the last chunk is not dead", seed, op, j)
+			}
+		}
+	}
+	for i, w := range h.block {
+		if w != 0 {
+			t.Fatalf("seed %d op %d: word %d of the rest of the current block is %d, not zero", seed, op, i, w)
+		}
+	}
 	for r := Ref(-1); r <= m.issued+2; r++ {
 		got, want := h.Get(r), m.live(r)
 		if want == nil {
@@ -185,14 +268,17 @@ func (m *heapModel) check(t *testing.T, h *Heap, seed int64, op int) {
 			}
 			continue
 		}
+		words, slots, all := h.RefWords(r)
 		switch {
 		case got.IsNil():
 			t.Fatalf("seed %d op %d: live ref %d reads as no object", seed, op, r)
-		case got.IsArray() != want.array || got.ElemRef() != want.elemRef:
-			t.Fatalf("seed %d op %d: ref %d: IsArray %v ElemRef %v, want %v %v", seed, op, r,
-				got.IsArray(), got.ElemRef(), want.array, want.elemRef)
-		case !slices.Equal(got.RefSlots(), want.refSlots):
-			t.Fatalf("seed %d op %d: ref %d: RefSlots %v, want %v", seed, op, r, got.RefSlots(), want.refSlots)
+		case got.IsArray() != want.array || all != want.elemRef:
+			t.Fatalf("seed %d op %d: ref %d: IsArray %v, RefWords all %v, want %v %v", seed, op, r,
+				got.IsArray(), all, want.array, want.elemRef)
+		case !slices.Equal(slots, want.refSlots):
+			t.Fatalf("seed %d op %d: ref %d: RefWords slots %v, want %v", seed, op, r, slots, want.refSlots)
+		case !slices.Equal(words, want.words):
+			t.Fatalf("seed %d op %d: ref %d: RefWords words %v, want %v", seed, op, r, words, want.words)
 		case !slices.Equal(got.Fields, want.words):
 			t.Fatalf("seed %d op %d: ref %d: words %v, want %v", seed, op, r, got.Fields, want.words)
 		case cap(got.Fields) != len(got.Fields):

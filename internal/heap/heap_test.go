@@ -85,14 +85,15 @@ func TestArrays(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	a := h.AllocArray(true, 3)
 	o := h.Get(a)
-	if !o.IsArray() || !o.ElemRef() || len(o.Fields) != 3 || len(o.RefSlots()) != 0 {
+	if _, slots, all := h.RefWords(a); !o.IsArray() || !all || len(o.Fields) != 3 || len(slots) != 0 {
 		t.Fatalf("ref array = %+v", o)
 	}
 	if v := o.Fields[0]; v != NullVal() {
 		t.Errorf("fresh ref-array element should be null ref, got %v", v)
 	}
-	ints := h.Get(h.AllocArray(false, 2))
-	if !ints.IsArray() || ints.ElemRef() || len(ints.Fields) != 2 || ints.Fields[1] != IntVal(0) {
+	intsRef := h.AllocArray(false, 2)
+	ints := h.Get(intsRef)
+	if _, _, all := h.RefWords(intsRef); !ints.IsArray() || all || len(ints.Fields) != 2 || ints.Fields[1] != IntVal(0) {
 		t.Errorf("int array = %+v", ints)
 	}
 	if empty := h.Get(h.AllocArray(true, 0)); empty.IsNil() || len(empty.Fields) != 0 {
@@ -299,7 +300,7 @@ func TestSweepReleasesDeadChunks(t *testing.T) {
 		t.Error("allocation must continue in the tail chunk with a fresh ref")
 	}
 	for j, s := range deadChunk.state {
-		if s != deadState || deadChunk.shape[j] != 0 || deadChunk.words[j] != nil {
+		if s != deadState || deadChunk.shape[j] != deadShape || deadChunk.words[j] != nil {
 			t.Fatal("the shared dead chunk was written to")
 		}
 	}
@@ -318,14 +319,14 @@ func TestRefsOf(t *testing.T) {
 	h.Get(arr).Fields[1] = RefVal(a)
 	ints := h.AllocArray(false, 2)
 	h.Get(ints).Fields[0] = IntVal(int64(b))
-	h.Get(ints).RefsOf(func(r Ref) { t.Errorf("an int array has no references, got %d", r) })
+	h.RefsOf(ints, func(r Ref) { t.Errorf("an int array has no references, got %d", r) })
 	var got []Ref
-	h.Get(a).RefsOf(func(r Ref) { got = append(got, r) })
+	h.RefsOf(a, func(r Ref) { got = append(got, r) })
 	if len(got) != 1 || got[0] != b {
 		t.Errorf("object refs = %v", got)
 	}
 	got = nil
-	h.Get(arr).RefsOf(func(r Ref) { got = append(got, r) })
+	h.RefsOf(arr, func(r Ref) { got = append(got, r) })
 	if len(got) != 1 || got[0] != a {
 		t.Errorf("array refs = %v", got)
 	}
@@ -362,6 +363,109 @@ func TestSweepReleasesStorage(t *testing.T) {
 	}
 }
 
+// TestSweepRecyclesDeadBlocks: a heap whose objects die young runs in the
+// same memory cycle after cycle. Each of 100 cycles allocates eight
+// blocks' worth of T (two words each), of which one survives the cycle's
+// sweep and dies in the next. After a sweep the heap holds only the
+// survivor's block and chunk and the current ones, and over all 100 cycles
+// it uses about one cycle's worth of distinct chunks and blocks, not 100.
+func TestSweepRecyclesDeadBlocks(t *testing.T) {
+	const cycles, perCycle = 100, 8 * blockValues / 2
+	h := New(NewLayout(testProgram()))
+	chunks, blocks := map[*chunk]bool{}, map[*[blockValues]Value]bool{}
+	for cycle := 0; cycle < cycles; cycle++ {
+		var survivor Ref
+		for i := 0; i < perCycle; i++ {
+			if r := alloc(h); i == perCycle/2 {
+				survivor = r
+			}
+		}
+		for _, c := range h.chunks {
+			chunks[c] = true
+		}
+		for _, b := range h.blocks {
+			blocks[b.mem] = true
+		}
+		h.Mark(survivor)
+		if freed := h.Sweep(); cycle > 0 && freed != perCycle {
+			t.Fatalf("cycle %d: freed %d, want this cycle's garbage and the last survivor", cycle, freed)
+		}
+		live := 0
+		for _, c := range h.chunks {
+			if c != deadChunk {
+				live++
+			}
+		}
+		if live > 2 || len(h.blocks) > 2 {
+			t.Fatalf("cycle %d: the heap holds %d chunks and %d blocks after a sweep, want at most 2 of each", cycle, live, len(h.blocks))
+		}
+	}
+	delete(chunks, deadChunk)
+	if want := perCycle/chunkSize + 2; len(chunks) > want || len(blocks) > 8+2 {
+		t.Errorf("%d cycles used %d distinct chunks and %d distinct blocks, want at most %d and %d", cycles, len(chunks), len(blocks), want, 8+2)
+	}
+	h.Release()
+}
+
+// TestReleasedMemoryIsCollectable: the pool a released heap's memory
+// waits in keeps it only until the Go collector's second cycle, so memory
+// no later heap takes is reclaimed as garbage would be.
+func TestReleasedMemoryIsCollectable(t *testing.T) {
+	released := make(chan struct{})
+	func() {
+		h := New(NewLayout(testProgram()))
+		alloc(h)
+		runtime.SetFinalizer(h.blocks[0].mem, func(*[blockValues]Value) { close(released) })
+		h.Release()
+	}()
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a released block is still reachable after two Go collections")
+	}
+}
+
+// TestReleasedArenaIsBounded: what an arena keeps past a Release is at
+// most arenaMax bytes, however large the heap and whatever earlier heaps
+// left, and at least half of that when the heap held more. A heap of
+// 320 000 instances (15 MiB of chunks and blocks) is followed by ten heaps
+// that each release five oversize arrays of 1 MiB, of lengths no heap
+// before used: the spare storage of one length must not pile up beside
+// another's. The bound holds whichever arena each heap took.
+func TestReleasedArenaIsBounded(t *testing.T) {
+	layout := NewLayout(testProgram())
+	check := func(name string, a *arena) {
+		t.Helper()
+		kept := len(a.chunks)*int(unsafe.Sizeof(chunk{})) + len(a.blocks)*blockValues*valueBytes +
+			cap(a.chunkList)*int(unsafe.Sizeof((*chunk)(nil))) + cap(a.blockList)*int(unsafe.Sizeof(block{}))
+		for n, free := range a.big {
+			kept += n * len(free) * valueBytes
+		}
+		if kept > arenaMax || kept < arenaMax/2 {
+			t.Fatalf("%s: its arena keeps %d bytes, want between %d and %d", name, kept, arenaMax/2, arenaMax)
+		}
+	}
+	h := New(layout)
+	for i := 0; i < 10_000*chunkSize; i++ {
+		alloc(h)
+	}
+	a := h.arena
+	h.Release()
+	check("the heap of instances", a)
+	const words = 1 << 20 / valueBytes
+	for i := 0; i < 10; i++ {
+		h := New(layout)
+		for k := 0; k < 5; k++ {
+			h.AllocArray(false, int64(words+5*i+k))
+		}
+		a := h.arena
+		h.Release()
+		check(fmt.Sprintf("heap %d of arrays", i), a)
+	}
+}
+
 // allocatedBytes is the Go heap bytes one call of f allocates, averaged
 // over 100 calls with the Go collector off.
 func allocatedBytes(f func()) uint64 {
@@ -378,7 +482,7 @@ func allocatedBytes(f func()) uint64 {
 }
 
 var chunkSink *chunk
-var blockSink []Value
+var blockSink *[blockValues]Value
 
 // TestObjectAndChunkSizes pins the heap's footprint, as Go allocates it.
 // A chunk is 32 storage pointers, 32 state words and 32 shape words: 512
@@ -392,10 +496,10 @@ func TestObjectAndChunkSizes(t *testing.T) {
 	if n := unsafe.Sizeof(chunk{}); n != 512 {
 		t.Errorf("a chunk is %d bytes, want 512", n)
 	}
-	if n := allocatedBytes(func() { chunkSink = newChunk() }); n != 512 {
+	if n := allocatedBytes(func() { chunkSink = new(arena).chunk() }); n != 512 {
 		t.Errorf("a chunk allocates %d bytes, want 512", n)
 	}
-	if n := allocatedBytes(func() { blockSink = make([]Value, blockValues) }); n != 1024 {
+	if n := allocatedBytes(func() { blockSink = new(arena).block() }); n != 1024 {
 		t.Errorf("a storage block allocates %d bytes, want 1024", n)
 	}
 }

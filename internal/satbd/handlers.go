@@ -1,12 +1,14 @@
 package satbd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"satbelim/internal/core"
@@ -301,11 +303,22 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// writeDoc sends a Document as compact JSON: the wire format has no reader
-// to indent for, and the files the CLIs write keep their indentation.
+// docBufs holds the buffers writeDoc encodes into.
+var docBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeDoc sends a Document as compact JSON and a newline, the bytes of
+// json.Marshal and '\n': the wire format has no reader to indent for, and
+// the files the CLIs write keep their indentation. The document is encoded
+// in full into a pooled buffer before the status line goes out, so a
+// failure can still answer 500, and the body is written from that buffer
+// with no copy.
 func writeDoc(w http.ResponseWriter, status int, doc *report.Document) {
-	data, err := json.Marshal(doc)
-	if err != nil {
+	buf := docBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		docBufs.Put(buf)
+	}()
+	if err := json.NewEncoder(buf).Encode(doc); err != nil {
 		// A Document always marshals; this is unreachable but must not
 		// produce a schema-invalid body if it ever fires.
 		http.Error(w, `{"schemaVersion":0}`, http.StatusInternalServerError)
@@ -313,5 +326,5 @@ func writeDoc(w http.ResponseWriter, status int, doc *report.Document) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(buf.Bytes())
 }

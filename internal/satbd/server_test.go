@@ -579,3 +579,28 @@ func TestAdmissionTiersQuantizeBudgets(t *testing.T) {
 		t.Error("budgets must be deterministic per tier")
 	}
 }
+
+// TestWriteDocIsMarshalAndNewline: a response body is exactly the bytes of
+// json.Marshal of its document and a newline (compact, and HTML-escaped as
+// Marshal escapes), whatever the pooled buffer held for the response before.
+func TestWriteDocIsMarshalAndNewline(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	_, _, run := post(t, ts, "run", Request{Name: "<hello & bye>", Source: helloSrc})
+	run.Satbd.Request.Error = "a <b> & c \u2028"
+	small := report.NewDocument("satbd")
+	for i, doc := range []*report.Document{&run, small, &run} {
+		rec := httptest.NewRecorder()
+		writeDoc(rec, http.StatusAccepted, doc)
+		want, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if rec.Code != http.StatusAccepted || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("response %d: status %d, Content-Type %q", i, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("response %d: body\n%s\nwant json.Marshal and a newline\n%s", i, got, want)
+		}
+	}
+}

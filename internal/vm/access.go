@@ -8,14 +8,15 @@ import (
 )
 
 // This file is the engines' one heap-access layer. All three reach object
-// storage through the three accessors below, with the field slot or the
-// array index their method's Body resolved, and statics through
-// heap.Static. Each accessor reads the object heap.Get returns and answers
-// "the slot, or nil"; a nil answer goes to heapFault, the single place
-// that decides which fault it was and words it. A site
-// therefore states only what is its own — where its operands come from, its
-// error pc and charge, its barrier — and a new fault rule or heap layout
-// changes this file only.
+// storage through the heap's three accessors, heap.FieldSlot,
+// heap.ElemSlot and heap.ArrayLen, with the field slot or the array index
+// their method's Body resolved, and statics through heap.Static. Each
+// accessor answers "the slot, or nil" (ArrayLen: the length, or -1) and
+// inlines; a nil answer goes to heapFault below, the single place that
+// decides which fault it was and words it. A site therefore states only
+// what is its own — where its operands come from, its error pc and charge,
+// its barrier — a new fault rule changes this file only, and a new heap
+// layout internal/heap only.
 //
 // A heap slot is one untagged word; a frame holds tagged values. The kind
 // of every site is static — its field's declared type, or its opcode for
@@ -50,38 +51,6 @@ func word(x value, ref bool) heap.Value {
 		return heap.RefVal(x.R)
 	}
 	return heap.IntVal(x.I)
-}
-
-// fieldSlot returns field idx of the object r names, or nil when r is null
-// or dangling, names an array, or names an object with no slot idx (one of
-// another class than the field's: the structural check does not type the
-// operand stack).
-func (v *VM) fieldSlot(r heap.Ref, idx int32) *heap.Value {
-	o := v.heap.Get(r)
-	if o.IsNil() || uint32(idx) >= uint32(len(o.Fields)) || o.IsArray() {
-		return nil
-	}
-	return &o.Fields[idx]
-}
-
-// elemSlot returns element i of the array r names, or nil when r is null or
-// dangling, names no array, or i is out of bounds.
-func (v *VM) elemSlot(r heap.Ref, i int64) *heap.Value {
-	o := v.heap.Get(r)
-	if o.IsNil() || uint64(i) >= uint64(len(o.Fields)) || !o.IsArray() {
-		return nil
-	}
-	return &o.Fields[i]
-}
-
-// arrayLen returns the length of the array r names, or -1 when r is null or
-// dangling or names no array.
-func (v *VM) arrayLen(r heap.Ref) int64 {
-	o := v.heap.Get(r)
-	if o.IsNil() || !o.IsArray() {
-		return -1
-	}
-	return int64(len(o.Fields))
 }
 
 // maxArrayLen is the longest array the heap hands out, 1<<24 elements (128

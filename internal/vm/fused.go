@@ -305,7 +305,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	case dGetFieldRef, dGetFieldInt:
 		obj := f.pop()
 		fr := &f.m.fields[in.a]
-		p := v.fieldSlot(obj.R, fr.idx)
+		p := v.heap.FieldSlot(obj.R, fr.idx)
 		if p == nil {
 			return v.accessErr(f, f.pc, 0, readField, obj.R, 0, fr)
 		}
@@ -314,7 +314,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		val := f.pop()
 		obj := f.pop()
 		fr := &f.m.fields[in.a]
-		p := v.fieldSlot(obj.R, fr.idx)
+		p := v.heap.FieldSlot(obj.R, fr.idx)
 		if p == nil {
 			return v.accessErr(f, f.pc, 0, writeField, obj.R, 0, fr)
 		}
@@ -361,7 +361,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		f.push(refVal(r))
 	case dArrayLength:
 		arr := f.pop()
-		n := v.arrayLen(arr.R)
+		n := v.heap.ArrayLen(arr.R)
 		if n < 0 {
 			return v.accessErr(f, f.pc, 0, lengthOf, arr.R, 0, nil)
 		}
@@ -370,7 +370,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	case dAALoad, dIALoad:
 		idx := f.pop().I
 		arr := f.pop()
-		p := v.elemSlot(arr.R, idx)
+		p := v.heap.ElemSlot(arr.R, idx)
 		if p == nil {
 			return v.accessErr(f, f.pc, 0, loadElem, arr.R, idx, nil)
 		}
@@ -379,7 +379,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		val := f.pop()
 		idx := f.pop().I
 		arr := f.pop()
-		p := v.elemSlot(arr.R, idx)
+		p := v.heap.ElemSlot(arr.R, idx)
 		if p == nil {
 			return v.accessErr(f, f.pc, 0, storeElem, arr.R, idx, nil)
 		}
@@ -479,7 +479,7 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 	case fLGetFieldRef, fLGetFieldInt:
 		obj := f.locals[fi.a]
 		fr := &f.m.fields[fi.b]
-		p := v.fieldSlot(obj.R, fr.idx)
+		p := v.heap.FieldSlot(obj.R, fr.idx)
 		if p == nil {
 			return v.accessErr(f, f.pc+1, 0, readField, obj.R, 0, fr)
 		}
@@ -489,7 +489,7 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		obj := f.locals[fi.a]
 		val := f.locals[fi.b]
 		fr := &f.m.fields[fi.c]
-		p := v.fieldSlot(obj.R, fr.idx)
+		p := v.heap.FieldSlot(obj.R, fr.idx)
 		if p == nil {
 			return v.accessErr(f, f.pc+2, 0, writeField, obj.R, 0, fr)
 		}
@@ -505,7 +505,7 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 	case fLLAALoad, fLLIALoad:
 		arr := f.locals[fi.a]
 		idx := f.locals[fi.b].I
-		p := v.elemSlot(arr.R, idx)
+		p := v.heap.ElemSlot(arr.R, idx)
 		if p == nil {
 			return v.accessErr(f, f.pc+2, 0, loadElem, arr.R, idx, nil)
 		}
@@ -515,7 +515,7 @@ func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
 		arr := f.locals[fi.a]
 		idx := f.locals[fi.b].I
 		val := f.locals[fi.c]
-		p := v.elemSlot(arr.R, idx)
+		p := v.heap.ElemSlot(arr.R, idx)
 		if p == nil {
 			return v.accessErr(f, f.pc+3, 0, storeElem, arr.R, idx, nil)
 		}

@@ -80,9 +80,7 @@ func (o *oracle) escape(r heap.Ref) {
 		return
 	}
 	m.escaped = true
-	if obj := o.h.Get(r); !obj.IsNil() {
-		obj.RefsOf(o.escape)
-	}
+	o.h.RefsOf(r, o.escape)
 }
 
 // allocSiteOf returns the recorded allocation site of r.

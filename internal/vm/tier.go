@@ -843,7 +843,7 @@ func getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk {
 		return thunk{
 			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
 				objv := f.locals[a]
-				p := v.fieldSlot(objv.R, fr.idx)
+				p := v.heap.FieldSlot(objv.R, fr.idx)
 				if p == nil {
 					return objv, v.accessErr(f, pc, w, readField, objv.R, 0, fr)
 				}
@@ -858,7 +858,7 @@ func getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk {
 			if err != nil {
 				return objv, err
 			}
-			p := v.fieldSlot(objv.R, fr.idx)
+			p := v.heap.FieldSlot(objv.R, fr.idx)
 			if p == nil {
 				return objv, v.accessErr(f, pc, w, readField, objv.R, 0, fr)
 			}
@@ -881,7 +881,7 @@ func aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 				if idxLocal {
 					i = f.locals[ii].I
 				}
-				p := v.elemSlot(arrv.R, i)
+				p := v.heap.ElemSlot(arrv.R, i)
 				if p == nil {
 					return arrv, v.accessErr(f, pc, w, loadElem, arrv.R, i, nil)
 				}
@@ -901,7 +901,7 @@ func aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 				v.opEntered += aw
 				return idxv, err
 			}
-			p := v.elemSlot(arrv.R, idxv.I)
+			p := v.heap.ElemSlot(arrv.R, idxv.I)
 			if p == nil {
 				return arrv, v.accessErr(f, pc, w, loadElem, arrv.R, idxv.I, nil)
 			}
@@ -919,7 +919,7 @@ func arrayLengthThunk(arr thunk, pc int32) thunk {
 			if err != nil {
 				return arrv, err
 			}
-			n := v.arrayLen(arrv.R)
+			n := v.heap.ArrayLen(arrv.R)
 			if n < 0 {
 				return arrv, v.accessErr(f, pc, w, lengthOf, arrv.R, 0, nil)
 			}
@@ -1225,7 +1225,7 @@ func putFieldOp(obj, val thunk, fr *fieldRec, barrier cbarrier, pc int32) cop {
 			if valLocal {
 				valv = f.locals[vi]
 			}
-			p := v.fieldSlot(objv.R, fr.idx)
+			p := v.heap.FieldSlot(objv.R, fr.idx)
 			if p == nil {
 				return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 			}
@@ -1243,7 +1243,7 @@ func putFieldOp(obj, val thunk, fr *fieldRec, barrier cbarrier, pc int32) cop {
 				return err
 			}
 			objv := f.locals[oi]
-			p := v.fieldSlot(objv.R, fr.idx)
+			p := v.heap.FieldSlot(objv.R, fr.idx)
 			if p == nil {
 				return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 			}
@@ -1261,7 +1261,7 @@ func putFieldOp(obj, val thunk, fr *fieldRec, barrier cbarrier, pc int32) cop {
 			v.opEntered += ow
 			return err
 		}
-		p := v.fieldSlot(objv.R, fr.idx)
+		p := v.heap.FieldSlot(objv.R, fr.idx)
 		if p == nil {
 			return v.accessErr(f, pc, w, writeField, objv.R, 0, fr)
 		}
@@ -1326,7 +1326,7 @@ func arrayStoreOp(arr, idx, val thunk, barrier cbarrier, pc int32) cop {
 			v.opEntered += aw + iw
 			return err
 		}
-		p := v.elemSlot(arrv.R, idxv.I)
+		p := v.heap.ElemSlot(arrv.R, idxv.I)
 		if p == nil {
 			return v.accessErr(f, pc, w, storeElem, arrv.R, idxv.I, nil)
 		}
@@ -1496,7 +1496,7 @@ func (sb *segBuilder) addFused(fi *finstr, pc int) bool {
 			arr := f.locals[a]
 			idx := f.locals[b].I
 			val := f.locals[c]
-			p := v.elemSlot(arr.R, idx)
+			p := v.heap.ElemSlot(arr.R, idx)
 			if p == nil {
 				return v.accessErr(f, pcc+3, n, storeElem, arr.R, idx, nil)
 			}

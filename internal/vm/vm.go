@@ -396,7 +396,8 @@ func runnable(p *bytecode.Program) error {
 	return nil
 }
 
-// Heap exposes the heap (tests and tools).
+// Heap exposes the heap (tests and tools). After Run only its statics are
+// readable: every Ref reads as no object.
 func (v *VM) Heap() *heap.Heap { return v.heap }
 
 // logger returns the barrier sink.
@@ -423,7 +424,9 @@ func (v *VM) RunContext(ctx context.Context) (*Result, error) {
 	return v.Run()
 }
 
-// Run executes main to completion (all threads).
+// Run executes main to completion (all threads). The run ends the heap's
+// life: its memory goes to the next VM's heap (heap.Release), and only the
+// statics stay readable.
 func (v *VM) Run() (*Result, error) {
 	sp := obs.StartSpan("vm", "vm", "run")
 	res, err := v.run()
@@ -433,6 +436,7 @@ func (v *VM) Run() (*Result, error) {
 			obs.KV{K: "cycles", V: int64(v.cycles)})
 		v.publishObs(err == nil)
 	}
+	v.heap.Release()
 	return res, err
 }
 
@@ -847,7 +851,7 @@ func (v *VM) step(t *thread) error {
 	case bytecode.OpGetField:
 		obj := pop()
 		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
-		p := v.fieldSlot(obj.R, int32(fs.Slot))
+		p := v.heap.FieldSlot(obj.R, int32(fs.Slot))
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(readField, obj.R, 0, &fs.Ref))
 		}
@@ -856,7 +860,7 @@ func (v *VM) step(t *thread) error {
 		val := pop()
 		obj := pop()
 		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
-		p := v.fieldSlot(obj.R, int32(fs.Slot))
+		p := v.heap.FieldSlot(obj.R, int32(fs.Slot))
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(writeField, obj.R, 0, &fs.Ref))
 		}
@@ -911,7 +915,7 @@ func (v *VM) step(t *thread) error {
 		push(refVal(r))
 	case bytecode.OpArrayLength:
 		arr := pop()
-		n := v.arrayLen(arr.R)
+		n := v.heap.ArrayLen(arr.R)
 		if n < 0 {
 			return v.errf(f, "%s", v.heapFault(lengthOf, arr.R, 0, nil))
 		}
@@ -920,7 +924,7 @@ func (v *VM) step(t *thread) error {
 	case bytecode.OpAALoad, bytecode.OpIALoad:
 		idx := pop().I
 		arr := pop()
-		p := v.elemSlot(arr.R, idx)
+		p := v.heap.ElemSlot(arr.R, idx)
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(loadElem, arr.R, idx, nil))
 		}
@@ -929,7 +933,7 @@ func (v *VM) step(t *thread) error {
 		val := pop()
 		idx := pop().I
 		arr := pop()
-		p := v.elemSlot(arr.R, idx)
+		p := v.heap.ElemSlot(arr.R, idx)
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(storeElem, arr.R, idx, nil))
 		}
