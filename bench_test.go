@@ -1,15 +1,17 @@
-// Package satbelim's top-level benchmarks regenerate every table and
-// figure of the paper's evaluation:
+// Package satbelim's top-level benchmarks time the parts of the paper's
+// evaluation that only a benchmark can measure:
 //
-//   - BenchmarkTable1_*  — dynamic barrier elimination per workload
-//     (Table 1; custom metrics carry the elimination percentages),
-//   - BenchmarkTable2_*  — jbb end-to-end barrier cost by mode (Table 2;
-//     relCost metric is throughput relative to no-barrier),
 //   - BenchmarkFig2_*    — compile+analysis time by inline limit and
-//     analysis mode (Figure 2; the elim%% metric is the other axis),
-//   - BenchmarkFig3      — compiled code-size reduction (Figure 3),
+//     analysis mode (Figure 2's time axis; the elim% metric is the other),
 //   - BenchmarkAnalysisScaling_* — analysis time vs method size (§4.4),
+//   - BenchmarkPipelineWorkers_* — the uncached pipeline's wall time by
+//     fan-out width,
 //   - BenchmarkAblation* — the design-choice ablations from DESIGN.md §5.
+//
+// Table 1, Table 2, Figure 3, §4.3's rearrangements and §2.4's summaries
+// are deterministic counts, not timings: `go run ./cmd/satbbench` prints
+// them, and internal/workloads' golden tables and internal/report's tests
+// pin them.
 //
 // Run: go test -bench=. -benchmem .
 package satbelim
@@ -28,20 +30,6 @@ import (
 	"satbelim/internal/workloads"
 )
 
-// buildWorkload compiles one workload, failing the benchmark on error.
-func buildWorkload(b *testing.B, name string, inlineLimit int, opts core.Options) *pipeline.Build {
-	b.Helper()
-	w, err := workloads.Get(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bd, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{InlineLimit: inlineLimit, Analysis: opts})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return bd
-}
-
 func runBuild(b *testing.B, bd *pipeline.Build, cfg vm.Config) *vm.Result {
 	b.Helper()
 	res, err := bd.Run(cfg)
@@ -49,63 +37,6 @@ func runBuild(b *testing.B, bd *pipeline.Build, cfg vm.Config) *vm.Result {
 		b.Fatal(err)
 	}
 	return res
-}
-
-// benchTable1 runs one workload with mode-A analysis and conditional
-// barriers, reporting Table 1's row as custom metrics.
-func benchTable1(b *testing.B, name string) {
-	bd := buildWorkload(b, name, report.DefaultInlineLimit, core.Options{Mode: core.ModeFieldArray})
-	var s satb.Summary
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := runBuild(b, bd, vm.Config{Barrier: satb.ModeConditional})
-		s = res.Counters.Summarize()
-	}
-	b.StopTimer()
-	if len(s.UnsoundSites) > 0 {
-		b.Fatalf("unsound elisions: %v", s.UnsoundSites)
-	}
-	b.ReportMetric(float64(s.TotalExecs), "barriers/op")
-	b.ReportMetric(num.Pct(s.ElidedExecs, s.TotalExecs), "elim%")
-	b.ReportMetric(num.Pct(s.PotPreNull, s.TotalExecs), "potPreNull%")
-	b.ReportMetric(num.Pct(s.FieldElided, s.FieldExecs), "fieldElim%")
-	b.ReportMetric(num.Pct(s.ArrayElided, s.ArrayExecs), "arrayElim%")
-}
-
-func BenchmarkTable1_jess(b *testing.B)  { benchTable1(b, "jess") }
-func BenchmarkTable1_db(b *testing.B)    { benchTable1(b, "db") }
-func BenchmarkTable1_javac(b *testing.B) { benchTable1(b, "javac") }
-func BenchmarkTable1_mtrt(b *testing.B)  { benchTable1(b, "mtrt") }
-func BenchmarkTable1_jack(b *testing.B)  { benchTable1(b, "jack") }
-func BenchmarkTable1_jbb(b *testing.B)   { benchTable1(b, "jbb") }
-
-// benchTable2 measures one of the jbb end-to-end barrier modes; the
-// relTP metric is cost-model throughput relative to no-barrier.
-func benchTable2(b *testing.B, mode satb.BarrierMode, analysis core.Options) {
-	base := buildWorkload(b, "jbb", report.DefaultInlineLimit, core.Options{Mode: core.ModeNone})
-	baseRes := runBuild(b, base, vm.Config{Barrier: satb.ModeNoBarrier})
-	baseTP := float64(baseRes.Steps) / float64(baseRes.TotalCost())
-
-	bd := buildWorkload(b, "jbb", report.DefaultInlineLimit, analysis)
-	var rel float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := runBuild(b, bd, vm.Config{Barrier: mode})
-		rel = (float64(res.Steps) / float64(res.TotalCost())) / baseTP
-	}
-	b.ReportMetric(rel, "relTP")
-}
-
-func BenchmarkTable2_NoBarrier(b *testing.B) {
-	benchTable2(b, satb.ModeNoBarrier, core.Options{Mode: core.ModeNone})
-}
-
-func BenchmarkTable2_AlwaysLog(b *testing.B) {
-	benchTable2(b, satb.ModeAlwaysLog, core.Options{Mode: core.ModeNone})
-}
-
-func BenchmarkTable2_AlwaysLogElim(b *testing.B) {
-	benchTable2(b, satb.ModeAlwaysLog, core.Options{Mode: core.ModeFieldArray})
 }
 
 // benchFig2 times the compile pipeline (the figure's compile-time axis)
@@ -161,24 +92,6 @@ func BenchmarkFig2_Limit100_A(b *testing.B) { benchFig2(b, 100, core.ModeFieldAr
 func BenchmarkFig2_Limit200_B(b *testing.B) { benchFig2(b, 200, core.ModeNone) }
 func BenchmarkFig2_Limit200_F(b *testing.B) { benchFig2(b, 200, core.ModeField) }
 func BenchmarkFig2_Limit200_A(b *testing.B) { benchFig2(b, 200, core.ModeFieldArray) }
-
-// BenchmarkFig3 computes the compiled-code-size rows, reporting the mean
-// mode-A reduction percentage (paper: 2–6%).
-func BenchmarkFig3(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		rows, err := report.Figure3(report.DefaultInlineLimit)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean = 0
-		for _, r := range rows {
-			mean += r.ReduceAPct
-		}
-		mean /= float64(len(rows))
-	}
-	b.ReportMetric(mean, "codeCut%")
-}
 
 // genMethodSource builds a class whose work method has roughly n
 // "statements" (alternating field and array initializing stores inside a
@@ -296,56 +209,4 @@ func BenchmarkAblationFlowInsensitiveEscape(b *testing.B) {
 
 func BenchmarkAblationNoStride(b *testing.B) {
 	benchAblation(b, core.Options{Mode: core.ModeFieldArray, NoStrideInference: true})
-}
-
-// BenchmarkInterprocedural measures elimination at inline limit 0 with
-// escape summaries across all workloads (the §2.4 future-work extension).
-func BenchmarkInterprocedural(b *testing.B) {
-	benchLimit0 := func(b *testing.B, opts core.Options) {
-		var elided, total uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			elided, total = 0, 0
-			for _, w := range workloads.All() {
-				bd, err := pipeline.Compile(w.Name, w.Source, pipeline.Options{InlineLimit: 0, Analysis: opts})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := runBuild(b, bd, vm.Config{Barrier: satb.ModeConditional})
-				s := res.Counters.Summarize()
-				elided += s.ElidedExecs
-				total += s.TotalExecs
-			}
-		}
-		b.ReportMetric(num.Pct(elided, total), "elim%")
-	}
-	b.Run("intra", func(b *testing.B) { benchLimit0(b, core.Options{Mode: core.ModeFieldArray}) })
-	b.Run("summaries", func(b *testing.B) {
-		benchLimit0(b, core.Options{Mode: core.ModeFieldArray, Interprocedural: true})
-	})
-}
-
-// BenchmarkRearrangeDB measures the §4.3 retrace protocol on db: the
-// rearr% metric is the share of barrier executions covered by swap-pair
-// elision on top of the pre-null eliminations.
-func BenchmarkRearrangeDB(b *testing.B) {
-	bd := buildWorkload(b, "db", report.DefaultInlineLimit,
-		core.Options{Mode: core.ModeFieldArray, Rearrange: true})
-	var s satb.Summary
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := runBuild(b, bd, vm.Config{
-			Barrier:            satb.ModeConditional,
-			GC:                 vm.GCSATB,
-			TriggerEveryAllocs: 200,
-			CheckInvariant:     true,
-		})
-		s = res.Counters.Summarize()
-	}
-	b.StopTimer()
-	if len(s.UnsoundSites) > 0 {
-		b.Fatalf("unsound: %v", s.UnsoundSites)
-	}
-	b.ReportMetric(num.Pct(s.RearrangeExecs, s.TotalExecs), "rearr%")
-	b.ReportMetric(float64(s.Retraces), "retraces")
 }

@@ -19,6 +19,7 @@ package gc
 
 import (
 	"fmt"
+	"sync"
 
 	"satbelim/internal/heap"
 )
@@ -48,6 +49,9 @@ type Marker interface {
 	// Stats reports the current (or just-finished) cycle's work counts —
 	// the observability layer attaches them to per-cycle trace spans.
 	Stats() CycleStats
+	// Release hands the marker's gray stack to the next marker. Call it
+	// once the marker's last cycle is over; a later Start takes another.
+	Release()
 }
 
 // CycleStats summarizes one marking cycle's work.
@@ -76,9 +80,28 @@ type CycleStats struct {
 type tracer struct {
 	h    *heap.Heap
 	gray []heap.Ref
+	// box holds the gray stack between markers: taken from grayStacks at
+	// the first begin, kept across the marker's cycles, put back by
+	// Release.
+	box *[]heap.Ref
 
 	// MarkedCount counts objects marked this cycle.
 	MarkedCount int
+}
+
+// grayStacks holds the gray stacks of released markers, boxed so that
+// putting one back allocates nothing. An idle stack the pool drops at the
+// Go collector's second cycle.
+var grayStacks = sync.Pool{New: func() any { return new([]heap.Ref) }}
+
+// Release empties the gray stack and puts it back in grayStacks.
+func (t *tracer) Release() {
+	if t.box == nil {
+		return
+	}
+	*t.box = t.gray[:0]
+	grayStacks.Put(t.box)
+	t.box, t.gray = nil, nil
 }
 
 // shade greys an object if white.
@@ -92,6 +115,10 @@ func (t *tracer) shade(r heap.Ref) {
 // begin starts a cycle: the heap's new epoch clears every mark and trace
 // state, allocation turns black and the roots grey (the initial pause).
 func (t *tracer) begin(roots []heap.Ref) {
+	if t.box == nil {
+		t.box = grayStacks.Get().(*[]heap.Ref)
+		t.gray = *t.box
+	}
 	t.gray, t.MarkedCount = t.gray[:0], 0
 	t.h.BeginCycle()
 	t.h.MarkingActive = true

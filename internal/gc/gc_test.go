@@ -343,3 +343,32 @@ func TestMarkingByNameAllocatedObjects(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseMidCycle: a marker released while its gray stack still holds
+// objects leaves the next marker's cycle exact, and can itself start again
+// with another stack.
+func TestReleaseMidCycle(t *testing.T) {
+	for name, newMarker := range markers {
+		t.Run(name, func(t *testing.T) {
+			h := newHeap()
+			head := chain(h, 10)
+			a := newMarker(h)
+			a.Start([]heap.Ref{head}, false)
+			a.Release()
+
+			h2 := newHeap()
+			head2 := chain(h2, 3)
+			b := newMarker(h2)
+			cycle(b, h2, head2)
+			b.Release()
+			if got := b.Stats().Marked; got != 3 {
+				t.Errorf("the next marker marked %d objects, want 3", got)
+			}
+			cycle(a, h, head)
+			a.Release()
+			if got := a.Stats().Marked; got != 10 {
+				t.Errorf("the released marker marked %d objects in its next cycle, want 10", got)
+			}
+		})
+	}
+}

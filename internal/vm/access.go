@@ -114,7 +114,7 @@ func (v *VM) heapFault(a access, r heap.Ref, i int64, field *bytecode.FieldRef) 
 // accessErr is heapFault raised by a decoded engine: pc and entered follow
 // the cerr protocol (the fused engine counts steps before executing and
 // passes 0), and fr is nil for an element access.
-func (v *VM) accessErr(f *fframe, pc, entered int32, a access, r heap.Ref, i int64, fr *fieldRec) error {
+func (v *VM) accessErr(f *frame, pc, entered int32, a access, r heap.Ref, i int64, fr *fieldRec) error {
 	var field *bytecode.FieldRef
 	if fr != nil {
 		field = &fr.ref

@@ -78,13 +78,13 @@ func warmest(runs int, f func()) (mallocs, bytes uint64) {
 // alone, and two measurements must agree exactly. The ceilings sit about
 // 15 % above the measured figures:
 //
-//	                 recycled   512-byte   shared         one image   one symbol   slab heap   before it (an Object and a
-//	                 heap       chunks     translations   (decoded    table                    Fields slice per `new`, a root
-//	                                                      once)                                slice per cycle boundary)
-//	jess compiled          29        436            437         983        1 062       1 155   15 099
-//	jess fused+satb        52        458            459         459          540         573   22 089
-//	jbb  compiled          48        152            153       1 019        1 126       1 217    4 792
-//	jbb  fused+satb        69        173            174         174          287         332   42 575
+//	                 pooled   recycled   512-byte   shared         one image   one symbol   slab heap   before it (an Object and a
+//	                 gray     heap       chunks     translations   (decoded    table                    Fields slice per `new`, a root
+//	                 stack                                         once)                                slice per cycle boundary)
+//	jess compiled        29         29        436            437         983        1 062       1 155   15 099
+//	jess fused+satb      39         52        458            459         459          540         573   22 089
+//	jbb  compiled        48         48        152            153       1 019        1 126       1 217    4 792
+//	jbb  fused+satb      59         69        173            174         174          287         332   42 575
 //
 // (the heap's layout became the program's symbol table, which vm.New no
 // longer wraps in an allocation of its own).
@@ -95,21 +95,24 @@ func warmest(runs int, f func()) (mallocs, bytes uint64) {
 // 1 152 B (allocated as 2 048 B and 1 280 B). A chunk of three parallel
 // arrays, state, shape and storage pointer, is 512 B and allocated as 512
 // B: 16 B an object where a chunk of Objects took 40. A recycled heap
-// allocates no chunk, block, oversize array or chunk list at all; what is
-// left is the VM's own state, frames and, under marking, the collector's
-// buffers.
+// allocates no chunk, block, oversize array or chunk list at all, and a
+// marker takes the gray stack the last finished run's marker released
+// (gc.Marker.Release); what is left is the VM's own state, frames and,
+// under marking, the collector's log buffers.
 //
-//	                 recycled   512-byte   shared         one-word slots   tagged 24-byte slots
-//	                 heap       chunks     translations
-//	jess compiled       3 488    396 018        568 042          600 317              1 319 229
-//	jess fused+satb    76 240    436 008        608 032          608 032              1 326 949
-//	jbb  compiled       6 936     77 546        122 082          176 253                300 709
-//	jbb  fused+satb    15 880     86 496        131 032          131 032                255 493
+//	                 pooled   recycled   512-byte   shared         one-word slots   tagged 24-byte slots
+//	                 gray     heap       chunks     translations
+//	                 stack
+//	jess compiled     3 488      3 488    396 018        568 042          600 317              1 319 229
+//	jess fused+satb  36 720     76 240    436 008        608 032          608 032              1 326 949
+//	jbb  compiled     6 936      6 936     77 546        122 082          176 253                300 709
+//	jbb  fused+satb   7 720     15 880     86 496        131 032          131 032                255 493
 //
 // Each figure is the warmest of ten runs. The race detector's sync.Pool
-// drops a quarter of what it is given at random, and a run whose heap
-// finds the pool empty allocates a heap's worth again; the fewest of ten
-// is a warm run's count all the same, and is gated there too.
+// drops a quarter of what it is given at random, and a run whose heap or
+// marker finds its pool empty allocates a heap's or a gray stack's worth
+// again; the fewest of ten is a warm run's count all the same, and is
+// gated there too.
 func TestRunAllocs(t *testing.T) {
 	runtime.GC() // the Go collector's first cycle allocates its workers
 	hot := vm.Config{Engine: vm.EngineCompiled, Barrier: satb.ModeConditional, GC: vm.GCNone}
@@ -122,9 +125,9 @@ func TestRunAllocs(t *testing.T) {
 		bytesMax uint64
 	}{
 		{"jess", "compiled", hot, 34, 4_000},
-		{"jess", "fused+satb", marking, 60, 87_700},
+		{"jess", "fused+satb", marking, 45, 42_300},
 		{"jbb", "compiled", hot, 55, 8_000},
-		{"jbb", "fused+satb", marking, 80, 18_300},
+		{"jbb", "fused+satb", marking, 68, 8_900},
 	} {
 		b := compileA(t, tc.workload)
 		cold := mallocsOnce(func() { vm.New(b.Program, tc.cfg) })

@@ -19,10 +19,10 @@ import (
 // superinstructions.
 //
 // The result is an image (dprogram): read-only, decoded once per verdict
-// table and projection and shared by every VM of them (imageOf). The compiled
-// tier's translations belong to it too, published once per method and
-// barrier shape (dmethod.compiled). What a run changes is the VM's own, by method or site
-// number (mstate, siteStats).
+// table and projection and shared by every VM of them (imageOf), whatever
+// its engine. The compiled tier's translations belong to it too, published
+// once per method (dmethod.compiled). What a run changes is the VM's own,
+// by method or site number (mstate, siteStats).
 //
 // Fusion never changes semantics: the per-pc plain instructions are kept
 // alongside each fused head, and the executor only takes the fused form
@@ -153,8 +153,12 @@ type siteRec struct {
 }
 
 // dmethod is one decoded method, part of an image and so read-only; num is
-// its method number, which indexes a VM's own state for it (mstate).
+// its method number, which indexes a VM's own state for it (mstate). src and
+// body are the method's bytecode and Body, all the switch interpreter reads
+// of it; the decoded engines read code and fused.
 type dmethod struct {
+	src      *bytecode.Method
+	body     *bytecode.Body
 	name     string // qualified "Class.Name"
 	pool     *bytecode.Pool
 	num      int32
@@ -172,10 +176,9 @@ type dmethod struct {
 
 	// compiled is the method's compiled-tier translation, made by the first
 	// VM of the image to tier the method up and installed by every later
-	// one (tierUp): [1] for a flavor that shades nothing, whose reference
-	// stores all compile raw, [0] for the others. The one field of an image
-	// written after decode, and only by compare-and-swap from nil.
-	compiled [2]atomic.Pointer[cmethod]
+	// one (tierUp), whatever the flavor. The one field of an image written
+	// after decode, and only by compare-and-swap from nil.
+	compiled atomic.Pointer[cmethod]
 }
 
 // mstate is what one VM changes about one method while it runs.
@@ -183,7 +186,7 @@ type mstate struct {
 	// pool recycles frames; steady-state call-heavy execution allocates
 	// nothing per invoke. recycled counts pool hits for the
 	// observability layer (plain counter: the VM is single-goroutine).
-	pool     []*fframe
+	pool     []*frame
 	recycled int64
 
 	// Compiled-tier state (EngineCompiled only; both are inert on the other
@@ -199,7 +202,7 @@ type mstate struct {
 const maxFramePool = 64
 
 // acquire returns a frame of m with zeroed locals and an empty stack.
-func (v *VM) acquire(m *dmethod) *fframe {
+func (v *VM) acquire(m *dmethod) *frame {
 	s := &v.ms[m.num]
 	if n := len(s.pool); n > 0 {
 		f := s.pool[n-1]
@@ -212,14 +215,22 @@ func (v *VM) acquire(m *dmethod) *fframe {
 		}
 		return f
 	}
-	return &fframe{m: m, locals: make([]value, m.numSlots), stack: make([]value, m.stackCap)}
+	return newFrame(m)
 }
 
 // release returns a frame to its method's pool.
-func (v *VM) release(f *fframe) {
+func (v *VM) release(f *frame) {
 	if s := &v.ms[f.m.num]; len(s.pool) < maxFramePool {
 		s.pool = append(s.pool, f)
 	}
+}
+
+// framesRecycled counts the frames acquire took from a pool this run.
+func (v *VM) framesRecycled() (n int64) {
+	for i := range v.ms {
+		n += v.ms[i].recycled
+	}
+	return n
 }
 
 // dprogram is a decoded program, an image: methods is indexed by method
@@ -304,6 +315,8 @@ func decodeProgram(p *bytecode.Program, vt *bytecode.Verdicts, pr projection) *d
 	d := &dprogram{methods: make([]*dmethod, len(syms.Methods)), entry: p.Main}
 	for i, m := range syms.Methods {
 		d.methods[i] = &dmethod{
+			src:      m,
+			body:     p.Body(i),
 			name:     m.QualifiedName(),
 			pool:     m.Pool,
 			num:      int32(i),
@@ -314,7 +327,7 @@ func decodeProgram(p *bytecode.Program, vt *bytecode.Verdicts, pr projection) *d
 		}
 	}
 	for i, dm := range d.methods {
-		d.decodeMethod(i, syms, p.Body(i), vt, dm, pr)
+		d.decodeMethod(i, syms, vt, dm, pr)
 	}
 	d.main = d.methods[syms.MethodNum(p.Main)]
 	return d
@@ -337,8 +350,8 @@ var operandless = [...]dop{
 // decodeMethod fills in dm.code and the operand tables from the method's
 // Body, which has checked every slot, branch target and operand, and
 // appends the method's sites, with their verdicts in vt, to d.sites.
-func (d *dprogram) decodeMethod(i int, syms *bytecode.Symbols, body *bytecode.Body, vt *bytecode.Verdicts, dm *dmethod, pr projection) {
-	m := syms.Methods[i]
+func (d *dprogram) decodeMethod(i int, syms *bytecode.Symbols, vt *bytecode.Verdicts, dm *dmethod, pr projection) {
+	m, body := dm.src, dm.body
 	dm.code = make([]dinstr, len(m.Code))
 	for pc := range m.Code {
 		in := &m.Code[pc]

@@ -353,16 +353,29 @@ func checkCell(t *testing.T, bd *pipeline.Build, c parityCell) {
 	}
 }
 
-// runEngine executes one build on one engine.
+// runEngine executes one build on one engine. The switch interpreter
+// shares the other engines' threads, frames and scheduler but must stay an
+// independent reference: it visits every quantum boundary and takes a
+// fresh frame per call, so a switch run skips no boundary and recycles no
+// frame.
 func runEngine(t *testing.T, bd *pipeline.Build, cfg vm.Config, eng vm.Engine) *vm.Result {
 	t.Helper()
 	cfg.Engine = eng
 	if eng == vm.EngineCompiled && cfg.TierThreshold == 0 {
 		cfg.TierThreshold = diffTierThreshold
 	}
-	res, err := bd.Run(cfg)
+	m := vm.New(bd.Program, cfg)
+	res, err := m.Run()
 	if err != nil {
 		t.Fatalf("engine %v: %v", eng, err)
+	}
+	if eng == vm.EngineSwitch {
+		if n := m.BoundariesSkipped(); n != 0 {
+			t.Errorf("switch run skipped %d quantum boundaries, want 0", n)
+		}
+		if n := m.FramesRecycled(); n != 0 {
+			t.Errorf("switch run recycled %d frames, want 0", n)
+		}
 	}
 	return res
 }

@@ -18,3 +18,10 @@ func NewWithHooks(p *bytecode.Program, cfg Config, h TestHooks) *VM {
 // StepsExecuted is the base-instruction count so far — after a failed run,
 // the step the failure surfaced at (a failed Run returns no Result).
 func (v *VM) StepsExecuted() int64 { return v.steps }
+
+// BoundariesSkipped is the number of quantum boundaries the run's turns did
+// not visit (VM.horizon).
+func (v *VM) BoundariesSkipped() int64 { return v.schedSkipped }
+
+// FramesRecycled is the number of frames the run took from a frame pool.
+func (v *VM) FramesRecycled() int64 { return v.framesRecycled() }

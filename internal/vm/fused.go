@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"satbelim/internal/heap"
-	"satbelim/internal/obs"
 	"satbelim/internal/satb"
 )
 
@@ -14,53 +13,14 @@ import (
 // step accounting, same thread rotation and collector steps at the same
 // instructions, same error strings and error pcs, same barrier/oracle call
 // order — so results are bit-identical. The wins are structural: operands
-// resolved at decode time, pooled frames, an explicit stack pointer instead
-// of slice reslicing, and superinstructions that collapse the hottest 2–4
-// instruction sequences into one dispatch.
-
-// fframe is a pooled activation record. stack is used with an explicit
-// stack pointer (sp) and grows on demand, so unverified programs with an
-// understated MaxStack behave like the baseline's append-based stack.
-type fframe struct {
-	m      *dmethod
-	pc     int32
-	sp     int32
-	locals []value
-	stack  []value
-}
-
-func (f *fframe) push(val value) {
-	if int(f.sp) == len(f.stack) {
-		f.stack = append(f.stack, value{})
-	}
-	f.stack[f.sp] = val
-	f.sp++
-}
-
-func (f *fframe) pop() value {
-	f.sp--
-	return f.stack[f.sp]
-}
-
-// fthread is one cooperative thread of the fused engine.
-type fthread struct {
-	id     int
-	frames []*fframe
-	done   bool
-	// span is the thread's observability lane span (inert when tracing
-	// is disabled).
-	span obs.Span
-}
-
-// ferrf builds a RuntimeError at the frame's current pc.
-func (v *VM) ferrf(f *fframe, format string, args ...any) error {
-	return &RuntimeError{Method: f.m.name, PC: int(f.pc), Line: int(f.m.code[f.pc].line), Msg: fmt.Sprintf(format, args...)}
-}
+// resolved at decode time, pooled frames, turns that skip the quantum
+// boundaries nothing observes (VM.horizon), and superinstructions that
+// collapse the hottest 2–4 instruction sequences into one dispatch.
 
 // refStoreBarrier runs the oracle check and the write barrier for one
 // reference store, identical in order and observable effect to the switch
 // interpreter's putfield/aastore tail.
-func (v *VM) refStoreBarrier(t *fthread, f *fframe, pc int, kind satb.SiteKind, site int32, pre, newR, target heap.Ref) error {
+func (v *VM) refStoreBarrier(t *thread, f *frame, pc int, kind satb.SiteKind, site int32, pre, newR, target heap.Ref) error {
 	rec := &v.dprog.sites[site]
 	if v.oracle != nil {
 		if err := v.oracle.checkStore(f.m.name, pc, int(f.m.code[pc].line), t.id, kind, rec.elide, pre, newR, target); err != nil {
@@ -83,43 +43,6 @@ func (v *VM) siteStatsOf(site int32) *satb.SiteStats {
 	return st
 }
 
-// horizonSteps caps a coalesced turn: with nothing to observe at any quantum
-// boundary a thread still returns to the scheduler — and RunContext's
-// cancellation is still polled — about every 2^16 base instructions, a
-// fraction of a millisecond.
-const horizonSteps = 1 << 16
-
-// horizon is the number of base instructions the next turn may run before
-// the first quantum boundary at which anything observable can happen; live
-// is the number of threads not yet done. It is a multiple of the quantum q,
-// and exactly q whenever every boundary matters:
-//
-//   - a second live thread is waiting for its rotation;
-//   - a marker is marking, or ForceMarkingAlways restarts one at every tick;
-//   - the allocation trigger is within reach. A base instruction allocates at
-//     most one object, so with room allocations left before the trigger no
-//     boundary before step room can start a cycle, and the turn may run
-//     room/q whole quanta.
-//
-// At every boundary the turn skips, gcTick would have done nothing and no
-// other thread would have run, so results are bit-identical to visiting it.
-func (v *VM) horizon(live int) int {
-	q := v.cfg.Quantum
-	if live > 1 {
-		return q
-	}
-	room := int64(horizonSteps)
-	if v.marker != nil {
-		if v.cfg.ForceMarkingAlways || v.marker.MarkingActive() {
-			return q
-		}
-		if trig := v.cfg.TriggerEveryAllocs; trig > 0 {
-			room = min(room, trig-v.allocSinceGC)
-		}
-	}
-	return max(q, int(room)/q*q)
-}
-
 // errSpawned is not a failure: stepFused returns it after a spawn has
 // executed in full, telling the turn body to cut its bound back with
 // spawnClamp. It rides on the error result so that the instructions that do
@@ -135,64 +58,13 @@ func (v *VM) spawnClamp(done int) int {
 	return (done + q - 1) / q * q
 }
 
-// runDecoded executes the program on a decoded engine: quantum is that
-// engine's per-turn body (runFusedQuantum or runTieredQuantum), the only
-// thing the two differ in. The loop shape is the switch engine's —
-// round-robin over live threads, collector tick after every turn — except
-// that a turn covers horizon() base instructions instead of one quantum, so
-// quantum boundaries nothing can observe are not visited.
-func (v *VM) runDecoded(quantum func(t *fthread, limit int) error) (*Result, error) {
-	v.fthreads = []*fthread{{frames: []*fframe{v.acquire(v.dprog.main)}, span: threadSpan(0)}}
-	if v.cfg.ForceMarkingAlways && v.marker != nil {
-		v.startCycle()
-	}
-
-	q := int64(v.cfg.Quantum)
-	for {
-		live := 0
-		for _, t := range v.fthreads {
-			if !t.done {
-				live++
-			}
-		}
-		if live == 0 {
-			break
-		}
-		for _, t := range v.fthreads {
-			if t.done {
-				continue
-			}
-			if err := v.cancelled(); err != nil {
-				return nil, err
-			}
-			limit, before, nthreads := v.horizon(live), v.steps, len(v.fthreads)
-			if err := quantum(t, limit); err != nil {
-				return nil, err
-			}
-			v.schedTurns++
-			if ran := v.steps - before; ran > q {
-				v.schedSkipped += (ran - 1) / q
-			}
-			live += len(v.fthreads) - nthreads
-			if t.done {
-				live--
-			}
-			v.gcTick()
-		}
-	}
-	if v.marker != nil && v.marker.MarkingActive() {
-		v.finishCycle()
-	}
-	return v.result(), nil
-}
-
 // runFusedQuantum executes up to limit base instructions on one thread
 // (limit is a multiple of Quantum, see horizon). A superinstruction covering
 // n base instructions executes only when all n fit in both the remaining
 // quantum and the remaining instruction budget; otherwise the plain per-pc
 // instructions run, so thread rotation and budget exhaustion happen at
 // exactly the same instruction as in the reference engine.
-func (v *VM) runFusedQuantum(t *fthread, limit int) error {
+func (v *VM) runFusedQuantum(t *thread, limit int) error {
 	for i := 0; i < limit; {
 		if len(t.frames) == 0 {
 			t.done = true
@@ -228,7 +100,7 @@ func (v *VM) runFusedQuantum(t *fthread, limit int) error {
 
 // stepFused executes one plain decoded instruction. It is the switch
 // interpreter's step() over the resolved form.
-func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
+func (v *VM) stepFused(t *thread, f *frame, in *dinstr) error {
 	v.steps++
 
 	switch in.op {
@@ -251,7 +123,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	case dDiv, dRem:
 		y, x := f.pop().I, f.pop().I
 		if y == 0 {
-			return v.ferrf(f, "division by zero")
+			return v.cerr(f, f.pc, 0, "division by zero")
 		}
 		if in.op == dDiv {
 			f.push(intVal(x / y))
@@ -351,7 +223,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	case dNewArrayRef, dNewArrayInt:
 		n := f.pop().I
 		if uint64(n) > maxArrayLen {
-			return v.ferrf(f, "%s", arraySizeFault(n))
+			return v.cerr(f, f.pc, 0, "%s", arraySizeFault(n))
 		}
 		r := v.heap.AllocArray(in.op == dNewArrayRef, n)
 		v.allocSinceGC++
@@ -401,7 +273,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 		f.sp = base
 		if !callee.static && nf.locals[0].R == heap.Null {
 			v.release(nf)
-			return v.ferrf(f, "null receiver calling %s", f.m.pool.At(cr.ref))
+			return v.cerr(f, f.pc, 0, "null receiver calling %s", f.m.pool.At(cr.ref))
 		}
 		f.pc++
 		t.frames = append(t.frames, nf)
@@ -409,7 +281,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	case dSpawn:
 		recv := f.pop()
 		if recv.R == heap.Null {
-			return v.ferrf(f, "null receiver in spawn")
+			return v.cerr(f, f.pc, 0, "null receiver in spawn")
 		}
 		nf := v.acquire(f.m.callees[in.a].m)
 		nf.locals[0] = recv
@@ -418,7 +290,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 			// the spawned thread.
 			v.oracle.escape(recv.R)
 		}
-		v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
+		v.spawn(nf)
 		f.pc++
 		return errSpawned
 	case dReturn:
@@ -436,7 +308,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 	case dPrint:
 		v.output = append(v.output, f.pop().I)
 	case dTrap:
-		return v.ferrf(f, "missing return value")
+		return v.cerr(f, f.pc, 0, "missing return value")
 	}
 	f.pc++
 	return nil
@@ -447,7 +319,7 @@ func (v *VM) stepFused(t *fthread, f *fframe, in *dinstr) error {
 // raise occurs at its final component, by which point the baseline would
 // have counted all n components too. Error paths first move f.pc to the
 // failing component so diagnostics match the reference engine exactly.
-func (v *VM) execFused(t *fthread, f *fframe, fi *finstr) error {
+func (v *VM) execFused(t *thread, f *frame, fi *finstr) error {
 	v.steps += int64(fi.n)
 	v.fusedExecs++
 

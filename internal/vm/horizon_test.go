@@ -69,11 +69,11 @@ func TestInstructionAllocatesAtMostOnce(t *testing.T) {
 			if v.tierEnabled() {
 				turn = v.runTieredQuantum
 			}
-			v.fthreads = []*fthread{{frames: []*fframe{v.acquire(v.dprog.main)}}}
+			v.threads = []*thread{{frames: []*frame{v.acquire(v.dprog.main)}}}
 			var allocs int64
 			for live := true; live; {
 				live = false
-				for _, th := range v.fthreads {
+				for _, th := range v.threads {
 					if th.done {
 						continue
 					}

@@ -19,13 +19,14 @@ import (
 // targets are resolved to segment indices.
 //
 // A translation is part of the image, not of the VM that made it. It is a
-// function of the image, the method and one bit of the flavor (whether it
-// shades nothing), and no translation function can reach a VM: the closures
-// take the running VM as an argument and read its heap, statics, counters
-// and logger from it. The first VM to tier a method up publishes the
-// translation in the dmethod; every later VM of the image installs it
-// without translating. When a VM tiers a method up is still its own
-// decision (mstate.hotness), so tier-up timing does not depend on other VMs.
+// function of the image and the method alone, so one serves every flavor
+// that shares the image, and no translation function can reach a VM: the
+// closures take the running VM as an argument and read its heap, statics,
+// spec, counters and logger from it. The first VM to tier a method up
+// publishes the translation in the dmethod; every later VM of the image
+// installs it without translating. When a VM tiers a method up is still its
+// own decision (mstate.hotness), so tier-up timing does not depend on other
+// VMs.
 //
 // Translation is a real compile, not a re-packaging of dispatch:
 //
@@ -94,19 +95,19 @@ const DefaultTierThreshold = 64
 // v.steps (the segment runner accounts steps in bulk). On error it must
 // leave v.opEntered equal to the number of base instructions entered
 // within it.
-type cop func(v *VM, t *fthread, f *fframe) error
+type cop func(v *VM, t *thread, f *frame) error
 
 // cval is a compiled value producer (a deferred expression). On error the
 // same opEntered contract as cop applies, relative to the thunk's own
 // first base instruction — composers add static offsets for operands
 // evaluated before it.
-type cval func(v *VM, t *fthread, f *fframe) (value, error)
+type cval func(v *VM, t *thread, f *frame) (value, error)
 
 // cterm is a segment terminator: it performs the control transfer,
 // updates f.pc, and returns the next segment index in the same method, or
 // one of the signals below when control left the method or the segment
 // failed.
-type cterm func(v *VM, t *fthread, f *fframe) (int32, error)
+type cterm func(v *VM, t *thread, f *frame) (int32, error)
 
 // cbarrier is a store site's compiled barrier: pre is the overwritten
 // reference, newR the stored one, target the object or array written.
@@ -175,13 +176,14 @@ func (cm *cmethod) entryAt(pc int32) (si, op, w int32) {
 	return cm.eSeg[pc], cm.eOp[pc], cm.eW[pc]
 }
 
-// cerr builds a runtime error at pc, recording how many base
-// instructions the failing compiled op (or terminator) had entered —
-// the opEntered charge protocol shared by cop, cval, and cterm.
-func (v *VM) cerr(f *fframe, pc, entered int32, format string, args ...any) error {
+// cerr builds a decoded engine's runtime error at pc, recording how many
+// base instructions the failing compiled op (or terminator) had entered —
+// the opEntered charge protocol shared by cop, cval, and cterm. Fused
+// dispatch counts its steps before it executes and passes f.pc and 0.
+func (v *VM) cerr(f *frame, pc, entered int32, format string, args ...any) error {
 	f.pc = pc
 	v.opEntered = entered
-	return v.ferrf(f, format, args...)
+	return &RuntimeError{Method: f.m.name, PC: int(pc), Line: int(f.m.code[pc].line), Msg: fmt.Sprintf(format, args...)}
 }
 
 // runTieredQuantum executes up to limit base instructions on one thread
@@ -190,7 +192,7 @@ func (v *VM) cerr(f *fframe, pc, entered int32, format string, args ...any) erro
 // everything else — cold methods, mid-segment resume points, turn tails,
 // budget tails, forced deopt — runs on the fused per-instruction path,
 // which is the reference behaviour instruction for instruction.
-func (v *VM) runTieredQuantum(t *fthread, limit int) error {
+func (v *VM) runTieredQuantum(t *thread, limit int) error {
 	for i := 0; i < limit; {
 		if len(t.frames) == 0 {
 			t.done = true
@@ -331,7 +333,7 @@ func (v *VM) runTieredQuantum(t *fthread, limit int) error {
 // boundary instead of reaching the terminator (the caller moves f.pc to
 // the boundary's pc). Used when the whole remainder would straddle a
 // quantum or budget boundary.
-func (v *VM) runSegPart(t *fthread, f *fframe, seg *cseg, k, k2, wbase, w2 int32) error {
+func (v *VM) runSegPart(t *thread, f *frame, seg *cseg, k, k2, wbase, w2 int32) error {
 	ops := seg.ops
 	for i := int(k); i < int(k2); i++ {
 		if err := ops[i](v, t, f); err != nil {
@@ -347,7 +349,7 @@ func (v *VM) runSegPart(t *fthread, f *fframe, seg *cseg, k, k2, wbase, w2 int32
 // back-edges (plain or at the head of a fused compare-and-branch) heat
 // the current method, calls heat the callee. Crossing the threshold
 // tiers the method up immediately, so a hot loop tiers up mid-method.
-func (v *VM) tierNote(f *fframe, in *dinstr) {
+func (v *VM) tierNote(f *frame, in *dinstr) {
 	switch in.op {
 	case dInvoke, dSpawn:
 		v.tierBump(f.m.callees[in.a].m)
@@ -377,18 +379,15 @@ func (v *VM) tierBump(dm *dmethod) {
 }
 
 // tierUp installs a hot method's compiled code: the translation the image
-// already holds for this flavor's barrier shape, or one this VM makes and
-// publishes there. Concurrent first translators may each translate; one
-// translation is kept and each VM runs its own, all equal (as imageOf
-// keeps images).
+// already holds, or one this VM makes and publishes there. Concurrent first
+// translators may each translate; one translation is kept and each VM runs
+// its own, all equal (as imageOf keeps images).
 func (v *VM) tierUp(dm *dmethod, s *mstate) {
-	noShade := !v.spec.ShadesPre && !v.spec.ShadesNew && !v.spec.Card
-	at := &dm.compiled[b2i(noShade)]
-	cm := at.Load()
+	cm := dm.compiled.Load()
 	translated := cm == nil
 	if translated {
-		cm = compileMethod(v.dprog, dm, noShade)
-		at.CompareAndSwap(nil, cm)
+		cm = compileMethod(v.dprog, dm)
+		dm.compiled.CompareAndSwap(nil, cm)
 	}
 	s.tier = cm
 	v.tierUps++
@@ -435,19 +434,18 @@ type thunk struct {
 
 // segBuilder accumulates one segment's compiled ops while simulating the
 // operand stack symbolically. It holds all translation may read — the
-// image d, the method dm and whether the flavor shades nothing — and no
-// VM, so what it builds can serve every VM of the image.
+// image d and the method dm — and no VM, so what it builds can serve every
+// VM of the image.
 type segBuilder struct {
-	d       *dprogram
-	dm      *dmethod
-	noShade bool
-	cm      *cmethod
-	si      int32
-	seg     *cseg
-	ops     []cop
-	wb      []int32
-	wAcc    int32
-	sym     []thunk
+	d    *dprogram
+	dm   *dmethod
+	cm   *cmethod
+	si   int32
+	seg  *cseg
+	ops  []cop
+	wb   []int32
+	wAcc int32
+	sym  []thunk
 }
 
 // entry records pc as a resumable entry point, provided nothing is deferred
@@ -509,7 +507,7 @@ func (sb *segBuilder) flush() {
 	if simple {
 		// Locals and constants push with no nested evaluation and no
 		// error paths (the common shape under a call's argument pushes).
-		sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
+		sb.appendOp(func(v *VM, t *thread, f *frame) error {
 			for i := range ths {
 				if ths[i].isLocal {
 					f.push(f.locals[ths[i].local])
@@ -523,7 +521,7 @@ func (sb *segBuilder) flush() {
 	}
 	if len(ths) == 1 {
 		th := ths[0]
-		sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
+		sb.appendOp(func(v *VM, t *thread, f *frame) error {
 			val, err := th.ev(v, t, f)
 			if err != nil {
 				return err
@@ -534,7 +532,7 @@ func (sb *segBuilder) flush() {
 		return
 	}
 	offs := prefixWeights(ths)
-	sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
+	sb.appendOp(func(v *VM, t *thread, f *frame) error {
 		for i := range ths {
 			val, err := ths[i].ev(v, t, f)
 			if err != nil {
@@ -606,9 +604,8 @@ func isTermOp(op dop) bool {
 }
 
 // compileMethod translates method dm of image d into its closure-threaded
-// form; noShade is whether the flavor shades nothing, which sends every
-// reference store down the raw path (compileBarrier).
-func compileMethod(d *dprogram, dm *dmethod, noShade bool) *cmethod {
+// form.
+func compileMethod(d *dprogram, dm *dmethod) *cmethod {
 	code := dm.code
 
 	// Pass 1: segment leaders — entry, branch targets, and every pc after
@@ -658,7 +655,7 @@ func compileMethod(d *dprogram, dm *dmethod, noShade bool) *cmethod {
 
 	cm.segs = make([]cseg, len(segBounds))
 	for i, b := range segBounds {
-		sb := &segBuilder{d: d, dm: dm, noShade: noShade, cm: cm, si: int32(i), seg: &cm.segs[i]}
+		sb := &segBuilder{d: d, dm: dm, cm: cm, si: int32(i), seg: &cm.segs[i]}
 		sb.compileSeg(segBounds, b.head, b.end, b.term)
 	}
 	return cm
@@ -757,7 +754,7 @@ func (sb *segBuilder) compileSeg(blocks []segBlock, head, end, termPC int) {
 			sb.flush()
 			next := cm.segOf[end]
 			endPC := int32(end)
-			seg.term = func(v *VM, t *fthread, f *fframe) (int32, error) {
+			seg.term = func(v *VM, t *thread, f *frame) (int32, error) {
 				f.pc = endPC
 				return next, nil
 			}
@@ -774,13 +771,13 @@ func (sb *segBuilder) compileSeg(blocks []segBlock, head, end, termPC int) {
 // This is the tier's reason to exist: a site whose (flavor-projected)
 // verdict is pre-null or null-or-same compiles to its instrumentation
 // counters and nothing else — no spec dispatch, no marking-phase check,
-// no logger — and under a flavor that shades nothing (no-barrier) every
-// site drops to the same raw path. The site verdicts were projected
-// through the flavor's soundness predicate at decode time, so a verdict
-// the flavor cannot honor never reaches the raw path. Kept and
-// rearrangement barriers route through the shared satb.BarrierSiteSpec
-// with the running VM's spec, counters and logger, so cost, logging,
-// shading, and card accounting stay bit-identical to the other engines.
+// no logger. The site verdicts were projected through the flavor's
+// soundness predicate at decode time, so a verdict the flavor cannot honor
+// never reaches the raw path. Kept and rearrangement barriers route
+// through the shared satb.BarrierSiteSpec with the running VM's spec,
+// counters and logger, so cost, logging, shading, and card accounting stay
+// bit-identical to the other engines; under a flavor that shades nothing
+// (no-barrier) it counts the store and returns.
 // Site statistics stay lazily resolved so never-executed sites leave no
 // trace, exactly like the fused engine. A store of a non-reference has no
 // site and no barrier: nil.
@@ -789,7 +786,7 @@ func (sb *segBuilder) compileBarrier(isRef bool, site int32) cbarrier {
 		return nil
 	}
 	elide := sb.d.sites[site].elide
-	if elide == satb.ElidePreNull || elide == satb.ElideNullOrSame || sb.noShade {
+	if elide == satb.ElidePreNull || elide == satb.ElideNullOrSame {
 		return func(v *VM, pre, newR, target heap.Ref) {
 			st := v.siteStatsOf(site)
 			st.Execs++
@@ -812,14 +809,14 @@ func (sb *segBuilder) compileBarrier(isRef bool, site int32) cbarrier {
 
 func constThunk(val value) thunk {
 	return thunk{
-		ev:      func(v *VM, t *fthread, f *fframe) (value, error) { return val, nil },
+		ev:      func(v *VM, t *thread, f *frame) (value, error) { return val, nil },
 		isConst: true, pure: true, cv: val,
 	}
 }
 
 func loadThunk(a int32) thunk {
 	return thunk{
-		ev:      func(v *VM, t *fthread, f *fframe) (value, error) { return f.locals[a], nil },
+		ev:      func(v *VM, t *thread, f *frame) (value, error) { return f.locals[a], nil },
 		w:       1,
 		pure:    true,
 		isLocal: true, local: a,
@@ -829,7 +826,7 @@ func loadThunk(a int32) thunk {
 // getStaticThunk reads the static in storage slot of the running VM's heap.
 func getStaticThunk(slot int32, isRef bool) thunk {
 	return thunk{
-		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *thread, f *frame) (value, error) {
 			return load(*v.heap.Static(int(slot)), isRef), nil
 		},
 		w: 1, pure: true,
@@ -841,7 +838,7 @@ func getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk {
 	if obj.isLocal {
 		a := obj.local
 		return thunk{
-			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *thread, f *frame) (value, error) {
 				objv := f.locals[a]
 				p := v.heap.FieldSlot(objv.R, fr.idx)
 				if p == nil {
@@ -853,7 +850,7 @@ func getFieldThunk(obj thunk, fr *fieldRec, isRef bool, pc int32) thunk {
 		}
 	}
 	return thunk{
-		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *thread, f *frame) (value, error) {
 			objv, err := obj.ev(v, t, f)
 			if err != nil {
 				return objv, err
@@ -875,7 +872,7 @@ func aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 		ai := arr.local
 		ii, ic, idxLocal := idx.local, idx.cv.I, idx.isLocal
 		return thunk{
-			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *thread, f *frame) (value, error) {
 				arrv := f.locals[ai]
 				i := ic
 				if idxLocal {
@@ -891,7 +888,7 @@ func aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 		}
 	}
 	return thunk{
-		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *thread, f *frame) (value, error) {
 			arrv, err := arr.ev(v, t, f)
 			if err != nil {
 				return arrv, err
@@ -914,7 +911,7 @@ func aaloadThunk(arr, idx thunk, isRef bool, pc int32) thunk {
 func arrayLengthThunk(arr thunk, pc int32) thunk {
 	w := arr.w + 1
 	return thunk{
-		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *thread, f *frame) (value, error) {
 			arrv, err := arr.ev(v, t, f)
 			if err != nil {
 				return arrv, err
@@ -931,7 +928,7 @@ func arrayLengthThunk(arr thunk, pc int32) thunk {
 
 func newInstanceThunk(cls *bytecode.ClassSym) thunk {
 	return thunk{
-		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *thread, f *frame) (value, error) {
 			r := v.heap.AllocObject(cls)
 			v.allocSinceGC++
 			return refVal(r), nil
@@ -943,7 +940,7 @@ func newInstanceThunk(cls *bytecode.ClassSym) thunk {
 func newArrayThunk(n thunk, isRef bool, pc int32) thunk {
 	w := n.w + 1
 	return thunk{
-		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *thread, f *frame) (value, error) {
 			nv, err := n.ev(v, t, f)
 			if err != nil {
 				return nv, err
@@ -964,28 +961,28 @@ func newArrayThunk(n thunk, isRef bool, pc int32) thunk {
 func arithThunk(op dop, a, b thunk, pc int32) thunk {
 	w := a.w + b.w + 1
 	aw := a.w
-	var eval2 func(v *VM, t *fthread, f *fframe) (int64, int64, error)
+	var eval2 func(v *VM, t *thread, f *frame) (int64, int64, error)
 	switch {
 	case a.isLocal && b.isLocal:
 		ai, bi := a.local, b.local
-		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *thread, f *frame) (int64, int64, error) {
 			return f.locals[ai].I, f.locals[bi].I, nil
 		}
 	case a.isLocal && b.isConst:
 		ai, bc := a.local, b.cv.I
-		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *thread, f *frame) (int64, int64, error) {
 			return f.locals[ai].I, bc, nil
 		}
 	case a.isConst && b.isLocal:
 		ac, bi := a.cv.I, b.local
-		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *thread, f *frame) (int64, int64, error) {
 			return ac, f.locals[bi].I, nil
 		}
 	case a.isLocal:
 		// A local is a pure read: deferring it past b's evaluation is
 		// unobservable, and an error in b still charges a's weight.
 		ai, evB := a.local, b.ev
-		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *thread, f *frame) (int64, int64, error) {
 			bv, err := evB(v, t, f)
 			if err != nil {
 				v.opEntered += aw
@@ -995,19 +992,19 @@ func arithThunk(op dop, a, b thunk, pc int32) thunk {
 		}
 	case b.isConst:
 		evA, bc := a.ev, b.cv.I
-		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *thread, f *frame) (int64, int64, error) {
 			av, err := evA(v, t, f)
 			return av.I, bc, err
 		}
 	case b.isLocal:
 		evA, bi := a.ev, b.local
-		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *thread, f *frame) (int64, int64, error) {
 			av, err := evA(v, t, f)
 			return av.I, f.locals[bi].I, err
 		}
 	default:
 		evA, evB := a.ev, b.ev
-		eval2 = func(v *VM, t *fthread, f *fframe) (int64, int64, error) {
+		eval2 = func(v *VM, t *thread, f *frame) (int64, int64, error) {
 			av, err := evA(v, t, f)
 			if err != nil {
 				return 0, 0, err
@@ -1024,34 +1021,34 @@ func arithThunk(op dop, a, b thunk, pc int32) thunk {
 	canFail := a.canFail || b.canFail
 	switch op {
 	case dAdd:
-		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev = func(v *VM, t *thread, f *frame) (value, error) {
 			x, y, err := eval2(v, t, f)
 			return intVal(x + y), err
 		}
 	case dSub:
-		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev = func(v *VM, t *thread, f *frame) (value, error) {
 			x, y, err := eval2(v, t, f)
 			return intVal(x - y), err
 		}
 	case dMul:
-		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev = func(v *VM, t *thread, f *frame) (value, error) {
 			x, y, err := eval2(v, t, f)
 			return intVal(x * y), err
 		}
 	case dAnd:
-		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev = func(v *VM, t *thread, f *frame) (value, error) {
 			x, y, err := eval2(v, t, f)
 			return intVal(x & y), err
 		}
 	case dOr:
-		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev = func(v *VM, t *thread, f *frame) (value, error) {
 			x, y, err := eval2(v, t, f)
 			return intVal(x | y), err
 		}
 	case dDiv, dRem:
 		canFail = true
 		isDiv := op == dDiv
-		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev = func(v *VM, t *thread, f *frame) (value, error) {
 			x, y, err := eval2(v, t, f)
 			if err != nil {
 				return value{}, err
@@ -1066,7 +1063,7 @@ func arithThunk(op dop, a, b thunk, pc int32) thunk {
 		}
 	default: // comparisons
 		cmp := op
-		ev = func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev = func(v *VM, t *thread, f *frame) (value, error) {
 			x, y, err := eval2(v, t, f)
 			return intVal(b2i(intCmp(cmp, x, y))), err
 		}
@@ -1078,7 +1075,7 @@ func refCmpThunk(eq bool, a, b thunk) thunk {
 	if a.isLocal && b.isLocal {
 		ai, bi := a.local, b.local
 		return thunk{
-			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *thread, f *frame) (value, error) {
 				return intVal(b2i((f.locals[ai].R == f.locals[bi].R) == eq)), nil
 			},
 			w: a.w + b.w + 1, pure: true,
@@ -1086,7 +1083,7 @@ func refCmpThunk(eq bool, a, b thunk) thunk {
 	}
 	aw := a.w
 	return thunk{
-		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *thread, f *frame) (value, error) {
 			av, err := a.ev(v, t, f)
 			if err != nil {
 				return av, err
@@ -1104,7 +1101,7 @@ func refCmpThunk(eq bool, a, b thunk) thunk {
 
 func unaryThunk(op dop, x thunk) thunk {
 	return thunk{
-		ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+		ev: func(v *VM, t *thread, f *frame) (value, error) {
 			xv, err := x.ev(v, t, f)
 			if err != nil {
 				return xv, err
@@ -1137,11 +1134,11 @@ var stackOperands = [...][]thunk{
 }
 
 func stackPeek(depth int32) thunk {
-	return thunk{ev: func(v *VM, t *fthread, f *fframe) (value, error) { return f.stack[f.sp-depth], nil }}
+	return thunk{ev: func(v *VM, t *thread, f *frame) (value, error) { return f.stack[f.sp-depth], nil }}
 }
 
 func stackPop(k int32) thunk {
-	return thunk{ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+	return thunk{ev: func(v *VM, t *thread, f *frame) (value, error) {
 		f.sp -= k
 		return f.stack[f.sp+k-1], nil
 	}}
@@ -1178,12 +1175,12 @@ func (sb *segBuilder) termOperand(pc int) thunk {
 func storeOp(a int32, val thunk) cop {
 	if val.isLocal {
 		b := val.local
-		return func(v *VM, t *fthread, f *fframe) error {
+		return func(v *VM, t *thread, f *frame) error {
 			f.locals[a] = f.locals[b]
 			return nil
 		}
 	}
-	return func(v *VM, t *fthread, f *fframe) error {
+	return func(v *VM, t *thread, f *frame) error {
 		valv, err := val.ev(v, t, f)
 		if err != nil {
 			return err
@@ -1194,7 +1191,7 @@ func storeOp(a int32, val thunk) cop {
 }
 
 func printOp(val thunk) cop {
-	return func(v *VM, t *fthread, f *fframe) error {
+	return func(v *VM, t *thread, f *frame) error {
 		valv, err := val.ev(v, t, f)
 		if err != nil {
 			return err
@@ -1207,7 +1204,7 @@ func printOp(val thunk) cop {
 // discardOp evaluates a fallible/impure deferred thunk for its effects
 // (dPop of something that can fail must still fail there).
 func discardOp(val thunk) cop {
-	return func(v *VM, t *fthread, f *fframe) error {
+	return func(v *VM, t *thread, f *frame) error {
 		_, err := val.ev(v, t, f)
 		return err
 	}
@@ -1219,7 +1216,7 @@ func putFieldOp(obj, val thunk, fr *fieldRec, barrier cbarrier, pc int32) cop {
 	if obj.isLocal && (val.isLocal || val.isConst) {
 		oi := obj.local
 		vi, vc, valLocal := val.local, val.cv, val.isLocal
-		return func(v *VM, t *fthread, f *fframe) error {
+		return func(v *VM, t *thread, f *frame) error {
 			objv := f.locals[oi]
 			valv := vc
 			if valLocal {
@@ -1236,7 +1233,7 @@ func putFieldOp(obj, val thunk, fr *fieldRec, barrier cbarrier, pc int32) cop {
 	if obj.isLocal {
 		oi := obj.local
 		evV := val.ev
-		return func(v *VM, t *fthread, f *fframe) error {
+		return func(v *VM, t *thread, f *frame) error {
 			valv, err := evV(v, t, f)
 			if err != nil {
 				v.opEntered += ow
@@ -1251,7 +1248,7 @@ func putFieldOp(obj, val thunk, fr *fieldRec, barrier cbarrier, pc int32) cop {
 			return nil
 		}
 	}
-	return func(v *VM, t *fthread, f *fframe) error {
+	return func(v *VM, t *thread, f *frame) error {
 		objv, err := obj.ev(v, t, f)
 		if err != nil {
 			return err
@@ -1286,7 +1283,7 @@ func put(v *VM, p *heap.Value, x value, barrier cbarrier, target heap.Ref) {
 // through the VM's static barrier when the static holds a reference.
 func putStaticOp(slot int32, isRef bool, val thunk) cop {
 	if !isRef {
-		return func(v *VM, t *fthread, f *fframe) error {
+		return func(v *VM, t *thread, f *frame) error {
 			valv, err := val.ev(v, t, f)
 			if err != nil {
 				return err
@@ -1295,7 +1292,7 @@ func putStaticOp(slot int32, isRef bool, val thunk) cop {
 			return nil
 		}
 	}
-	return func(v *VM, t *fthread, f *fframe) error {
+	return func(v *VM, t *thread, f *frame) error {
 		valv, err := val.ev(v, t, f)
 		if err != nil {
 			return err
@@ -1311,7 +1308,7 @@ func putStaticOp(slot int32, isRef bool, val thunk) cop {
 func arrayStoreOp(arr, idx, val thunk, barrier cbarrier, pc int32) cop {
 	w := arr.w + idx.w + val.w + 1
 	aw, iw := arr.w, idx.w
-	return func(v *VM, t *fthread, f *fframe) error {
+	return func(v *VM, t *thread, f *frame) error {
 		arrv, err := arr.ev(v, t, f)
 		if err != nil {
 			return err
@@ -1386,7 +1383,7 @@ func (sb *segBuilder) addPlain(pc int) {
 			sb.charge(1)
 		} else {
 			sb.flush()
-			sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
+			sb.appendOp(func(v *VM, t *thread, f *frame) error {
 				f.push(f.stack[f.sp-1])
 				return nil
 			}, 1)
@@ -1401,7 +1398,7 @@ func (sb *segBuilder) addPlain(pc int) {
 				sb.emit(discardOp(th), th.w+1)
 			}
 		} else {
-			sb.appendOp(func(v *VM, t *fthread, f *fframe) error {
+			sb.appendOp(func(v *VM, t *thread, f *frame) error {
 				f.sp--
 				return nil
 			}, 1)
@@ -1429,7 +1426,7 @@ func (sb *segBuilder) addPlain(pc int) {
 		// Terminator ops never reach addPlain (compileSeg routes them to
 		// the terminator builders); an unknown op would be a decode bug —
 		// fail loudly at the instruction, like the reference engine.
-		sb.emit(func(v *VM, t *fthread, f *fframe) error {
+		sb.emit(func(v *VM, t *thread, f *frame) error {
 			return v.cerr(f, pcc, 1, "compiled tier: unexpected opcode at pc %d", pcc)
 		}, 1)
 	}
@@ -1460,7 +1457,7 @@ func (sb *segBuilder) addFused(fi *finstr, pc int) bool {
 	case fLLArith:
 		a, b, aop := fi.a, fi.b, dop(fi.c)
 		sb.push(thunk{
-			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *thread, f *frame) (value, error) {
 				return intVal(arith(aop, f.locals[a].I, f.locals[b].I)), nil
 			},
 			w: n, pure: true,
@@ -1468,7 +1465,7 @@ func (sb *segBuilder) addFused(fi *finstr, pc int) bool {
 	case fLCArith:
 		a, aop, imm := fi.a, dop(fi.c), fi.imm
 		sb.push(thunk{
-			ev: func(v *VM, t *fthread, f *fframe) (value, error) {
+			ev: func(v *VM, t *thread, f *frame) (value, error) {
 				return intVal(arith(aop, f.locals[a].I, imm)), nil
 			},
 			w: n, pure: true,
@@ -1476,13 +1473,13 @@ func (sb *segBuilder) addFused(fi *finstr, pc int) bool {
 
 	case fIncLocal:
 		src, dst, aop, imm := fi.a, fi.b, dop(fi.c), fi.imm
-		sb.emit(func(v *VM, t *fthread, f *fframe) error {
+		sb.emit(func(v *VM, t *thread, f *frame) error {
 			f.locals[dst] = intVal(arith(aop, f.locals[src].I, imm))
 			return nil
 		}, n)
 	case fConstStore:
 		dst, imm := fi.b, fi.imm
-		sb.emit(func(v *VM, t *fthread, f *fframe) error {
+		sb.emit(func(v *VM, t *thread, f *frame) error {
 			f.locals[dst] = intVal(imm)
 			return nil
 		}, n)
@@ -1492,7 +1489,7 @@ func (sb *segBuilder) addFused(fi *finstr, pc int) bool {
 	case fLLLAAStore, fLLLIAStore:
 		a, b, c := fi.a, fi.b, fi.c
 		barrier := sb.compileBarrier(fi.op == fLLLAAStore, fi.site)
-		sb.emit(func(v *VM, t *fthread, f *fframe) error {
+		sb.emit(func(v *VM, t *thread, f *frame) error {
 			arr := f.locals[a]
 			idx := f.locals[b].I
 			val := f.locals[c]
@@ -1525,7 +1522,7 @@ func compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
 	a := fi.a
 	if fi.op == fLLCmpBr {
 		b := fi.b
-		return func(v *VM, t *fthread, f *fframe) (int32, error) {
+		return func(v *VM, t *thread, f *frame) (int32, error) {
 			if intCmp(cmp, f.locals[a].I, f.locals[b].I) == wantTrue {
 				f.pc = target
 				return tsi, nil
@@ -1535,7 +1532,7 @@ func compileFusedBranch(cm *cmethod, fi *finstr, pc int) cterm {
 		}
 	}
 	imm := fi.imm
-	return func(v *VM, t *fthread, f *fframe) (int32, error) {
+	return func(v *VM, t *thread, f *frame) (int32, error) {
 		if intCmp(cmp, f.locals[a].I, imm) == wantTrue {
 			f.pc = target
 			return tsi, nil
@@ -1576,7 +1573,7 @@ func (sb *segBuilder) compileInvoke(pc int32) (cterm, int32) {
 	for i := range ths {
 		w += ths[i].w
 	}
-	return func(v *VM, t *fthread, f *fframe) (int32, error) {
+	return func(v *VM, t *thread, f *frame) (int32, error) {
 		callee := cr.m
 		// Calls made from compiled code still heat their callee, so a
 		// method whose only callers are compiled can itself tier up.
@@ -1618,7 +1615,7 @@ func (sb *segBuilder) compileTerm(pc int) (cterm, int32) {
 		target := in.a
 		tsi := sb.cm.segOf[in.a]
 		fsi := sb.cm.segOf[pc+1]
-		return func(v *VM, t *fthread, f *fframe) (int32, error) {
+		return func(v *VM, t *thread, f *frame) (int32, error) {
 			cond, err := th.ev(v, t, f)
 			if err != nil {
 				return termToDriver, err
@@ -1643,7 +1640,7 @@ func (sb *segBuilder) compileTerm(pc int) (cterm, int32) {
 		}, th.w + 1
 	case dReturnValue:
 		th := sb.termOperand(pc)
-		return func(v *VM, t *fthread, f *fframe) (int32, error) {
+		return func(v *VM, t *thread, f *frame) (int32, error) {
 			rv, err := th.ev(v, t, f)
 			if err != nil {
 				return termToDriver, err
@@ -1659,7 +1656,7 @@ func (sb *segBuilder) compileTerm(pc int) (cterm, int32) {
 		th := sb.termOperand(pc)
 		w := th.w + 1
 		cr := &sb.dm.callees[in.a]
-		return func(v *VM, t *fthread, f *fframe) (int32, error) {
+		return func(v *VM, t *thread, f *frame) (int32, error) {
 			recv, err := th.ev(v, t, f)
 			if err != nil {
 				return termToDriver, err
@@ -1669,7 +1666,7 @@ func (sb *segBuilder) compileTerm(pc int) (cterm, int32) {
 			}
 			nf := v.acquire(cr.m)
 			nf.locals[0] = recv
-			v.fthreads = append(v.fthreads, &fthread{id: len(v.fthreads), frames: []*fframe{nf}, span: threadSpan(len(v.fthreads))})
+			v.spawn(nf)
 			f.pc = pcc + 1
 			return termSpawned, nil
 		}, w
@@ -1686,18 +1683,18 @@ func (sb *segBuilder) compileTerm(pc int) (cterm, int32) {
 	case dGoto:
 		target := in.a
 		tsi := sb.cm.segOf[in.a]
-		term = func(v *VM, t *fthread, f *fframe) (int32, error) {
+		term = func(v *VM, t *thread, f *frame) (int32, error) {
 			f.pc = target
 			return tsi, nil
 		}
 	case dReturn:
-		term = func(v *VM, t *fthread, f *fframe) (int32, error) {
+		term = func(v *VM, t *thread, f *frame) (int32, error) {
 			t.frames = t.frames[:len(t.frames)-1]
 			v.release(f)
 			return termSwitchFrame, nil
 		}
 	default: // dTrap
-		term = func(v *VM, t *fthread, f *fframe) (int32, error) {
+		term = func(v *VM, t *thread, f *frame) (int32, error) {
 			return termToDriver, v.cerr(f, pcc, 1, "missing return value")
 		}
 	}

@@ -1,9 +1,9 @@
 package vm
 
-// The compiled tier's translations are part of the image: one per method,
-// image and barrier shape, made by the first VM that tiers the method up
-// and installed by every later one. These tests pin what that sharing must
-// not change — each flavor still runs its own barrier shape, each VM still
+// The compiled tier's translations are part of the image: one per method
+// and image, made by the first VM that tiers the method up and installed by
+// every later one, whatever its flavor. These tests pin what that sharing
+// must not change — each flavor still runs its own barriers, each VM still
 // reads and writes its own heap — and that a translation holds no VM.
 
 import (
@@ -17,12 +17,13 @@ import (
 	"satbelim/internal/satb"
 )
 
-// TestTranslationsAreKeyedByFlavor: no-barrier shares the every-verdict
-// image with conditional but compiles every reference store raw, so a
-// translation made under one must never run under the other. On a fresh
-// program, in either order of first tier-up, each flavor's compiled run has
-// the switch interpreter's counters for that flavor.
-func TestTranslationsAreKeyedByFlavor(t *testing.T) {
+// TestTranslationsServeEveryFlavorOfTheirImage: no-barrier shares the
+// every-verdict image with conditional, and so its translations: a kept
+// store compiles to the running VM's barrier, which logs under conditional
+// and only counts under no-barrier. On a fresh program, in either order of
+// first tier-up, each flavor's compiled run has the switch interpreter's
+// counters for that flavor.
+func TestTranslationsServeEveryFlavorOfTheirImage(t *testing.T) {
 	for _, order := range [][2]satb.BarrierMode{
 		{satb.ModeNoBarrier, satb.ModeConditional},
 		{satb.ModeConditional, satb.ModeNoBarrier},
@@ -127,7 +128,7 @@ func TestTranslationsPinNoVM(t *testing.T) {
 		select {
 		case <-collected:
 			main := New(p, Config{}).dprog.main
-			if main.compiled[0].Load() == nil && main.compiled[1].Load() == nil {
+			if main.compiled.Load() == nil {
 				t.Error("the image no longer holds main's translation")
 			}
 			return

@@ -56,7 +56,11 @@ const (
 	// program that is not runnable fails on every engine alike (see New).
 	EngineFused Engine = iota
 	// EngineSwitch is the reference interpreter: a giant switch over the
-	// raw bytecode, kept as the differential-testing baseline.
+	// raw bytecode, kept as the differential-testing baseline. It runs on
+	// the same threads, frames, scheduler and root walk as the other
+	// engines, and keeps only its instruction semantics to itself: it reads
+	// no decoded instruction, projects each verdict at every store, takes
+	// a fresh frame per call and visits every quantum boundary.
 	EngineSwitch
 	// EngineCompiled is the tiered execution engine: methods start on
 	// fused dispatch and, once their exec counter (entries + loop
@@ -226,24 +230,6 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("runtime error at %s pc %d (line %d): %s", e.Method, e.PC, e.Line, e.Msg)
 }
 
-type frame struct {
-	m      *bytecode.Method
-	num    int32 // m's method number
-	body   *bytecode.Body
-	pc     int
-	locals []value
-	stack  []value
-}
-
-type thread struct {
-	id     int
-	frames []*frame
-	done   bool
-	// span is the thread's observability lane span (inert when tracing
-	// is disabled).
-	span obs.Span
-}
-
 // VM is one interpreter instance.
 type VM struct {
 	prog *bytecode.Program
@@ -255,7 +241,6 @@ type VM struct {
 	counters *satb.Counters
 	marker   gc.Marker
 	noplog   satb.NopLogger
-	threads  []*thread
 	output   []int64
 	oracle   *oracle
 	// err is why the program is not runnable, which Run reports before any
@@ -273,15 +258,16 @@ type VM struct {
 	// it runs, whatever a re-analysis installs meanwhile.
 	verdicts *bytecode.Verdicts
 
-	// dprog is the program's image under proj (nil on the switch engine).
-	// ms is this VM's state per method number; siteStats its counters per
-	// site number, created on a site's first execution so that a
-	// never-executed site leaves no trace (as in the reference engine).
-	// fthreads are the decoded engines' threads.
+	// dprog is the program's image under proj, which every engine runs on.
+	// ms is this VM's state per method number; siteStats the decoded
+	// engines' counters per site number, created on a site's first
+	// execution so that a never-executed site leaves no trace (as in the
+	// switch interpreter, which keys its sites by satb.SiteKey). threads
+	// are the run's threads.
 	dprog     *dprogram
 	ms        []mstate
 	siteStats []*satb.SiteStats
-	fthreads  []*fthread
+	threads   []*thread
 
 	steps          int64
 	maxSteps       int64
@@ -298,10 +284,10 @@ type VM struct {
 	fusedExecs int64
 	cycleSpan  obs.Span
 
-	// schedTurns counts the turns the decoded engines' scheduler granted;
-	// schedSkipped counts the quantum boundaries inside those turns that
-	// were not visited because nothing could observe them (see horizon).
-	// Published to the observability registry only.
+	// schedTurns counts the turns the scheduler granted; schedSkipped
+	// counts the quantum boundaries inside those turns that were not
+	// visited because nothing could observe them (see horizon; always 0 on
+	// the switch interpreter). Published to the observability registry only.
 	schedTurns   int64
 	schedSkipped int64
 
@@ -345,6 +331,7 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 	}
 	v := &VM{
 		prog:          p,
+		syms:          p.Symbols(),
 		cfg:           cfg,
 		hooks:         h,
 		heap:          heap.New(heap.NewLayout(p)),
@@ -368,10 +355,7 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 	if cfg.CheckElisions {
 		v.oracle = newOracle(v.heap, v.spec)
 	}
-	if cfg.Engine == EngineSwitch {
-		v.syms = p.Symbols()
-		v.err = runnable(p)
-	} else if d := imageOf(p, v.verdicts, v.proj); d.err != nil {
+	if d := imageOf(p, v.verdicts, v.proj); d.err != nil {
 		v.err = d.err
 	} else {
 		v.dprog = d
@@ -384,8 +368,8 @@ func newVM(p *bytecode.Program, cfg Config, h hooks) *VM {
 // runnable is the one definition of a program the VM runs: its bodies all
 // pass the structural check and its Main names a static method with no
 // parameters (bytecode.Program.Validate). Every engine reports the same
-// error for any other program, before it runs an instruction: the switch
-// interpreter checks once per VM, the decoded engines once per image.
+// error for any other program, before it runs an instruction: the check is
+// made once per image (decodeProgram), which every engine runs on.
 func runnable(p *bytecode.Program) error {
 	if p.Main == (bytecode.MethodRef{}) {
 		return errors.New("vm: program has no main method")
@@ -426,7 +410,8 @@ func (v *VM) RunContext(ctx context.Context) (*Result, error) {
 
 // Run executes main to completion (all threads). The run ends the heap's
 // life: its memory goes to the next VM's heap (heap.Release), and only the
-// statics stay readable.
+// statics stay readable. The marker's gray stack goes to the next VM's
+// marker (gc.Marker.Release).
 func (v *VM) Run() (*Result, error) {
 	sp := obs.StartSpan("vm", "vm", "run")
 	res, err := v.run()
@@ -437,6 +422,9 @@ func (v *VM) Run() (*Result, error) {
 		v.publishObs(err == nil)
 	}
 	v.heap.Release()
+	if v.marker != nil {
+		v.marker.Release()
+	}
 	return res, err
 }
 
@@ -444,12 +432,12 @@ func (v *VM) run() (*Result, error) {
 	switch {
 	case v.err != nil:
 		return nil, v.err
-	case v.dprog == nil:
-		return v.runSwitch()
+	case v.cfg.Engine == EngineSwitch:
+		return v.runTurns(v.runSwitchQuantum)
 	case v.tierEnabled():
-		return v.runDecoded(v.runTieredQuantum)
+		return v.runTurns(v.runTieredQuantum)
 	}
-	return v.runDecoded(v.runFusedQuantum)
+	return v.runTurns(v.runFusedQuantum)
 }
 
 // tierEnabled reports whether this run may tier methods up to compiled
@@ -482,15 +470,9 @@ func (v *VM) publishObs(ok bool) {
 	if !ok {
 		obs.Count("vm.failed_runs", 1)
 	}
-	if v.dprog != nil {
-		recycles := int64(0)
-		for i := range v.ms {
-			recycles += v.ms[i].recycled
-		}
-		obs.Count("vm.frame_pool.recycles", recycles)
-		obs.Count("vm.sched.turns", v.schedTurns)
-		obs.Count("vm.sched.boundaries_skipped", v.schedSkipped)
-	}
+	obs.Count("vm.frame_pool.recycles", v.framesRecycled())
+	obs.Count("vm.sched.turns", v.schedTurns)
+	obs.Count("vm.sched.boundaries_skipped", v.schedSkipped)
 	if v.oracle != nil {
 		obs.Count("vm.oracle.checks", v.oracle.checks)
 	}
@@ -535,44 +517,6 @@ func threadSpan(id int) obs.Span {
 	return obs.StartSpan(fmt.Sprintf("vm/thread%d", id), "vm", "thread")
 }
 
-// runSwitch executes the program on the reference switch interpreter.
-func (v *VM) runSwitch() (*Result, error) {
-	main := v.newFrame(int32(v.syms.MethodNum(v.prog.Main)))
-	v.threads = []*thread{{frames: []*frame{main}, span: threadSpan(0)}}
-	if v.cfg.ForceMarkingAlways && v.marker != nil {
-		v.startCycle()
-	}
-
-	for {
-		live := 0
-		for _, t := range v.threads {
-			if !t.done {
-				live++
-			}
-		}
-		if live == 0 {
-			break
-		}
-		for _, t := range v.threads {
-			if t.done {
-				continue
-			}
-			if err := v.cancelled(); err != nil {
-				return nil, err
-			}
-			if err := v.runQuantum(t); err != nil {
-				return nil, err
-			}
-			v.gcTick()
-		}
-	}
-	// Wind down any active cycle.
-	if v.marker != nil && v.marker.MarkingActive() {
-		v.finishCycle()
-	}
-	return v.result(), nil
-}
-
 // result assembles the Result shared by all three engines.
 func (v *VM) result() *Result {
 	res := &Result{
@@ -595,34 +539,147 @@ func (v *VM) result() *Result {
 	return res
 }
 
-// newFrame returns a frame of method number n for the switch interpreter.
-func (v *VM) newFrame(n int32) *frame {
-	m := v.syms.Methods[n]
-	return &frame{m: m, num: n, body: v.prog.Body(int(n)), locals: make([]value, m.NumSlots()), stack: make([]value, 0, m.MaxStack+4)}
+// frame is an activation record of every engine. stack is used with an
+// explicit stack pointer (sp) and grows on demand, so unverified programs
+// with an understated MaxStack run as with an append-based stack.
+type frame struct {
+	m      *dmethod
+	pc     int32
+	sp     int32
+	locals []value
+	stack  []value
+}
+
+func (f *frame) push(val value) {
+	if int(f.sp) == len(f.stack) {
+		f.stack = append(f.stack, value{})
+	}
+	f.stack[f.sp] = val
+	f.sp++
+}
+
+func (f *frame) pop() value {
+	f.sp--
+	return f.stack[f.sp]
+}
+
+// newFrame returns a new frame of m: the switch interpreter takes one per
+// call, the decoded engines one when m's frame pool is empty (acquire).
+func newFrame(m *dmethod) *frame {
+	return &frame{m: m, locals: make([]value, m.numSlots), stack: make([]value, m.stackCap)}
+}
+
+// thread is one cooperative thread.
+type thread struct {
+	id     int
+	frames []*frame
+	done   bool
+	// span is the thread's observability lane span (inert when tracing
+	// is disabled).
+	span obs.Span
+}
+
+// spawn starts a thread whose only frame is f.
+func (v *VM) spawn(f *frame) {
+	id := len(v.threads)
+	v.threads = append(v.threads, &thread{id: id, frames: []*frame{f}, span: threadSpan(id)})
+}
+
+// runTurns executes the program: turn is the engine's per-turn body
+// (runSwitchQuantum, runFusedQuantum or runTieredQuantum). Threads take
+// turns round-robin, and the collector ticks after every turn. A decoded
+// engine's turn covers up to horizon() base instructions, so it does not
+// visit quantum boundaries nothing can observe.
+func (v *VM) runTurns(turn func(t *thread, limit int) error) (*Result, error) {
+	v.spawn(newFrame(v.dprog.main))
+	if v.cfg.ForceMarkingAlways && v.marker != nil {
+		v.startCycle()
+	}
+
+	q := int64(v.cfg.Quantum)
+	for {
+		live := 0
+		for _, t := range v.threads {
+			if !t.done {
+				live++
+			}
+		}
+		if live == 0 {
+			break
+		}
+		for _, t := range v.threads {
+			if t.done {
+				continue
+			}
+			if err := v.cancelled(); err != nil {
+				return nil, err
+			}
+			limit, before, nthreads := v.horizon(live), v.steps, len(v.threads)
+			if err := turn(t, limit); err != nil {
+				return nil, err
+			}
+			v.schedTurns++
+			if ran := v.steps - before; ran > q {
+				v.schedSkipped += (ran - 1) / q
+			}
+			live += len(v.threads) - nthreads
+			if t.done {
+				live--
+			}
+			v.gcTick()
+		}
+	}
+	if v.marker != nil && v.marker.MarkingActive() {
+		v.finishCycle()
+	}
+	return v.result(), nil
+}
+
+// horizonSteps caps a coalesced turn: with nothing to observe at any quantum
+// boundary a thread still returns to the scheduler — and RunContext's
+// cancellation is still polled — about every 2^16 base instructions, a
+// fraction of a millisecond.
+const horizonSteps = 1 << 16
+
+// horizon is the number of base instructions the next turn may run before
+// the first quantum boundary at which anything observable can happen; live
+// is the number of threads not yet done. It is a multiple of the quantum q,
+// and exactly q whenever every boundary matters:
+//
+//   - a second live thread is waiting for its rotation;
+//   - a marker is marking, or ForceMarkingAlways restarts one at every tick;
+//   - the allocation trigger is within reach. A base instruction allocates at
+//     most one object, so with room allocations left before the trigger no
+//     boundary before step room can start a cycle, and the turn may run
+//     room/q whole quanta.
+//
+// At every boundary the turn skips, gcTick would have done nothing and no
+// other thread would have run, so results are bit-identical to visiting it.
+func (v *VM) horizon(live int) int {
+	q := v.cfg.Quantum
+	if live > 1 {
+		return q
+	}
+	room := int64(horizonSteps)
+	if v.marker != nil {
+		if v.cfg.ForceMarkingAlways || v.marker.MarkingActive() {
+			return q
+		}
+		if trig := v.cfg.TriggerEveryAllocs; trig > 0 {
+			room = min(room, trig-v.allocSinceGC)
+		}
+	}
+	return max(q, int(room)/q*q)
 }
 
 // roots collects the current GC roots: every reference in every thread's
-// frames, plus static fields. Both engines contribute in the same order
-// (threads, frames bottom-up, locals by slot, then stack bottom-up) so
-// the deterministic marker sees an identical work queue. The slice is the
-// VM's one root buffer, valid until the next call; markers do not keep it.
+// frames, plus static fields, in one order (threads, frames bottom-up,
+// locals by slot, then stack bottom-up) so the deterministic marker sees
+// the same work queue whichever engine runs. The slice is the VM's one
+// root buffer, valid until the next call; markers do not keep it.
 func (v *VM) roots() []heap.Ref {
 	out := v.rootBuf[:0]
 	for _, t := range v.threads {
-		for _, f := range t.frames {
-			for _, val := range f.locals {
-				if val.IsRef && val.R != heap.Null {
-					out = append(out, val.R)
-				}
-			}
-			for _, val := range f.stack {
-				if val.IsRef && val.R != heap.Null {
-					out = append(out, val.R)
-				}
-			}
-		}
-	}
-	for _, t := range v.fthreads {
 		for _, f := range t.frames {
 			for _, val := range f.locals {
 				if val.IsRef && val.R != heap.Null {
@@ -717,12 +774,16 @@ func (v *VM) gcTick() {
 	}
 }
 
+// errf builds the switch interpreter's RuntimeError at the frame's current
+// pc, from the raw bytecode.
 func (v *VM) errf(f *frame, format string, args ...any) error {
-	return &RuntimeError{Method: f.m.QualifiedName(), PC: f.pc, Line: int(f.m.Code[f.pc].Line), Msg: fmt.Sprintf(format, args...)}
+	return &RuntimeError{Method: f.m.src.QualifiedName(), PC: int(f.pc), Line: int(f.m.src.Code[f.pc].Line), Msg: fmt.Sprintf(format, args...)}
 }
 
-// runQuantum executes up to Quantum instructions on one thread.
-func (v *VM) runQuantum(t *thread) error {
+// runSwitchQuantum is the switch interpreter's turn: exactly one quantum of
+// instructions on one thread, whatever limit the scheduler offers, so the
+// reference visits every quantum boundary.
+func (v *VM) runSwitchQuantum(t *thread, _ int) error {
 	for i := 0; i < v.cfg.Quantum; i++ {
 		if len(t.frames) == 0 {
 			t.done = true
@@ -739,35 +800,31 @@ func (v *VM) runQuantum(t *thread) error {
 	return nil
 }
 
-// step executes one instruction of the thread's top frame.
+// step executes one raw instruction of the thread's top frame. It reads
+// the method's bytecode and Body (dmethod.src, body), nothing decode made
+// of them, and projects each store's verdict at every execution.
 func (v *VM) step(t *thread) error {
 	f := t.frames[len(t.frames)-1]
-	in := &f.m.Code[f.pc]
+	m, body, pc := f.m.src, f.m.body, int(f.pc)
+	in := &m.Code[pc]
 	v.steps++
-
-	push := func(val value) { f.stack = append(f.stack, val) }
-	pop := func() value {
-		val := f.stack[len(f.stack)-1]
-		f.stack = f.stack[:len(f.stack)-1]
-		return val
-	}
 
 	switch in.Op {
 	case bytecode.OpNop:
 	case bytecode.OpConst, bytecode.OpConstBool:
-		push(intVal(in.A))
+		f.push(intVal(in.A))
 	case bytecode.OpConstNull:
-		push(nullVal())
+		f.push(nullVal())
 	case bytecode.OpLoad:
-		push(f.locals[in.A])
+		f.push(f.locals[in.A])
 	case bytecode.OpStore:
-		f.locals[in.A] = pop()
+		f.locals[in.A] = f.pop()
 	case bytecode.OpDup:
-		push(f.stack[len(f.stack)-1])
+		f.push(f.stack[f.sp-1])
 	case bytecode.OpPop:
-		pop()
+		f.pop()
 	case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpRem:
-		y, x := pop().I, pop().I
+		y, x := f.pop().I, f.pop().I
 		var r int64
 		switch in.Op {
 		case bytecode.OpAdd:
@@ -787,20 +844,20 @@ func (v *VM) step(t *thread) error {
 			}
 			r = x % y
 		}
-		push(intVal(r))
+		f.push(intVal(r))
 	case bytecode.OpNeg:
-		push(intVal(-pop().I))
+		f.push(intVal(-f.pop().I))
 	case bytecode.OpAnd:
-		y, x := pop().I, pop().I
-		push(intVal(x & y))
+		y, x := f.pop().I, f.pop().I
+		f.push(intVal(x & y))
 	case bytecode.OpOr:
-		y, x := pop().I, pop().I
-		push(intVal(x | y))
+		y, x := f.pop().I, f.pop().I
+		f.push(intVal(x | y))
 	case bytecode.OpNot:
-		push(intVal(1 - pop().I))
+		f.push(intVal(1 - f.pop().I))
 	case bytecode.OpCmpEQ, bytecode.OpCmpNE, bytecode.OpCmpLT, bytecode.OpCmpLE,
 		bytecode.OpCmpGT, bytecode.OpCmpGE:
-		y, x := pop().I, pop().I
+		y, x := f.pop().I, f.pop().I
 		var b bool
 		switch in.Op {
 		case bytecode.OpCmpEQ:
@@ -816,50 +873,50 @@ func (v *VM) step(t *thread) error {
 		case bytecode.OpCmpGE:
 			b = x >= y
 		}
-		push(intVal(b2i(b)))
+		f.push(intVal(b2i(b)))
 	case bytecode.OpRefEQ:
-		y, x := pop().R, pop().R
-		push(intVal(b2i(x == y)))
+		y, x := f.pop().R, f.pop().R
+		f.push(intVal(b2i(x == y)))
 	case bytecode.OpRefNE:
-		y, x := pop().R, pop().R
-		push(intVal(b2i(x != y)))
+		y, x := f.pop().R, f.pop().R
+		f.push(intVal(b2i(x != y)))
 
 	case bytecode.OpGoto:
-		f.pc = int(in.A)
+		f.pc = int32(in.A)
 		return nil
 	case bytecode.OpIfTrue:
-		if pop().I != 0 {
-			f.pc = int(in.A)
+		if f.pop().I != 0 {
+			f.pc = int32(in.A)
 			return nil
 		}
 	case bytecode.OpIfFalse:
-		if pop().I == 0 {
-			f.pc = int(in.A)
+		if f.pop().I == 0 {
+			f.pc = int32(in.A)
 			return nil
 		}
 	case bytecode.OpIfNull:
-		if pop().R == heap.Null {
-			f.pc = int(in.A)
+		if f.pop().R == heap.Null {
+			f.pc = int32(in.A)
 			return nil
 		}
 	case bytecode.OpIfNonNull:
-		if pop().R != heap.Null {
-			f.pc = int(in.A)
+		if f.pop().R != heap.Null {
+			f.pc = int32(in.A)
 			return nil
 		}
 
 	case bytecode.OpGetField:
-		obj := pop()
-		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
+		obj := f.pop()
+		fs := &v.syms.Fields[body.FieldAt[pc]]
 		p := v.heap.FieldSlot(obj.R, int32(fs.Slot))
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(readField, obj.R, 0, &fs.Ref))
 		}
-		push(load(*p, fs.IsRef))
+		f.push(load(*p, fs.IsRef))
 	case bytecode.OpPutField:
-		val := pop()
-		obj := pop()
-		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
+		val := f.pop()
+		obj := f.pop()
+		fs := &v.syms.Fields[body.FieldAt[pc]]
 		p := v.heap.FieldSlot(obj.R, int32(fs.Slot))
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(writeField, obj.R, 0, &fs.Ref))
@@ -867,22 +924,22 @@ func (v *VM) step(t *thread) error {
 		old := heap.Ref(*p)
 		*p = word(val, fs.IsRef)
 		if fs.IsRef {
-			elide := v.proj.apply(v.verdicts.At(int(f.num), f.pc))
+			elide := v.proj.apply(v.verdicts.At(int(f.m.num), pc))
 			if v.oracle != nil {
-				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, int(in.Line), t.id, satb.FieldSite, elide, old, val.R, obj.R); err != nil {
+				if err := v.oracle.checkStore(m.QualifiedName(), pc, int(in.Line), t.id, satb.FieldSite, elide, old, val.R, obj.R); err != nil {
 					return err
 				}
 			}
-			key := satb.SiteKey{Method: f.m.QualifiedName(), PC: f.pc}
+			key := satb.SiteKey{Method: m.QualifiedName(), PC: pc}
 			v.counters.BarrierSiteSpec(v.spec, v.logger(), v.counters.Site(key, satb.FieldSite, elide),
 				elide, old, val.R, obj.R)
 		}
 	case bytecode.OpGetStatic:
-		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
-		push(load(*v.heap.Static(fs.Slot), fs.IsRef))
+		fs := &v.syms.Fields[body.FieldAt[pc]]
+		f.push(load(*v.heap.Static(fs.Slot), fs.IsRef))
 	case bytecode.OpPutStatic:
-		val := pop()
-		fs := &v.syms.Fields[f.body.FieldAt[f.pc]]
+		val := f.pop()
+		fs := &v.syms.Fields[body.FieldAt[pc]]
 		p := v.heap.Static(fs.Slot)
 		old := heap.Ref(*p)
 		*p = word(val, fs.IsRef)
@@ -896,43 +953,43 @@ func (v *VM) step(t *thread) error {
 		}
 
 	case bytecode.OpNewInstance:
-		r := v.heap.AllocObject(v.syms.Class(f.m.Operand(f.pc).Type.Class))
+		r := v.heap.AllocObject(v.syms.Class(m.Operand(pc).Type.Class))
 		v.allocSinceGC++
 		if v.oracle != nil {
-			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
+			v.oracle.noteAlloc(r, m.QualifiedName(), pc, t.id)
 		}
-		push(refVal(r))
+		f.push(refVal(r))
 	case bytecode.OpNewArray:
-		n := pop().I
+		n := f.pop().I
 		if uint64(n) > maxArrayLen {
 			return v.errf(f, "%s", arraySizeFault(n))
 		}
-		r := v.heap.AllocArray(f.m.Operand(f.pc).Type.IsRef(), n)
+		r := v.heap.AllocArray(m.Operand(pc).Type.IsRef(), n)
 		v.allocSinceGC++
 		if v.oracle != nil {
-			v.oracle.noteAlloc(r, f.m.QualifiedName(), f.pc, t.id)
+			v.oracle.noteAlloc(r, m.QualifiedName(), pc, t.id)
 		}
-		push(refVal(r))
+		f.push(refVal(r))
 	case bytecode.OpArrayLength:
-		arr := pop()
+		arr := f.pop()
 		n := v.heap.ArrayLen(arr.R)
 		if n < 0 {
 			return v.errf(f, "%s", v.heapFault(lengthOf, arr.R, 0, nil))
 		}
-		push(intVal(n))
+		f.push(intVal(n))
 
 	case bytecode.OpAALoad, bytecode.OpIALoad:
-		idx := pop().I
-		arr := pop()
+		idx := f.pop().I
+		arr := f.pop()
 		p := v.heap.ElemSlot(arr.R, idx)
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(loadElem, arr.R, idx, nil))
 		}
-		push(load(*p, in.Op == bytecode.OpAALoad))
+		f.push(load(*p, in.Op == bytecode.OpAALoad))
 	case bytecode.OpAAStore, bytecode.OpIAStore:
-		val := pop()
-		idx := pop().I
-		arr := pop()
+		val := f.pop()
+		idx := f.pop().I
+		arr := f.pop()
 		p := v.heap.ElemSlot(arr.R, idx)
 		if p == nil {
 			return v.errf(f, "%s", v.heapFault(storeElem, arr.R, idx, nil))
@@ -940,57 +997,55 @@ func (v *VM) step(t *thread) error {
 		old := heap.Ref(*p)
 		*p = word(val, in.Op == bytecode.OpAAStore)
 		if in.Op == bytecode.OpAAStore {
-			elide := v.proj.apply(v.verdicts.At(int(f.num), f.pc))
+			elide := v.proj.apply(v.verdicts.At(int(f.m.num), pc))
 			if v.oracle != nil {
-				if err := v.oracle.checkStore(f.m.QualifiedName(), f.pc, int(in.Line), t.id, satb.ArraySite, elide, old, val.R, arr.R); err != nil {
+				if err := v.oracle.checkStore(m.QualifiedName(), pc, int(in.Line), t.id, satb.ArraySite, elide, old, val.R, arr.R); err != nil {
 					return err
 				}
 			}
-			key := satb.SiteKey{Method: f.m.QualifiedName(), PC: f.pc}
+			key := satb.SiteKey{Method: m.QualifiedName(), PC: pc}
 			v.counters.BarrierSiteSpec(v.spec, v.logger(), v.counters.Site(key, satb.ArraySite, elide),
 				elide, old, val.R, arr.R)
 		}
 
 	case bytecode.OpInvoke:
-		nf := v.newFrame(f.body.CalleeAt[f.pc])
-		callee := nf.m
-		n := callee.NumArgs()
-		for i := n - 1; i >= 0; i-- {
-			nf.locals[i] = pop()
+		nf := newFrame(v.dprog.methods[body.CalleeAt[pc]])
+		callee := nf.m.src
+		for i := callee.NumArgs() - 1; i >= 0; i-- {
+			nf.locals[i] = f.pop()
 		}
 		if !callee.Static && nf.locals[0].R == heap.Null {
-			return v.errf(f, "null receiver calling %s", f.m.Operand(f.pc))
+			return v.errf(f, "null receiver calling %s", m.Operand(pc))
 		}
 		f.pc++
 		t.frames = append(t.frames, nf)
 		return nil
 	case bytecode.OpSpawn:
-		recv := pop()
+		recv := f.pop()
 		if recv.R == heap.Null {
 			return v.errf(f, "null receiver in spawn")
 		}
-		nf := v.newFrame(f.body.CalleeAt[f.pc])
+		nf := newFrame(v.dprog.methods[body.CalleeAt[pc]])
 		nf.locals[0] = recv
 		if v.oracle != nil {
 			// The receiver (and everything it reaches) becomes visible to
 			// the spawned thread.
 			v.oracle.escape(recv.R)
 		}
-		v.threads = append(v.threads, &thread{id: len(v.threads), frames: []*frame{nf}, span: threadSpan(len(v.threads))})
+		v.spawn(nf)
 	case bytecode.OpReturn:
 		// The caller's pc was already advanced at the invoke.
 		t.frames = t.frames[:len(t.frames)-1]
 		return nil
 	case bytecode.OpReturnValue:
-		rv := pop()
+		rv := f.pop()
 		t.frames = t.frames[:len(t.frames)-1]
 		if len(t.frames) > 0 {
-			caller := t.frames[len(t.frames)-1]
-			caller.stack = append(caller.stack, rv)
+			t.frames[len(t.frames)-1].push(rv)
 		}
 		return nil
 	case bytecode.OpPrint:
-		v.output = append(v.output, pop().I)
+		v.output = append(v.output, f.pop().I)
 	case bytecode.OpTrap:
 		return v.errf(f, "missing return value")
 	}
