@@ -129,15 +129,15 @@ func (t *tracer) begin(roots []heap.Ref) {
 
 // scan shades every outgoing reference of the object r names, if any.
 func (t *tracer) scan(r heap.Ref) {
-	fs, slots, all := t.h.RefWords(r)
-	if all {
-		for _, w := range fs {
+	if elems, ok := t.h.RefElems(r); ok {
+		for _, w := range elems {
 			t.shade(heap.Ref(w))
 		}
 		return
 	}
+	fields, slots := t.h.RefFields(r)
 	for _, slot := range slots {
-		t.shade(heap.Ref(fs[slot]))
+		t.shade(heap.Ref(fields[slot]))
 	}
 }
 

@@ -34,12 +34,12 @@ func NullVal() Value { return 0 }
 // Object is one heap object as Get reads it: its storage, a class
 // instance's fields by slot or an array's elements, and its class word,
 // which tells an instance from an array; which words are references only
-// RefWords says. Fields aliases the heap's storage, which stays where it
-// is for the object's lifetime, so writes through it are the object's and
-// an Object read once stays valid while others are allocated and swept.
-// The zero Object is no object (IsNil). Collector state (mark,
-// allocated-during-mark, dirty, §4.3 trace state) is not here: it lives in
-// the chunk's stamped state words, see Heap.
+// RefElems and RefFields say. Fields aliases the heap's storage, which
+// stays where it is for the object's lifetime, so writes through it are
+// the object's and an Object read once stays valid while others are
+// allocated and swept. The zero Object is no object (IsNil). Collector
+// state (mark, allocated-during-mark, dirty, §4.3 trace state) is not
+// here: it lives in the chunk's stamped state words, see Heap.
 type Object struct {
 	Fields []Value
 	class  *bytecode.ClassSym
@@ -432,22 +432,38 @@ func (h *Heap) ArrayLen(r Ref) int64 {
 	return -1
 }
 
-// RefWords returns what a marker scans of the object r names: its storage
-// and where the references in it are, every word when all is set (an
-// array of references), else the words at slots (an instance's reference
-// fields). An int array, and a Ref that names no object, have neither.
-func (h *Heap) RefWords(r Ref) (words []Value, slots []int32, all bool) {
+// RefElems returns the elements of the array of references r names, and
+// whether r names one: an instance, an int array and a Ref that names no
+// object have none. RefElems and RefFields are what a marker scans, the
+// one decoder of which words are references; each inlines.
+func (h *Heap) RefElems(r Ref) (elems []Value, ok bool) {
 	i := uint64(r - 1)
 	if i>>chunkShift >= uint64(len(h.chunks)) {
-		return nil, nil, false
+		return nil, false
+	}
+	c, j := h.chunks[i>>chunkShift], i&chunkMask
+	s := c.shape[j]
+	if s&elemRefBit == 0 { // an instance's shape is its class, a small number
+		return nil, false
+	}
+	return unsafe.Slice(c.words[j], s&lenMask), true
+}
+
+// RefFields returns the fields of the instance r names and the slots of
+// the references among them; an array, and a Ref that names no object,
+// have neither.
+func (h *Heap) RefFields(r Ref) (fields []Value, slots []int32) {
+	i := uint64(r - 1)
+	if i>>chunkShift >= uint64(len(h.chunks)) {
+		return nil, nil
 	}
 	c, j := h.chunks[i>>chunkShift], i&chunkMask
 	s := c.shape[j]
 	if s&arrayBit != 0 {
-		return unsafe.Slice(c.words[j], s&lenMask), nil, s&elemRefBit != 0
+		return nil, nil
 	}
 	cls := &h.classes[s]
-	return unsafe.Slice(c.words[j], cls.NumFields), cls.RefSlots, false
+	return unsafe.Slice(c.words[j], cls.NumFields), cls.RefSlots
 }
 
 // state returns the reference's state word, or a dead one for a reference
@@ -620,21 +636,21 @@ func (h *Heap) AppendStaticRoots(dst []Ref) []Ref {
 }
 
 // RefsOf calls f with every non-null reference held by the object r
-// names, as RefWords finds them. The markers walk RefWords in place
-// instead; this is for the cold walks (the oracle's escape closure, the
-// snapshot check).
+// names, as RefElems and RefFields find them. The markers walk those in
+// place instead; this is for the cold walks (the oracle's escape closure,
+// the snapshot check).
 func (h *Heap) RefsOf(r Ref, f func(Ref)) {
-	words, slots, all := h.RefWords(r)
-	if all {
-		for _, w := range words {
+	if elems, ok := h.RefElems(r); ok {
+		for _, w := range elems {
 			if w != 0 {
 				f(Ref(w))
 			}
 		}
 		return
 	}
+	fields, slots := h.RefFields(r)
 	for _, slot := range slots {
-		if w := words[slot]; w != 0 {
+		if w := fields[slot]; w != 0 {
 			f(Ref(w))
 		}
 	}

@@ -65,9 +65,9 @@ func declaredRefSlots(c *bytecode.Class) (n int, refs []int32) {
 
 // TestHeapMatchesModel runs seeded random sequences of allocations, word
 // writes and collector operations against the heap and a map-based model
-// of it, and after every operation compares what Get, RefWords, the words
-// and the collector flags say about every Ref issued (and a few never
-// issued) with what the model says.
+// of it, and after every operation compares what Get, RefElems,
+// RefFields, the words and the collector flags say about every Ref issued
+// (and a few never issued) with what the model says.
 //
 // Each sequence runs twice: on a new heap, and again, after that heap's
 // Release, on the next heap New makes, which takes its memory. Before the
@@ -268,17 +268,22 @@ func (m *heapModel) check(t *testing.T, h *Heap, seed int64, op int) {
 			}
 			continue
 		}
-		words, slots, all := h.RefWords(r)
+		elems, refArray := h.RefElems(r)
+		fields, slots := h.RefFields(r)
 		switch {
 		case got.IsNil():
 			t.Fatalf("seed %d op %d: live ref %d reads as no object", seed, op, r)
-		case got.IsArray() != want.array || all != want.elemRef:
-			t.Fatalf("seed %d op %d: ref %d: IsArray %v, RefWords all %v, want %v %v", seed, op, r,
-				got.IsArray(), all, want.array, want.elemRef)
+		case got.IsArray() != want.array || refArray != want.elemRef:
+			t.Fatalf("seed %d op %d: ref %d: IsArray %v, RefElems ok %v, want %v %v", seed, op, r,
+				got.IsArray(), refArray, want.array, want.elemRef)
 		case !slices.Equal(slots, want.refSlots):
-			t.Fatalf("seed %d op %d: ref %d: RefWords slots %v, want %v", seed, op, r, slots, want.refSlots)
-		case !slices.Equal(words, want.words):
-			t.Fatalf("seed %d op %d: ref %d: RefWords words %v, want %v", seed, op, r, words, want.words)
+			t.Fatalf("seed %d op %d: ref %d: RefFields slots %v, want %v", seed, op, r, slots, want.refSlots)
+		case want.elemRef && !slices.Equal(elems, want.words):
+			t.Fatalf("seed %d op %d: ref %d: RefElems %v, want %v", seed, op, r, elems, want.words)
+		case !want.array && !slices.Equal(fields, want.words):
+			t.Fatalf("seed %d op %d: ref %d: RefFields fields %v, want %v", seed, op, r, fields, want.words)
+		case want.array && (fields != nil || slots != nil) || !want.elemRef && elems != nil:
+			t.Fatalf("seed %d op %d: ref %d: RefFields %v %v and RefElems %v of the wrong kind of object", seed, op, r, fields, slots, elems)
 		case !slices.Equal(got.Fields, want.words):
 			t.Fatalf("seed %d op %d: ref %d: words %v, want %v", seed, op, r, got.Fields, want.words)
 		case cap(got.Fields) != len(got.Fields):

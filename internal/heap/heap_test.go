@@ -85,7 +85,7 @@ func TestArrays(t *testing.T) {
 	h := New(NewLayout(testProgram()))
 	a := h.AllocArray(true, 3)
 	o := h.Get(a)
-	if _, slots, all := h.RefWords(a); !o.IsArray() || !all || len(o.Fields) != 3 || len(slots) != 0 {
+	if elems, ok := h.RefElems(a); !o.IsArray() || !ok || len(elems) != 3 || len(o.Fields) != 3 {
 		t.Fatalf("ref array = %+v", o)
 	}
 	if v := o.Fields[0]; v != NullVal() {
@@ -93,7 +93,7 @@ func TestArrays(t *testing.T) {
 	}
 	intsRef := h.AllocArray(false, 2)
 	ints := h.Get(intsRef)
-	if _, _, all := h.RefWords(intsRef); !ints.IsArray() || all || len(ints.Fields) != 2 || ints.Fields[1] != IntVal(0) {
+	if _, ok := h.RefElems(intsRef); !ints.IsArray() || ok || len(ints.Fields) != 2 || ints.Fields[1] != IntVal(0) {
 		t.Errorf("int array = %+v", ints)
 	}
 	if empty := h.Get(h.AllocArray(true, 0)); empty.IsNil() || len(empty.Fields) != 0 {

@@ -5,6 +5,21 @@ import "satbelim/internal/bytecode"
 // Program is a parsed compilation unit (one or more classes).
 type Program struct {
 	Classes []*ClassDecl
+
+	a *arena // the memory of the tree; nil once released
+}
+
+// Release hands the memory of the tree, and of the tokens it was parsed
+// from, to the next Parse. Nothing of the tree, and nothing that points
+// into it such as the Checked program, may be read afterwards: Classes is
+// nil, and the next Parse overwrites the nodes. A nil Program, or one
+// released already, has nothing to release.
+func (p *Program) Release() {
+	if p == nil || p.a == nil {
+		return
+	}
+	p.a.release()
+	p.Classes, p.a = nil, nil
 }
 
 // ClassDecl is a parsed class.

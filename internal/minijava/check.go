@@ -171,7 +171,7 @@ func (c *checker) collect(prog *Program) error {
 	sigs := make([]MethodSig, 0, nmethods)
 	// The parameter lists, then each method's slots: its receiver, its
 	// parameters again and its locals, which the sizes guess at.
-	c.typeLists.hint = 2 * (nparams + nmethods)
+	c.typeLists.buf = make([]*bytecode.Type, 0, 2*(nparams+nmethods))
 	for _, cd := range prog.Classes {
 		ci := c.classes[cd.Name]
 		for _, fd := range cd.Fields {

@@ -10,26 +10,36 @@ import "fmt"
 // parsed by a loop and does not nest.
 const maxNesting = 1000
 
-// Parser is a recursive-descent parser for MiniJava. Its nodes come from
-// the arena's slabs, sized from the token stream before parsing starts.
+// Parser is a recursive-descent parser for MiniJava. Its tokens and nodes
+// come from an arena that an earlier parse released, if there is one.
 type Parser struct {
 	file  string
 	src   string
 	toks  []Token
 	pos   int
 	depth int // statement and expression nesting
-	a     arena
+	a     *arena
 }
 
-// Parse parses a whole source file.
+// Parse parses a whole source file. The tree holds its arena until
+// Program.Release; a caller that never releases leaves it to the Go
+// collector.
 func Parse(file, src string) (*Program, error) {
-	toks, err := LexAll(file, src)
+	a := arenas.Get().(*arena)
+	toks, err := lex(file, src, a.toks[:0])
 	if err != nil {
+		a.release()
 		return nil, err
 	}
-	p := &Parser{file: file, src: src, toks: toks}
-	p.a.size(src, toks)
-	return p.parseProgram()
+	a.toks = toks
+	p := &Parser{file: file, src: src, toks: toks, a: a}
+	prog, err := p.parseProgram()
+	if err != nil {
+		a.release()
+		return nil, err
+	}
+	prog.a = a
+	return prog, nil
 }
 
 // enter counts one level of nesting; every successful enter is paired with
@@ -73,8 +83,11 @@ func (p *Parser) isKw(kw string) bool {
 }
 
 // isPunct reports whether the current token is the given punctuation.
-func (p *Parser) isPunct(s string) bool {
-	t := p.cur()
+func (p *Parser) isPunct(s string) bool { return p.punctAt(0, s) }
+
+// punctAt reports whether the token k places on is the given punctuation.
+func (p *Parser) punctAt(k int, s string) bool {
+	t := p.at(k)
 	return t.Kind == TokPunct && t.Text(p.src) == s
 }
 
@@ -151,9 +164,9 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 	}
 
 	// Constructor: ClassName ( ... )
-	if !static && p.cur().Kind == TokIdent && p.cur().Text(p.src) == cd.Name &&
-		p.peek().Kind == TokPunct && p.peek().Text(p.src) == "(" {
-		return p.parseCtor()
+	if !static && p.cur().Kind == TokIdent && p.cur().Text(p.src) == cd.Name && p.punctAt(1, "(") {
+		name := p.advance()
+		return p.parseMethodRest(MethodDecl{Name: "<init>", Ctor: true, Line: int(name.Line)})
 	}
 
 	// void method
@@ -163,7 +176,7 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 		if err != nil {
 			return err
 		}
-		return p.parseMethodRest(name.Text(p.src), static, nil, int(vt.Line))
+		return p.parseMethodRest(MethodDecl{Name: name.Text(p.src), Static: static, Line: int(vt.Line)})
 	}
 
 	// Typed member: field(s) or method.
@@ -176,7 +189,7 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 		return err
 	}
 	if p.isPunct("(") {
-		return p.parseMethodRest(name.Text(p.src), static, te, te.Line)
+		return p.parseMethodRest(MethodDecl{Name: name.Text(p.src), Static: static, Return: te, Line: te.Line})
 	}
 	// Field declaration, possibly a comma list.
 	p.a.fieldList.push(p.a.fields.alloc(FieldDecl{Name: name.Text(p.src), Type: te, Static: static, Line: int(name.Line)}))
@@ -192,34 +205,17 @@ func (p *Parser) parseMember(cd *ClassDecl) error {
 	return err
 }
 
-func (p *Parser) parseCtor() error {
-	name := p.advance() // class name
-	params, err := p.parseParams()
-	if err != nil {
+// parseMethodRest parses the parameters and body of md onto the method
+// list.
+func (p *Parser) parseMethodRest(md MethodDecl) error {
+	var err error
+	if md.Params, err = p.parseParams(); err != nil {
 		return err
 	}
-	body, err := p.parseBlock()
-	if err != nil {
+	if md.Body, err = p.parseBlock(); err != nil {
 		return err
 	}
-	p.a.methodList.push(p.a.methods.alloc(MethodDecl{
-		Name: "<init>", Ctor: true, Params: params, Body: body, Line: int(name.Line),
-	}))
-	return nil
-}
-
-func (p *Parser) parseMethodRest(name string, static bool, ret *TypeExpr, line int) error {
-	params, err := p.parseParams()
-	if err != nil {
-		return err
-	}
-	body, err := p.parseBlock()
-	if err != nil {
-		return err
-	}
-	p.a.methodList.push(p.a.methods.alloc(MethodDecl{
-		Name: name, Static: static, Params: params, Return: ret, Body: body, Line: line,
-	}))
+	p.a.methodList.push(p.a.methods.alloc(md))
 	return nil
 }
 
@@ -251,25 +247,29 @@ func (p *Parser) parseParams() ([]*Param, error) {
 // parseType parses a base type name plus [] dimensions.
 func (p *Parser) parseType() (*TypeExpr, error) {
 	t := p.cur()
-	var base string
-	switch {
-	case p.isKw("int"):
-		base = "int"
-	case p.isKw("boolean"):
-		base = "boolean"
-	case t.Kind == TokIdent:
-		base = t.Text(p.src)
-	default:
+	base, ok := p.parseBase()
+	if !ok {
 		return nil, p.errorf(t, "expected type, found %s", t.describe(p.src))
 	}
-	p.advance()
-	dims := 0
-	for p.isPunct("[") && p.peek().Kind == TokPunct && p.peek().Text(p.src) == "]" {
-		p.advance()
-		p.advance()
-		dims++
+	return p.a.types.alloc(TypeExpr{Base: base, Dims: p.parseDims(), Line: int(t.Line)}), nil
+}
+
+// parseBase parses a base type name: int, boolean or a class name.
+func (p *Parser) parseBase() (string, bool) {
+	if p.cur().Kind != TokIdent && !p.isKw("int") && !p.isKw("boolean") {
+		return "", false
 	}
-	return p.a.types.alloc(TypeExpr{Base: base, Dims: dims, Line: int(t.Line)}), nil
+	return p.advance().Text(p.src), true
+}
+
+// parseDims parses [] pairs and returns how many there were.
+func (p *Parser) parseDims() int {
+	n := 0
+	for p.isPunct("[") && p.punctAt(1, "]") {
+		p.pos += 2
+		n++
+	}
+	return n
 }
 
 func (p *Parser) parseBlock() (*Block, error) {
@@ -303,16 +303,8 @@ func (p *Parser) looksLikeVarDecl() bool {
 	if p.cur().Kind != TokIdent {
 		return false
 	}
-	// Name Name ...  => declaration
-	if p.peek().Kind == TokIdent {
-		return true
-	}
-	// Name [ ] ... => declaration (array type)
-	if p.peek().Kind == TokPunct && p.peek().Text(p.src) == "[" &&
-		p.at(2).Kind == TokPunct && p.at(2).Text(p.src) == "]" {
-		return true
-	}
-	return false
+	// Name Name ... and Name [ ] ... declare.
+	return p.peek().Kind == TokIdent || p.punctAt(1, "[") && p.punctAt(2, "]")
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
@@ -333,33 +325,19 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	case p.isKw("return"):
 		p.advance()
 		r := p.a.returns.alloc(Return{Line: int(t.Line)})
-		if !p.isPunct(";") {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			r.Value = e
+		if p.isPunct(";") {
+			return p.semi(r, nil)
 		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return r, nil
+		var err error
+		r.Value, err = p.parseExpr()
+		return p.semi(r, err)
 	case p.isKw("print"):
 		p.advance()
-		if _, err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
+		e, err := p.parseParenExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return p.a.prints.alloc(Print{E: e, Line: int(t.Line)}), nil
+		return p.semi(p.a.prints.alloc(Print{E: e, Line: int(t.Line)}), nil)
 	case p.isKw("spawn"):
 		p.advance()
 		e, err := p.parseExpr()
@@ -370,29 +348,23 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if !ok {
 			return nil, p.errorf(t, "spawn requires a method call")
 		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return p.a.spawns.alloc(Spawn{Call: call, Line: int(t.Line)}), nil
+		return p.semi(p.a.spawns.alloc(Spawn{Call: call, Line: int(t.Line)}), nil)
 	case p.looksLikeVarDecl():
-		vd, err := p.parseVarDecl()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return vd, nil
+		return p.semi(p.parseVarDecl())
 	default:
-		s, err := p.parseSimpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return s, nil
+		return p.semi(p.parseSimpleStmt())
 	}
+}
+
+// semi expects the `;` that ends s, unless parsing s failed.
+func (p *Parser) semi(s Stmt, err error) (Stmt, error) {
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expectPunct(";"); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 func (p *Parser) parseVarDecl() (*VarDecl, error) {
@@ -445,14 +417,8 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 
 func (p *Parser) parseIf() (Stmt, error) {
 	t := p.advance() // if
-	if _, err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
+	cond, err := p.parseParenExpr()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
 	then, err := p.parseStmt()
@@ -473,14 +439,8 @@ func (p *Parser) parseIf() (Stmt, error) {
 
 func (p *Parser) parseWhile() (Stmt, error) {
 	t := p.advance() // while
-	if _, err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
+	cond, err := p.parseParenExpr()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
 	body, err := p.parseStmt()
@@ -496,49 +456,39 @@ func (p *Parser) parseFor() (Stmt, error) {
 		return nil, err
 	}
 	st := p.a.fors.alloc(For{Line: int(t.Line)})
+	var err error
 	if !p.isPunct(";") {
 		if p.looksLikeVarDecl() {
-			vd, err := p.parseVarDecl()
-			if err != nil {
-				return nil, err
-			}
-			st.Init = vd
+			st.Init, err = p.parseVarDecl()
 		} else {
-			s, err := p.parseSimpleStmt()
-			if err != nil {
-				return nil, err
-			}
-			st.Init = s
+			st.Init, err = p.parseSimpleStmt()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if _, err := p.expectPunct(";"); err != nil {
 		return nil, err
 	}
 	if !p.isPunct(";") {
-		cond, err := p.parseExpr()
-		if err != nil {
+		if st.Cond, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		st.Cond = cond
 	}
 	if _, err := p.expectPunct(";"); err != nil {
 		return nil, err
 	}
 	if !p.isPunct(")") {
-		s, err := p.parseSimpleStmt()
-		if err != nil {
+		if st.Post, err = p.parseSimpleStmt(); err != nil {
 			return nil, err
 		}
-		st.Post = s
 	}
 	if _, err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
-	body, err := p.parseStmt()
-	if err != nil {
+	if st.Body, err = p.parseStmt(); err != nil {
 		return nil, err
 	}
-	st.Body = body
 	return st, nil
 }
 
@@ -558,56 +508,52 @@ func (p *Parser) parseExpr() (Expr, error) {
 		return nil, err
 	}
 	defer p.leave()
-	return p.parseOr()
+	return p.parseBinary(0)
 }
 
-func (p *Parser) parseBinaryLevel(ops []string, sub func() (Expr, error)) (Expr, error) {
-	x, err := sub()
+// binaryOps are the binary operators by precedence level, lowest first.
+var binaryOps = [...][]string{{"||"}, {"&&"}, {"==", "!="}, {"<=", ">=", "<", ">"}, {"+", "-"}, {"*", "/", "%"}}
+
+// parseBinary parses a left-associative chain of the operators of one
+// precedence level and above.
+func (p *Parser) parseBinary(level int) (Expr, error) {
+	if level == len(binaryOps) {
+		return p.parseUnary()
+	}
+	x, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
+next:
 	for {
-		matched := false
-		for _, op := range ops {
+		for _, op := range binaryOps[level] {
 			if p.isPunct(op) {
 				t := p.advance()
-				y, err := sub()
+				y, err := p.parseBinary(level + 1)
 				if err != nil {
 					return nil, err
 				}
 				x = p.a.binaries.alloc(Binary{Op: op, X: x, Y: y, Line: int(t.Line)})
-				matched = true
-				break
+				continue next
 			}
 		}
-		if !matched {
-			return x, nil
-		}
+		return x, nil
 	}
 }
 
-func (p *Parser) parseOr() (Expr, error) {
-	return p.parseBinaryLevel([]string{"||"}, p.parseAnd)
-}
-
-func (p *Parser) parseAnd() (Expr, error) {
-	return p.parseBinaryLevel([]string{"&&"}, p.parseEq)
-}
-
-func (p *Parser) parseEq() (Expr, error) {
-	return p.parseBinaryLevel([]string{"==", "!="}, p.parseRel)
-}
-
-func (p *Parser) parseRel() (Expr, error) {
-	return p.parseBinaryLevel([]string{"<=", ">=", "<", ">"}, p.parseAdd)
-}
-
-func (p *Parser) parseAdd() (Expr, error) {
-	return p.parseBinaryLevel([]string{"+", "-"}, p.parseMul)
-}
-
-func (p *Parser) parseMul() (Expr, error) {
-	return p.parseBinaryLevel([]string{"*", "/", "%"}, p.parseUnary)
+// parseParenExpr parses `( expr )`.
+func (p *Parser) parseParenExpr() (Expr, error) {
+	if _, err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expectPunct(")"); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
@@ -709,15 +655,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	case p.isKw("new"):
 		return p.parseNew()
 	case p.isPunct("("):
-		p.advance()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return p.parseParenExpr()
 	case t.Kind == TokIdent:
 		p.advance()
 		if p.isPunct("(") {
@@ -736,18 +674,8 @@ func (p *Parser) parsePrimary() (Expr, error) {
 // parseNew parses `new C(args)`, `new base[len]`, or `new base[len][]...`.
 func (p *Parser) parseNew() (Expr, error) {
 	t := p.advance() // new
-	var base string
-	switch {
-	case p.isKw("int"):
-		base = "int"
-		p.advance()
-	case p.isKw("boolean"):
-		base = "boolean"
-		p.advance()
-	case p.cur().Kind == TokIdent:
-		base = p.cur().Text(p.src)
-		p.advance()
-	default:
+	base, ok := p.parseBase()
+	if !ok {
 		return nil, p.errorf(p.cur(), "expected type after new, found %s", p.cur().describe(p.src))
 	}
 	if p.isPunct("(") {
@@ -770,12 +698,6 @@ func (p *Parser) parseNew() (Expr, error) {
 	if _, err := p.expectPunct("]"); err != nil {
 		return nil, err
 	}
-	dims := 0
-	for p.isPunct("[") && p.peek().Kind == TokPunct && p.peek().Text(p.src) == "]" {
-		p.advance()
-		p.advance()
-		dims++
-	}
-	elem := p.a.types.alloc(TypeExpr{Base: base, Dims: dims, Line: int(t.Line)})
+	elem := p.a.types.alloc(TypeExpr{Base: base, Dims: p.parseDims(), Line: int(t.Line)})
 	return p.a.newArrs.alloc(NewArray{Elem: elem, Len: length, Line: int(t.Line)}), nil
 }

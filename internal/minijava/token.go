@@ -229,12 +229,17 @@ func (l *Lexer) Next() (Token, error) {
 }
 
 // LexAll tokenizes the whole input (including the trailing EOF token).
-func LexAll(file, src string) ([]Token, error) {
+func LexAll(file, src string) ([]Token, error) { return lex(file, src, nil) }
+
+// lex is LexAll into out's storage, if it can hold the tokens.
+func lex(file, src string, out []Token) ([]Token, error) {
 	l := NewLexer(file, src)
 	// Generated programs run 2.7 source bytes to the token and the
 	// hand-written workloads 5 to 6; two tokens per five bytes holds the
 	// densest of them without regrowing.
-	out := make([]Token, 0, len(src)*2/5+1)
+	if n := len(src)*2/5 + 1; cap(out) < n {
+		out = make([]Token, 0, n)
+	}
 	for {
 		tok, err := l.Next()
 		if err != nil {

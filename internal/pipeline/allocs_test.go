@@ -18,18 +18,21 @@ import (
 // must agree exactly. The ceilings sit about 15 % above the measured
 // figures:
 //
-//	              the compile path one stage      the domain a package (an
-//	              table, one file name            analyzer holds no Options)
-//	jbb@100       556 allocs, 215 688 B           562 allocs, 215 665 B
-//	jess@0        600 allocs, 140 744 B           604 allocs, 140 721 B
+//	              the parse's memory the last     the compile path one stage
+//	              parse's (a recycled arena)      table, one file name
+//	jbb@100       505 allocs, 150 672 B           556 allocs, 215 688 B
+//	jess@0        551 allocs,  92 496 B           600 allocs, 140 744 B
 //
-// With the condensation still holding component dependency lists they were
-// 562 allocs and 216 449 B, and 604 allocs and 141 729 B. With 24-byte
-// instructions naming operands by pool index, 20-byte tokens and one-pass
-// reference tables they were 564 allocs and 217 073 B, and
-// 607 allocs and 142 232 B; with 96-byte instructions holding their
-// operands and 48-byte tokens 584 allocs and 357 041 B, and 617 allocs and
-// 203 049 B.
+// Before the parse took the arena the last compile released, its slabs
+// were sized by a counting pass over the tokens and its tokens were its
+// own. With the domain a package they were 562 allocs and 215 665 B, and
+// 604 allocs and 140 721 B. With the condensation still holding component
+// dependency lists they were 562 allocs and 216 449 B, and 604 allocs and
+// 141 729 B. With 24-byte instructions naming operands by pool index,
+// 20-byte tokens and one-pass reference tables they were 564 allocs and
+// 217 073 B, and 607 allocs and 142 232 B; with 96-byte instructions
+// holding their operands and 48-byte tokens 584 allocs and 357 041 B, and
+// 617 allocs and 203 049 B.
 //
 // Earlier counts were jbb 596 and jess 620; 917 and 854 while codegen
 // allocated per label and per class, the
@@ -59,8 +62,8 @@ func TestCompileAllocs(t *testing.T) {
 		ceiling  float64
 		bytesMax uint64
 	}{
-		{"jbb", 100, core.Options{Mode: core.ModeFieldArray}, 646, 249_000},
-		{"jess", 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 695, 163_000},
+		{"jbb", 100, core.Options{Mode: core.ModeFieldArray}, 581, 173_000},
+		{"jess", 0, core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, 634, 106_500},
 	} {
 		w, err := workloads.Get(tc.workload)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"strings"
 	"testing"
 
 	"satbelim/internal/bytecode"
@@ -128,4 +129,43 @@ func TestSummaryDumpGolden(t *testing.T) {
 		}
 	}
 	h.check(t, "summary", summaryDumpGolden, summaryVisitGolden)
+}
+
+// TestParseArenaReuseIsInvisible: a compile hands its parse's memory to the
+// next Parse once codegen is done, so nothing a Build holds may point into
+// it. Each workload is built and dumped as dumpBuild dumps it, then every
+// workload and four generated programs are compiled, whose parses take
+// that arena and overwrite it, and the first build's dump must read the
+// same. It runs at inline limit 100 and at limit 0 with summaries, and
+// under the race detector too.
+func TestParseArenaReuseIsInvisible(t *testing.T) {
+	others := progen.Corpus(2900, 4, progen.CampaignConfig())
+	for _, w := range workloads.All() {
+		others = append(others, w.Source)
+	}
+	dump := func(b *Build) string {
+		var s strings.Builder
+		dumpBuild(&s, io.Discard, b)
+		return s.String()
+	}
+	for _, w := range workloads.All() {
+		for _, opts := range []Options{
+			{InlineLimit: 100, Analysis: core.Options{Mode: core.ModeFieldArray}, NoCache: true, Workers: 1},
+			{Analysis: core.Options{Mode: core.ModeFieldArray, Interprocedural: true}, NoCache: true, Workers: 1},
+		} {
+			b, err := Compile(w.Name, w.Source, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := dump(b)
+			for i, src := range others {
+				if _, err := Compile(fmt.Sprintf("other%d", i), src, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if after := dump(b); after != before {
+				t.Errorf("%s@%d: the build's dump changed when later parses reused its arena", w.Name, opts.InlineLimit)
+			}
+		}
+	}
 }

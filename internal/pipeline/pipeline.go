@@ -222,6 +222,9 @@ func compile(ctx context.Context, name, source string, opts Options) (*Build, er
 				checked, err = minijava.Check(file, ast)
 			case StageCodegen:
 				b.Program, err = codegen.Compile(checked)
+				// Nothing of the bytecode points into the tree, so the
+				// next parse may take its memory.
+				ast.Release()
 			case StageInline:
 				ir := inline.Apply(b.Program, inline.Options{Limit: opts.InlineLimit})
 				b.Program, b.InlinedCalls = ir.Program, ir.Expanded
@@ -234,6 +237,7 @@ func compile(ctx context.Context, name, source string, opts Options) (*Build, er
 			b.StageTime[s] = time.Since(start)
 		}
 		if err != nil {
+			ast.Release()
 			return nil, fmt.Errorf("pipeline %s: %w", name, err)
 		}
 	}

@@ -540,20 +540,14 @@ func (c *Counters) shadeBody(sp *BarrierSpec, log Logger, pre, newVal heap.Ref) 
 	}
 }
 
-// Barrier executes the write barrier for a reference store of newVal whose
-// overwritten value was pre. elide reflects the compile-time analysis
-// verdict for the site, already projected through the flavor's soundness
-// predicate; the instrumentation still observes elided stores (to
-// validate soundness and compute the pre-null upper bound) but pays no
-// barrier cost for them.
-func (c *Counters) Barrier(mode BarrierMode, log Logger, key SiteKey, kind SiteKind, elide ElideKind, pre, newVal, target heap.Ref) {
-	c.BarrierSiteSpec(mode.Spec(), log, c.Site(key, kind, elide), elide, pre, newVal, target)
-}
-
-// BarrierSiteSpec is the spec-driven barrier entry point all flavors
-// share, with the site's stats record already resolved: the decoded VM
-// engines resolve each store site once at decode time and call it directly,
-// removing the per-execution map lookup.
+// BarrierSiteSpec executes the write barrier of flavor sp for a reference
+// store of newVal whose overwritten value was pre, at the site whose stats
+// record is s: the decoded VM engines resolve each store site once at
+// decode time (Site) and call it directly. elide reflects the
+// compile-time analysis verdict for the site, already projected through
+// the flavor's soundness predicate; the instrumentation still observes
+// elided stores (to validate soundness and compute the pre-null upper
+// bound) but pays no barrier cost for them.
 func (c *Counters) BarrierSiteSpec(sp *BarrierSpec, log Logger, s *SiteStats, elide ElideKind, pre, newVal, target heap.Ref) {
 	s.Execs++
 	if pre == heap.Null {
@@ -605,14 +599,9 @@ func (c *Counters) BarrierSiteSpec(sp *BarrierSpec, log Logger, s *SiteStats, el
 	c.shadeBody(sp, log, pre, newVal)
 }
 
-// StaticBarrier handles putstatic reference stores (always kept; the
-// analyses never elide them).
-func (c *Counters) StaticBarrier(mode BarrierMode, log Logger, pre, newVal heap.Ref) {
-	c.StaticBarrierSpec(mode.Spec(), log, pre, newVal)
-}
-
-// StaticBarrierSpec is the spec-driven putstatic barrier. Statics have
-// no per-object card, so the card flavor pays cost and counts the hit
+// StaticBarrierSpec is the barrier of flavor sp for putstatic reference
+// stores (always kept; the analyses never elide them). Statics have no
+// per-object card, so the card flavor pays cost and counts the hit
 // without dirtying.
 func (c *Counters) StaticBarrierSpec(sp *BarrierSpec, log Logger, pre, newVal heap.Ref) {
 	c.StaticExecs++

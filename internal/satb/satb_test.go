@@ -27,7 +27,7 @@ var key = SiteKey{Method: "T.m", PC: 3}
 func TestConditionalBarrierMarkingOff(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: false}
-	c.Barrier(ModeConditional, log, key, FieldSite, ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostCheckOnly {
 		t.Errorf("cost = %d, want %d", c.Cost, CostCheckOnly)
 	}
@@ -43,7 +43,7 @@ func TestConditionalBarrierMarkingOff(t *testing.T) {
 func TestConditionalBarrierLogsNonNullPre(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: true}
-	c.Barrier(ModeConditional, log, key, FieldSite, ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostLogged || c.Logged != 1 {
 		t.Errorf("cost=%d logged=%d", c.Cost, c.Logged)
 	}
@@ -51,7 +51,7 @@ func TestConditionalBarrierLogsNonNullPre(t *testing.T) {
 		t.Errorf("logged = %v", log.logged)
 	}
 	// Null pre-value: cheaper, no log.
-	c.Barrier(ModeConditional, log, key, FieldSite, ElideNone, heap.Null, heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Null, heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostLogged+CostPreNull || len(log.logged) != 1 {
 		t.Errorf("after null pre: cost=%d logs=%d", c.Cost, len(log.logged))
 	}
@@ -60,7 +60,7 @@ func TestConditionalBarrierLogsNonNullPre(t *testing.T) {
 func TestAlwaysLogSkipsCheck(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: false}
-	c.Barrier(ModeAlwaysLog, log, key, FieldSite, ElideNone, heap.Ref(9), heap.Ref(2), heap.Ref(1))
+	c.BarrierSiteSpec(ModeAlwaysLog.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(9), heap.Ref(2), heap.Ref(1))
 	if c.Cost != CostAlwaysLogged {
 		t.Errorf("cost = %d, want %d", c.Cost, CostAlwaysLogged)
 	}
@@ -69,7 +69,7 @@ func TestAlwaysLogSkipsCheck(t *testing.T) {
 		t.Error("inactive marker should not receive entries")
 	}
 	log.active = true
-	c.Barrier(ModeAlwaysLog, log, key, FieldSite, ElideNone, heap.Ref(9), heap.Ref(2), heap.Ref(1))
+	c.BarrierSiteSpec(ModeAlwaysLog.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(9), heap.Ref(2), heap.Ref(1))
 	if len(log.logged) != 1 {
 		t.Error("active marker should receive the entry")
 	}
@@ -78,7 +78,7 @@ func TestAlwaysLogSkipsCheck(t *testing.T) {
 func TestElidedSitePaysNothing(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: true}
-	c.Barrier(ModeConditional, log, key, ArraySite, ElidePreNull, heap.Null, heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, ArraySite, ElidePreNull), ElidePreNull, heap.Null, heap.Ref(8), heap.Ref(1))
 	if c.Cost != 0 || len(log.logged) != 0 {
 		t.Errorf("elided site must be free: cost=%d", c.Cost)
 	}
@@ -91,7 +91,7 @@ func TestElidedSitePaysNothing(t *testing.T) {
 func TestCardMarking(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{}
-	c.Barrier(ModeCardMarking, log, key, FieldSite, ElideNone, heap.Ref(3), heap.Ref(4), heap.Ref(5))
+	c.BarrierSiteSpec(ModeCardMarking.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(3), heap.Ref(4), heap.Ref(5))
 	if c.Cost != CostCard || c.CardsDirtied != 1 {
 		t.Errorf("cost=%d cards=%d", c.Cost, c.CardsDirtied)
 	}
@@ -103,7 +103,7 @@ func TestCardMarking(t *testing.T) {
 func TestNoBarrierIsFree(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: true}
-	c.Barrier(ModeNoBarrier, log, key, FieldSite, ElideNone, heap.Ref(3), heap.Ref(4), heap.Ref(5))
+	c.BarrierSiteSpec(ModeNoBarrier.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(3), heap.Ref(4), heap.Ref(5))
 	if c.Cost != 0 {
 		t.Error("no-barrier mode must cost nothing")
 	}
@@ -116,17 +116,17 @@ func TestSummaryComputesTable1Quantities(t *testing.T) {
 	k2 := SiteKey{Method: "T.m", PC: 2} // field, kept, sometimes non-null
 	k3 := SiteKey{Method: "T.m", PC: 3} // array, kept, always pre-null (potential)
 	for i := 0; i < 10; i++ {
-		c.Barrier(ModeConditional, log, k1, FieldSite, ElidePreNull, heap.Null, 8, 1)
+		c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(k1, FieldSite, ElidePreNull), ElidePreNull, heap.Null, 8, 1)
 	}
 	for i := 0; i < 5; i++ {
 		pre := heap.Null
 		if i%2 == 0 {
 			pre = heap.Ref(9)
 		}
-		c.Barrier(ModeConditional, log, k2, FieldSite, ElideNone, pre, 8, 1)
+		c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(k2, FieldSite, ElideNone), ElideNone, pre, 8, 1)
 	}
 	for i := 0; i < 4; i++ {
-		c.Barrier(ModeConditional, log, k3, ArraySite, ElideNone, heap.Null, 8, 1)
+		c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(k3, ArraySite, ElideNone), ElideNone, heap.Null, 8, 1)
 	}
 	s := c.Summarize()
 	if s.TotalExecs != 19 || s.FieldExecs != 15 || s.ArrayExecs != 4 {
@@ -146,7 +146,7 @@ func TestSummaryComputesTable1Quantities(t *testing.T) {
 func TestSummaryFlagsUnsoundElision(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{}
-	c.Barrier(ModeConditional, log, key, FieldSite, ElidePreNull, heap.Ref(4), 8, 1) // elided but non-null pre!
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, FieldSite, ElidePreNull), ElidePreNull, heap.Ref(4), 8, 1) // elided but non-null pre!
 	s := c.Summarize()
 	if len(s.UnsoundSites) != 1 {
 		t.Fatalf("unsound elision must be flagged: %+v", s)
@@ -156,7 +156,7 @@ func TestSummaryFlagsUnsoundElision(t *testing.T) {
 func TestStaticBarrier(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: true}
-	c.StaticBarrier(ModeConditional, log, heap.Ref(2), heap.Ref(3))
+	c.StaticBarrierSpec(ModeConditional.Spec(), log, heap.Ref(2), heap.Ref(3))
 	if c.StaticExecs != 1 || c.Logged != 1 {
 		t.Errorf("statics: execs=%d logged=%d", c.StaticExecs, c.Logged)
 	}
@@ -165,9 +165,9 @@ func TestStaticBarrier(t *testing.T) {
 func TestSitesDeterministicOrder(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{}
-	c.Barrier(ModeNoBarrier, log, SiteKey{Method: "B.m", PC: 9}, FieldSite, ElideNone, 0, 0, 1)
-	c.Barrier(ModeNoBarrier, log, SiteKey{Method: "A.m", PC: 2}, FieldSite, ElideNone, 0, 0, 1)
-	c.Barrier(ModeNoBarrier, log, SiteKey{Method: "A.m", PC: 1}, FieldSite, ElideNone, 0, 0, 1)
+	c.BarrierSiteSpec(ModeNoBarrier.Spec(), log, c.Site(SiteKey{Method: "B.m", PC: 9}, FieldSite, ElideNone), ElideNone, 0, 0, 1)
+	c.BarrierSiteSpec(ModeNoBarrier.Spec(), log, c.Site(SiteKey{Method: "A.m", PC: 2}, FieldSite, ElideNone), ElideNone, 0, 0, 1)
+	c.BarrierSiteSpec(ModeNoBarrier.Spec(), log, c.Site(SiteKey{Method: "A.m", PC: 1}, FieldSite, ElideNone), ElideNone, 0, 0, 1)
 	sites := c.Sites()
 	if len(sites) != 3 {
 		t.Fatalf("sites = %d", len(sites))
@@ -178,13 +178,13 @@ func TestRearrangeBarrierProtocol(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: true}
 	// Untraced array: just the trace-state check, nothing logged.
-	c.Barrier(ModeConditional, log, key, ArraySite, ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, ArraySite, ElideRearrange), ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
 	if c.Cost != CostTraceCheck || len(log.retraced) != 0 {
 		t.Errorf("untraced: cost=%d retraced=%v", c.Cost, log.retraced)
 	}
 	// Already-traced array: retrace scheduled.
 	log.state = heap.TraceTraced
-	c.Barrier(ModeConditional, log, key, ArraySite, ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, ArraySite, ElideRearrange), ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
 	if len(log.retraced) != 1 || log.retraced[0] != heap.Ref(5) {
 		t.Errorf("traced: retraced=%v", log.retraced)
 	}
@@ -194,19 +194,19 @@ func TestRearrangeBarrierProtocol(t *testing.T) {
 	// Marking off: only the conditional check cost.
 	log.active = false
 	before := c.Cost
-	c.Barrier(ModeConditional, log, key, ArraySite, ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, ArraySite, ElideRearrange), ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
 	if c.Cost != before+CostCheckOnly {
 		t.Errorf("marking-off cost delta = %d", c.Cost-before)
 	}
 	// No-barrier mode is free.
 	before = c.Cost
-	c.Barrier(ModeNoBarrier, log, key, ArraySite, ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
+	c.BarrierSiteSpec(ModeNoBarrier.Spec(), log, c.Site(key, ArraySite, ElideRearrange), ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
 	if c.Cost != before {
 		t.Error("no-barrier must be free")
 	}
 	// Card marking falls back to a card store.
 	before = c.Cost
-	c.Barrier(ModeCardMarking, log, key, ArraySite, ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
+	c.BarrierSiteSpec(ModeCardMarking.Spec(), log, c.Site(key, ArraySite, ElideRearrange), ElideRearrange, heap.Ref(3), heap.Ref(4), heap.Ref(5))
 	if c.Cost != before+CostCard || len(log.dirtied) != 1 {
 		t.Errorf("card fallback: cost delta %d, dirtied %v", c.Cost-before, log.dirtied)
 	}
@@ -222,25 +222,25 @@ func TestRearrangeBarrierProtocol(t *testing.T) {
 func TestStaticBarrierAllModes(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{}
-	c.StaticBarrier(ModeNoBarrier, log, heap.Ref(1), heap.Ref(2))
+	c.StaticBarrierSpec(ModeNoBarrier.Spec(), log, heap.Ref(1), heap.Ref(2))
 	if c.Cost != 0 {
 		t.Error("no-barrier static must be free")
 	}
-	c.StaticBarrier(ModeConditional, log, heap.Ref(1), heap.Ref(2)) // marking off
+	c.StaticBarrierSpec(ModeConditional.Spec(), log, heap.Ref(1), heap.Ref(2)) // marking off
 	if c.Cost != CostCheckOnly {
 		t.Errorf("cost = %d", c.Cost)
 	}
 	log.active = true
-	c.StaticBarrier(ModeConditional, log, heap.Null, heap.Ref(2))
+	c.StaticBarrierSpec(ModeConditional.Spec(), log, heap.Null, heap.Ref(2))
 	if c.Cost != CostCheckOnly+CostPreNull {
 		t.Errorf("cost = %d", c.Cost)
 	}
-	c.StaticBarrier(ModeAlwaysLog, log, heap.Null, heap.Ref(2))
-	c.StaticBarrier(ModeAlwaysLog, log, heap.Ref(2), heap.Ref(3))
+	c.StaticBarrierSpec(ModeAlwaysLog.Spec(), log, heap.Null, heap.Ref(2))
+	c.StaticBarrierSpec(ModeAlwaysLog.Spec(), log, heap.Ref(2), heap.Ref(3))
 	if c.Logged != 1 || len(log.logged) != 1 {
 		t.Errorf("always-log statics: logged=%d", c.Logged)
 	}
-	c.StaticBarrier(ModeCardMarking, log, heap.Ref(2), heap.Ref(3))
+	c.StaticBarrierSpec(ModeCardMarking.Spec(), log, heap.Ref(2), heap.Ref(3))
 	if c.CardsDirtied != 1 {
 		t.Error("card static")
 	}
@@ -278,7 +278,7 @@ func TestStringersAndPredicates(t *testing.T) {
 	}
 	c := NewCounters()
 	log := &recordingLogger{}
-	c.Barrier(ModeConditional, log, key, FieldSite, ElidePreNull, heap.Ref(1), heap.Ref(1), 1)
+	c.BarrierSiteSpec(ModeConditional.Spec(), log, c.Site(key, FieldSite, ElidePreNull), ElidePreNull, heap.Ref(1), heap.Ref(1), 1)
 	sum := c.Summarize()
 	if sum.String() == "" {
 		t.Error("summary string empty")

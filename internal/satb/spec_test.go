@@ -73,19 +73,19 @@ func TestSoundnessMatrix(t *testing.T) {
 func TestYuasaBarrierCosts(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: false}
-	c.Barrier(ModeYuasa, log, key, FieldSite, ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeYuasa.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostCheckOnly {
 		t.Errorf("marking off: cost = %d, want %d", c.Cost, CostCheckOnly)
 	}
 	log.active = true
 	// Non-null pre: logged.
-	c.Barrier(ModeYuasa, log, key, FieldSite, ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeYuasa.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostCheckOnly+CostYuasa || c.Logged != 1 || len(log.logged) != 1 {
 		t.Errorf("non-null pre: cost=%d logged=%d", c.Cost, c.Logged)
 	}
 	// Null pre: the unconditional push costs the same, but nothing is
 	// delivered (the drain filters nulls).
-	c.Barrier(ModeYuasa, log, key, FieldSite, ElideNone, heap.Null, heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeYuasa.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Null, heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostCheckOnly+2*CostYuasa || c.Logged != 1 || len(log.logged) != 1 {
 		t.Errorf("null pre: cost=%d logged=%d", c.Cost, c.Logged)
 	}
@@ -97,7 +97,7 @@ func TestYuasaBarrierCosts(t *testing.T) {
 func TestDijkstraBarrierShadesNewValue(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: true}
-	c.Barrier(ModeDijkstra, log, key, FieldSite, ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeDijkstra.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostDijkstraShade || c.Shaded != 1 {
 		t.Errorf("cost=%d shaded=%d", c.Cost, c.Shaded)
 	}
@@ -108,14 +108,14 @@ func TestDijkstraBarrierShadesNewValue(t *testing.T) {
 		t.Error("an insertion barrier must not log pre-values")
 	}
 	// Storing null: nothing to shade.
-	c.Barrier(ModeDijkstra, log, key, FieldSite, ElideNone, heap.Ref(7), heap.Null, heap.Ref(1))
+	c.BarrierSiteSpec(ModeDijkstra.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(7), heap.Null, heap.Ref(1))
 	if c.Cost != CostDijkstraShade+CostDijkstraNull || c.Shaded != 1 {
 		t.Errorf("null store: cost=%d shaded=%d", c.Cost, c.Shaded)
 	}
 	// Marking off: just the check.
 	log.active = false
 	before := c.Cost
-	c.Barrier(ModeDijkstra, log, key, FieldSite, ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeDijkstra.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
 	if c.Cost != before+CostCheckOnly {
 		t.Errorf("marking-off delta = %d", c.Cost-before)
 	}
@@ -125,7 +125,7 @@ func TestHybridBarrierShadesBoth(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: true}
 	// Both operands non-null: both shaded.
-	c.Barrier(ModeHybrid, log, key, FieldSite, ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeHybrid.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Ref(7), heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostHybridBoth || c.Logged != 1 || c.Shaded != 1 {
 		t.Errorf("both: cost=%d logged=%d shaded=%d", c.Cost, c.Logged, c.Shaded)
 	}
@@ -134,12 +134,12 @@ func TestHybridBarrierShadesBoth(t *testing.T) {
 		t.Errorf("logged=%v shaded=%v", log.logged, log.shaded)
 	}
 	// Null pre, non-null new: only the insertion half.
-	c.Barrier(ModeHybrid, log, key, FieldSite, ElideNone, heap.Null, heap.Ref(8), heap.Ref(1))
+	c.BarrierSiteSpec(ModeHybrid.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Null, heap.Ref(8), heap.Ref(1))
 	if c.Cost != CostHybridBoth+CostHybridOne || c.Shaded != 2 || c.Logged != 1 {
 		t.Errorf("insertion half: cost=%d logged=%d shaded=%d", c.Cost, c.Logged, c.Shaded)
 	}
 	// Both null: fast path.
-	c.Barrier(ModeHybrid, log, key, FieldSite, ElideNone, heap.Null, heap.Null, heap.Ref(1))
+	c.BarrierSiteSpec(ModeHybrid.Spec(), log, c.Site(key, FieldSite, ElideNone), ElideNone, heap.Null, heap.Null, heap.Ref(1))
 	if c.Cost != CostHybridBoth+CostHybridOne+CostHybridNull {
 		t.Errorf("fast path: cost=%d", c.Cost)
 	}
@@ -170,15 +170,15 @@ func TestProjectedElisionIsFreeUnderNewFlavors(t *testing.T) {
 func TestStaticBarrierNewFlavors(t *testing.T) {
 	c := NewCounters()
 	log := &recordingLogger{active: true}
-	c.StaticBarrier(ModeYuasa, log, heap.Ref(1), heap.Ref(2))
+	c.StaticBarrierSpec(ModeYuasa.Spec(), log, heap.Ref(1), heap.Ref(2))
 	if c.Cost != CostYuasa || c.Logged != 1 {
 		t.Errorf("yuasa static: cost=%d logged=%d", c.Cost, c.Logged)
 	}
-	c.StaticBarrier(ModeDijkstra, log, heap.Ref(1), heap.Ref(2))
+	c.StaticBarrierSpec(ModeDijkstra.Spec(), log, heap.Ref(1), heap.Ref(2))
 	if c.Cost != CostYuasa+CostDijkstraShade || c.Shaded != 1 {
 		t.Errorf("dijkstra static: cost=%d shaded=%d", c.Cost, c.Shaded)
 	}
-	c.StaticBarrier(ModeHybrid, log, heap.Ref(1), heap.Null)
+	c.StaticBarrierSpec(ModeHybrid.Spec(), log, heap.Ref(1), heap.Null)
 	if c.Cost != CostYuasa+CostDijkstraShade+CostHybridOne || c.Logged != 2 {
 		t.Errorf("hybrid static: cost=%d logged=%d", c.Cost, c.Logged)
 	}
