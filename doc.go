@@ -8,10 +8,12 @@
 //
 // The root package carries the benchmark harness (bench_test.go), one
 // benchmark per table and figure of the paper's evaluation. The library
-// lives under internal/ (see README.md for the architecture map), and
-// three command-line tools expose it:
+// lives under internal/ (see README.md for the architecture map and
+// DESIGN.md §3 for every module), and five command-line tools expose it:
 //
 //	cmd/satbc      compile + analyze MiniJava, print elision reports
 //	cmd/satbvm     run programs under chosen barriers and collectors
 //	cmd/satbbench  regenerate the paper's tables and figures
+//	cmd/satbd      serve compile/analyze/run over HTTP, or load-test it
+//	cmd/satbtest   run metamorphic campaigns over generated programs
 package satbelim

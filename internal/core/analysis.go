@@ -127,6 +127,11 @@ const (
 	// reason. Like DegradeDeadline it is a real-time condition, never
 	// reproducible from the inputs alone.
 	DegradeCancelled DegradeReason = "cancelled"
+	// DegradeNotInductive: the judging pass found an edge along which the
+	// fixed point's states are not closed — the initial state, or a
+	// block's out state, still changes the join it flows into — so what it
+	// would judge is no fixed point. The edge is in MethodReport.DegradeDetail.
+	DegradeNotInductive DegradeReason = "not-inductive"
 )
 
 // stopReason names why a done context stopped the analysis: its deadline
@@ -196,6 +201,10 @@ type analyzer struct {
 	// held in a workspace state only while the block is pending.
 	entry []*domain.State
 	slab  domain.EntrySlab
+	// init is the state the fixed point started from: entry[0] until an
+	// edge into block 0 is first joined into it, a copy in a workspace
+	// state after.
+	init *domain.State
 
 	visits    int
 	maxVisits int
@@ -204,6 +213,12 @@ type analyzer struct {
 	// ctx is the caller's context; its Done channel is polled every
 	// doneCheckInterval block visits.
 	ctx context.Context
+	// resimulate says the judge's own states are not the fixed point's:
+	// under Config.Rearrange a judged load freshens an unknown integer
+	// local for the swap detector, and that symbol flows into the block's
+	// out state. The judge then checks its edges on a second chain of
+	// states, simulated as the fixed point simulates.
+	resimulate bool
 }
 
 // workspace is what one analysis worker reuses from method to method: the
@@ -313,7 +328,11 @@ func analyze(ctx context.Context, px *programIndex, ws *workspace, idx methodInd
 	if rep.Degraded != DegradeNone {
 		return nil
 	}
-	j := a.judge()
+	j, bad := a.judge()
+	if bad != "" {
+		rep.Degraded, rep.DegradeDetail = DegradeNotInductive, bad
+		return nil
+	}
 	verdicts, rep.SummaryCalls, rep.FreshReturns = j.Result()
 	return verdicts
 }
@@ -360,13 +379,14 @@ func newAnalyzer(ctx context.Context, px *programIndex, ws *workspace, idx metho
 		maxVisits = 200*len(idx.Graph.Blocks) + 2000
 	}
 	return &analyzer{
-		t:         domain.NewTransfer(&ws.dom, px.syms, idx.Body, idx.refs, px.cfg, sums, summarize),
-		graph:     idx.Graph,
-		ws:        ws,
-		entry:     make([]*domain.State, len(idx.Graph.Blocks)),
-		maxVisits: maxVisits,
-		maxState:  opts.MaxStateSize,
-		ctx:       ctx,
+		t:          domain.NewTransfer(&ws.dom, px.syms, idx.Body, idx.refs, px.cfg, sums, summarize),
+		graph:      idx.Graph,
+		ws:         ws,
+		entry:      make([]*domain.State, len(idx.Graph.Blocks)),
+		maxVisits:  maxVisits,
+		maxState:   opts.MaxStateSize,
+		ctx:        ctx,
+		resimulate: opts.Rearrange,
 	}
 }
 
@@ -475,6 +495,7 @@ func (a *analyzer) fixpoint() DegradeReason {
 	clear(ws.reached)
 	ws.free = append(ws.free[:0], ws.extra...)
 	a.entry[0] = a.t.InitialState()
+	a.init = a.entry[0]
 	ws.reached[0] = true
 	work := &ws.work
 	work.reset(a.graph.RPOIndex())
@@ -523,6 +544,9 @@ func (a *analyzer) fixpoint() DegradeReason {
 				a.entry[tgt] = a.slab.NewEntry(out, joins-1)
 				work.push(tgt)
 			default:
+				if cur == a.init {
+					a.init = ws.copyOf(cur)
+				}
 				spare := &ws.spare
 				changed := a.t.Join(spare, cur, out)
 				cur.CopyFrom(spare)
@@ -537,9 +561,12 @@ func (a *analyzer) fixpoint() DegradeReason {
 // judge performs the final pass: with fixed-point entry states, it
 // re-simulates every reachable block, and the transfer functions record
 // what each store site earned ("the last such judgment (at the fixed point
-// of the analysis) is correct", §2.4).
-func (a *analyzer) judge() domain.Judgment {
-	var j domain.Judgment
+// of the analysis) is correct", §2.4). It also checks that the states it
+// judges are a fixed point: that joining the initial state into block 0's
+// entry, and each block's out state into every join it flows into, changes
+// nothing. The first edge that fails is described in bad, and the
+// method's verdicts must not be published.
+func (a *analyzer) judge() (j domain.Judgment, bad string) {
 	// Visit blocks in reverse postorder so that a single-predecessor
 	// block continues its predecessor's judge-pass state and rearrangement
 	// tracker — the fixed point kept no entry for it — and a join starts
@@ -550,13 +577,20 @@ func (a *analyzer) judge() domain.Judgment {
 	// outs[id].st is block id's out state while outs[id].conts
 	// single-predecessor successors have yet to continue from it; the last
 	// of them takes the state over instead of copying it, and a state
-	// nobody continues from goes back to the free list. Every state is the
-	// workspace's: the fixed point's two buffers and the extra states
-	// earlier passes made start the list.
+	// nobody continues from goes back to the free list. outs[id].fp is the
+	// same for the fixed point's own out state when a.resimulate. Every
+	// state is the workspace's: the fixed point's scratch buffer and the
+	// extra states earlier passes made start the list, and its spare buffer
+	// is where the checks join.
 	ws := a.ws
+	check := &ws.spare
+	if a.t.Join(check, a.entry[0], a.init) {
+		return j, "the initial state does not lie in block 0's entry"
+	}
 	outs := resized(ws.outs, len(a.graph.Blocks))
 	clear(outs)
-	ws.free = append(ws.free[:0], &ws.scratch, &ws.spare)
+	ws.outs = outs
+	ws.free = append(ws.free[:0], &ws.scratch)
 	ws.free = append(ws.free, ws.extra...)
 	for _, id := range a.graph.ReversePostorder() {
 		if !ws.reached[id] {
@@ -568,28 +602,47 @@ func (a *analyzer) judge() domain.Judgment {
 				outs[id].conts++
 			}
 		}
-		var st *domain.State
+		var st, fp *domain.State
 		from := -1
 		if a.isJoin(id) {
 			st = ws.copyOf(a.entry[id])
+			if a.resimulate {
+				fp = ws.copyOf(a.entry[id])
+			}
 		} else {
 			from = b.Preds[0]
 			p := &outs[from]
 			if p.conts--; p.conts == 0 {
 				st, p.st = p.st, nil
+				fp, p.fp = p.fp, nil
 			} else {
 				st = ws.copyOf(p.st)
+				if a.resimulate {
+					fp = ws.copyOf(p.fp)
+				}
 			}
 		}
 		a.t.Judge(&j, st, id, from)
+		out := st
+		if a.resimulate {
+			a.t.Step(fp, id)
+			out = fp
+		}
+		for _, succ := range b.Succs {
+			if a.isJoin(succ) && a.t.Join(check, a.entry[succ], out) {
+				return j, fmt.Sprintf("block %d's out state does not lie in the entry of block %d", id, succ)
+			}
+		}
 		if outs[id].conts > 0 {
-			outs[id].st = st
+			outs[id].st, outs[id].fp = st, fp
 		} else {
 			ws.free = append(ws.free, st)
+			if fp != nil {
+				ws.free = append(ws.free, fp)
+			}
 		}
 	}
-	ws.outs = outs
-	return j
+	return j, ""
 }
 
 // resized returns vs with length n, reusing its backing array when it is
@@ -597,9 +650,9 @@ func (a *analyzer) judge() domain.Judgment {
 func resized[T any](vs []T, n int) []T { return slices.Grow(vs[:0], n)[:n] }
 
 // judgeOut is a block's entry in the judge pass's bookkeeping: its out
-// state, while conts single-predecessor successors have yet to continue
-// from it.
+// state (and, when the judge re-simulates, the fixed point's), while conts
+// single-predecessor successors have yet to continue from it.
 type judgeOut struct {
-	st    *domain.State
-	conts int
+	st, fp *domain.State
+	conts  int
 }

@@ -77,3 +77,30 @@ func TestEntryBlockIsAJoin(t *testing.T) {
 		}
 	}
 }
+
+// TestJudgedStatesAreInductive: the judge checks the states it judges
+// against the fixed point's joins — the initial state and every out state
+// must lie in the entry of each join they flow into — before any program
+// runs. On the entry-loop method, whose block 0 joins the initial state
+// with its back edge, and on the counting loop, no method degrades for it,
+// in either mode, with or without summaries and the swap detector.
+func TestJudgedStatesAreInductive(t *testing.T) {
+	for _, src := range []string{entryLoopSrc, countingLoopSrc} {
+		for _, mode := range []core.Mode{core.ModeField, core.ModeFieldArray} {
+			for _, ext := range []bool{false, true} {
+				opts := pipeline.Options{InlineLimit: 0, NoCache: true,
+					Analysis: core.Options{Mode: mode, Interprocedural: ext, Rearrange: ext, NullOrSame: ext}}
+				b, err := pipeline.Compile("entry", src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mr := range b.Report.Methods {
+					if mr.Degraded == core.DegradeNotInductive {
+						t.Errorf("mode %v, extensions %v: %s degraded %s: %s",
+							mode, ext, mr.Method.QualifiedName(), mr.Degraded, mr.DegradeDetail)
+					}
+				}
+			}
+		}
+	}
+}

@@ -117,6 +117,10 @@ class A {
 				t.Fatalf("%s: the analysis panicked: %s\noptions: %+v\nsource:\n%s",
 					mr.Method.QualifiedName(), mr.DegradeDetail, opts, src)
 			}
+			if mr.Degraded == core.DegradeNotInductive {
+				t.Fatalf("%s degraded %s: %s\noptions: %+v\nsource:\n%s",
+					mr.Method.QualifiedName(), mr.Degraded, mr.DegradeDetail, opts, src)
+			}
 			if mr.FieldElided > mr.FieldSites || mr.ArrayElided > mr.ArraySites {
 				t.Fatalf("%s: elisions exceed sites (%d/%d field, %d/%d array)\noptions: %+v\nsource:\n%s",
 					mr.Method.QualifiedName(), mr.FieldElided, mr.FieldSites,

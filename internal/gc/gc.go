@@ -94,12 +94,22 @@ type tracer struct {
 // Go collector's second cycle.
 var grayStacks = sync.Pool{New: func() any { return new([]heap.Ref) }}
 
-// Release empties the gray stack and puts it back in grayStacks.
+// grayStackMax bounds, in entries, the gray stack Release puts back: about
+// nine times the deepest stack a benchmark pairing reaches, so that one
+// huge heap does not pin its stack for as long as traffic keeps the pool
+// warm.
+const grayStackMax = 1 << 14
+
+// Release empties the gray stack and puts it back in grayStacks; a stack
+// grown past grayStackMax goes to the Go collector and its box back empty.
 func (t *tracer) Release() {
 	if t.box == nil {
 		return
 	}
 	*t.box = t.gray[:0]
+	if cap(t.gray) > grayStackMax {
+		*t.box = nil
+	}
 	grayStacks.Put(t.box)
 	t.box, t.gray = nil, nil
 }

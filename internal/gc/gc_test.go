@@ -372,3 +372,39 @@ func TestReleaseMidCycle(t *testing.T) {
 		})
 	}
 }
+
+// TestReleasedGrayStackIsBounded: Release puts a marker's gray stack back
+// for the next marker only when it holds at most grayStackMax entries; a
+// larger one is left to the Go collector and its box goes back empty.
+func TestReleasedGrayStackIsBounded(t *testing.T) {
+	for name, newMarker := range markers {
+		for _, n := range []int{100, grayStackMax + 1} {
+			h := newHeap()
+			roots := make([]heap.Ref, n)
+			for i := range roots {
+				roots[i] = alloc(h)
+			}
+			m := newMarker(h)
+			m.Start(roots, false)
+			var tr *tracer
+			switch m := m.(type) {
+			case *SATBMarker:
+				tr = &m.tracer
+			case *IncMarker:
+				tr = &m.tracer
+			}
+			box, grown := tr.box, cap(tr.gray)
+			if grown < n {
+				t.Fatalf("%s: a cycle with %d gray roots grew its stack to %d entries", name, n, grown)
+			}
+			m.Release()
+			kept := cap(*box)
+			if n <= grayStackMax && kept != grown {
+				t.Errorf("%s: a stack of %d entries went back as %d", name, grown, kept)
+			}
+			if n > grayStackMax && kept != 0 {
+				t.Errorf("%s: a stack of %d entries went back as %d, want none past %d", name, grown, kept, grayStackMax)
+			}
+		}
+	}
+}

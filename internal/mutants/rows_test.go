@@ -67,10 +67,14 @@ var rows = []row{
 		rationale: "an edge into block 0 overwrites the method entry's state instead of joining it, " +
 			"so a loop at pc 0 forgets what its arguments arrive with",
 		// The 40-seed campaign never makes a method whose first statement
-		// is a loop, so only these two catch it.
+		// is a loop, so only these catch it. The judge's inductiveness
+		// check sees the initial state fall outside block 0's entry and
+		// degrades the method before any program runs; the counting loop
+		// then runs out of visits.
 		killers: []check{
-			{pkg: "internal/core", run: "^TestEntryBlockIsAJoin$", want: "soundness violation at T.g"},
-			{pkg: "internal/core", run: "^FuzzAnalyze$", want: "soundness violation at T.g"},
+			{pkg: "internal/core", run: "^TestJudgedStatesAreInductive$", want: "T.g degraded not-inductive"},
+			{pkg: "internal/core", run: "^TestEntryBlockIsAJoin$", want: `T.g degraded "visit-budget"`},
+			{pkg: "internal/core", run: "^FuzzAnalyze$", want: "T.g degraded not-inductive"},
 		},
 	},
 	{

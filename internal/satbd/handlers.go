@@ -306,6 +306,23 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 // docBufs holds the buffers writeDoc encodes into.
 var docBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// docBufMax bounds the buffer recycleDocBuf puts back, as fmt bounds its
+// printers': about 28 times the largest response a benchmark request
+// gets, so that one huge response does not pin its buffer for as long as
+// traffic keeps the pool warm.
+const docBufMax = 64 << 10
+
+// recycleDocBuf empties buf and puts it back in docBufs, unless it grew
+// past docBufMax; it reports whether it did.
+func recycleDocBuf(buf *bytes.Buffer) bool {
+	if buf.Cap() > docBufMax {
+		return false
+	}
+	buf.Reset()
+	docBufs.Put(buf)
+	return true
+}
+
 // writeDoc sends a Document as compact JSON and a newline, the bytes of
 // json.Marshal and '\n': the wire format has no reader to indent for, and
 // the files the CLIs write keep their indentation. The document is encoded
@@ -314,10 +331,7 @@ var docBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // with no copy.
 func writeDoc(w http.ResponseWriter, status int, doc *report.Document) {
 	buf := docBufs.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		docBufs.Put(buf)
-	}()
+	defer recycleDocBuf(buf)
 	if err := json.NewEncoder(buf).Encode(doc); err != nil {
 		// A Document always marshals; this is unreachable but must not
 		// produce a schema-invalid body if it ever fires.

@@ -604,3 +604,20 @@ func TestWriteDocIsMarshalAndNewline(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledDocBufIsBounded: a response buffer goes back to docBufs,
+// empty, only while its capacity is at most docBufMax bytes; one grown by
+// a larger response is left to the Go collector.
+func TestRecycledDocBufIsBounded(t *testing.T) {
+	for _, n := range []int{1 << 10, docBufMax + 1} {
+		buf := new(bytes.Buffer)
+		buf.WriteString(strings.Repeat("x", n))
+		pooled := recycleDocBuf(buf)
+		if want := buf.Cap() <= docBufMax; pooled != want {
+			t.Errorf("a buffer of %d bytes: pooled %v, want %v", buf.Cap(), pooled, want)
+		}
+		if pooled && buf.Len() != 0 {
+			t.Errorf("a pooled buffer holds %d bytes", buf.Len())
+		}
+	}
+}
